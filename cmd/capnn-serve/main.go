@@ -1,7 +1,8 @@
 // Command capnn-serve runs CAP'NN's multi-user inference service: a TCP
 // server that answers per-user classification requests by personalizing
 // the shared model on demand (mask cache + singleflight) and executing
-// micro-batched masked forwards grouped by preference.
+// micro-batched forwards, grouped by preference, on each personalization's
+// compiled plan.
 //
 //	capnn-serve -addr 127.0.0.1:7879 -model cifar10 -variant M
 //
@@ -78,8 +79,7 @@ func main() {
 	stateDir := flag.String("state", "", "checkpoint store directory: warm-start the mask cache from the latest good generation and checkpoint periodically (empty = stateless)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "with -state, commit a checkpoint this often")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight work at shutdown")
-	noCompile := flag.Bool("no-compile", false, "disable compiled inference (serve every personalized group by masked forwards on the base network)")
-	compiledBudget := flag.Int64("compiled-budget-bytes", 0, "resident compiled-weight byte budget; past it cold compiled forms are evicted, masks stay cached (0 = default 512MiB, negative = unlimited)")
+	compiledBudget := flag.Int64("compiled-budget-bytes", 0, "resident compiled-weight byte budget; past it cold plans are dropped, masks stay cached, next hit recompiles inline (0 = default 512MiB, negative = unlimited)")
 	noGuard := flag.Bool("no-guard", false, "disable the runtime ε-guard (serve stale personalizations forever)")
 	guardEvery := flag.Int("guard-sample-every", 8, "shadow-sample every Nth request per entry through the unpruned network")
 	guardWindow := flag.Int("guard-window", 256, "sliding window of shadow observations per entry")
@@ -142,7 +142,6 @@ func main() {
 		RequestTimeout:      *reqTimeout,
 		EDFSlack:            *edfSlack,
 		BulkQueueFraction:   *bulkFrac,
-		DisableCompile:      *noCompile,
 		CompiledBudgetBytes: *compiledBudget,
 		DisableGuard:        *noGuard,
 		GuardSampleEvery:    *guardEvery,

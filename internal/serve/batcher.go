@@ -24,16 +24,13 @@ const unprunedKey = "!unpruned"
 const bulkKeyPrefix = "!bulk|"
 
 // request is one admitted inference riding the batcher: its input
-// sample (flattened [C,H,W]), the group key and masks it forwards
-// under (nil masks = unpruned), its QoS envelope, and the channel its
-// outcome lands on (buffered; the flusher never blocks).
+// sample (flattened [C,H,W]), the group key and the compiled plan it
+// forwards on (captured at admission: its entry's, or the server's
+// unpruned one), its QoS envelope, and the channel its outcome lands on
+// (buffered; the flusher never blocks).
 type request struct {
-	gkey  string
-	masks map[int][]bool
-	// entry is the mask-cache entry the request forwards under, carrying
-	// the compiled network when one is ready; nil for unpruned traffic
-	// (guard fallback and shadow samples).
-	entry    *maskEntry
+	gkey     string
+	plan     *nn.Compiled
 	x        []float64
 	enqueued time.Time
 	// deadline is the request's effective absolute deadline (client
@@ -56,8 +53,7 @@ type outcome struct {
 // (timer vs MaxBatch vs an earlier re-arm) become no-ops.
 type group struct {
 	gkey    string
-	masks   map[int][]bool
-	entry   *maskEntry
+	plan    *nn.Compiled // the first member's; every member's plan for one key computes the same function
 	lane    qos.Lane
 	reqs    []*request
 	timer   *time.Timer
@@ -88,8 +84,8 @@ func edfFlushAt(enqueued, deadline time.Time, maxWait, estimate, slack time.Dura
 
 // batcher queues admitted requests, groups them by (lane, mask key), and
 // flushes each group — when it reaches maxBatch or its EDF timer fires —
-// through a fixed worker pool that runs one batched masked forward per
-// group. Workers drain the interactive lane first; bulk groups wait
+// through a fixed worker pool that runs one batched forward per group
+// on its plan. Workers drain the interactive lane first; bulk groups wait
 // whenever interactive work is ready. Admission is bounded: more than
 // maxQueue requests in flight and submit sheds with CodeBusy; bulk
 // requests yield earlier, shedding with CodeOverQuota once the queue
@@ -97,7 +93,6 @@ func edfFlushAt(enqueued, deadline time.Time, maxWait, estimate, slack time.Dura
 // queued is answered with CodeExpired at flush time and never reaches a
 // forward.
 type batcher struct {
-	net      *nn.Network
 	sample   int // flattened per-sample input length
 	inShape  []int
 	maxBatch int
@@ -122,15 +117,14 @@ type batcher struct {
 	hookBeforeFlush func(*group)
 }
 
-func newBatcher(net *nn.Network, maxBatch int, maxWait time.Duration, maxQueue, bulkMax, workers int, edfSlack time.Duration, st *stats) *batcher {
+func newBatcher(inShape []int, maxBatch int, maxWait time.Duration, maxQueue, bulkMax, workers int, edfSlack time.Duration, st *stats) *batcher {
 	per := 1
-	for _, d := range net.InShape {
+	for _, d := range inShape {
 		per *= d
 	}
 	b := &batcher{
-		net:      net,
 		sample:   per,
-		inShape:  append([]int(nil), net.InShape...),
+		inShape:  append([]int(nil), inShape...),
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
 		maxQueue: maxQueue,
@@ -192,7 +186,7 @@ func (b *batcher) submit(r *request) error {
 	reqFlushAt := edfFlushAt(r.enqueued, r.deadline, b.maxWait, b.st.forwardEstimate(), b.edfSlack)
 	g, ok := b.pending[key]
 	if !ok {
-		g = &group{gkey: key, masks: r.masks, entry: r.entry, lane: r.lane, flushAt: reqFlushAt}
+		g = &group{gkey: key, plan: r.plan, lane: r.lane, flushAt: reqFlushAt}
 		b.pending[key] = g
 		g.timer = time.AfterFunc(time.Until(reqFlushAt), func() { b.flushKey(key, g) })
 	} else if reqFlushAt.Before(g.flushAt) {
@@ -284,8 +278,8 @@ func (b *batcher) worker() {
 	}
 }
 
-// runGroup sheds expired members, executes one batched masked forward
-// over the survivors, and fans the logits out. The expiry check is what
+// runGroup sheds expired members, executes one batched forward over the
+// survivors on g.plan, and fans the logits out. The expiry check is what
 // guarantees no request past its deadline ever reaches a forward: the
 // waiter has already been answered by its own deadline timer, so the
 // work would be pure waste heat. A panic anywhere inside fails the
@@ -335,25 +329,8 @@ func (b *batcher) runGroup(g *group) {
 		waits[i] = flushStart.Sub(req.enqueued)
 	}
 
-	// Dispatch on the entry's compiled network when one is ready —
-	// bit-identical to the masked forward by Compile's probe guarantee —
-	// and fall back to masked inference while compilation is in flight,
-	// failed, or budget-evicted. Unpruned groups (entry == nil) always
-	// take the masked path and count under neither series.
 	fwdStart := time.Now()
-	var out *tensor.Tensor
-	if g.entry != nil {
-		if compiled := g.entry.compiled.Load(); compiled != nil {
-			out = compiled.Infer(batch)
-			b.st.compiledDispatched(n)
-		}
-	}
-	if out == nil {
-		out = b.net.Infer(batch, g.masks)
-		if g.entry != nil {
-			b.st.maskedFallback(n)
-		}
-	}
+	out := g.plan.Infer(batch)
 	b.st.flushed(n, waits, time.Since(fwdStart))
 
 	classes := out.Dim(1)

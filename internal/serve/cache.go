@@ -25,12 +25,10 @@ type maskEntry struct {
 	// disabled or the entry was restored without one.
 	guard *entryGuard
 
-	// Compiled-inference state (compiler.go): compiled holds the entry's
-	// verified compiled network once compileSt reaches compileReady; the
-	// batcher loads it lock-free per flush and falls back to masked
-	// inference on nil. Never serialized — restore re-enqueues a compile.
-	compiled  atomic.Pointer[nn.Compiled]
-	compileSt atomic.Int32
+	// plan is the compiled network requests under this entry run on
+	// (plan.go); nil until Server.planFor builds it, and again after the
+	// byte budget trims it. Never serialized.
+	plan atomic.Pointer[nn.Compiled]
 }
 
 // flight is one in-progress personalization. Joiners block on done and
@@ -49,12 +47,6 @@ type flight struct {
 type maskCache struct {
 	cap int
 	st  *stats
-
-	// onDrop, when set (before serving starts), observes every entry
-	// leaving the cache — LRU eviction or install replacement — so the
-	// compiler can release its compiled form. Called under mu; the hook
-	// must only touch the entry's atomics.
-	onDrop func(*maskEntry)
 
 	mu      sync.Mutex
 	lru     *list.List               // front = most recent; values are *maskEntry
@@ -127,9 +119,6 @@ func (c *maskCache) install(e *maskEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[e.key]; ok {
-		if old := el.Value.(*maskEntry); old != e && c.onDrop != nil {
-			c.onDrop(old)
-		}
 		el.Value = e
 		c.lru.MoveToFront(el)
 		return
@@ -158,11 +147,7 @@ func (c *maskCache) evictOverCapLocked() {
 	for c.lru.Len() > c.cap {
 		tail := c.lru.Back()
 		c.lru.Remove(tail)
-		dropped := tail.Value.(*maskEntry)
-		delete(c.entries, dropped.key)
-		if c.onDrop != nil {
-			c.onDrop(dropped)
-		}
+		delete(c.entries, tail.Value.(*maskEntry).key)
 		c.st.evicted()
 	}
 }

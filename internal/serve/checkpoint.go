@@ -63,11 +63,9 @@ func (s *Server) RestoreState(g *store.Generation) (int, error) {
 		if err != nil {
 			return restored, fmt.Errorf("serve: restore: %w", err)
 		}
+		// Compiled plans are never serialized (CachedMask carries only
+		// masks); a restored entry's first hit compiles it.
 		s.cache.install(e)
-		// Compiled networks are never serialized (cachedMask carries only
-		// masks); restored entries recompile asynchronously and serve
-		// masked until their plan is ready.
-		s.compiler.enqueue(e)
 		restored++
 	}
 	s.st.noteCheckpoint(g.Number)

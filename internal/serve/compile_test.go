@@ -1,243 +1,339 @@
 package serve
 
 import (
+	"maps"
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"capnn/internal/core"
 	"capnn/internal/store"
+	"capnn/internal/tensor"
 )
 
-// Compiled dispatch must return exactly the bytes masked inference
-// returns — the serving-tier face of the nn.Compile bit-identity
-// invariant — and the stats must show the requests moving to the
-// compiled path once compilation lands.
-func TestCompiledDispatchBitIdentical(t *testing.T) {
+// planConfig is the config the plan tests share: variant W on tiny
+// batches, no guard unless a test turns it back on.
+func planConfig() Config {
+	return Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond, DisableGuard: true}
+}
+
+// sameBits fails unless got is bit-for-bit the reference forward of x
+// under masks (nil = unpruned) on the base network — masked Infer is the
+// oracle every served answer is judged against (DESIGN invariant 13).
+func sameBits(t *testing.T, f *fixture, what string, got []float64, x *tensor.Tensor, masks map[int][]bool) {
+	t.Helper()
+	want := f.sys.Net.Infer(x.MustReshape(append([]int{1}, x.Shape()...)...), masks).Data()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d logits, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: logit %d is %v, reference %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// Invariant 13 on all three ways a request is answered: on its entry's
+// plan, as a guard shadow sample, and as a tripped entry's fallback.
+func TestServedAnswersBitIdentical(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond, DisableGuard: true})
+	cfg := planConfig()
+	// Every 2nd request per entry is a shadow sample; MinObs keeps the
+	// guard from judging, so the only trip is the forced one below.
+	cfg.DisableGuard, cfg.DisableProactive = false, true
+	cfg.GuardSampleEvery, cfg.GuardWindow, cfg.GuardMinObs = 2, 1024, 1024
+	srv := NewServerWith(f.sys, cfg)
 	defer srv.Close()
 
 	prefs := core.Uniform([]int{0, 1})
 	x := f.sample(t, 0)
-	first, err := srv.Infer(prefs, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.CompileWait(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	second, err := srv.Infer(prefs, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range first.Logits {
-		if math.Float64bits(first.Logits[i]) != math.Float64bits(second.Logits[i]) {
-			t.Fatalf("logit %d changed after compile: %v vs %v", i, first.Logits[i], second.Logits[i])
+	serve := func() Result {
+		t.Helper()
+		res, err := srv.Infer(prefs, x)
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
 	}
-	// Reference: the masked forward under the entry's own masks.
-	entries := srv.cache.snapshot()
-	if len(entries) != 1 {
-		t.Fatalf("cache holds %d entries, want 1", len(entries))
+
+	personalised := serve()
+	entry := srv.cache.snapshot()[0]
+	if entry.prunedUnits == 0 {
+		t.Fatal("personalization pruned nothing: masked and unpruned references would coincide")
 	}
-	batch := x.MustReshape(append([]int{1}, x.Shape()...)...)
-	want := f.sys.Net.Infer(batch, entries[0].masks)
-	for i, v := range want.Data() {
-		if math.Float64bits(v) != math.Float64bits(second.Logits[i]) {
-			t.Fatalf("compiled logit %d differs from masked reference", i)
-		}
+	sameBits(t, f, "personalised", personalised.Logits, x, entry.masks)
+	if got := srv.Stats().CompiledDispatched; got != 1 {
+		t.Fatalf("CompiledDispatched=%d after one personalised request, want 1", got)
 	}
-	st := srv.Stats()
-	if st.Compiles == 0 || st.CompileErrors != 0 {
-		t.Fatalf("compiles=%d errors=%d, want >0 and 0", st.Compiles, st.CompileErrors)
+
+	shadow := serve()
+	if shadow.Fallback {
+		t.Fatal("shadow sample reported as fallback")
 	}
-	if st.CompiledDispatched == 0 {
-		t.Fatal("no compiled dispatches after CompileWait")
+	sameBits(t, f, "shadow sample", shadow.Logits, x, nil)
+
+	if !entry.guard.forceTrip() {
+		t.Fatal("entry already tripped")
 	}
-	if st.CompiledBytes <= 0 || st.CompiledEntries != 1 {
-		t.Fatalf("compiled resident bytes=%d entries=%d, want >0 and 1", st.CompiledBytes, st.CompiledEntries)
+	fallback := serve()
+	if !fallback.Fallback {
+		t.Fatal("tripped entry did not serve as fallback")
+	}
+	sameBits(t, f, "fallback", fallback.Logits, x, nil)
+	if got := srv.Stats().CompiledDispatched; got != 1 {
+		t.Fatalf("CompiledDispatched=%d, want 1 (unpruned traffic is not counted)", got)
 	}
 }
 
-// A byte budget smaller than one compiled net evicts the compiled form
-// but keeps the masks: the entry stays cached, keeps serving (masked),
-// and a later hit re-queues a compile on demand.
-func TestCompiledBudgetEvictionKeepsMasks(t *testing.T) {
+// The plan is built inside the singleflight fill: the filling request
+// and every joiner already dispatch compiled, one compile per
+// personalization, nothing to wait for.
+func TestFillCompilesInline(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond,
-		DisableGuard: true, CompiledBudgetBytes: 1})
+	srv := NewServerWith(f.sys, planConfig())
 	defer srv.Close()
 
-	prefs := core.Uniform([]int{0, 1})
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
-		t.Fatal(err)
+	const n = 8
+	var wg sync.WaitGroup
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if _, err := srv.Infer(core.Uniform([]int{0, 1}), f.sample(t, i)); err != nil {
+				t.Error(err)
+			}
+		}(i)
 	}
-	if err := srv.CompileWait(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
+	wg.Wait()
 	st := srv.Stats()
-	if st.CompiledEvictions == 0 {
-		t.Fatal("no budget eviction despite 1-byte budget")
+	if st.PersonalizeRuns != 1 || st.Compiles != 1 || st.CompileErrors != 0 {
+		t.Fatalf("personalize-runs=%d compiles=%d errors=%d, want 1/1/0", st.PersonalizeRuns, st.Compiles, st.CompileErrors)
 	}
-	if st.CompiledBytes != 0 || st.CompiledEntries != 0 {
-		t.Fatalf("resident bytes=%d entries=%d after eviction, want 0/0", st.CompiledBytes, st.CompiledEntries)
+	if st.CompiledDispatched != n {
+		t.Fatalf("CompiledDispatched=%d, want %d (first request and joiners included)", st.CompiledDispatched, n)
 	}
-	if st.CacheEntries != 1 {
-		t.Fatalf("cache entries %d after compiled eviction, want 1 (masks must stay)", st.CacheEntries)
+	if st.CompiledEntries != 1 || st.CompiledBytes <= 0 {
+		t.Fatalf("resident entries=%d bytes=%d, want 1 and >0", st.CompiledEntries, st.CompiledBytes)
 	}
-	// Still serves, on the masked path.
-	if _, err := srv.Infer(prefs, f.sample(t, 1)); err != nil {
+
+	if _, err := srv.Infer(core.Uniform([]int{2, 3}), f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.Stats(); got.MaskedFallback == 0 {
-		t.Fatal("no masked fallback counted after compiled eviction")
-	}
-	// The hit above re-queued a demand compile (which the budget evicts
-	// again — the accounting must stay consistent, not leak).
-	if err := srv.CompileWait(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got := srv.Stats(); got.Compiles < 2 {
-		t.Fatalf("compiles=%d, want ≥2 (demand recompile after eviction)", got.Compiles)
-	}
-	if got := srv.Stats(); got.CompiledBytes != 0 {
-		t.Fatalf("resident bytes=%d, want 0 (budget)", got.CompiledBytes)
+	if st := srv.Stats(); st.Compiles != st.PersonalizeRuns || st.Compiles != 2 {
+		t.Fatalf("compiles=%d personalize-runs=%d, want 2/2", st.Compiles, st.PersonalizeRuns)
 	}
 }
 
-// DisableCompile serves everything masked: no compiles, no resident
-// bytes, and the fallback counter carries the personalized traffic.
-func TestCompileDisabled(t *testing.T) {
+// Checkpoint restore and handoff import install plan-less entries; the
+// first hit compiles without personalizing, and concurrent first hits
+// publish exactly one plan.
+func TestPlanlessEntriesCompileOnFirstHit(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond,
-		DisableGuard: true, DisableCompile: true})
-	defer srv.Close()
-	if _, err := srv.Infer(core.Uniform([]int{0, 1}), f.sample(t, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.CompileWait(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	st := srv.Stats()
-	if st.Compiles != 0 || st.CompiledBytes != 0 || st.CompiledDispatched != 0 {
-		t.Fatalf("disabled compile left traces: compiles=%d bytes=%d dispatched=%d",
-			st.Compiles, st.CompiledBytes, st.CompiledDispatched)
-	}
-	if st.MaskedFallback == 0 {
-		t.Fatal("personalized request not counted as masked fallback")
-	}
-}
-
-// Checkpoint restore must recompile resident entries (compiled nets are
-// never serialized) so a restarted server reaches compiled dispatch
-// without waiting for traffic.
-func TestRestoreStateRecompiles(t *testing.T) {
-	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond, DisableGuard: true})
-	defer srv.Close()
+	src := NewServerWith(f.sys, planConfig())
+	defer src.Close()
 	prefs := core.Uniform([]int{2, 3})
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
-		t.Fatal(err)
-	}
-
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := st.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.SaveState(txn); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	gen, err := st.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	srv2 := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond, DisableGuard: true})
-	defer srv2.Close()
-	if _, err := srv2.RestoreState(gen); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv2.CompileWait(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	snap := srv2.Stats()
-	if snap.CompiledEntries == 0 || snap.CompiledBytes <= 0 {
-		t.Fatalf("restore did not recompile: entries=%d bytes=%d", snap.CompiledEntries, snap.CompiledBytes)
-	}
-	// The restored entry's first request dispatches compiled and matches
-	// the pre-restart masked answer bitwise.
 	x := f.sample(t, 2)
-	want, err := srv.InferVariant(core.VariantW, prefs, x)
-	if err != nil {
+	if _, err := src.Infer(prefs, x); err != nil {
 		t.Fatal(err)
 	}
-	got, err := srv2.InferVariant(core.VariantW, prefs, x)
-	if err != nil {
-		t.Fatal(err)
+	masks := src.cache.snapshot()[0].masks
+
+	planless := func(t *testing.T, install func(*Server)) *Server {
+		t.Helper()
+		srv := NewServerWith(f.sys, planConfig())
+		t.Cleanup(func() { srv.Close() })
+		srv.hookPersonalize = func(core.Preferences) { t.Error("plan-less entry ran a personalization") }
+		install(srv)
+		if st := srv.Stats(); st.CacheEntries != 1 || st.CompiledEntries != 0 || st.Compiles != 0 {
+			t.Fatalf("after install: cache=%d compiled=%d compiles=%d, want 1/0/0", st.CacheEntries, st.CompiledEntries, st.Compiles)
+		}
+		return srv
 	}
-	for i := range want.Logits {
-		if math.Float64bits(want.Logits[i]) != math.Float64bits(got.Logits[i]) {
-			t.Fatalf("restored compiled logit %d differs from original", i)
+
+	t.Run("restore", func(t *testing.T) {
+		disk, err := store.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		txn, err := disk.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := src.SaveState(txn); err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		gen, err := disk.Latest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := planless(t, func(s *Server) {
+			if _, err := s.RestoreState(gen); err != nil {
+				t.Fatal(err)
+			}
+		})
+		for hit := 1; hit <= 2; hit++ {
+			got, err := srv.Infer(prefs, x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, f, "restored", got.Logits, x, masks)
+			st := srv.Stats()
+			if st.Compiles != 1 || st.CompiledDispatched != uint64(hit) || st.CacheMisses != 0 {
+				t.Fatalf("hit %d: compiles=%d dispatched=%d misses=%d, want 1/%d/0", hit, st.Compiles, st.CompiledDispatched, st.CacheMisses, hit)
+			}
+		}
+	})
+
+	t.Run("import-concurrent", func(t *testing.T) {
+		srv := planless(t, func(s *Server) {
+			if n, err := s.ImportMasks(src.ExportMasks()); err != nil || n != 1 {
+				t.Fatalf("import: n=%d err=%v", n, err)
+			}
+		})
+		const n = 8
+		start := make(chan struct{})
+		got := make([]Result, n)
+		var wg sync.WaitGroup
+		for i := 0; i < n; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				<-start
+				var err error
+				if got[i], err = srv.Infer(prefs, x); err != nil {
+					t.Error(err)
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+		for _, res := range got {
+			sameBits(t, f, "imported", res.Logits, x, masks)
+		}
+		entry := srv.cache.snapshot()[0]
+		plan := entry.plan.Load()
+		st := srv.Stats()
+		if plan == nil || st.CompiledEntries != 1 || st.CompiledBytes != plan.Bytes() {
+			t.Fatalf("resident entries=%d bytes=%d, want exactly the one published plan", st.CompiledEntries, st.CompiledBytes)
+		}
+		if st.Compiles < 1 || st.Compiles > n || st.CompiledDispatched != n {
+			t.Fatalf("compiles=%d dispatched=%d, want 1..%d and %d", st.Compiles, st.CompiledDispatched, n, n)
+		}
+		if _, err := srv.Infer(prefs, x); err != nil {
+			t.Fatal(err)
+		}
+		if entry.plan.Load() != plan || srv.Stats().Compiles != st.Compiles {
+			t.Fatal("a hit on a planned entry published or compiled again")
+		}
+	})
+}
+
+// The byte budget drops plans coldest entry first and keeps the masks:
+// the trimmed key stays cached, its next hit recompiles without
+// personalizing, and the entry being served is spared — so even a budget
+// below one plan neither fails nor thrashes.
+func TestPlanBudgetTrimsColdestKeepsMasks(t *testing.T) {
+	f := getFixture(t)
+	cfg := planConfig()
+	cfg.CompiledBudgetBytes = 1
+	srv := NewServerWith(f.sys, cfg)
+	defer srv.Close()
+	var personalizations atomic.Int32
+	srv.hookPersonalize = func(core.Preferences) { personalizations.Add(1) }
+
+	a, b := core.Uniform([]int{0, 1}), core.Uniform([]int{2, 3})
+	x := f.sample(t, 0)
+	serve := func(p core.Preferences) Result {
+		t.Helper()
+		res, err := srv.Infer(p, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	serve(a)
+	if st := srv.Stats(); st.CompiledEvictions != 0 || st.CompiledEntries != 1 {
+		t.Fatalf("one key: evictions=%d resident=%d, want 0/1 (the served entry is spared)", st.CompiledEvictions, st.CompiledEntries)
+	}
+	serve(b)
+	if st := srv.Stats(); st.CompiledEvictions != 1 || st.CacheEntries != 2 || st.CompiledEntries != 1 {
+		t.Fatalf("two keys: evictions=%d cache=%d resident=%d, want 1/2/1", st.CompiledEvictions, st.CacheEntries, st.CompiledEntries)
+	}
+
+	for hit := 0; hit < 2; hit++ { // the second hit must find A's plan still there
+		res := serve(a)
+		if !res.CacheHit {
+			t.Fatal("trimmed key missed the cache: masks must stay")
+		}
+		entryA := srv.cache.snapshot()[1] // most recently used
+		sameBits(t, f, "recompiled", res.Logits, x, entryA.masks)
+		st := srv.Stats()
+		if st.Compiles != 3 || st.CompiledEvictions != 2 || personalizations.Load() != 2 {
+			t.Fatalf("hit %d: compiles=%d evictions=%d personalizations=%d, want 3/2/2",
+				hit, st.Compiles, st.CompiledEvictions, personalizations.Load())
+		}
+		if plan := entryA.plan.Load(); plan == nil || st.CompiledBytes != plan.Bytes() || st.CompiledEntries != 1 {
+			t.Fatalf("resident bytes=%d entries=%d, want exactly A's plan", st.CompiledBytes, st.CompiledEntries)
 		}
 	}
-	if post := srv2.Stats(); post.CompiledDispatched == 0 {
-		t.Fatal("restored entry did not dispatch compiled")
-	}
 }
 
-// Replacing an entry (the heal path publishes a fresh entry under the
-// original key) must release the old compiled form's accounting.
-func TestInstallReleasesReplacedCompiled(t *testing.T) {
+// Masks nn.Compile rejects (a whole layer pruned) degrade to the
+// unpruned answer: counted, logged, pinned — never a client-visible error.
+func TestCompileFailureServesUnpruned(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond, DisableGuard: true})
-	defer srv.Close()
-	if _, err := srv.Infer(core.Uniform([]int{0, 2}), f.sample(t, 0)); err != nil {
+	src := NewServerWith(f.sys, planConfig())
+	defer src.Close()
+	prefs := core.Uniform([]int{0, 1})
+	x := f.sample(t, 1)
+	if _, err := src.Infer(prefs, x); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.CompileWait(10 * time.Second); err != nil {
-		t.Fatal(err)
+	cms := src.ExportMasks()
+	broken := maps.Clone(cms[0].Masks) // the export shares the source entry's map
+	for stage, m := range broken {
+		all := make([]bool, len(m))
+		for i := range all {
+			all[i] = true
+		}
+		broken[stage] = all
+		break
 	}
-	old := srv.cache.snapshot()[0]
-	if srv.compiler.resident() <= 0 {
-		t.Fatal("no resident compiled bytes before replacement")
-	}
-	fresh := &maskEntry{key: old.key, variant: old.variant, prefs: old.prefs, masks: old.masks}
-	srv.cache.install(fresh)
-	if old.compiled.Load() != nil {
-		t.Fatal("replaced entry kept its compiled pointer")
-	}
-	if got := srv.compiler.resident(); got != 0 {
-		t.Fatalf("resident bytes %d after replacement, want 0 (fresh entry not yet compiled)", got)
-	}
-	// LRU eviction releases the same way.
-	srv.compiler.enqueue(fresh)
-	if err := srv.CompileWait(10 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if srv.compiler.resident() <= 0 {
-		t.Fatal("fresh entry did not compile")
-	}
-	srv.cache.evictAllForTest()
-	if got := srv.compiler.resident(); got != 0 {
-		t.Fatalf("resident bytes %d after LRU drop, want 0", got)
-	}
-}
+	cms[0].Masks = broken
 
-// evictAllForTest drops every cache entry through the same locked path
-// LRU eviction uses, firing onDrop for each.
-func (c *maskCache) evictAllForTest() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	saved := c.cap
-	c.cap = 0
-	c.evictOverCapLocked()
-	c.cap = saved
+	srv := NewServerWith(f.sys, planConfig())
+	defer srv.Close()
+	if _, err := srv.ImportMasks(cms); err != nil {
+		t.Fatal(err)
+	}
+	for hit := 0; hit < 2; hit++ { // the failure is pinned: the second hit does not recompile
+		res, err := srv.Infer(prefs, x)
+		if err != nil {
+			t.Fatalf("compile failure reached the client: %v", err)
+		}
+		sameBits(t, f, "stand-in", res.Logits, x, nil)
+		st := srv.Stats()
+		if st.Compiles != 1 || st.CompileErrors != 1 || st.CompiledDispatched != 0 || st.CompiledBytes != 0 {
+			t.Fatalf("hit %d: compiles=%d errors=%d dispatched=%d bytes=%d, want 1/1/0/0",
+				hit, st.Compiles, st.CompileErrors, st.CompiledDispatched, st.CompiledBytes)
+		}
+	}
+	failed := 0
+	for _, ev := range srv.Events().Snapshot(0) {
+		if ev.Type == "compile-failed" {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Fatalf("%d compile-failed events, want 1", failed)
+	}
 }

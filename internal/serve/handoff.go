@@ -15,8 +15,8 @@ import (
 // outgoing owner's cache (OpCacheExport), filters it down to the moved
 // key range, and imports it into the incoming owner (OpCacheImport)
 // before the ring epoch flips. CachedMask is the transferable form —
-// the same shape checkpoints persist: masks travel, compiled networks
-// never do (the importer re-enqueues compilation), and guard windows
+// the same shape checkpoints persist: masks travel, compiled plans
+// never do (an imported entry's first hit compiles it), and guard windows
 // start fresh (the new owner must observe its own traffic mix before
 // any trip decision).
 
@@ -84,10 +84,9 @@ func (s *Server) ExportMasks() []CachedMask {
 // ImportMasks installs transferred entries into the cache and returns
 // how many were installed. Keys the cache already holds are kept — the
 // resident entry may be fresher (a heal published against observed
-// traffic) than the mover's copy. Imported entries recompile
-// asynchronously and serve masked until their plan is ready. A malformed
-// entry aborts the import with an error; entries installed before it
-// stay installed.
+// traffic) than the mover's copy. Imported entries are plan-less until
+// their first hit compiles them. A malformed entry aborts the import
+// with an error; entries installed before it stay installed.
 func (s *Server) ImportMasks(cms []CachedMask) (int, error) {
 	imported := 0
 	for _, cm := range cms {
@@ -95,11 +94,9 @@ func (s *Server) ImportMasks(cms []CachedMask) (int, error) {
 		if err != nil {
 			return imported, err
 		}
-		if !s.cache.installIfAbsent(e) {
-			continue
+		if s.cache.installIfAbsent(e) {
+			imported++
 		}
-		s.compiler.enqueue(e)
-		imported++
 	}
 	if imported > 0 {
 		s.st.handoffImported(imported)

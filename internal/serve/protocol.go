@@ -49,8 +49,8 @@ const (
 	// OpCacheImport installs exported entries (gob []CachedMask in the
 	// request payload) into this node's cache — the receiving half of a
 	// warm handoff. Entries the node already holds are kept, not
-	// clobbered; imported entries get fresh guards and recompile
-	// asynchronously. The response's Batch field reports the count
+	// clobbered; imported entries get fresh guards and are compiled by
+	// their first hit. The response's Batch field reports the count
 	// actually installed.
 	OpCacheImport
 )

@@ -10,9 +10,9 @@
 //     preference vector pay for personalization once (singleflight: N
 //     concurrent first-requests run one System.Prune), and
 //   - a dynamic micro-batcher groups queued requests by mask key and
-//     executes one batched masked forward per group (nn.Network.Infer,
-//     which takes the mask as an argument precisely so concurrent
-//     groups can share the base weights without racing).
+//     executes one batched forward per group on the entry's compiled plan
+//     (nn.Compiled: the masks applied physically, built inside the cache
+//     fill and verified bit-identical to masked inference).
 //
 // Admission control follows internal/cloud: bounded in-flight work,
 // typed busy shedding (cloud.Code), read/write deadlines on the wire,
@@ -29,6 +29,7 @@ import (
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/metrics"
+	"capnn/internal/nn"
 	"capnn/internal/qos"
 	"capnn/internal/tensor"
 )
@@ -73,14 +74,10 @@ type Config struct {
 	ReadTimeout, WriteTimeout time.Duration
 	MaxRequestBytes           int64
 
-	// DisableCompile turns compiled inference off: every personalized
-	// group is served by masked inference on the base network, as before
-	// the compiled pipeline existed.
-	DisableCompile bool
 	// CompiledBudgetBytes bounds the resident compiled-weight memory
-	// across cache entries; past it, compiled forms are evicted coldest
-	// first (the masks stay cached and serve masked until re-compiled on
-	// demand). Zero takes the default 512 MiB; negative is unlimited.
+	// across cache entries; past it, plans are dropped coldest entry first
+	// (the masks stay cached and the next hit recompiles inline). Zero
+	// takes the default 512 MiB; negative is unlimited.
 	CompiledBudgetBytes int64
 
 	// DisableGuard turns the runtime ε-guard off entirely (no shadow
@@ -285,9 +282,9 @@ type Result struct {
 }
 
 // Server is the concurrent inference server. It owns a prepared
-// core.System whose network supplies the shared weights; weights are
-// never mutated while serving, so any number of groups forward
-// concurrently, each under its own cached mask.
+// core.System whose network supplies the weights every plan is compiled
+// from; weights are never mutated while serving, so any number of groups
+// forward concurrently, each on its own entry's plan.
 type Server struct {
 	sys    *core.System
 	cfg    Config
@@ -297,14 +294,15 @@ type Server struct {
 	cache  *maskCache
 	batch  *batcher
 
-	// compiler is the async compiled-inference worker; nil when
-	// DisableCompile is set (all its methods are nil-safe no-ops).
-	compiler *compiler
+	// unpruned is the base network compiled under no masks: the plan the
+	// ε-guard's fallback and shadow traffic runs, and the stand-in for an
+	// entry whose masks do not compile.
+	unpruned *nn.Compiled
 
 	// personalizeMu serializes System.Prune runs: the pruning algorithms
 	// share the system's suffix evaluator and mutate masks on the shared
-	// network while measuring candidates. Inference (mask-as-argument
-	// Infer) runs concurrently with this by design.
+	// network while measuring candidates. Inference (compiled plans hold
+	// their own weights) runs concurrently with this by design.
 	personalizeMu sync.Mutex
 
 	// breaker guards the repersonalization path taken by ε-guard heals.
@@ -349,9 +347,15 @@ type Server struct {
 // NewServer wraps a prepared system with the default Config.
 func NewServer(sys *core.System) *Server { return NewServerWith(sys, Config{}) }
 
-// NewServerWith wraps a prepared system with explicit limits.
+// NewServerWith wraps a prepared system with explicit limits. It panics
+// when the system's network has a layer nn.Compile cannot lower — a
+// programming error no request could be served past.
 func NewServerWith(sys *core.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	unpruned, err := nn.Compile(sys.Net, nil)
+	if err != nil {
+		panic(fmt.Sprintf("serve: base network does not compile: %v", err))
+	}
 	reg := metrics.NewRegistry()
 	events := metrics.NewEventLog(0)
 	st := newStatsOn(reg, events)
@@ -360,30 +364,27 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		bulkMax = 1
 	}
 	s := &Server{
-		sys:     sys,
-		cfg:     cfg,
-		st:      st,
-		reg:     reg,
-		events:  events,
-		cache:   newMaskCache(cfg.CacheCap, st),
-		batch:   newBatcher(sys.Net, cfg.MaxBatch, cfg.MaxWait, cfg.MaxQueue, bulkMax, cfg.Workers, cfg.EDFSlack, st),
-		breaker: newBreaker(cfg.BreakerFailureRate, cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
-		drainCh: make(chan struct{}),
+		sys:      sys,
+		cfg:      cfg,
+		st:       st,
+		reg:      reg,
+		events:   events,
+		cache:    newMaskCache(cfg.CacheCap, st),
+		unpruned: unpruned,
+		batch:    newBatcher(sys.Net.InShape, cfg.MaxBatch, cfg.MaxWait, cfg.MaxQueue, bulkMax, cfg.Workers, cfg.EDFSlack, st),
+		breaker:  newBreaker(cfg.BreakerFailureRate, cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
+		drainCh:  make(chan struct{}),
 	}
 	if !cfg.DisableProactive {
 		s.proactive = newProactiveGate(cfg.ProactiveInterval)
 	}
-	if !cfg.DisableCompile {
-		s.compiler = newCompiler(sys.Net, s.cache, st, cfg.CompiledBudgetBytes)
-		// Entries leaving the cache (LRU eviction, heal replacement)
-		// release their compiled form's memory accounting.
-		s.cache.onDrop = s.compiler.release
-	}
 	reg.GaugeFunc("capnn_serve_compiled_bytes", "Approximate resident compiled-weight bytes.", func() float64 {
-		return float64(s.compiler.resident())
+		bytes, _ := s.residentPlans()
+		return float64(bytes)
 	})
 	reg.GaugeFunc("capnn_serve_compiled_entries", "Cache entries with a resident compiled network.", func() float64 {
-		return float64(s.compiler.readyEntries())
+		_, entries := s.residentPlans()
+		return float64(entries)
 	})
 	// Breaker transitions become structured events; the counters come
 	// from the breaker's own snapshot below — one source, two surfaces.
@@ -471,8 +472,7 @@ func (s *Server) ringUpdateFn() func(RingUpdate) error {
 func (s *Server) Stats() Stats {
 	out := s.st.snapshot(s.cache.len(), s.batch.depth())
 	out.BreakerState, out.BreakerOpens, out.BreakerCloses, out.BreakerHalfOpens = s.breaker.snapshot()
-	out.CompiledBytes = s.compiler.resident()
-	out.CompiledEntries = s.compiler.readyEntries()
+	out.CompiledBytes, out.CompiledEntries = s.residentPlans()
 	return out
 }
 
@@ -566,24 +566,18 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 		}
 		return Result{}, &Error{Code: cloud.CodeInternal, Err: err}
 	}
-	// The ε-guard may reroute this request through the unpruned
-	// network: always after a trip (fallback), and periodically as a
-	// shadow sample whose prediction feeds the drift window. Unpruned
-	// traffic shares one batch group regardless of which entry sent it.
-	if hit {
-		// Demand path: a hot entry whose compiled form was budget-evicted
-		// (or whose first enqueue hit a full queue) gets re-queued.
-		s.compiler.ensure(entry)
-	}
-	gkey, masks, reqEntry := entry.key, entry.masks, entry
+	// The ε-guard may reroute this request through the unpruned plan:
+	// always after a trip (fallback), and periodically as a shadow sample
+	// whose prediction feeds the drift window. Unpruned traffic shares one
+	// batch group regardless of which entry sent it.
+	gkey, plan := unprunedKey, s.unpruned
 	unpruned, fallback := entry.guard.admit()
-	if unpruned {
-		gkey, masks, reqEntry = unprunedKey, nil, nil
-		if fallback {
-			s.st.fallbackServed()
-		}
+	if !unpruned {
+		gkey, plan = entry.key, s.planFor(entry)
+	} else if fallback {
+		s.st.fallbackServed()
 	}
-	req := &request{gkey: gkey, masks: masks, entry: reqEntry, x: x, enqueued: time.Now(),
+	req := &request{gkey: gkey, plan: plan, x: x, enqueued: time.Now(),
 		deadline: effDeadline, lane: q.Lane, done: make(chan outcome, 1)}
 	if err := s.batch.submit(req); err != nil {
 		return Result{}, err.(*Error)
@@ -593,6 +587,9 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	case out := <-req.done:
 		if out.err != nil {
 			return Result{}, out.err
+		}
+		if plan != s.unpruned {
+			s.st.compiledDispatched()
 		}
 		class := tensor.Argmax(out.logits)
 		if unpruned && entry.guard != nil {
@@ -637,9 +634,10 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	}
 }
 
-// personalize is the cache fill: one System.Prune run under the
-// personalization lock. A panic inside the pruning algorithms is
-// recovered into a typed internal error — and not cached.
+// personalize is the cache fill: one System.Prune run and the compile
+// of its masks under the personalization lock, so singleflight joiners
+// and every later hit find the plan in place. A panic inside the pruning
+// algorithms is recovered into a typed internal error — and not cached.
 func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string) (entry *maskEntry, err error) {
 	s.personalizeMu.Lock()
 	defer s.personalizeMu.Unlock()
@@ -676,18 +674,15 @@ func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string)
 		}
 		e.guard = g
 	}
-	// Queue the compile off the request path: first requests serve masked
-	// while the worker compacts. Covers fresh fills and heals alike.
-	s.compiler.enqueue(e)
+	s.planFor(e)
 	return e, nil
 }
 
-// CompileWait blocks until every queued compile has finished (ready or
-// failed) or the timeout passes — for tests and benchmarks that need
-// deterministic compiled dispatch. A no-op when compilation is disabled.
-func (s *Server) CompileWait(timeout time.Duration) error {
-	return s.compiler.wait(timeout)
-}
+// CompileWait returns nil at once.
+//
+// Deprecated: plans are compiled inside the cache fill, so there is
+// nothing left to wait for.
+func (s *Server) CompileWait(time.Duration) error { return nil }
 
 // skewThreshold is the value guards are built with: the configured
 // threshold, or 0 (detector off) when proactive repersonalization is
@@ -822,7 +817,6 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	// Flush whatever is still queued and stop the workers: admitted
 	// requests are answered even on a blown deadline.
 	s.batch.close()
-	s.compiler.close()
 	if drainErr != nil {
 		return drainErr
 	}

@@ -44,7 +44,7 @@ type Stats struct {
 	// Per-stage cumulative latencies with their sample counts:
 	// Personalize covers System.Prune runs (cache misses only),
 	// QueueWait covers submit→flush per request, Forward covers the
-	// batched masked forward per group. The totals are derived from the
+	// batched forward per group. The totals are derived from the
 	// registry's per-stage histograms (integer nanoseconds accumulate
 	// exactly in a float64 sum), so this snapshot and a /metrics scrape
 	// report the same numbers.
@@ -58,19 +58,22 @@ type Stats struct {
 	QueueWaitP99                       time.Duration
 	ForwardP50, ForwardP95, ForwardP99 time.Duration
 
-	// Compiled inference: Compiles counts finished compile attempts and
-	// CompileErrors the failed subset; CompiledDispatched / MaskedFallback
-	// count personalized requests served on a compiled network vs the
-	// masked base network (unpruned guard traffic counts under neither);
-	// CompiledEvictions counts compiled forms dropped by the byte budget
-	// (masks stay cached). CompiledBytes / CompiledEntries are the
-	// instantaneous resident compiled-weight bytes and entry count.
-	Compiles, CompileErrors            uint64
-	CompiledDispatched, MaskedFallback uint64
-	CompiledEvictions                  uint64
-	CompileNs                          int64
-	CompiledBytes                      int64
-	CompiledEntries                    int
+	// Compiled inference: Compiles counts finished per-entry compile
+	// attempts and CompileErrors the failed subset (those entries run the
+	// unpruned plan); CompiledDispatched counts requests answered on their
+	// entry's own plan (unpruned guard traffic is not counted);
+	// CompiledEvictions counts plans dropped by the byte budget (masks
+	// stay cached). CompiledBytes / CompiledEntries are the instantaneous
+	// resident compiled-weight bytes and entry count.
+	Compiles, CompileErrors uint64
+	CompiledDispatched      uint64
+	CompiledEvictions       uint64
+	CompileNs               int64
+	CompiledBytes           int64
+	CompiledEntries         int
+	// Deprecated: always 0 — the masked dispatch path is gone. The field
+	// stays only because the frozen benchmark's ledger reads it.
+	MaskedFallback uint64
 
 	// Warm handoff: HandoffExported counts cache entries streamed out by
 	// OpCacheExport snapshots; HandoffImported counts entries installed
@@ -160,8 +163,8 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "batches=%d mean-batch=%.2f histogram=%s\n", s.Batches, s.MeanBatch(), s.histogram())
 	fmt.Fprintf(&b, "latency: personalize=%v queue-wait=%v forward=%v forward-p99=%v\n",
 		s.MeanPersonalize(), s.MeanQueueWait(), s.MeanForward(), s.ForwardP99.Round(time.Microsecond))
-	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d masked-fallback=%d evictions=%d resident=%dB/%d entries\n",
-		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.MaskedFallback, s.CompiledEvictions, s.CompiledBytes, s.CompiledEntries)
+	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d evictions=%d resident=%dB/%d entries\n",
+		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.CompiledEvictions, s.CompiledBytes, s.CompiledEntries)
 	fmt.Fprintf(&b, "guard: trips=%d fallback-served=%d heals=%d (skew=%d guard-trip=%d) heal-failures=%d\n",
 		s.GuardTrips, s.FallbackServed, s.Heals, s.RepersonalizeSkew, s.RepersonalizeGuardTrip, s.HealFailures)
 	fmt.Fprintf(&b, "proactive: skew-detected=%d suppressed=%d\n", s.SkewDetected, s.ProactiveSuppressed)
@@ -235,8 +238,7 @@ type stats struct {
 	ckptErrC                     *metrics.Counter
 	compileC, compileErrC        *metrics.Counter
 	compileH                     *metrics.Histogram
-	compDispC, maskFbC           *metrics.Counter
-	compEvictC                   *metrics.Counter
+	compDispC, compEvictC        *metrics.Counter
 
 	mu                sync.Mutex
 	batchSizes        map[int]uint64 // exact flushed-size histogram (buckets would lose sizes)
@@ -268,7 +270,7 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		batchH:  reg.Histogram("capnn_serve_batch_size", "Flushed micro-batch group sizes.", metrics.BatchSizeBuckets()),
 		persH:   reg.Histogram("capnn_serve_personalize_latency_ns", "System.Prune latency per cache fill.", metrics.LatencyBucketsNs()),
 		waitH:   reg.Histogram("capnn_serve_queue_wait_ns", "Per-request submit-to-flush queue wait.", metrics.LatencyBucketsNs()),
-		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Batched masked forward latency per group flush.", metrics.LatencyBucketsNs()),
+		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Batched compiled-plan forward latency per group flush.", metrics.LatencyBucketsNs()),
 
 		guardC:      reg.Counter("capnn_serve_guard_trips_total", "Epsilon-guard trips (one per tripped entry)."),
 		fallbackC:   reg.Counter("capnn_serve_fallback_served_total", "Requests served through the unpruned network after a trip."),
@@ -283,11 +285,10 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		handoffImpC: reg.Counter("capnn_serve_handoff_imported_total", "Warm cache entries installed by handoff imports."),
 
 		compileC:    reg.Counter("capnn_serve_compile_total", "Finished mask-entry compile attempts."),
-		compileErrC: reg.Counter("capnn_serve_compile_errors_total", "Compile attempts that failed (entry serves masked permanently)."),
+		compileErrC: reg.Counter("capnn_serve_compile_errors_total", "Compile attempts that failed (entry runs the unpruned plan)."),
 		compileH:    reg.Histogram("capnn_serve_compile_latency_ns", "nn.Compile latency per mask entry.", metrics.LatencyBucketsNs()),
-		compDispC:   reg.Counter("capnn_serve_compiled_dispatch_total", "Personalized requests served on a compiled network."),
-		maskFbC:     reg.Counter("capnn_serve_masked_fallback_total", "Personalized requests served by masked fallback (compile pending, failed, evicted, or disabled)."),
-		compEvictC:  reg.Counter("capnn_serve_compiled_evictions_total", "Compiled forms dropped by the byte budget (masks stay cached)."),
+		compDispC:   reg.Counter("capnn_serve_compiled_dispatch_total", "Requests answered on their entry's own compiled plan."),
+		compEvictC:  reg.Counter("capnn_serve_compiled_evictions_total", "Plans dropped by the byte budget (masks stay cached, next hit recompiles)."),
 
 		batchSizes: map[int]uint64{},
 	}
@@ -352,7 +353,6 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 		CompileErrors:      st.compileErrC.Value(),
 		CompileNs:          int64(st.compileH.Sum()),
 		CompiledDispatched: st.compDispC.Value(),
-		MaskedFallback:     st.maskFbC.Value(),
 		CompiledEvictions:  st.compEvictC.Value(),
 
 		HandoffExported: st.handoffExpC.Value(),
@@ -444,9 +444,8 @@ func (st *stats) compiled(d time.Duration, err error) {
 	}
 }
 
-func (st *stats) compiledDispatched(n int) { st.compDispC.Add(uint64(n)) }
-func (st *stats) maskedFallback(n int)     { st.maskFbC.Add(uint64(n)) }
-func (st *stats) compiledEvicted()         { st.compEvictC.Inc() }
+func (st *stats) compiledDispatched() { st.compDispC.Inc() }
+func (st *stats) compiledEvicted()    { st.compEvictC.Inc() }
 
 func (st *stats) handoffExported(n int) { st.handoffExpC.Add(uint64(n)) }
 func (st *stats) handoffImported(n int) { st.handoffImpC.Add(uint64(n)) }

@@ -240,36 +240,20 @@ curl -sf "http://$GW_MADDR/debug/cluster" >"$WORKDIR/gw_cluster.json" || {
     echo "cluster_smoke: FAIL: gateway /debug/cluster unreachable"; exit 1; }
 grep -q '"ring_version"' "$WORKDIR/gw_cluster.json" || {
     echo "cluster_smoke: FAIL: /debug/cluster missing ring_version"; exit 1; }
-# Compiled inference must be live on the surviving shard 0: the series
-# exist on a mid-load scrape, compiles ran clean (zero errors), and the
-# compiled-dispatch counter increases across the run. Compilation is
-# asynchronous and race-built compiles are slow, so if the counter has
-# not moved yet, drive bounded direct rounds at shard 0 (its mask cache
-# is warm from phase 2) until dispatches land on the compiled path.
-CD1=$(metric_val capnn_serve_compiled_dispatch_total "$WORKDIR/serve0_metrics1.txt")
-CE1=$(metric_val capnn_serve_compile_errors_total "$WORKDIR/serve0_metrics1.txt")
-[ -n "$CD1" ] && [ -n "$CE1" ] || {
-    echo "cluster_smoke: FAIL: compiled-inference series missing from shard 0 /metrics"; exit 1; }
-CD2=$(metric_val capnn_serve_compiled_dispatch_total "$WORKDIR/serve0_metrics2.txt")
-COMPILED_OK=0
-for _ in $(seq 30); do
-    if [ -n "$CD2" ] && [ "$CD2" -gt "$CD1" ]; then
-        COMPILED_OK=1
-        break
-    fi
-    "$WORKDIR/capnn-loadgen" -addr "${NODE_ADDRS[0]}" -model "$MODEL" -n 8 -users 4 \
-        -concurrency 4 -timeout 150s -progress-every 0 >>"$WORKDIR/compilewarm.log" 2>&1 || true
-    curl -sf "http://$SERVE0_MADDR/metrics" >"$WORKDIR/serve0_metrics2.txt" || true
-    CD2=$(metric_val capnn_serve_compiled_dispatch_total "$WORKDIR/serve0_metrics2.txt")
-done
-[ "$COMPILED_OK" = "1" ] || {
-    echo "cluster_smoke: FAIL: shard 0 compiled dispatches never increased ($CD1 -> ${CD2:-missing})"; exit 1; }
-CE2=$(metric_val capnn_serve_compile_errors_total "$WORKDIR/serve0_metrics2.txt")
-[ "$CE2" = "0" ] || {
-    echo "cluster_smoke: FAIL: shard 0 recorded ${CE2:-missing} compile errors"; exit 1; }
-CB=$(metric_val capnn_serve_compiled_bytes "$WORKDIR/serve0_metrics2.txt")
-[ -n "$CB" ] && [ "$CB" -gt 0 ] || {
-    echo "cluster_smoke: FAIL: no compiled weights resident on shard 0 (capnn_serve_compiled_bytes=${CB:-missing})"; exit 1; }
+# Compiled inference must be live on the surviving shard 0. Plans are
+# built inside the cache fill, so one direct round at it (its mask cache
+# is warm from phase 2) has to land on the compiled path at once, with
+# zero compile errors and compiled weights resident.
+CD1=$(metric_val capnn_serve_compiled_dispatch_total "$WORKDIR/serve0_metrics2.txt")
+"$WORKDIR/capnn-loadgen" -addr "${NODE_ADDRS[0]}" -model "$MODEL" -n 8 -users 4 \
+    -concurrency 4 -timeout 150s -progress-every 0 >"$WORKDIR/compiled.log" 2>&1 || true
+curl -sf "http://$SERVE0_MADDR/metrics" >"$WORKDIR/serve0_metrics3.txt" || {
+    echo "cluster_smoke: FAIL: shard 0 /metrics unreachable after the direct round"; exit 1; }
+CD2=$(metric_val capnn_serve_compiled_dispatch_total "$WORKDIR/serve0_metrics3.txt")
+CE2=$(metric_val capnn_serve_compile_errors_total "$WORKDIR/serve0_metrics3.txt")
+CB=$(metric_val capnn_serve_compiled_bytes "$WORKDIR/serve0_metrics3.txt")
+[ -n "$CD1" ] && [ -n "$CD2" ] && [ "$CD2" -gt "$CD1" ] && [ "$CE2" = "0" ] && [ -n "$CB" ] && [ "$CB" -gt 0 ] || {
+    echo "cluster_smoke: FAIL: shard 0 compiled inference not live (compiled dispatch ${CD1:-missing} -> ${CD2:-missing}, compile errors ${CE2:-missing}, compiled bytes ${CB:-missing})"; exit 1; }
 echo "cluster_smoke: /metrics ok (gateway requests $GW_REQ1 -> $GW_REQ2, shard 0 requests $SRV_REQ, compiled dispatch $CD1 -> $CD2, $CB compiled bytes)"
 
 echo "cluster_smoke: phase 5 — scrape gateway stats, expect failovers and an open breaker"
