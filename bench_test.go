@@ -16,7 +16,6 @@ import (
 	"os"
 	"sync"
 	"testing"
-	"time"
 
 	"capnn/internal/cloud"
 	"capnn/internal/cluster"
@@ -307,7 +306,7 @@ func pruneRatioMasks(net *nn.Network, ratio float64) map[int][]bool {
 // BenchmarkCompiledInfer is the tentpole number: masked inference (full
 // model FLOPs, pruned outputs zeroed) against compiled inference (the
 // physically compacted nn.Compiled) at 0/20/40/60% pruning on a batch of
-// 8 — serve's micro-batch size. Masked rows should stay roughly flat as
+// 8. Masked rows should stay roughly flat as
 // pruning deepens; compiled rows should drop with the ratio, clearing
 // ~1.5× at 40%. Each plan is checked bit-identical to the masked path
 // before timing (the Compile probe re-asserts it internally too).
@@ -345,10 +344,11 @@ func BenchmarkCompiledInfer(b *testing.B) {
 // BenchmarkServeThroughput compares multi-user serving strategies on the
 // 10-class fixture: the naive per-request path (install the requester's
 // mask, run one stateful batch-1 forward under the global lock — the
-// only safe pre-serve approach) against internal/serve's pipeline, which
-// micro-batches requests sharing a preference key into one batched
-// forward (batch size 8) on the entry's compiled plan. Reported req/s is
-// the headline; benchmark/README.md lead 4 records the measured ratio.
+// only safe pre-serve approach) against internal/serve's pipeline, where
+// eight concurrent callers each get one lock-free forward on the
+// entry's shared compiled plan. Reported req/s is the headline;
+// CHANGES.md records the measured ratio (benchmark/README.md lead 4 is
+// the same comparison against the micro-batcher this pipeline replaced).
 func BenchmarkServeThroughput(b *testing.B) {
 	fx := cifarFixture(b)
 	prefs := core.Uniform([]int{3, 7})
@@ -402,8 +402,8 @@ func BenchmarkServeThroughput(b *testing.B) {
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	})
 
-	b.Run("micro-batch-8-compiled", func(b *testing.B) {
-		srv := serve.NewServerWith(fx.Sys, serve.Config{MaxBatch: 8, MaxWait: 2 * time.Millisecond})
+	b.Run("serve", func(b *testing.B) {
+		srv := serve.NewServerWith(fx.Sys, serve.Config{})
 		defer srv.Close()
 		if _, err := srv.Infer(prefs, sample); err != nil { // warm the cache: the fill personalizes and compiles
 			b.Fatal(err)
@@ -613,7 +613,7 @@ func BenchmarkGatewayRouting(b *testing.B) {
 	})
 
 	fx := cifarFixture(b)
-	srv := serve.NewServerWith(fx.Sys, serve.Config{MaxWait: time.Millisecond, DisableGuard: true})
+	srv := serve.NewServerWith(fx.Sys, serve.Config{DisableGuard: true})
 	defer srv.Close()
 	naddr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

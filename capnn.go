@@ -334,23 +334,23 @@ func NewCloudClient(addr string) *CloudClient { return cloud.NewClient(addr) }
 
 // ServeServer is the multi-user inference server: it deduplicates
 // personalization work with a mask cache (singleflight-filled, LRU) and
-// micro-batches concurrent requests that share a preference key into
-// single masked forwards.
+// answers each request with one forward on its entry's compiled plan,
+// interactive lane before bulk.
 type ServeServer = serve.Server
 
 // ServeClient requests inferences from a ServeServer over TCP.
 type ServeClient = serve.Client
 
-// ServeConfig tunes batching (MaxBatch/MaxWait), the worker pool, the
-// mask cache, and the admission limits.
+// ServeConfig tunes the worker pool, the mask cache, and the admission
+// limits.
 type ServeConfig = serve.Config
 
 // ServeStats is a snapshot of the serving metrics: cache hits/misses/
-// evictions, batch-size histogram, queue depth, per-stage latency.
+// evictions, queue depth, per-stage latency.
 type ServeStats = serve.Stats
 
-// ServeResult is one served inference: logits, argmax class, the
-// micro-batch size it rode in, and whether its masks were cached.
+// ServeResult is one served inference: logits, argmax class, and
+// whether its masks were cached.
 type ServeResult = serve.Result
 
 // ServeError is the typed serving failure; it reuses CloudCode so

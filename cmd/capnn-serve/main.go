@@ -1,8 +1,8 @@
 // Command capnn-serve runs CAP'NN's multi-user inference service: a TCP
 // server that answers per-user classification requests by personalizing
-// the shared model on demand (mask cache + singleflight) and executing
-// micro-batched forwards, grouped by preference, on each personalization's
-// compiled plan.
+// the shared model on demand (mask cache + singleflight) and forwarding
+// each request on its personalization's compiled plan — one request, one
+// forward, interactive lane before bulk.
 //
 //	capnn-serve -addr 127.0.0.1:7879 -model cifar10 -variant M
 //
@@ -37,7 +37,7 @@
 //	capnn-serve -metrics-addr 127.0.0.1:9879
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, sheds new
-// requests with busy, flushes in-flight micro-batches within
+// requests with busy, answers in-flight requests within
 // -drain-timeout, takes a final checkpoint, prints a stats snapshot
 // (including guard trips, breaker transitions, checkpoint age), and
 // exits.
@@ -65,13 +65,10 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7879", "listen address")
 	model := flag.String("model", "imagenet20", "fixture to serve: imagenet20 or cifar10")
 	variant := flag.String("variant", "M", "default pruning variant for requests that name none: B, W or M")
-	maxBatch := flag.Int("max-batch", 8, "flush a mask group at this many queued requests")
-	maxWait := flag.Duration("max-wait", 2*time.Millisecond, "flush a non-full group this long after its first request")
-	workers := flag.Int("workers", 0, "flush worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "forward worker pool size (0 = GOMAXPROCS)")
 	cacheCap := flag.Int("cache-cap", 256, "mask cache capacity (distinct personalizations held)")
 	maxQueue := flag.Int("max-queue", 1024, "admitted requests in flight before shedding with busy")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "server-side cap on one request's queue+serve time; a client deadline budget tightens it, never extends it")
-	edfSlack := flag.Duration("edf-slack", 500*time.Microsecond, "safety pad under each request's deadline when scheduling its EDF flush")
 	bulkFrac := flag.Float64("bulk-queue-fraction", 0.5, "fraction of max-queue the bulk lane may fill before shedding over-quota (interactive keeps the rest)")
 	chaos := flag.String("chaos", "", "fault-injection spec, e.g. seed=7,drop=0.1,close=0.2,corrupt=0.2,latency=20ms")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/stats (empty = disabled)")
@@ -134,13 +131,10 @@ func main() {
 	}
 	srv := serve.NewServerWith(fx.Sys, serve.Config{
 		Variant:             v,
-		MaxBatch:            *maxBatch,
-		MaxWait:             *maxWait,
 		Workers:             *workers,
 		CacheCap:            *cacheCap,
 		MaxQueue:            *maxQueue,
 		RequestTimeout:      *reqTimeout,
-		EDFSlack:            *edfSlack,
 		BulkQueueFraction:   *bulkFrac,
 		CompiledBudgetBytes: *compiledBudget,
 		DisableGuard:        *noGuard,
@@ -221,8 +215,7 @@ func main() {
 		ln = faults.WrapListener(ln, plan)
 	}
 	bound := srv.Serve(ln)
-	fmt.Printf("capnn-serve: serving %s (variant %s, batch %d/%v) on %s (Ctrl-C to stop)\n",
-		cfg.Name, v, *maxBatch, *maxWait, bound)
+	fmt.Printf("capnn-serve: serving %s (variant %s) on %s (Ctrl-C to stop)\n", cfg.Name, v, bound)
 
 	if *metricsAddr != "" {
 		mux := metrics.NewMux(srv.Metrics(), srv.Events())

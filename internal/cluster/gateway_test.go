@@ -106,7 +106,7 @@ func startTestNodes(t *testing.T, n int) []*testNode {
 	f := getClusterFixture(t)
 	nodes := make([]*testNode, n)
 	for i := range nodes {
-		srv := serve.NewServerWith(f.newSystem(t), serve.Config{MaxWait: time.Millisecond, DisableGuard: true})
+		srv := serve.NewServerWith(f.newSystem(t), serve.Config{DisableGuard: true})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
@@ -283,16 +283,16 @@ func TestClusterFailoverKillNode(t *testing.T) {
 					}
 					failMu.Unlock()
 				}
-				done.Add(1)
+				// Kill the victim once the load is demonstrably mid-flight.
+				// The request that crosses the mark does it, so the kill
+				// lands at a fixed point of the load however fast it runs.
+				if done.Add(1) == workers*perWorker/6 {
+					victim.part.SetPartitioned(true)
+				}
 			}
 		}(w)
 	}
 	close(start)
-	// Kill the victim once the load is demonstrably mid-flight.
-	for done.Load() < workers*perWorker/6 {
-		time.Sleep(time.Millisecond)
-	}
-	victim.part.SetPartitioned(true)
 	wg.Wait()
 
 	if n := failures.Load(); n != 0 {

@@ -5,7 +5,7 @@
 // tier deduplicates on: every request carries a canonical preference
 // key (core.Preferences.Key), users with one preference vector share
 // one pruned variant of the model, and pinning a key to a node
-// maximizes that node's mask-cache hit rate and micro-batch density.
+// maximizes that node's mask-cache hit rate.
 // The gateway therefore routes each request by its placement key on a
 // consistent-hash ring (virtual nodes, deterministic seeded placement)
 // over pooled persistent connections, fails over to the key's next

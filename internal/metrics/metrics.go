@@ -558,8 +558,3 @@ func LatencyBucketsNs() []float64 {
 		1e10, 3e10, // 10s, 30s
 	}
 }
-
-// BatchSizeBuckets is the micro-batch size bucket layout.
-func BatchSizeBuckets() []float64 {
-	return []float64{1, 2, 3, 4, 6, 8, 12, 16, 24, 32}
-}

@@ -90,9 +90,8 @@ func TestInferLayersMatchesForward(t *testing.T) {
 	}
 }
 
-// A batched Infer must equal the concatenation of per-sample Infers —
-// the property the serving micro-batcher relies on when it groups
-// requests under one mask.
+// A batched Infer must equal the concatenation of per-sample Infers:
+// a sample's answer does not depend on the batch it rides in.
 func TestInferBatchEqualsPerSample(t *testing.T) {
 	net := inferTestNet(t)
 	masks := checkerMasks(net)

@@ -20,7 +20,7 @@ import (
 // server returns exactly the logits of a reference masked forward.
 func TestWireRoundTrip(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServerWith(f.sys, Config{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +34,7 @@ func TestWireRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Code != cloud.CodeOK || resp.Batch < 1 {
+	if resp.Code != cloud.CodeOK || resp.Batch != 1 {
 		t.Fatalf("response: %+v", resp)
 	}
 
@@ -119,12 +119,11 @@ func TestWireBadRequests(t *testing.T) {
 
 // Satellite: the serve path under internal/faults chaos. Hostile peers —
 // connections that drop writes, close mid-stream, hang silently, or
-// send garbage — must not wedge the batcher or starve healthy clients,
+// send garbage — must not wedge the dispatcher or starve healthy clients,
 // and the server must shut down cleanly afterwards.
 func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		MaxBatch: 4, MaxWait: 2 * time.Millisecond,
 		ReadTimeout: 300 * time.Millisecond, WriteTimeout: 300 * time.Millisecond,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -220,8 +219,8 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 		t.Log("warning: no retries were needed — chaos plan injected no observable faults")
 	}
 
-	// The batcher drained: no admitted request is stranded in a pending
-	// group, and an in-process request still flows end to end.
+	// The dispatcher drained: no admitted request is stranded in the
+	// queue, and an in-process request still flows end to end.
 	waitFor(t, 5*time.Second, func() bool { return srv.Stats().QueueDepth == 0 }, "queue to drain after chaos")
 	if _, err := srv.Infer(core.Uniform([]int{0, 1}), f.sample(t, 1)); err != nil {
 		t.Fatalf("server wedged after chaos: %v", err)

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"capnn/internal/core"
 	"capnn/internal/store"
@@ -16,7 +15,7 @@ import (
 // planConfig is the config the plan tests share: variant W on tiny
 // batches, no guard unless a test turns it back on.
 func planConfig() Config {
-	return Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond, DisableGuard: true}
+	return Config{Variant: core.VariantW, DisableGuard: true}
 }
 
 // sameBits fails unless got is bit-for-bit the reference forward of x

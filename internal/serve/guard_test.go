@@ -34,8 +34,7 @@ func driftSampler(t *testing.T, f *fixture, classes ...int) func(i int) *tensor.
 // 8 observations.
 func guardConfig() Config {
 	return Config{
-		Variant: core.VariantW, MaxBatch: 4, MaxWait: time.Millisecond,
-		GuardSampleEvery: 2, GuardWindow: 16, GuardMinObs: 8, GuardSlack: 0.05,
+		Variant: core.VariantW, GuardSampleEvery: 2, GuardWindow: 16, GuardMinObs: 8, GuardSlack: 0.05,
 		BreakerFailureRate: 0.6, BreakerWindow: 4, BreakerMinSamples: 2,
 		BreakerCooldown: 60 * time.Millisecond, HealBackoff: 10 * time.Millisecond,
 	}
@@ -160,8 +159,10 @@ func TestHealRetriesThroughBreaker(t *testing.T) {
 	failing.Store(true)
 
 	// Drift until the guard trips and the heal starts failing into the
-	// breaker. Traffic must keep flowing the whole time.
-	for i := 1; i < 200; i++ {
+	// breaker. Traffic must keep flowing the whole time. The heal attempts
+	// are asynchronous, so the loop is bounded by a deadline, not a count.
+	stop := time.Now().Add(10 * time.Second)
+	for i := 1; time.Now().Before(stop); i++ {
 		if _, err := srv.Infer(prefs, next(i)); err != nil {
 			t.Fatalf("request %d dropped while breaker busy: %v", i, err)
 		}
@@ -216,7 +217,8 @@ func TestShutdownDrainsWithoutLeaks(t *testing.T) {
 	}
 	failing.Store(true)
 	completed := 0
-	for i := 1; i < 100 && srv.Stats().HealFailures == 0; i++ {
+	stop := time.Now().Add(10 * time.Second) // the heal attempt is asynchronous
+	for i := 1; srv.Stats().HealFailures == 0 && time.Now().Before(stop); i++ {
 		if _, err := srv.Infer(prefs, next(i)); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
@@ -259,7 +261,7 @@ func TestShutdownDrainsWithoutLeaks(t *testing.T) {
 // request after restart is a warm cache hit (no personalization).
 func TestCheckpointRestoreWarmCache(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond})
+	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
 	defer srv.Close()
 
 	prefsA := core.Uniform([]int{0, 1})
@@ -303,7 +305,7 @@ func TestCheckpointRestoreWarmCache(t *testing.T) {
 		t.Fatalf("checkpointed rates do not decode: %v", err)
 	}
 
-	srv2 := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond})
+	srv2 := NewServerWith(f.sys, Config{Variant: core.VariantW})
 	defer srv2.Close()
 	var personalizes atomic.Int64
 	srv2.hookPersonalize = func(core.Preferences) { personalizes.Add(1) }

@@ -3,7 +3,6 @@ package serve
 import (
 	"math"
 	"testing"
-	"time"
 
 	"capnn/internal/core"
 )
@@ -14,7 +13,7 @@ import (
 // entries win over a re-import.
 func TestHandoffExportImportRoundTrip(t *testing.T) {
 	f := getFixture(t)
-	src := NewServerWith(f.sys, Config{Variant: core.VariantM, MaxBatch: 4, MaxWait: time.Millisecond})
+	src := NewServerWith(f.sys, Config{Variant: core.VariantM})
 	defer src.Close()
 
 	prefs := []core.Preferences{
@@ -39,7 +38,7 @@ func TestHandoffExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("HandoffExported = %d, want %d", st.HandoffExported, len(prefs))
 	}
 
-	dst := NewServerWith(f.sys, Config{Variant: core.VariantM, MaxBatch: 4, MaxWait: time.Millisecond})
+	dst := NewServerWith(f.sys, Config{Variant: core.VariantM})
 	defer dst.Close()
 	n, err := dst.ImportMasks(cms)
 	if err != nil {

@@ -130,10 +130,12 @@ type WireResponse struct {
 	Version int
 	Code    cloud.Code
 	Err     string
-	// Logits are the class scores; Class is their argmax. Batch reports
-	// the micro-batch size the request was served in and CacheHit
-	// whether its masks were already cached — observability a client or
-	// load test can assert on.
+	// Logits are the class scores; Class is their argmax. Batch is 1 on
+	// an infer response (one request, one forward; the field predates
+	// that and stays for gob compatibility) and the entry count on cache
+	// export/import responses. CacheHit reports whether the request's
+	// masks were already cached — observability a client or load test
+	// can assert on.
 	Logits   []float64
 	Class    int
 	Batch    int
@@ -329,7 +331,7 @@ func (s *Server) Handle(req WireRequest) *WireResponse {
 		Code:     cloud.CodeOK,
 		Logits:   res.Logits,
 		Class:    res.Class,
-		Batch:    res.Batch,
+		Batch:    1,
 		CacheHit: res.CacheHit,
 		Fallback: res.Fallback,
 	}

@@ -11,68 +11,9 @@ import (
 
 	"capnn/internal/cloud"
 	"capnn/internal/core"
+	"capnn/internal/nn"
 	"capnn/internal/qos"
 )
-
-// TestEDFFlushAt pins the earliest-deadline-first flush rule on a fake
-// clock: MaxWait binds for relaxed deadlines, the deadline (minus
-// service estimate and slack) binds for tight ones, and an already-
-// urgent request flushes immediately instead of being scheduled into
-// the past.
-func TestEDFFlushAt(t *testing.T) {
-	t0 := time.Unix(1700000000, 0)
-	maxWait := 2 * time.Millisecond
-	slack := 500 * time.Microsecond
-	for _, tc := range []struct {
-		name     string
-		deadline time.Time
-		estimate time.Duration
-		want     time.Time
-	}{
-		{"relaxed deadline: MaxWait binds", t0.Add(time.Second), time.Millisecond, t0.Add(maxWait)},
-		{"tight deadline binds", t0.Add(3 * time.Millisecond), time.Millisecond, t0.Add(3*time.Millisecond - time.Millisecond - slack)},
-		{"no estimate yet: deadline minus slack", t0.Add(time.Millisecond), 0, t0.Add(time.Millisecond - slack)},
-		{"already urgent: flush now, not in the past", t0.Add(time.Millisecond), 5 * time.Millisecond, t0},
-		{"deadline already behind: flush now", t0.Add(-time.Millisecond), 0, t0},
-	} {
-		if got := edfFlushAt(t0, tc.deadline, maxWait, tc.estimate, slack); !got.Equal(tc.want) {
-			t.Errorf("%s: edfFlushAt = %v, want %v", tc.name, got.Sub(t0), tc.want.Sub(t0))
-		}
-	}
-}
-
-// A group's flush point is its most urgent member's: a tight-deadline
-// request joining an existing relaxed group must re-arm the timer
-// earlier, observable end to end as a sub-MaxWait round trip.
-func TestEDFFlushBeatsMaxWait(t *testing.T) {
-	f := getFixture(t)
-	// MaxWait is deliberately huge: only the deadline-driven EDF path
-	// can answer inside the assertion window. The slack puts the flush
-	// point 2.5s ahead of the 3s deadline, so even a loaded 2-core box
-	// answers before the waiter's own expiry timer fires.
-	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, MaxBatch: 64, MaxWait: 10 * time.Second,
-		EDFSlack: 2500 * time.Millisecond, RequestTimeout: 30 * time.Second, DisableGuard: true,
-	})
-	defer srv.Close()
-	prefs := core.Uniform([]int{0, 1})
-	if _, err := srv.InferQoS(core.VariantW, prefs, f.sample(t, 0),
-		QoS{Deadline: time.Now().Add(3 * time.Second)}); err != nil {
-		t.Fatal(err) // warm the cache; the budget still flushes ≪ MaxWait
-	}
-	start := time.Now()
-	res, err := srv.InferQoS(core.VariantW, prefs, f.sample(t, 1),
-		QoS{Deadline: time.Now().Add(3 * time.Second)})
-	if err != nil {
-		t.Fatalf("tight-budget request failed: %v", err)
-	}
-	if lat := time.Since(start); lat >= 5*time.Second {
-		t.Fatalf("request took %v; EDF should flush inside its 3s budget, far before MaxWait=10s", lat)
-	}
-	if res.Batch < 1 {
-		t.Fatalf("bad batch size %d", res.Batch)
-	}
-}
 
 // Satellite regression: a queued request's timer derives from the
 // client's propagated budget, not the server-wide RequestTimeout — a
@@ -81,8 +22,7 @@ func TestEDFFlushBeatsMaxWait(t *testing.T) {
 func TestClientBudgetBoundsQueueWait(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, MaxBatch: 1, MaxWait: time.Millisecond,
-		Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
+		Variant: core.VariantW, Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
 	})
 	defer srv.Close()
 	prefs := core.Uniform([]int{0, 3})
@@ -95,7 +35,7 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.batch.hookBeforeFlush = func(*group) {
+	srv.disp.hookBeforeForward = func(*request) {
 		if !stall.Load() {
 			return
 		}
@@ -134,13 +74,12 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 }
 
 // The expire-in-queue guarantee: a request whose deadline passes while
-// its group waits for a worker is answered with CodeExpired at flush
-// time and its group key never reaches a batched forward.
+// it waits for a worker is answered with CodeExpired at dequeue and its
+// plan never reaches a forward.
 func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, MaxBatch: 1, MaxWait: time.Millisecond,
-		Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
+		Variant: core.VariantW, Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
 	})
 	defer srv.Close()
 	stallPrefs := core.Uniform([]int{0, 3})
@@ -152,14 +91,24 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var forwarded sync.Map // group key -> true, for groups that reached a forward
+	var doomedPlan *nn.Compiled
+	for _, e := range srv.cache.snapshot() {
+		if e.key == string(core.VariantW)+"/"+doomedPrefs.Key() {
+			doomedPlan = e.plan.Load()
+		}
+	}
+	if doomedPlan == nil {
+		t.Fatal("warm-up left the doomed entry without a compiled plan")
+	}
+
+	var forwarded sync.Map // plan -> true, for requests that reached a forward
 	release := make(chan struct{})
 	var stall atomic.Bool
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.batch.hookBeforeFlush = func(g *group) {
-		forwarded.Store(g.gkey, true)
+	srv.disp.hookBeforeForward = func(r *request) {
+		forwarded.Store(r.plan, true)
 		if !stall.Load() {
 			return
 		}
@@ -169,15 +118,15 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	stall.Store(true)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // the stall group holds the only worker hostage
+	go func() { // the stall request holds the only worker hostage
 		defer wg.Done()
 		_, _ = srv.Infer(stallPrefs, f.sample(t, 1))
 	}()
 	stalled.Wait()
 	stall.Store(false)
 
-	// The doomed request's deadline dies while its group sits dispatched
-	// behind the stalled worker.
+	// The doomed request's deadline dies while it sits queued behind the
+	// stalled worker.
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := srv.InferQoS(core.VariantW, doomedPrefs, f.sample(t, 2),
@@ -189,14 +138,13 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	if !errors.As(err, &te) || te.Code != cloud.CodeExpired {
 		t.Fatalf("doomed request got %v, want typed expired error", err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the deadline age past the flush point
+	time.Sleep(50 * time.Millisecond) // let the deadline age past the dequeue
 	close(release)
 	wg.Wait()
-	srv.Close() // drains: the doomed group is force-flushed, post-expiry
+	srv.Close() // drains: the doomed request is dequeued, post-expiry
 
-	doomedKey := string(core.VariantW) + "/" + doomedPrefs.Key()
-	if _, ok := forwarded.Load(doomedKey); ok {
-		t.Fatalf("expired group %q reached a batched forward", doomedKey)
+	if _, ok := forwarded.Load(doomedPlan); ok {
+		t.Fatal("expired request reached a forward")
 	}
 	if st := srv.Stats(); st.ShedExpired == 0 {
 		t.Fatalf("expire-in-queue not counted: %+v", st)
@@ -210,8 +158,7 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, MaxBatch: 1, MaxWait: time.Millisecond,
-		Workers: 1, MaxQueue: 4, BulkQueueFraction: 0.5, // bulk sheds at 2 queued
+		Variant: core.VariantW, Workers: 1, MaxQueue: 4, BulkQueueFraction: 0.5, // bulk sheds at 2 queued
 		RequestTimeout: 5 * time.Second, DisableGuard: true,
 	})
 	prefs := core.Uniform([]int{0, 3})
@@ -223,7 +170,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.batch.hookBeforeFlush = func(*group) {
+	srv.disp.hookBeforeForward = func(*request) {
 		if !stall.Load() {
 			return
 		}
@@ -244,7 +191,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 		}(i)
 	}
 	stalled.Wait()
-	waitFor(t, 2*time.Second, func() bool { return srv.batch.depth() >= 2 }, "bulk queue to fill")
+	waitFor(t, 2*time.Second, func() bool { return srv.disp.depth() >= 2 }, "bulk queue to fill")
 
 	_, err := srv.InferQoS(core.VariantW, prefs, f.sample(t, 2), bulk)
 	var te *Error
@@ -265,7 +212,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 			}
 		}(i)
 	}
-	waitFor(t, 2*time.Second, func() bool { return srv.batch.depth() >= 4 }, "interactive headroom to fill")
+	waitFor(t, 2*time.Second, func() bool { return srv.disp.depth() >= 4 }, "interactive headroom to fill")
 	if _, err := srv.Infer(prefs, f.sample(t, 5)); err == nil {
 		t.Fatal("request past MaxQueue admitted")
 	}
@@ -290,7 +237,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 // corpus seeds pin.
 func TestWireQoSRoundTrip(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{MaxWait: time.Millisecond, DisableGuard: true})
+	srv := NewServerWith(f.sys, Config{DisableGuard: true})
 	defer srv.Close()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

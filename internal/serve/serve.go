@@ -3,16 +3,17 @@
 // "heavy traffic from millions of users" (ROADMAP north star). The key
 // observation — shared with SECS-style class-skew stream processing —
 // is that users with identical class preferences share one pruned
-// variant of the base model, so serving-time work deduplicates along
-// two axes:
+// variant of the base model, so serving-time work deduplicates:
 //
 //   - a mask cache keyed by core.Preferences.Key() makes each distinct
 //     preference vector pay for personalization once (singleflight: N
 //     concurrent first-requests run one System.Prune), and
-//   - a dynamic micro-batcher groups queued requests by mask key and
-//     executes one batched forward per group on the entry's compiled plan
-//     (nn.Compiled: the masks applied physically, built inside the cache
-//     fill and verified bit-identical to masked inference).
+//   - every user of one mask key forwards on that entry's one compiled
+//     plan (nn.Compiled: the masks applied physically, built inside the
+//     cache fill and verified bit-identical to masked inference).
+//
+// An admitted request goes straight to a worker — one request, one
+// forward, interactive lane before bulk; nothing is held back to batch.
 //
 // Admission control follows internal/cloud: bounded in-flight work,
 // typed busy shedding (cloud.Code), read/write deadlines on the wire,
@@ -39,13 +40,7 @@ type Config struct {
 	// Variant is the pruning scheme used when a request does not name
 	// one ("B", "W" or "M" on the wire). Default CAP'NN-M.
 	Variant core.Variant
-	// MaxBatch flushes a mask group as soon as it holds this many
-	// requests. Default 8.
-	MaxBatch int
-	// MaxWait flushes a non-full group this long after its first
-	// request, bounding tail latency under light traffic. Default 2ms.
-	MaxWait time.Duration
-	// Workers sizes the flush worker pool. Default GOMAXPROCS(0).
+	// Workers sizes the forward worker pool. Default GOMAXPROCS(0).
 	Workers int
 	// CacheCap bounds the mask cache (LRU entries). Default 256.
 	CacheCap int
@@ -58,11 +53,6 @@ type Config struct {
 	// budget is bounded by min(budget, RequestTimeout) and expires with
 	// CodeExpired instead. Default 30s.
 	RequestTimeout time.Duration
-	// EDFSlack pads the EDF batcher's service-time estimate: a group
-	// flushes when its most urgent member's remaining budget is down to
-	// (estimated forward latency + EDFSlack), so the answer still lands
-	// inside the deadline. Default 500µs.
-	EDFSlack time.Duration
 	// BulkQueueFraction is the share of MaxQueue the bulk lane may
 	// occupy before bulk requests are shed with CodeOverQuota, leaving
 	// the remaining headroom to interactive traffic. Default 0.5;
@@ -137,13 +127,10 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		Variant:           core.VariantM,
-		MaxBatch:          8,
-		MaxWait:           2 * time.Millisecond,
 		Workers:           runtime.GOMAXPROCS(0),
 		CacheCap:          256,
 		MaxQueue:          1024,
 		RequestTimeout:    30 * time.Second,
-		EDFSlack:          500 * time.Microsecond,
 		BulkQueueFraction: 0.5,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
@@ -173,12 +160,6 @@ func (c Config) withDefaults() Config {
 	if c.Variant == "" {
 		c.Variant = d.Variant
 	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = d.MaxBatch
-	}
-	if c.MaxWait <= 0 {
-		c.MaxWait = d.MaxWait
-	}
 	if c.Workers <= 0 {
 		c.Workers = d.Workers
 	}
@@ -190,9 +171,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = d.RequestTimeout
-	}
-	if c.EDFSlack <= 0 {
-		c.EDFSlack = d.EDFSlack
 	}
 	if c.BulkQueueFraction <= 0 {
 		c.BulkQueueFraction = d.BulkQueueFraction
@@ -271,9 +249,7 @@ type Result struct {
 	// Logits are the raw class scores; Class is their argmax.
 	Logits []float64
 	Class  int
-	// Batch is the size of the micro-batch this request was served in;
 	// CacheHit reports whether its masks came from the cache.
-	Batch    int
 	CacheHit bool
 	// Fallback reports that the request was served through the unpruned
 	// network because its mask entry's ε-guard has tripped (the answer
@@ -283,8 +259,8 @@ type Result struct {
 
 // Server is the concurrent inference server. It owns a prepared
 // core.System whose network supplies the weights every plan is compiled
-// from; weights are never mutated while serving, so any number of groups
-// forward concurrently, each on its own entry's plan.
+// from; weights are never mutated while serving, so any number of
+// requests forward concurrently, each on its own entry's plan.
 type Server struct {
 	sys    *core.System
 	cfg    Config
@@ -292,7 +268,7 @@ type Server struct {
 	reg    *metrics.Registry
 	events *metrics.EventLog
 	cache  *maskCache
-	batch  *batcher
+	disp   *dispatcher
 
 	// unpruned is the base network compiled under no masks: the plan the
 	// ε-guard's fallback and shadow traffic runs, and the stand-in for an
@@ -371,7 +347,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		events:   events,
 		cache:    newMaskCache(cfg.CacheCap, st),
 		unpruned: unpruned,
-		batch:    newBatcher(sys.Net.InShape, cfg.MaxBatch, cfg.MaxWait, cfg.MaxQueue, bulkMax, cfg.Workers, cfg.EDFSlack, st),
+		disp:     newDispatcher(sys.Net.InShape, cfg.MaxQueue, bulkMax, cfg.Workers, st),
 		breaker:  newBreaker(cfg.BreakerFailureRate, cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
 		drainCh:  make(chan struct{}),
 	}
@@ -394,7 +370,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	// Instantaneous state that already lives in a component is exposed
 	// func-backed at gather time rather than double-accounted.
 	reg.GaugeFunc("capnn_serve_queue_depth", "Admitted requests not yet completed.", func() float64 {
-		return float64(s.batch.depth())
+		return float64(s.disp.depth())
 	})
 	reg.GaugeFunc("capnn_serve_cache_entries", "Resident mask-cache entries.", func() float64 {
 		return float64(s.cache.len())
@@ -470,7 +446,7 @@ func (s *Server) ringUpdateFn() func(RingUpdate) error {
 
 // Stats snapshots the serving metrics.
 func (s *Server) Stats() Stats {
-	out := s.st.snapshot(s.cache.len(), s.batch.depth())
+	out := s.st.snapshot(s.cache.len(), s.disp.depth())
 	out.BreakerState, out.BreakerOpens, out.BreakerCloses, out.BreakerHalfOpens = s.breaker.snapshot()
 	out.CompiledBytes, out.CompiledEntries = s.residentPlans()
 	return out
@@ -500,8 +476,8 @@ type QoS struct {
 
 // Infer serves one sample x (per-sample shape, no batch dimension) for
 // a user with the given preferences under the server's default variant.
-// It blocks until the micro-batch the request lands in is flushed, or
-// fails with a typed *Error.
+// It blocks until a worker has answered the request, or fails with a
+// typed *Error.
 func (s *Server) Infer(prefs core.Preferences, x *tensor.Tensor) (Result, error) {
 	return s.infer(s.cfg.Variant, prefs, x.Data(), QoS{})
 }
@@ -513,9 +489,8 @@ func (s *Server) InferVariant(v core.Variant, prefs core.Preferences, x *tensor.
 
 // InferQoS is InferVariant with an explicit QoS envelope: the request's
 // queue timer is armed from its remaining deadline budget (capped by
-// the server's RequestTimeout), its group flushes earliest-deadline-
-// first, and a bulk-lane request yields queue headroom to interactive
-// traffic under pressure.
+// the server's RequestTimeout), and a bulk-lane request yields queue
+// headroom and worker priority to interactive traffic.
 func (s *Server) InferQoS(v core.Variant, prefs core.Preferences, x *tensor.Tensor, q QoS) (Result, error) {
 	return s.infer(v, prefs, x.Data(), q)
 }
@@ -529,9 +504,9 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	if err := prefs.Validate(s.sys.Rates.Classes); err != nil {
 		return Result{}, &Error{Code: cloud.CodeBadRequest, Err: err}
 	}
-	if len(x) != s.batch.sample {
+	if len(x) != s.disp.sample {
 		return Result{}, &Error{Code: cloud.CodeBadRequest,
-			Err: fmt.Errorf("input has %d values, want %d for shape %v", len(x), s.batch.sample, s.batch.inShape)}
+			Err: fmt.Errorf("input has %d values, want %d for shape %v", len(x), s.disp.sample, s.disp.shape[1:])}
 	}
 	if s.isDraining() {
 		return Result{}, &Error{Code: cloud.CodeBusy, Err: fmt.Errorf("server draining")}
@@ -568,21 +543,19 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	}
 	// The ε-guard may reroute this request through the unpruned plan:
 	// always after a trip (fallback), and periodically as a shadow sample
-	// whose prediction feeds the drift window. Unpruned traffic shares one
-	// batch group regardless of which entry sent it.
-	gkey, plan := unprunedKey, s.unpruned
+	// whose prediction feeds the drift window.
+	plan := s.unpruned
 	unpruned, fallback := entry.guard.admit()
 	if !unpruned {
-		gkey, plan = entry.key, s.planFor(entry)
+		plan = s.planFor(entry)
 	} else if fallback {
 		s.st.fallbackServed()
 	}
-	req := &request{gkey: gkey, plan: plan, x: x, enqueued: time.Now(),
+	req := &request{plan: plan, x: x, enqueued: time.Now(),
 		deadline: effDeadline, lane: q.Lane, done: make(chan outcome, 1)}
-	if err := s.batch.submit(req); err != nil {
+	if err := s.disp.submit(req); err != nil {
 		return Result{}, err.(*Error)
 	}
-	s.st.admitted()
 	select {
 	case out := <-req.done:
 		if out.err != nil {
@@ -616,12 +589,11 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 		return Result{
 			Logits:   out.logits,
 			Class:    class,
-			Batch:    out.batch,
 			CacheHit: hit,
 			Fallback: fallback,
 		}, nil
 	case <-deadline.C:
-		// The flush will still answer into the buffered channel (or shed
+		// A worker will still answer into the buffered channel (or shed
 		// the request as expired-in-queue); only this waiter gives up. A
 		// client-propagated deadline expires permanently; hitting the
 		// server's own cap stays a retryable busy signal.
@@ -777,11 +749,10 @@ func (s *Server) isDraining() bool {
 
 // Shutdown drains the server gracefully: the listener stops accepting,
 // new requests are shed with CodeBusy, pending heals are woken and
-// stopped, and in-flight connections and batches get up to timeout to
-// finish before the batcher is flushed and closed. It returns an error
-// when the deadline expired with work still in flight (that work is
-// still completed by the final flush — requests are answered, not
-// dropped).
+// stopped, and in-flight connections get up to timeout to finish before
+// the dispatcher is closed and drained. It returns an error when the
+// deadline expired with work still in flight (that work is still
+// completed by the drain — requests are answered, not dropped).
 func (s *Server) Shutdown(timeout time.Duration) error {
 	s.lnMu.Lock()
 	ln := s.ln
@@ -814,16 +785,16 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	case <-time.After(timeout):
 		drainErr = fmt.Errorf("serve: drain deadline %v exceeded with work in flight", timeout)
 	}
-	// Flush whatever is still queued and stop the workers: admitted
+	// Drain whatever is still queued and stop the workers: admitted
 	// requests are answered even on a blown deadline.
-	s.batch.close()
+	s.disp.close()
 	if drainErr != nil {
 		return drainErr
 	}
 	return lnErr
 }
 
-// Close stops the listener (if serving TCP), drains the batcher, and
+// Close stops the listener (if serving TCP), drains the dispatcher, and
 // waits for in-flight work — Shutdown with a generous deadline.
 func (s *Server) Close() error {
 	return s.Shutdown(time.Minute)

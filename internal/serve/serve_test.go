@@ -75,7 +75,7 @@ func (f *fixture) sample(t testing.TB, i int) *tensor.Tensor {
 // under the same personalization.
 func TestServeMatchesMaskedForward(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
 	defer srv.Close()
 
 	prefs := core.Uniform([]int{0, 2})
@@ -107,7 +107,7 @@ func TestServeMatchesMaskedForward(t *testing.T) {
 // preferences run exactly one Personalize; the other 15 join the flight.
 func TestSingleflightCollapse(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 4, MaxWait: time.Millisecond})
+	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
 	defer srv.Close()
 	var personalizes atomic.Int64
 	srv.hookPersonalize = func(core.Preferences) { personalizes.Add(1) }
@@ -156,111 +156,13 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
-// A group must flush the moment it reaches MaxBatch, not wait for the
-// timer.
-func TestFlushOnMaxBatch(t *testing.T) {
-	f := getFixture(t)
-	// MaxWait of an hour: if these requests come back, they flushed on
-	// size. The singleflight gate releases all four together once the
-	// one personalization lands, so the group reaches MaxBatch.
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 4, MaxWait: time.Hour, RequestTimeout: 30 * time.Second})
-	defer srv.Close()
-	prefs := core.Uniform([]int{0, 1})
-
-	var wg sync.WaitGroup
-	results := make([]Result, 4)
-	errs := make([]error, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = srv.Infer(prefs, f.sample(t, i))
-		}(i)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	// All four rode one size-4 flush: with a 1-hour timer the group
-	// could only dispatch by filling up.
-	for i, r := range results {
-		if r.Batch != 4 {
-			t.Fatalf("request %d served in batch of %d, want 4", i, r.Batch)
-		}
-	}
-}
-
-// A lone request must not wait for a full batch: the MaxWait timer
-// flushes its group.
-func TestFlushOnMaxWait(t *testing.T) {
-	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 64, MaxWait: 20 * time.Millisecond})
-	defer srv.Close()
-	prefs := core.Uniform([]int{2, 3})
-	res, err := srv.Infer(prefs, f.sample(t, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Batch != 1 {
-		t.Fatalf("lone request served in batch of %d, want 1", res.Batch)
-	}
-	st := srv.Stats()
-	if st.BatchHistogram[1] == 0 {
-		t.Fatalf("batch histogram %v missing the size-1 flush", st.BatchHistogram)
-	}
-}
-
-// Two users with different preferences in flight together must flush as
-// separate mask groups, never mixed into one forward.
-func TestGroupsSplitByMaskKey(t *testing.T) {
-	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 8, MaxWait: 30 * time.Millisecond})
-	defer srv.Close()
-	prefsA := core.Uniform([]int{0, 1})
-	prefsB := core.Uniform([]int{2, 3})
-	// Warm both masks.
-	if _, err := srv.Infer(prefsA, f.sample(t, 0)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := srv.Infer(prefsB, f.sample(t, 0)); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	res := make([]Result, 4)
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			p := prefsA
-			if i%2 == 1 {
-				p = prefsB
-			}
-			var err error
-			res[i], err = srv.Infer(p, f.sample(t, i))
-			if err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i, r := range res {
-		if r.Batch > 2 {
-			t.Fatalf("request %d flushed in a batch of %d; groups with distinct masks merged", i, r.Batch)
-		}
-	}
-}
-
 // Admission control: with the workers stalled and the queue full, new
 // requests shed immediately with the typed busy code, exactly like the
 // cloud server's in-flight limit.
 func TestBusySheddingWhenQueueFull(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, MaxBatch: 1, MaxWait: time.Millisecond,
-		Workers: 1, MaxQueue: 2, RequestTimeout: 5 * time.Second,
+		Variant: core.VariantW, Workers: 1, MaxQueue: 2, RequestTimeout: 5 * time.Second,
 	})
 	prefs := core.Uniform([]int{0, 3})
 	release := make(chan struct{})
@@ -268,7 +170,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.batch.hookBeforeFlush = func(*group) {
+	srv.disp.hookBeforeForward = func(*request) {
 		if !stall.Load() {
 			return
 		}
@@ -291,9 +193,9 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 			}
 		}(i)
 	}
-	stalled.Wait() // worker is inside a flush; queue holds the rest
+	stalled.Wait() // worker is inside a forward; queue holds the rest
 
-	waitFor(t, 2*time.Second, func() bool { return srv.batch.depth() >= 2 }, "queue to fill")
+	waitFor(t, 2*time.Second, func() bool { return srv.disp.depth() >= 2 }, "queue to fill")
 	_, err := srv.Infer(prefs, f.sample(t, 3))
 	var te *Error
 	if !errors.As(err, &te) || te.Code != cloud.CodeBusy {
@@ -310,17 +212,17 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 	}
 }
 
-// A panic inside a batched forward must fail that group's requests with
-// a typed internal error and leave the worker pool alive.
+// A panic inside a forward must fail that one request with a typed
+// internal error and leave the worker pool alive.
 func TestFlushPanicRecovered(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 1, MaxWait: time.Millisecond})
+	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
 	defer srv.Close()
 	prefs := core.Uniform([]int{1, 2})
 	var boom atomic.Bool
-	srv.batch.hookBeforeFlush = func(*group) {
+	srv.disp.hookBeforeForward = func(*request) {
 		if boom.CompareAndSwap(true, false) {
-			panic("injected flush fault")
+			panic("injected forward fault")
 		}
 	}
 	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
@@ -330,7 +232,7 @@ func TestFlushPanicRecovered(t *testing.T) {
 	_, err := srv.Infer(prefs, f.sample(t, 1))
 	var te *Error
 	if !errors.As(err, &te) || te.Code != cloud.CodeInternal {
-		t.Fatalf("poisoned flush got %v, want typed internal error", err)
+		t.Fatalf("poisoned forward got %v, want typed internal error", err)
 	}
 	// The pool survived: the next request is served normally.
 	if _, err := srv.Infer(prefs, f.sample(t, 2)); err != nil {
@@ -343,7 +245,7 @@ func TestFlushPanicRecovered(t *testing.T) {
 // hits forward concurrently through the same weights. Run with -race.
 func TestPersonalizeWhileServing(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, MaxBatch: 2, MaxWait: time.Millisecond, CacheCap: 3})
+	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, CacheCap: 3})
 	defer srv.Close()
 
 	// Distinct two-class subsets of 4 classes: enough keys to overflow

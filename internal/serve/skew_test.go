@@ -12,8 +12,7 @@ import (
 // 16, so under a sudden flip the detector must win the race.
 func skewConfig() Config {
 	return Config{
-		Variant: core.VariantW, MaxBatch: 4, MaxWait: time.Millisecond,
-		GuardSampleEvery: 2, GuardWindow: 32, GuardMinObs: 16, GuardSlack: 0.05,
+		Variant: core.VariantW, GuardSampleEvery: 2, GuardWindow: 32, GuardMinObs: 16, GuardSlack: 0.05,
 		SkewThreshold: 0.3, SkewMinObs: 6, ProactiveInterval: time.Millisecond,
 		BreakerFailureRate: 0.6, BreakerWindow: 4, BreakerMinSamples: 2,
 		BreakerCooldown: 60 * time.Millisecond, HealBackoff: 10 * time.Millisecond,
@@ -40,9 +39,12 @@ func TestSkewFlipProactiveBeatsGuardTrip(t *testing.T) {
 	prefs := core.Uniform([]int{0, 1})
 	next := driftSampler(t, f, 2, 3)
 
+	// Bounded by a deadline, not a request count: the heal is a goroutine
+	// running a Prune, and a warm request takes microseconds.
 	var healedPrefs core.Preferences
 	done := false
-	for i := 0; i < 200 && !done; i++ {
+	stop := time.Now().Add(10 * time.Second)
+	for i := 0; !done && time.Now().Before(stop); i++ {
 		res, err := srv.Infer(prefs, next(i))
 		if err != nil {
 			t.Fatalf("request %d dropped during flip: %v", i, err)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -33,8 +32,9 @@ type Stats struct {
 	CacheHits, CacheMisses, SingleflightShared, CacheEvictions uint64
 	CacheEntries                                               int
 
-	// Batches counts group flushes; BatchHistogram maps flushed group
-	// size to its occurrence count.
+	// Deprecated: there is no batcher — every forward carries one request,
+	// so Batches == ForwardFlushes and BatchHistogram == {1: Batches}. The
+	// fields stay only because the frozen benchmark's ledger reads them.
 	Batches        uint64
 	BatchHistogram map[int]uint64
 
@@ -43,8 +43,9 @@ type Stats struct {
 
 	// Per-stage cumulative latencies with their sample counts:
 	// Personalize covers System.Prune runs (cache misses only),
-	// QueueWait covers submit→flush per request, Forward covers the
-	// batched forward per group. The totals are derived from the
+	// QueueWait covers submit→dequeue and Forward the compiled-plan
+	// forward, one observation each per forwarded request (ForwardFlushes
+	// is that count). The totals are derived from the
 	// registry's per-stage histograms (integer nanoseconds accumulate
 	// exactly in a float64 sum), so this snapshot and a /metrics scrape
 	// report the same numbers.
@@ -127,18 +128,6 @@ func (s Stats) HitRatio() float64 {
 	return float64(s.CacheHits) / float64(total)
 }
 
-// MeanBatch is the average flushed group size.
-func (s Stats) MeanBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	total := uint64(0)
-	for size, n := range s.BatchHistogram {
-		total += uint64(size) * n
-	}
-	return float64(total) / float64(s.Batches)
-}
-
 // MeanPersonalize / MeanQueueWait / MeanForward are the per-stage mean
 // latencies (zero when the stage never ran).
 func (s Stats) MeanPersonalize() time.Duration { return meanNs(s.PersonalizeNs, s.PersonalizeRuns) }
@@ -160,7 +149,6 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "shed: queue-full=%d over-quota=%d expired=%d\n", s.ShedQueueFull, s.ShedOverQuota, s.ShedExpired)
 	fmt.Fprintf(&b, "cache: hits=%d misses=%d shared=%d evictions=%d entries=%d hit-ratio=%.3f\n",
 		s.CacheHits, s.CacheMisses, s.SingleflightShared, s.CacheEvictions, s.CacheEntries, s.HitRatio())
-	fmt.Fprintf(&b, "batches=%d mean-batch=%.2f histogram=%s\n", s.Batches, s.MeanBatch(), s.histogram())
 	fmt.Fprintf(&b, "latency: personalize=%v queue-wait=%v forward=%v forward-p99=%v\n",
 		s.MeanPersonalize(), s.MeanQueueWait(), s.MeanForward(), s.ForwardP99.Round(time.Microsecond))
 	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d evictions=%d resident=%dB/%d entries\n",
@@ -184,22 +172,6 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-func (s Stats) histogram() string {
-	if len(s.BatchHistogram) == 0 {
-		return "{}"
-	}
-	sizes := make([]int, 0, len(s.BatchHistogram))
-	for size := range s.BatchHistogram {
-		sizes = append(sizes, size)
-	}
-	sort.Ints(sizes)
-	parts := make([]string, len(sizes))
-	for i, size := range sizes {
-		parts[i] = fmt.Sprintf("%d:%d", size, s.BatchHistogram[size])
-	}
-	return "{" + strings.Join(parts, " ") + "}"
-}
-
 // Shed reason labels, shared by the counter family, shed events, and
 // the gateway's per-tenant accounting.
 const (
@@ -219,8 +191,8 @@ const (
 // stats is the live accumulator behind Stats snapshots. It publishes
 // straight into metrics instruments — the same series /metrics exposes —
 // so a Stats snapshot, a SIGINT dump, and a Prometheus scrape can never
-// disagree. Only state with no instrument shape (the exact batch-size
-// map, checkpoint identity) stays under the local mutex.
+// disagree. Only state with no instrument shape (checkpoint identity)
+// stays under the local mutex.
 type stats struct {
 	reg    *metrics.Registry
 	events *metrics.EventLog
@@ -228,7 +200,6 @@ type stats struct {
 	reqC, compC                  *metrics.Counter
 	shedVec                      *metrics.CounterVec
 	hitC, missC, sharedC, evictC *metrics.Counter
-	batchH                       *metrics.Histogram
 	persH, waitH, fwdH           *metrics.Histogram
 	guardC, fallbackC            *metrics.Counter
 	healC, healFailC             *metrics.Counter
@@ -241,7 +212,6 @@ type stats struct {
 	compDispC, compEvictC        *metrics.Counter
 
 	mu                sync.Mutex
-	batchSizes        map[int]uint64 // exact flushed-size histogram (buckets would lose sizes)
 	checkpointGen     int
 	checkpointAt      time.Time // commit time of the last checkpoint
 	lastCheckpointErr string
@@ -267,10 +237,9 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		missC:   reg.Counter("capnn_serve_cache_misses_total", "Mask-cache misses (each runs a personalization)."),
 		sharedC: reg.Counter("capnn_serve_singleflight_shared_total", "Lookups that joined an in-flight personalization."),
 		evictC:  reg.Counter("capnn_serve_cache_evictions_total", "Mask-cache LRU evictions."),
-		batchH:  reg.Histogram("capnn_serve_batch_size", "Flushed micro-batch group sizes.", metrics.BatchSizeBuckets()),
 		persH:   reg.Histogram("capnn_serve_personalize_latency_ns", "System.Prune latency per cache fill.", metrics.LatencyBucketsNs()),
-		waitH:   reg.Histogram("capnn_serve_queue_wait_ns", "Per-request submit-to-flush queue wait.", metrics.LatencyBucketsNs()),
-		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Batched compiled-plan forward latency per group flush.", metrics.LatencyBucketsNs()),
+		waitH:   reg.Histogram("capnn_serve_queue_wait_ns", "Per-request submit-to-dequeue queue wait.", metrics.LatencyBucketsNs()),
+		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Compiled-plan forward latency per request.", metrics.LatencyBucketsNs()),
 
 		guardC:      reg.Counter("capnn_serve_guard_trips_total", "Epsilon-guard trips (one per tripped entry)."),
 		fallbackC:   reg.Counter("capnn_serve_fallback_served_total", "Requests served through the unpruned network after a trip."),
@@ -289,8 +258,6 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		compileH:    reg.Histogram("capnn_serve_compile_latency_ns", "nn.Compile latency per mask entry.", metrics.LatencyBucketsNs()),
 		compDispC:   reg.Counter("capnn_serve_compiled_dispatch_total", "Requests answered on their entry's own compiled plan."),
 		compEvictC:  reg.Counter("capnn_serve_compiled_evictions_total", "Plans dropped by the byte budget (masks stay cached, next hit recompiles)."),
-
-		batchSizes: map[int]uint64{},
 	}
 	// Pre-seed every shed reason so the series exist in a scrape before
 	// the first shed (the cluster smoke test greps for them mid-load).
@@ -322,9 +289,13 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 	pers := st.persH.Snapshot()
 	wait := st.waitH.Snapshot()
 	fwd := st.fwdH.Snapshot()
+	// Completed is read before Requests: admission is counted before the
+	// request can complete, so in this order no snapshot taken mid-load
+	// shows Completed > Requests.
+	completed := st.compC.Value()
 	out := Stats{
 		Requests:  st.reqC.Value(),
-		Completed: st.compC.Value(),
+		Completed: completed,
 
 		ShedQueueFull: st.shedVec.With(shedReasonQueueFull).Value(),
 		ShedOverQuota: st.shedVec.With(shedReasonOverQuota).Value(),
@@ -336,8 +307,9 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 		CacheEvictions:     st.evictC.Value(),
 		CacheEntries:       cacheEntries,
 
-		Batches:    st.batchH.Count(),
-		QueueDepth: queueDepth,
+		Batches:        fwd.Count,
+		BatchHistogram: map[int]uint64{1: fwd.Count},
+		QueueDepth:     queueDepth,
 
 		PersonalizeNs: int64(pers.Sum), PersonalizeRuns: pers.Count,
 		QueueWaitNs: int64(wait.Sum), QueueWaitObs: wait.Count,
@@ -376,10 +348,6 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 	out.Shed = out.ShedQueueFull + out.ShedOverQuota + out.ShedExpired
 
 	st.mu.Lock()
-	out.BatchHistogram = make(map[int]uint64, len(st.batchSizes))
-	for k, v := range st.batchSizes {
-		out.BatchHistogram[k] = v
-	}
 	out.CheckpointGeneration = st.checkpointGen
 	out.LastCheckpointError = st.lastCheckpointErr
 	if !st.checkpointAt.IsZero() {
@@ -403,18 +371,6 @@ func (st *stats) shedBy(reason string) {
 	st.events.Record("shed", "", reason, nil)
 }
 
-// forwardEstimate is the EDF batcher's service-time estimate: the mean
-// batched-forward latency observed so far, or zero before the first
-// flush (a fresh server has nothing better than "flush at the
-// deadline").
-func (st *stats) forwardEstimate() time.Duration {
-	snap := st.fwdH.Snapshot()
-	if snap.Count == 0 {
-		return 0
-	}
-	return time.Duration(int64(snap.Sum) / int64(snap.Count))
-}
-
 func (st *stats) cacheHit()     { st.hitC.Inc() }
 func (st *stats) cacheMiss()    { st.missC.Inc() }
 func (st *stats) flightShared() { st.sharedC.Inc() }
@@ -422,17 +378,11 @@ func (st *stats) evicted()      { st.evictC.Inc() }
 
 func (st *stats) personalized(d time.Duration) { st.persH.Observe(float64(d)) }
 
-// flushed records one group flush: its size, the per-request queue
-// waits, and the batched forward latency.
-func (st *stats) flushed(size int, queueWait []time.Duration, forward time.Duration) {
-	st.batchH.Observe(float64(size))
-	for _, w := range queueWait {
-		st.waitH.Observe(float64(w))
-	}
+// forwarded records one forwarded request: its queue wait and its
+// forward latency.
+func (st *stats) forwarded(queueWait, forward time.Duration) {
+	st.waitH.Observe(float64(queueWait))
 	st.fwdH.Observe(float64(forward))
-	st.mu.Lock()
-	st.batchSizes[size]++
-	st.mu.Unlock()
 }
 
 // compiled records one finished compile attempt and its latency.

@@ -6,7 +6,6 @@ import (
 	"net"
 	"strings"
 	"testing"
-	"time"
 
 	"capnn/internal/cloud"
 )
@@ -16,7 +15,7 @@ import (
 // the host binary surfaces in the scraped snapshot.
 func TestWireStatsAndHealthOps(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{MaxWait: time.Millisecond, DisableGuard: true})
+	srv := NewServerWith(f.sys, Config{DisableGuard: true})
 	defer srv.Close()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
@@ -58,7 +57,7 @@ func TestWireStatsAndHealthOps(t *testing.T) {
 // not elicit a response.
 func TestWirePersistentConnection(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{MaxWait: time.Millisecond, DisableGuard: true})
+	srv := NewServerWith(f.sys, Config{DisableGuard: true})
 	defer srv.Close()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {

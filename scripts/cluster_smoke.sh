@@ -41,7 +41,10 @@ set -euo pipefail
 
 WORKDIR="${1:-$(mktemp -d)}"
 MODEL="${MODEL:-cifar10}"
-REQUESTS="${REQUESTS:-300}"
+# Each mid-load phase must still be running when its kill / join lands:
+# a warm request is sub-millisecond, so a few hundred of them would end
+# before the first progress poll.
+REQUESTS="${REQUESTS:-3000}"
 RACE="${RACE:-1}"
 BUILDFLAGS=()
 if [ "$RACE" = "1" ]; then
@@ -181,7 +184,7 @@ LOAD_PID=$!
 PIDS+=("$LOAD_PID")
 # Kill once the load is demonstrably mid-flight (~1/3 through).
 THIRD=$((REQUESTS / 3))
-for _ in $(seq 600); do
+for _ in $(seq 2400); do
     if ! kill -0 "$LOAD_PID" 2>/dev/null; then
         break
     fi
@@ -189,7 +192,7 @@ for _ in $(seq 600); do
     if [ -n "${DONE:-}" ] && [ "$DONE" -ge "$THIRD" ]; then
         break
     fi
-    sleep 0.2
+    sleep 0.05
 done
 # First /metrics scrape while the load is demonstrably mid-flight.
 curl -sf "http://$GW_MADDR/metrics" >"$WORKDIR/gw_metrics1.txt" || {
