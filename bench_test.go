@@ -246,6 +246,25 @@ func BenchmarkPruneW(b *testing.B) {
 	}
 }
 
+// BenchmarkPruneM times one cold personalisation as the serving tier
+// runs it — System.Prune(VariantM) on the cifar10 fixture for the
+// serving benchmark's 4-class new user: confusion rows, miseffectual
+// neurons, then the weighted descent.
+func BenchmarkPruneM(b *testing.B) {
+	fx := cifarFixture(b)
+	prefs, err := core.Weighted([]int{1, 2, 3, 4}, []float64{0.4, 0.3, 0.2, 0.1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := fx.Sys.Prune(core.VariantM, prefs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkInference times one forward pass of the unpruned reference
 // model — the device-side cost CAP'NN reduces.
 func BenchmarkInference(b *testing.B) {

@@ -32,8 +32,9 @@ func determinismData(t testing.TB) *data.Dataset {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 80 samples: several profiling (32), evaluation (32) and suffix (64)
-	// shards, with a ragged tail shard in each decomposition.
+	// 80 samples: several profiling (32), evaluation (32) and suffix (16)
+	// shards, with a ragged tail shard in each decomposition (for the
+	// suffix, in the two-class subset replay: 40 rows).
 	return gen.Generate(20, 101)
 }
 
@@ -78,6 +79,12 @@ func TestFiringRatesBitIdenticalAcrossWorkers(t *testing.T) {
 func TestEvaluationBitIdenticalAcrossWorkers(t *testing.T) {
 	net := determinismNet(t)
 	ds := determinismData(t)
+	rates, err := firing.ComputeWorkers(net, ds, []int{2}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := core.DefaultParams()
+	params.Stages = []int{2}
 	// Prune every other unit of the first dense stage so the masked path
 	// is exercised too.
 	masks := map[int][]bool{2: make([]bool, 12)}
@@ -90,7 +97,9 @@ func TestEvaluationBitIdenticalAcrossWorkers(t *testing.T) {
 	refEval := train.EvaluateWorkers(net, ds, 1)
 	defer parallel.SetDefault(0)
 	var refAcc []float64
+	var refPruned map[int][]bool
 	for _, w := range determinismWorkers {
+		net.SetPruning(masks) // PruneW below leaves the network unmasked
 		gotEval := train.EvaluateWorkers(net, ds, w)
 		for c := range refEval.PerClass {
 			if gotEval.PerClass[c] != refEval.PerClass[c] || gotEval.PerClassTop5[c] != refEval.PerClassTop5[c] {
@@ -107,13 +116,24 @@ func TestEvaluationBitIdenticalAcrossWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		acc := ev.PerClassAccuracy()
+		// So does the ε check's replay of a class subset (two of the four
+		// classes) inside a threshold descent.
+		pruned, err := core.PruneW(ev, rates, core.Uniform([]int{1, 3}), params)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if refAcc == nil {
-			refAcc = acc
+			refAcc, refPruned = acc, pruned
 			continue
 		}
 		for c := range refAcc {
 			if acc[c] != refAcc[c] {
 				t.Fatalf("workers=%d: suffix per-class accuracy %v, want %v", w, acc[c], refAcc[c])
+			}
+		}
+		for u, p := range refPruned[2] {
+			if pruned[2][u] != p {
+				t.Fatalf("workers=%d: PruneW unit %d pruned=%v, want %v", w, u, pruned[2][u], p)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"net"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -231,6 +232,57 @@ func TestStaleEpochRetriesOnFreshRing(t *testing.T) {
 	}
 	if gs.Errors != 0 {
 		t.Errorf("errors = %d, want 0 (the fence must stay client-invisible)", gs.Errors)
+	}
+}
+
+// TestBackToBackEpochsStayClientInvisible: membership changes can land
+// faster than a request re-routes (three leaves in a row are milliseconds
+// apart once no cold fill paces them), so the shard may fence the same
+// request under epoch 2 and again under epoch 3. Every fence that comes
+// with a moved ring earns a fresh round; the client sees one OK.
+func TestBackToBackEpochsStayClientInvisible(t *testing.T) {
+	nodes := startTestNodes(t, 3)
+	g, err := NewGateway(nodeAddrs(nodes), testGWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	f := getClusterFixture(t)
+	if resp := g.Route(f.inferRequest(0, 0)); resp.Code != cloud.CodeOK {
+		t.Fatalf("warm: [%s] %s", resp.Code, resp.Err)
+	}
+
+	const final = 4
+	cur := g.Ring()
+	var mu sync.Mutex
+	for _, n := range nodes {
+		n.srv.SetOwnerCheck(func(routeKey string, ringVersion uint64) cloud.Code {
+			if ringVersion >= final {
+				return cloud.CodeOK
+			}
+			// The shard is one epoch ahead of the stamp, and the gateway's
+			// ring catches up while the fenced attempt is in flight.
+			mu.Lock()
+			defer mu.Unlock()
+			if g.Ring().Version() == ringVersion {
+				next, err := NewRing(cur.Seed(), cur.VirtualNodes(), cur.Nodes())
+				if err != nil {
+					t.Error(err)
+					return cloud.CodeInternal
+				}
+				next.SetVersion(ringVersion + 1)
+				g.ring.Store(next)
+			}
+			return cloud.CodeRingChanged
+		})
+	}
+
+	resp := g.Route(f.inferRequest(0, 0))
+	if resp.Code != cloud.CodeOK {
+		t.Fatalf("route across %d back-to-back epochs: [%s] %s, want OK", final-1, resp.Code, resp.Err)
+	}
+	if gs := g.Stats(); gs.Errors != 0 || gs.WrongOwner != final-1 {
+		t.Errorf("errors = %d, fenced attempts = %d; want 0 and %d", gs.Errors, gs.WrongOwner, final-1)
 	}
 }
 

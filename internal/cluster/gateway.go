@@ -640,9 +640,12 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 	var last *serve.WireResponse
 	var lastErr error
 	attempts, prevAddr := 0, ""
-	// Two routing rounds: the second only runs when a node rejected the
-	// placement (wrong owner / ring changed), after reloading the ring.
-	for round := 0; round < 2; round++ {
+	// Routing rounds: another one runs only when a node rejected the
+	// placement (wrong owner / ring changed) and the ring moved since the
+	// round began, after reloading it. Back-to-back membership changes
+	// can outrun a request more than once, so the rounds are bounded by
+	// the deadline (checked before every attempt), not by a count.
+	for {
 		ring := g.ring.Load()
 		req.RingVersion = ring.Version()
 		n := ring.LookupInto(key, owners[:g.cfg.Replication])
@@ -712,7 +715,7 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 			case cloud.CodeWrongOwner, cloud.CodeRingChanged:
 				// The node refused the placement. Its replicas may still
 				// serve it (their view can differ), so keep walking this
-				// round; a second full routing round runs only when the
+				// round; another full routing round runs only when the
 				// ring actually moved while we were trying.
 				g.st.wrongOwner()
 				last = resp

@@ -25,108 +25,82 @@ func (b *BMatrices) At(stage, n, c int) bool {
 	return b.P[stage][n*b.Classes+c]
 }
 
-// ComputeB runs Algorithm 1: for every prunable stage (in order) and
-// every class c, descend the firing-rate threshold from TStart until
+// ComputeB runs Algorithm 1: for every class c and every prunable stage
+// (in order), descend the firing-rate threshold from TStart until
 // pruning {n : F_ℓ(n,c) < T} in this stage — together with the already
 // committed class-c prunes of earlier stages — keeps the accuracy
-// degradation of every class within ε. The evaluator's network must be
-// the profiled model; its masks are scratch state and are cleared on
-// return.
+// degradation of every class within ε. Class c's column depends on no
+// other class's, so the classes are searched one after another, each on
+// one replay that advances past its committed stages. The evaluator's
+// network must be the profiled model; its masks are scratch state and
+// are cleared on return.
 func ComputeB(ev *SuffixEvaluator, rates *firing.Rates, params Params) (*BMatrices, error) {
 	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if err := ev.checkStages(rates, params.Stages); err != nil {
 		return nil, err
 	}
 	net := ev.net
 	stages := net.Stages()
 	out := &BMatrices{Classes: rates.Classes, Stages: params.Stages, P: map[int][]bool{}, Units: map[int]int{}}
-
-	net.ClearPruning()
-	base := ev.PerClassAccuracy()
-
-	// masksFor assembles the temporary masks for class c: committed
-	// P_l(:,c) for stages before ℓ plus candidate H at ℓ.
-	masksFor := func(upTo int, c int, cand []bool) map[int][]bool {
-		m := map[int][]bool{}
-		for _, l := range params.Stages {
-			if l >= upTo {
-				break
-			}
-			units := out.Units[l]
-			mask := make([]bool, units)
-			for n := 0; n < units; n++ {
-				mask[n] = out.P[l][n*out.Classes+c]
-			}
-			m[l] = mask
-		}
-		if cand != nil {
-			m[upTo] = cand
-		}
-		return m
+	for _, l := range params.Stages {
+		out.Units[l] = stages[l].Unit.Units()
+		out.P[l] = make([]bool, out.Units[l]*out.Classes)
 	}
 
-	for _, l := range params.Stages {
-		lr := rates.Layers[l]
-		if lr == nil {
-			return nil, fmt.Errorf("core: no firing rates for stage %d", l)
-		}
-		if l >= len(stages) {
-			return nil, fmt.Errorf("core: stage %d outside network", l)
-		}
-		units := stages[l].Unit.Units()
-		if lr.Units != units {
-			return nil, fmt.Errorf("core: stage %d has %d units but rates cover %d", l, units, lr.Units)
-		}
-		out.Units[l] = units
-		P := make([]bool, units*out.Classes)
+	net.ClearPruning()
+	defer net.ClearPruning()
+	base := ev.baseline()
 
-		for c := 0; c < out.Classes; c++ {
-			T := params.TStart
-			var lastFailed []bool
-			for {
-				var H []bool
-				if T > 0 {
-					H = make([]bool, units)
-					score := make([]float64, units)
-					flagged := 0
-					for n := 0; n < units; n++ {
-						score[n] = lr.At(n, c)
-						if score[n] < T {
-							H[n] = true
-							flagged++
-						}
-					}
-					keepOne(H, score)
-					if flagged == 0 {
-						H = nil
+	for c := 0; c < out.Classes; c++ {
+		net.ClearPruning()
+		r := ev.newReplay(nil)
+		for _, l := range params.Stages {
+			lr := rates.Layers[l]
+			unit := stages[l].Unit
+			units := out.Units[l]
+			// Class c's masks of earlier stages are installed and final.
+			r.advanceTo(l)
+
+			score := make([]float64, units)
+			for n := range score {
+				score[n] = lr.At(n, c)
+			}
+			// An empty candidate set trivially satisfies ε (earlier
+			// stages' class-c prunes were validated when committed).
+			var accepted, lastFailed []bool
+			for T := params.TStart; T > 0; T -= params.Step {
+				H := make([]bool, units)
+				flagged := 0
+				for n := 0; n < units; n++ {
+					if score[n] < T {
+						H[n] = true
+						flagged++
 					}
 				}
-				// An empty candidate set trivially satisfies ε (earlier
-				// stages' class-c prunes were validated when committed).
-				if H == nil {
+				if flagged == 0 {
 					break
 				}
+				keepOne(H, score)
 				// Lowering T often yields the identical candidate set
 				// (rates cluster); re-evaluating it cannot succeed.
 				if sameMask(H, lastFailed) {
-					T -= params.Step
 					continue
 				}
-				net.SetPruning(masksFor(l, c, H))
-				acc := ev.PerClassAccuracy()
-				net.ClearPruning()
-				if DegradationOK(base, acc, params.Epsilon, nil) {
-					for n := 0; n < units; n++ {
-						P[n*out.Classes+c] = H[n]
-					}
+				unit.SetPruned(H)
+				if DegradationOK(base, r.accuracy(), params.Epsilon, nil) {
+					accepted = H
 					break
 				}
 				lastFailed = H
-				T -= params.Step
+			}
+			unit.SetPruned(accepted)
+			for n, p := range accepted {
+				out.P[l][n*out.Classes+c] = p
 			}
 		}
-		out.P[l] = P
 	}
-	net.ClearPruning()
 	return out, nil
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"capnn/internal/data"
 	"capnn/internal/firing"
 	"capnn/internal/nn"
 )
@@ -33,7 +32,7 @@ type MReport struct {
 // ε check inside PruneW measures true accuracy, the paper's degradation
 // guarantee is preserved while the removal of confusion-driving neurons
 // can lift accuracy above the unpruned baseline.
-func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params Params, profile *data.Dataset) (*MReport, error) {
+func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params Params, confusion *ConfusionProfile) (*MReport, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -48,8 +47,7 @@ func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 
 	// Step 1: top confusing classes per user class, from the confusion
 	// matrix of the unpruned model.
-	ev.net.ClearPruning()
-	cm, err := ComputeConfusion(ev.net, profile, prefs.Classes)
+	cm, err := confusion.Matrix(prefs.Classes)
 	if err != nil {
 		return nil, err
 	}

@@ -10,7 +10,7 @@ import (
 func TestConfusionMatrixRowsSumToOne(t *testing.T) {
 	f := getFixture(t)
 	K := []int{0, 1, 5}
-	cm, err := ComputeConfusion(f.net, f.sets.Profile, K)
+	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix(K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +33,7 @@ func TestConfusionMatrixRowsSumToOne(t *testing.T) {
 
 func TestTopConfusingExcludesSelf(t *testing.T) {
 	f := getFixture(t)
-	cm, err := ComputeConfusion(f.net, f.sets.Profile, []int{2})
+	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestConfusionReflectsGroupStructure(t *testing.T) {
 	// should come from its own group far more often than not; check the
 	// top-2 include at least one same-group class.
 	f := getFixture(t)
-	cm, err := ComputeConfusion(f.net, f.sets.Profile, []int{0})
+	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,10 +78,10 @@ func TestConfusionReflectsGroupStructure(t *testing.T) {
 
 func TestComputeConfusionErrors(t *testing.T) {
 	f := getFixture(t)
-	if _, err := ComputeConfusion(f.net, f.sets.Profile, nil); err == nil {
+	if _, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix(nil); err == nil {
 		t.Fatal("empty K accepted")
 	}
-	if _, err := ComputeConfusion(f.net, f.sets.Profile, []int{77}); err == nil {
+	if _, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{77}); err == nil {
 		t.Fatal("out-of-range class accepted")
 	}
 }
@@ -89,7 +89,7 @@ func TestComputeConfusionErrors(t *testing.T) {
 func TestPruneMGuaranteeAndReport(t *testing.T) {
 	f := getFixture(t)
 	prefs, _ := Weighted([]int{0, 4}, []float64{0.7, 0.3})
-	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sets.Profile)
+	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestPruneMDoesNotMutateSharedRates(t *testing.T) {
 	lastHidden := f.sys.Params.Stages[len(f.sys.Params.Stages)-1]
 	before := append([]float64(nil), f.sys.Rates.Layers[lastHidden].F...)
 	prefs := Uniform([]int{1, 2})
-	if _, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sets.Profile); err != nil {
+	if _, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion); err != nil {
 		t.Fatal(err)
 	}
 	after := f.sys.Rates.Layers[lastHidden].F
@@ -129,7 +129,7 @@ func TestPruneMAtLeastAsAggressiveAsW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sets.Profile)
+	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestMiseffectualIdentification(t *testing.T) {
 	W := out.Weights()
 
 	// Determine class 0's top confusing classes on the real model.
-	cm, err := ComputeConfusion(f.net, f.sets.Profile, []int{0})
+	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestMiseffectualIdentification(t *testing.T) {
 	}()
 
 	prefs := Uniform([]int{0, 3})
-	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sets.Profile)
+	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion)
 	if err != nil {
 		t.Fatal(err)
 	}

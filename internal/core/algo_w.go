@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"capnn/internal/firing"
-)
+import "capnn/internal/firing"
 
 // PruneW runs CAP'NN-W (Algorithm 2): weighted class-aware pruning. At
 // every prunable stage it flags units whose *effective* firing rate
@@ -12,11 +8,12 @@ import (
 // the per-class degradation on the user classes K stays within ε. Unlike
 // Algorithm 1 this depends on the user's usage distribution and therefore
 // runs online; it is still fast because the per-class loop of Algorithm 1
-// disappears and the ε check covers only K (paper §III-B).
+// disappears and the ε check covers only K (paper §III-B) — it replays
+// only K's validation rows, and only the layers from the stage being
+// searched on.
 //
-// The evaluator's network masks are scratch state; on success the
-// returned masks are the committed result and the network is left
-// unmasked.
+// The evaluator's network masks are scratch state; the returned masks are
+// the committed result and the network is left unmasked on every return.
 func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params Params) (map[int][]bool, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -24,73 +21,54 @@ func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 	if err := prefs.Validate(rates.Classes); err != nil {
 		return nil, err
 	}
+	if err := ev.checkStages(rates, params.Stages); err != nil {
+		return nil, err
+	}
 	net := ev.net
 	stages := net.Stages()
 
 	net.ClearPruning()
-	base := ev.PerClassAccuracy()
+	defer net.ClearPruning()
+	base := ev.baseline()
+	r := ev.newReplay(prefs.Classes)
 
 	committed := map[int][]bool{}
 	for _, l := range params.Stages {
 		lr := rates.Layers[l]
-		if lr == nil {
-			return nil, fmt.Errorf("core: no firing rates for stage %d", l)
-		}
-		if l >= len(stages) {
-			return nil, fmt.Errorf("core: stage %d outside network", l)
-		}
-		units := stages[l].Unit.Units()
-		if lr.Units != units {
-			return nil, fmt.Errorf("core: stage %d has %d units but rates cover %d", l, units, lr.Units)
-		}
+		unit := stages[l].Unit
+		units := unit.Units()
+		// The committed masks of earlier stages are installed and final.
+		r.advanceTo(l)
 
 		// Effective firing rate per unit (fixed per stage).
 		eff := make([]float64, units)
 		for n := 0; n < units; n++ {
-			s := 0.0
-			for i, k := range prefs.Classes {
-				s += prefs.Weights[i] * lr.At(n, k)
-			}
-			eff[n] = s
+			eff[n] = EffectiveRate(lr, prefs, n)
 		}
 
-		T := params.TStart
-		var accepted []bool
+		// An empty candidate set is trivially within ε given the
+		// already-committed earlier stages.
+		accepted := make([]bool, units)
 		var lastFailed []bool
-		for {
-			if T <= 0 {
-				// Empty candidate set: trivially within ε given the
-				// already-committed earlier stages.
-				accepted = make([]bool, units)
-				break
-			}
+		for T := params.TStart; T > 0; T -= params.Step {
 			H := make([]bool, units)
 			for n := 0; n < units; n++ {
 				H[n] = eff[n] <= T
 			}
 			keepOne(H, eff)
 			if sameMask(H, lastFailed) {
-				T -= params.Step
 				continue
 			}
-			trial := map[int][]bool{}
-			for s, m := range committed {
-				trial[s] = m
-			}
-			trial[l] = H
-			net.SetPruning(trial)
-			acc := ev.PerClassAccuracy()
-			net.ClearPruning()
-			if DegradationOK(base, acc, params.Epsilon, prefs.Classes) {
+			unit.SetPruned(H)
+			if DegradationOK(base, r.accuracy(), params.Epsilon, prefs.Classes) {
 				accepted = H
 				break
 			}
 			lastFailed = H
-			T -= params.Step
 		}
 		committed[l] = accepted
+		unit.SetPruned(accepted)
 	}
-	net.ClearPruning()
 	return committed, nil
 }
 

@@ -5,8 +5,8 @@ import (
 
 	"capnn/internal/data"
 	"capnn/internal/nn"
+	"capnn/internal/parallel"
 	"capnn/internal/tensor"
-	"capnn/internal/train"
 )
 
 // ConfusionMatrix holds, for each user class k ∈ K, the fraction of
@@ -19,31 +19,75 @@ type ConfusionMatrix struct {
 	Rows [][]float64
 }
 
-// ComputeConfusion runs the (unpruned) network over the profiling set's
-// images of the classes in K and tallies prediction fractions.
-func ComputeConfusion(net *nn.Network, profile *data.Dataset, K []int) (*ConfusionMatrix, error) {
+// ConfusionProfile measures rows of the unpruned model's confusion
+// matrix over a profiling set. A row depends on the weights and the
+// profiling images alone, not on the user, so each class is pushed
+// through the network once, when a user first names it, and kept. Not
+// safe for concurrent use.
+type ConfusionProfile struct {
+	net     *nn.Network
+	profile *data.Dataset
+	byClass [][]int
+	rows    [][]float64 // rows[k] is nil until class k is first asked for
+}
+
+// NewConfusionProfile prepares the (lazy) confusion rows of net over
+// profile. The weights must not change afterwards.
+func NewConfusionProfile(net *nn.Network, profile *data.Dataset) *ConfusionProfile {
+	return &ConfusionProfile{net: net, profile: profile, byClass: profile.ByClass(), rows: make([][]float64, profile.Classes)}
+}
+
+// confusionBatch shards one class's profiling images finely enough that
+// a 40-image class still occupies every worker.
+const confusionBatch = 8
+
+// Matrix returns the confusion rows of the classes in K.
+func (cp *ConfusionProfile) Matrix(K []int) (*ConfusionMatrix, error) {
 	if len(K) == 0 {
 		return nil, fmt.Errorf("core: empty class subset")
 	}
-	cm := &ConfusionMatrix{K: append([]int(nil), K...), Classes: profile.Classes, Rows: make([][]float64, len(K))}
-	byClass := profile.ByClass()
+	cm := &ConfusionMatrix{K: append([]int(nil), K...), Classes: cp.profile.Classes, Rows: make([][]float64, len(K))}
 	for i, k := range K {
-		if k < 0 || k >= profile.Classes {
-			return nil, fmt.Errorf("core: class %d outside [0,%d)", k, profile.Classes)
-		}
-		idx := byClass[k]
-		if len(idx) == 0 {
-			return nil, fmt.Errorf("core: profiling set has no samples of class %d", k)
-		}
-		sub := profile.Subset(idx)
-		preds := train.Predict(net, sub)
-		row := make([]float64, profile.Classes)
-		for _, p := range preds {
-			row[p] += 1.0 / float64(len(preds))
+		row, err := cp.row(k)
+		if err != nil {
+			return nil, err
 		}
 		cm.Rows[i] = row
 	}
 	return cm, nil
+}
+
+// row returns the fraction of class-k profiling images each class is the
+// top-1 prediction for, measuring it on first use — with no prune mask,
+// whatever the network has installed.
+func (cp *ConfusionProfile) row(k int) ([]float64, error) {
+	if k < 0 || k >= cp.profile.Classes {
+		return nil, fmt.Errorf("core: class %d outside [0,%d)", k, cp.profile.Classes)
+	}
+	if cp.rows[k] != nil {
+		return cp.rows[k], nil
+	}
+	idx := cp.byClass[k]
+	if len(idx) == 0 {
+		return nil, fmt.Errorf("core: profiling set has no samples of class %d", k)
+	}
+	row := make([]float64, cp.profile.Classes)
+	preds := make([]int, len(idx))
+	shards := parallel.Shards(len(idx), confusionBatch)
+	parallel.For(0, len(shards), func(i int) {
+		sh := shards[i]
+		x, _ := cp.profile.Batch(idx[sh.Lo:sh.Hi])
+		logits := cp.net.Infer(x, nil)
+		c := logits.Dim(1)
+		for s := 0; s < sh.Len(); s++ {
+			preds[sh.Lo+s] = tensor.Argmax(logits.Data()[s*c : (s+1)*c])
+		}
+	})
+	for _, p := range preds {
+		row[p] += 1.0 / float64(len(preds))
+	}
+	cp.rows[k] = row
+	return row, nil
 }
 
 // TopConfusing returns the topN classes c ≠ k most frequently triggered

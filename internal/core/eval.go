@@ -4,33 +4,65 @@ import (
 	"fmt"
 
 	"capnn/internal/data"
+	"capnn/internal/firing"
 	"capnn/internal/nn"
 	"capnn/internal/parallel"
 	"capnn/internal/tensor"
 )
 
 // SuffixEvaluator measures per-class accuracy of a (possibly masked)
-// network cheaply. CAP'NN only prunes the last layers of the network, so
-// the activations entering the first prunable layer never change across
-// pruning candidates; the evaluator computes them once and replays only
-// the suffix for every ε check in Algorithms 1–2. On the reference model
-// this turns each check from a full 16-layer pass into a 6-layer pass
-// over tiny 2×2 feature maps.
+// network cheaply, by never repeating work whose result cannot change
+// between the ε checks of Algorithms 1–2:
+//
+//   - The prefix. CAP'NN only prunes the last layers of the network, so
+//     the activations entering the first prunable layer are the same for
+//     every candidate; they are computed once, here, and every check
+//     replays only the suffix (on the reference model a 6-layer pass over
+//     tiny 2×2 feature maps instead of a full 16-layer pass).
+//   - Other users' classes. The cached rows are grouped by class, and a
+//     replay holds only the rows of the classes it is asked about. The
+//     kernels run sample by sample (im2col per image, denseForward per
+//     row), so a row's logits do not depend on which rows share its
+//     batch: the hit count of class k over k's rows alone is the hit
+//     count of class k over the whole set.
+//   - Decided stages. A prune mask only zeroes its own layer's output,
+//     so once the stages before ℓ are committed the activations entering
+//     ℓ are fixed for the whole threshold descent at ℓ; replay.advanceTo
+//     pushes the rows there once and each candidate replays from ℓ on.
+//   - The unmasked baseline. It depends on the weights and the evaluation
+//     set alone, both fixed for the evaluator's lifetime (the cached
+//     prefix already assumes so), and is measured once, at first use.
+//
+// Every replay goes through the same nn.InferLayers under the same
+// installed masks as a full-set, full-suffix pass, and counts integer
+// hits, so accuracies — and with them every accept/reject and every
+// mask — are bit-identical to that pass for every worker count.
+//
+// The evaluator shares the network and reads its installed masks; like
+// everything that installs scratch masks it must not be used from two
+// goroutines at once.
 type SuffixEvaluator struct {
 	net     *nn.Network
 	suffix  []nn.Layer // net.Layers[split:]
+	first   int        // stage index of suffix[0]
+	unitAt  []int      // unitAt[s-first] indexes stage s's unit layer in suffix
 	classes int
 
-	cached *tensor.Tensor // all eval images' activations at the split
-	labels []int
-	perCls []int
+	cached *tensor.Tensor // activations at the split, rows grouped by class
+	labels []int          // class of each cached row
+	start  []int          // class c owns rows [start[c], start[c+1])
+	base   []float64      // unmasked per-class accuracy; nil until baseline()
 }
 
-const suffixBatch = 64
+// suffixBatch is the replay's shard size. A two-class user's ε check
+// replays 80 rows: at 64 rows a shard one worker would do 64 of them and
+// the other 16, so the shards are kept small enough to balance.
+const suffixBatch = 16
 
 // NewSuffixEvaluator caches activations of ds at the input of the unit
 // layer with stage index firstPrunable. The returned evaluator shares the
 // network: callers mutate masks on net and then call PerClassAccuracy.
+// Masks already installed on the suffix are left alone.
 func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*SuffixEvaluator, error) {
 	stages := net.Stages()
 	if firstPrunable < 0 || firstPrunable >= len(stages) {
@@ -39,21 +71,14 @@ func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*
 	if ds.Len() == 0 {
 		return nil, fmt.Errorf("core: empty evaluation set")
 	}
-	// Locate the unit layer within net.Layers.
-	split := -1
-	unitSeen := 0
+	// Locate the unit layers within net.Layers.
+	var unitLayers []int
 	for i, l := range net.Layers {
 		if _, ok := l.(nn.UnitLayer); ok {
-			if unitSeen == firstPrunable {
-				split = i
-				break
-			}
-			unitSeen++
+			unitLayers = append(unitLayers, i)
 		}
 	}
-	if split < 0 {
-		return nil, fmt.Errorf("core: could not locate stage %d", firstPrunable)
-	}
+	split := unitLayers[firstPrunable]
 	for _, l := range net.Layers[:split] {
 		if u, ok := l.(nn.UnitLayer); ok && u.Pruned() != nil {
 			for _, p := range u.Pruned() {
@@ -64,87 +89,176 @@ func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*
 		}
 	}
 
-	ev := &SuffixEvaluator{net: net, suffix: net.Layers[split:], classes: ds.Classes, perCls: make([]int, ds.Classes)}
+	ev := &SuffixEvaluator{net: net, suffix: net.Layers[split:], first: firstPrunable, classes: ds.Classes}
+	for _, i := range unitLayers[firstPrunable:] {
+		ev.unitAt = append(ev.unitAt, i-split)
+	}
+	// Stable grouping by class: order lists the samples class by class,
+	// each class in dataset order.
+	order := make([]int, 0, ds.Len())
+	ev.start = make([]int, ds.Classes+1)
+	for c, idx := range ds.ByClass() {
+		ev.start[c] = len(order)
+		order = append(order, idx...)
+		for range idx {
+			ev.labels = append(ev.labels, c)
+		}
+	}
+	ev.start[ds.Classes] = len(order)
+
 	// Run the prefix once over the whole set, sharded across workers.
 	// Shards write disjoint regions of the cache via the stateless
 	// nn.InferLayers, so any worker count produces the same bits (the
 	// prefix is verified unmasked above, and InferLayers matches Forward
 	// bit for bit).
-	perShape := net.Layers[split].InShape()
-	per := 1
-	for _, d := range perShape {
-		per *= d
-	}
-	cachedShape := append([]int{ds.Len()}, perShape...)
-	ev.cached = tensor.New(cachedShape...)
-	ev.labels = make([]int, ds.Len())
+	ev.cached = tensor.New(append([]int{len(order)}, net.Layers[split].InShape()...)...)
 	prefix := net.Layers[:split]
-	shards := parallel.Shards(ds.Len(), suffixBatch)
+	shards := parallel.Shards(len(order), suffixBatch)
 	parallel.For(0, len(shards), func(i int) {
 		sh := shards[i]
-		idx := make([]int, sh.Len())
-		for j := range idx {
-			idx[j] = sh.Lo + j
-		}
-		x, labels := ds.Batch(idx)
+		x, _ := ds.Batch(order[sh.Lo:sh.Hi])
 		x = nn.InferLayers(prefix, x)
-		copy(ev.cached.Data()[sh.Lo*per:sh.Hi*per], x.Data())
-		copy(ev.labels[sh.Lo:sh.Hi], labels)
+		copy(rows(ev.cached, sh.Lo, sh.Hi), x.Data())
 	})
-	for _, l := range ev.labels {
-		ev.perCls[l]++
-	}
 	return ev, nil
+}
+
+// rows returns the backing data of rows [lo, hi) of a batch tensor.
+func rows(t *tensor.Tensor, lo, hi int) []float64 {
+	per := t.Len() / t.Dim(0)
+	return t.Data()[lo*per : hi*per]
 }
 
 // Classes returns the class count of the evaluation set.
 func (ev *SuffixEvaluator) Classes() int { return ev.classes }
 
 // SampleCount returns how many eval images exist for class c.
-func (ev *SuffixEvaluator) SampleCount(c int) int { return ev.perCls[c] }
+func (ev *SuffixEvaluator) SampleCount(c int) int { return ev.start[c+1] - ev.start[c] }
 
 // PerClassAccuracy replays the suffix under the network's current prune
 // masks and returns top-1 accuracy per class, using parallel.Default()
-// workers. Classes with no samples report 0. Each fixed suffixBatch
-// shard replays statelessly (nn.InferLayers reads the installed masks
-// without writing activation caches) and counts integer hits; shard
-// partials merge in shard order, so the result is bit-identical for
-// every worker count. Callers must not mutate masks while a replay is
-// in flight.
+// workers. Classes with no samples report 0. Callers must not mutate
+// masks while a replay is in flight.
 func (ev *SuffixEvaluator) PerClassAccuracy() []float64 {
-	n := len(ev.labels)
-	shape := ev.cached.Shape()
-	per := 1
-	for _, d := range shape[1:] {
-		per *= d
+	return ev.newReplay(nil).accuracy()
+}
+
+// checkStages rejects stages the evaluator cannot search: outside the
+// network, before its cached split (a mask there would never be
+// replayed), or without firing rates of the right width.
+func (ev *SuffixEvaluator) checkStages(rates *firing.Rates, prunable []int) error {
+	stages := ev.net.Stages()
+	for _, l := range prunable {
+		lr := rates.Layers[l]
+		if lr == nil {
+			return fmt.Errorf("core: no firing rates for stage %d", l)
+		}
+		if l < ev.first || l >= len(stages) {
+			return fmt.Errorf("core: stage %d outside the evaluator's suffix [%d,%d)", l, ev.first, len(stages))
+		}
+		if units := stages[l].Unit.Units(); lr.Units != units {
+			return fmt.Errorf("core: stage %d has %d units but rates cover %d", l, units, lr.Units)
+		}
 	}
-	shards := parallel.Shards(n, suffixBatch)
-	parts := make([][]int, len(shards))
+	return nil
+}
+
+// baseline returns the per-class accuracy of the unmasked network,
+// measuring it on first use. The network must carry no masks when it is
+// called (the pruning algorithms clear it first); it is not measured in
+// NewSuffixEvaluator because callers may build an evaluator on a net
+// whose suffix is deliberately masked.
+func (ev *SuffixEvaluator) baseline() []float64 {
+	if ev.base == nil {
+		ev.base = ev.PerClassAccuracy()
+	}
+	return ev.base
+}
+
+// replay is the rows of a class subset on their way through the suffix:
+// x holds their activations entering suffix[at]. It is the one place
+// per-class accuracy is measured.
+type replay struct {
+	ev     *SuffixEvaluator
+	labels []int // class of each row of x
+	x      *tensor.Tensor
+	at     int
+}
+
+// newReplay starts a replay of the cached rows of the classes in K (nil =
+// every class) at the split.
+func (ev *SuffixEvaluator) newReplay(K []int) *replay {
+	if K == nil {
+		return &replay{ev: ev, labels: ev.labels, x: ev.cached}
+	}
+	r := &replay{ev: ev}
+	var data []float64
+	for _, k := range K {
+		lo, hi := ev.start[k], ev.start[k+1]
+		r.labels = append(r.labels, ev.labels[lo:hi]...)
+		data = append(data, rows(ev.cached, lo, hi)...)
+	}
+	if len(data) > 0 { // an evaluation set may hold no image of K
+		r.x = tensor.MustFromSlice(data, append([]int{len(r.labels)}, ev.cached.Shape()[1:]...)...)
+	}
+	return r
+}
+
+// forward pushes the rows through layers in fixed suffixBatch shards on
+// parallel.Default() workers (nn.InferLayers reads the installed masks
+// and writes no layer state) and hands each shard's output to visit,
+// concurrently.
+func (r *replay) forward(layers []nn.Layer, visit func(sh parallel.Shard, out *tensor.Tensor)) {
+	if len(r.labels) == 0 {
+		return
+	}
+	shape := r.x.Shape()
+	shards := parallel.Shards(shape[0], suffixBatch)
 	parallel.For(0, len(shards), func(i int) {
 		sh := shards[i]
-		hits := make([]int, ev.classes)
-		bshape := append([]int{sh.Len()}, shape[1:]...)
-		x := tensor.MustFromSlice(ev.cached.Data()[sh.Lo*per:sh.Hi*per], bshape...)
-		x = nn.InferLayers(ev.suffix, x)
-		c := x.Dim(1)
-		for s := 0; s < sh.Len(); s++ {
-			pred := tensor.Argmax(x.Data()[s*c : (s+1)*c])
-			if pred == ev.labels[sh.Lo+s] {
-				hits[ev.labels[sh.Lo+s]]++
-			}
-		}
-		parts[i] = hits
+		x := tensor.MustFromSlice(rows(r.x, sh.Lo, sh.Hi), append([]int{sh.Len()}, shape[1:]...)...)
+		visit(sh, nn.InferLayers(layers, x))
 	})
-	hits := make([]int, ev.classes)
-	for _, p := range parts {
-		for c, h := range p {
-			hits[c] += h
+}
+
+// advanceTo moves the rows up to the input of the given stage's unit
+// layer under the masks installed now. The caller promises the masks of
+// the layers crossed are final for as long as the replay is used.
+func (r *replay) advanceTo(stage int) {
+	to := r.ev.unitAt[stage-r.ev.first]
+	if to <= r.at || len(r.labels) == 0 {
+		return
+	}
+	layers := r.ev.suffix[r.at:to]
+	next := tensor.New(append([]int{len(r.labels)}, layers[len(layers)-1].OutShape()...)...)
+	r.forward(layers, func(sh parallel.Shard, out *tensor.Tensor) {
+		copy(rows(next, sh.Lo, sh.Hi), out.Data())
+	})
+	r.x, r.at = next, to
+}
+
+// accuracy replays the remaining layers under the installed masks and
+// returns top-1 accuracy per class, 0 for classes the replay holds no
+// rows of. Hits are integers and shards write disjoint rows, so the
+// result is the same for every worker count.
+func (r *replay) accuracy() []float64 {
+	hit := make([]bool, len(r.labels))
+	r.forward(r.ev.suffix[r.at:], func(sh parallel.Shard, out *tensor.Tensor) {
+		c := out.Dim(1)
+		for s := 0; s < sh.Len(); s++ {
+			hit[sh.Lo+s] = tensor.Argmax(out.Data()[s*c:(s+1)*c]) == r.labels[sh.Lo+s]
+		}
+	})
+	hits := make([]int, r.ev.classes)
+	for i, h := range hit {
+		if h {
+			hits[r.labels[i]]++
 		}
 	}
-	acc := make([]float64, ev.classes)
-	for c := range acc {
-		if ev.perCls[c] > 0 {
-			acc[c] = float64(hits[c]) / float64(ev.perCls[c])
+	acc := make([]float64, r.ev.classes)
+	for c, h := range hits {
+		if h > 0 {
+			acc[c] = float64(h) / float64(r.ev.SampleCount(c))
 		}
 	}
 	return acc

@@ -21,16 +21,17 @@ const (
 // System bundles a trained network with everything CAP'NN keeps in the
 // cloud: its firing-rate matrices, the validation evaluator used for
 // ε checks, the Algorithm 1 matrices (computed lazily, reused across
-// users), and the profiling set for confusion analysis. It is the
-// entry point the facade and the cloud server build on.
+// users), and the confusion rows of the profiling set (measured lazily,
+// once per class). It is the entry point the facade and the cloud
+// server build on.
 type System struct {
 	Net    *nn.Network
 	Rates  *firing.Rates
 	Params Params
 	Eval   *SuffixEvaluator
 
-	profile *data.Dataset
-	b       *BMatrices
+	confusion *ConfusionProfile
+	b         *BMatrices
 }
 
 // NewSystem profiles net (if rates is nil) and prepares the suffix
@@ -55,7 +56,7 @@ func NewSystem(net *nn.Network, valSet, profileSet *data.Dataset, rates *firing.
 	if err != nil {
 		return nil, err
 	}
-	return &System{Net: net, Rates: rates, Params: params, Eval: ev, profile: profileSet}, nil
+	return &System{Net: net, Rates: rates, Params: params, Eval: ev, confusion: NewConfusionProfile(net, profileSet)}, nil
 }
 
 // BMatrices returns Algorithm 1's per-class pruning matrices, computing
@@ -91,7 +92,7 @@ func (s *System) Prune(v Variant, prefs Preferences) (map[int][]bool, error) {
 	case VariantW:
 		return PruneW(s.Eval, s.Rates, prefs, s.Params)
 	case VariantM:
-		rep, err := PruneM(s.Eval, s.Rates, prefs, s.Params, s.profile)
+		rep, err := PruneM(s.Eval, s.Rates, prefs, s.Params, s.confusion)
 		if err != nil {
 			return nil, err
 		}

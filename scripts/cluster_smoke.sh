@@ -143,8 +143,12 @@ done
 # is seconds, not hundreds of ms), and a shard kill forces cold prunes
 # on the dead shard's replicas — so the failover budget must be sized
 # for the instrumented build, not production defaults.
+# Three owners per key: with two, a key owned by the killed shard and
+# the chaos shard has nowhere to go when chaos black-holes a fresh
+# connection (3 of 3000 requests failed that way, the same 3 at every
+# Prune speed), and "zero failures" would assert luck, not failover.
 "$WORKDIR/capnn-gateway" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
-    -nodes "$(IFS=,; echo "${NODE_ADDRS[*]}")" \
+    -nodes "$(IFS=,; echo "${NODE_ADDRS[*]}")" -replication 3 \
     -probe-every 250ms -probe-timeout 1s -fail-threshold 2 -cooldown 2s \
     -request-timeout 120s -attempt-timeout 60s \
     >"$WORKDIR/gateway.log" 2>&1 &
