@@ -11,11 +11,14 @@
 package capnn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"math/rand"
 	"os"
 	"sync"
 	"testing"
+	"time"
 
 	"capnn/internal/cloud"
 	"capnn/internal/cluster"
@@ -23,6 +26,7 @@ import (
 	"capnn/internal/exp"
 	"capnn/internal/firing"
 	"capnn/internal/nn"
+	"capnn/internal/rpc"
 	"capnn/internal/serve"
 	"capnn/internal/tensor"
 	"capnn/internal/train"
@@ -603,10 +607,10 @@ func BenchmarkAblationLstart(b *testing.B) {
 // BenchmarkGatewayRouting measures the cluster tier's two costs: the
 // consistent-hash lookup on the gateway's hot path (which must not
 // allocate — it runs once per request) and the end-to-end latency a
-// gateway adds over talking to a serve node directly (the acceptance
-// bar is <10% overhead; the gateway pools persistent backend
-// connections, so one extra hop is mostly one extra gob round trip on
-// localhost).
+// gateway adds over talking to a serve node directly (client and
+// gateway both keep their connections, so the extra hop is one extra
+// gob round trip on localhost: ≈ 60 µs, about a tenth of a direct
+// request on this fixture — compare alternating runs, the host drifts).
 func BenchmarkGatewayRouting(b *testing.B) {
 	b.Run("ring-lookup", func(b *testing.B) {
 		nodes := make([]string, 16)
@@ -652,6 +656,7 @@ func BenchmarkGatewayRouting(b *testing.B) {
 	viaAddr := func(addr string) func(*testing.B) {
 		return func(b *testing.B) {
 			c := serve.NewClient(addr)
+			defer c.Close()
 			if resp, err := c.Infer(req); err != nil || resp.Code != cloud.CodeOK {
 				b.Fatalf("warm: %v / %+v", err, resp)
 			}
@@ -667,4 +672,64 @@ func BenchmarkGatewayRouting(b *testing.B) {
 	}
 	b.Run("direct-serve", viaAddr(naddr))
 	b.Run("via-gateway", viaAddr(gaddr))
+}
+
+// BenchmarkWireRoundTrip prices the wire around a forward pass on a
+// frame shaped like the repo benchmark's (3×32×32 input out, 10 logits
+// back) against a handler that does nothing: dial-per-call opens a
+// socket and a gob stream — re-sending and re-compiling the type
+// descriptions — for every request, persistent keeps one connection and
+// its codec pair, codec-only is one encode + decode of the request on a
+// kept stream with no socket at all (what a fixed-layout frame could
+// still remove).
+func BenchmarkWireRoundTrip(b *testing.B) {
+	req := serve.WireRequest{Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{3, 7}, Input: make([]float64, 3*32*32)}
+	rng := rand.New(rand.NewSource(1))
+	for i := range req.Input {
+		req.Input[i] = rng.NormFloat64()
+	}
+	answer := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: req.Input[:10], Class: 3, Batch: 1, CacheHit: true}
+	srv := rpc.NewServer(
+		rpc.Limits{ReadTimeout: time.Minute, WriteTimeout: time.Minute, MaxRequestBytes: 1 << 20},
+		func(*serve.WireRequest) *serve.WireResponse { return answer },
+		func(msg string) *serve.WireResponse { return &serve.WireResponse{Code: cloud.CodeBadRequest, Err: msg} })
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Shutdown(time.Minute)
+	viaClient := func(maxIdle int) func(*testing.B) {
+		return func(b *testing.B) {
+			c := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, time.Second, maxIdle)
+			defer c.Close()
+			b.ReportAllocs()
+			for i := 0; i < b.N+1; i++ { // iteration 0 warms the connection
+				if i == 1 {
+					b.ResetTimer()
+				}
+				if resp, err := c.Do(&req, time.Now().Add(time.Minute)); err != nil || len(resp.Logits) != 10 {
+					b.Fatalf("round trip: %v / %+v", err, resp)
+				}
+			}
+		}
+	}
+	b.Run("dial-per-call", viaClient(0))
+	b.Run("persistent", viaClient(1))
+	b.Run("codec-only", func(b *testing.B) {
+		var buf bytes.Buffer
+		enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
+		b.ReportAllocs()
+		for i := 0; i < b.N+1; i++ { // iteration 0 carries the type descriptions
+			if i == 1 {
+				b.ResetTimer()
+			}
+			var got serve.WireRequest
+			if err := enc.Encode(&req); err != nil {
+				b.Fatal(err)
+			}
+			if err := dec.Decode(&got); err != nil || len(got.Input) != len(req.Input) {
+				b.Fatalf("decode: %v", err)
+			}
+		}
+	})
 }

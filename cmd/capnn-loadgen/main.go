@@ -3,10 +3,10 @@
 // and reports exactly what a client population saw: requests sent, OK,
 // failed. It retries nothing — the serving tier's availability story
 // (gateway failover, serve self-healing) must hold up against plain
-// one-shot clients, so any non-OK answer counts as a failure and flips
-// the exit code. That makes it the assertion half of
-// scripts/cluster_smoke.sh: kill a shard mid-load, and "0 failed" here
-// is the zero-client-visible-failures criterion.
+// non-retrying clients (one kept connection per worker), so any non-OK
+// answer counts as a failure and flips the exit code. That makes it the
+// assertion half of scripts/cluster_smoke.sh: kill a shard mid-load,
+// and "0 failed" here is the zero-client-visible-failures criterion.
 //
 //	capnn-loadgen -addr 127.0.0.1:7878 -model cifar10 -users 8 -n 300
 //
@@ -409,6 +409,7 @@ func main() {
 		go func(w, base, share int) {
 			defer wg.Done()
 			c := serve.NewClient(*addr)
+			defer c.Close()
 			c.RequestTimeout = *timeout
 			for i := 0; i < share; i++ {
 				idx := base + i

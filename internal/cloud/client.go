@@ -2,14 +2,13 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
 	"time"
 
 	"capnn/internal/nn"
+	"capnn/internal/rpc"
 )
 
 // Retry configures the client's retry loop: exponential backoff with
@@ -146,29 +145,21 @@ func (c *Client) backoff(i int) time.Duration {
 	return time.Duration(rand.Int63n(int64(ceiling) + 1))
 }
 
+// fetchOnce is one attempt: a one-shot exchange on its own connection
+// (a model fetch is rare and large, so nothing is kept open for it).
 func (c *Client) fetchOnce(req Request) (*nn.Network, Stats, *Error) {
 	dialTimeout := c.DialTimeout
 	if dialTimeout <= 0 {
 		dialTimeout = 5 * time.Second
 	}
-	conn, err := net.DialTimeout("tcp", c.Addr, dialTimeout)
-	if err != nil {
-		return nil, Stats{}, &Error{Op: "dial", Err: fmt.Errorf("dial %s: %w", c.Addr, err)}
-	}
-	defer conn.Close()
 	reqTimeout := c.RequestTimeout
 	if reqTimeout <= 0 {
 		reqTimeout = 30 * time.Second
 	}
-	if err := conn.SetDeadline(time.Now().Add(reqTimeout)); err != nil {
-		return nil, Stats{}, &Error{Op: "send", Err: err}
-	}
-	if err := gob.NewEncoder(conn).Encode(&req); err != nil {
-		return nil, Stats{}, &Error{Op: "send", Err: err}
-	}
-	var resp Response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		return nil, Stats{}, &Error{Op: "receive", Err: err}
+	resp, err := rpc.NewClient[Request, Response](c.Addr, dialTimeout, 0).Do(&req, time.Now().Add(reqTimeout))
+	if err != nil {
+		te := err.(*rpc.Error)
+		return nil, Stats{}, &Error{Op: te.Op, Err: te.Err}
 	}
 	if resp.Err != "" {
 		code := resp.Code

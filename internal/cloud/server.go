@@ -2,15 +2,14 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"time"
 
 	"capnn/internal/core"
 	"capnn/internal/nn"
+	"capnn/internal/rpc"
 )
 
 // Config bounds a Server's exposure to slow, dead, or abusive peers.
@@ -76,9 +75,8 @@ type Server struct {
 	// leave masks on the shared network without recovery.
 	hookAfterPrune func()
 
-	lnMu sync.Mutex
-	ln   net.Listener
-	wg   sync.WaitGroup
+	// rpc is the wire: accept loop, peer limits, drain.
+	rpc *rpc.Server[Request, Response]
 
 	drainMu  sync.Mutex
 	draining bool
@@ -90,7 +88,11 @@ func NewServer(sys *core.System) *Server { return NewServerWith(sys, DefaultConf
 // NewServerWith wraps a prepared system with explicit limits.
 func NewServerWith(sys *core.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	return &Server{sys: sys, cfg: cfg, inflight: make(chan struct{}, cfg.MaxInflight)}
+	s := &Server{sys: sys, cfg: cfg, inflight: make(chan struct{}, cfg.MaxInflight)}
+	s.rpc = rpc.NewServer(
+		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
+		s.handle, func(msg string) *Response { return errResponse(CodeBadRequest, msg) })
+	return s
 }
 
 // Inflight reports how many requests are currently admitted — useful
@@ -98,56 +100,16 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 func (s *Server) Inflight() int { return len(s.inflight) }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
-// returns the bound address. Serve loops in a background goroutine until
-// Close is called.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	return s.Serve(ln), nil
-}
+// returns the bound address.
+func (s *Server) Listen(addr string) (string, error) { return s.rpc.Listen(addr) }
 
 // Serve accepts connections from ln — which may be wrapped, e.g. with
 // internal/faults fault injection — until Close is called, and returns
 // the listener's address.
-func (s *Server) Serve(ln net.Listener) string {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer conn.Close()
-				defer func() { _ = recover() }() // a handler panic must not kill the server
-				s.handle(conn)
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
+func (s *Server) Serve(ln net.Listener) string { return s.rpc.Serve(ln) }
 
-// Close stops the listener and waits for in-flight requests.
-func (s *Server) Close() error {
-	s.lnMu.Lock()
-	ln := s.ln
-	s.ln = nil
-	s.lnMu.Unlock()
-	var err error
-	if ln != nil {
-		err = ln.Close()
-	}
-	s.wg.Wait()
-	return err
-}
+// Close is Shutdown with a generous deadline.
+func (s *Server) Close() error { return s.Shutdown(time.Minute) }
 
 // Shutdown drains the server gracefully: the listener stops accepting,
 // requests still arriving on open connections are shed with CodeBusy,
@@ -156,29 +118,13 @@ func (s *Server) Close() error {
 // running (they are not killed — the caller decides whether to wait
 // longer or exit).
 func (s *Server) Shutdown(timeout time.Duration) error {
-	s.lnMu.Lock()
-	ln := s.ln
-	s.ln = nil
-	s.lnMu.Unlock()
-	var lnErr error
-	if ln != nil {
-		lnErr = ln.Close()
-	}
 	s.drainMu.Lock()
 	s.draining = true
 	s.drainMu.Unlock()
-
-	done := make(chan struct{})
-	go func() {
-		s.wg.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return lnErr
-	case <-time.After(timeout):
-		return fmt.Errorf("cloud: drain deadline %v exceeded with requests in flight", timeout)
+	if err := s.rpc.Shutdown(timeout); err != nil {
+		return fmt.Errorf("cloud: %w", err)
 	}
+	return nil
 }
 
 func (s *Server) isDraining() bool {
@@ -187,33 +133,19 @@ func (s *Server) isDraining() bool {
 	return s.draining
 }
 
-func (s *Server) handle(conn net.Conn) {
-	// A dead or stalled peer cannot hold this goroutine past the
-	// configured deadlines.
-	_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-	dec := gob.NewDecoder(io.LimitReader(conn, s.cfg.MaxRequestBytes))
-	var req Request
-	if err := dec.Decode(&req); err != nil {
-		s.respond(conn, errResponse(CodeBadRequest, fmt.Sprintf("decode: %v", err)))
-		return
-	}
+// handle admits one decoded request: shed while draining or past the
+// in-flight limit, personalize otherwise.
+func (s *Server) handle(req *Request) *Response {
 	if s.isDraining() {
-		s.respond(conn, errResponse(CodeBusy, "server draining, retry against another replica"))
-		return
+		return errResponse(CodeBusy, "server draining, retry against another replica")
 	}
 	select {
 	case s.inflight <- struct{}{}:
 		defer func() { <-s.inflight }()
 	default:
-		s.respond(conn, errResponse(CodeBusy, "server busy: in-flight limit reached, retry with backoff"))
-		return
+		return errResponse(CodeBusy, "server busy: in-flight limit reached, retry with backoff")
 	}
-	s.respond(conn, s.Personalize(req))
-}
-
-func (s *Server) respond(conn net.Conn, resp *Response) {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	_ = gob.NewEncoder(conn).Encode(resp)
+	return s.Personalize(*req)
 }
 
 // Personalize executes one request against the system. Exposed so the

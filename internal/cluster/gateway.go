@@ -5,7 +5,6 @@ import (
 	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
@@ -17,6 +16,7 @@ import (
 	"capnn/internal/metrics"
 	"capnn/internal/metrics/anomaly"
 	"capnn/internal/qos"
+	"capnn/internal/rpc"
 	"capnn/internal/serve"
 	"capnn/internal/store"
 )
@@ -45,7 +45,7 @@ type Config struct {
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
 	AttemptTimeout time.Duration
-	// MaxIdlePerNode caps pooled idle connections per serve node.
+	// MaxIdlePerNode caps kept idle connections per serve node.
 	// Default 4.
 	MaxIdlePerNode int
 
@@ -170,12 +170,12 @@ func (c Config) withDefaults() Config {
 }
 
 // nodeState is one serve node as managed by the gateway: its health
-// breaker and its connection pool. It outlives ring swaps (membership
-// changes reuse existing state for surviving nodes).
+// breaker and the kept connections to it. It outlives ring swaps
+// (membership changes reuse existing state for surviving nodes).
 type nodeState struct {
 	addr   string
 	health *nodeHealth
-	pool   *nodePool
+	wire   *rpc.Client[serve.WireRequest, serve.WireResponse]
 }
 
 // Gateway accepts the serve wire protocol and routes each request to
@@ -201,9 +201,9 @@ type Gateway struct {
 	storeMu sync.Mutex
 	stor    *store.Store
 
-	lnMu sync.Mutex
-	ln   net.Listener
-	wg   sync.WaitGroup
+	// srv is the client-facing wire: accept loop, kept connections,
+	// peer limits.
+	srv *rpc.Server[serve.WireRequest, serve.WireResponse]
 
 	drainMu  sync.Mutex
 	draining bool
@@ -232,6 +232,11 @@ func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 		nodes:      map[string]*nodeState{},
 		proberStop: make(chan struct{}),
 	}
+	g.srv = rpc.NewServer(
+		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
+		g.handle, func(msg string) *serve.WireResponse {
+			return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: msg}
+		})
 	g.ring.Store(ring)
 	for _, n := range ring.Nodes() {
 		g.nodes[n] = g.newNodeState(n)
@@ -294,11 +299,9 @@ func (g *Gateway) newNodeState(addr string) *nodeState {
 	h.onTransition = func(from, to serve.BreakerState) {
 		g.events.Record("node-breaker", addr, fmt.Sprintf("%s -> %s", from, to), nil)
 	}
-	return &nodeState{
-		addr:   addr,
-		health: h,
-		pool:   newNodePool(addr, g.cfg.DialTimeout, g.cfg.MaxIdlePerNode),
-	}
+	wire := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, g.cfg.DialTimeout, g.cfg.MaxIdlePerNode)
+	wire.OnRedial = g.st.retried
+	return &nodeState{addr: addr, health: h, wire: wire}
 }
 
 // Metrics is the gateway's telemetry registry — the source behind
@@ -364,7 +367,7 @@ func (g *Gateway) AddNode(addr string) error {
 				g.nodesMu.Lock()
 				delete(g.nodes, addr)
 				g.nodesMu.Unlock()
-				ns.pool.closeAll()
+				ns.wire.Close()
 			}
 			return fmt.Errorf("cluster: join %s refused: %w", addr, err)
 		}
@@ -383,19 +386,12 @@ func (g *Gateway) AddNode(addr string) error {
 // steady-state prober does.
 func (g *Gateway) preflight(ns *nodeState) error {
 	start := time.Now()
-	pc, err := ns.pool.get()
-	if err != nil {
-		ns.health.probed(false, 0)
-		return err
-	}
 	req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpHealth}
-	resp, err := pc.roundTrip(req, start.Add(g.cfg.ProbeTimeout))
+	resp, err := ns.wire.Do(req, start.Add(g.cfg.ProbeTimeout))
 	if err != nil {
-		pc.close()
 		ns.health.probed(false, 0)
 		return err
 	}
-	ns.pool.put(pc)
 	ok := resp.Code == cloud.CodeOK
 	ns.health.probed(ok, time.Since(start))
 	if !ok {
@@ -428,7 +424,7 @@ func (g *Gateway) RemoveNode(addr string) error {
 	delete(g.nodes, addr)
 	g.nodesMu.Unlock()
 	if ns != nil {
-		ns.pool.closeAll()
+		ns.wire.Close()
 	}
 	g.st.ringChanged("leave", addr, next)
 	g.broadcastRing(next)
@@ -504,7 +500,7 @@ func (g *Gateway) RestoreRingConfig(rc store.RingConfig) error {
 	g.nodesMu.Unlock()
 	g.ring.Store(ring)
 	for _, ns := range old {
-		ns.pool.closeAll()
+		ns.wire.Close()
 	}
 	g.st.ringChanged("restore", "", ring)
 	g.broadcastRing(ring)
@@ -741,45 +737,19 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 	return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal, Err: msg}
 }
 
-// attempt runs one exchange against one node. A failure on a reused
-// pooled connection gets a single fresh-dial retry before it counts
-// against the node: the server idle-times pooled connections out, and
-// that staleness is this gateway's problem, not the node's.
+// attempt runs one exchange against one node and feeds the outcome to
+// its breaker. A stale kept connection is the transport's problem (one
+// fresh-dial retry inside rpc.Client, counted in Retries), not the
+// node's.
 func (g *Gateway) attempt(ns *nodeState, req *serve.WireRequest, deadline time.Time) (*serve.WireResponse, error) {
 	ns.health.routed()
-	pc, err := ns.pool.get()
-	if err != nil {
-		ns.health.record(false)
-		return nil, err
-	}
-	resp, err := pc.roundTrip(req, deadline)
-	if err != nil {
-		pc.close()
-		if pc.reused {
-			g.st.retried()
-			if pc2, derr := ns.pool.dial(); derr == nil {
-				resp, rerr := pc2.roundTrip(req, deadline)
-				if rerr == nil {
-					ns.pool.put(pc2)
-					ns.health.record(true)
-					return resp, nil
-				}
-				pc2.close()
-				err = rerr
-			} else {
-				err = derr
-			}
-		}
-		ns.health.record(false)
-		return nil, err
-	}
-	ns.pool.put(pc)
-	ns.health.record(true)
-	return resp, nil
+	resp, err := ns.wire.Do(req, deadline)
+	ns.health.record(err == nil)
+	return resp, err
 }
 
 // probeLoop drives active health checking: every ProbeEvery each member
-// node gets an OpHealth round trip (over the same pooled connections
+// node gets an OpHealth round trip (over the same kept connections
 // traffic uses), and the outcome — including the RTT — feeds its
 // breaker and stats.
 func (g *Gateway) probeLoop() {
@@ -821,107 +791,40 @@ func (g *Gateway) probe(ns *nodeState) {
 		return
 	}
 	start := time.Now()
-	deadline := start.Add(g.cfg.ProbeTimeout)
-	pc, err := ns.pool.get()
-	if err != nil {
-		ns.health.probed(false, 0)
-		return
-	}
 	req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpHealth}
-	resp, err := pc.roundTrip(req, deadline)
+	resp, err := ns.wire.Do(req, start.Add(g.cfg.ProbeTimeout))
 	if err != nil {
-		pc.close()
 		ns.health.probed(false, 0)
 		return
 	}
-	ns.pool.put(pc)
 	ns.health.probed(resp.Code == cloud.CodeOK, time.Since(start))
 }
 
 // Listen starts accepting client connections on addr and returns the
 // bound address.
-func (g *Gateway) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	return g.Serve(ln), nil
-}
+func (g *Gateway) Listen(addr string) (string, error) { return g.srv.Listen(addr) }
 
 // Serve accepts client connections from ln — which may be wrapped,
 // e.g. with internal/faults — until Shutdown, and returns the
 // listener's address. The client-facing wire protocol is exactly
 // internal/serve's, so every existing serve.Client (and device) can
 // point at a gateway unchanged.
-func (g *Gateway) Serve(ln net.Listener) string {
-	g.lnMu.Lock()
-	g.ln = ln
-	g.lnMu.Unlock()
-	g.wg.Add(1)
-	go func() {
-		defer g.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			g.wg.Add(1)
-			go func() {
-				defer g.wg.Done()
-				defer conn.Close()
-				defer func() { _ = recover() }() // a handler panic must not kill the gateway
-				g.handle(conn)
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
+func (g *Gateway) Serve(ln net.Listener) string { return g.srv.Serve(ln) }
 
-// handle speaks the serve wire protocol on one client connection, with
-// the same persistent-connection and peer discipline as serve.Server:
-// per-request read deadline, size cap, write deadline, one gob codec
-// pair for the connection's lifetime.
-func (g *Gateway) handle(conn net.Conn) {
-	lr := &io.LimitedReader{R: conn}
-	dec := gob.NewDecoder(lr)
-	enc := gob.NewEncoder(conn)
-	for served := 0; ; served++ {
-		_ = conn.SetReadDeadline(time.Now().Add(g.cfg.ReadTimeout))
-		lr.N = g.cfg.MaxRequestBytes
-		var req serve.WireRequest
-		if err := dec.Decode(&req); err != nil {
-			if served > 0 {
-				return
-			}
-			msg := fmt.Sprintf("decode: %v", err)
-			if lr.N <= 0 {
-				msg = fmt.Sprintf("request exceeds size cap (%d bytes)", g.cfg.MaxRequestBytes)
-			}
-			g.respond(conn, enc, &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: msg})
-			return
+// handle answers one client frame: the gateway's own stats and health,
+// everything else routed.
+func (g *Gateway) handle(req *serve.WireRequest) *serve.WireResponse {
+	switch req.Op {
+	case serve.OpStats:
+		return g.statsResponse()
+	case serve.OpHealth:
+		if g.isDraining() {
+			return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "gateway draining"}
 		}
-		var resp *serve.WireResponse
-		switch req.Op {
-		case serve.OpStats:
-			resp = g.statsResponse()
-		case serve.OpHealth:
-			if g.isDraining() {
-				resp = &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "gateway draining"}
-			} else {
-				resp = &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
-			}
-		default:
-			resp = g.Route(req)
-		}
-		if !g.respond(conn, enc, resp) {
-			return
-		}
+		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
+	default:
+		return g.Route(*req)
 	}
-}
-
-func (g *Gateway) respond(conn net.Conn, enc *gob.Encoder, resp *serve.WireResponse) bool {
-	_ = conn.SetWriteDeadline(time.Now().Add(g.cfg.WriteTimeout))
-	return enc.Encode(resp) == nil
 }
 
 // statsResponse answers OpStats with the gateway's own stats, carried
@@ -937,20 +840,11 @@ func (g *Gateway) statsResponse() *serve.WireResponse {
 
 // ScrapeStats fetches a remote gateway's Stats over the wire.
 func ScrapeStats(addr string, timeout time.Duration) (Stats, error) {
-	c := serve.NewClient(addr)
-	c.RequestTimeout = timeout
-	conn, err := net.DialTimeout("tcp", addr, c.DialTimeout)
+	c := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, 5*time.Second, 0)
+	defer c.Close()
+	resp, err := c.Do(&serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpStats}, time.Now().Add(timeout))
 	if err != nil {
-		return Stats{}, fmt.Errorf("cluster: dial %s: %w", addr, err)
-	}
-	defer conn.Close()
-	_ = conn.SetDeadline(time.Now().Add(timeout))
-	if err := gob.NewEncoder(conn).Encode(&serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpStats}); err != nil {
-		return Stats{}, fmt.Errorf("cluster: send: %w", err)
-	}
-	var resp serve.WireResponse
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		return Stats{}, fmt.Errorf("cluster: receive: %w", err)
+		return Stats{}, fmt.Errorf("cluster: scrape %s: %w", addr, err)
 	}
 	if resp.Code != cloud.CodeOK {
 		return Stats{}, fmt.Errorf("cluster: scrape: [%s] %s", resp.Code, resp.Err)
@@ -968,20 +862,12 @@ func (g *Gateway) isDraining() bool {
 	return g.draining
 }
 
-// Shutdown drains the gateway: the listener stops accepting, new
-// requests are shed with CodeBusy, the health prober stops, in-flight
-// client connections get up to timeout to finish, backend pools close,
-// and the ring configuration is persisted one last time when a store is
-// attached.
+// Shutdown drains the gateway: new requests are shed with CodeBusy, the
+// health prober stops, the listener stops accepting, idle client
+// connections close at once and requests in flight get up to timeout to
+// be answered, the connections to the shards close, and the ring
+// configuration is persisted one last time when a store is attached.
 func (g *Gateway) Shutdown(timeout time.Duration) error {
-	g.lnMu.Lock()
-	ln := g.ln
-	g.ln = nil
-	g.lnMu.Unlock()
-	var lnErr error
-	if ln != nil {
-		lnErr = ln.Close()
-	}
 	g.drainMu.Lock()
 	first := !g.draining
 	g.draining = true
@@ -991,29 +877,19 @@ func (g *Gateway) Shutdown(timeout time.Duration) error {
 	}
 	g.proberWG.Wait()
 
-	done := make(chan struct{})
-	go func() {
-		g.wg.Wait()
-		close(done)
-	}()
-	var drainErr error
-	select {
-	case <-done:
-	case <-time.After(timeout):
-		drainErr = fmt.Errorf("cluster: drain deadline %v exceeded with connections in flight", timeout)
-	}
+	err := g.srv.Shutdown(timeout)
 	g.nodesMu.RLock()
 	for _, ns := range g.nodes {
-		ns.pool.closeAll()
+		ns.wire.Close()
 	}
 	g.nodesMu.RUnlock()
-	if err := g.PersistRing(); err != nil && drainErr == nil {
-		drainErr = err
+	if perr := g.PersistRing(); err == nil {
+		err = perr
 	}
-	if drainErr != nil {
-		return drainErr
+	if err != nil {
+		return fmt.Errorf("cluster: %w", err)
 	}
-	return lnErr
+	return nil
 }
 
 // Close is Shutdown with a generous deadline.

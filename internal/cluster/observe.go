@@ -57,19 +57,13 @@ func newObserver(g *Gateway, cfg anomaly.Config, gauge *metrics.GaugeVec) *obser
 	return o
 }
 
-// scrapeShard fetches one shard's Stats over a pooled connection.
+// scrapeShard fetches one shard's Stats over a kept connection.
 func (o *observer) scrapeShard(ns *nodeState, deadline time.Time) (serve.Stats, error) {
-	pc, err := ns.pool.get()
-	if err != nil {
-		return serve.Stats{}, err
-	}
 	req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpStats}
-	resp, err := pc.roundTrip(req, deadline)
+	resp, err := ns.wire.Do(req, deadline)
 	if err != nil {
-		pc.close()
 		return serve.Stats{}, err
 	}
-	ns.pool.put(pc)
 	if resp.Code != cloud.CodeOK || resp.Stats == nil {
 		return serve.Stats{}, fmt.Errorf("stats scrape: [%s] %s", resp.Code, resp.Err)
 	}

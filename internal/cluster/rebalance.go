@@ -170,19 +170,11 @@ func (g *Gateway) broadcastRing(ring *Ring) {
 				return
 			}
 			req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpRingUpdate, Payload: buf.Bytes()}
-			deadline := time.Now().Add(g.cfg.ProbeTimeout)
-			pc, err := ns.pool.get()
+			resp, err := ns.wire.Do(req, time.Now().Add(g.cfg.ProbeTimeout))
 			if err != nil {
 				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
 				return
 			}
-			resp, err := pc.roundTrip(req, deadline)
-			if err != nil {
-				pc.close()
-				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
-				return
-			}
-			ns.pool.put(pc)
 			if resp.Code != cloud.CodeOK {
 				g.events.Record("ring-broadcast-failed", addr, fmt.Sprintf("[%s] %s", resp.Code, resp.Err), nil)
 			}

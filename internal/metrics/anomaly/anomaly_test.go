@@ -83,7 +83,7 @@ func TestQPSCollapseAndGuardChurn(t *testing.T) {
 	var v Verdict
 	for i := 0; i < DefaultConfig().Recent; i++ {
 		s := healthy()
-		s.QPS = 5       // 0.05x baseline
+		s.QPS = 5        // 0.05x baseline
 		s.GuardTrips = 2 // churn from 0 baseline
 		v = d.Observe("s", s)
 	}

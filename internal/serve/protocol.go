@@ -1,24 +1,24 @@
 package serve
 
 import (
-	"encoding/gob"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"sync"
 	"time"
 
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/qos"
+	"capnn/internal/rpc"
 )
 
-// The wire format deliberately mirrors internal/cloud: gob over TCP, one
-// request/response pair per connection, cloud.ProtocolVersion stamps,
-// cloud.Code outcome classification, and the same deadline/size-cap
-// discipline against slow or abusive peers. A device that already
-// speaks the personalization protocol needs no new error handling to
-// speak the inference protocol.
+// The wire format deliberately mirrors internal/cloud: gob over TCP on
+// the shared internal/rpc transport (kept connections, one codec pair
+// per connection, any number of request/response pairs on it),
+// cloud.ProtocolVersion stamps and cloud.Code outcome classification. A
+// device that already speaks the personalization protocol needs no new
+// error handling to speak the inference protocol.
 
 // Op selects what a WireRequest asks the server to do. The zero value
 // is an inference, so pre-op clients (which never set the field) keep
@@ -156,86 +156,16 @@ type WireResponse struct {
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address.
-func (s *Server) Listen(addr string) (string, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", err
-	}
-	return s.Serve(ln), nil
-}
+func (s *Server) Listen(addr string) (string, error) { return s.rpc.Listen(addr) }
 
 // Serve accepts connections from ln — which may be wrapped, e.g. with
 // internal/faults fault injection — until Close is called, and returns
-// the listener's address.
-func (s *Server) Serve(ln net.Listener) string {
-	s.lnMu.Lock()
-	s.ln = ln
-	s.lnMu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return // listener closed
-			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				defer conn.Close()
-				defer func() { _ = recover() }() // a handler panic must not kill the server
-				s.handle(conn)
-			}()
-		}
-	}()
-	return ln.Addr().String()
-}
+// the listener's address. Connections are kept: a client or gateway
+// sends any number of requests on one.
+func (s *Server) Serve(ln net.Listener) string { return s.rpc.Serve(ln) }
 
-// handle runs request/response exchanges on one connection with the
-// cloud server's peer discipline: a read deadline so a hung client
-// cannot hold the goroutine, a size cap on the decoder, and a write
-// deadline for peers that stop reading.
-//
-// Connections are persistent: after responding, the handler waits (up
-// to ReadTimeout) for the next request on the same connection, so a
-// gateway pools connections instead of paying a dial per inference.
-// One gob encoder/decoder pair spans the connection — gob streams carry
-// type definitions once, so per-message codecs would desynchronize a
-// pooled peer. Single-shot clients simply close after the first
-// response and the handler exits on the EOF.
-func (s *Server) handle(conn net.Conn) {
-	lr := &io.LimitedReader{R: conn}
-	dec := gob.NewDecoder(lr)
-	enc := gob.NewEncoder(conn)
-	for served := 0; ; served++ {
-		_ = conn.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
-		lr.N = s.cfg.MaxRequestBytes
-		var req WireRequest
-		if err := dec.Decode(&req); err != nil {
-			if served > 0 {
-				// The peer finished with the connection (clean close or
-				// idle timeout on a pooled conn); nothing to answer.
-				return
-			}
-			msg := fmt.Sprintf("decode: %v", err)
-			if lr.N <= 0 {
-				// The decoder ran the limit dry: distinguish an oversized (or
-				// unterminated) frame from a merely malformed one so clients
-				// know not to retry the same payload.
-				msg = fmt.Sprintf("request exceeds size cap (%d bytes)", s.cfg.MaxRequestBytes)
-			}
-			s.respond(conn, enc, &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: msg})
-			return
-		}
-		if !s.respond(conn, enc, s.Handle(req)) {
-			return
-		}
-	}
-}
-
-func (s *Server) respond(conn net.Conn, enc *gob.Encoder, resp *WireResponse) bool {
-	_ = conn.SetWriteDeadline(time.Now().Add(s.cfg.WriteTimeout))
-	return enc.Encode(resp) == nil
+func badRequest(msg string) *WireResponse {
+	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: msg}
 }
 
 // Handle executes one wire request against the serving pipeline —
@@ -337,23 +267,44 @@ func (s *Server) Handle(req WireRequest) *WireResponse {
 	}
 }
 
-// Client requests inferences from a serve.Server over TCP. Unlike the
-// model-fetching cloud.Client it keeps no retry loop of its own: an
-// inference is cheap to reissue, so callers decide retry policy from
-// the typed *Error codes.
+// clientMaxIdle is how many connections a Client keeps open between
+// calls — enough for a few goroutines sharing one Client; a
+// one-goroutine caller only ever opens one.
+const clientMaxIdle = 4
+
+// Client requests inferences from a serve.Server over TCP, on
+// connections it keeps open between calls. Unlike the model-fetching
+// cloud.Client it keeps no retry loop of its own: an inference is cheap
+// to reissue, so callers decide retry policy from the typed *Error
+// codes. Safe for concurrent use.
 type Client struct {
 	// Addr is the server's TCP address.
 	Addr string
-	// DialTimeout bounds establishing the connection; RequestTimeout
-	// bounds the round trip once connected.
+	// DialTimeout bounds establishing a connection; RequestTimeout
+	// bounds the round trip once connected. Addr and DialTimeout are
+	// read at the first call.
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
+
+	once sync.Once
+	rpc  *rpc.Client[WireRequest, WireResponse]
 }
 
 // NewClient builds a client with 5s dial / 30s round-trip timeouts.
 func NewClient(addr string) *Client {
 	return &Client{Addr: addr, DialTimeout: 5 * time.Second, RequestTimeout: 30 * time.Second}
 }
+
+func (c *Client) transport() *rpc.Client[WireRequest, WireResponse] {
+	c.once.Do(func() {
+		c.rpc = rpc.NewClient[WireRequest, WireResponse](c.Addr, c.DialTimeout, clientMaxIdle)
+	})
+	return c.rpc
+}
+
+// Close closes the kept connections. A Client dropped without Close
+// leaks nothing: the server reaps its idle connection at ReadTimeout.
+func (c *Client) Close() { c.transport().Close() }
 
 // Infer sends one request and decodes the response. Failures are typed
 // *Error values: transport faults map to CodeInternal (retryable),
@@ -387,23 +338,12 @@ func (c *Client) Health() error {
 
 func (c *Client) do(req WireRequest) (*WireResponse, error) {
 	req.Version = cloud.ProtocolVersion
-	conn, err := net.DialTimeout("tcp", c.Addr, c.DialTimeout)
+	resp, err := c.transport().Do(&req, time.Now().Add(c.RequestTimeout))
 	if err != nil {
-		return nil, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("dial %s: %w", c.Addr, err)}
-	}
-	defer conn.Close()
-	if err := conn.SetDeadline(time.Now().Add(c.RequestTimeout)); err != nil {
 		return nil, &Error{Code: cloud.CodeInternal, Err: err}
-	}
-	if err := gob.NewEncoder(conn).Encode(&req); err != nil {
-		return nil, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("send: %w", err)}
-	}
-	var resp WireResponse
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		return nil, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("receive: %w", err)}
 	}
 	if resp.Code != cloud.CodeOK {
 		return nil, &Error{Code: resp.Code, Err: errors.New(resp.Err)}
 	}
-	return &resp, nil
+	return resp, nil
 }

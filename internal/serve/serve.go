@@ -22,7 +22,6 @@ package serve
 
 import (
 	"fmt"
-	"net"
 	"runtime"
 	"sync"
 	"time"
@@ -32,6 +31,7 @@ import (
 	"capnn/internal/metrics"
 	"capnn/internal/nn"
 	"capnn/internal/qos"
+	"capnn/internal/rpc"
 	"capnn/internal/tensor"
 )
 
@@ -303,9 +303,8 @@ type Server struct {
 	hookPersonalize func(prefs core.Preferences)
 	hookHealed      func(key string, prefs core.Preferences)
 
-	lnMu sync.Mutex
-	ln   net.Listener
-	wg   sync.WaitGroup
+	// rpc is the wire: accept loop, kept connections, peer limits.
+	rpc *rpc.Server[WireRequest, WireResponse]
 
 	// drainMu guards draining; drainCh closes when draining starts so
 	// sleeping heal loops wake and exit.
@@ -351,6 +350,9 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		breaker:  newBreaker(cfg.BreakerFailureRate, cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
 		drainCh:  make(chan struct{}),
 	}
+	s.rpc = rpc.NewServer(
+		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
+		func(req *WireRequest) *WireResponse { return s.Handle(*req) }, badRequest)
 	if !cfg.DisableProactive {
 		s.proactive = newProactiveGate(cfg.ProactiveInterval)
 	}
@@ -748,21 +750,14 @@ func (s *Server) isDraining() bool {
 }
 
 // Shutdown drains the server gracefully: the listener stops accepting,
-// new requests are shed with CodeBusy, pending heals are woken and
-// stopped, and in-flight connections get up to timeout to finish before
-// the dispatcher is closed and drained. It returns an error when the
-// deadline expired with work still in flight (that work is still
-// completed by the drain — requests are answered, not dropped).
+// idle kept connections close at once, new requests are shed with
+// CodeBusy, pending heals are woken and stopped, and requests in flight
+// get up to timeout to be answered before the dispatcher is closed and
+// drained. It returns an error when the deadline expired with work
+// still in flight (that work is still completed by the drain — requests
+// are answered, not dropped).
 func (s *Server) Shutdown(timeout time.Duration) error {
-	s.lnMu.Lock()
-	ln := s.ln
-	s.ln = nil
-	s.lnMu.Unlock()
-	var lnErr error
-	if ln != nil {
-		lnErr = ln.Close()
-	}
-
+	deadline := time.Now().Add(timeout)
 	s.drainMu.Lock()
 	if !s.draining {
 		s.draining = true
@@ -773,25 +768,24 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	s.drainingHeals = true
 	s.healMu.Unlock()
 
-	done := make(chan struct{})
+	err := s.rpc.Shutdown(timeout) // connection handlers
+	healed := make(chan struct{})
 	go func() {
-		s.wg.Wait()     // connection handlers
 		s.healWG.Wait() // heal goroutines (woken by drainCh)
-		close(done)
+		close(healed)
 	}()
-	var drainErr error
 	select {
-	case <-done:
-	case <-time.After(timeout):
-		drainErr = fmt.Errorf("serve: drain deadline %v exceeded with work in flight", timeout)
+	case <-healed:
+	case <-time.After(time.Until(deadline)):
+		err = fmt.Errorf("drain deadline %v exceeded with heals in flight", timeout)
 	}
 	// Drain whatever is still queued and stop the workers: admitted
 	// requests are answered even on a blown deadline.
 	s.disp.close()
-	if drainErr != nil {
-		return drainErr
+	if err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	return lnErr
+	return nil
 }
 
 // Close stops the listener (if serving TCP), drains the dispatcher, and

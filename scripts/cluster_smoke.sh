@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Multi-node cluster integration test: start 3 capnn-serve shards (one
 # with transport chaos) behind a capnn-gateway, drive concurrent
-# multi-user load through the gateway with one-shot clients, kill -9 a
-# shard mid-load, and assert
+# multi-user load through the gateway with non-retrying clients on kept
+# connections, kill -9 a shard mid-load, and assert
 #   (a) zero client-visible request failures (the gateway fails the
 #       dead shard's keys over to their ring replicas),
 #   (b) the gateway actually recorded failovers and opened the dead
@@ -170,7 +170,7 @@ for i in 0 1 2; do
     if ! "$WORKDIR/capnn-loadgen" -addr "${NODE_ADDRS[$i]}" -model "$MODEL" -n 16 -users 8 \
         -concurrency 8 -timeout 150s -progress-every 0 >"$WORKDIR/warm$i.log" 2>&1; then
         if [ "$i" = "1" ]; then
-            # Shard 1 runs under transport chaos: one-shot warm clients
+            # Shard 1 runs under transport chaos: non-retrying warm clients
             # see injected drops by design. The cache fill still lands
             # for served requests, which is all the warm needs.
             echo "cluster_smoke: note: chaos shard warm saw injected faults (expected)"
