@@ -43,7 +43,6 @@ import (
 	"capnn/internal/firing"
 	"capnn/internal/hw"
 	"capnn/internal/metrics"
-	"capnn/internal/metrics/anomaly"
 	"capnn/internal/nn"
 	"capnn/internal/parallel"
 	"capnn/internal/qos"
@@ -479,7 +478,7 @@ const (
 type MetricsRegistry = metrics.Registry
 
 // EventLog is the bounded structured event ring (sheds, guard trips,
-// heals, failovers, breaker transitions, shard anomalies) behind
+// heals, failovers, breaker transitions) behind
 // /debug/events; Events() on a server or gateway returns its log.
 type EventLog = metrics.EventLog
 
@@ -499,16 +498,8 @@ func ServeMetrics(addr string, h http.Handler) (string, func() error, error) {
 	return metrics.Serve(addr, h)
 }
 
-// AnomalyConfig tunes the gateway's per-shard anomaly detector
-// (GatewayConfig.Anomaly): rolling recent-vs-baseline windows over
-// QPS, forward latency, cache hit ratio, and guard-trip rate.
-type AnomalyConfig = anomaly.Config
-
-// AnomalyVerdict is one shard's current anomaly judgement.
-type AnomalyVerdict = anomaly.Verdict
-
 // ClusterView is the gateway's /debug/cluster document: membership,
-// per-node health, and live anomaly verdicts.
+// rebalancing totals and per-node health.
 type ClusterView = cluster.ClusterView
 
 // --- workload modeling ---------------------------------------------------------

@@ -29,11 +29,10 @@
 //	capnn-gateway -state /var/lib/capnn/gateway -nodes ...
 //
 // With -metrics-addr the gateway mounts its HTTP observability
-// surface: /metrics (Prometheus text exposition of routing counters,
-// per-node breaker series, and the shard-anomaly gauge), /debug/events
-// (structured failovers, sheds, breaker transitions, shard anomalies),
-// /debug/cluster (membership, per-node health, and the anomaly
-// detector's live verdicts as JSON), and a /debug index:
+// surface: /metrics (Prometheus text exposition of routing counters and
+// per-node breaker series), /debug/events (structured failovers, sheds,
+// breaker transitions), /debug/cluster (membership, rebalancing totals
+// and per-node health as JSON), and a /debug index:
 //
 //	capnn-gateway -metrics-addr 127.0.0.1:9878 -nodes ...
 //
@@ -124,7 +123,6 @@ func main() {
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "budget per single node attempt (0 = request-timeout/2)")
 	chaos := flag.String("chaos", "", "client-facing fault-injection spec, e.g. seed=7,drop=0.1,latency=20ms")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/cluster (empty = disabled)")
-	collectEvery := flag.Duration("collect-every", 0, "shard-telemetry collection period for the anomaly detector (0 = default 2s, negative = disabled)")
 	statsEvery := flag.Duration("stats-every", 0, "periodically print a stats snapshot (0 = only at shutdown)")
 	stateDir := flag.String("state", "", "ring-config store directory: restore placement from the latest good generation and persist membership changes (empty = stateless)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight connections at shutdown")
@@ -168,7 +166,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		AttemptTimeout: *attemptTimeout,
 		Admission:      admission,
-		CollectEvery:   *collectEvery,
 		HandoffTimeout: *handoffTimeout,
 	}
 	g, err := cluster.NewGateway(nodes, cfg)

@@ -76,7 +76,6 @@ func main() {
 	stateDir := flag.String("state", "", "checkpoint store directory: warm-start the mask cache from the latest good generation and checkpoint periodically (empty = stateless)")
 	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "with -state, commit a checkpoint this often")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight work at shutdown")
-	compiledBudget := flag.Int64("compiled-budget-bytes", 0, "resident compiled-weight byte budget; past it cold plans are dropped, masks stay cached, next hit recompiles inline (0 = default 512MiB, negative = unlimited)")
 	noGuard := flag.Bool("no-guard", false, "disable the runtime ε-guard (serve stale personalizations forever)")
 	guardEvery := flag.Int("guard-sample-every", 8, "shadow-sample every Nth request per entry through the unpruned network")
 	guardWindow := flag.Int("guard-window", 256, "sliding window of shadow observations per entry")
@@ -130,22 +129,21 @@ func main() {
 		}
 	}
 	srv := serve.NewServerWith(fx.Sys, serve.Config{
-		Variant:             v,
-		Workers:             *workers,
-		CacheCap:            *cacheCap,
-		MaxQueue:            *maxQueue,
-		RequestTimeout:      *reqTimeout,
-		BulkQueueFraction:   *bulkFrac,
-		CompiledBudgetBytes: *compiledBudget,
-		DisableGuard:        *noGuard,
-		GuardSampleEvery:    *guardEvery,
-		GuardWindow:         *guardWindow,
-		GuardSlack:          *guardSlack,
-		GuardMinObs:         *guardMinObs,
-		DisableProactive:    !*proactive,
-		SkewThreshold:       *skewThreshold,
-		SkewMinObs:          *skewMinObs,
-		ProactiveInterval:   *proactiveInterval,
+		Variant:           v,
+		Workers:           *workers,
+		CacheCap:          *cacheCap,
+		MaxQueue:          *maxQueue,
+		RequestTimeout:    *reqTimeout,
+		BulkQueueFraction: *bulkFrac,
+		DisableGuard:      *noGuard,
+		GuardSampleEvery:  *guardEvery,
+		GuardWindow:       *guardWindow,
+		GuardSlack:        *guardSlack,
+		GuardMinObs:       *guardMinObs,
+		DisableProactive:  !*proactive,
+		SkewThreshold:     *skewThreshold,
+		SkewMinObs:        *skewMinObs,
+		ProactiveInterval: *proactiveInterval,
 	})
 	// Cluster fence: a gateway's ring broadcasts (OpRingUpdate) install a
 	// local copy of the membership here, and every routed request's

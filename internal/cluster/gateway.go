@@ -11,10 +11,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"capnn/internal/breaker"
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/metrics"
-	"capnn/internal/metrics/anomaly"
 	"capnn/internal/qos"
 	"capnn/internal/rpc"
 	"capnn/internal/serve"
@@ -86,14 +86,6 @@ type Config struct {
 	// pre-seeds the joiner's breaker with a real success before any
 	// client request risks it.
 	DisableJoinProbe bool
-
-	// CollectEvery is the shard-telemetry sampling period feeding the
-	// anomaly detector (OpStats scrape per member shard). Negative
-	// disables collection entirely (tests drive it manually). Default 2s.
-	CollectEvery time.Duration
-	// Anomaly tunes the per-shard degradation detector; zero fields take
-	// anomaly.DefaultConfig values.
-	Anomaly anomaly.Config
 }
 
 // DefaultConfig returns the production defaults.
@@ -112,7 +104,6 @@ func DefaultConfig() Config {
 		WriteTimeout:    30 * time.Second,
 		MaxRequestBytes: 1 << 20,
 		HandoffTimeout:  10 * time.Second,
-		CollectEvery:    2 * time.Second,
 	}
 }
 
@@ -163,9 +154,6 @@ func (c Config) withDefaults() Config {
 	if c.HandoffTimeout <= 0 {
 		c.HandoffTimeout = d.HandoffTimeout
 	}
-	if c.CollectEvery == 0 {
-		c.CollectEvery = d.CollectEvery
-	}
 	return c
 }
 
@@ -187,7 +175,6 @@ type Gateway struct {
 	st      *gstats
 	reg     *metrics.Registry
 	events  *metrics.EventLog
-	obs     *observer
 	limiter *qos.Limiter
 
 	// ring is the immutable routing snapshot; memberMu serializes
@@ -263,7 +250,7 @@ func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 		for _, ns := range states {
 			h := ns.health.snapshot()
 			ls := metrics.Labels{{Name: "node", Value: ns.addr}}
-			emit("capnn_gateway_node_state", "Node breaker state (0 closed, 1 half-open, 2 open).", metrics.KindGauge, ls, nodeStateValue(h.State))
+			emit("capnn_gateway_node_state", "Node breaker state (0 closed, 1 half-open, 2 open).", metrics.KindGauge, ls, h.State.Value())
 			emit("capnn_gateway_node_requests_total", "Routed attempts to this node.", metrics.KindCounter, ls, float64(h.Requests))
 			emit("capnn_gateway_node_failures_total", "Failed attempts (routed or probe).", metrics.KindCounter, ls, float64(h.Failures))
 			emit("capnn_gateway_node_probes_total", "Active health probes.", metrics.KindCounter, ls, float64(h.Probes))
@@ -271,32 +258,14 @@ func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 			emit("capnn_gateway_node_opens_total", "Breaker transitions into open.", metrics.KindCounter, ls, float64(h.Opens))
 		}
 	})
-	g.obs = newObserver(g, cfg.Anomaly,
-		reg.GaugeVec("capnn_gateway_shard_anomaly", "1 while the anomaly detector flags the shard as degrading.", "node"))
 	g.proberWG.Add(1)
 	go g.probeLoop()
-	if cfg.CollectEvery > 0 {
-		g.proberWG.Add(1)
-		go g.collectLoop()
-	}
 	return g, nil
-}
-
-// nodeStateValue maps a breaker state onto the gauge scale.
-func nodeStateValue(s serve.BreakerState) float64 {
-	switch s {
-	case serve.BreakerHalfOpen:
-		return 1
-	case serve.BreakerOpen:
-		return 2
-	default:
-		return 0
-	}
 }
 
 func (g *Gateway) newNodeState(addr string) *nodeState {
 	h := newNodeHealth(g.cfg.FailThreshold, g.cfg.Cooldown)
-	h.onTransition = func(from, to serve.BreakerState) {
+	h.OnTransition = func(from, to breaker.State) {
 		g.events.Record("node-breaker", addr, fmt.Sprintf("%s -> %s", from, to), nil)
 	}
 	wire := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, g.cfg.DialTimeout, g.cfg.MaxIdlePerNode)
@@ -309,25 +278,8 @@ func (g *Gateway) newNodeState(addr string) *nodeState {
 func (g *Gateway) Metrics() *metrics.Registry { return g.reg }
 
 // Events is the gateway's structured event log (sheds, failovers,
-// node-breaker transitions, shard anomalies), exposed over
-// /debug/events.
+// node-breaker transitions), exposed over /debug/events.
 func (g *Gateway) Events() *metrics.EventLog { return g.events }
-
-// collectLoop drives shard-telemetry collection for the anomaly
-// detector until Shutdown.
-func (g *Gateway) collectLoop() {
-	defer g.proberWG.Done()
-	tick := time.NewTicker(g.cfg.CollectEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-g.proberStop:
-			return
-		case <-tick.C:
-		}
-		g.obs.collectOnce()
-	}
-}
 
 // Ring returns the current routing snapshot.
 func (g *Gateway) Ring() *Ring { return g.ring.Load() }
@@ -673,7 +625,7 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 			}
 			addr := owners[i]
 			ns := g.node(addr)
-			if ns == nil || !ns.health.routable() {
+			if ns == nil || !ns.health.Allow() {
 				continue // failed-out or departed node: next replica
 			}
 			if attempts > 0 {
@@ -742,9 +694,8 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 // fresh-dial retry inside rpc.Client, counted in Retries), not the
 // node's.
 func (g *Gateway) attempt(ns *nodeState, req *serve.WireRequest, deadline time.Time) (*serve.WireResponse, error) {
-	ns.health.routed()
 	resp, err := ns.wire.Do(req, deadline)
-	ns.health.record(err == nil)
+	ns.health.routed(err == nil)
 	return resp, err
 }
 
@@ -781,13 +732,13 @@ func (g *Gateway) probeLoop() {
 }
 
 // probe runs one OpHealth exchange against a node. It goes through the
-// same routable() gate as traffic: on an open node past cooldown the
+// same Allow() gate as traffic: on an open node past cooldown the
 // probe claims the half-open trial (so a recovered node is closed again
 // by the prober, not only by risking a live request), and while the
 // cooldown runs — or another trial is in flight — the node is left
-// alone, because record() ignores outcomes in the open state anyway.
+// alone, because the breaker ignores outcomes in the open state anyway.
 func (g *Gateway) probe(ns *nodeState) {
-	if !ns.health.routable() {
+	if !ns.health.Allow() {
 		return
 	}
 	start := time.Now()

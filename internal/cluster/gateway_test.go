@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -13,6 +14,7 @@ import (
 	"capnn/internal/core"
 	"capnn/internal/data"
 	"capnn/internal/faults"
+	"capnn/internal/metrics"
 	"capnn/internal/nn"
 	"capnn/internal/serve"
 	"capnn/internal/store"
@@ -480,6 +482,47 @@ func TestGatewayRingPersistence(t *testing.T) {
 		o1, o2 := r1.Owners(key, 2), r2.Owners(key, 2)
 		if len(o1) != len(o2) || o1[0] != o2[0] || o1[1] != o2[1] {
 			t.Fatalf("key %s placed at %v before restart, %v after", key, o1, o2)
+		}
+	}
+}
+
+// Every metric the gateway registers must pass the repo-wide naming
+// lint — including the series emitted by the per-node collector, which
+// only exist at gather time.
+func TestGatewayMetricNamingLint(t *testing.T) {
+	nodes := startTestNodes(t, 2)
+	g, err := NewGateway(nodeAddrs(nodes), testGWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	fams := g.Metrics().Gather()
+	if len(fams) == 0 {
+		t.Fatal("no metric families registered")
+	}
+	sawNodeSeries := false
+	for _, fam := range fams {
+		if !metrics.ValidName(fam.Name) {
+			t.Errorf("metric %q fails the naming lint", fam.Name)
+		}
+		if fam.Kind == metrics.KindCounter && !strings.HasSuffix(fam.Name, "_total") {
+			t.Errorf("counter %q must end in _total", fam.Name)
+		}
+		if !strings.HasPrefix(fam.Name, "capnn_gateway_") {
+			t.Errorf("gateway metric %q missing capnn_gateway_ prefix", fam.Name)
+		}
+		if fam.Name == "capnn_gateway_node_state" && len(fam.Samples) == 2 {
+			sawNodeSeries = true
+		}
+	}
+	if !sawNodeSeries {
+		t.Error("per-node collector emitted no capnn_gateway_node_state series")
+	}
+	// The shed reasons are pre-seeded: a scrape before any shed must
+	// already carry all three series.
+	for _, fam := range fams {
+		if fam.Name == "capnn_gateway_shed_total" && len(fam.Samples) != 3 {
+			t.Errorf("shed family should hold 3 pre-seeded reasons, got %d", len(fam.Samples))
 		}
 	}
 }

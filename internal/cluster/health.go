@@ -4,140 +4,45 @@ import (
 	"sync"
 	"time"
 
-	"capnn/internal/serve"
+	"capnn/internal/breaker"
 )
 
-// nodeHealth is a per-node closed/open/half-open breaker — the same
-// shape internal/serve uses to guard repersonalization, re-cut for
-// routing: outcomes come from both active health probes (OpHealth every
-// ProbeEvery) and live routed traffic, and the state answers one
-// question for the router: "should this node receive requests right
-// now?"
-//
-// Closed: the node is healthy and routable. FailThreshold consecutive
-// failures open it. Open: the node is skipped by routing (failover goes
-// to the key's next replica) until Cooldown elapses, when the next
-// attempt — probe or routed request — claims the half-open trial slot.
-// Half-open: one trial in flight; success closes, failure re-opens.
+// nodeHealth is one shard's breaker plus the route/probe gauges Stats
+// reports beside it. Outcomes come from both active health probes
+// (OpHealth every ProbeEvery) and live routed traffic. Closed: the node
+// is routable; FailThreshold consecutive failures open it. Open: routing
+// skips it (failover goes to the key's next replica) until Cooldown
+// elapses, when the next attempt — probe or routed request — claims the
+// half-open trial, so live traffic as well as the prober can rediscover
+// a recovered node.
 type nodeHealth struct {
-	threshold int
-	cooldown  time.Duration
-	now       func() time.Time // injectable for tests
+	*breaker.Breaker
 
-	// onTransition, when set (before first use), observes every state
-	// change — the gateway turns these into structured events. It is
-	// called outside the breaker lock.
-	onTransition func(from, to serve.BreakerState)
-
-	mu       sync.Mutex
-	state    serve.BreakerState
-	failures int // consecutive failures while closed
-	openedAt time.Time
-	probing  bool // half-open trial in flight
-
-	// gauges surfaced in Stats
-	requests, nodeFailures   uint64
-	probes, probeFailures    uint64
-	probeLatNs               int64 // cumulative successful-probe RTT
-	probeSamples             uint64
-	opens, closes, halfOpens uint64
-	lastProbe                time.Duration // last successful probe RTT
+	mu                     sync.Mutex
+	requests, nodeFailures uint64
+	probes, probeFailures  uint64
+	probeLatNs             int64 // cumulative successful-probe RTT
+	probeSamples           uint64
+	lastProbe              time.Duration // last successful probe RTT
 }
 
 func newNodeHealth(threshold int, cooldown time.Duration) *nodeHealth {
-	return &nodeHealth{
-		threshold: threshold,
-		cooldown:  cooldown,
-		now:       time.Now,
-		state:     serve.BreakerClosed,
-	}
+	return &nodeHealth{Breaker: breaker.New(threshold, cooldown)}
 }
 
-// routable reports whether the router may send this node a request.
-// An open node whose cooldown has elapsed converts the call into the
-// half-open trial claim, so live traffic (not just the prober) can
-// rediscover a recovered node.
-func (h *nodeHealth) routable() bool {
+// routed counts one routed attempt and feeds its outcome to the breaker.
+func (h *nodeHealth) routed(ok bool) {
 	h.mu.Lock()
-	var transitioned, ok bool
-	switch h.state {
-	case serve.BreakerClosed:
-		ok = true
-	case serve.BreakerOpen:
-		if h.now().Sub(h.openedAt) >= h.cooldown {
-			h.state = serve.BreakerHalfOpen
-			h.halfOpens++
-			h.probing = true
-			transitioned = true
-			ok = true
-		}
-	default: // half-open
-		if !h.probing {
-			h.probing = true
-			ok = true
-		}
-	}
-	fire := h.onTransition
-	h.mu.Unlock()
-	if transitioned && fire != nil {
-		fire(serve.BreakerOpen, serve.BreakerHalfOpen)
-	}
-	return ok
-}
-
-// record feeds one outcome (routed request or probe) into the state
-// machine.
-func (h *nodeHealth) record(ok bool) {
-	h.mu.Lock()
+	h.requests++
 	if !ok {
 		h.nodeFailures++
 	}
-	var from, to serve.BreakerState
-	switch h.state {
-	case serve.BreakerHalfOpen:
-		h.probing = false
-		from = serve.BreakerHalfOpen
-		if ok {
-			h.state = serve.BreakerClosed
-			h.closes++
-			h.failures = 0
-			to = serve.BreakerClosed
-		} else {
-			h.state = serve.BreakerOpen
-			h.opens++
-			h.openedAt = h.now()
-			to = serve.BreakerOpen
-		}
-	case serve.BreakerClosed:
-		if ok {
-			h.failures = 0
-		} else {
-			h.failures++
-			if h.failures >= h.threshold {
-				h.state = serve.BreakerOpen
-				h.opens++
-				h.openedAt = h.now()
-				from, to = serve.BreakerClosed, serve.BreakerOpen
-			}
-		}
-	default:
-		// Open: a straggler outcome from before the trip; ignore.
-	}
-	fire := h.onTransition
 	h.mu.Unlock()
-	if to != "" && fire != nil {
-		fire(from, to)
-	}
+	h.Record(ok)
 }
 
-// routed counts a request sent to this node.
-func (h *nodeHealth) routed() {
-	h.mu.Lock()
-	h.requests++
-	h.mu.Unlock()
-}
-
-// probed records a health-probe outcome with its round-trip time.
+// probed counts one health probe with its round-trip time and feeds its
+// outcome to the breaker.
 func (h *nodeHealth) probed(ok bool, rtt time.Duration) {
 	h.mu.Lock()
 	h.probes++
@@ -147,17 +52,19 @@ func (h *nodeHealth) probed(ok bool, rtt time.Duration) {
 		h.probeSamples++
 	} else {
 		h.probeFailures++
+		h.nodeFailures++
 	}
 	h.mu.Unlock()
-	h.record(ok)
+	h.Record(ok)
 }
 
 // snapshot fills one NodeStats.
 func (h *nodeHealth) snapshot() NodeStats {
+	b := h.Snapshot()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return NodeStats{
-		State:         h.state,
+		State:         b.State,
 		Requests:      h.requests,
 		Failures:      h.nodeFailures,
 		Probes:        h.probes,
@@ -165,8 +72,8 @@ func (h *nodeHealth) snapshot() NodeStats {
 		LastProbe:     h.lastProbe,
 		ProbeLatNs:    h.probeLatNs,
 		ProbeSamples:  h.probeSamples,
-		Opens:         h.opens,
-		Closes:        h.closes,
-		HalfOpens:     h.halfOpens,
+		Opens:         b.Opens,
+		Closes:        b.Closes,
+		HalfOpens:     b.HalfOpens,
 	}
 }

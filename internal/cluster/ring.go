@@ -10,8 +10,8 @@
 // consistent-hash ring (virtual nodes, deterministic seeded placement)
 // over pooled persistent connections, fails over to the key's next
 // ring replica on error or timeout, health-checks every node through a
-// closed/open/half-open breaker (the shape internal/serve uses for its
-// repersonalization breaker), and survives restarts by persisting its
+// closed/open/half-open breaker (internal/breaker, the type internal/serve
+// guards repersonalization with), and survives restarts by persisting its
 // ring configuration in an internal/store generation.
 package cluster
 

@@ -6,8 +6,8 @@ import (
 	"strings"
 	"time"
 
+	"capnn/internal/breaker"
 	"capnn/internal/metrics"
-	"capnn/internal/serve"
 )
 
 // Stats is a point-in-time snapshot of a Gateway's routing metrics.
@@ -61,7 +61,7 @@ type TenantStats struct {
 type NodeStats struct {
 	// State is the node's breaker state: closed (routable), open
 	// (failed out), half-open (one trial in flight).
-	State serve.BreakerState
+	State breaker.State
 	// Requests counts routed attempts to this node; Failures the
 	// attempts (routed or probe) that failed.
 	Requests, Failures uint64
@@ -115,6 +115,62 @@ func (s Stats) String() string {
 			ns.LastProbe.Round(time.Microsecond), ns.MeanProbe().Round(time.Microsecond))
 	}
 	return b.String()
+}
+
+// ClusterView is the gateway's /debug/cluster document: membership,
+// rebalancing totals and per-node health.
+type ClusterView struct {
+	RingVersion uint64   `json:"ring_version"`
+	Epoch       uint64   `json:"epoch"`
+	Members     []string `json:"members"`
+
+	// Rebalancing totals (across join/leave): keys whose owner changed,
+	// warm entries installed by handoff, handoffs abandoned to cold
+	// refill.
+	KeysMoved       uint64 `json:"keys_moved"`
+	HandoffEntries  uint64 `json:"handoff_entries"`
+	HandoffFailures uint64 `json:"handoff_failures"`
+
+	Nodes map[string]NodeView `json:"nodes"`
+}
+
+// NodeView is one node's health as JSON.
+type NodeView struct {
+	State         string  `json:"state"`
+	Requests      uint64  `json:"requests"`
+	Failures      uint64  `json:"failures"`
+	Probes        uint64  `json:"probes"`
+	ProbeFailures uint64  `json:"probe_failures"`
+	LastProbeMs   float64 `json:"last_probe_ms"`
+	MeanProbeMs   float64 `json:"mean_probe_ms"`
+	Opens         uint64  `json:"opens"`
+}
+
+// ClusterView snapshots the cluster as the gateway sees it.
+func (g *Gateway) ClusterView() ClusterView {
+	st := g.Stats()
+	view := ClusterView{
+		RingVersion:     st.RingVersion,
+		Epoch:           st.RingVersion,
+		Members:         st.Members,
+		KeysMoved:       st.KeysMoved,
+		HandoffEntries:  st.HandoffEntries,
+		HandoffFailures: st.HandoffFailures,
+		Nodes:           make(map[string]NodeView, len(st.Nodes)),
+	}
+	for addr, ns := range st.Nodes {
+		view.Nodes[addr] = NodeView{
+			State:         string(ns.State),
+			Requests:      ns.Requests,
+			Failures:      ns.Failures,
+			Probes:        ns.Probes,
+			ProbeFailures: ns.ProbeFailures,
+			LastProbeMs:   float64(ns.LastProbe) / float64(time.Millisecond),
+			MeanProbeMs:   float64(ns.MeanProbe()) / float64(time.Millisecond),
+			Opens:         ns.Opens,
+		}
+	}
+	return view
 }
 
 // Gateway shed reason labels.

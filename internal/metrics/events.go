@@ -6,8 +6,8 @@ import (
 )
 
 // Event is one structured operational occurrence: a failover, a heal, a
-// breaker or guard transition, a QoS shed, an anomaly flag. Events are
-// the narrative the counters can't carry — what happened, to which
+// breaker or guard transition, a QoS shed. Events are the
+// narrative the counters can't carry — what happened, to which
 // entity, why, and when.
 type Event struct {
 	// Seq is a monotone per-log sequence number (survives ring
@@ -16,7 +16,7 @@ type Event struct {
 	// Time is when the event was recorded.
 	Time time.Time `json:"time"`
 	// Type names the event class, kebab-case: "failover", "heal",
-	// "breaker", "guard-trip", "shed", "shard-anomaly", ...
+	// "breaker", "guard-trip", "shed", "node-breaker", ...
 	Type string `json:"type"`
 	// Source is the affected entity: a shard address, a mask-cache key,
 	// a tenant/lane stream. Empty when the event is process-wide.

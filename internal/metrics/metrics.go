@@ -2,17 +2,16 @@
 // single source every serving-tier signal flows through. The serve and
 // cluster stats accumulators publish into it, the /metrics HTTP surface
 // exposes it in Prometheus text format, the SIGINT stats dumps render
-// it through one shared summary writer, and the gateway's anomaly
-// detector reads the same series the operators see. Three instrument
-// kinds cover the tier:
+// it through one shared summary writer. Three instrument kinds cover
+// the tier:
 //
 //   - Counter: a monotone uint64 (requests, sheds, heals),
 //   - Gauge: an instantaneous float64 (queue depth, breaker state),
 //   - Histogram: bounded buckets over float64 observations with exact
 //     sum/count and p50/p95/p99 estimation (per-stage latencies).
 //
-// Each comes in a labeled "vec" family form (per-reason sheds,
-// per-tenant admission, per-shard health), plus func-backed variants
+// Counters also come as a labeled "vec" family (per-reason sheds,
+// per-tenant admission); counters and gauges have func-backed variants
 // that read an existing source at gather time so state that already
 // lives elsewhere (a breaker, a cache) is exposed without duplicate
 // accounting. Collectors emit whole label families from a foreign
@@ -240,49 +239,6 @@ func (v *CounterVec) Each(f func(values []string, value uint64)) {
 	}
 }
 
-// GaugeVec is a family of gauges keyed by label values.
-type GaugeVec struct {
-	labels []string
-	mu     sync.Mutex
-	kids   map[string]*Gauge
-	order  []string
-}
-
-// With returns (creating if needed) the child for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if len(values) != len(v.labels) {
-		panic(fmt.Sprintf("metrics: gauge vec wants %d label values, got %d", len(v.labels), len(values)))
-	}
-	k := joinKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	g, ok := v.kids[k]
-	if !ok {
-		g = &Gauge{}
-		v.kids[k] = g
-		v.order = append(v.order, k)
-	}
-	return g
-}
-
-// Delete removes the child for the given label values (e.g. a departed
-// shard's series).
-func (v *GaugeVec) Delete(values ...string) {
-	k := joinKey(values)
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if _, ok := v.kids[k]; !ok {
-		return
-	}
-	delete(v.kids, k)
-	for i, o := range v.order {
-		if o == k {
-			v.order = append(v.order[:i], v.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // Label values never contain \x00 in this codebase (addresses, reasons,
 // tenant names from the wire are validated upstream); the joined key is
 // internal only.
@@ -334,7 +290,6 @@ type entry struct {
 	gauge       *Gauge
 	hist        *Histogram
 	counterVec  *CounterVec
-	gaugeVec    *GaugeVec
 	counterFunc func() uint64
 	gaugeFunc   func() float64
 }
@@ -413,13 +368,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	g := &Gauge{}
 	r.register(&entry{name: name, help: help, kind: KindGauge, gauge: g})
 	return g
-}
-
-// GaugeVec registers and returns a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	v := &GaugeVec{labels: labels, kids: map[string]*Gauge{}}
-	r.register(&entry{name: name, help: help, kind: KindGauge, gaugeVec: v})
-	return v
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at gather
@@ -513,18 +461,6 @@ func (r *Registry) Gather() []Family {
 			e.counterVec.Each(func(values []string, v uint64) {
 				add(e.name, e.help, e.kind, Sample{Labels: zip(e.counterVec.labels, values), Value: float64(v)})
 			})
-		case e.gaugeVec != nil:
-			v := e.gaugeVec
-			v.mu.Lock()
-			keys := append([]string(nil), v.order...)
-			vals := make([]float64, len(keys))
-			for i, k := range keys {
-				vals[i] = v.kids[k].Value()
-			}
-			v.mu.Unlock()
-			for i, k := range keys {
-				add(e.name, e.help, e.kind, Sample{Labels: zip(v.labels, splitKey(k, len(v.labels))), Value: vals[i]})
-			}
 		}
 	}
 	for _, fn := range collectors {

@@ -34,18 +34,6 @@ func TestVecChildrenAndEach(t *testing.T) {
 	if got["queue-full"] != 4 || got["expired"] != 1 {
 		t.Fatalf("vec children = %v", got)
 	}
-	gv := r.GaugeVec("capnn_test_anomaly", "flag", "node")
-	gv.With("a").Set(1)
-	gv.With("b").Set(0)
-	gv.Delete("a")
-	fams := r.Gather()
-	for _, f := range fams {
-		if f.Name == "capnn_test_anomaly" {
-			if len(f.Samples) != 1 || f.Samples[0].Labels[0].Value != "b" {
-				t.Fatalf("gauge vec after delete: %+v", f.Samples)
-			}
-		}
-	}
 }
 
 func TestHistogramSumCountQuantiles(t *testing.T) {
@@ -117,7 +105,7 @@ func TestFuncMetricsAndCollector(t *testing.T) {
 // repo convention at registration time, so a bad name can never reach a
 // /metrics scrape.
 func TestNamingLint(t *testing.T) {
-	valid := []string{"capnn_serve_requests_total", "a", "x9_y", "capnn_gateway_shard_anomaly"}
+	valid := []string{"capnn_serve_requests_total", "a", "x9_y", "capnn_gateway_node_state"}
 	for _, n := range valid {
 		if !ValidName(n) {
 			t.Errorf("ValidName(%q) = false, want true", n)

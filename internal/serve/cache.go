@@ -26,8 +26,7 @@ type maskEntry struct {
 	guard *entryGuard
 
 	// plan is the compiled network requests under this entry run on
-	// (plan.go); nil until Server.planFor builds it, and again after the
-	// byte budget trims it. Never serialized.
+	// (plan.go); nil until Server.planFor builds it. Never serialized.
 	plan atomic.Pointer[nn.Compiled]
 }
 

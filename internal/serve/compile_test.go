@@ -4,7 +4,6 @@ import (
 	"maps"
 	"math"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"capnn/internal/core"
@@ -233,57 +232,6 @@ func TestPlanlessEntriesCompileOnFirstHit(t *testing.T) {
 			t.Fatal("a hit on a planned entry published or compiled again")
 		}
 	})
-}
-
-// The byte budget drops plans coldest entry first and keeps the masks:
-// the trimmed key stays cached, its next hit recompiles without
-// personalizing, and the entry being served is spared — so even a budget
-// below one plan neither fails nor thrashes.
-func TestPlanBudgetTrimsColdestKeepsMasks(t *testing.T) {
-	f := getFixture(t)
-	cfg := planConfig()
-	cfg.CompiledBudgetBytes = 1
-	srv := NewServerWith(f.sys, cfg)
-	defer srv.Close()
-	var personalizations atomic.Int32
-	srv.hookPersonalize = func(core.Preferences) { personalizations.Add(1) }
-
-	a, b := core.Uniform([]int{0, 1}), core.Uniform([]int{2, 3})
-	x := f.sample(t, 0)
-	serve := func(p core.Preferences) Result {
-		t.Helper()
-		res, err := srv.Infer(p, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-
-	serve(a)
-	if st := srv.Stats(); st.CompiledEvictions != 0 || st.CompiledEntries != 1 {
-		t.Fatalf("one key: evictions=%d resident=%d, want 0/1 (the served entry is spared)", st.CompiledEvictions, st.CompiledEntries)
-	}
-	serve(b)
-	if st := srv.Stats(); st.CompiledEvictions != 1 || st.CacheEntries != 2 || st.CompiledEntries != 1 {
-		t.Fatalf("two keys: evictions=%d cache=%d resident=%d, want 1/2/1", st.CompiledEvictions, st.CacheEntries, st.CompiledEntries)
-	}
-
-	for hit := 0; hit < 2; hit++ { // the second hit must find A's plan still there
-		res := serve(a)
-		if !res.CacheHit {
-			t.Fatal("trimmed key missed the cache: masks must stay")
-		}
-		entryA := srv.cache.snapshot()[1] // most recently used
-		sameBits(t, f, "recompiled", res.Logits, x, entryA.masks)
-		st := srv.Stats()
-		if st.Compiles != 3 || st.CompiledEvictions != 2 || personalizations.Load() != 2 {
-			t.Fatalf("hit %d: compiles=%d evictions=%d personalizations=%d, want 3/2/2",
-				hit, st.Compiles, st.CompiledEvictions, personalizations.Load())
-		}
-		if plan := entryA.plan.Load(); plan == nil || st.CompiledBytes != plan.Bytes() || st.CompiledEntries != 1 {
-			t.Fatalf("resident bytes=%d entries=%d, want exactly A's plan", st.CompiledBytes, st.CompiledEntries)
-		}
-	}
 }
 
 // Masks nn.Compile rejects (a whole layer pruned) degrade to the

@@ -35,7 +35,6 @@ func driftSampler(t *testing.T, f *fixture, classes ...int) func(i int) *tensor.
 func guardConfig() Config {
 	return Config{
 		Variant: core.VariantW, GuardSampleEvery: 2, GuardWindow: 16, GuardMinObs: 8, GuardSlack: 0.05,
-		BreakerFailureRate: 0.6, BreakerWindow: 4, BreakerMinSamples: 2,
 		BreakerCooldown: 60 * time.Millisecond, HealBackoff: 10 * time.Millisecond,
 	}
 }
@@ -190,6 +189,39 @@ func TestHealRetriesThroughBreaker(t *testing.T) {
 	st = srv.Stats()
 	if st.BreakerCloses < 1 || st.BreakerHalfOpens < 1 || st.Heals < 1 {
 		t.Fatalf("breaker did not recover through half-open: %s", st)
+	}
+}
+
+// A checkpoint taken by a wider model (capnn-serve restarted with the
+// other -model over the same -state: 20 classes restored into 10) is
+// refused with an error at start-up, not a panic.
+func TestRestoreRefusesCheckpointFromWiderModel(t *testing.T) {
+	f := getFixture(t)
+	st, err := store.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, err := st.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider := []CachedMask{{Key: "wide", Variant: "W", Classes: []int{2, 17}, Weights: []float64{0.5, 0.5}}}
+	if err := txn.PutGob(store.ArtifactMaskCache, wider); err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	gen, err := st.Latest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
+	defer srv.Close()
+	restored, err := srv.RestoreState(gen)
+	var se *Error
+	if restored != 0 || !errors.As(err, &se) || se.Code != cloud.CodeBadRequest {
+		t.Fatalf("restored %d, err %v; want 0 and a bad-request *Error", restored, err)
 	}
 }
 

@@ -36,10 +36,16 @@ type CachedMask struct {
 // form, with a fresh guard when guarding is enabled.
 func (s *Server) entryFromCached(cm CachedMask) (*maskEntry, error) {
 	prefs, err := core.Weighted(cm.Classes, cm.Weights)
-	if err != nil {
-		return nil, fmt.Errorf("serve: entry %q: %w", cm.Key, err)
+	if err == nil {
+		prefs.Normalize()
+		// The entry comes from outside this process — a peer or a
+		// checkpoint, possibly of another model — so its classes are
+		// checked against this model's before anything indexes by them.
+		err = prefs.Validate(s.sys.Rates.Classes)
 	}
-	prefs.Normalize()
+	if err != nil {
+		return nil, &Error{Code: cloud.CodeBadRequest, Err: fmt.Errorf("entry %q: %w", cm.Key, err)}
+	}
 	e := &maskEntry{
 		key:         cm.Key,
 		variant:     core.Variant(cm.Variant),

@@ -1,9 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
+	"errors"
 	"math"
 	"testing"
 
+	"capnn/internal/cloud"
 	"capnn/internal/core"
 )
 
@@ -79,6 +83,42 @@ func TestHandoffExportImportRoundTrip(t *testing.T) {
 	if n != 0 {
 		t.Fatalf("re-import installed %d entries, want 0 (resident entries win)", n)
 	}
+}
+
+// An imported entry naming a class the model does not have (a peer
+// serving another -model, a corrupt payload) is refused with a typed
+// error, in process and over the wire — it used to index past the guard's
+// class table and panic.
+func TestImportRejectsOutOfRangeClasses(t *testing.T) {
+	f := getFixture(t)
+	srv := NewServerWith(f.sys, Config{Variant: core.VariantM})
+	defer srv.Close()
+	good := CachedMask{Key: "good", Variant: "M", Classes: []int{0, 1}, Weights: []float64{0.5, 0.5}}
+	for _, class := range []int{9999, -1} {
+		bad := CachedMask{Key: "bad", Variant: "M", Classes: []int{class}, Weights: []float64{1}}
+		n, err := srv.ImportMasks([]CachedMask{bad})
+		var se *Error
+		if n != 0 || !errors.As(err, &se) || se.Code != cloud.CodeBadRequest {
+			t.Fatalf("class %d: imported %d, err %v; want 0 and a bad-request *Error", class, n, err)
+		}
+		resp := srv.Handle(WireRequest{Version: cloud.ProtocolVersion, Op: OpCacheImport,
+			Payload: encodeMasks(t, []CachedMask{good, bad})})
+		if resp.Code == cloud.CodeOK || resp.Batch > 1 {
+			t.Fatalf("class %d over the wire: code %s batch %d, want a refusal after at most the good entry", class, resp.Code, resp.Batch)
+		}
+	}
+	if got := srv.Stats().CacheEntries; got != 1 {
+		t.Fatalf("cache holds %d entries, want only the valid one", got)
+	}
+}
+
+func encodeMasks(t *testing.T, cms []CachedMask) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(cms); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func mustWeighted(t *testing.T, classes []int, weights []float64) core.Preferences {

@@ -26,6 +26,7 @@ import (
 	"sync"
 	"time"
 
+	"capnn/internal/breaker"
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/metrics"
@@ -63,12 +64,6 @@ type Config struct {
 	// 30s / 1MiB.
 	ReadTimeout, WriteTimeout time.Duration
 	MaxRequestBytes           int64
-
-	// CompiledBudgetBytes bounds the resident compiled-weight memory
-	// across cache entries; past it, plans are dropped coldest entry first
-	// (the masks stay cached and the next hit recompiles inline). Zero
-	// takes the default 512 MiB; negative is unlimited.
-	CompiledBudgetBytes int64
 
 	// DisableGuard turns the runtime ε-guard off entirely (no shadow
 	// sampling, no fallback, no heals).
@@ -109,13 +104,8 @@ type Config struct {
 	// personalizer. Default 500ms.
 	ProactiveInterval time.Duration
 
-	// BreakerFailureRate opens the repersonalization breaker when the
-	// failure fraction over its rolling window reaches this. Default 0.5.
-	BreakerFailureRate float64
-	// BreakerWindow / BreakerMinSamples size the rolling outcome window
-	// and the minimum samples before the rate is judged. Defaults 8 / 4.
-	BreakerWindow, BreakerMinSamples int
-	// BreakerCooldown is how long an open breaker rejects attempts
+	// BreakerCooldown is how long the repersonalization breaker — open
+	// after healFailThreshold consecutive failed heals — rejects attempts
 	// before admitting a half-open probe. Default 5s.
 	BreakerCooldown time.Duration
 	// HealBackoff is how long a pending heal waits between attempts when
@@ -136,8 +126,6 @@ func DefaultConfig() Config {
 		WriteTimeout:      30 * time.Second,
 		MaxRequestBytes:   1 << 20,
 
-		CompiledBudgetBytes: 512 << 20,
-
 		GuardSampleEvery: 8,
 		GuardWindow:      256,
 		GuardMinObs:      64,
@@ -147,11 +135,8 @@ func DefaultConfig() Config {
 		SkewMinObs:        32,
 		ProactiveInterval: 500 * time.Millisecond,
 
-		BreakerFailureRate: 0.5,
-		BreakerWindow:      8,
-		BreakerMinSamples:  4,
-		BreakerCooldown:    5 * time.Second,
-		HealBackoff:        250 * time.Millisecond,
+		BreakerCooldown: 5 * time.Second,
+		HealBackoff:     250 * time.Millisecond,
 	}
 }
 
@@ -187,9 +172,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = d.MaxRequestBytes
 	}
-	if c.CompiledBudgetBytes == 0 {
-		c.CompiledBudgetBytes = d.CompiledBudgetBytes
-	}
 	if c.GuardSampleEvery <= 0 {
 		c.GuardSampleEvery = d.GuardSampleEvery
 	}
@@ -210,15 +192,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProactiveInterval <= 0 {
 		c.ProactiveInterval = d.ProactiveInterval
-	}
-	if c.BreakerFailureRate <= 0 {
-		c.BreakerFailureRate = d.BreakerFailureRate
-	}
-	if c.BreakerWindow <= 0 {
-		c.BreakerWindow = d.BreakerWindow
-	}
-	if c.BreakerMinSamples <= 0 {
-		c.BreakerMinSamples = d.BreakerMinSamples
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = d.BreakerCooldown
@@ -282,7 +255,7 @@ type Server struct {
 	personalizeMu sync.Mutex
 
 	// breaker guards the repersonalization path taken by ε-guard heals.
-	breaker *breaker
+	breaker *breaker.Breaker
 
 	// proactive gates skew-triggered repersonalizations; nil when
 	// DisableProactive is set (a nil gate allows nothing).
@@ -347,7 +320,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		cache:    newMaskCache(cfg.CacheCap, st),
 		unpruned: unpruned,
 		disp:     newDispatcher(sys.Net.InShape, cfg.MaxQueue, bulkMax, cfg.Workers, st),
-		breaker:  newBreaker(cfg.BreakerFailureRate, cfg.BreakerWindow, cfg.BreakerMinSamples, cfg.BreakerCooldown),
+		breaker:  breaker.New(healFailThreshold, cfg.BreakerCooldown),
 		drainCh:  make(chan struct{}),
 	}
 	s.rpc = rpc.NewServer(
@@ -366,7 +339,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	})
 	// Breaker transitions become structured events; the counters come
 	// from the breaker's own snapshot below — one source, two surfaces.
-	s.breaker.onTransition = func(from, to BreakerState) {
+	s.breaker.OnTransition = func(from, to breaker.State) {
 		events.Record("breaker", "repersonalize", fmt.Sprintf("%s -> %s", from, to), nil)
 	}
 	// Instantaneous state that already lives in a component is exposed
@@ -378,35 +351,19 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		return float64(s.cache.len())
 	})
 	reg.GaugeFunc("capnn_serve_breaker_state", "Repersonalization breaker state (0 closed, 1 half-open, 2 open).", func() float64 {
-		state, _, _, _ := s.breaker.snapshot()
-		return breakerStateValue(state)
+		return s.breaker.Snapshot().State.Value()
 	})
 	reg.CounterFunc("capnn_serve_breaker_opens_total", "Breaker transitions into open.", func() uint64 {
-		_, opens, _, _ := s.breaker.snapshot()
-		return opens
+		return s.breaker.Snapshot().Opens
 	})
 	reg.CounterFunc("capnn_serve_breaker_closes_total", "Breaker transitions into closed.", func() uint64 {
-		_, _, closes, _ := s.breaker.snapshot()
-		return closes
+		return s.breaker.Snapshot().Closes
 	})
 	reg.CounterFunc("capnn_serve_breaker_half_opens_total", "Breaker transitions into half-open.", func() uint64 {
-		_, _, _, halfOpens := s.breaker.snapshot()
-		return halfOpens
+		return s.breaker.Snapshot().HalfOpens
 	})
 	reg.CounterFunc("capnn_serve_events_total", "Structured events ever recorded (ring may have dropped old ones).", events.Total)
 	return s
-}
-
-// breakerStateValue maps a breaker state onto the gauge scale.
-func breakerStateValue(s BreakerState) float64 {
-	switch s {
-	case BreakerHalfOpen:
-		return 1
-	case BreakerOpen:
-		return 2
-	default:
-		return 0
-	}
 }
 
 // SetOwnerCheck installs (or, with nil, removes) the placement check a
@@ -449,7 +406,8 @@ func (s *Server) ringUpdateFn() func(RingUpdate) error {
 // Stats snapshots the serving metrics.
 func (s *Server) Stats() Stats {
 	out := s.st.snapshot(s.cache.len(), s.disp.depth())
-	out.BreakerState, out.BreakerOpens, out.BreakerCloses, out.BreakerHalfOpens = s.breaker.snapshot()
+	b := s.breaker.Snapshot()
+	out.BreakerState, out.BreakerOpens, out.BreakerCloses, out.BreakerHalfOpens = b.State, b.Opens, b.Closes, b.HalfOpens
 	out.CompiledBytes, out.CompiledEntries = s.residentPlans()
 	return out
 }
@@ -687,6 +645,11 @@ func (s *Server) scheduleHeal(entry *maskEntry, reason string) bool {
 	return true
 }
 
+// healFailThreshold consecutive failed heals open the repersonalization
+// breaker: a Prune that fails for an entry fails again, so tripped
+// ε-guards must not become an unbounded stream of failing prune runs.
+const healFailThreshold = 4
+
 // heal repersonalizes an entry against the class mix its guard actually
 // observed, through the circuit breaker. The healed masks are published
 // under the entry's original request key, so the affected users
@@ -703,13 +666,13 @@ func (s *Server) heal(entry *maskEntry, reason string) {
 		k = 1
 	}
 	for {
-		if s.breaker.allow() {
+		if s.breaker.Allow() {
 			prefs, err := entry.guard.observedPrefs(k)
 			if err == nil {
 				var fresh *maskEntry
 				fresh, err = s.personalize(entry.variant, prefs, entry.key)
 				if err == nil {
-					s.breaker.record(true)
+					s.breaker.Record(true)
 					s.cache.install(fresh)
 					s.st.healed(reason)
 					s.events.Record("heal", entry.key, "repersonalized against observed class mix ("+reason+")", nil)
@@ -719,7 +682,7 @@ func (s *Server) heal(entry *maskEntry, reason string) {
 					return
 				}
 			}
-			s.breaker.record(false)
+			s.breaker.Record(false)
 			s.st.healFailed()
 			s.events.Record("heal-failed", entry.key, healCause(err), nil)
 			if reason == healReasonSkew && entry.guard.forceTrip() {

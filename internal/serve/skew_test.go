@@ -14,7 +14,6 @@ func skewConfig() Config {
 	return Config{
 		Variant: core.VariantW, GuardSampleEvery: 2, GuardWindow: 32, GuardMinObs: 16, GuardSlack: 0.05,
 		SkewThreshold: 0.3, SkewMinObs: 6, ProactiveInterval: time.Millisecond,
-		BreakerFailureRate: 0.6, BreakerWindow: 4, BreakerMinSamples: 2,
 		BreakerCooldown: 60 * time.Millisecond, HealBackoff: 10 * time.Millisecond,
 	}
 }

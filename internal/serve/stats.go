@@ -6,7 +6,19 @@ import (
 	"sync"
 	"time"
 
+	"capnn/internal/breaker"
 	"capnn/internal/metrics"
+)
+
+// BreakerState names the repersonalization breaker's state in Stats;
+// the states themselves live in internal/breaker.
+type BreakerState = breaker.State
+
+// The breaker states, re-exported for Stats readers.
+const (
+	BreakerClosed   = breaker.Closed
+	BreakerOpen     = breaker.Open
+	BreakerHalfOpen = breaker.HalfOpen
 )
 
 // Stats is a point-in-time snapshot of a Server's serving metrics — the
@@ -62,13 +74,11 @@ type Stats struct {
 	// Compiled inference: Compiles counts finished per-entry compile
 	// attempts and CompileErrors the failed subset (those entries run the
 	// unpruned plan); CompiledDispatched counts requests answered on their
-	// entry's own plan (unpruned guard traffic is not counted);
-	// CompiledEvictions counts plans dropped by the byte budget (masks
-	// stay cached). CompiledBytes / CompiledEntries are the instantaneous
-	// resident compiled-weight bytes and entry count.
+	// entry's own plan (unpruned guard traffic is not counted).
+	// CompiledBytes / CompiledEntries are the instantaneous resident
+	// compiled-weight bytes and entry count.
 	Compiles, CompileErrors uint64
 	CompiledDispatched      uint64
-	CompiledEvictions       uint64
 	CompileNs               int64
 	CompiledBytes           int64
 	CompiledEntries         int
@@ -151,8 +161,8 @@ func (s Stats) String() string {
 		s.CacheHits, s.CacheMisses, s.SingleflightShared, s.CacheEvictions, s.CacheEntries, s.HitRatio())
 	fmt.Fprintf(&b, "latency: personalize=%v queue-wait=%v forward=%v forward-p99=%v\n",
 		s.MeanPersonalize(), s.MeanQueueWait(), s.MeanForward(), s.ForwardP99.Round(time.Microsecond))
-	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d evictions=%d resident=%dB/%d entries\n",
-		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.CompiledEvictions, s.CompiledBytes, s.CompiledEntries)
+	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d resident=%dB/%d entries\n",
+		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.CompiledBytes, s.CompiledEntries)
 	fmt.Fprintf(&b, "guard: trips=%d fallback-served=%d heals=%d (skew=%d guard-trip=%d) heal-failures=%d\n",
 		s.GuardTrips, s.FallbackServed, s.Heals, s.RepersonalizeSkew, s.RepersonalizeGuardTrip, s.HealFailures)
 	fmt.Fprintf(&b, "proactive: skew-detected=%d suppressed=%d\n", s.SkewDetected, s.ProactiveSuppressed)
@@ -209,7 +219,7 @@ type stats struct {
 	ckptErrC                     *metrics.Counter
 	compileC, compileErrC        *metrics.Counter
 	compileH                     *metrics.Histogram
-	compDispC, compEvictC        *metrics.Counter
+	compDispC                    *metrics.Counter
 
 	mu                sync.Mutex
 	checkpointGen     int
@@ -257,7 +267,6 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		compileErrC: reg.Counter("capnn_serve_compile_errors_total", "Compile attempts that failed (entry runs the unpruned plan)."),
 		compileH:    reg.Histogram("capnn_serve_compile_latency_ns", "nn.Compile latency per mask entry.", metrics.LatencyBucketsNs()),
 		compDispC:   reg.Counter("capnn_serve_compiled_dispatch_total", "Requests answered on their entry's own compiled plan."),
-		compEvictC:  reg.Counter("capnn_serve_compiled_evictions_total", "Plans dropped by the byte budget (masks stay cached, next hit recompiles)."),
 	}
 	// Pre-seed every shed reason so the series exist in a scrape before
 	// the first shed (the cluster smoke test greps for them mid-load).
@@ -325,7 +334,6 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 		CompileErrors:      st.compileErrC.Value(),
 		CompileNs:          int64(st.compileH.Sum()),
 		CompiledDispatched: st.compDispC.Value(),
-		CompiledEvictions:  st.compEvictC.Value(),
 
 		HandoffExported: st.handoffExpC.Value(),
 		HandoffImported: st.handoffImpC.Value(),
@@ -395,7 +403,6 @@ func (st *stats) compiled(d time.Duration, err error) {
 }
 
 func (st *stats) compiledDispatched() { st.compDispC.Inc() }
-func (st *stats) compiledEvicted()    { st.compEvictC.Inc() }
 
 func (st *stats) handoffExported(n int) { st.handoffExpC.Add(uint64(n)) }
 func (st *stats) handoffImported(n int) { st.handoffImpC.Add(uint64(n)) }

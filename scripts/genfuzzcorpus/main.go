@@ -67,6 +67,12 @@ func main() {
 			Input: make([]float64, 16), RouteKey: "M/def", RingVersion: 7,
 			BudgetMicros: 250_000, Tenant: "batch", Lane: 1,
 		}),
+		// A warm-handoff import naming a class no model has: the second
+		// gob stage (Payload) must be refused by validation, not indexed.
+		"seed-cache-import-bad-class": gobBytes(&serve.WireRequest{
+			Version: cloud.ProtocolVersion, Op: serve.OpCacheImport,
+			Payload: gobBytes([]serve.CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}}),
+		}),
 	})
 
 	write(root, "internal/cloud/testdata/fuzz/FuzzCloudRequestDecode", map[string][]byte{
