@@ -329,39 +329,48 @@ func pruneRatioMasks(net *nn.Network, ratio float64) map[int][]bool {
 // BenchmarkCompiledInfer is the tentpole number: masked inference (full
 // model FLOPs, pruned outputs zeroed) against compiled inference (the
 // physically compacted nn.Compiled) at 0/20/40/60% pruning on a batch of
-// 8. Masked rows should stay roughly flat as
+// 8, then on what a request actually runs: one image under a real
+// Prune(M) mask set. Masked rows should stay roughly flat as
 // pruning deepens; compiled rows should drop with the ratio, clearing
 // ~1.5× at 40%. Each plan is checked bit-identical to the masked path
 // before timing (the Compile probe re-asserts it internally too).
 func BenchmarkCompiledInfer(b *testing.B) {
 	fx := cifarFixture(b)
 	net := fx.Sys.Net
-	x, _ := fx.Sets.Test.Batch(firstN(fx.Sets.Test.Len(), 8))
-	for _, pct := range []int{0, 20, 40, 60} {
-		masks := pruneRatioMasks(net, float64(pct)/100)
+	row := func(name string, x *tensor.Tensor, masks map[int][]bool) {
 		c, err := nn.Compile(net, masks)
 		if err != nil {
-			b.Fatalf("compile at %d%%: %v", pct, err)
+			b.Fatalf("compile %s: %v", name, err)
 		}
 		want, got := net.Infer(x, masks).Data(), c.Infer(x).Data()
 		for i := range want {
 			if want[i] != got[i] {
-				b.Fatalf("compiled output diverges from masked at %d%% pruning, elem %d", pct, i)
+				b.Fatalf("compiled output diverges from masked at %s, elem %d", name, i)
 			}
 		}
-		b.Run(fmt.Sprintf("pruned-%d/masked", pct), func(b *testing.B) {
+		b.Run(name+"/masked", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				net.Infer(x, masks)
 			}
 		})
-		b.Run(fmt.Sprintf("pruned-%d/compiled", pct), func(b *testing.B) {
+		b.Run(name+"/compiled", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.Infer(x)
 			}
 		})
 	}
+	x8, _ := fx.Sets.Test.Batch(firstN(fx.Sets.Test.Len(), 8))
+	for _, pct := range []int{0, 20, 40, 60} {
+		row(fmt.Sprintf("pruned-%d", pct), x8, pruneRatioMasks(net, float64(pct)/100))
+	}
+	m, err := fx.Sys.Prune(core.VariantM, core.Uniform([]int{3, 7}))
+	if err != nil {
+		b.Fatal(err)
+	}
+	x1, _ := fx.Sets.Test.Batch([]int{0})
+	row("prune-M-batch-1", x1, m)
 }
 
 // BenchmarkServeThroughput compares multi-user serving strategies on the
@@ -675,15 +684,16 @@ func BenchmarkGatewayRouting(b *testing.B) {
 }
 
 // BenchmarkWireRoundTrip prices the wire around a forward pass on a
-// frame shaped like the repo benchmark's (3×32×32 input out, 10 logits
-// back) against a handler that does nothing: dial-per-call opens a
+// frame shaped like the repo benchmark's (the cifar10 fixture's 1×32×32
+// input out, 10 logits back) against a handler that does nothing: dial-per-call opens a
 // socket and a gob stream — re-sending and re-compiling the type
 // descriptions — for every request, persistent keeps one connection and
 // its codec pair, codec-only is one encode + decode of the request on a
 // kept stream with no socket at all (what a fixed-layout frame could
 // still remove).
 func BenchmarkWireRoundTrip(b *testing.B) {
-	req := serve.WireRequest{Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{3, 7}, Input: make([]float64, 3*32*32)}
+	inputLen := cifarFixture(b).Sets.Test.ImageSize() // = the product of Net.InShape, the length the server checks
+	req := serve.WireRequest{Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{3, 7}, Input: make([]float64, inputLen)}
 	rng := rand.New(rand.NewSource(1))
 	for i := range req.Input {
 		req.Input[i] = rng.NormFloat64()

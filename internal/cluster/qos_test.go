@@ -1,7 +1,11 @@
 package cluster
 
 import (
+	"errors"
+	"math"
+	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -164,5 +168,70 @@ func TestGatewayBudgetPropagation(t *testing.T) {
 	}
 	if ts := g.Stats().Tenants["vip/interactive"]; ts.Admitted != 1 {
 		t.Errorf("tenant vip/interactive = %+v, want admitted=1", ts)
+	}
+}
+
+// countingListener counts accepted connections, so a test can tell a
+// kept connection from a redial.
+type countingListener struct {
+	net.Listener
+	accepts atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.accepts.Add(1)
+	}
+	return c, err
+}
+
+// A non-finite input is the client's fault, not the shard's: through the
+// gateway it is answered once with the shard's typed bad-request — no
+// retry, no failover, no breaker failure — and the gateway→shard
+// connection that carried it is kept for the next request.
+func TestGatewayNonFiniteInputAnsweredNotRetried(t *testing.T) {
+	f := getClusterFixture(t)
+	srv := serve.NewServerWith(f.newSystem(t), serve.Config{DisableGuard: true})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	counted := &countingListener{Listener: ln}
+	addr := srv.Serve(counted)
+	defer srv.Close()
+	cfg := testGWConfig()
+	cfg.Replication, cfg.ProbeEvery = 1, time.Hour // no probe connections muddying the accept count
+	g, err := NewGateway([]string{addr}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	gaddr, err := g.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := serve.NewClient(gaddr)
+	defer c.Close()
+
+	if _, err := c.Infer(f.inferRequest(1, 2)); err != nil {
+		t.Fatalf("warm-up infer: %v", err)
+	}
+	accepts := counted.accepts.Load()
+	bad := f.inferRequest(1, 2)
+	bad.Input[5] = math.NaN()
+	_, err = c.Infer(bad)
+	var se *serve.Error
+	if !errors.As(err, &se) || se.Code != cloud.CodeBadRequest || se.Retryable() || !strings.Contains(err.Error(), "input[5]") {
+		t.Fatalf("NaN input via gateway: %v, want non-retryable bad-request naming input[5]", err)
+	}
+	if _, err := c.Infer(f.inferRequest(1, 2)); err != nil {
+		t.Fatalf("infer after the rejection: %v", err)
+	}
+	if st := g.Stats(); st.Retries != 0 || st.Failovers != 0 || st.Nodes[addr].Failures != 0 {
+		t.Errorf("bad request was treated as a node fault: retries=%d failovers=%d node failures=%d", st.Retries, st.Failovers, st.Nodes[addr].Failures)
+	}
+	if n := counted.accepts.Load(); n != accepts {
+		t.Errorf("shard accepted %d new connections around the rejection, want the kept one reused", n-accepts)
 	}
 }

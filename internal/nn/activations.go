@@ -33,12 +33,7 @@ func (r *ReLU) Params() []*Param { return nil }
 // the paper's firing-rate definition relies on.
 func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		}
-	}
+	reluForward(out.Data(), x.Data())
 	r.lastOut = out
 	if r.Hook != nil {
 		r.Hook(out)
@@ -89,12 +84,19 @@ func NewMaxPool2D(name string, inShape []int, k, stride int) (*MaxPool2D, error)
 	return &MaxPool2D{name: name, c: c, inH: h, inW: w, k: k, stride: stride, outH: outH, outW: outW}, nil
 }
 
+// geom is the pool's window geometry in the kernels' terms (outC = inC).
+func (p *MaxPool2D) geom() convGeom {
+	return convGeom{inC: p.c, inH: p.inH, inW: p.inW, outC: p.c, outH: p.outH, outW: p.outW, k: p.k, stride: p.stride}
+}
+
 func (p *MaxPool2D) Name() string     { return p.name }
 func (p *MaxPool2D) InShape() []int   { return []int{p.c, p.inH, p.inW} }
 func (p *MaxPool2D) OutShape() []int  { return []int{p.c, p.outH, p.outW} }
 func (p *MaxPool2D) Params() []*Param { return nil }
 
-// Forward computes channelwise max pooling for a batch [N, C, H, W].
+// Forward computes channelwise max pooling for a batch [N, C, H, W]. It
+// keeps its own loop (poolForward's comparison order) because Backward
+// needs each output's argmax.
 func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	out := tensor.New(n, p.c, p.outH, p.outW)

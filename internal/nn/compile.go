@@ -48,9 +48,10 @@ const (
 
 // compiledOp is one step of the lowered plan. Flatten and Dropout are
 // elided at compile time: both are the identity on the contiguous NCHW
-// slab at inference.
+// slab at inference. A ReLU directly after a conv is folded into it.
 type compiledOp struct {
 	kind opKind
+	relu bool      // conv: the ReLU that followed it, fused into the store
 	g    convGeom  // conv + pool geometry (pool: outC == inC)
 	wd   []float64 // conv/dense weights (aliases the compacted net's params)
 	bd   []float64 // conv/dense bias
@@ -142,10 +143,14 @@ func plan(cnet *Network) (*Compiled, error) {
 			op = compiledOp{kind: opDense, wd: t.w.W.Data(), bd: t.b.W.Data(), in: t.in, out: t.out}
 			op.g.inC, op.g.outC = t.in, t.out // reuse geom fields for dims
 		case *ReLU:
+			if last := len(c.ops) - 1; last >= 0 && c.ops[last].kind == opConv {
+				c.ops[last].relu = true // clamped in the conv's own store: no second pass
+				continue
+			}
 			n := shapeElems(t.shape)
 			op = compiledOp{kind: opReLU, in: n, out: n}
 		case *MaxPool2D:
-			g := convGeom{inC: t.c, inH: t.inH, inW: t.inW, outC: t.c, outH: t.outH, outW: t.outW, k: t.k, stride: t.stride}
+			g := t.geom()
 			op = compiledOp{kind: opPool, g: g, in: g.inSize(), out: g.outSize()}
 		case *Flatten, *Dropout:
 			// Identity on the contiguous slab at inference: elide.
@@ -229,20 +234,12 @@ func (op *compiledOp) run(src, dst []float64, n int, cols []float64) {
 		cols = cols[:g.colsSize()]
 		for s := 0; s < n; s++ {
 			g.im2col(src[s*op.in:(s+1)*op.in], cols)
-			g.convForward(cols, op.wd, op.bd, dst[s*op.out:(s+1)*op.out], nil)
+			g.convForward(cols, op.wd, op.bd, dst[s*op.out:(s+1)*op.out], nil, op.relu)
 		}
 	case opDense:
 		denseForward(src[:n*op.in], op.wd, op.bd, dst[:n*op.out], n, op.g.inC, op.g.outC, nil)
 	case opReLU:
-		src = src[:n*op.in]
-		dst = dst[:n*op.in]
-		for i, v := range src {
-			if v > 0 {
-				dst[i] = v
-			} else {
-				dst[i] = 0
-			}
-		}
+		reluForward(dst[:n*op.in], src[:n*op.in])
 	case opScatter:
 		for s := 0; s < n; s++ {
 			xs := src[s*op.in : (s+1)*op.in]
@@ -255,30 +252,8 @@ func (op *compiledOp) run(src, dst []float64, n int, cols []float64) {
 			}
 		}
 	case opPool:
-		g := op.g
-		outHW := g.outH * g.outW
-		inHW := g.inH * g.inW
 		for s := 0; s < n; s++ {
-			xs := src[s*op.in : (s+1)*op.in]
-			os := dst[s*op.out : (s+1)*op.out]
-			for c := 0; c < g.inC; c++ {
-				xCh := xs[c*inHW : (c+1)*inHW]
-				oCh := os[c*outHW : (c+1)*outHW]
-				for oy := 0; oy < g.outH; oy++ {
-					for ox := 0; ox < g.outW; ox++ {
-						iy0, ix0 := oy*g.stride, ox*g.stride
-						best := xCh[iy0*g.inW+ix0]
-						for ky := 0; ky < g.k; ky++ {
-							for kx := 0; kx < g.k; kx++ {
-								if v := xCh[(iy0+ky)*g.inW+ix0+kx]; v > best {
-									best = v
-								}
-							}
-						}
-						oCh[oy*g.outW+ox] = best
-					}
-				}
-			}
+			op.g.poolForward(src[s*op.in:(s+1)*op.in], dst[s*op.out:(s+1)*op.out])
 		}
 	}
 }

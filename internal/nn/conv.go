@@ -101,7 +101,7 @@ func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	cols := *colsBuf
 	for s := 0; s < n; s++ {
 		g.im2col(xd[s*inSz:(s+1)*inSz], cols)
-		g.convForward(cols, wd, bd, od[s*outSz:(s+1)*outSz], c.pruned)
+		g.convForward(cols, wd, bd, od[s*outSz:(s+1)*outSz], c.pruned, false)
 	}
 	putScratch(colsBuf)
 	return out

@@ -140,7 +140,7 @@ func (c *Conv2D) inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor {
 	cols := *colsBuf
 	for s := 0; s < n; s++ {
 		g.im2col(xd[s*inSz:(s+1)*inSz], cols)
-		g.convForward(cols, wd, bd, od[s*outSz:(s+1)*outSz], pruned)
+		g.convForward(cols, wd, bd, od[s*outSz:(s+1)*outSz], pruned, false)
 	}
 	putScratch(colsBuf)
 	return out
@@ -162,12 +162,7 @@ func (d *Dense) inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor {
 // the profiling hook.
 func (r *ReLU) infer(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
-	xd, od := x.Data(), out.Data()
-	for i, v := range xd {
-		if v > 0 {
-			od[i] = v
-		}
-	}
+	reluForward(out.Data(), x.Data())
 	return out
 }
 
@@ -175,28 +170,11 @@ func (r *ReLU) infer(x *tensor.Tensor) *tensor.Tensor {
 func (p *MaxPool2D) infer(x *tensor.Tensor) *tensor.Tensor {
 	n := x.Dim(0)
 	out := tensor.New(n, p.c, p.outH, p.outW)
-	outHW := p.outH * p.outW
-	inHW := p.inH * p.inW
+	g := p.geom()
+	inSz, outSz := g.inSize(), g.outSize()
 	xd, od := x.Data(), out.Data()
 	for s := 0; s < n; s++ {
-		for c := 0; c < p.c; c++ {
-			xCh := xd[(s*p.c+c)*inHW : (s*p.c+c+1)*inHW]
-			oBase := (s*p.c + c) * outHW
-			for oy := 0; oy < p.outH; oy++ {
-				for ox := 0; ox < p.outW; ox++ {
-					iy0, ix0 := oy*p.stride, ox*p.stride
-					best := xCh[iy0*p.inW+ix0]
-					for ky := 0; ky < p.k; ky++ {
-						for kx := 0; kx < p.k; kx++ {
-							if v := xCh[(iy0+ky)*p.inW+ix0+kx]; v > best {
-								best = v
-							}
-						}
-					}
-					od[oBase+oy*p.outW+ox] = best
-				}
-			}
-		}
+		g.poolForward(xd[s*inSz:(s+1)*inSz], od[s*outSz:(s+1)*outSz])
 	}
 	return out
 }

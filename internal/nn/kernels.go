@@ -2,19 +2,25 @@ package nn
 
 import "sync"
 
-// This file is the one conv/dense compute kernel in the repository.
-// Training (Conv2D.Forward/Backward, Dense.Forward/Backward), stateless
-// serving (Network.Infer), profiling and evaluation all route through
-// these functions, so there is a single place where the arithmetic —
-// and, critically, its accumulation order — is defined.
+// This file is the one compute kernel in the repository. Training
+// (Conv2D/Dense/ReLU Forward and Backward), stateless serving
+// (Network.Infer), core's replay evaluator and the compiled plan all
+// route through these functions, so there is a single place where the
+// arithmetic — and, critically, its accumulation order — is defined.
 //
-// The conv kernel is im2col + axpy: each sample's receptive fields are
-// gathered once into a column matrix (bounds checks amortized over all
-// output channels), then every live output channel is a sweep over
-// contiguous rows, four at a time to cut output-row write traffic. The
-// explicit left-to-right sums keep the accumulation order of the naive
-// (ic, ky, kx) loop, so the kernel's results are bit-for-bit those of a
-// direct convolution — the property the Infer ≡ Forward tests pin down.
+// The conv kernel is im2col + register-tiled multiply-accumulate: each
+// sample's receptive fields are gathered once into a column matrix, then
+// every live output element starts at its bias and adds w[oc,r]·cols[r]
+// for r = (ic, ky, kx) ascending — one rounded multiply, then one
+// rounded add, never a fused multiply-add — so the result is bit for
+// bit that of a direct convolution (the Infer ≡ Forward tests and
+// TestForwardGolden pin it). The Go loops below are that definition.
+// On amd64 with AVX2 (CPUID, checked once at init: useAVX2) the conv
+// MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
+// instead: four float64 lanes wide, the same operations in the same
+// order per output element, so both paths return identical bits
+// (TestKernelsMatchGeneric). The assembly does no bounds checks: every
+// call site proves the extents it passes in Go first.
 //
 // Scratch matrices come from a sync.Pool, so the training loop and
 // concurrent serving goroutines stop allocating a fresh im2col buffer
@@ -60,7 +66,10 @@ func (g convGeom) colsSize() int { return g.inC * g.k * g.k * g.outH * g.outW }
 
 // im2col gathers one sample's receptive fields (xs is that sample's
 // [inC, inH, inW] slab) into cols [inC·k·k, outH·outW], writing zeros
-// for out-of-bounds (padding) taps. Every cols entry is written.
+// for out-of-bounds (padding) taps. Every cols entry is written. A
+// stride-1 "same" convolution — every conv this repository builds — is
+// k·k shifted copies of each channel plane; other geometries gather tap
+// by tap.
 func (g convGeom) im2col(xs, cols []float64) {
 	inHW := g.inH * g.inW
 	outHW := g.outH * g.outW
@@ -70,6 +79,10 @@ func (g convGeom) im2col(xs, cols []float64) {
 		for ky := 0; ky < g.k; ky++ {
 			for kx := 0; kx < g.k; kx++ {
 				row := cols[(ic*kk+ky*g.k+kx)*outHW : (ic*kk+ky*g.k+kx+1)*outHW]
+				if g.stride == 1 && g.k == 2*g.pad+1 { // outH×outW = inH×inW
+					shiftPlane(row, xCh, g.inH, g.inW, ky-g.pad, kx-g.pad)
+					continue
+				}
 				ri := 0
 				for oy := 0; oy < g.outH; oy++ {
 					iy := oy*g.stride - g.pad + ky
@@ -81,26 +94,6 @@ func (g convGeom) im2col(xs, cols []float64) {
 						continue
 					}
 					xRow := xCh[iy*g.inW : (iy+1)*g.inW]
-					if g.stride == 1 {
-						// ix = ox + kx − pad is contiguous: bulk-copy the
-						// in-bounds span, zero the edges.
-						lo, hi := g.pad-kx, g.inW+g.pad-kx
-						if lo < 0 {
-							lo = 0
-						}
-						if hi > g.outW {
-							hi = g.outW
-						}
-						for ox := 0; ox < lo; ox++ {
-							row[ri+ox] = 0
-						}
-						copy(row[ri+lo:ri+hi], xRow[lo+kx-g.pad:hi+kx-g.pad])
-						for ox := hi; ox < g.outW; ox++ {
-							row[ri+ox] = 0
-						}
-						ri += g.outW
-						continue
-					}
 					for ox := 0; ox < g.outW; ox++ {
 						ix := ox*g.stride - g.pad + kx
 						if ix < 0 || ix >= g.inW {
@@ -116,14 +109,46 @@ func (g convGeom) im2col(xs, cols []float64) {
 	}
 }
 
+// shiftPlane writes row[y·w+x] = plane[(y+dy)·w + x+dx], zero where the
+// tap falls outside the h×w plane: the im2col row of a stride-1 "same"
+// convolution is the channel plane shifted by dy·w+dx as one flat copy,
+// with the rows and columns that wrapped zeroed afterwards.
+func shiftPlane(row, plane []float64, h, w, dy, dx int) {
+	hw := h * w
+	shift := dy*w + dx
+	if lo, hi := max(0, -shift), min(hw, hw-shift); lo < hi {
+		copy(row[lo:hi], plane[lo+shift:hi+shift])
+	}
+	yLo, yHi := min(h, max(0, -dy)), max(0, min(h, h-dy))
+	xLo, xHi := min(w, max(0, -dx)), max(0, min(w, w-dx))
+	clear(row[:yLo*w])
+	clear(row[yHi*w:])
+	for y := yLo; y < yHi; y++ {
+		r := row[y*w : (y+1)*w]
+		for x := 0; x < xLo; x++ {
+			r[x] = 0
+		}
+		for x := xHi; x < w; x++ {
+			r[x] = 0
+		}
+	}
+}
+
 // convForward computes one sample's output slab os [outC, outH, outW]
 // from the gathered columns: os[oc] = bias[oc] + Σ_r w[oc,r]·cols[r],
 // accumulated in ascending r = (ic, ky, kx) order so the result matches
-// a direct convolution bit for bit. Pruned channels are skipped; their
-// output stays zero (os must arrive zeroed).
-func (g convGeom) convForward(cols, wd, bd, os []float64, pruned []bool) {
+// a direct convolution bit for bit; relu clamps each output at +0 as it
+// is stored (the compiled plan's fused conv+ReLU). Pruned channels are
+// skipped; their output stays zero (os must arrive zeroed).
+func (g convGeom) convForward(cols, wd, bd, os []float64, pruned []bool, relu bool) {
 	outHW := g.outH * g.outW
-	kk := g.k * g.k
+	rows := g.inC * g.k * g.k
+	// The extents the assembly will touch, proven here once.
+	cols, wd, bd, os = cols[:rows*outHW], wd[:g.outC*rows], bd[:g.outC], os[:g.outC*outHW]
+	if useAVX2 && outHW >= 4 {
+		convForwardAVX2(cols, wd, bd, os, pruned, rows, outHW, relu)
+		return
+	}
 	for oc := 0; oc < g.outC; oc++ {
 		if pruned != nil && pruned[oc] {
 			continue
@@ -133,32 +158,84 @@ func (g convGeom) convForward(cols, wd, bd, os []float64, pruned []bool) {
 		for i := range oRow {
 			oRow[i] = bias
 		}
-		wRow := wd[oc*g.inC*kk : (oc+1)*g.inC*kk]
+		wRow := wd[oc*rows : (oc+1)*rows]
 		// Four column rows per sweep quarters the oRow write traffic.
 		// The explicit left-to-right sum keeps the accumulation order of
-		// the one-row-at-a-time loop, so results stay bit-identical.
+		// the one-row-at-a-time loop, and the float64 conversions forbid
+		// the compiler to fuse a product into its add (it would on arm64
+		// and GOAMD64=v3), so results stay bit-identical everywhere.
 		r := 0
-		for ; r+4 <= len(wRow); r += 4 {
+		for ; r+4 <= rows; r += 4 {
 			w0, w1, w2, w3 := wRow[r], wRow[r+1], wRow[r+2], wRow[r+3]
-			if w0 == 0 && w1 == 0 && w2 == 0 && w3 == 0 {
-				continue
-			}
 			c0 := cols[r*outHW : (r+1)*outHW]
 			c1 := cols[(r+1)*outHW : (r+2)*outHW]
 			c2 := cols[(r+2)*outHW : (r+3)*outHW]
 			c3 := cols[(r+3)*outHW : (r+4)*outHW]
 			for i := range oRow {
-				oRow[i] = oRow[i] + w0*c0[i] + w1*c1[i] + w2*c2[i] + w3*c3[i]
+				oRow[i] = oRow[i] + float64(w0*c0[i]) + float64(w1*c1[i]) + float64(w2*c2[i]) + float64(w3*c3[i])
 			}
 		}
-		for ; r < len(wRow); r++ {
+		for ; r < rows; r++ {
 			wv := wRow[r]
-			if wv == 0 {
-				continue
-			}
 			col := cols[r*outHW : (r+1)*outHW]
 			for i, cv := range col {
-				oRow[i] += wv * cv
+				oRow[i] += float64(wv * cv)
+			}
+		}
+		if relu {
+			reluForward(oRow, oRow)
+		}
+	}
+}
+
+// reluForward writes dst[i] = src[i] if src[i] > 0, else +0 — so −0 and
+// NaN both become +0. dst may alias src. It is the one forward ReLU
+// clamp: ReLU.Forward, ReLU.infer and the compiled plan all call it.
+func reluForward(dst, src []float64) {
+	dst = dst[:len(src)]
+	done := 0
+	if n4 := len(src) &^ 3; useAVX2 && n4 > 0 {
+		reluAVX2(&dst[0], &src[0], n4) // whole vectors; the loop below finishes
+		done = n4
+	}
+	for i, v := range src[done:] {
+		if v > 0 {
+			dst[done+i] = v
+		} else {
+			dst[done+i] = 0
+		}
+	}
+}
+
+// poolForward max-pools one sample xs [C, inH, inW] into os [C, outH,
+// outW] without recording argmax (g.inC channels; g.outC is unused).
+// Each output is the window's first element, replaced by every later
+// element (ky, then kx ascending) that compares strictly greater — so
+// a NaN wins only from the window's first position and ±0 ties keep the
+// earlier one.
+func (g convGeom) poolForward(xs, os []float64) {
+	inHW, outHW := g.inH*g.inW, g.outH*g.outW
+	xs, os = xs[:g.inC*inHW], os[:g.inC*outHW]
+	avx := useAVX2 && g.k == 2 && g.stride == 2 && g.outW%4 == 0
+	for c := 0; c < g.inC; c++ {
+		xCh := xs[c*inHW : (c+1)*inHW]
+		oCh := os[c*outHW : (c+1)*outHW]
+		if avx {
+			pool2x2AVX2(&oCh[0], &xCh[0], g.outH, g.outW, g.inW)
+			continue
+		}
+		for oy := 0; oy < g.outH; oy++ {
+			for ox := 0; ox < g.outW; ox++ {
+				iy0, ix0 := oy*g.stride, ox*g.stride
+				best := xCh[iy0*g.inW+ix0]
+				for ky := 0; ky < g.k; ky++ {
+					for kx := 0; kx < g.k; kx++ {
+						if v := xCh[(iy0+ky)*g.inW+ix0+kx]; v > best {
+							best = v
+						}
+					}
+				}
+				oCh[oy*g.outW+ox] = best
 			}
 		}
 	}
@@ -246,18 +323,40 @@ func (g convGeom) col2im(dcols, dxs []float64) {
 // denseForward computes od[s,o] = b[o] + Σ_i w[o,i]·xd[s,i] for every
 // live neuron; pruned neurons' outputs stay zero (od must arrive
 // zeroed). Shared by the training Forward and the stateless Infer path.
+// Live neurons go four to a sweep of x: four independent sums, each
+// still its own left-to-right chain, so four adds are in flight instead
+// of one waiting on the last.
 func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
 	for s := 0; s < n; s++ {
 		xRow := xd[s*in : (s+1)*in]
 		oRow := od[s*out : (s+1)*out]
+		var q [4]int // live neurons waiting for a sweep
+		nq := 0
 		for o := 0; o < out; o++ {
 			if pruned != nil && pruned[o] {
 				continue
 			}
+			q[nq] = o
+			if nq++; nq < 4 {
+				continue
+			}
+			nq = 0
+			w0, w1 := wd[q[0]*in:(q[0]+1)*in], wd[q[1]*in:(q[1]+1)*in]
+			w2, w3 := wd[q[2]*in:(q[2]+1)*in], wd[q[3]*in:(q[3]+1)*in]
+			s0, s1, s2, s3 := bd[q[0]], bd[q[1]], bd[q[2]], bd[q[3]]
+			for i, xv := range xRow {
+				s0 += float64(w0[i] * xv)
+				s1 += float64(w1[i] * xv)
+				s2 += float64(w2[i] * xv)
+				s3 += float64(w3[i] * xv)
+			}
+			oRow[q[0]], oRow[q[1]], oRow[q[2]], oRow[q[3]] = s0, s1, s2, s3
+		}
+		for _, o := range q[:nq] {
 			wRow := wd[o*in : (o+1)*in]
 			sum := bd[o]
 			for i, xv := range xRow {
-				sum += wRow[i] * xv
+				sum += float64(wRow[i] * xv)
 			}
 			oRow[o] = sum
 		}

@@ -1,0 +1,210 @@
+#include "textflag.h"
+
+// AVX2 forms of the hot loops in kernels.go; kernels_amd64.go documents
+// each signature. Contract: every lane performs exactly the scalar
+// loop's operations in the scalar loop's order, so results are
+// bit-identical to the Go path. No bounds are checked here; the Go
+// callers prove them.
+
+// MAC is the one place a multiply-accumulate is spelled: acc += w·c as a
+// rounded multiply, then a rounded add — never a fused multiply-add.
+#define MAC(c, w, tmp, acc) VMULPD c, w, tmp; VADDPD tmp, acc, acc
+
+// VMAXPD b, a, d is d = a > b ? a : b per lane, b when either is NaN or
+// both are zero. With b = +0 that is the ReLU clamp (NaN and −0 become
+// +0); with b = the running best it is the pool's "replace only when
+// strictly greater".
+
+// func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL leaf+0(FP), AX
+	MOVL subleaf+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	XORL CX, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func convTile16(os, cols, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
+TEXT ·convTile16(SB), NOSPLIT, $0-65
+	MOVQ os+0(FP), R10
+	MOVQ wd+16(FP), AX
+	MOVQ bd+24(FP), BX
+	MOVQ live+32(FP), SI
+	MOVQ nLive+40(FP), DI
+	MOVQ rows+48(FP), CX
+	MOVQ outHW+56(FP), DX
+	SHLQ $3, DX                  // bytes between rows of cols and of os
+	VXORPD Y9, Y9, Y9
+
+channel16:
+	MOVQ (SI), R8                // oc
+	VBROADCASTSD (BX)(R8*8), Y0  // accumulators start at the bias
+	VMOVAPD Y0, Y1
+	VMOVAPD Y0, Y2
+	VMOVAPD Y0, Y3
+	MOVQ R8, R9
+	IMULQ CX, R9
+	LEAQ (AX)(R9*8), R9          // &wd[oc·rows]
+	MOVQ cols+8(FP), R12
+	XORQ R13, R13                // r
+
+row16:
+	VBROADCASTSD (R9)(R13*8), Y4
+	MAC((R12), Y4, Y5, Y0)
+	MAC(32(R12), Y4, Y6, Y1)
+	MAC(64(R12), Y4, Y7, Y2)
+	MAC(96(R12), Y4, Y8, Y3)
+	ADDQ DX, R12
+	INCQ R13
+	CMPQ R13, CX
+	JLT row16
+
+	CMPB relu+64(FP), $0
+	JEQ store16
+	VMAXPD Y9, Y0, Y0
+	VMAXPD Y9, Y1, Y1
+	VMAXPD Y9, Y2, Y2
+	VMAXPD Y9, Y3, Y3
+
+store16:
+	IMULQ DX, R8
+	ADDQ R10, R8                 // &os[oc·outHW]
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y1, 32(R8)
+	VMOVUPD Y2, 64(R8)
+	VMOVUPD Y3, 96(R8)
+	ADDQ $8, SI
+	DECQ DI
+	JNZ channel16
+	VZEROUPPER
+	RET
+
+// CHANNEL loads channel id oc: acc = its bias in every lane, w = &wd[oc·rows].
+// STORE writes acc to os[oc·outHW + 0..3]. AX = wd, BX = bd, CX = rows,
+// DX = outHW·8, R10 = os.
+#define CHANNEL(oc, w, acc) MOVQ oc, w; VBROADCASTSD (BX)(w*8), acc; IMULQ CX, w; LEAQ (AX)(w*8), w
+#define STORE(oc, acc) MOVQ oc, R8; IMULQ DX, R8; VMOVUPD acc, (R10)(R8*1)
+
+// func convTile4x4(os, cols, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
+TEXT ·convTile4x4(SB), NOSPLIT, $0-65
+	MOVQ os+0(FP), R10
+	MOVQ bd+24(FP), BX
+	MOVQ live+32(FP), SI
+	MOVQ nLive+40(FP), DI
+	MOVQ rows+48(FP), CX
+	MOVQ outHW+56(FP), DX
+	SHLQ $3, DX                  // bytes between rows of cols and of os
+	VXORPD Y9, Y9, Y9
+
+group4:
+	MOVQ wd+16(FP), AX
+	CHANNEL(0(SI), R8, Y0)
+	CHANNEL(8(SI), R9, Y1)
+	CHANNEL(16(SI), R11, Y2)
+	CHANNEL(24(SI), R12, Y3)
+	MOVQ cols+8(FP), R13
+	XORQ AX, AX                  // r
+
+row4:
+	VMOVUPD (R13), Y4
+	VBROADCASTSD (R8)(AX*8), Y5
+	MAC(Y4, Y5, Y5, Y0)
+	VBROADCASTSD (R9)(AX*8), Y6
+	MAC(Y4, Y6, Y6, Y1)
+	VBROADCASTSD (R11)(AX*8), Y7
+	MAC(Y4, Y7, Y7, Y2)
+	VBROADCASTSD (R12)(AX*8), Y8
+	MAC(Y4, Y8, Y8, Y3)
+	ADDQ DX, R13
+	INCQ AX
+	CMPQ AX, CX
+	JLT row4
+
+	CMPB relu+64(FP), $0
+	JEQ store4
+	VMAXPD Y9, Y0, Y0
+	VMAXPD Y9, Y1, Y1
+	VMAXPD Y9, Y2, Y2
+	VMAXPD Y9, Y3, Y3
+
+store4:
+	STORE(0(SI), Y0)
+	STORE(8(SI), Y1)
+	STORE(16(SI), Y2)
+	STORE(24(SI), Y3)
+	ADDQ $32, SI
+	SUBQ $4, DI
+	JNZ group4
+	VZEROUPPER
+	RET
+
+// func reluAVX2(dst, src *float64, n int)
+TEXT ·reluAVX2(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	VXORPD Y1, Y1, Y1
+
+relu4:
+	VMOVUPD (SI), Y0
+	VMAXPD Y1, Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ relu4
+	VZEROUPPER
+	RET
+
+// func pool2x2AVX2(dst, src *float64, outH, outW, inW int)
+TEXT ·pool2x2AVX2(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ outH+16(FP), R8
+	MOVQ outW+24(FP), R9
+	MOVQ inW+32(FP), DX
+	SHLQ $3, DX                  // bytes per input row
+
+poolRow:
+	MOVQ SI, AX                  // input row 2·oy
+	LEAQ (SI)(DX*1), BX          // input row 2·oy+1
+	MOVQ R9, CX
+
+pool4:
+	// Eight inputs of each row make four windows. Unpacking splits each
+	// row into its windows' left and right elements, in window order
+	// 0, 2, 1, 3 — the same for all four vectors, undone after the max.
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	VMOVUPD (BX), Y2
+	VMOVUPD 32(BX), Y3
+	VUNPCKLPD Y1, Y0, Y4         // (ky, kx) = (0, 0): the initial best
+	VUNPCKHPD Y1, Y0, Y5         // (0, 1)
+	VUNPCKLPD Y3, Y2, Y6         // (1, 0)
+	VUNPCKHPD Y3, Y2, Y7         // (1, 1)
+	VMAXPD Y4, Y5, Y4
+	VMAXPD Y4, Y6, Y4
+	VMAXPD Y4, Y7, Y4
+	VPERMPD $0xD8, Y4, Y4
+	VMOVUPD Y4, (DI)
+	ADDQ $64, AX
+	ADDQ $64, BX
+	ADDQ $32, DI
+	SUBQ $4, CX
+	JNZ pool4
+
+	LEAQ (SI)(DX*2), SI
+	DECQ R8
+	JNZ poolRow
+	VZEROUPPER
+	RET

@@ -1,0 +1,15 @@
+//go:build !amd64
+
+package nn
+
+// No assembly off amd64: useAVX2 is never true, so the Go loops in
+// kernels.go are the only path and these are never reached.
+var useAVX2 = false
+
+func convForwardAVX2(cols, wd, bd, os []float64, pruned []bool, rows, outHW int, relu bool) {
+	panic("nn: no AVX2 kernels on this GOARCH")
+}
+
+func reluAVX2(dst, src *float64, n int) { panic("nn: no AVX2 kernels on this GOARCH") }
+
+func pool2x2AVX2(dst, src *float64, outH, outW, inW int) { panic("nn: no AVX2 kernels on this GOARCH") }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -90,6 +91,8 @@ func TestWireBadRequests(t *testing.T) {
 		{"class out of range", WireRequest{Variant: "W", Classes: []int{99}, Input: input}},
 		{"weight count mismatch", WireRequest{Variant: "W", Classes: []int{0, 1}, Weights: []float64{1}, Input: input}},
 		{"wrong input length", WireRequest{Variant: "W", Classes: []int{0}, Input: input[:3]}},
+		{"NaN input", WireRequest{Variant: "W", Classes: []int{0}, Input: withValue(input, 7, math.NaN())}},
+		{"infinite input", WireRequest{Variant: "W", Classes: []int{0}, Input: withValue(input, 7, math.Inf(-1))}},
 	}
 	cl := NewClient(addr)
 	for _, tc := range cases {
@@ -114,6 +117,35 @@ func TestWireBadRequests(t *testing.T) {
 		if te.Code != cloud.CodeBadRequest || te.Retryable() {
 			t.Errorf("%s: code=%v retryable=%v, want non-retryable bad request", tc.name, te.Code, te.Retryable())
 		}
+	}
+}
+
+func withValue(x []float64, i int, v float64) []float64 {
+	out := append([]float64(nil), x...)
+	out[i] = v
+	return out
+}
+
+// A request carrying NaN or ±Inf is refused by name before it costs
+// anything: no cache lookup (so no entry whose drift window a shadow
+// sample could feed a meaningless prediction), no personalisation, no
+// forward.
+func TestNonFiniteInputRejectedBeforeAnyWork(t *testing.T) {
+	f := getFixture(t)
+	srv := NewServerWith(f.sys, Config{GuardSampleEvery: 1})
+	defer srv.Close()
+	input := f.sample(t, 0).Data()
+	bad := withValue(withValue(input, 7, math.NaN()), 9, math.Inf(1))
+	resp := srv.Handle(WireRequest{Version: cloud.ProtocolVersion, Variant: "W", Classes: []int{0, 1}, Input: bad})
+	if resp.Code != cloud.CodeBadRequest || !strings.Contains(resp.Err, "input[7]") {
+		t.Fatalf("non-finite input: [%s] %q, want bad-request naming input[7]", resp.Code, resp.Err)
+	}
+	if st := srv.Stats(); st.CacheHits+st.CacheMisses != 0 || st.PersonalizeRuns != 0 || st.ForwardFlushes != 0 {
+		t.Errorf("rejected request did work: lookups=%d personalize=%d forwards=%d",
+			st.CacheHits+st.CacheMisses, st.PersonalizeRuns, st.ForwardFlushes)
+	}
+	if resp := srv.Handle(WireRequest{Version: cloud.ProtocolVersion, Variant: "W", Classes: []int{0, 1}, Input: input}); resp.Code != cloud.CodeOK {
+		t.Fatalf("finite input after the rejection: [%s] %s", resp.Code, resp.Err)
 	}
 }
 

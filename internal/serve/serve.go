@@ -22,6 +22,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -467,6 +468,12 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	if len(x) != s.disp.sample {
 		return Result{}, &Error{Code: cloud.CodeBadRequest,
 			Err: fmt.Errorf("input has %d values, want %d for shape %v", len(x), s.disp.sample, s.disp.shape[1:])}
+	}
+	for i, xv := range x {
+		if math.IsNaN(xv) || math.IsInf(xv, 0) {
+			return Result{}, &Error{Code: cloud.CodeBadRequest,
+				Err: fmt.Errorf("input[%d] is %v: every input value must be finite", i, xv)}
+		}
 	}
 	if s.isDraining() {
 		return Result{}, &Error{Code: cloud.CodeBusy, Err: fmt.Errorf("server draining")}

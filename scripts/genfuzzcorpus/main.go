@@ -14,6 +14,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -66,6 +67,13 @@ func main() {
 			Classes: []int{1, 2}, Weights: []float64{4, 1},
 			Input: make([]float64, 16), RouteKey: "M/def", RingVersion: 7,
 			BudgetMicros: 250_000, Tenant: "batch", Lane: 1,
+		}),
+		// An inference whose input carries NaN and ±Inf: it decodes (gob
+		// has no opinion on float values) and Server.infer must refuse
+		// it as a bad request before any forward runs.
+		"seed-non-finite-input": gobBytes(&serve.WireRequest{
+			Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{0, 1},
+			Input: []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)},
 		}),
 		// A warm-handoff import naming a class no model has: the second
 		// gob stage (Payload) must be refused by validation, not indexed.
