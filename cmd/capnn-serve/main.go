@@ -7,14 +7,11 @@
 //	capnn-serve -addr 127.0.0.1:7879 -model cifar10 -variant M
 //
 // The serving tier self-heals: a runtime ε-guard shadow-samples each
-// cached personalization and, when the user's observed class mix drifts
-// past the ε degradation bound, falls back to the unpruned network and
-// repersonalizes through a circuit breaker (tune with -guard-* flags,
-// disable with -no-guard). Before that trip ever fires, a proactive
-// skew detector watches the same shadow window for distribution drift
-// (total-variation distance against the personalized-for preferences)
-// and repersonalizes early through a rate-limiting gate (tune with
-// -skew-* and -proactive-interval, disable with -proactive=false).
+// cached personalization and, when the window shows more off-preference
+// predictions than the claimed classes' profiled confusion rows explain,
+// falls back to the unpruned network and repersonalizes against the
+// observed class mix through a circuit breaker (size the sampling with
+// -guard-sample-every and -guard-window, disable with -no-guard).
 //
 // With -state the server checkpoints its mask cache (plus model and
 // firing rates) into an atomic, CRC-checksummed store and warm-starts
@@ -79,12 +76,6 @@ func main() {
 	noGuard := flag.Bool("no-guard", false, "disable the runtime ε-guard (serve stale personalizations forever)")
 	guardEvery := flag.Int("guard-sample-every", 8, "shadow-sample every Nth request per entry through the unpruned network")
 	guardWindow := flag.Int("guard-window", 256, "sliding window of shadow observations per entry")
-	guardSlack := flag.Float64("guard-slack", 0.05, "off-preference share absorbed before the guard trips (also absorbs base model error)")
-	guardMinObs := flag.Int("guard-min-obs", 0, "observations required before the guard judges an entry (0 = default 64)")
-	proactive := flag.Bool("proactive", true, "proactively repersonalize on observed class-skew drift before the ε-guard trips (-proactive=false leaves only the reactive trip path)")
-	skewThreshold := flag.Float64("skew-threshold", 0, "total-variation distance between observed and personalized-for class mix that signals a skew flip (0 = default 0.4)")
-	skewMinObs := flag.Int("skew-min-obs", 0, "observations required before the skew detector judges an entry; keep well under guard-min-obs (0 = default 32)")
-	proactiveInterval := flag.Duration("proactive-interval", 0, "minimum spacing between proactive repersonalizations server-wide (0 = default 500ms)")
 	flag.Parse()
 
 	var cfg exp.FixtureConfig
@@ -138,12 +129,6 @@ func main() {
 		DisableGuard:      *noGuard,
 		GuardSampleEvery:  *guardEvery,
 		GuardWindow:       *guardWindow,
-		GuardSlack:        *guardSlack,
-		GuardMinObs:       *guardMinObs,
-		DisableProactive:  !*proactive,
-		SkewThreshold:     *skewThreshold,
-		SkewMinObs:        *skewMinObs,
-		ProactiveInterval: *proactiveInterval,
 	})
 	// Cluster fence: a gateway's ring broadcasts (OpRingUpdate) install a
 	// local copy of the membership here, and every routed request's

@@ -31,6 +31,40 @@ func TestConfusionMatrixRowsSumToOne(t *testing.T) {
 	}
 }
 
+// OffPreferenceShare is the confusion rows read the serving guard's way:
+// the claimed-weight mix of each row's mass outside K, backed by the
+// profile images of K's classes.
+func TestOffPreferenceShare(t *testing.T) {
+	f := getFixture(t)
+	prefs := Preferences{Classes: []int{0, 4}, Weights: []float64{0.75, 0.25}}
+	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix(prefs.Classes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := 0.75*(1-cm.Rows[0][0]-cm.Rows[0][4]) + 0.25*(1-cm.Rows[1][0]-cm.Rows[1][4])
+	share, n, err := f.sys.OffPreferenceShare(prefs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(share-want) > 1e-12 {
+		t.Fatalf("share %v, want %v from the rows", share, want)
+	}
+	// 15 profile images per class: 1/(0.75²/15 + 0.25²/15) = 24.
+	if math.Abs(n-24) > 1e-9 {
+		t.Fatalf("effective profile n %v, want 24", n)
+	}
+	if _, n, _ := f.sys.OffPreferenceShare(Uniform([]int{1, 2, 3})); math.Abs(n-45) > 1e-9 {
+		t.Fatalf("uniform over 3 classes: n %v, want all 45 images", n)
+	}
+	all, _, err := f.sys.OffPreferenceShare(Uniform([]int{0, 1, 2, 3, 4, 5}))
+	if err != nil || all < 0 || all > 1e-12 {
+		t.Fatalf("every class preferred: share %v err %v, want 0", all, err)
+	}
+	if _, _, err := f.sys.OffPreferenceShare(Uniform([]int{0, 77})); err == nil {
+		t.Fatal("out-of-range class accepted")
+	}
+}
+
 func TestTopConfusingExcludesSelf(t *testing.T) {
 	f := getFixture(t)
 	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{2})

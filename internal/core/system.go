@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"capnn/internal/data"
 	"capnn/internal/firing"
@@ -100,6 +101,33 @@ func (s *System) Prune(v Variant, prefs Preferences) (map[int][]bool, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown variant %q", v)
 	}
+}
+
+// OffPreferenceShare is the share of top-1 predictions the unpruned
+// model's profiled confusion rows place outside prefs.Classes when the
+// traffic is exactly what prefs claims, and the effective number of
+// profiling images behind that estimate (1/Σ wₖ²/nₖ: the rows are
+// per-class frequencies, mixed by the claimed weights). It is what a
+// serving-time drift test must not mistake for drift. Like Prune it is
+// not safe for concurrent use: a class's row is measured on first use.
+func (s *System) OffPreferenceShare(prefs Preferences) (share, n float64, err error) {
+	if err := prefs.Validate(s.Rates.Classes); err != nil {
+		return 0, 0, err
+	}
+	cm, err := s.confusion.Matrix(prefs.Classes)
+	if err != nil {
+		return 0, 0, err
+	}
+	for i, k := range prefs.Classes {
+		off := 1.0
+		for _, c := range prefs.Classes {
+			off -= cm.Rows[i][c]
+		}
+		w := prefs.Weights[i]
+		share += w * off
+		n += w * w / float64(len(s.confusion.byClass[k]))
+	}
+	return math.Max(share, 0), 1 / n, nil
 }
 
 // Result reports what a pruning run achieved, measured on a test set.

@@ -33,15 +33,27 @@ func sameBits(t *testing.T, f *fixture, what string, got []float64, x *tensor.Te
 	}
 }
 
+// forceTrip puts a guard into the tripped (fallback-serving) state
+// without a judgement.
+func forceTrip(t *testing.T, g *entryGuard) {
+	t.Helper()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.tripped {
+		t.Fatal("entry already tripped")
+	}
+	g.tripped = true
+}
+
 // Invariant 13 on all three ways a request is answered: on its entry's
 // plan, as a guard shadow sample, and as a tripped entry's fallback.
 func TestServedAnswersBitIdentical(t *testing.T) {
 	f := getFixture(t)
 	cfg := planConfig()
-	// Every 2nd request per entry is a shadow sample; MinObs keeps the
-	// guard from judging, so the only trip is the forced one below.
-	cfg.DisableGuard, cfg.DisableProactive = false, true
-	cfg.GuardSampleEvery, cfg.GuardWindow, cfg.GuardMinObs = 2, 1024, 1024
+	// Every 2nd request per entry is a shadow sample; one observation is
+	// below guardMinObs, so the only trip is the forced one below.
+	cfg.DisableGuard = false
+	cfg.GuardSampleEvery, cfg.GuardWindow = 2, 1024
 	srv := NewServerWith(f.sys, cfg)
 	defer srv.Close()
 
@@ -72,9 +84,7 @@ func TestServedAnswersBitIdentical(t *testing.T) {
 	}
 	sameBits(t, f, "shadow sample", shadow.Logits, x, nil)
 
-	if !entry.guard.forceTrip() {
-		t.Fatal("entry already tripped")
-	}
+	forceTrip(t, entry.guard)
 	fallback := serve()
 	if !fallback.Fallback {
 		t.Fatal("tripped entry did not serve as fallback")

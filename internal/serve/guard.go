@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"sync"
 
@@ -10,9 +11,11 @@ import (
 // entryGuard is the runtime ε-guard attached to one cached mask entry.
 // CAP'NN's contract — no preference class degrades by more than ε — is
 // verified at prune time against the preferences the user *claimed*.
-// The guard re-checks it at serve time against the class mix the user
-// actually *sends* (the SECS observation: class-skew systems must react
-// when the observed distribution drifts from the profiled one).
+// The guard re-checks at serve time that the class mix the user actually
+// *sends* is still the claimed one (the SECS observation: class-skew
+// systems must react when the observed distribution drifts from the
+// profiled one), because traffic outside the preference set runs on
+// units that were pruned away with no bound on the damage.
 //
 // Mechanism: every sampleEvery-th request for the entry is served
 // through the unpruned network (a shadow sample) and its top-1
@@ -21,81 +24,79 @@ import (
 // tends to collapse predictions *into* K, so the pruned model's own
 // outputs would hide exactly the drift the guard exists to catch.
 //
-// From the window the guard estimates the worst-case accuracy
-// degradation of the current masks under the observed mix:
-//
-//	estDeg = ε·inShare + 1·offShare
-//
-// — in-preference traffic is degraded at most ε by construction, while
-// off-preference traffic may be fully degraded (its units were pruned
-// away). The guard trips when estDeg exceeds ε + slack, which reduces
-// to offShare > slack/(1−ε): off-preference share beyond what the
-// slack absorbs. A tripped entry serves its users through the unpruned
-// network (fallback) while a repersonalization against the observed
-// preferences is scheduled through the server's circuit breaker.
+// The unpruned model is itself wrong some of the time, so even traffic
+// that is exactly what the user claimed shows predictions outside K —
+// on the cifar10 fixture 2–28 % of them, depending on the key. That
+// share is known: the profiled confusion rows of the claimed classes
+// predict it (core.System.OffPreferenceShare). The guard therefore makes
+// one judgement (driftTest): the window's off-preference share against
+// the predicted one, each with its sampling error. A tripped entry
+// serves its users through the unpruned network (fallback) while a
+// repersonalization against the observed preferences runs through the
+// server's circuit breaker.
 type entryGuard struct {
-	epsilon float64
-	slack   float64
-	minObs  int
-	every   int // shadow-sample every Nth request; ≤0 disables
+	every     int     // shadow-sample every Nth request; ≤0 disables
+	predicted float64 // off-preference share the confusion rows predict
+	profileN  float64 // profiling images behind predicted
 
-	// Proactive skew detection (SECS-style): the guard also watches the
-	// total-variation distance between the window's observed class
-	// distribution and the preferences the entry was personalized for.
-	// Crossing skewThreshold (after skewMinObs observations) signals a
-	// skew flip worth repersonalizing for *before* estimated degradation
-	// crosses the trip line. ≤0 disables.
-	skewThreshold float64
-	skewMinObs    int
-	claimed       []float64 // class → personalized-for preference weight
-
-	mu       sync.Mutex
-	win      *core.SlidingMonitor
-	inClass  []bool // class → in the entry's preference set
-	seq      int    // requests since last shadow sample
-	tripped  bool
-	healing  bool // a heal has been scheduled for this entry
-	estDeg   float64
-	skewDist float64 // last computed observed-vs-claimed TV distance
-	fallback uint64  // requests this entry served unpruned after tripping
+	mu      sync.Mutex
+	win     *core.SlidingMonitor
+	inClass []bool // class → in the entry's preference set
+	seq     int    // requests since last shadow sample
+	tripped bool
 }
 
-// guardSignal is observe's verdict; the flags are mutually exclusive.
-type guardSignal struct {
-	// Trip: estimated degradation crossed ε + slack; the entry is now
-	// tripped (reported exactly once) and serves fallback.
-	Trip bool
-	// Skew: the observed class mix has drifted from the personalized-for
-	// preferences beyond the skew threshold; the entry is NOT tripped —
-	// the caller may proactively repersonalize. Unlike Trip this is
-	// level-triggered: it keeps firing while the condition holds and no
-	// heal is pending, so a gate-suppressed signal can refire (or give
-	// way to a trip once degradation itself crosses the line).
-	Skew bool
+// guardMinObs defers judgement until the window holds this many
+// observations. The bounds alone nearly suffice — they widen as the
+// window empties — but for a key whose rows predict no off-preference
+// mass at all they would let the first unlucky shadow sample trip a
+// fresh entry.
+const guardMinObs = 8
+
+// guardZ is the normal quantile both confidence bounds are taken at:
+// one-sided 0.13 % each, spent on a window that is re-judged at every
+// shadow sample.
+const guardZ = 3
+
+// TripReport is the evidence an ε-guard tripped on: Observed is the
+// share of the window's Observations predicted outside the preference
+// set and ObservedLow its lower confidence bound; Predicted is the share
+// the claimed classes' confusion rows explain and PredictedHigh its
+// upper bound. The entry tripped because ObservedLow > PredictedHigh.
+type TripReport struct {
+	Key                      string
+	Observations             int
+	Observed, ObservedLow    float64
+	Predicted, PredictedHigh float64
 }
 
-func newEntryGuard(prefs core.Preferences, classes int, epsilon, slack float64, window, minObs, every int, skewThreshold float64, skewMinObs int) (*entryGuard, error) {
-	win, err := core.NewSlidingMonitor(classes, window)
-	if err != nil {
-		return nil, err
-	}
-	in := make([]bool, classes)
-	claimed := make([]float64, classes)
-	for i, c := range prefs.Classes {
-		in[c] = true
-		claimed[c] = prefs.Weights[i]
-	}
-	return &entryGuard{
-		epsilon:       epsilon,
-		slack:         slack,
-		minObs:        minObs,
-		every:         every,
-		skewThreshold: skewThreshold,
-		skewMinObs:    skewMinObs,
-		claimed:       claimed,
-		win:           win,
-		inClass:       in,
-	}, nil
+func (r TripReport) String() string {
+	return fmt.Sprintf("off-preference share %.3f of %d observations (≥ %.3f) against %.3f predicted by the confusion rows (≤ %.3f)",
+		r.Observed, r.Observations, r.ObservedLow, r.Predicted, r.PredictedHigh)
+}
+
+// driftTest is the guard's one judgement, a pure function of the window
+// counts and the profiled prediction: off of n shadow observations fell
+// outside the preference set, where the confusion rows — estimated from
+// profileN images — predict a share of predicted. It reports drift when
+// the Wilson lower bound of the observed share clears the Wilson upper
+// bound of the predicted one: the observed excess is then more than the
+// sampling error of either estimate explains. Bounding only the observed
+// side is not enough — the rows are 40-image estimates.
+func driftTest(off, n int, predicted, profileN float64) (TripReport, bool) {
+	r := TripReport{Observations: n, Observed: float64(off) / float64(n), Predicted: predicted}
+	r.ObservedLow, _ = wilson(r.Observed, float64(n))
+	_, r.PredictedHigh = wilson(predicted, profileN)
+	return r, n >= guardMinObs && r.ObservedLow > r.PredictedHigh
+}
+
+// wilson is the Wilson score interval at guardZ for a share p estimated
+// from n samples.
+func wilson(p, n float64) (low, high float64) {
+	const z2 = guardZ * guardZ
+	centre := (p + z2/(2*n)) / (1 + z2/n)
+	half := guardZ / (1 + z2/n) * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
+	return centre - half, centre + half
 }
 
 // admit is called once per request for the entry, before dispatch. It
@@ -110,7 +111,6 @@ func (g *entryGuard) admit() (unpruned, fallback bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if g.tripped {
-		g.fallback++
 		// Fallback traffic is all unpruned; keep observing it so the
 		// heal personalizes against the freshest window.
 		return true, true
@@ -126,78 +126,42 @@ func (g *entryGuard) admit() (unpruned, fallback bool) {
 	return false, false
 }
 
-// observe feeds one shadow-sampled top-1 prediction into the window and
-// judges it. While a heal is pending (proactive or trip-scheduled) the
-// guard stays quiet: the system has already reacted, and tripping an
-// entry mid-heal would put its users on fallback for masks that are
-// about to be replaced anyway. Should the heal fail, forceTrip restores
-// the fallback immediately.
-func (g *entryGuard) observe(pred int) guardSignal {
+// observe feeds one unpruned top-1 prediction into the window and judges
+// it. The trip is reported exactly once, with its evidence; a tripped
+// entry keeps filling the window for its heal.
+func (g *entryGuard) observe(pred int) (TripReport, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.win.Observe(pred) != nil {
-		return guardSignal{} // out-of-range prediction; nothing to learn
+	if g.win.Observe(pred) != nil || g.tripped {
+		return TripReport{}, false // out of range, or already reported
 	}
-	if g.tripped || g.healing {
-		return guardSignal{}
-	}
-	total := g.win.Total()
-	if g.skewThreshold > 0 && total >= g.skewMinObs {
-		g.skewDist = g.skewDistanceLocked()
-		if g.skewDist > g.skewThreshold {
-			// Skew preempts the trip on this observation: the caller gets
-			// a chance to repersonalize proactively without the entry
-			// falling back. If it cannot act (gate suppression), the trip
-			// condition is re-judged on the next observation.
-			return guardSignal{Skew: true}
-		}
-	}
-	if total >= g.minObs {
-		g.estDeg = g.estimateLocked()
-		if g.estDeg > g.epsilon+g.slack {
-			g.tripped = true
-			return guardSignal{Trip: true}
-		}
-	}
-	return guardSignal{}
+	r, trip := g.judgeLocked()
+	g.tripped = trip
+	return r, trip
 }
 
-// skewDistanceLocked is the total-variation distance between the
-// window's observed class distribution and the claimed preference
-// weights: ½·Σ|observed − claimed| ∈ [0,1]. Zero means traffic matches
-// the personalization exactly; 1 means fully disjoint.
-func (g *entryGuard) skewDistanceLocked() float64 {
-	d := 0.0
-	for c := range g.claimed {
-		d += math.Abs(g.win.Share(c) - g.claimed[c])
+func (g *entryGuard) judgeLocked() (TripReport, bool) {
+	off := g.win.Total()
+	for c, n := range g.win.Counts() {
+		if g.inClass[c] {
+			off -= n
+		}
 	}
-	return d / 2
+	return driftTest(off, g.win.Total(), g.predicted, g.profileN)
 }
 
-// forceTrip puts the entry into tripped (fallback-serving) state without
-// a guard judgement — the safety valve when a proactive heal fails: the
-// trip was deferred on the promise of an imminent repersonalization, so
-// a failed attempt must restore the unpruned fallback at once. Reports
-// whether this call flipped the state.
-func (g *entryGuard) forceTrip() bool {
+// report returns the evidence of an entry that is serving fallback.
+func (g *entryGuard) report() (TripReport, bool) {
+	if g == nil {
+		return TripReport{}, false
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.tripped {
-		return false
+	if !g.tripped {
+		return TripReport{}, false
 	}
-	g.tripped = true
-	return true
-}
-
-// estimateLocked computes estDeg = ε·inShare + offShare over the window.
-func (g *entryGuard) estimateLocked() float64 {
-	in := 0.0
-	for c, isIn := range g.inClass {
-		if isIn {
-			in += g.win.Share(c)
-		}
-	}
-	return g.epsilon*in + (1 - in)
+	r, _ := g.judgeLocked()
+	return r, true
 }
 
 // observedPrefs derives fresh preferences from the window for the heal,
@@ -209,24 +173,11 @@ func (g *entryGuard) observedPrefs(k int) (core.Preferences, error) {
 	return g.win.Preferences(k)
 }
 
-// state snapshots the guard for stats.
-func (g *entryGuard) state() (tripped bool, estDeg float64, fallback uint64) {
-	if g == nil {
-		return false, 0, 0
-	}
+// clear ends a false alarm: the entry goes back to its own masks with an
+// empty window.
+func (g *entryGuard) clear() {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return g.tripped, g.estDeg, g.fallback
-}
-
-// claimHeal marks the entry as having a scheduled heal; the first
-// caller gets true and owns spawning it.
-func (g *entryGuard) claimHeal() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.healing {
-		return false
-	}
-	g.healing = true
-	return true
+	g.win.Reset()
+	g.seq, g.tripped = 0, false
 }

@@ -54,14 +54,11 @@ func (s *Server) entryFromCached(cm CachedMask) (*maskEntry, error) {
 		prunedUnits: cm.PrunedUnits,
 		totalUnits:  cm.TotalUnits,
 	}
-	if !s.cfg.DisableGuard {
-		guard, err := newEntryGuard(prefs, s.sys.Rates.Classes, s.sys.Params.Epsilon,
-			s.cfg.GuardSlack, s.cfg.GuardWindow, s.cfg.GuardMinObs, s.cfg.GuardSampleEvery,
-			s.skewThreshold(), s.cfg.SkewMinObs)
-		if err != nil {
-			return nil, fmt.Errorf("serve: entry %q: %w", cm.Key, err)
-		}
-		e.guard = guard
+	s.personalizeMu.Lock()
+	e.guard, err = s.newGuard(prefs)
+	s.personalizeMu.Unlock()
+	if err != nil {
+		return nil, fmt.Errorf("serve: entry %q: %w", cm.Key, err)
 	}
 	return e, nil
 }

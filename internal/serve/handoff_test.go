@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"capnn/internal/cloud"
@@ -13,11 +14,13 @@ import (
 
 // TestHandoffExportImportRoundTrip: a warm cache exported from one
 // server and imported into a fresh one serves the same requests with
-// zero personalizations — identical logits, all hits — and resident
-// entries win over a re-import.
+// zero personalizations — identical logits, all hits — under guards
+// built exactly as a fill builds them, and resident entries win over a
+// re-import.
 func TestHandoffExportImportRoundTrip(t *testing.T) {
 	f := getFixture(t)
-	src := NewServerWith(f.sys, Config{Variant: core.VariantM})
+	cfg := Config{Variant: core.VariantM, GuardSampleEvery: 3, GuardWindow: 40}
+	src := NewServerWith(f.sys, cfg)
 	defer src.Close()
 
 	prefs := []core.Preferences{
@@ -42,7 +45,7 @@ func TestHandoffExportImportRoundTrip(t *testing.T) {
 		t.Fatalf("HandoffExported = %d, want %d", st.HandoffExported, len(prefs))
 	}
 
-	dst := NewServerWith(f.sys, Config{Variant: core.VariantM})
+	dst := NewServerWith(f.sys, cfg)
 	defer dst.Close()
 	n, err := dst.ImportMasks(cms)
 	if err != nil {
@@ -50,6 +53,21 @@ func TestHandoffExportImportRoundTrip(t *testing.T) {
 	}
 	if n != len(prefs) {
 		t.Fatalf("imported %d entries, want %d", n, len(prefs))
+	}
+	filled := map[string]*entryGuard{}
+	for _, e := range src.cache.snapshot() {
+		filled[e.key] = e.guard
+	}
+	for _, e := range dst.cache.snapshot() {
+		got, want := e.guard, filled[e.key]
+		if got == nil || got.every != want.every || got.win.Window() != want.win.Window() ||
+			got.predicted != want.predicted || got.profileN != want.profileN || !slices.Equal(got.inClass, want.inClass) {
+			t.Fatalf("entry %s: imported guard %+v differs from the fill's %+v", e.key, got, want)
+		}
+		if got.every != 3 || got.win.Window() != 40 || got.win.Total() != 0 {
+			t.Fatalf("entry %s: imported guard samples every %d over %d with %d observations, want 3 / 40 / a fresh window",
+				e.key, got.every, got.win.Window(), got.win.Total())
+		}
 	}
 	for i, p := range prefs {
 		res, err := dst.Infer(p, f.sample(t, i))

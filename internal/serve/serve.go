@@ -77,33 +77,6 @@ type Config struct {
 	// GuardWindow is the sliding window (observations) the guard judges
 	// drift over. Default 256.
 	GuardWindow int
-	// GuardMinObs defers judgement until the window holds this many
-	// observations, so one unlucky sample cannot trip a fresh entry.
-	// Default 64.
-	GuardMinObs int
-	// GuardSlack is the tolerated estimated degradation beyond ε before
-	// the guard trips (trip when estDeg > ε + slack). Default 0.05.
-	GuardSlack float64
-
-	// DisableProactive turns skew-driven proactive repersonalization off;
-	// the reactive ε-guard trip path is unaffected.
-	DisableProactive bool
-	// SkewThreshold is the total-variation distance between an entry's
-	// observed class distribution and its personalized-for preferences
-	// beyond which the guard signals a skew flip (the SECS dichotomy:
-	// react to the distribution change, not the accuracy damage it will
-	// cause). Must absorb sampling noise plus base-model error, or a
-	// stationary workload repersonalizes spuriously. Default 0.4.
-	SkewThreshold float64
-	// SkewMinObs defers skew judgement until the window holds this many
-	// observations. Keep it well under GuardMinObs — the proactive
-	// detector's whole point is reaching a verdict first. Default 32.
-	SkewMinObs int
-	// ProactiveInterval is the minimum spacing between proactive
-	// repersonalizations server-wide (the gate's hysteresis), so a drift
-	// storm flipping many entries at once cannot thrash the
-	// personalizer. Default 500ms.
-	ProactiveInterval time.Duration
 
 	// BreakerCooldown is how long the repersonalization breaker — open
 	// after healFailThreshold consecutive failed heals — rejects attempts
@@ -129,12 +102,6 @@ func DefaultConfig() Config {
 
 		GuardSampleEvery: 8,
 		GuardWindow:      256,
-		GuardMinObs:      64,
-		GuardSlack:       0.05,
-
-		SkewThreshold:     0.4,
-		SkewMinObs:        32,
-		ProactiveInterval: 500 * time.Millisecond,
 
 		BreakerCooldown: 5 * time.Second,
 		HealBackoff:     250 * time.Millisecond,
@@ -178,21 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.GuardWindow <= 0 {
 		c.GuardWindow = d.GuardWindow
-	}
-	if c.GuardMinObs <= 0 {
-		c.GuardMinObs = d.GuardMinObs
-	}
-	if c.GuardSlack <= 0 {
-		c.GuardSlack = d.GuardSlack
-	}
-	if c.SkewThreshold <= 0 {
-		c.SkewThreshold = d.SkewThreshold
-	}
-	if c.SkewMinObs <= 0 {
-		c.SkewMinObs = d.SkewMinObs
-	}
-	if c.ProactiveInterval <= 0 {
-		c.ProactiveInterval = d.ProactiveInterval
 	}
 	if c.BreakerCooldown <= 0 {
 		c.BreakerCooldown = d.BreakerCooldown
@@ -257,10 +209,6 @@ type Server struct {
 
 	// breaker guards the repersonalization path taken by ε-guard heals.
 	breaker *breaker.Breaker
-
-	// proactive gates skew-triggered repersonalizations; nil when
-	// DisableProactive is set (a nil gate allows nothing).
-	proactive *proactiveGate
 
 	// ownerCheck, when installed, judges gateway-routed requests'
 	// placement metadata (RouteKey, RingVersion) before serving them.
@@ -327,9 +275,6 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	s.rpc = rpc.NewServer(
 		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
 		func(req *WireRequest) *WireResponse { return s.Handle(*req) }, badRequest)
-	if !cfg.DisableProactive {
-		s.proactive = newProactiveGate(cfg.ProactiveInterval)
-	}
 	reg.GaugeFunc("capnn_serve_compiled_bytes", "Approximate resident compiled-weight bytes.", func() float64 {
 		bytes, _ := s.residentPlans()
 		return float64(bytes)
@@ -410,6 +355,12 @@ func (s *Server) Stats() Stats {
 	b := s.breaker.Snapshot()
 	out.BreakerState, out.BreakerOpens, out.BreakerCloses, out.BreakerHalfOpens = b.State, b.Opens, b.Closes, b.HalfOpens
 	out.CompiledBytes, out.CompiledEntries = s.residentPlans()
+	for _, e := range s.cache.snapshot() {
+		if r, tripped := e.guard.report(); tripped {
+			r.Key = e.key
+			out.Tripped = append(out.Tripped, r)
+		}
+	}
 	return out
 }
 
@@ -533,24 +484,10 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 		}
 		class := tensor.Argmax(out.logits)
 		if unpruned && entry.guard != nil {
-			switch sig := entry.guard.observe(class); {
-			case sig.Skew:
-				// Proactive path: repersonalize while the entry still
-				// serves pruned masks — no fallback, no trip. The gate
-				// bounds how fast a drift storm can burn the
-				// personalizer; a suppressed entry keeps signalling and
-				// eventually either gets a token or degrades far enough
-				// for the reactive trip below.
-				if !s.proactive.allow() {
-					s.st.proactiveSuppressed()
-				} else if s.scheduleHeal(entry, healReasonSkew) {
-					s.st.skewDetected()
-					s.events.Record("skew-detect", entry.key, "observed class mix drifted from personalized-for preferences", nil)
-				}
-			case sig.Trip:
+			if why, trip := entry.guard.observe(class); trip {
 				s.st.guardTripped()
-				s.events.Record("guard-trip", entry.key, "estimated degradation beyond epsilon", nil)
-				s.scheduleHeal(entry, healReasonGuardTrip)
+				s.events.Record("guard-trip", entry.key, why.String(), nil)
+				s.scheduleHeal(entry)
 			}
 		}
 		return Result{
@@ -604,14 +541,8 @@ func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string)
 			}
 		}
 	}
-	if !s.cfg.DisableGuard {
-		g, gerr := newEntryGuard(prefs, s.sys.Rates.Classes, s.sys.Params.Epsilon,
-			s.cfg.GuardSlack, s.cfg.GuardWindow, s.cfg.GuardMinObs, s.cfg.GuardSampleEvery,
-			s.skewThreshold(), s.cfg.SkewMinObs)
-		if gerr != nil {
-			return nil, &Error{Code: cloud.CodeInternal, Err: gerr}
-		}
-		e.guard = g
+	if e.guard, err = s.newGuard(prefs); err != nil {
+		return nil, &Error{Code: cloud.CodeInternal, Err: err}
 	}
 	s.planFor(e)
 	return e, nil
@@ -623,33 +554,42 @@ func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string)
 // nothing left to wait for.
 func (s *Server) CompileWait(time.Duration) error { return nil }
 
-// skewThreshold is the value guards are built with: the configured
-// threshold, or 0 (detector off) when proactive repersonalization is
-// disabled.
-func (s *Server) skewThreshold() float64 {
-	if s.cfg.DisableProactive {
-		return 0
+// newGuard builds the ε-guard every entry of this server gets, however
+// it arrives — cache fill, heal, handoff import, checkpoint restore — or
+// nil when guarding is off. The caller holds personalizeMu: the confusion
+// rows behind the predicted share are measured on first use.
+func (s *Server) newGuard(prefs core.Preferences) (*entryGuard, error) {
+	if s.cfg.DisableGuard {
+		return nil, nil
 	}
-	return s.cfg.SkewThreshold
+	predicted, profileN, err := s.sys.OffPreferenceShare(prefs)
+	if err != nil {
+		return nil, err
+	}
+	win, err := core.NewSlidingMonitor(s.sys.Rates.Classes, s.cfg.GuardWindow)
+	if err != nil {
+		return nil, err
+	}
+	g := &entryGuard{every: s.cfg.GuardSampleEvery, predicted: predicted, profileN: profileN,
+		win: win, inClass: make([]bool, s.sys.Rates.Classes)}
+	for _, c := range prefs.Classes {
+		g.inClass[c] = true
+	}
+	return g, nil
 }
 
-// scheduleHeal spawns the repersonalization goroutine for an entry — at
-// most one per entry, and none once draining has begun (healMu orders
-// the Add against Shutdown's Wait). Reports whether this call claimed
-// the entry's heal.
-func (s *Server) scheduleHeal(entry *maskEntry, reason string) bool {
-	if !entry.guard.claimHeal() {
-		return false
-	}
+// scheduleHeal spawns the repersonalization goroutine for an entry that
+// just tripped (a trip is reported once, so at most one runs per entry),
+// and none once draining has begun: healMu orders the Add against
+// Shutdown's Wait.
+func (s *Server) scheduleHeal(entry *maskEntry) {
 	s.healMu.Lock()
+	defer s.healMu.Unlock()
 	if s.drainingHeals {
-		s.healMu.Unlock()
-		return false
+		return
 	}
 	s.healWG.Add(1)
-	s.healMu.Unlock()
-	go s.heal(entry, reason)
-	return true
+	go s.heal(entry)
 }
 
 // healFailThreshold consecutive failed heals open the repersonalization
@@ -657,32 +597,32 @@ func (s *Server) scheduleHeal(entry *maskEntry, reason string) bool {
 // ε-guards must not become an unbounded stream of failing prune runs.
 const healFailThreshold = 4
 
-// heal repersonalizes an entry against the class mix its guard actually
-// observed, through the circuit breaker. The healed masks are published
-// under the entry's original request key, so the affected users
+// heal repersonalizes a tripped entry against the class mix its guard
+// actually observed, through the circuit breaker. The healed masks are
+// published under the entry's original request key, so the affected users
 // transparently move onto masks that match their real usage. Failures
 // retry on a backoff until the breaker admits a successful attempt or
-// the server drains. A proactively scheduled heal (reason "skew") runs
-// while the entry still serves pruned masks; its first failure
-// force-trips the entry so the unpruned fallback — deferred on the
-// promise of a quick repersonalization — is restored immediately.
-func (s *Server) heal(entry *maskEntry, reason string) {
+// the server drains. A window that describes the very preferences the
+// entry was pruned for was a false alarm: it costs no Prune — the entry
+// goes back to its own masks.
+func (s *Server) heal(entry *maskEntry) {
 	defer s.healWG.Done()
-	k := len(entry.prefs.Classes)
-	if k < 1 {
-		k = 1
-	}
 	for {
+		prefs, err := entry.guard.observedPrefs(len(entry.prefs.Classes))
+		if err == nil && prefs.Key() == entry.prefs.Key() {
+			entry.guard.clear()
+			s.events.Record("heal-noop", entry.key, "observed class mix is the personalized-for one; trip cleared", nil)
+			return
+		}
 		if s.breaker.Allow() {
-			prefs, err := entry.guard.observedPrefs(k)
 			if err == nil {
 				var fresh *maskEntry
 				fresh, err = s.personalize(entry.variant, prefs, entry.key)
 				if err == nil {
 					s.breaker.Record(true)
 					s.cache.install(fresh)
-					s.st.healed(reason)
-					s.events.Record("heal", entry.key, "repersonalized against observed class mix ("+reason+")", nil)
+					s.st.healed()
+					s.events.Record("heal", entry.key, "repersonalized against observed class mix", nil)
 					if s.hookHealed != nil {
 						s.hookHealed(entry.key, prefs)
 					}
@@ -691,11 +631,7 @@ func (s *Server) heal(entry *maskEntry, reason string) {
 			}
 			s.breaker.Record(false)
 			s.st.healFailed()
-			s.events.Record("heal-failed", entry.key, healCause(err), nil)
-			if reason == healReasonSkew && entry.guard.forceTrip() {
-				s.st.guardTripped()
-				s.events.Record("guard-trip", entry.key, "proactive heal failed; fallback restored", nil)
-			}
+			s.events.Record("heal-failed", entry.key, err.Error(), nil)
 		}
 		select {
 		case <-s.drainCh:
@@ -703,14 +639,6 @@ func (s *Server) heal(entry *maskEntry, reason string) {
 		case <-time.After(s.cfg.HealBackoff):
 		}
 	}
-}
-
-// healCause renders a heal failure for the event log.
-func healCause(err error) string {
-	if err == nil {
-		return "unknown"
-	}
-	return err.Error()
 }
 
 func (s *Server) isDraining() bool {

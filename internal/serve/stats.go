@@ -100,14 +100,10 @@ type Stats struct {
 	// failed attempts (breaker-recorded).
 	GuardTrips, FallbackServed, Heals, HealFailures uint64
 
-	// Proactive skew reaction: SkewDetected counts acted-on skew signals
-	// (each schedules a proactive heal); ProactiveSuppressed counts skew
-	// signals the gate's hysteresis held back. RepersonalizeSkew /
-	// RepersonalizeGuardTrip split Heals by trigger reason (they sum to
-	// Heals): skew-triggered heals ran *before* any accuracy trip,
-	// trip-triggered ones after.
-	SkewDetected, ProactiveSuppressed         uint64
-	RepersonalizeSkew, RepersonalizeGuardTrip uint64
+	// Tripped lists the resident entries serving fallback right now,
+	// each with the evidence its guard is judging (a trip's evidence at
+	// the moment it fired is in the event log).
+	Tripped []TripReport
 
 	// Circuit breaker: instantaneous state plus cumulative transition
 	// counts into each state.
@@ -163,9 +159,11 @@ func (s Stats) String() string {
 		s.MeanPersonalize(), s.MeanQueueWait(), s.MeanForward(), s.ForwardP99.Round(time.Microsecond))
 	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d resident=%dB/%d entries\n",
 		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.CompiledBytes, s.CompiledEntries)
-	fmt.Fprintf(&b, "guard: trips=%d fallback-served=%d heals=%d (skew=%d guard-trip=%d) heal-failures=%d\n",
-		s.GuardTrips, s.FallbackServed, s.Heals, s.RepersonalizeSkew, s.RepersonalizeGuardTrip, s.HealFailures)
-	fmt.Fprintf(&b, "proactive: skew-detected=%d suppressed=%d\n", s.SkewDetected, s.ProactiveSuppressed)
+	fmt.Fprintf(&b, "guard: trips=%d fallback-served=%d heals=%d heal-failures=%d\n",
+		s.GuardTrips, s.FallbackServed, s.Heals, s.HealFailures)
+	for _, r := range s.Tripped {
+		fmt.Fprintf(&b, "guard: %s tripped: %s\n", r.Key, r)
+	}
 	if s.HandoffExported > 0 || s.HandoffImported > 0 {
 		fmt.Fprintf(&b, "handoff: exported=%d imported=%d\n", s.HandoffExported, s.HandoffImported)
 	}
@@ -190,14 +188,6 @@ const (
 	shedReasonExpired   = "expired"
 )
 
-// Repersonalization trigger-reason labels: "skew" heals were scheduled
-// proactively by the skew detector before any accuracy trip;
-// "guard-trip" heals reactively after the ε-guard tripped the entry.
-const (
-	healReasonSkew      = "skew"
-	healReasonGuardTrip = "guard-trip"
-)
-
 // stats is the live accumulator behind Stats snapshots. It publishes
 // straight into metrics instruments — the same series /metrics exposes —
 // so a Stats snapshot, a SIGINT dump, and a Prometheus scrape can never
@@ -213,8 +203,6 @@ type stats struct {
 	persH, waitH, fwdH           *metrics.Histogram
 	guardC, fallbackC            *metrics.Counter
 	healC, healFailC             *metrics.Counter
-	repersonVec                  *metrics.CounterVec
-	skewC, suppressedC           *metrics.Counter
 	handoffExpC, handoffImpC     *metrics.Counter
 	ckptErrC                     *metrics.Counter
 	compileC, compileErrC        *metrics.Counter
@@ -251,14 +239,11 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		waitH:   reg.Histogram("capnn_serve_queue_wait_ns", "Per-request submit-to-dequeue queue wait.", metrics.LatencyBucketsNs()),
 		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Compiled-plan forward latency per request.", metrics.LatencyBucketsNs()),
 
-		guardC:      reg.Counter("capnn_serve_guard_trips_total", "Epsilon-guard trips (one per tripped entry)."),
-		fallbackC:   reg.Counter("capnn_serve_fallback_served_total", "Requests served through the unpruned network after a trip."),
-		healC:       reg.Counter("capnn_serve_heals_total", "Repersonalizations published by the heal path."),
-		healFailC:   reg.Counter("capnn_serve_heal_failures_total", "Failed heal attempts (breaker-recorded)."),
-		repersonVec: reg.CounterVec("capnn_serve_repersonalize_total", "Heal-path repersonalizations published, by trigger reason.", "reason"),
-		skewC:       reg.Counter("capnn_serve_skew_detected_total", "Acted-on skew signals (each scheduled a proactive heal)."),
-		suppressedC: reg.Counter("capnn_serve_proactive_suppressed_total", "Skew signals held back by the proactive gate's hysteresis."),
-		ckptErrC:    reg.Counter("capnn_serve_checkpoint_errors_total", "Failed checkpoint attempts."),
+		guardC:    reg.Counter("capnn_serve_guard_trips_total", "Epsilon-guard trips (one per tripped entry)."),
+		fallbackC: reg.Counter("capnn_serve_fallback_served_total", "Requests served through the unpruned network after a trip."),
+		healC:     reg.Counter("capnn_serve_heals_total", "Repersonalizations published by the heal path."),
+		healFailC: reg.Counter("capnn_serve_heal_failures_total", "Failed heal attempts (breaker-recorded)."),
+		ckptErrC:  reg.Counter("capnn_serve_checkpoint_errors_total", "Failed checkpoint attempts."),
 
 		handoffExpC: reg.Counter("capnn_serve_handoff_exported_total", "Cache entries streamed out by handoff export snapshots."),
 		handoffImpC: reg.Counter("capnn_serve_handoff_imported_total", "Warm cache entries installed by handoff imports."),
@@ -272,11 +257,6 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 	// the first shed (the cluster smoke test greps for them mid-load).
 	for _, reason := range []string{shedReasonQueueFull, shedReasonOverQuota, shedReasonExpired} {
 		st.shedVec.With(reason)
-	}
-	// Same convention for repersonalization trigger reasons: a scrape
-	// shows both series zeroed before the first heal.
-	for _, reason := range []string{healReasonSkew, healReasonGuardTrip} {
-		st.repersonVec.With(reason)
 	}
 	reg.GaugeFunc("capnn_serve_checkpoint_generation", "Last committed checkpoint generation (0 = never).", func() float64 {
 		st.mu.Lock()
@@ -343,11 +323,6 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 		Heals:          st.healC.Value(),
 		HealFailures:   st.healFailC.Value(),
 
-		SkewDetected:           st.skewC.Value(),
-		ProactiveSuppressed:    st.suppressedC.Value(),
-		RepersonalizeSkew:      st.repersonVec.With(healReasonSkew).Value(),
-		RepersonalizeGuardTrip: st.repersonVec.With(healReasonGuardTrip).Value(),
-
 		CheckpointErrors: st.ckptErrC.Value(),
 	}
 	// The shed total is derived as the sum of its reasons, so the
@@ -409,18 +384,8 @@ func (st *stats) handoffImported(n int) { st.handoffImpC.Add(uint64(n)) }
 
 func (st *stats) guardTripped()   { st.guardC.Inc() }
 func (st *stats) fallbackServed() { st.fallbackC.Inc() }
+func (st *stats) healed()         { st.healC.Inc() }
 func (st *stats) healFailed()     { st.healFailC.Inc() }
-
-// healed records one published repersonalization under its trigger
-// reason; the plain heals counter and the labeled family move together,
-// so Heals == RepersonalizeSkew + RepersonalizeGuardTrip always holds.
-func (st *stats) healed(reason string) {
-	st.healC.Inc()
-	st.repersonVec.With(reason).Inc()
-}
-
-func (st *stats) skewDetected()        { st.skewC.Inc() }
-func (st *stats) proactiveSuppressed() { st.suppressedC.Inc() }
 
 // noteCheckpoint records a committed checkpoint generation; a success
 // clears the sticky last-error so the gauge reflects current health.

@@ -16,8 +16,7 @@
 // piecewise-constant per flip epoch and catches up to behavior only after
 // a configurable lag, while the drawn class follows the continuously
 // drifting actual mix. During the lag the server observes off-preference
-// traffic — the skew window a proactive detector must catch before the
-// accuracy guard trips.
+// traffic — the skew window the serving tier's ε-guard must catch.
 package workload
 
 import (

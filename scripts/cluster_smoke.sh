@@ -24,15 +24,11 @@
 # asserts the QoS contract: a flooding bulk tenant is shed with typed
 # over-quota answers while interactive traffic serves inside its
 # deadline budget with zero failures.
-# A final drift phase replays the same seeded skew-flip workload trace
-# (capnn-loadgen -workload zipf -drift ...) against two fresh guarded
-# clusters — proactive skew detection on, then off — and asserts the
-# SECS-style contract: with proactive on the shards repersonalize on
-# observed skew (reason="skew" heals > 0) and trip the ε-guard strictly
-# less than the proactive-off control, with zero client-visible
-# failures either way; the trace-determined scorecard fields replay
-# bit-identically, and both JSON scorecards are kept as artifacts
-# (driftload_on.json / driftload_off.json).
+# A final drift phase replays a seeded skew-flip workload trace
+# (capnn-loadgen -workload zipf -drift ...) against a fresh cluster on
+# the production guard and asserts that the flip trips guards and heals
+# entries with zero client-visible failures; the JSON scorecard is kept
+# as an artifact (driftload.json).
 # Binaries are built -race so the run doubles as a data-race hunt
 # across the serve + cluster hot paths (disable with RACE=0).
 #
@@ -277,14 +273,19 @@ echo "cluster_smoke: phase 6 — elastic scale: 3 -> 5 -> 2 shards under sustain
 #   - every membership change advances the epoch gauge in /metrics,
 #   - keys whose owner changes arrive warm on the joiner (handoff
 #     imports visible on the joiner's /metrics), holding the cache-hit
-#     floor: each of the 8 user personalizations is computed once at
-#     warm-up and at most refilled once per survivor after the kill,
+#     floor: each key's personalization is computed once, on its
+#     primary, and at most refilled once per survivor after the kill,
 #   - a kill -9 of an outgoing owner mid-handoff degrades to counted
 #     handoff failures plus cold refills — the epoch still flips and
 #     the client never sees a failure.
+# The shards run the production config, ε-guard on, and the load is a
+# stationary zipf trace (every request drawn from the preferences it
+# claims), so no entry — filled, handed over or refilled — may trip or
+# heal: the personalization count is the fills alone.
+E_TRACE=(-workload zipf -users 8 -seed 1)
 E_NODE_ADDRS=(); E_NODE_MADDRS=(); E_NODE_PIDS=()
 for i in 0 1 2 3 4; do
-    "$WORKDIR/capnn-serve" -addr 127.0.0.1:0 -model "$MODEL" -no-guard \
+    "$WORKDIR/capnn-serve" -addr 127.0.0.1:0 -model "$MODEL" \
         -request-timeout 100s -metrics-addr 127.0.0.1:0 \
         >"$WORKDIR/eserve$i.log" 2>&1 &
     E_NODE_PIDS+=($!)
@@ -304,11 +305,11 @@ EGW_ADDR=$(wait_addr "$WORKDIR/egateway.log")
 EGW_MADDR=$(wait_maddr "$WORKDIR/egateway.log")
 echo "cluster_smoke: elastic gateway at $EGW_ADDR (metrics $EGW_MADDR), members ${E_NODE_ADDRS[0]} ${E_NODE_ADDRS[1]} ${E_NODE_ADDRS[2]}"
 
-# Warm through the gateway: each of the 8 user personalizations runs
-# exactly once, on its primary. Warm handoff must preserve that —
+# Warm through the gateway: each key's personalization runs exactly
+# once, on its primary. Warm handoff must preserve that —
 # scaling out and back in may not re-run personalization for keys whose
 # entries can be moved.
-"$WORKDIR/capnn-loadgen" -addr "$EGW_ADDR" -model "$MODEL" -n 16 -users 8 \
+"$WORKDIR/capnn-loadgen" -addr "$EGW_ADDR" -model "$MODEL" -n 64 "${E_TRACE[@]}" \
     -concurrency 8 -timeout 150s -progress-every 0 >"$WORKDIR/ewarm.log" 2>&1 || {
     sed 's/^/  ewarm| /' "$WORKDIR/ewarm.log" | tail -5
     echo "cluster_smoke: FAIL: elastic-cluster warm-up failed"; exit 1; }
@@ -319,7 +320,7 @@ EPOCH1=$(metric_val capnn_gateway_ring_epoch "$WORKDIR/egw_metrics1.txt")
     echo "cluster_smoke: FAIL: fresh ring epoch gauge is ${EPOCH1:-missing}, want 1"; exit 1; }
 
 "$WORKDIR/capnn-loadgen" -addr "$EGW_ADDR" -model "$MODEL" -n "$REQUESTS" \
-    -users 8 -concurrency 8 -timeout 150s -progress-every 25 >"$WORKDIR/eload.log" 2>&1 &
+    "${E_TRACE[@]}" -concurrency 8 -timeout 150s -progress-every 25 >"$WORKDIR/eload.log" 2>&1 &
 ELOAD_PID=$!
 PIDS+=("$ELOAD_PID")
 # Let the load get demonstrably airborne before reshaping the cluster.
@@ -377,7 +378,7 @@ grep -q ", 0 failed" "$WORKDIR/eload.log" || {
     echo "cluster_smoke: FAIL: loadgen reported failures during elastic scaling"; exit 1; }
 
 # Post-scale burst: the two survivors now own the whole keyspace.
-"$WORKDIR/capnn-loadgen" -addr "$EGW_ADDR" -model "$MODEL" -n 16 -users 8 \
+"$WORKDIR/capnn-loadgen" -addr "$EGW_ADDR" -model "$MODEL" -n 64 "${E_TRACE[@]}" \
     -concurrency 8 -timeout 150s -progress-every 0 >"$WORKDIR/epost.log" 2>&1 || {
     sed 's/^/  epost| /' "$WORKDIR/epost.log" | tail -5
     echo "cluster_smoke: FAIL: requests failed after scale-in to 2 shards"; exit 1; }
@@ -398,13 +399,17 @@ grep -q '"ring-changed"' "$WORKDIR/egw_events.json" || {
 # Cache-hit floor: a key personalizes at most once per shard (entries
 # are never dropped below the cap), so across both survivors misses
 # stay <= 16 — and hits must dominate despite five topology changes.
-HITS=0; MISSES=0
+HITS=0; MISSES=0; E_TRIPS=0; E_HEALS=0
 for i in 0 2; do
     curl -sf "http://${E_NODE_MADDRS[$i]}/metrics" >"$WORKDIR/eserve${i}_final.txt" || {
         echo "cluster_smoke: FAIL: survivor shard $i /metrics unreachable"; exit 1; }
     HITS=$((HITS + $(metric_val capnn_serve_cache_hits_total "$WORKDIR/eserve${i}_final.txt")))
     MISSES=$((MISSES + $(metric_val capnn_serve_cache_misses_total "$WORKDIR/eserve${i}_final.txt")))
+    E_TRIPS=$((E_TRIPS + $(metric_val capnn_serve_guard_trips_total "$WORKDIR/eserve${i}_final.txt")))
+    E_HEALS=$((E_HEALS + $(metric_val capnn_serve_heals_total "$WORKDIR/eserve${i}_final.txt")))
 done
+[ "$E_TRIPS" -eq 0 ] && [ "$E_HEALS" -eq 0 ] || {
+    echo "cluster_smoke: FAIL: stationary load tripped $E_TRIPS guards and healed $E_HEALS entries on the survivors"; exit 1; }
 [ "$MISSES" -le 16 ] || {
     echo "cluster_smoke: FAIL: survivors personalized $MISSES times (cache-hit floor broken; want <= 16)"; exit 1; }
 [ $((HITS * 2)) -ge $((HITS + MISSES)) ] || {
@@ -475,101 +480,73 @@ grep -Eq "over-quota=[1-9]" "$WORKDIR/qstats.log" || {
 grep -q "tenant batch/bulk" "$WORKDIR/qstats.log" || {
     echo "cluster_smoke: FAIL: gateway stats missing the bulk tenant's stream"; exit 1; }
 
-echo "cluster_smoke: phase 8 — drift: seeded skew-flip trace, proactive on vs off"
-# The guard knobs are tightened for the instrumented build: shadow-
-# sample every 2nd request so windows fill fast, the skew detector
-# judges at 6 observations while the accuracy trip needs 8 (the
-# detector must win the race), slack 0.3 absorbs the tiny model's base
-# misclassification so a *stationary* entry never reacts, and the
-# proactive gate at 50ms lets several drifting entries heal within one
-# short run. The trace itself: 6 zipf users over 10 classes, claimed
-# preferences flipping every 120 events and lagging the actual mix for
-# 60 — every user spends half of each epoch sending off-preference
-# traffic, exactly the window the detector must catch.
-DRIFT_TRACE=(-workload zipf -users 6 -seed 7 -drift "flip=120,lag=60" -n 240)
-D_PIDS=()
-run_drift() {
-    local tag="$1" proactive_flag="$2"
-    local addrs=() maddrs=()
-    for i in 0 1 2; do
-        "$WORKDIR/capnn-serve" -addr 127.0.0.1:0 -model "$MODEL" \
-            -request-timeout 100s -metrics-addr 127.0.0.1:0 \
-            -guard-sample-every 2 -guard-window 48 -guard-min-obs 8 -guard-slack 0.3 \
-            -skew-threshold 0.4 -skew-min-obs 6 -proactive-interval 50ms \
-            -proactive="$proactive_flag" >"$WORKDIR/dserve_${tag}$i.log" 2>&1 &
-        D_PIDS+=($!)
-        PIDS+=($!)
-    done
-    for i in 0 1 2; do
-        addrs+=("$(wait_addr "$WORKDIR/dserve_${tag}$i.log")")
-        maddrs+=("$(wait_maddr "$WORKDIR/dserve_${tag}$i.log")")
-    done
-    "$WORKDIR/capnn-gateway" -addr 127.0.0.1:0 \
-        -nodes "$(IFS=,; echo "${addrs[*]}")" \
-        -probe-every 250ms -probe-timeout 1s -fail-threshold 2 -cooldown 2s \
-        -request-timeout 120s -attempt-timeout 60s \
-        >"$WORKDIR/dgateway_$tag.log" 2>&1 &
-    D_PIDS+=($!)
+echo "cluster_smoke: phase 8 — drift: seeded skew-flip trace through a guarded cluster"
+# The trace: 6 zipf users over 10 classes whose behaviour flips every
+# 400 events while the preferences they claim lag 200 events behind —
+# every user spends half of each epoch sending off-preference traffic
+# under a stale key, the window the ε-guard exists to catch. The guard
+# runs its production judgement; only its sampling is sized to the short
+# run (every 2nd request shadowed, a 48-deep window), so a flipped entry
+# shows its drift within a few dozen requests. The contract: the flip
+# trips guards and heals entries, and no client sees a failure.
+DRIFT_TRACE=(-workload zipf -users 6 -seed 7 -drift "flip=400,lag=200" -n 1600)
+D_ADDRS=(); D_MADDRS=()
+for i in 0 1 2; do
+    "$WORKDIR/capnn-serve" -addr 127.0.0.1:0 -model "$MODEL" \
+        -request-timeout 100s -metrics-addr 127.0.0.1:0 \
+        -guard-sample-every 2 -guard-window 48 >"$WORKDIR/dserve$i.log" 2>&1 &
     PIDS+=($!)
-    local gw
-    gw=$(wait_addr "$WORKDIR/dgateway_$tag.log")
-    echo "cluster_smoke: drift cluster ($tag) at $gw, shards ${addrs[*]}"
-
-    if ! "$WORKDIR/capnn-loadgen" -addr "$gw" -model "$MODEL" "${DRIFT_TRACE[@]}" \
-        -concurrency 8 -timeout 150s -progress-every 50 -json \
-        >"$WORKDIR/driftload_$tag.json" 2>"$WORKDIR/driftload_$tag.log"; then
-        sed 's/^/  drift| /' "$WORKDIR/driftload_$tag.log" | tail -8
-        echo "cluster_smoke: FAIL: client-visible failures replaying the drift trace ($tag)"
-        exit 1
-    fi
-    grep -q ", 0 failed" "$WORKDIR/driftload_$tag.log" || {
-        echo "cluster_smoke: FAIL: drift replay ($tag) reported failures"; exit 1; }
-
-    # Sum the guard/heal accounting across the three shards.
-    local skew=0 trips=0 v
-    for i in 0 1 2; do
-        curl -sf "http://${maddrs[$i]}/metrics" >"$WORKDIR/dserve_${tag}${i}_metrics.txt" || {
-            echo "cluster_smoke: FAIL: drift shard $i ($tag) /metrics unreachable"; exit 1; }
-        # The reason-labeled family is pre-seeded, so the series exists
-        # even on a shard that never healed.
-        grep -q 'capnn_serve_repersonalize_total{reason="skew"}' "$WORKDIR/dserve_${tag}${i}_metrics.txt" || {
-            echo "cluster_smoke: FAIL: repersonalize reason series not pre-seeded on drift shard $i"; exit 1; }
-        v=$(metric_val 'capnn_serve_repersonalize_total{reason="skew"}' "$WORKDIR/dserve_${tag}${i}_metrics.txt")
-        skew=$((skew + v))
-        v=$(metric_val capnn_serve_guard_trips_total "$WORKDIR/dserve_${tag}${i}_metrics.txt")
-        trips=$((trips + v))
-    done
-    for pid in "${D_PIDS[@]}"; do
-        kill "$pid" 2>/dev/null || true
-    done
-    D_PIDS=()
-    echo "$skew $trips" >"$WORKDIR/drift_${tag}_counts"
-}
-
-run_drift on true
-run_drift off false
-read -r SKEW_ON TRIPS_ON <"$WORKDIR/drift_on_counts"
-read -r SKEW_OFF TRIPS_OFF <"$WORKDIR/drift_off_counts"
-echo "cluster_smoke: drift proactive-on: skew-heals=$SKEW_ON trips=$TRIPS_ON; proactive-off: skew-heals=$SKEW_OFF trips=$TRIPS_OFF"
-[ "$SKEW_ON" -ge 1 ] || {
-    echo "cluster_smoke: FAIL: proactive run recorded no skew-reason repersonalizations"; exit 1; }
-[ "$SKEW_OFF" -eq 0 ] || {
-    echo "cluster_smoke: FAIL: proactive-off run recorded $SKEW_OFF skew-reason repersonalizations"; exit 1; }
-[ "$TRIPS_OFF" -ge 1 ] || {
-    echo "cluster_smoke: FAIL: proactive-off control never tripped the guard under the flip trace"; exit 1; }
-[ "$TRIPS_ON" -lt "$TRIPS_OFF" ] || {
-    echo "cluster_smoke: FAIL: proactive detection did not reduce guard trips ($TRIPS_ON on vs $TRIPS_OFF off)"; exit 1; }
-
-# The seeded trace is bit-reproducible: every scorecard field that is a
-# pure function of the trace (not of cluster timing) must be identical
-# across the two replays.
-for field in seed workload users distinct_users requests drift_share; do
-    VON=$(grep -o "\"$field\": [^,]*" "$WORKDIR/driftload_on.json" | head -1)
-    VOFF=$(grep -o "\"$field\": [^,]*" "$WORKDIR/driftload_off.json" | head -1)
-    [ -n "$VON" ] && [ "$VON" = "$VOFF" ] || {
-        echo "cluster_smoke: FAIL: scorecard field $field differs across replays ($VON vs $VOFF)"; exit 1; }
 done
-echo "cluster_smoke: drift ok (scorecards in driftload_on.json / driftload_off.json)"
+for i in 0 1 2; do
+    D_ADDRS+=("$(wait_addr "$WORKDIR/dserve$i.log")")
+    D_MADDRS+=("$(wait_maddr "$WORKDIR/dserve$i.log")")
+done
+"$WORKDIR/capnn-gateway" -addr 127.0.0.1:0 \
+    -nodes "$(IFS=,; echo "${D_ADDRS[*]}")" \
+    -probe-every 250ms -probe-timeout 1s -fail-threshold 2 -cooldown 2s \
+    -request-timeout 120s -attempt-timeout 60s \
+    >"$WORKDIR/dgateway.log" 2>&1 &
+PIDS+=($!)
+DGW_ADDR=$(wait_addr "$WORKDIR/dgateway.log")
+echo "cluster_smoke: drift cluster at $DGW_ADDR, shards ${D_ADDRS[*]}"
+
+if ! "$WORKDIR/capnn-loadgen" -addr "$DGW_ADDR" -model "$MODEL" "${DRIFT_TRACE[@]}" \
+    -concurrency 8 -timeout 150s -progress-every 200 -json \
+    >"$WORKDIR/driftload.json" 2>"$WORKDIR/driftload.log"; then
+    sed 's/^/  drift| /' "$WORKDIR/driftload.log" | tail -8
+    echo "cluster_smoke: FAIL: client-visible failures replaying the drift trace"
+    exit 1
+fi
+grep -q ", 0 failed" "$WORKDIR/driftload.log" || {
+    echo "cluster_smoke: FAIL: drift replay reported failures"; exit 1; }
+
+# Sum the guard/heal accounting across the three shards; a heal is a
+# goroutine running a Prune, so give the last trip a moment to land.
+for _ in $(seq 50); do
+    D_TRIPS=0; D_HEALS=0; D_FALLBACK=0
+    for i in 0 1 2; do
+        curl -sf "http://${D_MADDRS[$i]}/metrics" >"$WORKDIR/dserve${i}_metrics.txt" || {
+            echo "cluster_smoke: FAIL: drift shard $i /metrics unreachable"; exit 1; }
+        D_TRIPS=$((D_TRIPS + $(metric_val capnn_serve_guard_trips_total "$WORKDIR/dserve${i}_metrics.txt")))
+        D_HEALS=$((D_HEALS + $(metric_val capnn_serve_heals_total "$WORKDIR/dserve${i}_metrics.txt")))
+        D_FALLBACK=$((D_FALLBACK + $(metric_val capnn_serve_fallback_served_total "$WORKDIR/dserve${i}_metrics.txt")))
+    done
+    [ "$D_HEALS" -ge "$D_TRIPS" ] && break
+    sleep 0.2
+done
+echo "cluster_smoke: drift: guard trips=$D_TRIPS heals=$D_HEALS fallback-served=$D_FALLBACK"
+[ "$D_TRIPS" -ge 1 ] || {
+    echo "cluster_smoke: FAIL: the flip trace never tripped a guard"; exit 1; }
+[ "$D_HEALS" -ge 1 ] || {
+    echo "cluster_smoke: FAIL: the flip trace tripped $D_TRIPS guards but healed none"; exit 1; }
+# Why each entry healed is on the debug surface: the trip event carries
+# the observed and predicted shares with their bounds.
+curl -sf "http://${D_MADDRS[0]}/debug/events" >"$WORKDIR/dserve0_events.json" || true
+curl -sf "http://${D_MADDRS[1]}/debug/events" >"$WORKDIR/dserve1_events.json" || true
+curl -sf "http://${D_MADDRS[2]}/debug/events" >"$WORKDIR/dserve2_events.json" || true
+grep -qh "predicted by the confusion rows" "$WORKDIR"/dserve?_events.json || {
+    echo "cluster_smoke: FAIL: no guard-trip event carries its evidence in /debug/events"; exit 1; }
+echo "cluster_smoke: drift ok (scorecard in driftload.json)"
 
 # The race-built binaries must not have tripped the detector anywhere.
 if [ "$RACE" = "1" ] && grep -l "WARNING: DATA RACE" "$WORKDIR"/*.log >/dev/null 2>&1; then
