@@ -21,7 +21,7 @@ import (
 //     tiny 2×2 feature maps instead of a full 16-layer pass).
 //   - Other users' classes. The cached rows are grouped by class, and a
 //     replay holds only the rows of the classes it is asked about. The
-//     kernels run sample by sample (im2col per image, denseForward per
+//     kernels run sample by sample (convForward per image, denseForward per
 //     row), so a row's logits do not depend on which rows share its
 //     batch: the hit count of class k over k's rows alone is the hit
 //     count of class k over the whole set.

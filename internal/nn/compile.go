@@ -16,8 +16,8 @@ import (
 // buffers sized for the *sub*-network.
 //
 // Masked Infer pays full-model FLOPs: it skips pruned OUTPUT channels
-// but still gathers and multiplies every pruned INPUT channel (im2col
-// rows, dense columns) because the weight tensors keep their original
+// but still pads and multiplies every pruned INPUT channel (conv taps,
+// dense columns) because the weight tensors keep their original
 // shape. Compilation removes both sides, so a 40%-pruned model really
 // does run ~40% fewer multiplies — the latency win CAP'NN's model-size
 // reduction promises.
@@ -55,16 +55,17 @@ type compiledOp struct {
 	g    convGeom  // conv + pool geometry (pool: outC == inC)
 	wd   []float64 // conv/dense weights (aliases the compacted net's params)
 	bd   []float64 // conv/dense bias
+	offs []int     // conv: g.tapOffsets(), built once here rather than per call
 	idx  []int     // scatter: full-width position of each compact feature
 	in   int       // per-sample input elems
 	out  int       // per-sample output elems
 }
 
 // compiledScratch is one goroutine's working set: two ping-pong
-// activation slabs plus an im2col column matrix, all sized for the
-// compacted sub-network rather than the full model.
+// activation slabs plus the conv kernel's zero-padded input plane, all
+// sized for the compacted sub-network rather than the full model.
 type compiledScratch struct {
-	a, b, cols []float64
+	a, b, pad []float64
 }
 
 // Compiled is a physically compacted network lowered to an op plan.
@@ -78,7 +79,7 @@ type Compiled struct {
 	outSize  int
 	ops      []compiledOp
 	maxElems int // max per-sample slab size across op boundaries
-	maxCols  int // max im2col matrix size across conv ops
+	maxPad   int // max padded input plane across conv ops
 	bytes    int64
 	pool     sync.Pool
 }
@@ -135,10 +136,8 @@ func plan(cnet *Network) (*Compiled, error) {
 		switch t := l.(type) {
 		case *Conv2D:
 			g := t.geom()
-			op = compiledOp{kind: opConv, g: g, wd: t.w.W.Data(), bd: t.b.W.Data(), in: g.inSize(), out: g.outSize()}
-			if cs := g.colsSize(); cs > c.maxCols {
-				c.maxCols = cs
-			}
+			op = compiledOp{kind: opConv, g: g, wd: t.w.W.Data(), bd: t.b.W.Data(), offs: g.tapOffsets(), in: g.inSize(), out: g.outSize()}
+			c.maxPad = max(c.maxPad, g.padSize())
 		case *Dense:
 			op = compiledOp{kind: opDense, wd: t.w.W.Data(), bd: t.b.W.Data(), in: t.in, out: t.out}
 			op.g.inC, op.g.outC = t.in, t.out // reuse geom fields for dims
@@ -203,7 +202,7 @@ func (c *Compiled) Infer(x *tensor.Tensor) *tensor.Tensor {
 	slab := n * c.maxElems
 	sc.a = growSlab(sc.a, slab)
 	sc.b = growSlab(sc.b, slab)
-	sc.cols = growSlab(sc.cols, c.maxCols)
+	sc.pad = growSlab(sc.pad, c.maxPad)
 
 	cur := x.Data()
 	useA := true
@@ -217,7 +216,7 @@ func (c *Compiled) Infer(x *tensor.Tensor) *tensor.Tensor {
 		} else {
 			dst, useA = sc.b, true
 		}
-		op.run(cur, dst, n, sc.cols)
+		op.run(cur, dst, n, sc.pad)
 		cur = dst[:n*op.out]
 	}
 	c.pool.Put(sc)
@@ -227,14 +226,11 @@ func (c *Compiled) Infer(x *tensor.Tensor) *tensor.Tensor {
 // run executes one op over a batch of n samples. Every op writes each of
 // its output elements (the kernels' bias-first / assignment forms with a
 // nil prune mask), so dirty reused scratch never leaks into results.
-func (op *compiledOp) run(src, dst []float64, n int, cols []float64) {
+func (op *compiledOp) run(src, dst []float64, n int, pad []float64) {
 	switch op.kind {
 	case opConv:
-		g := op.g
-		cols = cols[:g.colsSize()]
 		for s := 0; s < n; s++ {
-			g.im2col(src[s*op.in:(s+1)*op.in], cols)
-			g.convForward(cols, op.wd, op.bd, dst[s*op.out:(s+1)*op.out], nil, op.relu)
+			op.g.convForward(src[s*op.in:(s+1)*op.in], pad, op.offs, op.wd, op.bd, dst[s*op.out:(s+1)*op.out], nil, op.relu)
 		}
 	case opDense:
 		denseForward(src[:n*op.in], op.wd, op.bd, dst[:n*op.out], n, op.g.inC, op.g.outC, nil)

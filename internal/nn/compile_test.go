@@ -153,8 +153,62 @@ func TestCompiledBytesShrink(t *testing.T) {
 	}
 }
 
+// poisonScratch fills with NaN every pooled slab the next Infer of one
+// of the plans (batch n) or the next masked Infer could be handed: both
+// ping-pong activation slabs and the pad plane of each plan's scratch,
+// and a kernel-pool slice. A kernel that trusts what it finds in scratch
+// (a pad-plane border cell it did not zero) then returns NaN.
+func poisonScratch(n int, plans ...*Compiled) {
+	nan := func(s []float64) {
+		for i := range s {
+			s[i] = math.NaN()
+		}
+	}
+	for _, c := range plans {
+		sc := c.pool.Get().(*compiledScratch)
+		sc.a, sc.b, sc.pad = growSlab(sc.a, n*c.maxElems), growSlab(sc.b, n*c.maxElems), growSlab(sc.pad, c.maxPad)
+		nan(sc.a)
+		nan(sc.b)
+		nan(sc.pad)
+		c.pool.Put(sc)
+	}
+	bp := getScratch(1 << 12)
+	nan(*bp)
+	putScratch(bp)
+}
+
+// The pad plane is pooled and reused by convs of different geometry
+// (8×8, 4×4 and 2×2 planes here, so one layer's interior lands on the
+// next one's border), and two plans of different widths plus the masked
+// oracle share the kernel pool: whatever the scratch held, the logits
+// are those of masked Infer.
+func TestCompiledInferDirtyScratch(t *testing.T) {
+	net := NewBuilder(2, 8, 8, 19).Conv(4).ReLU().Pool().Conv(5).ReLU().Pool().Conv(6).ReLU().Flatten().Dense(7).ReLU().Dense(3).MustBuild()
+	maskSets := []map[int][]bool{nil, {0: {true, false, false, true}, 1: {false, true, false, false, true}, 2: {false, true, true, false, true, false}}}
+	var plans []*Compiled
+	for _, masks := range maskSets {
+		c, err := Compile(net, masks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plans = append(plans, c)
+	}
+	for round := 0; round < 3; round++ {
+		for _, n := range []int{1, 3} {
+			x := randInput([]int{n, 2, 8, 8}, int64(20+round))
+			for i, c := range plans {
+				poisonScratch(n, plans...)
+				got := c.Infer(x)
+				poisonScratch(n, plans...)
+				bitEqual(t, net.Infer(x, maskSets[i]), got)
+			}
+		}
+	}
+}
+
 // Concurrent Infer calls on one Compiled share the scratch pool but must
-// not share state — run under -race and check outputs stay bit-stable.
+// not share state — run under -race and check outputs stay bit-stable,
+// each call on scratch another goroutine has just poisoned.
 func TestCompiledInferConcurrent(t *testing.T) {
 	net := buildSmallNet(15)
 	masks := map[int][]bool{0: {true, false, false, true}, 1: {false, true, true, false, false}}
@@ -170,6 +224,7 @@ func TestCompiledInferConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
+				poisonScratch(4, c)
 				got := c.Infer(x)
 				for j, v := range want.Data() {
 					if math.Float64bits(v) != math.Float64bits(got.Data()[j]) {

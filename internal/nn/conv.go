@@ -87,24 +87,11 @@ func (c *Conv2D) SetPruned(pruned []bool) {
 }
 
 // Forward computes the convolution for a batch x of shape [N, inC, inH, inW]
-// via the shared im2col kernel (see kernels.go).
+// under the installed prune mask: inferMasked (infer.go), plus the cached
+// input Backward needs.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
 	c.lastIn = x
-	out := tensor.New(n, c.outC, c.outH, c.outW)
-	xd, od := x.Data(), out.Data()
-	wd, bd := c.w.W.Data(), c.b.W.Data()
-
-	g := c.geom()
-	inSz, outSz := g.inSize(), g.outSize()
-	colsBuf := getScratch(g.colsSize())
-	cols := *colsBuf
-	for s := 0; s < n; s++ {
-		g.im2col(xd[s*inSz:(s+1)*inSz], cols)
-		g.convForward(cols, wd, bd, od[s*outSz:(s+1)*outSz], c.pruned, false)
-	}
-	putScratch(colsBuf)
-	return out
+	return c.inferMasked(x, c.pruned)
 }
 
 // Backward accumulates dW and dB and returns dX. grad has the output's
@@ -122,17 +109,16 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	g := c.geom()
 	inSz, outSz, colSz := g.inSize(), g.outSize(), g.colsSize()
-	colsBuf, dcolsBuf := getScratch(colSz), getScratch(colSz)
-	cols, dcols := *colsBuf, *dcolsBuf
+	colsBuf, dcolsBuf, padBuf := getScratch(colSz), getScratch(colSz), getScratch(g.padSize())
+	cols, dcols, offs := *colsBuf, *dcolsBuf, g.tapOffsets()
 	for s := 0; s < n; s++ {
-		g.im2col(xd[s*inSz:(s+1)*inSz], cols)
-		for i := range dcols {
-			dcols[i] = 0
-		}
+		g.im2col(xd[s*inSz:(s+1)*inSz], *padBuf, offs, cols)
+		clear(dcols)
 		g.convBackward(cols, wd, gd[s*outSz:(s+1)*outSz], dwd, dbd, dcols, c.pruned)
 		g.col2im(dcols, dxd[s*inSz:(s+1)*inSz])
 	}
 	putScratch(colsBuf)
 	putScratch(dcolsBuf)
+	putScratch(padBuf)
 	return dx
 }

@@ -22,8 +22,8 @@ import (
 // never reads (cached activations and installed masks). The single
 // forbidden overlap is weight mutation: do not train while serving.
 //
-// The arithmetic itself lives in kernels.go — the same im2col conv and
-// dense kernels Forward/Backward use — so the serving path and the
+// The arithmetic itself lives in kernels.go — the same direct conv and
+// dense kernels Forward uses — so the serving path and the
 // training path execute one implementation and stay bit-identical.
 
 // statelessInfer is implemented by layers whose inference pass has no
@@ -124,7 +124,7 @@ func (n *Network) Masks() map[int][]bool {
 }
 
 // inferMasked computes the convolution with an explicit channel mask via
-// the shared im2col kernel, touching no layer state.
+// the shared direct-convolution kernel, touching no layer state.
 func (c *Conv2D) inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor {
 	if pruned != nil && len(pruned) != c.outC {
 		panic(fmt.Sprintf("nn: conv %q mask length %d, want %d", c.name, len(pruned), c.outC))
@@ -136,13 +136,11 @@ func (c *Conv2D) inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor {
 
 	g := c.geom()
 	inSz, outSz := g.inSize(), g.outSize()
-	colsBuf := getScratch(g.colsSize())
-	cols := *colsBuf
+	pad, offs := getScratch(g.padSize()), g.tapOffsets()
 	for s := 0; s < n; s++ {
-		g.im2col(xd[s*inSz:(s+1)*inSz], cols)
-		g.convForward(cols, wd, bd, od[s*outSz:(s+1)*outSz], pruned, false)
+		g.convForward(xd[s*inSz:(s+1)*inSz], *pad, offs, wd, bd, od[s*outSz:(s+1)*outSz], pruned, false)
 	}
-	putScratch(colsBuf)
+	putScratch(pad)
 	return out
 }
 

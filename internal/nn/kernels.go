@@ -8,13 +8,13 @@ import "sync"
 // route through these functions, so there is a single place where the
 // arithmetic — and, critically, its accumulation order — is defined.
 //
-// The conv kernel is im2col + register-tiled multiply-accumulate: each
-// sample's receptive fields are gathered once into a column matrix, then
-// every live output element starts at its bias and adds w[oc,r]·cols[r]
-// for r = (ic, ky, kx) ascending — one rounded multiply, then one
-// rounded add, never a fused multiply-add — so the result is bit for
-// bit that of a direct convolution (the Infer ≡ Forward tests and
-// TestForwardGolden pin it). The Go loops below are that definition.
+// The conv kernel is a direct convolution on register tiles: each
+// sample's input is written once into a zero-padded plane, then every
+// live output element starts at its bias and adds w[oc,r]·tap[r] for
+// r = (ic, ky, kx) ascending — one rounded multiply, then one rounded
+// add, never a fused multiply-add — reading each tap from the pad plane
+// (TestForwardGolden and the Infer ≡ Forward tests pin the bits). The Go
+// loops below are that definition.
 // On amd64 with AVX2 (CPUID, checked once at init: useAVX2) the conv
 // MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
 // instead: four float64 lanes wide, the same operations in the same
@@ -22,9 +22,9 @@ import "sync"
 // (TestKernelsMatchGeneric). The assembly does no bounds checks: every
 // call site proves the extents it passes in Go first.
 //
-// Scratch matrices come from a sync.Pool, so the training loop and
-// concurrent serving goroutines stop allocating a fresh im2col buffer
-// per call.
+// Scratch (pad planes, Backward's column matrices) comes from a
+// sync.Pool, so the training loop and concurrent serving goroutines stop
+// allocating a fresh buffer per call.
 
 // scratchPool recycles float64 scratch slices across kernel calls.
 var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
@@ -59,131 +59,149 @@ func (c *Conv2D) geom() convGeom {
 }
 
 // inSize and outSize are one sample's input/output element counts;
-// colsSize is the im2col matrix size [inC·k·k, outH·outW].
+// padSize is the zero-padded input plane [inC, inH+2·pad, inW+2·pad] the
+// forward reads its taps from, colsSize the im2col matrix
+// [inC·k·k, outH·outW] Backward gathers.
 func (g convGeom) inSize() int   { return g.inC * g.inH * g.inW }
 func (g convGeom) outSize() int  { return g.outC * g.outH * g.outW }
+func (g convGeom) padSize() int  { return g.inC * (g.inH + 2*g.pad) * (g.inW + 2*g.pad) }
 func (g convGeom) colsSize() int { return g.inC * g.k * g.k * g.outH * g.outW }
 
-// im2col gathers one sample's receptive fields (xs is that sample's
-// [inC, inH, inW] slab) into cols [inC·k·k, outH·outW], writing zeros
-// for out-of-bounds (padding) taps. Every cols entry is written. A
-// stride-1 "same" convolution — every conv this repository builds — is
-// k·k shifted copies of each channel plane; other geometries gather tap
-// by tap.
-func (g convGeom) im2col(xs, cols []float64) {
-	inHW := g.inH * g.inW
-	outHW := g.outH * g.outW
-	kk := g.k * g.k
+// tapOffsets is the per-geometry table that turns a weight column into
+// an address: entry r = (ic, ky, kx) is the pad-plane index of the tap
+// output position (0, 0) multiplies by w[oc, r]; position (oy, ox) reads
+// (oy·pw + ox)·stride further on, pw the padded row length.
+func (g convGeom) tapOffsets() []int {
+	ph, pw := g.inH+2*g.pad, g.inW+2*g.pad
+	offs := make([]int, 0, g.inC*g.k*g.k)
 	for ic := 0; ic < g.inC; ic++ {
-		xCh := xs[ic*inHW : (ic+1)*inHW]
 		for ky := 0; ky < g.k; ky++ {
 			for kx := 0; kx < g.k; kx++ {
-				row := cols[(ic*kk+ky*g.k+kx)*outHW : (ic*kk+ky*g.k+kx+1)*outHW]
-				if g.stride == 1 && g.k == 2*g.pad+1 { // outH×outW = inH×inW
-					shiftPlane(row, xCh, g.inH, g.inW, ky-g.pad, kx-g.pad)
-					continue
-				}
-				ri := 0
-				for oy := 0; oy < g.outH; oy++ {
-					iy := oy*g.stride - g.pad + ky
-					if iy < 0 || iy >= g.inH {
-						for ox := 0; ox < g.outW; ox++ {
-							row[ri] = 0
-							ri++
-						}
-						continue
-					}
-					xRow := xCh[iy*g.inW : (iy+1)*g.inW]
-					for ox := 0; ox < g.outW; ox++ {
-						ix := ox*g.stride - g.pad + kx
-						if ix < 0 || ix >= g.inW {
-							row[ri] = 0
-						} else {
-							row[ri] = xRow[ix]
-						}
-						ri++
-					}
-				}
+				offs = append(offs, (ic*ph+ky)*pw+kx)
 			}
 		}
 	}
+	return offs
 }
 
-// shiftPlane writes row[y·w+x] = plane[(y+dy)·w + x+dx], zero where the
-// tap falls outside the h×w plane: the im2col row of a stride-1 "same"
-// convolution is the channel plane shifted by dy·w+dx as one flat copy,
-// with the rows and columns that wrapped zeroed afterwards.
-func shiftPlane(row, plane []float64, h, w, dy, dx int) {
-	hw := h * w
-	shift := dy*w + dx
-	if lo, hi := max(0, -shift), min(hw, hw-shift); lo < hi {
-		copy(row[lo:hi], plane[lo+shift:hi+shift])
-	}
-	yLo, yHi := min(h, max(0, -dy)), max(0, min(h, h-dy))
-	xLo, xHi := min(w, max(0, -dx)), max(0, min(w, w-dx))
-	clear(row[:yLo*w])
-	clear(row[yHi*w:])
-	for y := yLo; y < yHi; y++ {
-		r := row[y*w : (y+1)*w]
-		for x := 0; x < xLo; x++ {
-			r[x] = 0
+// padInput writes one sample's [inC, inH, inW] slab xs into the pad
+// plane, +0 on the border — the value a padding tap contributes. Every
+// cell of pad is written, so a plane reused across geometries carries
+// nothing over.
+func (g convGeom) padInput(xs, pad []float64) {
+	p, ph, pw := g.pad, g.inH+2*g.pad, g.inW+2*g.pad
+	for ic := 0; ic < g.inC; ic++ {
+		plane := pad[ic*ph*pw : (ic+1)*ph*pw]
+		at := p*pw + p // the top rows and the first row's left border
+		clear(plane[:at])
+		for y := 0; y < g.inH; y++ {
+			copy(plane[at:at+g.inW], xs[(ic*g.inH+y)*g.inW:])
+			clear(plane[at+g.inW : at+pw]) // this row's right border, the next one's left
+			at += pw
 		}
-		for x := xHi; x < w; x++ {
-			r[x] = 0
+		clear(plane[at:])
+	}
+}
+
+// im2col gathers one sample's receptive fields (xs is that sample's
+// [inC, inH, inW] slab) into cols [inC·k·k, outH·outW] for Backward, by
+// way of the pad plane (scratch, as in convForward): row r of cols is
+// the taps at offs[r], output row by output row, so padding taps read
+// the border's zeros. Every cols entry is written.
+func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
+	g.padInput(xs, pad)
+	outHW, pw := g.outH*g.outW, g.inW+2*g.pad
+	for r, off := range offs {
+		for oy := 0; oy < g.outH; oy++ {
+			dst, src := cols[r*outHW+oy*g.outW:][:g.outW], pad[off+oy*g.stride*pw:]
+			if g.stride == 1 {
+				copy(dst, src)
+				continue
+			}
+			for ox := range dst {
+				dst[ox] = src[ox*g.stride]
+			}
 		}
 	}
 }
 
 // convForward computes one sample's output slab os [outC, outH, outW]
-// from the gathered columns: os[oc] = bias[oc] + Σ_r w[oc,r]·cols[r],
-// accumulated in ascending r = (ic, ky, kx) order so the result matches
-// a direct convolution bit for bit; relu clamps each output at +0 as it
-// is stored (the compiled plan's fused conv+ReLU). Pruned channels are
-// skipped; their output stays zero (os must arrive zeroed).
-func (g convGeom) convForward(cols, wd, bd, os []float64, pruned []bool, relu bool) {
-	outHW := g.outH * g.outW
+// from its input slab xs: os[oc] = bias[oc] + Σ_r w[oc,r]·tap[r],
+// accumulated in ascending r = (ic, ky, kx) order; relu clamps each
+// output at +0 as it is stored (the compiled plan's fused conv+ReLU).
+// pad is scratch for the padded plane (≥ padSize; arrives dirty), offs
+// is g.tapOffsets(). Pruned channels are skipped; their output stays
+// zero (os must arrive zeroed).
+func (g convGeom) convForward(xs, pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
 	rows := g.inC * g.k * g.k
 	// The extents the assembly will touch, proven here once.
-	cols, wd, bd, os = cols[:rows*outHW], wd[:g.outC*rows], bd[:g.outC], os[:g.outC*outHW]
-	if useAVX2 && outHW >= 4 {
-		convForwardAVX2(cols, wd, bd, os, pruned, rows, outHW, relu)
+	xs, pad, offs = xs[:g.inSize()], pad[:g.padSize()], offs[:rows]
+	wd, bd, os = wd[:g.outC*rows], bd[:g.outC], os[:g.outSize()]
+	g.padInput(xs, pad)
+	var buf [64]int
+	live := buf[:0]
+	for oc := range bd {
+		if pruned == nil || !pruned[oc] {
+			live = append(live, oc)
+		}
+	}
+	if len(live) == 0 {
 		return
 	}
-	for oc := 0; oc < g.outC; oc++ {
-		if pruned != nil && pruned[oc] {
-			continue
-		}
-		oRow := os[oc*outHW : (oc+1)*outHW]
+	if !useAVX2 || !convForwardAVX2(g, pad, offs, wd, bd, os, live, relu) {
+		convForwardGo(g, pad, offs, wd, bd, os, live, relu)
+	}
+}
+
+// convForwardGo is convForward's MAC loop over the filled pad plane for
+// the channels in live: the definition of the arithmetic, and the path
+// of every CPU and geometry the assembly does not take. In pad-plane
+// coordinates position q = oy·pw + ox multiplies w[oc, r] by
+// pad[offs[r] + q·stride], so one channel is a sweep over whole runs of
+// the plane, tap after tap, into acc — including the k−1 positions a row
+// (ox ≥ outW) that are not outputs and are dropped on the copy out.
+func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, live []int, relu bool) {
+	rows, pw := len(offs), g.inW+2*g.pad
+	accBuf := getScratch((g.outH-1)*pw + g.outW)
+	acc := *accBuf
+	for _, oc := range live {
 		bias := bd[oc]
-		for i := range oRow {
-			oRow[i] = bias
+		for i := range acc {
+			acc[i] = bias
 		}
-		wRow := wd[oc*rows : (oc+1)*rows]
-		// Four column rows per sweep quarters the oRow write traffic.
-		// The explicit left-to-right sum keeps the accumulation order of
-		// the one-row-at-a-time loop, and the float64 conversions forbid
-		// the compiler to fuse a product into its add (it would on arm64
-		// and GOAMD64=v3), so results stay bit-identical everywhere.
-		r := 0
-		for ; r+4 <= rows; r += 4 {
-			w0, w1, w2, w3 := wRow[r], wRow[r+1], wRow[r+2], wRow[r+3]
-			c0 := cols[r*outHW : (r+1)*outHW]
-			c1 := cols[(r+1)*outHW : (r+2)*outHW]
-			c2 := cols[(r+2)*outHW : (r+3)*outHW]
-			c3 := cols[(r+3)*outHW : (r+4)*outHW]
-			for i := range oRow {
-				oRow[i] = oRow[i] + float64(w0*c0[i]) + float64(w1*c1[i]) + float64(w2*c2[i]) + float64(w3*c3[i])
-			}
-		}
-		for ; r < rows; r++ {
-			wv := wRow[r]
-			col := cols[r*outHW : (r+1)*outHW]
-			for i, cv := range col {
-				oRow[i] += float64(wv * cv)
-			}
-		}
+		tapSweep(acc, pad, offs, wd[oc*rows:(oc+1)*rows], g.stride)
 		if relu {
-			reluForward(oRow, oRow)
+			reluForward(acc, acc)
+		}
+		for oy := 0; oy < g.outH; oy++ {
+			copy(os[(oc*g.outH+oy)*g.outW:][:g.outW], acc[oy*pw:])
+		}
+	}
+	putScratch(accBuf)
+}
+
+// tapSweep adds Σ_r wRow[r]·pad[offs[r] + q·stride] to every acc[q], r
+// ascending. (Its own function so the compiler keeps the loop counters
+// in registers.)
+func tapSweep(acc, pad []float64, offs []int, wRow []float64, stride int) {
+	// Four taps per sweep quarters the acc write traffic. The explicit
+	// left-to-right sum keeps the accumulation order of the
+	// one-tap-at-a-time loop, and the float64 conversions forbid the
+	// compiler to fuse a product into its add (it would on arm64 and
+	// GOAMD64=v3), so results stay bit-identical everywhere.
+	r := 0
+	for ; stride == 1 && r+4 <= len(offs); r += 4 {
+		w0, w1, w2, w3 := wRow[r], wRow[r+1], wRow[r+2], wRow[r+3]
+		t0, t1 := pad[offs[r]:][:len(acc)], pad[offs[r+1]:][:len(acc)]
+		t2, t3 := pad[offs[r+2]:][:len(acc)], pad[offs[r+3]:][:len(acc)]
+		for i := range acc {
+			acc[i] = acc[i] + float64(w0*t0[i]) + float64(w1*t1[i]) + float64(w2*t2[i]) + float64(w3*t3[i])
+		}
+	}
+	for ; r < len(offs); r++ {
+		wv, t := wRow[r], pad[offs[r]:]
+		for i := range acc {
+			acc[i] += float64(wv * t[i*stride])
 		}
 	}
 }

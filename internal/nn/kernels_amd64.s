@@ -34,16 +34,18 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func convTile16(os, cols, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
-TEXT ·convTile16(SB), NOSPLIT, $0-65
+// func convTile16(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
+TEXT ·convTile16(SB), NOSPLIT, $0-73
 	MOVQ os+0(FP), R10
-	MOVQ wd+16(FP), AX
-	MOVQ bd+24(FP), BX
-	MOVQ live+32(FP), SI
-	MOVQ nLive+40(FP), DI
-	MOVQ rows+48(FP), CX
-	MOVQ outHW+56(FP), DX
-	SHLQ $3, DX                  // bytes between rows of cols and of os
+	MOVQ pad+8(FP), R12
+	MOVQ offs+16(FP), R14
+	MOVQ wd+24(FP), AX
+	MOVQ bd+32(FP), BX
+	MOVQ live+40(FP), SI
+	MOVQ nLive+48(FP), DI
+	MOVQ rows+56(FP), CX
+	MOVQ outHW+64(FP), DX
+	SHLQ $3, DX                  // bytes between channels of os
 	VXORPD Y9, Y9, Y9
 
 channel16:
@@ -55,21 +57,21 @@ channel16:
 	MOVQ R8, R9
 	IMULQ CX, R9
 	LEAQ (AX)(R9*8), R9          // &wd[oc·rows]
-	MOVQ cols+8(FP), R12
 	XORQ R13, R13                // r
 
 row16:
+	MOVQ (R14)(R13*8), R15
+	LEAQ (R12)(R15*8), R15       // &pad[offs[r]]
 	VBROADCASTSD (R9)(R13*8), Y4
-	MAC((R12), Y4, Y5, Y0)
-	MAC(32(R12), Y4, Y6, Y1)
-	MAC(64(R12), Y4, Y7, Y2)
-	MAC(96(R12), Y4, Y8, Y3)
-	ADDQ DX, R12
+	MAC((R15), Y4, Y5, Y0)
+	MAC(32(R15), Y4, Y6, Y1)
+	MAC(64(R15), Y4, Y7, Y2)
+	MAC(96(R15), Y4, Y8, Y3)
 	INCQ R13
 	CMPQ R13, CX
 	JLT row16
 
-	CMPB relu+64(FP), $0
+	CMPB relu+72(FP), $0
 	JEQ store16
 	VMAXPD Y9, Y0, Y0
 	VMAXPD Y9, Y1, Y1
@@ -95,28 +97,34 @@ store16:
 #define CHANNEL(oc, w, acc) MOVQ oc, w; VBROADCASTSD (BX)(w*8), acc; IMULQ CX, w; LEAQ (AX)(w*8), w
 #define STORE(oc, acc) MOVQ oc, R8; IMULQ DX, R8; VMOVUPD acc, (R10)(R8*1)
 
-// func convTile4x4(os, cols, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
-TEXT ·convTile4x4(SB), NOSPLIT, $0-65
+// func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half int, relu bool)
+TEXT ·convTile4x4(SB), NOSPLIT, $0-81
 	MOVQ os+0(FP), R10
-	MOVQ bd+24(FP), BX
-	MOVQ live+32(FP), SI
-	MOVQ nLive+40(FP), DI
-	MOVQ rows+48(FP), CX
-	MOVQ outHW+56(FP), DX
-	SHLQ $3, DX                  // bytes between rows of cols and of os
+	MOVQ pad+8(FP), R13
+	MOVQ offs+16(FP), R14
+	MOVQ live+40(FP), SI
+	MOVQ nLive+48(FP), DI
+	MOVQ rows+56(FP), CX
+	MOVQ outHW+64(FP), DX
+	SHLQ $3, DX                  // bytes between channels of os
 	VXORPD Y9, Y9, Y9
 
 group4:
-	MOVQ wd+16(FP), AX
+	MOVQ wd+24(FP), AX
+	MOVQ bd+32(FP), BX
 	CHANNEL(0(SI), R8, Y0)
 	CHANNEL(8(SI), R9, Y1)
 	CHANNEL(16(SI), R11, Y2)
 	CHANNEL(24(SI), R12, Y3)
-	MOVQ cols+8(FP), R13
+	MOVQ half+72(FP), BX
+	SHLQ $3, BX                  // bytes from the tile's first 2 taps to its last 2
 	XORQ AX, AX                  // r
 
 row4:
-	VMOVUPD (R13), Y4
+	MOVQ (R14)(AX*8), R15
+	LEAQ (R13)(R15*8), R15       // &pad[offs[r]]
+	VMOVUPD (R15), X4
+	VINSERTF128 $1, (R15)(BX*1), Y4, Y4
 	VBROADCASTSD (R8)(AX*8), Y5
 	MAC(Y4, Y5, Y5, Y0)
 	VBROADCASTSD (R9)(AX*8), Y6
@@ -125,12 +133,11 @@ row4:
 	MAC(Y4, Y7, Y7, Y2)
 	VBROADCASTSD (R12)(AX*8), Y8
 	MAC(Y4, Y8, Y8, Y3)
-	ADDQ DX, R13
 	INCQ AX
 	CMPQ AX, CX
 	JLT row4
 
-	CMPB relu+64(FP), $0
+	CMPB relu+80(FP), $0
 	JEQ store4
 	VMAXPD Y9, Y0, Y0
 	VMAXPD Y9, Y1, Y1

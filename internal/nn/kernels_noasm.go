@@ -6,7 +6,7 @@ package nn
 // kernels.go are the only path and these are never reached.
 var useAVX2 = false
 
-func convForwardAVX2(cols, wd, bd, os []float64, pruned []bool, rows, outHW int, relu bool) {
+func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, live []int, relu bool) bool {
 	panic("nn: no AVX2 kernels on this GOARCH")
 }
 

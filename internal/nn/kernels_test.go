@@ -21,12 +21,14 @@ func withGeneric(f func()) {
 	f()
 }
 
-func sameBits(t testing.TB, what string, generic, simd []float64) {
+// sameBits fails unless got is want bit for bit. Where the two are the
+// Go loops and the assembly, want is the Go loops'.
+func sameBits(t testing.TB, what string, want, got []float64) {
 	t.Helper()
-	for i := range generic {
-		if math.Float64bits(generic[i]) != math.Float64bits(simd[i]) {
-			t.Fatalf("%s: elem %d: generic %v (%#x), assembly %v (%#x)", what, i,
-				generic[i], math.Float64bits(generic[i]), simd[i], math.Float64bits(simd[i]))
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("%s: elem %d: want %v (%#x), got %v (%#x)", what, i,
+				want[i], math.Float64bits(want[i]), got[i], math.Float64bits(got[i]))
 		}
 	}
 }
@@ -54,10 +56,12 @@ func pruneMask(rng *rand.Rand, kind, n int) []bool {
 	return m
 }
 
-// checkConvCase runs one conv geometry through im2col and convForward
-// (plain and with the fused ReLU) on the Go path and on the assembly,
-// on buffers sized exactly to the geometry, and demands identical bits.
-// It also holds im2col to its definition, tap by tap.
+// checkConvCase runs one conv geometry, plain and with the fused ReLU,
+// through three implementations — the naive loop nest written out below, the Go loop and the assembly — on an input slab, pad plane,
+// weights and outputs that each end at a guard page, and demands
+// identical bits. The pad plane arrives full of NaN: a border cell the
+// kernel fails to zero poisons an output. It also holds im2col
+// (Backward's gather) to its definition, tap by tap.
 func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -68,22 +72,24 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int) {
 	for i := range x {
 		x[i] = rng.NormFloat64()
 	}
-	cols := allocExact(t, g.colsSize())
+	// tap is what output position p multiplies by weight column r.
+	tap := func(r, p int) float64 {
+		ic, ky, kx := r/(g.k*g.k), r/g.k%g.k, r%g.k
+		iy, ix := p/g.outW*g.stride-g.pad+ky, p%g.outW*g.stride-g.pad+kx
+		if iy < 0 || iy >= g.inH || ix < 0 || ix >= g.inW {
+			return 0
+		}
+		return x[(ic*g.inH+iy)*g.inW+ix]
+	}
+	cols := make([]float64, g.colsSize())
 	for i := range cols {
 		cols[i] = math.NaN() // im2col must overwrite every entry
 	}
-	g.im2col(x, cols)
-	for r := 0; r < rows; r++ {
-		ic, ky, kx := r/(g.k*g.k), r/g.k%g.k, r%g.k
-		for p := 0; p < outHW; p++ {
-			iy, ix := p/g.outW*g.stride-g.pad+ky, p%g.outW*g.stride-g.pad+kx
-			want := 0.0
-			if iy >= 0 && iy < g.inH && ix >= 0 && ix < g.inW {
-				want = x[(ic*g.inH+iy)*g.inW+ix]
-			}
-			if got := cols[r*outHW+p]; math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%s: im2col row %d pos %d = %v, want %v", what, r, p, got, want)
-			}
+	pad, offs := allocExact(t, g.padSize()), g.tapOffsets()
+	g.im2col(x, pad, offs, cols)
+	for i, got := range cols {
+		if want := tap(i/outHW, i%outHW); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("%s: im2col row %d pos %d = %v, want %v", what, i/outHW, i%outHW, got, want)
 		}
 	}
 
@@ -102,39 +108,79 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int) {
 		bd[i] = rng.NormFloat64()
 	}
 	pruned := pruneMask(rng, maskKind, g.outC)
+	dirtyPad := func() {
+		for i := range pad {
+			pad[i] = math.NaN()
+		}
+	}
 	for _, relu := range []bool{false, true} {
+		naive := make([]float64, g.outSize())
+		for oc := 0; oc < g.outC; oc++ {
+			for oy := 0; oy < g.outH && (pruned == nil || !pruned[oc]); oy++ {
+				for ox := 0; ox < g.outW; ox++ {
+					acc := bd[oc]
+					for ic := 0; ic < g.inC; ic++ {
+						for ky := 0; ky < g.k; ky++ {
+							for kx := 0; kx < g.k; kx++ {
+								acc += float64(wd[((oc*g.inC+ic)*g.k+ky)*g.k+kx] * tap((ic*g.k+ky)*g.k+kx, oy*g.outW+ox))
+							}
+						}
+					}
+					if relu && !(acc > 0) {
+						acc = 0
+					}
+					naive[(oc*g.outH+oy)*g.outW+ox] = acc
+				}
+			}
+		}
 		generic, simd := allocExact(t, g.outSize()), allocExact(t, g.outSize())
-		withGeneric(func() { g.convForward(cols, wd, bd, generic, pruned, relu) })
-		g.convForward(cols, wd, bd, simd, pruned, relu)
-		sameBits(t, fmt.Sprintf("%s relu %v", what, relu), generic, simd)
+		dirtyPad()
+		withGeneric(func() { g.convForward(x, pad, offs, wd, bd, generic, pruned, relu) })
+		dirtyPad()
+		g.convForward(x, pad, offs, wd, bd, simd, pruned, relu)
+		sameBits(t, fmt.Sprintf("%s relu %v: Go loop against the naive loop nest", what, relu), naive, generic)
+		sameBits(t, fmt.Sprintf("%s relu %v: assembly against the Go loop", what, relu), generic, simd)
 	}
 }
 
-// convCases spans what the fixtures never hit: output planes of 1, 3,
-// 4, 6, 15, 16, 17, 64 and 1000 positions (both tile shapes, their
-// overlapping last tiles, and the below-one-vector fallback), kernels
+// convCases spans what the fixtures never hit. The first grid: output
+// planes of 1, 3, 4, 6, 15, 16, 17, 64 and 1000 positions, kernels
 // 1/3/5, stride 2, pad 0, and channel counts that are not multiples of
-// the four-channel tile.
+// the four-channel tile. The second, 3×3 only, walks the tile shapes:
+// widths 2 and 8 (two rows to a tile from two rows up, the Go loop or
+// the 4-wide tile on a single row), 5 and 15 (4-wide, overlapping last
+// tile), 16, 17, 32, 33 (16-wide, overlapping last tile), each 1, 2 and
+// 7 rows high (7: the two-row tiles' last pair overlaps).
 func convCases(visit func(g convGeom, n int)) {
 	n := 0
-	for _, out := range [][2]int{{1, 1}, {1, 3}, {2, 2}, {2, 3}, {3, 5}, {4, 4}, {17, 1}, {8, 8}, {25, 40}} {
-		for _, k := range []int{1, 3, 5} {
-			for _, stride := range []int{1, 2} {
-				for _, pad := range []int{0, k / 2} {
-					g := convGeom{outH: out[0], outW: out[1], k: k, stride: stride, pad: pad}
-					g.inH, g.inW = (g.outH-1)*stride+k-2*pad, (g.outW-1)*stride+k-2*pad
-					if g.inH < 1 || g.inW < 1 {
-						continue
-					}
-					for _, outC := range []int{1, 3, 4, 5, 33} {
-						g.inC, g.outC = 1+n%3, outC
-						visit(g, n)
-						n++
+	grid := func(outs [][2]int, ks []int) {
+		for _, out := range outs {
+			for _, k := range ks {
+				for _, stride := range []int{1, 2} {
+					for _, pad := range []int{0, k / 2} {
+						g := convGeom{outH: out[0], outW: out[1], k: k, stride: stride, pad: pad}
+						g.inH, g.inW = (g.outH-1)*stride+k-2*pad, (g.outW-1)*stride+k-2*pad
+						if g.inH < 1 || g.inW < 1 {
+							continue
+						}
+						for _, outC := range []int{1, 3, 4, 5, 33} {
+							g.inC, g.outC = 1+n%3, outC
+							visit(g, n)
+							n++
+						}
 					}
 				}
 			}
 		}
 	}
+	grid([][2]int{{1, 1}, {1, 3}, {2, 2}, {2, 3}, {3, 5}, {4, 4}, {17, 1}, {8, 8}, {25, 40}}, []int{1, 3, 5})
+	var tiles [][2]int
+	for _, outH := range []int{1, 2, 7} {
+		for _, outW := range []int{2, 5, 8, 15, 16, 17, 32, 33} {
+			tiles = append(tiles, [2]int{outH, outW})
+		}
+	}
+	grid(tiles, []int{3})
 }
 
 func TestKernelsMatchGeneric(t *testing.T) {
@@ -189,6 +235,11 @@ func FuzzConvKernel(f *testing.F) {
 	f.Add(int64(2), uint8(12), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(1), uint8(1))
 	f.Add(int64(3), uint8(3), uint8(9), uint8(7), uint8(5), uint8(5), uint8(2), uint8(0), uint8(3))
 	f.Add(int64(4), uint8(2), uint8(1), uint8(17), uint8(33), uint8(1), uint8(1), uint8(0), uint8(2))
+	// 3×3 stride 1 pad 1 on planes 2×2 and 7×2 (two rows of two to a tile),
+	// 7×8 (two rows of eight), 1×8 (4-wide tiles) and 2×33 (16-wide).
+	for i, hw := range [][2]uint8{{1, 1}, {6, 1}, {6, 7}, {0, 7}, {1, 32}} {
+		f.Add(int64(5+i), uint8(i), hw[0], hw[1], uint8(32+i), uint8(2), uint8(0), uint8(1), uint8(i))
+	}
 	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, outC, k, stride, pad, maskKind uint8) {
 		g := convGeom{
 			inC: 1 + int(inC)%8, inH: 1 + int(inH)%40, inW: 1 + int(inW)%40, outC: 1 + int(outC)%40,
@@ -256,13 +307,17 @@ func BenchmarkKernels(b *testing.B) {
 		}
 	}
 	goOnly, bothPaths := []string{""}, []string{"/generic", "/simd"}
+	// conv/* is the whole conv from the input slab (pad copy + MACs), so
+	// the conv, dense, relu and pool rows sum to one forward; pad/* is the
+	// copy alone. backward/im2col/* is a pass only training runs.
 	for _, l := range [][3]int{{1, 4, 32}, {4, 4, 32}, {4, 8, 16}, {8, 8, 16}, {8, 12, 8}, {12, 12, 8}, {12, 16, 4}, {16, 16, 4}, {16, 32, 2}, {32, 32, 2}} {
 		g := convGeom{inC: l[0], inH: l[2], inW: l[2], outC: l[1], outH: l[2], outW: l[2], k: 3, stride: 1, pad: 1}
-		x, cols := random(g.inSize()), make([]float64, g.colsSize())
+		x, pad, offs, cols := random(g.inSize()), make([]float64, g.padSize()), g.tapOffsets(), make([]float64, g.colsSize())
 		wd, bd, os := random(g.outC*g.inC*9), random(g.outC), make([]float64, g.outSize())
 		name := fmt.Sprintf("%dx%dx%d", l[0], l[1], l[2])
-		row("conv/"+name, bothPaths, g.colsSize()*g.outC, "ns/MAC", func() { g.convForward(cols, wd, bd, os, nil, true) })
-		row("im2col/"+name, goOnly, len(cols), "ns/elem", func() { g.im2col(x, cols) })
+		row("conv/"+name, bothPaths, g.colsSize()*g.outC, "ns/MAC", func() { g.convForward(x, pad, offs, wd, bd, os, nil, true) })
+		row("pad/"+name, goOnly, len(pad), "ns/elem", func() { g.padInput(x, pad) })
+		row("backward/im2col/"+name, goOnly, len(cols), "ns/elem", func() { g.im2col(x, pad, offs, cols) })
 	}
 	for _, l := range [][2]int{{32, 128}, {128, 128}, {128, 10}} {
 		x, wd, bd, od := random(l[0]), random(l[0]*l[1]), random(l[1]), make([]float64, l[1])
