@@ -289,9 +289,7 @@ func BenchmarkInferencePruned(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fx.Net.SetPruning(masks)
-	pruned, err := nn.Compact(fx.Net)
-	fx.Net.ClearPruning()
+	pruned, err := nn.CompactMasked(fx.Net, masks)
 	if err != nil {
 		b.Fatal(err)
 	}

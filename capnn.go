@@ -96,11 +96,12 @@ func SaveModelFile(path string, net *Network) error { return nn.SaveFile(path, n
 // LoadModelFile reads a network from a file.
 func LoadModelFile(path string) (*Network, error) { return nn.LoadFile(path) }
 
-// Compact physically removes pruned units, producing the deployable model.
+// Compact physically removes the units pruned by the masks installed on
+// net (SetPruning) — the form fine-tuned baselines leave them in.
 func Compact(net *Network) (*Network, error) { return nn.Compact(net) }
 
-// CompactMasked compacts under masks passed as an argument rather than
-// installed on the network — safe concurrently with serving.
+// CompactMasked removes the units masks prune, producing the deployable
+// model; net is only read, so it is safe beside serving and pruning.
 func CompactMasked(net *Network, masks map[int][]bool) (*Network, error) {
 	return nn.CompactMasked(net, masks)
 }
@@ -156,8 +157,11 @@ func Train(net *Network, trainSet, valSet *Dataset, cfg TrainConfig) error {
 	return err
 }
 
-// Evaluate reports top-1/top-5/per-class accuracy of net on ds.
-func Evaluate(net *Network, ds *Dataset) Eval { return train.Evaluate(net, ds) }
+// Evaluate reports top-1/top-5/per-class accuracy of net under masks
+// (nil = unpruned) on ds.
+func Evaluate(net *Network, masks map[int][]bool, ds *Dataset) Eval {
+	return train.Evaluate(net, masks, ds)
+}
 
 // FineTune briefly retrains a (possibly masked) network.
 func FineTune(net *Network, trainSet, valSet *Dataset, epochs int, seed int64) error {
@@ -264,7 +268,8 @@ func EnergyOf(net *Network, dev DeviceConfig, comp EnergyComponents) (float64, e
 	return energy.OfNetwork(net, dev, comp)
 }
 
-// RelativeEnergy applies masks and returns pruned/original energy.
+// RelativeEnergy returns the energy of net compacted under masks over
+// the unpruned network's.
 func RelativeEnergy(net *Network, masks map[int][]bool, dev DeviceConfig, comp EnergyComponents) (float64, error) {
 	return energy.RelativeOfMasks(net, masks, dev, comp)
 }

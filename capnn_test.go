@@ -29,7 +29,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err := Train(net, sets.Train, sets.Val, tc); err != nil {
 		t.Fatal(err)
 	}
-	base := Evaluate(net, sets.Test)
+	base := Evaluate(net, nil, sets.Test)
 	if base.Top1 <= 0 {
 		t.Fatal("training produced a dead model")
 	}
@@ -59,9 +59,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetPruning(masks)
-	compact, err := Compact(net)
-	net.ClearPruning()
+	compact, err := CompactMasked(net, masks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,32 +1,74 @@
 // Command capnn-inspect dumps a saved model's architecture, parameter
 // distribution, prune masks, and estimated per-inference energy on the
-// default TPU-like device.
+// default TPU-like device — or, given no model, the imagenet20 fixture's
+// firing rates and Algorithm 1 matrices per prunable stage.
 //
 //	capnn-inspect -model path/to/model.gob
+//	capnn-inspect
 package main
 
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
 
 	"capnn/internal/energy"
+	"capnn/internal/exp"
 	"capnn/internal/hw"
 	"capnn/internal/nn"
 )
 
 func main() {
-	path := flag.String("model", "", "path to a model saved with nn.Save / capnn.SaveModel")
+	path := flag.String("model", "", "path to a model saved with nn.Save / capnn.SaveModel; empty = the imagenet20 fixture's rates and B matrices")
 	flag.Parse()
+	var err error
 	if *path == "" {
-		fmt.Fprintln(os.Stderr, "capnn-inspect: -model is required")
-		os.Exit(2)
+		err = fixtureView()
+	} else {
+		err = run(*path)
 	}
-	if err := run(*path); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "capnn-inspect:", err)
 		os.Exit(1)
 	}
+}
+
+// fixtureView summarizes what the cloud keeps beside the model: per
+// prunable stage, how many units Algorithm 1 lets each class prune, and
+// the spread of the firing rates it decided that from.
+func fixtureView() error {
+	fx, err := exp.Load(exp.ImageNet20Config(), os.Stderr)
+	if err != nil {
+		return err
+	}
+	b, err := fx.EnsureB(os.Stderr)
+	if err != nil {
+		return err
+	}
+	for _, l := range b.Stages {
+		units := b.Units[l]
+		fmt.Printf("stage %d (%d units):\n  per-class prunable counts:", l, units)
+		for c := 0; c < b.Classes; c++ {
+			n := 0
+			for u := 0; u < units; u++ {
+				if b.At(l, u, c) {
+					n++
+				}
+			}
+			fmt.Printf(" %d", n)
+		}
+		fmt.Println()
+		lr := fx.Rates.Layers[l]
+		lo, hi, mean := 1.0, 0.0, 0.0
+		for _, v := range lr.F {
+			lo, hi = math.Min(lo, v), math.Max(hi, v)
+			mean += v
+		}
+		fmt.Printf("  rates: min %.3f max %.3f mean %.3f\n", lo, hi, mean/float64(len(lr.F)))
+	}
+	return nil
 }
 
 func run(path string) error {

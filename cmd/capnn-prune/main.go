@@ -67,39 +67,26 @@ func run(in, out, variant, classesArg, weightsArg, model string) error {
 		}
 	}
 
-	var prefs core.Preferences
-	if weightsArg == "" {
-		prefs = core.Uniform(classes)
-	} else {
-		weights, err := parseFloats(weightsArg)
-		if err != nil {
-			return err
-		}
-		prefs, err = core.Weighted(classes, weights)
-		if err != nil {
+	var weights []float64
+	if weightsArg != "" {
+		if weights, err = parseFloats(weightsArg); err != nil {
 			return err
 		}
 	}
-
-	var v core.Variant
-	switch strings.ToUpper(variant) {
-	case "B":
-		v = core.VariantB
-	case "W":
-		v = core.VariantW
-	case "M":
-		v = core.VariantM
-	default:
-		return fmt.Errorf("unknown -variant %q", variant)
+	prefs, err := core.NewPreferences(classes, weights)
+	if err != nil {
+		return err
+	}
+	v, err := core.ParseVariant(variant, core.DefaultVariant)
+	if err != nil {
+		return err
 	}
 
 	res, err := sys.Personalize(v, prefs, fx.Sets.Test)
 	if err != nil {
 		return err
 	}
-	sys.Net.SetPruning(res.Masks)
-	compact, err := nn.Compact(sys.Net)
-	sys.Net.ClearPruning()
+	compact, err := nn.CompactMasked(sys.Net, res.Masks)
 	if err != nil {
 		return err
 	}

@@ -88,16 +88,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
 		os.Exit(2)
 	}
-	var v core.Variant
-	switch *variant {
-	case "B", "b":
-		v = core.VariantB
-	case "W", "w":
-		v = core.VariantW
-	case "M", "m":
-		v = core.VariantM
-	default:
-		fmt.Fprintf(os.Stderr, "unknown variant %q (want B, W or M)\n", *variant)
+	v, err := core.ParseVariant(*variant, core.DefaultVariant)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	plan, err := faults.ParsePlan(*chaos)

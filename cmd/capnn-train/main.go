@@ -75,7 +75,7 @@ func main() {
 		}
 		net, testSet = fx.Net, fx.Sets.Test
 	}
-	ev := train.Evaluate(net, testSet)
+	ev := train.Evaluate(net, nil, testSet)
 	fmt.Printf("%s ready in %v: test top-1 %.3f  top-5 %.3f  params %d\n",
 		cfg.Name, time.Since(start).Round(time.Second), ev.Top1, ev.Top5, net.ParamCount())
 	if err := perf.Stop(); err != nil {

@@ -91,16 +91,13 @@ func TestEvaluationBitIdenticalAcrossWorkers(t *testing.T) {
 	for u := range masks[2] {
 		masks[2][u] = u%2 == 1
 	}
-	net.SetPruning(masks)
-	defer net.ClearPruning()
 
-	refEval := train.EvaluateWorkers(net, ds, 1)
+	refEval := train.EvaluateWorkers(net, masks, ds, 1)
 	defer parallel.SetDefault(0)
 	var refAcc []float64
 	var refPruned map[int][]bool
 	for _, w := range determinismWorkers {
-		net.SetPruning(masks) // PruneW below leaves the network unmasked
-		gotEval := train.EvaluateWorkers(net, ds, w)
+		gotEval := train.EvaluateWorkers(net, masks, ds, w)
 		for c := range refEval.PerClass {
 			if gotEval.PerClass[c] != refEval.PerClass[c] || gotEval.PerClassTop5[c] != refEval.PerClassTop5[c] {
 				t.Fatalf("workers=%d: class %d accuracy %v/%v, want %v/%v", w,
@@ -115,7 +112,7 @@ func TestEvaluationBitIdenticalAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acc := ev.PerClassAccuracy()
+		acc := ev.PerClassAccuracy(masks)
 		// So does the ε check's replay of a class subset (two of the four
 		// classes) inside a threshold descent.
 		pruned, err := core.PruneW(ev, rates, core.Uniform([]int{1, 3}), params)

@@ -46,9 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.SetPruning(masks)
-	personalized, err := capnn.Compact(net)
-	net.ClearPruning()
+	personalized, err := capnn.CompactMasked(net, masks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -83,7 +83,7 @@ func main() {
 		}
 		idx := byClass[class][rng.Intn(len(byClass[class]))]
 		x, _ := sets.Test.Batch([]int{idx})
-		logits := net.Forward(x)
+		logits := net.Infer(x, nil)
 		pred := 0
 		best := logits.At(0, 0)
 		for c := 1; c < 8; c++ {
@@ -118,8 +118,8 @@ func main() {
 
 	// --- device compares old vs new on its own traffic ------------------
 	userTest := sets.Test.FilterClasses(prefs.Classes)
-	before := capnn.Evaluate(net, userTest)
-	after := capnn.Evaluate(personalized, userTest)
+	before := capnn.Evaluate(net, nil, userTest)
+	after := capnn.Evaluate(personalized, nil, userTest)
 	fmt.Printf("user-classes top-1: %.3f → %.3f   top-5: %.3f → %.3f\n",
 		before.Top1, after.Top1, before.Top5, after.Top5)
 

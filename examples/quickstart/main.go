@@ -43,7 +43,7 @@ func main() {
 	if err := capnn.Train(net, sets.Train, sets.Val, tc); err != nil {
 		log.Fatal(err)
 	}
-	base := capnn.Evaluate(net, sets.Test)
+	base := capnn.Evaluate(net, nil, sets.Test)
 	fmt.Printf("trained: test top-1 %.3f, %d parameters\n\n", base.Top1, net.ParamCount())
 
 	// 3. Hand the model to CAP'NN: it profiles class-specific firing
@@ -72,14 +72,12 @@ func main() {
 			v, 100*res.RelativeSize, res.PrunedUnits, res.TotalUnits, res.Top1, res.BaseTop1)
 	}
 
-	// 5. Ship the deployable model: apply the masks and compact.
+	// 5. Ship the deployable model: compact the network under the masks.
 	masks, err := sys.Prune(capnn.VariantM, prefs)
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.SetPruning(masks)
-	deployable, err := capnn.Compact(net)
-	net.ClearPruning()
+	deployable, err := capnn.CompactMasked(net, masks)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -149,12 +149,12 @@ func TestFineTuneRecoversAccuracy(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.net.SetPruning(masks)
-	before := train.Evaluate(f.net, f.sets.Val).Top1
+	before := train.Evaluate(f.net, masks, f.sets.Val).Top1
 	if err := train.FineTune(f.net, f.sets.Train, nil, 3, 7); err != nil {
 		f.net.ClearPruning()
 		t.Fatal(err)
 	}
-	after := train.Evaluate(f.net, f.sets.Val).Top1
+	after := train.Evaluate(f.net, masks, f.sets.Val).Top1
 	f.net.ClearPruning()
 	if after+1e-9 < before {
 		t.Fatalf("fine-tuning reduced accuracy: %.3f → %.3f", before, after)

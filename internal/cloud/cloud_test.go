@@ -81,9 +81,7 @@ func TestRoundTripMatchesLocalPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.sys.Net.SetPruning(masks)
-	local, err := nn.Compact(f.sys.Net)
-	f.sys.Net.ClearPruning()
+	local, err := nn.CompactMasked(f.sys.Net, masks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +150,6 @@ func TestPersonalizeDirectCall(t *testing.T) {
 	}
 	if len(resp.Model) == 0 {
 		t.Fatal("no model bytes")
-	}
-	// Server leaves the system unmasked.
-	for _, c := range f.sys.Net.PrunedCounts() {
-		if c != 0 {
-			t.Fatal("server left masks installed")
-		}
 	}
 }
 
@@ -249,6 +241,49 @@ func TestDeviceLifecycleRepersonalizes(t *testing.T) {
 	changed, _, err = dev.Repersonalize(true)
 	if err != nil || !changed {
 		t.Fatalf("forced repersonalization failed: %v %v", changed, err)
+	}
+}
+
+// Classify is the stateless Infer plus a locked monitor update: any
+// number of goroutines may classify on one device, beside a refetch that
+// swaps the model under them. Meaningful under -race.
+func TestDeviceClassifyConcurrent(t *testing.T) {
+	f := getFixture(t)
+	srv := NewServer(f.sys)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dev, err := NewDevice(NewClient(addr), f.sys.Net, 4, "W")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const each = 20
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				x, _ := f.sets.Test.Batch([]int{(g*each + i) % f.sets.Test.Len()})
+				if _, err := dev.Classify(x); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(g)
+	}
+	x, _ := f.sets.Test.Batch([]int{0})
+	if _, err := dev.Classify(x); err != nil { // the refetch needs one observation
+		t.Fatal(err)
+	}
+	if changed, _, err := dev.Repersonalize(true); err != nil || !changed {
+		t.Fatalf("refetch beside classification: changed=%v err=%v", changed, err)
+	}
+	wg.Wait()
+	if dev.Current().K() == 0 {
+		t.Fatal("refetch recorded no preferences")
 	}
 }
 

@@ -2,6 +2,7 @@ package cloud
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"capnn/internal/core"
@@ -21,11 +22,16 @@ import (
 // records the consecutive-failure streak, and backs off drift-triggered
 // refetches exponentially until the cloud recovers — the device never
 // ends up without a working model.
+//
+// A Device is safe for concurrent use: any number of goroutines may
+// Classify while another repersonalizes (inference is the stateless
+// Network.Infer, and a fetch in flight does not hold the lock).
 type Device struct {
 	client  *Client
 	classes int
 	variant string
 
+	mu      sync.Mutex // guards model, monitor, current, failures, retryAt
 	model   *nn.Network
 	monitor *core.Monitor
 	current core.Preferences
@@ -69,29 +75,47 @@ func NewDevice(client *Client, initial *nn.Network, numClasses int, variant stri
 }
 
 // Model returns the model currently deployed on the device.
-func (d *Device) Model() *nn.Network { return d.model }
+func (d *Device) Model() *nn.Network {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.model
+}
 
 // Current returns the preferences the deployed model was personalized
 // for (empty before the first personalization).
-func (d *Device) Current() core.Preferences { return d.current }
+func (d *Device) Current() core.Preferences {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.current
+}
 
 // ConsecutiveFailures reports how many Repersonalize fetches in a row
 // have failed since the last success.
-func (d *Device) ConsecutiveFailures() int { return d.failures }
+func (d *Device) ConsecutiveFailures() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.failures
+}
 
 // NextRetry returns when the next drift-triggered refetch may run
 // (zero when the device is healthy). Forced repersonalizations ignore
 // it.
-func (d *Device) NextRetry() time.Time { return d.retryAt }
+func (d *Device) NextRetry() time.Time {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.retryAt
+}
 
 // Classify runs one input through the deployed model, records the
 // prediction in the monitoring period, and returns the predicted class.
 func (d *Device) Classify(x *tensor.Tensor) (int, error) {
-	logits := d.model.Forward(x)
+	logits := d.Model().Infer(x, nil)
 	if logits.Dim(1) != d.classes {
 		return 0, fmt.Errorf("cloud: model emits %d classes, device expects %d", logits.Dim(1), d.classes)
 	}
 	pred := tensor.Argmax(logits.Data()[:d.classes])
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err := d.monitor.Observe(pred); err != nil {
 		return 0, err
 	}
@@ -105,6 +129,12 @@ func (d *Device) Classify(x *tensor.Tensor) (int, error) {
 // successful repersonalization, so drift measures usage since the
 // current model was installed, not the device's whole history.
 func (d *Device) Drift() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.drift()
+}
+
+func (d *Device) drift() float64 {
 	if d.monitor.Total() == 0 {
 		return 0
 	}
@@ -133,31 +163,13 @@ func (d *Device) Drift() float64 {
 // failure. While suppressed, non-forced calls return (false, nil) —
 // the device keeps serving with its last-good model.
 func (d *Device) Repersonalize(force bool) (bool, Stats, error) {
-	if !force {
-		if d.Drift() < d.DriftThreshold {
-			return false, Stats{}, nil
-		}
-		if d.failures > 0 && d.now().Before(d.retryAt) {
-			return false, Stats{}, nil // backing off a failing cloud
-		}
-	}
-	k := d.TopK
-	if d.current.K() > 0 {
-		k = d.current.K()
-	}
-	var prefs core.Preferences
-	if d.monitor.Total() == 0 && d.current.K() > 0 {
-		// Forced refresh inside a fresh monitoring window: keep the
-		// preferences the device is already personalized for.
-		prefs = d.current
-	} else {
-		var err error
-		prefs, err = d.monitor.Preferences(k)
-		if err != nil {
-			return false, Stats{}, err
-		}
+	prefs, err := d.wanted(force)
+	if err != nil || prefs.K() == 0 {
+		return false, Stats{}, err
 	}
 	model, stats, err := d.client.Fetch(Request{Variant: d.variant, Classes: prefs.Classes, Weights: prefs.Weights})
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if err != nil {
 		d.failures++
 		d.retryAt = d.now().Add(d.failureBackoff())
@@ -171,6 +183,31 @@ func (d *Device) Repersonalize(force bool) (bool, Stats, error) {
 	// the new model rather than unbounded lifetime counts.
 	d.monitor.Reset()
 	return true, stats, nil
+}
+
+// wanted returns the preferences Repersonalize should fetch a model for,
+// or none when no fetch is due.
+func (d *Device) wanted(force bool) (core.Preferences, error) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !force {
+		if d.drift() < d.DriftThreshold {
+			return core.Preferences{}, nil
+		}
+		if d.failures > 0 && d.now().Before(d.retryAt) {
+			return core.Preferences{}, nil // backing off a failing cloud
+		}
+	}
+	if d.monitor.Total() == 0 && d.current.K() > 0 {
+		// Forced refresh inside a fresh monitoring window: keep the
+		// preferences the device is already personalized for.
+		return d.current, nil
+	}
+	k := d.TopK
+	if d.current.K() > 0 {
+		k = d.current.K()
+	}
+	return d.monitor.Preferences(k)
 }
 
 // failureBackoff returns the refetch suppression after the current

@@ -59,21 +59,14 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Server personalizes models on request. It owns a core.System (whose
-// network it mutates while pruning), so requests are serialized with a
-// mutex — matching the paper's model of a cloud service that prunes per
-// user request.
+// Server personalizes models on request — the paper's cloud service
+// that prunes one trained model per user request. The core.System it
+// owns is only read, so admitted requests prune concurrently.
 type Server struct {
-	mu  sync.Mutex
 	sys *core.System
 	cfg Config
 
 	inflight chan struct{}
-
-	// hookAfterPrune, when set by tests, runs between installing the
-	// pruning masks and compacting — the window where a panic would
-	// leave masks on the shared network without recovery.
-	hookAfterPrune func()
 
 	// rpc is the wire: accept loop, peer limits, drain.
 	rpc *rpc.Server[Request, Response]
@@ -150,16 +143,10 @@ func (s *Server) handle(req *Request) *Response {
 
 // Personalize executes one request against the system. Exposed so the
 // protocol can be exercised without sockets. A panic while pruning is
-// recovered into a CodeInternal response, and the shared network is
-// always left unmasked.
+// recovered into a CodeInternal response.
 func (s *Server) Personalize(req Request) (resp *Response) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			// A panic mid-prune must not leave masks installed on the
-			// shared network for the next request to inherit.
-			s.sys.Net.ClearPruning()
 			resp = errResponse(CodeInternal, fmt.Sprintf("internal: %v", r))
 		}
 	}()
@@ -167,20 +154,14 @@ func (s *Server) Personalize(req Request) (resp *Response) {
 	if req.Version > ProtocolVersion {
 		return errResponse(CodeBadRequest, fmt.Sprintf("protocol version %d not supported (server speaks ≤ %d)", req.Version, ProtocolVersion))
 	}
-	variant, err := parseVariant(req.Variant)
+	variant, err := core.ParseVariant(req.Variant, core.DefaultVariant)
 	if err != nil {
 		return errResponse(CodeBadRequest, err.Error())
 	}
-	var prefs core.Preferences
-	if req.Weights == nil {
-		prefs = core.Uniform(req.Classes)
-	} else {
-		prefs, err = core.Weighted(req.Classes, req.Weights)
-		if err != nil {
-			return errResponse(CodeBadRequest, err.Error())
-		}
+	prefs, err := core.NewPreferences(req.Classes, req.Weights)
+	if err != nil {
+		return errResponse(CodeBadRequest, err.Error())
 	}
-	prefs.Normalize()
 	if err := prefs.Validate(s.sys.Rates.Classes); err != nil {
 		return errResponse(CodeBadRequest, err.Error())
 	}
@@ -189,15 +170,7 @@ func (s *Server) Personalize(req Request) (resp *Response) {
 	if err != nil {
 		return errResponse(CodeInternal, err.Error())
 	}
-	net := s.sys.Net
-	net.ClearPruning()
-	origParams := net.ParamCount()
-	net.SetPruning(masks)
-	if s.hookAfterPrune != nil {
-		s.hookAfterPrune()
-	}
-	compact, err := nn.Compact(net)
-	net.ClearPruning()
+	compact, err := nn.CompactMasked(s.sys.Net, masks)
 	if err != nil {
 		return errResponse(CodeInternal, err.Error())
 	}
@@ -205,7 +178,7 @@ func (s *Server) Personalize(req Request) (resp *Response) {
 	if err := nn.Save(&buf, compact); err != nil {
 		return errResponse(CodeInternal, err.Error())
 	}
-	st := Stats{RelativeSize: float64(compact.ParamCount()) / float64(origParams)}
+	st := Stats{RelativeSize: nn.RelativeSize(s.sys.Net, compact)}
 	for _, m := range masks {
 		for _, p := range m {
 			st.TotalUnits++
@@ -220,18 +193,5 @@ func (s *Server) Personalize(req Request) (resp *Response) {
 		Model:    buf.Bytes(),
 		ModelSum: ModelSum(buf.Bytes()),
 		Stats:    st,
-	}
-}
-
-func parseVariant(v string) (core.Variant, error) {
-	switch v {
-	case "B", "b":
-		return core.VariantB, nil
-	case "W", "w":
-		return core.VariantW, nil
-	case "M", "m":
-		return core.VariantM, nil
-	default:
-		return "", fmt.Errorf("cloud: unknown variant %q (want B, W or M)", v)
 	}
 }

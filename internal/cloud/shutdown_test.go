@@ -4,9 +4,51 @@ import (
 	"encoding/gob"
 	"net"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
+
+// parkedListener keeps one request in flight for as long as a test
+// needs: the first connection it accepts blocks in its first Write —
+// the response, personalization done — until release is closed.
+type parkedListener struct {
+	net.Listener
+	first   sync.Once
+	writing chan struct{} // closed when the held response reaches Write
+	release chan struct{}
+}
+
+func listenParked(t *testing.T) *parkedListener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &parkedListener{Listener: ln, writing: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (l *parkedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err == nil {
+		l.first.Do(func() { c = &parkedConn{Conn: c, l: l} })
+	}
+	return c, err
+}
+
+type parkedConn struct {
+	net.Conn
+	l    *parkedListener
+	held sync.Once
+}
+
+func (c *parkedConn) Write(p []byte) (int, error) {
+	c.held.Do(func() {
+		close(c.l.writing)
+		<-c.l.release
+	})
+	return c.Conn.Write(p)
+}
 
 // Shutdown must drain: the admitted request finishes and is answered,
 // a request arriving on an already-open connection during the drain is
@@ -14,13 +56,9 @@ import (
 func TestShutdownDrainsInflightAndShedsNew(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServer(f.sys)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenParked(t)
+	addr := srv.Serve(ln)
 
-	// Park an in-flight personalization on the system mutex.
-	srv.mu.Lock()
 	firstErr := make(chan error, 1)
 	go func() {
 		cl := NewClient(addr)
@@ -28,7 +66,7 @@ func TestShutdownDrainsInflightAndShedsNew(t *testing.T) {
 		_, _, err := cl.Fetch(Request{Variant: "B", Classes: []int{0}})
 		firstErr <- err
 	}()
-	waitFor(t, 5*time.Second, func() bool { return srv.Inflight() == 1 }, "first request to be admitted")
+	<-ln.writing
 
 	// Open a connection now but send its request only after the drain
 	// begins — the window where requests must be shed, not dropped.
@@ -54,14 +92,14 @@ func TestShutdownDrainsInflightAndShedsNew(t *testing.T) {
 		t.Fatalf("late request got code %v (%s), want busy shed", resp.Code, resp.Err)
 	}
 
-	// Shutdown must still be waiting on the parked personalization.
+	// Shutdown must still be waiting on the parked request.
 	select {
 	case err := <-done:
 		t.Fatalf("Shutdown returned (%v) with a request in flight", err)
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	srv.mu.Unlock()
+	close(ln.release)
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
@@ -80,12 +118,9 @@ func TestShutdownDrainsInflightAndShedsNew(t *testing.T) {
 func TestShutdownDeadlineExpires(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServer(f.sys)
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ln := listenParked(t)
+	addr := srv.Serve(ln)
 
-	srv.mu.Lock()
 	firstErr := make(chan error, 1)
 	go func() {
 		cl := NewClient(addr)
@@ -93,14 +128,14 @@ func TestShutdownDeadlineExpires(t *testing.T) {
 		_, _, err := cl.Fetch(Request{Variant: "B", Classes: []int{0}})
 		firstErr <- err
 	}()
-	waitFor(t, 5*time.Second, func() bool { return srv.Inflight() == 1 }, "first request to be admitted")
+	<-ln.writing
 
-	err = srv.Shutdown(50 * time.Millisecond)
+	err := srv.Shutdown(50 * time.Millisecond)
 	if err == nil || !strings.Contains(err.Error(), "drain deadline") {
 		t.Fatalf("Shutdown err=%v, want drain deadline error", err)
 	}
 
-	srv.mu.Unlock()
+	close(ln.release)
 	if err := srv.Close(); err != nil { // waits out the straggler
 		t.Fatalf("Close after failed drain: %v", err)
 	}

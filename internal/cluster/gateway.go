@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -510,21 +509,25 @@ func (g *Gateway) Stats() Stats {
 
 // RouteKey computes the placement key the gateway shards on: the
 // request's pruning variant plus the canonical preference hash
-// (core.Preferences.Key), i.e. exactly the serve tier's mask-cache key
-// shape — so one key's users always land where their personalization
-// is already cached.
+// (core.Preferences.Key), decoded by the same two functions the shard
+// decodes them with — so every spelling of one (variant, preferences)
+// pair lands where its personalization is already cached. A request
+// that names no variant routes as core.DefaultVariant, which is what a
+// shard serves it under unless its -variant flag says otherwise.
 func RouteKey(req serve.WireRequest) (string, error) {
-	var prefs core.Preferences
-	if req.Weights == nil {
-		prefs = core.Uniform(req.Classes)
-	} else {
-		var err error
-		prefs, err = core.Weighted(req.Classes, req.Weights)
-		if err != nil {
-			return "", err
-		}
+	v, err := core.ParseVariant(req.Variant, core.DefaultVariant)
+	if err != nil {
+		return "", err
 	}
-	return strings.ToUpper(req.Variant) + "/" + prefs.Key(), nil
+	prefs, err := core.NewPreferences(req.Classes, req.Weights)
+	if err != nil {
+		return "", err
+	}
+	return routeKey(v, prefs), nil
+}
+
+func routeKey(v core.Variant, prefs core.Preferences) string {
+	return v.Letter() + "/" + prefs.Key()
 }
 
 // Route answers one wire request through the cluster: placement lookup,

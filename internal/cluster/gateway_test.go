@@ -526,3 +526,58 @@ func TestGatewayMetricNamingLint(t *testing.T) {
 		}
 	}
 }
+
+// TestRouteKeyNamesTheShardsCacheKey: the gateway and the shard decode a
+// request's (variant, preferences) with the same two core functions, so
+// every accepted spelling of one pair — variant letter in either case or
+// left to the default, classes in any order, weights absent, unscaled or
+// normalized — routes under one key, fills one cache entry, and that
+// entry hands off under the key its requests route under. A spelling the
+// shard rejects has no route key either.
+func TestRouteKeyNamesTheShardsCacheKey(t *testing.T) {
+	f := getClusterFixture(t)
+	x, _ := f.sets.Test.Batch([]int{0})
+	prefSpellings := []struct {
+		classes []int
+		weights []float64
+	}{
+		{[]int{0, 2}, nil},
+		{[]int{2, 0}, nil},
+		{[]int{0, 2}, []float64{1, 1}},
+		{[]int{2, 0}, []float64{0.5, 0.5}},
+	}
+	for letter, spellings := range map[string][]string{"B": {"B", "b"}, "W": {"W", "w"}, "M": {"M", "m", ""}} {
+		srv := serve.NewServerWith(f.newSystem(t), serve.Config{DisableGuard: true})
+		keys := map[string]bool{}
+		for _, variant := range spellings {
+			for _, p := range prefSpellings {
+				req := serve.WireRequest{Version: cloud.ProtocolVersion, Variant: variant,
+					Classes: p.classes, Weights: p.weights, Input: x.Data()}
+				key, err := RouteKey(req)
+				if err != nil {
+					t.Fatalf("variant %q %+v: %v", variant, p, err)
+				}
+				keys[key] = true
+				if resp := srv.Handle(req); resp.Code != cloud.CodeOK {
+					t.Fatalf("variant %q %+v: shard answered [%s] %s", variant, p, resp.Code, resp.Err)
+				}
+			}
+		}
+		cached := srv.ExportMasks()
+		_ = srv.Close()
+		if len(keys) != 1 || len(cached) != 1 {
+			t.Fatalf("variant %s: %d route keys %v and %d cache entries, want one of each", letter, len(keys), keys, len(cached))
+		}
+		if rk := cachedRouteKey(cached[0]); !keys[rk] {
+			t.Errorf("variant %s: cache entry %s hands off under %s, its requests route under %v", letter, cached[0].Key, rk, keys)
+		}
+	}
+	for _, bad := range []serve.WireRequest{
+		{Variant: "X", Classes: []int{0}, Input: x.Data()},
+		{Variant: "M", Classes: []int{0, 1}, Weights: []float64{1}, Input: x.Data()},
+	} {
+		if _, err := RouteKey(bad); err == nil {
+			t.Errorf("RouteKey accepted %q %v %v", bad.Variant, bad.Classes, bad.Weights)
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -28,13 +27,10 @@ import (
 const handoffChunk = 32
 
 // cachedRouteKey maps an exported cache entry to the placement key the
-// gateway routes it under: the short variant letter (serve caches under
-// core.Variant's long form, clients route under "B"/"W"/"M") plus the
-// canonical preference hash. Preferences.Key self-normalizes, so the
-// entry's stored vector hashes identically to the client's wire form.
+// gateway routes its requests under. Preferences.Key self-normalizes, so
+// the entry's stored vector hashes identically to the client's wire form.
 func cachedRouteKey(cm serve.CachedMask) string {
-	v := strings.TrimPrefix(cm.Variant, "CAP'NN-")
-	return v + "/" + core.Preferences{Classes: cm.Classes, Weights: cm.Weights}.Key()
+	return routeKey(core.Variant(cm.Variant), core.Preferences{Classes: cm.Classes, Weights: cm.Weights})
 }
 
 // handoff streams warm mask-cache state from sources to the nodes that

@@ -32,8 +32,7 @@ func (b *BMatrices) At(stage, n, c int) bool {
 // degradation of every class within ε. Class c's column depends on no
 // other class's, so the classes are searched one after another, each on
 // one replay that advances past its committed stages. The evaluator's
-// network must be the profiled model; its masks are scratch state and
-// are cleared on return.
+// network must be the profiled model; it is only read.
 func ComputeB(ev *SuffixEvaluator, rates *firing.Rates, params Params) (*BMatrices, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -41,27 +40,24 @@ func ComputeB(ev *SuffixEvaluator, rates *firing.Rates, params Params) (*BMatric
 	if err := ev.checkStages(rates, params.Stages); err != nil {
 		return nil, err
 	}
-	net := ev.net
-	stages := net.Stages()
+	stages := ev.net.Stages()
 	out := &BMatrices{Classes: rates.Classes, Stages: params.Stages, P: map[int][]bool{}, Units: map[int]int{}}
 	for _, l := range params.Stages {
 		out.Units[l] = stages[l].Unit.Units()
 		out.P[l] = make([]bool, out.Units[l]*out.Classes)
 	}
 
-	net.ClearPruning()
-	defer net.ClearPruning()
 	base := ev.baseline()
 
 	for c := 0; c < out.Classes; c++ {
-		net.ClearPruning()
 		r := ev.newReplay(nil)
+		// Class c's masks so far: final for the stages already searched,
+		// the candidate under test for stage l.
+		committed := map[int][]bool{}
 		for _, l := range params.Stages {
 			lr := rates.Layers[l]
-			unit := stages[l].Unit
 			units := out.Units[l]
-			// Class c's masks of earlier stages are installed and final.
-			r.advanceTo(l)
+			r.advanceTo(l, committed)
 
 			score := make([]float64, units)
 			for n := range score {
@@ -88,14 +84,14 @@ func ComputeB(ev *SuffixEvaluator, rates *firing.Rates, params Params) (*BMatric
 				if sameMask(H, lastFailed) {
 					continue
 				}
-				unit.SetPruned(H)
-				if DegradationOK(base, r.accuracy(), params.Epsilon, nil) {
+				committed[l] = H
+				if DegradationOK(base, r.accuracy(committed), params.Epsilon, nil) {
 					accepted = H
 					break
 				}
 				lastFailed = H
 			}
-			unit.SetPruned(accepted)
+			committed[l] = accepted
 			for n, p := range accepted {
 				out.P[l][n*out.Classes+c] = p
 			}

@@ -12,8 +12,9 @@ import "capnn/internal/firing"
 // only K's validation rows, and only the layers from the stage being
 // searched on.
 //
-// The evaluator's network masks are scratch state; the returned masks are
-// the committed result and the network is left unmasked on every return.
+// Every candidate is judged as a value — the committed masks with the
+// candidate in its stage's slot — so the network is only read and any
+// number of searches may share one evaluator.
 func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params Params) (map[int][]bool, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -24,21 +25,16 @@ func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 	if err := ev.checkStages(rates, params.Stages); err != nil {
 		return nil, err
 	}
-	net := ev.net
-	stages := net.Stages()
-
-	net.ClearPruning()
-	defer net.ClearPruning()
+	stages := ev.net.Stages()
 	base := ev.baseline()
 	r := ev.newReplay(prefs.Classes)
 
 	committed := map[int][]bool{}
 	for _, l := range params.Stages {
 		lr := rates.Layers[l]
-		unit := stages[l].Unit
-		units := unit.Units()
-		// The committed masks of earlier stages are installed and final.
-		r.advanceTo(l)
+		units := stages[l].Unit.Units()
+		// The committed masks of earlier stages are final.
+		r.advanceTo(l, committed)
 
 		// Effective firing rate per unit (fixed per stage).
 		eff := make([]float64, units)
@@ -59,15 +55,14 @@ func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 			if sameMask(H, lastFailed) {
 				continue
 			}
-			unit.SetPruned(H)
-			if DegradationOK(base, r.accuracy(), params.Epsilon, prefs.Classes) {
+			committed[l] = H
+			if DegradationOK(base, r.accuracy(committed), params.Epsilon, prefs.Classes) {
 				accepted = H
 				break
 			}
 			lastFailed = H
 		}
 		committed[l] = accepted
-		unit.SetPruned(accepted)
 	}
 	return committed, nil
 }

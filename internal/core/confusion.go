@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"capnn/internal/data"
 	"capnn/internal/nn"
@@ -22,19 +23,21 @@ type ConfusionMatrix struct {
 // ConfusionProfile measures rows of the unpruned model's confusion
 // matrix over a profiling set. A row depends on the weights and the
 // profiling images alone, not on the user, so each class is pushed
-// through the network once, when a user first names it, and kept. Not
-// safe for concurrent use.
+// through the network once, when a user first names it, and kept. Safe
+// for concurrent use.
 type ConfusionProfile struct {
 	net     *nn.Network
 	profile *data.Dataset
 	byClass [][]int
-	rows    [][]float64 // rows[k] is nil until class k is first asked for
+	once    []sync.Once // once[k] measures rows[k]
+	rows    [][]float64
 }
 
 // NewConfusionProfile prepares the (lazy) confusion rows of net over
 // profile. The weights must not change afterwards.
 func NewConfusionProfile(net *nn.Network, profile *data.Dataset) *ConfusionProfile {
-	return &ConfusionProfile{net: net, profile: profile, byClass: profile.ByClass(), rows: make([][]float64, profile.Classes)}
+	return &ConfusionProfile{net: net, profile: profile, byClass: profile.ByClass(),
+		once: make([]sync.Once, profile.Classes), rows: make([][]float64, profile.Classes)}
 }
 
 // confusionBatch shards one class's profiling images finely enough that
@@ -64,13 +67,17 @@ func (cp *ConfusionProfile) row(k int) ([]float64, error) {
 	if k < 0 || k >= cp.profile.Classes {
 		return nil, fmt.Errorf("core: class %d outside [0,%d)", k, cp.profile.Classes)
 	}
-	if cp.rows[k] != nil {
-		return cp.rows[k], nil
-	}
 	idx := cp.byClass[k]
 	if len(idx) == 0 {
 		return nil, fmt.Errorf("core: profiling set has no samples of class %d", k)
 	}
+	cp.once[k].Do(func() { cp.rows[k] = cp.measure(idx) })
+	return cp.rows[k], nil
+}
+
+// measure pushes the profiling images idx (one class's) through the
+// unpruned network and returns their top-1 prediction frequencies.
+func (cp *ConfusionProfile) measure(idx []int) []float64 {
 	row := make([]float64, cp.profile.Classes)
 	preds := make([]int, len(idx))
 	shards := parallel.Shards(len(idx), confusionBatch)
@@ -86,8 +93,7 @@ func (cp *ConfusionProfile) row(k int) ([]float64, error) {
 	for _, p := range preds {
 		row[p] += 1.0 / float64(len(preds))
 	}
-	cp.rows[k] = row
-	return row, nil
+	return row
 }
 
 // TopConfusing returns the topN classes c ≠ k most frequently triggered

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"capnn/internal/data"
 	"capnn/internal/firing"
@@ -33,14 +34,16 @@ import (
 //     set alone, both fixed for the evaluator's lifetime (the cached
 //     prefix already assumes so), and is measured once, at first use.
 //
-// Every replay goes through the same nn.InferLayers under the same
-// installed masks as a full-set, full-suffix pass, and counts integer
-// hits, so accuracies — and with them every accept/reject and every
-// mask — are bit-identical to that pass for every worker count.
+// Every replay goes through the same nn.InferLayers under the same masks
+// as a full-set net.Infer(x, masks), and counts integer hits, so
+// accuracies — and with them every accept/reject and every mask — are
+// bit-identical to that pass for every worker count.
 //
-// The evaluator shares the network and reads its installed masks; like
-// everything that installs scratch masks it must not be used from two
-// goroutines at once.
+// The masks judged are the ones the caller passes: the evaluator reads
+// the network's weights, never the masks installed on it, and writes
+// nothing, so any number of goroutines may use one evaluator at once.
+// Stages before the cached split are not replayed; a mask there is not
+// seen.
 type SuffixEvaluator struct {
 	net     *nn.Network
 	suffix  []nn.Layer // net.Layers[split:]
@@ -51,7 +54,9 @@ type SuffixEvaluator struct {
 	cached *tensor.Tensor // activations at the split, rows grouped by class
 	labels []int          // class of each cached row
 	start  []int          // class c owns rows [start[c], start[c+1])
-	base   []float64      // unmasked per-class accuracy; nil until baseline()
+
+	baseOnce sync.Once
+	base     []float64 // unmasked per-class accuracy, set by baseOnce
 }
 
 // suffixBatch is the replay's shard size. A two-class user's ε check
@@ -60,9 +65,9 @@ type SuffixEvaluator struct {
 const suffixBatch = 16
 
 // NewSuffixEvaluator caches activations of ds at the input of the unit
-// layer with stage index firstPrunable. The returned evaluator shares the
-// network: callers mutate masks on net and then call PerClassAccuracy.
-// Masks already installed on the suffix are left alone.
+// layer with stage index firstPrunable, computed with no stage pruned.
+// The returned evaluator shares the network's weights, which must not
+// change afterwards.
 func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*SuffixEvaluator, error) {
 	stages := net.Stages()
 	if firstPrunable < 0 || firstPrunable >= len(stages) {
@@ -79,15 +84,6 @@ func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*
 		}
 	}
 	split := unitLayers[firstPrunable]
-	for _, l := range net.Layers[:split] {
-		if u, ok := l.(nn.UnitLayer); ok && u.Pruned() != nil {
-			for _, p := range u.Pruned() {
-				if p {
-					return nil, fmt.Errorf("core: prefix layer %s carries a prune mask; suffix caching would be unsound", l.Name())
-				}
-			}
-		}
-	}
 
 	ev := &SuffixEvaluator{net: net, suffix: net.Layers[split:], first: firstPrunable, classes: ds.Classes}
 	for _, i := range unitLayers[firstPrunable:] {
@@ -108,16 +104,14 @@ func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*
 
 	// Run the prefix once over the whole set, sharded across workers.
 	// Shards write disjoint regions of the cache via the stateless
-	// nn.InferLayers, so any worker count produces the same bits (the
-	// prefix is verified unmasked above, and InferLayers matches Forward
-	// bit for bit).
+	// nn.InferLayers, so any worker count produces the same bits.
 	ev.cached = tensor.New(append([]int{len(order)}, net.Layers[split].InShape()...)...)
 	prefix := net.Layers[:split]
 	shards := parallel.Shards(len(order), suffixBatch)
 	parallel.For(0, len(shards), func(i int) {
 		sh := shards[i]
 		x, _ := ds.Batch(order[sh.Lo:sh.Hi])
-		x = nn.InferLayers(prefix, x)
+		x = nn.InferLayers(prefix, 0, nil, x)
 		copy(rows(ev.cached, sh.Lo, sh.Hi), x.Data())
 	})
 	return ev, nil
@@ -135,12 +129,12 @@ func (ev *SuffixEvaluator) Classes() int { return ev.classes }
 // SampleCount returns how many eval images exist for class c.
 func (ev *SuffixEvaluator) SampleCount(c int) int { return ev.start[c+1] - ev.start[c] }
 
-// PerClassAccuracy replays the suffix under the network's current prune
-// masks and returns top-1 accuracy per class, using parallel.Default()
-// workers. Classes with no samples report 0. Callers must not mutate
-// masks while a replay is in flight.
-func (ev *SuffixEvaluator) PerClassAccuracy() []float64 {
-	return ev.newReplay(nil).accuracy()
+// PerClassAccuracy replays the suffix under masks (keyed by stage index,
+// as Network.Infer takes them; nil = unpruned) and returns top-1
+// accuracy per class, using parallel.Default() workers. Classes with no
+// samples report 0.
+func (ev *SuffixEvaluator) PerClassAccuracy(masks map[int][]bool) []float64 {
+	return ev.newReplay(nil).accuracy(masks)
 }
 
 // checkStages rejects stages the evaluator cannot search: outside the
@@ -164,34 +158,33 @@ func (ev *SuffixEvaluator) checkStages(rates *firing.Rates, prunable []int) erro
 }
 
 // baseline returns the per-class accuracy of the unmasked network,
-// measuring it on first use. The network must carry no masks when it is
-// called (the pruning algorithms clear it first); it is not measured in
-// NewSuffixEvaluator because callers may build an evaluator on a net
-// whose suffix is deliberately masked.
+// measuring it on first use.
 func (ev *SuffixEvaluator) baseline() []float64 {
-	if ev.base == nil {
-		ev.base = ev.PerClassAccuracy()
-	}
+	ev.baseOnce.Do(func() { ev.base = ev.PerClassAccuracy(nil) })
 	return ev.base
 }
 
 // replay is the rows of a class subset on their way through the suffix:
-// x holds their activations entering suffix[at]. It is the one place
-// per-class accuracy is measured.
+// x holds their activations entering the unit layer of stage. It is the
+// one place per-class accuracy is measured, and belongs to one search:
+// replays of one evaluator are independent.
 type replay struct {
 	ev     *SuffixEvaluator
 	labels []int // class of each row of x
 	x      *tensor.Tensor
-	at     int
+	stage  int
 }
+
+// at is the position in the suffix of the layer the rows are entering.
+func (r *replay) at() int { return r.ev.unitAt[r.stage-r.ev.first] }
 
 // newReplay starts a replay of the cached rows of the classes in K (nil =
 // every class) at the split.
 func (ev *SuffixEvaluator) newReplay(K []int) *replay {
 	if K == nil {
-		return &replay{ev: ev, labels: ev.labels, x: ev.cached}
+		return &replay{ev: ev, labels: ev.labels, x: ev.cached, stage: ev.first}
 	}
-	r := &replay{ev: ev}
+	r := &replay{ev: ev, stage: ev.first}
 	var data []float64
 	for _, k := range K {
 		lo, hi := ev.start[k], ev.start[k+1]
@@ -204,11 +197,10 @@ func (ev *SuffixEvaluator) newReplay(K []int) *replay {
 	return r
 }
 
-// forward pushes the rows through layers in fixed suffixBatch shards on
-// parallel.Default() workers (nn.InferLayers reads the installed masks
-// and writes no layer state) and hands each shard's output to visit,
-// concurrently.
-func (r *replay) forward(layers []nn.Layer, visit func(sh parallel.Shard, out *tensor.Tensor)) {
+// forward pushes the rows through layers — suffix[at():] or a leading
+// part of it — under masks, in fixed suffixBatch shards on parallel.Default()
+// workers, and hands each shard's output to visit, concurrently.
+func (r *replay) forward(layers []nn.Layer, masks map[int][]bool, visit func(sh parallel.Shard, out *tensor.Tensor)) {
 	if len(r.labels) == 0 {
 		return
 	}
@@ -217,33 +209,32 @@ func (r *replay) forward(layers []nn.Layer, visit func(sh parallel.Shard, out *t
 	parallel.For(0, len(shards), func(i int) {
 		sh := shards[i]
 		x := tensor.MustFromSlice(rows(r.x, sh.Lo, sh.Hi), append([]int{sh.Len()}, shape[1:]...)...)
-		visit(sh, nn.InferLayers(layers, x))
+		visit(sh, nn.InferLayers(layers, r.stage, masks, x))
 	})
 }
 
 // advanceTo moves the rows up to the input of the given stage's unit
-// layer under the masks installed now. The caller promises the masks of
-// the layers crossed are final for as long as the replay is used.
-func (r *replay) advanceTo(stage int) {
-	to := r.ev.unitAt[stage-r.ev.first]
-	if to <= r.at || len(r.labels) == 0 {
+// layer under masks. The caller promises the masks of the stages crossed
+// are final for as long as the replay is used.
+func (r *replay) advanceTo(stage int, masks map[int][]bool) {
+	if stage <= r.stage || len(r.labels) == 0 {
 		return
 	}
-	layers := r.ev.suffix[r.at:to]
+	layers := r.ev.suffix[r.at():r.ev.unitAt[stage-r.ev.first]]
 	next := tensor.New(append([]int{len(r.labels)}, layers[len(layers)-1].OutShape()...)...)
-	r.forward(layers, func(sh parallel.Shard, out *tensor.Tensor) {
+	r.forward(layers, masks, func(sh parallel.Shard, out *tensor.Tensor) {
 		copy(rows(next, sh.Lo, sh.Hi), out.Data())
 	})
-	r.x, r.at = next, to
+	r.x, r.stage = next, stage
 }
 
-// accuracy replays the remaining layers under the installed masks and
-// returns top-1 accuracy per class, 0 for classes the replay holds no
-// rows of. Hits are integers and shards write disjoint rows, so the
-// result is the same for every worker count.
-func (r *replay) accuracy() []float64 {
+// accuracy replays the remaining layers under masks and returns top-1
+// accuracy per class, 0 for classes the replay holds no rows of. Hits
+// are integers and shards write disjoint rows, so the result is the same
+// for every worker count.
+func (r *replay) accuracy(masks map[int][]bool) []float64 {
 	hit := make([]bool, len(r.labels))
-	r.forward(r.ev.suffix[r.at:], func(sh parallel.Shard, out *tensor.Tensor) {
+	r.forward(r.ev.suffix[r.at():], masks, func(sh parallel.Shard, out *tensor.Tensor) {
 		c := out.Dim(1)
 		for s := 0; s < sh.Len(); s++ {
 			hit[sh.Lo+s] = tensor.Argmax(out.Data()[s*c:(s+1)*c]) == r.labels[sh.Lo+s]

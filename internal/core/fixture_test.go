@@ -58,8 +58,7 @@ func getFixture(t *testing.T) *fixture {
 			fixErr = err
 			return
 		}
-		net.ClearPruning()
-		base := sys.Eval.PerClassAccuracy()
+		base := sys.Eval.PerClassAccuracy(nil)
 		fix = &fixture{net: net, sets: sets, sys: sys, baseVal: base}
 	})
 	if fixErr != nil {
@@ -70,7 +69,7 @@ func getFixture(t *testing.T) *fixture {
 
 func TestFixtureLearnedSomething(t *testing.T) {
 	f := getFixture(t)
-	ev := train.Evaluate(f.net, f.sets.Val)
+	ev := train.Evaluate(f.net, nil, f.sets.Val)
 	if ev.Top1 < 0.5 {
 		t.Fatalf("fixture val top-1 %.3f too low for meaningful pruning tests", ev.Top1)
 	}

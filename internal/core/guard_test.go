@@ -91,9 +91,7 @@ func TestPruneWWithQuantizedRates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.net.SetPruning(masks)
-	acc := f.sys.Eval.PerClassAccuracy()
-	f.net.ClearPruning()
+	acc := f.sys.Eval.PerClassAccuracy(masks)
 	if !DegradationOK(f.baseVal, acc, f.sys.Params.Epsilon+1e-9, prefs.Classes) {
 		t.Fatal("quantized-rate pruning violates ε")
 	}

@@ -57,6 +57,24 @@ func Weighted(classes []int, weights []float64) (Preferences, error) {
 	return p, nil
 }
 
+// NewPreferences decodes the (classes, weights) pair every wire request
+// carries: nil weights mean uniform usage, and the result is normalized
+// (classes ascending, weights summing to 1). It does not know the model;
+// Validate before indexing by class.
+func NewPreferences(classes []int, weights []float64) (Preferences, error) {
+	if weights == nil {
+		p := Uniform(classes)
+		p.Normalize()
+		return p, nil
+	}
+	p, err := Weighted(classes, weights)
+	if err != nil {
+		return Preferences{}, err
+	}
+	p.Normalize()
+	return p, nil
+}
+
 // Validate checks the preferences against a model with numClasses outputs.
 func (p Preferences) Validate(numClasses int) error {
 	if len(p.Classes) == 0 {
@@ -87,25 +105,31 @@ func (p Preferences) Validate(numClasses int) error {
 }
 
 // Normalize sorts classes ascending (carrying weights along) and rescales
-// weights to sum to exactly 1.
+// weights to sum to exactly 1. Already-sorted classes — every vector that
+// has been through it once, so the second pass Key makes on a decoded
+// request — take no allocation.
 func (p *Preferences) Normalize() {
-	type pair struct {
-		c int
-		w float64
+	if !sort.IntsAreSorted(p.Classes) {
+		type pair struct {
+			c int
+			w float64
+		}
+		ps := make([]pair, len(p.Classes))
+		for i := range ps {
+			ps[i] = pair{p.Classes[i], p.Weights[i]}
+		}
+		sort.Slice(ps, func(i, j int) bool { return ps[i].c < ps[j].c })
+		for i, x := range ps {
+			p.Classes[i], p.Weights[i] = x.c, x.w
+		}
 	}
-	ps := make([]pair, len(p.Classes))
-	for i := range ps {
-		ps[i] = pair{p.Classes[i], p.Weights[i]}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].c < ps[j].c })
 	sum := 0.0
-	for _, x := range ps {
-		sum += x.w
+	for _, w := range p.Weights {
+		sum += w
 	}
-	for i, x := range ps {
-		p.Classes[i] = x.c
-		if sum > 0 {
-			p.Weights[i] = x.w / sum
+	if sum > 0 {
+		for i := range p.Weights {
+			p.Weights[i] /= sum
 		}
 	}
 }

@@ -12,18 +12,17 @@ import (
 // cheap ε check: under random masks, a replay of a random class subset K
 // — started at the split, advanced to any one stage, or advanced stage
 // by stage — reports for every k ∈ K exactly the accuracy the full-set
-// replay and the full-network evaluation report, for every worker count.
+// replay and the full-network net.Infer(x, masks) evaluation report, for
+// every worker count.
 func TestReplaySubsetMatchesFullEvaluation(t *testing.T) {
 	f := getFixture(t)
 	stages := f.net.Stages()
-	defer f.net.ClearPruning()
 	defer parallel.SetDefault(0)
 
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 12; trial++ {
 		// Alternate between no cached prefix and a two-stage one.
 		first := 2 * (trial % 2)
-		f.net.ClearPruning()
 		ev, err := NewSuffixEvaluator(f.net, f.sets.Val, first)
 		if err != nil {
 			t.Fatal(err)
@@ -41,12 +40,11 @@ func TestReplaySubsetMatchesFullEvaluation(t *testing.T) {
 			masks[l] = m
 		}
 		K := rng.Perm(ev.Classes())[:1+rng.Intn(ev.Classes())]
-		f.net.SetPruning(masks)
-		oracle := train.Evaluate(f.net, f.sets.Val).PerClass
+		oracle := train.Evaluate(f.net, masks, f.sets.Val).PerClass
 
 		for _, w := range []int{1, 2, 4} {
 			parallel.SetDefault(w)
-			full := ev.PerClassAccuracy()
+			full := ev.PerClassAccuracy(masks)
 			for c := range full {
 				if full[c] != oracle[c] {
 					t.Fatalf("trial %d workers %d: full replay class %d = %v, evaluation says %v", trial, w, c, full[c], oracle[c])
@@ -60,14 +58,14 @@ func TestReplaySubsetMatchesFullEvaluation(t *testing.T) {
 					}
 				}
 			}
-			check("from the split", ev.newReplay(K).accuracy())
+			check("from the split", ev.newReplay(K).accuracy(masks))
 			walk := ev.newReplay(K)
 			for l := first; l < len(stages); l++ {
 				jump := ev.newReplay(K)
-				jump.advanceTo(l)
-				check("advanced to one stage", jump.accuracy())
-				walk.advanceTo(l)
-				check("advanced stage by stage", walk.accuracy())
+				jump.advanceTo(l, masks)
+				check("advanced to one stage", jump.accuracy(masks))
+				walk.advanceTo(l, masks)
+				check("advanced stage by stage", walk.accuracy(masks))
 			}
 		}
 	}
@@ -89,8 +87,9 @@ func TestPruneRejectsStageBeforeSplit(t *testing.T) {
 	}
 }
 
-// The memoised baseline and confusion rows are constants of the model:
-// they must not pick up masks a caller left installed.
+// The memoised baseline and confusion rows are constants of the model,
+// and the search judges only the masks it builds: none of them may pick
+// up masks a caller (a fine-tuned baseline, say) left installed.
 func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 	f := getFixture(t)
 	want, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{1, 4})
@@ -115,8 +114,8 @@ func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 		}
 	}
 
-	// A fresh evaluator on the masked net: PruneW clears before it
-	// measures the baseline, so its masks equal the shared evaluator's.
+	// A fresh evaluator on the masked net finds the same masks as the
+	// shared, warmed one.
 	ev, err := NewSuffixEvaluator(f.net, f.sets.Val, f.sys.Params.Stages[0])
 	if err != nil {
 		t.Fatal(err)

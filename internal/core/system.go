@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
+	"sync"
 
 	"capnn/internal/data"
 	"capnn/internal/firing"
@@ -17,7 +19,30 @@ const (
 	VariantB Variant = "CAP'NN-B"
 	VariantW Variant = "CAP'NN-W"
 	VariantM Variant = "CAP'NN-M"
+
+	// DefaultVariant is what a request that names no variant gets.
+	DefaultVariant = VariantM
 )
+
+// ParseVariant decodes a variant's wire spelling — "B", "W" or "M" in
+// either case — with "" meaning def, the receiver's default. It is the
+// one decoder behind every wire and flag that names a variant.
+func ParseVariant(s string, def Variant) (Variant, error) {
+	switch s {
+	case "":
+		return def, nil
+	case "B", "b":
+		return VariantB, nil
+	case "W", "w":
+		return VariantW, nil
+	case "M", "m":
+		return VariantM, nil
+	}
+	return "", fmt.Errorf("core: unknown variant %q (want B, W or M)", s)
+}
+
+// Letter returns the variant's wire spelling ("B", "W" or "M").
+func (v Variant) Letter() string { return strings.TrimPrefix(string(v), "CAP'NN-") }
 
 // System bundles a trained network with everything CAP'NN keeps in the
 // cloud: its firing-rate matrices, the validation evaluator used for
@@ -25,6 +50,12 @@ const (
 // users), and the confusion rows of the profiling set (measured lazily,
 // once per class). It is the entry point the facade and the cloud
 // server build on.
+//
+// After NewSystem returns the network is never written: Prune,
+// OffPreferenceShare and every ε check read its weights and judge masks
+// as values, and each lazily built table is guarded where it lives. All
+// methods are safe for concurrent use, and the masks Prune returns do
+// not depend on what runs beside it.
 type System struct {
 	Net    *nn.Network
 	Rates  *firing.Rates
@@ -32,7 +63,9 @@ type System struct {
 	Eval   *SuffixEvaluator
 
 	confusion *ConfusionProfile
-	b         *BMatrices
+
+	bMu sync.Mutex
+	b   *BMatrices
 }
 
 // NewSystem profiles net (if rates is nil) and prepares the suffix
@@ -45,6 +78,8 @@ func NewSystem(net *nn.Network, valSet, profileSet *data.Dataset, rates *firing.
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	// The one write: the system is not shared yet, and what it hands out
+	// afterwards (Net.Masks, SaveState) is the unpruned model.
 	net.ClearPruning()
 	if rates == nil {
 		var err error
@@ -61,8 +96,11 @@ func NewSystem(net *nn.Network, valSet, profileSet *data.Dataset, rates *firing.
 }
 
 // BMatrices returns Algorithm 1's per-class pruning matrices, computing
-// and caching them on first use (the paper's offline phase).
+// and caching them on first use (the paper's offline phase). Concurrent
+// first users wait for the one computation.
 func (s *System) BMatrices() (*BMatrices, error) {
+	s.bMu.Lock()
+	defer s.bMu.Unlock()
 	if s.b == nil {
 		b, err := ComputeB(s.Eval, s.Rates, s.Params)
 		if err != nil {
@@ -75,10 +113,15 @@ func (s *System) BMatrices() (*BMatrices, error) {
 
 // SetBMatrices installs precomputed Algorithm 1 matrices (for example
 // loaded from a disk cache) so BMatrices does not recompute them.
-func (s *System) SetBMatrices(b *BMatrices) { s.b = b }
+func (s *System) SetBMatrices(b *BMatrices) {
+	s.bMu.Lock()
+	s.b = b
+	s.bMu.Unlock()
+}
 
 // Prune runs the requested variant for the given preferences and returns
-// the per-stage masks. The network is left unmasked.
+// the per-stage masks. It writes nothing to the network and is
+// reentrant.
 func (s *System) Prune(v Variant, prefs Preferences) (map[int][]bool, error) {
 	if err := prefs.Validate(s.Rates.Classes); err != nil {
 		return nil, err
@@ -108,8 +151,7 @@ func (s *System) Prune(v Variant, prefs Preferences) (map[int][]bool, error) {
 // traffic is exactly what prefs claims, and the effective number of
 // profiling images behind that estimate (1/Σ wₖ²/nₖ: the rows are
 // per-class frequencies, mixed by the claimed weights). It is what a
-// serving-time drift test must not mistake for drift. Like Prune it is
-// not safe for concurrent use: a class's row is measured on first use.
+// serving-time drift test must not mistake for drift.
 func (s *System) OffPreferenceShare(prefs Preferences) (share, n float64, err error) {
 	if err := prefs.Validate(s.Rates.Classes); err != nil {
 		return 0, 0, err
@@ -144,9 +186,9 @@ type Result struct {
 	Top1, Top5, BaseTop1, BaseTop5 float64
 }
 
-// Measure applies masks to net, compacts it to count unique parameters,
-// and evaluates pruned-vs-original accuracy over the user's classes on
-// testSet. The network is restored to its unmasked state before return.
+// Measure compacts net under masks to count unique parameters and
+// evaluates pruned-vs-original accuracy over the user's classes on
+// testSet. net is only read; masks installed on it play no part.
 func Measure(net *nn.Network, v Variant, prefs Preferences, masks map[int][]bool, testSet *data.Dataset) (Result, error) {
 	res := Result{Variant: v, Prefs: prefs, Masks: masks}
 	sub := testSet.FilterClasses(prefs.Classes)
@@ -154,19 +196,16 @@ func Measure(net *nn.Network, v Variant, prefs Preferences, masks map[int][]bool
 		return res, fmt.Errorf("core: test set has no samples of the user classes")
 	}
 
-	net.ClearPruning()
-	baseEval := train.Evaluate(net, sub)
+	baseEval := train.Evaluate(net, nil, sub)
 	res.BaseTop1 = train.MeanAccuracyOver(baseEval, prefs.Classes)
 	res.BaseTop5 = train.MeanTop5Over(baseEval, prefs.Classes)
 	origParams := net.ParamCount()
 
-	net.SetPruning(masks)
-	prunedEval := train.Evaluate(net, sub)
+	prunedEval := train.Evaluate(net, masks, sub)
 	res.Top1 = train.MeanAccuracyOver(prunedEval, prefs.Classes)
 	res.Top5 = train.MeanTop5Over(prunedEval, prefs.Classes)
 
-	compact, err := nn.Compact(net)
-	net.ClearPruning()
+	compact, err := nn.CompactMasked(net, masks)
 	if err != nil {
 		return res, err
 	}

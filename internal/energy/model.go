@@ -69,18 +69,14 @@ func Relative(pruned, original float64) (float64, error) {
 	return pruned / original, nil
 }
 
-// RelativeOfMasks applies masks to net, compacts it, and returns the
-// compacted model's energy relative to the unmasked model. The network is
-// restored to its previous (unmasked) state.
+// RelativeOfMasks compacts net under masks and returns the compacted
+// model's energy relative to the unmasked model. net is only read.
 func RelativeOfMasks(net *nn.Network, masks map[int][]bool, dev hw.Config, c Components) (float64, error) {
-	net.ClearPruning()
 	orig, err := OfNetwork(net, dev, c)
 	if err != nil {
 		return 0, err
 	}
-	net.SetPruning(masks)
-	compact, err := nn.Compact(net)
-	net.ClearPruning()
+	compact, err := nn.CompactMasked(net, masks)
 	if err != nil {
 		return 0, err
 	}

@@ -76,16 +76,13 @@ func CheckClaims(main20, cifar10 *Fixture, scale Scale, log io.Writer) ([]Claim,
 
 	// Claim 1: ε guarantee on the validation split for every variant.
 	{
-		main20.Net.ClearPruning()
-		base := main20.Sys.Eval.PerClassAccuracy()
+		base := main20.Sys.Eval.PerClassAccuracy(nil)
 		eps := main20.Sys.Params.Epsilon
 		worst := 0.0
 		pass := true
 		for _, pt := range points {
 			for _, res := range []core.Result{pt.resB, pt.resW, pt.resM} {
-				main20.Net.SetPruning(res.Masks)
-				acc := main20.Sys.Eval.PerClassAccuracy()
-				main20.Net.ClearPruning()
+				acc := main20.Sys.Eval.PerClassAccuracy(res.Masks)
 				for _, c := range pt.prefs.Classes {
 					d := base[c] - acc[c]
 					if d > worst {

@@ -7,20 +7,21 @@ import (
 )
 
 // This file is the inference-only forward path. Network.Forward exists
-// for training: every layer caches its forward input so Backward can run,
-// and unit layers read the prune mask installed by SetPruned — which is
-// why a network must not be shared across goroutines there (and why the
-// cloud server serializes personalization requests with a mutex).
+// for training and the fine-tuned baselines: every layer caches its
+// forward input so Backward can run, and unit layers read the prune mask
+// installed by SetPruned — which is why a network must not be shared
+// across goroutines there.
 //
-// Serving, profiling and evaluation want the opposite trade: many
-// goroutines pushing batches through ONE set of weights. Network.Infer
-// provides that: it performs no writes to any layer field — no cached
-// inputs, no pool argmax buffers, no recording hooks — and takes the
-// prune masks as an explicit argument instead of reading layer state.
-// Concurrent Infer calls are therefore safe, including concurrently with
-// personalization (System.Prune), which only writes layer fields Infer
-// never reads (cached activations and installed masks). The single
-// forbidden overlap is weight mutation: do not train while serving.
+// Serving, profiling, evaluation and the pruning search want the
+// opposite trade: many goroutines pushing batches through ONE set of
+// weights, each under its own masks. Network.Infer provides that: it
+// performs no writes to any layer field — no cached inputs, no pool
+// argmax buffers, no recording hooks — and takes the prune masks as an
+// explicit argument instead of reading layer state. Concurrent Infer
+// calls are therefore safe, including beside personalization
+// (System.Prune), which goes through this same walk and writes nothing
+// either. The single forbidden overlap is weight mutation: do not train
+// while serving.
 //
 // The arithmetic itself lives in kernels.go — the same direct conv and
 // dense kernels Forward uses — so the serving path and the
@@ -43,6 +44,7 @@ type maskedInfer interface {
 // without mutating any layer state and returns the logits. masks maps
 // unit-layer index (the same indexing as SetPruning) to that stage's
 // prune mask; nil masks — or absent indices — leave the stage unpruned.
+// Masks installed with SetPruning are not read.
 //
 // Infer is safe for concurrent use, including concurrently with mask
 // installation and personalization, because it only reads the weights.
@@ -51,7 +53,7 @@ type maskedInfer interface {
 // The masked semantics match Forward under SetPruning exactly: a pruned
 // unit's output (and hence everything downstream of its ReLU) is zero.
 func (n *Network) Infer(x *tensor.Tensor, masks map[int][]bool) *tensor.Tensor {
-	return n.InferObserved(x, masks, nil)
+	return inferLayers(n.Layers, 0, masks, x, nil)
 }
 
 // InferObserved is Infer with a firing observer: after each unit stage's
@@ -64,47 +66,36 @@ func (n *Network) Infer(x *tensor.Tensor, masks map[int][]bool) *tensor.Tensor {
 // goroutines can profile disjoint shards of a dataset through one
 // network concurrently.
 func (n *Network) InferObserved(x *tensor.Tensor, masks map[int][]bool, observe func(stage int, post *tensor.Tensor)) *tensor.Tensor {
-	unit := -1
-	pending := false
-	for _, l := range n.Layers {
-		if ml, ok := l.(maskedInfer); ok {
-			unit++
-			x = ml.inferMasked(x, masks[unit])
-			pending = true
-			continue
-		}
-		sl, ok := l.(statelessInfer)
-		if !ok {
-			panic(fmt.Sprintf("nn: layer %s does not support stateless inference", l.Name()))
-		}
-		x = sl.infer(x)
-		if pending {
-			if _, isReLU := l.(*ReLU); isReLU && observe != nil {
-				observe(unit, x)
-			}
-			pending = false
-		}
-	}
-	return x
+	return inferLayers(n.Layers, 0, masks, x, observe)
 }
 
-// InferLayers runs x through the given layer slice statelessly, reading
-// each unit layer's *installed* prune mask (UnitLayer.Pruned). It is the
-// suffix-replay primitive for parallel evaluation: the per-layer results
-// match Forward under the same masks bit for bit, but no activation
-// caches are written, so disjoint shards can run concurrently. Callers
-// must not mutate masks or weights while shards are in flight.
-func InferLayers(layers []Layer, x *tensor.Tensor) *tensor.Tensor {
-	for _, l := range layers {
-		if ml, ok := l.(maskedInfer); ok {
-			x = ml.inferMasked(x, l.(UnitLayer).Pruned())
-			continue
-		}
-		sl, ok := l.(statelessInfer)
-		if !ok {
+// InferLayers is Infer over a contiguous slice of a network's layers —
+// the suffix-replay primitive of the ε checks. firstStage is the
+// unit-layer index of the first unit layer in layers, so masks keeps the
+// whole network's indexing; x is the batch entering layers[0].
+func InferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor.Tensor) *tensor.Tensor {
+	return inferLayers(layers, firstStage, masks, x, nil)
+}
+
+// inferLayers is the one stateless layer walk. observe, when set, sees
+// the output of each ReLU that directly follows a unit layer.
+func inferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor.Tensor, observe func(stage int, post *tensor.Tensor)) *tensor.Tensor {
+	unit := firstStage - 1
+	for i, l := range layers {
+		switch t := l.(type) {
+		case maskedInfer:
+			unit++
+			x = t.inferMasked(x, masks[unit])
+		case statelessInfer:
+			x = t.infer(x)
+			if _, isReLU := l.(*ReLU); isReLU && observe != nil && i > 0 {
+				if _, paired := layers[i-1].(maskedInfer); paired {
+					observe(unit, x)
+				}
+			}
+		default:
 			panic(fmt.Sprintf("nn: layer %s does not support stateless inference", l.Name()))
 		}
-		x = sl.infer(x)
 	}
 	return x
 }

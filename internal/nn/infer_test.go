@@ -71,21 +71,26 @@ func TestInferMatchesForward(t *testing.T) {
 	}
 }
 
-// InferLayers (the suffix-replay primitive) must match running the same
-// layer slice via Forward under installed masks, bit for bit.
+// InferLayers (the suffix-replay primitive) must match Forward under the
+// same masks installed, bit for bit, wherever the layer slice is cut:
+// firstStage keeps the whole network's mask indexing.
 func TestInferLayersMatchesForward(t *testing.T) {
 	net := inferTestNet(t)
 	x := randBatch(4, net.InShape, 13)
-	net.SetPruning(checkerMasks(net))
-	defer net.ClearPruning()
-	want := x
-	for _, l := range net.Layers {
-		want = l.Forward(want)
-	}
-	got := InferLayers(net.Layers, x)
-	for i, w := range want.Data() {
-		if w != got.Data()[i] {
-			t.Fatalf("logit %d diverges: Forward %v, InferLayers %v", i, w, got.Data()[i])
+	masks := checkerMasks(net)
+	net.SetPruning(masks)
+	want := net.Forward(x)
+	net.ClearPruning()
+	stage := 0
+	for cut, l := range net.Layers {
+		got := InferLayers(net.Layers[cut:], stage, masks, InferLayers(net.Layers[:cut], 0, masks, x))
+		for i, w := range want.Data() {
+			if w != got.Data()[i] {
+				t.Fatalf("cut at layer %d: logit %d diverges: Forward %v, InferLayers %v", cut, i, w, got.Data()[i])
+			}
+		}
+		if _, ok := l.(UnitLayer); ok {
+			stage++
 		}
 	}
 }

@@ -10,13 +10,9 @@ import (
 // transaction: the base model weights, the firing-rate profile, and a
 // snapshot of the mask cache. The caller owns the transaction (it may
 // add its own artifacts) and commits it. Safe to call while serving:
-// personalizeMu keeps a concurrent System.Prune from mutating the
-// network's mask bits mid-serialization.
+// nothing writes the base network.
 func (s *Server) SaveState(txn *store.Txn) error {
-	s.personalizeMu.Lock()
-	err := txn.PutNetwork(store.ArtifactModel, s.sys.Net)
-	s.personalizeMu.Unlock()
-	if err != nil {
+	if err := txn.PutNetwork(store.ArtifactModel, s.sys.Net); err != nil {
 		return err
 	}
 	if err := txn.PutRates(s.sys.Rates); err != nil {

@@ -54,10 +54,7 @@ func (s *Server) entryFromCached(cm CachedMask) (*maskEntry, error) {
 		prunedUnits: cm.PrunedUnits,
 		totalUnits:  cm.TotalUnits,
 	}
-	s.personalizeMu.Lock()
-	e.guard, err = s.newGuard(prefs)
-	s.personalizeMu.Unlock()
-	if err != nil {
+	if e.guard, err = s.newGuard(prefs); err != nil {
 		return nil, fmt.Errorf("serve: entry %q: %w", cm.Key, err)
 	}
 	return e, nil

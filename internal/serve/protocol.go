@@ -208,30 +208,14 @@ func (s *Server) Handle(req WireRequest) *WireResponse {
 			}
 		}
 	}
-	v := s.cfg.Variant
-	switch req.Variant {
-	case "":
-	case "B", "b":
-		v = core.VariantB
-	case "W", "w":
-		v = core.VariantW
-	case "M", "m":
-		v = core.VariantM
-	default:
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("unknown variant %q (want B, W or M)", req.Variant)}
+	v, err := core.ParseVariant(req.Variant, s.cfg.Variant)
+	if err != nil {
+		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: err.Error()}
 	}
-	var prefs core.Preferences
-	if req.Weights == nil {
-		prefs = core.Uniform(req.Classes)
-	} else {
-		var err error
-		prefs, err = core.Weighted(req.Classes, req.Weights)
-		if err != nil {
-			return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: err.Error()}
-		}
+	prefs, err := core.NewPreferences(req.Classes, req.Weights)
+	if err != nil {
+		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: err.Error()}
 	}
-	prefs.Normalize()
 
 	lane, ok := qos.LaneFromWire(req.Lane)
 	if !ok {

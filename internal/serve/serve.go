@@ -15,6 +15,12 @@
 // An admitted request goes straight to a worker — one request, one
 // forward, interactive lane before bulk; nothing is held back to batch.
 //
+// The base network is read-only from the moment core.NewSystem returns:
+// System.Prune judges its candidate masks as values and every plan owns
+// its own compacted weights, so fills of different keys personalize
+// concurrently, and no lock orders a fill against serving, a heal, a
+// handoff import or a checkpoint.
+//
 // Admission control follows internal/cloud: bounded in-flight work,
 // typed busy shedding (cloud.Code), read/write deadlines on the wire,
 // and panic recovery in the workers.
@@ -90,7 +96,7 @@ type Config struct {
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		Variant:           core.VariantM,
+		Variant:           core.DefaultVariant,
 		Workers:           runtime.GOMAXPROCS(0),
 		CacheCap:          256,
 		MaxQueue:          1024,
@@ -185,8 +191,8 @@ type Result struct {
 
 // Server is the concurrent inference server. It owns a prepared
 // core.System whose network supplies the weights every plan is compiled
-// from; weights are never mutated while serving, so any number of
-// requests forward concurrently, each on its own entry's plan.
+// from; nothing writes that network while serving, so any number of
+// requests forward — and any number of cache fills prune — concurrently.
 type Server struct {
 	sys    *core.System
 	cfg    Config
@@ -200,12 +206,6 @@ type Server struct {
 	// ε-guard's fallback and shadow traffic runs, and the stand-in for an
 	// entry whose masks do not compile.
 	unpruned *nn.Compiled
-
-	// personalizeMu serializes System.Prune runs: the pruning algorithms
-	// share the system's suffix evaluator and mutate masks on the shared
-	// network while measuring candidates. Inference (compiled plans hold
-	// their own weights) runs concurrently with this by design.
-	personalizeMu sync.Mutex
 
 	// breaker guards the repersonalization path taken by ε-guard heals.
 	breaker *breaker.Breaker
@@ -511,15 +511,13 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 }
 
 // personalize is the cache fill: one System.Prune run and the compile
-// of its masks under the personalization lock, so singleflight joiners
-// and every later hit find the plan in place. A panic inside the pruning
-// algorithms is recovered into a typed internal error — and not cached.
+// of its masks, so singleflight joiners and every later hit find the
+// plan in place. Fills of different keys run side by side: Prune only
+// reads the base network. A panic inside the pruning algorithms is
+// recovered into a typed internal error — and not cached.
 func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string) (entry *maskEntry, err error) {
-	s.personalizeMu.Lock()
-	defer s.personalizeMu.Unlock()
 	defer func() {
 		if r := recover(); r != nil {
-			s.sys.Net.ClearPruning() // never leave a half-installed mask behind
 			entry, err = nil, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("personalize: %v", r)}
 		}
 	}()
@@ -556,8 +554,7 @@ func (s *Server) CompileWait(time.Duration) error { return nil }
 
 // newGuard builds the ε-guard every entry of this server gets, however
 // it arrives — cache fill, heal, handoff import, checkpoint restore — or
-// nil when guarding is off. The caller holds personalizeMu: the confusion
-// rows behind the predicted share are measured on first use.
+// nil when guarding is off.
 func (s *Server) newGuard(prefs core.Preferences) (*entryGuard, error) {
 	if s.cfg.DisableGuard {
 		return nil, nil

@@ -23,21 +23,23 @@ type Eval struct {
 // evalBatch is the forward batch size used during evaluation.
 const evalBatch = 32
 
-// Evaluate runs the network over every image of ds and returns accuracy
-// metrics, using parallel.Default() workers. Per-class accuracy for
-// class i is the fraction of class-i images whose top-1 prediction (over
-// all output classes) is i — the quantity Algorithms 1 and 2 bound by ε.
-func Evaluate(net *nn.Network, ds *data.Dataset) Eval {
-	return EvaluateWorkers(net, ds, 0)
+// Evaluate runs the network under masks (as Network.Infer takes them;
+// nil = unpruned, net.Masks() = whatever is installed) over every image
+// of ds and returns accuracy metrics, using parallel.Default() workers.
+// Per-class accuracy for class i is the fraction of class-i images whose
+// top-1 prediction (over all output classes) is i — the quantity
+// Algorithms 1 and 2 bound by ε.
+func Evaluate(net *nn.Network, masks map[int][]bool, ds *data.Dataset) Eval {
+	return EvaluateWorkers(net, masks, ds, 0)
 }
 
 // EvaluateWorkers is Evaluate with an explicit worker count (<= 0 means
 // parallel.Default()). The dataset is split into fixed evalBatch shards
-// run through the stateless Network.Infer under the installed prune
-// masks; per-shard integer hit counters merge in shard order, so the
-// metrics are bit-identical for every worker count. The network's
-// weights and masks must not change while an evaluation is in flight.
-func EvaluateWorkers(net *nn.Network, ds *data.Dataset, workers int) Eval {
+// run through the stateless Network.Infer; per-shard integer hit
+// counters merge in shard order, so the metrics are bit-identical for
+// every worker count. The network's weights must not change while an
+// evaluation is in flight.
+func EvaluateWorkers(net *nn.Network, masks map[int][]bool, ds *data.Dataset, workers int) Eval {
 	e := Eval{
 		PerClass:     make([]float64, ds.Classes),
 		PerClassTop5: make([]float64, ds.Classes),
@@ -45,7 +47,6 @@ func EvaluateWorkers(net *nn.Network, ds *data.Dataset, workers int) Eval {
 	}
 	hit1 := make([]int, ds.Classes)
 	hit5 := make([]int, ds.Classes)
-	masks := net.Masks()
 	shards := parallel.Shards(ds.Len(), evalBatch)
 	type part struct{ hit1, hit5, count []int }
 	parts := make([]part, len(shards))

@@ -150,7 +150,7 @@ func TestTrainingLearnsSeparableData(t *testing.T) {
 	if last.Loss >= first.Loss {
 		t.Fatalf("loss did not decrease: %v → %v", first.Loss, last.Loss)
 	}
-	ev := Evaluate(net, valSet)
+	ev := Evaluate(net, nil, valSet)
 	if ev.Top1 < 0.8 {
 		t.Fatalf("val top-1 %.3f below 0.8 on separable data", ev.Top1)
 	}
@@ -172,7 +172,7 @@ func TestEvaluatePerClassCounts(t *testing.T) {
 	gen, _ := data.NewGenerator(data.SynthConfig{Classes: 3, Groups: 1, H: 8, W: 8, NoiseStd: 0.1, Seed: 2})
 	ds := gen.Generate(4, 1)
 	net := nn.NewBuilder(1, 8, 8, 1).Flatten().Dense(3).MustBuild()
-	ev := Evaluate(net, ds)
+	ev := Evaluate(net, nil, ds)
 	for c, n := range ev.Count {
 		if n != 4 {
 			t.Fatalf("class %d counted %d times, want 4", c, n)
@@ -191,7 +191,7 @@ func TestTop5WithFewClasses(t *testing.T) {
 	gen, _ := data.NewGenerator(data.SynthConfig{Classes: 2, Groups: 1, H: 8, W: 8, NoiseStd: 0.1, Seed: 3})
 	ds := gen.Generate(3, 1)
 	net := nn.NewBuilder(1, 8, 8, 2).Flatten().Dense(2).MustBuild()
-	ev := Evaluate(net, ds)
+	ev := Evaluate(net, nil, ds)
 	if ev.Top5 != 1 {
 		t.Fatalf("top-5 = %v with 2 classes, want 1", ev.Top5)
 	}
@@ -211,7 +211,7 @@ func TestPredictMatchesEvaluate(t *testing.T) {
 			hits++
 		}
 	}
-	ev := Evaluate(net, ds)
+	ev := Evaluate(net, nil, ds)
 	if math.Abs(float64(hits)/float64(ds.Len())-ev.Top1) > 1e-12 {
 		t.Fatal("Predict disagrees with Evaluate top-1")
 	}
@@ -283,7 +283,7 @@ func TestAdamLearnsSeparableData(t *testing.T) {
 	if _, err := Train(net, trainSet, valSet, tc); err != nil {
 		t.Fatal(err)
 	}
-	if ev := Evaluate(net, valSet); ev.Top1 < 0.8 {
+	if ev := Evaluate(net, nil, valSet); ev.Top1 < 0.8 {
 		t.Fatalf("adam val top-1 %.3f below 0.8", ev.Top1)
 	}
 }

@@ -126,7 +126,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 		stat := EpochStat{Epoch: epoch, Loss: epochLoss / float64(batches), LearnRat: *lr}
 		if valSet != nil && valSet.Len() > 0 {
 			net.SetTraining(false)
-			stat.ValTop1 = Evaluate(net, valSet).Top1
+			stat.ValTop1 = Evaluate(net, net.Masks(), valSet).Top1
 			net.SetTraining(true)
 		}
 		history = append(history, stat)
