@@ -11,9 +11,8 @@
 package capnn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
 	"sync"
@@ -683,12 +682,12 @@ func BenchmarkGatewayRouting(b *testing.B) {
 
 // BenchmarkWireRoundTrip prices the wire around a forward pass on a
 // frame shaped like the repo benchmark's (the cifar10 fixture's 1×32×32
-// input out, 10 logits back) against a handler that does nothing: dial-per-call opens a
-// socket and a gob stream — re-sending and re-compiling the type
-// descriptions — for every request, persistent keeps one connection and
-// its codec pair, codec-only is one encode + decode of the request on a
-// kept stream with no socket at all (what a fixed-layout frame could
-// still remove).
+// input out, 10 logits back) against a handler that does nothing:
+// dial-per-call opens a socket for every request, persistent keeps one
+// connection and its buffers, codec-only is the frame with no socket at
+// all — the request appended, checksummed on both ends and decoded into a
+// reused value (as a server's connection does) or a fresh one (what a
+// client pays for a response of that size).
 func BenchmarkWireRoundTrip(b *testing.B) {
 	inputLen := cifarFixture(b).Sets.Test.ImageSize() // = the product of Net.InShape, the length the server checks
 	req := serve.WireRequest{Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{3, 7}, Input: make([]float64, inputLen)}
@@ -723,21 +722,27 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	}
 	b.Run("dial-per-call", viaClient(0))
 	b.Run("persistent", viaClient(1))
-	b.Run("codec-only", func(b *testing.B) {
-		var buf bytes.Buffer
-		enc, dec := gob.NewEncoder(&buf), gob.NewDecoder(&buf)
-		b.ReportAllocs()
-		for i := 0; i < b.N+1; i++ { // iteration 0 carries the type descriptions
-			if i == 1 {
-				b.ResetTimer()
-			}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	codec := func(reuse bool) func(*testing.B) {
+		return func(b *testing.B) {
+			var frame []byte
 			var got serve.WireRequest
-			if err := enc.Encode(&req); err != nil {
-				b.Fatal(err)
-			}
-			if err := dec.Decode(&got); err != nil || len(got.Input) != len(req.Input) {
-				b.Fatalf("decode: %v", err)
+			b.ReportAllocs()
+			for i := 0; i < b.N+1; i++ { // iteration 0 grows the buffers
+				if i == 1 {
+					b.ResetTimer()
+				}
+				if !reuse {
+					got = serve.WireRequest{}
+				}
+				frame = req.AppendWire(frame[:0])
+				sent := crc32.Checksum(frame, castagnoli)
+				if err := got.DecodeWire(frame); err != nil || crc32.Checksum(frame, castagnoli) != sent || len(got.Input) != len(req.Input) {
+					b.Fatalf("decode: %v", err)
+				}
 			}
 		}
-	})
+	}
+	b.Run("codec-only", codec(true))
+	b.Run("codec-only/fresh", codec(false))
 }

@@ -2,9 +2,11 @@ package cloud
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
+	"io"
 	"math"
 	"net"
 	"runtime"
@@ -17,6 +19,33 @@ import (
 	"capnn/internal/faults"
 	"capnn/internal/nn"
 )
+
+// writeFrame and readFrame speak internal/rpc's framing — [u32 body
+// length][body][u32 CRC-32C of body], little-endian — on a raw
+// connection, for the tests that play a peer that is not a Client or a
+// Server.
+func writeFrame(conn net.Conn, body []byte) error {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	f = append(f, body...)
+	_, err := conn.Write(binary.LittleEndian.AppendUint32(f, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli))))
+	return err
+}
+
+func readFrame(conn net.Conn) ([]byte, error) {
+	var prefix [4]byte
+	if _, err := io.ReadFull(conn, prefix[:]); err != nil {
+		return nil, err
+	}
+	frame := make([]byte, binary.LittleEndian.Uint32(prefix[:])+4)
+	if _, err := io.ReadFull(conn, frame); err != nil {
+		return nil, err
+	}
+	body := frame[:len(frame)-4]
+	if crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(frame[len(body):]) {
+		return nil, errors.New("frame checksum mismatch")
+	}
+	return body, nil
+}
 
 // waitFor polls cond until it holds or the window elapses.
 func waitFor(t *testing.T, window time.Duration, cond func() bool, msg string) {
@@ -357,8 +386,10 @@ func TestDeviceBacksOffAfterFailures(t *testing.T) {
 	}
 }
 
-// A model payload corrupted in transit must be rejected by the CRC-32
-// check as a retryable transport fault, never installed.
+// A model payload corrupted where the frame's checksum cannot see it —
+// before the frame was built: a bad disk block or a flipped bit in the
+// server's memory — must be rejected by the model's own CRC-32 as a
+// retryable fault, never installed.
 func TestCorruptPayloadDetected(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServer(f.sys)
@@ -366,8 +397,8 @@ func TestCorruptPayloadDetected(t *testing.T) {
 	if resp.Code != CodeOK {
 		t.Fatalf("personalize: %+v", resp)
 	}
-	// Flip one bit mid-payload but keep the original checksum, as a
-	// corrupting transport would.
+	// Flip one bit mid-payload but keep the original model checksum; the
+	// frame is then built, honestly, around the damaged response.
 	resp.Model[len(resp.Model)/2] ^= 0x40
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -383,9 +414,8 @@ func TestCorruptPayloadDetected(t *testing.T) {
 			}
 			go func(c net.Conn) {
 				defer c.Close()
-				var req Request
-				_ = gob.NewDecoder(c).Decode(&req)
-				_ = gob.NewEncoder(c).Encode(resp)
+				_, _ = readFrame(c)
+				_ = writeFrame(c, resp.AppendWire(nil))
 			}(conn)
 		}
 	}()

@@ -161,16 +161,10 @@ func (c *Client) fetchOnce(req Request) (*nn.Network, Stats, *Error) {
 		te := err.(*rpc.Error)
 		return nil, Stats{}, &Error{Op: te.Op, Err: te.Err}
 	}
-	if resp.Err != "" {
-		code := resp.Code
-		if code == CodeOK {
-			// Pre-versioning servers set Err without a code; those
-			// errors were all request-validation failures.
-			code = CodeBadRequest
-		}
-		return nil, Stats{}, &Error{Op: "server", Code: code, Err: errors.New(resp.Err)}
+	if resp.Code != CodeOK {
+		return nil, Stats{}, &Error{Op: "server", Code: resp.Code, Err: errors.New(resp.Err)}
 	}
-	if resp.ModelSum != 0 && ModelSum(resp.Model) != resp.ModelSum {
+	if ModelSum(resp.Model) != resp.ModelSum {
 		return nil, Stats{}, &Error{Op: "payload", Err: fmt.Errorf("model checksum mismatch (%d bytes corrupted in transit)", len(resp.Model))}
 	}
 	model, err := nn.Load(bytes.NewReader(resp.Model))

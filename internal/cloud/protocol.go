@@ -3,7 +3,9 @@
 // device sends the user's preferences (class subset + usage weights, or
 // monitoring-derived counts); the cloud prunes with the requested CAP'NN
 // variant — no retraining — compacts the model, and ships it back for
-// local inference. The wire format is gob over TCP.
+// local inference. On the wire a message is one gob value inside
+// internal/rpc's checksummed frame: a fetch is rare, large and one-shot,
+// so a self-describing body costs it nothing a kept stream would save.
 //
 // The protocol is versioned and fault-aware: responses carry a typed
 // Code so clients can distinguish retryable failures (server busy,
@@ -12,16 +14,19 @@
 // is detected rather than installed.
 package cloud
 
-import "hash/crc32"
+import (
+	"bytes"
+	"encoding/gob"
+	"hash/crc32"
+)
 
-// ProtocolVersion is the current wire protocol version. Servers accept
-// requests at or below their own version; clients stamp every request.
-// Version 0 is the unversioned seed protocol and remains accepted.
-// Version 2 added the serving tier's QoS fields (per-request deadline
-// budget, tenant, priority lane); frames without them decode as
-// deadline-less default-tenant interactive traffic, so every older
-// client keeps working unchanged.
-const ProtocolVersion = 2
+// ProtocolVersion is the current wire protocol version. Servers refuse
+// requests above their own version; clients stamp every request.
+// Version 3 is the first spoken in internal/rpc's checksummed frames —
+// and, on the serving tier, in internal/serve's fixed body layout, where
+// the version leads the body — so nothing older than it can reach a
+// decoder: the v0–v2 gob streams fail the frame check.
+const ProtocolVersion = 3
 
 // Code classifies a response outcome so clients can decide whether a
 // retry can help.
@@ -105,8 +110,7 @@ func (c Code) String() string {
 // preferences. Classes and Weights are parallel; Weights may be nil for
 // CAP'NN-B (it ignores usage) or to request uniform usage.
 type Request struct {
-	// Version is the protocol version the client speaks. Zero (from
-	// pre-versioning clients) is accepted.
+	// Version is the protocol version the client speaks.
 	Version int
 	// Variant is "B", "W" or "M".
 	Variant string
@@ -133,12 +137,30 @@ type Response struct {
 	Err  string
 	// Model is the compacted personalized network; ModelSum is the
 	// IEEE CRC-32 of Model, letting the client reject a payload that
-	// was corrupted in transit instead of installing it. Zero means
-	// the (pre-versioning) server did not compute one.
+	// was damaged where the frame's checksum cannot see it (before the
+	// frame was built) instead of installing it.
 	Model    []byte
 	ModelSum uint32
 	Stats    Stats
 }
+
+// gobAppend and gobDecode are the body encoding of both messages. Encoding
+// one of this package's own plain structs into memory cannot fail.
+func gobAppend(b []byte, v any) []byte {
+	buf := bytes.NewBuffer(b)
+	if err := gob.NewEncoder(buf).Encode(v); err != nil {
+		panic(err)
+	}
+	return buf.Bytes()
+}
+
+func gobDecode(body []byte, v any) error { return gob.NewDecoder(bytes.NewReader(body)).Decode(v) }
+
+// AppendWire and DecodeWire implement rpc.Message.
+func (r *Request) AppendWire(b []byte) []byte    { return gobAppend(b, r) }
+func (r *Request) DecodeWire(body []byte) error  { *r = Request{}; return gobDecode(body, r) }
+func (r *Response) AppendWire(b []byte) []byte   { return gobAppend(b, r) }
+func (r *Response) DecodeWire(body []byte) error { *r = Response{}; return gobDecode(body, r) }
 
 // errResponse builds a typed failure response.
 func errResponse(code Code, msg string) *Response {

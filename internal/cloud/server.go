@@ -22,9 +22,8 @@ type Config struct {
 	// WriteTimeout bounds writing the response to a peer that stops
 	// reading.
 	WriteTimeout time.Duration
-	// MaxRequestBytes caps how much of a request the gob decoder will
-	// consume; oversized requests fail decoding and are rejected with
-	// CodeBadRequest.
+	// MaxRequestBytes caps a request frame's body; a longer one is
+	// rejected with CodeBadRequest before it is read.
 	MaxRequestBytes int64
 	// MaxInflight bounds concurrently admitted requests. Excess
 	// requests are shed immediately with CodeBusy rather than queued

@@ -1,7 +1,6 @@
 package cloud
 
 import (
-	"encoding/gob"
 	"net"
 	"strings"
 	"sync"
@@ -81,12 +80,12 @@ func TestShutdownDrainsInflightAndShedsNew(t *testing.T) {
 	go func() { done <- srv.Shutdown(10 * time.Second) }()
 	waitFor(t, 5*time.Second, srv.isDraining, "drain to begin")
 
-	if err := gob.NewEncoder(late).Encode(&Request{Variant: "B", Classes: []int{0}}); err != nil {
+	if err := writeFrame(late, (&Request{Variant: "B", Classes: []int{0}}).AppendWire(nil)); err != nil {
 		t.Fatal(err)
 	}
 	var resp Response
-	if err := gob.NewDecoder(late).Decode(&resp); err != nil {
-		t.Fatal(err)
+	if body, err := readFrame(late); err != nil || resp.DecodeWire(body) != nil {
+		t.Fatalf("late request got no response: %v", err)
 	}
 	if resp.Code != CodeBusy {
 		t.Fatalf("late request got code %v (%s), want busy shed", resp.Code, resp.Err)

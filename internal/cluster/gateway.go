@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -220,9 +218,7 @@ func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 	}
 	g.srv = rpc.NewServer(
 		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
-		g.handle, func(msg string) *serve.WireResponse {
-			return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: msg}
-		})
+		g.handle, func(msg string) *serve.WireResponse { return serve.Refuse(cloud.CodeBadRequest, "%s", msg) })
 	g.ring.Store(ring)
 	for _, n := range ring.Nodes() {
 		g.nodes[n] = g.newNodeState(n)
@@ -526,43 +522,43 @@ func RouteKey(req serve.WireRequest) (string, error) {
 	return routeKey(v, prefs), nil
 }
 
-func routeKey(v core.Variant, prefs core.Preferences) string {
-	return v.Letter() + "/" + prefs.Key()
-}
+func routeKey(v core.Variant, prefs core.Preferences) string { return prefs.KeyUnder(v.Letter()) }
 
 // Route answers one wire request through the cluster: placement lookup,
 // forward to the owner over a pooled connection, failover to ring
 // replicas on failure, re-route on node-side wrong-owner/ring-changed
 // rejection. Exposed so the routing path can be exercised (and
 // benchmarked) without sockets on the client side.
-func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
+func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse { return g.route(&req) }
+
+// route is Route on the caller's request value, stamping the routing
+// fields into it — over the wire, the one the client's connection decodes
+// every frame into, re-encoded from there for the shard.
+func (g *Gateway) route(req *serve.WireRequest) *serve.WireResponse {
 	if g.isDraining() {
 		g.st.shedReq()
-		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "gateway draining"}
+		return serve.Refuse(cloud.CodeBusy, "gateway draining")
 	}
 	if req.Version > cloud.ProtocolVersion {
-		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("protocol version %d not supported (gateway speaks ≤ %d)", req.Version, cloud.ProtocolVersion)}
+		return serve.Refuse(cloud.CodeBadRequest, "protocol version %d not supported (gateway speaks ≤ %d)", req.Version, cloud.ProtocolVersion)
 	}
 	lane, ok := qos.LaneFromWire(req.Lane)
 	if !ok {
-		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("unknown lane %d (want 0 interactive or 1 bulk)", req.Lane)}
+		return serve.Refuse(cloud.CodeBadRequest, "unknown lane %d (want 0 interactive or 1 bulk)", req.Lane)
 	}
 	tenant := req.Tenant
 	if tenant == "" {
 		tenant = qos.DefaultTenant
 	}
-	key, err := RouteKey(req)
+	key, err := RouteKey(*req)
 	if err != nil {
-		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: err.Error()}
+		return serve.Refuse(cloud.CodeBadRequest, "%s", err.Error())
 	}
 	// Token-bucket admission runs before any backend work: an over-quota
 	// tenant costs the cluster one map lookup, not a shard round trip.
 	if !g.limiter.Allow(tenant, lane) {
 		g.st.tenantShed(tenant, lane.String())
-		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOverQuota,
-			Err: fmt.Sprintf("tenant %q over %s-lane quota, retry with backoff", tenant, lane)}
+		return serve.Refuse(cloud.CodeOverQuota, "tenant %q over %s-lane quota, retry with backoff", tenant, lane)
 	}
 	g.st.admitted()
 	g.st.tenantAdmitted(tenant, lane.String())
@@ -577,14 +573,11 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 	var clientDeadline time.Time
 	if req.BudgetMicros < 0 {
 		g.st.shedExpired()
-		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeExpired,
-			Err: fmt.Sprintf("deadline budget exhausted before arrival (%dµs over)", -req.BudgetMicros)}
+		return serve.Refuse(cloud.CodeExpired, "deadline budget exhausted before arrival (%dµs over)", -req.BudgetMicros)
 	}
-	if req.BudgetMicros > 0 {
-		clientDeadline = now.Add(time.Duration(req.BudgetMicros) * time.Microsecond)
-		if clientDeadline.Before(deadline) {
-			deadline = clientDeadline
-		}
+	if d, binds := qos.Budget(req.BudgetMicros, g.cfg.RequestTimeout); binds {
+		clientDeadline = now.Add(d)
+		deadline = clientDeadline
 	}
 
 	var owners [maxReplication]string
@@ -601,7 +594,7 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 		req.RingVersion = ring.Version()
 		n := ring.LookupInto(key, owners[:g.cfg.Replication])
 		if n == 0 {
-			return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal, Err: "cluster: empty ring"}
+			return serve.Refuse(cloud.CodeInternal, "cluster: empty ring")
 		}
 		reroute := false
 		for i := 0; i < n && !reroute; i++ {
@@ -610,19 +603,16 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 					// The client's budget died during failover: stop burning
 					// replica attempts on a request nobody is waiting for.
 					g.st.shedExpired()
-					return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeExpired,
-						Err: "cluster: deadline budget exhausted during failover"}
+					return serve.Refuse(cloud.CodeExpired, "cluster: deadline budget exhausted during failover")
 				}
 				g.st.errored()
-				return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBusy,
-					Err: fmt.Sprintf("cluster: request deadline %v exceeded during failover", g.cfg.RequestTimeout)}
+				return serve.Refuse(cloud.CodeBusy, "cluster: request deadline %v exceeded during failover", g.cfg.RequestTimeout)
 			}
 			if !clientDeadline.IsZero() {
 				rem := time.Until(clientDeadline).Microseconds()
 				if rem <= 0 {
 					g.st.shedExpired()
-					return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeExpired,
-						Err: "cluster: deadline budget exhausted during failover"}
+					return serve.Refuse(cloud.CodeExpired, "cluster: deadline budget exhausted during failover")
 				}
 				req.BudgetMicros = rem
 			}
@@ -643,7 +633,7 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 			if attemptDeadline.After(deadline) {
 				attemptDeadline = deadline
 			}
-			resp, aerr := g.attempt(ns, &req, attemptDeadline)
+			resp, aerr := g.attempt(ns, req, attemptDeadline)
 			if aerr != nil {
 				lastErr = aerr
 				continue
@@ -689,7 +679,7 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse {
 	if lastErr != nil {
 		msg = fmt.Sprintf("cluster: all replicas failed: %v", lastErr)
 	}
-	return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal, Err: msg}
+	return serve.Refuse(cloud.CodeInternal, "%s", msg)
 }
 
 // attempt runs one exchange against one node and feeds the outcome to
@@ -773,23 +763,22 @@ func (g *Gateway) handle(req *serve.WireRequest) *serve.WireResponse {
 		return g.statsResponse()
 	case serve.OpHealth:
 		if g.isDraining() {
-			return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "gateway draining"}
+			return serve.Refuse(cloud.CodeBusy, "gateway draining")
 		}
 		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
 	default:
-		return g.Route(*req)
+		return g.route(req)
 	}
 }
 
-// statsResponse answers OpStats with the gateway's own stats, carried
-// in the response's opaque payload (serve nodes answer the same op with
-// their typed Stats field).
+// statsResponse answers OpStats with the gateway's own stats in the
+// response payload, where a serve node puts its serve.Stats.
 func (g *Gateway) statsResponse() *serve.WireResponse {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(g.Stats()); err != nil {
-		return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal, Err: fmt.Sprintf("encode stats: %v", err)}
+	p, err := serve.EncodePayload(g.Stats())
+	if err != nil {
+		return serve.Refuse(cloud.CodeInternal, "encode stats: %v", err)
 	}
-	return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: buf.Bytes()}
+	return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: p}
 }
 
 // ScrapeStats fetches a remote gateway's Stats over the wire.
@@ -804,7 +793,7 @@ func ScrapeStats(addr string, timeout time.Duration) (Stats, error) {
 		return Stats{}, fmt.Errorf("cluster: scrape: [%s] %s", resp.Code, resp.Err)
 	}
 	var st Stats
-	if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&st); err != nil {
+	if err := serve.DecodePayload(resp.Payload, &st); err != nil {
 		return Stats{}, fmt.Errorf("cluster: decode stats payload: %w", err)
 	}
 	return st, nil

@@ -16,6 +16,7 @@ import (
 	"capnn/internal/faults"
 	"capnn/internal/metrics"
 	"capnn/internal/nn"
+	"capnn/internal/rpc"
 	"capnn/internal/serve"
 	"capnn/internal/store"
 	"capnn/internal/train"
@@ -403,6 +404,18 @@ func TestGatewayWireProtocolAndScrape(t *testing.T) {
 	}
 	if len(st.Nodes) != 3 {
 		t.Errorf("scraped stats carry %d node entries, want 3", len(st.Nodes))
+	}
+	// A frame that leads with a later protocol version is refused at the
+	// gateway, typed, and no shard hears of it.
+	before := g.Stats().Requests
+	future := f.inferRequest(1, 2)
+	future.Version = cloud.ProtocolVersion + 1
+	raw := rpc.NewClient[serve.WireRequest, serve.WireResponse](gaddr, time.Second, 0)
+	if resp, err := raw.Do(&future, time.Now().Add(2*time.Second)); err != nil || resp.Code != cloud.CodeBadRequest || !strings.Contains(resp.Err, "protocol version 4 not supported") {
+		t.Errorf("future-version frame: resp=%+v err=%v, want a typed bad request naming the version", resp, err)
+	}
+	if after := g.Stats().Requests; after != before {
+		t.Errorf("the refused frame was routed (%d → %d requests)", before, after)
 	}
 
 	if err := g.Shutdown(2 * time.Second); err != nil {

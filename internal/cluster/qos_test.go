@@ -11,6 +11,7 @@ import (
 
 	"capnn/internal/cloud"
 	"capnn/internal/qos"
+	"capnn/internal/rpc"
 	"capnn/internal/serve"
 )
 
@@ -235,3 +236,75 @@ func TestGatewayNonFiniteInputAnsweredNotRetried(t *testing.T) {
 		t.Errorf("shard accepted %d new connections around the rejection, want the kept one reused", n-accepts)
 	}
 }
+
+// A budget too large to be a Duration means "no hurry": the gateway
+// compares it in microseconds against its own RequestTimeout and neither
+// it nor the shard ever multiplies it into a wrapped, negative deadline.
+func TestGatewayBudgetNeverOverflows(t *testing.T) {
+	nodes := startTestNodes(t, 2)
+	g, err := NewGateway(nodeAddrs(nodes), testGWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	f := getClusterFixture(t)
+	for _, tc := range []struct {
+		budget int64
+		want   cloud.Code
+	}{
+		{math.MaxInt64, cloud.CodeOK},
+		{math.MaxInt64 / 500, cloud.CodeOK},
+		{1 << 54, cloud.CodeOK},
+		{1, cloud.CodeExpired}, // under a microsecond left when the first hop is stamped
+		{0, cloud.CodeOK},
+		{-1, cloud.CodeExpired},
+	} {
+		req := f.inferRequest(1, 1)
+		req.BudgetMicros = tc.budget
+		if resp := g.Route(req); resp.Code != tc.want {
+			t.Errorf("budget %dµs: [%s] %s, want %s", tc.budget, resp.Code, resp.Err, tc.want)
+		}
+	}
+}
+
+// Gateway.Route's own allocations, the shard excluded: the shard here is
+// an rpc.Server whose handler returns one prebuilt answer. The 9 that are
+// left: Route's by-value request (1; a wire request is routed in its
+// connection's own), the route key (the preference vector's two slices
+// and the key string, 3), the tenant counter's label key (2), the
+// response value and logits the kept connection's client decodes into
+// (2), and the stub's copy of the route-key string (1). Ceiling: that
+// plus one.
+func TestRouteAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are taken without the race detector")
+	}
+	answer := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: make([]float64, 4), Batch: 1, CacheHit: true}
+	shard := rpc.NewServer(rpc.Limits{ReadTimeout: time.Minute, WriteTimeout: time.Minute, MaxRequestBytes: 1 << 20},
+		func(*serve.WireRequest) *serve.WireResponse { return answer },
+		func(msg string) *serve.WireResponse {
+			return &serve.WireResponse{Code: cloud.CodeBadRequest, Err: msg}
+		})
+	addr, err := shard.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shard.Shutdown(5 * time.Second)
+	g, err := NewGateway([]string{addr}, Config{Replication: 1, ProbeEvery: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	req := getClusterFixture(t).inferRequest(2, 2)
+	allocs := testing.AllocsPerRun(200, func() {
+		if resp := g.Route(req); resp.Code != cloud.CodeOK {
+			t.Fatalf("[%s] %s", resp.Code, resp.Err)
+		}
+	})
+	if allocs > routeAllocCeiling {
+		t.Fatalf("Gateway.Route allocates %v times besides the shard, ceiling %d", allocs, routeAllocCeiling)
+	}
+	t.Logf("Route, shard excluded: %v allocs", allocs)
+}
+
+const routeAllocCeiling = 10

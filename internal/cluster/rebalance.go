@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sync"
 	"time"
@@ -94,7 +92,7 @@ func (g *Gateway) exportMasks(addr string, deadline time.Time) ([]serve.CachedMa
 	if len(resp.Payload) == 0 {
 		return nil, nil
 	}
-	if err := gob.NewDecoder(bytes.NewReader(resp.Payload)).Decode(&cms); err != nil {
+	if err := serve.DecodePayload(resp.Payload, &cms); err != nil {
 		return nil, fmt.Errorf("decode export: %w", err)
 	}
 	return cms, nil
@@ -118,11 +116,11 @@ func (g *Gateway) importMasks(addr string, cms []serve.CachedMask, deadline time
 		if end > len(cms) {
 			end = len(cms)
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(cms[start:end]); err != nil {
+		p, err := serve.EncodePayload(cms[start:end])
+		if err != nil {
 			return imported, fmt.Errorf("encode import: %w", err)
 		}
-		req := serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpCacheImport, Payload: buf.Bytes()}
+		req := serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpCacheImport, Payload: p}
 		resp, err := g.attempt(ns, &req, deadline)
 		if err != nil {
 			return imported, err
@@ -160,12 +158,12 @@ func (g *Gateway) broadcastRing(ring *Ring) {
 			defer wg.Done()
 			u := upd
 			u.You = addr
-			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(u); err != nil {
+			p, err := serve.EncodePayload(u)
+			if err != nil {
 				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
 				return
 			}
-			req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpRingUpdate, Payload: buf.Bytes()}
+			req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpRingUpdate, Payload: p}
 			resp, err := ns.wire.Do(req, time.Now().Add(g.cfg.ProbeTimeout))
 			if err != nil {
 				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)

@@ -6,9 +6,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"sort"
 )
@@ -150,23 +148,55 @@ const keyScale = 1e6
 // well-defined key for the same garbage. Validate first when the
 // preferences come off the wire.
 func (p Preferences) Key() string {
+	var buf [16]byte
+	return string(p.appendKey(buf[:0]))
+}
+
+// KeyUnder returns prefix + "/" + Key() — the shape of a mask-cache or
+// placement key, where the prefix names the variant — in the one
+// allocation of its result.
+func (p Preferences) KeyUnder(prefix string) string {
+	var buf [48]byte
+	return string(p.appendKey(append(append(buf[:0], prefix...), '/')))
+}
+
+// appendKey appends Key's sixteen hex digits to b. Sorted classes — any
+// vector NewPreferences built — are hashed where they lie, dividing each
+// weight by the sum as Normalize would; only an unsorted vector is
+// copied.
+func (p Preferences) appendKey(b []byte) []byte {
 	n := len(p.Classes)
 	if len(p.Weights) < n {
 		n = len(p.Weights) // unvalidated input: hash the consistent prefix
 	}
-	q := Preferences{
-		Classes: append([]int(nil), p.Classes[:n]...),
-		Weights: append([]float64(nil), p.Weights[:n]...),
+	classes, weights, sum := p.Classes[:n], p.Weights[:n], 0.0
+	if sort.IntsAreSorted(classes) {
+		for _, w := range weights {
+			sum += w
+		}
+	} else {
+		q := Preferences{Classes: append([]int(nil), classes...), Weights: append([]float64(nil), weights...)}
+		q.Normalize()
+		classes, weights = q.Classes, q.Weights // already divided: sum stays 0
 	}
-	q.Normalize()
-	h := fnv.New64a()
-	var buf [16]byte
-	for i, c := range q.Classes {
-		binary.LittleEndian.PutUint64(buf[:8], uint64(int64(c)))
-		binary.LittleEndian.PutUint64(buf[8:], uint64(int64(math.Round(q.Weights[i]*keyScale))))
-		h.Write(buf[:])
+	h := uint64(14695981039346656037) // FNV-1a, 64 bit
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h = (h ^ (v >> (8 * i) & 0xff)) * 1099511628211
+		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	for i, c := range classes {
+		w := weights[i]
+		if sum > 0 {
+			w /= sum
+		}
+		mix(uint64(int64(c)))
+		mix(uint64(int64(math.Round(w * keyScale))))
+	}
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, "0123456789abcdef"[h>>shift&15])
+	}
+	return b
 }
 
 // Weight returns the usage weight of class c (0 if c ∉ K).

@@ -193,9 +193,26 @@ func (c *Compiled) Infer(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: compiled infer got %d elems/sample, want %d", x.Len()/max(n, 1), c.inSize))
 	}
 	out := tensor.New(append([]int{n}, c.outShape...)...)
+	c.forward(x.Data(), out.Data(), n)
+	return out
+}
+
+// InferSample is Infer for one flattened sample, without the tensors: the
+// returned logits are its only allocation. The serving tier's entry.
+func (c *Compiled) InferSample(x []float64) []float64 {
+	if len(x) != c.inSize {
+		panic(fmt.Sprintf("nn: compiled infer got %d elems/sample, want %d", len(x), c.inSize))
+	}
+	out := make([]float64, c.outSize)
+	c.forward(x, out, 1)
+	return out
+}
+
+// forward runs n samples from in through the plan into out.
+func (c *Compiled) forward(in, out []float64, n int) {
 	if len(c.ops) == 0 {
-		copy(out.Data(), x.Data())
-		return out
+		copy(out, in)
+		return
 	}
 
 	sc := c.pool.Get().(*compiledScratch)
@@ -204,13 +221,13 @@ func (c *Compiled) Infer(x *tensor.Tensor) *tensor.Tensor {
 	sc.b = growSlab(sc.b, slab)
 	sc.pad = growSlab(sc.pad, c.maxPad)
 
-	cur := x.Data()
+	cur := in
 	useA := true
 	for i := range c.ops {
 		op := &c.ops[i]
 		var dst []float64
 		if i == len(c.ops)-1 {
-			dst = out.Data()
+			dst = out
 		} else if useA {
 			dst, useA = sc.a, false
 		} else {
@@ -220,7 +237,6 @@ func (c *Compiled) Infer(x *tensor.Tensor) *tensor.Tensor {
 		cur = dst[:n*op.out]
 	}
 	c.pool.Put(sc)
-	return out
 }
 
 // run executes one op over a batch of n samples. Every op writes each of

@@ -22,9 +22,8 @@ import (
 	"time"
 )
 
-// Lane is a request's priority class. The zero value is interactive, so
-// pre-QoS wire frames (which never carry the field) keep their existing
-// latency-sensitive treatment.
+// Lane is a request's priority class. The zero value is interactive: a
+// request that names no lane gets the latency-sensitive treatment.
 type Lane uint8
 
 const (
@@ -62,6 +61,19 @@ func LaneFromWire(v int) (Lane, bool) {
 	default:
 		return LaneInteractive, false
 	}
+}
+
+// Budget converts a wire deadline budget in microseconds to a duration,
+// when it binds: ok is false for a budget at or past limit — the hop's
+// own RequestTimeout, which then stays the only bound — so the comparison
+// happens in microseconds and no budget, however large ("no hurry"),
+// reaches the multiplication that would overflow a Duration. Zero is no
+// budget; a negative one was spent upstream, which is the caller's case.
+func Budget(micros int64, limit time.Duration) (d time.Duration, ok bool) {
+	if micros <= 0 || micros >= limit.Microseconds() {
+		return 0, false
+	}
+	return time.Duration(micros) * time.Microsecond, true
 }
 
 // DefaultTenant is the tenant requests without a Tenant field are

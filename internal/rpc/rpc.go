@@ -1,24 +1,131 @@
-// Package rpc is the one transport every CAP'NN tier speaks: gob frames
-// over a kept connection, one request answered by one response. A gob
-// stream carries each type's definition once, so the encoder/decoder
-// pair lives exactly as long as its connection on both ends — the first
-// exchange teaches the peer the types, every later one sends values
-// only. The tiers (internal/serve, internal/cluster, internal/cloud)
-// own what a request means — ops, outcome codes, admission — and hand
-// this package a handler; the accept loop, the peer discipline
-// (deadlines, size cap, panic containment), connection reuse and the
-// drain live here once.
+// Package rpc is the one transport every CAP'NN tier speaks: checksummed
+// byte frames over a kept connection, one request answered by one
+// response. A frame is
+//
+//	[u32 body length][body][u32 CRC-32C of body]
+//
+// little-endian. The length is judged against the receiver's cap before
+// a byte of the body is read, and a frame whose checksum does not match
+// is never decoded: a flipped bit is a transport error on the client and
+// a bad-request-then-close on the server, not a plausible wrong answer.
+// What the body means belongs to the tiers (internal/serve,
+// internal/cluster, internal/cloud): their request and response types
+// implement Message, and they hand this package a handler. The accept
+// loop, the peer discipline (deadlines, size cap, panic containment),
+// connection reuse and the drain live here once.
+//
+// Each connection, on both ends, owns one read buffer and one write
+// buffer (a frame leaves in one Write), and a server-side connection
+// decodes every request into one reused Req: a warm exchange allocates
+// nothing here but the client's Resp. The price is an ownership rule —
+// see Server.
 package rpc
 
 import (
-	"encoding/gob"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"math"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 )
+
+// Message is what a tier's request and response types implement, on
+// their pointers, to cross the wire. AppendWire appends the message's
+// body to b. DecodeWire overwrites every field of its receiver from
+// body; it must not keep a reference into body — those bytes are the
+// connection's read buffer — but may reuse the capacity of the
+// receiver's own slices.
+type Message[T any] interface {
+	*T
+	AppendWire(b []byte) []byte
+	DecodeWire(body []byte) error
+}
+
+// MaxResponseBytes bounds the response body a Client accepts: responses
+// carry models and cache exports, so it is far above any request cap, and
+// it only bounds what a peer may make the client wait for — the read
+// buffer grows with the bytes that actually arrive.
+const MaxResponseBytes = 64 << 20
+
+const (
+	prefixLen = 4 // u32 body length
+	sumLen    = 4 // u32 CRC-32C of the body
+	// minReadBuf is a fresh connection's read buffer: the one read that
+	// usually delivers a whole small frame. maxKeptBuf is the largest one
+	// an idle client connection holds on to: a rare large response (a
+	// model, a cache export) does not pin its size per kept connection.
+	minReadBuf = 4096
+	maxKeptBuf = 1 << 20
+)
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+var (
+	errTooLarge = errors.New("frame exceeds size cap")
+	errChecksum = errors.New("frame checksum mismatch")
+)
+
+// readFrame receives one frame into *buf and returns its body, which is
+// valid until the next read into *buf. A length prefix above limit fails
+// before any of the body is read. The buffer at most doubles each time it
+// fills and never grows past the frame, so a prefix promising bytes that
+// never come costs no more memory than twice what did arrive. Bytes
+// after the frame are an error: a peer sends one frame and waits.
+func readFrame(r io.Reader, buf *[]byte, limit int64) ([]byte, error) {
+	b := (*buf)[:0]
+	if cap(b) < minReadBuf {
+		b = make([]byte, 0, minReadBuf)
+	}
+	need := prefixLen
+	for len(b) < need {
+		if len(b) == cap(b) {
+			b = append(make([]byte, 0, min(need, 2*cap(b))), b...)
+		}
+		n, err := r.Read(b[len(b):cap(b)])
+		b = b[:len(b)+n]
+		*buf = b
+		if need == prefixLen && len(b) >= prefixLen {
+			size := int64(binary.LittleEndian.Uint32(b))
+			if size > limit {
+				return nil, errTooLarge
+			}
+			need = prefixLen + int(size) + sumLen
+		}
+		if err != nil && len(b) < need {
+			if err == io.EOF && len(b) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	if len(b) > need {
+		return nil, fmt.Errorf("%d bytes after the frame", len(b)-need)
+	}
+	body := b[prefixLen : need-sumLen]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(b[need-sumLen:]) {
+		return nil, errChecksum
+	}
+	return body, nil
+}
+
+// writeFrame builds msg's frame in *buf and sends it in one Write.
+func writeFrame[T any](w io.Writer, buf *[]byte, msg *T, appendBody func(*T, []byte) []byte) error {
+	b := appendBody(msg, append((*buf)[:0], 0, 0, 0, 0))
+	size := uint64(len(b) - prefixLen)
+	if size > math.MaxUint32 {
+		return fmt.Errorf("%d-byte body does not fit a frame", size)
+	}
+	binary.LittleEndian.PutUint32(b, uint32(size))
+	b = binary.LittleEndian.AppendUint32(b, crc32.Checksum(b[prefixLen:], castagnoli))
+	*buf = b
+	_, err := w.Write(b)
+	return err
+}
 
 // Limits bounds a Server's exposure to slow, dead or abusive peers.
 type Limits struct {
@@ -27,7 +134,8 @@ type Limits struct {
 	// connection. WriteTimeout bounds writing a response to a peer that
 	// stops reading.
 	ReadTimeout, WriteTimeout time.Duration
-	// MaxRequestBytes caps how much of one request the decoder consumes.
+	// MaxRequestBytes caps one request's body; a longer length prefix is
+	// refused before the body is read.
 	MaxRequestBytes int64
 }
 
@@ -41,15 +149,19 @@ const (
 	connClosed // closed by Shutdown while idle
 )
 
-type serverConn struct {
+// serverConn is one accepted connection with the buffers and the request
+// value every exchange on it reuses.
+type serverConn[Req any] struct {
 	net.Conn
-	state atomic.Int32
+	state   atomic.Int32
+	in, out []byte
+	req     Req
 }
 
 // Read marks the connection busy the moment request bytes arrive, so
 // Shutdown never closes a connection out from under a request it has
 // started to receive.
-func (c *serverConn) Read(p []byte) (int, error) {
+func (c *serverConn[Req]) Read(p []byte) (int, error) {
 	n, err := c.Conn.Read(p)
 	if n > 0 {
 		c.state.CompareAndSwap(connIdle, connBusy)
@@ -60,25 +172,37 @@ func (c *serverConn) Read(p []byte) (int, error) {
 // Server accepts connections and answers each decoded Req with the
 // handler's Resp, for as many exchanges as the peer keeps the
 // connection open.
+//
+// The *Req a handler receives is its connection's one request value: it
+// and every slice DecodeWire filled belong to the connection again the
+// moment the handler returns, and the next frame is decoded over them. A
+// handler that leaves a slice with someone who may still read it after
+// that — a worker a timed-out waiter walked away from — must nil the
+// field before returning, so the connection decodes into a fresh one.
 type Server[Req, Resp any] struct {
 	lim    Limits
 	handle func(*Req) *Resp
 	reject func(msg string) *Resp
+	decode func(*Req, []byte) error
+	encode func(*Resp, []byte) []byte
 
 	// mu guards lns and conns, and orders wg.Add against Shutdown's
 	// wg.Wait: nothing is added once closing is set.
 	mu      sync.Mutex
 	lns     []net.Listener
-	conns   map[*serverConn]struct{}
+	conns   map[*serverConn[Req]]struct{}
 	closing atomic.Bool
 	wg      sync.WaitGroup
 }
 
 // NewServer builds a server. handle answers one request; reject builds
-// the response to a frame that could not be decoded (the tier's
-// bad-request shape carrying msg).
-func NewServer[Req, Resp any](lim Limits, handle func(*Req) *Resp, reject func(msg string) *Resp) *Server[Req, Resp] {
-	return &Server[Req, Resp]{lim: lim, handle: handle, reject: reject, conns: map[*serverConn]struct{}{}}
+// the response to a frame that was refused or could not be decoded (the
+// tier's bad-request shape carrying msg).
+func NewServer[Req, Resp any, RP Message[Req], SP Message[Resp]](lim Limits, handle func(*Req) *Resp, reject func(msg string) *Resp) *Server[Req, Resp] {
+	return &Server[Req, Resp]{lim: lim, handle: handle, reject: reject,
+		decode: func(r *Req, body []byte) error { return RP(r).DecodeWire(body) },
+		encode: func(r *Resp, b []byte) []byte { return SP(r).AppendWire(b) },
+		conns:  map[*serverConn[Req]]struct{}{}}
 }
 
 // Listen starts accepting TCP connections on addr (e.g. "127.0.0.1:0")
@@ -112,7 +236,7 @@ func (s *Server[Req, Resp]) Serve(ln net.Listener) string {
 			if err != nil {
 				return // listener closed
 			}
-			c := &serverConn{Conn: conn}
+			c := &serverConn[Req]{Conn: conn}
 			s.mu.Lock()
 			if s.closing.Load() {
 				s.mu.Unlock()
@@ -129,9 +253,10 @@ func (s *Server[Req, Resp]) Serve(ln net.Listener) string {
 }
 
 // serveConn runs request/response exchanges on one connection: a read
-// deadline per request so a hung peer cannot hold the goroutine, a size
-// cap on the decoder, a write deadline for peers that stop reading.
-func (s *Server[Req, Resp]) serveConn(c *serverConn) {
+// deadline per request so a hung peer cannot hold the goroutine, the size
+// cap and the checksum on every frame, a write deadline for peers that
+// stop reading.
+func (s *Server[Req, Resp]) serveConn(c *serverConn[Req]) {
 	defer s.wg.Done()
 	defer func() {
 		s.mu.Lock()
@@ -141,30 +266,29 @@ func (s *Server[Req, Resp]) serveConn(c *serverConn) {
 	}()
 	defer func() { _ = recover() }() // a handler panic costs its connection, never the server
 
-	lr := &io.LimitedReader{R: c}
-	dec := gob.NewDecoder(lr)
-	enc := gob.NewEncoder(c)
 	for served := 0; ; served++ {
 		_ = c.SetReadDeadline(time.Now().Add(s.lim.ReadTimeout))
-		lr.N = s.lim.MaxRequestBytes
-		req := new(Req)
-		if err := dec.Decode(req); err != nil {
+		body, err := readFrame(c, &c.in, s.lim.MaxRequestBytes)
+		if err == nil {
+			err = s.decode(&c.req, body)
+		}
+		if err != nil {
 			if served > 0 && c.state.Load() != connBusy {
 				// The peer finished with the connection (clean close, idle
 				// timeout, or Shutdown closed it): nothing to answer.
 				return
 			}
+			// Oversized is told apart from malformed so clients know not to
+			// retry the same payload. Either way the stream's framing is no
+			// longer trusted: answer once and close.
 			msg := fmt.Sprintf("decode: %v", err)
-			if lr.N <= 0 {
-				// The decoder ran the limit dry: distinguish an oversized (or
-				// unterminated) frame from a merely malformed one so clients
-				// know not to retry the same payload.
+			if err == errTooLarge {
 				msg = fmt.Sprintf("request exceeds size cap (%d bytes)", s.lim.MaxRequestBytes)
 			}
-			s.respond(c, enc, s.reject(msg))
+			s.respond(c, s.reject(msg))
 			return
 		}
-		if !s.respond(c, enc, s.handle(req)) {
+		if !s.respond(c, s.handle(&c.req)) {
 			return
 		}
 		// Idle first, then look at closing: Shutdown sets closing before
@@ -176,9 +300,9 @@ func (s *Server[Req, Resp]) serveConn(c *serverConn) {
 	}
 }
 
-func (s *Server[Req, Resp]) respond(c *serverConn, enc *gob.Encoder, resp *Resp) bool {
+func (s *Server[Req, Resp]) respond(c *serverConn[Req], resp *Resp) bool {
 	_ = c.SetWriteDeadline(time.Now().Add(s.lim.WriteTimeout))
-	return enc.Encode(resp) == nil
+	return writeFrame(c.Conn, &c.out, resp, s.encode) == nil
 }
 
 // Shutdown stops accepting, closes every idle kept connection at once
@@ -232,24 +356,27 @@ func (e *Error) Error() string { return e.Op + ": " + e.Err.Error() }
 // Unwrap exposes the cause to errors.Is/As.
 func (e *Error) Unwrap() error { return e.Err }
 
-// clientConn is one kept connection with its codec pair.
+// clientConn is one kept connection with its two buffers.
 type clientConn struct {
-	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	conn    net.Conn
+	in, out []byte
 	// reused marks a connection that already completed an exchange: a
 	// failure on it may only mean the server reaped it while idle.
 	reused bool
 }
 
-func (cc *clientConn) roundTrip(req, resp any, deadline time.Time) error {
+func (c *Client[Req, Resp]) roundTrip(cc *clientConn, req *Req, resp *Resp, deadline time.Time) error {
 	if err := cc.conn.SetDeadline(deadline); err != nil {
 		return &Error{Op: "send", Err: err}
 	}
-	if err := cc.enc.Encode(req); err != nil {
+	if err := writeFrame(cc.conn, &cc.out, req, c.encode); err != nil {
 		return &Error{Op: "send", Err: err}
 	}
-	if err := cc.dec.Decode(resp); err != nil {
+	body, err := readFrame(cc.conn, &cc.in, MaxResponseBytes)
+	if err == nil {
+		err = c.decode(resp, body)
+	}
+	if err != nil {
 		return &Error{Op: "receive", Err: err}
 	}
 	return nil
@@ -267,6 +394,13 @@ type Client[Req, Resp any] struct {
 	// OnRedial, when set before the first Do, observes each retry of a
 	// request whose kept connection turned out to be stale.
 	OnRedial func()
+	// Dial, when set before the first Do, opens the connections instead
+	// of net.DialTimeout("tcp", …) — how tests run a tier over
+	// PipeListener with no sockets.
+	Dial func(addr string, timeout time.Duration) (net.Conn, error)
+
+	encode func(*Req, []byte) []byte
+	decode func(*Resp, []byte) error
 
 	mu     sync.Mutex
 	idle   []*clientConn
@@ -275,8 +409,10 @@ type Client[Req, Resp any] struct {
 
 // NewClient builds a client for addr. maxIdle 0 makes every call a
 // one-shot exchange on its own connection.
-func NewClient[Req, Resp any](addr string, dialTimeout time.Duration, maxIdle int) *Client[Req, Resp] {
-	return &Client[Req, Resp]{addr: addr, dialTimeout: dialTimeout, maxIdle: maxIdle}
+func NewClient[Req, Resp any, RP Message[Req], SP Message[Resp]](addr string, dialTimeout time.Duration, maxIdle int) *Client[Req, Resp] {
+	return &Client[Req, Resp]{addr: addr, dialTimeout: dialTimeout, maxIdle: maxIdle,
+		encode: func(r *Req, b []byte) []byte { return RP(r).AppendWire(b) },
+		decode: func(r *Resp, body []byte) error { return SP(r).DecodeWire(body) }}
 }
 
 // Do runs one exchange that must finish by deadline. A failure on a
@@ -290,7 +426,7 @@ func (c *Client[Req, Resp]) Do(req *Req, deadline time.Time) (*Resp, error) {
 		return nil, err
 	}
 	resp := new(Resp)
-	err = cc.roundTrip(req, resp, deadline)
+	err = c.roundTrip(cc, req, resp, deadline)
 	if err != nil && cc.reused && time.Now().Before(deadline) {
 		_ = cc.conn.Close()
 		if c.OnRedial != nil {
@@ -300,7 +436,7 @@ func (c *Client[Req, Resp]) Do(req *Req, deadline time.Time) (*Resp, error) {
 			return nil, err
 		}
 		resp = new(Resp) // a failed decode may have half-filled the first
-		err = cc.roundTrip(req, resp, deadline)
+		err = c.roundTrip(cc, req, resp, deadline)
 	}
 	if err != nil {
 		_ = cc.conn.Close()
@@ -327,15 +463,24 @@ func (c *Client[Req, Resp]) get() (*clientConn, error) {
 }
 
 func (c *Client[Req, Resp]) dial() (*clientConn, error) {
-	conn, err := net.DialTimeout("tcp", c.addr, c.dialTimeout)
+	dial := c.Dial
+	if dial == nil {
+		dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		}
+	}
+	conn, err := dial(c.addr, c.dialTimeout)
 	if err != nil {
 		return nil, &Error{Op: "dial", Err: err}
 	}
-	return &clientConn{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &clientConn{conn: conn}, nil
 }
 
 func (c *Client[Req, Resp]) put(cc *clientConn) {
 	cc.reused = true
+	if cap(cc.in) > maxKeptBuf {
+		cc.in = nil
+	}
 	c.mu.Lock()
 	if !c.closed && len(c.idle) < c.maxIdle {
 		c.idle = append(c.idle, cc)

@@ -1,9 +1,11 @@
 package rpc
 
 import (
-	"encoding/gob"
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -23,6 +25,60 @@ type echoResp struct {
 	ID  int
 	Pad []byte
 	Err string
+}
+
+// The test messages' bodies: a varint ID, then (response only) the
+// uvarint length of Pad, then Pad, then (response only) Err.
+func (r *echoReq) AppendWire(b []byte) []byte {
+	return append(binary.AppendVarint(b, int64(r.ID)), r.Pad...)
+}
+
+func (r *echoReq) DecodeWire(body []byte) error {
+	id, n := binary.Varint(body)
+	if n <= 0 {
+		return errors.New("echo request without an id")
+	}
+	r.ID, r.Pad = int(id), append(r.Pad[:0], body[n:]...)
+	return nil
+}
+
+func (r *echoResp) AppendWire(b []byte) []byte {
+	b = binary.AppendUvarint(binary.AppendVarint(b, int64(r.ID)), uint64(len(r.Pad)))
+	return append(append(b, r.Pad...), r.Err...)
+}
+
+func (r *echoResp) DecodeWire(body []byte) error {
+	id, n := binary.Varint(body)
+	if n <= 0 {
+		return errors.New("echo response without an id")
+	}
+	pad, m := binary.Uvarint(body[n:])
+	if m <= 0 || pad > uint64(len(body)-n-m) {
+		return errors.New("echo response pad past its body")
+	}
+	body = body[n+m:]
+	r.ID, r.Pad, r.Err = int(id), append([]byte(nil), body[:pad]...), string(body[pad:])
+	return nil
+}
+
+// send and recv speak frames on a raw connection, as a peer that is not
+// a Client would.
+func send(t *testing.T, conn net.Conn, req *echoReq) {
+	t.Helper()
+	var buf []byte
+	if err := writeFrame(conn, &buf, req, (*echoReq).AppendWire); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func recv(conn net.Conn) (echoResp, error) {
+	var buf []byte
+	var resp echoResp
+	body, err := readFrame(conn, &buf, MaxResponseBytes)
+	if err == nil {
+		err = resp.DecodeWire(body)
+	}
+	return resp, err
 }
 
 func echo(r *echoReq) *echoResp { return &echoResp{ID: r.ID, Pad: r.Pad} }
@@ -193,11 +249,8 @@ func TestShutdownAnswersInFlight(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- srv.Shutdown(10 * time.Second) }()
 	waitFor(t, "shutdown to begin", srv.closing.Load)
-	if err := gob.NewEncoder(late).Encode(&echoReq{ID: 7}); err != nil {
-		t.Fatal(err)
-	}
-	var resp echoResp
-	if err := gob.NewDecoder(late).Decode(&resp); err != nil || resp.ID != 7 {
+	send(t, late, &echoReq{ID: 7})
+	if resp, err := recv(late); err != nil || resp.ID != 7 {
 		t.Fatalf("late request: resp=%+v err=%v", resp, err)
 	}
 	select {
@@ -378,77 +431,226 @@ func TestSharedClientNeverInterleavesFrames(t *testing.T) {
 	}
 }
 
-// (e) Frames that do not decode get the typed rejection, with the
-// oversized case told apart from the malformed one — on a first frame
-// and on a kept connection alike.
+// frameOf builds the frame of body by the package doc's layout, so the
+// tests below can then break it.
+func frameOf(body []byte) []byte {
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(body)))
+	f = append(f, body...)
+	return binary.LittleEndian.AppendUint32(f, crc32Castagnoli(body))
+}
+
+// crc32Castagnoli is CRC-32C computed bit by bit, independently of
+// hash/crc32's tables.
+func crc32Castagnoli(p []byte) uint32 {
+	crc := ^uint32(0)
+	for _, b := range p {
+		crc ^= uint32(b)
+		for i := 0; i < 8; i++ {
+			crc = crc>>1 ^ 0x82f63b78&-(crc&1)
+		}
+	}
+	return ^crc
+}
+
+// The frame is what the package doc says it is, byte for byte.
+func TestFrameGolden(t *testing.T) {
+	var wire bytes.Buffer
+	var buf []byte
+	if err := writeFrame(&wire, &buf, &echoReq{ID: 3, Pad: []byte("capnn")}, (*echoReq).AppendWire); err != nil {
+		t.Fatal(err)
+	}
+	const golden = "06000000" + "066361706e6e" + "69f82514"
+	if got := fmt.Sprintf("%x", wire.Bytes()); got != golden {
+		t.Fatalf("frame %s, want %s", got, golden)
+	}
+	if !bytes.Equal(wire.Bytes(), frameOf([]byte("\x06capnn"))) {
+		t.Fatal("frame disagrees with [u32 length][body][u32 CRC-32C]")
+	}
+	body, err := readFrame(&wire, &buf, 64)
+	if err != nil || string(body) != "\x06capnn" {
+		t.Fatalf("read back %q, %v", body, err)
+	}
+}
+
+// readFrame refuses an over-cap prefix before reading on, reports a
+// flipped bit anywhere in the frame, and sizes its buffer by what has
+// arrived, not by what the prefix promised.
+func TestReadFrameRefusals(t *testing.T) {
+	good := frameOf(bytes.Repeat([]byte{7}, 100))
+	for at := range good {
+		bad := append([]byte(nil), good...)
+		bad[at] ^= 0x10
+		var buf []byte
+		if body, err := readFrame(bytes.NewReader(bad), &buf, 1<<20); err == nil {
+			t.Fatalf("byte %d flipped: frame accepted with body %x", at, body)
+		}
+	}
+	var buf []byte
+	if _, err := readFrame(bytes.NewReader(good), &buf, 99); err != errTooLarge {
+		t.Fatalf("100-byte body under a 99-byte cap: %v", err)
+	}
+	if _, err := readFrame(bytes.NewReader(append(good, 0)), &buf, 1<<20); err == nil {
+		t.Fatal("a byte after the frame was accepted")
+	}
+	// 32 MiB promised, 6000 bytes delivered.
+	promise := binary.LittleEndian.AppendUint32(nil, 32<<20)
+	buf = nil
+	_, err := readFrame(io.MultiReader(bytes.NewReader(promise), bytes.NewReader(make([]byte, 6000))), &buf, MaxResponseBytes)
+	if err != io.ErrUnexpectedEOF || cap(buf) > 2*6004 {
+		t.Fatalf("short frame: err=%v with a %d-byte buffer for 6004 received", err, cap(buf))
+	}
+}
+
+// (e) Frames the server will not decode get the typed rejection and the
+// connection is closed — on a first frame and on a kept connection alike
+// — with the oversized case told apart, and none of them reaches the
+// handler.
 func TestUndecodableFramesAreRejected(t *testing.T) {
 	lim := testLimits
 	lim.MaxRequestBytes = 256
-	_, addr, _ := start(t, lim, echo, nil)
-	dial := func() (*net.TCPConn, *gob.Encoder, *gob.Decoder) {
+	var handled atomic.Int64
+	_, addr, _ := start(t, lim, func(r *echoReq) *echoResp {
+		handled.Add(1)
+		return echo(r)
+	}, nil)
+	dial := func() net.Conn {
 		conn, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { conn.Close() })
 		_ = conn.SetDeadline(in(5 * time.Second))
-		return conn.(*net.TCPConn), gob.NewEncoder(conn), gob.NewDecoder(conn)
+		return conn
 	}
-	big := &echoReq{ID: 1, Pad: make([]byte, 4096)}
+	// rejected writes raw bytes and wants the rejection carrying want,
+	// then EOF.
+	rejected := func(name string, conn net.Conn, raw []byte, want string) {
+		t.Helper()
+		if _, err := conn.Write(raw); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := recv(conn)
+		if err != nil || !strings.HasPrefix(resp.Err, want) {
+			t.Fatalf("%s: resp=%+v err=%v, want an answer starting %q", name, resp, err, want)
+		}
+		if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+			t.Fatalf("%s: connection not closed after the rejection: %v", name, err)
+		}
+	}
+	good := frameOf((&echoReq{ID: 1, Pad: make([]byte, 64)}).AppendWire(nil))
+	const oversized = "request exceeds size cap (256 bytes)"
 
-	_, enc, dec := dial()
-	var resp echoResp
-	if err := enc.Encode(big); err != nil {
+	// Only the prefix of the oversized frame is ever sent: the server
+	// answers without waiting for a body.
+	rejected("oversized first frame", dial(), binary.LittleEndian.AppendUint32(nil, 4096), oversized)
+	rejected("garbage", dial(), []byte("definitely not a frame"), oversized) // "defi" is a 1.7 GB prefix
+	flipped := append([]byte(nil), good...)
+	flipped[10] ^= 1
+	rejected("bad checksum", dial(), flipped, "decode: frame checksum mismatch")
+	rejected("body the message refuses", dial(), frameOf(nil), "decode: echo request without an id")
+	half := dial()
+	if _, err := half.Write(good[:20]); err != nil {
 		t.Fatal(err)
 	}
-	if err := dec.Decode(&resp); err != nil || resp.Err != "request exceeds size cap (256 bytes)" {
-		t.Fatalf("oversized first frame: resp=%+v err=%v", resp, err)
+	_ = half.(*net.TCPConn).CloseWrite()
+	if resp, err := recv(half); err != nil || resp.Err != "decode: unexpected EOF" {
+		t.Fatalf("truncated frame: resp=%+v err=%v", resp, err)
 	}
 
-	conn, _, dec := dial()
-	if _, err := conn.Write([]byte("definitely not gob")); err != nil {
-		t.Fatal(err)
-	}
-	_ = conn.CloseWrite()
-	resp = echoResp{}
-	if err := dec.Decode(&resp); err != nil || !strings.HasPrefix(resp.Err, "decode: ") {
-		t.Fatalf("malformed first frame: resp=%+v err=%v", resp, err)
-	}
-
-	_, enc, dec = dial()
-	resp = echoResp{}
-	if err := enc.Encode(&echoReq{ID: 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil || resp.ID != 3 {
+	kept := dial()
+	send(t, kept, &echoReq{ID: 3})
+	if resp, err := recv(kept); err != nil || resp.ID != 3 {
 		t.Fatalf("good frame: resp=%+v err=%v", resp, err)
 	}
-	resp = echoResp{}
-	if err := enc.Encode(big); err != nil {
-		t.Fatal(err)
-	}
-	if err := dec.Decode(&resp); err != nil || resp.Err != "request exceeds size cap (256 bytes)" {
-		t.Fatalf("oversized frame on a kept connection: resp=%+v err=%v", resp, err)
+	rejected("oversized frame on a kept connection", kept, binary.LittleEndian.AppendUint32(nil, 257), oversized)
+	if n := handled.Load(); n != 1 {
+		t.Fatalf("handler ran %d times, want 1: a refused frame reached it", n)
 	}
 }
 
-// A peer that connects and sends nothing is answered and dropped at the
-// read deadline instead of holding its handler.
+// A peer that connects and sends nothing — or a prefix and then nothing —
+// is answered and dropped at the read deadline instead of holding its
+// handler.
 func TestSilentPeerIsDroppedAtReadTimeout(t *testing.T) {
 	lim := testLimits
 	lim.ReadTimeout = 30 * time.Millisecond
 	_, addr, ln := start(t, lim, echo, nil)
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	for i, sent := range [][]byte{nil, binary.LittleEndian.AppendUint32(nil, 512)} {
+		conn, err := net.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(in(5 * time.Second))
+		if _, err := conn.Write(sent); err != nil {
+			t.Fatal(err)
+		}
+		if resp, err := recv(conn); err != nil || !strings.HasPrefix(resp.Err, "decode: ") {
+			t.Fatalf("silent peer after %d bytes: resp=%+v err=%v", len(sent), resp, err)
+		}
+		waitFor(t, "handler to exit", func() bool { return ln.closes.Load() == int64(i+1) })
 	}
-	defer conn.Close()
-	_ = conn.SetDeadline(in(5 * time.Second))
-	var resp echoResp
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil || !strings.HasPrefix(resp.Err, "decode: ") {
-		t.Fatalf("silent peer: resp=%+v err=%v", resp, err)
+}
+
+// The client's side of the frame discipline, against a peer that is not
+// a Server: a response over MaxResponseBytes, one with a flipped bit, and
+// one that stops short are all receive errors, none retried on a fresh
+// connection.
+func TestClientRefusesBadResponses(t *testing.T) {
+	good := frameOf((&echoResp{ID: 9, Pad: make([]byte, 32)}).AppendWire(nil))
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x40
+	for name, answer := range map[string][]byte{
+		"over the cap": binary.LittleEndian.AppendUint32(nil, MaxResponseBytes+1),
+		"bad checksum": flipped,
+		"short":        good[:len(good)-3],
+	} {
+		t.Run(name, func(t *testing.T) {
+			ln := NewPipeListener()
+			defer ln.Close()
+			go func() {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				defer conn.Close()
+				var buf []byte
+				if _, err := readFrame(conn, &buf, 1<<20); err == nil {
+					_, _ = conn.Write(answer)
+				}
+			}()
+			c := NewClient[echoReq, echoResp]("pipe", time.Second, 1)
+			c.Dial = ln.Dial
+			defer c.Close()
+			_, err := c.Do(&echoReq{ID: 9}, in(2*time.Second))
+			var te *Error
+			if !errors.As(err, &te) || te.Op != "receive" {
+				t.Fatalf("err=%v, want a receive error", err)
+			}
+		})
 	}
-	waitFor(t, "handler to exit", func() bool { return ln.closes.Load() == 1 })
+}
+
+// Sockets are optional: the same exchanges, reuse and drain over a
+// PipeListener and the client's Dial hook.
+func TestPipeListenerRoundTrip(t *testing.T) {
+	ln := NewPipeListener()
+	srv := NewServer(testLimits, echo, rejectEcho)
+	srv.Serve(ln)
+	c := NewClient[echoReq, echoResp]("pipe", time.Second, 1)
+	c.Dial = ln.Dial
+	pad := bytes.Repeat([]byte{0xa5}, 20000) // several reads and one buffer growth per frame
+	for i := 0; i < 5; i++ {
+		resp, err := c.Do(&echoReq{ID: i, Pad: pad}, in(2*time.Second))
+		if err != nil || resp.ID != i || !bytes.Equal(resp.Pad, pad) {
+			t.Fatalf("call %d: id=%d, %d bytes, err=%v", i, resp.ID, len(resp.Pad), err)
+		}
+	}
+	mustShutdown(t, "pipe server", srv)
+	var te *Error
+	if _, err := c.Do(&echoReq{}, in(time.Second)); !errors.As(err, &te) || te.Op != "dial" {
+		t.Fatalf("call after shutdown: %v, want a dial error", err)
+	}
 }
 
 // (f) Faulted listeners. Every connection gets a write budget that

@@ -1,10 +1,12 @@
 package serve
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"net"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +16,7 @@ import (
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/faults"
+	"capnn/internal/rpc"
 	"capnn/internal/tensor"
 )
 
@@ -94,6 +97,14 @@ func TestWireBadRequests(t *testing.T) {
 		{"NaN input", WireRequest{Variant: "W", Classes: []int{0}, Input: withValue(input, 7, math.NaN())}},
 		{"infinite input", WireRequest{Variant: "W", Classes: []int{0}, Input: withValue(input, 7, math.Inf(-1))}},
 	}
+	// On the wire the version leads the frame: a later one is refused by
+	// the decoder, typed, before the rest is read. (Client.Infer would
+	// restamp it.)
+	future := WireRequest{Version: cloud.ProtocolVersion + 1, Classes: []int{0}, Input: input}
+	raw := rpc.NewClient[WireRequest, WireResponse](addr, time.Second, 0)
+	if resp, err := raw.Do(&future, time.Now().Add(2*time.Second)); err != nil || resp.Code != cloud.CodeBadRequest || !strings.Contains(resp.Err, "protocol version 4 not supported") {
+		t.Errorf("future-version frame: resp=%+v err=%v, want a typed bad request naming the version", resp, err)
+	}
 	cl := NewClient(addr)
 	for _, tc := range cases {
 		// NewClient stamps Version; the version case must keep its own.
@@ -150,12 +161,16 @@ func TestNonFiniteInputRejectedBeforeAnyWork(t *testing.T) {
 }
 
 // Satellite: the serve path under internal/faults chaos. Hostile peers —
-// connections that drop writes, close mid-stream, hang silently, or
-// send garbage — must not wedge the dispatcher or starve healthy clients,
-// and the server must shut down cleanly afterwards.
+// connections that drop writes, close mid-stream, flip bytes, hang
+// silently, or send frames the server must refuse — must not wedge the
+// dispatcher or starve healthy clients, no corrupted frame may ever be
+// served as an answer, and the server must shut down cleanly afterwards.
 func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	f := getFixture(t)
+	// No guard: its shadow samples answer from the unpruned plan, and
+	// every accepted answer below is held to the personalized one.
 	srv := NewServerWith(f.sys, Config{
+		Variant: core.VariantW, DisableGuard: true,
 		ReadTimeout: 300 * time.Millisecond, WriteTimeout: 300 * time.Millisecond,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -171,49 +186,57 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	addr := srv.Serve(faults.WrapListener(ln, plan))
 	defer srv.Close()
 
-	// Hostile peers: connect-and-hang (server read deadline must free the
-	// handler) and garbage-then-hang (decode error path, peer never reads
-	// the error response).
+	// Hostile peers, none of which ever reads its answer: connect-and-hang
+	// and a length prefix whose bytes never arrive (the read deadline must
+	// free both handlers), a prefix over the size cap and a frame with a
+	// bad checksum (refused on sight).
+	good := frameOf((&WireRequest{Variant: "W", Classes: []int{0, 1}, Input: f.sample(t, 0).Data()}).AppendWire(nil))
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/2] ^= 0x08
 	var hostile []net.Conn
 	defer func() {
 		for _, c := range hostile {
 			c.Close()
 		}
 	}()
-	for i := 0; i < 4; i++ {
+	for _, sends := range [][]byte{nil, nil, nil, nil, good[:40],
+		binary.LittleEndian.AppendUint32(nil, uint32(DefaultConfig().MaxRequestBytes)+1), flipped} {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		hostile = append(hostile, c)
+		if _, err := c.Write(sends); err != nil {
+			t.Fatal(err)
+		}
 	}
-	gc, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _ = gc.Write([]byte("definitely not gob"))
-	hostile = append(hostile, gc)
 
 	// Healthy traffic alongside the hostiles. Chaos faults hit these
 	// connections too, so each request retries until it lands; the
-	// assertion is that every one eventually does.
+	// assertions are that every one eventually does, and that what lands
+	// is the answer — under gob a flipped mantissa byte decoded fine and
+	// was delivered; the checksum turns it into one more retry.
+	type landed struct {
+		classes []int
+		sample  int
+		logits  []float64
+	}
 	const workers, perWorker, maxAttempts = 4, 4, 10
 	var attempts atomic.Int64
 	errCh := make(chan error, workers*perWorker)
+	accepted := make(chan landed, workers*perWorker)
 	var wg sync.WaitGroup
 	for g := 0; g < workers; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			cl := NewClient(addr)
+			defer cl.Close()
 			cl.DialTimeout = time.Second
 			cl.RequestTimeout = time.Second
 			for m := 0; m < perWorker; m++ {
-				req := WireRequest{
-					Variant: "W",
-					Classes: []int{g % 4, (g + 1) % 4},
-					Input:   f.sample(t, (g*perWorker+m)%16).Data(),
-				}
+				got := landed{classes: []int{g % 4, (g + 1) % 4}, sample: (g*perWorker + m) % 16}
+				req := WireRequest{Variant: "W", Classes: got.classes, Input: f.sample(t, got.sample).Data()}
 				var resp *WireResponse
 				var err error
 				for a := 0; a < maxAttempts; a++ {
@@ -226,23 +249,25 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 					errCh <- fmt.Errorf("worker %d req %d never landed: %w", g, m, err)
 					return
 				}
-				if len(resp.Logits) != 4 {
-					errCh <- fmt.Errorf("worker %d req %d: %d logits", g, m, len(resp.Logits))
-					return
-				}
-				for _, v := range resp.Logits {
-					if math.IsNaN(v) || math.IsInf(v, 0) {
-						errCh <- fmt.Errorf("worker %d req %d: non-finite logits", g, m)
-						return
-					}
-				}
+				got.logits = resp.Logits
+				accepted <- got
 			}
 		}(g)
 	}
 	wg.Wait()
 	close(errCh)
+	close(accepted)
 	for err := range errCh {
 		t.Error(err)
+	}
+	for got := range accepted {
+		want, err := srv.Infer(core.Uniform(got.classes), f.sample(t, got.sample))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(bits(got.logits), bits(want.Logits)) {
+			t.Errorf("classes %v sample %d: the wire delivered %v, the server computes %v", got.classes, got.sample, got.logits, want.Logits)
+		}
 	}
 
 	// The chaos must have actually bitten: with 40% of connections
@@ -259,4 +284,64 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	}
 	st := srv.Stats()
 	t.Logf("chaos: %d wire attempts for %d requests; stats: %s", attempts.Load(), workers*perWorker, st.String())
+	// Every hostile peer's handler is gone within a read timeout: the
+	// drain has nothing to wait for.
+	begin := time.Now()
+	if err := srv.Shutdown(10 * time.Second); err != nil || time.Since(begin) > 3*time.Second {
+		t.Fatalf("Shutdown after chaos: %v in %v", err, time.Since(begin))
+	}
+}
+
+// A frame with a flipped bit is never served, in either direction. Every
+// response from a listener that corrupts each write is a retryable
+// transport error at the client, never an answer; every request from a
+// client whose connection corrupts each write is refused by the server —
+// typed, or a dead connection when the flip hit the length prefix — and
+// never reaches Server.infer.
+func TestCorruptedFramesAreNeverServed(t *testing.T) {
+	f := getFixture(t)
+	srv := NewServerWith(f.sys, Config{DisableGuard: true, ReadTimeout: 200 * time.Millisecond})
+	defer srv.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupting := srv.Serve(faults.WrapListener(ln, faults.Plan{Seed: 5, CorruptProb: 1}))
+	clean, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := WireRequest{Variant: "W", Classes: []int{0, 2}, Input: f.sample(t, 6).Data()}
+
+	responses := NewClient(corrupting)
+	defer responses.Close()
+	responses.RequestTimeout = 200 * time.Millisecond // a flip that lengthens the prefix leaves the client waiting
+	for i := 0; i < 30; i++ {
+		resp, err := responses.Infer(req)
+		var te *Error
+		if !errors.As(err, &te) || te.Code != cloud.CodeInternal || !te.Retryable() {
+			t.Fatalf("corrupted response %d was delivered: resp=%+v err=%v", i, resp, err)
+		}
+	}
+	served := srv.Stats().Requests
+
+	requests := NewClient(clean)
+	defer requests.Close()
+	requests.RequestTimeout = time.Second
+	var seed atomic.Int64
+	requests.transport().Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		c, err := net.DialTimeout("tcp", addr, timeout)
+		if err != nil {
+			return nil, err
+		}
+		return faults.WrapConn(c, faults.Plan{}, faults.Corrupt, seed.Add(1)), nil
+	}
+	for i := 0; i < 30; i++ {
+		if resp, err := requests.Infer(req); err == nil {
+			t.Fatalf("corrupted request %d was served: %+v", i, resp)
+		}
+	}
+	if now := srv.Stats().Requests; now != served {
+		t.Fatalf("%d corrupted requests reached Server.infer", now-served)
+	}
 }

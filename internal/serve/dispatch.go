@@ -8,13 +8,20 @@ import (
 	"capnn/internal/cloud"
 	"capnn/internal/nn"
 	"capnn/internal/qos"
-	"capnn/internal/tensor"
 )
 
 // request is one admitted inference: its input sample (flattened
 // [C,H,W]), the compiled plan it forwards on (captured at admission: its
 // entry's, or the server's unpruned one), its QoS envelope, and the
 // channel its outcome lands on (buffered; a worker never blocks).
+//
+// Requests are pooled with their channel and their queue timer, under one
+// rule: from submit until its outcome is received, a request — and the
+// input slab x points into — belongs to the worker that dequeues it. A
+// waiter that gives up at its deadline therefore abandons both: the
+// request never goes back to the pool (the worker's late answer lands in
+// a channel nobody reuses), and whoever owns the slab must not write it
+// again (TestAbandonedRequestKeepsItsInput).
 type request struct {
 	plan     *nn.Compiled
 	x        []float64
@@ -26,6 +33,33 @@ type request struct {
 	deadline time.Time
 	lane     qos.Lane
 	done     chan outcome
+	// timer fires at deadline for the waiter.
+	timer *time.Timer
+}
+
+var requestPool sync.Pool
+
+// newRequest takes a request from the pool and fills it in, its timer
+// armed to fire at deadline.
+func newRequest(plan *nn.Compiled, x []float64, deadline time.Time, lane qos.Lane) *request {
+	r, ok := requestPool.Get().(*request)
+	if ok {
+		r.timer.Reset(time.Until(deadline))
+	} else {
+		r = &request{done: make(chan outcome, 1), timer: time.NewTimer(time.Until(deadline))}
+	}
+	r.plan, r.x, r.enqueued, r.deadline, r.lane = plan, x, time.Now(), deadline, lane
+	return r
+}
+
+// release returns a request nobody else references — never submitted, or
+// its outcome received — to the pool. One whose timer has already fired
+// is dropped instead: its tick may still be on its way into the channel.
+func (r *request) release() {
+	if r.timer.Stop() {
+		r.plan, r.x = nil, nil
+		requestPool.Put(r)
+	}
 }
 
 type outcome struct {
@@ -191,12 +225,11 @@ func (d *dispatcher) run(r *request) {
 	if d.hookBeforeForward != nil {
 		d.hookBeforeForward(r)
 	}
-	// r.x is wrapped, not copied: Compiled.Infer never mutates its input,
-	// and its output tensor is fresh, so the waiter owns its data.
-	// Server.infer validated len(r.x) == d.sample, so the wrap cannot fail.
-	x := tensor.MustFromSlice(r.x, d.shape...)
+	// r.x is read in place, not copied: the plan never mutates its input,
+	// and the logits are fresh, so the waiter owns them. Server.infer
+	// validated len(r.x) == d.sample.
 	fwdStart := time.Now()
-	out.logits = r.plan.Infer(x).Data()
+	out.logits = r.plan.InferSample(r.x)
 	d.st.forwarded(start.Sub(r.enqueued), time.Since(fwdStart))
 }
 

@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 
 	"capnn/internal/cloud"
@@ -109,27 +107,25 @@ func (s *Server) ImportMasks(cms []CachedMask) (int, error) {
 // snapshot in the response payload.
 func (s *Server) handleCacheExport() *WireResponse {
 	cms := s.ExportMasks()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(cms); err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal,
-			Err: fmt.Sprintf("encode cache export: %v", err)}
+	p, err := EncodePayload(cms)
+	if err != nil {
+		return Refuse(cloud.CodeInternal, "encode cache export: %v", err)
 	}
-	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK,
-		Batch: len(cms), Payload: buf.Bytes()}
+	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Batch: len(cms), Payload: p}
 }
 
 // handleCacheImport decodes and installs an OpCacheImport payload; the
 // response's Batch reports the installed count.
-func (s *Server) handleCacheImport(req WireRequest) *WireResponse {
+func (s *Server) handleCacheImport(payload []byte) *WireResponse {
 	var cms []CachedMask
-	if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&cms); err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("decode cache import: %v", err)}
+	if err := DecodePayload(payload, &cms); err != nil {
+		return Refuse(cloud.CodeBadRequest, "decode cache import: %v", err)
 	}
 	n, err := s.ImportMasks(cms)
 	if err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal,
-			Err: fmt.Sprintf("import after %d entries: %v", n, err), Batch: n}
+		resp := Refuse(cloud.CodeInternal, "import after %d entries: %v", n, err)
+		resp.Batch = n
+		return resp
 	}
 	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Batch: n}
 }
@@ -137,20 +133,16 @@ func (s *Server) handleCacheImport(req WireRequest) *WireResponse {
 // handleRingUpdate decodes an OpRingUpdate payload and hands it to the
 // installed ring-update handler. A node without one — a standalone
 // server no cluster supervises — acknowledges and ignores the view.
-func (s *Server) handleRingUpdate(req WireRequest) *WireResponse {
+func (s *Server) handleRingUpdate(payload []byte) *WireResponse {
 	var upd RingUpdate
-	if err := gob.NewDecoder(bytes.NewReader(req.Payload)).Decode(&upd); err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("decode ring update: %v", err)}
+	if err := DecodePayload(payload, &upd); err != nil {
+		return Refuse(cloud.CodeBadRequest, "decode ring update: %v", err)
 	}
-	h := s.ringUpdateFn()
-	if h == nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
+	if h := s.ringUpdateFn(); h != nil {
+		if err := h(upd); err != nil {
+			return Refuse(cloud.CodeInternal, "ring update: %v", err)
+		}
+		s.events.Record("ring-changed", "", fmt.Sprintf("installed epoch %d (%d members)", upd.Epoch, len(upd.Members)), nil)
 	}
-	if err := h(upd); err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeInternal,
-			Err: fmt.Sprintf("ring update: %v", err)}
-	}
-	s.events.Record("ring-changed", "", fmt.Sprintf("installed epoch %d (%d members)", upd.Epoch, len(upd.Members)), nil)
 	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
 }

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -13,23 +15,23 @@ import (
 	"capnn/internal/rpc"
 )
 
-// The wire format deliberately mirrors internal/cloud: gob over TCP on
-// the shared internal/rpc transport (kept connections, one codec pair
-// per connection, any number of request/response pairs on it),
-// cloud.ProtocolVersion stamps and cloud.Code outcome classification. A
-// device that already speaks the personalization protocol needs no new
-// error handling to speak the inference protocol.
+// The wire shares internal/cloud's vocabulary — cloud.ProtocolVersion
+// stamps and cloud.Code outcome classification, so a device that speaks
+// the personalization protocol needs no new error handling to speak the
+// inference protocol — on the shared internal/rpc transport: checksummed
+// frames on kept connections, any number of request/response pairs on
+// one. The body layout of the two messages is codec.go's.
 
 // Op selects what a WireRequest asks the server to do. The zero value
-// is an inference, so pre-op clients (which never set the field) keep
-// working unchanged.
+// is an inference.
 type Op int
 
 const (
-	// OpInfer runs one personalized inference (the original protocol).
+	// OpInfer runs one personalized inference.
 	OpInfer Op = iota
-	// OpStats asks for a Stats snapshot — the remote scrape behind
-	// dashboards and the gateway, instead of only a SIGINT dump.
+	// OpStats asks for a Stats snapshot (gob in the response payload) —
+	// the remote scrape behind dashboards and the gateway, instead of
+	// only a SIGINT dump.
 	OpStats
 	// OpHealth is a lightweight liveness probe: CodeOK when the server
 	// is accepting work, CodeBusy when it is draining. Gateways drive
@@ -61,8 +63,7 @@ const (
 type WireRequest struct {
 	// Version is the protocol version the client speaks (cloud versioning).
 	Version int
-	// Op selects the operation; zero is OpInfer for backward
-	// compatibility.
+	// Op selects the operation; zero is OpInfer.
 	Op Op
 	// Variant is "B", "W", "M", or "" for the server default.
 	Variant string
@@ -81,26 +82,23 @@ type WireRequest struct {
 	RouteKey    string
 	RingVersion uint64
 
-	// QoS envelope (protocol v2). BudgetMicros is the request's
+	// QoS envelope. BudgetMicros is the request's
 	// remaining deadline budget in microseconds — relative, not an
 	// absolute timestamp, so it survives clock skew between hops; each
 	// hop re-stamps the remainder before forwarding. Zero means no
 	// client deadline (the server's RequestTimeout still bounds the
 	// wait); negative means the budget was exhausted upstream and the
-	// server answers CodeExpired without queueing. Tenant names the
-	// quota account ("" = "default"); Lane is the qos.Lane wire value
-	// (0 interactive, 1 bulk). Gob decodes missing fields to zero, so
-	// v1 frames get: no deadline, default tenant, interactive lane —
-	// exactly the pre-QoS behavior.
+	// server answers CodeExpired without queueing; a budget at or past
+	// the hop's own RequestTimeout binds nothing. Tenant names the quota
+	// account ("" = "default"); Lane is the qos.Lane wire value (0
+	// interactive, 1 bulk).
 	BudgetMicros int64
 	Tenant       string
 	Lane         int
 
-	// Payload is the op-specific, gob-encoded extension blob mirroring
+	// Payload is the op-specific, gob-encoded second-stage blob mirroring
 	// WireResponse.Payload: OpRingUpdate carries a RingUpdate here,
-	// OpCacheImport a []CachedMask. Nil for the classic ops, and gob
-	// decodes the missing field to nil on old frames, so pre-handoff
-	// peers interoperate unchanged.
+	// OpCacheImport a []CachedMask. Nil for the other ops.
 	Payload []byte
 }
 
@@ -131,9 +129,8 @@ type WireResponse struct {
 	Code    cloud.Code
 	Err     string
 	// Logits are the class scores; Class is their argmax. Batch is 1 on
-	// an infer response (one request, one forward; the field predates
-	// that and stays for gob compatibility) and the entry count on cache
-	// export/import responses. CacheHit reports whether the request's
+	// an infer response (one request, one forward) and the entry count on
+	// cache export/import responses. CacheHit reports whether the request's
 	// masks were already cached — observability a client or load test
 	// can assert on.
 	Logits   []float64
@@ -143,16 +140,22 @@ type WireResponse struct {
 	// Fallback reports the request was served through the unpruned
 	// network because its mask entry's ε-guard tripped (see Result).
 	Fallback bool
-	// Stats carries the server's snapshot for OpStats responses (nil
-	// otherwise).
-	Stats *Stats
-	// Payload is an op-specific, gob-encoded extension blob this
-	// package treats as opaque: a cluster gateway answers OpStats with
-	// its own gateway stats here (see internal/cluster), keeping the
-	// tier's wire format single-typed without coupling serve to the
-	// cluster layer.
+	// Payload is the op-specific, gob-encoded second-stage blob: the
+	// Stats snapshot on a shard's OpStats response (a cluster gateway
+	// answers the same op with its own stats type, see internal/cluster),
+	// the []CachedMask on OpCacheExport.
 	Payload []byte
 }
+
+// EncodePayload gob-encodes a control op's second-stage blob.
+func EncodePayload(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	err := gob.NewEncoder(&buf).Encode(v)
+	return buf.Bytes(), err
+}
+
+// DecodePayload decodes what EncodePayload wrote into v.
+func DecodePayload(p []byte, v any) error { return gob.NewDecoder(bytes.NewReader(p)).Decode(v) }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address.
@@ -164,81 +167,93 @@ func (s *Server) Listen(addr string) (string, error) { return s.rpc.Listen(addr)
 // sends any number of requests on one.
 func (s *Server) Serve(ln net.Listener) string { return s.rpc.Serve(ln) }
 
-func badRequest(msg string) *WireResponse {
-	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: msg}
+// Refuse builds the response that answers a request with a typed failure.
+func Refuse(code cloud.Code, format string, args ...any) *WireResponse {
+	return &WireResponse{Version: cloud.ProtocolVersion, Code: code, Err: fmt.Sprintf(format, args...)}
 }
+
+func badRequest(msg string) *WireResponse { return Refuse(cloud.CodeBadRequest, "%s", msg) }
 
 // Handle executes one wire request against the serving pipeline —
 // exposed so the protocol can be exercised without sockets.
-func (s *Server) Handle(req WireRequest) *WireResponse {
+func (s *Server) Handle(req WireRequest) *WireResponse { return s.handle(&req) }
+
+// handle is Handle on the caller's request value — over the wire, the
+// one its connection decodes every frame into (rpc.Server's ownership
+// rule).
+func (s *Server) handle(req *WireRequest) *WireResponse {
 	if req.Version > cloud.ProtocolVersion {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("protocol version %d not supported (server speaks ≤ %d)", req.Version, cloud.ProtocolVersion)}
+		return Refuse(cloud.CodeBadRequest, "protocol version %d not supported (server speaks ≤ %d)", req.Version, cloud.ProtocolVersion)
 	}
 	switch req.Op {
 	case OpInfer:
 	case OpStats:
-		st := s.Stats()
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Stats: &st}
+		p, err := EncodePayload(s.Stats())
+		if err != nil {
+			return Refuse(cloud.CodeInternal, "encode stats: %v", err)
+		}
+		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: p}
 	case OpHealth:
 		if s.isDraining() {
-			return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "server draining"}
+			return Refuse(cloud.CodeBusy, "server draining")
 		}
 		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
 	case OpRingUpdate:
-		return s.handleRingUpdate(req)
+		return s.handleRingUpdate(req.Payload)
 	case OpCacheExport:
 		// Export stays available while draining: a departing node
 		// handing its warm state off is exactly the drain scenario.
 		return s.handleCacheExport()
 	case OpCacheImport:
 		if s.isDraining() {
-			return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "server draining"}
+			return Refuse(cloud.CodeBusy, "server draining")
 		}
-		return s.handleCacheImport(req)
+		return s.handleCacheImport(req.Payload)
 	default:
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("unknown op %d", req.Op)}
+		return Refuse(cloud.CodeBadRequest, "unknown op %d", req.Op)
 	}
 	if req.RouteKey != "" {
 		if check := s.ownerCheckFn(); check != nil {
 			if code := check(req.RouteKey, req.RingVersion); code != cloud.CodeOK {
-				return &WireResponse{Version: cloud.ProtocolVersion, Code: code,
-					Err: fmt.Sprintf("route key %s rejected: %s", req.RouteKey, code)}
+				return Refuse(code, "route key %s rejected: %s", req.RouteKey, code)
 			}
 		}
 	}
 	v, err := core.ParseVariant(req.Variant, s.cfg.Variant)
 	if err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: err.Error()}
+		return badRequest(err.Error())
 	}
 	prefs, err := core.NewPreferences(req.Classes, req.Weights)
 	if err != nil {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest, Err: err.Error()}
+		return badRequest(err.Error())
 	}
 
 	lane, ok := qos.LaneFromWire(req.Lane)
 	if !ok {
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeBadRequest,
-			Err: fmt.Sprintf("unknown lane %d (want 0 interactive or 1 bulk)", req.Lane)}
+		return Refuse(cloud.CodeBadRequest, "unknown lane %d (want 0 interactive or 1 bulk)", req.Lane)
 	}
 	q := QoS{Lane: lane, Tenant: req.Tenant}
-	switch {
-	case req.BudgetMicros < 0:
+	if req.BudgetMicros < 0 {
 		// The budget died in flight (e.g. a gateway re-stamped a
 		// remainder that went negative). Refuse before queueing: the
 		// typed code tells the caller not to retry this request.
 		s.st.shedExpired()
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeExpired,
-			Err: fmt.Sprintf("deadline budget exhausted before arrival (%dµs over)", -req.BudgetMicros)}
-	case req.BudgetMicros > 0:
-		q.Deadline = time.Now().Add(time.Duration(req.BudgetMicros) * time.Microsecond)
+		return Refuse(cloud.CodeExpired, "deadline budget exhausted before arrival (%dµs over)", -req.BudgetMicros)
+	}
+	if d, binds := qos.Budget(req.BudgetMicros, s.cfg.RequestTimeout); binds {
+		q.Deadline = time.Now().Add(d)
 	}
 
 	res, err := s.infer(v, prefs, req.Input, q)
 	if err != nil {
+		// A request that timed out in the queue has left its input with the
+		// worker that may still forward it (dispatcher.run wraps r.x, it does
+		// not copy), so the connection must not decode its next frame over
+		// that slab. Every failure forgets it: errors are rare and a fresh
+		// 8 KiB costs less than telling the one path apart.
+		req.Input = nil
 		te := err.(*Error)
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: te.Code, Err: te.Err.Error()}
+		return Refuse(te.Code, "%s", te.Err.Error())
 	}
 	return &WireResponse{
 		Version:  cloud.ProtocolVersion,
@@ -306,10 +321,11 @@ func (c *Client) Stats() (Stats, error) {
 	if err != nil {
 		return Stats{}, err
 	}
-	if resp.Stats == nil {
-		return Stats{}, &Error{Code: cloud.CodeInternal, Err: errors.New("stats response carried no snapshot")}
+	var st Stats
+	if err := DecodePayload(resp.Payload, &st); err != nil {
+		return Stats{}, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("stats payload: %w", err)}
 	}
-	return *resp.Stats, nil
+	return st, nil
 }
 
 // Health probes the server: nil when it is accepting work, a typed

@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"encoding/gob"
 	"errors"
-	"net"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -229,12 +227,9 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 	}
 }
 
-// TestWireQoSRoundTrip drives the v2 QoS fields over real sockets: a
-// valid bulk frame with budget and tenant serves normally, an unknown
-// lane is malformed, a negative budget is expired on arrival, and a
-// byte-faithful v1 frame (encoded from a struct without the QoS fields)
-// still decodes and serves — the gob zero-value compatibility the fuzz
-// corpus seeds pin.
+// TestWireQoSRoundTrip drives the QoS fields over real sockets: a valid
+// bulk frame with budget and tenant serves normally, an unknown lane is
+// malformed, and a negative budget is expired on arrival.
 func TestWireQoSRoundTrip(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{DisableGuard: true})
@@ -272,31 +267,4 @@ func TestWireQoSRoundTrip(t *testing.T) {
 		t.Fatalf("arrival expiry not counted: %+v", st)
 	}
 
-	// v1 frame: same field names minus the QoS trio. Gob matches fields
-	// by name, so this decodes with zero QoS — interactive, no deadline.
-	type legacyWireRequest struct {
-		Version int
-		Op      Op
-		Variant string
-		Classes []int
-		Weights []float64
-		Input   []float64
-	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	if err := gob.NewEncoder(conn).Encode(&legacyWireRequest{
-		Version: 1, Classes: []int{0, 2}, Input: x.Data(),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var legacyResp WireResponse
-	if err := gob.NewDecoder(conn).Decode(&legacyResp); err != nil {
-		t.Fatal(err)
-	}
-	if legacyResp.Code != cloud.CodeOK {
-		t.Fatalf("v1 frame rejected: [%s] %s", legacyResp.Code, legacyResp.Err)
-	}
 }

@@ -274,7 +274,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	}
 	s.rpc = rpc.NewServer(
 		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
-		func(req *WireRequest) *WireResponse { return s.Handle(*req) }, badRequest)
+		s.handle, badRequest)
 	reg.GaugeFunc("capnn_serve_compiled_bytes", "Approximate resident compiled-weight bytes.", func() float64 {
 		bytes, _ := s.residentPlans()
 		return float64(bytes)
@@ -444,12 +444,9 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 		return Result{}, &Error{Code: cloud.CodeExpired,
 			Err: fmt.Errorf("deadline already passed at admission (budget exhausted upstream)")}
 	}
-	deadline := time.NewTimer(time.Until(effDeadline))
-	defer deadline.Stop()
-
 	// The cache key spans variant and canonical preferences: the same
 	// classes pruned by W and M are different masks.
-	key := string(v) + "/" + prefs.Key()
+	key := prefs.KeyUnder(string(v))
 	entry, hit, err := s.cache.get(key, func() (*maskEntry, error) {
 		return s.personalize(v, prefs, key)
 	})
@@ -469,13 +466,14 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	} else if fallback {
 		s.st.fallbackServed()
 	}
-	req := &request{plan: plan, x: x, enqueued: time.Now(),
-		deadline: effDeadline, lane: q.Lane, done: make(chan outcome, 1)}
+	req := newRequest(plan, x, effDeadline, q.Lane)
 	if err := s.disp.submit(req); err != nil {
+		req.release()
 		return Result{}, err.(*Error)
 	}
 	select {
 	case out := <-req.done:
+		req.release()
 		if out.err != nil {
 			return Result{}, out.err
 		}
@@ -496,11 +494,12 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 			CacheHit: hit,
 			Fallback: fallback,
 		}, nil
-	case <-deadline.C:
-		// A worker will still answer into the buffered channel (or shed
-		// the request as expired-in-queue); only this waiter gives up. A
-		// client-propagated deadline expires permanently; hitting the
-		// server's own cap stays a retryable busy signal.
+	case <-req.timer.C:
+		// Only this waiter gives up: req and x stay with the worker, which
+		// will still answer into the buffered channel (or shed the request
+		// as expired-in-queue). A client-propagated deadline expires
+		// permanently; hitting the server's own cap stays a retryable busy
+		// signal.
 		if clientBound {
 			return Result{}, &Error{Code: cloud.CodeExpired,
 				Err: fmt.Errorf("deadline budget exhausted after %v in queue", effDeadline.Sub(now).Truncate(time.Microsecond))}

@@ -1,13 +1,14 @@
 package serve
 
 import (
-	"encoding/gob"
 	"errors"
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"capnn/internal/cloud"
+	"capnn/internal/rpc"
 )
 
 // TestWireStatsAndHealthOps: Stats and Health are remotely scrapeable
@@ -51,10 +52,9 @@ func TestWireStatsAndHealthOps(t *testing.T) {
 	}
 }
 
-// TestWirePersistentConnection: one connection, one gob codec pair,
-// many requests — the stream a cluster gateway pools. Mixed ops must
-// all answer on the same connection, and a plain close afterwards must
-// not elicit a response.
+// TestWirePersistentConnection: one connection, many requests — the
+// stream a cluster gateway pools. Mixed ops must all answer on the same
+// connection, and a plain close afterwards must not elicit a response.
 func TestWirePersistentConnection(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{DisableGuard: true})
@@ -63,12 +63,13 @@ func TestWirePersistentConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
+	conn := rpc.NewClient[WireRequest, WireResponse](addr, time.Second, 1)
 	defer conn.Close()
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+	dials := 0
+	conn.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		dials++
+		return net.DialTimeout("tcp", addr, timeout)
+	}
 	x, _ := f.sets.Test.Batch([]int{1})
 	reqs := []WireRequest{
 		{Version: cloud.ProtocolVersion, Op: OpHealth},
@@ -77,26 +78,27 @@ func TestWirePersistentConnection(t *testing.T) {
 		{Version: cloud.ProtocolVersion, Classes: []int{1, 3}, Input: x.Data()},
 	}
 	for i, req := range reqs {
-		if err := enc.Encode(&req); err != nil {
-			t.Fatalf("request %d encode: %v", i, err)
-		}
-		var resp WireResponse
-		if err := dec.Decode(&resp); err != nil {
-			t.Fatalf("request %d decode: %v", i, err)
+		resp, err := conn.Do(&req, time.Now().Add(5*time.Second))
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
 		if resp.Code != cloud.CodeOK {
 			t.Fatalf("request %d: [%s] %s", i, resp.Code, resp.Err)
 		}
 		switch i {
 		case 2:
-			if resp.Stats == nil || resp.Stats.Requests != 1 {
-				t.Fatalf("OpStats on persistent conn: %+v", resp.Stats)
+			var st Stats
+			if err := DecodePayload(resp.Payload, &st); err != nil || st.Requests != 1 {
+				t.Fatalf("OpStats on persistent conn: %+v (%v)", st, err)
 			}
 		case 3:
 			if !resp.CacheHit {
 				t.Error("second identical inference on same conn should hit the mask cache")
 			}
 		}
+	}
+	if dials != 1 {
+		t.Fatalf("%d requests used %d connections, want 1", len(reqs), dials)
 	}
 }
 

@@ -11,8 +11,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"math"
 	"os"
@@ -24,83 +22,83 @@ import (
 	"capnn/internal/store"
 )
 
-// legacyWireRequest is the protocol-v1 frame shape — no QoS fields.
-// Gob matches fields by name, not by Go type, so frames encoded from
-// this struct are byte-faithful stand-ins for what pre-QoS clients
-// still send; keeping them in the corpus pins the decoder's backward
-// compatibility (missing fields must decode to zero: no deadline,
-// default tenant, interactive lane).
-type legacyWireRequest struct {
-	Version     int
-	Op          serve.Op
-	Variant     string
-	Classes     []int
-	Weights     []float64
-	Input       []float64
-	RouteKey    string
-	RingVersion uint64
-}
-
 func main() {
 	root := "."
 	if len(os.Args) > 1 {
 		root = os.Args[1]
 	}
 
+	badImport := payload([]serve.CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}})
+	ringUpdate := payload(serve.RingUpdate{Epoch: 9, Seed: 3, VirtualNodes: 128, Replication: 2, Members: []string{"10.0.0.1:7000", "10.0.0.2:7000"}, You: "10.0.0.2:7000"})
 	write(root, "internal/serve/testdata/fuzz/FuzzWireRequestDecode", map[string][]byte{
-		"seed-minimal": gobBytes(&serve.WireRequest{Classes: []int{0}}),
-		"seed-full": gobBytes(&serve.WireRequest{
+		"seed-minimal": (&serve.WireRequest{Classes: []int{0}}).AppendWire(nil),
+		"seed-full": (&serve.WireRequest{
 			Version: cloud.ProtocolVersion, Variant: "W",
 			Classes: []int{0, 1}, Weights: []float64{3, 1},
 			Input: make([]float64, 36),
-		}),
-		"seed-default-variant": gobBytes(&serve.WireRequest{
+		}).AppendWire(nil),
+		"seed-default-variant": (&serve.WireRequest{
 			Version: cloud.ProtocolVersion, Classes: []int{2, 3}, Input: []float64{1, 2, 3, 4},
-		}),
-		"seed-v1-legacy": gobBytes(&legacyWireRequest{
-			Version: 1, Variant: "M",
-			Classes: []int{0, 1}, Weights: []float64{2, 1},
-			Input: make([]float64, 16), RouteKey: "M/abc", RingVersion: 3,
-		}),
-		"seed-qos": gobBytes(&serve.WireRequest{
+		}).AppendWire(nil),
+		"seed-qos": (&serve.WireRequest{
 			Version: cloud.ProtocolVersion, Variant: "M",
 			Classes: []int{1, 2}, Weights: []float64{4, 1},
 			Input: make([]float64, 16), RouteKey: "M/def", RingVersion: 7,
 			BudgetMicros: 250_000, Tenant: "batch", Lane: 1,
-		}),
-		// An inference whose input carries NaN and ±Inf: it decodes (gob
-		// has no opinion on float values) and Server.infer must refuse
+		}).AppendWire(nil),
+		// An inference whose input carries NaN and ±Inf: it decodes (the
+		// layout carries any float64 bits) and Server.infer must refuse
 		// it as a bad request before any forward runs.
-		"seed-non-finite-input": gobBytes(&serve.WireRequest{
+		"seed-non-finite-input": (&serve.WireRequest{
 			Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{0, 1},
 			Input: []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)},
-		}),
+		}).AppendWire(nil),
 		// A warm-handoff import naming a class no model has: the second
-		// gob stage (Payload) must be refused by validation, not indexed.
-		"seed-cache-import-bad-class": gobBytes(&serve.WireRequest{
-			Version: cloud.ProtocolVersion, Op: serve.OpCacheImport,
-			Payload: gobBytes([]serve.CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}}),
-		}),
+		// stage (the gob Payload) must be refused by validation, not
+		// indexed.
+		"seed-cache-import-bad-class": (&serve.WireRequest{
+			Version: cloud.ProtocolVersion, Op: serve.OpCacheImport, Payload: badImport,
+		}).AppendWire(nil),
+	})
+	write(root, "internal/serve/testdata/fuzz/FuzzWireResponseDecode", map[string][]byte{
+		"seed-ok": (&serve.WireResponse{
+			Version: cloud.ProtocolVersion, Code: cloud.CodeOK,
+			Logits: []float64{0.125, -3, 7.5, 0}, Class: 2, Batch: 1, CacheHit: true,
+		}).AppendWire(nil),
+		"seed-expired": (&serve.WireResponse{
+			Version: cloud.ProtocolVersion, Code: cloud.CodeExpired, Err: "deadline budget exhausted before arrival (50µs over)",
+		}).AppendWire(nil),
+		"seed-export": (&serve.WireResponse{
+			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Batch: 1, Payload: badImport,
+		}).AppendWire(nil),
+	})
+	write(root, "internal/serve/testdata/fuzz/FuzzRingUpdatePayload", map[string][]byte{"seed-two-members": ringUpdate})
+	write(root, "internal/serve/testdata/fuzz/FuzzCachedMaskPayload", map[string][]byte{
+		"seed-bad-class": badImport,
+		"seed-one-entry": payload([]serve.CachedMask{{
+			Key: "CAP'NN-W/0123456789abcdef", Variant: "CAP'NN-W", Classes: []int{1, 3}, Weights: []float64{0.5, 0.5},
+			Masks: map[int][]bool{2: {false, false, true, false, false, false, false, false}}, PrunedUnits: 1, TotalUnits: 8, // one stage: gob writes a map in iteration order
+		}}),
 	})
 
 	write(root, "internal/cloud/testdata/fuzz/FuzzCloudRequestDecode", map[string][]byte{
-		"seed-weighted": gobBytes(&cloud.Request{
+		"seed-weighted": (&cloud.Request{
 			Version: cloud.ProtocolVersion, Variant: "M",
 			Classes: []int{0, 2, 5}, Weights: []float64{5, 3, 1},
-		}),
-		"seed-uniform": gobBytes(&cloud.Request{Variant: "B", Classes: []int{1, 4}}),
+		}).AppendWire(nil),
+		"seed-uniform": (&cloud.Request{Variant: "B", Classes: []int{1, 4}}).AppendWire(nil),
 	})
 
 	model := []byte("seed-model-payload")
 	write(root, "internal/cloud/testdata/fuzz/FuzzCloudResponseDecode", map[string][]byte{
-		"seed-ok": gobBytes(&cloud.Response{
+		"seed-ok": (&cloud.Response{
 			Version: cloud.ProtocolVersion, Code: cloud.CodeOK,
 			Model: model, ModelSum: cloud.ModelSum(model),
 			Stats: cloud.Stats{RelativeSize: 0.42, PrunedUnits: 7, TotalUnits: 12},
-		}),
-		"seed-busy": gobBytes(&cloud.Response{
+		}).AppendWire(nil),
+		"seed-busy": (&cloud.Response{
 			Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "server busy",
-		}),
+		}).AppendWire(nil),
 	})
 
 	m := store.Manifest{
@@ -117,12 +115,13 @@ func main() {
 	})
 }
 
-func gobBytes(v any) []byte {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+// payload is a control op's second-stage blob.
+func payload(v any) []byte {
+	p, err := serve.EncodePayload(v)
+	if err != nil {
 		panic(err)
 	}
-	return buf.Bytes()
+	return p
 }
 
 // write stores each seed in the Go fuzz corpus file format: a version
