@@ -18,9 +18,11 @@ import "sync"
 // On amd64 with AVX2 (CPUID, checked once at init: useAVX2) the conv
 // MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
 // instead: four float64 lanes wide, the same operations in the same
-// order per output element, so both paths return identical bits
-// (TestKernelsMatchGeneric). The assembly does no bounds checks: every
-// call site proves the extents it passes in Go first.
+// order per output element, so every path returns identical bits
+// (TestKernelsMatchGeneric). With AVX-512 as well (useAVX512: CPUID and
+// XCR0) the conv MACs of planes at least 8 wide and 2 high run an
+// eight-lane tile of the same arithmetic. The assembly does no bounds
+// checks: every call site proves the extents it passes in Go first.
 //
 // Scratch (pad planes, Backward's column matrices) comes from a
 // sync.Pool, so the training loop and concurrent serving goroutines stop
@@ -133,11 +135,18 @@ func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
 // is g.tapOffsets(). Pruned channels are skipped; their output stays
 // zero (os must arrive zeroed).
 func (g convGeom) convForward(xs, pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
+	g.padInput(xs[:g.inSize()], pad)
+	g.convMACs(pad, offs, wd, bd, os, pruned, relu)
+}
+
+// convMACs is convForward after the pad copy: the multiply-accumulates
+// over the filled plane, on the highest rung of the dispatch ladder that
+// takes the geometry.
+func (g convGeom) convMACs(pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
 	rows := g.inC * g.k * g.k
 	// The extents the assembly will touch, proven here once.
-	xs, pad, offs = xs[:g.inSize()], pad[:g.padSize()], offs[:rows]
+	pad, offs = pad[:g.padSize()], offs[:rows]
 	wd, bd, os = wd[:g.outC*rows], bd[:g.outC], os[:g.outSize()]
-	g.padInput(xs, pad)
 	var buf [64]int
 	live := buf[:0]
 	for oc := range bd {

@@ -1,7 +1,8 @@
 #include "textflag.h"
 
-// AVX2 forms of the hot loops in kernels.go; kernels_amd64.go documents
-// each signature. Contract: every lane performs exactly the scalar
+// AVX2 forms of the hot loops in kernels.go, and one AVX-512 conv tile;
+// kernels_amd64.go documents each signature and the dispatch between
+// them. Contract: every lane performs exactly the scalar
 // loop's operations in the scalar loop's order, so results are
 // bit-identical to the Go path. No bounds are checked here; the Go
 // callers prove them.
@@ -152,6 +153,87 @@ store4:
 	ADDQ $32, SI
 	SUBQ $4, DI
 	JNZ group4
+	VZEROUPPER
+	RET
+
+// STORE2 writes the row pair a, b to os[oc·outHW + 0..7] and outW floats
+// further on. AX = outW·8, DX = outHW·8, R10 = os.
+#define STORE2(oc, a, b) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD a, (R8); VMOVUPD b, (R8)(AX*1)
+
+// The AVX-512 tile: eight lanes, otherwise convTile4x4's arithmetic. Z0–Z7
+// accumulate channel j's two rows in Z(2j), Z(2j+1); Z8/Z9 are the two
+// rows' taps, Z10–Z13 the four channels' weights, Z14/Z15 products.
+// Only ZMM0–15 are written, so VZEROUPPER leaves no dirty upper state.
+
+// func convTile8x2x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
+TEXT ·convTile8x2x4(SB), NOSPLIT, $0-89
+	MOVQ os+0(FP), R10
+	MOVQ pad+8(FP), R13
+	MOVQ offs+16(FP), R14
+	MOVQ live+40(FP), SI
+	MOVQ nLive+48(FP), DI
+	MOVQ rows+56(FP), CX
+	MOVQ outHW+64(FP), DX
+	SHLQ $3, DX                  // bytes between channels of os
+
+group8:
+	MOVQ wd+24(FP), AX
+	MOVQ bd+32(FP), BX
+	CHANNEL(0(SI), R8, Z0)
+	CHANNEL(8(SI), R9, Z2)
+	CHANNEL(16(SI), R11, Z4)
+	CHANNEL(24(SI), R12, Z6)
+	VMOVAPD Z0, Z1
+	VMOVAPD Z2, Z3
+	VMOVAPD Z4, Z5
+	VMOVAPD Z6, Z7
+	MOVQ pw+72(FP), BX
+	SHLQ $3, BX                  // bytes from a tap of the first row to the same tap of the second
+	XORQ AX, AX                  // r
+
+row8:
+	MOVQ (R14)(AX*8), R15
+	LEAQ (R13)(R15*8), R15       // &pad[offs[r]]
+	VMOVUPD (R15), Z8
+	VMOVUPD (R15)(BX*1), Z9
+	VBROADCASTSD (R8)(AX*8), Z10
+	MAC(Z8, Z10, Z14, Z0)
+	MAC(Z9, Z10, Z15, Z1)
+	VBROADCASTSD (R9)(AX*8), Z11
+	MAC(Z8, Z11, Z14, Z2)
+	MAC(Z9, Z11, Z15, Z3)
+	VBROADCASTSD (R11)(AX*8), Z12
+	MAC(Z8, Z12, Z14, Z4)
+	MAC(Z9, Z12, Z15, Z5)
+	VBROADCASTSD (R12)(AX*8), Z13
+	MAC(Z8, Z13, Z14, Z6)
+	MAC(Z9, Z13, Z15, Z7)
+	INCQ AX
+	CMPQ AX, CX
+	JLT row8
+
+	CMPB relu+88(FP), $0
+	JEQ store8
+	VXORPD Y8, Y8, Y8            // VEX-encoded: clears all of Z8
+	VMAXPD Z8, Z0, Z0
+	VMAXPD Z8, Z1, Z1
+	VMAXPD Z8, Z2, Z2
+	VMAXPD Z8, Z3, Z3
+	VMAXPD Z8, Z4, Z4
+	VMAXPD Z8, Z5, Z5
+	VMAXPD Z8, Z6, Z6
+	VMAXPD Z8, Z7, Z7
+
+store8:
+	MOVQ outW+80(FP), AX
+	SHLQ $3, AX                  // bytes from the first row's outputs to the second's
+	STORE2(0(SI), Z0, Z1)
+	STORE2(8(SI), Z2, Z3)
+	STORE2(16(SI), Z4, Z5)
+	STORE2(24(SI), Z6, Z7)
+	ADDQ $32, SI
+	SUBQ $4, DI
+	JNZ group8
 	VZEROUPPER
 	RET
 
