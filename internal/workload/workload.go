@@ -23,6 +23,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 
 	"capnn/internal/core"
 )
@@ -115,6 +117,14 @@ type Event struct {
 type Model struct {
 	cfg    Config
 	groups [][]int // group → member classes
+	// rngs recycles the random streams events draw from (*eventRand):
+	// re-seeding a source yields the sequence a fresh one would, without
+	// allocating its 4.9 KB of state per draw.
+	rngs sync.Pool
+	// bases memoises userBase, a pure function of (user, epoch), in a
+	// direct-mapped table: each slot holds the last pair hashed to it, and
+	// a miss recomputes the base and takes the slot.
+	bases [baseSlots]atomic.Pointer[baseEntry]
 }
 
 // NewModel validates cfg (after applying defaults to zero fields) and
@@ -152,6 +162,10 @@ func NewModel(cfg Config) (*Model, error) {
 		}
 	}
 	m.groups = nonEmpty
+	m.rngs.New = func() any {
+		r := rand.New(rand.NewSource(0))
+		return &eventRand{Rand: r, zipf: rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Users-1))}
+	}
 	return m, nil
 }
 
@@ -162,7 +176,8 @@ func (m *Model) Config() Config { return m.cfg }
 // it from any goroutine, in any order, for any partition of the index
 // space yields the same trace.
 func (m *Model) At(i uint64) Event {
-	rng := rand.New(rand.NewSource(seedFor(m.cfg.Seed, tagEvent, i)))
+	rng := m.seeded(seedFor(m.cfg.Seed, tagEvent, i))
+	defer m.rngs.Put(rng)
 	user := m.pickUser(rng)
 
 	actualEpoch := m.epochOf(user, i)
@@ -173,7 +188,7 @@ func (m *Model) At(i uint64) Event {
 	// preferences modulated by the continuous drift processes.
 	actual := m.userBase(user, actualEpoch)
 	weights := m.driftedWeights(user, i, actual)
-	class := actual.classes[drawIndex(rng, weights)]
+	class := actual.classes[drawIndex(rng.Rand, weights)]
 
 	prefs, err := core.Weighted(claimed.classes, claimed.weights)
 	if err != nil { // unreachable: bases always carry positive weights
@@ -198,8 +213,30 @@ type userBase struct {
 	phase   float64   // diurnal phase offset ∈ [0,1)
 }
 
+// baseSlots is the size of Model.bases: a few times the users a zipf
+// trace's head keeps returning.
+const baseSlots = 1024
+
+type baseEntry struct {
+	user, epoch uint64
+	base        userBase // read-only once published
+}
+
+// userBase returns user's base for epoch from the memo table, drawing it
+// on a miss.
 func (m *Model) userBase(user, epoch uint64) userBase {
-	rng := rand.New(rand.NewSource(seedFor(m.cfg.Seed, tagUser, user, epoch)))
+	slot := &m.bases[mix(user, epoch)%baseSlots]
+	if e := slot.Load(); e != nil && e.user == user && e.epoch == epoch {
+		return e.base
+	}
+	b := m.drawUserBase(user, epoch)
+	slot.Store(&baseEntry{user: user, epoch: epoch, base: b})
+	return b
+}
+
+func (m *Model) drawUserBase(user, epoch uint64) userBase {
+	rng := m.seeded(seedFor(m.cfg.Seed, tagUser, user, epoch))
+	defer m.rngs.Put(rng)
 	home := rng.Intn(len(m.groups))
 	k := m.cfg.MinK
 	if m.cfg.MaxK > m.cfg.MinK {

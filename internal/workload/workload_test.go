@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 	"testing"
 
 	"capnn/internal/data"
@@ -68,6 +69,78 @@ func TestDeterministicAcrossModelsAndAccessOrder(t *testing.T) {
 		if fmt.Sprint(ev) != fmt.Sprint(seq[i]) {
 			t.Fatalf("event %d differs across models/orders:\n %v\n %v", i, ev, seq[i])
 		}
+	}
+}
+
+// Goroutines calling At at once share the pooled streams and the memo
+// table; each event must still be the one a serial walk produces (run
+// under -race, this is also the table's publication test).
+func TestAtConcurrentMatchesSerial(t *testing.T) {
+	const n, workers = 2000, 4
+	serial := make([]string, n)
+	for i := range serial {
+		serial[i] = fmt.Sprint(mustModel(t, testConfig()).At(uint64(i)))
+	}
+	m := mustModel(t, testConfig())
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for k := 0; k < n; k++ {
+				i := (k*7 + w*n/workers) % n // every worker walks the whole trace from its own offset
+				if got := fmt.Sprint(m.At(uint64(i))); got != serial[i] {
+					errs <- fmt.Sprintf("worker %d, event %d:\n %s\nwant\n %s", w, i, got, serial[i])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// hotConfig is the population the serving benchmark replays: eight
+// stationary users.
+func hotConfig() Config {
+	cfg := testConfig()
+	cfg.Users, cfg.Drift = 8, DriftConfig{}
+	return cfg
+}
+
+// At on a warm model allocates only the event's own preference vector
+// and drift weights: the random streams are pooled and user bases
+// memoised.
+func TestAtAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts")
+	}
+	m := mustModel(t, hotConfig())
+	i := uint64(0)
+	for ; i < 1000; i++ {
+		m.At(i)
+	}
+	if got := testing.AllocsPerRun(500, func() { m.At(i); i++ }); got > 6 {
+		t.Fatalf("Model.At makes %.1f allocations per event, want ≤ 6", got)
+	}
+}
+
+func BenchmarkModelAt(b *testing.B) {
+	for name, cfg := range map[string]Config{"hot": hotConfig(), "drifting-50k-users": testConfig()} {
+		b.Run(name, func(b *testing.B) {
+			m, err := NewModel(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				m.At(uint64(i))
+			}
+		})
 	}
 }
 

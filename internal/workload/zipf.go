@@ -41,13 +41,28 @@ func seedFor(seed int64, tag uint64, vs ...uint64) int64 {
 	return int64(h)
 }
 
+// eventRand is one pooled random stream with the model's zipf sampler
+// bound to it (a Zipf keeps no state of its own between draws).
+type eventRand struct {
+	*rand.Rand
+	zipf *rand.Zipf
+}
+
+// seeded returns a pooled stream re-seeded to seed — the sequence
+// rand.New(rand.NewSource(seed)) would give. Return it to m.rngs.
+func (m *Model) seeded(seed int64) *eventRand {
+	r := m.rngs.Get().(*eventRand)
+	r.Seed(seed)
+	return r
+}
+
 // pickUser draws a user id zipf-distributed by popularity rank: id 0 is
 // the hottest user.
-func (m *Model) pickUser(rng *rand.Rand) uint64 {
+func (m *Model) pickUser(rng *eventRand) uint64 {
 	if m.cfg.Users == 1 {
 		return 0
 	}
-	return rand.NewZipf(rng, m.cfg.ZipfS, 1, uint64(m.cfg.Users-1)).Uint64()
+	return rng.zipf.Uint64()
 }
 
 // drawIndex samples an index from a normalized weight vector.
