@@ -503,8 +503,8 @@ func TestReadFrameRefusals(t *testing.T) {
 
 // (e) Frames the server will not decode get the typed rejection and the
 // connection is closed — on a first frame and on a kept connection alike
-// — with the oversized case told apart, and none of them reaches the
-// handler.
+// — with the oversized case told apart; a frame whose checksum fails is
+// closed unanswered. None of them reaches the handler.
 func TestUndecodableFramesAreRejected(t *testing.T) {
 	lim := testLimits
 	lim.MaxRequestBytes = 256
@@ -544,9 +544,18 @@ func TestUndecodableFramesAreRejected(t *testing.T) {
 	// answers without waiting for a body.
 	rejected("oversized first frame", dial(), binary.LittleEndian.AppendUint32(nil, 4096), oversized)
 	rejected("garbage", dial(), []byte("definitely not a frame"), oversized) // "defi" is a 1.7 GB prefix
+	// A frame damaged in flight is not a bad request: it is closed
+	// unanswered, so the client's retry logic treats it like a lost
+	// response.
 	flipped := append([]byte(nil), good...)
 	flipped[10] ^= 1
-	rejected("bad checksum", dial(), flipped, "decode: frame checksum mismatch")
+	damaged := dial()
+	if _, err := damaged.Write(flipped); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := damaged.Read(make([]byte, 1)); err != io.EOF {
+		t.Fatalf("bad checksum: read %d bytes, %v; want the connection closed unanswered", n, err)
+	}
 	rejected("body the message refuses", dial(), frameOf(nil), "decode: echo request without an id")
 	half := dial()
 	if _, err := half.Write(good[:20]); err != nil {

@@ -292,12 +292,12 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	}
 }
 
-// A frame with a flipped bit is never served, in either direction. Every
-// response from a listener that corrupts each write is a retryable
-// transport error at the client, never an answer; every request from a
-// client whose connection corrupts each write is refused by the server —
-// typed, or a dead connection when the flip hit the length prefix — and
-// never reaches Server.infer.
+// A frame with a flipped bit is never served, in either direction, and
+// is retryable in both: every response from a listener that corrupts
+// each write, and every request from a client whose connection corrupts
+// each write, is a retryable transport error at the client, never an
+// answer and never a bad-request, and no damaged request reaches
+// Server.infer.
 func TestCorruptedFramesAreNeverServed(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{DisableGuard: true, ReadTimeout: 200 * time.Millisecond})
@@ -336,10 +336,23 @@ func TestCorruptedFramesAreNeverServed(t *testing.T) {
 		}
 		return faults.WrapConn(c, faults.Plan{}, faults.Corrupt, seed.Add(1)), nil
 	}
+	misSized := 0
 	for i := 0; i < 30; i++ {
-		if resp, err := requests.Infer(req); err == nil {
-			t.Fatalf("corrupted request %d was served: %+v", i, resp)
+		resp, err := requests.Infer(req)
+		var te *Error
+		switch {
+		case errors.As(err, &te) && te.Code == cloud.CodeInternal && te.Retryable():
+		case errors.As(err, &te) && te.Code == cloud.CodeBadRequest && strings.Contains(te.Error(), "size cap"):
+			// The flip hit the length prefix, which no checksum covers, and
+			// announced a frame over the cap: the server cannot tell that
+			// from an oversized request (4 bytes of an 8 KiB frame).
+			misSized++
+		default:
+			t.Fatalf("corrupted request %d: resp=%+v err=%v, want a retryable transport error", i, resp, err)
 		}
+	}
+	if misSized > 1 {
+		t.Fatalf("%d of 30 flips landed in a 4-byte length prefix", misSized)
 	}
 	if now := srv.Stats().Requests; now != served {
 		t.Fatalf("%d corrupted requests reached Server.infer", now-served)
