@@ -31,17 +31,17 @@
 // With -metrics-addr the gateway mounts its HTTP observability
 // surface: /metrics (Prometheus text exposition of routing counters and
 // per-node breaker series), /debug/events (structured failovers, sheds,
-// breaker transitions), /debug/cluster (membership, rebalancing totals
-// and per-node health as JSON), and a /debug index:
+// breaker transitions), /debug/cluster (membership and per-node health
+// as JSON), and a /debug index:
 //
 //	capnn-gateway -metrics-addr 127.0.0.1:9878 -nodes ...
 //
 // The metrics listener also carries the membership admin surface:
 // POST /admin/ring/join?node=HOST:PORT and /admin/ring/leave?node=...
 // drive elastic scaling at runtime — the joiner is preflight-probed,
-// the keys that change owner get their warm mask-cache entries handed
-// over (bounded by -handoff-timeout, best-effort), the cluster epoch
-// flips, and the new view is broadcast to every shard's fence:
+// the cluster epoch flips, and the new view is broadcast to every
+// shard's fence. No cache state moves: a key that changes owner costs
+// one personalization on its new owner, on its first request:
 //
 //	curl -X POST 'http://127.0.0.1:9878/admin/ring/join?node=127.0.0.1:7882'
 //
@@ -126,7 +126,6 @@ func main() {
 	statsEvery := flag.Duration("stats-every", 0, "periodically print a stats snapshot (0 = only at shutdown)")
 	stateDir := flag.String("state", "", "ring-config store directory: restore placement from the latest good generation and persist membership changes (empty = stateless)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight connections at shutdown")
-	handoffTimeout := flag.Duration("handoff-timeout", 10*time.Second, "bound on the warm-cache handoff a join/leave runs before flipping the epoch (best-effort; missed keys refill cold)")
 	quotaInteractive := flag.String("quota-interactive", "", "default per-tenant interactive-lane quota as rate[:burst] requests/s (empty = unlimited)")
 	quotaBulk := flag.String("quota-bulk", "", "default per-tenant bulk-lane quota as rate[:burst] requests/s (empty = unlimited)")
 	var tenantQuotas tenantQuotaFlags
@@ -166,7 +165,6 @@ func main() {
 		RequestTimeout: *reqTimeout,
 		AttemptTimeout: *attemptTimeout,
 		Admission:      admission,
-		HandoffTimeout: *handoffTimeout,
 	}
 	g, err := cluster.NewGateway(nodes, cfg)
 	if err != nil {

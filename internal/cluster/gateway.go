@@ -68,14 +68,6 @@ type Config struct {
 	// is unlimited everywhere — admission control off.
 	Admission qos.LimiterConfig
 
-	// HandoffTimeout bounds the warm-state handoff a membership change
-	// runs before flipping the epoch: export the outgoing owner's mask
-	// cache, import the moved keys into their new owners. Strictly
-	// best-effort — at the deadline the transfer is abandoned and the
-	// epoch flips anyway (missed keys refill as cache misses). Default
-	// 10s. DisableHandoff skips the transfer entirely.
-	HandoffTimeout time.Duration
-	DisableHandoff bool
 	// DisableJoinProbe skips AddNode's preflight health probe (tests
 	// that join unreachable placeholder nodes set it). In production the
 	// probe both refuses a sick joiner — which would otherwise blackhole
@@ -100,7 +92,6 @@ func DefaultConfig() Config {
 		ReadTimeout:     30 * time.Second,
 		WriteTimeout:    30 * time.Second,
 		MaxRequestBytes: 1 << 20,
-		HandoffTimeout:  10 * time.Second,
 	}
 }
 
@@ -147,9 +138,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxRequestBytes <= 0 {
 		c.MaxRequestBytes = d.MaxRequestBytes
-	}
-	if c.HandoffTimeout <= 0 {
-		c.HandoffTimeout = d.HandoffTimeout
 	}
 	return c
 }
@@ -288,11 +276,12 @@ func (g *Gateway) node(addr string) *nodeState {
 // AddNode joins a serve node: preflight-probe it (a sick joiner is
 // refused before it can blackhole its share of the keyspace, and a
 // healthy one enters the ring with its breaker pre-seeded by a real
-// success), warm-hand the keys it takes over from their current
-// owners, flip the epoch, broadcast the new view to every member, and
+// success), flip the epoch, broadcast the new view to every member, and
 // persist. The flip is the only synchronization point routing sees:
 // requests racing the join route on one immutable ring or the other,
-// and the fence/retry path absorbs the difference.
+// and the fence/retry path absorbs the difference. Nothing moves with
+// the keys: a key the joiner takes over is a cache miss there, one
+// personalization on its first request.
 func (g *Gateway) AddNode(addr string) error {
 	g.memberMu.Lock()
 	defer g.memberMu.Unlock()
@@ -319,9 +308,6 @@ func (g *Gateway) AddNode(addr string) error {
 			return fmt.Errorf("cluster: join %s refused: %w", addr, err)
 		}
 	}
-	if !g.cfg.DisableHandoff {
-		g.handoff(cur, next, cur.Nodes(), "join")
-	}
 	g.ring.Store(next)
 	g.st.ringChanged("join", addr, next)
 	g.broadcastRing(next)
@@ -347,13 +333,14 @@ func (g *Gateway) preflight(ns *nodeState) error {
 	return nil
 }
 
-// RemoveNode departs a serve node: its warm cache is handed to the
-// survivors that take over its keys (best-effort — a dead node just
-// fails the export and its keys refill cold), then the ring stops
-// routing to it (epoch+1), its pooled idle connections close, the new
-// view is broadcast, and the configuration persists. Requests already
-// in flight finish on the connections they hold — the node itself then
-// drains via its own Shutdown path.
+// RemoveNode departs a serve node: the ring stops routing to it
+// (epoch+1), its pooled idle connections close, the new view is
+// broadcast, and the configuration persists. The departing node is
+// never contacted, so a dead or partitioned one leaves as fast as a
+// healthy one; its keys refill on the survivors that take them over,
+// one personalization each. Requests already in flight finish on the
+// connections they hold — the node itself then drains via its own
+// Shutdown path.
 func (g *Gateway) RemoveNode(addr string) error {
 	g.memberMu.Lock()
 	defer g.memberMu.Unlock()
@@ -361,9 +348,6 @@ func (g *Gateway) RemoveNode(addr string) error {
 	next, err := cur.Remove(addr)
 	if err != nil {
 		return err
-	}
-	if !g.cfg.DisableHandoff {
-		g.handoff(cur, next, []string{addr}, "leave")
 	}
 	g.ring.Store(next)
 	g.nodesMu.Lock()
@@ -376,6 +360,50 @@ func (g *Gateway) RemoveNode(addr string) error {
 	g.st.ringChanged("leave", addr, next)
 	g.broadcastRing(next)
 	return g.persistLocked()
+}
+
+// broadcastRing pushes the current membership view to every member
+// (OpRingUpdate) so their fences track the new epoch. Concurrent,
+// bounded by ProbeTimeout per node, and deliberately decoupled from
+// health: a node that misses the broadcast simply keeps an older view —
+// its fence admits newer-epoch stamps, so nothing breaks — and failures
+// surface as events, not breaker trips.
+func (g *Gateway) broadcastRing(ring *Ring) {
+	upd := serve.RingUpdate{
+		Epoch:        ring.Epoch(),
+		Seed:         ring.Seed(),
+		VirtualNodes: ring.VirtualNodes(),
+		Replication:  g.cfg.Replication,
+		Members:      append([]string(nil), ring.Nodes()...),
+	}
+	var wg sync.WaitGroup
+	for _, addr := range ring.Nodes() {
+		ns := g.node(addr)
+		if ns == nil {
+			continue
+		}
+		wg.Add(1)
+		go func(addr string, ns *nodeState) {
+			defer wg.Done()
+			u := upd
+			u.You = addr
+			p, err := serve.EncodePayload(u)
+			if err != nil {
+				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
+				return
+			}
+			req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpRingUpdate, Payload: p}
+			resp, err := ns.wire.Do(req, time.Now().Add(g.cfg.ProbeTimeout))
+			if err != nil {
+				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
+				return
+			}
+			if resp.Code != cloud.CodeOK {
+				g.events.Record("ring-broadcast-failed", addr, fmt.Sprintf("[%s] %s", resp.Code, resp.Err), nil)
+			}
+		}(addr, ns)
+	}
+	wg.Wait()
 }
 
 // UseStore attaches a checkpoint store. When its latest good generation

@@ -446,7 +446,6 @@ func TestGatewayRingPersistence(t *testing.T) {
 	cfg.Seed = 11
 	cfg.ProbeEvery = time.Hour // members are fake addresses; keep the prober quiet
 	cfg.DisableJoinProbe = true
-	cfg.DisableHandoff = true
 	g1, err := NewGateway([]string{"s1:1", "s2:1"}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +468,6 @@ func TestGatewayRingPersistence(t *testing.T) {
 	cfg2.Seed = 99 // deliberately wrong: the persisted seed must win
 	cfg2.ProbeEvery = time.Hour
 	cfg2.DisableJoinProbe = true
-	cfg2.DisableHandoff = true
 	g2, err := NewGateway([]string{"s1:1"}, cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -544,9 +542,8 @@ func TestGatewayMetricNamingLint(t *testing.T) {
 // request's (variant, preferences) with the same two core functions, so
 // every accepted spelling of one pair — variant letter in either case or
 // left to the default, classes in any order, weights absent, unscaled or
-// normalized — routes under one key, fills one cache entry, and that
-// entry hands off under the key its requests route under. A spelling the
-// shard rejects has no route key either.
+// normalized — routes under one key and fills one cache entry. A
+// spelling the shard rejects has no route key either.
 func TestRouteKeyNamesTheShardsCacheKey(t *testing.T) {
 	f := getClusterFixture(t)
 	x, _ := f.sets.Test.Batch([]int{0})
@@ -576,13 +573,10 @@ func TestRouteKeyNamesTheShardsCacheKey(t *testing.T) {
 				}
 			}
 		}
-		cached := srv.ExportMasks()
+		entries := srv.Stats().CacheEntries
 		_ = srv.Close()
-		if len(keys) != 1 || len(cached) != 1 {
-			t.Fatalf("variant %s: %d route keys %v and %d cache entries, want one of each", letter, len(keys), keys, len(cached))
-		}
-		if rk := cachedRouteKey(cached[0]); !keys[rk] {
-			t.Errorf("variant %s: cache entry %s hands off under %s, its requests route under %v", letter, cached[0].Key, rk, keys)
+		if len(keys) != 1 || entries != 1 {
+			t.Fatalf("variant %s: %d route keys %v and %d cache entries, want one of each", letter, len(keys), keys, entries)
 		}
 	}
 	for _, bad := range []serve.WireRequest{

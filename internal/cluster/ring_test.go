@@ -147,10 +147,11 @@ func TestRingMembership(t *testing.T) {
 	}
 }
 
-// TestRingBoundedMovement pins the rebalancing invariant behind warm
-// handoff: when a node joins, the only keys whose primary owner changes
-// are the ones moving TO the joiner; when a node leaves, only the keys
-// it owned move (to survivors). Unmoved vnode ranges keep their golden
+// TestRingBoundedMovement pins the rebalancing invariant that bounds
+// the cold refills a membership change costs: when a node joins, the
+// only keys whose primary owner changes are the ones moving TO the
+// joiner; when a node leaves, only the keys it owned move (to
+// survivors). Unmoved vnode ranges keep their golden
 // placement bit-identically, and each change bumps the epoch by one.
 func TestRingBoundedMovement(t *testing.T) {
 	r3, err := NewRing(7, 64, []string{"a", "b", "c"})

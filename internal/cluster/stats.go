@@ -34,13 +34,6 @@ type Stats struct {
 	// CodeRingChanged) that forced a re-route on a fresh ring.
 	Retries, Failovers, WrongOwner uint64
 
-	// Rebalancing (summed across join/leave reasons): KeysMoved counts
-	// cached placement keys whose primary owner changed across an epoch
-	// flip, HandoffEntries the warm entries the new owners actually
-	// installed, HandoffFailures the export/import attempts abandoned to
-	// cache-miss refill.
-	KeysMoved, HandoffEntries, HandoffFailures uint64
-
 	// Tenants maps "tenant/lane" to that stream's admission outcomes —
 	// the multi-tenant fairness view: which tenant is consuming quota
 	// and which is being shed.
@@ -92,8 +85,7 @@ func (s Stats) String() string {
 	fmt.Fprintf(&b, "ring: version=%d members=%d\n", s.RingVersion, len(s.Members))
 	fmt.Fprintf(&b, "requests=%d completed=%d errors=%d shed=%d\n", s.Requests, s.Completed, s.Errors, s.Shed)
 	fmt.Fprintf(&b, "shed: over-quota=%d expired=%d\n", s.ShedOverQuota, s.ShedExpired)
-	fmt.Fprintf(&b, "routing: retries=%d failovers=%d wrong-owner=%d\n", s.Retries, s.Failovers, s.WrongOwner)
-	fmt.Fprintf(&b, "rebalance: keys-moved=%d handoff-entries=%d handoff-failures=%d", s.KeysMoved, s.HandoffEntries, s.HandoffFailures)
+	fmt.Fprintf(&b, "routing: retries=%d failovers=%d wrong-owner=%d", s.Retries, s.Failovers, s.WrongOwner)
 	tenants := make([]string, 0, len(s.Tenants))
 	for t := range s.Tenants {
 		tenants = append(tenants, t)
@@ -117,19 +109,12 @@ func (s Stats) String() string {
 	return b.String()
 }
 
-// ClusterView is the gateway's /debug/cluster document: membership,
-// rebalancing totals and per-node health.
+// ClusterView is the gateway's /debug/cluster document: membership and
+// per-node health.
 type ClusterView struct {
 	RingVersion uint64   `json:"ring_version"`
 	Epoch       uint64   `json:"epoch"`
 	Members     []string `json:"members"`
-
-	// Rebalancing totals (across join/leave): keys whose owner changed,
-	// warm entries installed by handoff, handoffs abandoned to cold
-	// refill.
-	KeysMoved       uint64 `json:"keys_moved"`
-	HandoffEntries  uint64 `json:"handoff_entries"`
-	HandoffFailures uint64 `json:"handoff_failures"`
 
 	Nodes map[string]NodeView `json:"nodes"`
 }
@@ -150,13 +135,10 @@ type NodeView struct {
 func (g *Gateway) ClusterView() ClusterView {
 	st := g.Stats()
 	view := ClusterView{
-		RingVersion:     st.RingVersion,
-		Epoch:           st.RingVersion,
-		Members:         st.Members,
-		KeysMoved:       st.KeysMoved,
-		HandoffEntries:  st.HandoffEntries,
-		HandoffFailures: st.HandoffFailures,
-		Nodes:           make(map[string]NodeView, len(st.Nodes)),
+		RingVersion: st.RingVersion,
+		Epoch:       st.RingVersion,
+		Members:     st.Members,
+		Nodes:       make(map[string]NodeView, len(st.Nodes)),
 	}
 	for addr, ns := range st.Nodes {
 		view.Nodes[addr] = NodeView{
@@ -191,8 +173,6 @@ type gstats struct {
 	retryC, failoverC, wrongOwnerC *metrics.Counter
 	tenantAdmitVec, tenantShedVec  *metrics.CounterVec
 
-	movedVec, handoffVec, handoffFailVec *metrics.CounterVec
-
 	events *metrics.EventLog
 }
 
@@ -210,23 +190,12 @@ func newGstats(reg *metrics.Registry, events *metrics.EventLog) *gstats {
 		tenantAdmitVec: reg.CounterVec("capnn_gateway_tenant_admitted_total", "Requests that passed a tenant's token bucket.", "tenant", "lane"),
 		tenantShedVec:  reg.CounterVec("capnn_gateway_tenant_shed_total", "Requests a tenant's token bucket refused.", "tenant", "lane"),
 
-		movedVec:       reg.CounterVec("capnn_gateway_keys_moved_total", "Cached placement keys whose primary owner changed across an epoch flip, by reason.", "reason"),
-		handoffVec:     reg.CounterVec("capnn_gateway_handoff_entries_total", "Warm cache entries installed on new owners during rebalancing, by reason.", "reason"),
-		handoffFailVec: reg.CounterVec("capnn_gateway_handoff_failures_total", "Handoff export/import attempts abandoned to cache-miss refill, by reason.", "reason"),
-
 		events: events,
 	}
 	// Pre-seed the shed reasons so the series exist before the first
 	// shed (the cluster smoke test greps a mid-load scrape for them).
 	for _, reason := range []string{gwShedDraining, gwShedOverQuota, gwShedExpired} {
 		st.shedVec.With(reason)
-	}
-	// Likewise the rebalance families, so the smoke test's scrapes see
-	// zero-valued series before the first membership change.
-	for _, reason := range []string{"join", "leave"} {
-		st.movedVec.With(reason)
-		st.handoffVec.With(reason)
-		st.handoffFailVec.With(reason)
 	}
 	return st
 }
@@ -242,26 +211,6 @@ func (st *gstats) wrongOwner() { st.wrongOwnerC.Inc() }
 func (st *gstats) ringChanged(reason, addr string, next *Ring) {
 	st.events.Record("ring-changed", addr,
 		fmt.Sprintf("%s: epoch %d, %d members", reason, next.Epoch(), next.Len()), nil)
-}
-
-// keysMoved / handoffEntries / handoffFailed record rebalancing
-// outcomes by reason; failures also leave a structured event since each
-// one is a range of keys degraded to cold refill.
-func (st *gstats) keysMoved(reason string, n int) {
-	if n > 0 {
-		st.movedVec.With(reason).Add(uint64(n))
-	}
-}
-
-func (st *gstats) handoffEntries(reason string, n int) {
-	if n > 0 {
-		st.handoffVec.With(reason).Add(uint64(n))
-	}
-}
-
-func (st *gstats) handoffFailed(reason, addr, msg string) {
-	st.handoffFailVec.With(reason).Inc()
-	st.events.Record("handoff-failed", addr, reason+": "+msg, nil)
 }
 
 func (st *gstats) failedOver(addr string) {
@@ -307,9 +256,6 @@ func (st *gstats) snapshot() Stats {
 		Tenants: map[string]TenantStats{},
 	}
 	out.Shed = st.shedVec.With(gwShedDraining).Value() + out.ShedOverQuota + out.ShedExpired
-	st.movedVec.Each(func(_ []string, n uint64) { out.KeysMoved += n })
-	st.handoffVec.Each(func(_ []string, n uint64) { out.HandoffEntries += n })
-	st.handoffFailVec.Each(func(_ []string, n uint64) { out.HandoffFailures += n })
 	st.tenantAdmitVec.Each(func(values []string, n uint64) {
 		key := values[0] + "/" + values[1]
 		ts := out.Tenants[key]

@@ -126,21 +126,6 @@ func (c *maskCache) install(e *maskEntry) {
 	c.evictOverCapLocked()
 }
 
-// installIfAbsent inserts an entry only when its key is not already
-// resident, reporting whether it installed — the warm-handoff import
-// path, where a resident entry (possibly healed against locally
-// observed traffic) must win over the mover's copy.
-func (c *maskCache) installIfAbsent(e *maskEntry) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.entries[e.key]; ok {
-		return false
-	}
-	c.entries[e.key] = c.lru.PushFront(e)
-	c.evictOverCapLocked()
-	return true
-}
-
 // evictOverCapLocked trims the LRU tail past capacity. Caller holds mu.
 func (c *maskCache) evictOverCapLocked() {
 	for c.lru.Len() > c.cap {

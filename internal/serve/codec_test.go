@@ -147,7 +147,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	var reusedReq WireRequest
 	var reusedResp WireResponse
 	for i := 0; i < 3000; i++ {
-		req := g.request(Op(i % (int(OpCacheImport) + 2))) // every op, and one past the last
+		req := g.request(Op(i % (int(OpRingUpdate) + 2))) // every op, and one past the last
 		body := req.AppendWire(nil)
 		var fresh WireRequest
 		if err := fresh.DecodeWire(body); err != nil {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"capnn/internal/core"
-	"capnn/internal/store"
 	"capnn/internal/tensor"
 )
 
@@ -134,9 +133,9 @@ func TestFillCompilesInline(t *testing.T) {
 	}
 }
 
-// Checkpoint restore and handoff import install plan-less entries; the
-// first hit compiles without personalizing, and concurrent first hits
-// publish exactly one plan.
+// Checkpoint restore installs plan-less entries; the first hit compiles
+// without personalizing, and concurrent first hits publish exactly one
+// plan.
 func TestPlanlessEntriesCompileOnFirstHit(t *testing.T) {
 	f := getFixture(t)
 	src := NewServerWith(f.sys, planConfig())
@@ -147,43 +146,24 @@ func TestPlanlessEntriesCompileOnFirstHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	masks := src.cache.snapshot()[0].masks
+	gen := commitGen(t, src.SaveState)
 
-	planless := func(t *testing.T, install func(*Server)) *Server {
+	restored := func(t *testing.T) *Server {
 		t.Helper()
 		srv := NewServerWith(f.sys, planConfig())
 		t.Cleanup(func() { srv.Close() })
 		srv.hookPersonalize = func(core.Preferences) { t.Error("plan-less entry ran a personalization") }
-		install(srv)
+		if _, err := srv.RestoreState(gen); err != nil {
+			t.Fatal(err)
+		}
 		if st := srv.Stats(); st.CacheEntries != 1 || st.CompiledEntries != 0 || st.Compiles != 0 {
-			t.Fatalf("after install: cache=%d compiled=%d compiles=%d, want 1/0/0", st.CacheEntries, st.CompiledEntries, st.Compiles)
+			t.Fatalf("after restore: cache=%d compiled=%d compiles=%d, want 1/0/0", st.CacheEntries, st.CompiledEntries, st.Compiles)
 		}
 		return srv
 	}
 
 	t.Run("restore", func(t *testing.T) {
-		disk, err := store.Open(t.TempDir())
-		if err != nil {
-			t.Fatal(err)
-		}
-		txn, err := disk.Begin()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := src.SaveState(txn); err != nil {
-			t.Fatal(err)
-		}
-		if err := txn.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		gen, err := disk.Latest()
-		if err != nil {
-			t.Fatal(err)
-		}
-		srv := planless(t, func(s *Server) {
-			if _, err := s.RestoreState(gen); err != nil {
-				t.Fatal(err)
-			}
-		})
+		srv := restored(t)
 		for hit := 1; hit <= 2; hit++ {
 			got, err := srv.Infer(prefs, x)
 			if err != nil {
@@ -197,12 +177,8 @@ func TestPlanlessEntriesCompileOnFirstHit(t *testing.T) {
 		}
 	})
 
-	t.Run("import-concurrent", func(t *testing.T) {
-		srv := planless(t, func(s *Server) {
-			if n, err := s.ImportMasks(src.ExportMasks()); err != nil || n != 1 {
-				t.Fatalf("import: n=%d err=%v", n, err)
-			}
-		})
+	t.Run("restore-concurrent", func(t *testing.T) {
+		srv := restored(t)
 		const n = 8
 		start := make(chan struct{})
 		got := make([]Result, n)
@@ -224,7 +200,7 @@ func TestPlanlessEntriesCompileOnFirstHit(t *testing.T) {
 			t.FailNow()
 		}
 		for _, res := range got {
-			sameBits(t, f, "imported", res.Logits, x, masks)
+			sameBits(t, f, "restored", res.Logits, x, masks)
 		}
 		entry := srv.cache.snapshot()[0]
 		plan := entry.plan.Load()
@@ -256,7 +232,7 @@ func TestCompileFailureServesUnpruned(t *testing.T) {
 		t.Fatal(err)
 	}
 	cms := src.ExportMasks()
-	broken := maps.Clone(cms[0].Masks) // the export shares the source entry's map
+	broken := maps.Clone(cms[0].Masks) // the snapshot shares the source entry's map
 	for stage, m := range broken {
 		all := make([]bool, len(m))
 		for i := range all {
@@ -269,7 +245,7 @@ func TestCompileFailureServesUnpruned(t *testing.T) {
 
 	srv := NewServerWith(f.sys, planConfig())
 	defer srv.Close()
-	if _, err := srv.ImportMasks(cms); err != nil {
+	if _, err := srv.RestoreState(checkpointOf(t, cms)); err != nil {
 		t.Fatal(err)
 	}
 	for hit := 0; hit < 2; hit++ { // the failure is pinned: the second hit does not recompile

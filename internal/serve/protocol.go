@@ -43,18 +43,6 @@ const (
 	// owns after an epoch flip. A node without a handler acknowledges
 	// and ignores it.
 	OpRingUpdate
-	// OpCacheExport streams the node's warm mask-cache state out: the
-	// response payload is a gob []CachedMask snapshot. A rebalancing
-	// gateway exports the outgoing owner's entries before it flips the
-	// ring epoch, so moved keys stay warm instead of cold-starting.
-	OpCacheExport
-	// OpCacheImport installs exported entries (gob []CachedMask in the
-	// request payload) into this node's cache — the receiving half of a
-	// warm handoff. Entries the node already holds are kept, not
-	// clobbered; imported entries get fresh guards and are compiled by
-	// their first hit. The response's Batch field reports the count
-	// actually installed.
-	OpCacheImport
 )
 
 // WireRequest is one inference over the wire: the user's preferences
@@ -97,8 +85,8 @@ type WireRequest struct {
 	Lane         int
 
 	// Payload is the op-specific, gob-encoded second-stage blob mirroring
-	// WireResponse.Payload: OpRingUpdate carries a RingUpdate here,
-	// OpCacheImport a []CachedMask. Nil for the other ops.
+	// WireResponse.Payload: OpRingUpdate carries a RingUpdate here. Nil
+	// for the other ops.
 	Payload []byte
 }
 
@@ -129,10 +117,9 @@ type WireResponse struct {
 	Code    cloud.Code
 	Err     string
 	// Logits are the class scores; Class is their argmax. Batch is 1 on
-	// an infer response (one request, one forward) and the entry count on
-	// cache export/import responses. CacheHit reports whether the request's
-	// masks were already cached — observability a client or load test
-	// can assert on.
+	// an infer response (one request, one forward). CacheHit reports
+	// whether the request's masks were already cached — observability a
+	// client or load test can assert on.
 	Logits   []float64
 	Class    int
 	Batch    int
@@ -142,8 +129,7 @@ type WireResponse struct {
 	Fallback bool
 	// Payload is the op-specific, gob-encoded second-stage blob: the
 	// Stats snapshot on a shard's OpStats response (a cluster gateway
-	// answers the same op with its own stats type, see internal/cluster),
-	// the []CachedMask on OpCacheExport.
+	// answers the same op with its own stats type, see internal/cluster).
 	Payload []byte
 }
 
@@ -200,15 +186,6 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
 	case OpRingUpdate:
 		return s.handleRingUpdate(req.Payload)
-	case OpCacheExport:
-		// Export stays available while draining: a departing node
-		// handing its warm state off is exactly the drain scenario.
-		return s.handleCacheExport()
-	case OpCacheImport:
-		if s.isDraining() {
-			return Refuse(cloud.CodeBusy, "server draining")
-		}
-		return s.handleCacheImport(req.Payload)
 	default:
 		return Refuse(cloud.CodeBadRequest, "unknown op %d", req.Op)
 	}
@@ -264,6 +241,23 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 		CacheHit: res.CacheHit,
 		Fallback: res.Fallback,
 	}
+}
+
+// handleRingUpdate decodes an OpRingUpdate payload and hands it to the
+// installed ring-update handler. A node without one — a standalone
+// server no cluster supervises — acknowledges and ignores the view.
+func (s *Server) handleRingUpdate(payload []byte) *WireResponse {
+	var upd RingUpdate
+	if err := DecodePayload(payload, &upd); err != nil {
+		return Refuse(cloud.CodeBadRequest, "decode ring update: %v", err)
+	}
+	if h := s.ringUpdateFn(); h != nil {
+		if err := h(upd); err != nil {
+			return Refuse(cloud.CodeInternal, "ring update: %v", err)
+		}
+		s.events.Record("ring-changed", "", fmt.Sprintf("installed epoch %d (%d members)", upd.Epoch, len(upd.Members)), nil)
+	}
+	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
 }
 
 // clientMaxIdle is how many connections a Client keeps open between

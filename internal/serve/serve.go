@@ -18,8 +18,8 @@
 // The base network is read-only from the moment core.NewSystem returns:
 // System.Prune judges its candidate masks as values and every plan owns
 // its own compacted weights, so fills of different keys personalize
-// concurrently, and no lock orders a fill against serving, a heal, a
-// handoff import or a checkpoint.
+// concurrently, and no lock orders a fill against serving, a heal or a
+// checkpoint.
 //
 // Admission control follows internal/cloud: bounded in-flight work,
 // typed busy shedding (cloud.Code), read/write deadlines on the wire,
@@ -552,7 +552,7 @@ func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string)
 func (s *Server) CompileWait(time.Duration) error { return nil }
 
 // newGuard builds the ε-guard every entry of this server gets, however
-// it arrives — cache fill, heal, handoff import, checkpoint restore — or
+// it arrives — cache fill, heal, checkpoint restore — or
 // nil when guarding is off.
 func (s *Server) newGuard(prefs core.Preferences) (*entryGuard, error) {
 	if s.cfg.DisableGuard {

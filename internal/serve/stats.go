@@ -86,13 +86,6 @@ type Stats struct {
 	// stays only because the frozen benchmark's ledger reads it.
 	MaskedFallback uint64
 
-	// Warm handoff: HandoffExported counts cache entries streamed out by
-	// OpCacheExport snapshots; HandoffImported counts entries installed
-	// by OpCacheImport (entries already resident are kept and not
-	// counted). A joining shard whose imports exceed its early misses is
-	// serving moved keys warm.
-	HandoffExported, HandoffImported uint64
-
 	// Self-healing: GuardTrips counts ε-guard trips (one per tripped
 	// entry); FallbackServed counts requests served through the
 	// unpruned network because their entry had tripped; Heals counts
@@ -164,9 +157,6 @@ func (s Stats) String() string {
 	for _, r := range s.Tripped {
 		fmt.Fprintf(&b, "guard: %s tripped: %s\n", r.Key, r)
 	}
-	if s.HandoffExported > 0 || s.HandoffImported > 0 {
-		fmt.Fprintf(&b, "handoff: exported=%d imported=%d\n", s.HandoffExported, s.HandoffImported)
-	}
 	fmt.Fprintf(&b, "breaker: state=%s opens=%d closes=%d half-opens=%d\n",
 		s.BreakerState, s.BreakerOpens, s.BreakerCloses, s.BreakerHalfOpens)
 	if s.CheckpointGeneration > 0 {
@@ -203,7 +193,6 @@ type stats struct {
 	persH, waitH, fwdH           *metrics.Histogram
 	guardC, fallbackC            *metrics.Counter
 	healC, healFailC             *metrics.Counter
-	handoffExpC, handoffImpC     *metrics.Counter
 	ckptErrC                     *metrics.Counter
 	compileC, compileErrC        *metrics.Counter
 	compileH                     *metrics.Histogram
@@ -244,9 +233,6 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		healC:     reg.Counter("capnn_serve_heals_total", "Repersonalizations published by the heal path."),
 		healFailC: reg.Counter("capnn_serve_heal_failures_total", "Failed heal attempts (breaker-recorded)."),
 		ckptErrC:  reg.Counter("capnn_serve_checkpoint_errors_total", "Failed checkpoint attempts."),
-
-		handoffExpC: reg.Counter("capnn_serve_handoff_exported_total", "Cache entries streamed out by handoff export snapshots."),
-		handoffImpC: reg.Counter("capnn_serve_handoff_imported_total", "Warm cache entries installed by handoff imports."),
 
 		compileC:    reg.Counter("capnn_serve_compile_total", "Finished mask-entry compile attempts."),
 		compileErrC: reg.Counter("capnn_serve_compile_errors_total", "Compile attempts that failed (entry runs the unpruned plan)."),
@@ -315,9 +301,6 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 		CompileNs:          int64(st.compileH.Sum()),
 		CompiledDispatched: st.compDispC.Value(),
 
-		HandoffExported: st.handoffExpC.Value(),
-		HandoffImported: st.handoffImpC.Value(),
-
 		GuardTrips:     st.guardC.Value(),
 		FallbackServed: st.fallbackC.Value(),
 		Heals:          st.healC.Value(),
@@ -378,9 +361,6 @@ func (st *stats) compiled(d time.Duration, err error) {
 }
 
 func (st *stats) compiledDispatched() { st.compDispC.Inc() }
-
-func (st *stats) handoffExported(n int) { st.handoffExpC.Add(uint64(n)) }
-func (st *stats) handoffImported(n int) { st.handoffImpC.Add(uint64(n)) }
 
 func (st *stats) guardTripped()   { st.guardC.Inc() }
 func (st *stats) fallbackServed() { st.fallbackC.Inc() }

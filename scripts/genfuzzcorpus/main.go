@@ -28,7 +28,7 @@ func main() {
 		root = os.Args[1]
 	}
 
-	badImport := payload([]serve.CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}})
+	badCache := payload([]serve.CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}})
 	ringUpdate := payload(serve.RingUpdate{Epoch: 9, Seed: 3, VirtualNodes: 128, Replication: 2, Members: []string{"10.0.0.1:7000", "10.0.0.2:7000"}, You: "10.0.0.2:7000"})
 	write(root, "internal/serve/testdata/fuzz/FuzzWireRequestDecode", map[string][]byte{
 		"seed-minimal": (&serve.WireRequest{Classes: []int{0}}).AppendWire(nil),
@@ -53,12 +53,6 @@ func main() {
 			Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{0, 1},
 			Input: []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)},
 		}).AppendWire(nil),
-		// A warm-handoff import naming a class no model has: the second
-		// stage (the gob Payload) must be refused by validation, not
-		// indexed.
-		"seed-cache-import-bad-class": (&serve.WireRequest{
-			Version: cloud.ProtocolVersion, Op: serve.OpCacheImport, Payload: badImport,
-		}).AppendWire(nil),
 	})
 	write(root, "internal/serve/testdata/fuzz/FuzzWireResponseDecode", map[string][]byte{
 		"seed-ok": (&serve.WireResponse{
@@ -69,12 +63,12 @@ func main() {
 			Version: cloud.ProtocolVersion, Code: cloud.CodeExpired, Err: "deadline budget exhausted before arrival (50µs over)",
 		}).AppendWire(nil),
 		"seed-export": (&serve.WireResponse{
-			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Batch: 1, Payload: badImport,
+			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Batch: 1, Payload: badCache,
 		}).AppendWire(nil),
 	})
 	write(root, "internal/serve/testdata/fuzz/FuzzRingUpdatePayload", map[string][]byte{"seed-two-members": ringUpdate})
 	write(root, "internal/serve/testdata/fuzz/FuzzCachedMaskPayload", map[string][]byte{
-		"seed-bad-class": badImport,
+		"seed-bad-class": badCache,
 		"seed-one-entry": payload([]serve.CachedMask{{
 			Key: "CAP'NN-W/0123456789abcdef", Variant: "CAP'NN-W", Classes: []int{1, 3}, Weights: []float64{0.5, 0.5},
 			Masks: map[int][]bool{2: {false, false, true, false, false, false, false, false}}, PrunedUnits: 1, TotalUnits: 8, // one stage: gob writes a map in iteration order
