@@ -46,7 +46,7 @@ func Weighted(classes []int, weights []float64) (Preferences, error) {
 		}
 		sum += w
 	}
-	if sum <= 0 {
+	if sum <= 0 || math.IsInf(sum, 1) { // an overflowed sum would divide every weight to 0
 		return Preferences{}, fmt.Errorf("core: weights sum to %v", sum)
 	}
 	for i := range p.Weights {
@@ -91,12 +91,15 @@ func (p Preferences) Validate(numClasses int) error {
 			return fmt.Errorf("core: duplicate class %d", c)
 		}
 		seen[c] = true
+		if w := p.Weights[i]; math.IsNaN(w) || math.IsInf(w, 0) {
+			return fmt.Errorf("core: non-finite weight %v for class %d", w, c)
+		}
 		if p.Weights[i] < 0 {
 			return fmt.Errorf("core: negative weight %v for class %d", p.Weights[i], c)
 		}
 		sum += p.Weights[i]
 	}
-	if math.Abs(sum-1) > 1e-6 {
+	if !(math.Abs(sum-1) <= 1e-6) { // a NaN sum fails too
 		return fmt.Errorf("core: weights sum to %v, want 1", sum)
 	}
 	return nil

@@ -48,6 +48,9 @@ func TestWeightedRejectsBadInput(t *testing.T) {
 	if _, err := Weighted([]int{0}, []float64{math.NaN()}); err == nil {
 		t.Fatal("NaN weight accepted")
 	}
+	if p, err := Weighted([]int{0, 1}, []float64{math.MaxFloat64, math.MaxFloat64}); err == nil {
+		t.Fatalf("weights whose sum overflows accepted as %v", p.Weights)
+	}
 }
 
 func TestValidateCatchesProblems(t *testing.T) {
@@ -62,6 +65,27 @@ func TestValidateCatchesProblems(t *testing.T) {
 	for i, p := range cases {
 		if err := p.Validate(5); err == nil {
 			t.Errorf("case %d accepted: %+v", i, p)
+		}
+	}
+}
+
+// A NaN compares false both to 0 and to the sum tolerance, so Validate
+// must name non-finite weights rather than rely on those checks.
+func TestValidateRejectsNonFiniteWeights(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		name    string
+		weights []float64
+	}{
+		{"NaN weight", []float64{nan, 0.5}},
+		{"NaN weight beside a valid one", []float64{0.5, nan}},
+		{"+Inf weight", []float64{inf, 0.5}},
+		{"-Inf weight", []float64{-inf, 1}},
+		{"NaN sum (+Inf and -Inf)", []float64{inf, -inf}},
+	} {
+		p := Preferences{Classes: []int{0, 1}, Weights: c.weights}
+		if err := p.Validate(5); err == nil {
+			t.Errorf("%s: %v accepted", c.name, c.weights)
 		}
 	}
 }

@@ -50,27 +50,24 @@ const (
 // elided at compile time: both are the identity on the contiguous NCHW
 // slab at inference. A ReLU directly after a conv is folded into it.
 type compiledOp struct {
-	kind opKind
-	relu bool      // conv: the ReLU that followed it, fused into the store
-	g    convGeom  // conv + pool geometry (pool: outC == inC)
-	wd   []float64 // conv/dense weights (aliases the compacted net's params)
-	bd   []float64 // conv/dense bias
-	offs []int     // conv: g.tapOffsets(), built once here rather than per call
-	idx  []int     // scatter: full-width position of each compact feature
-	in   int       // per-sample input elems
-	out  int       // per-sample output elems
-}
-
-// compiledScratch is one goroutine's working set: two ping-pong
-// activation slabs plus the conv kernel's zero-padded input plane, all
-// sized for the compacted sub-network rather than the full model.
-type compiledScratch struct {
-	a, b, pad []float64
+	kind    opKind
+	relu    bool      // conv: the ReLU that followed it, fused into the store
+	padIn   bool      // conv: its input arrives dense (the request, a lone ReLU's output) and is copied into plane
+	g       convGeom  // conv + pool geometry (pool: outC == inC)
+	wd      []float64 // conv/dense weights (aliases the compacted net's params)
+	bd      []float64 // conv/dense bias
+	offs    []int     // conv: g.tapOffsets(), built once here rather than per call
+	idx     []int     // scatter: full-width position of each compact feature
+	in      int       // per-sample input elems
+	out     int       // per-sample output elems
+	plane   int       // conv: arena offset of the padded input plane its taps read
+	at      int       // arena offset of the output's first element (the last op stores to the caller's)
+	row, ch int       // conv/pool: the output's row and channel strides from at (lay)
 }
 
 // Compiled is a physically compacted network lowered to an op plan.
 // Infer is safe for concurrent use: all plan state is read-only after
-// Compile and scratch comes from a per-Compiled pool.
+// Compile and each call runs on an arena from a per-Compiled pool.
 type Compiled struct {
 	net      *Network // the compacted network (introspection: ParamCount etc.)
 	inShape  []int    // per-sample input shape
@@ -78,10 +75,9 @@ type Compiled struct {
 	inSize   int
 	outSize  int
 	ops      []compiledOp
-	maxElems int // max per-sample slab size across op boundaries
-	maxPad   int // max padded input plane across conv ops
+	arena    int // one sample's scratch floats: every op boundary's place (lay)
 	bytes    int64
-	pool     sync.Pool
+	pool     sync.Pool // *[]float64 arenas, zeroed when allocated
 }
 
 // Compile compacts net under masks (same indexing as Infer; nil prunes
@@ -94,27 +90,9 @@ func Compile(net *Network, masks map[int][]bool) (*Compiled, error) {
 	if err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
 	}
-	c, err := plan(cnet)
+	c, err := plan(cnet, keep, net.Layers[len(net.Layers)-1].OutShape())
 	if err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
-	}
-	// When the final stage itself is pruned, the compacted output is
-	// narrower than the masked one. Append a scatter that expands it back
-	// to full width with +0.0 at pruned positions — exactly the values
-	// the masked path emits there — preserving shape and bit-identity.
-	if count(keep) != len(keep) {
-		idx := make([]int, 0, count(keep))
-		for i, k := range keep {
-			if k {
-				idx = append(idx, i)
-			}
-		}
-		c.ops = append(c.ops, compiledOp{kind: opScatter, idx: idx, in: len(idx), out: len(keep)})
-		c.outShape = append([]int(nil), net.Layers[len(net.Layers)-1].OutShape()...)
-		c.outSize = shapeElems(c.outShape)
-		if c.outSize > c.maxElems {
-			c.maxElems = c.outSize
-		}
 	}
 	if err := c.verifyAgainst(net, masks); err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
@@ -123,21 +101,20 @@ func Compile(net *Network, masks map[int][]bool) (*Compiled, error) {
 }
 
 // plan lowers a (already compacted) network into a Compiled without
-// verification.
-func plan(cnet *Network) (*Compiled, error) {
+// verification. keep is the final stage's surviving units out of the
+// base network's outShape.
+func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 	c := &Compiled{
 		net:     cnet,
 		inShape: append([]int(nil), cnet.InShape...),
 		inSize:  shapeElems(cnet.InShape),
 	}
-	c.maxElems = c.inSize
 	for _, l := range cnet.Layers {
 		var op compiledOp
 		switch t := l.(type) {
 		case *Conv2D:
 			g := t.geom()
 			op = compiledOp{kind: opConv, g: g, wd: t.w.W.Data(), bd: t.b.W.Data(), offs: g.tapOffsets(), in: g.inSize(), out: g.outSize()}
-			c.maxPad = max(c.maxPad, g.padSize())
 		case *Dense:
 			op = compiledOp{kind: opDense, wd: t.w.W.Data(), bd: t.b.W.Data(), in: t.in, out: t.out}
 			op.g.inC, op.g.outC = t.in, t.out // reuse geom fields for dims
@@ -158,19 +135,66 @@ func plan(cnet *Network) (*Compiled, error) {
 			return nil, fmt.Errorf("cannot lower layer type %T", l)
 		}
 		c.bytes += int64(len(op.wd)+len(op.bd)) * 8
-		if op.in > c.maxElems {
-			c.maxElems = op.in
-		}
-		if op.out > c.maxElems {
-			c.maxElems = op.out
-		}
 		c.ops = append(c.ops, op)
 	}
-	last := cnet.Layers[len(cnet.Layers)-1]
-	c.outShape = append([]int(nil), last.OutShape()...)
+	c.outShape = append([]int(nil), cnet.Layers[len(cnet.Layers)-1].OutShape()...)
+	// When the final stage itself is pruned, the compacted output is
+	// narrower than the masked one. Append a scatter that expands it back
+	// to full width with +0.0 at pruned positions — exactly the values
+	// the masked path emits there — preserving shape and bit-identity.
+	if count(keep) != len(keep) {
+		idx := make([]int, 0, count(keep))
+		for i, k := range keep {
+			if k {
+				idx = append(idx, i)
+			}
+		}
+		c.ops = append(c.ops, compiledOp{kind: opScatter, idx: idx, in: len(idx), out: len(keep)})
+		c.outShape = append([]int(nil), outShape...)
+	}
 	c.outSize = shapeElems(c.outShape)
-	c.pool.New = func() any { return &compiledScratch{} }
+	c.lay()
+	c.pool.New = func() any { a := make([]float64, c.arena); return &a }
 	return c, nil
+}
+
+// lay gives every op boundary its place in one sample's arena. Each conv
+// owns a region holding its padded input plane, and a conv or pool right
+// before it stores straight into that plane's interior at the plane's
+// row and channel strides: the border, zeroed when the arena is
+// allocated, is never stored to, so the taps read there the +0 padInput
+// would have copied. Only a conv whose input arrives dense — op 0's
+// request, a lone ReLU's output — copies it in with padInput. Every other
+// output is dense, op i's in shared region i mod 2, so no op stores over
+// the input it reads. Nothing here depends on the batch: forward runs
+// sample after sample through the same arena.
+func (c *Compiled) lay() {
+	last := len(c.ops) - 1
+	intoPlane := func(i int) bool { // op i stores into op i+1's plane
+		return i < last && c.ops[i+1].kind == opConv && (c.ops[i].kind == opConv || c.ops[i].kind == opPool)
+	}
+	var dense [2]int
+	for i := 0; i < last; i++ {
+		if !intoPlane(i) {
+			dense[i%2] = max(dense[i%2], c.ops[i].out)
+		}
+	}
+	c.arena = dense[0] + dense[1]
+	for i := range c.ops {
+		op := &c.ops[i]
+		if op.kind == opConv {
+			op.plane, c.arena = c.arena, c.arena+op.g.padSize()
+			op.padIn = i == 0 || !intoPlane(i-1)
+		}
+		op.at, op.row, op.ch = i%2*dense[0], op.g.outW, op.g.outH*op.g.outW
+	}
+	for i := 0; i < last; i++ {
+		if intoPlane(i) {
+			g, op := c.ops[i+1].g, &c.ops[i]
+			pw := g.inW + 2*g.pad
+			op.at, op.row, op.ch = c.ops[i+1].plane+g.pad*pw+g.pad, pw, (g.inH+2*g.pad)*pw
+		}
+	}
 }
 
 // Net exposes the compacted network backing the plan (read-only).
@@ -180,7 +204,7 @@ func (c *Compiled) Net() *Network { return c.net }
 func (c *Compiled) InShape() []int { return append([]int(nil), c.inShape...) }
 
 // Bytes approximates resident memory: the compacted weight and bias
-// floats. Scratch is pooled per batch and excluded — it is transient and
+// floats. Scratch is pooled per call and excluded — it is transient and
 // shared across requests.
 func (c *Compiled) Bytes() int64 { return c.bytes }
 
@@ -208,65 +232,60 @@ func (c *Compiled) InferSample(x []float64) []float64 {
 	return out
 }
 
-// forward runs n samples from in through the plan into out.
+// forward runs n samples from in through the plan into out, one after
+// another on a pooled arena.
 func (c *Compiled) forward(in, out []float64, n int) {
 	if len(c.ops) == 0 {
 		copy(out, in)
 		return
 	}
-
-	sc := c.pool.Get().(*compiledScratch)
-	slab := n * c.maxElems
-	sc.a = growSlab(sc.a, slab)
-	sc.b = growSlab(sc.b, slab)
-	sc.pad = growSlab(sc.pad, c.maxPad)
-
-	cur := in
-	useA := true
-	for i := range c.ops {
-		op := &c.ops[i]
-		var dst []float64
-		if i == len(c.ops)-1 {
-			dst = out
-		} else if useA {
-			dst, useA = sc.a, false
-		} else {
-			dst, useA = sc.b, true
+	a := c.pool.Get().(*[]float64)
+	for s := 0; s < n; s++ {
+		src, o := in[s*c.inSize:][:c.inSize], out[s*c.outSize:][:c.outSize]
+		for i := range c.ops {
+			dst := c.dst(i, o, *a)
+			c.ops[i].run(src, dst, *a)
+			src = dst
 		}
-		op.run(cur, dst, n, sc.pad)
-		cur = dst[:n*op.out]
 	}
-	c.pool.Put(sc)
+	c.pool.Put(a)
 }
 
-// run executes one op over a batch of n samples. Every op writes each of
+// dst is where op i stores one sample: the caller's out for the last op,
+// else its place in the arena.
+func (c *Compiled) dst(i int, out, arena []float64) []float64 {
+	if i == len(c.ops)-1 {
+		return out
+	}
+	return arena[c.ops[i].at:]
+}
+
+// run executes one op on one sample: src is the previous op's dst (the
+// request for op 0), which a conv reads only when padIn; dst is where it
+// stores, at row/ch strides for a conv or pool. Every op writes each of
 // its output elements (the kernels' bias-first / assignment forms with a
-// nil prune mask), so dirty reused scratch never leaks into results.
-func (op *compiledOp) run(src, dst []float64, n int, pad []float64) {
+// nil prune mask), so whatever an interior or dense region held is never
+// read.
+func (op *compiledOp) run(src, dst, arena []float64) {
 	switch op.kind {
 	case opConv:
-		for s := 0; s < n; s++ {
-			op.g.convForward(src[s*op.in:(s+1)*op.in], pad, op.offs, op.wd, op.bd, dst[s*op.out:(s+1)*op.out], nil, op.relu)
+		plane := arena[op.plane:][:op.g.padSize()]
+		if op.padIn {
+			op.g.padInput(src[:op.in], plane)
 		}
+		op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, op.row, op.ch, nil, op.relu)
 	case opDense:
-		denseForward(src[:n*op.in], op.wd, op.bd, dst[:n*op.out], n, op.g.inC, op.g.outC, nil)
+		denseForward(src[:op.in], op.wd, op.bd, dst[:op.out], 1, op.g.inC, op.g.outC, nil)
 	case opReLU:
-		reluForward(dst[:n*op.in], src[:n*op.in])
+		reluForward(dst[:op.in], src[:op.in])
 	case opScatter:
-		for s := 0; s < n; s++ {
-			xs := src[s*op.in : (s+1)*op.in]
-			os := dst[s*op.out : (s+1)*op.out]
-			for i := range os {
-				os[i] = 0
-			}
-			for j, v := range xs {
-				os[op.idx[j]] = v
-			}
+		os := dst[:op.out]
+		clear(os)
+		for j, v := range src[:op.in] {
+			os[op.idx[j]] = v
 		}
 	case opPool:
-		for s := 0; s < n; s++ {
-			op.g.poolForward(src[s*op.in:(s+1)*op.in], dst[s*op.out:(s+1)*op.out])
-		}
+		op.g.poolForward(src, dst, op.row, op.ch)
 	}
 }
 
@@ -294,13 +313,4 @@ func (c *Compiled) verifyAgainst(base *Network, masks map[int][]bool) error {
 		}
 	}
 	return nil
-}
-
-// growSlab returns s resized to length n, reallocating only when the
-// capacity is short (contents undefined — every op writes its outputs).
-func growSlab(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
 }

@@ -153,35 +153,57 @@ func TestCompiledBytesShrink(t *testing.T) {
 	}
 }
 
-// poisonScratch fills with NaN every pooled slab the next Infer of one
-// of the plans (batch n) or the next masked Infer could be handed: both
-// ping-pong activation slabs and the pad plane of each plan's scratch,
-// and a kernel-pool slice. A kernel that trusts what it finds in scratch
-// (a pad-plane border cell it did not zero) then returns NaN.
-func poisonScratch(n int, plans ...*Compiled) {
-	nan := func(s []float64) {
-		for i := range s {
-			s[i] = math.NaN()
+// borderCells lists the arena index of every border cell of every conv's
+// padded plane: the cells no op may store to, whose +0 the taps read.
+func (c *Compiled) borderCells() []int {
+	var cells []int
+	for _, op := range c.ops {
+		if op.kind != opConv {
+			continue
+		}
+		g := op.g
+		ph, pw := g.inH+2*g.pad, g.inW+2*g.pad
+		for i := 0; i < g.padSize(); i++ {
+			y, x := i/pw%ph-g.pad, i%pw-g.pad
+			if y < 0 || y >= g.inH || x < 0 || x >= g.inW {
+				cells = append(cells, op.plane+i)
+			}
 		}
 	}
+	return cells
+}
+
+// poisonScratch fills with NaN every arena cell the next Infer of one of
+// the plans could be handed that is not a plane's border — every
+// interior and both dense regions — and a kernel-pool slice the next
+// masked Infer could be. An op that reads a cell before its producer
+// stored it then returns NaN.
+func poisonScratch(plans ...*Compiled) {
 	for _, c := range plans {
-		sc := c.pool.Get().(*compiledScratch)
-		sc.a, sc.b, sc.pad = growSlab(sc.a, n*c.maxElems), growSlab(sc.b, n*c.maxElems), growSlab(sc.pad, c.maxPad)
-		nan(sc.a)
-		nan(sc.b)
-		nan(sc.pad)
-		c.pool.Put(sc)
+		a := c.pool.Get().(*[]float64)
+		border := map[int]bool{}
+		for _, i := range c.borderCells() {
+			border[i] = true
+		}
+		for i := range *a {
+			if !border[i] {
+				(*a)[i] = math.NaN()
+			}
+		}
+		c.pool.Put(a)
 	}
 	bp := getScratch(1 << 12)
-	nan(*bp)
+	for i := range *bp {
+		(*bp)[i] = math.NaN()
+	}
 	putScratch(bp)
 }
 
-// The pad plane is pooled and reused by convs of different geometry
-// (8×8, 4×4 and 2×2 planes here, so one layer's interior lands on the
-// next one's border), and two plans of different widths plus the masked
-// oracle share the kernel pool: whatever the scratch held, the logits
-// are those of masked Infer.
+// Between calls every interior and dense region of each plan's arena is
+// NaN, the batch size alternates, two plans of different widths plus the
+// masked oracle share the kernel pool, and the convs read 8×8, 4×4 and
+// 2×2 planes: whatever the scratch held, the logits are those of masked
+// Infer.
 func TestCompiledInferDirtyScratch(t *testing.T) {
 	net := NewBuilder(2, 8, 8, 19).Conv(4).ReLU().Pool().Conv(5).ReLU().Pool().Conv(6).ReLU().Flatten().Dense(7).ReLU().Dense(3).MustBuild()
 	maskSets := []map[int][]bool{nil, {0: {true, false, false, true}, 1: {false, true, false, false, true}, 2: {false, true, true, false, true, false}}}
@@ -194,16 +216,62 @@ func TestCompiledInferDirtyScratch(t *testing.T) {
 		plans = append(plans, c)
 	}
 	for round := 0; round < 3; round++ {
-		for _, n := range []int{1, 3} {
-			x := randInput([]int{n, 2, 8, 8}, int64(20+round))
+		for _, n := range []int{1, 3, 1, 2} {
+			x := randInput([]int{n, 2, 8, 8}, int64(20+round*4+n))
 			for i, c := range plans {
-				poisonScratch(n, plans...)
+				poisonScratch(plans...)
 				got := c.Infer(x)
-				poisonScratch(n, plans...)
+				poisonScratch(plans...)
 				bitEqual(t, net.Infer(x, maskSets[i]), got)
 			}
 		}
 	}
+}
+
+// TestPlanBordersStayZero holds the arena to its one invariant: after
+// every forward, on every rung, at batch sizes 1, 3, 1, with no masks and
+// with real ones, every border cell of every padded plane is still +0
+// bit for bit — a conv whose input arrives dense (op 0's request, a lone
+// ReLU's output) rewrites its own border with +0, and no op stores
+// outside an interior. It inspects the arena the pool hands back, which
+// is the one the forward ran on unless the pool dropped it.
+func TestPlanBordersStayZero(t *testing.T) {
+	small := NewBuilder(2, 8, 8, 19).Conv(4).ReLU().Conv(4).ReLU().Pool().Conv(5).ReLU().Pool().Conv(6).ReLU().Flatten().Dense(3).MustBuild()
+	loneReLU := NewBuilder(2, 8, 8, 23).Conv(4).Pool().ReLU().Conv(5).ReLU().Flatten().Dense(3).MustBuild()
+	cifar := loadFixtureNet(t, "cifar10")
+	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
+	cases := []struct {
+		name  string
+		net   *Network
+		masks map[int][]bool
+	}{
+		{"small/unpruned", small, nil},
+		{"small/pruned", small, map[int][]bool{0: {true, false, false, true}, 2: {false, true, false, false, true}}},
+		{"lone-relu/pruned", loneReLU, map[int][]bool{0: {false, true, false, false}}},
+		{"cifar10/unpruned", cifar, nil},
+		{"cifar10/prune-M", cifar, mMasks},
+	}
+	forEachRung(t, isaRungs, func(t *testing.T, l isaRung) {
+		for _, tc := range cases {
+			c, err := Compile(tc.net, tc.masks)
+			if err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			border := c.borderCells()
+			for round, n := range []int{1, 3, 1} {
+				poisonScratch(c)
+				x := randInput(append([]int{n}, tc.net.InShape...), int64(round))
+				bitEqual(t, tc.net.Infer(x, tc.masks), c.Infer(x))
+				a := c.pool.Get().(*[]float64)
+				for _, i := range border {
+					if bits := math.Float64bits((*a)[i]); bits != 0 {
+						t.Fatalf("%s n=%d: border cell %d of the arena holds %v (%#x)", tc.name, n, i, (*a)[i], bits)
+					}
+				}
+				c.pool.Put(a)
+			}
+		}
+	})
 }
 
 // Concurrent Infer calls on one Compiled share the scratch pool but must
@@ -224,7 +292,7 @@ func TestCompiledInferConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				poisonScratch(4, c)
+				poisonScratch(c)
 				got := c.Infer(x)
 				for j, v := range want.Data() {
 					if math.Float64bits(v) != math.Float64bits(got.Data()[j]) {

@@ -105,6 +105,20 @@ func ratioMasks(net *Network, ratio float64) map[int][]bool {
 	return masks
 }
 
+// loadFixtureNet loads the named reference fixture's checked-in model.
+func loadFixtureNet(t testing.TB, name string) *Network {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fixtures", name+"-*.model"))
+	if err != nil || len(paths) != 1 {
+		t.Fatalf("%s: want one checked-in model, found %v (%v)", name, paths, err)
+	}
+	net, err := LoadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
 // TestForwardGolden pins "same arithmetic" as a tier-1 fact on both
 // reference models: it hashes the logits bits of every test image, in
 // order, through masked Infer (batches of 25) and through the compiled
@@ -112,14 +126,7 @@ func ratioMasks(net *Network, ratio float64) map[int][]bool {
 // the recorded value. TestGenericKernels re-runs it on the Go fallback.
 func TestForwardGolden(t *testing.T) {
 	for _, g := range forwardGoldens {
-		paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fixtures", g.name+"-*.model"))
-		if err != nil || len(paths) != 1 {
-			t.Fatalf("%s: want one checked-in model, found %v (%v)", g.name, paths, err)
-		}
-		net, err := LoadFile(paths[0])
-		if err != nil {
-			t.Fatal(err)
-		}
+		net := loadFixtureNet(t, g.name)
 		synth := data.DefaultSynthConfig(g.classes)
 		synth.NoiseStd, synth.GroupMix, synth.Seed = 1.5, 0.75, g.synthSeed
 		gen, err := data.NewGenerator(synth)

@@ -163,7 +163,7 @@ func (p *MaxPool2D) infer(x *tensor.Tensor) *tensor.Tensor {
 	inSz, outSz := g.inSize(), g.outSize()
 	xd, od := x.Data(), out.Data()
 	for s := 0; s < n; s++ {
-		g.poolForward(xd[s*inSz:(s+1)*inSz], od[s*outSz:(s+1)*outSz])
+		g.poolForward(xd[s*inSz:(s+1)*inSz], od[s*outSz:(s+1)*outSz], g.outW, g.outH*g.outW)
 	}
 	return out
 }

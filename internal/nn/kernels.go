@@ -8,13 +8,14 @@ import "sync"
 // route through these functions, so there is a single place where the
 // arithmetic — and, critically, its accumulation order — is defined.
 //
-// The conv kernel is a direct convolution on register tiles: each
-// sample's input is written once into a zero-padded plane, then every
-// live output element starts at its bias and adds w[oc,r]·tap[r] for
-// r = (ic, ky, kx) ascending — one rounded multiply, then one rounded
-// add, never a fused multiply-add — reading each tap from the pad plane
-// (TestForwardGolden and the Infer ≡ Forward tests pin the bits). The Go
-// loops below are that definition.
+// The conv kernel is a direct convolution on register tiles over a
+// zero-bordered padded plane of the sample's input — written by padInput
+// here, or by the compiled plan's previous op storing into its interior
+// — where every live output element starts at its bias and adds
+// w[oc,r]·tap[r] for r = (ic, ky, kx) ascending — one rounded multiply,
+// then one rounded add, never a fused multiply-add — reading each tap
+// from the plane (TestForwardGolden and the Infer ≡ Forward tests pin
+// the bits). The Go loops below are that definition.
 // On amd64 with AVX2 (CPUID, checked once at init: useAVX2) the conv
 // MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
 // instead: four float64 lanes wide, the same operations in the same
@@ -136,17 +137,25 @@ func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
 // zero (os must arrive zeroed).
 func (g convGeom) convForward(xs, pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
 	g.padInput(xs[:g.inSize()], pad)
-	g.convMACs(pad, offs, wd, bd, os, pruned, relu)
+	g.convMACs(pad, offs, wd, bd, os, g.outW, g.outH*g.outW, pruned, relu)
+}
+
+// storeSpan is how far from its first element an [outC, outH, outW]
+// output stored at row stride oRow and channel stride oCh reaches.
+func (g convGeom) storeSpan(oRow, oCh int) int {
+	return (g.outC-1)*oCh + (g.outH-1)*oRow + g.outW
 }
 
 // convMACs is convForward after the pad copy: the multiply-accumulates
 // over the filled plane, on the highest rung of the dispatch ladder that
-// takes the geometry.
-func (g convGeom) convMACs(pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
+// takes the geometry. Output (oc, oy, ox) is stored to os[oc·oCh +
+// oy·oRow + ox]: a dense slab, or the interior of the next conv's padded
+// plane, whose border no store reaches.
+func (g convGeom) convMACs(pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, pruned []bool, relu bool) {
 	rows := g.inC * g.k * g.k
 	// The extents the assembly will touch, proven here once.
 	pad, offs = pad[:g.padSize()], offs[:rows]
-	wd, bd, os = wd[:g.outC*rows], bd[:g.outC], os[:g.outSize()]
+	wd, bd, os = wd[:g.outC*rows], bd[:g.outC], os[:g.storeSpan(oRow, oCh)]
 	var buf [64]int
 	live := buf[:0]
 	for oc := range bd {
@@ -157,8 +166,8 @@ func (g convGeom) convMACs(pad []float64, offs []int, wd, bd, os []float64, prun
 	if len(live) == 0 {
 		return
 	}
-	if !useAVX2 || !convForwardAVX2(g, pad, offs, wd, bd, os, live, relu) {
-		convForwardGo(g, pad, offs, wd, bd, os, live, relu)
+	if !useAVX2 || !convForwardAVX2(g, pad, offs, wd, bd, os, oRow, oCh, live, relu) {
+		convForwardGo(g, pad, offs, wd, bd, os, oRow, oCh, live, relu)
 	}
 }
 
@@ -168,8 +177,9 @@ func (g convGeom) convMACs(pad []float64, offs []int, wd, bd, os []float64, prun
 // coordinates position q = oy·pw + ox multiplies w[oc, r] by
 // pad[offs[r] + q·stride], so one channel is a sweep over whole runs of
 // the plane, tap after tap, into acc — including the k−1 positions a row
-// (ox ≥ outW) that are not outputs and are dropped on the copy out.
-func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, live []int, relu bool) {
+// (ox ≥ outW) that are not outputs and are dropped on the copy out, row
+// by row to os at convMACs' strides.
+func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) {
 	rows, pw := len(offs), g.inW+2*g.pad
 	accBuf := getScratch((g.outH-1)*pw + g.outW)
 	acc := *accBuf
@@ -183,7 +193,7 @@ func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, 
 			reluForward(acc, acc)
 		}
 		for oy := 0; oy < g.outH; oy++ {
-			copy(os[(oc*g.outH+oy)*g.outW:][:g.outW], acc[oy*pw:])
+			copy(os[oc*oCh+oy*oRow:][:g.outW], acc[oy*pw:])
 		}
 	}
 	putScratch(accBuf)
@@ -234,21 +244,22 @@ func reluForward(dst, src []float64) {
 	}
 }
 
-// poolForward max-pools one sample xs [C, inH, inW] into os [C, outH,
-// outW] without recording argmax (g.inC channels; g.outC is unused).
-// Each output is the window's first element, replaced by every later
-// element (ky, then kx ascending) that compares strictly greater — so
-// a NaN wins only from the window's first position and ±0 ties keep the
-// earlier one.
-func (g convGeom) poolForward(xs, os []float64) {
-	inHW, outHW := g.inH*g.inW, g.outH*g.outW
-	xs, os = xs[:g.inC*inHW], os[:g.inC*outHW]
+// poolForward max-pools one sample xs [C, inH, inW] into an [C, outH,
+// outW] output stored as convMACs stores, (c, oy, ox) at os[c·oCh +
+// oy·oRow + ox], without recording argmax (a pool's geometry has outC ==
+// inC). Each output is the window's first element, replaced by every
+// later element (ky, then kx ascending) that compares strictly greater —
+// so a NaN wins only from the window's first position and ±0 ties keep
+// the earlier one.
+func (g convGeom) poolForward(xs, os []float64, oRow, oCh int) {
+	inHW := g.inH * g.inW
+	xs, os = xs[:g.inC*inHW], os[:g.storeSpan(oRow, oCh)]
 	avx := useAVX2 && g.k == 2 && g.stride == 2 && g.outW%4 == 0
 	for c := 0; c < g.inC; c++ {
 		xCh := xs[c*inHW : (c+1)*inHW]
-		oCh := os[c*outHW : (c+1)*outHW]
+		oc := os[c*oCh:]
 		if avx {
-			pool2x2AVX2(&oCh[0], &xCh[0], g.outH, g.outW, g.inW)
+			pool2x2AVX2(&oc[0], &xCh[0], g.outH, g.outW, g.inW, oRow)
 			continue
 		}
 		for oy := 0; oy < g.outH; oy++ {
@@ -262,7 +273,7 @@ func (g convGeom) poolForward(xs, os []float64) {
 						}
 					}
 				}
-				oCh[oy*g.outW+ox] = best
+				oc[oy*oRow+ox] = best
 			}
 		}
 	}

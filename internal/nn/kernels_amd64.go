@@ -59,24 +59,26 @@ func xgetbv() (eax, edx uint32)
 // of the nLive channels live[j]: os[live[j]·outHW + p] = bd[live[j]] +
 // Σ_r wd[live[j]·rows + r]·pad[offs[r] + p], r ascending, VMULPD then
 // VADDPD, clamped at +0 when relu. os and pad point at the tile's first
-// position.
+// position; outHW is the destination's channel stride.
 //
 //go:noescape
 func convTile16(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
 
 // convTile4x4 does the same for 4 outputs of four channels at a time
 // (nLive must be a multiple of 4). The tile is two halves of 2
-// positions, the second reading its taps half floats after the first:
-// half = 2 is one row segment, half = the padded row length is two whole
-// rows of a 2-wide plane, whose outputs are still contiguous.
+// positions, the second reading its taps half floats after the first and
+// storing dstHalf floats after it: half = dstHalf = 2 is one row
+// segment, half = the padded row length is two whole rows of a 2-wide
+// plane, dstHalf then the destination's row stride.
 //
 //go:noescape
-func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half int, relu bool)
+func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half, dstHalf int, relu bool)
 
 // convTile8x2x4 is the AVX-512 tile: 8 positions of two output rows for
 // four channels at a time (nLive a multiple of 4), eight ZMM
 // accumulators. The second row reads its taps pw floats after the first
-// (pw the padded row length) and stores outW floats after it.
+// (pw the padded row length) and stores outW floats after it (outW the
+// destination's row stride).
 //
 //go:noescape
 func convTile8x2x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
@@ -89,14 +91,14 @@ func reluAVX2(dst, src *float64, n int)
 
 // pool2x2AVX2 max-pools one channel plane with a 2×2 window at stride 2
 // (inW floats per input row) into outH×outW outputs, outW a multiple of
-// 4, comparing in poolForward's order.
+// 4, dstW floats per output row, comparing in poolForward's order.
 //
 //go:noescape
-func pool2x2AVX2(dst, src *float64, outH, outW, inW int)
+func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int)
 
-// convForwardAVX2 is convForward's MAC loop on register tiles over the
-// filled pad plane, positions outer and channels inner so one tile's
-// taps are re-read from cache for every channel. It reports false, having
+// convForwardAVX2 is convMACs' loop on register tiles over the filled
+// pad plane, storing at its strides, positions outer and channels inner
+// so one tile's taps are re-read from cache for every channel. It reports false, having
 // done nothing, for a geometry no tile fits (stride ≠ 1, or an output
 // plane under four wide that is not two rows of two): the Go loop takes
 // those. With AVX-512, a plane at least 8 wide and 2 high takes the ZMM
@@ -109,9 +111,9 @@ func pool2x2AVX2(dst, src *float64, outH, outW, inW int)
 // neighbour instead of running short, and a short last channel group
 // repeats its final channel: both recompute identical values. live
 // lists the unpruned channels (at least one).
-func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, live []int, relu bool) bool {
+func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) bool {
 	pw := g.inW + 2*g.pad
-	tileW, tileH, half := 4, 1, 2
+	tileW, tileH, half, dstHalf := 4, 1, 2, 2
 	switch {
 	case g.stride != 1:
 		return false
@@ -121,7 +123,7 @@ func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64
 		tileW = 16
 	case g.outW >= 4:
 	case g.outW == 2 && g.outH >= 2:
-		tileW, tileH, half = 2, 2, pw
+		tileW, tileH, half, dstHalf = 2, 2, pw, oRow
 	default:
 		return false
 	}
@@ -132,19 +134,19 @@ func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64
 	for tileW != 16 && len(live)%4 != 0 {
 		live = append(live, live[len(live)-1])
 	}
-	rows, outHW := len(offs), g.outH*g.outW
+	rows := len(offs)
 	for oy := 0; oy < g.outH; oy += tileH {
 		oy := min(oy, g.outH-tileH)
 		for ox := 0; ox < g.outW; ox += tileW {
 			ox := min(ox, g.outW-tileW)
-			o, p := &os[oy*g.outW+ox], &pad[oy*pw+ox]
+			o, p := &os[oy*oRow+ox], &pad[oy*pw+ox]
 			switch tileW {
 			case 16:
-				convTile16(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, outHW, relu)
+				convTile16(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, relu)
 			case 8:
-				convTile8x2x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, outHW, pw, g.outW, relu)
+				convTile8x2x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, pw, oRow, relu)
 			default:
-				convTile4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, outHW, half, relu)
+				convTile4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, half, dstHalf, relu)
 			}
 		}
 	}

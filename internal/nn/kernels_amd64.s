@@ -93,13 +93,14 @@ store16:
 	RET
 
 // CHANNEL loads channel id oc: acc = its bias in every lane, w = &wd[oc·rows].
-// STORE writes acc to os[oc·outHW + 0..3]. AX = wd, BX = bd, CX = rows,
-// DX = outHW·8, R10 = os.
+// AX = wd, BX = bd, CX = rows.
 #define CHANNEL(oc, w, acc) MOVQ oc, w; VBROADCASTSD (BX)(w*8), acc; IMULQ CX, w; LEAQ (AX)(w*8), w
-#define STORE(oc, acc) MOVQ oc, R8; IMULQ DX, R8; VMOVUPD acc, (R10)(R8*1)
+// STORE writes the low half x of acc y to os[oc·outHW + 0..1] and its high
+// half dstHalf floats further on. AX = dstHalf·8, DX = outHW·8, R10 = os.
+#define STORE(oc, x, y) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD x, (R8); VEXTRACTF128 $1, y, (R8)(AX*1)
 
-// func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half int, relu bool)
-TEXT ·convTile4x4(SB), NOSPLIT, $0-81
+// func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half, dstHalf int, relu bool)
+TEXT ·convTile4x4(SB), NOSPLIT, $0-89
 	MOVQ os+0(FP), R10
 	MOVQ pad+8(FP), R13
 	MOVQ offs+16(FP), R14
@@ -138,7 +139,7 @@ row4:
 	CMPQ AX, CX
 	JLT row4
 
-	CMPB relu+80(FP), $0
+	CMPB relu+88(FP), $0
 	JEQ store4
 	VMAXPD Y9, Y0, Y0
 	VMAXPD Y9, Y1, Y1
@@ -146,10 +147,12 @@ row4:
 	VMAXPD Y9, Y3, Y3
 
 store4:
-	STORE(0(SI), Y0)
-	STORE(8(SI), Y1)
-	STORE(16(SI), Y2)
-	STORE(24(SI), Y3)
+	MOVQ dstHalf+80(FP), AX
+	SHLQ $3, AX                  // bytes from the tile's first 2 outputs to its last 2
+	STORE(0(SI), X0, Y0)
+	STORE(8(SI), X1, Y1)
+	STORE(16(SI), X2, Y2)
+	STORE(24(SI), X3, Y3)
 	ADDQ $32, SI
 	SUBQ $4, DI
 	JNZ group4
@@ -255,18 +258,21 @@ relu4:
 	VZEROUPPER
 	RET
 
-// func pool2x2AVX2(dst, src *float64, outH, outW, inW int)
-TEXT ·pool2x2AVX2(SB), NOSPLIT, $0-40
-	MOVQ dst+0(FP), DI
+// func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int)
+TEXT ·pool2x2AVX2(SB), NOSPLIT, $0-48
+	MOVQ dst+0(FP), R10
 	MOVQ src+8(FP), SI
 	MOVQ outH+16(FP), R8
 	MOVQ outW+24(FP), R9
 	MOVQ inW+32(FP), DX
 	SHLQ $3, DX                  // bytes per input row
+	MOVQ dstW+40(FP), R11
+	SHLQ $3, R11                 // bytes per output row
 
 poolRow:
 	MOVQ SI, AX                  // input row 2·oy
 	LEAQ (SI)(DX*1), BX          // input row 2·oy+1
+	MOVQ R10, DI                 // output row oy
 	MOVQ R9, CX
 
 pool4:
@@ -293,6 +299,7 @@ pool4:
 	JNZ pool4
 
 	LEAQ (SI)(DX*2), SI
+	ADDQ R11, R10
 	DECQ R8
 	JNZ poolRow
 	VZEROUPPER

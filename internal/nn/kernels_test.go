@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"path/filepath"
 	"testing"
 )
 
@@ -65,6 +64,43 @@ func forEachRung(t *testing.T, rungs []isaRung, f func(t *testing.T, l isaRung))
 	}
 }
 
+// sentinel fills the border of a bordered destination: a NaN whose
+// payload no kernel produces, so any store there shows.
+const sentinel = 0x7ff80000c0ffee00
+
+// bordered runs store into the interior of a [c, h+2b, w+2b] plane whose
+// border cells hold the sentinel, as the compiled plan's convs and pools
+// store into the next conv's padded plane. The plane ends at its last
+// interior cell, on a guard page, so a store past it faults. It fails
+// unless every sentinel survives bit for bit, and returns the interior
+// gathered dense (arriving zeroed, as a pruned channel leaves it).
+func bordered(t testing.TB, what string, c, h, w, b int, store func(os []float64, oRow, oCh int)) []float64 {
+	t.Helper()
+	ph, pw := h+2*b, w+2*b
+	first := b*pw + b
+	plane := allocExact(t, (c-1)*ph*pw+(b+h-1)*pw+b+w)
+	inside := func(i int) (int, bool) {
+		ci, y, x := i/(ph*pw), i/pw%ph-b, i%pw-b
+		return (ci*h+y)*w + x, y >= 0 && y < h && x >= 0 && x < w
+	}
+	for i := range plane {
+		plane[i] = math.Float64frombits(sentinel)
+		if _, ok := inside(i); ok {
+			plane[i] = 0
+		}
+	}
+	store(plane[first:], pw, ph*pw)
+	dense := make([]float64, c*h*w)
+	for i, v := range plane {
+		if j, ok := inside(i); ok {
+			dense[j] = v
+		} else if math.Float64bits(v) != sentinel {
+			t.Fatalf("%s: border cell %d of the %d-bordered plane holds %v (%#x)", what, i, b, v, math.Float64bits(v))
+		}
+	}
+	return dense
+}
+
 // sameBits fails unless got is want bit for bit. Where the two are the
 // Go loops and the assembly, want is the Go loops'.
 func sameBits(t testing.TB, what string, want, got []float64) {
@@ -105,8 +141,9 @@ func pruneMask(rng *rand.Rand, kind, n int) []bool {
 // the given assembly rungs, on an input slab, pad plane, weights and
 // outputs that each end at a guard page, and demands identical bits. The
 // pad plane arrives full of NaN: a border cell the kernel fails to zero
-// poisons an output. It also holds im2col (Backward's gather) to its
-// definition, tap by tap.
+// poisons an output. Every rung also stores into a bordered destination,
+// as the compiled plan does, and must leave its border alone. It also
+// holds im2col (Backward's gather) to its definition, tap by tap.
 func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...isaRung) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -153,6 +190,7 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 		bd[i] = rng.NormFloat64()
 	}
 	pruned := pruneMask(rng, maskKind, g.outC)
+	border := 1 + rng.Intn(2)
 	dirtyPad := func() {
 		for i := range pad {
 			pad[i] = math.NaN()
@@ -188,6 +226,14 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 		sameBits(t, fmt.Sprintf("%s relu %v: Go loop against the naive loop nest", what, relu), naive, generic)
 		for _, l := range rungs {
 			sameBits(t, fmt.Sprintf("%s relu %v: %s against the Go loop", what, relu, l.name), generic, run(l))
+		}
+		for _, l := range append([]isaRung{isaRungs[0]}, rungs...) {
+			into := fmt.Sprintf("%s relu %v: %s into a bordered plane", what, relu, l.name)
+			dirtyPad()
+			g.padInput(x, pad)
+			sameBits(t, into, generic, bordered(t, into, g.outC, g.outH, g.outW, border, func(os []float64, oRow, oCh int) {
+				withRung(l, func() { g.convMACs(pad, offs, wd, bd, os, oRow, oCh, pruned, relu) })
+			}))
 		}
 	}
 }
@@ -270,16 +316,23 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			src := allocExact(t, g.inSize())
 			fill(src)
 			generic, simd := allocExact(t, g.outSize()), allocExact(t, g.outSize())
-			withRung(isaRungs[0], func() { g.poolForward(src, generic) })
-			g.poolForward(src, simd)
+			withRung(isaRungs[0], func() { g.poolForward(src, generic, g.outW, g.outH*g.outW) })
+			g.poolForward(src, simd, g.outW, g.outH*g.outW)
 			sameBits(t, fmt.Sprintf("pool %+v", g), generic, simd)
+			for _, r := range []isaRung{isaRungs[0], l} {
+				into := fmt.Sprintf("pool %+v: %s into a bordered plane", g, r.name)
+				sameBits(t, into, generic, bordered(t, into, g.inC, g.outH, g.outW, 1, func(os []float64, oRow, oCh int) {
+					withRung(r, func() { g.poolForward(src, os, oRow, oCh) })
+				}))
+			}
 		}
 	})
 }
 
 // FuzzConvKernel searches the same space as TestKernelsMatchGeneric's
 // conv table for a geometry, mask or weight pattern on which an assembly
-// rung and the Go loops disagree (or the assembly leaves its buffers).
+// rung and the Go loops disagree, or a rung leaves its buffers or stores
+// into a bordered destination's border.
 func FuzzConvKernel(f *testing.F) {
 	f.Add(int64(1), uint8(1), uint8(32), uint8(32), uint8(4), uint8(3), uint8(1), uint8(1), uint8(0))
 	f.Add(int64(2), uint8(12), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(1), uint8(1))
@@ -374,10 +427,10 @@ func BenchmarkKernels(b *testing.B) {
 			})
 		}
 	}
-	// conv/* is the whole conv from the input slab (pad copy + MACs), so
-	// the conv, dense, relu and pool rows sum to one forward; pad/* is the
-	// copy alone. backward/im2col/* is a pass only training runs. ReLU and
-	// pool have no AVX-512 form.
+	// conv/* is the whole conv from the input slab (pad copy + MACs), as
+	// masked Infer and training run it; pad/* is the copy alone, which a
+	// served plan pays only for its first conv. backward/im2col/* is a
+	// pass only training runs. ReLU and pool have no AVX-512 form.
 	twoRungs := isaRungs[:2]
 	for _, l := range [][3]int{{1, 4, 32}, {4, 4, 32}, {4, 8, 16}, {8, 8, 16}, {8, 12, 8}, {12, 12, 8}, {12, 16, 4}, {16, 16, 4}, {16, 32, 2}, {32, 32, 2}} {
 		g := convGeom{inC: l[0], inH: l[2], inW: l[2], outC: l[1], outH: l[2], outW: l[2], k: 3, stride: 1, pad: 1}
@@ -395,44 +448,37 @@ func BenchmarkKernels(b *testing.B) {
 	src, dst := random(4096), make([]float64, 4096)
 	row("relu/4096", twoRungs, 4096, "ns/elem", func() { reluForward(dst, src) })
 	pool := convGeom{inC: 4, inH: 32, inW: 32, outC: 4, outH: 16, outW: 16, k: 2, stride: 2}
-	row("pool/4x32to16", twoRungs, pool.outSize(), "ns/elem", func() { pool.poolForward(src, dst) })
+	row("pool/4x32to16", twoRungs, pool.outSize(), "ns/elem", func() { pool.poolForward(src, dst, pool.outW, pool.outH*pool.outW) })
 
 	// plan-M/* is one request's forward through a served plan: the cifar10
 	// fixture compiled under TestForwardGolden's real CAP'NN-M masks (the
 	// benchmark's first new-user key), so the split is that of what the
 	// benchmark serves — its unpruned ten-conv prefix beside the pruned
 	// suffix — not of the unpruned net. One row per op on this CPU's top
-	// rung, each from the input the op sees in the forward, then the
-	// subtotals: conv MACs, pad copies, dense, pool/ReLU, convs 1–7 whole
-	// (the ≥ 8-wide planes the ZMM tile takes) and the whole forward.
-	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fixtures", "cifar10-*.model"))
-	if err != nil || len(paths) != 1 {
-		b.Fatalf("want one checked-in cifar10 model, found %v (%v)", paths, err)
-	}
-	net, err := LoadFile(paths[0])
-	if err != nil {
-		b.Fatal(err)
-	}
+	// rung, each from the input the op sees in the forward, on the plan's
+	// own arena, then the subtotals: conv MACs (with their strided stores
+	// into the next conv's plane), the pad copy (op 0's, of the request:
+	// the only one left), dense, pool/ReLU, convs 1–7 whole (the ≥ 8-wide
+	// planes the ZMM tile takes) and the whole forward.
+	net := loadFixtureNet(b, "cifar10")
 	masks, _ := parseMasks(forwardGoldens[0].mMasks)
 	plan, err := Compile(net, masks)
 	if err != nil {
 		b.Fatal(err)
 	}
 	x, logits := random(plan.inSize), make([]float64, plan.outSize)
-	ins, outs, pads := make([][]float64, len(plan.ops)), make([][]float64, len(plan.ops)), make([][]float64, len(plan.ops))
-	scratch := make([]float64, plan.maxPad)
+	arena := *plan.pool.New().(*[]float64)
+	ins, outs := make([][]float64, len(plan.ops)), make([][]float64, len(plan.ops))
 	var convs, dense, poolReLU []int
 	macs := 0
 	for i, in := 0, x; i < len(plan.ops); i++ {
 		op := &plan.ops[i]
-		ins[i], outs[i] = in, make([]float64, op.out)
-		op.run(in, outs[i], 1, scratch)
+		ins[i], outs[i] = in, plan.dst(i, logits, arena)
+		op.run(in, outs[i], arena)
 		in = outs[i]
 		work, unit, name := op.out, "ns/elem", ""
 		switch op.kind {
 		case opConv:
-			pads[i] = make([]float64, op.g.padSize())
-			op.g.padInput(ins[i], pads[i])
 			work, unit = op.g.inC*op.g.k*op.g.k*op.g.outSize(), "ns/MAC"
 			name, convs, macs = fmt.Sprintf("conv-%dx%dx%d", op.g.inC, op.g.outC, op.g.outW), append(convs, i), macs+work
 		case opDense:
@@ -442,7 +488,7 @@ func BenchmarkKernels(b *testing.B) {
 		case opReLU, opScatter:
 			name, poolReLU = []string{opReLU: "relu", opScatter: "scatter"}[op.kind], append(poolReLU, i)
 		}
-		row(fmt.Sprintf("plan-M/op%02d-%s", i, name), nil, work, unit, func() { op.run(ins[i], outs[i], 1, scratch) })
+		row(fmt.Sprintf("plan-M/op%02d-%s", i, name), nil, work, unit, func() { op.run(ins[i], outs[i], arena) })
 	}
 	each := func(ops []int, f func(op *compiledOp, i int)) func() {
 		return func() {
@@ -451,11 +497,16 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}
 	}
-	run := func(op *compiledOp, i int) { op.run(ins[i], outs[i], 1, scratch) }
+	run := func(op *compiledOp, i int) { op.run(ins[i], outs[i], arena) }
+	plane := func(op *compiledOp) []float64 { return arena[op.plane:][:op.g.padSize()] }
 	row("plan-M/sum/conv-mac", isaRungs, macs, "ns/MAC", each(convs, func(op *compiledOp, i int) {
-		op.g.convMACs(pads[i], op.offs, op.wd, op.bd, outs[i], nil, op.relu)
+		op.g.convMACs(plane(op), op.offs, op.wd, op.bd, outs[i], op.row, op.ch, nil, op.relu)
 	}))
-	row("plan-M/sum/pad", nil, 0, "", each(convs, func(op *compiledOp, i int) { op.g.padInput(ins[i], scratch) }))
+	row("plan-M/sum/pad", nil, 0, "", each(convs, func(op *compiledOp, i int) {
+		if op.padIn {
+			op.g.padInput(ins[i], plane(op))
+		}
+	}))
 	row("plan-M/sum/dense", nil, 0, "", each(dense, run))
 	row("plan-M/sum/pool-relu", nil, 0, "", each(poolReLU, run))
 	row("plan-M/sum/convs1-7", isaRungs, 0, "", each(convs[:7], run))

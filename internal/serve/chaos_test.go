@@ -160,6 +160,33 @@ func TestNonFiniteInputRejectedBeforeAnyWork(t *testing.T) {
 	}
 }
 
+// A Go caller's preferences skip the wire decoder's NewPreferences, so
+// Validate alone must refuse a NaN or infinite weight — before the key is
+// hashed from it and before a Prune runs on it — on every entry point.
+func TestNonFiniteWeightsRejectedBeforeAnyWork(t *testing.T) {
+	f := getFixture(t)
+	srv := NewServerWith(f.sys, Config{GuardSampleEvery: 1})
+	defer srv.Close()
+	x := f.sample(t, 0)
+	for _, w := range [][]float64{{math.NaN(), 0.5}, {0.5, math.Inf(1)}, {math.Inf(1), math.Inf(-1)}} {
+		prefs := core.Preferences{Classes: []int{0, 1}, Weights: w}
+		for name, infer := range map[string]func() (Result, error){
+			"Infer":        func() (Result, error) { return srv.Infer(prefs, x) },
+			"InferVariant": func() (Result, error) { return srv.InferVariant(core.VariantM, prefs, x) },
+			"InferQoS":     func() (Result, error) { return srv.InferQoS(core.VariantW, prefs, x, QoS{}) },
+		} {
+			var te *Error
+			if _, err := infer(); !errors.As(err, &te) || te.Code != cloud.CodeBadRequest {
+				t.Errorf("%s with weights %v: %v, want a typed bad request", name, w, err)
+			}
+		}
+	}
+	if st := srv.Stats(); st.CacheHits+st.CacheMisses != 0 || st.PersonalizeRuns != 0 || st.ForwardFlushes != 0 {
+		t.Errorf("rejected requests did work: lookups=%d personalizations=%d forwards=%d",
+			st.CacheHits+st.CacheMisses, st.PersonalizeRuns, st.ForwardFlushes)
+	}
+}
+
 // Satellite: the serve path under internal/faults chaos. Hostile peers —
 // connections that drop writes, close mid-stream, flip bytes, hang
 // silently, or send frames the server must refuse — must not wedge the
