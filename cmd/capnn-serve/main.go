@@ -13,11 +13,10 @@
 // observed class mix through a circuit breaker (size the sampling with
 // -guard-sample-every and -guard-window, disable with -no-guard).
 //
-// With -state the server checkpoints its mask cache (plus model and
-// firing rates) into an atomic, CRC-checksummed store and warm-starts
-// from the latest good generation after a crash:
-//
-//	capnn-serve -state /var/lib/capnn/serve -checkpoint-every 30s
+// A restarted server starts cold and refills its mask cache from
+// traffic: masks are a pure function of (model, variant, preferences),
+// so a restart costs one personalization per key asked for again, never
+// a client-visible error.
 //
 // Like capnn-cloud it can injure its own transport for resilience
 // testing:
@@ -27,17 +26,16 @@
 // With -metrics-addr the server additionally mounts an HTTP
 // observability surface: /metrics (Prometheus text exposition of every
 // serving counter, gauge, and latency histogram), /debug/events (the
-// structured event log: sheds, guard trips, heals, breaker and
-// checkpoint transitions), /debug/stats (the Stats snapshot as JSON),
+// structured event log: sheds, guard trips, heals, breaker transitions,
+// compile failures), /debug/stats (the Stats snapshot as JSON),
 // and a /debug index:
 //
 //	capnn-serve -metrics-addr 127.0.0.1:9879
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, sheds new
 // requests with busy, answers in-flight requests within
-// -drain-timeout, takes a final checkpoint, prints a stats snapshot
-// (including guard trips, breaker transitions, checkpoint age), and
-// exits.
+// -drain-timeout, prints a stats snapshot (including guard trips and
+// breaker transitions), and exits.
 package main
 
 import (
@@ -55,7 +53,6 @@ import (
 	"capnn/internal/faults"
 	"capnn/internal/metrics"
 	"capnn/internal/serve"
-	"capnn/internal/store"
 )
 
 func main() {
@@ -70,8 +67,6 @@ func main() {
 	chaos := flag.String("chaos", "", "fault-injection spec, e.g. seed=7,drop=0.1,close=0.2,corrupt=0.2,latency=20ms")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/stats (empty = disabled)")
 	statsEvery := flag.Duration("stats-every", 0, "periodically print a stats snapshot (0 = only at shutdown)")
-	stateDir := flag.String("state", "", "checkpoint store directory: warm-start the mask cache from the latest good generation and checkpoint periodically (empty = stateless)")
-	ckptEvery := flag.Duration("checkpoint-every", 30*time.Second, "with -state, commit a checkpoint this often")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight work at shutdown")
 	noGuard := flag.Bool("no-guard", false, "disable the runtime ε-guard (serve stale personalizations forever)")
 	guardEvery := flag.Int("guard-sample-every", 8, "shadow-sample every Nth request per entry through the unpruned network")
@@ -133,54 +128,6 @@ func main() {
 	srv.SetOwnerCheck(fence.Check)
 	srv.SetRingUpdate(fence.Apply)
 
-	var st *store.Store
-	if *stateDir != "" {
-		st, err = store.Open(*stateDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if g, err := st.Latest(); err == nil {
-			n, err := srv.RestoreState(g)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "capnn-serve: restore generation %d: %v\n", g.Number, err)
-				os.Exit(1)
-			}
-			fmt.Printf("capnn-serve: recovered generation %d: %d cached personalizations warm\n", g.Number, n)
-		} else {
-			fmt.Printf("capnn-serve: no usable checkpoint in %s, starting cold\n", *stateDir)
-		}
-	}
-	// checkpoint commits one generation; failures are logged AND recorded
-	// in Stats (CheckpointErrors / LastCheckpointError) so a serving tier
-	// that keeps answering requests while silently failing to persist is
-	// visible to remote stats scrapes, not only to whoever tails stderr.
-	checkpoint := func() {
-		if st == nil {
-			return
-		}
-		fail := func(stage string, err error) {
-			err = fmt.Errorf("%s: %w", stage, err)
-			srv.NoteCheckpointError(err)
-			fmt.Fprintf(os.Stderr, "capnn-serve: checkpoint: %v\n", err)
-		}
-		txn, err := st.Begin()
-		if err != nil {
-			fail("begin", err)
-			return
-		}
-		defer txn.Abort()
-		if err := srv.SaveState(txn); err != nil {
-			fail("save", err)
-			return
-		}
-		if err := txn.Commit(); err != nil {
-			fail("commit", err)
-			return
-		}
-		srv.NoteCheckpoint(txn.Generation())
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -207,20 +154,6 @@ func main() {
 
 	stop := make(chan struct{})
 	metrics.PeriodicDump(os.Stdout, "capnn-serve", *statsEvery, srv.Metrics(), stop)
-	if st != nil {
-		go func() {
-			tick := time.NewTicker(*ckptEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-tick.C:
-					checkpoint()
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -229,7 +162,6 @@ func main() {
 	if err := srv.Shutdown(*drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "capnn-serve: drain: %v\n", err)
 	}
-	checkpoint()
 	fmt.Printf("capnn-serve: final %s\n", srv.Stats())
 	metrics.DumpSummary(os.Stdout, "capnn-serve", "final", srv.Metrics())
 	fmt.Println("capnn-serve: stopped")

@@ -79,7 +79,7 @@ func NewSystem(net *nn.Network, valSet, profileSet *data.Dataset, rates *firing.
 		return nil, err
 	}
 	// The one write: the system is not shared yet, and what it hands out
-	// afterwards (Net.Masks, SaveState) is the unpruned model.
+	// afterwards (Net.Masks, a saved copy of Net) is the unpruned model.
 	net.ClearPruning()
 	if rates == nil {
 		var err error

@@ -3,31 +3,51 @@ package serve
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"capnn/internal/core"
 	"capnn/internal/nn"
 )
 
 // maskEntry is one cached personalization: the per-stage prune masks for
-// a canonical (variant, preference-key) pair, plus the pruning counts
-// for observability. Masks and identity are immutable once published —
-// groups forward under them concurrently without copying; the attached
-// guard carries its own lock.
+// a canonical (variant, preference-key) pair and the plan compiled from
+// them. An entry is complete when Server.newEntry returns it and
+// immutable once published — requests forward on its plan concurrently
+// without copying; the attached guard carries its own lock.
 type maskEntry struct {
-	key                     string
-	variant                 core.Variant
-	prefs                   core.Preferences
-	masks                   map[int][]bool
-	prunedUnits, totalUnits int
+	key     string
+	variant core.Variant
+	prefs   core.Preferences
+	masks   map[int][]bool
 
 	// guard is the entry's runtime ε-guard; nil when guarding is
-	// disabled or the entry was restored without one.
+	// disabled.
 	guard *entryGuard
 
-	// plan is the compiled network requests under this entry run on
-	// (plan.go); nil until Server.planFor builds it. Never serialized.
-	plan atomic.Pointer[nn.Compiled]
+	// plan is the compiled network requests under this entry run on:
+	// its own, or the server's unpruned plan when its masks did not
+	// compile (plan.go).
+	plan *nn.Compiled
+}
+
+// CachedMask is one resident cache entry as ExportMasks reports it.
+type CachedMask struct {
+	Key   string
+	Masks map[int][]bool
+}
+
+// ExportMasks snapshots the resident entries' keys and masks, least
+// recently used first.
+//
+// Deprecated: nothing in the serving tier reads it. It stays only
+// because the frozen benchmark harness finds the shard holding a key,
+// and that key's masks, through it.
+func (s *Server) ExportMasks() []CachedMask {
+	entries := s.cache.snapshot()
+	cms := make([]CachedMask, len(entries))
+	for i, e := range entries {
+		cms[i] = CachedMask{Key: e.key, Masks: e.masks}
+	}
+	return cms
 }
 
 // flight is one in-progress personalization. Joiners block on done and
@@ -112,8 +132,8 @@ func (c *maskCache) get(key string, fill func() (*maskEntry, error)) (*maskEntry
 }
 
 // install inserts (or replaces) an entry directly, bypassing the fill
-// path — used by checkpoint restore and by heals publishing a
-// repersonalized entry under the original request key.
+// path — used by heals publishing a repersonalized entry under the
+// original request key.
 func (c *maskCache) install(e *maskEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -136,8 +156,7 @@ func (c *maskCache) evictOverCapLocked() {
 	}
 }
 
-// snapshot returns the resident entries, least recently used first, so
-// re-installing them in order reproduces the LRU recency.
+// snapshot returns the resident entries, least recently used first.
 func (c *maskCache) snapshot() []*maskEntry {
 	c.mu.Lock()
 	defer c.mu.Unlock()

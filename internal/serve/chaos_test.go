@@ -91,7 +91,10 @@ func TestWireBadRequests(t *testing.T) {
 		{"unknown variant", WireRequest{Variant: "X", Classes: []int{0}, Input: input}},
 		{"future protocol version", WireRequest{Version: cloud.ProtocolVersion + 1, Classes: []int{0}, Input: input}},
 		{"no classes", WireRequest{Variant: "W", Input: input}},
-		{"class out of range", WireRequest{Variant: "W", Classes: []int{99}, Input: input}},
+		{"class out of range: 99", WireRequest{Variant: "W", Classes: []int{99}, Input: input}},
+		{"class out of range: -1", WireRequest{Variant: "W", Classes: []int{0, -1}, Input: input}},
+		{"class out of range: 9999", WireRequest{Variant: "W", Classes: []int{9999}, Input: input}},
+		{"class out of range: the class count", WireRequest{Variant: "W", Classes: []int{f.sys.Rates.Classes}, Input: input}},
 		{"weight count mismatch", WireRequest{Variant: "W", Classes: []int{0, 1}, Weights: []float64{1}, Input: input}},
 		{"wrong input length", WireRequest{Variant: "W", Classes: []int{0}, Input: input[:3]}},
 		{"NaN input", WireRequest{Variant: "W", Classes: []int{0}, Input: withValue(input, 7, math.NaN())}},

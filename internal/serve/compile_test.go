@@ -1,8 +1,8 @@
 package serve
 
 import (
-	"maps"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -69,7 +69,11 @@ func TestServedAnswersBitIdentical(t *testing.T) {
 
 	personalised := serve()
 	entry := srv.cache.snapshot()[0]
-	if entry.prunedUnits == 0 {
+	pruned := false
+	for _, m := range entry.masks {
+		pruned = pruned || slices.Contains(m, true)
+	}
+	if !pruned {
 		t.Fatal("personalization pruned nothing: masked and unpruned references would coincide")
 	}
 	sameBits(t, f, "personalised", personalised.Logits, x, entry.masks)
@@ -133,106 +137,19 @@ func TestFillCompilesInline(t *testing.T) {
 	}
 }
 
-// Checkpoint restore installs plan-less entries; the first hit compiles
-// without personalizing, and concurrent first hits publish exactly one
-// plan.
-func TestPlanlessEntriesCompileOnFirstHit(t *testing.T) {
-	f := getFixture(t)
-	src := NewServerWith(f.sys, planConfig())
-	defer src.Close()
-	prefs := core.Uniform([]int{2, 3})
-	x := f.sample(t, 2)
-	if _, err := src.Infer(prefs, x); err != nil {
-		t.Fatal(err)
-	}
-	masks := src.cache.snapshot()[0].masks
-	gen := commitGen(t, src.SaveState)
-
-	restored := func(t *testing.T) *Server {
-		t.Helper()
-		srv := NewServerWith(f.sys, planConfig())
-		t.Cleanup(func() { srv.Close() })
-		srv.hookPersonalize = func(core.Preferences) { t.Error("plan-less entry ran a personalization") }
-		if _, err := srv.RestoreState(gen); err != nil {
-			t.Fatal(err)
-		}
-		if st := srv.Stats(); st.CacheEntries != 1 || st.CompiledEntries != 0 || st.Compiles != 0 {
-			t.Fatalf("after restore: cache=%d compiled=%d compiles=%d, want 1/0/0", st.CacheEntries, st.CompiledEntries, st.Compiles)
-		}
-		return srv
-	}
-
-	t.Run("restore", func(t *testing.T) {
-		srv := restored(t)
-		for hit := 1; hit <= 2; hit++ {
-			got, err := srv.Infer(prefs, x)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameBits(t, f, "restored", got.Logits, x, masks)
-			st := srv.Stats()
-			if st.Compiles != 1 || st.CompiledDispatched != uint64(hit) || st.CacheMisses != 0 {
-				t.Fatalf("hit %d: compiles=%d dispatched=%d misses=%d, want 1/%d/0", hit, st.Compiles, st.CompiledDispatched, st.CacheMisses, hit)
-			}
-		}
-	})
-
-	t.Run("restore-concurrent", func(t *testing.T) {
-		srv := restored(t)
-		const n = 8
-		start := make(chan struct{})
-		got := make([]Result, n)
-		var wg sync.WaitGroup
-		for i := 0; i < n; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				<-start
-				var err error
-				if got[i], err = srv.Infer(prefs, x); err != nil {
-					t.Error(err)
-				}
-			}(i)
-		}
-		close(start)
-		wg.Wait()
-		if t.Failed() {
-			t.FailNow()
-		}
-		for _, res := range got {
-			sameBits(t, f, "restored", res.Logits, x, masks)
-		}
-		entry := srv.cache.snapshot()[0]
-		plan := entry.plan.Load()
-		st := srv.Stats()
-		if plan == nil || st.CompiledEntries != 1 || st.CompiledBytes != plan.Bytes() {
-			t.Fatalf("resident entries=%d bytes=%d, want exactly the one published plan", st.CompiledEntries, st.CompiledBytes)
-		}
-		if st.Compiles < 1 || st.Compiles > n || st.CompiledDispatched != n {
-			t.Fatalf("compiles=%d dispatched=%d, want 1..%d and %d", st.Compiles, st.CompiledDispatched, n, n)
-		}
-		if _, err := srv.Infer(prefs, x); err != nil {
-			t.Fatal(err)
-		}
-		if entry.plan.Load() != plan || srv.Stats().Compiles != st.Compiles {
-			t.Fatal("a hit on a planned entry published or compiled again")
-		}
-	})
-}
-
 // Masks nn.Compile rejects (a whole layer pruned) degrade to the
 // unpruned answer: counted, logged, pinned — never a client-visible error.
+// The entry is built by the constructor a fill publishes through.
 func TestCompileFailureServesUnpruned(t *testing.T) {
 	f := getFixture(t)
-	src := NewServerWith(f.sys, planConfig())
-	defer src.Close()
+	srv := NewServerWith(f.sys, planConfig())
+	defer srv.Close()
 	prefs := core.Uniform([]int{0, 1})
 	x := f.sample(t, 1)
-	if _, err := src.Infer(prefs, x); err != nil {
+	broken, err := f.sys.Prune(core.VariantW, prefs)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cms := src.ExportMasks()
-	broken := maps.Clone(cms[0].Masks) // the snapshot shares the source entry's map
 	for stage, m := range broken {
 		all := make([]bool, len(m))
 		for i := range all {
@@ -241,14 +158,13 @@ func TestCompileFailureServesUnpruned(t *testing.T) {
 		broken[stage] = all
 		break
 	}
-	cms[0].Masks = broken
-
-	srv := NewServerWith(f.sys, planConfig())
-	defer srv.Close()
-	if _, err := srv.RestoreState(checkpointOf(t, cms)); err != nil {
+	e, err := srv.newEntry(core.VariantW, prefs, prefs.KeyUnder(string(core.VariantW)), broken)
+	if err != nil {
 		t.Fatal(err)
 	}
-	for hit := 0; hit < 2; hit++ { // the failure is pinned: the second hit does not recompile
+	srv.hookPersonalize = func(core.Preferences) { t.Error("a request re-personalized the installed entry") }
+	srv.cache.install(e)
+	for hit := 0; hit < 2; hit++ { // the failure is pinned: no hit recompiles
 		res, err := srv.Infer(prefs, x)
 		if err != nil {
 			t.Fatalf("compile failure reached the client: %v", err)

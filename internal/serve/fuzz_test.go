@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"capnn/internal/cloud"
-	"capnn/internal/core"
 )
 
 // withTruncations adds each body and its first half: mutation starts
@@ -73,13 +72,10 @@ func FuzzWireResponseDecode(f *testing.F) {
 	})
 }
 
-// The gob-encoded second stages: a ring update's Payload and a
-// checkpoint's mask cache. A checksum vouches for the bytes, not for
-// their author: a value that decodes must still be refused by
+// FuzzRingUpdatePayload: OpRingUpdate's gob-encoded Payload, through to
+// the installed handler's caller. A checksum vouches for the bytes, not
+// for their author: a value that decodes must still be refused by
 // validation, never indexed by.
-
-// FuzzRingUpdatePayload: OpRingUpdate's blob, through to the installed
-// handler's caller.
 func FuzzRingUpdatePayload(f *testing.F) {
 	seed, err := EncodePayload(RingUpdate{Epoch: 7, Seed: 1, VirtualNodes: 64, Replication: 2, Members: []string{"a:1", "b:2"}, You: "a:1"})
 	if err != nil {
@@ -92,45 +88,6 @@ func FuzzRingUpdatePayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if resp := srv.Handle(WireRequest{Op: OpRingUpdate, Payload: data}); resp.Code != cloud.CodeOK && resp.Code != cloud.CodeBadRequest {
 			t.Fatalf("ring update answered [%s] %s", resp.Code, resp.Err)
-		}
-	})
-}
-
-// FuzzCachedMaskPayload: a checkpoint's mask-cache artifact, the
-// []CachedMask RestoreState decodes, through to the cache install. A
-// checkpoint may come from another model or an older build, so an entry
-// that decodes is either refused by validation or installed under the
-// key its own variant and preferences derive.
-func FuzzCachedMaskPayload(f *testing.F) {
-	good, err := EncodePayload([]CachedMask{{Key: "CAP'NN-M/k", Variant: "CAP'NN-M", Classes: []int{0, 2}, Weights: []float64{3, 1},
-		Masks: map[int][]bool{0: {false, true, false, false, false, false}}, PrunedUnits: 1, TotalUnits: 6}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	bad, err := EncodePayload([]CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}})
-	if err != nil {
-		f.Fatal(err)
-	}
-	withTruncations(f, good, bad)
-	srv := NewServerWith(getFixture(f).sys, Config{Workers: 1})
-	f.Cleanup(func() { _ = srv.Close() })
-	f.Fuzz(func(t *testing.T, data []byte) {
-		var cms []CachedMask
-		if DecodePayload(data, &cms) != nil {
-			return
-		}
-		for _, cm := range cms {
-			e, err := srv.entryFromCached(cm)
-			if err != nil {
-				continue
-			}
-			if v, err := core.ParseVariant(e.variant.Letter(), ""); err != nil || v != e.variant {
-				t.Fatalf("entry installs under variant %q, which requests cannot name", e.variant)
-			}
-			if want := e.prefs.KeyUnder(string(e.variant)); e.key != want {
-				t.Fatalf("entry installs under %q, its variant and preferences derive %q", e.key, want)
-			}
-			srv.cache.install(e)
 		}
 	})
 }

@@ -3,9 +3,7 @@ package serve
 import (
 	"errors"
 	"io"
-	"maps"
 	"runtime"
-	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,7 +11,6 @@ import (
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/exp"
-	"capnn/internal/store"
 	"capnn/internal/tensor"
 	"capnn/internal/workload"
 )
@@ -275,109 +272,6 @@ func TestHealRetriesThroughBreaker(t *testing.T) {
 	}
 }
 
-// commitGen commits what fill stages as a fresh store's first
-// generation and returns it, verified.
-func commitGen(t *testing.T, fill func(*store.Txn) error) *store.Generation {
-	t.Helper()
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := st.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fill(txn); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	gen, err := st.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return gen
-}
-
-// checkpointOf commits cms as a generation's mask-cache artifact.
-func checkpointOf(t *testing.T, cms []CachedMask) *store.Generation {
-	t.Helper()
-	return commitGen(t, func(txn *store.Txn) error { return txn.PutGob(store.ArtifactMaskCache, cms) })
-}
-
-// A checkpoint taken by a wider model (capnn-serve restarted with the
-// other -model over the same -state: 20 classes restored into 10), or
-// one naming a class no model has, is refused with an error at
-// start-up, not a panic indexing past the guard's class table.
-func TestRestoreRefusesCheckpointFromWiderModel(t *testing.T) {
-	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
-	defer srv.Close()
-	for _, class := range []int{17, 9999, -1} {
-		gen := checkpointOf(t, []CachedMask{{Key: "wide", Variant: "W", Classes: []int{2, class}, Weights: []float64{0.5, 0.5}}})
-		restored, err := srv.RestoreState(gen)
-		var se *Error
-		if restored != 0 || !errors.As(err, &se) || se.Code != cloud.CodeBadRequest {
-			t.Fatalf("class %d: restored %d, err %v; want 0 and a bad-request *Error", class, restored, err)
-		}
-	}
-	if got := srv.Stats().CacheEntries; got != 0 {
-		t.Fatalf("cache holds %d entries after refused restores, want 0", got)
-	}
-}
-
-// A restored entry trusts neither the key nor the variant stored with
-// it: it lands under the key its (variant, preferences) pair derives —
-// so a request for those preferences hits it, whatever key was written
-// beside it — and a variant no request can name is refused, in its
-// letter or its full name alike.
-func TestRestoreDerivesKeyAndParsesVariant(t *testing.T) {
-	f := getFixture(t)
-	src := NewServerWith(f.sys, planConfig())
-	defer src.Close()
-	prefs := core.Uniform([]int{1, 2})
-	x := f.sample(t, 3)
-	want, err := src.Infer(prefs, x)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e := src.cache.snapshot()[0]
-	for _, variant := range []string{"W", "CAP'NN-W"} {
-		wrong := []CachedMask{{Key: "CAP'NN-M/0000000000000000", Variant: variant, Classes: []int{2, 1}, Weights: []float64{1, 1},
-			Masks: e.masks, PrunedUnits: e.prunedUnits, TotalUnits: e.totalUnits}}
-		srv := NewServerWith(f.sys, planConfig())
-		var personalizes atomic.Int64
-		srv.hookPersonalize = func(core.Preferences) { personalizes.Add(1) }
-		if n, err := srv.RestoreState(checkpointOf(t, wrong)); err != nil || n != 1 {
-			t.Fatalf("variant %q: restored %d, err %v; want 1", variant, n, err)
-		}
-		if got := srv.cache.snapshot()[0].key; got != e.key {
-			t.Fatalf("variant %q: restored under %q, want the derived %q", variant, got, e.key)
-		}
-		res, err := srv.Infer(prefs, x)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.CacheHit || personalizes.Load() != 0 || !slices.Equal(res.Logits, want.Logits) {
-			t.Fatalf("variant %q: hit=%v personalizations=%d, want a hit with 0 and the source's logits",
-				variant, res.CacheHit, personalizes.Load())
-		}
-		_ = srv.Close()
-	}
-
-	srv := NewServerWith(f.sys, planConfig())
-	defer srv.Close()
-	for _, variant := range []string{"Q", "CAP'NN-Q", ""} {
-		bad := []CachedMask{{Variant: variant, Classes: []int{1, 2}, Weights: []float64{0.5, 0.5}, Masks: e.masks}}
-		n, err := srv.RestoreState(checkpointOf(t, bad))
-		var se *Error
-		if n != 0 || !errors.As(err, &se) || se.Code != cloud.CodeBadRequest {
-			t.Fatalf("variant %q: restored %d, err %v; want 0 and a bad-request *Error", variant, n, err)
-		}
-	}
-}
-
 // Graceful drain: Shutdown stops admission with a typed busy error,
 // wakes a parked heal goroutine, answers everything already admitted,
 // and leaves no goroutines behind (run with -race).
@@ -439,122 +333,6 @@ func TestShutdownDrainsWithoutLeaks(t *testing.T) {
 
 	waitFor(t, 5*time.Second, func() bool { return runtime.NumGoroutine() <= before },
 		"goroutines to return to baseline after drain")
-}
-
-// Checkpoint round trip: SaveState → store commit → RestoreState on a
-// fresh server reproduces the mask cache bit-identically, every entry
-// gets a guard built exactly as a fill builds it but with a fresh
-// window, and the restarted server answers every warm key as a cache
-// hit with bit-identical logits and no personalization.
-func TestCheckpointRestoreWarmCache(t *testing.T) {
-	f := getFixture(t)
-	cfg := Config{Variant: core.VariantW, GuardSampleEvery: 3, GuardWindow: 40}
-	srv := NewServerWith(f.sys, cfg)
-	defer srv.Close()
-
-	prefs := []core.Preferences{
-		core.Uniform([]int{0, 1}),
-		core.Uniform([]int{2, 3}),
-		mustWeighted(t, []int{0, 2, 3}, []float64{0.5, 0.25, 0.25}),
-	}
-	want := make([][]float64, len(prefs))
-	for i, p := range prefs {
-		res, err := srv.Infer(p, f.sample(t, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		want[i] = res.Logits
-	}
-
-	st, err := store.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	txn, err := st.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.SaveState(txn); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	srv.NoteCheckpoint(txn.Generation())
-	if s := srv.Stats(); s.CheckpointGeneration != txn.Generation() {
-		t.Fatalf("checkpoint generation %d, want %d", s.CheckpointGeneration, txn.Generation())
-	}
-
-	gen, err := st.Latest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The model artifact must round-trip: same weights, same logits.
-	if _, err := gen.Network(store.ArtifactModel); err != nil {
-		t.Fatalf("checkpointed model does not decode: %v", err)
-	}
-	if _, err := gen.Rates(); err != nil {
-		t.Fatalf("checkpointed rates do not decode: %v", err)
-	}
-
-	srv2 := NewServerWith(f.sys, cfg)
-	defer srv2.Close()
-	var personalizes atomic.Int64
-	srv2.hookPersonalize = func(core.Preferences) { personalizes.Add(1) }
-	restored, err := srv2.RestoreState(gen)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored != len(prefs) {
-		t.Fatalf("restored %d entries, want %d", restored, len(prefs))
-	}
-
-	// Bit-identical masks across the round trip; guards as a fill builds
-	// them, with nothing observed yet.
-	filled := map[string]*maskEntry{}
-	for _, e := range srv.cache.snapshot() {
-		filled[e.key] = e
-	}
-	for _, e := range srv2.cache.snapshot() {
-		ref, ok := filled[e.key]
-		if !ok {
-			t.Fatalf("restored unknown key %q", e.key)
-		}
-		if !maps.EqualFunc(e.masks, ref.masks, slices.Equal[[]bool]) {
-			t.Fatalf("key %q: masks differ after restore", e.key)
-		}
-		got, fill := e.guard, ref.guard
-		if got == nil || got.every != fill.every || got.win.Window() != fill.win.Window() ||
-			got.predicted != fill.predicted || got.profileN != fill.profileN || !slices.Equal(got.inClass, fill.inClass) {
-			t.Fatalf("entry %s: restored guard %+v differs from the fill's %+v", e.key, got, fill)
-		}
-		if got.every != 3 || got.win.Window() != 40 || got.win.Total() != 0 {
-			t.Fatalf("entry %s: restored guard samples every %d over %d with %d observations, want 3 / 40 / a fresh window",
-				e.key, got.every, got.win.Window(), got.win.Total())
-		}
-	}
-
-	for i, p := range prefs {
-		res, err := srv2.Infer(p, f.sample(t, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !res.CacheHit {
-			t.Fatalf("prefs %d: first request after restore was not a cache hit", i)
-		}
-		if !slices.Equal(res.Logits, want[i]) {
-			t.Fatalf("prefs %d: logits %v after restore, %v before", i, res.Logits, want[i])
-		}
-	}
-	if personalizes.Load() != 0 {
-		t.Fatalf("restore ran %d personalizations, want 0", personalizes.Load())
-	}
-	if s := srv2.Stats(); s.CacheMisses != 0 || s.CacheHits != uint64(len(prefs)) {
-		t.Fatalf("restored cache: misses=%d hits=%d, want 0/%d", s.CacheMisses, s.CacheHits, len(prefs))
-	}
-	if s := srv2.Stats(); s.CheckpointGeneration != gen.Number {
-		t.Fatalf("restored server reports generation %d, want %d", s.CheckpointGeneration, gen.Number)
-	}
 }
 
 func mustWeighted(t *testing.T, classes []int, weights []float64) core.Preferences {

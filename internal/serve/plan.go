@@ -3,45 +3,42 @@ package serve
 import (
 	"time"
 
+	"capnn/internal/core"
 	"capnn/internal/nn"
 )
 
 // The compiled plan is the only thing the serving tier runs. Every cache
-// entry owns at most one nn.Compiled built from its masks (probe-verified
-// bit-identical to masked inference by nn.Compile itself); the server owns
-// one more, compiled from no masks, for the ε-guard's unpruned traffic.
-// An entry's plan is either present or absent: absent entries (restored
-// or imported) are compiled by the request that next needs them. CacheCap
-// is the memory bound: plans × one model's plan size, both fixed per
-// server.
+// entry owns one nn.Compiled built from its masks (probe-verified
+// bit-identical to masked inference by nn.Compile itself) before the fill
+// publishes it; the server owns one more, compiled from no masks, for the
+// ε-guard's unpruned traffic. CacheCap is the memory bound: plans × one
+// model's plan size, both fixed per server.
 
-// planFor returns the plan requests under e run on, compiling it on the
-// calling goroutine when the entry has none. Concurrent callers may both
-// compile, but only one plan is ever published. An entry whose masks
-// nn.Compile rejects is pinned to the unpruned plan: a degraded answer,
-// never a client-visible error.
-func (s *Server) planFor(e *maskEntry) *nn.Compiled {
-	if p := e.plan.Load(); p != nil {
-		return p
+// newEntry builds the cache entry a fill publishes for masks: its guard
+// and its compiled plan, both in place before anyone can read the entry.
+// Masks nn.Compile rejects pin the entry to the unpruned plan: a degraded
+// answer, counted and logged, never a client-visible error.
+func (s *Server) newEntry(v core.Variant, prefs core.Preferences, key string, masks map[int][]bool) (*maskEntry, error) {
+	guard, err := s.newGuard(prefs)
+	if err != nil {
+		return nil, err
 	}
 	start := time.Now()
-	p, err := nn.Compile(s.sys.Net, e.masks)
+	plan, err := nn.Compile(s.sys.Net, masks)
 	s.st.compiled(time.Since(start), err)
 	if err != nil {
-		s.events.Record("compile-failed", e.key, err.Error(), nil)
-		p = s.unpruned
+		s.events.Record("compile-failed", key, err.Error(), nil)
+		plan = s.unpruned
 	}
-	e.plan.CompareAndSwap(nil, p)
-	return p // a racer that lost the publish serves its own identical plan once
+	return &maskEntry{key: key, variant: v, prefs: prefs, masks: masks, guard: guard, plan: plan}, nil
 }
 
 // residentPlans sums the plans cache entries hold resident memory for:
-// an entry with no plan yet, or pinned to the shared unpruned plan, holds
-// none.
+// an entry pinned to the shared unpruned plan holds none.
 func (s *Server) residentPlans() (bytes int64, entries int) {
 	for _, e := range s.cache.snapshot() {
-		if p := e.plan.Load(); p != nil && p != s.unpruned {
-			bytes += p.Bytes()
+		if e.plan != s.unpruned {
+			bytes += e.plan.Bytes()
 			entries++
 		}
 	}

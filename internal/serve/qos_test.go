@@ -92,7 +92,7 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	var doomedPlan *nn.Compiled
 	for _, e := range srv.cache.snapshot() {
 		if e.key == string(core.VariantW)+"/"+doomedPrefs.Key() {
-			doomedPlan = e.plan.Load()
+			doomedPlan = e.plan
 		}
 	}
 	if doomedPlan == nil {

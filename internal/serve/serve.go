@@ -18,8 +18,9 @@
 // The base network is read-only from the moment core.NewSystem returns:
 // System.Prune judges its candidate masks as values and every plan owns
 // its own compacted weights, so fills of different keys personalize
-// concurrently, and no lock orders a fill against serving, a heal or a
-// checkpoint.
+// concurrently, and no lock orders a fill against serving or a heal. A
+// restarted server refills cold: masks are a pure function of (model,
+// variant, preferences), so nothing about the cache is persisted.
 //
 // Admission control follows internal/cloud: bounded in-flight work,
 // typed busy shedding (cloud.Code), read/write deadlines on the wire,
@@ -371,7 +372,8 @@ func (s *Server) Stats() Stats {
 func (s *Server) Metrics() *metrics.Registry { return s.reg }
 
 // Events is the server's structured event log (sheds, guard trips,
-// heals, breaker transitions, checkpoints), exposed over /debug/events.
+// heals, breaker transitions, compile failures), exposed over
+// /debug/events.
 func (s *Server) Events() *metrics.EventLog { return s.events }
 
 // QoS is one request's quality-of-service envelope: the absolute
@@ -462,7 +464,7 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	plan := s.unpruned
 	unpruned, fallback := entry.guard.admit()
 	if !unpruned {
-		plan = s.planFor(entry)
+		plan = entry.plan
 	} else if fallback {
 		s.st.fallbackServed()
 	}
@@ -529,20 +531,10 @@ func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string)
 		return nil, &Error{Code: cloud.CodeInternal, Err: perr}
 	}
 	s.st.personalized(time.Since(start))
-	e := &maskEntry{key: key, variant: v, prefs: prefs, masks: masks}
-	for _, m := range masks {
-		for _, p := range m {
-			e.totalUnits++
-			if p {
-				e.prunedUnits++
-			}
-		}
-	}
-	if e.guard, err = s.newGuard(prefs); err != nil {
+	if entry, err = s.newEntry(v, prefs, key, masks); err != nil {
 		return nil, &Error{Code: cloud.CodeInternal, Err: err}
 	}
-	s.planFor(e)
-	return e, nil
+	return entry, nil
 }
 
 // CompileWait returns nil at once.
@@ -551,9 +543,8 @@ func (s *Server) personalize(v core.Variant, prefs core.Preferences, key string)
 // nothing left to wait for.
 func (s *Server) CompileWait(time.Duration) error { return nil }
 
-// newGuard builds the ε-guard every entry of this server gets, however
-// it arrives — cache fill, heal, checkpoint restore — or
-// nil when guarding is off.
+// newGuard builds the ε-guard every entry of this server gets, whether a
+// cache fill or a heal built it, or nil when guarding is off.
 func (s *Server) newGuard(prefs core.Preferences) (*entryGuard, error) {
 	if s.cfg.DisableGuard {
 		return nil, nil

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"strings"
-	"sync"
 	"time"
 
 	"capnn/internal/breaker"
@@ -102,17 +101,6 @@ type Stats struct {
 	// counts into each state.
 	BreakerState                                  BreakerState
 	BreakerOpens, BreakerCloses, BreakerHalfOpens uint64
-
-	// Checkpointing: the last committed generation (0 = never) and its
-	// age at snapshot time. CheckpointErrors counts failed checkpoint
-	// attempts and LastCheckpointError describes the most recent one
-	// (cleared by the next successful commit) — a checkpoint that
-	// silently stops committing is a durability outage, so the failure
-	// is surfaced here, not only in the server log.
-	CheckpointGeneration int
-	CheckpointAge        time.Duration
-	CheckpointErrors     uint64
-	LastCheckpointError  string
 }
 
 // HitRatio is the mask-cache hit fraction over all completed lookups
@@ -157,16 +145,8 @@ func (s Stats) String() string {
 	for _, r := range s.Tripped {
 		fmt.Fprintf(&b, "guard: %s tripped: %s\n", r.Key, r)
 	}
-	fmt.Fprintf(&b, "breaker: state=%s opens=%d closes=%d half-opens=%d\n",
+	fmt.Fprintf(&b, "breaker: state=%s opens=%d closes=%d half-opens=%d",
 		s.BreakerState, s.BreakerOpens, s.BreakerCloses, s.BreakerHalfOpens)
-	if s.CheckpointGeneration > 0 {
-		fmt.Fprintf(&b, "checkpoint: generation=%d age=%v errors=%d", s.CheckpointGeneration, s.CheckpointAge.Round(time.Millisecond), s.CheckpointErrors)
-	} else {
-		fmt.Fprintf(&b, "checkpoint: none (errors=%d)", s.CheckpointErrors)
-	}
-	if s.LastCheckpointError != "" {
-		fmt.Fprintf(&b, " last-error=%q", s.LastCheckpointError)
-	}
 	return b.String()
 }
 
@@ -181,8 +161,7 @@ const (
 // stats is the live accumulator behind Stats snapshots. It publishes
 // straight into metrics instruments — the same series /metrics exposes —
 // so a Stats snapshot, a SIGINT dump, and a Prometheus scrape can never
-// disagree. Only state with no instrument shape (checkpoint identity)
-// stays under the local mutex.
+// disagree.
 type stats struct {
 	reg    *metrics.Registry
 	events *metrics.EventLog
@@ -193,15 +172,9 @@ type stats struct {
 	persH, waitH, fwdH           *metrics.Histogram
 	guardC, fallbackC            *metrics.Counter
 	healC, healFailC             *metrics.Counter
-	ckptErrC                     *metrics.Counter
 	compileC, compileErrC        *metrics.Counter
 	compileH                     *metrics.Histogram
 	compDispC                    *metrics.Counter
-
-	mu                sync.Mutex
-	checkpointGen     int
-	checkpointAt      time.Time // commit time of the last checkpoint
-	lastCheckpointErr string
 }
 
 // newStats builds an accumulator on a private registry — unit tests and
@@ -232,7 +205,6 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		fallbackC: reg.Counter("capnn_serve_fallback_served_total", "Requests served through the unpruned network after a trip."),
 		healC:     reg.Counter("capnn_serve_heals_total", "Repersonalizations published by the heal path."),
 		healFailC: reg.Counter("capnn_serve_heal_failures_total", "Failed heal attempts (breaker-recorded)."),
-		ckptErrC:  reg.Counter("capnn_serve_checkpoint_errors_total", "Failed checkpoint attempts."),
 
 		compileC:    reg.Counter("capnn_serve_compile_total", "Finished mask-entry compile attempts."),
 		compileErrC: reg.Counter("capnn_serve_compile_errors_total", "Compile attempts that failed (entry runs the unpruned plan)."),
@@ -244,19 +216,6 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 	for _, reason := range []string{shedReasonQueueFull, shedReasonOverQuota, shedReasonExpired} {
 		st.shedVec.With(reason)
 	}
-	reg.GaugeFunc("capnn_serve_checkpoint_generation", "Last committed checkpoint generation (0 = never).", func() float64 {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		return float64(st.checkpointGen)
-	})
-	reg.GaugeFunc("capnn_serve_checkpoint_age_seconds", "Age of the last committed checkpoint.", func() float64 {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		if st.checkpointAt.IsZero() {
-			return 0
-		}
-		return time.Since(st.checkpointAt).Seconds()
-	})
 	return st
 }
 
@@ -305,21 +264,11 @@ func (st *stats) snapshot(cacheEntries, queueDepth int) Stats {
 		FallbackServed: st.fallbackC.Value(),
 		Heals:          st.healC.Value(),
 		HealFailures:   st.healFailC.Value(),
-
-		CheckpointErrors: st.ckptErrC.Value(),
 	}
 	// The shed total is derived as the sum of its reasons, so the
 	// invariant Shed == queue-full + over-quota + expired holds by
 	// construction in every snapshot and every scrape.
 	out.Shed = out.ShedQueueFull + out.ShedOverQuota + out.ShedExpired
-
-	st.mu.Lock()
-	out.CheckpointGeneration = st.checkpointGen
-	out.LastCheckpointError = st.lastCheckpointErr
-	if !st.checkpointAt.IsZero() {
-		out.CheckpointAge = time.Since(st.checkpointAt)
-	}
-	st.mu.Unlock()
 	return out
 }
 
@@ -366,23 +315,3 @@ func (st *stats) guardTripped()   { st.guardC.Inc() }
 func (st *stats) fallbackServed() { st.fallbackC.Inc() }
 func (st *stats) healed()         { st.healC.Inc() }
 func (st *stats) healFailed()     { st.healFailC.Inc() }
-
-// noteCheckpoint records a committed checkpoint generation; a success
-// clears the sticky last-error so the gauge reflects current health.
-func (st *stats) noteCheckpoint(gen int) {
-	st.mu.Lock()
-	st.checkpointGen = gen
-	st.lastCheckpointErr = ""
-	st.checkpointAt = time.Now()
-	st.mu.Unlock()
-	st.events.Record("checkpoint", "", fmt.Sprintf("committed generation %d", gen), nil)
-}
-
-// noteCheckpointError records a failed checkpoint attempt.
-func (st *stats) noteCheckpointError(err error) {
-	st.ckptErrC.Inc()
-	st.mu.Lock()
-	st.lastCheckpointErr = err.Error()
-	st.mu.Unlock()
-	st.events.Record("checkpoint-error", "", err.Error(), nil)
-}

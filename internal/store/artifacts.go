@@ -5,23 +5,15 @@ import (
 	"encoding/gob"
 	"fmt"
 
-	"capnn/internal/firing"
 	"capnn/internal/nn"
 )
 
 // Canonical artifact names used by the CAP'NN binaries. A generation
 // carries whichever subset its writer owns: capnn-train commits model
-// (+trainmeta while mid-run), capnn-cloud commits model+rates
-// (+bmatrices once warmed), capnn-serve commits model+rates+maskcache.
+// (+trainmeta while mid-run), capnn-gateway commits ringconfig.
 const (
 	// ArtifactModel is the trained nn.Network (nn.Save wire format).
 	ArtifactModel = "model"
-	// ArtifactRates is the firing-rate profile (gob firing.Rates).
-	ArtifactRates = "rates"
-	// ArtifactMaskCache is the serve tier's mask cache snapshot.
-	ArtifactMaskCache = "maskcache"
-	// ArtifactBMatrices is variant B's precomputed matrices.
-	ArtifactBMatrices = "bmatrices"
 	// ArtifactTrainMeta is training progress (TrainMeta), present only
 	// in mid-training checkpoints.
 	ArtifactTrainMeta = "trainmeta"
@@ -85,18 +77,6 @@ func (g *Generation) Gob(name string, out any) error {
 		return fmt.Errorf("store: decode %q: %w", name, err)
 	}
 	return nil
-}
-
-// PutRates stages a firing-rate profile.
-func (t *Txn) PutRates(r *firing.Rates) error { return t.PutGob(ArtifactRates, r) }
-
-// Rates loads the firing-rate profile artifact.
-func (g *Generation) Rates() (*firing.Rates, error) {
-	var r firing.Rates
-	if err := g.Gob(ArtifactRates, &r); err != nil {
-		return nil, err
-	}
-	return &r, nil
 }
 
 // RingConfig is the durable form of a cluster gateway's consistent-hash

@@ -11,6 +11,9 @@ import (
 	"capnn/internal/nn"
 )
 
+// artifactRates is a second artifact name beside ArtifactModel.
+const artifactRates = "rates"
+
 func testNet(t *testing.T, seed int64) *nn.Network {
 	t.Helper()
 	net, err := nn.NewBuilder(1, 6, 6, seed).
@@ -56,7 +59,7 @@ func TestCommitAndReload(t *testing.T) {
 	}
 	net := testNet(t, 1)
 	want := netBytes(t, net)
-	gen := commitGen(t, s, map[string][]byte{ArtifactModel: want, ArtifactRates: []byte("rates-blob")})
+	gen := commitGen(t, s, map[string][]byte{ArtifactModel: want, artifactRates: []byte("rates-blob")})
 
 	// Reload through a fresh handle, as a restarted process would.
 	s2, err := Open(dir)
@@ -100,16 +103,16 @@ func TestEmptyStore(t *testing.T) {
 func TestCorruptionRollsBack(t *testing.T) {
 	goodArtifacts := map[string][]byte{
 		ArtifactModel: netBytes(t, testNet(t, 7)),
-		ArtifactRates: []byte("generation-one-rates"),
+		artifactRates: []byte("generation-one-rates"),
 	}
 	cases := []struct {
 		name    string
 		corrupt func(t *testing.T, genDir string)
 	}{
 		{"flip-bit-model", flipByte(ArtifactModel)},
-		{"flip-bit-rates", flipByte(ArtifactRates)},
+		{"flip-bit-rates", flipByte(artifactRates)},
 		{"truncate-model", truncateFile(ArtifactModel)},
-		{"truncate-rates", truncateFile(ArtifactRates)},
+		{"truncate-rates", truncateFile(artifactRates)},
 		{"truncate-manifest", truncateFile("MANIFEST")},
 		{"flip-bit-manifest", flipByte("MANIFEST")},
 		{"delete-artifact", func(t *testing.T, genDir string) {
@@ -133,7 +136,7 @@ func TestCorruptionRollsBack(t *testing.T) {
 			gen1 := commitGen(t, s, goodArtifacts)
 			gen2 := commitGen(t, s, map[string][]byte{
 				ArtifactModel: netBytes(t, testNet(t, 8)),
-				ArtifactRates: []byte("generation-two-rates"),
+				artifactRates: []byte("generation-two-rates"),
 			})
 			tc.corrupt(t, filepath.Join(dir, genDirName(gen2)))
 
