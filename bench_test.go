@@ -371,11 +371,11 @@ func BenchmarkCompiledInfer(b *testing.B) {
 }
 
 // BenchmarkServeThroughput compares multi-user serving strategies on the
-// 10-class fixture: the naive per-request path (install the requester's
-// mask, run one stateful batch-1 forward under the global lock — the
-// only safe pre-serve approach) against internal/serve's pipeline, where
-// eight concurrent callers each get one lock-free forward on the
-// entry's shared compiled plan. Reported req/s is the headline;
+// 10-class fixture: the naive per-request path (one stateless batch-1
+// masked Infer of the shared network under the requester's masks, full
+// model FLOPs) against internal/serve's pipeline, where eight concurrent
+// callers each get one lock-free forward on the entry's shared compiled
+// plan. Reported req/s is the headline;
 // CHANGES.md records the measured ratio (benchmark/README.md lead 4 is
 // the same comparison against the micro-batcher this pipeline replaced).
 func BenchmarkServeThroughput(b *testing.B) {
@@ -418,15 +418,10 @@ func BenchmarkServeThroughput(b *testing.B) {
 	}
 
 	b.Run("naive-per-request", func(b *testing.B) {
-		var mu sync.Mutex
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			mu.Lock()
-			fx.Net.SetPruning(masks)
-			fx.Net.Forward(x1)
-			fx.Net.ClearPruning()
-			mu.Unlock()
+			fx.Net.Infer(x1, masks)
 		}
 		b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "req/s")
 	})
@@ -695,7 +690,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 	for i := range req.Input {
 		req.Input[i] = rng.NormFloat64()
 	}
-	answer := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: req.Input[:10], Class: 3, Batch: 1, CacheHit: true}
+	answer := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: req.Input[:10], Class: 3, CacheHit: true}
 	srv := rpc.NewServer(
 		rpc.Limits{ReadTimeout: time.Minute, WriteTimeout: time.Minute, MaxRequestBytes: 1 << 20},
 		func(*serve.WireRequest) *serve.WireResponse { return answer },

@@ -53,18 +53,15 @@ type Network = nn.Network
 // NewBuilder starts a custom network for [c,h,w] inputs with a seed.
 func NewBuilder(c, h, w int, seed int64) *nn.Builder { return nn.NewBuilder(c, h, w, seed) }
 
-// SaveModel serializes a network (weights + prune masks).
+// SaveModel serializes a network (configuration + weights).
 func SaveModel(w io.Writer, net *Network) error { return nn.Save(w, net) }
 
 // LoadModel reads a network written by SaveModel.
 func LoadModel(r io.Reader) (*Network, error) { return nn.Load(r) }
 
-// Compact physically removes the units pruned by the masks installed on
-// net (SetPruning) — the form fine-tuned baselines leave them in.
-func Compact(net *Network) (*Network, error) { return nn.Compact(net) }
-
 // CompactMasked removes the units masks prune, producing the deployable
-// model; net is only read, so it is safe beside serving and pruning.
+// (or fine-tunable) model; net is only read, so it is safe beside
+// serving and pruning.
 func CompactMasked(net *Network, masks map[int][]bool) (*Network, error) {
 	return nn.CompactMasked(net, masks)
 }
@@ -100,7 +97,8 @@ func Evaluate(net *Network, masks map[int][]bool, ds *data.Dataset) train.Eval {
 	return train.Evaluate(net, masks, ds)
 }
 
-// FineTune briefly retrains a (possibly masked) network.
+// FineTune briefly retrains a network; fine-tune a pruned model by
+// passing it through CompactMasked first.
 func FineTune(net *Network, trainSet, valSet *data.Dataset, epochs int, seed int64) error {
 	return train.FineTune(net, trainSet, valSet, epochs, seed)
 }

@@ -1,5 +1,5 @@
 // Command capnn-inspect dumps a saved model's architecture, parameter
-// distribution, prune masks, and estimated per-inference energy on the
+// distribution, and estimated per-inference energy on the
 // default TPU-like device — or, given no model, the imagenet20 fixture's
 // firing rates and Algorithm 1 matrices per prunable stage.
 //
@@ -78,31 +78,19 @@ func run(path string) error {
 	}
 	fmt.Printf("model %s\ninput %v, %d layers, %d parameters\n\n", path, net.InShape, len(net.Layers), net.ParamCount())
 
-	fmt.Printf("%-12s %-8s %18s %18s %10s %8s\n", "layer", "kind", "in", "out", "params", "pruned")
-	fmt.Println(strings.Repeat("-", 80))
+	fmt.Printf("%-12s %-8s %18s %18s %10s\n", "layer", "kind", "in", "out", "params")
+	fmt.Println(strings.Repeat("-", 71))
 	for _, l := range net.Layers {
 		params := 0
 		for _, p := range l.Params() {
 			params += p.W.Len()
 		}
-		pruned := "-"
-		if u, ok := l.(nn.UnitLayer); ok {
-			n := 0
-			for _, p := range u.Pruned() {
-				if p {
-					n++
-				}
-			}
-			pruned = fmt.Sprintf("%d/%d", n, u.Units())
-		}
-		fmt.Printf("%-12s %-8s %18v %18v %10d %8s\n",
-			l.Name(), kindOf(l), l.InShape(), l.OutShape(), params, pruned)
+		fmt.Printf("%-12s %-8s %18v %18v %10d\n", l.Name(), kindOf(l), l.InShape(), l.OutShape(), params)
 	}
 
 	counts, _, err := hw.Simulate(net, hw.DefaultConfig())
 	if err != nil {
-		fmt.Printf("\ndevice simulation unavailable: %v\n", err)
-		return nil
+		return err
 	}
 	pj := energy.Estimate(counts, energy.PaperTable1())
 	fmt.Printf("\nper-inference on the default device: %d MACs, %d DRAM words, %.2f µJ, %d cycles\n",

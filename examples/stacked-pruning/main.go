@@ -44,13 +44,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	net.SetPruning(masks)
-	if err := capnn.FineTune(net, sets.Train, nil, 3, 1); err != nil {
+	classUnaware, err := capnn.CompactMasked(net, masks)
+	if err != nil {
 		log.Fatal(err)
 	}
-	classUnaware, err := capnn.Compact(net)
-	net.ClearPruning()
-	if err != nil {
+	if err := capnn.FineTune(classUnaware, sets.Train, nil, 3, 1); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("after class-unaware pruning: %d parameters (%.1f%%)\n",

@@ -75,16 +75,13 @@ func TestQuantizedCloudDeployment(t *testing.T) {
 	}
 
 	// Masked vs compacted equivalence on the quantized-rate masks.
-	net.SetPruning(res.Masks)
 	x, _ := sets.Test.Batch([]int{0, 1, 2})
-	masked := net.Forward(x)
-	compact, err := Compact(net)
+	masked := net.Infer(x, res.Masks)
+	compact, err := CompactMasked(net, res.Masks)
 	if err != nil {
-		net.ClearPruning()
 		t.Fatal(err)
 	}
 	got := compact.Forward(x)
-	net.ClearPruning()
 	for i, v := range masked.Data() {
 		if math.Abs(v-got.Data()[i]) > 1e-9 {
 			t.Fatal("compacted model diverges from masked inference")

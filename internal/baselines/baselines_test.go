@@ -148,20 +148,18 @@ func TestFineTuneRecoversAccuracy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.net.SetPruning(masks)
 	before := train.Evaluate(f.net, masks, f.sets.Val).Top1
-	if err := train.FineTune(f.net, f.sets.Train, nil, 3, 7); err != nil {
-		f.net.ClearPruning()
+	compacted, err := nn.CompactMasked(f.net, masks)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := train.Evaluate(f.net, masks, f.sets.Val).Top1
-	f.net.ClearPruning()
+	if err := train.FineTune(compacted, f.sets.Train, nil, 3, 7); err != nil {
+		t.Fatal(err)
+	}
+	after := train.Evaluate(compacted, nil, f.sets.Val).Top1
 	if after+1e-9 < before {
 		t.Fatalf("fine-tuning reduced accuracy: %.3f → %.3f", before, after)
 	}
-	// NOTE: the fixture net is shared; restore original weights is not
-	// needed because every other test tolerates a trained-then-tuned
-	// model (masks cleared above).
 }
 
 func TestCAPTORPrunesOnlyConvStages(t *testing.T) {

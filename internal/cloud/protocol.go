@@ -25,8 +25,9 @@ import (
 // Version 3 is the first spoken in internal/rpc's checksummed frames —
 // and, on the serving tier, in internal/serve's fixed body layout, where
 // the version leads the body — so nothing older than it can reach a
-// decoder: the v0–v2 gob streams fail the frame check.
-const ProtocolVersion = 3
+// decoder: the v0–v2 gob streams fail the frame check. Version 4 drops
+// the serve response's batch field (always 1).
+const ProtocolVersion = 4
 
 // Code classifies a response outcome so clients can decide whether a
 // retry can help.

@@ -411,7 +411,7 @@ func TestGatewayWireProtocolAndScrape(t *testing.T) {
 	future := f.inferRequest(1, 2)
 	future.Version = cloud.ProtocolVersion + 1
 	raw := rpc.NewClient[serve.WireRequest, serve.WireResponse](gaddr, time.Second, 0)
-	if resp, err := raw.Do(&future, time.Now().Add(2*time.Second)); err != nil || resp.Code != cloud.CodeBadRequest || !strings.Contains(resp.Err, "protocol version 4 not supported") {
+	if resp, err := raw.Do(&future, time.Now().Add(2*time.Second)); err != nil || resp.Code != cloud.CodeBadRequest || !strings.Contains(resp.Err, "protocol version 5 not supported") {
 		t.Errorf("future-version frame: resp=%+v err=%v, want a typed bad request naming the version", resp, err)
 	}
 	if after := g.Stats().Requests; after != before {

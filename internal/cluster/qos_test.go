@@ -279,7 +279,7 @@ func TestRouteAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are taken without the race detector")
 	}
-	answer := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: make([]float64, 4), Batch: 1, CacheHit: true}
+	answer := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: make([]float64, 4), CacheHit: true}
 	shard := rpc.NewServer(rpc.Limits{ReadTimeout: time.Minute, WriteTimeout: time.Minute, MaxRequestBytes: 1 << 20},
 		func(*serve.WireRequest) *serve.WireResponse { return answer },
 		func(msg string) *serve.WireResponse {

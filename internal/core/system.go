@@ -51,7 +51,7 @@ func (v Variant) Letter() string { return strings.TrimPrefix(string(v), "CAP'NN-
 // once per class). It is the entry point the facade and the cloud
 // server build on.
 //
-// After NewSystem returns the network is never written: Prune,
+// The network is never written: Prune,
 // OffPreferenceShare and every ε check read its weights and judge masks
 // as values, and each lazily built table is guarded where it lives. All
 // methods are safe for concurrent use, and the masks Prune returns do
@@ -78,9 +78,6 @@ func NewSystem(net *nn.Network, valSet, profileSet *data.Dataset, rates *firing.
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	// The one write: the system is not shared yet, and what it hands out
-	// afterwards (Net.Masks, a saved copy of Net) is the unpruned model.
-	net.ClearPruning()
 	if rates == nil {
 		var err error
 		rates, err = firing.Compute(net, profileSet, params.Stages)
@@ -188,7 +185,7 @@ type Result struct {
 
 // Measure compacts net under masks to count unique parameters and
 // evaluates pruned-vs-original accuracy over the user's classes on
-// testSet. net is only read; masks installed on it play no part.
+// testSet. net is only read.
 func Measure(net *nn.Network, v Variant, prefs Preferences, masks map[int][]bool, testSet *data.Dataset) (Result, error) {
 	res := Result{Variant: v, Prefs: prefs, Masks: masks}
 	sub := testSet.FilterClasses(prefs.Classes)

@@ -85,12 +85,6 @@ func TestRelativeOfMasksInvariant(t *testing.T) {
 	if r >= 1 || r <= 0 {
 		t.Fatalf("pruned ratio %v outside (0,1)", r)
 	}
-	// Network restored.
-	for _, c := range net.PrunedCounts() {
-		if c != 0 {
-			t.Fatal("RelativeOfMasks left masks installed")
-		}
-	}
 }
 
 func TestMorePruningLessEnergy(t *testing.T) {

@@ -41,9 +41,9 @@ func table2Baselines() []stackedBaseline {
 }
 
 // RunStacked reproduces Table II: prune the reference model with a
-// class-unaware baseline, fine-tune briefly (the paper uses the authors'
-// retrained models), compact, then personalize the compacted model with
-// CAP'NN-M for K = 2..5.
+// class-unaware baseline, compact, fine-tune the compacted model briefly
+// (the paper uses the authors' retrained models), then personalize it
+// with CAP'NN-M for K = 2..5.
 func RunStacked(fx *Fixture, scale Scale, log io.Writer) ([]StackedRow, error) {
 	var rows []StackedRow
 	for _, bl := range table2Baselines() {
@@ -95,33 +95,28 @@ func RunStacked(fx *Fixture, scale Scale, log io.Writer) ([]StackedRow, error) {
 	return rows, nil
 }
 
-// buildUnawareBaseline clones the fixture model, applies the class-unaware
-// pruning, fine-tunes, and compacts. Returns the compacted model and its
+// buildUnawareBaseline applies the class-unaware pruning to the fixture
+// model, compacts, and fine-tunes the compacted copy. Returns it and its
 // size relative to the original.
 func buildUnawareBaseline(fx *Fixture, bl stackedBaseline) (*nn.Network, float64, error) {
-	clone, err := nn.CloneNetwork(fx.Net)
-	if err != nil {
-		return nil, 0, err
-	}
 	// Class-unaware channel pruning targets conv layers ([5], [9] are
 	// filter/channel pruners); skip the first two convs, which carry
 	// generic features and almost no parameters.
 	var convStages []int
-	for i, st := range clone.Stages() {
+	for i, st := range fx.Net.Stages() {
 		if _, ok := st.Unit.(*nn.Conv2D); ok && i >= 2 {
 			convStages = append(convStages, i)
 		}
 	}
-	masks, err := baselines.PruneUnaware(clone, convStages, bl.fraction, bl.crit, nil, fx.Sets.Profile)
+	masks, err := baselines.PruneUnaware(fx.Net, convStages, bl.fraction, bl.crit, nil, fx.Sets.Profile)
 	if err != nil {
 		return nil, 0, err
 	}
-	clone.SetPruning(masks)
-	if err := train.FineTune(clone, fx.Sets.Train, nil, 3, 17); err != nil {
+	compacted, err := nn.CompactMasked(fx.Net, masks)
+	if err != nil {
 		return nil, 0, err
 	}
-	compacted, err := nn.Compact(clone)
-	if err != nil {
+	if err := train.FineTune(compacted, fx.Sets.Train, nil, 3, 17); err != nil {
 		return nil, 0, err
 	}
 	rel := float64(compacted.ParamCount()) / float64(fx.Net.ParamCount())

@@ -80,9 +80,14 @@ func TestRatesDeterministic(t *testing.T) {
 	}
 }
 
+// A unit that cannot fire — pruned to an all-zero filter and bias, the
+// values a masked unit outputs — profiles at rate 0 for every class.
 func TestPrunedUnitNeverFires(t *testing.T) {
 	net, ds := smallNetAndData(t)
-	net.SetPruning(map[int][]bool{0: {true, false, false, false}})
+	conv := net.Stages()[0].Unit.(*nn.Conv2D)
+	per := conv.Weights().Len() / conv.Units()
+	clear(conv.Weights().Data()[:per])
+	conv.Bias().Data()[0] = 0
 	rates, err := Compute(net, ds, []int{0})
 	if err != nil {
 		t.Fatal(err)

@@ -66,9 +66,8 @@ const profileBatch = 32
 // Compute profiles the network over ds and returns the firing-rate
 // matrices for the given stage indices, using parallel.Default() workers.
 // The dataset should contain an equal number of samples per class (paper
-// §III); classes with zero samples yield zero rates. The network's
-// current prune masks are respected (masked units simply never fire),
-// but profiling is normally done on the unpruned model.
+// §III); classes with zero samples yield zero rates. The network is
+// profiled as given: to profile a pruned model, compact it first.
 func Compute(net *nn.Network, ds *data.Dataset, stageIdx []int) (*Rates, error) {
 	return ComputeWorkers(net, ds, stageIdx, 0)
 }
@@ -103,7 +102,6 @@ func ComputeWorkers(net *nn.Network, ds *data.Dataset, stageIdx []int, workers i
 		}
 	}
 
-	masks := net.Masks()
 	shards := parallel.Shards(ds.Len(), profileBatch)
 
 	// One partial result per shard: integer firing counts per profiled
@@ -124,7 +122,7 @@ func ComputeWorkers(net *nn.Network, ds *data.Dataset, stageIdx []int, workers i
 		for j := range p.fired {
 			p.fired[j] = make([]int64, units[j]*ds.Classes)
 		}
-		net.InferObserved(x, masks, func(stage int, post *tensor.Tensor) {
+		net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
 			pos, ok := stagePos[stage]
 			if !ok {
 				return

@@ -81,20 +81,11 @@ type LayerCounts struct {
 }
 
 // Simulate estimates one inference of a single sample through net on the
-// device. Pass a compacted network (nn.Compact) to see the effect of
-// pruning: pruned units are physically absent, so every count shrinks.
-// Masked-but-not-compacted networks are rejected, because a real device
-// would still fetch and multiply the masked weights.
+// device. Pass a compacted network (nn.CompactMasked) to see the effect
+// of pruning: pruned units are physically absent, so every count shrinks.
 func Simulate(net *nn.Network, cfg Config) (Counts, []LayerCounts, error) {
 	if err := cfg.Validate(); err != nil {
 		return Counts{}, nil, err
-	}
-	for _, st := range net.Stages() {
-		for _, p := range st.Unit.Pruned() {
-			if p {
-				return Counts{}, nil, fmt.Errorf("hw: layer %s carries a prune mask; compact the network first", st.Unit.Name())
-			}
-		}
 	}
 	var total Counts
 	var perLayer []LayerCounts

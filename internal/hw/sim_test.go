@@ -45,14 +45,6 @@ func TestSimulateCountsKnownValues(t *testing.T) {
 	}
 }
 
-func TestSimulateRejectsMaskedNetwork(t *testing.T) {
-	net := smallNet()
-	net.SetPruning(map[int][]bool{0: {true, false, false, false}})
-	if _, _, err := Simulate(net, DefaultConfig()); err == nil {
-		t.Fatal("masked network accepted; energy would be wrong")
-	}
-}
-
 func TestSimulateRejectsBadConfig(t *testing.T) {
 	if _, _, err := Simulate(smallNet(), Config{}); err == nil {
 		t.Fatal("zero config accepted")
@@ -65,11 +57,10 @@ func TestCompactionReducesEveryCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net.SetPruning(map[int][]bool{
+	compact, err := nn.CompactMasked(net, map[int][]bool{
 		0: {true, true, false, false},
 		1: {true, true, true, true, true, false, false, false, false, false},
 	})
-	compact, err := nn.Compact(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,27 +5,20 @@ import (
 	"hash/fnv"
 )
 
-// Compact returns a physically smaller copy of net in which every pruned
-// unit has been removed: a pruned conv channel drops its filters and bias
-// plus the matching input slices of the next layer; a pruned dense neuron
-// drops its weight row, bias, and the matching columns downstream. The
-// returned network computes exactly the same function as the masked
-// original (verified by the test suite) and its ParamCount is the paper's
-// "number of unique parameters" model-size metric.
+// CompactMasked returns a physically smaller copy of net in which every
+// unit masks prunes has been removed: a pruned conv channel drops its
+// filters and bias plus the matching input slices of the next layer; a
+// pruned dense neuron drops its weight row, bias, and the matching
+// columns downstream. masks has the unit-layer indexing Network.Infer
+// takes; nil masks or absent indices leave a stage unpruned. The returned
+// network computes exactly net.Infer(x, masks) (verified by the test
+// suite) and its ParamCount is the paper's "number of unique parameters"
+// model-size metric. It fails if pruning would empty a layer entirely.
 //
-// Compact reads the masks installed on net (SetPruning). It fails if
-// pruning would empty a layer entirely.
-func Compact(net *Network) (*Network, error) {
-	return CompactMasked(net, net.Masks())
-}
-
-// CompactMasked is Compact with the prune masks supplied as an argument
-// (the same unit-layer indexing Network.Infer takes; nil masks or absent
-// indices leave a stage unpruned) instead of read from layer state. It
-// never reads or writes any mutable field of net — only the weights — so
-// it is safe to run concurrently with serving-path Infer calls and with
-// mask installation, the same contract as Infer itself. It must not run
-// concurrently with training (weight mutation).
+// CompactMasked never reads or writes any mutable field of net — only
+// the weights — so it is safe to run concurrently with Infer calls, the
+// same contract as Infer itself. It must not run concurrently with
+// training (weight mutation).
 func CompactMasked(net *Network, masks map[int][]bool) (*Network, error) {
 	cnet, _, err := compactMaskedKeep(net, masks)
 	return cnet, err

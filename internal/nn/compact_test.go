@@ -21,14 +21,14 @@ func buildSmallNet(seed int64) *Network {
 // compute identical outputs.
 func TestCompactEquivalentToMasking(t *testing.T) {
 	net := buildSmallNet(1)
-	net.SetPruning(map[int][]bool{
+	masks := map[int][]bool{
 		0: {true, false, false, true},
 		1: {false, true, false, false, true},
 		2: {false, false, true, true, false, false, true},
-	})
+	}
 	x := randInput([]int{3, 2, 8, 8}, 2)
-	masked := net.Forward(x)
-	cnet, err := Compact(net)
+	masked := net.Infer(x, masks)
+	cnet, err := CompactMasked(net, masks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,9 +65,8 @@ func TestCompactEquivalenceProperty(t *testing.T) {
 			}
 			masks[i] = m
 		}
-		net.SetPruning(masks)
-		masked := net.Forward(x)
-		cnet, err := Compact(net)
+		masked := net.Infer(x, masks)
+		cnet, err := CompactMasked(net, masks)
 		if err != nil {
 			return false
 		}
@@ -87,8 +86,7 @@ func TestCompactEquivalenceProperty(t *testing.T) {
 func TestCompactReducesParamCount(t *testing.T) {
 	net := buildSmallNet(5)
 	orig := net.ParamCount()
-	net.SetPruning(map[int][]bool{0: {true, true, false, false}})
-	cnet, err := Compact(net)
+	cnet, err := CompactMasked(net, map[int][]bool{0: {true, true, false, false}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +101,7 @@ func TestCompactReducesParamCount(t *testing.T) {
 
 func TestCompactNoPruningIsIdentity(t *testing.T) {
 	net := buildSmallNet(6)
-	cnet, err := Compact(net)
+	cnet, err := CompactMasked(net, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,8 +115,7 @@ func TestCompactNoPruningIsIdentity(t *testing.T) {
 
 func TestCompactRejectsEmptyLayer(t *testing.T) {
 	net := buildSmallNet(7)
-	net.SetPruning(map[int][]bool{0: {true, true, true, true}})
-	if _, err := Compact(net); err == nil {
+	if _, err := CompactMasked(net, map[int][]bool{0: {true, true, true, true}}); err == nil {
 		t.Fatal("compacting an emptied layer should error")
 	}
 }
@@ -128,8 +125,7 @@ func TestCompactRejectsEmptyLayer(t *testing.T) {
 // to the device.
 func TestCompactSerializeRoundTrip(t *testing.T) {
 	net := buildSmallNet(8)
-	net.SetPruning(map[int][]bool{1: {true, false, false, false, true}})
-	cnet, err := Compact(net)
+	cnet, err := CompactMasked(net, map[int][]bool{1: {true, false, false, false, true}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,10 +163,9 @@ func TestCompactDeepVGGTail(t *testing.T) {
 		}
 		masks[si] = m
 	}
-	net.SetPruning(masks)
 	x := randInput([]int{2, 1, 32, 32}, 77)
-	masked := net.Forward(x)
-	cnet, err := Compact(net)
+	masked := net.Infer(x, masks)
+	cnet, err := CompactMasked(net, masks)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -67,11 +67,13 @@ type compiledOp struct {
 
 // Compiled is a physically compacted network lowered to an op plan.
 // Infer is safe for concurrent use: all plan state is read-only after
-// Compile and each call runs on an arena from a per-Compiled pool.
+// Compile and each call runs on an arena from a per-Compiled pool. The
+// plan keeps only the weight and bias slices its ops alias; the
+// compacted Network they came from, gradient buffers included, is
+// garbage once Compile returns.
 type Compiled struct {
-	net      *Network // the compacted network (introspection: ParamCount etc.)
-	inShape  []int    // per-sample input shape
-	outShape []int    // per-sample output shape
+	inShape  []int // per-sample input shape
+	outShape []int // per-sample output shape
 	inSize   int
 	outSize  int
 	ops      []compiledOp
@@ -105,7 +107,6 @@ func Compile(net *Network, masks map[int][]bool) (*Compiled, error) {
 // base network's outShape.
 func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 	c := &Compiled{
-		net:     cnet,
 		inShape: append([]int(nil), cnet.InShape...),
 		inSize:  shapeElems(cnet.InShape),
 	}
@@ -196,9 +197,6 @@ func (c *Compiled) lay() {
 		}
 	}
 }
-
-// Net exposes the compacted network backing the plan (read-only).
-func (c *Compiled) Net() *Network { return c.net }
 
 // InShape returns the per-sample input shape (that of the base net).
 func (c *Compiled) InShape() []int { return append([]int(nil), c.inShape...) }

@@ -107,22 +107,23 @@ func TestCompiledInferBitIdenticalProperty(t *testing.T) {
 	}
 }
 
-// Compiled inference must also agree when masks are installed on the
-// network (the Compact path) rather than passed as an argument.
+// Compiled inference must also agree with the compacted network a
+// pruned model is fine-tuned and shipped as (CompactMasked, then its
+// unmasked Forward) — the plan and that network share their weights'
+// order and the kernels.
 func TestCompileMatchesInstalledMasks(t *testing.T) {
 	net := buildSmallNet(11)
-	net.SetPruning(map[int][]bool{
+	masks := map[int][]bool{
 		0: {true, false, false, true},
 		1: {false, true, false, false, true},
 		2: {false, false, true, true, false, false, true},
-	})
-	masks := net.Masks()
+	}
 	c, err := Compile(net, masks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randInput([]int{3, 2, 8, 8}, 12)
-	bitEqual(t, net.Infer(x, masks), c.Infer(x))
+	bitEqual(t, compactedForward(t, net, masks, x), c.Infer(x))
 }
 
 // A fully-pruned stage cannot compile; callers get an error (and fall

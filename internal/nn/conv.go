@@ -16,8 +16,7 @@ type Conv2D struct {
 	outC, k, stride, pad int
 	outH, outW           int
 
-	w, b   *Param
-	pruned []bool
+	w, b *Param
 
 	lastIn *tensor.Tensor
 }
@@ -76,27 +75,17 @@ func (c *Conv2D) Weights() *tensor.Tensor { return c.w.W }
 // Bias exposes the bias vector [outC].
 func (c *Conv2D) Bias() *tensor.Tensor { return c.b.W }
 func (c *Conv2D) Units() int           { return c.outC }
-func (c *Conv2D) Pruned() []bool       { return c.pruned }
 
-// SetPruned installs the channel prune mask (copied; nil clears).
-func (c *Conv2D) SetPruned(pruned []bool) {
-	if pruned != nil && len(pruned) != c.outC {
-		panic(fmt.Sprintf("nn: conv %q mask length %d, want %d", c.name, len(pruned), c.outC))
-	}
-	c.pruned = copyMask(pruned)
-}
-
-// Forward computes the convolution for a batch x of shape [N, inC, inH, inW]
-// under the installed prune mask: inferMasked (infer.go), plus the cached
-// input Backward needs.
+// Forward computes the convolution for a batch x of shape [N, inC, inH, inW]:
+// inferMasked (infer.go) with nothing pruned, plus the cached input
+// Backward needs.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.lastIn = x
-	return c.inferMasked(x, c.pruned)
+	return c.inferMasked(x, nil)
 }
 
 // Backward accumulates dW and dB and returns dX. grad has the output's
-// batch shape. Pruned channels are skipped entirely: a dead unit neither
-// receives nor propagates gradient.
+// batch shape.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if c.lastIn == nil {
 		panic("nn: conv Backward before Forward")
@@ -114,7 +103,7 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	for s := 0; s < n; s++ {
 		g.im2col(xd[s*inSz:(s+1)*inSz], *padBuf, offs, cols)
 		clear(dcols)
-		g.convBackward(cols, wd, gd[s*outSz:(s+1)*outSz], dwd, dbd, dcols, c.pruned)
+		g.convBackward(cols, wd, gd[s*outSz:(s+1)*outSz], dwd, dbd, dcols)
 		g.col2im(dcols, dxd[s*inSz:(s+1)*inSz])
 	}
 	putScratch(colsBuf)

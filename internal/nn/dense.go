@@ -13,7 +13,6 @@ type Dense struct {
 	name    string
 	in, out int
 	w, b    *Param
-	pruned  []bool
 	lastIn  *tensor.Tensor
 }
 
@@ -50,7 +49,6 @@ func (d *Dense) InShape() []int   { return []int{d.in} }
 func (d *Dense) OutShape() []int  { return []int{d.out} }
 func (d *Dense) Params() []*Param { return []*Param{d.w, d.b} }
 func (d *Dense) Units() int       { return d.out }
-func (d *Dense) Pruned() []bool   { return d.pruned }
 
 // Weights exposes the weight matrix [out, in]. CAP'NN-M reads it to score
 // last-layer neuron contributions (∂c_j/∂n_i = w_ji, Eq. 1 of the paper).
@@ -59,22 +57,11 @@ func (d *Dense) Weights() *tensor.Tensor { return d.w.W }
 // Bias exposes the bias vector [out].
 func (d *Dense) Bias() *tensor.Tensor { return d.b.W }
 
-// SetPruned installs the neuron prune mask (copied; nil clears).
-func (d *Dense) SetPruned(pruned []bool) {
-	if pruned != nil && len(pruned) != d.out {
-		panic(fmt.Sprintf("nn: dense %q mask length %d, want %d", d.name, len(pruned), d.out))
-	}
-	d.pruned = copyMask(pruned)
-}
-
 // Forward computes the affine map for a batch x of shape [N, in] via the
 // shared dense kernel (see kernels.go).
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
 	d.lastIn = x
-	out := tensor.New(n, d.out)
-	denseForward(x.Data(), d.w.W.Data(), d.b.W.Data(), out.Data(), n, d.in, d.out, d.pruned)
-	return out
+	return d.inferMasked(x, nil)
 }
 
 // Backward accumulates dW and dB and returns dX.
@@ -85,6 +72,6 @@ func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	x := d.lastIn
 	n := x.Dim(0)
 	dx := tensor.New(n, d.in)
-	denseBackward(x.Data(), grad.Data(), d.w.W.Data(), dx.Data(), d.w.G.Data(), d.b.G.Data(), n, d.in, d.out, d.pruned)
+	denseBackward(x.Data(), grad.Data(), d.w.W.Data(), dx.Data(), d.w.G.Data(), d.b.G.Data(), n, d.in, d.out)
 	return dx
 }

@@ -116,7 +116,6 @@ func TestDropoutInNetworkTrainToggle(t *testing.T) {
 
 func TestDropoutSerializeAndCompact(t *testing.T) {
 	net := NewBuilder(1, 4, 4, 12).Conv(4).ReLU().Flatten().Dropout(0.3).Dense(3).MustBuild()
-	net.SetPruning(map[int][]bool{0: {true, false, false, false}})
 	var buf bytes.Buffer
 	if err := Save(&buf, net); err != nil {
 		t.Fatal(err)
@@ -132,13 +131,15 @@ func TestDropoutSerializeAndCompact(t *testing.T) {
 			t.Fatal("dropout round trip diverges")
 		}
 	}
-	cnet, err := Compact(net)
+	masks := map[int][]bool{0: {true, false, false, false}}
+	masked := net.Infer(x, masks)
+	cnet, err := CompactMasked(net, masks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cOut := cnet.Forward(x)
-	for i := range a.Data() {
-		if math.Abs(a.Data()[i]-cOut.Data()[i]) > 1e-9 {
+	for i := range masked.Data() {
+		if math.Abs(masked.Data()[i]-cOut.Data()[i]) > 1e-9 {
 			t.Fatal("compacted dropout net diverges")
 		}
 	}

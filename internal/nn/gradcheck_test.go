@@ -85,20 +85,45 @@ func TestFullStackGradients(t *testing.T) {
 	checkGradients(t, net, randInput([]int{2, 1, 8, 8}, 6), 1e-4)
 }
 
+// A pruned model is fine-tuned compacted: the compacted conv's analytic
+// gradient for each surviving weight must be the numeric derivative of
+// the masked network's loss (net.Infer under the masks), and the pruned
+// channels have no weights left to receive any.
 func TestMaskedConvGradientsSkipPrunedChannels(t *testing.T) {
 	net := NewBuilder(1, 4, 4, 9).Conv(4).MustBuild()
-	conv := net.Layers[0].(*Conv2D)
-	conv.SetPruned([]bool{false, true, false, true})
-	// Gradient check still passes: pruned channels contribute neither
-	// output nor gradient, and the analytic/numeric derivatives agree
-	// because perturbing a pruned channel's weights never changes loss.
-	checkGradients(t, net, randInput([]int{1, 1, 4, 4}, 7), 1e-5)
-	// Gradients of pruned channels' weights stay exactly zero.
-	g := conv.w.G.Data()
+	masks := map[int][]bool{0: {false, true, false, true}}
+	x := randInput([]int{1, 1, 4, 4}, 7)
+	cnet, err := CompactMasked(net, masks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conv, cconv := net.Layers[0].(*Conv2D), cnet.Layers[0].(*Conv2D)
+	if cconv.outC != 2 {
+		t.Fatalf("compacted conv keeps %d channels, want 2", cconv.outC)
+	}
+	checkGradients(t, cnet, x, 1e-5)
+	maskedLoss := func() float64 {
+		loss := 0.0
+		for _, v := range net.Infer(x, masks).Data() {
+			loss += v * v / 2
+		}
+		return loss
+	}
+	const h = 1e-5
+	w, g := conv.w.W.Data(), cconv.w.G.Data()
 	per := conv.inC * conv.k * conv.k
-	for i := per; i < 2*per; i++ {
-		if g[i] != 0 {
-			t.Fatalf("pruned channel accumulated gradient %v", g[i])
+	for ci, oc := range []int{0, 2} { // the surviving channels
+		for i := 0; i < per; i++ {
+			orig := w[oc*per+i]
+			w[oc*per+i] = orig + h
+			lp := maskedLoss()
+			w[oc*per+i] = orig - h
+			lm := maskedLoss()
+			w[oc*per+i] = orig
+			num := (lp - lm) / (2 * h)
+			if diff := math.Abs(num - g[ci*per+i]); diff > 1e-5*(1+math.Abs(num)) {
+				t.Errorf("channel %d weight %d: compacted gradient %.8f vs masked numeric %.8f", oc, i, g[ci*per+i], num)
+			}
 		}
 	}
 }

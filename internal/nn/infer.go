@@ -7,21 +7,21 @@ import (
 )
 
 // This file is the inference-only forward path. Network.Forward exists
-// for training and the fine-tuned baselines: every layer caches its
-// forward input so Backward can run, and unit layers read the prune mask
-// installed by SetPruned — which is why a network must not be shared
-// across goroutines there.
+// for training: every layer caches its forward input so Backward can
+// run, which is why a network must not be shared across goroutines
+// there. Training never runs under masks — a pruned network is
+// compacted first (CompactMasked) and the smaller network trained.
 //
 // Serving, profiling, evaluation and the pruning search want the
 // opposite trade: many goroutines pushing batches through ONE set of
 // weights, each under its own masks. Network.Infer provides that: it
 // performs no writes to any layer field — no cached inputs, no pool
 // argmax buffers, no recording hooks — and takes the prune masks as an
-// explicit argument instead of reading layer state. Concurrent Infer
-// calls are therefore safe, including beside personalization
-// (System.Prune), which goes through this same walk and writes nothing
-// either. The single forbidden overlap is weight mutation: do not train
-// while serving.
+// explicit argument; no layer stores one. Concurrent Infer calls are
+// therefore safe, including beside personalization (System.Prune),
+// which goes through this same walk and writes nothing either. The
+// single forbidden overlap is weight mutation: do not train while
+// serving.
 //
 // The arithmetic itself lives in kernels.go — the same direct conv and
 // dense kernels Forward uses — so the serving path and the
@@ -34,24 +34,22 @@ type statelessInfer interface {
 }
 
 // maskedInfer is implemented by unit layers: inference with the prune
-// mask supplied by the caller (nil = nothing pruned) rather than read
-// from layer state.
+// mask supplied by the caller (nil = nothing pruned).
 type maskedInfer interface {
 	inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor
 }
 
 // Infer runs the batch x (shape [N, InShape...]) through the network
 // without mutating any layer state and returns the logits. masks maps
-// unit-layer index (the same indexing as SetPruning) to that stage's
-// prune mask; nil masks — or absent indices — leave the stage unpruned.
-// Masks installed with SetPruning are not read.
+// unit-layer index (the Stage.Index of Stages) to that stage's prune
+// mask; nil masks — or absent indices — leave the stage unpruned. A
+// pruned unit's output (and hence everything downstream of its ReLU) is
+// zero; with nil masks Infer computes what Forward does outside
+// training, bit for bit.
 //
-// Infer is safe for concurrent use, including concurrently with mask
-// installation and personalization, because it only reads the weights.
-// It must not run concurrently with training (weight mutation).
-//
-// The masked semantics match Forward under SetPruning exactly: a pruned
-// unit's output (and hence everything downstream of its ReLU) is zero.
+// Infer is safe for concurrent use, including concurrently with
+// personalization, because it only reads the weights. It must not run
+// concurrently with training (weight mutation).
 func (n *Network) Infer(x *tensor.Tensor, masks map[int][]bool) *tensor.Tensor {
 	return inferLayers(n.Layers, 0, masks, x, nil)
 }
@@ -98,20 +96,6 @@ func inferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor
 		}
 	}
 	return x
-}
-
-// Masks returns a copy of the currently installed prune masks keyed by
-// unit-layer index — the map form Infer takes. Stages with no mask are
-// absent. The result is detached from the network: later SetPruning
-// calls do not affect it.
-func (n *Network) Masks() map[int][]bool {
-	masks := map[int][]bool{}
-	for _, st := range n.Stages() {
-		if m := st.Unit.Pruned(); m != nil {
-			masks[st.Index] = copyMask(m)
-		}
-	}
-	return masks
 }
 
 // inferMasked computes the convolution with an explicit channel mask via

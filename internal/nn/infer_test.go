@@ -45,10 +45,22 @@ func checkerMasks(net *Network) map[int][]bool {
 	return masks
 }
 
-// Infer must reproduce Forward bit for bit, masked and unmasked: both
-// paths route through the one kernel layer (kernels.go), so the same
-// accumulation order — and the same pruned-output-stays-zero semantics —
-// is not approximate but exact.
+// compactedForward is Forward on the network CompactMasked builds under
+// masks — the network a pruned model is fine-tuned as.
+func compactedForward(t *testing.T, net *Network, masks map[int][]bool, x *tensor.Tensor) *tensor.Tensor {
+	t.Helper()
+	cnet, err := CompactMasked(net, masks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cnet.Forward(x)
+}
+
+// Infer must reproduce Forward bit for bit, masked and unmasked — masked
+// through the compacted network: both paths route through the one kernel
+// layer (kernels.go), so the same accumulation order — and a pruned
+// input's term being exactly a `w·(+0)` addition — is not approximate
+// but exact.
 func TestInferMatchesForward(t *testing.T) {
 	net := inferTestNet(t)
 	x := randBatch(5, net.InShape, 11)
@@ -56,9 +68,7 @@ func TestInferMatchesForward(t *testing.T) {
 		"unmasked": nil,
 		"masked":   checkerMasks(net),
 	} {
-		net.SetPruning(masks)
-		want := net.Forward(x)
-		net.ClearPruning()
+		want := compactedForward(t, net, masks, x)
 		got := net.Infer(x, masks)
 		if !want.SameShape(got) {
 			t.Fatalf("%s: shape %v vs %v", name, want.Shape(), got.Shape())
@@ -71,16 +81,14 @@ func TestInferMatchesForward(t *testing.T) {
 	}
 }
 
-// InferLayers (the suffix-replay primitive) must match Forward under the
-// same masks installed, bit for bit, wherever the layer slice is cut:
-// firstStage keeps the whole network's mask indexing.
+// InferLayers (the suffix-replay primitive) must match Forward of the
+// network compacted under the same masks, bit for bit, wherever the
+// layer slice is cut: firstStage keeps the whole network's mask indexing.
 func TestInferLayersMatchesForward(t *testing.T) {
 	net := inferTestNet(t)
 	x := randBatch(4, net.InShape, 13)
 	masks := checkerMasks(net)
-	net.SetPruning(masks)
-	want := net.Forward(x)
-	net.ClearPruning()
+	want := compactedForward(t, net, masks, x)
 	stage := 0
 	for cut, l := range net.Layers {
 		got := InferLayers(net.Layers[cut:], stage, masks, InferLayers(net.Layers[:cut], 0, masks, x))
@@ -129,12 +137,10 @@ func TestInferMaskLengthPanics(t *testing.T) {
 	net.Infer(randBatch(1, net.InShape, 1), map[int][]bool{0: {true}})
 }
 
-// The satellite regression for the latent race: stateful Forward mutates
-// per-layer caches and reads installed masks, so concurrent
-// personalization-style mask churn plus serving used to race. Infer
-// reads only the weights; run it from many goroutines while another
-// goroutine installs/clears masks and drives stateful Forwards, and let
-// -race be the judge.
+// Stateful Forward writes per-layer caches; Infer reads only the weights
+// and takes its masks as an argument. Run Infer from many goroutines
+// while another drives stateful Forwards and compacts under masks, and
+// let -race be the judge.
 func TestInferConcurrentWithMaskMutation(t *testing.T) {
 	net := inferTestNet(t)
 	masks := checkerMasks(net)
@@ -142,7 +148,7 @@ func TestInferConcurrentWithMaskMutation(t *testing.T) {
 	stop := make(chan struct{})
 	var mutator, servers sync.WaitGroup
 	mutator.Add(1)
-	go func() { // the "personalization" side: stateful, mask-mutating
+	go func() { // the stateful side: layer caches written on every pass
 		defer mutator.Done()
 		for i := 0; ; i++ {
 			select {
@@ -150,9 +156,11 @@ func TestInferConcurrentWithMaskMutation(t *testing.T) {
 				return
 			default:
 			}
-			net.SetPruning(masks)
 			net.Forward(x)
-			net.ClearPruning()
+			if _, err := CompactMasked(net, masks); err != nil {
+				t.Error(err)
+				return
+			}
 		}
 	}()
 	for g := 0; g < 4; g++ {
@@ -178,12 +186,14 @@ func BenchmarkInferVsForward(b *testing.B) {
 	net := inferTestNet(b)
 	masks := checkerMasks(net)
 	x := randBatch(8, net.InShape, 2)
-	b.Run("forward", func(b *testing.B) {
-		net.SetPruning(masks)
-		defer net.ClearPruning()
+	b.Run("forward", func(b *testing.B) { // the compacted network, as fine-tuning runs it
+		cnet, err := CompactMasked(net, masks)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			net.Forward(x)
+			cnet.Forward(x)
 		}
 	})
 	b.Run("infer", func(b *testing.B) {

@@ -284,22 +284,18 @@ func (g convGeom) poolForward(xs, os []float64, oRow, oCh int) {
 // its output gradient slab [outC, outH, outW]. dwd/dbd are the layer's
 // full gradient buffers (accumulated +=); dcols [inC·k·k, outH·outW]
 // receives the input gradient in column space (dcols must arrive
-// zeroed) for col2im to scatter. Pruned channels neither receive nor
-// propagate gradient.
+// zeroed) for col2im to scatter.
 //
 // dW keeps the naive kernel's accumulation order: each (oc, r) entry is
 // a fresh left-to-right dot product over the output positions, added
 // once into dwd. dX accumulates over channels first (into dcols) and is
 // then scattered — a reassociation of the naive order that stays
 // deterministic because the loop order is fixed.
-func (g convGeom) convBackward(cols, wd, gs, dwd, dbd, dcols []float64, pruned []bool) {
+func (g convGeom) convBackward(cols, wd, gs, dwd, dbd, dcols []float64) {
 	outHW := g.outH * g.outW
 	kk := g.k * g.k
 	rows := g.inC * kk
 	for oc := 0; oc < g.outC; oc++ {
-		if pruned != nil && pruned[oc] {
-			continue
-		}
 		gRow := gs[oc*outHW : (oc+1)*outHW]
 		for _, gv := range gRow {
 			dbd[oc] += gv
@@ -402,16 +398,12 @@ func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
 }
 
 // denseBackward accumulates dW/dB (+=) and writes dX for a batch.
-// Pruned neurons neither receive nor propagate gradient.
-func denseBackward(xd, gd, wd, dxd, dwd, dbd []float64, n, in, out int, pruned []bool) {
+func denseBackward(xd, gd, wd, dxd, dwd, dbd []float64, n, in, out int) {
 	for s := 0; s < n; s++ {
 		xRow := xd[s*in : (s+1)*in]
 		gRow := gd[s*out : (s+1)*out]
 		dxRow := dxd[s*in : (s+1)*in]
 		for o := 0; o < out; o++ {
-			if pruned != nil && pruned[o] {
-				continue
-			}
 			gv := gRow[o]
 			if gv == 0 {
 				continue

@@ -1,8 +1,8 @@
 // Package nn implements the from-scratch CNN substrate that CAP'NN prunes:
 // convolution, dense, ReLU, max-pool and flatten layers with forward and
-// backward passes, per-unit prune masks (conv channels / dense neurons),
-// activation recording hooks for firing-rate profiling, physical network
-// compaction, and gob serialization.
+// backward passes, inference under per-unit prune masks (conv channels /
+// dense neurons), activation recording hooks for firing-rate profiling,
+// physical network compaction, and gob serialization.
 //
 // The paper's framework takes "a commodity trained model" as input; this
 // package is the stdlib-only stand-in for that commodity framework.
@@ -37,48 +37,12 @@ type Layer interface {
 // UnitLayer is a layer whose outputs form prunable units: output channels
 // for convolutions, output neurons for dense layers. Pruning unit u forces
 // its entire output (and hence the following ReLU) to zero, exactly the
-// semantics CAP'NN's algorithms assume.
+// semantics CAP'NN's algorithms assume. Masks are values: Infer and
+// CompactMasked take them as an argument, and no layer stores one.
 type UnitLayer interface {
 	Layer
 	// Units returns the number of prunable output units.
 	Units() int
-	// SetPruned installs a prune mask; pruned[u] == true silences unit u.
-	// A nil mask clears pruning. The slice is copied.
-	SetPruned(pruned []bool)
-	// Pruned returns the current mask (nil when nothing is pruned). The
-	// caller must not modify it.
-	Pruned() []bool
-}
-
-// zeroPruned applies a prune mask over a batch output laid out as
-// [n][units][unitSize]. It is shared by Conv2D (unitSize = H*W) and Dense
-// (unitSize = 1).
-func zeroPruned(out *tensor.Tensor, pruned []bool, batch, units, unitSize int) {
-	if pruned == nil {
-		return
-	}
-	d := out.Data()
-	for n := 0; n < batch; n++ {
-		base := n * units * unitSize
-		for u, p := range pruned {
-			if !p {
-				continue
-			}
-			row := d[base+u*unitSize : base+(u+1)*unitSize]
-			for i := range row {
-				row[i] = 0
-			}
-		}
-	}
-}
-
-func copyMask(m []bool) []bool {
-	if m == nil {
-		return nil
-	}
-	c := make([]bool, len(m))
-	copy(c, m)
-	return c
 }
 
 func shapeElems(s []int) int {

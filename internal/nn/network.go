@@ -88,35 +88,6 @@ func (n *Network) Stages() []Stage {
 	return stages
 }
 
-// ClearPruning removes every prune mask, restoring the original model.
-func (n *Network) ClearPruning() {
-	for _, st := range n.Stages() {
-		st.Unit.SetPruned(nil)
-	}
-}
-
-// SetPruning installs prune masks per unit-layer index. Indices absent
-// from masks are cleared. Masks are copied by the layers.
-func (n *Network) SetPruning(masks map[int][]bool) {
-	for _, st := range n.Stages() {
-		st.Unit.SetPruned(masks[st.Index])
-	}
-}
-
-// PrunedCounts returns, per unit layer, how many units are pruned.
-func (n *Network) PrunedCounts() []int {
-	stages := n.Stages()
-	counts := make([]int, len(stages))
-	for i, st := range stages {
-		for _, p := range st.Unit.Pruned() {
-			if p {
-				counts[i]++
-			}
-		}
-	}
-	return counts
-}
-
 // Builder assembles sequential networks with automatic shape threading.
 type Builder struct {
 	inShape []int

@@ -58,58 +58,14 @@ func TestStagesPairsUnitsWithReLU(t *testing.T) {
 	}
 }
 
-func TestSetPruningAndClear(t *testing.T) {
-	net := NewBuilder(1, 4, 4, 3).Conv(4).ReLU().Flatten().Dense(5).MustBuild()
-	net.SetPruning(map[int][]bool{0: {true, false, false, true}})
-	counts := net.PrunedCounts()
-	if counts[0] != 2 || counts[1] != 0 {
-		t.Fatalf("pruned counts = %v, want [2 0]", counts)
-	}
-	x := randInput([]int{1, 1, 4, 4}, 2)
-	conv := net.Layers[0].(*Conv2D)
-	out := conv.Forward(x)
-	hw := 4 * 4
-	for i := 0; i < hw; i++ {
-		if out.Data()[i] != 0 {
-			t.Fatal("pruned channel 0 produced nonzero output")
-		}
-	}
-	net.ClearPruning()
-	if c := net.PrunedCounts(); c[0] != 0 {
-		t.Fatalf("ClearPruning left counts %v", c)
-	}
-	out2 := conv.Forward(x)
-	nonzero := false
-	for i := 0; i < hw; i++ {
-		if out2.Data()[i] != 0 {
-			nonzero = true
-		}
-	}
-	if !nonzero {
-		t.Fatal("cleared channel still silent")
-	}
-}
-
 func TestDensePrunedNeuronSilent(t *testing.T) {
 	net := NewBuilder(1, 1, 4, 4).Flatten().Dense(3).MustBuild()
-	d := net.Layers[1].(*Dense)
-	d.SetPruned([]bool{false, true, false})
-	out := net.Forward(randInput([]int{2, 1, 1, 4}, 5))
+	out := net.Infer(randInput([]int{2, 1, 1, 4}, 5), map[int][]bool{0: {false, true, false}})
 	for s := 0; s < 2; s++ {
 		if out.At(s, 1) != 0 {
 			t.Fatal("pruned neuron fired")
 		}
 	}
-}
-
-func TestSetPrunedLengthPanics(t *testing.T) {
-	net := NewBuilder(1, 4, 4, 3).Conv(4).MustBuild()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("wrong-length mask did not panic")
-		}
-	}()
-	net.Layers[0].(*Conv2D).SetPruned([]bool{true})
 }
 
 func TestParamCount(t *testing.T) {

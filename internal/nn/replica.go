@@ -16,10 +16,6 @@ import (
 // own replica; the trainer reduces the replicas' gradients in shard
 // order into the original network and steps the optimizer there, so
 // every replica observes the updated weights immediately.
-//
-// Replicas copy the currently installed prune masks (FineTune trains
-// under masks), but later SetPruning calls on the original do not
-// propagate — build replicas after installing masks.
 
 // replicable is implemented by every layer that can produce a
 // weight-sharing training copy of itself.
@@ -28,9 +24,9 @@ type replicable interface {
 }
 
 // Replica returns a training copy of the network: shared weights, fresh
-// gradients, fresh activation caches, copied prune masks, no profiling
-// hooks. Dropout layers get placeholder RNGs — callers must ReseedDropout
-// before every Forward to control the noise deterministically.
+// gradients, fresh activation caches, no profiling hooks. Dropout layers
+// get placeholder RNGs — callers must ReseedDropout before every Forward
+// to control the noise deterministically.
 func (n *Network) Replica() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
@@ -67,14 +63,13 @@ func (c *Conv2D) replica() Layer {
 		inC:  c.inC, inH: c.inH, inW: c.inW,
 		outC: c.outC, k: c.k, stride: c.stride, pad: c.pad,
 		outH: c.outH, outW: c.outW,
-		pruned: copyMask(c.pruned),
 	}
 	r.w, r.b = shareParam(c.w), shareParam(c.b)
 	return r
 }
 
 func (d *Dense) replica() Layer {
-	r := &Dense{name: d.name, in: d.in, out: d.out, pruned: copyMask(d.pruned)}
+	r := &Dense{name: d.name, in: d.in, out: d.out}
 	r.w, r.b = shareParam(d.w), shareParam(d.b)
 	return r
 }

@@ -35,11 +35,12 @@ type layerSpec struct {
 	DropP    float64
 	DropSeed int64
 
-	W, B   []float64
-	Pruned []bool
+	// Files written while layers still stored prune masks carry a Pruned
+	// field too; gob skips fields the struct no longer has.
+	W, B []float64
 }
 
-// Save writes the network (weights and current prune masks included) to w.
+// Save writes the network (configuration and weights) to w.
 func Save(w io.Writer, net *Network) error {
 	spec := netSpec{Version: wireVersion, InShape: net.InShape}
 	for _, l := range net.Layers {
@@ -51,13 +52,11 @@ func Save(w io.Writer, net *Network) error {
 			ls.OutC, ls.K, ls.Stride, ls.Pad = t.outC, t.k, t.stride, t.pad
 			ls.W = append([]float64(nil), t.w.W.Data()...)
 			ls.B = append([]float64(nil), t.b.W.Data()...)
-			ls.Pruned = copyMask(t.pruned)
 		case *Dense:
 			ls.Kind = "dense"
 			ls.Out = t.out
 			ls.W = append([]float64(nil), t.w.W.Data()...)
 			ls.B = append([]float64(nil), t.b.W.Data()...)
-			ls.Pruned = copyMask(t.pruned)
 		case *ReLU:
 			ls.Kind = "relu"
 		case *MaxPool2D:
@@ -103,9 +102,6 @@ func Load(r io.Reader) (*Network, error) {
 			if err := fillParam(c.b, ls.B, ls.Name); err != nil {
 				return nil, err
 			}
-			if ls.Pruned != nil {
-				c.SetPruned(ls.Pruned)
-			}
 			net.Layers = append(net.Layers, c)
 			cur = c.OutShape()
 		case "dense":
@@ -121,9 +117,6 @@ func Load(r io.Reader) (*Network, error) {
 			}
 			if err := fillParam(d.b, ls.B, ls.Name); err != nil {
 				return nil, err
-			}
-			if ls.Pruned != nil {
-				d.SetPruned(ls.Pruned)
 			}
 			net.Layers = append(net.Layers, d)
 			cur = d.OutShape()
@@ -165,8 +158,7 @@ func fillParam(p *Param, vals []float64, layer string) error {
 	return nil
 }
 
-// CloneNetwork deep-copies a network (weights and prune masks included)
-// via its serialized form.
+// CloneNetwork deep-copies a network via its serialized form.
 func CloneNetwork(net *Network) (*Network, error) {
 	var buf bytes.Buffer
 	if err := Save(&buf, net); err != nil {

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"path/filepath"
 	"testing"
@@ -9,7 +10,6 @@ import (
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	net := buildSmallNet(11)
-	net.SetPruning(map[int][]bool{0: {false, true, false, false}})
 	var buf bytes.Buffer
 	if err := Save(&buf, net); err != nil {
 		t.Fatal(err)
@@ -25,9 +25,51 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 			t.Fatal("loaded network diverges from saved one")
 		}
 	}
-	// Prune masks survive the trip.
-	if loaded.PrunedCounts()[0] != 1 {
-		t.Fatalf("masks lost: %v", loaded.PrunedCounts())
+}
+
+// Files written while layers still stored prune masks carry a Pruned
+// field per layer. They load, the masks ignored: the weights are the
+// whole model.
+func TestLoadIgnoresStoredMasks(t *testing.T) {
+	type legacyLayer struct {
+		Kind, Name           string
+		OutC, K, Stride, Pad int
+		Out                  int
+		PoolK, PoolStride    int
+		DropP                float64
+		DropSeed             int64
+		W, B                 []float64
+		Pruned               []bool
+	}
+	type legacySpec struct {
+		Version int
+		InShape []int
+		Layers  []legacyLayer
+	}
+	net := buildSmallNet(12)
+	var buf bytes.Buffer
+	if err := Save(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	var spec legacySpec
+	if err := gob.NewDecoder(&buf).Decode(&spec); err != nil {
+		t.Fatal(err)
+	}
+	spec.Layers[0].Pruned = []bool{false, true, false, false}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&spec); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randInput([]int{2, 2, 8, 8}, 12)
+	a, b := net.Forward(x), loaded.Forward(x)
+	for i, v := range a.Data() {
+		if v != b.Data()[i] {
+			t.Fatal("a file with a stored mask loads as a different network")
+		}
 	}
 }
 

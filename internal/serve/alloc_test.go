@@ -50,7 +50,7 @@ func TestRoundTripAllocs(t *testing.T) {
 	for i := range req.Input {
 		req.Input[i] = float64(i) / 7
 	}
-	answer := &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: req.Input[:10], Class: 3, Batch: 1, CacheHit: true}
+	answer := &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: req.Input[:10], Class: 3, CacheHit: true}
 	ln := noDeadlineListener{rpc.NewPipeListener()}
 	srv := rpc.NewServer(rpc.Limits{ReadTimeout: time.Minute, WriteTimeout: time.Minute, MaxRequestBytes: 1 << 20},
 		func(*WireRequest) *WireResponse { return answer }, badRequest)

@@ -14,7 +14,7 @@ import (
 //
 //	WireRequest:  version op lane budget ringVersion | variant tenant
 //	              routeKey classes weights payload | input
-//	WireResponse: version code class batch flags | err payload | logits
+//	WireResponse: version code class flags | err payload | logits
 //
 // Signed integers are zig-zag varints, ringVersion and code are
 // uvarints, flags is one byte (bit 0 CacheHit, bit 1 Fallback). A string
@@ -232,7 +232,6 @@ func (r *WireResponse) AppendWire(b []byte) []byte {
 	b = binary.AppendVarint(b, int64(r.Version))
 	b = binary.AppendUvarint(b, uint64(r.Code))
 	b = binary.AppendVarint(b, int64(r.Class))
-	b = binary.AppendVarint(b, int64(r.Batch))
 	var flags byte
 	if r.CacheHit {
 		flags |= flagCacheHit
@@ -252,7 +251,6 @@ func (r *WireResponse) DecodeWire(body []byte) error {
 	r.Version = d.version()
 	code := d.uvarint()
 	r.Class = int(d.varint())
-	r.Batch = int(d.varint())
 	flags := d.take(1)
 	r.Err = d.str()
 	r.Payload = d.bytes(r.Payload)

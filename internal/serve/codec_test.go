@@ -133,7 +133,7 @@ func (g wireGen) request(op Op) WireRequest {
 func (g wireGen) response() WireResponse {
 	return WireResponse{
 		Version: g.Intn(cloud.ProtocolVersion + 1), Code: cloud.Code(g.Intn(256)), Err: g.str(),
-		Logits: g.floats(), Class: g.int(), Batch: g.int(),
+		Logits: g.floats(), Class: g.int(),
 		CacheHit: g.Intn(2) == 0, Fallback: g.Intn(2) == 0, Payload: g.bytes(),
 	}
 }
@@ -187,27 +187,27 @@ func TestCodecRoundTrip(t *testing.T) {
 // cloud.ProtocolVersion with it.
 func TestGoldenFrames(t *testing.T) {
 	req := WireRequest{
-		Version: 3, Op: OpInfer, Variant: "M", Classes: []int{3, 7}, Weights: []float64{0.75, 0.25},
+		Version: 4, Op: OpInfer, Variant: "M", Classes: []int{3, 7}, Weights: []float64{0.75, 0.25},
 		Input: []float64{1, -2.5, math.Copysign(0, -1)}, RouteKey: "M/k", RingVersion: 300,
 		BudgetMicros: 250000, Tenant: "t", Lane: 1, Payload: []byte{0xca, 0xfe},
 	}
 	const goldenReq = "40000000" + // body length
-		"06" + "00" + "02" + "a0c21e" + "ac02" + // version 3, op 0, lane 1, budget 250000, ring 300
+		"08" + "00" + "02" + "a0c21e" + "ac02" + // version 4, op 0, lane 1, budget 250000, ring 300
 		"014d" + "0174" + "034d2f6b" + // "M", "t", "M/k"
 		"03060e" + // classes: 2 of them, 3, 7
 		"03000000000000e83f000000000000d03f" + // weights: 2 of them, 0.75, 0.25
 		"03cafe" + // payload: 2 bytes
 		"04000000000000f03f00000000000004c00000000000000080" + // input: 3 of them, 1, -2.5, -0
-		"c12d8441" // CRC-32C
+		"3fda0dd2" // CRC-32C
 	resp := WireResponse{
-		Version: 3, Code: cloud.CodeBusy, Err: "no", Logits: []float64{0.5, -1}, Class: 1, Batch: 1,
+		Version: 4, Code: cloud.CodeBusy, Err: "no", Logits: []float64{0.5, -1}, Class: 1,
 		CacheHit: true, Fallback: true, Payload: []byte{},
 	}
-	const goldenResp = "1a000000" +
-		"06" + "02" + "02" + "02" + "03" + // version 3, code 2, class 1, batch 1, flags hit|fallback
+	const goldenResp = "19000000" +
+		"08" + "02" + "02" + "03" + // version 4, code 2, class 1, flags hit|fallback
 		"026e6f" + "01" + // "no", empty (non-nil) payload
 		"03000000000000e03f000000000000f0bf" + // logits: 2 of them, 0.5, -1
-		"f1ab66b4"
+		"e66885bc"
 
 	ln := rpc.NewPipeListener()
 	defer ln.Close()
@@ -254,7 +254,7 @@ func TestCodecRefusals(t *testing.T) {
 		t.Fatal("a byte after the last field was accepted")
 	}
 	future := (&WireRequest{Version: cloud.ProtocolVersion + 1}).AppendWire(nil)
-	if err := req.DecodeWire(future[:1]); err == nil || !strings.Contains(err.Error(), "protocol version 4 not supported") {
+	if err := req.DecodeWire(future[:1]); err == nil || !strings.Contains(err.Error(), "protocol version 5 not supported") {
 		t.Fatalf("future version, nothing after it: %v", err)
 	}
 	// A count of 2^40 floats with 16 bytes behind it.

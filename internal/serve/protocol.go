@@ -116,13 +116,11 @@ type WireResponse struct {
 	Version int
 	Code    cloud.Code
 	Err     string
-	// Logits are the class scores; Class is their argmax. Batch is 1 on
-	// an infer response (one request, one forward). CacheHit reports
-	// whether the request's masks were already cached — observability a
-	// client or load test can assert on.
+	// Logits are the class scores; Class is their argmax. CacheHit
+	// reports whether the request's masks were already cached —
+	// observability a client or load test can assert on.
 	Logits   []float64
 	Class    int
-	Batch    int
 	CacheHit bool
 	// Fallback reports the request was served through the unpruned
 	// network because its mask entry's ε-guard tripped (see Result).
@@ -237,7 +235,6 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 		Code:     cloud.CodeOK,
 		Logits:   res.Logits,
 		Class:    res.Class,
-		Batch:    1,
 		CacheHit: res.CacheHit,
 		Fallback: res.Fallback,
 	}

@@ -43,9 +43,7 @@ type Trainer struct {
 
 // NewTrainer builds a trainer for net with the given optimizer. workers
 // <= 0 means parallel.Default(); counts above maxGradShards are capped.
-// Replicas copy the network's current prune masks — construct the
-// trainer after installing masks (FineTune relies on this). Callers must
-// Close the trainer to release its worker goroutines.
+// Callers must Close the trainer to release its worker goroutines.
 func NewTrainer(net *nn.Network, opt Stepper, workers int, seed int64) *Trainer {
 	if workers <= 0 {
 		workers = parallel.Default()

@@ -24,8 +24,8 @@ type Eval struct {
 const evalBatch = 32
 
 // Evaluate runs the network under masks (as Network.Infer takes them;
-// nil = unpruned, net.Masks() = whatever is installed) over every image
-// of ds and returns accuracy metrics, using parallel.Default() workers.
+// nil = unpruned) over every image of ds and returns accuracy metrics,
+// using parallel.Default() workers.
 // Per-class accuracy for class i is the fraction of class-i images whose
 // top-1 prediction (over all output classes) is i — the quantity
 // Algorithms 1 and 2 bound by ε.
@@ -120,7 +120,6 @@ func scoreBatch(logits *tensor.Tensor, labels []int, hit1, hit5, count []int) {
 // the worker count.
 func Predict(net *nn.Network, ds *data.Dataset) []int {
 	preds := make([]int, ds.Len())
-	masks := net.Masks()
 	shards := parallel.Shards(ds.Len(), evalBatch)
 	parallel.For(0, len(shards), func(i int) {
 		sh := shards[i]
@@ -129,7 +128,7 @@ func Predict(net *nn.Network, ds *data.Dataset) []int {
 			idx[j] = sh.Lo + j
 		}
 		x, _ := ds.Batch(idx)
-		logits := net.Infer(x, masks)
+		logits := net.Infer(x, nil)
 		n, c := logits.Dim(0), logits.Dim(1)
 		for s := 0; s < n; s++ {
 			preds[sh.Lo+s] = tensor.Argmax(logits.Data()[s*c : (s+1)*c])

@@ -1,6 +1,8 @@
 package train
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"testing"
@@ -250,22 +252,80 @@ func TestCrossEntropyNonNegativeProperty(t *testing.T) {
 	}
 }
 
-func TestFineTuneKeepsPrunedUnitsSilent(t *testing.T) {
-	gen, _ := data.NewGenerator(data.SynthConfig{Classes: 2, Groups: 1, H: 8, W: 8, NoiseStd: 0.2, Seed: 6})
-	ds := gen.Generate(6, 1)
-	net := nn.NewBuilder(1, 8, 8, 5).Conv(4).ReLU().Pool().Flatten().Dense(2).MustBuild()
-	net.SetPruning(map[int][]bool{0: {true, false, false, false}})
-	if err := FineTune(net, ds, nil, 2, 1); err != nil {
+// Fine-tuning the compacted network is the arithmetic fine-tuning the
+// full network under masks was: the pinned hashes were taken by
+// installing the same masks on the uncompacted network, fine-tuning it
+// and compacting afterwards. One topology is the stacked-pruning
+// example's (both convs and the first dense stage pruned, no dropout),
+// the other VGG-mini with dropout 0.3 on its FC head and every third
+// channel of convs 11–13 pruned.
+func TestFineTuneCompactedMatchesMasked(t *testing.T) {
+	everyThird := func(net *nn.Network, stages ...int) map[int][]bool {
+		masks := map[int][]bool{}
+		for _, si := range stages {
+			m := make([]bool, net.Stages()[si].Unit.Units())
+			for u := 0; u < len(m); u += 3 {
+				m[u] = true
+			}
+			masks[si] = m
+		}
+		return masks
+	}
+	stackedCfg := data.DefaultSynthConfig(8)
+	stackedCfg.H, stackedCfg.W, stackedCfg.Seed = 12, 12, 13
+	for _, tc := range []struct {
+		name   string
+		net    *nn.Network
+		synth  data.SynthConfig
+		stages []int
+		want   uint64
+	}{
+		{"stacked-pruning", nn.NewBuilder(1, 12, 12, 5).
+			Conv(8).ReLU().Pool().
+			Conv(12).ReLU().Pool().
+			Flatten().Dense(24).ReLU().Dense(16).ReLU().Dense(8).MustBuild(),
+			stackedCfg, []int{0, 1, 2}, 0x35072ca31b956288},
+		{"vgg-mini", mustVGG(t, 4), data.DefaultSynthConfig(4), []int{10, 11, 12}, 0xc0cdd40597c83c43},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gen, err := data.NewGenerator(tc.synth)
+			if err != nil {
+				t.Fatal(err)
+			}
+			compacted, err := nn.CompactMasked(tc.net, everyThird(tc.net, tc.stages...))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := FineTune(compacted, gen.Generate(6, 1), nil, 2, 3); err != nil {
+				t.Fatal(err)
+			}
+			if got := hashParams(compacted); got != tc.want {
+				t.Fatalf("fine-tuned compacted weights hash to %#x, want %#x (the masked network's)", got, tc.want)
+			}
+		})
+	}
+}
+
+func mustVGG(t *testing.T, classes int) *nn.Network {
+	t.Helper()
+	net, err := nn.BuildVGG(nn.DefaultVGGConfig(classes))
+	if err != nil {
 		t.Fatal(err)
 	}
-	x, _ := ds.Batch([]int{0})
-	conv := net.Layers[0].(*nn.Conv2D)
-	out := conv.Forward(x)
-	for i := 0; i < 8*8; i++ {
-		if out.Data()[i] != 0 {
-			t.Fatal("fine-tuning resurrected a pruned channel")
+	return net
+}
+
+// hashParams is FNV-64a over the bits of every parameter, in layer order.
+func hashParams(net *nn.Network) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	for _, p := range net.Params() {
+		for _, v := range p.W.Data() {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
 		}
 	}
+	return h.Sum64()
 }
 
 func TestAdamLearnsSeparableData(t *testing.T) {

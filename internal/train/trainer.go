@@ -126,7 +126,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 		stat := EpochStat{Epoch: epoch, Loss: epochLoss / float64(batches), LearnRat: *lr}
 		if valSet != nil && valSet.Len() > 0 {
 			net.SetTraining(false)
-			stat.ValTop1 = Evaluate(net, net.Masks(), valSet).Top1
+			stat.ValTop1 = Evaluate(net, nil, valSet).Top1
 			net.SetTraining(true)
 		}
 		history = append(history, stat)
@@ -149,8 +149,15 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 // FineTune runs a brief training pass (used by the class-unaware
 // baselines of Table II to recover accuracy after pruning, mirroring the
 // "already-pruned, retrained models" the paper stacks CAP'NN onto).
-// Pruned units stay pruned: masked layers neither fire nor receive
-// gradient, so fine-tuning cannot resurrect them.
+// A pruned model is fine-tuned compacted — nn.CompactMasked first, then
+// FineTune on the result — so pruned units are absent, not silenced.
+//
+// That is the arithmetic of fine-tuning the full network with the pruned
+// units held at zero, to the bit (TestFineTuneCompactedMatchesMasked),
+// with one exception: a pruned dense stage feeding a Dropout. Dropout
+// draws one number per input element, so the narrower compacted input
+// draws a different noise pattern. No caller prunes a dense stage before
+// dropout.
 func FineTune(net *nn.Network, trainSet, valSet *data.Dataset, epochs int, seed int64) error {
 	cfg := DefaultConfig()
 	cfg.Epochs = epochs

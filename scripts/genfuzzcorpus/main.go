@@ -57,13 +57,13 @@ func main() {
 	write(root, "internal/serve/testdata/fuzz/FuzzWireResponseDecode", map[string][]byte{
 		"seed-ok": (&serve.WireResponse{
 			Version: cloud.ProtocolVersion, Code: cloud.CodeOK,
-			Logits: []float64{0.125, -3, 7.5, 0}, Class: 2, Batch: 1, CacheHit: true,
+			Logits: []float64{0.125, -3, 7.5, 0}, Class: 2, CacheHit: true,
 		}).AppendWire(nil),
 		"seed-expired": (&serve.WireResponse{
 			Version: cloud.ProtocolVersion, Code: cloud.CodeExpired, Err: "deadline budget exhausted before arrival (50µs over)",
 		}).AppendWire(nil),
 		"seed-export": (&serve.WireResponse{
-			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Batch: 1, Payload: badCache,
+			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: badCache,
 		}).AppendWire(nil),
 	})
 	write(root, "internal/serve/testdata/fuzz/FuzzRingUpdatePayload", map[string][]byte{"seed-two-members": ringUpdate})
