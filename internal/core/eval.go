@@ -21,11 +21,13 @@ import (
 //     replays only the suffix (on the reference model a 6-layer pass over
 //     tiny 2×2 feature maps instead of a full 16-layer pass).
 //   - Other users' classes. The cached rows are grouped by class, and a
-//     replay holds only the rows of the classes it is asked about. The
-//     kernels run sample by sample (convForward per image, denseForward per
-//     row), so a row's logits do not depend on which rows share its
-//     batch: the hit count of class k over k's rows alone is the hit
-//     count of class k over the whole set.
+//     replay holds only the rows of the classes it is asked about. A
+//     row's logits do not depend on which rows share its batch — convs
+//     run image by image, and a dense layer's batch, lowered onto the
+//     conv tiles with the rows as its positions, computes each row's
+//     outputs with the chain it computes alone (nn's
+//     TestInferBatchEqualsPerSample) — so the hit count of class k over
+//     k's rows alone is the hit count of class k over the whole set.
 //   - Decided stages. A prune mask only zeroes its own layer's output,
 //     so once the stages before ℓ are committed the activations entering
 //     ℓ are fixed for the whole threshold descent at ℓ; replay.advanceTo

@@ -48,19 +48,20 @@ const (
 
 // compiledOp is one step of the lowered plan. Flatten and Dropout are
 // elided at compile time: both are the identity on the contiguous NCHW
-// slab at inference. A ReLU directly after a conv is folded into it.
+// slab at inference. A ReLU directly after a conv or dense is folded
+// into it.
 type compiledOp struct {
 	kind    opKind
-	relu    bool      // conv: the ReLU that followed it, fused into the store
+	relu    bool      // conv/dense: the ReLU that followed it, fused into the store
 	padIn   bool      // conv: its input arrives dense (the request, a lone ReLU's output) and is copied into plane
-	g       convGeom  // conv + pool geometry (pool: outC == inC)
-	wd      []float64 // conv/dense weights (aliases the compacted net's params)
-	bd      []float64 // conv/dense bias
-	offs    []int     // conv: g.tapOffsets(), built once here rather than per call
+	g       convGeom  // conv + pool geometry (pool: outC == inC); dense: its panel's 1×1 conv (newDenseOp)
+	wd      []float64 // conv/dense: weights (aliases the compacted net's params); dense from 16 wide: the panel
+	bd      []float64 // conv/dense: bias; nil beside a panel
+	offs    []int     // conv: g.tapOffsets(nil), built once here rather than per call
 	idx     []int     // scatter: full-width position of each compact feature
 	in      int       // per-sample input elems
 	out     int       // per-sample output elems
-	plane   int       // conv: arena offset of the padded input plane its taps read
+	plane   int       // conv: arena offset of the padded input plane its taps read; dense: of its filter [+1, x…]
 	at      int       // arena offset of the output's first element (the last op stores to the caller's)
 	row, ch int       // conv/pool: the output's row and channel strides from at (lay)
 }
@@ -115,13 +116,12 @@ func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 		switch t := l.(type) {
 		case *Conv2D:
 			g := t.geom()
-			op = compiledOp{kind: opConv, g: g, wd: t.w.W.Data(), bd: t.b.W.Data(), offs: g.tapOffsets(), in: g.inSize(), out: g.outSize()}
+			op = compiledOp{kind: opConv, g: g, wd: t.w.W.Data(), bd: t.b.W.Data(), offs: g.tapOffsets(nil), in: g.inSize(), out: g.outSize()}
 		case *Dense:
-			op = compiledOp{kind: opDense, wd: t.w.W.Data(), bd: t.b.W.Data(), in: t.in, out: t.out}
-			op.g.inC, op.g.outC = t.in, t.out // reuse geom fields for dims
+			op = newDenseOp(t.w.W.Data(), t.b.W.Data(), t.in, t.out)
 		case *ReLU:
-			if last := len(c.ops) - 1; last >= 0 && c.ops[last].kind == opConv {
-				c.ops[last].relu = true // clamped in the conv's own store: no second pass
+			if last := len(c.ops) - 1; last >= 0 && (c.ops[last].kind == opConv || c.ops[last].kind == opDense) {
+				c.ops[last].relu = true // clamped in the op's own store: no second pass
 				continue
 			}
 			n := shapeElems(t.shape)
@@ -165,10 +165,11 @@ func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 // row and channel strides: the border, zeroed when the arena is
 // allocated, is never stored to, so the taps read there the +0 padInput
 // would have copied. Only a conv whose input arrives dense — op 0's
-// request, a lone ReLU's output — copies it in with padInput. Every other
-// output is dense, op i's in shared region i mod 2, so no op stores over
-// the input it reads. Nothing here depends on the batch: forward runs
-// sample after sample through the same arena.
+// request, a lone ReLU's output — copies it in with padInput. A dense op
+// on a panel owns the in+1 floats of its filter. Every other output is dense, op i's
+// in shared region i mod 2, so no op stores over the input it reads.
+// Nothing here depends on the batch: forward runs sample after sample
+// through the same arena.
 func (c *Compiled) lay() {
 	last := len(c.ops) - 1
 	intoPlane := func(i int) bool { // op i stores into op i+1's plane
@@ -183,9 +184,14 @@ func (c *Compiled) lay() {
 	c.arena = dense[0] + dense[1]
 	for i := range c.ops {
 		op := &c.ops[i]
-		if op.kind == opConv {
+		switch op.kind {
+		case opConv:
 			op.plane, c.arena = c.arena, c.arena+op.g.padSize()
 			op.padIn = i == 0 || !intoPlane(i-1)
+		case opDense:
+			if op.bd == nil { // a panel's (newDenseOp)
+				op.plane, c.arena = c.arena, c.arena+op.in+1
+			}
 		}
 		op.at, op.row, op.ch = i%2*dense[0], op.g.outW, op.g.outH*op.g.outW
 	}
@@ -273,7 +279,17 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 		}
 		op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, op.row, op.ch, nil, op.relu)
 	case opDense:
-		denseForward(src[:op.in], op.wd, op.bd, dst[:op.out], 1, op.g.inC, op.g.outC, nil)
+		if op.bd != nil { // narrower than a tile (newDenseOp)
+			denseForwardGo(src[:op.in], op.wd, op.bd, dst[:op.out], 1, op.in, op.out, nil)
+			if op.relu {
+				reluForward(dst[:op.out], dst[:op.out])
+			}
+			return
+		}
+		filter := arena[op.plane:][:op.in+1]
+		filter[0] = 1
+		copy(filter[1:], src[:op.in])
+		op.g.conv1x1(op.wd, filter, negZero, dst, nil, op.relu)
 	case opReLU:
 		reluForward(dst[:op.in], src[:op.in])
 	case opScatter:

@@ -193,11 +193,11 @@ func poisonScratch(plans ...*Compiled) {
 		}
 		c.pool.Put(a)
 	}
-	bp := getScratch(1 << 12)
+	bp := floatScratch.get(1 << 12)
 	for i := range *bp {
 		(*bp)[i] = math.NaN()
 	}
-	putScratch(bp)
+	floatScratch.Put(bp)
 }
 
 // Between calls every interior and dense region of each plan's arena is

@@ -98,16 +98,16 @@ func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {
 
 	g := c.geom()
 	inSz, outSz, colSz := g.inSize(), g.outSize(), g.colsSize()
-	colsBuf, dcolsBuf, padBuf := getScratch(colSz), getScratch(colSz), getScratch(g.padSize())
-	cols, dcols, offs := *colsBuf, *dcolsBuf, g.tapOffsets()
+	colsBuf, dcolsBuf, padBuf := floatScratch.get(colSz), floatScratch.get(colSz), floatScratch.get(g.padSize())
+	cols, dcols, offs := *colsBuf, *dcolsBuf, g.tapOffsets(nil)
 	for s := 0; s < n; s++ {
 		g.im2col(xd[s*inSz:(s+1)*inSz], *padBuf, offs, cols)
 		clear(dcols)
 		g.convBackward(cols, wd, gd[s*outSz:(s+1)*outSz], dwd, dbd, dcols)
 		g.col2im(dcols, dxd[s*inSz:(s+1)*inSz])
 	}
-	putScratch(colsBuf)
-	putScratch(dcolsBuf)
-	putScratch(padBuf)
+	floatScratch.Put(colsBuf)
+	floatScratch.Put(dcolsBuf)
+	floatScratch.Put(padBuf)
 	return dx
 }

@@ -111,11 +111,13 @@ func (c *Conv2D) inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor {
 
 	g := c.geom()
 	inSz, outSz := g.inSize(), g.outSize()
-	pad, offs := getScratch(g.padSize()), g.tapOffsets()
+	pad, ib := floatScratch.get(g.padSize()), intScratch.get(g.inC*g.k*g.k)
+	offs := g.tapOffsets((*ib)[:0])
 	for s := 0; s < n; s++ {
 		g.convForward(xd[s*inSz:(s+1)*inSz], *pad, offs, wd, bd, od[s*outSz:(s+1)*outSz], pruned, false)
 	}
-	putScratch(pad)
+	floatScratch.Put(pad)
+	intScratch.Put(ib)
 	return out
 }
 

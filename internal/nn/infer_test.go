@@ -1,7 +1,7 @@
 package nn
 
 import (
-	"math"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -103,25 +103,36 @@ func TestInferLayersMatchesForward(t *testing.T) {
 	}
 }
 
-// A batched Infer must equal the concatenation of per-sample Infers:
-// a sample's answer does not depend on the batch it rides in.
+// A batched Infer must equal the concatenation of per-sample Infers, bit
+// for bit: a sample's answer does not depend on the batch it rides in,
+// whichever kernel path the batch size picks (a dense layer runs its
+// rows as a 1×1 conv from four up, the Go loop below).
+// SuffixEvaluator's class-subset replay rests on it. The nets: this
+// file's, random VGG-ish ones under random masks, and the cifar10
+// fixture under its real M masks, whose 128-wide dense layers a 16-row
+// replay shard runs on the ZMM tile.
 func TestInferBatchEqualsPerSample(t *testing.T) {
-	net := inferTestNet(t)
-	masks := checkerMasks(net)
-	const n = 6
-	batch := randBatch(n, net.InShape, 3)
-	got := net.Infer(batch, masks)
-	per := 1
-	for _, d := range net.InShape {
-		per *= d
+	rng := rand.New(rand.NewSource(7))
+	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
+	own := inferTestNet(t)
+	type netCase struct {
+		net   *Network
+		masks map[int][]bool
 	}
-	classes := got.Dim(1)
-	for s := 0; s < n; s++ {
-		one := tensor.MustFromSlice(batch.Data()[s*per:(s+1)*per], append([]int{1}, net.InShape...)...)
-		single := net.Infer(one, masks)
-		for c := 0; c < classes; c++ {
-			if math.Abs(single.Data()[c]-got.Data()[s*classes+c]) > 1e-12 {
-				t.Fatalf("sample %d class %d: batched %v, single %v", s, c, got.Data()[s*classes+c], single.Data()[c])
+	cases := []netCase{{own, checkerMasks(own)}, {loadFixtureNet(t, "cifar10"), mMasks}}
+	for trial := 0; trial < 6; trial++ {
+		net := randVGGNet(rng)
+		cases = append(cases, netCase{net, randMasks(rng, net, trial)})
+	}
+	for i, c := range cases {
+		per := shapeElems(c.net.InShape)
+		for _, n := range []int{2, 3, 4, 5, 6, 7, 8, 15, 16, 17, 32} {
+			batch := randBatch(n, c.net.InShape, rng.Int63())
+			got := c.net.Infer(batch, c.masks)
+			classes := got.Len() / n
+			for s := 0; s < n; s++ {
+				one := tensor.MustFromSlice(batch.Data()[s*per:(s+1)*per], append([]int{1}, c.net.InShape...)...)
+				sameBits(t, fmt.Sprintf("net %d n=%d sample %d", i, n, s), c.net.Infer(one, c.masks).Data(), got.Data()[s*classes:(s+1)*classes])
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package nn
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // This file is the one compute kernel in the repository. Training
 // (Conv2D/Dense/ReLU Forward and Backward), stateless serving
@@ -15,35 +18,45 @@ import "sync"
 // w[oc,r]·tap[r] for r = (ic, ky, kx) ascending — one rounded multiply,
 // then one rounded add, never a fused multiply-add — reading each tap
 // from the plane (TestForwardGolden and the Infer ≡ Forward tests pin
-// the bits). The Go loops below are that definition.
+// the bits). A dense layer is the same arithmetic as a 1×1 conv and runs
+// on the same tiles (denseForward, newDenseOp). The Go loops below are
+// the definition.
 // On amd64 with AVX2 (CPUID, checked once at init: useAVX2) the conv
 // MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
 // instead: four float64 lanes wide, the same operations in the same
 // order per output element, so every path returns identical bits
-// (TestKernelsMatchGeneric). With AVX-512 as well (useAVX512: CPUID and
-// XCR0) the conv MACs of planes at least 8 wide and 2 high run an
-// eight-lane tile of the same arithmetic. The assembly does no bounds
-// checks: every call site proves the extents it passes in Go first.
+// (TestKernelsMatchGeneric, TestDenseMatchesGeneric). With AVX-512 as
+// well (useAVX512: CPUID and XCR0) the conv MACs of planes at least 8
+// wide and 2 high run an eight-lane tile of the same arithmetic. The
+// assembly does no bounds checks: every call site proves the extents it
+// passes in Go first.
 //
-// Scratch (pad planes, Backward's column matrices) comes from a
-// sync.Pool, so the training loop and concurrent serving goroutines stop
-// allocating a fresh buffer per call.
+// Scratch (pad planes, Backward's column matrices, a dense layer's
+// transposed batch and tap table) comes from a sync.Pool, so the training
+// loop and concurrent serving goroutines stop allocating a fresh buffer
+// per call.
 
-// scratchPool recycles float64 scratch slices across kernel calls.
-var scratchPool = sync.Pool{New: func() any { return new([]float64) }}
+// scratch recycles slices of T across kernel calls.
+type scratch[T any] struct{ sync.Pool }
 
-// getScratch returns a length-n scratch slice (contents undefined).
-func getScratch(n int) *[]float64 {
-	bp := scratchPool.Get().(*[]float64)
+var (
+	floatScratch scratch[float64]
+	intScratch   scratch[int]
+)
+
+// get returns a length-n scratch slice (contents undefined); Put returns
+// it to the pool.
+func (s *scratch[T]) get(n int) *[]T {
+	bp, _ := s.Get().(*[]T)
+	if bp == nil {
+		bp = new([]T)
+	}
 	if cap(*bp) < n {
-		*bp = make([]float64, n)
+		*bp = make([]T, n)
 	}
 	*bp = (*bp)[:n]
 	return bp
 }
-
-// putScratch returns a scratch slice to the pool.
-func putScratch(bp *[]float64) { scratchPool.Put(bp) }
 
 // convGeom captures the static geometry of a Conv2D so the kernel can
 // run without touching layer state.
@@ -73,10 +86,10 @@ func (g convGeom) colsSize() int { return g.inC * g.k * g.k * g.outH * g.outW }
 // tapOffsets is the per-geometry table that turns a weight column into
 // an address: entry r = (ic, ky, kx) is the pad-plane index of the tap
 // output position (0, 0) multiplies by w[oc, r]; position (oy, ox) reads
-// (oy·pw + ox)·stride further on, pw the padded row length.
-func (g convGeom) tapOffsets() []int {
+// (oy·pw + ox)·stride further on, pw the padded row length. The table
+// is appended to offs (nil, or pooled scratch).
+func (g convGeom) tapOffsets(offs []int) []int {
 	ph, pw := g.inH+2*g.pad, g.inW+2*g.pad
-	offs := make([]int, 0, g.inC*g.k*g.k)
 	for ic := 0; ic < g.inC; ic++ {
 		for ky := 0; ky < g.k; ky++ {
 			for kx := 0; kx < g.k; kx++ {
@@ -133,7 +146,7 @@ func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
 // accumulated in ascending r = (ic, ky, kx) order; relu clamps each
 // output at +0 as it is stored (the compiled plan's fused conv+ReLU).
 // pad is scratch for the padded plane (≥ padSize; arrives dirty), offs
-// is g.tapOffsets(). Pruned channels are skipped; their output stays
+// is the tapOffsets table. Pruned channels are skipped; their output stays
 // zero (os must arrive zeroed).
 func (g convGeom) convForward(xs, pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
 	g.padInput(xs[:g.inSize()], pad)
@@ -152,23 +165,51 @@ func (g convGeom) storeSpan(oRow, oCh int) int {
 // oy·oRow + ox]: a dense slab, or the interior of the next conv's padded
 // plane, whose border no store reaches.
 func (g convGeom) convMACs(pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, pruned []bool, relu bool) {
+	var buf [64]int
+	g.liveMACs(pad, offs, wd, bd, os, oRow, oCh, appendLive(buf[:0], pruned, g.outC), relu)
+}
+
+// appendLive appends to live the units of [0, n) that pruned leaves
+// unpruned (all of them when pruned is nil).
+func appendLive(live []int, pruned []bool, n int) []int {
+	for u := 0; u < n; u++ {
+		if pruned == nil || !pruned[u] {
+			live = append(live, u)
+		}
+	}
+	return live
+}
+
+// liveMACs is convMACs for the output channels listed in live, each
+// below g.outC. A four-channel tile pads live to a multiple of four in
+// place, so it should have the capacity.
+func (g convGeom) liveMACs(pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) {
 	rows := g.inC * g.k * g.k
 	// The extents the assembly will touch, proven here once.
 	pad, offs = pad[:g.padSize()], offs[:rows]
 	wd, bd, os = wd[:g.outC*rows], bd[:g.outC], os[:g.storeSpan(oRow, oCh)]
-	var buf [64]int
-	live := buf[:0]
-	for oc := range bd {
-		if pruned == nil || !pruned[oc] {
-			live = append(live, oc)
-		}
-	}
 	if len(live) == 0 {
 		return
 	}
 	if !useAVX2 || !convForwardAVX2(g, pad, offs, wd, bd, os, oRow, oCh, live, relu) {
 		convForwardGo(g, pad, offs, wd, bd, os, oRow, oCh, live, relu)
 	}
+}
+
+// conv1x1 runs g, a 1×1 conv at stride 1 without padding, over plane —
+// its own pad plane, [inC][outH·outW] — into the channel-major slab os,
+// for the channels pruned leaves live. Its tap table and live list come
+// from the pool: a dense layer of any width allocates nothing here.
+func (g convGeom) conv1x1(plane, wd, bd, os []float64, pruned []bool, relu bool) {
+	hw := g.outH * g.outW
+	ib := intScratch.get(g.inC + g.outC + 3) // the tap table, then live and a tile's padding
+	offs := (*ib)[:g.inC]
+	for r := range offs {
+		offs[r] = r * hw // tapOffsets' table for a 1×1 kernel
+	}
+	live := appendLive((*ib)[g.inC:g.inC], pruned, g.outC)
+	g.liveMACs(plane, offs, wd, bd, os, g.outW, hw, live, relu)
+	intScratch.Put(ib)
 }
 
 // convForwardGo is convForward's MAC loop over the filled pad plane for
@@ -181,7 +222,7 @@ func (g convGeom) convMACs(pad []float64, offs []int, wd, bd, os []float64, oRow
 // by row to os at convMACs' strides.
 func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) {
 	rows, pw := len(offs), g.inW+2*g.pad
-	accBuf := getScratch((g.outH-1)*pw + g.outW)
+	accBuf := floatScratch.get((g.outH-1)*pw + g.outW)
 	acc := *accBuf
 	for _, oc := range live {
 		bias := bd[oc]
@@ -196,7 +237,7 @@ func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, 
 			copy(os[oc*oCh+oy*oRow:][:g.outW], acc[oy*pw:])
 		}
 	}
-	putScratch(accBuf)
+	floatScratch.Put(accBuf)
 }
 
 // tapSweep adds Σ_r wRow[r]·pad[offs[r] + q·stride] to every acc[q], r
@@ -250,16 +291,24 @@ func reluForward(dst, src []float64) {
 // inC). Each output is the window's first element, replaced by every
 // later element (ky, then kx ascending) that compares strictly greater —
 // so a NaN wins only from the window's first position and ±0 ties keep
-// the earlier one.
+// the earlier one. A 2×2 window at stride 2 runs pool2x2AVX2 on each
+// row's first outW&^3 outputs when the CPU has AVX2 and pool2x2Go on the
+// rest; every other window runs the general loop.
 func (g convGeom) poolForward(xs, os []float64, oRow, oCh int) {
 	inHW := g.inH * g.inW
 	xs, os = xs[:g.inC*inHW], os[:g.storeSpan(oRow, oCh)]
-	avx := useAVX2 && g.k == 2 && g.stride == 2 && g.outW%4 == 0
 	for c := 0; c < g.inC; c++ {
 		xCh := xs[c*inHW : (c+1)*inHW]
 		oc := os[c*oCh:]
-		if avx {
-			pool2x2AVX2(&oc[0], &xCh[0], g.outH, g.outW, g.inW, oRow)
+		if g.k == 2 && g.stride == 2 {
+			done := 0
+			if useAVX2 && g.outW >= 4 {
+				done = g.outW &^ 3
+				pool2x2AVX2(&oc[0], &xCh[0], g.outH, done, g.inW, oRow)
+			}
+			if done < g.outW {
+				pool2x2Go(xCh[2*done:], oc[done:], g.outH, g.outW-done, g.inW, oRow)
+			}
 			continue
 		}
 		for oy := 0; oy < g.outH; oy++ {
@@ -275,6 +324,29 @@ func (g convGeom) poolForward(xs, os []float64, oRow, oCh int) {
 				}
 				oc[oy*oRow+ox] = best
 			}
+		}
+	}
+}
+
+// pool2x2Go max-pools outW windows of 2×2 at stride 2 a row, outH rows,
+// from src (inW floats per input row) into dst (dstW floats per output
+// row), the four compares of a window written out in poolForward's order.
+func pool2x2Go(src, dst []float64, outH, outW, inW, dstW int) {
+	for oy := 0; oy < outH; oy++ {
+		r0, r1 := src[2*oy*inW:][:2*outW], src[(2*oy+1)*inW:][:2*outW]
+		d := dst[oy*dstW:][:outW]
+		for ox := range d {
+			best := r0[2*ox]
+			if v := r0[2*ox+1]; v > best {
+				best = v
+			}
+			if v := r1[2*ox]; v > best {
+				best = v
+			}
+			if v := r1[2*ox+1]; v > best {
+				best = v
+			}
+			d[ox] = best
 		}
 	}
 }
@@ -357,10 +429,77 @@ func (g convGeom) col2im(dcols, dxs []float64) {
 // denseForward computes od[s,o] = b[o] + Σ_i w[o,i]·xd[s,i] for every
 // live neuron; pruned neurons' outputs stay zero (od must arrive
 // zeroed). Shared by the training Forward and the stateless Infer path.
-// Live neurons go four to a sweep of x: four independent sums, each
-// still its own left-to-right chain, so four adds are in flight instead
-// of one waiting on the last.
+// A batch of at least four rows on a CPU with AVX2 runs as a 1×1 conv
+// whose positions are the samples: xd transposed into an [in][n] plane —
+// two rows of n/2 when n is even and at least 16, so the ZMM tile takes a
+// 16-row replay shard — against the weights as they are, the [out][n]
+// result transposed back. Each output is still b[o], then + w[o,i]·x[i]
+// for i ascending, so it is denseForwardGo's value bit for bit; fewer
+// rows, and every other CPU, run denseForwardGo.
 func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
+	if n < 4 || !useAVX2 {
+		denseForwardGo(xd, wd, bd, od, n, in, out, pruned)
+		return
+	}
+	h := 1
+	if n%2 == 0 && n >= 16 {
+		h = 2
+	}
+	g := convGeom{inC: in, inH: h, inW: n / h, outC: out, outH: h, outW: n / h, k: 1, stride: 1}
+	buf := floatScratch.get((in + out) * n)
+	plane, os := (*buf)[:in*n], (*buf)[in*n:]
+	for s := 0; s < n; s++ {
+		for i, v := range xd[s*in : (s+1)*in] {
+			plane[i*n+s] = v
+		}
+	}
+	g.conv1x1(plane, wd, bd, os, pruned, false)
+	for o := 0; o < out; o++ {
+		if pruned == nil || !pruned[o] {
+			for s, v := range os[o*n : (o+1)*n] {
+				od[s*out+o] = v
+			}
+		}
+	}
+	floatScratch.Put(buf)
+}
+
+// negZero is a dense panel's accumulator start: −0 + b is b for every b.
+var negZero = []float64{math.Copysign(0, -1)}
+
+// newDenseOp lowers a dense layer (weights wd [out][in], bias bd) to the
+// compiled plan's batch-1 op. From 16 neurons up it is a 1×1 conv whose
+// positions are the out neurons, over a panel built here once — row 0
+// the bias, row 1+i column i of wd — under the filter [+1, x…] (run
+// writes it into the arena), with its one channel's accumulator starting
+// at −0: output o is −0 + 1·b[o] = b[o], then + x[i]·w[o,i] for i
+// ascending, multiply then add — denseForwardGo's chain, bit for bit,
+// which verifyAgainst's probe checks at every compile. The panel holds
+// in·out + out floats, as many as the weights and bias. Narrower layers
+// keep the weights as they are and run denseForwardGo: the only
+// one-channel tile is 16 positions wide, and the four-channel one would
+// compute the one channel four times over.
+func newDenseOp(wd, bd []float64, in, out int) compiledOp {
+	op := compiledOp{kind: opDense, wd: wd, bd: bd, in: in, out: out}
+	if out < 16 {
+		return op
+	}
+	panel := make([]float64, (in+1)*out)
+	copy(panel, bd[:out])
+	for o := 0; o < out; o++ {
+		for i, w := range wd[o*in : (o+1)*in] {
+			panel[(1+i)*out+o] = w
+		}
+	}
+	op.g = convGeom{inC: in + 1, inH: 1, inW: out, outC: 1, outH: 1, outW: out, k: 1, stride: 1}
+	op.wd, op.bd = panel, nil
+	return op
+}
+
+// denseForwardGo is denseForward's definition. Live neurons go four to a
+// sweep of x: four independent sums, each still its own left-to-right
+// chain, so four adds are in flight instead of one waiting on the last.
+func denseForwardGo(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
 	for s := 0; s < n; s++ {
 		xRow := xd[s*in : (s+1)*in]
 		oRow := od[s*out : (s+1)*out]

@@ -113,6 +113,22 @@ func sameBits(t testing.TB, what string, want, got []float64) {
 	}
 }
 
+// sameValues is sameBits with any NaN standing for any NaN. Which
+// operand's payload an add or a multiply of two NaNs returns is left open
+// by IEEE 754 and follows operand order on amd64, and the Go compiler
+// commutes both freely (an add folding its load from acc takes the
+// product first), so no two loops can promise payloads; whether a result
+// is NaN, and every other bit, they do.
+func sameValues(t testing.TB, what string, want, got []float64) {
+	t.Helper()
+	for i := range want {
+		if math.Float64bits(want[i]) != math.Float64bits(got[i]) && !(math.IsNaN(want[i]) && math.IsNaN(got[i])) {
+			t.Fatalf("%s: elem %d: want %v (%#x), got %v (%#x)", what, i,
+				want[i], math.Float64bits(want[i]), got[i], math.Float64bits(got[i]))
+		}
+	}
+}
+
 // pruneMask draws one of the mask shapes a kernel sees: nil, random,
 // all but one pruned, alternating (live channels never in runs of four).
 func pruneMask(rng *rand.Rand, kind, n int) []bool {
@@ -167,7 +183,7 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 	for i := range cols {
 		cols[i] = math.NaN() // im2col must overwrite every entry
 	}
-	pad, offs := allocExact(t, g.padSize()), g.tapOffsets()
+	pad, offs := allocExact(t, g.padSize()), g.tapOffsets(nil)
 	g.im2col(x, pad, offs, cols)
 	for i, got := range cols {
 		if want := tap(i/outHW, i%outHW); math.Float64bits(got) != math.Float64bits(want) {
@@ -285,15 +301,8 @@ func TestKernelsMatchGeneric(t *testing.T) {
 	forEachRung(t, isaRungs[1:], func(t *testing.T, l isaRung) {
 		convCases(func(g convGeom, n int) { checkConvCase(t, g, int64(n), n, l) })
 
-		special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1, -1}
 		rng := rand.New(rand.NewSource(1))
-		fill := func(xs []float64) {
-			for i := range xs {
-				if xs[i] = rng.NormFloat64(); rng.Intn(3) == 0 {
-					xs[i] = special[rng.Intn(len(special))]
-				}
-			}
-		}
+		fill := func(xs []float64) { fillSpecial(rng, xs, 3) }
 		clamped := allocExact(t, len(special))
 		reluForward(clamped, special)
 		sameBits(t, "relu of ±0, NaN, ±Inf, ±denormal, ±1", []float64{0, 0, 0, math.Inf(1), 0, 5e-324, 0, 1, 0}, clamped)
@@ -307,16 +316,47 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			reluForward(src, src) // in place
 			sameBits(t, fmt.Sprintf("relu in place n=%d", n), generic, src)
 		}
+		// Pools of output width 1, 2 and 3 (pool2x2Go alone) and 6 (four
+		// outputs a row in assembly, two in Go) get NaN and ±0 windows: the
+		// 256 windows of four values from {+0, −0, NaN, 1}, every order of
+		// each, are written over their windows, as many as they have.
+		zeroNaN := []float64{0, math.Copysign(0, -1), math.NaN(), 1}
 		for _, g := range []convGeom{
 			{inC: 3, inH: 2, inW: 8, k: 2, stride: 2}, {inC: 2, inH: 9, inW: 17, k: 2, stride: 2},
 			{inC: 5, inH: 32, inW: 32, k: 2, stride: 2}, {inC: 1, inH: 4, inW: 4, k: 2, stride: 2},
 			{inC: 2, inH: 7, inW: 9, k: 3, stride: 2}, {inC: 2, inH: 5, inW: 9, k: 2, stride: 1},
+			{inC: 256, inH: 2, inW: 2, k: 2, stride: 2}, {inC: 64, inH: 4, inW: 5, k: 2, stride: 2},
+			{inC: 43, inH: 3, inW: 6, k: 2, stride: 2}, {inC: 22, inH: 4, inW: 13, k: 2, stride: 2},
 		} {
 			g.outC, g.outH, g.outW = g.inC, (g.inH-g.k)/g.stride+1, (g.inW-g.k)/g.stride+1
 			src := allocExact(t, g.inSize())
 			fill(src)
+			if g.k == 2 && g.stride == 2 && g.outW%4 != 0 {
+				inHW := g.inH * g.inW
+				for w := 0; w < 256; w++ { // window w: element j is zeroNaN[w>>2j & 3]
+					c, at := w%g.inC, w/g.inC%(g.outH*g.outW)
+					at = at/g.outW*2*g.inW + at%g.outW*2
+					for j, off := range []int{0, 1, g.inW, g.inW + 1} {
+						src[c*inHW+at+off] = zeroNaN[w>>(2*j)&3]
+					}
+				}
+			}
+			naive := make([]float64, g.outSize())
+			for i := range naive {
+				c, oy, ox := i/(g.outH*g.outW), i/g.outW%g.outH, i%g.outW
+				at := c*g.inH*g.inW + oy*g.stride*g.inW + ox*g.stride
+				naive[i] = src[at]
+				for ky := 0; ky < g.k; ky++ {
+					for kx := 0; kx < g.k; kx++ {
+						if v := src[at+ky*g.inW+kx]; v > naive[i] {
+							naive[i] = v
+						}
+					}
+				}
+			}
 			generic, simd := allocExact(t, g.outSize()), allocExact(t, g.outSize())
 			withRung(isaRungs[0], func() { g.poolForward(src, generic, g.outW, g.outH*g.outW) })
+			sameBits(t, fmt.Sprintf("pool %+v: Go loops against the naive loop nest", g), naive, generic)
 			g.poolForward(src, simd, g.outW, g.outH*g.outW)
 			sameBits(t, fmt.Sprintf("pool %+v", g), generic, simd)
 			for _, r := range []isaRung{isaRungs[0], l} {
@@ -326,6 +366,142 @@ func TestKernelsMatchGeneric(t *testing.T) {
 				}))
 			}
 		}
+	})
+}
+
+// special is the values kernel tests seed their operands with.
+var special = []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324, 1, -1}
+
+// fillSpecial fills xs with normal draws, one in oneIn of them replaced
+// by a value from special.
+func fillSpecial(rng *rand.Rand, xs []float64, oneIn int) {
+	for i := range xs {
+		if xs[i] = rng.NormFloat64(); rng.Intn(oneIn) == 0 {
+			xs[i] = special[rng.Intn(len(special))]
+		}
+	}
+}
+
+// denseMask draws one of the masks a dense layer sees: nil, random, all
+// pruned, one live.
+func denseMask(rng *rand.Rand, kind, out int) []bool {
+	if kind%4 == 0 {
+		return nil
+	}
+	m := make([]bool, out)
+	for o := range m {
+		m[o] = kind%4 != 1 || rng.Intn(2) == 0
+	}
+	if kind%4 == 3 {
+		m[rng.Intn(out)] = false
+	}
+	return m
+}
+
+// checkDenseCase runs one dense shape through a naive loop, the Go loop
+// and each given rung: the n-row batch under the mask, as masked Infer
+// and training run it, and then every row alone, unmasked, through the
+// compiled plan's batch-1 op (a panel from 16 neurons up), plain and
+// with its fused ReLU, on the Go loops and each rung. Every operand, the
+// panel and the plan's filter included, ends at a guard page. Weights, biases and inputs are seeded
+// with ±0, NaN, ±Inf and subnormals: one value in three in half the
+// cases, so most sums are NaN or infinite, and one in 4·in in the rest,
+// so most are finite.
+func checkDenseCase(t testing.TB, n, in, out int, seed int64, maskKind int, rungs ...isaRung) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	what := fmt.Sprintf("dense n=%d in=%d out=%d mask %d seed %d", n, in, out, maskKind%4, seed)
+	x, wd, bd := allocExact(t, n*in), allocExact(t, out*in), allocExact(t, out)
+	for _, xs := range [][]float64{x, wd, bd} {
+		fillSpecial(rng, xs, []int{3, 4 * in}[seed&1])
+	}
+	pruned := denseMask(rng, maskKind, out)
+	naive := make([]float64, n*out)
+	for s := 0; s < n; s++ {
+		for o := 0; o < out; o++ {
+			if pruned != nil && pruned[o] {
+				continue
+			}
+			acc := bd[o]
+			for i := 0; i < in; i++ {
+				acc += float64(wd[o*in+i] * x[s*in+i])
+			}
+			naive[s*out+o] = acc
+		}
+	}
+	run := func(l isaRung, pruned []bool) []float64 {
+		got := allocExact(t, n*out)
+		withRung(l, func() { denseForward(x, wd, bd, got, n, in, out, pruned) })
+		return got
+	}
+	generic := run(isaRungs[0], pruned)
+	sameValues(t, what+": Go loop against the naive loop", naive, generic)
+	for _, l := range rungs {
+		sameValues(t, what+": "+l.name+" against the Go loop", generic, run(l, pruned))
+	}
+
+	full := generic
+	if pruned != nil {
+		full = run(isaRungs[0], nil)
+	}
+	op := newDenseOp(wd, bd, in, out)
+	panel := allocExact(t, len(op.wd))
+	copy(panel, op.wd)
+	op.wd = panel
+	filter, got := allocExact(t, in+1), allocExact(t, out)
+	for _, relu := range []bool{false, true} {
+		op.relu = relu
+		for _, l := range append([]isaRung{isaRungs[0]}, rungs...) {
+			for s := 0; s < n; s++ {
+				for i := range filter {
+					filter[i] = math.NaN() // the arena arrives dirty
+				}
+				withRung(l, func() { op.run(x[s*in:(s+1)*in], got, filter) })
+				want := append([]float64(nil), full[s*out:(s+1)*out]...)
+				for o, v := range want {
+					if relu && !(v > 0) {
+						want[o] = 0
+					}
+				}
+				sameValues(t, fmt.Sprintf("%s row %d relu %v: %s plan op against the Go loop", what, s, relu, l.name), want, got)
+			}
+		}
+	}
+}
+
+// TestDenseMatchesGeneric holds the dense lowerings — the batch as a 1×1
+// conv over its transposed rows, and the plan's batch-1 op — to the
+// Go loop on every rung this CPU has, one subtest per rung and batch
+// size.
+func TestDenseMatchesGeneric(t *testing.T) {
+	sizes := []int{1, 3, 4, 10, 15, 16, 17, 128}
+	forEachRung(t, isaRungs[1:], func(t *testing.T, l isaRung) {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32} {
+			t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+				seed := int64(n) << 16
+				for _, in := range sizes {
+					for _, out := range sizes {
+						for mask := 0; mask < 4; mask++ {
+							checkDenseCase(t, n, in, out, seed, mask, l)
+							seed++
+						}
+					}
+				}
+			})
+		}
+	})
+}
+
+// FuzzDenseKernel searches TestDenseMatchesGeneric's space for a shape,
+// mask or value pattern on which a dense lowering and the Go loop
+// disagree, or a rung reads or writes past its operands.
+func FuzzDenseKernel(f *testing.F) {
+	f.Add(int64(0), uint8(0), uint8(127), uint8(127), uint8(0))
+	f.Add(int64(1), uint8(15), uint8(31), uint8(127), uint8(1))
+	f.Add(int64(2), uint8(16), uint8(2), uint8(9), uint8(2))
+	f.Add(int64(3), uint8(31), uint8(16), uint8(16), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, n, in, out, maskKind uint8) {
+		checkDenseCase(t, 1+int(n)%40, 1+int(in)%160, 1+int(out)%160, seed, int(maskKind), hostRungs()[1:]...)
 	})
 }
 
@@ -371,6 +547,7 @@ func TestGenericKernels(t *testing.T) {
 		{"CompiledInferBitIdenticalProperty", TestCompiledInferBitIdenticalProperty},
 		{"CompiledInferDirtyScratch", TestCompiledInferDirtyScratch},
 		{"InferMatchesForward", TestInferMatchesForward},
+		{"InferBatchEqualsPerSample", TestInferBatchEqualsPerSample},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			forEachRung(t, isaRungs, func(t *testing.T, l isaRung) {
@@ -434,16 +611,25 @@ func BenchmarkKernels(b *testing.B) {
 	twoRungs := isaRungs[:2]
 	for _, l := range [][3]int{{1, 4, 32}, {4, 4, 32}, {4, 8, 16}, {8, 8, 16}, {8, 12, 8}, {12, 12, 8}, {12, 16, 4}, {16, 16, 4}, {16, 32, 2}, {32, 32, 2}} {
 		g := convGeom{inC: l[0], inH: l[2], inW: l[2], outC: l[1], outH: l[2], outW: l[2], k: 3, stride: 1, pad: 1}
-		x, pad, offs, cols := random(g.inSize()), make([]float64, g.padSize()), g.tapOffsets(), make([]float64, g.colsSize())
+		x, pad, offs, cols := random(g.inSize()), make([]float64, g.padSize()), g.tapOffsets(nil), make([]float64, g.colsSize())
 		wd, bd, os := random(g.outC*g.inC*9), random(g.outC), make([]float64, g.outSize())
 		name := fmt.Sprintf("%dx%dx%d", l[0], l[1], l[2])
 		row("conv/"+name, isaRungs, g.colsSize()*g.outC, "ns/MAC", func() { g.convForward(x, pad, offs, wd, bd, os, nil, true) })
 		row("pad/"+name, nil, len(pad), "ns/elem", func() { g.padInput(x, pad) })
 		row("backward/im2col/"+name, nil, len(cols), "ns/elem", func() { g.im2col(x, pad, offs, cols) })
 	}
+	// dense/n1/* is a compiled plan's batch-1 dense op (its panel, the
+	// filter copy included; on the generic rung the Go conv loop sweeps the
+	// panel), dense/n16/* a 16-row replay shard through masked Infer's
+	// kernel (the Go loop on the generic rung, the 1×1 conv over the
+	// transposed rows above it).
 	for _, l := range [][2]int{{32, 128}, {128, 128}, {128, 10}} {
-		x, wd, bd, od := random(l[0]), random(l[0]*l[1]), random(l[1]), make([]float64, l[1])
-		row(fmt.Sprintf("dense/%dx%d", l[0], l[1]), nil, l[0]*l[1], "ns/MAC", func() { denseForward(x, wd, bd, od, 1, l[0], l[1], nil) })
+		in, out := l[0], l[1]
+		wd, bd, x1, x16 := random(in*out), random(out), random(in), random(16*in)
+		op, arena, od := newDenseOp(wd, bd, in, out), make([]float64, in+1), make([]float64, 16*out)
+		name := fmt.Sprintf("%dx%d", in, out)
+		row("dense/n1/"+name, isaRungs, in*out, "ns/MAC", func() { op.run(x1, od, arena) })
+		row("dense/n16/"+name, isaRungs, 16*in*out, "ns/MAC", func() { denseForward(x16, wd, bd, od, 16, in, out, nil) })
 	}
 	src, dst := random(4096), make([]float64, 4096)
 	row("relu/4096", twoRungs, 4096, "ns/elem", func() { reluForward(dst, src) })
@@ -458,57 +644,67 @@ func BenchmarkKernels(b *testing.B) {
 	// rung, each from the input the op sees in the forward, on the plan's
 	// own arena, then the subtotals: conv MACs (with their strided stores
 	// into the next conv's plane), the pad copy (op 0's, of the request:
-	// the only one left), dense, pool/ReLU, convs 1–7 whole (the ≥ 8-wide
-	// planes the ZMM tile takes) and the whole forward.
+	// the only one left), dense (each with its fused ReLU), pool/ReLU,
+	// convs 1–7 whole (the ≥ 8-wide planes the ZMM tile takes) and the
+	// whole forward. plan-0/sum/* is the same subtotals for the unpruned
+	// plan, which the guard's shadow samples and the fallback run.
 	net := loadFixtureNet(b, "cifar10")
-	masks, _ := parseMasks(forwardGoldens[0].mMasks)
-	plan, err := Compile(net, masks)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x, logits := random(plan.inSize), make([]float64, plan.outSize)
-	arena := *plan.pool.New().(*[]float64)
-	ins, outs := make([][]float64, len(plan.ops)), make([][]float64, len(plan.ops))
-	var convs, dense, poolReLU []int
-	macs := 0
-	for i, in := 0, x; i < len(plan.ops); i++ {
-		op := &plan.ops[i]
-		ins[i], outs[i] = in, plan.dst(i, logits, arena)
-		op.run(in, outs[i], arena)
-		in = outs[i]
-		work, unit, name := op.out, "ns/elem", ""
-		switch op.kind {
-		case opConv:
-			work, unit = op.g.inC*op.g.k*op.g.k*op.g.outSize(), "ns/MAC"
-			name, convs, macs = fmt.Sprintf("conv-%dx%dx%d", op.g.inC, op.g.outC, op.g.outW), append(convs, i), macs+work
-		case opDense:
-			name, dense = fmt.Sprintf("dense-%dx%d", op.g.inC, op.g.outC), append(dense, i)
-		case opPool:
-			name, poolReLU = fmt.Sprintf("pool-%dx%d", op.g.inC, op.g.outW), append(poolReLU, i)
-		case opReLU, opScatter:
-			name, poolReLU = []string{opReLU: "relu", opScatter: "scatter"}[op.kind], append(poolReLU, i)
+	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
+	for _, p := range []struct {
+		name  string
+		masks map[int][]bool
+	}{{"plan-M", mMasks}, {"plan-0", nil}} {
+		plan, err := Compile(net, p.masks)
+		if err != nil {
+			b.Fatal(err)
 		}
-		row(fmt.Sprintf("plan-M/op%02d-%s", i, name), nil, work, unit, func() { op.run(ins[i], outs[i], arena) })
-	}
-	each := func(ops []int, f func(op *compiledOp, i int)) func() {
-		return func() {
-			for _, i := range ops {
-				f(&plan.ops[i], i)
+		x, logits := random(plan.inSize), make([]float64, plan.outSize)
+		arena := *plan.pool.New().(*[]float64)
+		ins, outs := make([][]float64, len(plan.ops)), make([][]float64, len(plan.ops))
+		var convs, dense, poolReLU []int
+		macs := 0
+		for i, in := 0, x; i < len(plan.ops); i++ {
+			op := &plan.ops[i]
+			ins[i], outs[i] = in, plan.dst(i, logits, arena)
+			op.run(in, outs[i], arena)
+			in = outs[i]
+			work, unit, name := op.out, "ns/elem", ""
+			switch op.kind {
+			case opConv:
+				work, unit = op.g.inC*op.g.k*op.g.k*op.g.outSize(), "ns/MAC"
+				name, convs, macs = fmt.Sprintf("conv-%dx%dx%d", op.g.inC, op.g.outC, op.g.outW), append(convs, i), macs+work
+			case opDense:
+				work, unit = op.in*op.out, "ns/MAC"
+				name, dense = fmt.Sprintf("dense-%dx%d", op.in, op.out), append(dense, i)
+			case opPool:
+				name, poolReLU = fmt.Sprintf("pool-%dx%d", op.g.inC, op.g.outW), append(poolReLU, i)
+			case opReLU, opScatter:
+				name, poolReLU = []string{opReLU: "relu", opScatter: "scatter"}[op.kind], append(poolReLU, i)
+			}
+			if p.masks != nil {
+				row(fmt.Sprintf("%s/op%02d-%s", p.name, i, name), nil, work, unit, func() { op.run(ins[i], outs[i], arena) })
 			}
 		}
-	}
-	run := func(op *compiledOp, i int) { op.run(ins[i], outs[i], arena) }
-	plane := func(op *compiledOp) []float64 { return arena[op.plane:][:op.g.padSize()] }
-	row("plan-M/sum/conv-mac", isaRungs, macs, "ns/MAC", each(convs, func(op *compiledOp, i int) {
-		op.g.convMACs(plane(op), op.offs, op.wd, op.bd, outs[i], op.row, op.ch, nil, op.relu)
-	}))
-	row("plan-M/sum/pad", nil, 0, "", each(convs, func(op *compiledOp, i int) {
-		if op.padIn {
-			op.g.padInput(ins[i], plane(op))
+		each := func(ops []int, f func(op *compiledOp, i int)) func() {
+			return func() {
+				for _, i := range ops {
+					f(&plan.ops[i], i)
+				}
+			}
 		}
-	}))
-	row("plan-M/sum/dense", nil, 0, "", each(dense, run))
-	row("plan-M/sum/pool-relu", nil, 0, "", each(poolReLU, run))
-	row("plan-M/sum/convs1-7", isaRungs, 0, "", each(convs[:7], run))
-	row("plan-M/sum/forward", isaRungs, 0, "", func() { plan.forward(x, logits, 1) })
+		run := func(op *compiledOp, i int) { op.run(ins[i], outs[i], arena) }
+		plane := func(op *compiledOp) []float64 { return arena[op.plane:][:op.g.padSize()] }
+		row(p.name+"/sum/conv-mac", isaRungs, macs, "ns/MAC", each(convs, func(op *compiledOp, i int) {
+			op.g.convMACs(plane(op), op.offs, op.wd, op.bd, outs[i], op.row, op.ch, nil, op.relu)
+		}))
+		row(p.name+"/sum/pad", nil, 0, "", each(convs, func(op *compiledOp, i int) {
+			if op.padIn {
+				op.g.padInput(ins[i], plane(op))
+			}
+		}))
+		row(p.name+"/sum/dense", isaRungs, 0, "", each(dense, run))
+		row(p.name+"/sum/pool-relu", twoRungs, 0, "", each(poolReLU, run))
+		row(p.name+"/sum/convs1-7", isaRungs, 0, "", each(convs[:7], run))
+		row(p.name+"/sum/forward", isaRungs, 0, "", func() { plan.forward(x, logits, 1) })
+	}
 }
