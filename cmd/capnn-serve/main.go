@@ -2,7 +2,8 @@
 // server that answers per-user classification requests by personalizing
 // the shared model on demand (mask cache + singleflight) and forwarding
 // each request on its personalization's compiled plan — one request, one
-// forward, interactive lane before bulk.
+// forward in the request's own goroutine, at most -workers of them at a
+// time, a freed slot going to the interactive lane before bulk.
 //
 //	capnn-serve -addr 127.0.0.1:7879 -model cifar10 -variant M
 //
@@ -59,7 +60,7 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7879", "listen address")
 	model := flag.String("model", "imagenet20", "fixture to serve: imagenet20 or cifar10")
 	variant := flag.String("variant", "M", "default pruning variant for requests that name none: B, W or M")
-	workers := flag.Int("workers", 0, "forward worker pool size (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "concurrent forwards (0 = GOMAXPROCS)")
 	cacheCap := flag.Int("cache-cap", 256, "mask cache capacity (distinct personalizations held)")
 	maxQueue := flag.Int("max-queue", 1024, "admitted requests in flight before shedding with busy")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "server-side cap on one request's queue+serve time; a client deadline budget tightens it, never extends it")

@@ -207,6 +207,9 @@ func (c *Compiled) lay() {
 // InShape returns the per-sample input shape (that of the base net).
 func (c *Compiled) InShape() []int { return append([]int(nil), c.inShape...) }
 
+// InSize is the flattened per-sample input length.
+func (c *Compiled) InSize() int { return c.inSize }
+
 // Bytes approximates resident memory: the compacted weight and bias
 // floats. Scratch is pooled per call and excluded — it is transient and
 // shared across requests.

@@ -1,7 +1,7 @@
 // Package qos holds the serving tier's quality-of-service primitives:
 // priority lanes and per-tenant token-bucket admission control. Both the
 // gateway (cluster-wide admission) and the serve shards (lane-aware
-// batch scheduling, bulk yielding) share these types, so one tenant's
+// forward slots, bulk yielding) share these types, so one tenant's
 // classification means the same thing at every hop of the request path.
 //
 // The model is deliberately small — SECS-style stream serving needs
@@ -16,6 +16,7 @@ package qos
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -31,9 +32,9 @@ const (
 	// first, admitted up to the full queue bound.
 	LaneInteractive Lane = 0
 	// LaneBulk is background traffic — batch tenants, repersonalization
-	// sweeps — that yields under pressure: workers drain it only when no
-	// interactive work is ready, and shards shed it early when the queue
-	// grows past the bulk threshold.
+	// sweeps — that yields under pressure: a shard hands a freed forward
+	// slot to it only when no interactive request is waiting, and sheds it
+	// early when the queue grows past the bulk threshold.
 	LaneBulk Lane = 1
 )
 
@@ -116,19 +117,28 @@ func ParseLimit(s string) (Limit, error) {
 		return Limit{}, nil
 	}
 	rateStr, burstStr, hasBurst := strings.Cut(s, ":")
-	rate, err := strconv.ParseFloat(rateStr, 64)
+	rate, err := parseFinite(rateStr)
 	if err != nil {
 		return Limit{}, fmt.Errorf("qos: bad rate %q: %v", rateStr, err)
 	}
 	lim := Limit{Rate: rate}
 	if hasBurst {
-		b, err := strconv.ParseFloat(burstStr, 64)
-		if err != nil {
+		if lim.Burst, err = parseFinite(burstStr); err != nil {
 			return Limit{}, fmt.Errorf("qos: bad burst %q: %v", burstStr, err)
 		}
-		lim.Burst = b
 	}
 	return lim, nil
+}
+
+// parseFinite parses a float and refuses NaN and ±Inf: a NaN rate would
+// poison its bucket (tokens += dt·NaN) so that it sheds forever after
+// its first request.
+func parseFinite(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+		err = fmt.Errorf("%v is not a finite number", v)
+	}
+	return v, err
 }
 
 // LaneLimits is one tenant's quota pair.

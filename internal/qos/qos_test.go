@@ -55,6 +55,10 @@ func TestParseLimit(t *testing.T) {
 		{"50:100", Limit{Rate: 50, Burst: 100}, false},
 		{"abc", Limit{}, true},
 		{"5:xyz", Limit{}, true},
+		{"NaN", Limit{}, true},
+		{"Inf", Limit{}, true},
+		{"-Inf", Limit{}, true},
+		{"1:NaN", Limit{}, true},
 	} {
 		got, err := ParseLimit(tc.in)
 		if (err != nil) != tc.err {

@@ -176,10 +176,8 @@ func (c *serverConn[Req]) Read(p []byte) (int, error) {
 //
 // The *Req a handler receives is its connection's one request value: it
 // and every slice DecodeWire filled belong to the connection again the
-// moment the handler returns, and the next frame is decoded over them. A
-// handler that leaves a slice with someone who may still read it after
-// that — a worker a timed-out waiter walked away from — must nil the
-// field before returning, so the connection decodes into a fresh one.
+// moment the handler returns, and the next frame is decoded over them, so
+// a handler must not return while anything still reads them.
 type Server[Req, Resp any] struct {
 	lim    Limits
 	handle func(*Req) *Resp

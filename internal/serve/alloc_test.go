@@ -10,6 +10,8 @@ import (
 
 	"capnn/internal/cloud"
 	"capnn/internal/core"
+	"capnn/internal/nn"
+	"capnn/internal/qos"
 	"capnn/internal/rpc"
 )
 
@@ -94,12 +96,12 @@ func TestHandleResidentKeyAllocs(t *testing.T) {
 	t.Logf("Handle, resident key: %v allocs", allocs)
 }
 
-// The ownership rule pooling and buffer reuse create (dispatch.go's
-// request doc, rpc.Server's): a request that gives up at its deadline
-// leaves its input slab and its pooled request with the worker. The
-// stalled forward must still see its own input after the same connection
-// has delivered a different request, and that request must get its own
-// answer.
+// The ownership rule buffer reuse creates (rpc.Server's): no handler
+// returns while anything still reads its request. A request on connection
+// A gives up waiting for the one slot, which a stalled request on
+// connection B holds; A's next frame is decoded over the same slab and
+// must get its own answer, and B's stalled forward must still see B's
+// input.
 func TestAbandonedRequestKeepsItsInput(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, Workers: 1, RequestTimeout: 30 * time.Second, DisableGuard: true})
@@ -107,14 +109,17 @@ func TestAbandonedRequestKeepsItsInput(t *testing.T) {
 	ln := rpc.NewPipeListener()
 	srv.Serve(ln)
 	var dials atomic.Int64
-	conn := rpc.NewClient[WireRequest, WireResponse]("pipe", time.Second, 1)
-	conn.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+	connA := rpc.NewClient[WireRequest, WireResponse]("pipe", time.Second, 1)
+	connA.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
 		dials.Add(1)
 		return ln.Dial(addr, timeout)
 	}
-	defer conn.Close()
-	do := func(req WireRequest) *WireResponse {
-		resp, err := conn.Do(&req, time.Now().Add(10*time.Second))
+	defer connA.Close()
+	connB := rpc.NewClient[WireRequest, WireResponse]("pipe", time.Second, 1)
+	connB.Dial = ln.Dial
+	defer connB.Close()
+	do := func(c *rpc.Client[WireRequest, WireResponse], req WireRequest) *WireResponse {
+		resp, err := c.Do(&req, time.Now().Add(10*time.Second))
 		if err != nil {
 			t.Error(err)
 			return &WireResponse{Code: cloud.CodeInternal}
@@ -122,48 +127,54 @@ func TestAbandonedRequestKeepsItsInput(t *testing.T) {
 		return resp
 	}
 	prefs := core.Uniform([]int{0, 2})
-	first, second := f.sample(t, 3), f.sample(t, 4)
-	if reflect.DeepEqual(first.Data(), second.Data()) {
-		t.Fatal("the two samples must differ")
+	first, second, third := f.sample(t, 3), f.sample(t, 4), f.sample(t, 5)
+	if reflect.DeepEqual(first.Data(), second.Data()) || reflect.DeepEqual(second.Data(), third.Data()) {
+		t.Fatal("the samples must differ")
 	}
-	// Warm the key and the connection: the slab the server decodes into
-	// now exists, and the stalled request goes straight to the queue.
-	if resp := do(WireRequest{Classes: prefs.Classes, Input: second.Data()}); resp.Code != cloud.CodeOK {
+	// Warm the key and A's connection: the slab A decodes into now exists.
+	if resp := do(connA, WireRequest{Classes: prefs.Classes, Input: second.Data()}); resp.Code != cloud.CodeOK {
 		t.Fatalf("warm-up: [%s] %s", resp.Code, resp.Err)
 	}
 
 	stalled, release := make(chan struct{}), make(chan struct{})
 	var stall atomic.Bool
 	sawOwnInput := make(chan bool, 1)
-	srv.disp.hookBeforeForward = func(r *request) {
+	srv.gate.hookBeforeForward = func(_ *nn.Compiled, _ qos.Lane, x []float64) {
 		if stall.CompareAndSwap(true, false) {
 			close(stalled)
 			<-release
-			sawOwnInput <- reflect.DeepEqual(r.x, first.Data())
+			sawOwnInput <- reflect.DeepEqual(x, third.Data())
 		}
 	}
 	stall.Store(true)
-	if resp := do(WireRequest{Classes: prefs.Classes, Input: first.Data(), BudgetMicros: 5000}); resp.Code != cloud.CodeExpired {
-		t.Fatalf("stalled request with a 5ms budget: [%s] %s, want expired", resp.Code, resp.Err)
-	}
+	answeredB := make(chan *WireResponse, 1)
+	go func() { answeredB <- do(connB, WireRequest{Classes: prefs.Classes, Input: third.Data()}) }()
 	<-stalled
-	answered := make(chan *WireResponse, 1)
-	go func() { answered <- do(WireRequest{Classes: prefs.Classes, Input: second.Data()}) }()
-	waitFor(t, 5*time.Second, func() bool { return srv.disp.depth() == 2 }, "the second request to be decoded and queued behind the stalled one")
+	if resp := do(connA, WireRequest{Classes: prefs.Classes, Input: first.Data(), BudgetMicros: 5000}); resp.Code != cloud.CodeExpired {
+		t.Fatalf("request waiting on the stalled slot with a 5ms budget: [%s] %s, want expired", resp.Code, resp.Err)
+	}
+	answeredA := make(chan *WireResponse, 1)
+	go func() { answeredA <- do(connA, WireRequest{Classes: prefs.Classes, Input: second.Data()}) }()
+	waitFor(t, 5*time.Second, func() bool { return srv.gate.depth() == 2 }, "A's next request to wait behind the stalled one")
 	close(release)
 	if !<-sawOwnInput {
-		t.Fatal("the stalled forward's input was overwritten by the next frame on its connection")
+		t.Fatal("the stalled forward's input was overwritten")
 	}
-	resp := <-answered
-	want, err := srv.InferVariant(core.VariantW, prefs, second)
-	if err != nil || resp.Code != cloud.CodeOK {
-		t.Fatalf("second request: [%s] %s / reference: %v", resp.Code, resp.Err, err)
-	}
-	if !reflect.DeepEqual(bits(resp.Logits), bits(want.Logits)) {
-		t.Fatalf("second request answered %v, its own input gives %v", resp.Logits, want.Logits)
+	for _, tc := range []struct {
+		name string
+		resp *WireResponse
+		in   []float64
+	}{{"A's next request", <-answeredA, second.Data()}, {"B's stalled request", <-answeredB, third.Data()}} {
+		want := srv.Handle(WireRequest{Classes: prefs.Classes, Input: tc.in})
+		if tc.resp.Code != cloud.CodeOK || want.Code != cloud.CodeOK {
+			t.Fatalf("%s: [%s] %s / reference: [%s] %s", tc.name, tc.resp.Code, tc.resp.Err, want.Code, want.Err)
+		}
+		if !reflect.DeepEqual(bits(tc.resp.Logits), bits(want.Logits)) {
+			t.Fatalf("%s answered %v, its own input gives %v", tc.name, tc.resp.Logits, want.Logits)
+		}
 	}
 	if n := dials.Load(); n != 1 {
-		t.Fatalf("the requests used %d connections, want 1", n)
+		t.Fatalf("A used %d connections, want 1", n)
 	}
 }
 
@@ -175,7 +186,7 @@ func TestBudgetNeverOverflows(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{Workers: 1, DisableGuard: true})
 	defer srv.Close()
-	srv.disp.hookBeforeForward = func(*request) { time.Sleep(time.Millisecond) }
+	srv.gate.hookBeforeForward = func(*nn.Compiled, qos.Lane, []float64) { time.Sleep(time.Millisecond) }
 	for _, tc := range []struct {
 		budget int64
 		want   cloud.Code

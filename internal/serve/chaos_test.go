@@ -193,7 +193,7 @@ func TestNonFiniteWeightsRejectedBeforeAnyWork(t *testing.T) {
 // Satellite: the serve path under internal/faults chaos. Hostile peers —
 // connections that drop writes, close mid-stream, flip bytes, hang
 // silently, or send frames the server must refuse — must not wedge the
-// dispatcher or starve healthy clients, no corrupted frame may ever be
+// forward gate or starve healthy clients, no corrupted frame may ever be
 // served as an answer, and the server must shut down cleanly afterwards.
 func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	f := getFixture(t)
@@ -306,7 +306,7 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 		t.Log("warning: no retries were needed — chaos plan injected no observable faults")
 	}
 
-	// The dispatcher drained: no admitted request is stranded in the
+	// The gate drained: no admitted request is stranded in the
 	// queue, and an in-process request still flows end to end.
 	waitFor(t, 5*time.Second, func() bool { return srv.Stats().QueueDepth == 0 }, "queue to drain after chaos")
 	if _, err := srv.Infer(core.Uniform([]int{0, 1}), f.sample(t, 1)); err != nil {

@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
@@ -13,12 +14,13 @@ import (
 
 	"capnn/internal/cloud"
 	"capnn/internal/core"
+	"capnn/internal/nn"
 	"capnn/internal/qos"
 )
 
-// Lane priority: with the only worker stalled and two bulk requests
-// already queued, an interactive request that arrives last still runs
-// first once the worker frees up.
+// Lane priority: with the only slot stalled and two bulk requests
+// already waiting, an interactive request that arrives last still runs
+// first once the slot frees up.
 func TestInteractiveBeforeBulk(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
@@ -36,14 +38,14 @@ func TestInteractiveBeforeBulk(t *testing.T) {
 	var stall atomic.Bool
 	var mu sync.Mutex
 	var order []qos.Lane
-	srv.disp.hookBeforeForward = func(r *request) {
+	srv.gate.hookBeforeForward = func(_ *nn.Compiled, lane qos.Lane, _ []float64) {
 		if stall.CompareAndSwap(true, false) {
 			close(stalled)
 			<-release
 			return
 		}
 		mu.Lock()
-		order = append(order, r.lane)
+		order = append(order, lane)
 		mu.Unlock()
 	}
 	stall.Store(true)
@@ -57,9 +59,9 @@ func TestInteractiveBeforeBulk(t *testing.T) {
 				t.Errorf("lane %v request: %v", q.Lane, err)
 			}
 		}()
-		waitFor(t, 2*time.Second, func() bool { return srv.disp.depth() >= depth }, "request to be admitted")
+		waitFor(t, 2*time.Second, func() bool { return srv.gate.depth() >= depth }, "request to be admitted")
 	}
-	enqueue(QoS{}, 1) // occupies the single worker
+	enqueue(QoS{}, 1) // occupies the single slot
 	<-stalled
 	enqueue(QoS{Lane: qos.LaneBulk}, 2)
 	enqueue(QoS{Lane: qos.LaneBulk}, 3)
@@ -70,6 +72,75 @@ func TestInteractiveBeforeBulk(t *testing.T) {
 	want := []qos.Lane{qos.LaneInteractive, qos.LaneBulk, qos.LaneBulk}
 	if !slices.Equal(order, want) {
 		t.Fatalf("forward order %v, want %v: interactive must run before queued bulk", order, want)
+	}
+}
+
+// The gate's bookkeeping under timeouts racing releases: callers on both
+// lanes with 0–2ms budgets give up while slots are handed on. Every
+// caller gets exactly one answer, and afterwards every slot is free and
+// nobody is counted waiting or in flight.
+func TestGateSlotsSurviveTimeouts(t *testing.T) {
+	f := getFixture(t)
+	prefs := core.Uniform([]int{0, 3})
+	for _, workers := range []int{1, 2, 3} {
+		srv := NewServerWith(f.sys, Config{
+			Variant: core.VariantW, Workers: workers, MaxQueue: 64, BulkQueueFraction: 1, DisableGuard: true,
+		})
+		if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(int64(workers)))
+		hold := make([]time.Duration, 64)
+		for i := range hold {
+			hold[i] = time.Duration(rng.Intn(200)) * time.Microsecond
+		}
+		var held atomic.Int64
+		srv.gate.hookBeforeForward = func(*nn.Compiled, qos.Lane, []float64) {
+			time.Sleep(hold[held.Add(1)%int64(len(hold))])
+		}
+		const callers = 300
+		x := f.sample(t, 1)
+		var ok, expired, busy atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < callers; i++ {
+			lane, budget := qos.Lane(rng.Intn(2)), time.Duration(rng.Intn(2000))*time.Microsecond
+			if i%10 == 0 {
+				time.Sleep(100 * time.Microsecond)
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, err := srv.InferQoS(core.VariantW, prefs, x, QoS{Lane: lane, Deadline: time.Now().Add(budget)})
+				var te *Error
+				switch {
+				case err == nil:
+					ok.Add(1)
+				case errors.As(err, &te) && te.Code == cloud.CodeExpired:
+					expired.Add(1)
+				case errors.As(err, &te) && te.Code == cloud.CodeBusy:
+					busy.Add(1)
+				default:
+					t.Errorf("workers=%d: caller got %v, want a Result, expired or busy", workers, err)
+				}
+			}()
+		}
+		wg.Wait()
+		if n := ok.Load() + expired.Load() + busy.Load(); n != callers {
+			t.Errorf("workers=%d: %d answers for %d callers", workers, n, callers)
+		}
+		g := srv.gate
+		g.mu.Lock()
+		free, waiting, queued, handed := g.free, g.waiting, g.queued, len(g.handoff[0])+len(g.handoff[1])
+		g.mu.Unlock()
+		if free != workers || waiting != [2]int{} || queued != 0 || handed != 0 {
+			t.Errorf("workers=%d: free=%d waiting=%v queued=%d handed=%d, want every slot free and nothing counted",
+				workers, free, waiting, queued, handed)
+		}
+		srv.Close()
+		if st := srv.Stats(); st.Requests != st.Completed || st.QueueDepth != 0 {
+			t.Errorf("workers=%d: requests %d, completed %d, depth %d", workers, st.Requests, st.Completed, st.QueueDepth)
+		}
+		t.Logf("workers=%d: ok=%d expired=%d busy=%d", workers, ok.Load(), expired.Load(), busy.Load())
 	}
 }
 
@@ -124,9 +195,9 @@ func TestExactlyOnceAcrossShutdown(t *testing.T) {
 	}
 }
 
-// No hold stage: on an idle warm server a request waits only for a
-// worker to pick it up, so the median queue wait is a goroutine
-// hand-off — far below what any timer-driven hold would cost.
+// No hold stage: on an idle warm server a request takes a free slot at
+// once, so the median queue wait is a lock — far below what any
+// timer-driven hold would cost.
 func TestNoHoldStage(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, DisableGuard: true})

@@ -221,12 +221,6 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 
 	res, err := s.infer(v, prefs, req.Input, q)
 	if err != nil {
-		// A request that timed out in the queue has left its input with the
-		// worker that may still forward it (dispatcher.run wraps r.x, it does
-		// not copy), so the connection must not decode its next frame over
-		// that slab. Every failure forgets it: errors are rare and a fresh
-		// 8 KiB costs less than telling the one path apart.
-		req.Input = nil
 		te := err.(*Error)
 		return Refuse(te.Code, "%s", te.Err.Error())
 	}

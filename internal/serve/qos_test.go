@@ -33,7 +33,7 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.disp.hookBeforeForward = func(*request) {
+	srv.gate.hookBeforeForward = func(*nn.Compiled, qos.Lane, []float64) {
 		if !stall.Load() {
 			return
 		}
@@ -43,7 +43,7 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 	stall.Store(true)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // occupies the single worker
+	go func() { // occupies the single slot
 		defer wg.Done()
 		_, _ = srv.Infer(prefs, f.sample(t, 1))
 	}()
@@ -72,8 +72,8 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 }
 
 // The expire-in-queue guarantee: a request whose deadline passes while
-// it waits for a worker is answered with CodeExpired at dequeue and its
-// plan never reaches a forward.
+// it waits for a forward slot is answered with CodeExpired and its plan
+// never reaches a forward.
 func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
@@ -105,8 +105,8 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.disp.hookBeforeForward = func(r *request) {
-		forwarded.Store(r.plan, true)
+	srv.gate.hookBeforeForward = func(plan *nn.Compiled, _ qos.Lane, _ []float64) {
+		forwarded.Store(plan, true)
 		if !stall.Load() {
 			return
 		}
@@ -116,7 +116,7 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	stall.Store(true)
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // the stall request holds the only worker hostage
+	go func() { // the stall request holds the only slot hostage
 		defer wg.Done()
 		_, _ = srv.Infer(stallPrefs, f.sample(t, 1))
 	}()
@@ -124,7 +124,7 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	stall.Store(false)
 
 	// The doomed request's deadline dies while it sits queued behind the
-	// stalled worker.
+	// stalled slot.
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := srv.InferQoS(core.VariantW, doomedPrefs, f.sample(t, 2),
@@ -136,10 +136,10 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	if !errors.As(err, &te) || te.Code != cloud.CodeExpired {
 		t.Fatalf("doomed request got %v, want typed expired error", err)
 	}
-	time.Sleep(50 * time.Millisecond) // let the deadline age past the dequeue
+	time.Sleep(50 * time.Millisecond) // let the deadline age well past
 	close(release)
 	wg.Wait()
-	srv.Close() // drains: the doomed request is dequeued, post-expiry
+	srv.Close() // waits for every admitted caller
 
 	if _, ok := forwarded.Load(doomedPlan); ok {
 		t.Fatal("expired request reached a forward")
@@ -168,7 +168,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.disp.hookBeforeForward = func(*request) {
+	srv.gate.hookBeforeForward = func(*nn.Compiled, qos.Lane, []float64) {
 		if !stall.Load() {
 			return
 		}
@@ -189,7 +189,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 		}(i)
 	}
 	stalled.Wait()
-	waitFor(t, 2*time.Second, func() bool { return srv.disp.depth() >= 2 }, "bulk queue to fill")
+	waitFor(t, 2*time.Second, func() bool { return srv.gate.depth() >= 2 }, "bulk queue to fill")
 
 	_, err := srv.InferQoS(core.VariantW, prefs, f.sample(t, 2), bulk)
 	var te *Error
@@ -210,7 +210,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 			}
 		}(i)
 	}
-	waitFor(t, 2*time.Second, func() bool { return srv.disp.depth() >= 4 }, "interactive headroom to fill")
+	waitFor(t, 2*time.Second, func() bool { return srv.gate.depth() >= 4 }, "interactive headroom to fill")
 	if _, err := srv.Infer(prefs, f.sample(t, 5)); err == nil {
 		t.Fatal("request past MaxQueue admitted")
 	}

@@ -12,8 +12,10 @@
 //     plan (nn.Compiled: the masks applied physically, built inside the
 //     cache fill and verified bit-identical to masked inference).
 //
-// An admitted request goes straight to a worker — one request, one
-// forward, interactive lane before bulk; nothing is held back to batch.
+// An admitted request runs its one forward in its own goroutine once it
+// holds one of Config.Workers forward slots; a freed slot goes to a
+// waiting interactive request before a bulk one, and nothing is held
+// back to batch.
 //
 // The base network is read-only from the moment core.NewSystem returns:
 // System.Prune judges its candidate masks as values and every plan owns
@@ -24,7 +26,7 @@
 //
 // Admission control follows internal/cloud: bounded in-flight work,
 // typed busy shedding (cloud.Code), read/write deadlines on the wire,
-// and panic recovery in the workers.
+// and panic recovery around every forward.
 package serve
 
 import (
@@ -49,7 +51,7 @@ type Config struct {
 	// Variant is the pruning scheme used when a request does not name
 	// one ("B", "W" or "M" on the wire). Default CAP'NN-M.
 	Variant core.Variant
-	// Workers sizes the forward worker pool. Default GOMAXPROCS(0).
+	// Workers bounds concurrent forwards. Default GOMAXPROCS(0).
 	Workers int
 	// CacheCap bounds the mask cache (LRU entries). Default 256.
 	CacheCap int
@@ -64,8 +66,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// BulkQueueFraction is the share of MaxQueue the bulk lane may
 	// occupy before bulk requests are shed with CodeOverQuota, leaving
-	// the remaining headroom to interactive traffic. Default 0.5;
-	// values are clamped to (0, 1].
+	// the remaining headroom to interactive traffic. Default 0.5 (also
+	// for NaN); values are clamped to (0, 1].
 	BulkQueueFraction float64
 	// ReadTimeout / WriteTimeout / MaxRequestBytes are the TCP framing
 	// limits, with the same semantics as cloud.Config. Defaults 30s /
@@ -132,7 +134,7 @@ func (c Config) withDefaults() Config {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = d.RequestTimeout
 	}
-	if c.BulkQueueFraction <= 0 {
+	if !(c.BulkQueueFraction > 0) {
 		c.BulkQueueFraction = d.BulkQueueFraction
 	}
 	if c.BulkQueueFraction > 1 {
@@ -201,7 +203,7 @@ type Server struct {
 	reg    *metrics.Registry
 	events *metrics.EventLog
 	cache  *maskCache
-	disp   *dispatcher
+	gate   *gate
 
 	// unpruned is the base network compiled under no masks: the plan the
 	// ε-guard's fallback and shadow traffic runs, and the stand-in for an
@@ -269,7 +271,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		events:   events,
 		cache:    newMaskCache(cfg.CacheCap, st),
 		unpruned: unpruned,
-		disp:     newDispatcher(sys.Net.InShape, cfg.MaxQueue, bulkMax, cfg.Workers, st),
+		gate:     newGate(cfg.Workers, cfg.MaxQueue, bulkMax, st),
 		breaker:  breaker.New(healFailThreshold, cfg.BreakerCooldown),
 		drainCh:  make(chan struct{}),
 	}
@@ -292,7 +294,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	// Instantaneous state that already lives in a component is exposed
 	// func-backed at gather time rather than double-accounted.
 	reg.GaugeFunc("capnn_serve_queue_depth", "Admitted requests not yet completed.", func() float64 {
-		return float64(s.disp.depth())
+		return float64(s.gate.depth())
 	})
 	reg.GaugeFunc("capnn_serve_cache_entries", "Resident mask-cache entries.", func() float64 {
 		return float64(s.cache.len())
@@ -352,7 +354,7 @@ func (s *Server) ringUpdateFn() func(RingUpdate) error {
 
 // Stats snapshots the serving metrics.
 func (s *Server) Stats() Stats {
-	out := s.st.snapshot(s.cache.len(), s.disp.depth())
+	out := s.st.snapshot(s.cache.len(), s.gate.depth())
 	b := s.breaker.Snapshot()
 	out.BreakerState, out.BreakerOpens, out.BreakerCloses, out.BreakerHalfOpens = b.State, b.Opens, b.Closes, b.HalfOpens
 	out.CompiledBytes, out.CompiledEntries = s.residentPlans()
@@ -390,8 +392,8 @@ type QoS struct {
 
 // Infer serves one sample x (per-sample shape, no batch dimension) for
 // a user with the given preferences under the server's default variant.
-// It blocks until a worker has answered the request, or fails with a
-// typed *Error.
+// It blocks until the request's forward has run, or fails with a typed
+// *Error.
 func (s *Server) Infer(prefs core.Preferences, x *tensor.Tensor) (Result, error) {
 	return s.infer(s.cfg.Variant, prefs, x.Data(), QoS{})
 }
@@ -401,10 +403,10 @@ func (s *Server) InferVariant(v core.Variant, prefs core.Preferences, x *tensor.
 	return s.infer(v, prefs, x.Data(), QoS{})
 }
 
-// InferQoS is InferVariant with an explicit QoS envelope: the request's
-// queue timer is armed from its remaining deadline budget (capped by
-// the server's RequestTimeout), and a bulk-lane request yields queue
-// headroom and worker priority to interactive traffic.
+// InferQoS is InferVariant with an explicit QoS envelope: the request
+// waits for a forward slot no longer than its remaining deadline budget
+// (capped by the server's RequestTimeout), and a bulk-lane request
+// yields queue headroom and slot priority to interactive traffic.
 func (s *Server) InferQoS(v core.Variant, prefs core.Preferences, x *tensor.Tensor, q QoS) (Result, error) {
 	return s.infer(v, prefs, x.Data(), q)
 }
@@ -418,9 +420,9 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	if err := prefs.Validate(s.sys.Rates.Classes); err != nil {
 		return Result{}, &Error{Code: cloud.CodeBadRequest, Err: err}
 	}
-	if len(x) != s.disp.sample {
+	if len(x) != s.unpruned.InSize() {
 		return Result{}, &Error{Code: cloud.CodeBadRequest,
-			Err: fmt.Errorf("input has %d values, want %d for shape %v", len(x), s.disp.sample, s.disp.shape[1:])}
+			Err: fmt.Errorf("input has %d values, want %d for shape %v", len(x), s.unpruned.InSize(), s.sys.Net.InShape)}
 	}
 	for i, xv := range x {
 		if math.IsNaN(xv) || math.IsInf(xv, 0) {
@@ -468,47 +470,33 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	} else if fallback {
 		s.st.fallbackServed()
 	}
-	req := newRequest(plan, x, effDeadline, q.Lane)
-	if err := s.disp.submit(req); err != nil {
-		req.release()
-		return Result{}, err.(*Error)
+	logits, err := s.gate.forward(plan, x, q.Lane, effDeadline)
+	if err != nil {
+		te := err.(*Error)
+		if te.Code == cloud.CodeExpired && !clientBound {
+			// Only a client-propagated deadline expires permanently;
+			// hitting the server's own cap stays a retryable busy signal.
+			te = &Error{Code: cloud.CodeBusy, Err: fmt.Errorf("request deadline %v exceeded in queue", s.cfg.RequestTimeout)}
+		}
+		return Result{}, te
 	}
-	select {
-	case out := <-req.done:
-		req.release()
-		if out.err != nil {
-			return Result{}, out.err
-		}
-		if plan != s.unpruned {
-			s.st.compiledDispatched()
-		}
-		class := tensor.Argmax(out.logits)
-		if unpruned && entry.guard != nil {
-			if why, trip := entry.guard.observe(class); trip {
-				s.st.guardTripped()
-				s.events.Record("guard-trip", entry.key, why.String(), nil)
-				s.scheduleHeal(entry)
-			}
-		}
-		return Result{
-			Logits:   out.logits,
-			Class:    class,
-			CacheHit: hit,
-			Fallback: fallback,
-		}, nil
-	case <-req.timer.C:
-		// Only this waiter gives up: req and x stay with the worker, which
-		// will still answer into the buffered channel (or shed the request
-		// as expired-in-queue). A client-propagated deadline expires
-		// permanently; hitting the server's own cap stays a retryable busy
-		// signal.
-		if clientBound {
-			return Result{}, &Error{Code: cloud.CodeExpired,
-				Err: fmt.Errorf("deadline budget exhausted after %v in queue", effDeadline.Sub(now).Truncate(time.Microsecond))}
-		}
-		return Result{}, &Error{Code: cloud.CodeBusy,
-			Err: fmt.Errorf("request deadline %v exceeded in queue", s.cfg.RequestTimeout)}
+	if plan != s.unpruned {
+		s.st.compiledDispatched()
 	}
+	class := tensor.Argmax(logits)
+	if unpruned && entry.guard != nil {
+		if why, trip := entry.guard.observe(class); trip {
+			s.st.guardTripped()
+			s.events.Record("guard-trip", entry.key, why.String(), nil)
+			s.scheduleHeal(entry)
+		}
+	}
+	return Result{
+		Logits:   logits,
+		Class:    class,
+		CacheHit: hit,
+		Fallback: fallback,
+	}, nil
 }
 
 // personalize is the cache fill: one System.Prune run and the compile
@@ -637,10 +625,10 @@ func (s *Server) isDraining() bool {
 // Shutdown drains the server gracefully: the listener stops accepting,
 // idle kept connections close at once, new requests are shed with
 // CodeBusy, pending heals are woken and stopped, and requests in flight
-// get up to timeout to be answered before the dispatcher is closed and
-// drained. It returns an error when the deadline expired with work
-// still in flight (that work is still completed by the drain — requests
-// are answered, not dropped).
+// get up to timeout to be answered before the forward gate is closed. It
+// returns an error when the deadline expired with work still in flight
+// (that work is still completed by the drain — requests are answered,
+// not dropped).
 func (s *Server) Shutdown(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	s.drainMu.Lock()
@@ -664,17 +652,17 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 	case <-time.After(time.Until(deadline)):
 		err = fmt.Errorf("drain deadline %v exceeded with heals in flight", timeout)
 	}
-	// Drain whatever is still queued and stop the workers: admitted
+	// Stop admission and wait for every admitted caller: admitted
 	// requests are answered even on a blown deadline.
-	s.disp.close()
+	s.gate.close()
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
 	return nil
 }
 
-// Close stops the listener (if serving TCP), drains the dispatcher, and
-// waits for in-flight work — Shutdown with a generous deadline.
+// Close stops the listener (if serving TCP) and waits for in-flight
+// work — Shutdown with a generous deadline.
 func (s *Server) Close() error {
 	return s.Shutdown(time.Minute)
 }

@@ -12,6 +12,7 @@ import (
 	"capnn/internal/core"
 	"capnn/internal/data"
 	"capnn/internal/nn"
+	"capnn/internal/qos"
 	"capnn/internal/tensor"
 	"capnn/internal/train"
 )
@@ -156,7 +157,7 @@ func TestSingleflightCollapse(t *testing.T) {
 	}
 }
 
-// Admission control: with the workers stalled and the queue full, new
+// Admission control: with the slots stalled and the queue full, new
 // requests shed immediately with the typed busy code, exactly like the
 // cloud server's in-flight limit.
 func TestBusySheddingWhenQueueFull(t *testing.T) {
@@ -170,7 +171,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 	var stalled sync.WaitGroup
 	stalled.Add(1)
 	var once sync.Once
-	srv.disp.hookBeforeForward = func(*request) {
+	srv.gate.hookBeforeForward = func(*nn.Compiled, qos.Lane, []float64) {
 		if !stall.Load() {
 			return
 		}
@@ -182,7 +183,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 	}
 	stall.Store(true)
 
-	// Fill the queue: these block in the stalled worker / channel.
+	// Fill the queue: one holds the stalled slot, one waits for it.
 	var wg sync.WaitGroup
 	for i := 0; i < 2; i++ {
 		wg.Add(1)
@@ -193,9 +194,9 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 			}
 		}(i)
 	}
-	stalled.Wait() // worker is inside a forward; queue holds the rest
+	stalled.Wait() // the slot is inside a forward; the queue holds the rest
 
-	waitFor(t, 2*time.Second, func() bool { return srv.disp.depth() >= 2 }, "queue to fill")
+	waitFor(t, 2*time.Second, func() bool { return srv.gate.depth() >= 2 }, "queue to fill")
 	_, err := srv.Infer(prefs, f.sample(t, 3))
 	var te *Error
 	if !errors.As(err, &te) || te.Code != cloud.CodeBusy {
@@ -213,14 +214,14 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 }
 
 // A panic inside a forward must fail that one request with a typed
-// internal error and leave the worker pool alive.
+// internal error and release its slot.
 func TestFlushPanicRecovered(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
 	defer srv.Close()
 	prefs := core.Uniform([]int{1, 2})
 	var boom atomic.Bool
-	srv.disp.hookBeforeForward = func(*request) {
+	srv.gate.hookBeforeForward = func(*nn.Compiled, qos.Lane, []float64) {
 		if boom.CompareAndSwap(true, false) {
 			panic("injected forward fault")
 		}
@@ -234,9 +235,9 @@ func TestFlushPanicRecovered(t *testing.T) {
 	if !errors.As(err, &te) || te.Code != cloud.CodeInternal {
 		t.Fatalf("poisoned forward got %v, want typed internal error", err)
 	}
-	// The pool survived: the next request is served normally.
+	// The slot was released: the next request is served normally.
 	if _, err := srv.Infer(prefs, f.sample(t, 2)); err != nil {
-		t.Fatalf("worker pool did not survive the panic: %v", err)
+		t.Fatalf("the slot did not survive the panic: %v", err)
 	}
 }
 
@@ -269,6 +270,25 @@ func TestPersonalizeWhileServing(t *testing.T) {
 	st := srv.Stats()
 	if st.CacheEvictions == 0 {
 		t.Fatalf("expected cache pressure; stats: %+v", st)
+	}
+}
+
+// Zero, negative and NaN fields take the defaults; a bulk fraction
+// above 1 is clamped to 1.
+func TestConfigDefaults(t *testing.T) {
+	d := DefaultConfig()
+	for _, tc := range []struct {
+		in, want float64
+	}{{0, d.BulkQueueFraction}, {-1, d.BulkQueueFraction}, {math.NaN(), d.BulkQueueFraction}, {0.25, 0.25}, {1, 1}, {3, 1}} {
+		if got := (Config{BulkQueueFraction: tc.in}).withDefaults().BulkQueueFraction; got != tc.want {
+			t.Errorf("BulkQueueFraction %v became %v, want %v", tc.in, got, tc.want)
+		}
+	}
+	if got := (Config{}).withDefaults(); got != d {
+		t.Errorf("zero Config became %+v, want DefaultConfig %+v", got, d)
+	}
+	if got := (Config{Workers: -2, MaxQueue: -1}).withDefaults(); got.Workers != d.Workers || got.MaxQueue != d.MaxQueue {
+		t.Errorf("negative Workers/MaxQueue became %d/%d, want %d/%d", got.Workers, got.MaxQueue, d.Workers, d.MaxQueue)
 	}
 }
 

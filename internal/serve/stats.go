@@ -31,7 +31,7 @@ type Stats struct {
 	// ShedOverQuota (CodeOverQuota, bulk lane yielding under pressure),
 	// ShedExpired (CodeExpired, deadline passed at admission or while
 	// queued — the expire-in-queue path that keeps dead requests away
-	// from workers).
+	// from forwards).
 	Requests, Completed, Shed                 uint64
 	ShedQueueFull, ShedOverQuota, ShedExpired uint64
 
@@ -54,7 +54,7 @@ type Stats struct {
 
 	// Per-stage cumulative latencies with their sample counts:
 	// Personalize covers System.Prune runs (cache misses only),
-	// QueueWait covers submit→dequeue and Forward the compiled-plan
+	// QueueWait covers admission→forward slot and Forward the compiled-plan
 	// forward, one observation each per forwarded request (ForwardFlushes
 	// is that count). The totals are derived from the
 	// registry's per-stage histograms (integer nanoseconds accumulate
@@ -198,7 +198,7 @@ func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 		sharedC: reg.Counter("capnn_serve_singleflight_shared_total", "Lookups that joined an in-flight personalization."),
 		evictC:  reg.Counter("capnn_serve_cache_evictions_total", "Mask-cache LRU evictions."),
 		persH:   reg.Histogram("capnn_serve_personalize_latency_ns", "System.Prune latency per cache fill.", metrics.LatencyBucketsNs()),
-		waitH:   reg.Histogram("capnn_serve_queue_wait_ns", "Per-request submit-to-dequeue queue wait.", metrics.LatencyBucketsNs()),
+		waitH:   reg.Histogram("capnn_serve_queue_wait_ns", "Per-request wait from admission to a forward slot.", metrics.LatencyBucketsNs()),
 		fwdH:    reg.Histogram("capnn_serve_forward_latency_ns", "Compiled-plan forward latency per request.", metrics.LatencyBucketsNs()),
 
 		guardC:    reg.Counter("capnn_serve_guard_trips_total", "Epsilon-guard trips (one per tripped entry)."),
