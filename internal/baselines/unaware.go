@@ -225,6 +225,7 @@ func secondMoments(net *nn.Network, ds *data.Dataset, stageIdx []int) (map[int][
 	stages := net.Stages()
 	out := map[int][]float64{}
 	counts := map[int]int{}
+	observe := map[int]func(post *tensor.Tensor){}
 	for _, si := range stageIdx {
 		if si < 0 || si >= len(stages) {
 			return nil, fmt.Errorf("baselines: stage %d outside [0,%d)", si, len(stages))
@@ -241,8 +242,7 @@ func secondMoments(net *nn.Network, ds *data.Dataset, stageIdx []int) (map[int][
 		if len(outShape) == 3 {
 			unitSize = outShape[1] * outShape[2]
 		}
-		si := si
-		st.Act.Hook = func(t *tensor.Tensor) {
+		observe[si] = func(t *tensor.Tensor) {
 			d := t.Data()
 			n := t.Dim(0)
 			for s := 0; s < n; s++ {
@@ -258,13 +258,6 @@ func secondMoments(net *nn.Network, ds *data.Dataset, stageIdx []int) (map[int][
 			counts[si] += n
 		}
 	}
-	defer func() {
-		for _, st := range stages {
-			if st.Act != nil {
-				st.Act.Hook = nil
-			}
-		}
-	}()
 	const batch = 32
 	for start := 0; start < ds.Len(); start += batch {
 		end := start + batch
@@ -276,7 +269,11 @@ func secondMoments(net *nn.Network, ds *data.Dataset, stageIdx []int) (map[int][
 			idx[i] = start + i
 		}
 		x, _ := ds.Batch(idx)
-		net.Forward(x)
+		net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
+			if f := observe[stage]; f != nil {
+				f(post)
+			}
+		})
 	}
 	for si, sums := range out {
 		if counts[si] > 0 {

@@ -55,18 +55,6 @@ func TestComputeRejectsBadStage(t *testing.T) {
 	}
 }
 
-func TestComputeRemovesHooks(t *testing.T) {
-	net, ds := smallNetAndData(t)
-	if _, err := Compute(net, ds, []int{0}); err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range net.Stages() {
-		if st.Act != nil && st.Act.Hook != nil {
-			t.Fatal("profiling left a hook installed")
-		}
-	}
-}
-
 func TestRatesDeterministic(t *testing.T) {
 	net, ds := smallNetAndData(t)
 	a, _ := Compute(net, ds, []int{0, 1})

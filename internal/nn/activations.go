@@ -7,15 +7,10 @@ import (
 )
 
 // ReLU is the rectified-linear activation. CAP'NN's firing-rate profiling
-// observes post-ReLU activations, so ReLU supports an optional recording
-// hook invoked with each forward output.
+// observes post-ReLU activations through Network.InferObserved.
 type ReLU struct {
-	name  string
-	shape []int
-	// Hook, when non-nil, is called with the batch output of every
-	// Forward. The callee must not retain or mutate the tensor.
-	Hook func(out *tensor.Tensor)
-
+	name    string
+	shape   []int
 	lastOut *tensor.Tensor
 }
 
@@ -35,9 +30,6 @@ func (r *ReLU) Forward(x *tensor.Tensor) *tensor.Tensor {
 	out := tensor.New(x.Shape()...)
 	reluForward(out.Data(), x.Data())
 	r.lastOut = out
-	if r.Hook != nil {
-		r.Hook(out)
-	}
 	return out
 }
 

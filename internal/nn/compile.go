@@ -282,11 +282,8 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 		}
 		op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, op.row, op.ch, nil, op.relu)
 	case opDense:
-		if op.bd != nil { // narrower than a tile (newDenseOp)
-			denseForwardGo(src[:op.in], op.wd, op.bd, dst[:op.out], 1, op.in, op.out, nil)
-			if op.relu {
-				reluForward(dst[:op.out], dst[:op.out])
-			}
+		if op.bd != nil { // narrower than a tile (newDenseOp): one row runs denseForwardGo
+			denseForward(src[:op.in], op.wd, op.bd, dst[:op.out], 1, op.in, op.out, nil, op.relu)
 			return
 		}
 		filter := arena[op.plane:][:op.in+1]

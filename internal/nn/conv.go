@@ -77,11 +77,28 @@ func (c *Conv2D) Bias() *tensor.Tensor { return c.b.W }
 func (c *Conv2D) Units() int           { return c.outC }
 
 // Forward computes the convolution for a batch x of shape [N, inC, inH, inW]:
-// inferMasked (infer.go) with nothing pruned, plus the cached input
-// Backward needs.
+// forward with nothing pruned, plus the cached input Backward needs.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.lastIn = x
-	return c.inferMasked(x, nil)
+	out := tensor.New(x.Dim(0), c.outC, c.outH, c.outW)
+	c.forward(x.Data(), out.Data(), x.Dim(0), nil, false)
+	return out
+}
+
+func (c *Conv2D) outLen() int { return c.outC * c.outH * c.outW }
+
+// forward runs n samples through the shared direct-convolution kernel
+// (unitForward), touching no layer state.
+func (c *Conv2D) forward(xd, od []float64, n int, pruned []bool, relu bool) {
+	g := c.geom()
+	inSz, outSz := g.inSize(), g.outSize()
+	pad, ib := floatScratch.get(g.padSize()), intScratch.get(g.inC*g.k*g.k)
+	offs := g.tapOffsets((*ib)[:0])
+	for s := 0; s < n; s++ {
+		g.convForward(xd[s*inSz:(s+1)*inSz], *pad, offs, c.w.W.Data(), c.b.W.Data(), od[s*outSz:(s+1)*outSz], pruned, relu)
+	}
+	floatScratch.Put(pad)
+	intScratch.Put(ib)
 }
 
 // Backward accumulates dW and dB and returns dX. grad has the output's

@@ -61,7 +61,16 @@ func (d *Dense) Bias() *tensor.Tensor { return d.b.W }
 // shared dense kernel (see kernels.go).
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {
 	d.lastIn = x
-	return d.inferMasked(x, nil)
+	out := tensor.New(x.Dim(0), d.out)
+	d.forward(x.Data(), out.Data(), x.Dim(0), nil, false)
+	return out
+}
+
+func (d *Dense) outLen() int { return d.out }
+
+// forward runs n rows through the shared dense kernel (unitForward).
+func (d *Dense) forward(xd, od []float64, n int, pruned []bool, relu bool) {
+	denseForward(xd, d.w.W.Data(), d.b.W.Data(), od, n, d.in, d.out, pruned, relu)
 }
 
 // Backward accumulates dW and dB and returns dX.

@@ -16,7 +16,7 @@ import (
 // opposite trade: many goroutines pushing batches through ONE set of
 // weights, each under its own masks. Network.Infer provides that: it
 // performs no writes to any layer field — no cached inputs, no pool
-// argmax buffers, no recording hooks — and takes the prune masks as an
+// argmax buffers — and takes the prune masks as an
 // explicit argument; no layer stores one. Concurrent Infer calls are
 // therefore safe, including beside personalization (System.Prune),
 // which goes through this same walk and writes nothing either. The
@@ -27,16 +27,14 @@ import (
 // dense kernels Forward uses — so the serving path and the
 // training path execute one implementation and stay bit-identical.
 
-// statelessInfer is implemented by layers whose inference pass has no
-// side effects and no prunable units.
-type statelessInfer interface {
-	infer(x *tensor.Tensor) *tensor.Tensor
-}
-
-// maskedInfer is implemented by unit layers: inference with the prune
-// mask supplied by the caller (nil = nothing pruned).
-type maskedInfer interface {
-	inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor
+// unitForward is a unit layer's forward as both Forward and the walk run
+// it: n samples from xd into od, which may arrive dirty. Pruned units'
+// outputs are stored +0, and with relu every live output is clamped at +0
+// as it is stored — the ReLU that follows, folded in.
+type unitForward interface {
+	UnitLayer
+	outLen() int // one sample's output floats
+	forward(xd, od []float64, n int, pruned []bool, relu bool)
 }
 
 // Infer runs the batch x (shape [N, InShape...]) through the network
@@ -56,13 +54,13 @@ func (n *Network) Infer(x *tensor.Tensor, masks map[int][]bool) *tensor.Tensor {
 
 // InferObserved is Infer with a firing observer: after each unit stage's
 // ReLU (the pairing Stages() reports), observe is called with the stage
-// index and the post-ReLU batch output. The observer must not retain or
-// mutate the tensor. A nil observe makes this identical to Infer.
+// index and the post-ReLU batch output. That tensor is pooled scratch,
+// valid only during the call: the observer must not retain or mutate it.
+// A nil observe makes this identical to Infer.
 //
-// This is the stateless primitive behind parallel firing-rate profiling:
-// unlike the ReLU.Hook field it writes no layer state, so any number of
-// goroutines can profile disjoint shards of a dataset through one
-// network concurrently.
+// This is the stateless primitive behind firing-rate and activation
+// profiling: it writes no layer state, so any number of goroutines can
+// profile disjoint shards of a dataset through one network concurrently.
 func (n *Network) InferObserved(x *tensor.Tensor, masks map[int][]bool, observe func(stage int, post *tensor.Tensor)) *tensor.Tensor {
 	return inferLayers(n.Layers, 0, masks, x, observe)
 }
@@ -75,90 +73,69 @@ func InferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor
 	return inferLayers(layers, firstStage, masks, x, nil)
 }
 
-// inferLayers is the one stateless layer walk. observe, when set, sees
-// the output of each ReLU that directly follows a unit layer.
+// inferLayers is the one stateless layer walk. Each layer stores into a
+// slab it takes from floatScratch and hands its input's slab back, so a
+// walk holds at most two and, once the pool is warm, allocates nothing
+// per layer. A ReLU right after a unit layer is folded into that layer's
+// store, as the compiled plan folds it; any other ReLU clamps in place.
+// observe, when set, sees each folded ReLU's output. The result is copied
+// out of the pool into a fresh tensor, the caller's to keep.
 func inferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor.Tensor, observe func(stage int, post *tensor.Tensor)) *tensor.Tensor {
-	unit := firstStage - 1
-	for i, l := range layers {
-		switch t := l.(type) {
-		case maskedInfer:
+	n, unit := x.Dim(0), firstStage-1
+	src, held := x.Data(), (*[]float64)(nil) // held is src's slab; nil while src is the caller's x
+	for i := 0; i < len(layers); i++ {
+		var out *[]float64
+		switch t := layers[i].(type) {
+		case unitForward:
 			unit++
-			x = t.inferMasked(x, masks[unit])
-		case statelessInfer:
-			x = t.infer(x)
-			if _, isReLU := l.(*ReLU); isReLU && observe != nil && i > 0 {
-				if _, paired := layers[i-1].(maskedInfer); paired {
-					observe(unit, x)
+			pruned := masks[unit]
+			if pruned != nil && len(pruned) != t.Units() {
+				panic(fmt.Sprintf("nn: %q mask length %d, want %d", t.Name(), len(pruned), t.Units()))
+			}
+			relu := false
+			if i+1 < len(layers) {
+				_, relu = layers[i+1].(*ReLU)
+			}
+			out = floatScratch.get(n * t.outLen())
+			t.forward(src, *out, n, pruned, relu)
+			if relu {
+				i++
+				if observe != nil {
+					observe(unit, tensor.MustFromSlice(*out, append([]int{n}, t.OutShape()...)...))
 				}
 			}
+		case *MaxPool2D:
+			g := t.geom()
+			inSz, outSz := g.inSize(), g.outSize()
+			out = floatScratch.get(n * outSz)
+			for s := 0; s < n; s++ {
+				g.poolForward(src[s*inSz:(s+1)*inSz], (*out)[s*outSz:(s+1)*outSz], g.outW, g.outH*g.outW)
+			}
+		case *ReLU:
+			if held != nil {
+				reluForward(src, src)
+				continue
+			}
+			out = floatScratch.get(len(src))
+			reluForward(*out, src)
+		case *Flatten, *Dropout:
+			continue // the identity on a contiguous slab at inference
 		default:
-			panic(fmt.Sprintf("nn: layer %s does not support stateless inference", l.Name()))
+			panic(fmt.Sprintf("nn: layer %s does not support stateless inference", t.Name()))
 		}
+		if held != nil {
+			floatScratch.Put(held)
+		}
+		held, src = out, *out
 	}
-	return x
-}
-
-// inferMasked computes the convolution with an explicit channel mask via
-// the shared direct-convolution kernel, touching no layer state.
-func (c *Conv2D) inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor {
-	if pruned != nil && len(pruned) != c.outC {
-		panic(fmt.Sprintf("nn: conv %q mask length %d, want %d", c.name, len(pruned), c.outC))
+	shape := x.Shape()[1:]
+	if len(layers) > 0 {
+		shape = layers[len(layers)-1].OutShape()
 	}
-	n := x.Dim(0)
-	out := tensor.New(n, c.outC, c.outH, c.outW)
-	xd, od := x.Data(), out.Data()
-	wd, bd := c.w.W.Data(), c.b.W.Data()
-
-	g := c.geom()
-	inSz, outSz := g.inSize(), g.outSize()
-	pad, ib := floatScratch.get(g.padSize()), intScratch.get(g.inC*g.k*g.k)
-	offs := g.tapOffsets((*ib)[:0])
-	for s := 0; s < n; s++ {
-		g.convForward(xd[s*inSz:(s+1)*inSz], *pad, offs, wd, bd, od[s*outSz:(s+1)*outSz], pruned, false)
+	res := tensor.New(append([]int{n}, shape...)...)
+	copy(res.Data(), src)
+	if held != nil {
+		floatScratch.Put(held)
 	}
-	floatScratch.Put(pad)
-	intScratch.Put(ib)
-	return out
+	return res
 }
-
-// inferMasked computes the affine map with an explicit neuron mask,
-// without caching the input.
-func (d *Dense) inferMasked(x *tensor.Tensor, pruned []bool) *tensor.Tensor {
-	if pruned != nil && len(pruned) != d.out {
-		panic(fmt.Sprintf("nn: dense %q mask length %d, want %d", d.name, len(pruned), d.out))
-	}
-	n := x.Dim(0)
-	out := tensor.New(n, d.out)
-	denseForward(x.Data(), d.w.W.Data(), d.b.W.Data(), out.Data(), n, d.in, d.out, pruned)
-	return out
-}
-
-// infer clamps negatives to zero without recording the output or firing
-// the profiling hook.
-func (r *ReLU) infer(x *tensor.Tensor) *tensor.Tensor {
-	out := tensor.New(x.Shape()...)
-	reluForward(out.Data(), x.Data())
-	return out
-}
-
-// infer computes max pooling without recording argmax locations.
-func (p *MaxPool2D) infer(x *tensor.Tensor) *tensor.Tensor {
-	n := x.Dim(0)
-	out := tensor.New(n, p.c, p.outH, p.outW)
-	g := p.geom()
-	inSz, outSz := g.inSize(), g.outSize()
-	xd, od := x.Data(), out.Data()
-	for s := 0; s < n; s++ {
-		g.poolForward(xd[s*inSz:(s+1)*inSz], od[s*outSz:(s+1)*outSz], g.outW, g.outH*g.outW)
-	}
-	return out
-}
-
-// infer reshapes without touching state (Flatten is stateless anyway).
-func (f *Flatten) infer(x *tensor.Tensor) *tensor.Tensor {
-	return x.MustReshape(x.Dim(0), f.out)
-}
-
-// infer is the identity: dropout is inactive at inference and, unlike
-// Forward, does not clear the cached training mask.
-func (d *Dropout) infer(x *tensor.Tensor) *tensor.Tensor { return x }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -135,6 +136,76 @@ func TestInferBatchEqualsPerSample(t *testing.T) {
 				sameBits(t, fmt.Sprintf("net %d n=%d sample %d", i, n, s), c.net.Infer(one, c.masks).Data(), got.Data()[s*classes:(s+1)*classes])
 			}
 		}
+	}
+}
+
+// The walk's activations live in slabs from floatScratch, which arrive
+// holding whatever their last user left, and the kernels skip pruned
+// units. Under masks that prune whole conv channels, dense neurons and a
+// logits unit, Infer, InferLayers and InferObserved (the observed post-ReLU
+// slabs included) on a pool of NaN slabs must match their run on an
+// emptied pool bit for bit, and the pruned logit must read +0 in both.
+// Rows: 3 runs the dense layers on the Go loop, 16 as a 1×1 conv.
+func TestInferDirtySlabs(t *testing.T) {
+	net := inferTestNet(t)
+	masks := checkerMasks(net)
+	stages := net.Stages()
+	out := stages[len(stages)-1]
+	masks[out.Index] = make([]bool, out.Unit.Units())
+	masks[out.Index][1] = true
+	const split = 3 // InferLayers from the second conv (stage 1) on
+	for _, n := range []int{3, 16} {
+		x := randBatch(n, net.InShape, int64(n))
+		run := func() []float64 {
+			var all []float64
+			logits := net.InferObserved(x, masks, func(_ int, post *tensor.Tensor) { all = append(all, post.Data()...) })
+			for o := 0; o < n; o++ {
+				if v := logits.At(o, 1); math.Float64bits(v) != 0 {
+					t.Fatalf("n=%d row %d: pruned logit %v, want +0", n, o, v)
+				}
+			}
+			all = append(all, logits.Data()...)
+			all = append(all, net.Infer(x, masks).Data()...)
+			return append(all, InferLayers(net.Layers[split:], 1, masks, InferLayers(net.Layers[:split], 0, masks, x)).Data()...)
+		}
+		for floatScratch.Get() != nil { // empty the pool
+		}
+		want := run()
+		for i := 0; i < 8; i++ {
+			slab := make([]float64, 1<<15)
+			for j := range slab {
+				slab[j] = math.NaN()
+			}
+			floatScratch.Put(&slab)
+		}
+		sameBits(t, fmt.Sprintf("n=%d on NaN slabs", n), want, run())
+	}
+}
+
+// A 16-row suffix replay shard allocates the same few objects whatever
+// the depth it starts at — the result tensor; every activation lives in
+// a pooled slab. The cifar10 fixture under its real M masks, from each
+// unit layer on.
+func TestInferLayersAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops Puts")
+	}
+	net := loadFixtureNet(t, "cifar10")
+	masks, _ := parseMasks(forwardGoldens[0].mMasks)
+	x := randBatch(16, net.InShape, 1)
+	stage := 0
+	for at, l := range net.Layers {
+		if _, ok := l.(UnitLayer); !ok {
+			continue
+		}
+		in := InferLayers(net.Layers[:at], 0, nil, x)
+		for i := 0; i < 4; i++ { // let the pooled slabs grow to this walk's sizes
+			InferLayers(net.Layers[at:], stage, masks, in)
+		}
+		if got := testing.AllocsPerRun(10, func() { InferLayers(net.Layers[at:], stage, masks, in) }); got > 6 {
+			t.Fatalf("InferLayers from layer %d (stage %d) makes %.1f allocations per 16-row shard, want ≤ 6 at any depth", at, stage, got)
+		}
+		stage++
 	}
 }
 

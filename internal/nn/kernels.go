@@ -146,11 +146,23 @@ func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
 // accumulated in ascending r = (ic, ky, kx) order; relu clamps each
 // output at +0 as it is stored (the compiled plan's fused conv+ReLU).
 // pad is scratch for the padded plane (≥ padSize; arrives dirty), offs
-// is the tapOffsets table. Pruned channels are skipped; their output stays
-// zero (os must arrive zeroed).
+// is the tapOffsets table. Pruned channels are skipped and stored +0, so
+// os may arrive dirty too.
 func (g convGeom) convForward(xs, pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
 	g.padInput(xs[:g.inSize()], pad)
 	g.convMACs(pad, offs, wd, bd, os, g.outW, g.outH*g.outW, pruned, relu)
+	clearPruned(os, g.outH*g.outW, pruned)
+}
+
+// clearPruned stores +0 over the outputs of the units pruned marks, per
+// floats each from os[u·per]: the MAC kernels skip those units, and a
+// pooled slab arrives dirty.
+func clearPruned(os []float64, per int, pruned []bool) {
+	for u, p := range pruned {
+		if p {
+			clear(os[u*per : (u+1)*per])
+		}
+	}
 }
 
 // storeSpan is how far from its first element an [outC, outH, outW]
@@ -268,7 +280,7 @@ func tapSweep(acc, pad []float64, offs []int, wRow []float64, stride int) {
 
 // reluForward writes dst[i] = src[i] if src[i] > 0, else +0 — so −0 and
 // NaN both become +0. dst may alias src. It is the one forward ReLU
-// clamp: ReLU.Forward, ReLU.infer and the compiled plan all call it.
+// clamp: ReLU.Forward, the masked walk and the compiled plan all call it.
 func reluForward(dst, src []float64) {
 	dst = dst[:len(src)]
 	done := 0
@@ -427,8 +439,9 @@ func (g convGeom) col2im(dcols, dxs []float64) {
 }
 
 // denseForward computes od[s,o] = b[o] + Σ_i w[o,i]·xd[s,i] for every
-// live neuron; pruned neurons' outputs stay zero (od must arrive
-// zeroed). Shared by the training Forward and the stateless Infer path.
+// live neuron, clamped at +0 when relu is set; pruned neurons' outputs
+// are stored +0, so od may arrive dirty. Shared by the training Forward,
+// the stateless Infer path and a narrow plan op.
 // A batch of at least four rows on a CPU with AVX2 runs as a 1×1 conv
 // whose positions are the samples: xd transposed into an [in][n] plane —
 // two rows of n/2 when n is even and at least 16, so the ZMM tile takes a
@@ -436,9 +449,12 @@ func (g convGeom) col2im(dcols, dxs []float64) {
 // result transposed back. Each output is still b[o], then + w[o,i]·x[i]
 // for i ascending, so it is denseForwardGo's value bit for bit; fewer
 // rows, and every other CPU, run denseForwardGo.
-func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
+func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool, relu bool) {
 	if n < 4 || !useAVX2 {
 		denseForwardGo(xd, wd, bd, od, n, in, out, pruned)
+		if relu {
+			reluForward(od[:n*out], od[:n*out])
+		}
 		return
 	}
 	h := 1
@@ -453,12 +469,11 @@ func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
 			plane[i*n+s] = v
 		}
 	}
-	g.conv1x1(plane, wd, bd, os, pruned, false)
+	g.conv1x1(plane, wd, bd, os, pruned, relu)
+	clearPruned(os, n, pruned)
 	for o := 0; o < out; o++ {
-		if pruned == nil || !pruned[o] {
-			for s, v := range os[o*n : (o+1)*n] {
-				od[s*out+o] = v
-			}
+		for s, v := range os[o*n : (o+1)*n] {
+			od[s*out+o] = v
 		}
 	}
 	floatScratch.Put(buf)
@@ -507,6 +522,7 @@ func denseForwardGo(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
 		nq := 0
 		for o := 0; o < out; o++ {
 			if pruned != nil && pruned[o] {
+				oRow[o] = 0
 				continue
 			}
 			q[nq] = o

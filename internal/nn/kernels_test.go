@@ -234,6 +234,9 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 		}
 		run := func(l isaRung) []float64 {
 			got := allocExact(t, g.outSize())
+			for i := range got {
+				got[i] = math.NaN() // a pooled slab arrives dirty
+			}
 			dirtyPad()
 			withRung(l, func() { g.convForward(x, pad, offs, wd, bd, got, pruned, relu) })
 			return got
@@ -429,20 +432,28 @@ func checkDenseCase(t testing.TB, n, in, out int, seed int64, maskKind int, rung
 			naive[s*out+o] = acc
 		}
 	}
-	run := func(l isaRung, pruned []bool) []float64 {
+	run := func(l isaRung, pruned []bool, relu bool) []float64 {
 		got := allocExact(t, n*out)
-		withRung(l, func() { denseForward(x, wd, bd, got, n, in, out, pruned) })
+		for i := range got {
+			got[i] = math.NaN() // a pooled slab arrives dirty
+		}
+		withRung(l, func() { denseForward(x, wd, bd, got, n, in, out, pruned, relu) })
 		return got
 	}
-	generic := run(isaRungs[0], pruned)
+	generic := run(isaRungs[0], pruned, false)
 	sameValues(t, what+": Go loop against the naive loop", naive, generic)
+	clamped := make([]float64, len(generic))
+	reluForward(clamped, generic)
 	for _, l := range rungs {
-		sameValues(t, what+": "+l.name+" against the Go loop", generic, run(l, pruned))
+		sameValues(t, what+": "+l.name+" against the Go loop", generic, run(l, pruned, false))
+	}
+	for _, l := range append([]isaRung{isaRungs[0]}, rungs...) {
+		sameValues(t, what+": "+l.name+" with its ReLU folded in", clamped, run(l, pruned, true))
 	}
 
 	full := generic
 	if pruned != nil {
-		full = run(isaRungs[0], nil)
+		full = run(isaRungs[0], nil, false)
 	}
 	op := newDenseOp(wd, bd, in, out)
 	panel := allocExact(t, len(op.wd))
@@ -629,7 +640,7 @@ func BenchmarkKernels(b *testing.B) {
 		op, arena, od := newDenseOp(wd, bd, in, out), make([]float64, in+1), make([]float64, 16*out)
 		name := fmt.Sprintf("%dx%d", in, out)
 		row("dense/n1/"+name, isaRungs, in*out, "ns/MAC", func() { op.run(x1, od, arena) })
-		row("dense/n16/"+name, isaRungs, 16*in*out, "ns/MAC", func() { denseForward(x16, wd, bd, od, 16, in, out, nil) })
+		row("dense/n16/"+name, isaRungs, 16*in*out, "ns/MAC", func() { denseForward(x16, wd, bd, od, 16, in, out, nil, false) })
 	}
 	src, dst := random(4096), make([]float64, 4096)
 	row("relu/4096", twoRungs, 4096, "ns/elem", func() { reluForward(dst, src) })

@@ -1,8 +1,8 @@
 // Package nn implements the from-scratch CNN substrate that CAP'NN prunes:
 // convolution, dense, ReLU, max-pool and flatten layers with forward and
 // backward passes, inference under per-unit prune masks (conv channels /
-// dense neurons), activation recording hooks for firing-rate profiling,
-// physical network compaction, and gob serialization.
+// dense neurons) that reports post-ReLU activations to firing-rate
+// profiling, physical network compaction, and gob serialization.
 //
 // The paper's framework takes "a commodity trained model" as input; this
 // package is the stdlib-only stand-in for that commodity framework.

@@ -96,23 +96,23 @@ func TestZeroGrad(t *testing.T) {
 	}
 }
 
-func TestReLUHookObservesForward(t *testing.T) {
+// The observer sees each stage's post-ReLU output, the values Forward's
+// ReLU returns, while the observed walk writes no layer state.
+func TestInferObservedSeesPostReLU(t *testing.T) {
 	net := NewBuilder(1, 1, 4, 3).Flatten().Dense(4).ReLU().MustBuild()
-	var seen *tensor.Tensor
-	relu := net.Layers[2].(*ReLU)
-	relu.Hook = func(out *tensor.Tensor) { seen = out }
-	out := net.Forward(randInput([]int{1, 1, 1, 4}, 3))
-	if seen == nil {
-		t.Fatal("hook not invoked")
-	}
-	if seen.Len() != out.Len() {
-		t.Fatal("hook saw wrong tensor")
-	}
-	for _, v := range seen.Data() {
-		if v < 0 {
-			t.Fatal("hook saw negative post-ReLU value")
+	x := randInput([]int{1, 1, 1, 4}, 3)
+	var seen []float64
+	out := net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
+		if stage != 0 {
+			t.Errorf("observed stage %d, want 0", stage)
 		}
+		seen = append(seen, post.Data()...)
+	})
+	if seen == nil {
+		t.Fatal("observer not invoked")
 	}
+	sameBits(t, "observed against the returned output", out.Data(), seen)
+	sameBits(t, "observed against Forward", net.Forward(x).Data(), seen)
 }
 
 func TestMaxPoolForwardValues(t *testing.T) {

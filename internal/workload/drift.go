@@ -56,14 +56,15 @@ func (d *DriftConfig) withDefaults() {
 	}
 }
 
+// validate writes each bound as a negated in-range test, so NaN fails it.
 func (d DriftConfig) validate() error {
-	if d.DiurnalAmp < 0 || d.DiurnalAmp >= 1 {
+	if !(d.DiurnalAmp >= 0 && d.DiurnalAmp < 1) {
 		return fmt.Errorf("workload: diurnal amp %v outside [0,1)", d.DiurnalAmp)
 	}
-	if d.BurstProb < 0 || d.BurstProb > 1 {
+	if !(d.BurstProb >= 0 && d.BurstProb <= 1) {
 		return fmt.Errorf("workload: burst prob %v outside [0,1]", d.BurstProb)
 	}
-	if d.BurstWeight < 0 || d.BurstWeight >= 1 {
+	if !(d.BurstWeight >= 0 && d.BurstWeight < 1) {
 		return fmt.Errorf("workload: burst weight %v outside [0,1)", d.BurstWeight)
 	}
 	return nil

@@ -85,8 +85,8 @@ func (c Config) validate() error {
 	if c.Groups != nil && len(c.Groups) != c.Classes {
 		return fmt.Errorf("workload: %d group entries for %d classes", len(c.Groups), c.Classes)
 	}
-	if c.ZipfS <= 1 {
-		return fmt.Errorf("workload: zipf exponent must be >1, got %v", c.ZipfS)
+	if !(c.ZipfS > 1 && c.ZipfS <= math.MaxFloat64) { // NaN and +Inf fail too: rand.Zipf would never return
+		return fmt.Errorf("workload: zipf exponent must be finite and >1, got %v", c.ZipfS)
 	}
 	if c.MinK < 1 || c.MinK > c.MaxK {
 		return fmt.Errorf("workload: breadth bounds [%d,%d] invalid", c.MinK, c.MaxK)
@@ -117,9 +117,10 @@ type Event struct {
 type Model struct {
 	cfg    Config
 	groups [][]int // group → member classes
-	// rngs recycles the random streams events draw from (*eventRand):
-	// re-seeding a source yields the sequence a fresh one would, without
-	// allocating its 4.9 KB of state per draw.
+	// rngs recycles the random streams events draw from (*eventRand): a
+	// lazily seeded source (source.go) yields the sequence a fresh
+	// rand.NewSource would, without allocating or filling its 607 words
+	// per draw.
 	rngs sync.Pool
 	// bases memoises userBase, a pure function of (user, epoch), in a
 	// direct-mapped table: each slot holds the last pair hashed to it, and
@@ -163,7 +164,7 @@ func NewModel(cfg Config) (*Model, error) {
 	}
 	m.groups = nonEmpty
 	m.rngs.New = func() any {
-		r := rand.New(rand.NewSource(0))
+		r := rand.New(newLazySource(0))
 		return &eventRand{Rand: r, zipf: rand.NewZipf(r, cfg.ZipfS, 1, uint64(cfg.Users-1))}
 	}
 	return m, nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -309,9 +310,59 @@ func TestParseDrift(t *testing.T) {
 			t.Fatalf("ParseDrift(%q) = %+v, %v; want stationary", spec, d, err)
 		}
 	}
-	for _, bad := range []string{"flip", "flip=x", "amp=2", "nope=1", "burst-weight=1"} {
+	for _, bad := range []string{"flip", "flip=x", "amp=2", "nope=1", "burst-weight=1", "amp=NaN", "burst-prob=NaN", "burst-weight=NaN"} {
 		if _, err := ParseDrift(bad); err == nil {
 			t.Fatalf("ParseDrift(%q) accepted invalid spec", bad)
+		}
+	}
+}
+
+// A NaN or +Inf zipf exponent would send rand.Zipf's rejection loop
+// round forever on the first event; NewModel must refuse it.
+func TestNewModelRejectsNonFiniteZipf(t *testing.T) {
+	for _, s := range []float64{math.NaN(), math.Inf(1)} {
+		cfg := testConfig()
+		cfg.ZipfS = s
+		if _, err := NewModel(cfg); err == nil {
+			t.Fatalf("NewModel accepted ZipfS = %v", s)
+		}
+	}
+}
+
+// The lazily seeded source is math/rand's Go 1 source draw for draw: past
+// the tap's lag (273) and the state's wrap (607), for the seeds its
+// seeding reduces specially (0, negatives, multiples of 2³¹−1 — which
+// rand maps to 89482311), and re-seeded in place, as a pooled stream is,
+// across a wrap of its generation counter. Then 1 000 random seeds
+// through rand.Rand's Int63 and Float64.
+func TestLazySourceMatchesMathRand(t *testing.T) {
+	const m = 1<<31 - 1
+	lazy := newLazySource(0)
+	for i, seed := range []int64{0, 1, -1, -89482311, m, -m, 2 * m, -7 * m, 89482311, 1 << 62, math.MinInt64, math.MaxInt64} {
+		if i == 5 {
+			lazy.gen = math.MaxUint32 // the next Seed wraps the generation
+		}
+		ref := rand.NewSource(seed).(rand.Source64)
+		lazy.Seed(seed)
+		for k := 0; k < 2000; k++ {
+			if want, got := ref.Uint64(), lazy.Uint64(); got != want {
+				t.Fatalf("seed %d draw %d: Uint64 %#x, want %#x", seed, k, got, want)
+			}
+		}
+	}
+	seeds := rand.New(rand.NewSource(89482311))
+	mine := rand.New(lazy)
+	for trial := 0; trial < 1000; trial++ {
+		seed := int64(seeds.Uint64())
+		ref := rand.New(rand.NewSource(seed))
+		mine.Seed(seed)
+		for k := 0; k < 8; k++ {
+			if want, got := ref.Int63(), mine.Int63(); got != want {
+				t.Fatalf("seed %d draw %d: Int63 %d, want %d", seed, k, got, want)
+			}
+			if want, got := ref.Float64(), mine.Float64(); got != want {
+				t.Fatalf("seed %d draw %d: Float64 %v, want %v", seed, k, got, want)
+			}
 		}
 	}
 }

@@ -48,8 +48,10 @@ type eventRand struct {
 	zipf *rand.Zipf
 }
 
-// seeded returns a pooled stream re-seeded to seed — the sequence
-// rand.New(rand.NewSource(seed)) would give. Return it to m.rngs.
+// seeded returns a pooled stream re-seeded to seed in O(1) — its lazy
+// source computes each word of its state when a draw first reads it —
+// giving the sequence rand.New(rand.NewSource(seed)) would, bit for bit.
+// Return it to m.rngs.
 func (m *Model) seeded(seed int64) *eventRand {
 	r := m.rngs.Get().(*eventRand)
 	r.Seed(seed)
