@@ -293,7 +293,7 @@ func main() {
 		fmt.Printf("capnn-loadgen: gateway stats:\n%s\n", st)
 		return
 	}
-	if *bulkFrac < 0 || *bulkFrac > 1 {
+	if !(*bulkFrac >= 0 && *bulkFrac <= 1) { // negated, so NaN is refused
 		fmt.Fprintln(os.Stderr, "capnn-loadgen: -bulk-frac must be in [0,1]")
 		os.Exit(2)
 	}

@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -34,6 +35,11 @@ func main() {
 	ckptEvery := flag.Int("checkpoint-every", 1, "with -state, commit a checkpoint every N completed epochs")
 	perf := profiling.AddFlags()
 	flag.Parse()
+	// Negated in-range tests, so NaN is refused with the rest.
+	if !(*noise >= 0 && *noise <= math.MaxFloat64) || !(*groupMix >= 0 && *groupMix < 1) {
+		fmt.Fprintln(os.Stderr, "capnn-train: -noise must be finite and non-negative, -groupmix in [0,1)")
+		os.Exit(2)
+	}
 	if err := perf.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -22,12 +22,12 @@ import (
 //     tiny 2×2 feature maps instead of a full 16-layer pass).
 //   - Other users' classes. The cached rows are grouped by class, and a
 //     replay holds only the rows of the classes it is asked about. A
-//     row's logits do not depend on which rows share its batch — convs
-//     run image by image, and a dense layer's batch, lowered onto the
-//     conv tiles with the rows as its positions, computes each row's
-//     outputs with the chain it computes alone (nn's
-//     TestInferBatchEqualsPerSample) — so the hit count of class k over
-//     k's rows alone is the hit count of class k over the whole set.
+//     row's logits do not depend on which rows share its batch — a
+//     suffix shard runs sample-minor on the conv tiles, the rows as the
+//     positions of every conv and dense layer, and each row's outputs
+//     are the chain it computes alone (nn's TestInferBatchEqualsPerSample
+//     and TestInferMinorMatchesPerImage) — so the hit count of class k
+//     over k's rows alone is the hit count of class k over the whole set.
 //   - Decided stages. A prune mask only zeroes its own layer's output,
 //     so once the stages before ℓ are committed the activations entering
 //     ℓ are fixed for the whole threshold descent at ℓ; replay.advanceTo

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -65,6 +66,12 @@ func TestParamsValidate(t *testing.T) {
 		{Epsilon: 0.03, TStart: 0.4, Step: 0.025},
 		{Epsilon: 0.03, TStart: 0.4, Step: 0.025, Stages: []int{2, 2}},
 		{Epsilon: 0.03, TStart: 0.4, Step: 0.025, Stages: []int{3, 1}},
+		{Epsilon: math.NaN(), TStart: 0.4, Step: 0.025, Stages: []int{1}},
+		{Epsilon: 0.03, TStart: math.NaN(), Step: 0.025, Stages: []int{1}},
+		{Epsilon: 0.03, TStart: 0.4, Step: math.NaN(), Stages: []int{1}},
+		{Epsilon: 0.03, TStart: 0.4, Step: 1e-20, Stages: []int{1}},       // never lowers T
+		{Epsilon: 0.03, TStart: 0.4, Step: 0.4 / 20000, Stages: []int{1}}, // 20 000 thresholds
+		{Epsilon: 0.03, TStart: 0.4, Step: math.Inf(-1), Stages: []int{1}},
 	}
 	for i, p := range bad {
 		if err := p.Validate(); err == nil {

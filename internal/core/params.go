@@ -22,16 +22,24 @@ func DefaultParams() Params {
 	return Params{Epsilon: 0.03, TStart: 0.4, Step: 0.025}
 }
 
+// maxThresholds bounds a threshold descent: Validate refuses a Step that
+// would take more than this many thresholds from TStart down to 0. The
+// default descent takes 16.
+const maxThresholds = 10000
+
 // Validate rejects configurations that cannot terminate or are nonsense.
+// Each bound is a negated in-range test, so NaN fails every one.
 func (p Params) Validate() error {
-	if p.Epsilon < 0 || p.Epsilon >= 1 {
+	if !(p.Epsilon >= 0 && p.Epsilon < 1) {
 		return fmt.Errorf("core: epsilon %v outside [0,1)", p.Epsilon)
 	}
-	if p.TStart <= 0 || p.TStart > 1 {
+	if !(p.TStart > 0 && p.TStart <= 1) {
 		return fmt.Errorf("core: TStart %v outside (0,1]", p.TStart)
 	}
-	if p.Step <= 0 {
-		return fmt.Errorf("core: non-positive step %v", p.Step)
+	// This also refuses a step below TStart's float spacing, which would
+	// never lower T.
+	if !(p.Step > 0 && p.TStart/p.Step <= maxThresholds) {
+		return fmt.Errorf("core: step %v does not descend from TStart %v to 0 in at most %d positive steps", p.Step, p.TStart, maxThresholds)
 	}
 	if len(p.Stages) == 0 {
 		return fmt.Errorf("core: no prunable stages")

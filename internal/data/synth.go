@@ -57,11 +57,12 @@ func (c SynthConfig) validate() error {
 	if c.H < 4 || c.W < 4 {
 		return fmt.Errorf("data: image %dx%d too small", c.H, c.W)
 	}
-	if c.GroupMix < 0 || c.GroupMix >= 1 {
+	// Negated in-range tests: NaN fails them.
+	if !(c.GroupMix >= 0 && c.GroupMix < 1) {
 		return fmt.Errorf("data: GroupMix %v outside [0,1)", c.GroupMix)
 	}
-	if c.NoiseStd < 0 {
-		return fmt.Errorf("data: negative NoiseStd")
+	if !(c.NoiseStd >= 0 && c.NoiseStd <= math.MaxFloat64) {
+		return fmt.Errorf("data: NoiseStd %v not finite and non-negative", c.NoiseStd)
 	}
 	if c.MaxShift < 0 || c.MaxShift >= c.H || c.MaxShift >= c.W {
 		return fmt.Errorf("data: MaxShift %d out of range", c.MaxShift)

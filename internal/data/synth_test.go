@@ -68,6 +68,9 @@ func TestConfigValidation(t *testing.T) {
 		{Classes: 4, Groups: 2, H: 8, W: 8, GroupMix: 1.0},
 		{Classes: 4, Groups: 2, H: 8, W: 8, NoiseStd: -1},
 		{Classes: 4, Groups: 2, H: 8, W: 8, MaxShift: 8},
+		{Classes: 4, Groups: 2, H: 8, W: 8, GroupMix: math.NaN()},
+		{Classes: 4, Groups: 2, H: 8, W: 8, NoiseStd: math.NaN()},
+		{Classes: 4, Groups: 2, H: 8, W: 8, NoiseStd: math.Inf(1)},
 	}
 	for i, cfg := range bad {
 		if _, err := NewGenerator(cfg); err == nil {

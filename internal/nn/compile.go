@@ -278,7 +278,7 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 	case opConv:
 		plane := arena[op.plane:][:op.g.padSize()]
 		if op.padIn {
-			op.g.padInput(src[:op.in], plane)
+			op.g.padInput(src[:op.in], plane, 1)
 		}
 		op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, op.row, op.ch, nil, op.relu)
 	case opDense:

@@ -101,6 +101,13 @@ func (c *Conv2D) forward(xd, od []float64, n int, pruned []bool, relu bool) {
 	intScratch.Put(ib)
 }
 
+// forwardMinor runs a sample-minor batch through convMinor (unitForward).
+func (c *Conv2D) forwardMinor(xd, od []float64, n int, pruned []bool, relu bool) {
+	c.geom().convMinor(xd, c.w.W.Data(), c.b.W.Data(), od, n, pruned, relu)
+}
+
+func (c *Conv2D) planeW() int { return c.outW }
+
 // Backward accumulates dW and dB and returns dX. grad has the output's
 // batch shape.
 func (c *Conv2D) Backward(grad *tensor.Tensor) *tensor.Tensor {

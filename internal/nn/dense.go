@@ -73,6 +73,14 @@ func (d *Dense) forward(xd, od []float64, n int, pruned []bool, relu bool) {
 	denseForward(xd, d.w.W.Data(), d.b.W.Data(), od, n, d.in, d.out, pruned, relu)
 }
 
+// forwardMinor runs a sample-minor batch through the conv the layer is
+// (unitForward).
+func (d *Dense) forwardMinor(xd, od []float64, n int, pruned []bool, relu bool) {
+	denseGeom(d.in, d.out).convMinor(xd, d.w.W.Data(), d.b.W.Data(), od, n, pruned, relu)
+}
+
+func (d *Dense) planeW() int { return 1 }
+
 // Backward accumulates dW and dB and returns dX.
 func (d *Dense) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	if d.lastIn == nil {

@@ -28,13 +28,30 @@ import (
 // training path execute one implementation and stay bit-identical.
 
 // unitForward is a unit layer's forward as both Forward and the walk run
-// it: n samples from xd into od, which may arrive dirty. Pruned units'
-// outputs are stored +0, and with relu every live output is clamped at +0
-// as it is stored — the ReLU that follows, folded in.
+// it: n samples from xd into od, which may arrive dirty — each sample's
+// slab after the last (forward), or sample-minor, the n samples of a
+// position side by side (forwardMinor). Pruned units' outputs are stored
+// +0, and with relu every live output is clamped at +0 as it is stored —
+// the ReLU that follows, folded in.
 type unitForward interface {
 	UnitLayer
 	outLen() int // one sample's output floats
+	planeW() int // its output plane's width: a dense layer's is 1
 	forward(xd, od []float64, n int, pruned []bool, relu bool)
+	forwardMinor(xd, od []float64, n int, pruned []bool, relu bool)
+}
+
+// minorBelow is the output-plane width under which a unit layer is
+// narrow: the ZMM tile's row of 8 positions, which a narrower plane
+// cannot fill and a sample-minor batch of 16 rows (two rows of 8) does.
+// (Sample-minor 8-wide planes measured no faster on either rung.)
+const minorBelow = 8
+
+// minorFrom reports whether a walk of n rows turns sample-minor at the
+// unit layer l: from 8 rows up on a CPU with AVX2, at its first narrow
+// unit layer. Tests replace it to force either form.
+var minorFrom = func(l unitForward, n int) bool {
+	return n >= 8 && useAVX2 && l.planeW() < minorBelow
 }
 
 // Infer runs the batch x (shape [N, InShape...]) through the network
@@ -78,11 +95,26 @@ func InferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor
 // walk holds at most two and, once the pool is warm, allocates nothing
 // per layer. A ReLU right after a unit layer is folded into that layer's
 // store, as the compiled plan folds it; any other ReLU clamps in place.
-// observe, when set, sees each folded ReLU's output. The result is copied
-// out of the pool into a fresh tensor, the caller's to keep.
+// From the first narrow unit layer on (minorFrom) the batch is
+// transposed once into its sample-minor form [C][H][W][n] and stays in
+// it — convs pad it once and run the tiles per output position over the
+// n samples, a pool compares n-vectors, Flatten is still the identity and
+// a dense layer's 1×1 conv takes the plane as it is — to be transposed
+// back at the end; batches under 8 rows, and CPUs without AVX2, walk
+// sample by sample throughout. Either way each output is the same chain, bit for
+// bit (TestInferMinorMatchesPerImage). observe, when set, sees each
+// folded ReLU's output, one sample's slab after the last. The result is
+// copied out of the pool into a fresh tensor, the caller's to keep.
 func inferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor.Tensor, observe func(stage int, post *tensor.Tensor)) *tensor.Tensor {
 	n, unit := x.Dim(0), firstStage-1
 	src, held := x.Data(), (*[]float64)(nil) // held is src's slab; nil while src is the caller's x
+	minor := false                           // src is sample-minor
+	next := func(out *[]float64) {           // out becomes src, src's slab goes back
+		if held != nil {
+			floatScratch.Put(held)
+		}
+		held, src = out, *out
+	}
 	for i := 0; i < len(layers); i++ {
 		var out *[]float64
 		switch t := layers[i].(type) {
@@ -96,18 +128,32 @@ func inferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor
 			if i+1 < len(layers) {
 				_, relu = layers[i+1].(*ReLU)
 			}
+			if !minor && minorFrom(t, n) {
+				out = floatScratch.get(len(src))
+				transpose(*out, src, n, len(src)/n)
+				next(out)
+				minor = true
+			}
 			out = floatScratch.get(n * t.outLen())
-			t.forward(src, *out, n, pruned, relu)
+			if minor {
+				t.forwardMinor(src, *out, n, pruned, relu)
+			} else {
+				t.forward(src, *out, n, pruned, relu)
+			}
 			if relu {
 				i++
 				if observe != nil {
-					observe(unit, tensor.MustFromSlice(*out, append([]int{n}, t.OutShape()...)...))
+					observed(unit, *out, n, minor, t.OutShape(), observe)
 				}
 			}
 		case *MaxPool2D:
 			g := t.geom()
 			inSz, outSz := g.inSize(), g.outSize()
 			out = floatScratch.get(n * outSz)
+			if minor {
+				g.poolMinor(src, *out, n)
+				break
+			}
 			for s := 0; s < n; s++ {
 				g.poolForward(src[s*inSz:(s+1)*inSz], (*out)[s*outSz:(s+1)*outSz], g.outW, g.outH*g.outW)
 			}
@@ -119,23 +165,36 @@ func inferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor
 			out = floatScratch.get(len(src))
 			reluForward(*out, src)
 		case *Flatten, *Dropout:
-			continue // the identity on a contiguous slab at inference
+			continue // the identity on a contiguous slab at inference, sample-minor too
 		default:
 			panic(fmt.Sprintf("nn: layer %s does not support stateless inference", t.Name()))
 		}
-		if held != nil {
-			floatScratch.Put(held)
-		}
-		held, src = out, *out
+		next(out)
 	}
 	shape := x.Shape()[1:]
 	if len(layers) > 0 {
 		shape = layers[len(layers)-1].OutShape()
 	}
 	res := tensor.New(append([]int{n}, shape...)...)
-	copy(res.Data(), src)
+	if minor {
+		transpose(res.Data(), src, len(src)/n, n)
+	} else {
+		copy(res.Data(), src)
+	}
 	if held != nil {
 		floatScratch.Put(held)
 	}
 	return res
+}
+
+// observed hands observe the post-ReLU batch post of stage (one sample's
+// shape), transposed into pooled scratch first when it is sample-minor.
+func observed(stage int, post []float64, n int, minor bool, shape []int, observe func(stage int, post *tensor.Tensor)) {
+	if minor {
+		tr := floatScratch.get(len(post))
+		defer floatScratch.Put(tr)
+		transpose(*tr, post, len(post)/n, n)
+		post = *tr
+	}
+	observe(stage, tensor.MustFromSlice(post, append([]int{n}, shape...)...))
 }

@@ -139,13 +139,92 @@ func TestInferBatchEqualsPerSample(t *testing.T) {
 	}
 }
 
+// withForm runs f with the masked walk's form chosen by form in place of
+// minorFrom's rule.
+func withForm(form func(l unitForward, n int) bool, f func()) {
+	defer func(rule func(unitForward, int) bool) { minorFrom = rule }(minorFrom)
+	minorFrom = form
+	f()
+}
+
+// The walk's two forms — sample by sample, and sample-minor from a unit
+// layer on — must agree bit for bit, on every rung this CPU has: forced
+// per-image throughout, sample-minor from the first narrow unit layer
+// (the rule, whatever the rows and rung) and from the first unit layer
+// (wide planes too). Nets: random VGG-ish ones, one of a strided unpadded
+// 5×5 conv, a 3×3 stride-1 pool, a lone ReLU, a 1×1 conv and a conv
+// without ReLU, and the cifar10 fixture under its real M masks; each also
+// under masks that prune every other unit — whole conv channels — and a
+// logits unit, and under masks that leave one unit a stage. Every other
+// batch seeds one input in five with NaN, ±0, ±Inf or subnormals: the
+// per-image walk may run a geometry on the Go loop that the sample-minor
+// one runs on the tiles, and which NaN payload the two return is open
+// (sameValues), so those batches compare NaN as NaN. The observed
+// post-ReLU slabs are compared too.
+func TestInferMinorMatchesPerImage(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	odd := NewBuilder(2, 13, 11, 5).ConvK(5, 5, 2, 0).ReLU()
+	odd.push(NewMaxPool2D("pool3x3", odd.cur, 3, 1))
+	nets := []*Network{loadFixtureNet(t, "cifar10"), odd.ReLU().ConvK(6, 1, 1, 0).ReLU().ConvK(7, 3, 1, 1).Flatten().Dense(9).ReLU().Dense(4).MustBuild()}
+	for i := 0; i < 3; i++ {
+		nets = append(nets, randVGGNet(rng))
+	}
+	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
+	type netCase struct {
+		net   *Network
+		masks map[int][]bool
+	}
+	var cases []netCase
+	for i, net := range nets {
+		checker := checkerMasks(net)
+		last := net.Stages()[len(net.Stages())-1]
+		checker[last.Index] = make([]bool, last.Unit.Units())
+		checker[last.Index][1] = true
+		cases = append(cases, netCase{net, checker}, netCase{net, randMasks(rng, net, 2)})
+		if i == 0 {
+			cases = append(cases, netCase{net, mMasks})
+		}
+	}
+	forms := []struct {
+		name string
+		from func(l unitForward, n int) bool
+	}{
+		{"narrow", func(l unitForward, _ int) bool { return l.planeW() < minorBelow }},
+		{"first", func(unitForward, int) bool { return true }},
+	}
+	forEachRung(t, isaRungs, func(t *testing.T, l isaRung) {
+		for i, c := range cases {
+			for k, n := range []int{8, 9, 15, 16, 17, 32, 33} {
+				x := randBatch(n, c.net.InShape, rng.Int63())
+				same := sameBits
+				if k%2 == 1 {
+					fillSpecial(rng, x.Data(), 5)
+					same = sameValues
+				}
+				run := func(from func(unitForward, int) bool) (all []float64) {
+					withForm(from, func() {
+						logits := c.net.InferObserved(x, c.masks, func(_ int, post *tensor.Tensor) { all = append(all, post.Data()...) })
+						all = append(all, logits.Data()...)
+					})
+					return all
+				}
+				want := run(func(unitForward, int) bool { return false })
+				for _, f := range forms {
+					same(t, fmt.Sprintf("case %d n=%d: sample-minor from the %s unit layer against per-image", i, n, f.name), want, run(f.from))
+				}
+			}
+		}
+	})
+}
+
 // The walk's activations live in slabs from floatScratch, which arrive
 // holding whatever their last user left, and the kernels skip pruned
 // units. Under masks that prune whole conv channels, dense neurons and a
 // logits unit, Infer, InferLayers and InferObserved (the observed post-ReLU
 // slabs included) on a pool of NaN slabs must match their run on an
 // emptied pool bit for bit, and the pruned logit must read +0 in both.
-// Rows: 3 runs the dense layers on the Go loop, 16 as a 1×1 conv.
+// Rows: 3 runs the dense layers on the Go loop, 16 as a 1×1 conv; on a
+// CPU with AVX2, 16 and 17 run the second conv on sample-minor.
 func TestInferDirtySlabs(t *testing.T) {
 	net := inferTestNet(t)
 	masks := checkerMasks(net)
@@ -154,7 +233,7 @@ func TestInferDirtySlabs(t *testing.T) {
 	masks[out.Index] = make([]bool, out.Unit.Units())
 	masks[out.Index][1] = true
 	const split = 3 // InferLayers from the second conv (stage 1) on
-	for _, n := range []int{3, 16} {
+	for _, n := range []int{3, 16, 17} {
 		x := randBatch(n, net.InShape, int64(n))
 		run := func() []float64 {
 			var all []float64
@@ -209,14 +288,22 @@ func TestInferLayersAllocs(t *testing.T) {
 	}
 }
 
+// A mask of the wrong length panics at any stage, sample-minor (16 rows
+// on a CPU with AVX2, from the second conv on) as well as per-image.
 func TestInferMaskLengthPanics(t *testing.T) {
 	net := inferTestNet(t)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("short mask did not panic")
+	for _, st := range net.Stages() {
+		for _, n := range []int{1, 16} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("short mask at stage %d, %d rows, did not panic", st.Index, n)
+					}
+				}()
+				net.Infer(randBatch(n, net.InShape, 1), map[int][]bool{st.Index: {true}})
+			}()
 		}
-	}()
-	net.Infer(randBatch(1, net.InShape, 1), map[int][]bool{0: {true}})
+	}
 }
 
 // Stateful Forward writes per-layer caches; Infer reads only the weights

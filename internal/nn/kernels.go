@@ -19,8 +19,11 @@ import (
 // then one rounded add, never a fused multiply-add — reading each tap
 // from the plane (TestForwardGolden and the Infer ≡ Forward tests pin
 // the bits). A dense layer is the same arithmetic as a 1×1 conv and runs
-// on the same tiles (denseForward, newDenseOp). The Go loops below are
-// the definition.
+// on the same tiles (denseForward, newDenseOp). The masked walk's tail
+// runs the same tiles over a sample-minor batch — the n samples of a
+// position side by side, one padded plane for the batch, each output
+// position a tile row of n samples (convMinor, poolMinor).
+// The Go loops below are the definition.
 // On amd64 with AVX2 (CPUID, checked once at init: useAVX2) the conv
 // MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
 // instead: four float64 lanes wide, the same operations in the same
@@ -100,19 +103,20 @@ func (g convGeom) tapOffsets(offs []int) []int {
 	return offs
 }
 
-// padInput writes one sample's [inC, inH, inW] slab xs into the pad
-// plane, +0 on the border — the value a padding tap contributes. Every
-// cell of pad is written, so a plane reused across geometries carries
-// nothing over.
-func (g convGeom) padInput(xs, pad []float64) {
-	p, ph, pw := g.pad, g.inH+2*g.pad, g.inW+2*g.pad
+// padInput writes the [inC, inH, inW] slab xs, whose cells are n floats
+// each — one sample's slab at n = 1, a sample-minor batch of n otherwise —
+// into the pad plane of n-float cells, +0 on the border: the value a
+// padding tap contributes. Every float of pad's n·padSize() is written,
+// so a plane reused across geometries carries nothing over.
+func (g convGeom) padInput(xs, pad []float64, n int) {
+	p, ph, pw, w := g.pad, g.inH+2*g.pad, (g.inW+2*g.pad)*n, g.inW*n
 	for ic := 0; ic < g.inC; ic++ {
 		plane := pad[ic*ph*pw : (ic+1)*ph*pw]
-		at := p*pw + p // the top rows and the first row's left border
+		at := p*pw + p*n // the top rows and the first row's left border
 		clear(plane[:at])
 		for y := 0; y < g.inH; y++ {
-			copy(plane[at:at+g.inW], xs[(ic*g.inH+y)*g.inW:])
-			clear(plane[at+g.inW : at+pw]) // this row's right border, the next one's left
+			copy(plane[at:at+w], xs[(ic*g.inH+y)*w:])
+			clear(plane[at+w : at+pw]) // this row's right border, the next one's left
 			at += pw
 		}
 		clear(plane[at:])
@@ -125,7 +129,7 @@ func (g convGeom) padInput(xs, pad []float64) {
 // the taps at offs[r], output row by output row, so padding taps read
 // the border's zeros. Every cols entry is written.
 func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
-	g.padInput(xs, pad)
+	g.padInput(xs, pad, 1)
 	outHW, pw := g.outH*g.outW, g.inW+2*g.pad
 	for r, off := range offs {
 		for oy := 0; oy < g.outH; oy++ {
@@ -149,9 +153,65 @@ func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
 // is the tapOffsets table. Pruned channels are skipped and stored +0, so
 // os may arrive dirty too.
 func (g convGeom) convForward(xs, pad []float64, offs []int, wd, bd, os []float64, pruned []bool, relu bool) {
-	g.padInput(xs[:g.inSize()], pad)
-	g.convMACs(pad, offs, wd, bd, os, g.outW, g.outH*g.outW, pruned, relu)
+	g.padInput(xs[:g.inSize()], pad, 1)
+	g.convMACs(pad[:g.padSize()], offs, wd, bd, os, g.outW, g.outH*g.outW, pruned, relu)
 	clearPruned(os, g.outH*g.outW, pruned)
+}
+
+// convMinor is convForward over a sample-minor batch: xs [inC][inH][inW][n]
+// (the n samples of a position side by side) into os [outC][outH][outW][n].
+// The batch is padded once, in n-float cells (an unpadded one is its own
+// plane), and each output position runs the tiles over the window of the
+// plane it reads, at tapOffsets scaled by n, as a 1×1 conv whose
+// positions are the n samples: two rows of n/2 when n is even and at
+// least 16, so the ZMM tile takes a 16-row replay shard, else one row.
+// Every output is convForward's chain, bit for bit. Pruned channels are
+// stored +0, so os may arrive dirty.
+func (g convGeom) convMinor(xs, wd, bd, os []float64, n int, pruned []bool, relu bool) {
+	rows, outHW, pw := g.inC*g.k*g.k, g.outH*g.outW, g.inW+2*g.pad
+	plane := xs[:g.inSize()*n]
+	if g.pad > 0 {
+		pad := floatScratch.get(g.padSize() * n)
+		defer floatScratch.Put(pad)
+		g.padInput(plane, *pad, n)
+		plane = *pad
+	}
+	ib := intScratch.get(rows + g.outC + 3) // the tap table, then live and a tile's padding
+	offs := g.tapOffsets((*ib)[:0])
+	for r := range offs {
+		offs[r] *= n
+	}
+	h := 1
+	if n%2 == 0 && n >= 16 {
+		h = 2
+	}
+	b := convGeom{inC: rows, inH: h, inW: n / h, outC: g.outC, outH: h, outW: n / h, k: 1, stride: 1}
+	live := appendLive((*ib)[rows:rows], pruned, g.outC)
+	for oy := 0; oy < g.outH; oy++ {
+		for ox := 0; ox < g.outW; ox++ {
+			at := (oy*pw + ox) * g.stride * n
+			b.liveMACs(plane[at:at+offs[rows-1]+n], offs, wd, bd, os[(oy*g.outW+ox)*n:], b.outW, outHW*n, live, relu)
+		}
+	}
+	clearPruned(os, outHW*n, pruned)
+	intScratch.Put(ib)
+}
+
+// denseGeom is a dense layer of in inputs and out neurons as the conv it
+// is: 1×1, on a 1×1 plane, its inputs the channels.
+func denseGeom(in, out int) convGeom {
+	return convGeom{inC: in, inH: 1, inW: 1, outC: out, outH: 1, outW: 1, k: 1, stride: 1}
+}
+
+// transpose writes the rows×cols matrix src into dst as cols×rows: a
+// batch [n][F] into its sample-minor form [F][n], and back.
+func transpose(dst, src []float64, rows, cols int) {
+	dst = dst[:rows*cols]
+	for r := 0; r < rows; r++ {
+		for c, v := range src[r*cols : (r+1)*cols] {
+			dst[c*rows+r] = v
+		}
+	}
 }
 
 // clearPruned stores +0 over the outputs of the units pruned marks, per
@@ -193,12 +253,16 @@ func appendLive(live []int, pruned []bool, n int) []int {
 }
 
 // liveMACs is convMACs for the output channels listed in live, each
-// below g.outC. A four-channel tile pads live to a multiple of four in
-// place, so it should have the capacity.
+// below g.outC. pad is what the taps are read from — a conv's whole
+// plane, or the window of a sample-minor plane one output position reads
+// (convMinor) — and ends, where the tiles run, at the last position's
+// last tap. A four-channel tile pads live to a multiple of four in place,
+// so it should have the capacity.
 func (g convGeom) liveMACs(pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) {
 	rows := g.inC * g.k * g.k
-	// The extents the assembly will touch, proven here once.
-	pad, offs = pad[:g.padSize()], offs[:rows]
+	// The extents the assembly will touch, proven here once (pad's by
+	// convForwardAVX2, against the tap table).
+	offs = offs[:rows]
 	wd, bd, os = wd[:g.outC*rows], bd[:g.outC], os[:g.storeSpan(oRow, oCh)]
 	if len(live) == 0 {
 		return
@@ -209,9 +273,10 @@ func (g convGeom) liveMACs(pad []float64, offs []int, wd, bd, os []float64, oRow
 }
 
 // conv1x1 runs g, a 1×1 conv at stride 1 without padding, over plane —
-// its own pad plane, [inC][outH·outW] — into the channel-major slab os,
-// for the channels pruned leaves live. Its tap table and live list come
-// from the pool: a dense layer of any width allocates nothing here.
+// its own pad plane, exactly [inC][outH·outW] — into the channel-major
+// slab os, for the channels pruned leaves live. Its tap table and live
+// list come from the pool: a dense op of any width allocates nothing
+// here.
 func (g convGeom) conv1x1(plane, wd, bd, os []float64, pruned []bool, relu bool) {
 	hw := g.outH * g.outW
 	ib := intScratch.get(g.inC + g.outC + 3) // the tap table, then live and a tile's padding
@@ -363,6 +428,34 @@ func pool2x2Go(src, dst []float64, outH, outW, inW, dstW int) {
 	}
 }
 
+// poolMinor is poolForward over a sample-minor batch, xs [C][inH][inW][n]
+// into os [C][outH][outW][n]: each output n-vector starts as its window's
+// first, and takes element by element every later one (ky, then kx
+// ascending) that compares strictly greater — poolForward's order.
+func (g convGeom) poolMinor(xs, os []float64, n int) {
+	for c := 0; c < g.inC; c++ {
+		for oy := 0; oy < g.outH; oy++ {
+			for ox := 0; ox < g.outW; ox++ {
+				best := os[((c*g.outH+oy)*g.outW+ox)*n:][:n]
+				for ky := 0; ky < g.k; ky++ {
+					for kx := 0; kx < g.k; kx++ {
+						x := xs[((c*g.inH+oy*g.stride+ky)*g.inW+ox*g.stride+kx)*n:][:n]
+						if ky == 0 && kx == 0 {
+							copy(best, x)
+							continue
+						}
+						for s, v := range x {
+							if v > best[s] {
+								best[s] = v
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 // convBackward accumulates one sample's parameter gradients and the
 // column-space input gradient. cols is the sample's im2col matrix, gs
 // its output gradient slab [outC, outH, outW]. dwd/dbd are the layer's
@@ -442,13 +535,12 @@ func (g convGeom) col2im(dcols, dxs []float64) {
 // live neuron, clamped at +0 when relu is set; pruned neurons' outputs
 // are stored +0, so od may arrive dirty. Shared by the training Forward,
 // the stateless Infer path and a narrow plan op.
-// A batch of at least four rows on a CPU with AVX2 runs as a 1×1 conv
-// whose positions are the samples: xd transposed into an [in][n] plane —
-// two rows of n/2 when n is even and at least 16, so the ZMM tile takes a
-// 16-row replay shard — against the weights as they are, the [out][n]
-// result transposed back. Each output is still b[o], then + w[o,i]·x[i]
-// for i ascending, so it is denseForwardGo's value bit for bit; fewer
-// rows, and every other CPU, run denseForwardGo.
+// A batch of at least four rows on a CPU with AVX2 runs sample-minor:
+// xd transposed into an [in][n] plane, the conv it is (denseGeom) with
+// the rows as its positions against the weights as they are, the
+// [out][n] result transposed back. Each output is still b[o], then +
+// w[o,i]·x[i] for i ascending, so it is denseForwardGo's value bit for
+// bit. Fewer rows, and every other CPU, run denseForwardGo.
 func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool, relu bool) {
 	if n < 4 || !useAVX2 {
 		denseForwardGo(xd, wd, bd, od, n, in, out, pruned)
@@ -457,25 +549,11 @@ func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool, relu 
 		}
 		return
 	}
-	h := 1
-	if n%2 == 0 && n >= 16 {
-		h = 2
-	}
-	g := convGeom{inC: in, inH: h, inW: n / h, outC: out, outH: h, outW: n / h, k: 1, stride: 1}
 	buf := floatScratch.get((in + out) * n)
 	plane, os := (*buf)[:in*n], (*buf)[in*n:]
-	for s := 0; s < n; s++ {
-		for i, v := range xd[s*in : (s+1)*in] {
-			plane[i*n+s] = v
-		}
-	}
-	g.conv1x1(plane, wd, bd, os, pruned, relu)
-	clearPruned(os, n, pruned)
-	for o := 0; o < out; o++ {
-		for s, v := range os[o*n : (o+1)*n] {
-			od[s*out+o] = v
-		}
-	}
+	transpose(plane, xd, n, in)
+	denseGeom(in, out).convMinor(plane, wd, bd, os, n, pruned, relu)
+	transpose(od, os, out, n)
 	floatScratch.Put(buf)
 }
 

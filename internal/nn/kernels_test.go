@@ -249,7 +249,7 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 		for _, l := range append([]isaRung{isaRungs[0]}, rungs...) {
 			into := fmt.Sprintf("%s relu %v: %s into a bordered plane", what, relu, l.name)
 			dirtyPad()
-			g.padInput(x, pad)
+			g.padInput(x, pad, 1)
 			sameBits(t, into, generic, bordered(t, into, g.outC, g.outH, g.outW, border, func(os []float64, oRow, oCh int) {
 				withRung(l, func() { g.convMACs(pad, offs, wd, bd, os, oRow, oCh, pruned, relu) })
 			}))
@@ -362,6 +362,14 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			sameBits(t, fmt.Sprintf("pool %+v: Go loops against the naive loop nest", g), naive, generic)
 			g.poolForward(src, simd, g.outW, g.outH*g.outW)
 			sameBits(t, fmt.Sprintf("pool %+v", g), generic, simd)
+			// The same planes as a sample-minor batch of g.inC one-channel
+			// samples, as the masked walk's tail pools them.
+			one, batch, minor := g, make([]float64, len(src)), make([]float64, g.outSize())
+			one.inC, one.outC = 1, 1
+			transpose(batch, src, g.inC, g.inH*g.inW)
+			one.poolMinor(batch, minor, g.inC)
+			transpose(simd, minor, g.outH*g.outW, g.inC)
+			sameBits(t, fmt.Sprintf("pool %+v sample-minor", g), generic, simd)
 			for _, r := range []isaRung{isaRungs[0], l} {
 				into := fmt.Sprintf("pool %+v: %s into a bordered plane", g, r.name)
 				sameBits(t, into, generic, bordered(t, into, g.inC, g.outH, g.outW, 1, func(os []float64, oRow, oCh int) {
@@ -626,7 +634,7 @@ func BenchmarkKernels(b *testing.B) {
 		wd, bd, os := random(g.outC*g.inC*9), random(g.outC), make([]float64, g.outSize())
 		name := fmt.Sprintf("%dx%dx%d", l[0], l[1], l[2])
 		row("conv/"+name, isaRungs, g.colsSize()*g.outC, "ns/MAC", func() { g.convForward(x, pad, offs, wd, bd, os, nil, true) })
-		row("pad/"+name, nil, len(pad), "ns/elem", func() { g.padInput(x, pad) })
+		row("pad/"+name, nil, len(pad), "ns/elem", func() { g.padInput(x, pad, 1) })
 		row("backward/im2col/"+name, nil, len(cols), "ns/elem", func() { g.im2col(x, pad, offs, cols) })
 	}
 	// dense/n1/* is a compiled plan's batch-1 dense op (its panel, the
@@ -710,12 +718,23 @@ func BenchmarkKernels(b *testing.B) {
 		}))
 		row(p.name+"/sum/pad", nil, 0, "", each(convs, func(op *compiledOp, i int) {
 			if op.padIn {
-				op.g.padInput(ins[i], plane(op))
+				op.g.padInput(ins[i], plane(op), 1)
 			}
 		}))
 		row(p.name+"/sum/dense", isaRungs, 0, "", each(dense, run))
 		row(p.name+"/sum/pool-relu", twoRungs, 0, "", each(poolReLU, run))
 		row(p.name+"/sum/convs1-7", isaRungs, 0, "", each(convs[:7], run))
 		row(p.name+"/sum/forward", isaRungs, 0, "", func() { plan.forward(x, logits, 1) })
+	}
+	// suffix/n16/* is a 16-row replay shard of an ε check: InferLayers from
+	// the fixture's first pruned stage on (three 32-channel convs on 2×2
+	// planes, a pool, three dense layers) under the M masks — sample-minor
+	// on the AVX2 rungs, image by image on the generic one.
+	const first = 10
+	for i, l := range net.Layers {
+		if l == net.Stages()[first].Unit {
+			suffix, in := net.Layers[i:], InferLayers(net.Layers[:i], 0, nil, randBatch(16, net.InShape, 1))
+			row("suffix/n16", isaRungs, 0, "", func() { InferLayers(suffix, first, mMasks, in) })
+		}
 	}
 }
