@@ -85,7 +85,7 @@ func ComputeB(ev *SuffixEvaluator, rates *firing.Rates, params Params) (*BMatric
 					continue
 				}
 				committed[l] = H
-				if DegradationOK(base, r.accuracy(committed), params.Epsilon, nil) {
+				if r.withinEps(committed, base, params.Epsilon, nil) {
 					accepted = H
 					break
 				}

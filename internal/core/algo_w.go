@@ -56,7 +56,7 @@ func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 				continue
 			}
 			committed[l] = H
-			if DegradationOK(base, r.accuracy(committed), params.Epsilon, prefs.Classes) {
+			if r.withinEps(committed, base, params.Epsilon, prefs.Classes) {
 				accepted = H
 				break
 			}

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"capnn/internal/data"
 	"capnn/internal/firing"
@@ -35,6 +36,10 @@ import (
 //   - The unmasked baseline. It depends on the weights and the evaluation
 //     set alone, both fixed for the evaluator's lifetime (the cached
 //     prefix already assumes so), and is measured once, at first use.
+//   - Decided verdicts. An ε check asks only whether every checked class
+//     stays within ε, so it stops replaying once the rows left could not
+//     change the answer even if every one were a hit, or a miss
+//     (replay.withinEps).
 //
 // Every replay goes through the same nn.InferLayers under the same masks
 // as a full-set net.Infer(x, masks), and counts integer hits, so
@@ -175,6 +180,8 @@ type replay struct {
 	labels []int // class of each row of x
 	x      *tensor.Tensor
 	stage  int
+
+	replayed atomic.Int64 // rows pushed through the shard loop so far
 }
 
 // at is the position in the suffix of the layer the rows are entering.
@@ -201,17 +208,25 @@ func (ev *SuffixEvaluator) newReplay(K []int) *replay {
 
 // forward pushes the rows through layers — suffix[at():] or a leading
 // part of it — under masks, in fixed suffixBatch shards on parallel.Default()
-// workers, and hands each shard's output to visit, concurrently.
-func (r *replay) forward(layers []nn.Layer, masks map[int][]bool, visit func(sh parallel.Shard, out *tensor.Tensor)) {
+// workers, and hands each shard's output to visit, concurrently. Once a
+// visit returns true, the shards not yet started are skipped.
+func (r *replay) forward(layers []nn.Layer, masks map[int][]bool, visit func(sh parallel.Shard, out *tensor.Tensor) (done bool)) {
 	if len(r.labels) == 0 {
 		return
 	}
 	shape := r.x.Shape()
 	shards := parallel.Shards(shape[0], suffixBatch)
+	var done atomic.Bool
 	parallel.For(0, len(shards), func(i int) {
+		if done.Load() {
+			return
+		}
 		sh := shards[i]
+		r.replayed.Add(int64(sh.Len()))
 		x := tensor.MustFromSlice(rows(r.x, sh.Lo, sh.Hi), append([]int{sh.Len()}, shape[1:]...)...)
-		visit(sh, nn.InferLayers(layers, r.stage, masks, x))
+		if visit(sh, nn.InferLayers(layers, r.stage, masks, x)) {
+			done.Store(true)
+		}
 	})
 }
 
@@ -224,37 +239,85 @@ func (r *replay) advanceTo(stage int, masks map[int][]bool) {
 	}
 	layers := r.ev.suffix[r.at():r.ev.unitAt[stage-r.ev.first]]
 	next := tensor.New(append([]int{len(r.labels)}, layers[len(layers)-1].OutShape()...)...)
-	r.forward(layers, masks, func(sh parallel.Shard, out *tensor.Tensor) {
+	r.forward(layers, masks, func(sh parallel.Shard, out *tensor.Tensor) bool {
 		copy(rows(next, sh.Lo, sh.Hi), out.Data())
+		return false
 	})
 	r.x, r.stage = next, stage
 }
 
 // accuracy replays the remaining layers under masks and returns top-1
 // accuracy per class, 0 for classes the replay holds no rows of. Hits
-// are integers and shards write disjoint rows, so the result is the same
-// for every worker count.
+// are integers, so the result is the same for every worker count.
 func (r *replay) accuracy(masks map[int][]bool) []float64 {
-	hit := make([]bool, len(r.labels))
-	r.forward(r.ev.suffix[r.at():], masks, func(sh parallel.Shard, out *tensor.Tensor) {
-		c := out.Dim(1)
-		for s := 0; s < sh.Len(); s++ {
-			hit[sh.Lo+s] = tensor.Argmax(out.Data()[s*c:(s+1)*c]) == r.labels[sh.Lo+s]
-		}
-	})
-	hits := make([]int, r.ev.classes)
-	for i, h := range hit {
-		if h {
-			hits[r.labels[i]]++
-		}
-	}
 	acc := make([]float64, r.ev.classes)
-	for c, h := range hits {
-		if h > 0 {
-			acc[c] = float64(h) / float64(r.ev.SampleCount(c))
-		}
+	for c, h := range r.tally(masks, nil) {
+		acc[c] = r.ev.rate(c, h)
 	}
 	return acc
+}
+
+// withinEps is the ε check: DegradationOK(base, r.accuracy(masks), eps,
+// check), except that it stops replaying once the rows not yet replayed
+// cannot change the verdict — when it holds with none of them counted a
+// hit, or fails with every one of them counted. The quotient and
+// base − acc > eps are both monotone in the hit count, so the early
+// verdict is the full replay's for every worker count and schedule.
+func (r *replay) withinEps(masks map[int][]bool, base []float64, eps float64, check []int) bool {
+	lo, hi := make([]float64, r.ev.classes), make([]float64, r.ev.classes)
+	var ok bool
+	r.tally(masks, func(hits, left []int) bool {
+		for c, h := range hits {
+			lo[c], hi[c] = r.ev.rate(c, h), r.ev.rate(c, h+left[c])
+		}
+		ok = DegradationOK(base, lo, eps, check)
+		return ok || !DegradationOK(base, hi, eps, check)
+	})
+	return ok
+}
+
+// tally replays the remaining layers under masks and returns the hits
+// per class. A non-nil stop is asked before the first shard and after
+// each one, under a lock, with the hits so far and the rows of each class
+// not yet replayed; once it returns true the shards not yet started are
+// skipped.
+func (r *replay) tally(masks map[int][]bool, stop func(hits, left []int) bool) []int {
+	hits, left := make([]int, r.ev.classes), make([]int, r.ev.classes)
+	for _, c := range r.labels {
+		left[c]++
+	}
+	done := stop != nil && stop(hits, left)
+	if done {
+		return hits
+	}
+	var mu sync.Mutex
+	r.forward(r.ev.suffix[r.at():], masks, func(sh parallel.Shard, out *tensor.Tensor) bool {
+		c := out.Dim(1)
+		mu.Lock()
+		defer mu.Unlock()
+		if done { // decided while this shard ran
+			return true
+		}
+		for s := 0; s < sh.Len(); s++ {
+			k := r.labels[sh.Lo+s]
+			left[k]--
+			if tensor.Argmax(out.Data()[s*c:(s+1)*c]) == k {
+				hits[k]++
+			}
+		}
+		done = stop != nil && stop(hits, left)
+		return done
+	})
+	return hits
+}
+
+// rate is the accuracy of h hits on class c: h over SampleCount(c), and
+// 0 without a hit.
+func (ev *SuffixEvaluator) rate(c, h int) float64 {
+	if h == 0 {
+		return 0
+	}
+	return float64(h) / float64(ev.SampleCount(c))
 }
 
 // DegradationOK reports whether pruned accuracy stays within eps of the

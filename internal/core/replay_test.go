@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,9 @@ import (
 // — started at the split, advanced to any one stage, or advanced stage
 // by stage — reports for every k ∈ K exactly the accuracy the full-set
 // replay and the full-network net.Infer(x, masks) evaluation report, for
-// every worker count.
+// every worker count; and its early-stopping verdict equals
+// DegradationOK over its full accuracies, for check K and nil and ε at,
+// just above and just below a class's measured degradation.
 func TestReplaySubsetMatchesFullEvaluation(t *testing.T) {
 	f := getFixture(t)
 	stages := f.net.Stages()
@@ -58,7 +61,23 @@ func TestReplaySubsetMatchesFullEvaluation(t *testing.T) {
 					}
 				}
 			}
-			check("from the split", ev.newReplay(K).accuracy(masks))
+			verdict := func(how string, r *replay) {
+				t.Helper()
+				base, acc := ev.baseline(), r.accuracy(masks)
+				c := K[trial%len(K)]
+				d := base[c] - acc[c]
+				for _, cls := range [][]int{K, nil} {
+					for _, eps := range []float64{0, 0.999, d, math.Nextafter(d, 1), math.Nextafter(d, -1)} {
+						want := DegradationOK(base, acc, eps, cls)
+						if got := r.withinEps(masks, base, eps, cls); got != want {
+							t.Fatalf("trial %d workers %d K=%v %s check=%v ε=%v: early verdict %v, full replay says %v", trial, w, K, how, cls, eps, got, want)
+						}
+					}
+				}
+			}
+			split := ev.newReplay(K)
+			check("from the split", split.accuracy(masks))
+			verdict("from the split", split)
 			walk := ev.newReplay(K)
 			for l := first; l < len(stages); l++ {
 				jump := ev.newReplay(K)
@@ -66,7 +85,44 @@ func TestReplaySubsetMatchesFullEvaluation(t *testing.T) {
 				check("advanced to one stage", jump.accuracy(masks))
 				walk.advanceTo(l, masks)
 				check("advanced stage by stage", walk.accuracy(masks))
+				verdict("advanced stage by stage", walk)
 			}
+		}
+	}
+}
+
+// A mask that keeps one unit of every stage wrecks every class, so the ε
+// check rejects it with rows still left to replay: counted through the
+// shard loop on one worker, where the schedule is fixed, it replays fewer
+// rows than the replay holds. More workers may finish the shards already
+// in flight, but reach the same verdict.
+func TestReplayStopsOnceRejected(t *testing.T) {
+	f := getFixture(t)
+	defer parallel.SetDefault(0)
+	ev, err := NewSuffixEvaluator(f.net, f.sets.Train, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	masks := map[int][]bool{}
+	for l, st := range f.net.Stages() {
+		m := make([]bool, st.Unit.Units())
+		for n := 1; n < len(m); n++ {
+			m[n] = true
+		}
+		masks[l] = m
+	}
+	base, eps := ev.baseline(), f.sys.Params.Epsilon
+	if DegradationOK(base, ev.PerClassAccuracy(masks), eps, nil) {
+		t.Fatal("the full replay accepts a mask keeping one unit per stage")
+	}
+	for _, w := range []int{1, 2, 4} {
+		parallel.SetDefault(w)
+		r := ev.newReplay(nil)
+		if r.withinEps(masks, base, eps, nil) {
+			t.Fatalf("workers %d: the early verdict accepts what the full replay rejects", w)
+		}
+		if n := r.replayed.Load(); w == 1 && n >= int64(len(r.labels)) {
+			t.Fatalf("rejected after replaying %d of %d rows, want fewer", n, len(r.labels))
 		}
 	}
 }

@@ -1,5 +1,7 @@
 package data
 
+import "capnn/internal/parallel"
+
 // Sets bundles the four disjoint datasets every CAP'NN experiment needs.
 type Sets struct {
 	// Train drives SGD.
@@ -27,12 +29,14 @@ type SetSizes struct {
 // pure-Go build (the paper used 200 profiling images per class on GPUs).
 var DefaultSetSizes = SetSizes{TrainPerClass: 60, ValPerClass: 20, TestPerClass: 20, ProfilePerClass: 40}
 
-// MakeSets draws the four disjoint splits from a single generator.
+// MakeSets draws the four disjoint splits from a single generator. Each
+// split has its own random source, so they are drawn concurrently, on
+// parallel.Default() workers, with the same bits as one after another.
 func MakeSets(gen *Generator, sz SetSizes) *Sets {
-	return &Sets{
-		Train:   gen.Generate(sz.TrainPerClass, 101),
-		Val:     gen.Generate(sz.ValPerClass, 202),
-		Test:    gen.Generate(sz.TestPerClass, 303),
-		Profile: gen.Generate(sz.ProfilePerClass, 404),
-	}
+	perClass := []int{sz.TrainPerClass, sz.ValPerClass, sz.TestPerClass, sz.ProfilePerClass}
+	splits := make([]*Dataset, len(perClass))
+	parallel.For(0, len(splits), func(i int) {
+		splits[i] = gen.Generate(perClass[i], int64(101*(i+1)))
+	})
+	return &Sets{Train: splits[0], Val: splits[1], Test: splits[2], Profile: splits[3]}
 }

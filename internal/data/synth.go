@@ -126,35 +126,73 @@ func (g *Generator) Prototype(c int) []float64 {
 // derived from the generator seed plus setSeed, so that train, validation,
 // test and profiling sets are disjoint draws from the same distribution.
 func (g *Generator) Generate(perClass int, setSeed int64) *Dataset {
+	counts := make([]int, g.cfg.Classes)
+	for c := range counts {
+		counts[c] = perClass
+	}
+	return g.generate(counts, setSeed)
+}
+
+// GenerateCounts produces counts[c] samples for each class c — the
+// imbalanced variant of Generate, for workloads where the monitoring
+// period should observe skewed traffic. len(counts) must equal the
+// generator's class count.
+func (g *Generator) GenerateCounts(counts []int, setSeed int64) (*Dataset, error) {
+	if len(counts) != g.cfg.Classes {
+		return nil, fmt.Errorf("data: %d counts for %d classes", len(counts), g.cfg.Classes)
+	}
+	for c, n := range counts {
+		if n < 0 {
+			return nil, fmt.Errorf("data: negative count %d for class %d", n, c)
+		}
+	}
+	return g.generate(counts, setSeed), nil
+}
+
+// generate draws counts[c] samples of each class c, class by class, from
+// the split's own random source.
+func (g *Generator) generate(counts []int, setSeed int64) *Dataset {
 	cfg := g.cfg
+	total := 0
+	for _, n := range counts {
+		total += n
+	}
 	rng := newSetRNG(cfg.Seed, setSeed)
+	sz := cfg.H * cfg.W
 	ds := &Dataset{C: 1, H: cfg.H, W: cfg.W, Classes: cfg.Classes,
-		Images: make([]float64, 0, perClass*cfg.Classes*cfg.H*cfg.W),
-		Labels: make([]int, 0, perClass*cfg.Classes)}
-	for c := 0; c < cfg.Classes; c++ {
-		for s := 0; s < perClass; s++ {
-			ds.Images = append(ds.Images, g.sample(rng, c)...)
+		Images: make([]float64, total*sz),
+		Labels: make([]int, 0, total)}
+	for c, n := range counts {
+		for s := 0; s < n; s++ {
+			g.sample(rng, c, ds.Images[len(ds.Labels)*sz:][:sz])
 			ds.Labels = append(ds.Labels, c)
 		}
 	}
 	return ds
 }
 
-func (g *Generator) sample(rng *rand.Rand, class int) []float64 {
+// sample draws one image of class into img: the prototype circularly
+// shifted by (dx, dy), scaled, plus per-pixel noise drawn in row-major
+// order.
+func (g *Generator) sample(rng *rand.Rand, class int, img []float64) {
 	cfg := g.cfg
 	proto := g.protos[class]
 	dx := rng.Intn(2*cfg.MaxShift+1) - cfg.MaxShift
 	dy := rng.Intn(2*cfg.MaxShift+1) - cfg.MaxShift
 	scale := 0.8 + 0.4*rng.Float64()
-	img := make([]float64, cfg.H*cfg.W)
+	// Column x reads source column x+ox, wrapping at the right edge.
+	ox := (dx%cfg.W + cfg.W) % cfg.W
 	for y := 0; y < cfg.H; y++ {
 		sy := ((y+dy)%cfg.H + cfg.H) % cfg.H
-		for x := 0; x < cfg.W; x++ {
-			sx := ((x+dx)%cfg.W + cfg.W) % cfg.W
-			img[y*cfg.W+x] = scale*proto[sy*cfg.W+sx] + cfg.NoiseStd*rng.NormFloat64()
+		src, dst := proto[sy*cfg.W:(sy+1)*cfg.W], img[y*cfg.W:(y+1)*cfg.W]
+		for x := range dst {
+			sx := x + ox
+			if sx >= cfg.W {
+				sx -= cfg.W
+			}
+			dst[x] = scale*src[sx] + cfg.NoiseStd*rng.NormFloat64()
 		}
 	}
-	return img
 }
 
 // newSetRNG derives a split-specific random source so that train, val,

@@ -1,6 +1,9 @@
 package data
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 	"testing/quick"
@@ -225,5 +228,60 @@ func TestSamplesFiniteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestGenerateCountsImbalance(t *testing.T) {
+	gen, _ := NewGenerator(DefaultSynthConfig(4))
+	ds, err := gen.GenerateCounts([]int{5, 0, 2, 1}, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	per := ds.ByClass()
+	want := []int{5, 0, 2, 1}
+	for c, idx := range per {
+		if len(idx) != want[c] {
+			t.Fatalf("class %d has %d samples, want %d", c, len(idx), want[c])
+		}
+	}
+	if _, err := gen.GenerateCounts([]int{1, 2}, 1); err == nil {
+		t.Fatal("wrong count length accepted")
+	}
+	if _, err := gen.GenerateCounts([]int{1, -1, 0, 0}, 1); err == nil {
+		t.Fatal("negative count accepted")
+	}
+}
+
+// TestMakeSetsGolden pins every bit of the four splits the cifar10
+// reference fixture draws (exp.CIFAR10Config's generator and sizes; this
+// package cannot import exp): the FNV-64a of each split's image bits and
+// labels, Train, Val, Test, Profile in turn. The hash was recorded when
+// the splits were still drawn one after another, so drawing them
+// concurrently, or reshaping the sampler's loops, must leave it as is.
+func TestMakeSetsGolden(t *testing.T) {
+	cfg := DefaultSynthConfig(10)
+	cfg.NoiseStd, cfg.GroupMix, cfg.Seed = 1.5, 0.75, 2
+	g, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := MakeSets(g, SetSizes{TrainPerClass: 50, ValPerClass: 40, TestPerClass: 25, ProfilePerClass: 40})
+	h := fnv.New64a()
+	var b [8]byte
+	for _, ds := range []*Dataset{sets.Train, sets.Val, sets.Test, sets.Profile} {
+		for _, v := range ds.Images {
+			binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+			h.Write(b[:])
+		}
+		for _, l := range ds.Labels {
+			binary.LittleEndian.PutUint64(b[:], uint64(l))
+			h.Write(b[:])
+		}
+	}
+	if got, want := fmt.Sprintf("%016x", h.Sum64()), "91e2c743fe1afb9b"; got != want {
+		t.Fatalf("MakeSets hash %s, want %s", got, want)
 	}
 }

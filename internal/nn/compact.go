@@ -151,49 +151,46 @@ func compactShape(cur []int, keep []bool) []int {
 	return s
 }
 
+// copyConvWeights copies the kept filters' kept k·k input planes, one
+// contiguous run each, between the [outC, inC, k, k] weight slices.
 func copyConvWeights(dst, src *Conv2D, inKeep, outKeep []bool) {
-	sw, dw := src.w.W, dst.w.W
+	kk := src.k * src.k
+	sw, dw := src.w.W.Data(), dst.w.W.Data()
 	sb, db := src.b.W.Data(), dst.b.W.Data()
-	do := 0
+	do, d := 0, 0
 	for oc := 0; oc < src.outC; oc++ {
 		if !outKeep[oc] {
 			continue
 		}
 		db[do] = sb[oc]
-		di := 0
-		for ic := 0; ic < src.inC; ic++ {
-			if !inKeep[ic] {
-				continue
-			}
-			for ky := 0; ky < src.k; ky++ {
-				for kx := 0; kx < src.k; kx++ {
-					dw.Set(sw.At(oc, ic, ky, kx), do, di, ky, kx)
-				}
-			}
-			di++
-		}
 		do++
+		for ic := 0; ic < src.inC; ic++ {
+			if inKeep[ic] {
+				s := (oc*src.inC + ic) * kk
+				d += copy(dw[d:], sw[s:s+kk])
+			}
+		}
 	}
 }
 
+// copyDenseWeights copies the kept rows' kept columns between the
+// [out, in] weight slices.
 func copyDenseWeights(dst, src *Dense, inKeep, outKeep []bool) {
-	sw, dw := src.w.W, dst.w.W
+	sw, dw := src.w.W.Data(), dst.w.W.Data()
 	sb, db := src.b.W.Data(), dst.b.W.Data()
-	do := 0
+	do, d := 0, 0
 	for o := 0; o < src.out; o++ {
 		if !outKeep[o] {
 			continue
 		}
 		db[do] = sb[o]
-		di := 0
-		for i := 0; i < src.in; i++ {
-			if !inKeep[i] {
-				continue
-			}
-			dw.Set(sw.At(o, i), do, di)
-			di++
-		}
 		do++
+		for i, w := range sw[o*src.in : (o+1)*src.in] {
+			if inKeep[i] {
+				dw[d] = w
+				d++
+			}
+		}
 	}
 }
 

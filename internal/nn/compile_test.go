@@ -319,3 +319,18 @@ func TestCompileElidesDropout(t *testing.T) {
 	x := randInput([]int{2, 1, 8, 8}, 18)
 	bitEqual(t, net.Infer(x, masks), c.Infer(x))
 }
+
+// Compile copies the kept weights slice to slice: one Compile of the
+// cifar10 fixture's real M plan stays within 1 000 allocations.
+func TestCompileAllocs(t *testing.T) {
+	net := loadFixtureNet(t, "cifar10")
+	masks, _ := parseMasks(forwardGoldens[0].mMasks)
+	got := testing.AllocsPerRun(5, func() {
+		if _, err := Compile(net, masks); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got > 1000 {
+		t.Fatalf("Compile of the M plan makes %.0f allocations, want ≤ 1000", got)
+	}
+}
