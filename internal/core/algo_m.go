@@ -32,11 +32,14 @@ type MReport struct {
 // ε check inside PruneW measures true accuracy, the paper's degradation
 // guarantee is preserved while the removal of confusion-driving neurons
 // can lift accuracy above the unpruned baseline.
-func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params Params, confusion *ConfusionProfile) (*MReport, error) {
+func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params Params) (*MReport, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
 	if err := prefs.Validate(rates.Classes); err != nil {
+		return nil, err
+	}
+	if err := checkConfusion(ev.net, rates); err != nil {
 		return nil, err
 	}
 	lastHidden := params.Stages[len(params.Stages)-1]
@@ -46,8 +49,8 @@ func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 	}
 
 	// Step 1: top confusing classes per user class, from the confusion
-	// matrix of the unpruned model.
-	cm, err := confusion.Matrix(prefs.Classes)
+	// counts of the unpruned model's profiling pass.
+	cm, err := confusionMatrix(rates, prefs.Classes)
 	if err != nil {
 		return nil, err
 	}

@@ -1,16 +1,124 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
+	"capnn/internal/firing"
 	"capnn/internal/nn"
+	"capnn/internal/parallel"
+	"capnn/internal/tensor"
 )
+
+// The confusion rows come from the top-1 counts of the profiling pass.
+// Built from firing.Compute's counts on any worker count, they — and the
+// guard's off-preference share read from them — equal to the bit a
+// per-class measurement pushing each class's profiling images through
+// the unpruned network and adding 1/n per image; the counts survive the
+// packed cloud format, and a system refuses rates without them.
+func TestConfusionFromProfilingPass(t *testing.T) {
+	f := getFixture(t)
+	defer parallel.SetDefault(0)
+	byClass := f.sets.Profile.ByClass()
+	want := make([][]float64, len(byClass))
+	for k, idx := range byClass {
+		x, _ := f.sets.Profile.Batch(idx)
+		logits := f.net.Infer(x, nil)
+		c := logits.Dim(1)
+		want[k] = make([]float64, f.sets.Profile.Classes)
+		for s := range idx {
+			want[k][tensor.Argmax(logits.Data()[s*c:(s+1)*c])] += 1.0 / float64(len(idx))
+		}
+	}
+	refShare := func(p Preferences) (share, n float64) {
+		for i, k := range p.Classes {
+			off := 1.0
+			for _, c := range p.Classes {
+				off -= want[k][c]
+			}
+			w := p.Weights[i]
+			share += w * off
+			n += w * w / float64(len(byClass[k]))
+		}
+		return math.Max(share, 0), 1 / n
+	}
+	prefsSet := []Preferences{Uniform([]int{1, 4}), {Classes: []int{0, 4}, Weights: []float64{0.75, 0.25}},
+		{Classes: []int{5, 2, 3}, Weights: []float64{0.5, 0.3, 0.2}}}
+	check := func(how string, rates *firing.Rates) {
+		t.Helper()
+		cm, err := confusionMatrix(rates, []int{0, 1, 2, 3, 4, 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, row := range cm.Rows {
+			for c, v := range row {
+				if v != want[k][c] {
+					t.Fatalf("%s: row %d class %d = %v, measured %v", how, k, c, v, want[k][c])
+				}
+			}
+		}
+		sys, err := NewSystem(f.net, f.sets.Val, nil, rates, testParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range prefsSet {
+			share, n, err := sys.OffPreferenceShare(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ws, wn := refShare(p); share != ws || n != wn {
+				t.Fatalf("%s %v: off-preference share %v of %v images, measured %v of %v", how, p.Classes, share, n, ws, wn)
+			}
+		}
+	}
+	for _, w := range []int{1, 2, 4} {
+		rates, err := firing.ComputeWorkers(f.net, f.sets.Profile, f.sys.Params.Stages, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check("computed", rates)
+		if w != 1 {
+			continue
+		}
+		packed, err := firing.Pack(rates, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wire bytes.Buffer
+		if err := packed.Save(&wire); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := firing.LoadPacked(&wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped, err := loaded.Unpack()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shipped.Confusion, rates.Confusion) {
+			t.Fatalf("counts %v after the packed round trip, want %v", shipped.Confusion, rates.Confusion)
+		}
+		check("packed and unpacked", shipped)
+	}
+
+	missing := f.sys.Rates.Clone()
+	missing.Confusion = nil
+	narrow := f.sys.Rates.Clone()
+	narrow.Confusion[3] = narrow.Confusion[3][:2]
+	for _, bad := range []*firing.Rates{missing, narrow} {
+		if _, err := NewSystem(f.net, f.sets.Val, nil, bad, testParams()); err == nil {
+			t.Fatalf("NewSystem accepted confusion counts %v", bad.Confusion)
+		}
+	}
+}
 
 func TestConfusionMatrixRowsSumToOne(t *testing.T) {
 	f := getFixture(t)
 	K := []int{0, 1, 5}
-	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix(K)
+	cm, err := confusionMatrix(f.sys.Rates, K)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +145,7 @@ func TestConfusionMatrixRowsSumToOne(t *testing.T) {
 func TestOffPreferenceShare(t *testing.T) {
 	f := getFixture(t)
 	prefs := Preferences{Classes: []int{0, 4}, Weights: []float64{0.75, 0.25}}
-	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix(prefs.Classes)
+	cm, err := confusionMatrix(f.sys.Rates, prefs.Classes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +175,7 @@ func TestOffPreferenceShare(t *testing.T) {
 
 func TestTopConfusingExcludesSelf(t *testing.T) {
 	f := getFixture(t)
-	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{2})
+	cm, err := confusionMatrix(f.sys.Rates, []int{2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +202,7 @@ func TestConfusionReflectsGroupStructure(t *testing.T) {
 	// should come from its own group far more often than not; check the
 	// top-2 include at least one same-group class.
 	f := getFixture(t)
-	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{0})
+	cm, err := confusionMatrix(f.sys.Rates, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,10 +220,10 @@ func TestConfusionReflectsGroupStructure(t *testing.T) {
 
 func TestComputeConfusionErrors(t *testing.T) {
 	f := getFixture(t)
-	if _, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix(nil); err == nil {
+	if _, err := confusionMatrix(f.sys.Rates, nil); err == nil {
 		t.Fatal("empty K accepted")
 	}
-	if _, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{77}); err == nil {
+	if _, err := confusionMatrix(f.sys.Rates, []int{77}); err == nil {
 		t.Fatal("out-of-range class accepted")
 	}
 }
@@ -123,7 +231,7 @@ func TestComputeConfusionErrors(t *testing.T) {
 func TestPruneMGuaranteeAndReport(t *testing.T) {
 	f := getFixture(t)
 	prefs, _ := Weighted([]int{0, 4}, []float64{0.7, 0.3})
-	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion)
+	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +251,7 @@ func TestPruneMDoesNotMutateSharedRates(t *testing.T) {
 	lastHidden := f.sys.Params.Stages[len(f.sys.Params.Stages)-1]
 	before := append([]float64(nil), f.sys.Rates.Layers[lastHidden].F...)
 	prefs := Uniform([]int{1, 2})
-	if _, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion); err != nil {
+	if _, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params); err != nil {
 		t.Fatal(err)
 	}
 	after := f.sys.Rates.Layers[lastHidden].F
@@ -161,7 +269,7 @@ func TestPruneMAtLeastAsAggressiveAsW(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion)
+	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +304,7 @@ func TestMiseffectualIdentification(t *testing.T) {
 	W := out.Weights()
 
 	// Determine class 0's top confusing classes on the real model.
-	cm, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{0})
+	cm, err := confusionMatrix(f.sys.Rates, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +321,7 @@ func TestMiseffectualIdentification(t *testing.T) {
 	}()
 
 	prefs := Uniform([]int{0, 3})
-	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params, f.sys.confusion)
+	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,10 @@
 package core
 
-import "capnn/internal/firing"
+import (
+	"slices"
+
+	"capnn/internal/firing"
+)
 
 // PruneW runs CAP'NN-W (Algorithm 2): weighted class-aware pruning. At
 // every prunable stage it flags units whose *effective* firing rate
@@ -26,7 +30,7 @@ func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 		return nil, err
 	}
 	stages := ev.net.Stages()
-	base := ev.baseline()
+	base := ev.baseline(prefs.Classes...)
 	r := ev.newReplay(prefs.Classes)
 
 	committed := map[int][]bool{}
@@ -70,15 +74,7 @@ func PruneW(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 // sameMask reports whether a and b are equal boolean masks (false when
 // either is nil).
 func sameMask(a, b []bool) bool {
-	if a == nil || b == nil || len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return a != nil && b != nil && slices.Equal(a, b)
 }
 
 // keepOne unflags the highest-scoring unit when a candidate set would

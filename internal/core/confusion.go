@@ -2,11 +2,10 @@ package core
 
 import (
 	"fmt"
-	"sync"
+	"slices"
 
-	"capnn/internal/data"
+	"capnn/internal/firing"
 	"capnn/internal/nn"
-	"capnn/internal/parallel"
 	"capnn/internal/tensor"
 )
 
@@ -20,79 +19,51 @@ type ConfusionMatrix struct {
 	Rows [][]float64
 }
 
-// ConfusionProfile measures rows of the unpruned model's confusion
-// matrix over a profiling set. A row depends on the weights and the
-// profiling images alone, not on the user, so each class is pushed
-// through the network once, when a user first names it, and kept. Safe
-// for concurrent use.
-type ConfusionProfile struct {
-	net     *nn.Network
-	profile *data.Dataset
-	byClass [][]int
-	once    []sync.Once // once[k] measures rows[k]
-	rows    [][]float64
-}
-
-// NewConfusionProfile prepares the (lazy) confusion rows of net over
-// profile. The weights must not change afterwards.
-func NewConfusionProfile(net *nn.Network, profile *data.Dataset) *ConfusionProfile {
-	return &ConfusionProfile{net: net, profile: profile, byClass: profile.ByClass(),
-		once: make([]sync.Once, profile.Classes), rows: make([][]float64, profile.Classes)}
-}
-
-// confusionBatch shards one class's profiling images finely enough that
-// a 40-image class still occupies every worker.
-const confusionBatch = 8
-
-// Matrix returns the confusion rows of the classes in K.
-func (cp *ConfusionProfile) Matrix(K []int) (*ConfusionMatrix, error) {
+// confusionMatrix returns the confusion rows of the classes in K from
+// the profiling pass's top-1 counts, adding 1/n once per image of the
+// class as a per-image measurement would.
+func confusionMatrix(rates *firing.Rates, K []int) (*ConfusionMatrix, error) {
 	if len(K) == 0 {
 		return nil, fmt.Errorf("core: empty class subset")
 	}
-	cm := &ConfusionMatrix{K: append([]int(nil), K...), Classes: cp.profile.Classes, Rows: make([][]float64, len(K))}
+	cm := &ConfusionMatrix{K: append([]int(nil), K...), Classes: rates.Classes, Rows: make([][]float64, len(K))}
 	for i, k := range K {
-		row, err := cp.row(k)
-		if err != nil {
-			return nil, err
+		if k < 0 || k >= rates.Classes {
+			return nil, fmt.Errorf("core: class %d outside [0,%d)", k, rates.Classes)
 		}
-		cm.Rows[i] = row
+		n := profiled(rates, k)
+		if n == 0 {
+			return nil, fmt.Errorf("core: profiling set has no samples of class %d", k)
+		}
+		cm.Rows[i] = make([]float64, len(rates.Confusion[k]))
+		for c, m := range rates.Confusion[k] {
+			for ; m > 0; m-- {
+				cm.Rows[i][c] += 1.0 / float64(n)
+			}
+		}
 	}
 	return cm, nil
 }
 
-// row returns the fraction of class-k profiling images each class is the
-// top-1 prediction for, measuring it on first use with no prune mask.
-func (cp *ConfusionProfile) row(k int) ([]float64, error) {
-	if k < 0 || k >= cp.profile.Classes {
-		return nil, fmt.Errorf("core: class %d outside [0,%d)", k, cp.profile.Classes)
+// checkConfusion refuses rates whose confusion counts are missing or are
+// not one row per class of one count per output unit of net.
+func checkConfusion(net *nn.Network, rates *firing.Rates) error {
+	stages := net.Stages()
+	outputs := stages[len(stages)-1].Unit.Units()
+	for k := 0; k < rates.Classes; k++ {
+		if len(rates.Confusion) != rates.Classes || len(rates.Confusion[k]) != outputs {
+			return fmt.Errorf("core: rates lack confusion counts of class %d over the network's %d output units", k, outputs)
+		}
 	}
-	idx := cp.byClass[k]
-	if len(idx) == 0 {
-		return nil, fmt.Errorf("core: profiling set has no samples of class %d", k)
-	}
-	cp.once[k].Do(func() { cp.rows[k] = cp.measure(idx) })
-	return cp.rows[k], nil
+	return nil
 }
 
-// measure pushes the profiling images idx (one class's) through the
-// unpruned network and returns their top-1 prediction frequencies.
-func (cp *ConfusionProfile) measure(idx []int) []float64 {
-	row := make([]float64, cp.profile.Classes)
-	preds := make([]int, len(idx))
-	shards := parallel.Shards(len(idx), confusionBatch)
-	parallel.For(0, len(shards), func(i int) {
-		sh := shards[i]
-		x, _ := cp.profile.Batch(idx[sh.Lo:sh.Hi])
-		logits := cp.net.Infer(x, nil)
-		c := logits.Dim(1)
-		for s := 0; s < sh.Len(); s++ {
-			preds[sh.Lo+s] = tensor.Argmax(logits.Data()[s*c : (s+1)*c])
-		}
-	})
-	for _, p := range preds {
-		row[p] += 1.0 / float64(len(preds))
+// profiled is the number of class-k profiling images behind the counts.
+func profiled(rates *firing.Rates, k int) (n int) {
+	for _, m := range rates.Confusion[k] {
+		n += m
 	}
-	return row
+	return n
 }
 
 // TopConfusing returns the topN classes c ≠ k most frequently triggered
@@ -100,28 +71,12 @@ func (cp *ConfusionProfile) measure(idx []int) []float64 {
 // accuracy metric). Classes never triggered are still eligible but rank
 // last; ties break toward lower class indices.
 func (cm *ConfusionMatrix) TopConfusing(k int, topN int) ([]int, error) {
-	ki := -1
-	for i, c := range cm.K {
-		if c == k {
-			ki = i
-			break
-		}
-	}
+	ki := slices.Index(cm.K, k)
 	if ki < 0 {
 		return nil, fmt.Errorf("core: class %d not in confusion matrix", k)
 	}
 	row := append([]float64(nil), cm.Rows[ki]...)
 	row[k] = -1 // exclude k itself
-	order := tensor.ArgTopK(row, topN+1)
-	var out []int
-	for _, c := range order {
-		if c == k {
-			continue
-		}
-		out = append(out, c)
-		if len(out) == topN {
-			break
-		}
-	}
-	return out, nil
+	out := slices.DeleteFunc(tensor.ArgTopK(row, topN+1), func(c int) bool { return c == k })
+	return out[:min(max(topN, 0), len(out))], nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -16,15 +17,17 @@ import (
 // network cheaply, by never repeating work whose result cannot change
 // between the ε checks of Algorithms 1–2:
 //
-//   - The prefix. CAP'NN only prunes the last layers of the network, so
-//     the activations entering the first prunable layer are the same for
-//     every candidate; they are computed once, here, and every check
-//     replays only the suffix (on the reference model a 6-layer pass over
-//     tiny 2×2 feature maps instead of a full 16-layer pass).
+//   - The prefix and the unmasked baseline. CAP'NN only prunes the last
+//     layers of the network, so the activations entering the first
+//     prunable layer are the same for every candidate. A class's are
+//     computed once, when a replay first names it, and run on through the
+//     unmasked suffix for its baseline hits; every check replays only the
+//     suffix (on the reference model a 6-layer pass over tiny 2×2 feature
+//     maps instead of a full 16-layer pass).
 //   - Other users' classes. The cached rows are grouped by class, and a
-//     replay holds only the rows of the classes it is asked about. A
-//     row's logits do not depend on which rows share its batch — a
-//     suffix shard runs sample-minor on the conv tiles, the rows as the
+//     replay holds (and builds) only the rows of the classes it is asked
+//     about. A row's logits do not depend on which rows share its batch —
+//     a suffix shard runs sample-minor on the conv tiles, the rows as the
 //     positions of every conv and dense layer, and each row's outputs
 //     are the chain it computes alone (nn's TestInferBatchEqualsPerSample
 //     and TestInferMinorMatchesPerImage) — so the hit count of class k
@@ -33,9 +36,6 @@ import (
 //     so once the stages before ℓ are committed the activations entering
 //     ℓ are fixed for the whole threshold descent at ℓ; replay.advanceTo
 //     pushes the rows there once and each candidate replays from ℓ on.
-//   - The unmasked baseline. It depends on the weights and the evaluation
-//     set alone, both fixed for the evaluator's lifetime (the cached
-//     prefix already assumes so), and is measured once, at first use.
 //   - Decided verdicts. An ε check asks only whether every checked class
 //     stays within ε, so it stops replaying once the rows left could not
 //     change the answer even if every one were a hit, or a miss
@@ -47,23 +47,26 @@ import (
 // bit-identical to that pass for every worker count.
 //
 // The masks judged are the ones the caller passes: the evaluator reads
-// only the network's weights and writes nothing, so any number of
-// goroutines may use one evaluator at once.
+// only the network's weights and writes only its cache, each class once,
+// so any number of goroutines may use one evaluator at once.
 // Stages before the cached split are not replayed; a mask there is not
 // seen.
 type SuffixEvaluator struct {
 	net     *nn.Network
-	suffix  []nn.Layer // net.Layers[split:]
-	first   int        // stage index of suffix[0]
-	unitAt  []int      // unitAt[s-first] indexes stage s's unit layer in suffix
-	classes int
+	suffix  []nn.Layer    // net.Layers[split:]
+	first   int           // stage index of suffix[0]
+	unitAt  []int         // unitAt[s-first] indexes stage s's unit layer in suffix
+	ds      *data.Dataset // evaluation set
+	byClass [][]int       // dataset indices of each class's rows
+	all     []int         // every class
 
 	cached *tensor.Tensor // activations at the split, rows grouped by class
 	labels []int          // class of each cached row
 	start  []int          // class c owns rows [start[c], start[c+1])
 
-	baseOnce sync.Once
-	base     []float64 // unmasked per-class accuracy, set by baseOnce
+	once     []sync.Once  // once[c] builds class c's rows and baseHits[c]
+	baseHits []int        // unmasked hits per class, set by once
+	built    atomic.Int64 // rows pushed through the prefix so far
 }
 
 // suffixBatch is the replay's shard size. A two-class user's ε check
@@ -71,10 +74,10 @@ type SuffixEvaluator struct {
 // the other 16, so the shards are kept small enough to balance.
 const suffixBatch = 16
 
-// NewSuffixEvaluator caches activations of ds at the input of the unit
-// layer with stage index firstPrunable, computed with no stage pruned.
-// The returned evaluator shares the network's weights, which must not
-// change afterwards.
+// NewSuffixEvaluator prepares to cache activations of ds at the input of
+// the unit layer with stage index firstPrunable, computed with no stage
+// pruned, as replays name their classes. The returned evaluator shares
+// the network's weights and ds, which must not change afterwards.
 func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*SuffixEvaluator, error) {
 	stages := net.Stages()
 	if firstPrunable < 0 || firstPrunable >= len(stages) {
@@ -92,36 +95,60 @@ func NewSuffixEvaluator(net *nn.Network, ds *data.Dataset, firstPrunable int) (*
 	}
 	split := unitLayers[firstPrunable]
 
-	ev := &SuffixEvaluator{net: net, suffix: net.Layers[split:], first: firstPrunable, classes: ds.Classes}
+	ev := &SuffixEvaluator{net: net, suffix: net.Layers[split:], first: firstPrunable,
+		ds: ds, byClass: ds.ByClass(), start: make([]int, ds.Classes+1),
+		once: make([]sync.Once, ds.Classes), baseHits: make([]int, ds.Classes)}
 	for _, i := range unitLayers[firstPrunable:] {
 		ev.unitAt = append(ev.unitAt, i-split)
 	}
-	// Stable grouping by class: order lists the samples class by class,
+	// Stable grouping by class: the rows list the samples class by class,
 	// each class in dataset order.
-	order := make([]int, 0, ds.Len())
-	ev.start = make([]int, ds.Classes+1)
-	for c, idx := range ds.ByClass() {
-		ev.start[c] = len(order)
-		order = append(order, idx...)
+	for c, idx := range ev.byClass {
+		ev.all, ev.start[c+1] = append(ev.all, c), ev.start[c]+len(idx)
 		for range idx {
 			ev.labels = append(ev.labels, c)
 		}
 	}
-	ev.start[ds.Classes] = len(order)
+	ev.cached = tensor.New(append([]int{len(ev.labels)}, net.Layers[split].InShape()...)...)
+	return ev, nil
+}
 
-	// Run the prefix once over the whole set, sharded across workers.
-	// Shards write disjoint regions of the cache via the stateless
-	// nn.InferLayers, so any worker count produces the same bits.
-	ev.cached = tensor.New(append([]int{len(order)}, net.Layers[split].InShape()...)...)
-	prefix := net.Layers[:split]
-	shards := parallel.Shards(len(order), suffixBatch)
+// build caches the rows of the classes in K (nil = every class) not yet
+// built — side by side, each in suffixBatch shards across workers — and
+// returns the classes.
+func (ev *SuffixEvaluator) build(K []int) []int {
+	if K == nil {
+		K = ev.all
+	}
+	parallel.For(0, len(K), func(i int) {
+		k := K[i]
+		ev.once[k].Do(func() { ev.buildClass(k) })
+	})
+	return K
+}
+
+// buildClass pushes class k's rows through the prefix into the cache
+// and on through the unmasked suffix, counting k's baseline hits. Shards
+// write disjoint regions of the cache via the stateless nn.InferLayers,
+// so any worker count produces the same bits.
+func (ev *SuffixEvaluator) buildClass(k int) {
+	lo := ev.start[k]
+	var hits atomic.Int64
+	shards := parallel.Shards(ev.start[k+1]-lo, suffixBatch)
 	parallel.For(0, len(shards), func(i int) {
 		sh := shards[i]
-		x, _ := ds.Batch(order[sh.Lo:sh.Hi])
-		x = nn.InferLayers(prefix, 0, nil, x)
-		copy(rows(ev.cached, sh.Lo, sh.Hi), x.Data())
+		x, _ := ev.ds.Batch(ev.byClass[k][sh.Lo:sh.Hi])
+		x = nn.InferLayers(ev.net.Layers[:len(ev.net.Layers)-len(ev.suffix)], 0, nil, x)
+		copy(rows(ev.cached, lo+sh.Lo, lo+sh.Hi), x.Data())
+		out := nn.InferLayers(ev.suffix, ev.first, nil, x)
+		for s, c := 0, out.Dim(1); s < sh.Len(); s++ {
+			if tensor.Argmax(out.Data()[s*c:(s+1)*c]) == k {
+				hits.Add(1)
+			}
+		}
+		ev.built.Add(int64(sh.Len()))
 	})
-	return ev, nil
+	ev.baseHits[k] = int(hits.Load())
 }
 
 // rows returns the backing data of rows [lo, hi) of a batch tensor.
@@ -131,15 +158,15 @@ func rows(t *tensor.Tensor, lo, hi int) []float64 {
 }
 
 // Classes returns the class count of the evaluation set.
-func (ev *SuffixEvaluator) Classes() int { return ev.classes }
+func (ev *SuffixEvaluator) Classes() int { return ev.ds.Classes }
 
 // SampleCount returns how many eval images exist for class c.
 func (ev *SuffixEvaluator) SampleCount(c int) int { return ev.start[c+1] - ev.start[c] }
 
 // PerClassAccuracy replays the suffix under masks (keyed by stage index,
 // as Network.Infer takes them; nil = unpruned) and returns top-1
-// accuracy per class, using parallel.Default() workers. Classes with no
-// samples report 0.
+// accuracy per class, using parallel.Default() workers. It builds every
+// class. Classes with no samples report 0.
 func (ev *SuffixEvaluator) PerClassAccuracy(masks map[int][]bool) []float64 {
 	return ev.newReplay(nil).accuracy(masks)
 }
@@ -164,11 +191,15 @@ func (ev *SuffixEvaluator) checkStages(rates *firing.Rates, prunable []int) erro
 	return nil
 }
 
-// baseline returns the per-class accuracy of the unmasked network,
-// measuring it on first use.
-func (ev *SuffixEvaluator) baseline() []float64 {
-	ev.baseOnce.Do(func() { ev.base = ev.PerClassAccuracy(nil) })
-	return ev.base
+// baseline returns the per-class accuracy of the unmasked network on the
+// classes in K (none = every class; the others report 0), building them
+// if need be.
+func (ev *SuffixEvaluator) baseline(K ...int) []float64 {
+	base := make([]float64, ev.ds.Classes)
+	for _, c := range ev.build(K) {
+		base[c] = ev.rate(c, ev.baseHits[c])
+	}
+	return base
 }
 
 // replay is the rows of a class subset on their way through the suffix:
@@ -188,8 +219,9 @@ type replay struct {
 func (r *replay) at() int { return r.ev.unitAt[r.stage-r.ev.first] }
 
 // newReplay starts a replay of the cached rows of the classes in K (nil =
-// every class) at the split.
+// every class) at the split, building them if need be.
 func (ev *SuffixEvaluator) newReplay(K []int) *replay {
+	ev.build(K)
 	if K == nil {
 		return &replay{ev: ev, labels: ev.labels, x: ev.cached, stage: ev.first}
 	}
@@ -250,7 +282,7 @@ func (r *replay) advanceTo(stage int, masks map[int][]bool) {
 // accuracy per class, 0 for classes the replay holds no rows of. Hits
 // are integers, so the result is the same for every worker count.
 func (r *replay) accuracy(masks map[int][]bool) []float64 {
-	acc := make([]float64, r.ev.classes)
+	acc := make([]float64, r.ev.ds.Classes)
 	for c, h := range r.tally(masks, nil) {
 		acc[c] = r.ev.rate(c, h)
 	}
@@ -264,7 +296,7 @@ func (r *replay) accuracy(masks map[int][]bool) []float64 {
 // base − acc > eps are both monotone in the hit count, so the early
 // verdict is the full replay's for every worker count and schedule.
 func (r *replay) withinEps(masks map[int][]bool, base []float64, eps float64, check []int) bool {
-	lo, hi := make([]float64, r.ev.classes), make([]float64, r.ev.classes)
+	lo, hi := make([]float64, r.ev.ds.Classes), make([]float64, r.ev.ds.Classes)
 	var ok bool
 	r.tally(masks, func(hits, left []int) bool {
 		for c, h := range hits {
@@ -282,7 +314,7 @@ func (r *replay) withinEps(masks map[int][]bool, base []float64, eps float64, ch
 // not yet replayed; once it returns true the shards not yet started are
 // skipped.
 func (r *replay) tally(masks map[int][]bool, stop func(hits, left []int) bool) []int {
-	hits, left := make([]int, r.ev.classes), make([]int, r.ev.classes)
+	hits, left := make([]int, r.ev.ds.Classes), make([]int, r.ev.ds.Classes)
 	for _, c := range r.labels {
 		left[c]++
 	}
@@ -324,16 +356,8 @@ func (ev *SuffixEvaluator) rate(c, h int) float64 {
 // baseline for every class in check (nil = all classes with samples).
 // Degradation is max(0, base − acc): improvements never violate ε.
 func DegradationOK(base, acc []float64, eps float64, check []int) bool {
-	if check == nil {
-		for c := range base {
-			if base[c]-acc[c] > eps {
-				return false
-			}
-		}
-		return true
-	}
-	for _, c := range check {
-		if base[c]-acc[c] > eps {
+	for c := range base {
+		if (check == nil || slices.Contains(check, c)) && base[c]-acc[c] > eps {
 			return false
 		}
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"capnn/internal/parallel"
@@ -148,7 +149,7 @@ func TestPruneRejectsStageBeforeSplit(t *testing.T) {
 // up the masks an earlier search judged.
 func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 	f := getFixture(t)
-	want, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{1, 4})
+	want, err := confusionMatrix(f.sys.Rates, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +160,7 @@ func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 	// The shared evaluator judges a mask first; the constants measured
 	// after it are the unpruned model's.
 	f.sys.Eval.PerClassAccuracy(map[int][]bool{2: mask})
-	got, err := NewConfusionProfile(f.net, f.sets.Profile).Matrix([]int{1, 4})
+	got, err := confusionMatrix(f.sys.Rates, []int{1, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,5 +195,99 @@ func TestMemoisedConstantsIgnoreInstalledMasks(t *testing.T) {
 		if v != f.baseVal[c] {
 			t.Fatalf("baseline class %d = %v, want unmasked %v", c, v, f.baseVal[c])
 		}
+	}
+}
+
+// A system given rates runs no forward pass until a search names a
+// class, and a search builds only the classes it names: W and M for
+// K = {1, 4} push the rows of 1 and 4 through the prefix and nothing
+// else. A later full evaluation builds the rest and reports what the
+// whole-network evaluation does, and the lazily built system finds the
+// shared, fully built one's masks.
+func TestEvaluatorBuildsNamedClassesOnly(t *testing.T) {
+	f := getFixture(t)
+	sys, err := NewSystem(f.net, f.sets.Val, nil, f.sys.Rates, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ev := sys.Eval
+	if n := ev.built.Load(); n != 0 {
+		t.Fatalf("NewSystem pushed %d rows through the prefix, want none", n)
+	}
+	prefs := Uniform([]int{1, 4})
+	named := int64(ev.SampleCount(1) + ev.SampleCount(4))
+	for _, v := range []Variant{VariantW, VariantM} {
+		got, err := sys.Prune(v, prefs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := ev.built.Load(); n != named {
+			t.Fatalf("%s for K=%v built %d rows, want the %d of classes 1 and 4", v, prefs.Classes, n, named)
+		}
+		want, err := f.sys.Prune(v, prefs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := range want {
+			if !sameMask(got[l], want[l]) {
+				t.Fatalf("%s stage %d: the lazily built system's mask differs from the shared one's", v, l)
+			}
+		}
+	}
+	// The classes built are 1 and 4: naming them again builds nothing,
+	// naming 0 builds only 0.
+	ev.newReplay([]int{4, 1})
+	if n := ev.built.Load(); n != named {
+		t.Fatalf("naming built classes again: %d rows built, want %d", n, named)
+	}
+	ev.newReplay([]int{0})
+	if n, w := ev.built.Load(), named+int64(ev.SampleCount(0)); n != w {
+		t.Fatalf("naming class 0: %d rows built, want %d", n, w)
+	}
+
+	acc := ev.PerClassAccuracy(nil)
+	if n := ev.built.Load(); n != int64(f.sets.Val.Len()) {
+		t.Fatalf("a full evaluation left %d of %d rows built", n, f.sets.Val.Len())
+	}
+	oracle := train.Evaluate(f.net, nil, f.sets.Val).PerClass
+	for c := range oracle {
+		if acc[c] != oracle[c] {
+			t.Fatalf("class %d: %v after building on demand, evaluation says %v", c, acc[c], oracle[c])
+		}
+	}
+	for c, v := range ev.baseline() {
+		if v != oracle[c] {
+			t.Fatalf("baseline class %d = %v, evaluation says %v", c, v, oracle[c])
+		}
+	}
+
+	// Concurrent first searches over overlapping classes build each named
+	// class once and find the serial masks.
+	sys, err = NewSystem(f.net, f.sets.Val, nil, f.sys.Rates, testParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefSets := []Preferences{Uniform([]int{1, 4}), Uniform([]int{4, 2}), Uniform([]int{2, 1, 4})}
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(p Preferences) {
+			defer wg.Done()
+			got, err := sys.Prune(VariantW, p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want, _ := f.sys.Prune(VariantW, p)
+			for l := range want {
+				if !sameMask(got[l], want[l]) {
+					t.Errorf("K=%v stage %d: a concurrent first search's mask differs from the serial one's", p.Classes, l)
+				}
+			}
+		}(prefSets[g%len(prefSets)])
+	}
+	wg.Wait()
+	if n, w := sys.Eval.built.Load(), int64(ev.SampleCount(1)+ev.SampleCount(2)+ev.SampleCount(4)); n != w {
+		t.Fatalf("concurrent searches built %d rows, want the %d of classes 1, 2 and 4 once", n, w)
 	}
 }

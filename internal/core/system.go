@@ -45,11 +45,11 @@ func ParseVariant(s string, def Variant) (Variant, error) {
 func (v Variant) Letter() string { return strings.TrimPrefix(string(v), "CAP'NN-") }
 
 // System bundles a trained network with everything CAP'NN keeps in the
-// cloud: its firing-rate matrices, the validation evaluator used for
-// ε checks, the Algorithm 1 matrices (computed lazily, reused across
-// users), and the confusion rows of the profiling set (measured lazily,
-// once per class). It is the entry point the facade and the cloud
-// server build on.
+// cloud: its firing-rate matrices and the confusion counts of the same
+// profiling pass, the validation evaluator used for ε checks (which
+// builds a class's cached rows when a search first names it), and the
+// Algorithm 1 matrices (computed lazily, reused across users). It is the
+// entry point the facade and the cloud server build on.
 //
 // The network is never written: Prune,
 // OffPreferenceShare and every ε check read its weights and judge masks
@@ -62,14 +62,14 @@ type System struct {
 	Params Params
 	Eval   *SuffixEvaluator
 
-	confusion *ConfusionProfile
-
 	bMu sync.Mutex
 	b   *BMatrices
 }
 
-// NewSystem profiles net (if rates is nil) and prepares the suffix
-// evaluator over valSet. params.Stages defaults to the paper's
+// NewSystem profiles net over profileSet if rates is nil (profileSet is
+// read only then; given rates must carry their confusion counts) and
+// prepares the suffix evaluator over valSet, which runs no forward pass
+// until a search names a class. params.Stages defaults to the paper's
 // last-6-layers rule when nil.
 func NewSystem(net *nn.Network, valSet, profileSet *data.Dataset, rates *firing.Rates, params Params) (*System, error) {
 	if params.Stages == nil {
@@ -78,18 +78,20 @@ func NewSystem(net *nn.Network, valSet, profileSet *data.Dataset, rates *firing.
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	var err error
 	if rates == nil {
-		var err error
 		rates, err = firing.Compute(net, profileSet, params.Stages)
-		if err != nil {
-			return nil, err
-		}
+	} else {
+		err = checkConfusion(net, rates)
+	}
+	if err != nil {
+		return nil, err
 	}
 	ev, err := NewSuffixEvaluator(net, valSet, params.Stages[0])
 	if err != nil {
 		return nil, err
 	}
-	return &System{Net: net, Rates: rates, Params: params, Eval: ev, confusion: NewConfusionProfile(net, profileSet)}, nil
+	return &System{Net: net, Rates: rates, Params: params, Eval: ev}, nil
 }
 
 // BMatrices returns Algorithm 1's per-class pruning matrices, computing
@@ -133,7 +135,7 @@ func (s *System) Prune(v Variant, prefs Preferences) (map[int][]bool, error) {
 	case VariantW:
 		return PruneW(s.Eval, s.Rates, prefs, s.Params)
 	case VariantM:
-		rep, err := PruneM(s.Eval, s.Rates, prefs, s.Params, s.confusion)
+		rep, err := PruneM(s.Eval, s.Rates, prefs, s.Params)
 		if err != nil {
 			return nil, err
 		}
@@ -153,7 +155,7 @@ func (s *System) OffPreferenceShare(prefs Preferences) (share, n float64, err er
 	if err := prefs.Validate(s.Rates.Classes); err != nil {
 		return 0, 0, err
 	}
-	cm, err := s.confusion.Matrix(prefs.Classes)
+	cm, err := confusionMatrix(s.Rates, prefs.Classes)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -164,7 +166,7 @@ func (s *System) OffPreferenceShare(prefs Preferences) (share, n float64, err er
 		}
 		w := prefs.Weights[i]
 		share += w * off
-		n += w * w / float64(len(s.confusion.byClass[k]))
+		n += w * w / float64(profiled(s.Rates, k))
 	}
 	return math.Max(share, 0), 1 / n, nil
 }

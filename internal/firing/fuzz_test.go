@@ -23,6 +23,13 @@ func FuzzLoadPacked(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add([]byte("P5 nonsense"))
+	for _, tc := range malformedPacked() {
+		var b bytes.Buffer
+		if err := tc.p.Save(&b); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := LoadPacked(bytes.NewReader(data))
 		if err != nil {

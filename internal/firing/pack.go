@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+	"slices"
 )
 
 // PackedRates is the cloud storage format of §V-C: every rate matrix
@@ -11,9 +12,10 @@ import (
 // 1.3% overhead figure measures, so the codec packs densely rather than
 // byte-aligning each code.
 type PackedRates struct {
-	Classes int
-	Bits    int
-	Layers  []PackedLayer
+	Classes   int
+	Bits      int
+	Layers    []PackedLayer
+	Confusion [][]int // Rates.Confusion verbatim: not quantized, not in TotalBytes
 }
 
 // PackedLayer is one stage's bit-packed matrix.
@@ -30,7 +32,7 @@ func Pack(r *Rates, bits int) (*PackedRates, error) {
 	if bits < 1 || bits > 8 {
 		return nil, fmt.Errorf("firing: pack bits %d outside [1,8]", bits)
 	}
-	p := &PackedRates{Classes: r.Classes, Bits: bits}
+	p := &PackedRates{Classes: r.Classes, Bits: bits, Confusion: cloneCounts(r.Confusion)}
 	for _, lr := range sortedLayers(r) {
 		q, err := Quantize(lr, bits)
 		if err != nil {
@@ -46,23 +48,30 @@ func Pack(r *Rates, bits int) (*PackedRates, error) {
 	return p, nil
 }
 
-// Unpack reconstructs (dequantized) rate matrices.
+// Unpack reconstructs (dequantized) rate matrices and copies the
+// confusion counts, checking every shape before sizing anything from it.
 func (p *PackedRates) Unpack() (*Rates, error) {
-	if p.Bits < 1 || p.Bits > 8 {
-		return nil, fmt.Errorf("firing: unpack bits %d outside [1,8]", p.Bits)
+	if p.Bits < 1 || p.Bits > 8 || p.Classes < 1 {
+		return nil, fmt.Errorf("firing: unpack %d bits (want [1,8]) of %d classes", p.Bits, p.Classes)
 	}
-	levels := float64(int(1)<<p.Bits - 1)
-	r := &Rates{Classes: p.Classes, Layers: map[int]*LayerRates{}}
+	for k, row := range p.Confusion { // absent counts stay absent
+		if len(p.Confusion) != p.Classes || len(row) != len(p.Confusion[0]) || slices.ContainsFunc(row, func(n int) bool { return n < 0 }) {
+			return nil, fmt.Errorf("firing: confusion row %d is not one of %d rows of %d non-negative counts", k, p.Classes, len(p.Confusion[0]))
+		}
+	}
+	r := &Rates{Classes: p.Classes, Layers: map[int]*LayerRates{}, Confusion: cloneCounts(p.Confusion)}
 	for _, pl := range p.Layers {
-		n := pl.Units * pl.Classes
-		if need := (n*p.Bits + 7) / 8; len(pl.Data) < need {
-			return nil, fmt.Errorf("firing: stage %d packed data %d bytes, need %d", pl.Stage, len(pl.Data), need)
+		if pl.Units < 1 || pl.Classes != p.Classes {
+			return nil, fmt.Errorf("firing: stage %d packs %d units × %d classes, want ≥ 1 × %d", pl.Stage, pl.Units, pl.Classes, p.Classes)
 		}
-		lr := &LayerRates{Stage: pl.Stage, Units: pl.Units, Classes: pl.Classes, F: make([]float64, n)}
-		for i := 0; i < n; i++ {
-			lr.F[i] = float64(readBits(pl.Data, i*p.Bits, p.Bits)) / levels
+		if codes := len(pl.Data) * 8 / p.Bits; pl.Units > codes/pl.Classes { // no product wraps
+			return nil, fmt.Errorf("firing: stage %d packed data %d bytes cannot hold %d units × %d classes", pl.Stage, len(pl.Data), pl.Units, pl.Classes)
 		}
-		r.Layers[pl.Stage] = lr
+		q := &Quantized{Stage: pl.Stage, Units: pl.Units, Classes: pl.Classes, Bits: p.Bits, Codes: make([]uint8, pl.Units*pl.Classes)}
+		for i := range q.Codes {
+			q.Codes[i] = readBits(pl.Data, i*p.Bits, p.Bits)
+		}
+		r.Layers[pl.Stage] = q.Dequantize()
 	}
 	return r, nil
 }
@@ -102,11 +111,7 @@ func sortedLayers(r *Rates) []*LayerRates {
 	for s := range r.Layers {
 		stages = append(stages, s)
 	}
-	for i := 1; i < len(stages); i++ { // insertion sort: tiny n
-		for j := i; j > 0 && stages[j] < stages[j-1]; j-- {
-			stages[j], stages[j-1] = stages[j-1], stages[j]
-		}
-	}
+	slices.Sort(stages)
 	out := make([]*LayerRates, 0, len(stages))
 	for _, s := range stages {
 		out = append(out, r.Layers[s])

@@ -83,6 +83,51 @@ func TestUnpackRejectsTruncatedData(t *testing.T) {
 	}
 }
 
+// malformedPacked are payloads whose shapes Unpack must refuse. The first
+// two wrap Units×Classes×Bits past the length check — to 0, and through a
+// negative Units×Classes — and would then size a slice from the wrapped
+// product.
+func malformedPacked() []struct {
+	name string
+	p    *PackedRates
+} {
+	return []struct {
+		name string
+		p    *PackedRates
+	}{
+		{"units×classes×bits wraps to 0", &PackedRates{Classes: 1 << 30, Bits: 8, Layers: []PackedLayer{{Units: 1 << 31, Classes: 1 << 30, Data: make([]byte, 8)}}}},
+		{"units×classes wraps negative", &PackedRates{Classes: 1 << 31, Bits: 8, Layers: []PackedLayer{{Units: 1 << 32, Classes: 1 << 31, Data: make([]byte, 8)}}}},
+		{"negative units and classes", &PackedRates{Classes: 2, Bits: 3, Layers: []PackedLayer{{Units: -1, Classes: -1, Data: make([]byte, 8)}}}},
+		{"layer classes differ", &PackedRates{Classes: 2, Bits: 3, Layers: []PackedLayer{{Units: 1, Classes: 3, Data: make([]byte, 8)}}}},
+		{"no classes", &PackedRates{Classes: 0, Bits: 3}},
+		{"confusion rows missing", &PackedRates{Classes: 2, Bits: 3, Confusion: [][]int{{2, 1}}}},
+		{"confusion rows ragged", &PackedRates{Classes: 2, Bits: 3, Confusion: [][]int{{2, 1}, {3}}}},
+		{"confusion row empty", &PackedRates{Classes: 2, Bits: 3, Confusion: [][]int{{2, 1}, {}}}},
+		{"confusion count negative", &PackedRates{Classes: 2, Bits: 3, Confusion: [][]int{{2, -1}, {0, 3}}}},
+	}
+}
+
+// Each malformed payload is an error, never a panic, whether unpacked as
+// built or after the gob round trip.
+func TestUnpackRejectsMalformedShapes(t *testing.T) {
+	for _, tc := range malformedPacked() {
+		if _, err := tc.p.Unpack(); err == nil {
+			t.Fatalf("%s: accepted", tc.name)
+		}
+		var buf bytes.Buffer
+		if err := tc.p.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadPacked(&buf)
+		if err != nil {
+			continue // refused before it reached Unpack
+		}
+		if _, err := loaded.Unpack(); err == nil {
+			t.Fatalf("%s: accepted after the round trip", tc.name)
+		}
+	}
+}
+
 func TestPackedSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	r := randomRates(rng, []int{10, 11}, 6, 3)

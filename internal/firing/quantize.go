@@ -64,15 +64,11 @@ type Overhead struct {
 // MemoryOverhead computes the §V-C overhead of storing the given rates at
 // the given bit width against a model with paramCount 16-bit parameters.
 func MemoryOverhead(r *Rates, bits int, paramCount int) (Overhead, error) {
-	total := 0
-	for _, lr := range r.Layers {
-		q, err := Quantize(lr, bits)
-		if err != nil {
-			return Overhead{}, err
-		}
-		total += q.PackedBytes()
+	p, err := Pack(r, bits)
+	if err != nil {
+		return Overhead{}, err
 	}
-	model := paramCount * 2
+	total, model := p.TotalBytes(), paramCount*2
 	ov := Overhead{RateBytes: total, ModelBytes: model}
 	if model > 0 {
 		ov.Ratio = float64(total) / float64(model)

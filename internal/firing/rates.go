@@ -3,8 +3,9 @@
 // channel) and every output class, the fraction of that class's profiling
 // inputs for which the unit fires (post-ReLU activation > 0). For conv
 // channels the rate is the mean non-zero fraction over the feature map,
-// i.e. 1 − APoZ of Hu et al. [6]. The package also provides the 3-bit
-// linear quantization and memory-overhead accounting of paper §V-C.
+// i.e. 1 − APoZ of Hu et al. [6]. The same pass counts each image's top-1
+// prediction per class (CAP'NN-M's confusion counts, §III-C). The package
+// also provides the 3-bit quantization and memory accounting of §V-C.
 package firing
 
 import (
@@ -48,13 +49,23 @@ type Rates struct {
 	Classes int
 	// Layers maps stage index → matrix for every profiled stage.
 	Layers map[int]*LayerRates
+	// Confusion[k][c] counts class-k profiling images whose top-1 is unit c.
+	Confusion [][]int
 }
 
-// Clone deep-copies all matrices (CAP'NN-M mutates a copy).
+// Clone deep-copies all matrices and counts (CAP'NN-M mutates a copy).
 func (r *Rates) Clone() *Rates {
-	c := &Rates{Classes: r.Classes, Layers: make(map[int]*LayerRates, len(r.Layers))}
+	c := &Rates{Classes: r.Classes, Layers: make(map[int]*LayerRates, len(r.Layers)), Confusion: cloneCounts(r.Confusion)}
 	for k, v := range r.Layers {
 		c.Layers[k] = v.Clone()
+	}
+	return c
+}
+
+// cloneCounts deep-copies confusion counts (nil stays nil).
+func cloneCounts(counts [][]int) (c [][]int) {
+	for _, row := range counts {
+		c = append(c, append([]int(nil), row...))
 	}
 	return c
 }
@@ -64,7 +75,8 @@ func (r *Rates) Clone() *Rates {
 const profileBatch = 32
 
 // Compute profiles the network over ds and returns the firing-rate
-// matrices for the given stage indices, using parallel.Default() workers.
+// matrices for the given stage indices and the confusion counts of the
+// unpruned network over ds, using parallel.Default() workers.
 // The dataset should contain an equal number of samples per class (paper
 // §III); classes with zero samples yield zero rates. The network is
 // profiled as given: to profile a pruned model, compact it first.
@@ -75,10 +87,10 @@ func Compute(net *nn.Network, ds *data.Dataset, stageIdx []int) (*Rates, error) 
 // ComputeWorkers is Compute with an explicit worker count (<= 0 means
 // parallel.Default()). The dataset is split into fixed profileBatch
 // shards; each shard counts integer firing events into its own partial
-// matrices via the stateless Network.InferObserved, and partials are
-// merged in shard order. Firing counts are integers, so the merged
-// totals — and hence the rates — are bit-identical for every worker
-// count.
+// matrices via the stateless Network.InferObserved and notes each image's
+// top-1 prediction, and partials are merged in shard order. Both are
+// integers, so the merged totals — and hence the rates and the confusion
+// counts — are bit-identical for every worker count.
 func ComputeWorkers(net *nn.Network, ds *data.Dataset, stageIdx []int, workers int) (*Rates, error) {
 	stages := net.Stages()
 	// stagePos maps profiled stage index → position in the accumulator
@@ -102,15 +114,15 @@ func ComputeWorkers(net *nn.Network, ds *data.Dataset, stageIdx []int, workers i
 		}
 	}
 
-	shards := parallel.Shards(ds.Len(), profileBatch)
+	if len(stages) == 0 {
+		return nil, fmt.Errorf("firing: network has no unit layer")
+	}
+	outputs := stages[len(stages)-1].Unit.Units()
 
 	// One partial result per shard: integer firing counts per profiled
-	// stage (units × classes) plus the shard's class census.
-	type partial struct {
-		fired    [][]int64
-		perClass []int
-	}
-	parts := make([]partial, len(shards))
+	// stage (units × classes); top holds each image's top-1 prediction.
+	shards := parallel.Shards(ds.Len(), profileBatch)
+	parts, top := make([][][]int64, len(shards)), make([]int, ds.Len())
 	parallel.For(workers, len(shards), func(i int) {
 		sh := shards[i]
 		idx := make([]int, sh.Len())
@@ -118,11 +130,11 @@ func ComputeWorkers(net *nn.Network, ds *data.Dataset, stageIdx []int, workers i
 			idx[j] = sh.Lo + j
 		}
 		x, labels := ds.Batch(idx)
-		p := partial{fired: make([][]int64, len(stageIdx)), perClass: make([]int, ds.Classes)}
-		for j := range p.fired {
-			p.fired[j] = make([]int64, units[j]*ds.Classes)
+		fired := make([][]int64, len(stageIdx))
+		for j := range fired {
+			fired[j] = make([]int64, units[j]*ds.Classes)
 		}
-		net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
+		logits := net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
 			pos, ok := stagePos[stage]
 			if !ok {
 				return
@@ -133,41 +145,48 @@ func ComputeWorkers(net *nn.Network, ds *data.Dataset, stageIdx []int, workers i
 				class := labels[s]
 				base := s * u * usz
 				for un := 0; un < u; un++ {
-					fired := int64(0)
+					n := int64(0)
 					for _, v := range d[base+un*usz : base+(un+1)*usz] {
 						if v > 0 {
-							fired++
+							n++
 						}
 					}
-					p.fired[pos][un*ds.Classes+class] += fired
+					fired[pos][un*ds.Classes+class] += n
 				}
 			}
 		})
-		for _, l := range labels {
-			p.perClass[l]++
+		for s := range labels {
+			top[sh.Lo+s] = tensor.Argmax(logits.Data()[s*outputs : (s+1)*outputs])
 		}
-		parts[i] = p
+		parts[i] = fired
 	})
 
-	// Merge in shard order. Integer addition is exactly associative, so
-	// this is belt and braces — any order would yield the same totals.
-	perClass := make([]int, ds.Classes)
+	// Count the class census and the top-1 predictions, and merge in
+	// shard order. Integer addition is exactly associative, so this is
+	// belt and braces — any order would yield the same totals.
+	perClass, confusion := make([]int, ds.Classes), make([][]int, ds.Classes)
+	for c := range confusion {
+		confusion[c] = make([]int, outputs)
+	}
+	for i, l := range ds.Labels {
+		perClass[l]++
+		if top[i] >= 0 { // no class wins when every logit is NaN
+			confusion[l][top[i]]++
+		}
+	}
 	totals := make([][]int64, len(stageIdx))
 	for i := range totals {
 		totals[i] = make([]int64, units[i]*ds.Classes)
 	}
 	for _, p := range parts {
-		for c, n := range p.perClass {
-			perClass[c] += n
-		}
 		for i := range totals {
-			for k, v := range p.fired[i] {
+			for k, v := range p[i] {
 				totals[i][k] += v
 			}
 		}
 	}
 
-	res := &Rates{Classes: ds.Classes, Layers: make(map[int]*LayerRates, len(stageIdx))}
+	res := &Rates{Classes: ds.Classes, Layers: make(map[int]*LayerRates, len(stageIdx)), Confusion: confusion}
 	for i, si := range stageIdx {
 		lr := &LayerRates{Stage: si, Units: units[i], Classes: ds.Classes, F: make([]float64, units[i]*ds.Classes)}
 		for u := 0; u < units[i]; u++ {
