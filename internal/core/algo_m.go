@@ -24,14 +24,15 @@ type MReport struct {
 
 // PruneM runs CAP'NN-M (paper §III-C): identify miseffectual neurons in
 // the last hidden layer — neurons whose output-layer weight toward a top
-// confusing class exceeds (and is positive) their weight toward the user
-// class — zero those neurons' firing-rate entries for that class, and
-// then run CAP'NN-W on the modified rates. Zeroing the entries collapses
-// the neurons' effective firing rates, so the weighted pass prunes them
-// in addition to the ineffectual units it already removes; because the
-// ε check inside PruneW measures true accuracy, the paper's degradation
-// guarantee is preserved while the removal of confusion-driving neurons
-// can lift accuracy above the unpruned baseline.
+// confusing class in the rates' confusion counts exceeds (and is
+// positive) their weight toward the user class — zero those neurons'
+// firing-rate entries for that class, and then run CAP'NN-W on the
+// modified rates. Zeroing the entries collapses the neurons' effective
+// firing rates, so the weighted pass prunes them in addition to the
+// ineffectual units it already removes; because the ε check inside PruneW
+// measures true accuracy, the paper's degradation guarantee is preserved
+// while removing confusion-driving neurons can lift accuracy above the
+// unpruned baseline.
 func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params Params) (*MReport, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
@@ -48,8 +49,7 @@ func PruneM(ev *SuffixEvaluator, rates *firing.Rates, prefs Preferences, params 
 		return nil, fmt.Errorf("core: no firing rates for last hidden stage %d", lastHidden)
 	}
 
-	// Step 1: top confusing classes per user class, from the confusion
-	// counts of the unpruned model's profiling pass.
+	// Step 1: top confusing classes per user class.
 	cm, err := confusionMatrix(rates, prefs.Classes)
 	if err != nil {
 		return nil, err

@@ -278,7 +278,11 @@ func TestEvaluatorBuildsNamedClassesOnly(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			want, _ := f.sys.Prune(VariantW, p)
+			want, err := f.sys.Prune(VariantW, p)
+			if err != nil {
+				t.Error(err)
+				return
+			}
 			for l := range want {
 				if !sameMask(got[l], want[l]) {
 					t.Errorf("K=%v stage %d: a concurrent first search's mask differs from the serial one's", p.Classes, l)
