@@ -20,24 +20,25 @@ import (
 // same contract as Infer itself. It must not run concurrently with
 // training (weight mutation).
 func CompactMasked(net *Network, masks map[int][]bool) (*Network, error) {
-	cnet, _, err := compactMaskedKeep(net, masks)
+	cnet, _, err := compactMaskedKeep(net.Layers, net.InShape, 0, masks)
 	return cnet, err
 }
 
-// compactMaskedKeep is CompactMasked plus the final keep mask: one bool
-// per feature of the ORIGINAL network's flattened output, true where the
-// compacted output carries that feature and false where the masked
-// original would emit a (exactly +0.0) pruned output. Compile uses it to
-// scatter compacted outputs back to full width.
-func compactMaskedKeep(net *Network, masks map[int][]bool) (*Network, []bool, error) {
-	out := &Network{InShape: append([]int(nil), net.InShape...)}
+// compactMaskedKeep is CompactMasked of the network layers, whose input
+// has shape inShape and whose first unit layer is stage first, plus the
+// final keep mask: one bool per feature of the ORIGINAL network's
+// flattened output, true where the compacted output carries that feature
+// and false where the masked original would emit a (exactly +0.0) pruned
+// output. Compile uses it to scatter compacted outputs back to full width.
+func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][]bool) (*Network, []bool, error) {
+	out := &Network{InShape: append([]int(nil), inShape...)}
 	// keep[i] reports whether feature i of the current inter-layer
 	// signal survives. It starts as all-true over the input channels.
-	keep := allTrue(net.InShape[0])
-	cur := append([]int(nil), net.InShape...)
-	unit := -1
+	keep := allTrue(inShape[0])
+	cur := append([]int(nil), inShape...)
+	unit := first - 1
 
-	for _, l := range net.Layers {
+	for _, l := range layers {
 		switch t := l.(type) {
 		case *Conv2D:
 			unit++

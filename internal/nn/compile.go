@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"capnn/internal/tensor"
@@ -13,7 +14,9 @@ import (
 // (base network, prune masks) pair into a Compiled — a physically
 // compacted copy of the network (via CompactMasked) lowered to a flat op
 // plan that runs through the shared kernels in kernels.go with scratch
-// buffers sized for the *sub*-network.
+// buffers sized for the *sub*-network. A Prefix lowers the unpruned
+// layers before a stage once; a plan compiled on it compacts and lowers
+// only the layers after them, and runs the prefix's plan first.
 //
 // Masked Infer pays full-model FLOPs: it skips pruned OUTPUT channels
 // but still pads and multiplies every pruned INPUT channel (conv taps,
@@ -55,8 +58,9 @@ type compiledOp struct {
 	relu    bool      // conv/dense: the ReLU that followed it, fused into the store
 	padIn   bool      // conv: its input arrives dense (the request, a lone ReLU's output) and is copied into plane
 	g       convGeom  // conv + pool geometry (pool: outC == inC); dense: its panel's 1×1 conv (newDenseOp)
-	wd      []float64 // conv/dense: weights (aliases the compacted net's params); dense from 16 wide: the panel
-	bd      []float64 // conv/dense: bias; nil beside a panel
+	wd      []float64 // conv: weights (aliases the compacted net's params)
+	bd      []float64 // conv: bias
+	pk      []float64 // dense, conv on a 2-wide plane: the panel [bias; Wᵀ] (packLanes)
 	offs    []int     // conv: g.tapOffsets(nil), built once here rather than per call
 	idx     []int     // scatter: full-width position of each compact feature
 	in      int       // per-sample input elems
@@ -71,16 +75,73 @@ type compiledOp struct {
 // Compile and each call runs on an arena from a per-Compiled pool. The
 // plan keeps only the weight and bias slices its ops alias; the
 // compacted Network they came from, gradient buffers included, is
-// garbage once Compile returns.
+// garbage once Compile returns. A plan compiled on a Prefix runs the
+// prefix's shared plan first and its own ops on what that leaves.
 type Compiled struct {
-	inShape  []int // per-sample input shape
-	outShape []int // per-sample output shape
+	prefix   *Prefix // what it was compiled on; nil for a prefix's own plan
+	inShape  []int   // per-sample input shape (the request's)
+	outShape []int   // per-sample output shape
 	inSize   int
 	outSize  int
 	ops      []compiledOp
+	mid      int // arena offset of the prefix plan's output, ops[0]'s input
 	arena    int // one sample's scratch floats: every op boundary's place (lay)
 	bytes    int64
 	pool     sync.Pool // *[]float64 arenas, zeroed when allocated
+}
+
+// Prefix is the part of a network every plan compiled on it shares: the
+// layers before the unit layer of one stage, unpruned, lowered once. Its
+// plan's conv weights alias the network's own and it runs on one arena
+// pool, whichever plan it runs for; Compile compacts, lowers and probes
+// only the layers after it. CAP'NN prunes only the last stages, so the
+// serving tier splits at the first prunable one and pays for the rest of
+// the network once per model rather than once per cache entry.
+type Prefix struct {
+	net   *Network
+	split int       // net.Layers[:split] is the prefix, [split:] what Compile lowers
+	stage int       // the stage index of net.Layers[split]
+	plan  *Compiled // net.Layers[:split]'s plan; nil when split is 0
+}
+
+// NewPrefix lowers net's layers before the unit layer of stage (the
+// Stage.Index of Stages) and probes them once against Infer. Stage 0
+// leaves an empty prefix: every Compile on it lowers the whole network.
+func NewPrefix(net *Network, stage int) (*Prefix, error) {
+	p := &Prefix{net: net, stage: stage}
+	unit := -1
+	for i, l := range net.Layers {
+		if _, ok := l.(UnitLayer); ok {
+			if unit++; unit == stage {
+				p.split = i
+				break
+			}
+		}
+	}
+	if stage < 0 || unit != stage {
+		return nil, fmt.Errorf("nn: prefix: no stage %d in a network of %d", stage, unit+1)
+	}
+	if p.split == 0 {
+		return p, nil
+	}
+	head := &Network{InShape: net.InShape, Layers: net.Layers[:p.split]}
+	var err error
+	if p.plan, err = plan(head, nil, nil); err == nil {
+		err = p.plan.verify(head.Layers, 0, nil, net.InShape)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("nn: prefix: %w", err)
+	}
+	return p, nil
+}
+
+// Bytes is the prefix plan's weight and bias floats, as Compiled.Bytes
+// counts them: the memory every plan compiled on it shares.
+func (p *Prefix) Bytes() int64 {
+	if p.plan == nil {
+		return 0
+	}
+	return p.plan.bytes
 }
 
 // Compile compacts net under masks (same indexing as Infer; nil prunes
@@ -89,19 +150,46 @@ type Compiled struct {
 // masked base network and fails unless the outputs are bit-for-bit
 // identical — so a successful Compile guarantees Infer parity.
 func Compile(net *Network, masks map[int][]bool) (*Compiled, error) {
-	cnet, keep, err := compactMaskedKeep(net, masks)
+	return (&Prefix{net: net}).Compile(masks)
+}
+
+// Compile is nn.Compile for a plan that runs p's shared plan first: it
+// compacts, lowers and probes only the layers after the prefix, and
+// refuses masks that prune a stage inside it.
+func (p *Prefix) Compile(masks map[int][]bool) (*Compiled, error) {
+	for s, m := range masks {
+		if s < p.stage && slices.Contains(m, true) {
+			return nil, fmt.Errorf("nn: compile: stage %d is pruned but lies in the shared prefix (stages < %d)", s, p.stage)
+		}
+	}
+	layers, inShape := p.net.Layers[p.split:], p.net.InShape
+	if p.split > 0 {
+		inShape = layers[0].InShape()
+	}
+	cnet, keep, err := compactMaskedKeep(layers, inShape, p.stage, masks)
 	if err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
 	}
-	c, err := plan(cnet, keep, net.Layers[len(net.Layers)-1].OutShape())
+	c, err := plan(cnet, keep, p.net.Layers[len(p.net.Layers)-1].OutShape())
 	if err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
 	}
-	if err := c.verifyAgainst(net, masks); err != nil {
+	c.prefix = p
+	if p.plan != nil {
+		c.mid, c.arena = c.arena, c.arena+p.plan.outSize
+	}
+	if err := c.verify(layers, p.stage, masks, inShape); err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
+	}
+	if p.plan != nil {
+		c.inShape, c.inSize = p.plan.inShape, p.plan.inSize
 	}
 	return c, nil
 }
+
+// Prefix reports what c was compiled on: every plan of one Prefix shares
+// its plan, weights and arena pool.
+func (c *Compiled) Prefix() *Prefix { return c.prefix }
 
 // plan lowers a (already compacted) network into a Compiled without
 // verification. keep is the final stage's surviving units out of the
@@ -115,8 +203,7 @@ func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 		var op compiledOp
 		switch t := l.(type) {
 		case *Conv2D:
-			g := t.geom()
-			op = compiledOp{kind: opConv, g: g, wd: t.w.W.Data(), bd: t.b.W.Data(), offs: g.tapOffsets(nil), in: g.inSize(), out: g.outSize()}
+			op = newConvOp(t.geom(), t.w.W.Data(), t.b.W.Data())
 		case *Dense:
 			op = newDenseOp(t.w.W.Data(), t.b.W.Data(), t.in, t.out)
 		case *ReLU:
@@ -135,7 +222,7 @@ func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 		default:
 			return nil, fmt.Errorf("cannot lower layer type %T", l)
 		}
-		c.bytes += int64(len(op.wd)+len(op.bd)) * 8
+		c.bytes += int64(len(op.wd)+len(op.bd)+len(op.pk)) * 8
 		c.ops = append(c.ops, op)
 	}
 	c.outShape = append([]int(nil), cnet.Layers[len(cnet.Layers)-1].OutShape()...)
@@ -189,7 +276,7 @@ func (c *Compiled) lay() {
 			op.plane, c.arena = c.arena, c.arena+op.g.padSize()
 			op.padIn = i == 0 || !intoPlane(i-1)
 		case opDense:
-			if op.bd == nil { // a panel's (newDenseOp)
+			if op.out >= denseConvMin { // its panel's filter (newDenseOp)
 				op.plane, c.arena = c.arena, c.arena+op.in+1
 			}
 		}
@@ -224,7 +311,7 @@ func (c *Compiled) Infer(x *tensor.Tensor) *tensor.Tensor {
 		panic(fmt.Sprintf("nn: compiled infer got %d elems/sample, want %d", x.Len()/max(n, 1), c.inSize))
 	}
 	out := tensor.New(append([]int{n}, c.outShape...)...)
-	c.forward(x.Data(), out.Data(), n)
+	c.forward(x.Data(), out.Data(), n, c.prefix.head())
 	return out
 }
 
@@ -235,27 +322,55 @@ func (c *Compiled) InferSample(x []float64) []float64 {
 		panic(fmt.Sprintf("nn: compiled infer got %d elems/sample, want %d", len(x), c.inSize))
 	}
 	out := make([]float64, c.outSize)
-	c.forward(x, out, 1)
+	c.forward(x, out, 1, c.prefix.head())
 	return out
 }
 
-// forward runs n samples from in through the plan into out, one after
-// another on a pooled arena.
-func (c *Compiled) forward(in, out []float64, n int) {
-	if len(c.ops) == 0 {
-		copy(out, in)
+// head is the prefix's plan, nil when there is none (or no prefix).
+func (p *Prefix) head() *Compiled {
+	if p == nil {
+		return nil
+	}
+	return p.plan
+}
+
+// forward runs n samples from in through head, when there is one, and
+// then the plan's own ops into out, one after another, each on a pooled
+// arena: head's output lands in the plan's arena at mid, where ops[0]
+// reads it.
+func (c *Compiled) forward(in, out []float64, n int, head *Compiled) {
+	if n == 0 {
 		return
 	}
-	a := c.pool.Get().(*[]float64)
+	a, h, w := c.pool.Get().(*[]float64), (*[]float64)(nil), len(in)/n
+	if head != nil {
+		h = head.pool.Get().(*[]float64)
+	}
 	for s := 0; s < n; s++ {
-		src, o := in[s*c.inSize:][:c.inSize], out[s*c.outSize:][:c.outSize]
-		for i := range c.ops {
-			dst := c.dst(i, o, *a)
-			c.ops[i].run(src, dst, *a)
-			src = dst
+		src, o := in[s*w:][:w], out[s*c.outSize:][:c.outSize]
+		if head != nil {
+			mid := (*a)[c.mid:][:head.outSize]
+			head.pass(src, mid, *h)
+			src = mid
 		}
+		c.pass(src, o, *a)
+	}
+	if head != nil {
+		head.pool.Put(h)
 	}
 	c.pool.Put(a)
+}
+
+// pass runs one sample from src through the ops into out on arena.
+func (c *Compiled) pass(src, out, arena []float64) {
+	if len(c.ops) == 0 {
+		copy(out, src)
+	}
+	for i := range c.ops {
+		dst := c.dst(i, out, arena)
+		c.ops[i].run(src, dst, arena)
+		src = dst
+	}
 }
 
 // dst is where op i stores one sample: the caller's out for the last op,
@@ -280,16 +395,19 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 		if op.padIn {
 			op.g.padInput(src[:op.in], plane, 1)
 		}
-		op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, op.row, op.ch, nil, op.relu)
+		op.macs(plane, dst)
 	case opDense:
-		if op.bd != nil { // narrower than a tile (newDenseOp): one row runs denseForwardGo
-			denseForward(src[:op.in], op.wd, op.bd, dst[:op.out], 1, op.in, op.out, nil, op.relu)
-			return
+		switch {
+		case useAVX512:
+			denseLanesAVX512(src, op.pk, dst, op.in, op.out, op.relu)
+		case op.out < denseConvMin:
+			densePanelGo(src[:op.in], op.pk, dst[:op.out], op.relu)
+		default:
+			filter := arena[op.plane:][:op.in+1]
+			filter[0] = 1
+			copy(filter[1:], src[:op.in])
+			op.g.conv1x1(op.pk, filter, negZero, dst, nil, op.relu)
 		}
-		filter := arena[op.plane:][:op.in+1]
-		filter[0] = 1
-		copy(filter[1:], src[:op.in])
-		op.g.conv1x1(op.wd, filter, negZero, dst, nil, op.relu)
 	case opReLU:
 		reluForward(dst[:op.in], src[:op.in])
 	case opScatter:
@@ -303,20 +421,31 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 	}
 }
 
-// verifyAgainst pushes a deterministic two-sample probe batch through
-// the compiled plan and through base.Infer(·, masks) and reports the
-// first bit mismatch. The probe seed is fixed so compile results are
-// reproducible across processes.
-func (c *Compiled) verifyAgainst(base *Network, masks map[int][]bool) error {
+// macs is a conv op's multiply-accumulates over its filled plane, stored
+// to dst at the op's strides: with AVX-512, on the lane tile when the op
+// has a panel.
+func (op *compiledOp) macs(plane, dst []float64) {
+	if op.pk != nil && useAVX512 {
+		convLanesAVX512(op.g, plane, op.offs, op.pk, dst, op.row, op.ch, op.relu)
+		return
+	}
+	op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, op.row, op.ch, nil, op.relu)
+}
+
+// verify pushes a deterministic two-sample probe batch of inShape through
+// the plan's own ops and through InferLayers(layers, stage, masks, ·) and
+// reports the first bit mismatch. The probe seed is fixed so compile
+// results are reproducible across processes.
+func (c *Compiled) verify(layers []Layer, stage int, masks map[int][]bool, inShape []int) error {
 	rng := rand.New(rand.NewSource(0x9e3779b9))
-	probe := tensor.New(append([]int{2}, base.InShape...)...)
+	probe := tensor.New(append([]int{2}, inShape...)...)
 	pd := probe.Data()
 	for i := range pd {
 		pd[i] = rng.NormFloat64()
 	}
-	want := base.Infer(probe, masks)
-	got := c.Infer(probe)
-	wd, gd := want.Data(), got.Data()
+	wd := InferLayers(layers, stage, masks, probe).Data()
+	gd := make([]float64, 2*c.outSize)
+	c.forward(pd, gd, 2, nil)
 	if len(wd) != len(gd) {
 		return fmt.Errorf("probe output has %d elems, want %d", len(gd), len(wd))
 	}

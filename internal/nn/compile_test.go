@@ -239,40 +239,79 @@ func TestCompiledInferDirtyScratch(t *testing.T) {
 func TestPlanBordersStayZero(t *testing.T) {
 	small := NewBuilder(2, 8, 8, 19).Conv(4).ReLU().Conv(4).ReLU().Pool().Conv(5).ReLU().Pool().Conv(6).ReLU().Flatten().Dense(3).MustBuild()
 	loneReLU := NewBuilder(2, 8, 8, 23).Conv(4).Pool().ReLU().Conv(5).ReLU().Flatten().Dense(3).MustBuild()
+	// The narrow planes' ZMM tiles: 4×4 planes of 1, 8, 7, 9 and 16
+	// channels, 2×2 ones of 23, 26, 32 and 3, dense layers of 128, 70, 17
+	// and 10 outputs; some with their ReLU, some storing straight into the
+	// next conv's plane without one.
+	narrow := NewBuilder(2, 8, 8, 29).Conv(4).ReLU().Pool().
+		Conv(1).ReLU().Conv(8).Conv(7).ReLU().Conv(9).Conv(16).ReLU().Pool().
+		Conv(23).ReLU().Conv(26).Conv(32).ReLU().Conv(3).ReLU().Pool().
+		Flatten().Dense(128).ReLU().Dense(70).Dense(17).ReLU().Dense(10).MustBuild()
+	narrowMasks := map[int][]bool{6: make([]bool, 23), 7: make([]bool, 26), 10: make([]bool, 128), 11: make([]bool, 70)}
+	for s, m := range narrowMasks {
+		for u := range m {
+			m[u] = (u+s)%3 == 0
+		}
+	}
 	cifar := loadFixtureNet(t, "cifar10")
 	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
 	cases := []struct {
 		name  string
 		net   *Network
 		masks map[int][]bool
+		split int // compiled on NewPrefix(net, split), or by Compile at 0
 	}{
-		{"small/unpruned", small, nil},
-		{"small/pruned", small, map[int][]bool{0: {true, false, false, true}, 2: {false, true, false, false, true}}},
-		{"lone-relu/pruned", loneReLU, map[int][]bool{0: {false, true, false, false}}},
-		{"cifar10/unpruned", cifar, nil},
-		{"cifar10/prune-M", cifar, mMasks},
+		{"small/unpruned", small, nil, 0},
+		{"small/pruned", small, map[int][]bool{0: {true, false, false, true}, 2: {false, true, false, false, true}}, 0},
+		{"lone-relu/pruned", loneReLU, map[int][]bool{0: {false, true, false, false}}, 0},
+		{"cifar10/unpruned", cifar, nil, 0},
+		{"cifar10/prune-M", cifar, mMasks, 0},
+		{"narrow/unpruned", narrow, nil, 0},
+		{"narrow/pruned", narrow, narrowMasks, 0},
+		{"narrow/split-6", narrow, narrowMasks, 6},
+		{"cifar10/split-10/unpruned", cifar, nil, 10},
+		{"cifar10/split-10/prune-M", cifar, mMasks, 10},
 	}
 	forEachRung(t, isaRungs, func(t *testing.T, l isaRung) {
 		for _, tc := range cases {
-			c, err := Compile(tc.net, tc.masks)
+			c, err := compileSplit(tc.net, tc.masks, tc.split)
 			if err != nil {
 				t.Fatalf("%s: %v", tc.name, err)
 			}
-			border := c.borderCells()
+			plans := []*Compiled{c}
+			if h := c.prefix.head(); h != nil {
+				plans = append(plans, h)
+			}
 			for round, n := range []int{1, 3, 1} {
-				poisonScratch(c)
+				poisonScratch(plans...)
 				x := randInput(append([]int{n}, tc.net.InShape...), int64(round))
 				bitEqual(t, tc.net.Infer(x, tc.masks), c.Infer(x))
-				a := c.pool.Get().(*[]float64)
-				for _, i := range border {
-					if bits := math.Float64bits((*a)[i]); bits != 0 {
-						t.Fatalf("%s n=%d: border cell %d of the arena holds %v (%#x)", tc.name, n, i, (*a)[i], bits)
+				for _, p := range plans {
+					a := p.pool.Get().(*[]float64)
+					for _, i := range p.borderCells() {
+						if bits := math.Float64bits((*a)[i]); bits != 0 {
+							t.Fatalf("%s n=%d: border cell %d of the arena holds %v (%#x)", tc.name, n, i, (*a)[i], bits)
+						}
 					}
+					p.pool.Put(a)
 				}
-				c.pool.Put(a)
 			}
 		}
 	})
+}
+
+// compileSplit compiles net under masks as the serving tier does when its
+// first prunable stage is split: on NewPrefix(net, split), or with
+// Compile at split 0.
+func compileSplit(net *Network, masks map[int][]bool, split int) (*Compiled, error) {
+	if split == 0 {
+		return Compile(net, masks)
+	}
+	p, err := NewPrefix(net, split)
+	if err != nil {
+		return nil, err
+	}
+	return p.Compile(masks)
 }
 
 // Concurrent Infer calls on one Compiled share the scratch pool but must
@@ -320,17 +359,78 @@ func TestCompileElidesDropout(t *testing.T) {
 	bitEqual(t, net.Infer(x, masks), c.Infer(x))
 }
 
-// Compile copies the kept weights slice to slice: one Compile of the
-// cifar10 fixture's real M plan stays within 1 000 allocations.
+// A served fill compacts, lowers and probes only the suffix after the
+// shared prefix, copying the kept weights slice to slice: one compile of
+// the cifar10 fixture's real M plan on its prefix (split at its first
+// prunable stage, 10) stays within 300 allocations (≈ 240 measured; the
+// whole-network compile this test bounded at 1 000 made ≈ 600).
 func TestCompileAllocs(t *testing.T) {
 	net := loadFixtureNet(t, "cifar10")
 	masks, _ := parseMasks(forwardGoldens[0].mMasks)
+	prefix, err := NewPrefix(net, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := testing.AllocsPerRun(5, func() {
-		if _, err := Compile(net, masks); err != nil {
+		if _, err := prefix.Compile(masks); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if got > 1000 {
-		t.Fatalf("Compile of the M plan makes %.0f allocations, want ≤ 1000", got)
+	if got > 300 {
+		t.Fatalf("a suffix compile of the M plan makes %.0f allocations, want ≤ 300", got)
+	}
+}
+
+// A plan compiled on a prefix is the whole network's masked Infer, bit
+// for bit, at every split of random VGG-ish nets under random masks on
+// the stages after it, and shares the prefix's plan: Bytes counts only
+// the suffix, and masks that prune a stage inside the prefix are refused.
+func TestPrefixCompileBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 12; trial++ {
+		net := randVGGNet(rng)
+		stages := len(net.Stages())
+		for split := 1; split < stages; split++ {
+			p, err := NewPrefix(net, split)
+			if err != nil {
+				t.Fatal(err)
+			}
+			masks := randMasks(rng, net, trial)
+			for s := range masks {
+				if s < split {
+					delete(masks, s)
+				}
+			}
+			c, err := p.Compile(masks)
+			if err != nil {
+				t.Fatalf("trial %d split %d: %v", trial, split, err)
+			}
+			if c.Prefix() != p {
+				t.Fatal("the plan does not report its prefix")
+			}
+			whole, err := Compile(net, masks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if c.Bytes()+p.Bytes() != whole.Bytes() {
+				t.Fatalf("trial %d split %d: suffix %d + prefix %d bytes, want the whole plan's %d", trial, split, c.Bytes(), p.Bytes(), whole.Bytes())
+			}
+			x := randInput(append([]int{1 + trial%3}, net.InShape...), int64(trial*31+split))
+			want := net.Infer(x, masks)
+			bitEqual(t, want, c.Infer(x))
+			for i, v := range c.InferSample(x.Data()[:c.InSize()]) {
+				if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+					t.Fatalf("trial %d split %d: InferSample logit %d is %v, want %v", trial, split, i, v, want.Data()[i])
+				}
+			}
+			pruneHead := map[int][]bool{split - 1: make([]bool, net.Stages()[split-1].Unit.Units())}
+			pruneHead[split-1][0] = true
+			if _, err := p.Compile(pruneHead); err == nil {
+				t.Fatalf("trial %d split %d: masks pruning stage %d inside the prefix compiled", trial, split, split-1)
+			}
+		}
+	}
+	if _, err := NewPrefix(buildSmallNet(3), 4); err == nil {
+		t.Fatal("a prefix past the last stage was built")
 	}
 }

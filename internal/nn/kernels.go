@@ -30,9 +30,12 @@ import (
 // order per output element, so every path returns identical bits
 // (TestKernelsMatchGeneric, TestDenseMatchesGeneric). With AVX-512 as
 // well (useAVX512: CPUID and XCR0) the conv MACs of planes at least 8
-// wide and 2 high run an eight-lane tile of the same arithmetic. The
-// assembly does no bounds checks: every call site proves the extents it
-// passes in Go first.
+// wide and 2 high, or 4 wide and 4 high, run eight-lane tiles of the same
+// arithmetic, and a compiled plan's dense ops and 2-wide convs run
+// channel-lane tiles over weights packed tap-major at compile time
+// (packLanes), each output still its bias, then every tap in ascending
+// order. The assembly does no bounds checks: every call site proves the
+// extents it passes in Go first.
 //
 // Scratch (pad planes, Backward's column matrices, a dense layer's
 // transposed batch and tap table) comes from a sync.Pool, so the training
@@ -176,7 +179,7 @@ func (g convGeom) convMinor(xs, wd, bd, os []float64, n int, pruned []bool, relu
 		g.padInput(plane, *pad, n)
 		plane = *pad
 	}
-	ib := intScratch.get(rows + g.outC + 3) // the tap table, then live and a tile's padding
+	ib := intScratch.get(rows + g.outC + 7) // the tap table, then live and a tile's padding
 	offs := g.tapOffsets((*ib)[:0])
 	for r := range offs {
 		offs[r] *= n
@@ -256,8 +259,8 @@ func appendLive(live []int, pruned []bool, n int) []int {
 // below g.outC. pad is what the taps are read from — a conv's whole
 // plane, or the window of a sample-minor plane one output position reads
 // (convMinor) — and ends, where the tiles run, at the last position's
-// last tap. A four-channel tile pads live to a multiple of four in place,
-// so it should have the capacity.
+// last tap. A four- or eight-channel tile pads live to a multiple of its
+// channels in place, so it should have the capacity.
 func (g convGeom) liveMACs(pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) {
 	rows := g.inC * g.k * g.k
 	// The extents the assembly will touch, proven here once (pad's by
@@ -279,7 +282,7 @@ func (g convGeom) liveMACs(pad []float64, offs []int, wd, bd, os []float64, oRow
 // here.
 func (g convGeom) conv1x1(plane, wd, bd, os []float64, pruned []bool, relu bool) {
 	hw := g.outH * g.outW
-	ib := intScratch.get(g.inC + g.outC + 3) // the tap table, then live and a tile's padding
+	ib := intScratch.get(g.inC + g.outC + 7) // the tap table, then live and a tile's padding
 	offs := (*ib)[:g.inC]
 	for r := range offs {
 		offs[r] = r * hw // tapOffsets' table for a 1×1 kernel
@@ -557,36 +560,77 @@ func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool, relu 
 	floatScratch.Put(buf)
 }
 
+// packLanes lays out the weights wd [n][rows] and bias bd of n units for
+// the lane tiles, whose vector lanes are units: row 0 the bias, row 1+r
+// every unit's weight r, stride ≥ n floats a row with +0 past the n-th —
+// a dense op's panel at stride n (newDenseOp), a conv's at whole groups of
+// eight lanes (newConvOp).
+func packLanes(wd, bd []float64, n, rows, stride int) []float64 {
+	pk := make([]float64, (rows+1)*stride)
+	copy(pk, bd[:n])
+	for o := 0; o < n; o++ {
+		for r, w := range wd[o*rows : (o+1)*rows] {
+			pk[(1+r)*stride+o] = w
+		}
+	}
+	return pk
+}
+
+// newConvOp lowers a conv (weights wd, bias bd) to the compiled plan's op.
+// On a 2-wide plane of more than four channels it also packs the panel
+// the ZMM channel-lane tile reads (convLanesAVX512); the weights as they
+// are stay for the lower rungs' tiles. Four channels or fewer fill one
+// four-channel AVX2 tile, which the lane tile measured no faster than.
+func newConvOp(g convGeom, wd, bd []float64) compiledOp {
+	op := compiledOp{kind: opConv, g: g, wd: wd, bd: bd, offs: g.tapOffsets(nil), in: g.inSize(), out: g.outSize()}
+	if g.stride == 1 && g.outW == 2 && g.outH >= 2 && g.outC > 4 {
+		op.pk = packLanes(wd, bd, g.outC, g.inC*g.k*g.k, (g.outC+7)&^7)
+	}
+	return op
+}
+
 // negZero is a dense panel's accumulator start: −0 + b is b for every b.
 var negZero = []float64{math.Copysign(0, -1)}
 
+// denseConvMin is the width from which a dense op below AVX-512 runs its
+// panel as a 1×1 conv: the only one-channel AVX2 tile is 16 positions
+// wide, and the four-channel one would compute the one channel four
+// times over.
+const denseConvMin = 16
+
 // newDenseOp lowers a dense layer (weights wd [out][in], bias bd) to the
-// compiled plan's batch-1 op. From 16 neurons up it is a 1×1 conv whose
-// positions are the out neurons, over a panel built here once — row 0
-// the bias, row 1+i column i of wd — under the filter [+1, x…] (run
-// writes it into the arena), with its one channel's accumulator starting
-// at −0: output o is −0 + 1·b[o] = b[o], then + x[i]·w[o,i] for i
-// ascending, multiply then add — denseForwardGo's chain, bit for bit,
-// which verifyAgainst's probe checks at every compile. The panel holds
-// in·out + out floats, as many as the weights and bias. Narrower layers
-// keep the weights as they are and run denseForwardGo: the only
-// one-channel tile is 16 positions wide, and the four-channel one would
-// compute the one channel four times over.
+// compiled plan's batch-1 op: its panel (packLanes), as many floats as the
+// weights and bias. With AVX-512 the ZMM channel-lane tile reads it as it
+// is, eight neurons to a vector, each starting at its bias and adding
+// w[o,i]·x[i] for i ascending. Below, from denseConvMin neurons up, the
+// op is a 1×1 conv whose positions are the out neurons over the panel
+// under the filter [+1, x…] (run writes it into the arena), with its one
+// channel's accumulator starting at −0: output o is −0 + 1·b[o] = b[o],
+// then + x[i]·w[o,i] for i ascending, multiply then add —
+// denseForwardGo's chain, bit for bit, which the probe checks at every
+// compile. Narrower layers run densePanelGo, the same chain in Go.
 func newDenseOp(wd, bd []float64, in, out int) compiledOp {
-	op := compiledOp{kind: opDense, wd: wd, bd: bd, in: in, out: out}
-	if out < 16 {
-		return op
+	op := compiledOp{kind: opDense, pk: packLanes(wd, bd, out, in, out), in: in, out: out}
+	if out >= denseConvMin {
+		op.g = convGeom{inC: in + 1, inH: 1, inW: out, outC: 1, outH: 1, outW: out, k: 1, stride: 1}
 	}
-	panel := make([]float64, (in+1)*out)
-	copy(panel, bd[:out])
-	for o := 0; o < out; o++ {
-		for i, w := range wd[o*in : (o+1)*in] {
-			panel[(1+i)*out+o] = w
+	return op
+}
+
+// densePanelGo is the plan's narrow dense op on the Go loops: od[o] =
+// pk[o], then + pk[(1+i)·len(od) + o]·x[i] for i ascending, clamped at +0
+// when relu — denseForwardGo's chain over the panel.
+func densePanelGo(x, pk, od []float64, relu bool) {
+	out := len(od)
+	copy(od, pk[:out])
+	for i, xv := range x {
+		for o, w := range pk[(1+i)*out:][:out] {
+			od[o] += float64(w * xv)
 		}
 	}
-	op.g = convGeom{inC: in + 1, inH: 1, inW: out, outC: 1, outH: 1, outW: out, k: 1, stride: 1}
-	op.wd, op.bd = panel, nil
-	return op
+	if relu {
+		reluForward(od, od)
+	}
 }
 
 // denseForwardGo is denseForward's definition. Live neurons go four to a

@@ -2,8 +2,15 @@ package nn
 
 // The kernels' CPU-dispatch ladder. At level isaAVX2 the conv MACs, the
 // ReLU clamp and the 2×2 max-pool of kernels.go run kernels_amd64.s; at
-// isaAVX512 the conv takes the ZMM tile on the planes it fits as well.
-// Below, the Go loops run everything.
+// isaAVX512 the conv takes a ZMM tile on every plane at least 4 wide and
+// high, or 8 wide and 2 high, and a compiled plan's dense ops and its
+// convs on 2-wide planes of more than four channels take the ZMM
+// channel-lane tiles (convLanesAVX512, denseLanesAVX512). Below, the Go
+// loops run everything.
+//
+// Register rule: a tile may write ZMM16–31 (EVEX only) but clears every
+// one it wrote before its VZEROUPPER, which zeroes only the upper halves
+// of ZMM0–15; so no tile returns with dirty upper state in any register.
 const (
 	isaGo = iota
 	isaAVX2
@@ -83,6 +90,83 @@ func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive,
 //go:noescape
 func convTile8x2x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
 
+// convTile8x4x4 is convTile8x2x4 over four rows: 8 positions of four
+// output rows for four channels at a time, sixteen ZMM accumulators.
+//
+//go:noescape
+func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
+
+// convTile4x4x8 is the AVX-512 tile of planes 4 to 7 wide: four rows of
+// 4 positions for eight channels, sixteen ZMM accumulators, rows 0|1 of a
+// channel in one and rows 2|3 in the next. Row y+1 reads its taps pw
+// floats after row y (pw the padded row length) and stores outW floats
+// after it (outW the destination's row stride). live holds the eight
+// channels.
+//
+//go:noescape
+func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu bool)
+
+// convLanes is the AVX-512 channel-lane tile: the 2×2 outputs of a tile
+// whose first tap for row r is pad[offs[r]], for sixteen channels, two
+// groups of eight lanes, each starting at its bias pk[0..16) and adding
+// pk[(1+r)·n + lane]·tap for r ascending (pk a panel of rows n lanes
+// long, a multiple of 8, from the tile's first channel). Output row y+1
+// reads its taps pw floats after row y and stores oRow floats after it;
+// channel l of the tile stores idx[l mod 8] floats (eight lanes apart:
+// 8·oCh) from os. Byte j of masks selects group j's lanes to store; with
+// none of the second group's, that group is neither loaded nor computed.
+//
+//go:noescape
+func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu bool)
+
+// denseLanes is the dense form of convLanes: 32 neurons, four groups of
+// eight, od[o] = pk[o] + Σ_i pk[(1+i)·n + o]·x[i], i ascending, stored at
+// od[o]; byte j of masks selects group j's lanes.
+//
+//go:noescape
+func denseLanes(od, x, pk *float64, n, in int, masks uint32, relu bool)
+
+// laneMasks is the mask bytes of k groups of eight lanes from lane l0 on:
+// bit b of byte j is set when lane l0 + 8j + b is below n.
+func laneMasks(n, l0, k int) (m uint32) {
+	for j := 0; j < k; j++ {
+		m |= (uint32(1)<<min(max(n-l0-8*j, 0), 8) - 1) << (8 * j)
+	}
+	return m
+}
+
+// convLanesAVX512 runs the channel-lane tile over a 2-wide plane from its
+// filled pad plane, 2 rows by 16 channels a call (the last pair of rows
+// overlapping its neighbour when the height is odd), storing at convMACs'
+// strides. pk is the op's panel (packLanes).
+func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu bool) {
+	pw, n, rows := g.inW+2*g.pad, g.outC, len(offs)
+	stride := len(pk) / (rows + 1)
+	pk, os = pk[:(rows+1)*stride], os[:g.storeSpan(oRow, oCh)]
+	if g.outW != 2 || g.outH < 2 || stride%8 != 0 || stride < n || offs[rows-1]+(g.outH-1)*pw+g.outW != len(pad) {
+		panic("nn: lane tile on a plane it does not fit")
+	}
+	var idx [8]int64
+	for l := range idx {
+		idx[l] = int64(l * oCh)
+	}
+	for oy := 0; oy < g.outH; oy += 2 {
+		oy := min(oy, g.outH-2)
+		for l0 := 0; l0 < n; l0 += 16 {
+			convLanes(&os[l0*oCh+oy*oRow], &pad[oy*pw], &offs[0], &pk[l0], stride, rows, pw, oRow, &idx[0], laneMasks(n, l0, 2), relu)
+		}
+	}
+}
+
+// denseLanesAVX512 runs a dense op's panel pk through denseLanes, 32
+// neurons a call: od[:out] from x[:in].
+func denseLanesAVX512(x, pk, od []float64, in, out int, relu bool) {
+	x, pk, od = x[:in], pk[:(in+1)*out], od[:out]
+	for l0 := 0; l0 < out; l0 += 32 {
+		denseLanes(&od[l0], &x[0], &pk[l0], out, in, laneMasks(out, l0, 4), relu)
+	}
+}
+
 // reluAVX2 is reluForward's loop, dst[i] = VMAXPD(src[i], +0), over n
 // elements: n a positive multiple of 4.
 //
@@ -98,11 +182,15 @@ func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int)
 
 // convForwardAVX2 is convMACs' loop on register tiles over the filled
 // pad plane, storing at its strides, positions outer and channels inner
-// so one tile's taps are re-read from cache for every channel. It reports false, having
-// done nothing, for a geometry no tile fits (stride ≠ 1, or an output
-// plane under four wide that is not two rows of two): the Go loop takes
-// those. With AVX-512, a plane at least 8 wide and 2 high takes the ZMM
-// tile, 8 positions of two rows of four channels. Otherwise, from 16
+// so one tile's taps are re-read from cache for every channel. It
+// reports false, having done nothing, for a geometry no tile fits
+// (stride ≠ 1, or an output plane under four wide that is not two rows of
+// two): the Go loop takes those. With AVX-512 a plane at least 8 wide
+// takes a ZMM tile of 8 positions of four channels, four rows high from 4
+// rows up (sixteen accumulators; it won every per-op pair of the cifar10
+// plan against the two-row tile) and two rows high on planes 2 or 3
+// high; a plane 4 to 7 wide and at least 4 high takes 4 positions of
+// four rows of eight channels, sixteen accumulators. Otherwise, from 16
 // wide a tile is 16 positions of a row of one channel (four accumulators
 // hide the add latency); below, 4 positions of four channels — a row
 // segment or, on a 2-wide plane, two whole rows. (Two rows of an 8-wide
@@ -113,12 +201,16 @@ func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int)
 // lists the unpruned channels (at least one).
 func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) bool {
 	pw := g.inW + 2*g.pad
-	tileW, tileH, half, dstHalf := 4, 1, 2, 2
+	tileW, tileH, half, dstHalf, group := 4, 1, 2, 2, 4
 	switch {
 	case g.stride != 1:
 		return false
+	case useAVX512 && g.outW >= 8 && g.outH >= 4:
+		tileW, tileH = 8, 4
 	case useAVX512 && g.outW >= 8 && g.outH >= 2:
 		tileW, tileH = 8, 2
+	case useAVX512 && g.outW >= 4 && g.outH >= 4:
+		tileW, tileH, group = 4, 4, 8
 	case g.outW >= 16:
 		tileW = 16
 	case g.outW >= 4:
@@ -131,7 +223,7 @@ func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64
 	if offs[len(offs)-1]+(g.outH-1)*pw+g.outW != len(pad) {
 		panic("nn: conv tap table does not match the pad plane")
 	}
-	for tileW != 16 && len(live)%4 != 0 {
+	for tileW != 16 && len(live)%group != 0 {
 		live = append(live, live[len(live)-1])
 	}
 	rows := len(offs)
@@ -140,10 +232,16 @@ func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64
 		for ox := 0; ox < g.outW; ox += tileW {
 			ox := min(ox, g.outW-tileW)
 			o, p := &os[oy*oRow+ox], &pad[oy*pw+ox]
-			switch tileW {
-			case 16:
+			switch {
+			case tileW == 8 && tileH == 4:
+				convTile8x4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, pw, oRow, relu)
+			case tileH == 4:
+				for j := 0; j < len(live); j += 8 {
+					convTile4x4x8(o, p, &offs[0], &wd[0], &bd[0], &live[j], rows, oCh, pw, oRow, relu)
+				}
+			case tileW == 16:
 				convTile16(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, relu)
-			case 8:
+			case tileW == 8:
 				convTile8x2x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, pw, oRow, relu)
 			default:
 				convTile4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, half, dstHalf, relu)

@@ -14,7 +14,14 @@
 // VMAXPD b, a, d is d = a > b ? a : b per lane, b when either is NaN or
 // both are zero. With b = +0 that is the ReLU clamp (NaN and −0 become
 // +0); with b = the running best it is the pool's "replace only when
-// strictly greater".
+// strictly greater". RELU4 clamps four accumulators at z = +0.
+#define RELU4(z, a, b, c, d) VMAXPD z, a, a; VMAXPD z, b, b; VMAXPD z, c, c; VMAXPD z, d, d
+
+// COPY4 copies a to b, c to d, e to f and g to h; COPY3 a to b, c and d;
+// CLEAR4 zeroes four registers, all 512 bits (EVEX).
+#define COPY4(a, b, c, d, e, f, g, h) VMOVAPD a, b; VMOVAPD c, d; VMOVAPD e, f; VMOVAPD g, h
+#define COPY3(a, b, c, d) VMOVAPD a, b; VMOVAPD a, c; VMOVAPD a, d
+#define CLEAR4(a, b, c, d) VPXORQ a, a, a; VPXORQ b, b, b; VPXORQ c, c, c; VPXORQ d, d, d
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -52,9 +59,7 @@ TEXT ·convTile16(SB), NOSPLIT, $0-73
 channel16:
 	MOVQ (SI), R8                // oc
 	VBROADCASTSD (BX)(R8*8), Y0  // accumulators start at the bias
-	VMOVAPD Y0, Y1
-	VMOVAPD Y0, Y2
-	VMOVAPD Y0, Y3
+	COPY3(Y0, Y1, Y2, Y3)
 	MOVQ R8, R9
 	IMULQ CX, R9
 	LEAQ (AX)(R9*8), R9          // &wd[oc·rows]
@@ -74,10 +79,7 @@ row16:
 
 	CMPB relu+72(FP), $0
 	JEQ store16
-	VMAXPD Y9, Y0, Y0
-	VMAXPD Y9, Y1, Y1
-	VMAXPD Y9, Y2, Y2
-	VMAXPD Y9, Y3, Y3
+	RELU4(Y9, Y0, Y1, Y2, Y3)
 
 store16:
 	IMULQ DX, R8
@@ -141,10 +143,7 @@ row4:
 
 	CMPB relu+88(FP), $0
 	JEQ store4
-	VMAXPD Y9, Y0, Y0
-	VMAXPD Y9, Y1, Y1
-	VMAXPD Y9, Y2, Y2
-	VMAXPD Y9, Y3, Y3
+	RELU4(Y9, Y0, Y1, Y2, Y3)
 
 store4:
 	MOVQ dstHalf+80(FP), AX
@@ -163,10 +162,14 @@ store4:
 // further on. AX = outW·8, DX = outHW·8, R10 = os.
 #define STORE2(oc, a, b) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD a, (R8); VMOVUPD b, (R8)(AX*1)
 
-// The AVX-512 tile: eight lanes, otherwise convTile4x4's arithmetic. Z0–Z7
-// accumulate channel j's two rows in Z(2j), Z(2j+1); Z8/Z9 are the two
-// rows' taps, Z10–Z13 the four channels' weights, Z14/Z15 products.
-// Only ZMM0–15 are written, so VZEROUPPER leaves no dirty upper state.
+// The AVX-512 tiles. Register rule (kernels_amd64.go): a tile that
+// writes any of ZMM16–31 clears each one before VZEROUPPER, which zeroes
+// only the upper halves of ZMM0–15.
+
+// The two-row tile: eight lanes, otherwise convTile4x4's arithmetic.
+// Z0–Z7 accumulate channel j's two rows in Z(2j), Z(2j+1); Z8/Z9 are the
+// two rows' taps, Z10–Z13 the four channels' weights, Z14/Z15 products.
+// Only ZMM0–15 are written.
 
 // func convTile8x2x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
 TEXT ·convTile8x2x4(SB), NOSPLIT, $0-89
@@ -186,10 +189,7 @@ group8:
 	CHANNEL(8(SI), R9, Z2)
 	CHANNEL(16(SI), R11, Z4)
 	CHANNEL(24(SI), R12, Z6)
-	VMOVAPD Z0, Z1
-	VMOVAPD Z2, Z3
-	VMOVAPD Z4, Z5
-	VMOVAPD Z6, Z7
+	COPY4(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
 	MOVQ pw+72(FP), BX
 	SHLQ $3, BX                  // bytes from a tap of the first row to the same tap of the second
 	XORQ AX, AX                  // r
@@ -218,14 +218,8 @@ row8:
 	CMPB relu+88(FP), $0
 	JEQ store8
 	VXORPD Y8, Y8, Y8            // VEX-encoded: clears all of Z8
-	VMAXPD Z8, Z0, Z0
-	VMAXPD Z8, Z1, Z1
-	VMAXPD Z8, Z2, Z2
-	VMAXPD Z8, Z3, Z3
-	VMAXPD Z8, Z4, Z4
-	VMAXPD Z8, Z5, Z5
-	VMAXPD Z8, Z6, Z6
-	VMAXPD Z8, Z7, Z7
+	RELU4(Z8, Z0, Z1, Z2, Z3)
+	RELU4(Z8, Z4, Z5, Z6, Z7)
 
 store8:
 	MOVQ outW+80(FP), AX
@@ -237,6 +231,310 @@ store8:
 	ADDQ $32, SI
 	SUBQ $4, DI
 	JNZ group8
+	VZEROUPPER
+	RET
+
+// The AVX-512 tile of planes at least 8 wide and 4 high: convTile8x2x4's
+// arithmetic over four rows. Z(4j)–Z(4j+3) accumulate channel j's rows
+// 0–3; Z16–Z19 are the rows' taps, Z20 a channel's weight, Z21/Z22
+// products, cleared before VZEROUPPER.
+
+// STORE4R writes the four rows a–d to os[oc·outHW + y·outW + 0..7].
+// AX = outW·8, DX = outHW·8, R10 = os.
+#define STORE4R(oc, a, b, c, d) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD a, (R8); VMOVUPD b, (R8)(AX*1); VMOVUPD c, (R8)(AX*2); LEAQ (R8)(AX*2), R8; VMOVUPD d, (R8)(AX*1)
+// MAC84 adds channel w's weight for tap r (AX) times the four rows.
+#define MAC84(w, a, b, c, d) VBROADCASTSD (w)(AX*8), Z20; MAC(Z16, Z20, Z21, a); MAC(Z17, Z20, Z22, b); MAC(Z18, Z20, Z21, c); MAC(Z19, Z20, Z22, d)
+
+// func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
+TEXT ·convTile8x4x4(SB), NOSPLIT, $0-89
+	MOVQ os+0(FP), R10
+	MOVQ pad+8(FP), R13
+	MOVQ offs+16(FP), R14
+	MOVQ live+40(FP), SI
+	MOVQ nLive+48(FP), DI
+	MOVQ rows+56(FP), CX
+	MOVQ outHW+64(FP), DX
+	SHLQ $3, DX                  // bytes between channels of os
+
+group84:
+	MOVQ wd+24(FP), AX
+	MOVQ bd+32(FP), BX
+	CHANNEL(0(SI), R8, Z0)
+	CHANNEL(8(SI), R9, Z4)
+	CHANNEL(16(SI), R11, Z8)
+	CHANNEL(24(SI), R12, Z12)
+	COPY3(Z0, Z1, Z2, Z3)
+	COPY3(Z4, Z5, Z6, Z7)
+	COPY3(Z8, Z9, Z10, Z11)
+	COPY3(Z12, Z13, Z14, Z15)
+	MOVQ pw+72(FP), BX
+	SHLQ $3, BX                  // bytes from a tap of one row to the same tap of the next
+	XORQ AX, AX                  // r
+
+row84:
+	MOVQ (R14)(AX*8), R15
+	LEAQ (R13)(R15*8), R15       // &pad[offs[r]]
+	VMOVUPD (R15), Z16
+	VMOVUPD (R15)(BX*1), Z17
+	VMOVUPD (R15)(BX*2), Z18
+	LEAQ (R15)(BX*2), R15
+	VMOVUPD (R15)(BX*1), Z19
+	MAC84(R8, Z0, Z1, Z2, Z3)
+	MAC84(R9, Z4, Z5, Z6, Z7)
+	MAC84(R11, Z8, Z9, Z10, Z11)
+	MAC84(R12, Z12, Z13, Z14, Z15)
+	INCQ AX
+	CMPQ AX, CX
+	JLT row84
+
+	CMPB relu+88(FP), $0
+	JEQ store84
+	VPXORQ Z20, Z20, Z20
+	RELU4(Z20, Z0, Z1, Z2, Z3)
+	RELU4(Z20, Z4, Z5, Z6, Z7)
+	RELU4(Z20, Z8, Z9, Z10, Z11)
+	RELU4(Z20, Z12, Z13, Z14, Z15)
+
+store84:
+	MOVQ outW+80(FP), AX
+	SHLQ $3, AX                  // bytes between rows of os
+	STORE4R(0(SI), Z0, Z1, Z2, Z3)
+	STORE4R(8(SI), Z4, Z5, Z6, Z7)
+	STORE4R(16(SI), Z8, Z9, Z10, Z11)
+	STORE4R(24(SI), Z12, Z13, Z14, Z15)
+	ADDQ $32, SI
+	SUBQ $4, DI
+	JNZ group84
+	CLEAR4(Z16, Z17, Z18, Z19)
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VZEROUPPER
+	RET
+
+// The AVX-512 tile of planes 4 to 7 wide. Sixteen accumulators fill
+// ZMM0–15: channel j's rows 0|1 in Z(2j), rows 2|3 in Z(2j+1). Z16/Z17 are
+// the two row pairs' taps, Z18 a channel's weight, Z19/Z20 products;
+// Z16–Z20 are cleared before VZEROUPPER, which leaves ZMM16–31 alone.
+
+// STORE44 writes channel oc's row pairs a (rows 0|1, low half ya) and b
+// (rows 2|3, low half yb) to os[oc·outHW + y·outW + 0..3]. AX = outW·8,
+// DX = outHW·8, R10 = os.
+#define STORE44(oc, a, ya, b, yb) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD ya, (R8); VEXTRACTF64X4 $1, a, (R8)(AX*1); LEAQ (R8)(AX*2), R8; VMOVUPD yb, (R8); VEXTRACTF64X4 $1, b, (R8)(AX*1)
+// MAC44 adds channel w's weight for tap r (AX) times both row pairs.
+#define MAC44(w, a, b) VBROADCASTSD (w)(AX*8), Z18; MAC(Z16, Z18, Z19, a); MAC(Z17, Z18, Z20, b)
+
+// func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu bool)
+TEXT ·convTile4x4x8(SB), NOSPLIT, $0-81
+	MOVQ wd+24(FP), AX
+	MOVQ bd+32(FP), BX
+	MOVQ live+40(FP), SI
+	MOVQ rows+48(FP), CX
+	CHANNEL(0(SI), R8, Z0)
+	CHANNEL(8(SI), R9, Z2)
+	CHANNEL(16(SI), R10, Z4)
+	CHANNEL(24(SI), R11, Z6)
+	CHANNEL(32(SI), R12, Z8)
+	CHANNEL(40(SI), R13, Z10)
+	CHANNEL(48(SI), DX, Z12)
+	CHANNEL(56(SI), SI, Z14)
+	COPY4(Z0, Z1, Z2, Z3, Z4, Z5, Z6, Z7)
+	COPY4(Z8, Z9, Z10, Z11, Z12, Z13, Z14, Z15)
+	MOVQ pad+8(FP), DI
+	MOVQ offs+16(FP), R14
+	MOVQ pw+64(FP), BX
+	SHLQ $3, BX                  // bytes from a tap of one row to the same tap of the next
+	XORQ AX, AX                  // r
+
+row44:
+	MOVQ (R14)(AX*8), R15
+	LEAQ (DI)(R15*8), R15        // &pad[offs[r]]
+	VBROADCASTF64X4 (R15), Z16
+	VINSERTF64X4 $1, (R15)(BX*1), Z16, Z16
+	LEAQ (R15)(BX*2), R15
+	VBROADCASTF64X4 (R15), Z17
+	VINSERTF64X4 $1, (R15)(BX*1), Z17, Z17
+	MAC44(R8, Z0, Z1)
+	MAC44(R9, Z2, Z3)
+	MAC44(R10, Z4, Z5)
+	MAC44(R11, Z6, Z7)
+	MAC44(R12, Z8, Z9)
+	MAC44(R13, Z10, Z11)
+	MAC44(DX, Z12, Z13)
+	MAC44(SI, Z14, Z15)
+	INCQ AX
+	CMPQ AX, CX
+	JLT row44
+
+	CMPB relu+80(FP), $0
+	JEQ store44
+	VPXORQ Z18, Z18, Z18
+	RELU4(Z18, Z0, Z1, Z2, Z3)
+	RELU4(Z18, Z4, Z5, Z6, Z7)
+	RELU4(Z18, Z8, Z9, Z10, Z11)
+	RELU4(Z18, Z12, Z13, Z14, Z15)
+
+store44:
+	MOVQ os+0(FP), R10
+	MOVQ live+40(FP), SI
+	MOVQ outHW+56(FP), DX
+	SHLQ $3, DX                  // bytes between channels of os
+	MOVQ outW+72(FP), AX
+	SHLQ $3, AX                  // bytes between rows of os
+	STORE44(0(SI), Z0, Y0, Z1, Y1)
+	STORE44(8(SI), Z2, Y2, Z3, Y3)
+	STORE44(16(SI), Z4, Y4, Z5, Y5)
+	STORE44(24(SI), Z6, Y6, Z7, Y7)
+	STORE44(32(SI), Z8, Y8, Z9, Y9)
+	STORE44(40(SI), Z10, Y10, Z11, Y11)
+	STORE44(48(SI), Z12, Y12, Z13, Y13)
+	STORE44(56(SI), Z14, Y14, Z15, Y15)
+	CLEAR4(Z16, Z17, Z18, Z19)
+	VPXORQ Z20, Z20, Z20
+	VZEROUPPER
+	RET
+
+// The channel-lane tiles: a vector's lanes are eight units (channels or
+// neurons), each tap's weights one load from the panel row and its input
+// one broadcast. A conv's panel rows are whole groups of eight lanes, so
+// convLanes loads them whole and masks only its stores; a dense panel's
+// are not, so denseLanes masks its loads too (K1–K4). Only ZMM0–15 are
+// written.
+
+// LANES4 adds weights w times the four positions' taps Z10–Z13 into a–d.
+#define LANES4(w, a, b, c, d) MAC(Z10, w, Z14, a); MAC(Z11, w, Z15, b); MAC(Z12, w, Z14, c); MAC(Z13, w, Z15, d)
+// SCATTER stores z's eight lanes, mask m (a byte of DX), at addr.
+#define SCATTER(z, addr) KMOVW DX, K3; VSCATTERQPD z, K3, addr
+
+// func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu bool)
+TEXT ·convLanes(SB), NOSPLIT, $0-77
+	MOVQ pad+8(FP), DI
+	MOVQ offs+16(FP), R14
+	MOVQ pk+24(FP), R8           // the panel's bias row at the tile's first lane
+	MOVQ n+32(FP), R9
+	SHLQ $3, R9                  // bytes per panel row
+	MOVQ rows+40(FP), CX
+	MOVQ pw+48(FP), BX
+	SHLQ $3, BX                  // bytes from a tap of row 0 to the same tap of row 1
+	MOVL masks+72(FP), DX
+	SHRL $8, DX                  // the second group's lanes
+	VMOVUPD (R8), Z0             // accumulators start at the bias
+	VMOVUPD 64(R8), Z4
+	COPY3(Z0, Z1, Z2, Z3)
+	COPY3(Z4, Z5, Z6, Z7)
+	XORQ AX, AX                  // r
+	TESTL $0xFF, DX
+	JEQ lanes4one                // no lane of the second group: the first alone
+
+lanes4:
+	ADDQ R9, R8                  // panel row 1+r
+	MOVQ (R14)(AX*8), R15
+	LEAQ (DI)(R15*8), R15        // &pad[offs[r]]
+	VMOVUPD (R8), Z8
+	VMOVUPD 64(R8), Z9
+	VBROADCASTSD (R15), Z10
+	VBROADCASTSD 8(R15), Z11
+	VBROADCASTSD (R15)(BX*1), Z12
+	VBROADCASTSD 8(R15)(BX*1), Z13
+	LANES4(Z8, Z0, Z1, Z2, Z3)
+	LANES4(Z9, Z4, Z5, Z6, Z7)
+	INCQ AX
+	CMPQ AX, CX
+	JLT lanes4
+	JMP relu4l
+
+lanes4one:
+	ADDQ R9, R8
+	MOVQ (R14)(AX*8), R15
+	LEAQ (DI)(R15*8), R15
+	VMOVUPD (R8), Z8
+	VBROADCASTSD (R15), Z10
+	VBROADCASTSD 8(R15), Z11
+	VBROADCASTSD (R15)(BX*1), Z12
+	VBROADCASTSD 8(R15)(BX*1), Z13
+	LANES4(Z8, Z0, Z1, Z2, Z3)
+	INCQ AX
+	CMPQ AX, CX
+	JLT lanes4one
+
+relu4l:
+	CMPB relu+76(FP), $0
+	JEQ store4l
+	VXORPD Y8, Y8, Y8            // VEX-encoded: clears all of Z8
+	RELU4(Z8, Z0, Z1, Z2, Z3)
+	RELU4(Z8, Z4, Z5, Z6, Z7)
+
+store4l:
+	MOVQ idx+64(FP), R8
+	VMOVUPD (R8), Z15            // lane l's offset from os, in floats
+	MOVQ 8(R8), R9
+	SHLQ $6, R9                  // bytes from lane 0 to lane 8: 8·oCh floats
+	MOVQ os+0(FP), R10
+	MOVQ oRow+56(FP), BX
+	SHLQ $3, BX
+	LEAQ (R10)(BX*1), R11        // output row 1
+	MOVL masks+72(FP), DX
+	SCATTER(Z0, (R10)(Z15*8))
+	SCATTER(Z1, 8(R10)(Z15*8))
+	SCATTER(Z2, (R11)(Z15*8))
+	SCATTER(Z3, 8(R11)(Z15*8))
+	SHRL $8, DX
+	ADDQ R9, R10
+	ADDQ R9, R11
+	SCATTER(Z4, (R10)(Z15*8))
+	SCATTER(Z5, 8(R10)(Z15*8))
+	SCATTER(Z6, (R11)(Z15*8))
+	SCATTER(Z7, 8(R11)(Z15*8))
+	VZEROUPPER
+	RET
+
+// func denseLanes(od, x, pk *float64, n, in int, masks uint32, relu bool)
+TEXT ·denseLanes(SB), NOSPLIT, $0-45
+	MOVQ x+8(FP), SI
+	MOVQ pk+16(FP), R8           // the panel's bias row at the first lane
+	MOVQ n+24(FP), R9
+	SHLQ $3, R9                  // bytes per panel row
+	MOVQ in+32(FP), CX
+	MOVL masks+40(FP), DX
+	KMOVW DX, K1
+	SHRL $8, DX
+	KMOVW DX, K2
+	SHRL $8, DX
+	KMOVW DX, K3
+	SHRL $8, DX
+	KMOVW DX, K4
+	VMOVUPD.Z (R8), K1, Z0       // accumulators start at the bias
+	VMOVUPD.Z 64(R8), K2, Z1
+	VMOVUPD.Z 128(R8), K3, Z2
+	VMOVUPD.Z 192(R8), K4, Z3
+	XORQ AX, AX                  // i
+
+lanes1:
+	ADDQ R9, R8                  // panel row 1+i
+	VBROADCASTSD (SI)(AX*8), Z4
+	VMOVUPD.Z (R8), K1, Z5
+	VMOVUPD.Z 64(R8), K2, Z6
+	VMOVUPD.Z 128(R8), K3, Z7
+	VMOVUPD.Z 192(R8), K4, Z8
+	MAC(Z4, Z5, Z9, Z0)
+	MAC(Z4, Z6, Z10, Z1)
+	MAC(Z4, Z7, Z11, Z2)
+	MAC(Z4, Z8, Z12, Z3)
+	INCQ AX
+	CMPQ AX, CX
+	JLT lanes1
+
+	CMPB relu+44(FP), $0
+	JEQ store1l
+	VXORPD Y4, Y4, Y4            // VEX-encoded: clears all of Z4
+	RELU4(Z4, Z0, Z1, Z2, Z3)
+
+store1l:
+	MOVQ od+0(FP), R10
+	VMOVUPD Z0, K1, (R10)
+	VMOVUPD Z1, K2, 64(R10)
+	VMOVUPD Z2, K3, 128(R10)
+	VMOVUPD Z3, K4, 192(R10)
 	VZEROUPPER
 	RET
 

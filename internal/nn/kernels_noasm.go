@@ -15,3 +15,11 @@ func reluAVX2(dst, src *float64, n int) { panic("nn: no AVX2 kernels on this GOA
 func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int) {
 	panic("nn: no AVX2 kernels on this GOARCH")
 }
+
+func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu bool) {
+	panic("nn: no AVX-512 kernels on this GOARCH")
+}
+
+func denseLanesAVX512(x, pk, od []float64, in, out int, relu bool) {
+	panic("nn: no AVX-512 kernels on this GOARCH")
+}

@@ -254,6 +254,28 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 				withRung(l, func() { g.convMACs(pad, offs, wd, bd, os, oRow, oCh, pruned, relu) })
 			}))
 		}
+		if pruned != nil {
+			continue
+		}
+		// A compiled plan's op, whose channels are all live: on a 2-wide
+		// plane of more than four it packs a panel (guarded too) for the
+		// ZMM channel-lane tile.
+		op := newConvOp(g, wd, bd)
+		if op.pk != nil {
+			pk := allocExact(t, len(op.pk))
+			copy(pk, op.pk)
+			op.pk = pk
+		}
+		op.relu = relu
+		for _, l := range append([]isaRung{isaRungs[0]}, rungs...) {
+			into := fmt.Sprintf("%s relu %v: %s plan op into a bordered plane", what, relu, l.name)
+			dirtyPad()
+			g.padInput(x, pad, 1)
+			sameBits(t, into, generic, bordered(t, into, g.outC, g.outH, g.outW, border, func(os []float64, oRow, oCh int) {
+				op.row, op.ch = oRow, oCh
+				withRung(l, func() { op.macs(pad, os) })
+			}))
+		}
 	}
 }
 
@@ -262,13 +284,18 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 // 1/3/5, stride 2, pad 0, and channel counts that are not multiples of
 // the four-channel tiles. The second, 3×3 only, walks the tile shapes:
 // width 2 (two rows to a tile from two rows up, the Go loop on a single
-// row), 5 (4-wide, overlapping last tile), 8, 15 (4-wide; the ZMM tile
-// from two rows up, overlapping at 15), 16, 17, 32, 33 (16-wide, or the
-// ZMM tile from two rows up; overlapping last tile at 17 and 33), each
-// 1, 2 and 7 rows high (7: the two-row tiles' last pair overlaps).
+// row), 5 (4-wide; the eight-channel ZMM tile from four rows up, its
+// columns overlapping), 8, 15 (4-wide; a ZMM tile from two rows up,
+// overlapping at 15), 16, 17, 32, 33 (16-wide, or a ZMM tile from two
+// rows up; overlapping last tile at 17 and 33), each 1, 2 and 7 rows
+// high (7: the two- and four-row tiles' last rows overlap). The third
+// gives the narrow planes of a served plan's last stages the channel
+// counts the ZMM tiles split unevenly: 4×4 planes of 1, 7, 8, 9 and 16
+// channels (eight to a tile) and 2×2 ones of 3, 23, 26 and 32 (sixteen
+// lanes to a tile, and under five the four-channel AVX2 tile).
 func convCases(visit func(g convGeom, n int)) {
 	n := 0
-	grid := func(outs [][2]int, ks []int) {
+	grid := func(outs [][2]int, ks, outCs []int) {
 		for _, out := range outs {
 			for _, k := range ks {
 				for _, stride := range []int{1, 2} {
@@ -278,7 +305,7 @@ func convCases(visit func(g convGeom, n int)) {
 						if g.inH < 1 || g.inW < 1 {
 							continue
 						}
-						for _, outC := range []int{1, 3, 4, 5, 33} {
+						for _, outC := range outCs {
 							g.inC, g.outC = 1+n%3, outC
 							visit(g, n)
 							n++
@@ -288,14 +315,17 @@ func convCases(visit func(g convGeom, n int)) {
 			}
 		}
 	}
-	grid([][2]int{{1, 1}, {1, 3}, {2, 2}, {2, 3}, {3, 5}, {4, 4}, {17, 1}, {8, 8}, {25, 40}}, []int{1, 3, 5})
+	outCs := []int{1, 3, 4, 5, 33}
+	grid([][2]int{{1, 1}, {1, 3}, {2, 2}, {2, 3}, {3, 5}, {4, 4}, {17, 1}, {8, 8}, {25, 40}}, []int{1, 3, 5}, outCs)
 	var tiles [][2]int
 	for _, outH := range []int{1, 2, 7} {
 		for _, outW := range []int{2, 5, 8, 15, 16, 17, 32, 33} {
 			tiles = append(tiles, [2]int{outH, outW})
 		}
 	}
-	grid(tiles, []int{3})
+	grid(tiles, []int{3}, outCs)
+	grid([][2]int{{4, 4}}, []int{3}, []int{1, 7, 8, 9, 16})
+	grid([][2]int{{2, 2}}, []int{3}, []int{3, 23, 26, 32})
 }
 
 // TestKernelsMatchGeneric holds every assembly rung this CPU has to the
@@ -464,9 +494,9 @@ func checkDenseCase(t testing.TB, n, in, out int, seed int64, maskKind int, rung
 		full = run(isaRungs[0], nil, false)
 	}
 	op := newDenseOp(wd, bd, in, out)
-	panel := allocExact(t, len(op.wd))
-	copy(panel, op.wd)
-	op.wd = panel
+	panel := allocExact(t, len(op.pk))
+	copy(panel, op.pk)
+	op.pk = panel
 	filter, got := allocExact(t, in+1), allocExact(t, out)
 	for _, relu := range []bool{false, true} {
 		op.relu = relu
@@ -489,11 +519,12 @@ func checkDenseCase(t testing.TB, n, in, out int, seed int64, maskKind int, rung
 }
 
 // TestDenseMatchesGeneric holds the dense lowerings — the batch as a 1×1
-// conv over its transposed rows, and the plan's batch-1 op — to the
-// Go loop on every rung this CPU has, one subtest per rung and batch
-// size.
+// conv over its transposed rows, and the plan's batch-1 op (on AVX-512
+// the channel-lane tile, 32 neurons a call: 10, 17, 70 and 128 outputs
+// fill it partly, unevenly and four times) — to the Go loop on every
+// rung this CPU has, one subtest per rung and batch size.
 func TestDenseMatchesGeneric(t *testing.T) {
-	sizes := []int{1, 3, 4, 10, 15, 16, 17, 128}
+	sizes := []int{1, 3, 4, 10, 15, 16, 17, 70, 128}
 	forEachRung(t, isaRungs[1:], func(t *testing.T, l isaRung) {
 		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 32} {
 			t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
@@ -714,7 +745,7 @@ func BenchmarkKernels(b *testing.B) {
 		run := func(op *compiledOp, i int) { op.run(ins[i], outs[i], arena) }
 		plane := func(op *compiledOp) []float64 { return arena[op.plane:][:op.g.padSize()] }
 		row(p.name+"/sum/conv-mac", isaRungs, macs, "ns/MAC", each(convs, func(op *compiledOp, i int) {
-			op.g.convMACs(plane(op), op.offs, op.wd, op.bd, outs[i], op.row, op.ch, nil, op.relu)
+			op.macs(plane(op), outs[i])
 		}))
 		row(p.name+"/sum/pad", nil, 0, "", each(convs, func(op *compiledOp, i int) {
 			if op.padIn {
@@ -724,7 +755,7 @@ func BenchmarkKernels(b *testing.B) {
 		row(p.name+"/sum/dense", isaRungs, 0, "", each(dense, run))
 		row(p.name+"/sum/pool-relu", twoRungs, 0, "", each(poolReLU, run))
 		row(p.name+"/sum/convs1-7", isaRungs, 0, "", each(convs[:7], run))
-		row(p.name+"/sum/forward", isaRungs, 0, "", func() { plan.forward(x, logits, 1) })
+		row(p.name+"/sum/forward", isaRungs, 0, "", func() { plan.forward(x, logits, 1, nil) })
 	}
 	// suffix/n16/* is a 16-row replay shard of an ε check: InferLayers from
 	// the fixture's first pruned stage on (three 32-channel convs on 2×2

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -184,5 +185,59 @@ func TestCompileFailureServesUnpruned(t *testing.T) {
 	}
 	if failed != 1 {
 		t.Fatalf("%d compile-failed events, want 1", failed)
+	}
+}
+
+// Every plan the server runs is compiled on its one prefix: each cache
+// entry's and the unpruned one share it by pointer, and compiled_bytes
+// counts it once beside each entry's suffix. The fixture's system prunes
+// from its first stage on, so this one is built on the same network
+// prunable from stage 1: its prefix is the first conv block, and every
+// answer on a split plan is still the masked reference's, bit for bit.
+func TestPlansShareOnePrefix(t *testing.T) {
+	f := getFixture(t)
+	params := f.sys.Params
+	params.Stages = []int{1, 2}
+	sys, err := core.NewSystem(f.sys.Net, f.sets.Val, f.sets.Profile, nil, params)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := NewServerWith(sys, planConfig())
+	defer srv.Close()
+
+	if srv.prefix.Bytes() <= 0 {
+		t.Fatal("the server's prefix holds no plan")
+	}
+	if srv.unpruned.Prefix() != srv.prefix {
+		t.Fatal("the unpruned plan is not compiled on the server's prefix")
+	}
+	for i, classes := range [][]int{{0, 1}, {2, 3}, {1, 2, 3}} {
+		x := f.sample(t, i)
+		res, err := srv.Infer(core.Uniform(classes), x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameBits(t, f, fmt.Sprint(classes), res.Logits, x, srv.cache.snapshot()[len(srv.cache.snapshot())-1].masks)
+	}
+	entries := srv.cache.snapshot()
+	want, pruned := srv.prefix.Bytes(), false
+	for _, e := range entries {
+		for _, m := range e.masks {
+			pruned = pruned || slices.Contains(m, true)
+		}
+		if e.plan == srv.unpruned {
+			t.Fatalf("entry %s is pinned to the unpruned plan", e.key)
+		}
+		if e.plan.Prefix() != srv.prefix {
+			t.Fatalf("entry %s's plan is compiled on another prefix", e.key)
+		}
+		want += e.plan.Bytes()
+	}
+	if !pruned {
+		t.Fatal("no personalization pruned anything: the suffixes are the unpruned one")
+	}
+	if st := srv.Stats(); st.CompiledEntries != len(entries) || st.CompiledBytes != want {
+		t.Fatalf("compiled entries=%d bytes=%d, want %d and %d (the prefix once plus each suffix)",
+			st.CompiledEntries, st.CompiledBytes, len(entries), want)
 	}
 }

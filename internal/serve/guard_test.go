@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,6 +136,12 @@ func TestDriftTripsGuardAndHeals(t *testing.T) {
 		default:
 		}
 	}
+	// A heal may finish before the next request: hold its install until
+	// this test has been answered on the fallback once, or has failed.
+	fellBack := make(chan struct{})
+	release := sync.OnceFunc(func() { close(fellBack) })
+	defer release()
+	srv.hookInstall = func(string) { <-fellBack }
 
 	// The user claimed classes {0,1}; every request actually carries
 	// classes {2,3}.
@@ -150,6 +157,7 @@ func TestDriftTripsGuardAndHeals(t *testing.T) {
 		}
 		if res.Fallback {
 			sawFallback = true
+			release()
 		}
 		if tripAt < 0 && srv.Stats().GuardTrips > 0 {
 			tripAt = i

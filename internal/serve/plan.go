@@ -4,15 +4,18 @@ import (
 	"time"
 
 	"capnn/internal/core"
-	"capnn/internal/nn"
 )
 
-// The compiled plan is the only thing the serving tier runs. Every cache
-// entry owns one nn.Compiled built from its masks (probe-verified
-// bit-identical to masked inference by nn.Compile itself) before the fill
-// publishes it; the server owns one more, compiled from no masks, for the
-// ε-guard's unpruned traffic. CacheCap is the memory bound: plans × one
-// model's plan size, both fixed per server.
+// The compiled plan is the only thing the serving tier runs. The server
+// lowers the base network's layers before the first prunable stage once,
+// as an nn.Prefix: CAP'NN never prunes them, so they are the same for
+// every key. Every cache entry owns one nn.Compiled of the layers after
+// it, built from its masks (probe-verified bit-identical to masked
+// inference by the compile itself) before the fill publishes it; the
+// server owns one more, compiled from no masks, for the ε-guard's
+// unpruned traffic. All of them run the one prefix plan first. CacheCap
+// is the memory bound: the prefix plus plans × one suffix's size, all
+// fixed per server.
 
 // newEntry builds the cache entry a fill publishes for masks: its guard
 // and its compiled plan, both in place before anyone can read the entry.
@@ -24,7 +27,7 @@ func (s *Server) newEntry(v core.Variant, prefs core.Preferences, key string, ma
 		return nil, err
 	}
 	start := time.Now()
-	plan, err := nn.Compile(s.sys.Net, masks)
+	plan, err := s.prefix.Compile(masks)
 	s.st.compiled(time.Since(start), err)
 	if err != nil {
 		s.events.Record("compile-failed", key, err.Error(), nil)
@@ -34,13 +37,18 @@ func (s *Server) newEntry(v core.Variant, prefs core.Preferences, key string, ma
 }
 
 // residentPlans sums the plans cache entries hold resident memory for:
-// an entry pinned to the shared unpruned plan holds none.
+// each entry's suffix, and the prefix they share once when any entry has
+// a plan of its own. An entry pinned to the shared unpruned plan holds
+// none.
 func (s *Server) residentPlans() (bytes int64, entries int) {
 	for _, e := range s.cache.snapshot() {
 		if e.plan != s.unpruned {
 			bytes += e.plan.Bytes()
 			entries++
 		}
+	}
+	if entries > 0 {
+		bytes += s.prefix.Bytes()
 	}
 	return bytes, entries
 }

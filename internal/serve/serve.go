@@ -205,9 +205,12 @@ type Server struct {
 	cache  *maskCache
 	gate   *gate
 
+	// prefix is the base network's layers before the system's first
+	// prunable stage, lowered once: every plan below is compiled on it.
 	// unpruned is the base network compiled under no masks: the plan the
 	// ε-guard's fallback and shadow traffic runs, and the stand-in for an
 	// entry whose masks do not compile.
+	prefix   *nn.Prefix
 	unpruned *nn.Compiled
 
 	// breaker guards the repersonalization path taken by ε-guard heals.
@@ -224,9 +227,12 @@ type Server struct {
 
 	// hookPersonalize, when set by tests, observes every System.Prune
 	// execution (not cache hits or singleflight joins). hookHealed
-	// observes each heal publishing a repersonalized entry.
+	// observes each heal publishing a repersonalized entry, and
+	// hookInstall runs in the heal just before it publishes, so a test can
+	// hold the fallback window open.
 	hookPersonalize func(prefs core.Preferences)
 	hookHealed      func(key string, prefs core.Preferences)
+	hookInstall     func(key string)
 
 	// rpc is the wire: accept loop, kept connections, peer limits.
 	rpc *rpc.Server[WireRequest, WireResponse]
@@ -252,7 +258,11 @@ func NewServer(sys *core.System) *Server { return NewServerWith(sys, Config{}) }
 // programming error no request could be served past.
 func NewServerWith(sys *core.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
-	unpruned, err := nn.Compile(sys.Net, nil)
+	prefix, err := nn.NewPrefix(sys.Net, sys.Params.Stages[0])
+	var unpruned *nn.Compiled
+	if err == nil {
+		unpruned, err = prefix.Compile(nil)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("serve: base network does not compile: %v", err))
 	}
@@ -270,6 +280,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		reg:      reg,
 		events:   events,
 		cache:    newMaskCache(cfg.CacheCap, st),
+		prefix:   prefix,
 		unpruned: unpruned,
 		gate:     newGate(cfg.Workers, cfg.MaxQueue, bulkMax, st),
 		breaker:  breaker.New(healFailThreshold, cfg.BreakerCooldown),
@@ -278,7 +289,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	s.rpc = rpc.NewServer(
 		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
 		s.handle, badRequest)
-	reg.GaugeFunc("capnn_serve_compiled_bytes", "Approximate resident compiled-weight bytes.", func() float64 {
+	reg.GaugeFunc("capnn_serve_compiled_bytes", "Approximate resident compiled-weight bytes: the shared prefix once, and each entry's suffix.", func() float64 {
 		bytes, _ := s.residentPlans()
 		return float64(bytes)
 	})
@@ -595,6 +606,9 @@ func (s *Server) heal(entry *maskEntry) {
 				fresh, err = s.personalize(entry.variant, prefs, entry.key)
 				if err == nil {
 					s.breaker.Record(true)
+					if s.hookInstall != nil {
+						s.hookInstall(entry.key)
+					}
 					s.cache.install(fresh)
 					s.st.healed()
 					s.events.Record("heal", entry.key, "repersonalized against observed class mix", nil)

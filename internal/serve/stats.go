@@ -75,7 +75,8 @@ type Stats struct {
 	// unpruned plan); CompiledDispatched counts requests answered on their
 	// entry's own plan (unpruned guard traffic is not counted).
 	// CompiledBytes / CompiledEntries are the instantaneous resident
-	// compiled-weight bytes and entry count.
+	// compiled-weight bytes and the entries with a plan of their own: each
+	// such entry's suffix, plus the prefix they share once.
 	Compiles, CompileErrors uint64
 	CompiledDispatched      uint64
 	CompileNs               int64

@@ -7,19 +7,24 @@
 #
 # Usage: scripts/pairs.sh <parent-rev> <n> [workload[=pairs] ...]
 #
-# The parent is checked out with `git worktree add --detach` into a
-# temporary directory, removed on exit; the change is this checkout's
-# working tree. Each side runs its own tree's
+# The parent is exported with `git archive` into a temporary directory,
+# removed on exit; the change is this checkout's working tree. Each side
+# runs its own tree's
 #
 #	bash benchmark/run.sh --workload W --seed N --seconds 20 --trace 0
 #
 # for seeds 1..pairs (default: every BENCHMARK.json workload, 10 pairs).
+# Then each side's own `go test -c` binary of internal/nn runs the
+# BenchmarkKernels rows named in benchrows below, 10 alternating pairs of
+# `-test.benchtime 2000x` runs, on the highest rung of the dispatch
+# ladder both sides report (avx512, avx2, generic).
 # The file holds the host's CPU model and nproc, both revisions, and per
 # workload and BENCHMARK.json end-to-end metric both sides' runs in seed
 # order, their medians and quartiles, the median per-pair ratio
 # change/parent and the pairs the change won; per run, `correct` and
-# `failed`. It exits non-zero if any run failed or was not correct.
-# Needs bash and jq.
+# `failed`; and the same for each benchmark row's ns/op under "bench".
+# It exits non-zero if any run failed or was not correct.
+# Needs bash, go and jq.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -38,12 +43,9 @@ if [ ${#specs[@]} -eq 0 ]; then
 fi
 
 tmp="$(mktemp -d)"
-cleanup() {
-	git worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-git worktree add --detach "$tmp/parent" "$parent" >/dev/null 2>&1
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/parent"
+git archive "$parent" | tar -x -C "$tmp/parent"
 
 # side <dir> <workload> <seed> prints the result line of one run, or a
 # failed stand-in when the run printed none.
@@ -74,7 +76,32 @@ for spec in "${specs[@]}"; do
 	done
 done
 
-jq -s --slurpfile bench BENCHMARK.json --arg parent "$parent" --arg change "$change" \
+# The forward of a served plan and of the unpruned one, per request, on
+# every rung (the regex matches level by level).
+benchrows=(plan-M/sum/forward plan-0/sum/forward)
+regex='^BenchmarkKernels$/^plan-(M|0)$/^sum$/^forward$'
+for s in parent change; do
+	dir="$root"
+	if [ "$s" = parent ]; then dir="$tmp/parent"; fi
+	(cd "$dir" && GOCACHE="$dir/.bench_build/gocache" GOTOOLCHAIN=local go test -c -o "$tmp/$s.nn.test" ./internal/nn)
+done
+for i in $(seq 1 10); do
+	order="parent change"
+	if [ $((i % 2)) -eq 0 ]; then order="change parent"; fi
+	for s in $order; do
+		dir="$root"
+		if [ "$s" = parent ]; then dir="$tmp/parent"; fi
+		(cd "$dir/internal/nn" && "$tmp/$s.nn.test" -test.run '^$' -test.bench "$regex" -test.benchtime 2000x) |
+			awk -v side="$s" -v pair="$i" '$1 ~ /^BenchmarkKernels\// && $4 == "ns/op" {
+				name = $1; sub(/^BenchmarkKernels\//, "", name); sub(/-[0-9]+$/, "", name)
+				printf "{\"pair\": %d, \"side\": \"%s\", \"name\": \"%s\", \"ns\": %s}\n", pair, side, name, $3
+			}' >>"$tmp/bench.jsonl"
+	done
+	echo "pairs: bench pair $i done" >&2
+done
+rows="$(printf '%s\n' "${benchrows[@]}" | jq -R . | jq -sc .)"
+
+jq -s --slurpfile bench BENCHMARK.json --slurpfile kb "$tmp/bench.jsonl" --argjson rows "$rows" --arg parent "$parent" --arg change "$change" \
 	--arg cpu "$(grep -m 1 'model name' /proc/cpuinfo | cut -d: -f2- | sed 's/^ *//')" --argjson nproc "$(nproc)" '
 # quantile(q): linear interpolation between the closest ranks.
 def quantile(q): sort | if length == 0 then null else (q * (length - 1)) as $i | .[$i | floor] + ($i - ($i | floor)) * (.[$i | ceil] - .[$i | floor]) end;
@@ -101,6 +128,20 @@ def summary: map(select(. != null)) | {median: median, q1: quantile(0.25), q3: q
                median_pair_ratio: ([$pairs[] | select(.p != 0) | .c / .p] | median),
                wins: ([$pairs[] | select(if $m.better == "lower" then .c < .p else .c > .p end)] | length)}})
            | from_entries)}})
-     | from_entries)}' "$tmp/runs.jsonl" >"$out"
+     | from_entries),
+   bench: (($kb | group_by(.name) | map({key: .[0].name, value: .}) | from_entries) as $by
+     | ($rows | map(. as $row
+       | ([["avx512", "avx2", "generic"][] | "\($row)/\(.)"
+           | select(($by[.] // []) as $r | any($r[]; .side == "parent") and any($r[]; .side == "change"))] | first) as $name
+       | select($name != null)
+       | ([$by[$name][] | select(.side == "parent")] | sort_by(.pair) | map(.ns)) as $pv
+       | ([$by[$name][] | select(.side == "change")] | sort_by(.pair) | map(.ns)) as $cv
+       | [range(0; [$pv, $cv] | map(length) | min) | {p: $pv[.], c: $cv[.]}] as $pairs
+       | {key: $row, value: {
+           row: ("BenchmarkKernels/" + $name), unit: "ns/op", better: "lower", parent: $pv, change: $cv,
+           parent_summary: ($pv | summary), change_summary: ($cv | summary),
+           median_pair_ratio: ([$pairs[] | select(.p != 0) | .c / .p] | median),
+           wins: ([$pairs[] | select(.c < .p)] | length)}})
+       | from_entries))}' "$tmp/runs.jsonl" >"$out"
 echo "pairs: wrote $out" >&2
 jq -e '.ok' "$out" >/dev/null
