@@ -187,9 +187,9 @@ func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int)
 // (stride ≠ 1, or an output plane under four wide that is not two rows of
 // two): the Go loop takes those. With AVX-512 a plane at least 8 wide
 // takes a ZMM tile of 8 positions of four channels, four rows high from 4
-// rows up (sixteen accumulators; it won every per-op pair of the cifar10
-// plan against the two-row tile) and two rows high on planes 2 or 3
-// high; a plane 4 to 7 wide and at least 4 high takes 4 positions of
+// rows up (sixteen accumulators; on every wide op of the cifar10 plan it
+// beat the two-row tile in the median of 10 alternated pairs) and two
+// rows high on planes 2 or 3 high; a plane 4 to 7 wide and at least 4 high takes 4 positions of
 // four rows of eight channels, sixteen accumulators. Otherwise, from 16
 // wide a tile is 16 positions of a row of one channel (four accumulators
 // hide the add latency); below, 4 positions of four channels — a row
