@@ -21,10 +21,12 @@
 //
 //	capnn-gateway -quota-bulk 50:100 -quota-tenant "batch=unlimited,10:20" ...
 //
-// With -state the gateway persists its ring configuration (seed,
-// virtual nodes, members, version) into the same crash-safe store the
-// serving tier uses, so a restarted gateway places every key exactly
-// where its predecessor did and no shard's cache locality is lost:
+// With -state the gateway keeps its ring (seed, virtual nodes, members,
+// epoch) in the directory's crash-safe ring file, written before each
+// membership change takes effect, so a restarted gateway places every
+// key exactly where its predecessor did and no shard's cache locality
+// is lost. A ring file that fails its check stops the gateway at start-up
+// (exit 1): a ring never rolls back behind the shards' fences.
 //
 //	capnn-gateway -state /var/lib/capnn/gateway -nodes ...
 //
@@ -65,7 +67,6 @@ import (
 	"capnn/internal/faults"
 	"capnn/internal/metrics"
 	"capnn/internal/qos"
-	"capnn/internal/store"
 )
 
 // tenantQuotaFlags collects repeated -quota-tenant occurrences.
@@ -124,7 +125,7 @@ func main() {
 	chaos := flag.String("chaos", "", "client-facing fault-injection spec, e.g. seed=7,drop=0.1,latency=20ms")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/cluster (empty = disabled)")
 	statsEvery := flag.Duration("stats-every", 0, "periodically print a stats snapshot (0 = only at shutdown)")
-	stateDir := flag.String("state", "", "ring-config store directory: restore placement from the latest good generation and persist membership changes (empty = stateless)")
+	stateDir := flag.String("state", "", "state directory: restore placement from its ring file and persist membership changes there (empty = stateless)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight connections at shutdown")
 	quotaInteractive := flag.String("quota-interactive", "", "default per-tenant interactive-lane quota as rate[:burst] requests/s (empty = unlimited)")
 	quotaBulk := flag.String("quota-bulk", "", "default per-tenant bulk-lane quota as rate[:burst] requests/s (empty = unlimited)")
@@ -172,14 +173,9 @@ func main() {
 		os.Exit(1)
 	}
 	if *stateDir != "" {
-		st, err := store.Open(*stateDir)
+		restored, err := g.UseStore(*stateDir)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		restored, err := g.UseStore(st)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capnn-gateway: ring store: %v\n", err)
+			fmt.Fprintf(os.Stderr, "capnn-gateway: %v\n", err)
 			os.Exit(1)
 		}
 		if restored {

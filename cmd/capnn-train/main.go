@@ -2,20 +2,25 @@
 // reference model and reports its test accuracy.
 //
 // With -state it trains crash-safely: every -checkpoint-every epochs it
-// commits an atomic, CRC-checksummed checkpoint (model + progress) to
-// the given store directory, and on startup it resumes from the latest
-// good generation — a kill -9 loses at most the epochs since the last
-// commit, and a corrupted checkpoint rolls back to the previous one
-// instead of crashing:
+// atomically replaces the directory's CRC-checksummed checkpoint file
+// (progress + model), and on startup it resumes from it — a kill -9
+// loses at most the epochs since the last checkpoint, and a corrupted
+// checkpoint rolls back to checkpoint.prev, the one before it, instead
+// of crashing:
 //
 //	capnn-train -model cifar10 -epochs 8 -state /var/lib/capnn/train
 package main
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 	"time"
 
 	"capnn/internal/data"
@@ -31,7 +36,7 @@ func main() {
 	noise := flag.Float64("noise", 0, "override generator NoiseStd (0 = fixture default)")
 	groupMix := flag.Float64("groupmix", 0, "override generator GroupMix (0 = fixture default)")
 	epochs := flag.Int("epochs", 0, "override training epochs (0 = fixture default)")
-	stateDir := flag.String("state", "", "checkpoint store directory: commit crash-safe checkpoints and resume from the latest good generation (empty = fixture cache only)")
+	stateDir := flag.String("state", "", "state directory: write crash-safe checkpoints there and resume from the last good one (empty = fixture cache only)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "with -state, commit a checkpoint every N completed epochs")
 	perf := profiling.AddFlags()
 	flag.Parse()
@@ -90,48 +95,88 @@ func main() {
 	}
 }
 
-// trainCheckpointed runs the training loop against a crash-safe store:
-// it resumes from the newest good generation (rolling past any corrupt
-// one) and commits model+progress every `every` completed epochs.
+// trainMeta is how far training had progressed at a checkpoint: the
+// completed epochs (a resumed run starts at EpochsDone+1), and the
+// run's epoch count and seed, so a resumed run detects changed flags.
+// A checkpoint body is its three fields as little-endian 64-bit
+// integers, then the nn.Save bytes of the model.
+type trainMeta struct {
+	EpochsDone, TotalEpochs int
+	Seed                    int64
+}
+
+const metaSize = 24
+
+func encodeCheckpoint(m trainMeta, net *nn.Network) ([]byte, error) {
+	b := binary.LittleEndian.AppendUint64(nil, uint64(m.EpochsDone))
+	b = binary.LittleEndian.AppendUint64(b, uint64(m.TotalEpochs))
+	buf := bytes.NewBuffer(binary.LittleEndian.AppendUint64(b, uint64(m.Seed)))
+	err := nn.Save(buf, net)
+	return buf.Bytes(), err
+}
+
+// loadCheckpoint reads and decodes the checkpoint file at path.
+func loadCheckpoint(path string) (trainMeta, *nn.Network, error) {
+	body, err := store.ReadFile(path)
+	if err != nil {
+		return trainMeta{}, nil, err
+	}
+	if len(body) < metaSize {
+		return trainMeta{}, nil, fmt.Errorf("%s: %d-byte body holds no progress record", path, len(body))
+	}
+	m := trainMeta{
+		EpochsDone:  int(binary.LittleEndian.Uint64(body)),
+		TotalEpochs: int(binary.LittleEndian.Uint64(body[8:])),
+		Seed:        int64(binary.LittleEndian.Uint64(body[16:])),
+	}
+	net, err := nn.Load(bytes.NewReader(body[metaSize:]))
+	if err != nil {
+		return trainMeta{}, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, net, nil
+}
+
+// trainCheckpointed runs the training loop against the checkpoint file
+// in dir: it resumes from the file (from checkpoint.prev when the file
+// fails its check) and rewrites it every `every` completed epochs.
 func trainCheckpointed(cfg exp.FixtureConfig, dir string, every int) (*nn.Network, *data.Sets, error) {
 	gen, err := data.NewGenerator(cfg.Synth)
 	if err != nil {
 		return nil, nil, err
 	}
 	sets := data.MakeSets(gen, cfg.Sizes)
-	st, err := store.Open(dir)
-	if err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
+	path := filepath.Join(dir, "checkpoint")
 
 	tc := cfg.Train
 	tc.Logf = func(format string, args ...any) { fmt.Printf(format+"\n", args...) }
 	tc.CheckpointEvery = every
 
-	var net *nn.Network
-	if g, err := st.Latest(); err == nil && g.Has(store.ArtifactTrainMeta) {
-		meta, err := g.TrainMeta()
-		if err != nil {
-			return nil, nil, err
-		}
+	meta, net, err := loadCheckpoint(path)
+	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+		fmt.Printf("capnn-train: %v; rolling back to checkpoint.prev\n", err)
+		meta, net, err = loadCheckpoint(path + ".prev")
+	}
+	switch {
+	case err == nil:
 		if meta.Seed != tc.Seed || meta.TotalEpochs != tc.Epochs {
 			return nil, nil, fmt.Errorf(
-				"capnn-train: checkpoint generation %d was written by a run with seed=%d epochs=%d, current flags give seed=%d epochs=%d; use a fresh -state directory",
-				g.Number, meta.Seed, meta.TotalEpochs, tc.Seed, tc.Epochs)
-		}
-		net, err = g.Network(store.ArtifactModel)
-		if err != nil {
-			return nil, nil, err
+				"capnn-train: the checkpoint in %s was written by a run with seed=%d epochs=%d, current flags give seed=%d epochs=%d; use a fresh -state directory",
+				dir, meta.Seed, meta.TotalEpochs, tc.Seed, tc.Epochs)
 		}
 		tc.StartEpoch = meta.EpochsDone + 1
 		if meta.EpochsDone >= tc.Epochs {
-			fmt.Printf("capnn-train: recovered generation %d: training already complete (%d/%d epochs)\n",
-				g.Number, meta.EpochsDone, tc.Epochs)
+			fmt.Printf("capnn-train: recovered checkpoint: training already complete (%d/%d epochs)\n",
+				meta.EpochsDone, tc.Epochs)
 			return net, sets, nil
 		}
-		fmt.Printf("capnn-train: recovered generation %d: resuming at epoch %d/%d\n",
-			g.Number, tc.StartEpoch, tc.Epochs)
-	} else {
+		fmt.Printf("capnn-train: recovered checkpoint: resuming at epoch %d/%d\n", tc.StartEpoch, tc.Epochs)
+	default:
+		if !errors.Is(err, fs.ErrNotExist) {
+			fmt.Printf("capnn-train: %v\n", err)
+		}
 		if net, err = nn.BuildVGG(cfg.VGG); err != nil {
 			return nil, nil, err
 		}
@@ -139,22 +184,14 @@ func trainCheckpointed(cfg exp.FixtureConfig, dir string, every int) (*nn.Networ
 	}
 
 	tc.Checkpoint = func(epoch int, n *nn.Network) error {
-		txn, err := st.Begin()
+		body, err := encodeCheckpoint(trainMeta{EpochsDone: epoch, TotalEpochs: tc.Epochs, Seed: tc.Seed}, n)
 		if err != nil {
 			return err
 		}
-		defer txn.Abort()
-		if err := txn.PutNetwork(store.ArtifactModel, n); err != nil {
+		if err := store.WriteFile(path, body); err != nil {
 			return err
 		}
-		if err := txn.PutTrainMeta(store.TrainMeta{EpochsDone: epoch, TotalEpochs: tc.Epochs, Seed: tc.Seed}); err != nil {
-			return err
-		}
-		if err := txn.Commit(); err != nil {
-			return err
-		}
-		fmt.Printf("capnn-train: committed checkpoint generation %d (epoch %d/%d)\n",
-			txn.Generation(), epoch, tc.Epochs)
+		fmt.Printf("capnn-train: committed checkpoint (epoch %d/%d)\n", epoch, tc.Epochs)
 		return nil
 	}
 	if _, err := train.Train(net, sets.Train, sets.Val, tc); err != nil {

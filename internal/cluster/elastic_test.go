@@ -8,7 +8,7 @@ import (
 	"time"
 
 	"capnn/internal/cloud"
-	"capnn/internal/store"
+	"capnn/internal/serve"
 )
 
 // wireFences gives every test node the production fence wiring: ring
@@ -279,8 +279,8 @@ func TestBackToBackEpochsStayClientInvisible(t *testing.T) {
 }
 
 // TestRestoreRejectsEpochRegression: epochs are fencing tokens, so a
-// persisted ring configuration older than the live epoch is refused
-// (and the live ring untouched), while re-applying the current epoch is
+// persisted ring view older than the live epoch is refused (and the
+// live ring untouched), while re-applying the current epoch is
 // accepted.
 func TestRestoreRejectsEpochRegression(t *testing.T) {
 	cfg := testGWConfig()
@@ -303,22 +303,22 @@ func TestRestoreRejectsEpochRegression(t *testing.T) {
 		t.Fatalf("epoch = %d after two joins, want 3", ring.Epoch())
 	}
 
-	stale := store.RingConfig{
+	stale := serve.RingUpdate{
 		Seed: ring.Seed(), VirtualNodes: ring.VirtualNodes(), Replication: 2,
-		Version: 1, Nodes: []string{"s1:1", "s2:1"},
+		Epoch: 1, Members: []string{"s1:1", "s2:1"},
 	}
-	if err := g.RestoreRingConfig(stale); err == nil {
+	if err := g.restoreRing(stale); err == nil {
 		t.Fatal("epoch regression accepted")
 	}
 	if got := g.Ring(); got.Epoch() != 3 || got.Len() != 4 {
 		t.Fatalf("rejected restore mutated the ring: epoch=%d members=%d", got.Epoch(), got.Len())
 	}
 
-	same := store.RingConfig{
+	same := serve.RingUpdate{
 		Seed: ring.Seed(), VirtualNodes: ring.VirtualNodes(), Replication: 2,
-		Version: ring.Epoch(), Nodes: append([]string(nil), ring.Nodes()...),
+		Epoch: ring.Epoch(), Members: append([]string(nil), ring.Nodes()...),
 	}
-	if err := g.RestoreRingConfig(same); err != nil {
+	if err := g.restoreRing(same); err != nil {
 		t.Fatalf("re-applying the live epoch should be idempotent: %v", err)
 	}
 }

@@ -3,7 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"io/fs"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -170,8 +173,9 @@ type Gateway struct {
 	nodesMu sync.RWMutex
 	nodes   map[string]*nodeState
 
-	storeMu sync.Mutex
-	stor    *store.Store
+	// ringFile is where membership changes persist ("" = nowhere);
+	// guarded by memberMu.
+	ringFile string
 
 	// srv is the client-facing wire: accept loop, kept connections,
 	// peer limits.
@@ -276,12 +280,14 @@ func (g *Gateway) node(addr string) *nodeState {
 // AddNode joins a serve node: preflight-probe it (a sick joiner is
 // refused before it can blackhole its share of the keyspace, and a
 // healthy one enters the ring with its breaker pre-seeded by a real
-// success), flip the epoch, broadcast the new view to every member, and
-// persist. The flip is the only synchronization point routing sees:
-// requests racing the join route on one immutable ring or the other,
-// and the fence/retry path absorbs the difference. Nothing moves with
-// the keys: a key the joiner takes over is a cache miss there, one
-// personalization on its first request.
+// success), persist the next ring, flip the epoch, and broadcast the new
+// view to every member. Persisting before the flip means no shard ever
+// fences an epoch the ring file lacks; a failed write refuses the join
+// and changes nothing. The flip is the only synchronization point
+// routing sees: requests racing the join route on one immutable ring or
+// the other, and the fence/retry path absorbs the difference. Nothing
+// moves with the keys: a key the joiner takes over is a cache miss
+// there, one personalization on its first request.
 func (g *Gateway) AddNode(addr string) error {
 	g.memberMu.Lock()
 	defer g.memberMu.Unlock()
@@ -298,20 +304,24 @@ func (g *Gateway) AddNode(addr string) error {
 	}
 	g.nodesMu.Unlock()
 	if !g.cfg.DisableJoinProbe {
-		if err := g.preflight(ns); err != nil {
-			if !existed {
-				g.nodesMu.Lock()
-				delete(g.nodes, addr)
-				g.nodesMu.Unlock()
-				ns.wire.Close()
-			}
-			return fmt.Errorf("cluster: join %s refused: %w", addr, err)
+		err = g.preflight(ns)
+	}
+	if err == nil {
+		err = g.persistLocked(next)
+	}
+	if err != nil {
+		if !existed {
+			g.nodesMu.Lock()
+			delete(g.nodes, addr)
+			g.nodesMu.Unlock()
+			ns.wire.Close()
 		}
+		return fmt.Errorf("cluster: join %s refused: %w", addr, err)
 	}
 	g.ring.Store(next)
 	g.st.ringChanged("join", addr, next)
 	g.broadcastRing(next)
-	return g.persistLocked()
+	return nil
 }
 
 // preflight runs AddNode's qualifying health probe against a joiner,
@@ -333,14 +343,14 @@ func (g *Gateway) preflight(ns *nodeState) error {
 	return nil
 }
 
-// RemoveNode departs a serve node: the ring stops routing to it
-// (epoch+1), its pooled idle connections close, the new view is
-// broadcast, and the configuration persists. The departing node is
-// never contacted, so a dead or partitioned one leaves as fast as a
-// healthy one; its keys refill on the survivors that take them over,
-// one personalization each. Requests already in flight finish on the
-// connections they hold — the node itself then drains via its own
-// Shutdown path.
+// RemoveNode departs a serve node: the next ring is persisted (a failed
+// write refuses the leave and changes nothing), the ring stops routing
+// to the node (epoch+1), its pooled idle connections close, and the new
+// view is broadcast. The departing node is never contacted, so a dead
+// or partitioned one leaves as fast as a healthy one; its keys refill
+// on the survivors that take them over, one personalization each.
+// Requests already in flight finish on the connections they hold — the
+// node itself then drains via its own Shutdown path.
 func (g *Gateway) RemoveNode(addr string) error {
 	g.memberMu.Lock()
 	defer g.memberMu.Unlock()
@@ -348,6 +358,9 @@ func (g *Gateway) RemoveNode(addr string) error {
 	next, err := cur.Remove(addr)
 	if err != nil {
 		return err
+	}
+	if err := g.persistLocked(next); err != nil {
+		return fmt.Errorf("cluster: leave %s refused: %w", addr, err)
 	}
 	g.ring.Store(next)
 	g.nodesMu.Lock()
@@ -359,7 +372,7 @@ func (g *Gateway) RemoveNode(addr string) error {
 	}
 	g.st.ringChanged("leave", addr, next)
 	g.broadcastRing(next)
-	return g.persistLocked()
+	return nil
 }
 
 // broadcastRing pushes the current membership view to every member
@@ -369,13 +382,7 @@ func (g *Gateway) RemoveNode(addr string) error {
 // its fence admits newer-epoch stamps, so nothing breaks — and failures
 // surface as events, not breaker trips.
 func (g *Gateway) broadcastRing(ring *Ring) {
-	upd := serve.RingUpdate{
-		Epoch:        ring.Epoch(),
-		Seed:         ring.Seed(),
-		VirtualNodes: ring.VirtualNodes(),
-		Replication:  g.cfg.Replication,
-		Members:      append([]string(nil), ring.Nodes()...),
-	}
+	upd := g.view(ring)
 	var wg sync.WaitGroup
 	for _, addr := range ring.Nodes() {
 		ns := g.node(addr)
@@ -387,12 +394,7 @@ func (g *Gateway) broadcastRing(ring *Ring) {
 			defer wg.Done()
 			u := upd
 			u.You = addr
-			p, err := serve.EncodePayload(u)
-			if err != nil {
-				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
-				return
-			}
-			req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpRingUpdate, Payload: p}
+			req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpRingUpdate, Payload: u.AppendWire(nil)}
 			resp, err := ns.wire.Do(req, time.Now().Add(g.cfg.ProbeTimeout))
 			if err != nil {
 				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
@@ -406,60 +408,77 @@ func (g *Gateway) broadcastRing(ring *Ring) {
 	wg.Wait()
 }
 
-// UseStore attaches a checkpoint store. When its latest good generation
-// carries a ring configuration, the gateway adopts it — same seed,
-// virtual nodes, members, and a version at least the persisted one — so
-// placement (and therefore every shard's mask-cache locality) survives
-// the restart. Returns whether a configuration was restored.
-func (g *Gateway) UseStore(st *store.Store) (bool, error) {
-	g.storeMu.Lock()
-	g.stor = st
-	g.storeMu.Unlock()
-	gen, err := st.Latest()
+// view is the membership view of ring: what a broadcast carries (with
+// You set per member) and what the ring file holds.
+func (g *Gateway) view(ring *Ring) serve.RingUpdate {
+	return serve.RingUpdate{
+		Epoch:        ring.Epoch(),
+		Seed:         ring.Seed(),
+		VirtualNodes: ring.VirtualNodes(),
+		Replication:  g.cfg.Replication,
+		Members:      ring.Nodes(),
+	}
+}
+
+// UseStore makes dir the gateway's state directory. Its ring file is
+// read once and then rewritten on every membership change before the
+// change takes effect. A missing file is a fresh start: the current
+// ring is persisted. A file that decodes is adopted — same seed, virtual
+// nodes, members and epoch — so placement (and every shard's mask-cache
+// locality) survives the restart. A file that fails its check is an
+// error naming it, and the ring never rolls back to ring.prev: every
+// shard's fence already holds the newer epoch and would bounce each
+// request the older ring routes. Returns whether a ring was restored.
+func (g *Gateway) UseStore(dir string) (bool, error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return false, fmt.Errorf("cluster: %w", err)
+	}
+	path := filepath.Join(dir, "ring")
+	body, err := store.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		g.memberMu.Lock()
+		defer g.memberMu.Unlock()
+		g.ringFile = path
+		return false, g.persistLocked(g.ring.Load())
+	}
+	var upd serve.RingUpdate
+	if err == nil {
+		err = upd.DecodeWire(body)
+	}
+	if err == nil {
+		err = g.restoreRing(upd)
+	}
 	if err != nil {
-		if errors.Is(err, store.ErrNoGeneration) {
-			return false, g.PersistRing()
-		}
-		return false, err
+		return false, fmt.Errorf("cluster: ring file %s: %w", path, err)
 	}
-	if !gen.Has(store.ArtifactRingConfig) {
-		return false, g.PersistRing()
-	}
-	rc, err := gen.RingConfig()
-	if err != nil {
-		return false, err
-	}
-	if err := g.RestoreRingConfig(rc); err != nil {
-		return false, err
-	}
+	g.memberMu.Lock()
+	g.ringFile = path
+	g.memberMu.Unlock()
 	return true, nil
 }
 
-// RestoreRingConfig replaces the gateway's ring and membership with a
-// persisted configuration, then broadcasts the restored view. A
-// configuration older than the live epoch is rejected: epochs are the
-// cluster's fencing tokens, and rolling one back would let requests
-// stamped under the regressed epoch sail past every stale-epoch fence.
-func (g *Gateway) RestoreRingConfig(rc store.RingConfig) error {
-	ring, err := NewRing(rc.Seed, rc.VirtualNodes, rc.Nodes)
+// restoreRing replaces the gateway's ring and membership with a
+// persisted view, then broadcasts it. A view older than the live epoch
+// is rejected: epochs are the cluster's fencing tokens, and rolling one
+// back would let requests stamped under the regressed epoch sail past
+// every stale-epoch fence.
+func (g *Gateway) restoreRing(u serve.RingUpdate) error {
+	ring, err := NewRing(u.Seed, u.VirtualNodes, u.Members)
 	if err != nil {
 		return err
 	}
-	if rc.Version > ring.Version() {
-		ring.SetVersion(rc.Version)
+	if u.Epoch > ring.Version() {
+		ring.SetVersion(u.Epoch)
 	}
 	g.memberMu.Lock()
 	defer g.memberMu.Unlock()
-	if cur := g.ring.Load(); rc.Version < cur.Epoch() {
-		return fmt.Errorf("cluster: refusing ring config epoch regression (%d < live %d)", rc.Version, cur.Epoch())
+	if cur := g.ring.Load(); u.Epoch < cur.Epoch() {
+		return fmt.Errorf("cluster: refusing ring epoch regression (%d < live %d)", u.Epoch, cur.Epoch())
 	}
-	g.cfg.Seed = rc.Seed
-	g.cfg.VirtualNodes = rc.VirtualNodes
-	if rc.Replication > 0 {
-		g.cfg.Replication = rc.Replication
-		if g.cfg.Replication > maxReplication {
-			g.cfg.Replication = maxReplication
-		}
+	g.cfg.Seed = u.Seed
+	g.cfg.VirtualNodes = u.VirtualNodes
+	if u.Replication > 0 {
+		g.cfg.Replication = min(u.Replication, maxReplication)
 	}
 	g.nodesMu.Lock()
 	old := g.nodes
@@ -482,38 +501,14 @@ func (g *Gateway) RestoreRingConfig(rc store.RingConfig) error {
 	return nil
 }
 
-// PersistRing commits the current ring configuration to the attached
-// store (no-op without one).
-func (g *Gateway) PersistRing() error {
-	g.memberMu.Lock()
-	defer g.memberMu.Unlock()
-	return g.persistLocked()
-}
-
-func (g *Gateway) persistLocked() error {
-	g.storeMu.Lock()
-	st := g.stor
-	g.storeMu.Unlock()
-	if st == nil {
+// persistLocked writes ring to the ring file, if UseStore named one.
+// The caller holds memberMu.
+func (g *Gateway) persistLocked(ring *Ring) error {
+	if g.ringFile == "" {
 		return nil
 	}
-	ring := g.ring.Load()
-	txn, err := st.Begin()
-	if err != nil {
-		return err
-	}
-	defer txn.Abort()
-	rc := store.RingConfig{
-		Seed:         ring.Seed(),
-		VirtualNodes: ring.VirtualNodes(),
-		Replication:  g.cfg.Replication,
-		Version:      ring.Version(),
-		Nodes:        append([]string(nil), ring.Nodes()...),
-	}
-	if err := txn.PutRingConfig(rc); err != nil {
-		return err
-	}
-	return txn.Commit()
+	v := g.view(ring)
+	return store.WriteFile(g.ringFile, v.AppendWire(nil))
 }
 
 // Stats snapshots the gateway's routing metrics.
@@ -836,8 +831,9 @@ func (g *Gateway) isDraining() bool {
 // Shutdown drains the gateway: new requests are shed with CodeBusy, the
 // health prober stops, the listener stops accepting, idle client
 // connections close at once and requests in flight get up to timeout to
-// be answered, the connections to the shards close, and the ring
-// configuration is persisted one last time when a store is attached.
+// be answered, and the connections to the shards close. The ring needs
+// no last write: every membership change was persisted before it took
+// effect.
 func (g *Gateway) Shutdown(timeout time.Duration) error {
 	g.drainMu.Lock()
 	first := !g.draining
@@ -854,9 +850,6 @@ func (g *Gateway) Shutdown(timeout time.Duration) error {
 		ns.wire.Close()
 	}
 	g.nodesMu.RUnlock()
-	if perr := g.PersistRing(); err == nil {
-		err = perr
-	}
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}

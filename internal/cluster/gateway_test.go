@@ -18,7 +18,6 @@ import (
 	"capnn/internal/nn"
 	"capnn/internal/rpc"
 	"capnn/internal/serve"
-	"capnn/internal/store"
 	"capnn/internal/train"
 )
 
@@ -432,16 +431,12 @@ func TestGatewayWireProtocolAndScrape(t *testing.T) {
 	}
 }
 
-// TestGatewayRingPersistence: ring configuration (seed, vnodes,
-// members, version) survives a gateway restart through the store, so a
-// restarted gateway places every key exactly where its predecessor did
-// — even when booted with a stale member list and a different seed.
+// TestGatewayRingPersistence: the ring (seed, vnodes, members, epoch)
+// survives a gateway restart through its ring file, so a restarted
+// gateway places every key exactly where its predecessor did — even
+// when booted with a stale member list and a different seed.
 func TestGatewayRingPersistence(t *testing.T) {
 	dir := t.TempDir()
-	st, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cfg := testGWConfig()
 	cfg.Seed = 11
 	cfg.ProbeEvery = time.Hour // members are fake addresses; keep the prober quiet
@@ -450,12 +445,12 @@ func TestGatewayRingPersistence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restored, err := g1.UseStore(st)
+	restored, err := g1.UseStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if restored {
-		t.Fatal("fresh store restored a ring config")
+		t.Fatal("fresh state directory restored a ring")
 	}
 	if err := g1.AddNode("s3:1"); err != nil {
 		t.Fatal(err)
@@ -473,16 +468,12 @@ func TestGatewayRingPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer g2.Close()
-	st2, err := store.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err = g2.UseStore(st2)
+	restored, err = g2.UseStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !restored {
-		t.Fatal("ring config not restored from store")
+		t.Fatal("ring not restored from the ring file")
 	}
 	r1, r2 := g1.Ring(), g2.Ring()
 	if r2.Seed() != 11 || r2.Version() < r1.Version() || r2.Len() != 3 {

@@ -12,7 +12,7 @@
 // ring replica on error or timeout, health-checks every node through a
 // closed/open/half-open breaker (internal/breaker, the type internal/serve
 // guards repersonalization with), and survives restarts by persisting its
-// ring configuration in an internal/store generation.
+// ring in one internal/store file.
 package cluster
 
 import (
@@ -131,8 +131,8 @@ func (r *Ring) Version() uint64 { return r.version }
 // membership protocol uses. Every wire request is stamped with the
 // sender's epoch, serve-side fences reject requests routed under an
 // older epoch with CodeRingChanged, and the gateway retries them on the
-// fresh ring. Monotone across restarts (persisted in store.RingConfig;
-// RestoreRingConfig rejects regressions).
+// fresh ring. Monotone across restarts (persisted in the gateway's ring
+// file before any shard sees it; restoreRing rejects regressions).
 func (r *Ring) Epoch() uint64 { return r.version }
 
 // Nodes returns the sorted member set (callers must not mutate).
@@ -180,8 +180,8 @@ func (r *Ring) Remove(node string) (*Ring, error) {
 	return r.succ(out)
 }
 
-// SetVersion pins the version counter — used when restoring a ring from
-// a persisted RingConfig so numbering resumes instead of restarting at 1.
+// SetVersion pins the version counter, so a ring rebuilt from a stored
+// or broadcast view resumes its numbering instead of restarting at 1.
 func (r *Ring) SetVersion(v uint64) { r.version = v }
 
 // LookupInto writes up to len(dst) distinct owner nodes for key into

@@ -10,13 +10,16 @@ import (
 )
 
 // The body layout of the two wire messages, inside internal/rpc's
-// checksummed frame. Every op uses the one layout:
+// checksummed frame, and of the RingUpdate an OpRingUpdate request
+// carries as its payload (and a gateway's ring file as its body). Every
+// op uses the one layout:
 //
 //	WireRequest:  version op lane budget ringVersion | variant tenant
 //	              routeKey classes weights payload | input
 //	WireResponse: version code class flags | err payload | logits
+//	RingUpdate:   epoch seed virtualNodes replication | members you
 //
-// Signed integers are zig-zag varints, ringVersion and code are
+// Signed integers are zig-zag varints, ringVersion, code and epoch are
 // uvarints, flags is one byte (bit 0 CacheHit, bit 1 Fallback). A string
 // is its uvarint length and its bytes. A slice is uvarint(len+1) and its
 // elements, 0 standing for nil, so nil and empty survive the trip: bytes
@@ -36,6 +39,17 @@ func appendBytes(b, p []byte) []byte {
 		return append(b, 0)
 	}
 	return append(binary.AppendUvarint(b, uint64(len(p))+1), p...)
+}
+
+func appendStrings(b []byte, v []string) []byte {
+	if v == nil {
+		return append(b, 0)
+	}
+	b = binary.AppendUvarint(b, uint64(len(v))+1)
+	for _, s := range v {
+		b = appendString(b, s)
+	}
+	return b
 }
 
 func appendInts(b []byte, v []int) []byte {
@@ -164,6 +178,18 @@ func (d *wireReader) ints(dst []int) []int {
 	return dst
 }
 
+func (d *wireReader) strs() []string {
+	n, isNil := d.count(1)
+	if isNil {
+		return nil
+	}
+	out := make([]string, 0, n)
+	for ; n > 0 && d.err == nil; n-- {
+		out = append(out, d.str())
+	}
+	return out
+}
+
 func (d *wireReader) floats(dst []float64) []float64 {
 	n, isNil := d.count(8)
 	if isNil {
@@ -264,4 +290,28 @@ func (r *WireResponse) DecodeWire(body []byte) error {
 	r.Code = cloud.Code(code)
 	r.CacheHit, r.Fallback = flags[0]&flagCacheHit != 0, flags[0]&flagFallback != 0
 	return nil
+}
+
+// AppendWire appends u in the RingUpdate layout.
+func (u *RingUpdate) AppendWire(b []byte) []byte {
+	b = binary.AppendUvarint(b, u.Epoch)
+	b = binary.AppendVarint(b, u.Seed)
+	b = binary.AppendVarint(b, int64(u.VirtualNodes))
+	b = binary.AppendVarint(b, int64(u.Replication))
+	b = appendStrings(b, u.Members)
+	return appendString(b, u.You)
+}
+
+// DecodeWire overwrites u with the RingUpdate body holds. It checks the
+// layout only: a view that decodes may still name a ring nobody can
+// build, and its receiver validates it before use.
+func (u *RingUpdate) DecodeWire(body []byte) error {
+	d := wireReader{b: body}
+	u.Epoch = d.uvarint()
+	u.Seed = d.varint()
+	u.VirtualNodes = int(d.varint())
+	u.Replication = int(d.varint())
+	u.Members = d.strs()
+	u.You = d.str()
+	return d.finish()
 }

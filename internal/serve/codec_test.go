@@ -238,6 +238,42 @@ func TestGoldenFrames(t *testing.T) {
 	}
 }
 
+// The RingUpdate layout, which is both an OpRingUpdate payload and a
+// gateway's ring file body. nil and empty Members stay apart, and every
+// cut or trailing byte is refused.
+func TestGoldenRingUpdate(t *testing.T) {
+	cases := []struct {
+		u      RingUpdate
+		golden string
+	}{
+		{RingUpdate{Epoch: math.MaxUint64, Seed: -3, VirtualNodes: 128, Replication: 2},
+			"ffffffffffffffffff01" + "05" + "8002" + "04" + // epoch 2^64-1, seed -3, 128 vnodes, replication 2
+				"00" + "00"}, // nil members, you ""
+		{RingUpdate{Epoch: 2, Seed: 11, VirtualNodes: 64, Replication: 3, Members: []string{}},
+			"02" + "16" + "8001" + "06" + "01" + "00"}, // empty (non-nil) members
+		{RingUpdate{Epoch: 7, VirtualNodes: 1, Replication: 1, Members: []string{"a:1", "b:2"}, You: "b:2"},
+			"07" + "00" + "02" + "02" + "03" + "03613a31" + "03623a32" + "03623a32"},
+	}
+	for _, tc := range cases {
+		body := tc.u.AppendWire(nil)
+		if got := hex.EncodeToString(body); got != tc.golden {
+			t.Errorf("%+v encoded\n got %s\nwant %s", tc.u, got, tc.golden)
+		}
+		var got RingUpdate
+		if err := got.DecodeWire(body); err != nil || !reflect.DeepEqual(got, tc.u) {
+			t.Errorf("%+v decoded to %+v (%v)", tc.u, got, err)
+		}
+		for cut := 0; cut < len(body); cut++ {
+			if err := got.DecodeWire(body[:cut]); err == nil {
+				t.Errorf("%+v cut to %d of %d bytes decoded", tc.u, cut, len(body))
+			}
+		}
+		if err := got.DecodeWire(append(body, 0)); err == nil {
+			t.Errorf("%+v with a trailing byte decoded", tc.u)
+		}
+	}
+}
+
 // What the decoder refuses: a later version (by name, before anything
 // else is read), a length field past the bytes that are there (an error,
 // never a make), trailing bytes, and — responses only — a code or flag

@@ -72,16 +72,13 @@ func FuzzWireResponseDecode(f *testing.F) {
 	})
 }
 
-// FuzzRingUpdatePayload: OpRingUpdate's gob-encoded Payload, through to
-// the installed handler's caller. A checksum vouches for the bytes, not
-// for their author: a value that decodes must still be refused by
-// validation, never indexed by.
+// FuzzRingUpdatePayload: OpRingUpdate's Payload in the RingUpdate
+// layout, through to the installed handler's caller. A checksum vouches
+// for the bytes, not for their author: a value that decodes must still
+// be refused by validation, never indexed by.
 func FuzzRingUpdatePayload(f *testing.F) {
-	seed, err := EncodePayload(RingUpdate{Epoch: 7, Seed: 1, VirtualNodes: 64, Replication: 2, Members: []string{"a:1", "b:2"}, You: "a:1"})
-	if err != nil {
-		f.Fatal(err)
-	}
-	withTruncations(f, seed)
+	seed := &RingUpdate{Epoch: 7, Seed: 1, VirtualNodes: 64, Replication: 2, Members: []string{"a:1", "b:2"}, You: "a:1"}
+	withTruncations(f, seed.AppendWire(nil))
 	srv := NewServerWith(getFixture(f).sys, Config{Workers: 1})
 	f.Cleanup(func() { _ = srv.Close() })
 	srv.SetRingUpdate(func(RingUpdate) error { return nil })

@@ -38,7 +38,7 @@ const (
 	// their per-node breaker state off this op.
 	OpHealth
 	// OpRingUpdate installs a new cluster membership view (RingUpdate,
-	// gob in the request payload) on the node's ring-update handler —
+	// its AppendWire layout in the request payload) on the node's ring-update handler —
 	// the fence a gateway arms so the node can reject keys it no longer
 	// owns after an epoch flip. A node without a handler acknowledges
 	// and ignores it.
@@ -84,9 +84,8 @@ type WireRequest struct {
 	Tenant       string
 	Lane         int
 
-	// Payload is the op-specific, gob-encoded second-stage blob mirroring
-	// WireResponse.Payload: OpRingUpdate carries a RingUpdate here. Nil
-	// for the other ops.
+	// Payload is the op-specific second-stage blob: OpRingUpdate carries
+	// a RingUpdate here in its AppendWire layout. Nil for the other ops.
 	Payload []byte
 }
 
@@ -96,7 +95,8 @@ type WireRequest struct {
 // is a pure function of (seed, vnodes, member set) — plus You, the
 // receiving node's own routed address, so the node can judge ownership
 // without knowing how the gateway dialed it. The serve tier treats this
-// as opaque configuration; internal/cluster interprets it.
+// as opaque configuration; internal/cluster interprets it. With You
+// empty, the same layout is the body of a gateway's ring file.
 type RingUpdate struct {
 	// Epoch is the monotone membership version the view was published
 	// under; wire requests are stamped with the sender's epoch and
@@ -239,7 +239,7 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 // server no cluster supervises — acknowledges and ignores the view.
 func (s *Server) handleRingUpdate(payload []byte) *WireResponse {
 	var upd RingUpdate
-	if err := DecodePayload(payload, &upd); err != nil {
+	if err := upd.DecodeWire(payload); err != nil {
 		return Refuse(cloud.CodeBadRequest, "decode ring update: %v", err)
 	}
 	if h := s.ringUpdateFn(); h != nil {

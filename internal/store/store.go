@@ -1,407 +1,156 @@
+// Package store keeps the state a CAP'NN binary must not lose to a
+// kill -9: capnn-train's checkpoint and capnn-gateway's ring. Each is one
+// file, replaced whole by WriteFile and checked by ReadFile:
+//
+//	magic "CPNS" | version u32 | body length u64 | CRC-32C of body u32 | body
+//
+// (integers little-endian). WriteFile writes path.tmp and fsyncs it,
+// renames path to path.prev, renames path.tmp to path, then fsyncs the
+// directory: a crash at any point leaves the old body or the new one
+// readable, never a torn one. path.prev is the one rollback slot. The
+// store never reads it on its own; a caller that may roll back reads it
+// when path fails its check.
 package store
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"time"
 )
-
-// DefaultKeep is how many committed generations Open retains. Older
-// generations are pruned after each successful commit; corrupt-gen-*
-// directories are never pruned automatically.
-const DefaultKeep = 3
-
-// ErrNoGeneration is returned by Latest when no verifiable committed
-// generation exists (fresh store, or every generation failed its CRC
-// check and was quarantined).
-var ErrNoGeneration = errors.New("store: no committed generation")
 
 const (
-	genPrefix     = "gen-"
-	tmpPrefix     = "tmp-"
-	corruptPrefix = "corrupt-"
+	magic      = "CPNS"
+	version    = 1
+	headerSize = 20
 )
 
-// Stats counts store-level events since Open, for operator visibility
-// (surfaced through serve.Stats and the cmd binaries).
-type Stats struct {
-	// Commits is the number of generations committed by this handle.
-	Commits int
-	// CorruptGenerations counts generations that failed verification and
-	// were quarantined as corrupt-gen-*.
-	CorruptGenerations int
-	// Rollbacks counts Latest calls that had to skip at least one newer
-	// corrupt generation to find a good one.
-	Rollbacks int
-	// TmpSwept counts leftover tmp- commit directories removed on Open.
-	TmpSwept int
+// ErrCorrupt is wrapped by every ReadFile error about a file that exists
+// but is not a complete body this package wrote.
+var ErrCorrupt = errors.New("corrupt")
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// WriteFile atomically replaces the body at path, keeping the body it
+// replaces as path.prev. It returns only once the new body is durable.
+func WriteFile(path string, body []byte) error {
+	tmp := path + ".tmp"
+	if err := writeSynced(tmp, body); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := os.Rename(path, path+".prev"); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("store: %w", err)
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	return syncDir(filepath.Dir(path))
 }
 
-// Store is a handle on one checkpoint directory. It is safe for
-// concurrent use; commits are serialized internally. Two processes
-// must not share one directory (the store is a per-process durability
-// layer, not a coordination service).
-type Store struct {
-	dir  string
-	keep int
-
-	mu      sync.Mutex
-	nextGen int // next generation number to assign
-	stats   Stats
-}
-
-// Open opens (creating if needed) the store rooted at dir with
-// DefaultKeep retention, sweeping any tmp- directories left by a crash
-// mid-commit.
-func Open(dir string) (*Store, error) { return OpenKeep(dir, DefaultKeep) }
-
-// OpenKeep is Open with explicit retention (keep >= 1 committed
-// generations).
-func OpenKeep(dir string, keep int) (*Store, error) {
-	if keep < 1 {
-		return nil, fmt.Errorf("store: keep %d < 1", keep)
+// ReadFile returns the body WriteFile last committed at path. Its error
+// wraps fs.ErrNotExist only when nothing was ever committed there, and
+// ErrCorrupt when path fails its check. The states a crash inside
+// WriteFile can leave read as:
+//
+//	path.tmp alone         the new body if path.tmp is complete, else fs.ErrNotExist
+//	path + path.tmp        the old body, from path
+//	path.prev + path.tmp   the new body: ReadFile finishes the second rename
+//	path + path.prev       the new body, from path
+func ReadFile(path string) ([]byte, error) {
+	body, err := readChecked(path)
+	if !errors.Is(err, fs.ErrNotExist) {
+		return body, err
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	s := &Store{dir: dir, keep: keep}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	maxGen := 0
-	for _, e := range entries {
-		name := e.Name()
-		switch {
-		case strings.HasPrefix(name, tmpPrefix):
-			// A crash mid-commit leaves a tmp- directory that was never
-			// renamed into place; it is invisible to readers and safe to
-			// discard.
-			if err := os.RemoveAll(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("store: sweep %s: %w", name, err)
-			}
-			s.stats.TmpSwept++
-		case strings.HasPrefix(name, genPrefix):
-			if n, ok := parseGenName(name); ok && n > maxGen {
-				maxGen = n
-			}
-		case strings.HasPrefix(name, corruptPrefix):
-			// Quarantined generations still reserve their numbers so a new
-			// commit never reuses one (corrupt-gen-5 + fresh gen-5 would be
-			// ambiguous forensics).
-			if n, ok := parseGenName(strings.TrimPrefix(name, corruptPrefix)); ok && n > maxGen {
-				maxGen = n
-			}
+	// Past WriteFile's fsync path.tmp is complete, and only between the
+	// two renames is path missing while it is.
+	tmp := path + ".tmp"
+	if body, terr := readChecked(tmp); terr == nil {
+		if err := os.Rename(tmp, path); err != nil {
+			return nil, fmt.Errorf("store: %w", err)
 		}
-	}
-	s.nextGen = maxGen + 1
-	return s, nil
-}
-
-// Dir returns the store's root directory.
-func (s *Store) Dir() string { return s.dir }
-
-// Stats returns a snapshot of store counters.
-func (s *Store) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-func parseGenName(name string) (int, bool) {
-	if !strings.HasPrefix(name, genPrefix) {
-		return 0, false
-	}
-	n, err := strconv.Atoi(strings.TrimPrefix(name, genPrefix))
-	if err != nil || n < 1 {
-		return 0, false
-	}
-	return n, true
-}
-
-func genDirName(n int) string { return fmt.Sprintf("%s%010d", genPrefix, n) }
-
-// Txn is one in-flight commit. Artifacts are staged into a private
-// tmp- directory; nothing is visible until Commit's final rename.
-// A Txn is not safe for concurrent use. Abandoning a Txn without
-// Commit is fine — Abort (or the next Open) removes the staging
-// directory.
-type Txn struct {
-	s        *Store
-	gen      int
-	tmpDir   string
-	manifest Manifest
-	done     bool
-}
-
-// Begin starts a new commit for the next generation number.
-func (s *Store) Begin() (*Txn, error) {
-	s.mu.Lock()
-	gen := s.nextGen
-	s.nextGen++
-	s.mu.Unlock()
-	tmpDir := filepath.Join(s.dir, fmt.Sprintf("%s%s-%d", tmpPrefix, genDirName(gen), os.Getpid()))
-	if err := os.MkdirAll(tmpDir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: begin: %w", err)
-	}
-	return &Txn{
-		s:      s,
-		gen:    gen,
-		tmpDir: tmpDir,
-		manifest: Manifest{
-			Version:         SchemaVersion,
-			Generation:      gen,
-			CreatedUnixNano: time.Now().UnixNano(),
-		},
-	}, nil
-}
-
-// Generation returns the generation number this Txn will commit as.
-func (t *Txn) Generation() int { return t.gen }
-
-// Put stages one artifact: writes it to the staging directory, fsyncs
-// it, and records its size and CRC-32 in the manifest.
-func (t *Txn) Put(name string, data []byte) error {
-	if t.done {
-		return fmt.Errorf("store: put %q on finished txn", name)
-	}
-	if !validArtifactName(name) {
-		return fmt.Errorf("store: bad artifact name %q", name)
-	}
-	if _, dup := t.manifest.Artifact(name); dup {
-		return fmt.Errorf("store: duplicate artifact %q", name)
-	}
-	if err := writeFileSync(filepath.Join(t.tmpDir, name), data); err != nil {
-		return fmt.Errorf("store: put %q: %w", name, err)
-	}
-	t.manifest.Artifacts = append(t.manifest.Artifacts, ArtifactInfo{
-		Name: name,
-		Size: int64(len(data)),
-		CRC:  crc32.ChecksumIEEE(data),
-	})
-	return nil
-}
-
-// Commit writes the manifest, fsyncs the staging directory, and
-// atomically renames it to gen-N. After Commit returns nil the
-// generation is durable; retention then prunes old generations.
-func (t *Txn) Commit() error {
-	if t.done {
-		return fmt.Errorf("store: commit on finished txn")
-	}
-	t.done = true
-	if len(t.manifest.Artifacts) == 0 {
-		os.RemoveAll(t.tmpDir)
-		return fmt.Errorf("store: commit with no artifacts")
-	}
-	// The manifest goes last: its presence marks the artifact set as
-	// complete, and its self-CRC detects a torn manifest write.
-	if err := writeFileSync(filepath.Join(t.tmpDir, manifestName), t.manifest.Encode()); err != nil {
-		os.RemoveAll(t.tmpDir)
-		return fmt.Errorf("store: commit manifest: %w", err)
-	}
-	if err := syncDir(t.tmpDir); err != nil {
-		os.RemoveAll(t.tmpDir)
-		return fmt.Errorf("store: commit: %w", err)
-	}
-	final := filepath.Join(t.s.dir, genDirName(t.gen))
-	if err := os.Rename(t.tmpDir, final); err != nil {
-		os.RemoveAll(t.tmpDir)
-		return fmt.Errorf("store: commit rename: %w", err)
-	}
-	// Make the rename itself durable before reporting success.
-	if err := syncDir(t.s.dir); err != nil {
-		return fmt.Errorf("store: commit: %w", err)
-	}
-	t.s.mu.Lock()
-	t.s.stats.Commits++
-	keep := t.s.keep
-	t.s.mu.Unlock()
-	t.s.pruneOld(keep)
-	return nil
-}
-
-// Abort discards the staging directory. Safe to call after Commit
-// (no-op) and safe to defer.
-func (t *Txn) Abort() {
-	if t.done {
-		return
-	}
-	t.done = true
-	os.RemoveAll(t.tmpDir)
-}
-
-// pruneOld removes committed generations beyond the newest keep.
-func (s *Store) pruneOld(keep int) {
-	gens := s.listGens()
-	if len(gens) <= keep {
-		return
-	}
-	for _, n := range gens[:len(gens)-keep] {
-		os.RemoveAll(filepath.Join(s.dir, genDirName(n)))
-	}
-}
-
-// listGens returns committed generation numbers, ascending.
-func (s *Store) listGens() []int {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return nil
-	}
-	var gens []int
-	for _, e := range entries {
-		if n, ok := parseGenName(e.Name()); ok {
-			gens = append(gens, n)
-		}
-	}
-	sort.Ints(gens)
-	return gens
-}
-
-// Generation is a verified, committed generation opened for reading.
-type Generation struct {
-	store    *Store
-	Number   int
-	Manifest *Manifest
-	dir      string
-}
-
-// Created returns the generation's commit time.
-func (g *Generation) Created() time.Time {
-	return time.Unix(0, g.Manifest.CreatedUnixNano)
-}
-
-// Bytes reads one artifact, re-verifying its CRC-32 on every read so
-// corruption that happens after Open (bit rot, a stray write) is still
-// caught at the moment of use rather than deserialized into garbage.
-func (g *Generation) Bytes(name string) ([]byte, error) {
-	info, ok := g.Manifest.Artifact(name)
-	if !ok {
-		return nil, fmt.Errorf("store: generation %d has no artifact %q", g.Number, name)
-	}
-	data, err := os.ReadFile(filepath.Join(g.dir, name))
-	if err != nil {
-		return nil, fmt.Errorf("store: read %q: %w", name, err)
-	}
-	if int64(len(data)) != info.Size {
-		return nil, fmt.Errorf("store: artifact %q is %d bytes, manifest says %d", name, len(data), info.Size)
-	}
-	if got := crc32.ChecksumIEEE(data); got != info.CRC {
-		return nil, fmt.Errorf("store: artifact %q crc %08x, manifest says %08x", name, got, info.CRC)
-	}
-	return data, nil
-}
-
-// Has reports whether the generation contains the named artifact.
-func (g *Generation) Has(name string) bool {
-	_, ok := g.Manifest.Artifact(name)
-	return ok
-}
-
-// Latest returns the newest generation that passes full verification
-// (manifest checksum, generation number matching the directory, and
-// every artifact's size and CRC-32). Generations that fail are renamed
-// corrupt-gen-* and the scan continues with the next older one — a
-// torn or bit-rotted checkpoint causes rollback, never a crash or a
-// load of garbage weights. Returns ErrNoGeneration when nothing
-// verifies.
-func (s *Store) Latest() (*Generation, error) {
-	gens := s.listGens()
-	rolledBack := false
-	for i := len(gens) - 1; i >= 0; i-- {
-		n := gens[i]
-		g, err := s.verifyGen(n)
-		if err == nil {
-			if rolledBack {
-				s.mu.Lock()
-				s.stats.Rollbacks++
-				s.mu.Unlock()
-			}
-			return g, nil
-		}
-		s.quarantine(n)
-		rolledBack = true
-	}
-	return nil, ErrNoGeneration
-}
-
-// verifyGen fully checks one committed generation.
-func (s *Store) verifyGen(n int) (*Generation, error) {
-	dir := filepath.Join(s.dir, genDirName(n))
-	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
-	if err != nil {
-		return nil, fmt.Errorf("store: generation %d manifest: %w", n, err)
-	}
-	m, err := ParseManifest(raw)
-	if err != nil {
-		return nil, err
-	}
-	if m.Generation != n {
-		return nil, fmt.Errorf("store: manifest claims generation %d in %s", m.Generation, genDirName(n))
-	}
-	g := &Generation{store: s, Number: n, Manifest: m, dir: dir}
-	for _, a := range m.Artifacts {
-		if _, err := g.Bytes(a.Name); err != nil {
+		if err := syncDir(filepath.Dir(path)); err != nil {
 			return nil, err
 		}
+		return body, nil
 	}
-	return g, nil
+	if _, perr := os.Stat(path + ".prev"); perr == nil {
+		return nil, fmt.Errorf("store: %s: %w: missing beside %s.prev", path, ErrCorrupt, filepath.Base(path))
+	}
+	return nil, err
 }
 
-// quarantine renames a failed generation to corrupt-gen-* so it is
-// never served again but stays on disk for inspection.
-func (s *Store) quarantine(n int) {
-	from := filepath.Join(s.dir, genDirName(n))
-	to := filepath.Join(s.dir, corruptPrefix+genDirName(n))
-	if err := os.Rename(from, to); err != nil {
-		// Renaming failed (e.g. a previous corrupt- dir with the same
-		// name); removing is the fallback — the generation must not be
-		// picked up again.
-		os.RemoveAll(from)
+func readChecked(path string) ([]byte, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("store: %w", err)
 	}
-	s.mu.Lock()
-	s.stats.CorruptGenerations++
-	s.mu.Unlock()
+	return check(path, raw)
 }
 
-// writeFileSync writes data to path and fsyncs the file.
-func writeFileSync(path string, data []byte) error {
+// check returns the body of raw, the bytes of the file at path, or the
+// reason they are not a file writeSynced wrote.
+func check(path string, raw []byte) ([]byte, error) {
+	refuse := func(format string, args ...any) ([]byte, error) {
+		return nil, fmt.Errorf("store: %s: %w: %s", path, ErrCorrupt, fmt.Sprintf(format, args...))
+	}
+	if len(raw) < headerSize || string(raw[:4]) != magic {
+		return refuse("no %q header", magic)
+	}
+	if v := binary.LittleEndian.Uint32(raw[4:]); v != version {
+		return refuse("version %d, this build reads %d", v, version)
+	}
+	body := raw[headerSize:]
+	if n := binary.LittleEndian.Uint64(raw[8:]); n != uint64(len(body)) {
+		return refuse("header says %d body bytes, the file holds %d", n, len(body))
+	}
+	if sum, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(raw[16:]); sum != want {
+		return refuse("body CRC-32C %08x, header says %08x", sum, want)
+	}
+	return body, nil
+}
+
+// frame is body behind its header.
+func frame(body []byte) []byte {
+	b := make([]byte, headerSize, headerSize+len(body))
+	copy(b, magic)
+	binary.LittleEndian.PutUint32(b[4:], version)
+	binary.LittleEndian.PutUint64(b[8:], uint64(len(body)))
+	binary.LittleEndian.PutUint32(b[16:], crc32.Checksum(body, castagnoli))
+	return append(b, body...)
+}
+
+// writeSynced writes body behind its header to path and fsyncs the file.
+func writeSynced(path string, body []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	_, err = f.Write(frame(body))
+	if err == nil {
+		err = f.Sync()
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	return f.Close()
+	return err
 }
 
-// syncDir fsyncs a directory so renames/creates within it are durable.
+// syncDir fsyncs a directory so the renames within it are durable.
+// Filesystems that refuse fsync on a directory are let through.
 func syncDir(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
-		return err
+		return fmt.Errorf("store: %w", err)
 	}
 	err = d.Sync()
 	if cerr := d.Close(); err == nil {
 		err = cerr
 	}
-	// Some filesystems refuse fsync on directories; treat EINVAL-style
-	// failures as best-effort rather than failing the commit.
-	if err != nil && errors.Is(err, errors.ErrUnsupported) {
-		return nil
+	if err != nil && !errors.Is(err, errors.ErrUnsupported) {
+		return fmt.Errorf("store: %w", err)
 	}
-	return err
+	return nil
 }

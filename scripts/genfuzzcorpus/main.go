@@ -1,6 +1,6 @@
 // Command genfuzzcorpus regenerates the checked-in seed corpora under
 // internal/*/testdata/fuzz/. Each seed is a well-formed wire message or
-// manifest, so `go test -fuzz` starts mutating from deep inside the
+// store file, so `go test -fuzz` starts mutating from deep inside the
 // decoders instead of from bytes that fail at the first frame marker.
 // Run from the repository root:
 //
@@ -29,7 +29,7 @@ func main() {
 	}
 
 	badCache := payload([]CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}})
-	ringUpdate := payload(serve.RingUpdate{Epoch: 9, Seed: 3, VirtualNodes: 128, Replication: 2, Members: []string{"10.0.0.1:7000", "10.0.0.2:7000"}, You: "10.0.0.2:7000"})
+	ringUpdate := serve.RingUpdate{Epoch: 9, Seed: 3, VirtualNodes: 128, Replication: 2, Members: []string{"10.0.0.1:7000", "10.0.0.2:7000"}}
 	write(root, "internal/serve/testdata/fuzz/FuzzWireRequestDecode", map[string][]byte{
 		"seed-minimal": (&serve.WireRequest{Classes: []int{0}}).AppendWire(nil),
 		"seed-full": (&serve.WireRequest{
@@ -66,7 +66,7 @@ func main() {
 			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: badCache,
 		}).AppendWire(nil),
 	})
-	write(root, "internal/serve/testdata/fuzz/FuzzRingUpdatePayload", map[string][]byte{"seed-two-members": ringUpdate})
+	write(root, "internal/serve/testdata/fuzz/FuzzRingUpdatePayload", map[string][]byte{"seed-two-members": withYou(ringUpdate, "10.0.0.2:7000")})
 	write(root, "internal/cloud/testdata/fuzz/FuzzCloudRequestDecode", map[string][]byte{
 		"seed-weighted": (&cloud.Request{
 			Version: cloud.ProtocolVersion, Variant: "M",
@@ -87,18 +87,34 @@ func main() {
 		}).AppendWire(nil),
 	})
 
-	m := store.Manifest{
-		Version: store.SchemaVersion, Generation: 3, CreatedUnixNano: 1700000000000000000,
-		Artifacts: []store.ArtifactInfo{
-			{Name: "model", Size: 128, CRC: 0xdeadbeef},
-			{Name: "rates", Size: 64, CRC: 0x01},
-		},
-	}
-	empty := store.Manifest{Version: store.SchemaVersion, Generation: 1, CreatedUnixNano: 1}
-	write(root, "internal/store/testdata/fuzz/FuzzManifest", map[string][]byte{
-		"seed-two-artifacts": m.Encode(),
-		"seed-empty-gen":     empty.Encode(),
+	write(root, "internal/store/testdata/fuzz/FuzzReadFile", map[string][]byte{
+		"seed-ring":       storeFile(ringUpdate.AppendWire(nil)),
+		"seed-empty-body": storeFile(nil),
 	})
+}
+
+// withYou is u addressed to one member, as a gateway broadcasts it.
+func withYou(u serve.RingUpdate, you string) []byte {
+	u.You = you
+	return u.AppendWire(nil)
+}
+
+// storeFile is the file store.WriteFile leaves for body.
+func storeFile(body []byte) []byte {
+	dir, err := os.MkdirTemp("", "genfuzzcorpus")
+	if err != nil {
+		fatal(err)
+	}
+	defer os.RemoveAll(dir)
+	path := filepath.Join(dir, "f")
+	if err := store.WriteFile(path, body); err != nil {
+		fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		fatal(err)
+	}
+	return raw
 }
 
 // CachedMask is the gob layout behind the seed-export response's payload:

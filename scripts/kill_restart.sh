@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
-# Kill-and-restart integration test for the crash-safe state store:
+# Kill-and-restart integration test for the crash-safe checkpoint file:
 # start a checkpointed training run, kill -9 it mid-flight, restart it,
-# and assert (a) the restart recovers from a committed generation (or
-# starts cleanly from scratch if the kill landed before the first
-# commit), (b) the run completes, and (c) the store holds a verified
-# generation with training marked complete. Then corrupt the newest
-# generation and assert the next open rolls back instead of crashing.
+# and assert (a) the restart recovers from the checkpoint (or starts
+# cleanly from scratch if the kill landed before the first one), (b) the
+# run completes, and (c) the state directory holds a checkpoint and no
+# checkpoint.tmp. Then corrupt the checkpoint and assert the next run
+# rolls back to checkpoint.prev and completes instead of crashing.
 #
 # Usage: scripts/kill_restart.sh [workdir]
 set -euo pipefail
@@ -27,8 +27,8 @@ go build -o "$BIN" ./cmd/capnn-train
 echo "kill_restart: phase 1 — start training, kill -9 right after the first checkpoint commit"
 "$BIN" -model "$MODEL" -epochs "$EPOCHS" -state "$STATE" >"$LOG1" 2>&1 &
 PID=$!
-# Poll for the first durable commit so the kill deterministically lands
-# mid-run with a recoverable generation on disk.
+# Poll for the first durable checkpoint so the kill deterministically
+# lands mid-run with a recoverable checkpoint on disk.
 for _ in $(seq $((KILL_WINDOW * 5))); do
     if ! kill -0 "$PID" 2>/dev/null; then
         break
@@ -54,27 +54,26 @@ sed 's/^/  run2| /' "$LOG2" | tail -5
 
 grep -q "ready in" "$LOG2" || { echo "kill_restart: FAIL: restart did not complete"; exit 1; }
 if grep -q "committed checkpoint" "$LOG1"; then
-    # At least one generation was durable before the kill: the restart
+    # At least one checkpoint was durable before the kill: the restart
     # must have recovered it rather than restarted from scratch.
-    grep -q "recovered generation" "$LOG2" || {
+    grep -q "recovered checkpoint" "$LOG2" || {
         echo "kill_restart: FAIL: checkpoints existed but restart did not recover"; exit 1; }
 else
     echo "kill_restart: note: kill landed before the first commit; restart trained from scratch (allowed)"
 fi
-ls "$STATE" | grep -q '^gen-' || { echo "kill_restart: FAIL: no committed generation in store"; exit 1; }
-# The kill must not have left staging litter visible as state.
-if ls "$STATE" | grep -q '^tmp-'; then
-    echo "kill_restart: FAIL: tmp staging directory survived restart"; exit 1
+[ -f "$STATE/checkpoint" ] || { echo "kill_restart: FAIL: no checkpoint in $STATE"; exit 1; }
+# A completed run leaves no half-written checkpoint behind.
+if [ -e "$STATE/checkpoint.tmp" ]; then
+    echo "kill_restart: FAIL: checkpoint.tmp survived a completed run"; exit 1
 fi
 
-echo "kill_restart: phase 3 — corrupt the newest generation, expect rollback not crash"
-NEWEST=$(ls "$STATE" | grep '^gen-' | sort | tail -1)
-# Flip bytes in the model artifact; the manifest CRC must catch it.
-printf 'garbage' | dd of="$STATE/$NEWEST/model" bs=1 seek=10 conv=notrunc 2>/dev/null
+echo "kill_restart: phase 3 — corrupt the checkpoint, expect a rollback to checkpoint.prev, not a crash"
+# Overwrite body bytes past the 20-byte header; the body CRC must catch it.
+printf 'garbage' | dd of="$STATE/checkpoint" bs=1 seek=100 conv=notrunc 2>/dev/null
 LOG3="$WORKDIR/run3.log"
 "$BIN" -model "$MODEL" -epochs "$EPOCHS" -state "$STATE" >"$LOG3" 2>&1
 sed 's/^/  run3| /' "$LOG3" | tail -5
-grep -q "ready in" "$LOG3" || { echo "kill_restart: FAIL: corrupted store crashed the restart"; exit 1; }
-ls "$STATE" | grep -q '^corrupt-' || { echo "kill_restart: FAIL: corrupt generation was not quarantined"; exit 1; }
+grep -q "ready in" "$LOG3" || { echo "kill_restart: FAIL: corrupted checkpoint crashed the restart"; exit 1; }
+grep -q "rolling back to checkpoint.prev" "$LOG3" || { echo "kill_restart: FAIL: corrupt checkpoint did not roll back to checkpoint.prev"; exit 1; }
 
 echo "kill_restart: PASS"
