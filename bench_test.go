@@ -11,6 +11,7 @@
 package capnn
 
 import (
+	"bytes"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -266,6 +267,43 @@ func BenchmarkPruneM(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkDeviceRepersonalize prices one repersonalization on the
+// device's side for a 2-class user of the cifar10 fixture under CAP'NN-M:
+// the OpPersonalize answer's bytes (payload-B the masks, frame-B the
+// whole response frame), beside model-B, what shipping the compacted
+// model itself (nn.Save) would cost, and the time of what the device
+// does with the answer — decode the payload, compact its base under it.
+func BenchmarkDeviceRepersonalize(b *testing.B) {
+	fx := cifarFixture(b)
+	srv := serve.NewServerWith(fx.Sys, serve.Config{DisableGuard: true})
+	defer srv.Close()
+	resp := srv.Handle(serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpPersonalize, Variant: "M", Classes: []int{3, 7}})
+	if resp.Code != cloud.CodeOK {
+		b.Fatalf("personalize: [%s] %s", resp.Code, resp.Err)
+	}
+	var model bytes.Buffer
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var p serve.MaskPayload
+		if err := p.DecodeWire(resp.Payload); err != nil {
+			b.Fatal(err)
+		}
+		compact, err := nn.CompactMasked(fx.Sys.Net, p.Masks)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if i == 0 {
+			if err := nn.Save(&model, compact); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(len(resp.Payload)), "payload-B")
+	b.ReportMetric(float64(len(resp.AppendWire(nil))+8), "frame-B") // + the frame's length prefix and checksum
+	b.ReportMetric(float64(model.Len()), "model-B")
 }
 
 // BenchmarkInference times one forward pass of the unpruned reference

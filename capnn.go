@@ -23,8 +23,8 @@
 // The heavy lifting lives in internal packages (tensor math, the NN
 // substrate, firing-rate profiling, the pruning algorithms, the TPU-like
 // device simulator, the analytical energy model, the class-unaware
-// baselines, the cloud personalization service, and the serving and
-// cluster tiers the cmd binaries run); this package re-exports what the
+// baselines, the serving and cluster tiers the cmd binaries run, and the
+// device that personalizes from them); this package re-exports what the
 // examples use.
 package capnn
 
@@ -33,14 +33,15 @@ import (
 	"net"
 
 	"capnn/internal/baselines"
-	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/data"
+	"capnn/internal/device"
 	"capnn/internal/energy"
 	"capnn/internal/faults"
 	"capnn/internal/firing"
 	"capnn/internal/hw"
 	"capnn/internal/nn"
+	"capnn/internal/serve"
 	"capnn/internal/train"
 	"capnn/internal/workload"
 )
@@ -207,19 +208,21 @@ func PruneUnaware(net *Network, stages []int, fraction float64, crit baselines.C
 	return baselines.PruneUnaware(net, stages, fraction, crit, rates, sampleSet)
 }
 
-// --- cloud service -----------------------------------------------------------
+// --- personalization service -------------------------------------------------
 
-// CloudRequest is the cloud personalization request.
-type CloudRequest = cloud.Request
+// NewServer wraps a prepared System in a serving shard with default
+// limits: over TCP it answers inferences and, for devices, the masks it
+// serves each preference key with (Fig. 1a's pruning process).
+func NewServer(sys *core.System) *serve.Server { return serve.NewServer(sys) }
 
-// NewCloudServer wraps a prepared System with default limits; it
-// personalizes models over TCP (Fig. 1a's pruning process).
-func NewCloudServer(sys *core.System) *cloud.Server { return cloud.NewServer(sys) }
-
-// NewCloudClient builds a client for the given address that fetches
-// personalized models, retrying transient failures with exponential
-// backoff + full jitter.
-func NewCloudClient(addr string) *cloud.Client { return cloud.NewClient(addr) }
+// NewDevice builds a local device that starts on base, the commodity
+// model with numClasses outputs, and personalizes it under variant by
+// fetching masks from the shard (or gateway) at addr and compacting base
+// under them, retrying transient failures with exponential backoff and
+// full jitter.
+func NewDevice(addr string, base *Network, numClasses int, variant string) (*device.Device, error) {
+	return device.New(serve.NewClient(addr), base, numClasses, variant)
+}
 
 // --- fault injection ----------------------------------------------------------
 
@@ -229,7 +232,7 @@ func NewCloudClient(addr string) *cloud.Client { return cloud.NewClient(addr) }
 func ParseChaosPlan(spec string) (faults.Plan, error) { return faults.ParsePlan(spec) }
 
 // WrapChaosListener injects the plan's faults into every connection the
-// listener accepts; serve it with the cloud server's Serve.
+// listener accepts; serve it with the server's Serve.
 func WrapChaosListener(ln net.Listener, plan faults.Plan) net.Listener {
 	return faults.WrapListener(ln, plan)
 }

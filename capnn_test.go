@@ -7,7 +7,7 @@ import (
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
 // quickstart does: build → train → profile → personalize → compact →
-// serialize, plus the cloud round trip.
+// serialize, plus a device personalizing from a served shard.
 func TestFacadeEndToEnd(t *testing.T) {
 	synth := DefaultSynthConfig(6)
 	synth.H, synth.W = 12, 12
@@ -92,22 +92,40 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("relative energy %v (%v)", rel, err)
 	}
 
-	// Cloud round trip through the facade.
-	srv := NewCloudServer(sys)
+	// Device ↔ shard round trip through the facade.
+	srv := NewServer(sys)
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	model, stats, err := NewCloudClient(addr).Fetch(CloudRequest{Variant: "M", Classes: prefs.Classes, Weights: prefs.Weights})
+	dev, err := NewDevice(addr, net, 6, "M")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if model.ParamCount() != compact.ParamCount() {
-		t.Fatalf("cloud model %d params, local %d", model.ParamCount(), compact.ParamCount())
+	for i := 0; i < 8; i++ {
+		x, _ := sets.Test.Batch([]int{i})
+		if _, err := dev.Classify(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	changed, stats, err := dev.Repersonalize(true)
+	if err != nil || !changed {
+		t.Fatalf("device personalization: changed=%v err=%v", changed, err)
+	}
+	devMasks, err := sys.Prune(VariantM, dev.Current())
+	if err != nil {
+		t.Fatal(err)
+	}
+	local, err := CompactMasked(net, devMasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dev.Model().ParamCount() != local.ParamCount() {
+		t.Fatalf("device model %d params, local %d", dev.Model().ParamCount(), local.ParamCount())
 	}
 	if stats.PrunedUnits == 0 && stats.RelativeSize >= 1 {
-		t.Fatal("cloud personalization pruned nothing")
+		t.Fatal("device personalization pruned nothing")
 	}
 
 	// Monitoring facade.

@@ -19,8 +19,7 @@
 // so a restart costs one personalization per key asked for again, never
 // a client-visible error.
 //
-// Like capnn-cloud it can injure its own transport for resilience
-// testing:
+// It can injure its own transport for resilience testing:
 //
 //	capnn-serve -addr 127.0.0.1:7879 -chaos "seed=7,drop=0.1,latency=20ms"
 //

@@ -2,14 +2,15 @@
 //
 // A local device runs the commodity model through a monitoring period,
 // discovers which classes its user actually encounters and how often,
-// sends those preferences to the cloud over TCP, and receives a compacted
-// personalized model that is smaller and at least as accurate on the
-// user's classes.
+// sends those preferences to the cloud's serving shard over TCP, receives
+// the masks the shard serves them with, and compacts its own copy of the
+// model under them into one that is smaller and at least as accurate on
+// the user's classes.
 //
-// The cloud's transport is deliberately injured with deterministic
+// The shard's transport is deliberately injured with deterministic
 // fault injection (one in four connections corrupts the payload, one in
-// four is cut mid-stream) to show the client's checksum verification
-// and retry-with-backoff absorbing real-world failures.
+// four is cut mid-stream) to show the frame checksums and the device's
+// retry-with-backoff absorbing real-world failures.
 //
 //	go run ./examples/personalized-device
 package main
@@ -52,7 +53,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := capnn.NewCloudServer(sys)
+	srv := capnn.NewServer(sys)
 	// Serve through a seeded chaos wrapper: the first connection is
 	// guaranteed faulty, so the fetch below visibly retries.
 	plan, err := capnn.ParseChaosPlan("seed=6,close=0.25,corrupt=0.25")
@@ -68,12 +69,17 @@ func main() {
 	fmt.Printf("cloud: model served on %s (chaos: 25%% corrupt, 25%% cut connections)\n", addr)
 
 	// --- device side: monitoring period ---------------------------------
-	// The user mostly photographs class 2, sometimes class 5.
-	rng := rand.New(rand.NewSource(4))
-	monitor, err := capnn.NewMonitor(8)
+	// The device starts on the commodity model. The user mostly
+	// photographs class 2, sometimes class 5.
+	device, err := capnn.NewDevice(addr, net, 8, "M")
 	if err != nil {
 		log.Fatal(err)
 	}
+	device.Retry.MaxAttempts = 8
+	device.OnRetry = func(attempt int, err error) {
+		fmt.Printf("device: fetch attempt %d failed (%v) — backing off and retrying\n", attempt, err)
+	}
+	rng := rand.New(rand.NewSource(4))
 	byClass := sets.Test.ByClass()
 	fmt.Println("device: monitoring 60 predictions...")
 	for i := 0; i < 60; i++ {
@@ -83,36 +89,19 @@ func main() {
 		}
 		idx := byClass[class][rng.Intn(len(byClass[class]))]
 		x, _ := sets.Test.Batch([]int{idx})
-		logits := net.Infer(x, nil)
-		pred := 0
-		best := logits.At(0, 0)
-		for c := 1; c < 8; c++ {
-			if v := logits.At(0, c); v > best {
-				best, pred = v, c
-			}
-		}
-		if err := monitor.Observe(pred); err != nil {
+		if _, err := device.Classify(x); err != nil {
 			log.Fatal(err)
 		}
 	}
-	prefs, err := monitor.Preferences(2)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("device: monitoring found classes %v with usage %v\n", prefs.Classes, roundAll(prefs.Weights))
 
-	// --- device asks the cloud for a personalized model -----------------
-	client := capnn.NewCloudClient(addr)
-	client.Retry.MaxAttempts = 8
-	client.OnRetry = func(attempt int, err error) {
-		fmt.Printf("device: fetch attempt %d failed (%v) — backing off and retrying\n", attempt, err)
-	}
-	personalized, stats, err := client.Fetch(capnn.CloudRequest{
-		Variant: "M", Classes: prefs.Classes, Weights: prefs.Weights,
-	})
+	// --- device asks the cloud for its masks and compacts ---------------
+	// With no preferences yet, it keeps the two most frequent classes.
+	_, stats, err := device.Repersonalize(true)
 	if err != nil {
 		log.Fatal(err)
 	}
+	prefs, personalized := device.Current(), device.Model()
+	fmt.Printf("device: monitoring found classes %v with usage %v\n", prefs.Classes, roundAll(prefs.Weights))
 	fmt.Printf("cloud → device: personalized model, %.1f%% of original size (%d/%d units pruned)\n",
 		100*stats.RelativeSize, stats.PrunedUnits, stats.TotalUnits)
 

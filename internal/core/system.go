@@ -49,7 +49,7 @@ func (v Variant) Letter() string { return strings.TrimPrefix(string(v), "CAP'NN-
 // profiling pass, the validation evaluator used for ε checks (which
 // builds a class's cached rows when a search first names it), and the
 // Algorithm 1 matrices (computed lazily, reused across users). It is the
-// entry point the facade and the cloud server build on.
+// entry point the facade and the serving tier build on.
 //
 // The network is never written: Prune,
 // OffPreferenceShare and every ε check read its weights and judge masks

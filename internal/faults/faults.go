@@ -1,9 +1,9 @@
 // Package faults provides deterministic, seedable fault injection for
-// net.Conn and net.Listener. It exists so the cloud personalization
-// path (internal/cloud) can be exercised against the failure modes a
-// real deployment sees — dropped connections, latency spikes, and
-// corrupted payloads — both in tests and live via the -chaos flag on
-// cmd/capnn-cloud.
+// net.Conn and net.Listener. It exists so the serving tier — a device
+// fetching its masks, a gateway forwarding to its shards — can be
+// exercised against the failure modes a real deployment sees — dropped
+// connections, latency spikes, and corrupted payloads — both in tests
+// and live via the -chaos flag on cmd/capnn-serve.
 //
 // All randomness flows from Plan.Seed, so a given (plan, connection
 // order) always injects the same faults: chaos tests are reproducible.

@@ -10,7 +10,8 @@ import (
 // filters and bias plus the matching input slices of the next layer; a
 // pruned dense neuron drops its weight row, bias, and the matching
 // columns downstream. masks has the unit-layer indexing Network.Infer
-// takes; nil masks or absent indices leave a stage unpruned. The returned
+// takes; nil masks or absent indices leave a stage unpruned, and a mask
+// keyed at a stage net does not have is an error. The returned
 // network computes exactly net.Infer(x, masks) (verified by the test
 // suite) and its ParamCount is the paper's "number of unique parameters"
 // model-size metric. It fails if pruning would empty a layer entirely.
@@ -20,8 +21,23 @@ import (
 // same contract as Infer itself. It must not run concurrently with
 // training (weight mutation).
 func CompactMasked(net *Network, masks map[int][]bool) (*Network, error) {
+	if err := checkStages(net, masks); err != nil {
+		return nil, fmt.Errorf("nn: compact: %w", err)
+	}
 	cnet, _, err := compactMaskedKeep(net.Layers, net.InShape, 0, masks)
 	return cnet, err
+}
+
+// checkStages refuses masks keyed at a stage outside net's [0, units):
+// unread, such a mask would yield an unpruned copy and no error.
+func checkStages(net *Network, masks map[int][]bool) error {
+	units := len(net.Stages())
+	for s := range masks {
+		if s < 0 || s >= units {
+			return fmt.Errorf("mask for stage %d, but the network has stages 0 to %d", s, units-1)
+		}
+	}
+	return nil
 }
 
 // compactMaskedKeep is CompactMasked of the network layers, whose input

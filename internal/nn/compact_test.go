@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -120,9 +121,34 @@ func TestCompactRejectsEmptyLayer(t *testing.T) {
 	}
 }
 
+// A mask keyed at a stage the network does not have is an error naming
+// the stage, in CompactMasked and Compile alike — never an unpruned copy
+// installed as if the masks had applied.
+func TestMasksOutsideTheNetworkRefused(t *testing.T) {
+	net := NewBuilder(1, 4, 4, 3).Conv(2).ReLU().Flatten().Dense(3).ReLU().Dense(2).MustBuild()
+	for _, tc := range []struct {
+		masks map[int][]bool
+		stage string
+	}{
+		{map[int][]bool{99: {true, true}}, "stage 99"},
+		{map[int][]bool{7: {}}, "stage 7"},
+		{map[int][]bool{-1: {true}}, "stage -1"},
+		{map[int][]bool{0: {false, true}, 3: {true}}, "stage 3"},
+	} {
+		if _, err := CompactMasked(net, tc.masks); err == nil || !strings.Contains(err.Error(), tc.stage) {
+			t.Errorf("CompactMasked(%v) = %v, want an error naming %s", tc.masks, err, tc.stage)
+		}
+		if _, err := Compile(net, tc.masks); err == nil || !strings.Contains(err.Error(), tc.stage) {
+			t.Errorf("Compile(%v) = %v, want an error naming %s", tc.masks, err, tc.stage)
+		}
+	}
+	if _, err := CompactMasked(net, map[int][]bool{0: {false, true}, 2: {false, false}}); err != nil {
+		t.Fatalf("masks on the network's own stages refused: %v", err)
+	}
+}
+
 // Compacted networks must survive a serialization round trip and still
-// agree with the masked original — this is exactly what the cloud sends
-// to the device.
+// agree with the masked original.
 func TestCompactSerializeRoundTrip(t *testing.T) {
 	net := buildSmallNet(8)
 	cnet, err := CompactMasked(net, map[int][]bool{1: {true, false, false, false, true}})

@@ -157,6 +157,9 @@ func Compile(net *Network, masks map[int][]bool) (*Compiled, error) {
 // compacts, lowers and probes only the layers after the prefix, and
 // refuses masks that prune a stage inside it.
 func (p *Prefix) Compile(masks map[int][]bool) (*Compiled, error) {
+	if err := checkStages(p.net, masks); err != nil {
+		return nil, fmt.Errorf("nn: compile: %w", err)
+	}
 	for s, m := range masks {
 		if s < p.stage && slices.Contains(m, true) {
 			return nil, fmt.Errorf("nn: compile: stage %d is pruned but lies in the shared prefix (stages < %d)", s, p.stage)

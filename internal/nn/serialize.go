@@ -11,7 +11,7 @@ import (
 // The wire format is a flat, versioned spec: one record per layer with its
 // configuration and parameter values. Using concrete spec structs (rather
 // than gob-encoding the Layer interface) keeps the format stable and easy
-// to reason about — this is also what the cloud↔device protocol ships.
+// to reason about.
 
 const wireVersion = 1
 

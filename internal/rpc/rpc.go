@@ -10,8 +10,8 @@
 // either direction (the server closes on a damaged request without
 // answering), not a plausible wrong answer.
 // What the body means belongs to the tiers (internal/serve,
-// internal/cluster, internal/cloud): their request and response types
-// implement Message, and they hand this package a handler. The accept
+// internal/cluster): their request and response types implement
+// Message, and they hand this package a handler. The accept
 // loop, the peer discipline (deadlines, size cap, panic containment),
 // connection reuse and the drain live here once.
 //
@@ -47,10 +47,9 @@ type Message[T any] interface {
 	DecodeWire(body []byte) error
 }
 
-// MaxResponseBytes bounds the response body a Client accepts: responses
-// carry models and cache exports, so it is far above any request cap, and
-// it only bounds what a peer may make the client wait for — the read
-// buffer grows with the bytes that actually arrive.
+// MaxResponseBytes bounds the response body a Client accepts. It is far
+// above any request cap and only bounds what a peer may make the client
+// wait for — the read buffer grows with the bytes that actually arrive.
 const MaxResponseBytes = 64 << 20
 
 const (

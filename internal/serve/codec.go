@@ -1,23 +1,29 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"math"
+	"slices"
 
 	"capnn/internal/cloud"
+	"capnn/internal/nn"
 )
 
 // The body layout of the two wire messages, inside internal/rpc's
-// checksummed frame, and of the RingUpdate an OpRingUpdate request
-// carries as its payload (and a gateway's ring file as its body). Every
-// op uses the one layout:
+// checksummed frame, of the RingUpdate an OpRingUpdate request carries as
+// its payload (and a gateway's ring file as its body), and of the
+// MaskPayload an OpPersonalize response carries. Every op uses the one
+// layout:
 //
 //	WireRequest:  version op lane budget ringVersion | variant tenant
 //	              routeKey classes weights payload | input
 //	WireResponse: version code class flags | err payload | logits
 //	RingUpdate:   epoch seed virtualNodes replication | members you
+//	MaskPayload:  base stages | (stage units bits)…
 //
 // Signed integers are zig-zag varints, ringVersion, code and epoch are
 // uvarints, flags is one byte (bit 0 CacheHit, bit 1 Fallback). A string
@@ -27,8 +33,12 @@ import (
 // — a served logit is the computed one to the bit, NaN payloads, −0 and
 // subnormals included. The bulk floats come last. The version comes
 // first: a peer speaking a later layout is refused before anything else
-// is read. Nothing here is self-describing; the golden frames in
-// codec_test.go are the contract.
+// is read. In a MaskPayload, base is four little-endian bytes and stages
+// the count of the stage records that follow in ascending stage order:
+// index and unit count as minimal uvarints, then one bit per unit (unit
+// i in byte i/8 at bit i%8, the unused high bits zero), so a payload that
+// decodes re-encodes to the same bytes. Nothing here is self-describing; the
+// golden frames in codec_test.go are the contract.
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
@@ -314,4 +324,82 @@ func (u *RingUpdate) DecodeWire(body []byte) error {
 	u.Members = d.strs()
 	u.You = d.str()
 	return d.finish()
+}
+
+// MaskPayload is an OpPersonalize answer: the masks a shard serves a key
+// with, and the checksum of the base network they apply to. A device
+// compacts its own copy of that base under them (nn.CompactMasked), so
+// what crosses the wire is one bit per unit, not a model.
+type MaskPayload struct {
+	// Base is BaseSum of the network the masks were computed on.
+	Base  uint32
+	Masks map[int][]bool
+}
+
+// BaseSum is the CRC-32C of net's nn.Save bytes: the name a mask payload
+// gives the base network its masks belong to.
+func BaseSum(net *nn.Network) (uint32, error) {
+	h := crc32.New(crc32.MakeTable(crc32.Castagnoli))
+	err := nn.Save(h, net)
+	return h.Sum32(), err
+}
+
+// AppendWire appends p in the MaskPayload layout.
+func (p *MaskPayload) AppendWire(b []byte) []byte {
+	b = binary.LittleEndian.AppendUint32(b, p.Base)
+	stages := make([]int, 0, len(p.Masks))
+	for s := range p.Masks {
+		stages = append(stages, s)
+	}
+	slices.Sort(stages)
+	b = binary.AppendUvarint(b, uint64(len(stages)))
+	for _, s := range stages {
+		m := p.Masks[s]
+		b = binary.AppendUvarint(b, uint64(s))
+		b = binary.AppendUvarint(b, uint64(len(m)))
+		at := len(b)
+		b = append(b, make([]byte, (len(m)+7)/8)...)
+		for i, pruned := range m {
+			if pruned {
+				b[at+i/8] |= 1 << (i % 8)
+			}
+		}
+	}
+	return b
+}
+
+// DecodeWire overwrites p with the MaskPayload body holds. It refuses
+// anything AppendWire would not have written — stages out of order,
+// padded varints, set padding bits — so that whatever decodes re-encodes
+// byte for byte. It checks the layout only: whether the masks fit a
+// network is nn.CompactMasked's to judge.
+func (p *MaskPayload) DecodeWire(body []byte) error {
+	d := wireReader{b: body}
+	base := d.take(4)
+	n := d.uvarint()
+	if n > uint64(len(d.b)/2) { // a stage record is at least two bytes
+		d.fail(errShort)
+	}
+	masks := make(map[int][]bool, n)
+	for ; n > 0 && d.err == nil; n-- {
+		stage, units := d.uvarint(), d.uvarint()
+		if stage > math.MaxInt32 || units > 8*uint64(len(d.b)) {
+			d.fail(fmt.Errorf("stage %d of %d units past the layout", stage, units))
+			break
+		}
+		packed := d.take((units + 7) / 8)
+		m := make([]bool, units)
+		for i := range m {
+			m[i] = packed[i/8]&(1<<(i%8)) != 0
+		}
+		masks[int(stage)] = m
+	}
+	if err := d.finish(); err != nil {
+		return err
+	}
+	*p = MaskPayload{Base: binary.LittleEndian.Uint32(base), Masks: masks}
+	if !bytes.Equal(p.AppendWire(nil), body) {
+		return errors.New("mask payload not in its one encoding: stage order, padded varints or padding bits")
+	}
+	return nil
 }

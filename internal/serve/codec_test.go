@@ -274,6 +274,59 @@ func TestGoldenRingUpdate(t *testing.T) {
 	}
 }
 
+// The MaskPayload layout, byte for byte, and what its decoder refuses:
+// every cut and a trailing byte, stages out of order or repeated, padded
+// varints, padding bits set, a stage index past int32, a unit count past
+// the body. Only what AppendWire writes decodes.
+func TestGoldenMaskPayload(t *testing.T) {
+	for _, tc := range []struct {
+		p      MaskPayload
+		golden string
+	}{
+		{MaskPayload{Base: 0x01020304, Masks: map[int][]bool{
+			0: {true, false, true},
+			2: {false, false, false, false, false, false, false, false, true},
+		}}, "04030201" + "02" + "000305" + "02090001"}, // base, 2 stages: 0 (3 units 101), 2 (9 units, the last)
+		{MaskPayload{Base: math.MaxUint32, Masks: map[int][]bool{}}, "ffffffff" + "00"},
+		{MaskPayload{Masks: map[int][]bool{300: {}}}, "00000000" + "01" + "ac0200"}, // stage 300, no units
+	} {
+		body := tc.p.AppendWire(nil)
+		if got := hex.EncodeToString(body); got != tc.golden {
+			t.Errorf("%+v encoded\n got %s\nwant %s", tc.p, got, tc.golden)
+		}
+		var got MaskPayload
+		if err := got.DecodeWire(body); err != nil || !reflect.DeepEqual(got, tc.p) {
+			t.Errorf("%+v decoded to %+v (%v)", tc.p, got, err)
+		}
+		for cut := 0; cut < len(body); cut++ {
+			if err := got.DecodeWire(body[:cut]); err == nil {
+				t.Errorf("%+v cut to %d of %d bytes decoded", tc.p, cut, len(body))
+			}
+		}
+		if err := got.DecodeWire(append(body, 0)); err == nil {
+			t.Errorf("%+v with a trailing byte decoded", tc.p)
+		}
+	}
+	for name, body := range map[string]string{
+		"stages out of order": "00000000" + "02" + "010100" + "0000",
+		"stage repeated":      "00000000" + "02" + "0000" + "0000",
+		"padded varint":       "00000000" + "01" + "8000" + "00",
+		"padding bit set":     "00000000" + "01" + "0003" + "08",
+		"stage past int32":    "00000000" + "01" + "8080808008" + "00",
+		"units past the body": "00000000" + "01" + "00" + "ff01",
+		"count past the body": "00000000" + "05" + "0000",
+	} {
+		raw, err := hex.DecodeString(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var p MaskPayload
+		if err := p.DecodeWire(raw); err == nil {
+			t.Errorf("%s: %s decoded to %+v", name, body, p)
+		}
+	}
+}
+
 // What the decoder refuses: a later version (by name, before anything
 // else is read), a length field past the bytes that are there (an error,
 // never a make), trailing bytes, and — responses only — a code or flag

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/tensor"
 )
@@ -185,6 +186,17 @@ func TestCompileFailureServesUnpruned(t *testing.T) {
 	}
 	if failed != 1 {
 		t.Fatalf("%d compile-failed events, want 1", failed)
+	}
+	// A device is told what the key is served with: nothing pruned.
+	resp := srv.Handle(WireRequest{Op: OpPersonalize, Variant: "W", Classes: prefs.Classes})
+	var p MaskPayload
+	if err := p.DecodeWire(resp.Payload); err != nil || resp.Code != cloud.CodeOK || resp.Fallback || len(p.Masks) != len(broken) {
+		t.Fatalf("personalize: [%s] fallback=%v %d stages %v", resp.Code, resp.Fallback, len(p.Masks), err)
+	}
+	for stage, m := range p.Masks {
+		if len(m) != len(broken[stage]) || slices.Contains(m, true) {
+			t.Fatalf("stage %d of an entry pinned to the unpruned plan: %v", stage, m)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"testing"
 
 	"capnn/internal/cloud"
@@ -85,6 +86,27 @@ func FuzzRingUpdatePayload(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if resp := srv.Handle(WireRequest{Op: OpRingUpdate, Payload: data}); resp.Code != cloud.CodeOK && resp.Code != cloud.CodeBadRequest {
 			t.Fatalf("ring update answered [%s] %s", resp.Code, resp.Err)
+		}
+	})
+}
+
+// FuzzMaskPayload is a device's side of OpPersonalize: a payload from an
+// untrusted or fault-corrupted shard never panics the decoder, and any
+// payload that decodes re-encodes byte for byte — the layout has one
+// spelling for each set of masks, so what a device accepts is exactly
+// what it was sent.
+func FuzzMaskPayload(f *testing.F) {
+	withTruncations(f,
+		(&MaskPayload{}).AppendWire(nil),
+		(&MaskPayload{Base: 0xdeadbeef, Masks: map[int][]bool{2: {true, false, true}, 3: make([]bool, 17)}}).AppendWire(nil),
+	)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var p MaskPayload
+		if err := p.DecodeWire(data); err != nil {
+			return
+		}
+		if again := p.AppendWire(nil); !bytes.Equal(again, data) {
+			t.Fatalf("%x decoded to %+v, which encodes as %x", data, p, again)
 		}
 	})
 }

@@ -15,12 +15,12 @@ import (
 	"capnn/internal/rpc"
 )
 
-// The wire shares internal/cloud's vocabulary — cloud.ProtocolVersion
-// stamps and cloud.Code outcome classification, so a device that speaks
-// the personalization protocol needs no new error handling to speak the
-// inference protocol — on the shared internal/rpc transport: checksummed
-// frames on kept connections, any number of request/response pairs on
-// one. The body layout of the two messages is codec.go's.
+// The wire's vocabulary is internal/cloud's — cloud.ProtocolVersion
+// stamps and cloud.Code outcome classification — on the shared
+// internal/rpc transport: checksummed frames on kept connections, any
+// number of request/response pairs on one. Inference and personalization
+// (a device fetching the masks for its preferences) are two ops of the
+// one protocol. The body layout of the two messages is codec.go's.
 
 // Op selects what a WireRequest asks the server to do. The zero value
 // is an inference.
@@ -43,13 +43,18 @@ const (
 	// owns after an epoch flip. A node without a handler acknowledges
 	// and ignores it.
 	OpRingUpdate
+	// OpPersonalize asks for the masks the server serves a key with (a
+	// MaskPayload in the response payload): the same cache entry, fill
+	// and checks an OpInfer of the key goes through, but no forward. A
+	// device compacts its own base network under them.
+	OpPersonalize
 )
 
-// WireRequest is one inference over the wire: the user's preferences
-// (same fields as cloud.Request) plus the input sample, flattened in
-// the model's [C,H,W] order.
+// WireRequest is one request over the wire: the user's preferences plus,
+// for an inference, the input sample, flattened in the model's [C,H,W]
+// order.
 type WireRequest struct {
-	// Version is the protocol version the client speaks (cloud versioning).
+	// Version is the protocol version the client speaks (cloud.ProtocolVersion).
 	Version int
 	// Op selects the operation; zero is OpInfer.
 	Op Op
@@ -125,9 +130,10 @@ type WireResponse struct {
 	// Fallback reports the request was served through the unpruned
 	// network because its mask entry's ε-guard tripped (see Result).
 	Fallback bool
-	// Payload is the op-specific, gob-encoded second-stage blob: the
-	// Stats snapshot on a shard's OpStats response (a cluster gateway
-	// answers the same op with its own stats type, see internal/cluster).
+	// Payload is the op-specific second-stage blob: the gob-encoded Stats
+	// snapshot on a shard's OpStats response (a cluster gateway answers
+	// the same op with its own stats type, see internal/cluster), and a
+	// MaskPayload on an OpPersonalize response.
 	Payload []byte
 }
 
@@ -170,7 +176,7 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 		return Refuse(cloud.CodeBadRequest, "protocol version %d not supported (server speaks ≤ %d)", req.Version, cloud.ProtocolVersion)
 	}
 	switch req.Op {
-	case OpInfer:
+	case OpInfer, OpPersonalize:
 	case OpStats:
 		p, err := EncodePayload(s.Stats())
 		if err != nil {
@@ -218,6 +224,9 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 	if d, binds := qos.Budget(req.BudgetMicros, s.cfg.RequestTimeout); binds {
 		q.Deadline = time.Now().Add(d)
 	}
+	if req.Op == OpPersonalize {
+		return s.masks(v, prefs, q)
+	}
 
 	res, err := s.infer(v, prefs, req.Input, q)
 	if err != nil {
@@ -256,11 +265,10 @@ func (s *Server) handleRingUpdate(payload []byte) *WireResponse {
 // one-goroutine caller only ever opens one.
 const clientMaxIdle = 4
 
-// Client requests inferences from a serve.Server over TCP, on
-// connections it keeps open between calls. Unlike the model-fetching
-// cloud.Client it keeps no retry loop of its own: an inference is cheap
-// to reissue, so callers decide retry policy from the typed *Error
-// codes. Safe for concurrent use.
+// Client sends requests to a serve.Server (or a cluster gateway) over
+// TCP, on connections it keeps open between calls. It keeps no retry loop
+// of its own: callers decide retry policy from the typed *Error codes.
+// Safe for concurrent use.
 type Client struct {
 	// Addr is the server's TCP address.
 	Addr string
@@ -295,6 +303,13 @@ func (c *Client) Close() { c.transport().Close() }
 // server-reported outcomes keep their code.
 func (c *Client) Infer(req WireRequest) (*WireResponse, error) {
 	req.Op = OpInfer
+	return c.do(req)
+}
+
+// Personalize asks for the masks the server serves req's key with; the
+// response's Payload is a MaskPayload. Failures are typed as Infer's are.
+func (c *Client) Personalize(req WireRequest) (*WireResponse, error) {
+	req.Op = OpPersonalize
 	return c.do(req)
 }
 

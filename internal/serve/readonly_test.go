@@ -13,9 +13,10 @@ import (
 
 // DESIGN.md invariant 17: after NewSystem the network is never written.
 // Every way this tree personalizes — Prune under each variant, Measure,
-// the cloud server, a serve cache fill, a fill that panics — leaves the
-// serialized network (weights and installed masks) byte-identical, not
-// only once it returns but at every moment a concurrent reader looks.
+// a device's OpPersonalize, a serve cache fill, a fill that panics —
+// leaves the serialized network (weights and installed masks)
+// byte-identical, not only once it returns but at every moment a
+// concurrent reader looks.
 // Meaningful under -race.
 func TestPruneNeverWritesNetwork(t *testing.T) {
 	f := getFixture(t)
@@ -65,8 +66,10 @@ func TestPruneNeverWritesNetwork(t *testing.T) {
 		}})
 	}
 	steps = append(steps,
-		step{"cloud.Personalize", func() error {
-			if resp := cloud.NewServer(sys).Personalize(cloud.Request{Variant: "M", Classes: prefs.Classes}); resp.Code != cloud.CodeOK {
+		step{"OpPersonalize", func() error {
+			other := NewServerWith(sys, Config{})
+			defer other.Close()
+			if resp := other.Handle(WireRequest{Op: OpPersonalize, Variant: "M", Classes: prefs.Classes}); resp.Code != cloud.CodeOK {
 				return fmt.Errorf("%v: %s", resp.Code, resp.Err)
 			}
 			return nil

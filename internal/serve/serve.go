@@ -24,9 +24,9 @@
 // restarted server refills cold: masks are a pure function of (model,
 // variant, preferences), so nothing about the cache is persisted.
 //
-// Admission control follows internal/cloud: bounded in-flight work,
-// typed busy shedding (cloud.Code), read/write deadlines on the wire,
-// and panic recovery around every forward.
+// Admission control is bounded in-flight work, typed busy shedding
+// (cloud.Code), read/write deadlines on the wire, and panic recovery
+// around every forward and every fill.
 package serve
 
 import (
@@ -70,7 +70,8 @@ type Config struct {
 	// for NaN); values are clamped to (0, 1].
 	BulkQueueFraction float64
 	// ReadTimeout / WriteTimeout / MaxRequestBytes are the TCP framing
-	// limits, with the same semantics as cloud.Config. Defaults 30s /
+	// limits (rpc.Limits): how long a peer may take to deliver a request
+	// or read its answer, and the largest request body. Defaults 30s /
 	// 30s / 1MiB.
 	ReadTimeout, WriteTimeout time.Duration
 	MaxRequestBytes           int64
@@ -164,8 +165,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Error is the typed failure the serving layer returns; Code reuses the
-// cloud protocol's classification so clients share one retry policy.
+// Error is the typed failure the serving layer returns; Code is the
+// wire's one classification, so every client shares one retry policy.
 type Error struct {
 	Code cloud.Code
 	Err  error
@@ -212,6 +213,9 @@ type Server struct {
 	// entry whose masks do not compile.
 	prefix   *nn.Prefix
 	unpruned *nn.Compiled
+	// baseSum is BaseSum of the base network: the name every mask
+	// payload this server sends gives the network its masks apply to.
+	baseSum uint32
 
 	// breaker guards the repersonalization path taken by ε-guard heals.
 	breaker *breaker.Breaker
@@ -263,6 +267,10 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	if err == nil {
 		unpruned, err = prefix.Compile(nil)
 	}
+	var baseSum uint32
+	if err == nil {
+		baseSum, err = BaseSum(sys.Net)
+	}
 	if err != nil {
 		panic(fmt.Sprintf("serve: base network does not compile: %v", err))
 	}
@@ -282,6 +290,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		cache:    newMaskCache(cfg.CacheCap, st),
 		prefix:   prefix,
 		unpruned: unpruned,
+		baseSum:  baseSum,
 		gate:     newGate(cfg.Workers, cfg.MaxQueue, bulkMax, st),
 		breaker:  breaker.New(healFailThreshold, cfg.BreakerCooldown),
 		drainCh:  make(chan struct{}),
@@ -423,14 +432,6 @@ func (s *Server) InferQoS(v core.Variant, prefs core.Preferences, x *tensor.Tens
 }
 
 func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q QoS) (Result, error) {
-	switch v {
-	case core.VariantB, core.VariantW, core.VariantM:
-	default:
-		return Result{}, &Error{Code: cloud.CodeBadRequest, Err: fmt.Errorf("unknown variant %q", v)}
-	}
-	if err := prefs.Validate(s.sys.Rates.Classes); err != nil {
-		return Result{}, &Error{Code: cloud.CodeBadRequest, Err: err}
-	}
 	if len(x) != s.unpruned.InSize() {
 		return Result{}, &Error{Code: cloud.CodeBadRequest,
 			Err: fmt.Errorf("input has %d values, want %d for shape %v", len(x), s.unpruned.InSize(), s.sys.Net.InShape)}
@@ -441,35 +442,9 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 				Err: fmt.Errorf("input[%d] is %v: every input value must be finite", i, xv)}
 		}
 	}
-	if s.isDraining() {
-		return Result{}, &Error{Code: cloud.CodeBusy, Err: fmt.Errorf("server draining")}
-	}
-	// The request's effective deadline is its own budget capped by the
-	// server bound — so a 50ms client waits 50ms, not the 30s default
-	// (and a malicious 10h budget cannot occupy a queue slot for 10h).
-	now := time.Now()
-	effDeadline := now.Add(s.cfg.RequestTimeout)
-	clientBound := false
-	if !q.Deadline.IsZero() && q.Deadline.Before(effDeadline) {
-		effDeadline = q.Deadline
-		clientBound = true
-	}
-	if !now.Before(effDeadline) {
-		s.st.shedExpired()
-		return Result{}, &Error{Code: cloud.CodeExpired,
-			Err: fmt.Errorf("deadline already passed at admission (budget exhausted upstream)")}
-	}
-	// The cache key spans variant and canonical preferences: the same
-	// classes pruned by W and M are different masks.
-	key := prefs.KeyUnder(string(v))
-	entry, hit, err := s.cache.get(key, func() (*maskEntry, error) {
-		return s.personalize(v, prefs, key)
-	})
+	entry, hit, effDeadline, clientBound, err := s.entry(v, prefs, q)
 	if err != nil {
-		if te, ok := err.(*Error); ok {
-			return Result{}, te
-		}
-		return Result{}, &Error{Code: cloud.CodeInternal, Err: err}
+		return Result{}, err
 	}
 	// The ε-guard may reroute this request through the unpruned plan:
 	// always after a trip (fallback), and periodically as a shadow sample
@@ -508,6 +483,70 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 		CacheHit: hit,
 		Fallback: fallback,
 	}, nil
+}
+
+// entry is the part of a request an inference and a personalization
+// share: it validates the variant and preferences, refuses while draining
+// or once the deadline has passed, and finds the key's cache entry,
+// filling it on a miss. It reports the request's effective deadline and
+// whether the client's own budget set it. err is always an *Error: a
+// fill's are personalize's.
+func (s *Server) entry(v core.Variant, prefs core.Preferences, q QoS) (e *maskEntry, hit bool, deadline time.Time, clientBound bool, err error) {
+	switch v {
+	case core.VariantB, core.VariantW, core.VariantM:
+	default:
+		return nil, false, deadline, false, &Error{Code: cloud.CodeBadRequest, Err: fmt.Errorf("unknown variant %q", v)}
+	}
+	if err := prefs.Validate(s.sys.Rates.Classes); err != nil {
+		return nil, false, deadline, false, &Error{Code: cloud.CodeBadRequest, Err: err}
+	}
+	if s.isDraining() {
+		return nil, false, deadline, false, &Error{Code: cloud.CodeBusy, Err: fmt.Errorf("server draining")}
+	}
+	// The request's effective deadline is its own budget capped by the
+	// server bound — so a 50ms client waits 50ms, not the 30s default
+	// (and a malicious 10h budget cannot occupy a queue slot for 10h).
+	now := time.Now()
+	deadline = now.Add(s.cfg.RequestTimeout)
+	if !q.Deadline.IsZero() && q.Deadline.Before(deadline) {
+		deadline = q.Deadline
+		clientBound = true
+	}
+	if !now.Before(deadline) {
+		s.st.shedExpired()
+		return nil, false, deadline, clientBound, &Error{Code: cloud.CodeExpired,
+			Err: fmt.Errorf("deadline already passed at admission (budget exhausted upstream)")}
+	}
+	// The cache key spans variant and canonical preferences: the same
+	// classes pruned by W and M are different masks.
+	key := prefs.KeyUnder(string(v))
+	e, hit, err = s.cache.get(key, func() (*maskEntry, error) {
+		return s.personalize(v, prefs, key)
+	})
+	return e, hit, deadline, clientBound, err
+}
+
+// masks answers OpPersonalize from the entry an inference of the same key
+// would run on, without taking a forward slot or feeding the guard: the
+// masks the key is served with. A key served unpruned — its guard has
+// tripped, or its masks did not compile — is answered with the same
+// stages and no unit pruned, and Fallback set as an inference reports it.
+func (s *Server) masks(v core.Variant, prefs core.Preferences, q QoS) *WireResponse {
+	e, hit, _, _, err := s.entry(v, prefs, q)
+	if err != nil {
+		te := err.(*Error)
+		return Refuse(te.Code, "%s", te.Err.Error())
+	}
+	_, fallback := e.guard.report()
+	p := MaskPayload{Base: s.baseSum, Masks: e.masks}
+	if fallback || e.plan == s.unpruned {
+		p.Masks = make(map[int][]bool, len(e.masks))
+		for stage, m := range e.masks {
+			p.Masks[stage] = make([]bool, len(m))
+		}
+	}
+	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK,
+		CacheHit: hit, Fallback: fallback, Payload: p.AppendWire(nil)}
 }
 
 // personalize is the cache fill: one System.Prune run and the compile

@@ -28,7 +28,7 @@ var (
 	fixErr  error
 )
 
-// getFixture trains the same tiny reference model the cloud tests use:
+// getFixture trains the same tiny reference model the device tests use:
 // big enough to have prunable structure, small enough to train in
 // seconds and cache across tests.
 func getFixture(t testing.TB) *fixture {
@@ -158,8 +158,7 @@ func TestSingleflightCollapse(t *testing.T) {
 }
 
 // Admission control: with the slots stalled and the queue full, new
-// requests shed immediately with the typed busy code, exactly like the
-// cloud server's in-flight limit.
+// requests shed immediately with the typed busy code.
 func TestBusySheddingWhenQueueFull(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{

@@ -28,7 +28,11 @@ func main() {
 		root = os.Args[1]
 	}
 
-	badCache := payload([]CachedMask{{Key: "bad", Variant: "M", Classes: []int{9999}, Weights: []float64{1}}})
+	masks := serve.MaskPayload{Base: 0x5eed0001, Masks: map[int][]bool{
+		3: {true, false, false, true, false, false, false, false, true},
+		4: {false, true, false},
+		5: make([]bool, 12),
+	}}
 	ringUpdate := serve.RingUpdate{Epoch: 9, Seed: 3, VirtualNodes: 128, Replication: 2, Members: []string{"10.0.0.1:7000", "10.0.0.2:7000"}}
 	write(root, "internal/serve/testdata/fuzz/FuzzWireRequestDecode", map[string][]byte{
 		"seed-minimal": (&serve.WireRequest{Classes: []int{0}}).AppendWire(nil),
@@ -62,29 +66,15 @@ func main() {
 		"seed-expired": (&serve.WireResponse{
 			Version: cloud.ProtocolVersion, Code: cloud.CodeExpired, Err: "deadline budget exhausted before arrival (50µs over)",
 		}).AppendWire(nil),
+		// A response carrying an op's payload.
 		"seed-export": (&serve.WireResponse{
-			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: badCache,
+			Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: masks.AppendWire(nil),
 		}).AppendWire(nil),
 	})
 	write(root, "internal/serve/testdata/fuzz/FuzzRingUpdatePayload", map[string][]byte{"seed-two-members": withYou(ringUpdate, "10.0.0.2:7000")})
-	write(root, "internal/cloud/testdata/fuzz/FuzzCloudRequestDecode", map[string][]byte{
-		"seed-weighted": (&cloud.Request{
-			Version: cloud.ProtocolVersion, Variant: "M",
-			Classes: []int{0, 2, 5}, Weights: []float64{5, 3, 1},
-		}).AppendWire(nil),
-		"seed-uniform": (&cloud.Request{Variant: "B", Classes: []int{1, 4}}).AppendWire(nil),
-	})
-
-	model := []byte("seed-model-payload")
-	write(root, "internal/cloud/testdata/fuzz/FuzzCloudResponseDecode", map[string][]byte{
-		"seed-ok": (&cloud.Response{
-			Version: cloud.ProtocolVersion, Code: cloud.CodeOK,
-			Model: model, ModelSum: cloud.ModelSum(model),
-			Stats: cloud.Stats{RelativeSize: 0.42, PrunedUnits: 7, TotalUnits: 12},
-		}).AppendWire(nil),
-		"seed-busy": (&cloud.Response{
-			Version: cloud.ProtocolVersion, Code: cloud.CodeBusy, Err: "server busy",
-		}).AppendWire(nil),
+	write(root, "internal/serve/testdata/fuzz/FuzzMaskPayload", map[string][]byte{
+		"seed-pruned":    masks.AppendWire(nil),
+		"seed-no-stages": (&serve.MaskPayload{Base: 0x5eed0002}).AppendWire(nil),
 	})
 
 	write(root, "internal/store/testdata/fuzz/FuzzReadFile", map[string][]byte{
@@ -115,28 +105,6 @@ func storeFile(body []byte) []byte {
 		fatal(err)
 	}
 	return raw
-}
-
-// CachedMask is the gob layout behind the seed-export response's payload:
-// a one-entry mask-cache snapshot naming a class no model has. Any gob
-// value would do; this one keeps the checked-in bytes.
-type CachedMask struct {
-	Key         string
-	Variant     string
-	Classes     []int
-	Weights     []float64
-	Masks       map[int][]bool
-	PrunedUnits int
-	TotalUnits  int
-}
-
-// payload is a control op's second-stage blob.
-func payload(v any) []byte {
-	p, err := serve.EncodePayload(v)
-	if err != nil {
-		panic(err)
-	}
-	return p
 }
 
 // write stores each seed in the Go fuzz corpus file format: a version
