@@ -379,6 +379,7 @@ func (p *MaskPayload) DecodeWire(body []byte) error {
 	n := d.uvarint()
 	if n > uint64(len(d.b)/2) { // a stage record is at least two bytes
 		d.fail(errShort)
+		n = 0
 	}
 	masks := make(map[int][]bool, n)
 	for ; n > 0 && d.err == nil; n-- {

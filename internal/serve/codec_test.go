@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -324,6 +325,17 @@ func TestGoldenMaskPayload(t *testing.T) {
 		if err := p.DecodeWire(raw); err == nil {
 			t.Errorf("%s: %s decoded to %+v", name, body, p)
 		}
+	}
+	// A stage count the body cannot hold sizes nothing: 2^20 stages in
+	// seven bytes must not make a map for them.
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	before := ms.TotalAlloc
+	var p MaskPayload
+	err := p.DecodeWire([]byte{0, 0, 0, 0, 0x80, 0x80, 0x40})
+	runtime.ReadMemStats(&ms)
+	if err == nil || ms.TotalAlloc-before > 1<<20 {
+		t.Fatalf("a 2^20-stage count in a 7-byte body: err=%v, %d bytes allocated", err, ms.TotalAlloc-before)
 	}
 }
 
