@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -268,10 +269,9 @@ func TestDeviceValidation(t *testing.T) {
 	}
 }
 
-// Fetch errors keep the serve.Error code that decided the retry: a dead
-// shard is a transport fault, retried up to MaxAttempts; a bad request
-// is permanent and tried once.
-func TestFetchErrorTyping(t *testing.T) {
+// A dead shard is a transport fault: the fetch fails with a retryable
+// serve.Error after MaxAttempts tries, and the device keeps its model.
+func TestFetchDialFailure(t *testing.T) {
 	f := getFixture(t)
 	dead := serve.NewClient("127.0.0.1:1") // nothing listens here
 	dead.DialTimeout = 500 * time.Millisecond
@@ -288,19 +288,97 @@ func TestFetchErrorTyping(t *testing.T) {
 	if !errors.As(err, &se) || !se.Code.Retryable() || retries != 2 {
 		t.Fatalf("dead shard: err=%v retries=%d, want a retryable serve.Error tried 3 times", err, retries)
 	}
+	if dev.Model() != dev.base {
+		t.Fatal("a failed fetch replaced the model")
+	}
+}
 
+// Fetch errors keep the serve.Error code that decided the retry: a bad
+// request is permanent and tried once.
+func TestFetchErrorTyping(t *testing.T) {
+	f := getFixture(t)
 	_, addr := startShard(t, f.sys, serve.Config{})
 	bad := newDevice(t, addr, f.sys.Net, "X")
-	bad.Retry = dev.Retry
-	bad.OnRetry = dev.OnRetry
-	retries = 0
+	bad.Retry = Retry{MaxAttempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 2 * time.Millisecond}
+	retries := 0
+	bad.OnRetry = func(int, error) { retries++ }
 	observe(t, f, bad, 0, 1)
-	_, _, err = bad.Repersonalize(true)
+	_, _, err := bad.Repersonalize(true)
+	var se *serve.Error
 	if !errors.As(err, &se) || se.Code != cloud.CodeBadRequest || retries != 0 {
 		t.Fatalf("unknown variant: err=%v retries=%d, want a bad request tried once", err, retries)
 	}
 	if bad.Model() != bad.base {
 		t.Fatal("a failed fetch replaced the model")
+	}
+}
+
+// Every wire spelling of a variant personalizes the device: the
+// lower-case letter fetches the model the upper-case one does, and the
+// empty variant the shard's default, bit for bit.
+func TestAllVariantsServed(t *testing.T) {
+	f := getFixture(t)
+	_, addr := startShard(t, f.sys, serve.Config{})
+	fetched := func(variant string) []byte {
+		t.Helper()
+		dev := newDevice(t, addr, f.sys.Net, variant)
+		observe(t, f, dev, 1, 6)
+		observe(t, f, dev, 3, 2)
+		changed, st, err := dev.Repersonalize(true)
+		if err != nil || !changed {
+			t.Fatalf("variant %q: changed=%v err=%v", variant, changed, err)
+		}
+		if st.TotalUnits == 0 || st.RelativeSize <= 0 || st.RelativeSize > 1 {
+			t.Fatalf("variant %q: stats %+v", variant, st)
+		}
+		return saved(t, dev.Model())
+	}
+	for _, v := range []core.Variant{core.VariantB, core.VariantW, core.VariantM} {
+		upper := fetched(v.Letter())
+		if !bytes.Equal(upper, fetched(strings.ToLower(v.Letter()))) {
+			t.Fatalf("%s: the lower-case spelling fetched another model", v.Letter())
+		}
+		if v == core.DefaultVariant && !bytes.Equal(upper, fetched("")) {
+			t.Fatalf("the empty variant did not fetch the default %s", v.Letter())
+		}
+	}
+}
+
+// Devices with different preferences fetching at once each install
+// their own personalization: no fetch gets another device's masks.
+func TestConcurrentFetchesStayPerDevice(t *testing.T) {
+	f := getFixture(t)
+	_, addr := startShard(t, f.sys, serve.Config{})
+	devs := make([]*Device, 4)
+	for i := range devs {
+		devs[i] = newDevice(t, addr, f.sys.Net, "W")
+		observe(t, f, devs[i], i, 4)
+	}
+	errs := make([]error, len(devs))
+	var wg sync.WaitGroup
+	for i, dev := range devs {
+		wg.Add(1)
+		go func(i int, dev *Device) {
+			defer wg.Done()
+			_, _, errs[i] = dev.Repersonalize(true)
+		}(i, dev)
+	}
+	wg.Wait()
+	for i, dev := range devs {
+		if errs[i] != nil {
+			t.Fatalf("device %d: %v", i, errs[i])
+		}
+		masks, err := f.sys.Prune(core.VariantW, dev.Current())
+		if err != nil {
+			t.Fatal(err)
+		}
+		local, err := nn.CompactMasked(f.sys.Net, masks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(saved(t, dev.Model()), saved(t, local)) {
+			t.Fatalf("device %d (classes %v) installed a model not pruned for its own preferences", i, dev.Current().Classes)
+		}
 	}
 }
 
