@@ -10,8 +10,7 @@
 // The gateway speaks exactly the serve wire protocol on its client
 // side, so devices point at it unchanged; on its backend side it keeps
 // pooled persistent connections per shard, probes each shard's health
-// every -probe-every (closed/open/half-open breaker), and answers
-// OpStats scrapes with its own routing metrics.
+// every -probe-every (closed/open/half-open breaker).
 //
 // Multi-tenant admission control runs ahead of routing: -quota-bulk /
 // -quota-interactive set default per-tenant token-bucket rates
@@ -33,8 +32,9 @@
 // With -metrics-addr the gateway mounts its HTTP observability
 // surface: /metrics (Prometheus text exposition of routing counters and
 // per-node breaker series), /debug/events (structured failovers, sheds,
-// breaker transitions), /debug/cluster (membership and per-node health
-// as JSON), and a /debug index:
+// breaker transitions), /debug/stats (the Stats snapshot as JSON:
+// membership, routing counters, per-tenant admission and per-node
+// health), and a /debug index:
 //
 //	capnn-gateway -metrics-addr 127.0.0.1:9878 -nodes ...
 //
@@ -50,7 +50,7 @@
 // Like the other binaries it can injure its own client-facing
 // transport for resilience testing (-chaos "seed=7,drop=0.1,..."). On
 // SIGINT/SIGTERM it drains: stops accepting, sheds new requests with
-// busy, persists the ring, prints a final stats snapshot, and exits.
+// busy, prints the registry summary, and exits.
 package main
 
 import (
@@ -123,8 +123,7 @@ func main() {
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "end-to-end budget per client request across all failover attempts")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "budget per single node attempt (0 = request-timeout/2)")
 	chaos := flag.String("chaos", "", "client-facing fault-injection spec, e.g. seed=7,drop=0.1,latency=20ms")
-	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/cluster (empty = disabled)")
-	statsEvery := flag.Duration("stats-every", 0, "periodically print a stats snapshot (0 = only at shutdown)")
+	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/stats (empty = disabled)")
 	stateDir := flag.String("state", "", "state directory: restore placement from its ring file and persist membership changes there (empty = stateless)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight connections at shutdown")
 	quotaInteractive := flag.String("quota-interactive", "", "default per-tenant interactive-lane quota as rate[:burst] requests/s (empty = unlimited)")
@@ -201,7 +200,7 @@ func main() {
 
 	if *metricsAddr != "" {
 		mux := metrics.NewMux(g.Metrics(), g.Events())
-		mux.Handle("/debug/cluster", metrics.JSONHandler(func() any { return g.ClusterView() }))
+		mux.Handle("/debug/stats", metrics.JSONHandler(func() any { return g.Stats() }))
 		g.MountAdmin(mux)
 		maddr, stopMetrics, err := metrics.Serve(*metricsAddr, mux)
 		if err != nil {
@@ -212,17 +211,12 @@ func main() {
 		fmt.Printf("capnn-gateway: metrics on http://%s/metrics (index at /debug)\n", maddr)
 	}
 
-	stop := make(chan struct{})
-	metrics.PeriodicDump(os.Stdout, "capnn-gateway", *statsEvery, g.Metrics(), stop)
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stop)
 	if err := g.Shutdown(*drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "capnn-gateway: drain: %v\n", err)
 	}
-	fmt.Printf("capnn-gateway: final %s\n", g.Stats())
 	metrics.DumpSummary(os.Stdout, "capnn-gateway", "final", g.Metrics())
 	fmt.Println("capnn-gateway: stopped")
 }

@@ -21,9 +21,9 @@
 //
 //	capnn-loadgen -bulk-frac 0.8 -bulk-tenant batch -budget 250ms -n 2000
 //
-// With -scrape it instead fetches and prints a gateway's routing stats
-// (ring version, failovers, per-tenant admission, per-node breaker
-// states) and exits.
+// A gateway's own view — ring version, failovers, per-tenant admission,
+// per-node breaker states — is on its -metrics-addr listener: /metrics
+// and /debug/stats.
 //
 // With -json the run summary is emitted as a single machine-readable
 // JSON document on stdout (per-lane p50/p95/p99, QPS, sheds by reason)
@@ -60,7 +60,6 @@ import (
 	"time"
 
 	"capnn/internal/cloud"
-	"capnn/internal/cluster"
 	"capnn/internal/exp"
 	"capnn/internal/qos"
 	"capnn/internal/serve"
@@ -255,6 +254,23 @@ func (r *laneReport) summary(lane qos.Lane) string {
 		percentile(r.lats, 0.99).Round(time.Microsecond))
 }
 
+// checkFlags refuses the flag values no run can honour: with no users
+// there is no request to send, and with no requests or no workers the
+// run would report "0 failed" without having sent anything.
+func checkFlags(users, n, concurrency int, bulkFrac float64) error {
+	switch {
+	case users < 1:
+		return errors.New("-users must be at least 1")
+	case n < 1:
+		return errors.New("-n must be at least 1")
+	case concurrency < 1:
+		return errors.New("-concurrency must be at least 1")
+	case !(bulkFrac >= 0 && bulkFrac <= 1): // negated, so NaN is refused
+		return errors.New("-bulk-frac must be in [0,1]")
+	}
+	return nil
+}
+
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7878", "gateway or serve address")
 	model := flag.String("model", "cifar10", "fixture the target serves: imagenet20 or cifar10")
@@ -264,7 +280,6 @@ func main() {
 	variant := flag.String("variant", "M", "pruning variant to request")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	progressEvery := flag.Int("progress-every", 50, "print a progress line every N completed requests")
-	scrape := flag.Bool("scrape", false, "fetch and print the target gateway's routing stats, then exit")
 	jsonOut := flag.Bool("json", false, "emit the run summary as one JSON document on stdout (progress and human lines move to stderr)")
 	tenant := flag.String("tenant", "", "tenant for interactive traffic (empty = default)")
 	budget := flag.Duration("budget", 0, "per-request deadline budget for interactive traffic (0 = none)")
@@ -284,17 +299,8 @@ func main() {
 		human = os.Stderr
 	}
 
-	if *scrape {
-		st, err := cluster.ScrapeStats(*addr, *timeout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capnn-loadgen: scrape %s: %v\n", *addr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("capnn-loadgen: gateway stats:\n%s\n", st)
-		return
-	}
-	if !(*bulkFrac >= 0 && *bulkFrac <= 1) { // negated, so NaN is refused
-		fmt.Fprintln(os.Stderr, "capnn-loadgen: -bulk-frac must be in [0,1]")
+	if err := checkFlags(*users, *n, *concurrency, *bulkFrac); err != nil {
+		fmt.Fprintf(os.Stderr, "capnn-loadgen: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -34,8 +34,8 @@
 //
 // On SIGINT/SIGTERM the server drains: it stops accepting, sheds new
 // requests with busy, answers in-flight requests within
-// -drain-timeout, prints a stats snapshot (including guard trips and
-// breaker transitions), and exits.
+// -drain-timeout, prints the registry summary (the numbers /metrics
+// serves, guard trips included), and exits.
 package main
 
 import (
@@ -66,7 +66,6 @@ func main() {
 	bulkFrac := flag.Float64("bulk-queue-fraction", 0.5, "fraction of max-queue the bulk lane may fill before shedding over-quota (interactive keeps the rest)")
 	chaos := flag.String("chaos", "", "fault-injection spec, e.g. seed=7,drop=0.1,close=0.2,corrupt=0.2,latency=20ms")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/stats (empty = disabled)")
-	statsEvery := flag.Duration("stats-every", 0, "periodically print a stats snapshot (0 = only at shutdown)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight work at shutdown")
 	noGuard := flag.Bool("no-guard", false, "disable the runtime ε-guard (serve stale personalizations forever)")
 	guardEvery := flag.Int("guard-sample-every", 8, "shadow-sample every Nth request per entry through the unpruned network")
@@ -152,17 +151,12 @@ func main() {
 		fmt.Printf("capnn-serve: metrics on http://%s/metrics (index at /debug)\n", maddr)
 	}
 
-	stop := make(chan struct{})
-	metrics.PeriodicDump(os.Stdout, "capnn-serve", *statsEvery, srv.Metrics(), stop)
-
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
-	close(stop)
 	if err := srv.Shutdown(*drainTimeout); err != nil {
 		fmt.Fprintf(os.Stderr, "capnn-serve: drain: %v\n", err)
 	}
-	fmt.Printf("capnn-serve: final %s\n", srv.Stats())
 	metrics.DumpSummary(os.Stdout, "capnn-serve", "final", srv.Metrics())
 	fmt.Println("capnn-serve: stopped")
 }

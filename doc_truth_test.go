@@ -9,6 +9,21 @@ import (
 	"testing"
 )
 
+// proseDocs are the documents whose code spans must name real things.
+var proseDocs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
+var codeSpan = regexp.MustCompile("(?s)```.*?```|`[^`]+`")
+
+// codeSpans returns doc's fenced blocks and inline code spans.
+func codeSpans(t *testing.T, doc string) []string {
+	t.Helper()
+	src, err := os.ReadFile(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return codeSpan.FindAllString(string(src), -1)
+}
+
 // Every backticked Test*, Benchmark* or Fuzz* name in the prose docs is
 // a func in some _test.go of this module, so a rename or a deletion that
 // leaves a doc pointing at nothing fails here. Inside a `go test -run` or
@@ -36,7 +51,6 @@ func TestDocsNameRealTests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := regexp.MustCompile("(?s)```.*?```|`[^`]+`")
 	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
 	found := func(n string, pattern bool) bool {
 		if funcs[n] {
@@ -50,12 +64,8 @@ func TestDocsNameRealTests(t *testing.T) {
 		return false
 	}
 	checked := 0
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
-		src, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, s := range span.FindAllString(string(src), -1) {
+	for _, doc := range proseDocs {
+		for _, s := range codeSpans(t, doc) {
 			pattern := strings.Contains(s, "-run") || strings.Contains(s, "-bench")
 			for _, n := range name.FindAllString(s, -1) {
 				checked++
@@ -67,5 +77,126 @@ func TestDocsNameRealTests(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no test names found in the docs: the scan is broken")
+	}
+}
+
+// Every -flag a code span passes to a capnn-<cmd> command — on the
+// command's line or its \ continuation, up to a pipe or redirect (an
+// <addr> placeholder is neither) — is
+// registered in cmd/<cmd>/main.go (or by internal/profiling.AddFlags,
+// for the commands that call it), and every backticked capnn_* metric
+// name, with a histogram's _bucket / _sum / _count suffix stripped, is an
+// instrument name some Go source registers (a name ending in "_" is a
+// prefix of one). A deleted flag or metric left in the docs fails here.
+func TestDocsNameRealFlagsAndMetrics(t *testing.T) {
+	registered := regexp.MustCompile(`flag\.[A-Z]\w*\((?:&[\w.]+,\s*)?"([^"]+)"`)
+	var flagsOf func(path string) map[string]bool
+	flagsOf = func(path string) map[string]bool {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := map[string]bool{}
+		for _, m := range registered.FindAllSubmatch(src, -1) {
+			out[string(m[1])] = true
+		}
+		if strings.Contains(string(src), "profiling.AddFlags()") {
+			for f := range flagsOf("internal/profiling/profiling.go") {
+				out[f] = true
+			}
+		}
+		return out
+	}
+	cmdFlags := map[string]map[string]bool{}
+	mains, err := filepath.Glob("cmd/capnn-*/main.go")
+	if err != nil || len(mains) == 0 {
+		t.Fatalf("no commands found (%v)", err)
+	}
+	for _, m := range mains {
+		cmdFlags[filepath.Base(filepath.Dir(m))] = flagsOf(m)
+	}
+
+	metricNames := map[string]bool{}
+	instrument := regexp.MustCompile(`\(\s*"(capnn_[a-z0-9_]+)"`)
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "benchmark" || d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range instrument.FindAllSubmatch(src, -1) {
+			metricNames[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil || len(metricNames) == 0 {
+		t.Fatalf("no registered metric names found (%v)", err)
+	}
+	metricKnown := func(n string) bool {
+		if strings.HasSuffix(n, "_") {
+			for m := range metricNames {
+				if strings.HasPrefix(m, n) {
+					return true
+				}
+			}
+			return false
+		}
+		for _, suffix := range []string{"_bucket", "_sum", "_count"} {
+			if base, ok := strings.CutSuffix(n, suffix); ok && metricNames[base] {
+				return true
+			}
+		}
+		return metricNames[n]
+	}
+
+	command := regexp.MustCompile(`capnn-[a-z]+(?:-[a-z]+)*`)
+	placeholder := regexp.MustCompile(`<[^<>\s]+>`) // <addr>, not a redirect
+	flagTok := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
+	metric := regexp.MustCompile(`capnn_[a-z0-9_]+`)
+	flagsChecked, metricsChecked := 0, 0
+	for _, doc := range proseDocs {
+		for _, s := range codeSpans(t, doc) {
+			for _, n := range metric.FindAllString(s, -1) {
+				metricsChecked++
+				if !metricKnown(n) {
+					t.Errorf("%s names metric %s, which no Go source registers", doc, n)
+				}
+			}
+			for _, line := range strings.Split(strings.ReplaceAll(s, "\\\n", " "), "\n") {
+				cmds := command.FindAllStringIndex(line, -1)
+				for i, c := range cmds {
+					end := len(line)
+					if i+1 < len(cmds) {
+						end = cmds[i+1][0]
+					}
+					seg := placeholder.ReplaceAllString(line[c[1]:end], "_")
+					if cut := strings.IndexAny(seg, "|<>"); cut >= 0 {
+						seg = seg[:cut]
+					}
+					name := line[c[0]:c[1]]
+					for _, tok := range strings.Fields(seg) {
+						m := flagTok.FindStringSubmatch(tok)
+						if m == nil {
+							continue
+						}
+						flagsChecked++
+						known, ok := cmdFlags[name]
+						if !ok {
+							t.Errorf("%s passes -%s to %s, which is not a command under cmd/", doc, m[1], name)
+						} else if !known[m[1]] {
+							t.Errorf("%s passes -%s to %s, which registers no such flag", doc, m[1], name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if flagsChecked == 0 || metricsChecked == 0 {
+		t.Fatalf("checked %d flags and %d metric names in the docs: the scan is broken", flagsChecked, metricsChecked)
 	}
 }

@@ -261,7 +261,7 @@ func (g *Gateway) newNodeState(addr string) *nodeState {
 }
 
 // Metrics is the gateway's telemetry registry — the source behind
-// Stats(), the /metrics exposition, and the stats dumps.
+// Stats(), the /metrics exposition, and the SIGINT summary dump.
 func (g *Gateway) Metrics() *metrics.Registry { return g.reg }
 
 // Events is the gateway's structured event log (sheds, failovers,
@@ -547,7 +547,8 @@ func RouteKey(req serve.WireRequest) (string, error) {
 
 func routeKey(v core.Variant, prefs core.Preferences) string { return prefs.KeyUnder(v.Letter()) }
 
-// Route answers one wire request through the cluster: placement lookup,
+// Route answers one OpInfer or OpPersonalize request through the
+// cluster (any other op is a bad request): placement lookup,
 // forward to the owner over a pooled connection, failover to ring
 // replicas on failure, re-route on node-side wrong-owner/ring-changed
 // rejection. Exposed so the routing path can be exercised (and
@@ -558,6 +559,13 @@ func (g *Gateway) Route(req serve.WireRequest) *serve.WireResponse { return g.ro
 // fields into it — over the wire, the one the client's connection decodes
 // every frame into, re-encoded from there for the shard.
 func (g *Gateway) route(req *serve.WireRequest) *serve.WireResponse {
+	// Only the two keyed ops are routed. Anything else — above all an
+	// OpRingUpdate, which would install the client's membership view in
+	// the owner shard's fence — is refused before it is admitted, counted
+	// or sent anywhere.
+	if req.Op != serve.OpInfer && req.Op != serve.OpPersonalize {
+		return serve.Refuse(cloud.CodeBadRequest, "unknown op %d", req.Op)
+	}
 	if g.isDraining() {
 		g.st.shedReq()
 		return serve.Refuse(cloud.CodeBusy, "gateway draining")
@@ -778,12 +786,10 @@ func (g *Gateway) Listen(addr string) (string, error) { return g.srv.Listen(addr
 // point at a gateway unchanged.
 func (g *Gateway) Serve(ln net.Listener) string { return g.srv.Serve(ln) }
 
-// handle answers one client frame: the gateway's own stats and health,
-// everything else routed.
+// handle answers one client frame: the gateway's own health, everything
+// else through route.
 func (g *Gateway) handle(req *serve.WireRequest) *serve.WireResponse {
 	switch req.Op {
-	case serve.OpStats:
-		return g.statsResponse()
 	case serve.OpHealth:
 		if g.isDraining() {
 			return serve.Refuse(cloud.CodeBusy, "gateway draining")
@@ -792,34 +798,6 @@ func (g *Gateway) handle(req *serve.WireRequest) *serve.WireResponse {
 	default:
 		return g.route(req)
 	}
-}
-
-// statsResponse answers OpStats with the gateway's own stats in the
-// response payload, where a serve node puts its serve.Stats.
-func (g *Gateway) statsResponse() *serve.WireResponse {
-	p, err := serve.EncodePayload(g.Stats())
-	if err != nil {
-		return serve.Refuse(cloud.CodeInternal, "encode stats: %v", err)
-	}
-	return &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: p}
-}
-
-// ScrapeStats fetches a remote gateway's Stats over the wire.
-func ScrapeStats(addr string, timeout time.Duration) (Stats, error) {
-	c := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, 5*time.Second, 0)
-	defer c.Close()
-	resp, err := c.Do(&serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpStats}, time.Now().Add(timeout))
-	if err != nil {
-		return Stats{}, fmt.Errorf("cluster: scrape %s: %w", addr, err)
-	}
-	if resp.Code != cloud.CodeOK {
-		return Stats{}, fmt.Errorf("cluster: scrape: [%s] %s", resp.Code, resp.Err)
-	}
-	var st Stats
-	if err := serve.DecodePayload(resp.Payload, &st); err != nil {
-		return Stats{}, fmt.Errorf("cluster: decode stats payload: %w", err)
-	}
-	return st, nil
 }
 
 func (g *Gateway) isDraining() bool {

@@ -2,14 +2,18 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"net"
+	"net/http"
+	"net/http/httptest"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"capnn/internal/breaker"
 	"capnn/internal/cloud"
 	"capnn/internal/core"
 	"capnn/internal/data"
@@ -205,15 +209,12 @@ func TestClusterRoutingLocality(t *testing.T) {
 		}
 	}
 
-	// Scrape every shard over the wire (OpStats) and check locality:
-	// each of the 8 keys personalized on exactly one node.
+	// Read every shard's stats and check locality: each of the 8 keys
+	// personalized on exactly one node.
 	var misses, reqs uint64
 	active := 0
 	for _, n := range nodes {
-		st, err := serve.NewClient(n.addr).Stats()
-		if err != nil {
-			t.Fatalf("scrape %s: %v", n.addr, err)
-		}
+		st := n.srv.Stats()
 		misses += st.CacheMisses
 		reqs += st.Requests
 		if st.Requests > 0 {
@@ -302,14 +303,14 @@ func TestClusterFailoverKillNode(t *testing.T) {
 	}
 	gs := g.Stats()
 	if gs.Failovers == 0 {
-		t.Errorf("killed a primary mid-load but gateway reports zero failovers:\n%s", gs)
+		t.Errorf("killed a primary mid-load but gateway reports zero failovers: %+v", gs)
 	}
 	if gs.Completed != users+workers*perWorker {
 		t.Errorf("completed=%d, want %d", gs.Completed, users+workers*perWorker)
 	}
 
 	// The victim's breaker must open, then close again once healed.
-	waitNodeState := func(want serve.BreakerState, timeout time.Duration) {
+	waitNodeState := func(want breaker.State, timeout time.Duration) {
 		t.Helper()
 		deadline := time.Now().Add(timeout)
 		for {
@@ -323,9 +324,9 @@ func TestClusterFailoverKillNode(t *testing.T) {
 			time.Sleep(5 * time.Millisecond)
 		}
 	}
-	waitNodeState(serve.BreakerOpen, 2*time.Second)
+	waitNodeState(breaker.Open, 2*time.Second)
 	victim.part.SetPartitioned(false)
-	waitNodeState(serve.BreakerClosed, 5*time.Second)
+	waitNodeState(breaker.Closed, 5*time.Second)
 	if ns := g.Stats().Nodes[victim.addr]; ns.Opens == 0 || ns.Closes == 0 {
 		t.Errorf("breaker transitions not counted: %+v", ns)
 	}
@@ -363,13 +364,13 @@ func TestClusterWrongOwnerReroute(t *testing.T) {
 	}
 	gs := g.Stats()
 	if gs.WrongOwner == 0 || gs.Failovers == 0 {
-		t.Errorf("wrong-owner=%d failovers=%d, want both ≥ 1:\n%s", gs.WrongOwner, gs.Failovers, gs)
+		t.Errorf("wrong-owner=%d failovers=%d, want both ≥ 1: %+v", gs.WrongOwner, gs.Failovers, gs)
 	}
 }
 
 // TestGatewayWireProtocolAndScrape: an unchanged serve.Client can point
-// at the gateway (drop-in wire compatibility), gateway stats are
-// remotely scrapeable, and Shutdown drains: new work is shed with
+// at the gateway (drop-in wire compatibility), the gateway's Stats
+// snapshot is scrapeable as JSON on /debug/stats, and Shutdown drains: new work is shed with
 // CodeBusy and the listener stops.
 func TestGatewayWireProtocolAndScrape(t *testing.T) {
 	nodes := startTestNodes(t, 3)
@@ -394,15 +395,28 @@ func TestGatewayWireProtocolAndScrape(t *testing.T) {
 	if err := c.Health(); err != nil {
 		t.Fatalf("gateway health: %v", err)
 	}
-	st, err := ScrapeStats(gaddr, 2*time.Second)
-	if err != nil {
-		t.Fatalf("scrape gateway: %v", err)
+	// The stats leave the process one way: the Stats snapshot as JSON on
+	// /debug/stats, mounted as capnn-gateway mounts it.
+	mux := metrics.NewMux(g.Metrics(), g.Events())
+	mux.Handle("/debug/stats", metrics.JSONHandler(func() any { return g.Stats() }))
+	rr := httptest.NewRecorder()
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/stats", nil))
+	var scraped Stats
+	if err := json.Unmarshal(rr.Body.Bytes(), &scraped); err != nil {
+		t.Fatalf("/debug/stats: %v\n%s", err, rr.Body.String())
 	}
-	if st.RingVersion != 1 || len(st.Members) != 3 || st.Completed < 1 {
-		t.Errorf("scraped stats: version=%d members=%d completed=%d", st.RingVersion, len(st.Members), st.Completed)
+	for name, st := range map[string]Stats{"Stats()": g.Stats(), "/debug/stats": scraped} {
+		if st.RingVersion != 1 || len(st.Members) != 3 || st.Completed < 1 {
+			t.Errorf("%s: version=%d members=%d completed=%d", name, st.RingVersion, len(st.Members), st.Completed)
+		}
+		if len(st.Nodes) != 3 {
+			t.Errorf("%s carries %d node entries, want 3", name, len(st.Nodes))
+		}
 	}
-	if len(st.Nodes) != 3 {
-		t.Errorf("scraped stats carry %d node entries, want 3", len(st.Nodes))
+	for addr, ns := range scraped.Nodes {
+		if ns.State != breaker.Closed {
+			t.Errorf("/debug/stats: node %s in state %q, want %q", addr, ns.State, breaker.Closed)
+		}
 	}
 	// A frame that leads with a later protocol version is refused at the
 	// gateway, typed, and no shard hears of it.
@@ -428,6 +442,72 @@ func TestGatewayWireProtocolAndScrape(t *testing.T) {
 	}
 	if _, err := c.Infer(f.inferRequest(1, 2)); err == nil {
 		t.Error("infer after shutdown should fail (listener closed)")
+	}
+}
+
+// TestGatewayRefusesControlOps: a gateway routes only inferences and
+// personalizations. A client's OpRingUpdate, or the unassigned op 1, is
+// a typed bad request — through Route and over the gateway's wire alike
+// — answered before admission, counting or any shard contact. Were a
+// ring update forwarded, the owner shard's fence would install the
+// client's view, and since a fence never rolls back, every later routed
+// request to that shard would bounce as ring-changed.
+func TestGatewayRefusesControlOps(t *testing.T) {
+	nodes := startTestNodes(t, 3)
+	fences := wireFences(nodes)
+	g, err := NewGateway(nodeAddrs(nodes), testGWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	g.broadcastRing(g.Ring())
+	gaddr, err := g.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := rpc.NewClient[serve.WireRequest, serve.WireResponse](gaddr, time.Second, 1)
+	defer raw.Close()
+	f := getClusterFixture(t)
+
+	poison := serve.RingUpdate{Epoch: 1 << 60, Members: []string{"x"}, You: "y"}
+	before := g.Stats()
+	const users = 8
+	for u := 0; u < users; u++ {
+		for _, op := range []serve.Op{serve.OpRingUpdate, 1} {
+			want := fmt.Sprintf("unknown op %d", op)
+			req := f.inferRequest(u, u)
+			req.Op = op
+			req.Payload = poison.AppendWire(nil)
+			if resp := g.Route(req); resp.Code != cloud.CodeBadRequest || resp.Err != want {
+				t.Errorf("Route user %d op %d: [%s] %q, want [%s] %q", u, op, resp.Code, resp.Err, cloud.CodeBadRequest, want)
+			}
+			resp, err := raw.Do(&req, time.Now().Add(5*time.Second))
+			if err != nil {
+				t.Fatalf("wire user %d op %d: %v", u, op, err)
+			}
+			if resp.Code != cloud.CodeBadRequest || resp.Err != want {
+				t.Errorf("wire user %d op %d: [%s] %q, want [%s] %q", u, op, resp.Code, resp.Err, cloud.CodeBadRequest, want)
+			}
+		}
+	}
+	for addr, fence := range fences {
+		if got := fence.Epoch(); got != 1 {
+			t.Errorf("fence on %s at epoch %d after refused control ops, want 1", addr, got)
+		}
+	}
+	if after := g.Stats(); after.Requests != before.Requests || after.Shed != before.Shed {
+		t.Errorf("refused control ops were admitted: requests %d → %d, shed %d → %d",
+			before.Requests, after.Requests, before.Shed, after.Shed)
+	}
+	for _, n := range nodes {
+		if st := n.srv.Stats(); st.Requests != 0 {
+			t.Errorf("shard %s served %d requests; refused ops must never reach a shard", n.addr, st.Requests)
+		}
+	}
+	for u := 0; u < users; u++ {
+		if resp := g.Route(f.inferRequest(u, u)); resp.Code != cloud.CodeOK {
+			t.Errorf("inference for user %d after refused control ops: [%s] %s", u, resp.Code, resp.Err)
+		}
 	}
 }
 

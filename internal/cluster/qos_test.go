@@ -69,8 +69,8 @@ func TestGatewayAdmissionOverQuota(t *testing.T) {
 	if ts.Admitted != 2 || ts.ShedOverQuota != 1 {
 		t.Errorf("tenant batch/bulk = %+v, want admitted=2 shed=1", ts)
 	}
-	if !strings.Contains(st.String(), "tenant batch/bulk") {
-		t.Errorf("Stats.String() omits tenant breakdown:\n%s", st)
+	if _, ok := st.Tenants["batch/bulk"]; !ok {
+		t.Errorf("Stats.Tenants omits the batch/bulk stream: %+v", st.Tenants)
 	}
 }
 

@@ -2,16 +2,15 @@ package cluster
 
 import (
 	"fmt"
-	"sort"
-	"strings"
 	"time"
 
 	"capnn/internal/breaker"
 	"capnn/internal/metrics"
 )
 
-// Stats is a point-in-time snapshot of a Gateway's routing metrics.
-// Counters are cumulative since the gateway started.
+// Stats is a point-in-time snapshot of a Gateway's routing metrics, read
+// off the registry's instruments; capnn-gateway's /debug/stats serves it
+// as JSON. Counters are cumulative since the gateway started.
 type Stats struct {
 	// RingVersion is the current membership version; Members the
 	// current serve-node set (sorted).
@@ -60,99 +59,13 @@ type NodeStats struct {
 	Requests, Failures uint64
 	// Probes / ProbeFailures count active health probes; LastProbe is
 	// the most recent successful probe's round trip, ProbeLatNs /
-	// ProbeSamples accumulate successful probe RTTs for MeanProbe.
+	// ProbeSamples the sum and count of successful probe RTTs.
 	Probes, ProbeFailures uint64
 	LastProbe             time.Duration
 	ProbeLatNs            int64
 	ProbeSamples          uint64
 	// Opens/Closes/HalfOpens count breaker transitions.
 	Opens, Closes, HalfOpens uint64
-}
-
-// MeanProbe is the mean successful probe round trip (0 before the
-// first success).
-func (n NodeStats) MeanProbe() time.Duration {
-	if n.ProbeSamples == 0 {
-		return 0
-	}
-	return time.Duration(n.ProbeLatNs / int64(n.ProbeSamples))
-}
-
-// String renders the snapshot as a compact block for logs and the
-// capnn-gateway stats dump.
-func (s Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "ring: version=%d members=%d\n", s.RingVersion, len(s.Members))
-	fmt.Fprintf(&b, "requests=%d completed=%d errors=%d shed=%d\n", s.Requests, s.Completed, s.Errors, s.Shed)
-	fmt.Fprintf(&b, "shed: over-quota=%d expired=%d\n", s.ShedOverQuota, s.ShedExpired)
-	fmt.Fprintf(&b, "routing: retries=%d failovers=%d wrong-owner=%d", s.Retries, s.Failovers, s.WrongOwner)
-	tenants := make([]string, 0, len(s.Tenants))
-	for t := range s.Tenants {
-		tenants = append(tenants, t)
-	}
-	sort.Strings(tenants)
-	for _, t := range tenants {
-		ts := s.Tenants[t]
-		fmt.Fprintf(&b, "\ntenant %s: admitted=%d shed-over-quota=%d", t, ts.Admitted, ts.ShedOverQuota)
-	}
-	names := make([]string, 0, len(s.Nodes))
-	for n := range s.Nodes {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		ns := s.Nodes[n]
-		fmt.Fprintf(&b, "\nnode %s: state=%s requests=%d failures=%d probes=%d probe-failures=%d last-probe=%v mean-probe=%v",
-			n, ns.State, ns.Requests, ns.Failures, ns.Probes, ns.ProbeFailures,
-			ns.LastProbe.Round(time.Microsecond), ns.MeanProbe().Round(time.Microsecond))
-	}
-	return b.String()
-}
-
-// ClusterView is the gateway's /debug/cluster document: membership and
-// per-node health.
-type ClusterView struct {
-	RingVersion uint64   `json:"ring_version"`
-	Epoch       uint64   `json:"epoch"`
-	Members     []string `json:"members"`
-
-	Nodes map[string]NodeView `json:"nodes"`
-}
-
-// NodeView is one node's health as JSON.
-type NodeView struct {
-	State         string  `json:"state"`
-	Requests      uint64  `json:"requests"`
-	Failures      uint64  `json:"failures"`
-	Probes        uint64  `json:"probes"`
-	ProbeFailures uint64  `json:"probe_failures"`
-	LastProbeMs   float64 `json:"last_probe_ms"`
-	MeanProbeMs   float64 `json:"mean_probe_ms"`
-	Opens         uint64  `json:"opens"`
-}
-
-// ClusterView snapshots the cluster as the gateway sees it.
-func (g *Gateway) ClusterView() ClusterView {
-	st := g.Stats()
-	view := ClusterView{
-		RingVersion: st.RingVersion,
-		Epoch:       st.RingVersion,
-		Members:     st.Members,
-		Nodes:       make(map[string]NodeView, len(st.Nodes)),
-	}
-	for addr, ns := range st.Nodes {
-		view.Nodes[addr] = NodeView{
-			State:         string(ns.State),
-			Requests:      ns.Requests,
-			Failures:      ns.Failures,
-			Probes:        ns.Probes,
-			ProbeFailures: ns.ProbeFailures,
-			LastProbeMs:   float64(ns.LastProbe) / float64(time.Millisecond),
-			MeanProbeMs:   float64(ns.MeanProbe()) / float64(time.Millisecond),
-			Opens:         ns.Opens,
-		}
-	}
-	return view
 }
 
 // Gateway shed reason labels.
@@ -164,8 +77,7 @@ const (
 
 // gstats is the live accumulator behind Stats snapshots. Like the serve
 // tier's stats it publishes straight into registry instruments, so a
-// Stats snapshot (OpStats scrape, SIGINT dump) and a /metrics scrape
-// always agree. Per-node counters live in each nodeHealth and are
+// Stats snapshot (/debug/stats) and a /metrics scrape always agree. Per-node counters live in each nodeHealth and are
 // exposed through a gather-time collector.
 type gstats struct {
 	reqC, compC, errC              *metrics.Counter

@@ -90,7 +90,7 @@ func TestMetricsEndpointAndDebugIndex(t *testing.T) {
 	reg.Counter("capnn_test_requests_total", "req").Add(2)
 	log := NewEventLog(8)
 	mux := NewMux(reg, log)
-	mux.Handle("/debug/cluster", JSONHandler(func() any { return map[string]int{"shards": 3} }))
+	mux.Handle("/debug/stats", JSONHandler(func() any { return map[string]int{"shards": 3} }))
 
 	rr := httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/metrics", nil))
@@ -107,17 +107,17 @@ func TestMetricsEndpointAndDebugIndex(t *testing.T) {
 	rr = httptest.NewRecorder()
 	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug", nil))
 	body := rr.Body.String()
-	for _, p := range []string{"/metrics", "/debug/events", "/debug/cluster"} {
+	for _, p := range []string{"/metrics", "/debug/events", "/debug/stats"} {
 		if !containsLine(body, "  "+p) {
 			t.Fatalf("/debug index missing %s:\n%s", p, body)
 		}
 	}
 
 	rr = httptest.NewRecorder()
-	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/cluster", nil))
+	mux.ServeHTTP(rr, httptest.NewRequest(http.MethodGet, "/debug/stats", nil))
 	var cl map[string]int
 	if err := json.Unmarshal(rr.Body.Bytes(), &cl); err != nil || cl["shards"] != 3 {
-		t.Fatalf("/debug/cluster = %s (err %v)", rr.Body.String(), err)
+		t.Fatalf("/debug/stats = %s (err %v)", rr.Body.String(), err)
 	}
 }
 

@@ -154,10 +154,9 @@ func writeSummaryHist(w io.Writer, name string, labels Labels, h *HistSnapshot) 
 }
 
 // DumpSummary is the one stats-dump renderer shared by capnn-serve and
-// capnn-gateway (periodic -stats-every ticks and the SIGINT final
-// dump): a "<prog>: <when> stats:" banner followed by the registry
-// summary, every line prefixed with the program name so interleaved
-// multi-process logs stay attributable.
+// capnn-gateway (their SIGINT final dump): a "<prog>: <when> stats:"
+// banner followed by the registry summary, every line prefixed with the
+// program name so interleaved multi-process logs stay attributable.
 func DumpSummary(w io.Writer, prog, when string, reg *Registry) {
 	var b strings.Builder
 	_ = reg.WriteSummary(&b)
@@ -165,27 +164,6 @@ func DumpSummary(w io.Writer, prog, when string, reg *Registry) {
 	for _, line := range strings.Split(strings.TrimRight(b.String(), "\n"), "\n") {
 		fmt.Fprintf(w, "%s:   %s\n", prog, line)
 	}
-}
-
-// PeriodicDump starts a goroutine that renders DumpSummary every
-// `every` until stop closes — the ticker loop both binaries used to
-// duplicate. No-op when every <= 0.
-func PeriodicDump(w io.Writer, prog string, every time.Duration, reg *Registry, stop <-chan struct{}) {
-	if every <= 0 {
-		return
-	}
-	go func() {
-		tick := time.NewTicker(every)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				DumpSummary(w, prog, "periodic", reg)
-			case <-stop:
-				return
-			}
-		}
-	}()
 }
 
 // isNanosHist reports whether a histogram's observations are

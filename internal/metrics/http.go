@@ -40,8 +40,8 @@ func (m *Mux) HandleFunc(path string, h func(http.ResponseWriter, *http.Request)
 //	/debug/events  recent structured events as a JSON array (?n= caps)
 //	/debug         index of every mounted path
 //
-// Callers mount additional endpoints (e.g. the gateway's
-// /debug/cluster) on the returned mux before serving it.
+// Callers mount additional endpoints (e.g. /debug/stats) on the
+// returned mux before serving it.
 func NewMux(reg *Registry, log *EventLog) *Mux {
 	m := &Mux{ServeMux: http.NewServeMux()}
 	m.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {

@@ -1,9 +1,9 @@
 // Package metrics is CAP'NN's dependency-free telemetry registry — the
 // single source every serving-tier signal flows through. The serve and
 // cluster stats accumulators publish into it, the /metrics HTTP surface
-// exposes it in Prometheus text format, the SIGINT stats dumps render
-// it through one shared summary writer. Three instrument kinds cover
-// the tier:
+// exposes it in Prometheus text format, and the SIGINT stats dumps
+// render it through one shared summary writer. Three instrument kinds
+// cover the tier:
 //
 //   - Counter: a monotone uint64 (requests, sheds, heals),
 //   - Gauge: an instantaneous float64 (queue depth, breaker state),

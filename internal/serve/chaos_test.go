@@ -313,7 +313,7 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 		t.Fatalf("server wedged after chaos: %v", err)
 	}
 	st := srv.Stats()
-	t.Logf("chaos: %d wire attempts for %d requests; stats: %s", attempts.Load(), workers*perWorker, st.String())
+	t.Logf("chaos: %d wire attempts for %d requests; stats: %+v", attempts.Load(), workers*perWorker, st)
 	// Every hostile peer's handler is gone within a read timeout: the
 	// drain has nothing to wait for.
 	begin := time.Now()

@@ -167,7 +167,7 @@ func TestDriftTripsGuardAndHeals(t *testing.T) {
 		}
 	}
 	if tripAt < 0 {
-		t.Fatalf("guard never tripped under pure off-preference traffic; stats: %s", srv.Stats())
+		t.Fatalf("guard never tripped under pure off-preference traffic; stats: %+v", srv.Stats())
 	}
 	// SampleEvery=2 and guardMinObs=8 mean the trip needs ~16 requests; "one
 	// monitor window" of slack on top keeps the bound honest but loose.
@@ -184,7 +184,7 @@ func TestDriftTripsGuardAndHeals(t *testing.T) {
 	select {
 	case healedPrefs = <-healed:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("heal never published; stats: %s", srv.Stats())
+		t.Fatalf("heal never published; stats: %+v", srv.Stats())
 	}
 	observed := map[int]bool{}
 	for _, c := range healedPrefs.Classes {
@@ -209,7 +209,7 @@ func TestDriftTripsGuardAndHeals(t *testing.T) {
 
 	st := srv.Stats()
 	if st.GuardTrips < 1 || st.FallbackServed < 1 || st.Heals < 1 {
-		t.Fatalf("stats missing self-healing counters: %s", st)
+		t.Fatalf("stats missing self-healing counters: %+v", st)
 	}
 	if st.Shed != 0 {
 		t.Fatalf("%d requests shed during drift; healing must not drop traffic", st.Shed)
@@ -261,10 +261,10 @@ func TestHealRetriesThroughBreaker(t *testing.T) {
 	}
 	st := srv.Stats()
 	if st.BreakerOpens < 1 {
-		t.Fatalf("breaker never opened under persistent personalize failure; stats: %s", st)
+		t.Fatalf("breaker never opened under persistent personalize failure; stats: %+v", st)
 	}
 	if st.Heals != 0 {
-		t.Fatalf("heal reported success while personalization was failing: %s", st)
+		t.Fatalf("heal reported success while personalization was failing: %+v", st)
 	}
 
 	// Clear the fault: the next half-open probe (after cooldown) heals.
@@ -272,11 +272,11 @@ func TestHealRetriesThroughBreaker(t *testing.T) {
 	select {
 	case <-healed:
 	case <-time.After(5 * time.Second):
-		t.Fatalf("no heal after fault cleared; stats: %s", srv.Stats())
+		t.Fatalf("no heal after fault cleared; stats: %+v", srv.Stats())
 	}
 	st = srv.Stats()
 	if st.BreakerCloses < 1 || st.BreakerHalfOpens < 1 || st.Heals < 1 {
-		t.Fatalf("breaker did not recover through half-open: %s", st)
+		t.Fatalf("breaker did not recover through half-open: %+v", st)
 	}
 }
 
@@ -313,7 +313,7 @@ func TestShutdownDrainsWithoutLeaks(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	if srv.Stats().HealFailures == 0 {
-		t.Fatalf("heal never attempted; stats: %s", srv.Stats())
+		t.Fatalf("heal never attempted; stats: %+v", srv.Stats())
 	}
 
 	// The heal goroutine is now parked in a 1-hour backoff; Shutdown
@@ -380,7 +380,7 @@ func TestSkewFlipTripsServesFallbackAndHeals(t *testing.T) {
 		}
 	}
 	if st := srv.Stats(); st.GuardTrips != 0 || st.PersonalizeRuns != 1 {
-		t.Fatalf("on-preference traffic tripped or repersonalized: %s", st)
+		t.Fatalf("on-preference traffic tripped or repersonalized: %+v", st)
 	}
 
 	// Bounded by a deadline, not a request count: the heal is a goroutine
@@ -407,11 +407,11 @@ func TestSkewFlipTripsServesFallbackAndHeals(t *testing.T) {
 		}
 	}
 	if !done {
-		t.Fatalf("heal never published; stats: %s", srv.Stats())
+		t.Fatalf("heal never published; stats: %+v", srv.Stats())
 	}
 	st := srv.Stats()
 	if st.GuardTrips != 1 || st.Heals != 1 || fallbacks == 0 || st.FallbackServed != uint64(fallbacks) {
-		t.Fatalf("flip: %d fallback answers seen; stats: %s", fallbacks, st)
+		t.Fatalf("flip: %d fallback answers seen; stats: %+v", fallbacks, st)
 	}
 	if st.Shed != 0 {
 		t.Fatalf("%d requests shed during the flip", st.Shed)
@@ -450,7 +450,7 @@ func TestStationaryWorkloadNoProactiveChurn(t *testing.T) {
 		}
 	}
 	if st := srv.Stats(); st.PersonalizeRuns != 1 || st.Heals != 0 || st.GuardTrips != 0 || st.FallbackServed != 0 {
-		t.Fatalf("stationary workload triggered reactions: %s", st)
+		t.Fatalf("stationary workload triggered reactions: %+v", st)
 	}
 }
 
@@ -490,7 +490,7 @@ func TestStationaryHotTraceDefaultConfig(t *testing.T) {
 	}
 	st := srv.Stats()
 	if st.PersonalizeRuns != uint64(len(keys)) || st.GuardTrips != 0 || st.Heals != 0 || st.FallbackServed != 0 {
-		t.Fatalf("stationary trace over %d keys: personalize-runs=%d; stats: %s", len(keys), st.PersonalizeRuns, st)
+		t.Fatalf("stationary trace over %d keys: personalize-runs=%d; stats: %+v", len(keys), st.PersonalizeRuns, st)
 	}
 }
 
@@ -530,7 +530,7 @@ func TestHealOfUnchangedPreferencesIsFree(t *testing.T) {
 		t.Fatalf("window holds %d observations after the clear, want it emptied", entry.guard.win.Total())
 	}
 	if st := srv.Stats(); st.PersonalizeRuns != 1 || st.Heals != 0 || st.HealFailures != 0 {
-		t.Fatalf("a false alarm cost a personalization: %s", st)
+		t.Fatalf("a false alarm cost a personalization: %+v", st)
 	}
 }
 

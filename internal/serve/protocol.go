@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"net"
@@ -23,31 +21,29 @@ import (
 // one protocol. The body layout of the two messages is codec.go's.
 
 // Op selects what a WireRequest asks the server to do. The zero value
-// is an inference.
+// is an inference. Value 1 stays unassigned, because an older peer may
+// still send it for the stats op it once named; it is refused like any
+// other unknown op.
 type Op int
 
 const (
 	// OpInfer runs one personalized inference.
-	OpInfer Op = iota
-	// OpStats asks for a Stats snapshot (gob in the response payload) —
-	// the remote scrape behind dashboards and the gateway, instead of
-	// only a SIGINT dump.
-	OpStats
+	OpInfer Op = 0
 	// OpHealth is a lightweight liveness probe: CodeOK when the server
 	// is accepting work, CodeBusy when it is draining. Gateways drive
 	// their per-node breaker state off this op.
-	OpHealth
+	OpHealth Op = 2
 	// OpRingUpdate installs a new cluster membership view (RingUpdate,
 	// its AppendWire layout in the request payload) on the node's ring-update handler —
 	// the fence a gateway arms so the node can reject keys it no longer
 	// owns after an epoch flip. A node without a handler acknowledges
 	// and ignores it.
-	OpRingUpdate
+	OpRingUpdate Op = 3
 	// OpPersonalize asks for the masks the server serves a key with (a
 	// MaskPayload in the response payload): the same cache entry, fill
 	// and checks an OpInfer of the key goes through, but no forward. A
 	// device compacts its own base network under them.
-	OpPersonalize
+	OpPersonalize Op = 4
 )
 
 // WireRequest is one request over the wire: the user's preferences plus,
@@ -130,22 +126,10 @@ type WireResponse struct {
 	// Fallback reports the request was served through the unpruned
 	// network because its mask entry's ε-guard tripped (see Result).
 	Fallback bool
-	// Payload is the op-specific second-stage blob: the gob-encoded Stats
-	// snapshot on a shard's OpStats response (a cluster gateway answers
-	// the same op with its own stats type, see internal/cluster), and a
-	// MaskPayload on an OpPersonalize response.
+	// Payload is the op-specific second-stage blob: a MaskPayload on an
+	// OpPersonalize response. Nil for the other ops.
 	Payload []byte
 }
-
-// EncodePayload gob-encodes a control op's second-stage blob.
-func EncodePayload(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	err := gob.NewEncoder(&buf).Encode(v)
-	return buf.Bytes(), err
-}
-
-// DecodePayload decodes what EncodePayload wrote into v.
-func DecodePayload(p []byte, v any) error { return gob.NewDecoder(bytes.NewReader(p)).Decode(v) }
 
 // Listen starts accepting connections on addr (e.g. "127.0.0.1:0") and
 // returns the bound address.
@@ -177,12 +161,6 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 	}
 	switch req.Op {
 	case OpInfer, OpPersonalize:
-	case OpStats:
-		p, err := EncodePayload(s.Stats())
-		if err != nil {
-			return Refuse(cloud.CodeInternal, "encode stats: %v", err)
-		}
-		return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: p}
 	case OpHealth:
 		if s.isDraining() {
 			return Refuse(cloud.CodeBusy, "server draining")
@@ -311,21 +289,6 @@ func (c *Client) Infer(req WireRequest) (*WireResponse, error) {
 func (c *Client) Personalize(req WireRequest) (*WireResponse, error) {
 	req.Op = OpPersonalize
 	return c.do(req)
-}
-
-// Stats scrapes the remote server's Stats snapshot over the wire — the
-// same numbers the SIGINT dump prints, available to dashboards while
-// the server runs.
-func (c *Client) Stats() (Stats, error) {
-	resp, err := c.do(WireRequest{Op: OpStats})
-	if err != nil {
-		return Stats{}, err
-	}
-	var st Stats
-	if err := DecodePayload(resp.Payload, &st); err != nil {
-		return Stats{}, &Error{Code: cloud.CodeInternal, Err: fmt.Errorf("stats payload: %w", err)}
-	}
-	return st, nil
 }
 
 // Health probes the server: nil when it is accepting work, a typed

@@ -388,7 +388,7 @@ func (s *Server) Stats() Stats {
 }
 
 // Metrics is the server's telemetry registry — the source behind
-// Stats(), the /metrics exposition, and the stats dumps. Callers may
+// Stats(), the /metrics exposition, and the SIGINT summary dump. Callers may
 // register additional instruments (the cmd layer adds process-level
 // ones) but must not re-register serve names.
 func (s *Server) Metrics() *metrics.Registry { return s.reg }

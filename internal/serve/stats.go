@@ -1,28 +1,16 @@
 package serve
 
 import (
-	"fmt"
-	"strings"
 	"time"
 
 	"capnn/internal/breaker"
 	"capnn/internal/metrics"
 )
 
-// BreakerState names the repersonalization breaker's state in Stats;
-// the states themselves live in internal/breaker.
-type BreakerState = breaker.State
-
-// The breaker states, re-exported for Stats readers.
-const (
-	BreakerClosed   = breaker.Closed
-	BreakerOpen     = breaker.Open
-	BreakerHalfOpen = breaker.HalfOpen
-)
-
-// Stats is a point-in-time snapshot of a Server's serving metrics — the
-// seed of the observability layer. All counters are cumulative since the
-// server started; QueueDepth and CacheEntries are instantaneous.
+// Stats is a point-in-time snapshot of a Server's serving metrics, read
+// off the registry's instruments; capnn-serve's /debug/stats serves it as
+// JSON. All counters are cumulative since the server started; QueueDepth
+// and CacheEntries are instantaneous.
 type Stats struct {
 	// Requests counts admitted inference requests; Completed counts the
 	// subset that produced a response (success or per-request failure);
@@ -100,55 +88,8 @@ type Stats struct {
 
 	// Circuit breaker: instantaneous state plus cumulative transition
 	// counts into each state.
-	BreakerState                                  BreakerState
+	BreakerState                                  breaker.State
 	BreakerOpens, BreakerCloses, BreakerHalfOpens uint64
-}
-
-// HitRatio is the mask-cache hit fraction over all completed lookups
-// (0 when the cache was never consulted). Scraped remotely via OpStats,
-// it is the first-order signal for sizing CacheCap and for judging how
-// well a gateway's consistent-hash routing preserves cache locality.
-func (s Stats) HitRatio() float64 {
-	total := s.CacheHits + s.CacheMisses + s.SingleflightShared
-	if total == 0 {
-		return 0
-	}
-	return float64(s.CacheHits) / float64(total)
-}
-
-// MeanPersonalize / MeanQueueWait / MeanForward are the per-stage mean
-// latencies (zero when the stage never ran).
-func (s Stats) MeanPersonalize() time.Duration { return meanNs(s.PersonalizeNs, s.PersonalizeRuns) }
-func (s Stats) MeanQueueWait() time.Duration   { return meanNs(s.QueueWaitNs, s.QueueWaitObs) }
-func (s Stats) MeanForward() time.Duration     { return meanNs(s.ForwardNs, s.ForwardFlushes) }
-
-func meanNs(total int64, n uint64) time.Duration {
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(total / int64(n))
-}
-
-// String renders the snapshot as a compact one-report block for logs and
-// the capnn-serve stats dump.
-func (s Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "requests=%d completed=%d shed=%d queue=%d\n", s.Requests, s.Completed, s.Shed, s.QueueDepth)
-	fmt.Fprintf(&b, "shed: queue-full=%d over-quota=%d expired=%d\n", s.ShedQueueFull, s.ShedOverQuota, s.ShedExpired)
-	fmt.Fprintf(&b, "cache: hits=%d misses=%d shared=%d evictions=%d entries=%d hit-ratio=%.3f\n",
-		s.CacheHits, s.CacheMisses, s.SingleflightShared, s.CacheEvictions, s.CacheEntries, s.HitRatio())
-	fmt.Fprintf(&b, "latency: personalize=%v queue-wait=%v forward=%v forward-p99=%v\n",
-		s.MeanPersonalize(), s.MeanQueueWait(), s.MeanForward(), s.ForwardP99.Round(time.Microsecond))
-	fmt.Fprintf(&b, "compile: runs=%d errors=%d dispatched=%d resident=%dB/%d entries\n",
-		s.Compiles, s.CompileErrors, s.CompiledDispatched, s.CompiledBytes, s.CompiledEntries)
-	fmt.Fprintf(&b, "guard: trips=%d fallback-served=%d heals=%d heal-failures=%d\n",
-		s.GuardTrips, s.FallbackServed, s.Heals, s.HealFailures)
-	for _, r := range s.Tripped {
-		fmt.Fprintf(&b, "guard: %s tripped: %s\n", r.Key, r)
-	}
-	fmt.Fprintf(&b, "breaker: state=%s opens=%d closes=%d half-opens=%d",
-		s.BreakerState, s.BreakerOpens, s.BreakerCloses, s.BreakerHalfOpens)
-	return b.String()
 }
 
 // Shed reason labels, shared by the counter family, shed events, and

@@ -6,7 +6,7 @@
 #   (a) zero client-visible request failures (the gateway fails the
 #       dead shard's keys over to their ring replicas),
 #   (b) the gateway actually recorded failovers and opened the dead
-#       shard's breaker (visible via a remote stats scrape),
+#       shard's breaker (visible on its /metrics and /debug/stats),
 #   (c) the HTTP observability surface works under load: /metrics on
 #       the gateway and a shard serves live Prometheus series that
 #       exist and increase, and /debug/events attributes the failover,
@@ -23,7 +23,8 @@
 # A bulk-flood phase stands up a fresh quota'd cluster and
 # asserts the QoS contract: a flooding bulk tenant is shed with typed
 # over-quota answers while interactive traffic serves inside its
-# deadline budget with zero failures.
+# deadline budget with zero failures, and the gateway's /debug/stats
+# attributes the sheds to the bulk tenant's stream.
 # A final drift phase replays a seeded skew-flip workload trace
 # (capnn-loadgen -workload zipf -drift ...) against a fresh cluster on
 # the production guard and asserts that the flip trips guards and heals
@@ -31,6 +32,8 @@
 # as an artifact (driftload.json).
 # Binaries are built -race so the run doubles as a data-race hunt
 # across the serve + cluster hot paths (disable with RACE=0).
+#
+# Needs bash, go, curl and jq.
 #
 # Usage: scripts/cluster_smoke.sh [workdir]
 set -euo pipefail
@@ -228,15 +231,15 @@ grep -q 'capnn_serve_shed_total{reason="queue-full"}' "$WORKDIR/serve0_metrics1.
 grep -q 'capnn_serve_forward_latency_ns_bucket' "$WORKDIR/serve0_metrics2.txt" || {
     echo "cluster_smoke: FAIL: serve latency histogram missing from /metrics"; exit 1; }
 # The shard kill must be attributable: a failover event in the
-# gateway's structured event log, and /debug/cluster must answer.
+# gateway's structured event log, and /debug/stats must answer.
 curl -sf "http://$GW_MADDR/debug/events" >"$WORKDIR/gw_events.json" || {
     echo "cluster_smoke: FAIL: gateway /debug/events unreachable"; exit 1; }
 grep -q '"failover"' "$WORKDIR/gw_events.json" || {
     echo "cluster_smoke: FAIL: no failover event recorded after the shard kill"; exit 1; }
-curl -sf "http://$GW_MADDR/debug/cluster" >"$WORKDIR/gw_cluster.json" || {
-    echo "cluster_smoke: FAIL: gateway /debug/cluster unreachable"; exit 1; }
-grep -q '"ring_version"' "$WORKDIR/gw_cluster.json" || {
-    echo "cluster_smoke: FAIL: /debug/cluster missing ring_version"; exit 1; }
+curl -sf "http://$GW_MADDR/debug/stats" >"$WORKDIR/gw_stats1.json" || {
+    echo "cluster_smoke: FAIL: gateway /debug/stats unreachable"; exit 1; }
+jq -e '.RingVersion >= 1' "$WORKDIR/gw_stats1.json" >/dev/null || {
+    echo "cluster_smoke: FAIL: /debug/stats missing RingVersion"; exit 1; }
 # Compiled inference must be live on the surviving shard 0. Plans are
 # built inside the cache fill, so one direct round at it (its mask cache
 # is warm from phase 2) has to land on the compiled path at once, with
@@ -253,12 +256,17 @@ CB=$(metric_val capnn_serve_compiled_bytes "$WORKDIR/serve0_metrics3.txt")
     echo "cluster_smoke: FAIL: shard 0 compiled inference not live (compiled dispatch ${CD1:-missing} -> ${CD2:-missing}, compile errors ${CE2:-missing}, compiled bytes ${CB:-missing})"; exit 1; }
 echo "cluster_smoke: /metrics ok (gateway requests $GW_REQ1 -> $GW_REQ2, shard 0 requests $SRV_REQ, compiled dispatch $CD1 -> $CD2, $CB compiled bytes)"
 
-echo "cluster_smoke: phase 5 — scrape gateway stats, expect failovers and an open breaker"
-"$WORKDIR/capnn-loadgen" -addr "$GW_ADDR" -scrape >"$WORKDIR/stats.log" 2>&1
-sed 's/^/  stats| /' "$WORKDIR/stats.log"
-grep -Eq "failovers=[1-9]" "$WORKDIR/stats.log" || {
+echo "cluster_smoke: phase 5 — gateway stats: expect failovers and an open breaker"
+curl -sf "http://$GW_MADDR/metrics" >"$WORKDIR/gw_metrics5.txt" || {
+    echo "cluster_smoke: FAIL: gateway /metrics unreachable"; exit 1; }
+curl -sf "http://$GW_MADDR/debug/stats" >"$WORKDIR/gw_stats5.json" || {
+    echo "cluster_smoke: FAIL: gateway /debug/stats unreachable"; exit 1; }
+FAILOVERS=$(metric_val capnn_gateway_failovers_total "$WORKDIR/gw_metrics5.txt")
+DEAD_STATE=$(jq -r --arg n "${NODE_ADDRS[2]}" '.Nodes[$n].State' "$WORKDIR/gw_stats5.json")
+echo "cluster_smoke: gateway failovers=${FAILOVERS:-missing}, dead shard ${NODE_ADDRS[2]} state=$DEAD_STATE"
+[ -n "$FAILOVERS" ] && [ "$FAILOVERS" -ge 1 ] || {
     echo "cluster_smoke: FAIL: gateway recorded no failovers after a shard died"; exit 1; }
-grep -q "state=open" "$WORKDIR/stats.log" || {
+[ "$DEAD_STATE" = "open" ] || {
     echo "cluster_smoke: FAIL: dead shard's breaker never opened"; exit 1; }
 
 echo "cluster_smoke: phase 6 — elastic scale: 3 -> 5 -> 2 shards under sustained load"
@@ -400,7 +408,8 @@ echo "cluster_smoke: phase 7 — bulk flood: quota'd bulk tenant saturates 3 fre
 # contract under flood: every interactive request serves inside its
 # budget (no expired sheds, no failures), the bulk overflow is shed with
 # the typed retryable over-quota code (not errors), and the gateway's
-# scrape attributes the sheds to the bulk tenant's stream.
+# /metrics counts the sheds while its /debug/stats attributes them to the
+# bulk tenant's stream.
 Q_NODE_ADDRS=()
 for i in 0 1 2; do
     "$WORKDIR/capnn-serve" -addr 127.0.0.1:0 -model "$MODEL" -no-guard \
@@ -410,7 +419,7 @@ done
 for i in 0 1 2; do
     Q_NODE_ADDRS+=("$(wait_addr "$WORKDIR/qserve$i.log")")
 done
-"$WORKDIR/capnn-gateway" -addr 127.0.0.1:0 \
+"$WORKDIR/capnn-gateway" -addr 127.0.0.1:0 -metrics-addr 127.0.0.1:0 \
     -nodes "$(IFS=,; echo "${Q_NODE_ADDRS[*]}")" \
     -quota-bulk 0.01:10 \
     -probe-every 250ms -probe-timeout 1s -fail-threshold 2 -cooldown 2s \
@@ -418,7 +427,8 @@ done
     >"$WORKDIR/qgateway.log" 2>&1 &
 PIDS+=($!)
 QGW_ADDR=$(wait_addr "$WORKDIR/qgateway.log")
-echo "cluster_smoke: quota gateway at $QGW_ADDR (shards ${Q_NODE_ADDRS[*]})"
+QGW_MADDR=$(wait_maddr "$WORKDIR/qgateway.log")
+echo "cluster_smoke: quota gateway at $QGW_ADDR (metrics $QGW_MADDR, shards ${Q_NODE_ADDRS[*]})"
 
 # Warm every user's primary shard on the unlimited interactive lane so
 # the flood phase measures queueing, not cold personalization.
@@ -450,11 +460,15 @@ grep -q ", 0 failed" "$WORKDIR/qload.log" || {
 grep -q '"qps"' "$WORKDIR/qload.log" || {
     echo "cluster_smoke: FAIL: loadgen -json summary missing"; exit 1; }
 
-"$WORKDIR/capnn-loadgen" -addr "$QGW_ADDR" -scrape >"$WORKDIR/qstats.log" 2>&1
-sed 's/^/  qstats| /' "$WORKDIR/qstats.log"
-grep -Eq "over-quota=[1-9]" "$WORKDIR/qstats.log" || {
+curl -sf "http://$QGW_MADDR/metrics" >"$WORKDIR/qgw_metrics.txt" || {
+    echo "cluster_smoke: FAIL: quota gateway /metrics unreachable"; exit 1; }
+curl -sf "http://$QGW_MADDR/debug/stats" >"$WORKDIR/qgw_stats.json" || {
+    echo "cluster_smoke: FAIL: quota gateway /debug/stats unreachable"; exit 1; }
+OVER_QUOTA=$(metric_val 'capnn_gateway_shed_total{reason="over-quota"}' "$WORKDIR/qgw_metrics.txt")
+echo "cluster_smoke: quota gateway over-quota sheds=${OVER_QUOTA:-missing}, tenant streams $(jq -c '.Tenants' "$WORKDIR/qgw_stats.json")"
+[ -n "$OVER_QUOTA" ] && [ "$OVER_QUOTA" -ge 1 ] || {
     echo "cluster_smoke: FAIL: gateway counted no over-quota sheds"; exit 1; }
-grep -q "tenant batch/bulk" "$WORKDIR/qstats.log" || {
+jq -e '.Tenants | has("batch/bulk")' "$WORKDIR/qgw_stats.json" >/dev/null || {
     echo "cluster_smoke: FAIL: gateway stats missing the bulk tenant's stream"; exit 1; }
 
 echo "cluster_smoke: phase 8 — drift: seeded skew-flip trace through a guarded cluster"
