@@ -24,6 +24,29 @@ func codeSpans(t *testing.T, doc string) []string {
 	return codeSpan.FindAllString(string(src), -1)
 }
 
+// goSources calls fn with the path and contents of each Go file of this
+// module.
+func goSources(t *testing.T, fn func(path string, src []byte)) {
+	t.Helper()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "benchmark" || d.Name() == ".git" || d.Name() == "testdata") {
+			return filepath.SkipDir // benchmark/ is its own module
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		fn(path, src)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Every backticked Test*, Benchmark* or Fuzz* name in the prose docs is
 // a func in some _test.go of this module, so a rename or a deletion that
 // leaves a doc pointing at nothing fails here. Inside a `go test -run` or
@@ -32,25 +55,14 @@ func codeSpans(t *testing.T, doc string) []string {
 func TestDocsNameRealTests(t *testing.T) {
 	funcs := map[string]bool{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() && (d.Name() == "benchmark" || d.Name() == ".git" || d.Name() == "testdata") {
-			return filepath.SkipDir // benchmark/ is its own module
-		}
+	goSources(t, func(path string, src []byte) {
 		if !strings.HasSuffix(path, "_test.go") {
-			return nil
+			return
 		}
-		src, err := os.ReadFile(path)
 		for _, m := range decl.FindAllSubmatch(src, -1) {
 			funcs[string(m[1])] = true
 		}
-		return err
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
 	found := func(n string, pattern bool) bool {
 		if funcs[n] {
@@ -118,24 +130,16 @@ func TestDocsNameRealFlagsAndMetrics(t *testing.T) {
 
 	metricNames := map[string]bool{}
 	instrument := regexp.MustCompile(`\(\s*"(capnn_[a-z0-9_]+)"`)
-	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
+	goSources(t, func(path string, src []byte) {
+		if strings.HasSuffix(path, "_test.go") {
+			return
 		}
-		if d.IsDir() && (d.Name() == "benchmark" || d.Name() == ".git" || d.Name() == "testdata") {
-			return filepath.SkipDir
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		src, err := os.ReadFile(path)
 		for _, m := range instrument.FindAllSubmatch(src, -1) {
 			metricNames[string(m[1])] = true
 		}
-		return err
 	})
-	if err != nil || len(metricNames) == 0 {
-		t.Fatalf("no registered metric names found (%v)", err)
+	if len(metricNames) == 0 {
+		t.Fatal("no registered metric names found: the scan is broken")
 	}
 	metricKnown := func(n string) bool {
 		if strings.HasSuffix(n, "_") {
