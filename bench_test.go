@@ -60,7 +60,9 @@ func cifarFixture(b *testing.B) *exp.Fixture {
 	return c10Fx
 }
 
-func benchScale() exp.Scale { return exp.QuickScale().FromEnv() }
+// benchScale averages 2 combinations per configuration, to keep
+// `go test -bench` wall time reasonable; CAPNN_COMBOS raises it.
+func benchScale() exp.Scale { return exp.Scale{Combos: 2, Seed: 1}.FromEnv() }
 
 // Fig. 4 and Fig. 5 are two views of the same K×usage sweep; the rows are
 // computed once and shared so `go test -bench=.` does not pay for the

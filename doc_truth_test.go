@@ -24,16 +24,16 @@ func codeSpans(t *testing.T, doc string) []string {
 	return codeSpan.FindAllString(string(src), -1)
 }
 
-// goSources calls fn with the path and contents of each Go file of this
-// module.
-func goSources(t *testing.T, fn func(path string, src []byte)) {
+// goSources calls fn with the path and contents of each Go file under
+// root: "." walks this module, "benchmark" the nested benchmark module.
+func goSources(t *testing.T, root string, fn func(path string, src []byte)) {
 	t.Helper()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if d.IsDir() && (d.Name() == "benchmark" || d.Name() == ".git" || d.Name() == "testdata") {
-			return filepath.SkipDir // benchmark/ is its own module
+		if d.IsDir() && path != root && (path == "benchmark" || d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) {
+			return filepath.SkipDir // benchmark/ is its own module; .git, build caches
 		}
 		if !strings.HasSuffix(path, ".go") {
 			return nil
@@ -55,7 +55,7 @@ func goSources(t *testing.T, fn func(path string, src []byte)) {
 func TestDocsNameRealTests(t *testing.T) {
 	funcs := map[string]bool{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
-	goSources(t, func(path string, src []byte) {
+	goSources(t, ".", func(path string, src []byte) {
 		if !strings.HasSuffix(path, "_test.go") {
 			return
 		}
@@ -130,7 +130,7 @@ func TestDocsNameRealFlagsAndMetrics(t *testing.T) {
 
 	metricNames := map[string]bool{}
 	instrument := regexp.MustCompile(`\(\s*"(capnn_[a-z0-9_]+)"`)
-	goSources(t, func(path string, src []byte) {
+	goSources(t, ".", func(path string, src []byte) {
 		if strings.HasSuffix(path, "_test.go") {
 			return
 		}

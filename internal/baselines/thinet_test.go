@@ -9,8 +9,9 @@ import (
 	"capnn/internal/tensor"
 )
 
-// ThiNetGreedy implements the actual greedy selection of ThiNet [9]
-// (PruneUnaware's ByThiNet is its cheap one-shot approximation): channels
+// ThiNetGreedy implements the actual greedy selection of ThiNet [9],
+// which PruneUnaware's ByThiNet approximates in one shot; Table II runs
+// the one-shot form, so the greedy one is test code: channels
 // of stage si are removed one at a time, each time picking the channel
 // whose removal least perturbs the *next* layer's pre-activation outputs,
 // measured over randomly sampled output locations of sampleSet.

@@ -230,13 +230,6 @@ func (r *Ring) LookupInto(key string, dst []string) int {
 	return got
 }
 
-// Owners returns the key's first n distinct owners (primary first).
-// Allocating convenience over LookupInto.
-func (r *Ring) Owners(key string, n int) []string {
-	dst := make([]string, n)
-	return dst[:r.LookupInto(key, dst)]
-}
-
 // Owner returns the key's primary owner ("" on an empty ring).
 func (r *Ring) Owner(key string) string {
 	var buf [1]string

@@ -207,3 +207,12 @@ func TestRingLookupAllocFree(t *testing.T) {
 		t.Fatalf("LookupInto allocates %.1f times per lookup, want 0", allocs)
 	}
 }
+
+// Only the tests read Owners.
+
+// Owners returns the key's first n distinct owners (primary first).
+// Allocating convenience over LookupInto.
+func (r *Ring) Owners(key string, n int) []string {
+	dst := make([]string, n)
+	return dst[:r.LookupInto(key, dst)]
+}

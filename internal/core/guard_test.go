@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -101,23 +100,6 @@ func TestPruneWWithQuantizedRates(t *testing.T) {
 	acc := f.sys.Eval.PerClassAccuracy(masks)
 	if !DegradationOK(f.baseVal, acc, f.sys.Params.Epsilon+1e-9, prefs.Classes) {
 		t.Fatal("quantized-rate pruning violates ε")
-	}
-}
-
-func TestWriteReport(t *testing.T) {
-	f := getFixture(t)
-	prefs := Uniform([]int{0, 2})
-	res, err := f.sys.Personalize(VariantW, prefs, f.sets.Test)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	WriteReport(&buf, f.net, res)
-	out := buf.String()
-	for _, want := range []string{"CAP'NN-W", "model size", "top-1", "conv0"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
 	}
 }
 

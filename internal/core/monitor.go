@@ -138,22 +138,8 @@ func (m *SlidingMonitor) Observe(pred int) error {
 // Total returns the number of observations currently in the window.
 func (m *SlidingMonitor) Total() int { return m.total }
 
-// Window returns the monitor's window size.
-func (m *SlidingMonitor) Window() int { return len(m.ring) }
-
-// Full reports whether the window holds Window observations.
-func (m *SlidingMonitor) Full() bool { return m.total == len(m.ring) }
-
 // Counts returns a copy of the per-class counts over the window.
 func (m *SlidingMonitor) Counts() []int { return append([]int(nil), m.counts...) }
-
-// Share returns class c's fraction of the window (0 when empty).
-func (m *SlidingMonitor) Share(c int) float64 {
-	if m.total == 0 || c < 0 || c >= len(m.counts) {
-		return 0
-	}
-	return float64(m.counts[c]) / float64(m.total)
-}
 
 // Reset empties the window.
 func (m *SlidingMonitor) Reset() {

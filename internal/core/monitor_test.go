@@ -171,3 +171,16 @@ func TestSlidingMonitorReset(t *testing.T) {
 		t.Fatalf("Share(1)=%v after refill, want 1", m.Share(1))
 	}
 }
+
+// The accessors below only the tests read.
+
+// Full reports whether the window is full.
+func (m *SlidingMonitor) Full() bool { return m.total == len(m.ring) }
+
+// Share returns class c's fraction of the window (0 when empty).
+func (m *SlidingMonitor) Share(c int) float64 {
+	if m.total == 0 || c < 0 || c >= len(m.counts) {
+		return 0
+	}
+	return float64(m.counts[c]) / float64(m.total)
+}

@@ -25,10 +25,6 @@ type SetSizes struct {
 	TrainPerClass, ValPerClass, TestPerClass, ProfilePerClass int
 }
 
-// DefaultSetSizes is the experiment harness default, scaled for a 1-core
-// pure-Go build (the paper used 200 profiling images per class on GPUs).
-var DefaultSetSizes = SetSizes{TrainPerClass: 60, ValPerClass: 20, TestPerClass: 20, ProfilePerClass: 40}
-
 // MakeSets draws the four disjoint splits from a single generator. Each
 // split has its own random source, so they are drawn concurrently, on
 // parallel.Default() workers, with the same bits as one after another.

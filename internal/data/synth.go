@@ -114,14 +114,6 @@ func NewGenerator(cfg SynthConfig) (*Generator, error) {
 	return gen, nil
 }
 
-// Group returns the confusion group of class c.
-func (g *Generator) Group(c int) int { return g.group[c] }
-
-// Prototype returns class c's noiseless prototype (a copy).
-func (g *Generator) Prototype(c int) []float64 {
-	return append([]float64(nil), g.protos[c]...)
-}
-
 // Generate produces perClass samples for every class, deterministically
 // derived from the generator seed plus setSeed, so that train, validation,
 // test and profiling sets are disjoint draws from the same distribution.

@@ -285,3 +285,13 @@ func TestMakeSetsGolden(t *testing.T) {
 		t.Fatalf("MakeSets hash %s, want %s", got, want)
 	}
 }
+
+// The accessors below only the tests read.
+
+// Group returns the confusion group of class c.
+func (g *Generator) Group(c int) int { return g.group[c] }
+
+// Prototype returns class c's noiseless prototype (a copy).
+func (g *Generator) Prototype(c int) []float64 {
+	return append([]float64(nil), g.protos[c]...)
+}

@@ -291,3 +291,22 @@ func TestChaosDeviceNeverLosesModel(t *testing.T) {
 	t.Logf("chaos: %d personalizations succeeded, %d rounds failed transiently, %d transport retries",
 		successes, failedRounds, retries)
 }
+
+// The accessors below only the tests read.
+
+// ConsecutiveFailures reports how many Repersonalize fetches in a row
+// have failed since the last success.
+func (d *Device) ConsecutiveFailures() int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.failures
+}
+
+// NextRetry returns when the next drift-triggered refetch may run
+// (zero when the device is healthy). Forced repersonalizations ignore
+// it.
+func (d *Device) NextRetry() time.Time {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.retryAt
+}

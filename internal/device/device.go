@@ -152,23 +152,6 @@ func (d *Device) Current() core.Preferences {
 	return d.current
 }
 
-// ConsecutiveFailures reports how many Repersonalize fetches in a row
-// have failed since the last success.
-func (d *Device) ConsecutiveFailures() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.failures
-}
-
-// NextRetry returns when the next drift-triggered refetch may run
-// (zero when the device is healthy). Forced repersonalizations ignore
-// it.
-func (d *Device) NextRetry() time.Time {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.retryAt
-}
-
 // Classify runs one input through the deployed model, records the
 // prediction in the monitoring period, and returns the predicted class.
 func (d *Device) Classify(x *tensor.Tensor) (int, error) {
@@ -320,13 +303,17 @@ func (d *Device) fetchOnce(prefs core.Preferences) (*nn.Network, Stats, error) {
 }
 
 // doubling is base·2^(n-1), with unset standing in for a base ≤ 0,
-// capped at limit when limit > 0. The exponent stops at 20: 2^20 × base
-// already dwarfs any sane cap.
+// capped at limit when limit > 0 and saturating at the largest Duration.
+// The exponent stops at 20: 2^20 × base already dwarfs any sane cap.
 func doubling(base, unset, limit time.Duration, n int) time.Duration {
 	if base <= 0 {
 		base = unset
 	}
 	for i := 1; i < min(n, 21) && (limit <= 0 || base < limit); i++ {
+		if base > math.MaxInt64/2 {
+			base = math.MaxInt64
+			break
+		}
 		base *= 2
 	}
 	if limit > 0 && base > limit {
@@ -337,7 +324,11 @@ func doubling(base, unset, limit time.Duration, n int) time.Duration {
 
 // backoff returns the full-jitter sleep before retry attempt i (1-based).
 func (d *Device) backoff(i int) time.Duration {
-	return time.Duration(rand.Int63n(int64(doubling(d.Retry.BaseBackoff, time.Millisecond, d.Retry.MaxBackoff, i)) + 1))
+	ceil := int64(doubling(d.Retry.BaseBackoff, time.Millisecond, d.Retry.MaxBackoff, i))
+	if ceil == math.MaxInt64 {
+		return time.Duration(rand.Int63()) // [0, ceil]; ceil+1 would wrap
+	}
+	return time.Duration(rand.Int63n(ceil + 1))
 }
 
 // failureBackoff returns the refetch suppression after the current

@@ -428,3 +428,32 @@ func TestConcurrentFetchRace(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// The backoff ceiling saturates instead of wrapping: with no MaxBackoff a
+// long base doubled 20 times overflowed int64, and a ceiling near the top
+// made the jitter draw panic, crashing a device that should sleep.
+func TestBackoffSaturates(t *testing.T) {
+	for _, c := range []struct{ base, limit time.Duration }{
+		{0, 0},
+		{time.Millisecond, 0},
+		{3 * time.Hour, 0},
+		{1 << 62, 0},
+		{math.MaxInt64, 0},
+		{3 * time.Hour, time.Minute},
+		{1 << 62, math.MaxInt64},
+		{math.MaxInt64, -1},
+	} {
+		d := &Device{Retry: Retry{BaseBackoff: c.base, MaxBackoff: c.limit}}
+		prev := time.Duration(0)
+		for n := 0; n <= 25; n++ {
+			ceil := doubling(c.base, time.Millisecond, c.limit, n)
+			if ceil < prev {
+				t.Fatalf("base %v limit %v: ceiling fell from %v to %v at attempt %d", c.base, c.limit, prev, ceil, n)
+			}
+			prev = ceil
+			if sleep := d.backoff(n); sleep < 0 || sleep > ceil {
+				t.Fatalf("base %v limit %v: backoff(%d) = %v, want within [0, %v]", c.base, c.limit, n, sleep, ceil)
+			}
+		}
+	}
+}

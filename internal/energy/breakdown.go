@@ -1,10 +1,6 @@
 package energy
 
 import (
-	"fmt"
-	"io"
-	"strings"
-
 	"capnn/internal/hw"
 	"capnn/internal/nn"
 )
@@ -47,18 +43,4 @@ func Breakdown(net *nn.Network, dev hw.Config, c Components) ([]LayerEnergy, flo
 		total += le.TotalPJ()
 	}
 	return out, total, nil
-}
-
-// PrintBreakdown renders the per-layer energy table.
-func PrintBreakdown(w io.Writer, layers []LayerEnergy, total float64) {
-	fmt.Fprintf(w, "%-12s %14s %14s %14s %8s\n", "layer", "compute (pJ)", "SRAM (pJ)", "DRAM (pJ)", "share")
-	fmt.Fprintln(w, strings.Repeat("-", 68))
-	for _, l := range layers {
-		if l.TotalPJ() == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "%-12s %14.0f %14.0f %14.0f %7.1f%%\n",
-			l.Name, l.ComputePJ, l.SRAMPJ, l.DRAMPJ, 100*l.TotalPJ()/total)
-	}
-	fmt.Fprintf(w, "total %.1f µJ\n", total/1e6)
 }

@@ -1,9 +1,7 @@
 package energy
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"capnn/internal/hw"
@@ -54,19 +52,5 @@ func TestBreakdownRejectsBadComponents(t *testing.T) {
 	bad.SRAMPJ = -1
 	if _, _, err := Breakdown(net, hw.DefaultConfig(), bad); err == nil {
 		t.Fatal("negative component accepted")
-	}
-}
-
-func TestPrintBreakdown(t *testing.T) {
-	net := nn.NewBuilder(1, 8, 8, 4).Conv(3).ReLU().Flatten().Dense(2).MustBuild()
-	layers, total, err := Breakdown(net, hw.DefaultConfig(), PaperTable1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	PrintBreakdown(&buf, layers, total)
-	out := buf.String()
-	if !strings.Contains(out, "conv0") || !strings.Contains(out, "total") {
-		t.Fatalf("missing rows:\n%s", out)
 	}
 }

@@ -21,10 +21,6 @@ type Scale struct {
 // DefaultScale is used by the CLI harness.
 func DefaultScale() Scale { return Scale{Combos: 6, Seed: 1} }
 
-// QuickScale is used by the benchmarks to keep `go test -bench` wall
-// time reasonable.
-func QuickScale() Scale { return Scale{Combos: 2, Seed: 1} }
-
 // FromEnv honours CAPNN_COMBOS / CAPNN_SEED overrides so a user can dial
 // the averaging up toward the paper's 200 without editing code.
 func (s Scale) FromEnv() Scale {

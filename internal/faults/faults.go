@@ -379,13 +379,6 @@ func (p *Partition) SetPartitioned(v bool) {
 	}
 }
 
-// Partitioned reports the current state.
-func (p *Partition) Partitioned() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.partitioned
-}
-
 // Accept accepts from the underlying listener; while partitioned the
 // connection is closed immediately (the server sees an instant EOF, the
 // peer a reset).

@@ -75,7 +75,7 @@ func TestPrunedUnitNeverFires(t *testing.T) {
 	conv := net.Stages()[0].Unit.(*nn.Conv2D)
 	per := conv.Weights().Len() / conv.Units()
 	clear(conv.Weights().Data()[:per])
-	conv.Bias().Data()[0] = 0
+	conv.Params()[1].W.Data()[0] = 0 // the bias
 	rates, err := Compute(net, ds, []int{0})
 	if err != nil {
 		t.Fatal(err)

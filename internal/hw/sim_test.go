@@ -1,7 +1,6 @@
 package hw
 
 import (
-	"strings"
 	"testing"
 
 	"capnn/internal/nn"
@@ -142,61 +141,5 @@ func TestCeilDiv(t *testing.T) {
 	}
 	if ceilDiv(5, 0) != 0 {
 		t.Fatal("ceilDiv by zero should yield 0")
-	}
-}
-
-func TestUtilizationBounds(t *testing.T) {
-	net := smallNet()
-	cfg := DefaultConfig()
-	total, perLayer, err := Simulate(net, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u := Utilize(total, perLayer, cfg)
-	if u.MACUtil < 0 || u.MACUtil > 1 {
-		t.Fatalf("MAC utilization %v outside [0,1]", u.MACUtil)
-	}
-	// At Table-I-scale DRAM bandwidth the small conv net is memory bound
-	// somewhere.
-	if len(u.MemoryBound) == 0 {
-		t.Log("no memory-bound layers on default device (acceptable but unusual)")
-	}
-}
-
-func TestUtilizationImprovesWithBandwidth(t *testing.T) {
-	net := smallNet()
-	slow := DefaultConfig()
-	slow.DRAMWordsPerCycle = 1
-	fast := DefaultConfig()
-	fast.DRAMWordsPerCycle = 64
-	st, sp, err := Simulate(net, slow)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ft, fp, err := Simulate(net, fast)
-	if err != nil {
-		t.Fatal(err)
-	}
-	us := Utilize(st, sp, slow)
-	uf := Utilize(ft, fp, fast)
-	if uf.MACUtil < us.MACUtil {
-		t.Fatalf("more DRAM bandwidth lowered utilization: %v → %v", us.MACUtil, uf.MACUtil)
-	}
-	if len(uf.MemoryBound) > len(us.MemoryBound) {
-		t.Fatalf("more bandwidth increased memory-bound layers: %v vs %v", uf.MemoryBound, us.MemoryBound)
-	}
-}
-
-func TestPrintCounts(t *testing.T) {
-	net := smallNet()
-	total, perLayer, err := Simulate(net, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf strings.Builder
-	PrintCounts(&buf, perLayer, total)
-	out := buf.String()
-	if !strings.Contains(out, "conv0") || !strings.Contains(out, "total") {
-		t.Fatalf("missing rows:\n%s", out)
 	}
 }

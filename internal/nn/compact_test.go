@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -34,7 +35,7 @@ func TestCompactEquivalentToMasking(t *testing.T) {
 		t.Fatal(err)
 	}
 	compact := cnet.Forward(x)
-	if !masked.SameShape(compact) {
+	if !slices.Equal(masked.Shape(), compact.Shape()) {
 		t.Fatalf("shapes differ: %v vs %v", masked.Shape(), compact.Shape())
 	}
 	for i, v := range masked.Data() {

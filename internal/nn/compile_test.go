@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // the compiled-inference invariant is exact equality, not tolerance.
 func bitEqual(t *testing.T, want, got *tensor.Tensor) {
 	t.Helper()
-	if !want.SameShape(got) {
+	if !slices.Equal(want.Shape(), got.Shape()) {
 		t.Fatalf("shapes differ: want %v, got %v", want.Shape(), got.Shape())
 	}
 	wd, gd := want.Data(), got.Data()

@@ -71,10 +71,7 @@ func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 // Weights exposes the filter tensor [outC, inC, K, K]; baselines rank
 // channels by filter norm.
 func (c *Conv2D) Weights() *tensor.Tensor { return c.w.W }
-
-// Bias exposes the bias vector [outC].
-func (c *Conv2D) Bias() *tensor.Tensor { return c.b.W }
-func (c *Conv2D) Units() int           { return c.outC }
+func (c *Conv2D) Units() int              { return c.outC }
 
 // Forward computes the convolution for a batch x of shape [N, inC, inH, inW]:
 // forward with nothing pruned, plus the cached input Backward needs.

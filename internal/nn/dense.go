@@ -54,9 +54,6 @@ func (d *Dense) Units() int       { return d.out }
 // last-layer neuron contributions (∂c_j/∂n_i = w_ji, Eq. 1 of the paper).
 func (d *Dense) Weights() *tensor.Tensor { return d.w.W }
 
-// Bias exposes the bias vector [out].
-func (d *Dense) Bias() *tensor.Tensor { return d.b.W }
-
 // Forward computes the affine map for a batch x of shape [N, in] via the
 // shared dense kernel (see kernels.go).
 func (d *Dense) Forward(x *tensor.Tensor) *tensor.Tensor {

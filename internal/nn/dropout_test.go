@@ -35,7 +35,7 @@ func TestDropoutTrainingDropsAndRescales(t *testing.T) {
 	}
 	d.SetTraining(true)
 	x := randInput([]int{1, 1000}, 3)
-	x.Fill(1)
+	fill(x, 1)
 	out := d.Forward(x)
 	zeros, scaled := 0, 0
 	for _, v := range out.Data() {

@@ -1,0 +1,39 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+
+	"capnn/internal/tensor"
+)
+
+// Test helpers: no non-test code needs them.
+
+// NumUnitLayers is the number of unit layers in a VGG network: 13 convs
+// plus 3 FCs.
+const NumUnitLayers = 16
+
+// ConvK appends a convolution with explicit kernel, stride and padding.
+func (b *Builder) ConvK(outC, k, stride, pad int) *Builder {
+	l, err := NewConv2D(fmt.Sprintf("conv%d", b.n), b.cur, outC, k, stride, pad, b.rng)
+	b.push(l, err)
+	return b
+}
+
+// absMax returns the maximum absolute value of any element of t.
+func absMax(t *tensor.Tensor) float64 {
+	m := 0.0
+	for _, v := range t.Data() {
+		if a := math.Abs(v); a > m {
+			m = a
+		}
+	}
+	return m
+}
+
+// fill sets every element of t to v.
+func fill(t *tensor.Tensor, v float64) {
+	for i := range t.Data() {
+		t.Data()[i] = v
+	}
+}

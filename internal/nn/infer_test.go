@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -71,7 +72,7 @@ func TestInferMatchesForward(t *testing.T) {
 	} {
 		want := compactedForward(t, net, masks, x)
 		got := net.Infer(x, masks)
-		if !want.SameShape(got) {
+		if !slices.Equal(want.Shape(), got.Shape()) {
 			t.Fatalf("%s: shape %v vs %v", name, want.Shape(), got.Shape())
 		}
 		for i, w := range want.Data() {

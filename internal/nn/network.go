@@ -126,13 +126,6 @@ func (b *Builder) Conv(outC int) *Builder {
 	return b
 }
 
-// ConvK appends a convolution with explicit kernel, stride and padding.
-func (b *Builder) ConvK(outC, k, stride, pad int) *Builder {
-	l, err := NewConv2D(fmt.Sprintf("conv%d", b.n), b.cur, outC, k, stride, pad, b.rng)
-	b.push(l, err)
-	return b
-}
-
 // ReLU appends a rectifier.
 func (b *Builder) ReLU() *Builder {
 	if b.err == nil {

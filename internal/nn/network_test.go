@@ -83,14 +83,14 @@ func TestZeroGrad(t *testing.T) {
 	net.Backward(out)
 	sum := 0.0
 	for _, p := range net.Params() {
-		sum += p.G.AbsMax()
+		sum += absMax(p.G)
 	}
 	if sum == 0 {
 		t.Fatal("expected nonzero gradients after backward")
 	}
 	net.ZeroGrad()
 	for _, p := range net.Params() {
-		if p.G.AbsMax() != 0 {
+		if absMax(p.G) != 0 {
 			t.Fatal("ZeroGrad left nonzero gradient")
 		}
 	}
@@ -218,7 +218,7 @@ func TestConvMatchesManualComputation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.w.W.Fill(1) // 3×3 all-ones kernel: output = sum of 3×3 neighborhood
+	fill(c.w.W, 1) // 3×3 all-ones kernel: output = sum of 3×3 neighborhood
 	c.b.W.Set(0.5, 0)
 	x := tensor.MustFromSlice([]float64{
 		1, 2, 3,

@@ -86,7 +86,3 @@ func BuildVGG(cfg VGGConfig) (*Network, error) {
 	b.Dense(cfg.Classes)
 	return b.Build()
 }
-
-// NumUnitLayers is the number of unit layers in a VGG network: 13 convs
-// plus 3 FCs.
-const NumUnitLayers = 16

@@ -77,11 +77,9 @@ func appendFloats(b []byte, v []float64) []byte {
 	if v == nil {
 		return append(b, 0)
 	}
-	b = binary.AppendUvarint(b, uint64(len(v))+1)
-	at := len(b)
-	b = append(b, make([]byte, 8*len(v))...)
-	for i, x := range v {
-		binary.LittleEndian.PutUint64(b[at+8*i:], math.Float64bits(x))
+	b = slices.Grow(binary.AppendUvarint(b, uint64(len(v))+1), 8*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
 	}
 	return b
 }
@@ -209,9 +207,9 @@ func (d *wireReader) floats(dst []float64) []float64 {
 		dst = make([]float64, n)
 	}
 	dst = dst[:n]
-	src := d.take(uint64(8 * n))
+	src := d.take(uint64(8 * n))[:8*n] // count checked the length; this bounds the loop's reads
 	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i:]))
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*i : 8*i+8]))
 	}
 	return dst
 }

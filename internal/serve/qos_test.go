@@ -11,6 +11,7 @@ import (
 	"capnn/internal/core"
 	"capnn/internal/nn"
 	"capnn/internal/qos"
+	"capnn/internal/tensor"
 )
 
 // Satellite regression: a queued request's timer derives from the
@@ -267,4 +268,15 @@ func TestWireQoSRoundTrip(t *testing.T) {
 		t.Fatalf("arrival expiry not counted: %+v", st)
 	}
 
+}
+
+// Only the tests call InferQoS; the wire path passes its QoS to infer
+// directly.
+
+// InferQoS is InferVariant with an explicit QoS envelope: the request
+// waits for a forward slot no longer than its remaining deadline budget
+// (capped by the server's RequestTimeout), and a bulk-lane request
+// yields queue headroom and slot priority to interactive traffic.
+func (s *Server) InferQoS(v core.Variant, prefs core.Preferences, x *tensor.Tensor, q QoS) (Result, error) {
+	return s.infer(v, prefs, x.Data(), q)
 }

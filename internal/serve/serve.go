@@ -423,14 +423,6 @@ func (s *Server) InferVariant(v core.Variant, prefs core.Preferences, x *tensor.
 	return s.infer(v, prefs, x.Data(), QoS{})
 }
 
-// InferQoS is InferVariant with an explicit QoS envelope: the request
-// waits for a forward slot no longer than its remaining deadline budget
-// (capped by the server's RequestTimeout), and a bulk-lane request
-// yields queue headroom and slot priority to interactive traffic.
-func (s *Server) InferQoS(v core.Variant, prefs core.Preferences, x *tensor.Tensor, q QoS) (Result, error) {
-	return s.infer(v, prefs, x.Data(), q)
-}
-
 func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q QoS) (Result, error) {
 	if len(x) != s.unpruned.InSize() {
 		return Result{}, &Error{Code: cloud.CodeBadRequest,

@@ -35,28 +35,6 @@ func (t *Tensor) Scale(s float64) {
 	}
 }
 
-// AddScaled computes t += s*o elementwise.
-func (t *Tensor) AddScaled(s float64, o *Tensor) error {
-	if len(o.data) != len(t.data) {
-		return fmt.Errorf("tensor: addscaled size mismatch %v vs %v", o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] += s * v
-	}
-	return nil
-}
-
-// Hadamard computes t *= o elementwise.
-func (t *Tensor) Hadamard(o *Tensor) error {
-	if len(o.data) != len(t.data) {
-		return fmt.Errorf("tensor: hadamard size mismatch %v vs %v", o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] *= v
-	}
-	return nil
-}
-
 // Sum returns the sum of all elements.
 func (t *Tensor) Sum() float64 {
 	s := 0.0
@@ -75,38 +53,6 @@ func (t *Tensor) Max() (float64, int) {
 		}
 	}
 	return best, bi
-}
-
-// AbsMax returns the maximum absolute value of any element.
-func (t *Tensor) AbsMax() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
-}
-
-// L2 returns the Euclidean norm of the flattened tensor.
-func (t *Tensor) L2() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v * v
-	}
-	return math.Sqrt(s)
-}
-
-// Dot returns the inner product of two equally sized tensors.
-func Dot(a, b *Tensor) (float64, error) {
-	if len(a.data) != len(b.data) {
-		return 0, fmt.Errorf("tensor: dot size mismatch %v vs %v", a.shape, b.shape)
-	}
-	s := 0.0
-	for i, v := range a.data {
-		s += v * b.data[i]
-	}
-	return s, nil
 }
 
 // matMulKC is the k-dimension cache block of MatMul: the B panel touched

@@ -12,23 +12,10 @@ func (t *Tensor) FillNormal(rng *rand.Rand, mean, std float64) {
 	}
 }
 
-// FillUniform fills t with samples from U[lo, hi) using rng.
-func (t *Tensor) FillUniform(rng *rand.Rand, lo, hi float64) {
-	for i := range t.data {
-		t.data[i] = lo + (hi-lo)*rng.Float64()
-	}
-}
-
 // FillHe fills t with Kaiming-He initialization for a layer with the given
 // fan-in: N(0, sqrt(2/fanIn)²). This is the standard init for ReLU networks
 // and is what keeps the deep VGG-style stack trainable from scratch.
 func (t *Tensor) FillHe(rng *rand.Rand, fanIn int) {
 	std := math.Sqrt(2.0 / float64(fanIn))
 	t.FillNormal(rng, 0, std)
-}
-
-// FillXavier fills t with Glorot initialization: U(±sqrt(6/(fanIn+fanOut))).
-func (t *Tensor) FillXavier(rng *rand.Rand, fanIn, fanOut int) {
-	lim := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	t.FillUniform(rng, -lim, lim)
 }

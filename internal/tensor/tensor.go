@@ -138,35 +138,6 @@ func (t *Tensor) Zero() {
 	}
 }
 
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
-// CopyFrom copies src's data into t. Shapes must have equal element counts.
-func (t *Tensor) CopyFrom(src *Tensor) error {
-	if len(src.data) != len(t.data) {
-		return fmt.Errorf("tensor: copy size mismatch %v vs %v", src.shape, t.shape)
-	}
-	copy(t.data, src.data)
-	return nil
-}
-
-// SameShape reports whether t and o have identical shapes.
-func (t *Tensor) SameShape(o *Tensor) bool {
-	if len(t.shape) != len(o.shape) {
-		return false
-	}
-	for i := range t.shape {
-		if t.shape[i] != o.shape[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // String renders a compact description (shape plus a few leading values).
 func (t *Tensor) String() string {
 	const maxShown = 8

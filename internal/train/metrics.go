@@ -1,8 +1,6 @@
 package train
 
 import (
-	"sort"
-
 	"capnn/internal/data"
 	"capnn/internal/nn"
 	"capnn/internal/parallel"
@@ -114,29 +112,6 @@ func scoreBatch(logits *tensor.Tensor, labels []int, hit1, hit5, count []int) {
 	}
 }
 
-// Predict returns the top-1 class for each image of ds, in dataset
-// order. Shards run in parallel through the stateless inference path and
-// write disjoint regions of the result, so the output does not depend on
-// the worker count.
-func Predict(net *nn.Network, ds *data.Dataset) []int {
-	preds := make([]int, ds.Len())
-	shards := parallel.Shards(ds.Len(), evalBatch)
-	parallel.For(0, len(shards), func(i int) {
-		sh := shards[i]
-		idx := make([]int, sh.Len())
-		for j := range idx {
-			idx[j] = sh.Lo + j
-		}
-		x, _ := ds.Batch(idx)
-		logits := net.Infer(x, nil)
-		n, c := logits.Dim(0), logits.Dim(1)
-		for s := 0; s < n; s++ {
-			preds[sh.Lo+s] = tensor.Argmax(logits.Data()[s*c : (s+1)*c])
-		}
-	})
-	return preds
-}
-
 // MeanAccuracyOver averages per-class top-1 accuracy over the given class
 // subset (the quantity Figs. 5–6 plot for the user's classes).
 func MeanAccuracyOver(e Eval, classes []int) float64 {
@@ -160,11 +135,4 @@ func MeanTop5Over(e Eval, classes []int) float64 {
 		sum += e.PerClassTop5[c]
 	}
 	return sum / float64(len(classes))
-}
-
-// SortedCopy returns a sorted copy of xs (small helper for reports).
-func SortedCopy(xs []int) []int {
-	c := append([]int(nil), xs...)
-	sort.Ints(c)
-	return c
 }

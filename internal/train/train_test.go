@@ -199,26 +199,6 @@ func TestTop5WithFewClasses(t *testing.T) {
 	}
 }
 
-func TestPredictMatchesEvaluate(t *testing.T) {
-	gen, _ := data.NewGenerator(data.SynthConfig{Classes: 3, Groups: 1, H: 8, W: 8, NoiseStd: 0.2, Seed: 4})
-	ds := gen.Generate(5, 1)
-	net := nn.NewBuilder(1, 8, 8, 3).Flatten().Dense(3).MustBuild()
-	preds := Predict(net, ds)
-	if len(preds) != ds.Len() {
-		t.Fatalf("%d predictions for %d images", len(preds), ds.Len())
-	}
-	hits := 0
-	for i, p := range preds {
-		if p == ds.Labels[i] {
-			hits++
-		}
-	}
-	ev := Evaluate(net, nil, ds)
-	if math.Abs(float64(hits)/float64(ds.Len())-ev.Top1) > 1e-12 {
-		t.Fatal("Predict disagrees with Evaluate top-1")
-	}
-}
-
 func TestMeanAccuracyOver(t *testing.T) {
 	e := Eval{PerClass: []float64{0.5, 1.0, 0.0}, PerClassTop5: []float64{0.6, 1.0, 0.2}}
 	if got := MeanAccuracyOver(e, []int{0, 1}); math.Abs(got-0.75) > 1e-12 {

@@ -70,11 +70,6 @@ func (d DriftConfig) validate() error {
 	return nil
 }
 
-// Stationary reports whether the config describes a drift-free workload.
-func (d DriftConfig) Stationary() bool {
-	return d.DiurnalPeriod == 0 && d.FlipEvery == 0 && (d.BurstLen == 0 || d.BurstProb == 0)
-}
-
 // ParseDrift parses a compact drift spec of comma-separated key=value
 // terms:
 //

@@ -340,20 +340,3 @@ func (m *Model) driftedWeights(user, t uint64, b userBase) []float64 {
 	}
 	return w
 }
-
-// Stream iterates a model's trace sequentially. Not safe for concurrent
-// use; give each goroutine its own Stream (or call At directly).
-type Stream struct {
-	m    *Model
-	next uint64
-}
-
-// Stream returns an iterator starting at event start.
-func (m *Model) Stream(start uint64) *Stream { return &Stream{m: m, next: start} }
-
-// Next returns the next event in the trace.
-func (s *Stream) Next() Event {
-	ev := s.m.At(s.next)
-	s.next++
-	return ev
-}

@@ -58,12 +58,11 @@ func TestDeterministicAcrossModelsAndAccessOrder(t *testing.T) {
 	m1 := mustModel(t, testConfig())
 	m2 := mustModel(t, testConfig())
 	const n = 500
-	// Random-order access on a fresh model must reproduce sequential
-	// streaming on another: events are pure functions of the index.
-	st := m1.Stream(0)
+	// Random-order access on a fresh model must reproduce a sequential
+	// walk on another: events are pure functions of the index.
 	seq := make([]Event, n)
 	for i := range seq {
-		seq[i] = st.Next()
+		seq[i] = m1.At(uint64(i))
 	}
 	for i := n - 1; i >= 0; i-- {
 		ev := m2.At(uint64(i))
@@ -306,7 +305,7 @@ func TestParseDrift(t *testing.T) {
 	}
 	for _, spec := range []string{"", "off"} {
 		d, err := ParseDrift(spec)
-		if err != nil || !d.Stationary() {
+		if err != nil || d != (DriftConfig{}) {
 			t.Fatalf("ParseDrift(%q) = %+v, %v; want stationary", spec, d, err)
 		}
 	}

@@ -14,10 +14,11 @@
 #	bash benchmark/run.sh --workload W --seed N --seconds 20 --trace 0
 #
 # for seeds 1..pairs (default: every BENCHMARK.json workload, 10 pairs).
-# Then each side's own `go test -c` binary of internal/nn runs the
-# BenchmarkKernels rows named in benchrows below, 10 alternating pairs of
-# `-test.benchtime 2000x` runs, on the highest rung of the dispatch
-# ladder both sides report (avx512, avx2, generic).
+# Then each side's own `go test -c` binaries run the rows named in
+# benchrows below, 10 alternating pairs: internal/nn's BenchmarkKernels
+# rows at `-test.benchtime 2000x`, on the highest rung of the dispatch
+# ladder both sides report (avx512, avx2, generic), and the root
+# module's BenchmarkPruneM (50x) and served rows (5000x).
 # The file holds the host's CPU model and nproc, both revisions, and per
 # workload and BENCHMARK.json end-to-end metric both sides' runs in seed
 # order, their medians and quartiles, the median per-pair ratio
@@ -77,25 +78,35 @@ for spec in "${specs[@]}"; do
 done
 
 # The forward of a served plan and of the unpruned one, per request, on
-# every rung (the regex matches level by level).
-benchrows=(plan-M/sum/forward plan-0/sum/forward)
+# every rung (the regex matches level by level); then one Algorithm M
+# search, and a warm request in process, to one shard and through a
+# gateway — a fill or hop change gets a per-layer row here.
+benchrows=(plan-M/sum/forward plan-0/sum/forward PruneM ServeThroughput/serve GatewayRouting/direct-serve GatewayRouting/via-gateway)
 regex='^BenchmarkKernels$/^plan-(M|0)$/^sum$/^forward$'
+served='^Benchmark(ServeThroughput|GatewayRouting)$/^(serve|direct-serve|via-gateway)$'
 for s in parent change; do
 	dir="$root"
 	if [ "$s" = parent ]; then dir="$tmp/parent"; fi
-	(cd "$dir" && GOCACHE="$dir/.bench_build/gocache" GOTOOLCHAIN=local go test -c -o "$tmp/$s.nn.test" ./internal/nn)
+	(cd "$dir" && GOCACHE="$dir/.bench_build/gocache" GOTOOLCHAIN=local go test -c -o "$tmp/$s.nn.test" ./internal/nn &&
+		GOCACHE="$dir/.bench_build/gocache" GOTOOLCHAIN=local go test -c -o "$tmp/$s.root.test" .)
 done
+# rows <side> <pair> <prefix> turns `go test -bench` output into
+# bench.jsonl lines, named without <prefix> and the -GOMAXPROCS suffix.
+rows() {
+	awk -v side="$1" -v pair="$2" -v prefix="$3" 'index($1, prefix) == 1 && $4 == "ns/op" {
+		full = $1; sub(/-[0-9]+$/, "", full); name = substr(full, length(prefix) + 1)
+		printf "{\"pair\": %d, \"side\": \"%s\", \"name\": \"%s\", \"row\": \"%s\", \"ns\": %s}\n", pair, side, name, full, $3
+	}' >>"$tmp/bench.jsonl"
+}
 for i in $(seq 1 10); do
 	order="parent change"
 	if [ $((i % 2)) -eq 0 ]; then order="change parent"; fi
 	for s in $order; do
 		dir="$root"
 		if [ "$s" = parent ]; then dir="$tmp/parent"; fi
-		(cd "$dir/internal/nn" && "$tmp/$s.nn.test" -test.run '^$' -test.bench "$regex" -test.benchtime 2000x) |
-			awk -v side="$s" -v pair="$i" '$1 ~ /^BenchmarkKernels\// && $4 == "ns/op" {
-				name = $1; sub(/^BenchmarkKernels\//, "", name); sub(/-[0-9]+$/, "", name)
-				printf "{\"pair\": %d, \"side\": \"%s\", \"name\": \"%s\", \"ns\": %s}\n", pair, side, name, $3
-			}' >>"$tmp/bench.jsonl"
+		(cd "$dir/internal/nn" && "$tmp/$s.nn.test" -test.run '^$' -test.bench "$regex" -test.benchtime 2000x) | rows "$s" "$i" BenchmarkKernels/
+		(cd "$dir" && "$tmp/$s.root.test" -test.run '^$' -test.bench '^BenchmarkPruneM$' -test.benchtime 50x) | rows "$s" "$i" Benchmark
+		(cd "$dir" && "$tmp/$s.root.test" -test.run '^$' -test.bench "$served" -test.benchtime 5000x) | rows "$s" "$i" Benchmark
 	done
 	echo "pairs: bench pair $i done" >&2
 done
@@ -131,14 +142,14 @@ def summary: map(select(. != null)) | {median: median, q1: quantile(0.25), q3: q
      | from_entries),
    bench: (($kb | group_by(.name) | map({key: .[0].name, value: .}) | from_entries) as $by
      | ($rows | map(. as $row
-       | ([["avx512", "avx2", "generic"][] | "\($row)/\(.)"
+       | ([(["avx512", "avx2", "generic"][] | "\($row)/\(.)"), $row
            | select(($by[.] // []) as $r | any($r[]; .side == "parent") and any($r[]; .side == "change"))] | first) as $name
        | select($name != null)
        | ([$by[$name][] | select(.side == "parent")] | sort_by(.pair) | map(.ns)) as $pv
        | ([$by[$name][] | select(.side == "change")] | sort_by(.pair) | map(.ns)) as $cv
        | [range(0; [$pv, $cv] | map(length) | min) | {p: $pv[.], c: $cv[.]}] as $pairs
        | {key: $row, value: {
-           row: ("BenchmarkKernels/" + $name), unit: "ns/op", better: "lower", parent: $pv, change: $cv,
+           row: $by[$name][0].row, unit: "ns/op", better: "lower", parent: $pv, change: $cv,
            parent_summary: ($pv | summary), change_summary: ($cv | summary),
            median_pair_ratio: ([$pairs[] | select(.p != 0) | .c / .p] | median),
            wins: ([$pairs[] | select(.c < .p)] | length)}})

@@ -51,9 +51,8 @@ func TestWorkloadTraceBitIdenticalAcrossShardings(t *testing.T) {
 		t.Fatal(err)
 	}
 	serial := make([]WorkloadEvent, n)
-	s := serialModel.Stream(0)
 	for i := range serial {
-		serial[i] = s.Next()
+		serial[i] = serialModel.At(uint64(i))
 	}
 
 	// Shard the same index space across 7 goroutines in contiguous
@@ -101,9 +100,8 @@ func TestWorkloadGoldenTraceHash(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := fnv.New64a()
-	s := m.Stream(0)
 	for i := 0; i < n; i++ {
-		workloadEventHash(h, s.Next())
+		workloadEventHash(h, m.At(uint64(i)))
 	}
 	const want = uint64(0xbe7940b427aa8178)
 	if got := h.Sum64(); got != want {
@@ -112,19 +110,26 @@ func TestWorkloadGoldenTraceHash(t *testing.T) {
 	}
 }
 
-// The stream cursor and random access agree from any starting offset —
-// a resumed replay (loadgen restarting mid-trace) continues the exact
-// same trace.
+// A fresh model that starts mid-trace agrees with one that walked there
+// from event 0 — a resumed replay (loadgen restarting mid-trace)
+// continues the exact same trace, whatever the first model memoised.
 func TestWorkloadStreamResumesMidTrace(t *testing.T) {
-	m, err := NewWorkloadModel(workloadDeterminismConfig(t))
+	cfg := workloadDeterminismConfig(t)
+	walked, err := NewWorkloadModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewWorkloadModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const start, n = 300, 64
-	s := m.Stream(start)
+	for i := 0; i < start; i++ {
+		walked.At(uint64(i))
+	}
 	for i := 0; i < n; i++ {
-		got := s.Next()
-		want := m.At(uint64(start + i))
+		got := m.At(uint64(start + i))
+		want := walked.At(uint64(start + i))
 		if got.Index != want.Index || got.User != want.User || got.Class != want.Class ||
 			got.Prefs.Key() != want.Prefs.Key() {
 			t.Fatalf("resumed stream event %d = %+v, want %+v", start+i, got, want)
