@@ -446,7 +446,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 			go func(n int) {
 				defer wg.Done()
 				for i := 0; i < n; i++ {
-					if _, err := srv.Infer(prefs, sample); err != nil {
+					if _, err := srv.InferVariant(core.DefaultVariant, prefs, sample); err != nil {
 						b.Error(err)
 						return
 					}
@@ -469,7 +469,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 	b.Run("serve", func(b *testing.B) {
 		srv := serve.NewServerWith(fx.Sys, serve.Config{})
 		defer srv.Close()
-		if _, err := srv.Infer(prefs, sample); err != nil { // warm the cache: the fill personalizes and compiles
+		if _, err := srv.InferVariant(core.DefaultVariant, prefs, sample); err != nil { // warm the cache: the fill personalizes and compiles
 			b.Fatal(err)
 		}
 		hammer(b, srv)

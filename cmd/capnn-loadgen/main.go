@@ -31,20 +31,18 @@
 // harness can `capnn-loadgen -json ... | jq .qps` without scraping
 // log text.
 //
-// The -workload flag picks the traffic model. "static" (default) keeps
-// the original fixed per-user preference vectors. "zipf" streams a
-// deterministic trace from internal/workload: zipf user popularity
-// over -users (which may be millions — events are generated on the
-// fly, never materialized), preferences correlated with the fixture's
-// confusion groups, and -drift class-skew drift (diurnal sway, bursts,
-// sudden flips; see workload.ParseDrift for the spec grammar). Every
-// run is seeded (-seed) and bit-reproducible: same flags, same trace,
-// same scorecard. Both modes emit the scorecard — distinct users, hit
-// ratio, personalize rate, in-preference share (the accuracy-vs-ε
-// proxy: fraction of OK answers whose class landed inside the claimed
-// preference set) and drift share — in the -json summary:
+// The traffic is a deterministic trace from internal/workload: zipf
+// user popularity over -users (which may be millions — events are
+// generated on the fly, never materialized), preferences correlated
+// with the fixture's confusion groups, and -drift class-skew drift
+// (diurnal sway, bursts, sudden flips; see workload.ParseDrift for the
+// spec grammar). Every run is seeded (-seed) and bit-reproducible: same
+// flags, same trace, same scorecard — distinct users, hit ratio,
+// personalize rate, in-preference share (the accuracy-vs-ε proxy:
+// fraction of OK answers whose class landed inside the claimed
+// preference set) and drift share, also in the -json summary:
 //
-//	capnn-loadgen -workload zipf -users 1000000 -seed 7 \
+//	capnn-loadgen -users 1000000 -seed 7 \
 //	  -drift "flip=5000,lag=1000" -n 20000 -json
 package main
 
@@ -199,13 +197,12 @@ type laneJSON struct {
 }
 
 // runJSON is the -json document: what the client population saw. The
-// scorecard block (workload through drift_share) is fully determined by
+// scorecard block (seed through drift_share) is fully determined by
 // the flags plus the server's caching behavior — two runs of the same
 // seeded trace against equivalent clusters must produce identical
 // scorecards, which is what the smoke harness pins.
 type runJSON struct {
 	Target          string     `json:"target"`
-	Workload        string     `json:"workload"`
 	Seed            int64      `json:"seed"`
 	Users           int        `json:"users"`
 	DistinctUsers   int        `json:"distinct_users"`
@@ -274,7 +271,7 @@ func checkFlags(users, n, concurrency int, bulkFrac float64) error {
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7878", "gateway or serve address")
 	model := flag.String("model", "cifar10", "fixture the target serves: imagenet20 or cifar10")
-	users := flag.Int("users", 8, "distinct synthetic users (preference vectors)")
+	users := flag.Int("users", 8, "synthetic users the trace draws from")
 	n := flag.Int("n", 300, "total requests")
 	concurrency := flag.Int("concurrency", 8, "concurrent client workers")
 	variant := flag.String("variant", "M", "pruning variant to request")
@@ -286,9 +283,8 @@ func main() {
 	bulkFrac := flag.Float64("bulk-frac", 0, "fraction of requests sent on the bulk lane [0,1]")
 	bulkTenant := flag.String("bulk-tenant", "", "tenant for bulk traffic (empty = same as -tenant)")
 	bulkBudget := flag.Duration("bulk-budget", 0, "per-request deadline budget for bulk traffic (0 = none)")
-	workloadKind := flag.String("workload", "static", `traffic model: "static" fixed per-user vectors or "zipf" streaming workload traces`)
 	seed := flag.Int64("seed", 1, "workload seed; same seed+flags replays the same trace bit-for-bit")
-	drift := flag.String("drift", "", `zipf-workload drift spec, e.g. "flip=5000,lag=1000,diurnal=20000" ("" or "off" = stationary)`)
+	drift := flag.String("drift", "", `drift spec, e.g. "flip=5000,lag=1000,diurnal=20000" ("" or "off" = stationary)`)
 	zipfS := flag.Float64("zipf-s", 1.2, "zipf exponent for user popularity (must be > 1)")
 	flag.Parse()
 
@@ -319,68 +315,43 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	classes := cfg.Synth.Classes
 
+	dc, err := workload.ParseDrift(*drift)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "capnn-loadgen: -drift: %v\n", err)
+		os.Exit(2)
+	}
+	trace, err := workload.NewModel(workload.Config{
+		Users:   *users,
+		Classes: cfg.Synth.Classes,
+		Groups:  cfg.Synth.ClassGroups(),
+		ZipfS:   *zipfS,
+		Drift:   dc,
+		Seed:    *seed,
+	})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "capnn-loadgen: %v\n", err)
+		os.Exit(2)
+	}
 	// buildReq produces request idx of the trace plus its scoreboard
 	// metadata (generating user, claimed preference classes, whether the
-	// event sat in a drift window). Both modes are pure functions of
-	// (flags, idx), so any worker may build any index — the trace is
-	// identical regardless of worker count or completion order.
-	var buildReq func(idx int) (req serve.WireRequest, user uint64, claimed []int, drifted bool)
-	switch *workloadKind {
-	case "static":
-		reqs := make([]serve.WireRequest, *users)
-		for u := range reqs {
-			x, _ := fx.Sets.Test.Batch([]int{u % fx.Sets.Test.Len()})
-			reqs[u] = serve.WireRequest{
-				Version: cloud.ProtocolVersion,
-				Variant: *variant,
-				Classes: []int{u % classes, (u + 1) % classes},
-				Weights: []float64{1, 1 + float64(u/classes)},
-				Input:   x.Data(),
-			}
-		}
-		buildReq = func(idx int) (serve.WireRequest, uint64, []int, bool) {
-			u := idx % len(reqs)
-			return reqs[u], uint64(u), reqs[u].Classes, false
-		}
-	case "zipf":
-		dc, err := workload.ParseDrift(*drift)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capnn-loadgen: -drift: %v\n", err)
-			os.Exit(2)
-		}
-		model, err := workload.NewModel(workload.Config{
-			Users:   *users,
-			Classes: classes,
-			Groups:  cfg.Synth.ClassGroups(),
-			ZipfS:   *zipfS,
-			Drift:   dc,
-			Seed:    *seed,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capnn-loadgen: %v\n", err)
-			os.Exit(2)
-		}
-		// Per-class test-image pools: event i of class c deterministically
-		// replays image pool[c][i mod len] — inputs are as reproducible as
-		// the preference stream.
-		pools := fx.Sets.Test.ByClass()
-		buildReq = func(idx int) (serve.WireRequest, uint64, []int, bool) {
-			ev := model.At(uint64(idx))
-			pool := pools[ev.Class]
-			x, _ := fx.Sets.Test.Batch([]int{pool[int(ev.Index%uint64(len(pool)))]})
-			return serve.WireRequest{
-				Version: cloud.ProtocolVersion,
-				Variant: *variant,
-				Classes: ev.Prefs.Classes,
-				Weights: ev.Prefs.Weights,
-				Input:   x.Data(),
-			}, ev.User, ev.Prefs.Classes, ev.Drifted
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "capnn-loadgen: unknown -workload %q (want static or zipf)\n", *workloadKind)
-		os.Exit(2)
+	// event sat in a drift window). It is a pure function of (flags,
+	// idx), so any worker may build any index — the trace is identical
+	// regardless of worker count or completion order. Event i of class c
+	// replays test image pool[c][i mod len], so inputs are as
+	// reproducible as the preference stream.
+	pools := fx.Sets.Test.ByClass()
+	buildReq := func(idx int) (serve.WireRequest, uint64, []int, bool) {
+		ev := trace.At(uint64(idx))
+		pool := pools[ev.Class]
+		x, _ := fx.Sets.Test.Batch([]int{pool[int(ev.Index%uint64(len(pool)))]})
+		return serve.WireRequest{
+			Version: cloud.ProtocolVersion,
+			Variant: *variant,
+			Classes: ev.Prefs.Classes,
+			Weights: ev.Prefs.Weights,
+			Input:   x.Data(),
+		}, ev.User, ev.Prefs.Classes, ev.Drifted
 	}
 
 	// Deterministic lane interleave: request index i is bulk when its
@@ -466,12 +437,11 @@ func main() {
 	}
 	fmt.Fprintf(human, "capnn-loadgen: %d requests, %d ok, %d failed\n", sentTotal, okTotal, failedTotal)
 	distinct, hitRatio, personalizeRate, inPrefShare, driftShare := board.summary(sentTotal)
-	fmt.Fprintf(human, "capnn-loadgen: scorecard: workload=%s seed=%d distinct-users=%d hit-ratio=%.3f personalize-rate=%.3f in-pref-share=%.3f drift-share=%.3f\n",
-		*workloadKind, *seed, distinct, hitRatio, personalizeRate, inPrefShare, driftShare)
+	fmt.Fprintf(human, "capnn-loadgen: scorecard: seed=%d distinct-users=%d hit-ratio=%.3f personalize-rate=%.3f in-pref-share=%.3f drift-share=%.3f\n",
+		*seed, distinct, hitRatio, personalizeRate, inPrefShare, driftShare)
 	if *jsonOut {
 		doc := runJSON{
 			Target:          *addr,
-			Workload:        *workloadKind,
 			Seed:            *seed,
 			Users:           *users,
 			DistinctUsers:   distinct,

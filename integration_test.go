@@ -2,6 +2,7 @@ package capnn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 
@@ -43,7 +44,7 @@ func TestQuantizedCloudDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 	var wire bytes.Buffer
-	if err := packed.Save(&wire); err != nil {
+	if err := gob.NewEncoder(&wire).Encode(packed); err != nil {
 		t.Fatal(err)
 	}
 	shipped, err := firing.LoadPacked(&wire)

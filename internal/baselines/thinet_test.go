@@ -127,9 +127,15 @@ func convContributions(next *nn.Conv2D, act *tensor.Tensor, rng *rand.Rand, loca
 		return nil, fmt.Errorf("baselines: next conv consumes %d channels, stage has %d", wt.Dim(1), c)
 	}
 	outC, k := wt.Dim(0), wt.Dim(2)
-	stride, pad := next.Stride(), next.Pad()
+	// Every conv here comes from nn.Builder.Conv: stride 1, padded to
+	// keep the plane.
+	const stride = 1
+	pad := (k - 1) / 2
 	outH := (h+2*pad-k)/stride + 1
 	outW := (w+2*pad-k)/stride + 1
+	if s := next.OutShape(); s[1] != outH || s[2] != outW {
+		return nil, fmt.Errorf("baselines: next conv maps a %dx%d plane to %v, not a same-padded stride-1 conv", h, w, s)
+	}
 	out := make([][]float64, 0, locations)
 	for j := 0; j < locations; j++ {
 		s := rng.Intn(n)

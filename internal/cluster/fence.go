@@ -67,15 +67,6 @@ func (f *Fence) Apply(u serve.RingUpdate) error {
 	}
 }
 
-// Epoch reports the installed view's epoch (0 before the first view).
-func (f *Fence) Epoch() uint64 {
-	st := f.state.Load()
-	if st == nil {
-		return 0
-	}
-	return st.ring.Epoch()
-}
-
 // Check judges one routed request's placement stamp against the
 // installed view. Stale stamps fence with CodeRingChanged; stamps from
 // a *newer* epoch than ours are admitted — the gateway flips its epoch

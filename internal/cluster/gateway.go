@@ -25,6 +25,11 @@ import (
 // so ring lookup stays allocation-free.
 const maxReplication = 8
 
+// maxIdlePerNode caps the connections the gateway keeps open to each
+// serve node between requests, as serve's clientMaxIdle does for a
+// Client.
+const maxIdlePerNode = 4
+
 // Config tunes the gateway. Zero fields take DefaultConfig values.
 type Config struct {
 	// Seed salts consistent-hash placement: gateways that must agree on
@@ -45,9 +50,6 @@ type Config struct {
 	DialTimeout    time.Duration
 	RequestTimeout time.Duration
 	AttemptTimeout time.Duration
-	// MaxIdlePerNode caps kept idle connections per serve node.
-	// Default 4.
-	MaxIdlePerNode int
 
 	// ProbeEvery is the active health-check period; ProbeTimeout bounds
 	// one probe round trip. Defaults 2s / 1s.
@@ -87,7 +89,6 @@ func DefaultConfig() Config {
 		Replication:     2,
 		DialTimeout:     5 * time.Second,
 		RequestTimeout:  30 * time.Second,
-		MaxIdlePerNode:  4,
 		ProbeEvery:      2 * time.Second,
 		ProbeTimeout:    time.Second,
 		FailThreshold:   3,
@@ -117,9 +118,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.AttemptTimeout <= 0 {
 		c.AttemptTimeout = c.RequestTimeout / 2
-	}
-	if c.MaxIdlePerNode <= 0 {
-		c.MaxIdlePerNode = d.MaxIdlePerNode
 	}
 	if c.ProbeEvery <= 0 {
 		c.ProbeEvery = d.ProbeEvery
@@ -255,7 +253,7 @@ func (g *Gateway) newNodeState(addr string) *nodeState {
 	h.OnTransition = func(from, to breaker.State) {
 		g.events.Record("node-breaker", addr, fmt.Sprintf("%s -> %s", from, to), nil)
 	}
-	wire := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, g.cfg.DialTimeout, g.cfg.MaxIdlePerNode)
+	wire := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, g.cfg.DialTimeout, maxIdlePerNode)
 	wire.OnRedial = g.st.retried
 	return &nodeState{addr: addr, health: h, wire: wire}
 }

@@ -659,3 +659,12 @@ func TestRouteKeyNamesTheShardsCacheKey(t *testing.T) {
 		}
 	}
 }
+
+// Epoch reports the installed view's epoch (0 before the first view).
+func (f *Fence) Epoch() uint64 {
+	st := f.state.Load()
+	if st == nil {
+		return 0
+	}
+	return st.ring.Epoch()
+}

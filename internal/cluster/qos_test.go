@@ -223,7 +223,7 @@ func TestGatewayNonFiniteInputAnsweredNotRetried(t *testing.T) {
 	bad.Input[5] = math.NaN()
 	_, err = c.Infer(bad)
 	var se *serve.Error
-	if !errors.As(err, &se) || se.Code != cloud.CodeBadRequest || se.Retryable() || !strings.Contains(err.Error(), "input[5]") {
+	if !errors.As(err, &se) || se.Code != cloud.CodeBadRequest || se.Code.Retryable() || !strings.Contains(err.Error(), "input[5]") {
 		t.Fatalf("NaN input via gateway: %v, want non-retryable bad-request naming input[5]", err)
 	}
 	if _, err := c.Infer(f.inferRequest(1, 2)); err != nil {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
@@ -87,7 +88,7 @@ func TestConfusionFromProfilingPass(t *testing.T) {
 			t.Fatal(err)
 		}
 		var wire bytes.Buffer
-		if err := packed.Save(&wire); err != nil {
+		if err := gob.NewEncoder(&wire).Encode(packed); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := firing.LoadPacked(&wire)

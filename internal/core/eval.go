@@ -157,9 +157,6 @@ func rows(t *tensor.Tensor, lo, hi int) []float64 {
 	return t.Data()[lo*per : hi*per]
 }
 
-// Classes returns the class count of the evaluation set.
-func (ev *SuffixEvaluator) Classes() int { return ev.ds.Classes }
-
 // SampleCount returns how many eval images exist for class c.
 func (ev *SuffixEvaluator) SampleCount(c int) int { return ev.start[c+1] - ev.start[c] }
 

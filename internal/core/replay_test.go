@@ -43,7 +43,7 @@ func TestReplaySubsetMatchesFullEvaluation(t *testing.T) {
 			m[rng.Intn(len(m))] = false
 			masks[l] = m
 		}
-		K := rng.Perm(ev.Classes())[:1+rng.Intn(ev.Classes())]
+		K := rng.Perm(ev.ds.Classes)[:1+rng.Intn(ev.ds.Classes)]
 		oracle := train.Evaluate(f.net, masks, f.sets.Val).PerClass
 
 		for _, w := range []int{1, 2, 4} {

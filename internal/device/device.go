@@ -168,18 +168,6 @@ func (d *Device) Classify(x *tensor.Tensor) (int, error) {
 	return pred, nil
 }
 
-// Drift returns the total-variation distance between the monitored usage
-// distribution and the usage the current model was personalized for.
-// Before any personalization it returns 1 (maximal drift) once there is
-// at least one observation. The monitoring window restarts after each
-// successful repersonalization, so drift measures usage since the
-// current model was installed, not the device's whole history.
-func (d *Device) Drift() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.drift()
-}
-
 func (d *Device) drift() float64 {
 	if d.monitor.Total() == 0 {
 		return 0

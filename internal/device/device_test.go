@@ -457,3 +457,15 @@ func TestBackoffSaturates(t *testing.T) {
 		}
 	}
 }
+
+// Drift returns the total-variation distance between the monitored usage
+// distribution and the usage the current model was personalized for.
+// Before any personalization it returns 1 (maximal drift) once there is
+// at least one observation. The monitoring window restarts after each
+// successful repersonalization, so drift measures usage since the
+// current model was installed, not the device's whole history.
+func (d *Device) Drift() float64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.drift()
+}

@@ -14,10 +14,9 @@ import (
 // EnergyRow is one K value of Table I's right half: relative energy of
 // the CAP'NN-M pruned model on the TPU-like device.
 type EnergyRow struct {
-	K           int
-	RelEnergy   float64
-	RelSize     float64
-	CyclesRatio float64
+	K         int
+	RelEnergy float64
+	RelSize   float64
 }
 
 // Table1Ks are the class counts of the paper's Table I.

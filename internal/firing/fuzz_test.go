@@ -2,6 +2,7 @@ package firing
 
 import (
 	"bytes"
+	"encoding/gob"
 	"testing"
 )
 
@@ -17,7 +18,7 @@ func FuzzLoadPacked(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -25,7 +26,7 @@ func FuzzLoadPacked(f *testing.F) {
 	f.Add([]byte("P5 nonsense"))
 	for _, tc := range malformedPacked() {
 		var b bytes.Buffer
-		if err := tc.p.Save(&b); err != nil {
+		if err := gob.NewEncoder(&b).Encode(tc.p); err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b.Bytes())

@@ -119,13 +119,8 @@ func sortedLayers(r *Rates) []*LayerRates {
 	return out
 }
 
-// Save writes the packed rates with gob framing (the on-disk / wire
-// format the cloud keeps next to the model).
-func (p *PackedRates) Save(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(p)
-}
-
-// LoadPacked reads packed rates written by Save.
+// LoadPacked reads gob-encoded packed rates (the on-disk / wire format
+// the cloud keeps next to the model).
 func LoadPacked(r io.Reader) (*PackedRates, error) {
 	var p PackedRates
 	if err := gob.NewDecoder(r).Decode(&p); err != nil {

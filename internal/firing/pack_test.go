@@ -2,6 +2,7 @@ package firing
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -115,7 +116,7 @@ func TestUnpackRejectsMalformedShapes(t *testing.T) {
 			t.Fatalf("%s: accepted", tc.name)
 		}
 		var buf bytes.Buffer
-		if err := tc.p.Save(&buf); err != nil {
+		if err := gob.NewEncoder(&buf).Encode(tc.p); err != nil {
 			t.Fatal(err)
 		}
 		loaded, err := LoadPacked(&buf)
@@ -136,7 +137,7 @@ func TestPackedSaveLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := gob.NewEncoder(&buf).Encode(p); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := LoadPacked(&buf)

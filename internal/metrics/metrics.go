@@ -7,12 +7,13 @@
 //
 //   - Counter: a monotone uint64 (requests, sheds, heals),
 //   - Gauge: an instantaneous float64 (queue depth, breaker state),
+//     read from a func at gather time,
 //   - Histogram: bounded buckets over float64 observations with exact
 //     sum/count and p50/p95/p99 estimation (per-stage latencies).
 //
 // Counters also come as a labeled "vec" family (per-reason sheds,
-// per-tenant admission); counters and gauges have func-backed variants
-// that read an existing source at gather time so state that already
+// per-tenant admission) and as a func-backed variant; both func-backed
+// kinds read an existing source at gather time so state that already
 // lives elsewhere (a breaker, a cache) is exposed without duplicate
 // accounting. Collectors emit whole label families from a foreign
 // source (the gateway's per-node health map).
@@ -24,7 +25,6 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -70,22 +70,8 @@ type Counter struct {
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value reads the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is an instantaneous value that can go up and down.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Value reads the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // Histogram accumulates float64 observations into fixed buckets. The
 // sum is a float64, which accumulates integer-valued observations (e.g.
@@ -110,38 +96,17 @@ func (h *Histogram) Observe(v float64) {
 	h.mu.Unlock()
 }
 
-// Count is the number of observations; Sum their total.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.count
-}
-
+// Sum is the observations' total.
 func (h *Histogram) Sum() float64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return h.sum
 }
 
-// Quantile estimates the p-th quantile (p in [0,1]) by linear
-// interpolation inside the bucket where the rank falls, the same
-// estimate Prometheus' histogram_quantile computes server-side. Returns
-// 0 with no observations; values in the overflow bucket clamp to the
-// highest finite bound.
-func (h *Histogram) Quantile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.snapshotLocked().Quantile(p)
-}
-
 // Snapshot returns a consistent copy of the histogram state.
 func (h *Histogram) Snapshot() HistSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.snapshotLocked()
-}
-
-func (h *Histogram) snapshotLocked() HistSnapshot {
 	return HistSnapshot{
 		Bounds: h.bounds,
 		Counts: append([]uint64(nil), h.counts...),
@@ -159,7 +124,11 @@ type HistSnapshot struct {
 	Sum    float64
 }
 
-// Quantile estimates the p-th quantile over the snapshot.
+// Quantile estimates the p-th quantile (p in [0,1]) by linear
+// interpolation inside the bucket where the rank falls, the same
+// estimate Prometheus' histogram_quantile computes server-side. Returns
+// 0 with no observations; values in the overflow bucket clamp to the
+// highest finite bound.
 func (s HistSnapshot) Quantile(p float64) float64 {
 	if s.Count == 0 {
 		return 0
@@ -287,7 +256,6 @@ type entry struct {
 	kind       Kind
 
 	counter     *Counter
-	gauge       *Gauge
 	hist        *Histogram
 	counterVec  *CounterVec
 	counterFunc func() uint64
@@ -361,13 +329,6 @@ func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
 	v := &CounterVec{labels: labels, kids: map[string]*Counter{}}
 	r.register(&entry{name: name, help: help, kind: KindCounter, counterVec: v})
 	return v
-}
-
-// Gauge registers and returns a gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	g := &Gauge{}
-	r.register(&entry{name: name, help: help, kind: KindGauge, gauge: g})
-	return g
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at gather
@@ -448,8 +409,6 @@ func (r *Registry) Gather() []Family {
 		switch {
 		case e.counter != nil:
 			add(e.name, e.help, e.kind, Sample{Value: float64(e.counter.Value())})
-		case e.gauge != nil:
-			add(e.name, e.help, e.kind, Sample{Value: e.gauge.Value()})
 		case e.counterFunc != nil:
 			add(e.name, e.help, e.kind, Sample{Value: float64(e.counterFunc())})
 		case e.gaugeFunc != nil:

@@ -8,18 +8,26 @@ import (
 	"time"
 )
 
+// Add adds n.
+func (c *Counter) Add(n uint64) { c.v.Add(n) }
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("capnn_test_requests_total", "requests")
-	g := r.Gauge("capnn_test_queue_depth", "depth")
+	r.GaugeFunc("capnn_test_queue_depth", "depth", func() float64 { return 7.5 })
 	c.Inc()
 	c.Add(4)
-	g.Set(7.5)
 	if c.Value() != 5 {
 		t.Fatalf("counter = %d, want 5", c.Value())
 	}
-	if g.Value() != 7.5 {
-		t.Fatalf("gauge = %v, want 7.5", g.Value())
+	got := math.NaN()
+	for _, f := range r.Gather() {
+		if f.Name == "capnn_test_queue_depth" {
+			got = f.Samples[0].Value
+		}
+	}
+	if got != 7.5 {
+		t.Fatalf("gauge = %v, want 7.5", got)
 	}
 }
 
@@ -45,23 +53,24 @@ func TestHistogramSumCountQuantiles(t *testing.T) {
 		h.Observe(v)
 		want += v
 	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
+	snap := h.Snapshot()
+	if snap.Count != 1000 {
+		t.Fatalf("count = %d", snap.Count)
 	}
 	if h.Sum() != want {
 		t.Fatalf("sum = %v, want %v (must be exact for integer ns)", h.Sum(), want)
 	}
 	// p50 should land near 500ms, p99 near 990ms — bucket interpolation
 	// is coarse, so accept the owning bucket's range.
-	p50 := h.Quantile(0.50)
+	p50 := snap.Quantile(0.50)
 	if p50 < 2.5e8 || p50 > 7.5e8 {
 		t.Fatalf("p50 = %v, want ~5e8", p50)
 	}
-	p99 := h.Quantile(0.99)
+	p99 := snap.Quantile(0.99)
 	if p99 < 5e8 || p99 > 1.2e9 {
 		t.Fatalf("p99 = %v, want ~1e9", p99)
 	}
-	if q := h.Quantile(1); q <= 0 {
+	if q := snap.Quantile(1); q <= 0 {
 		t.Fatalf("p100 = %v", q)
 	}
 }
@@ -69,7 +78,7 @@ func TestHistogramSumCountQuantiles(t *testing.T) {
 func TestHistogramEmptyQuantile(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("capnn_test_empty_ns", "empty", []float64{1, 2})
-	if q := h.Quantile(0.99); q != 0 {
+	if q := h.Snapshot().Quantile(0.99); q != 0 {
 		t.Fatalf("empty histogram p99 = %v, want 0", q)
 	}
 }
@@ -129,8 +138,8 @@ func TestNamingLint(t *testing.T) {
 	r := NewRegistry()
 	mustPanic("invalid name", func() { r.Counter("Bad-Name_total", "") })
 	mustPanic("counter without _total", func() { r.Counter("capnn_test_requests", "") })
-	r.Gauge("capnn_test_ok", "")
-	mustPanic("duplicate", func() { r.Gauge("capnn_test_ok", "") })
+	r.GaugeFunc("capnn_test_ok", "", func() float64 { return 0 })
+	mustPanic("duplicate", func() { r.GaugeFunc("capnn_test_ok", "", func() float64 { return 0 }) })
 }
 
 func TestPrometheusExposition(t *testing.T) {
@@ -143,8 +152,7 @@ func TestPrometheusExposition(t *testing.T) {
 	h.Observe(50)
 	h.Observe(150)
 	h.Observe(1000)
-	g := r.Gauge("capnn_test_depth", "Depth.")
-	g.Set(1.5)
+	r.GaugeFunc("capnn_test_depth", "Depth.", func() float64 { return 1.5 })
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -258,8 +266,8 @@ func TestConcurrentWritersAndScrapes(t *testing.T) {
 	if c.Value() != writers*perWriter {
 		t.Fatalf("counter = %d, want %d", c.Value(), writers*perWriter)
 	}
-	if h.Count() != writers*perWriter {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), writers*perWriter)
+	if h.Snapshot().Count != writers*perWriter {
+		t.Fatalf("histogram count = %d, want %d", h.Snapshot().Count, writers*perWriter)
 	}
 	var shed uint64
 	v.Each(func(_ []string, n uint64) { shed += n })
@@ -275,7 +283,7 @@ func TestConcurrentWritersAndScrapes(t *testing.T) {
 	if h.Sum() != want {
 		t.Fatalf("histogram sum = %v, want %v", h.Sum(), want)
 	}
-	if math.IsNaN(h.Quantile(0.99)) {
+	if math.IsNaN(h.Snapshot().Quantile(0.99)) {
 		t.Fatal("p99 is NaN")
 	}
 }

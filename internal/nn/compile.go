@@ -190,10 +190,6 @@ func (p *Prefix) Compile(masks map[int][]bool) (*Compiled, error) {
 	return c, nil
 }
 
-// Prefix reports what c was compiled on: every plan of one Prefix shares
-// its plan, weights and arena pool.
-func (c *Compiled) Prefix() *Prefix { return c.prefix }
-
 // plan lowers a (already compacted) network into a Compiled without
 // verification. keep is the final stage's surviving units out of the
 // base network's outShape.

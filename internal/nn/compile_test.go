@@ -406,7 +406,7 @@ func TestPrefixCompileBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("trial %d split %d: %v", trial, split, err)
 			}
-			if c.Prefix() != p {
+			if c.prefix != p {
 				t.Fatal("the plan does not report its prefix")
 			}
 			whole, err := Compile(net, masks)

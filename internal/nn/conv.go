@@ -62,8 +62,6 @@ func NewConv2DUninit(name string, inShape []int, outC, k, stride, pad int) (*Con
 
 func (c *Conv2D) Name() string     { return c.name }
 func (c *Conv2D) Kernel() int      { return c.k }
-func (c *Conv2D) Stride() int      { return c.stride }
-func (c *Conv2D) Pad() int         { return c.pad }
 func (c *Conv2D) InShape() []int   { return []int{c.inC, c.inH, c.inW} }
 func (c *Conv2D) OutShape() []int  { return []int{c.outC, c.outH, c.outW} }
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }

@@ -174,9 +174,6 @@ func NewPool(workers int) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 func (p *Pool) run(worker int) {
 	defer p.stopped.Done()
 	for t := range p.tasks {

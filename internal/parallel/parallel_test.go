@@ -100,8 +100,8 @@ func TestSetDefault(t *testing.T) {
 func TestPoolRunsBarriersAndCloses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := NewPool(4)
-	if p.Workers() != 4 {
-		t.Fatalf("Workers = %d, want 4", p.Workers())
+	if p.workers != 4 {
+		t.Fatalf("workers = %d, want 4", p.workers)
 	}
 	for round := 0; round < 3; round++ {
 		const n = 50

@@ -128,8 +128,8 @@ func TestWireBadRequests(t *testing.T) {
 			t.Errorf("%s: error not typed: %v", tc.name, err)
 			continue
 		}
-		if te.Code != cloud.CodeBadRequest || te.Retryable() {
-			t.Errorf("%s: code=%v retryable=%v, want non-retryable bad request", tc.name, te.Code, te.Retryable())
+		if te.Code != cloud.CodeBadRequest || te.Code.Retryable() {
+			t.Errorf("%s: code=%v retryable=%v, want non-retryable bad request", tc.name, te.Code, te.Code.Retryable())
 		}
 	}
 }
@@ -349,7 +349,7 @@ func TestCorruptedFramesAreNeverServed(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		resp, err := responses.Infer(req)
 		var te *Error
-		if !errors.As(err, &te) || te.Code != cloud.CodeInternal || !te.Retryable() {
+		if !errors.As(err, &te) || te.Code != cloud.CodeInternal || !te.Code.Retryable() {
 			t.Fatalf("corrupted response %d was delivered: resp=%+v err=%v", i, resp, err)
 		}
 	}
@@ -371,7 +371,7 @@ func TestCorruptedFramesAreNeverServed(t *testing.T) {
 		resp, err := requests.Infer(req)
 		var te *Error
 		switch {
-		case errors.As(err, &te) && te.Code == cloud.CodeInternal && te.Retryable():
+		case errors.As(err, &te) && te.Code == cloud.CodeInternal && te.Code.Retryable():
 		case errors.As(err, &te) && te.Code == cloud.CodeBadRequest && strings.Contains(te.Error(), "size cap"):
 			// The flip hit the length prefix, which no checksum covers, and
 			// announced a frame over the cap: the server cannot tell that

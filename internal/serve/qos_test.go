@@ -58,7 +58,7 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 	if !errors.As(err, &te) || te.Code != cloud.CodeExpired {
 		t.Fatalf("budget-bound queued request got %v, want typed expired error", err)
 	}
-	if te.Retryable() {
+	if te.Code.Retryable() {
 		t.Fatal("expired must not be retryable: the caller's deadline is gone everywhere")
 	}
 	if waited > 5*time.Second {
@@ -197,7 +197,7 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 	if !errors.As(err, &te) || te.Code != cloud.CodeOverQuota {
 		t.Fatalf("bulk overflow got %v, want typed over-quota error", err)
 	}
-	if !te.Retryable() {
+	if !te.Code.Retryable() {
 		t.Fatal("over-quota must be retryable with backoff")
 	}
 

@@ -177,9 +177,6 @@ func (e *Error) Error() string { return fmt.Sprintf("serve: [%s] %v", e.Code, e.
 // Unwrap exposes the cause to errors.Is/As.
 func (e *Error) Unwrap() error { return e.Err }
 
-// Retryable defers to the code: busy and internal faults may clear.
-func (e *Error) Retryable() bool { return e.Code.Retryable() }
-
 // Result is one request's answer.
 type Result struct {
 	// Logits are the raw class scores; Class is their argmax.
@@ -410,15 +407,10 @@ type QoS struct {
 	Tenant   string
 }
 
-// Infer serves one sample x (per-sample shape, no batch dimension) for
-// a user with the given preferences under the server's default variant.
-// It blocks until the request's forward has run, or fails with a typed
+// InferVariant serves one sample x (per-sample shape, no batch
+// dimension) for a user with the given preferences under variant v. It
+// blocks until the request's forward has run, or fails with a typed
 // *Error.
-func (s *Server) Infer(prefs core.Preferences, x *tensor.Tensor) (Result, error) {
-	return s.infer(s.cfg.Variant, prefs, x.Data(), QoS{})
-}
-
-// InferVariant is Infer under an explicit pruning variant.
 func (s *Server) InferVariant(v core.Variant, prefs core.Preferences, x *tensor.Tensor) (Result, error) {
 	return s.infer(v, prefs, x.Data(), QoS{})
 }

@@ -201,7 +201,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 	if !errors.As(err, &te) || te.Code != cloud.CodeBusy {
 		t.Fatalf("overflow request got %v, want typed busy error", err)
 	}
-	if !te.Retryable() {
+	if !te.Code.Retryable() {
 		t.Fatal("busy must be retryable")
 	}
 	close(release)
@@ -302,4 +302,9 @@ func waitFor(t *testing.T, window time.Duration, cond func() bool, msg string) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatalf("timed out waiting for: %s", msg)
+}
+
+// Infer is InferVariant under the server's default variant.
+func (s *Server) Infer(prefs core.Preferences, x *tensor.Tensor) (Result, error) {
+	return s.infer(s.cfg.Variant, prefs, x.Data(), QoS{})
 }

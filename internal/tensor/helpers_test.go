@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 )
@@ -43,4 +44,35 @@ func (t *Tensor) FillUniform(rng *rand.Rand, lo, hi float64) {
 	for i := range t.data {
 		t.data[i] = lo + (hi-lo)*rng.Float64()
 	}
+}
+
+// Add computes t += o elementwise. Shapes must match in element count.
+func (t *Tensor) Add(o *Tensor) error {
+	if len(o.data) != len(t.data) {
+		return fmt.Errorf("tensor: add size mismatch %v vs %v", o.shape, t.shape)
+	}
+	for i, v := range o.data {
+		t.data[i] += v
+	}
+	return nil
+}
+
+// Sum returns the sum of all elements.
+func (t *Tensor) Sum() float64 {
+	s := 0.0
+	for _, v := range t.data {
+		s += v
+	}
+	return s
+}
+
+// Max returns the maximum element and its flat index. Panics on empty data.
+func (t *Tensor) Max() (float64, int) {
+	best, bi := math.Inf(-1), -1
+	for i, v := range t.data {
+		if v > best {
+			best, bi = v, i
+		}
+	}
+	return best, bi
 }

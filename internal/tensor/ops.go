@@ -6,17 +6,6 @@ import (
 	"sort"
 )
 
-// Add computes t += o elementwise. Shapes must match in element count.
-func (t *Tensor) Add(o *Tensor) error {
-	if len(o.data) != len(t.data) {
-		return fmt.Errorf("tensor: add size mismatch %v vs %v", o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] += v
-	}
-	return nil
-}
-
 // Sub computes t -= o elementwise.
 func (t *Tensor) Sub(o *Tensor) error {
 	if len(o.data) != len(t.data) {
@@ -33,26 +22,6 @@ func (t *Tensor) Scale(s float64) {
 	for i := range t.data {
 		t.data[i] *= s
 	}
-}
-
-// Sum returns the sum of all elements.
-func (t *Tensor) Sum() float64 {
-	s := 0.0
-	for _, v := range t.data {
-		s += v
-	}
-	return s
-}
-
-// Max returns the maximum element and its flat index. Panics on empty data.
-func (t *Tensor) Max() (float64, int) {
-	best, bi := math.Inf(-1), -1
-	for i, v := range t.data {
-		if v > best {
-			best, bi = v, i
-		}
-	}
-	return best, bi
 }
 
 // matMulKC is the k-dimension cache block of MatMul: the B panel touched

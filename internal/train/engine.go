@@ -70,9 +70,6 @@ func NewTrainer(net *nn.Network, opt Stepper, workers int, seed int64) *Trainer 
 	return t
 }
 
-// Workers returns the trainer's worker count.
-func (t *Trainer) Workers() int { return t.pool.Workers() }
-
 // Step runs one optimizer step over the samples of ds selected by
 // indices and returns the batch's mean cross-entropy loss. The shard
 // losses and gradients are combined with weights |shard|/|batch| in

@@ -170,9 +170,6 @@ func NewModel(cfg Config) (*Model, error) {
 	return m, nil
 }
 
-// Config returns the model's effective configuration (defaults applied).
-func (m *Model) Config() Config { return m.cfg }
-
 // At returns trace event i. It is a pure function of (Config, i): calling
 // it from any goroutine, in any order, for any partition of the index
 // space yields the same trace.

@@ -1,10 +1,17 @@
 package capnn
 
 import (
+	"fmt"
 	"go/ast"
 	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
+	"os"
+	"os/exec"
+	"path"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -13,10 +20,11 @@ import (
 )
 
 // reachAllowed are the exported internal/ identifiers that no non-test
-// code names but that stay, each with its reason. A name is
+// code reaches but that stay, each with its reason. A name is
 // "pkg.Name" or, for a method, "pkg.Type.Name".
 var reachAllowed = map[string]string{
 	"rpc.NewPipeListener":             "in-process transport seam: serve and rpc tests run a tier over net.Pipe, and the deterministic cluster simulation (ROADMAP item 5) will",
+	"rpc.PipeListener.Dial":           "the client half of that seam: the tests dial the pipe listener they serve on",
 	"qos.Limiter.SetClock":            "fake-clock seam for the token-bucket tests",
 	"metrics.EventLog.SetNow":         "fake-clock seam for the event-log tests",
 	"faults.PartitionListener":        "partition seam: the gateway failover tests cut a shard off and heal it",
@@ -30,159 +38,210 @@ var reachAllowed = map[string]string{
 }
 
 // An exported function, method, type, var or const under internal/ must
-// be named by some non-test Go code other than its own declaration:
+// be reached from some non-test Go code other than its own declaration:
 // internal/ itself, cmd/, examples/, scripts/, the root facade, or the
 // benchmark/ module, whose tests count too (it is frozen, and reaches
-// internal/ only through exported names). A name in a comment or a
-// string literal is not a use, nor is a use inside an exported
+// internal/ only through exported names). Every package is type-checked,
+// and a use is an identifier that resolves to the declared object, so a
+// name shared with something else hides nothing; a name in a comment or
+// a string literal is not a use, nor is a use inside an exported
 // declaration that is itself unreached, so a dead chain fails link by
 // link. A method whose name some interface declares (in this repository
 // or a standard package it imports) counts as used, since a call through
-// that interface names no receiver. The match is by name: a shared name
-// can hide a finding, but a finding is real.
+// that interface names no receiver.
 func TestInternalExportsAreReached(t *testing.T) {
-	type decl struct {
-		key   string // pkg.Name or pkg.Type.Name
-		name  string
-		recv  bool
-		where string
-	}
-	var decls []*decl
-	// uses maps a name to the checked declaration each use of it sits
-	// in; nil stands for a use outside any.
-	uses := map[string][]*decl{}
-	iface := map[string]bool{"Error": true} // the builtin error
-	imports := map[string]bool{}
-
 	fset := token.NewFileSet()
-	parse := func(path string, src []byte) {
-		if strings.HasSuffix(path, "_test.go") && !strings.HasPrefix(filepath.ToSlash(path), "benchmark/") {
+	files := map[string][]*ast.File{}       // by import path
+	exports := map[string]string{}          // export data file by import path, outside capnn
+	iface := map[string]bool{"Error": true} // the builtin error
+	ifaceNames := func(f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if it, ok := n.(*ast.InterfaceType); ok {
+				for _, m := range it.Methods.List {
+					for _, id := range m.Names {
+						iface[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	parse := func(name string, src []byte) {
+		slash := filepath.ToSlash(name)
+		if strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(slash, "benchmark/") {
 			return
 		}
-		f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+		if ok, err := build.Default.MatchFile(filepath.Split(name)); err != nil || !ok {
+			if err != nil {
+				t.Fatal(err)
+			}
+			return
+		}
+		f, err := parser.ParseFile(fset, name, src, parser.SkipObjectResolution)
 		if err != nil {
 			t.Fatal(err)
 		}
+		ifaceNames(f)
 		for _, im := range f.Imports {
 			p, _ := strconv.Unquote(im.Path.Value)
-			imports[p] = true
-		}
-		internal := strings.HasPrefix(filepath.ToSlash(path), "internal/")
-		pkg := filepath.Base(filepath.Dir(path))
-		declared := map[*ast.Ident]bool{}
-		for _, d := range f.Decls {
-			var owner *decl
-			add := func(id *ast.Ident, recv string) {
-				declared[id] = true
-				if !internal || !id.IsExported() || (recv != "" && !ast.IsExported(recv)) {
-					return
-				}
-				key := pkg + "." + id.Name
-				if recv != "" {
-					key = pkg + "." + recv + "." + id.Name
-				}
-				e := &decl{key: key, name: id.Name, recv: recv != "", where: fset.Position(id.Pos()).String()}
-				decls = append(decls, e)
-				if owner == nil {
-					owner = e
-				}
+			if p != "capnn" && !strings.HasPrefix(p, "capnn/") {
+				exports[p] = ""
 			}
-			switch d := d.(type) {
-			case *ast.FuncDecl:
-				recv := ""
-				if d.Recv != nil {
-					recv = recvName(d.Recv.List[0].Type)
-				}
-				add(d.Name, recv)
-			case *ast.GenDecl:
-				for _, s := range d.Specs {
-					switch s := s.(type) {
-					case *ast.TypeSpec:
-						add(s.Name, "")
-					case *ast.ValueSpec:
-						for _, n := range s.Names {
-							add(n, "")
-						}
-					}
-				}
-				if len(d.Specs) > 1 {
-					owner = nil // a group's members do not reach each other
-				}
-			}
-			ast.Inspect(d, func(n ast.Node) bool {
-				switch n := n.(type) {
-				case *ast.InterfaceType:
-					for _, m := range n.Methods.List {
-						for _, id := range m.Names {
-							iface[id.Name] = true
-							declared[id] = true
-						}
-					}
-				case *ast.StructType:
-					for _, fl := range n.Fields.List {
-						for _, id := range fl.Names {
-							declared[id] = true
-						}
-					}
-				case *ast.Ident:
-					if !declared[n] {
-						uses[n.Name] = append(uses[n.Name], owner)
-					}
-				}
-				return true
-			})
 		}
+		ip := path.Join("capnn", path.Dir(slash))
+		if strings.HasSuffix(f.Name.Name, "_test") {
+			ip += "_test"
+		}
+		files[ip] = append(files[ip], f)
 	}
 	goSources(t, ".", parse)
 	goSources(t, "benchmark", parse)
 
-	// Interface methods of the standard packages the code imports.
-	for p := range imports {
-		if strings.HasPrefix(p, "capnn") {
-			continue
+	// capnn/... comes from source, the rest from the toolchain's export
+	// data, located by one go list. One Info serves every package: its
+	// keys are distinct nodes.
+	args := []string{"list", "-export", "-f", "{{.ImportPath}} {{.Export}}"}
+	for p := range exports {
+		args = append(args, p)
+	}
+	out, err := exec.Command(filepath.Join(build.Default.GOROOT, "bin", "go"), args...).Output()
+	if ee, ok := err.(*exec.ExitError); ok {
+		t.Fatalf("go list: %v\n%s", err, ee.Stderr)
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		p, file, _ := strings.Cut(line, " ")
+		exports[p] = file
+	}
+	std := importer.ForCompiler(fset, "gc", func(p string) (io.ReadCloser, error) { return os.Open(exports[p]) })
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	checked := map[string]*types.Package{}
+	var imp importerFunc
+	imp = func(ip string) (*types.Package, error) {
+		if ip != "capnn" && !strings.HasPrefix(ip, "capnn/") {
+			return std.Import(ip)
 		}
-		dir := filepath.Join(build.Default.GOROOT, "src", p)
-		files, _ := filepath.Glob(filepath.Join(dir, "*.go"))
-		for _, name := range files {
-			if strings.HasSuffix(name, "_test.go") {
+		if p, ok := checked[ip]; ok {
+			return p, nil
+		}
+		if len(files[ip]) == 0 {
+			return nil, fmt.Errorf("no Go files for %s", ip)
+		}
+		p, err := (&types.Config{Importer: imp}).Check(ip, fset, files[ip], info)
+		checked[ip] = p
+		return p, err
+	}
+	for ip := range files {
+		if _, err := imp.Import(ip); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// Interface methods of the standard packages the code imports, from
+	// their source: an interface inside a function body counts too.
+	seen := map[string]bool{}
+	for _, p := range checked {
+		for _, im := range p.Imports() {
+			if strings.HasPrefix(im.Path(), "capnn") || seen[im.Path()] {
 				continue
 			}
-			f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-			if err != nil {
-				t.Fatal(err)
+			seen[im.Path()] = true
+			names, _ := filepath.Glob(filepath.Join(build.Default.GOROOT, "src", im.Path(), "*.go"))
+			for _, name := range names {
+				if strings.HasSuffix(name, "_test.go") {
+					continue
+				}
+				f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ifaceNames(f)
 			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if it, ok := n.(*ast.InterfaceType); ok {
-					for _, m := range it.Methods.List {
-						for _, id := range m.Names {
-							iface[id.Name] = true
-						}
+		}
+	}
+
+	type decl struct {
+		key   string // pkg.Name or pkg.Type.Name
+		recv  bool
+		where string
+	}
+	decls := map[types.Object]*decl{}
+	// uses maps an object to the checked declaration each use of it
+	// sits in; nil stands for a use outside any.
+	uses := map[types.Object][]*decl{}
+	for ip, fs := range files {
+		internal := strings.HasPrefix(ip, "capnn/internal/") && !strings.HasSuffix(ip, "_test")
+		for _, f := range fs {
+			for _, d := range f.Decls {
+				var owner *decl
+				add := func(id *ast.Ident, recv string) {
+					if !internal || !id.IsExported() || (recv != "" && !ast.IsExported(recv)) {
+						return
+					}
+					key := path.Base(ip) + "." + id.Name
+					if recv != "" {
+						key = path.Base(ip) + "." + recv + "." + id.Name
+					}
+					e := &decl{key: key, recv: recv != "", where: fset.Position(id.Pos()).String()}
+					decls[info.Defs[id]] = e
+					if owner == nil {
+						owner = e
 					}
 				}
-				return true
-			})
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					recv := ""
+					if d.Recv != nil {
+						recv = recvName(d.Recv.List[0].Type)
+					}
+					add(d.Name, recv)
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						switch s := s.(type) {
+						case *ast.TypeSpec:
+							add(s.Name, "")
+						case *ast.ValueSpec:
+							for _, n := range s.Names {
+								add(n, "")
+							}
+						}
+					}
+					if len(d.Specs) > 1 {
+						owner = nil // a group's members do not reach each other
+					}
+				}
+				ast.Inspect(d, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok {
+						if obj := origin(info.Uses[id]); obj != nil {
+							uses[obj] = append(uses[obj], owner)
+						}
+					}
+					return true
+				})
+			}
 		}
 	}
 	if len(decls) == 0 || len(uses) == 0 || !iface["ServeHTTP"] {
-		t.Fatalf("%d declarations, %d used names, ServeHTTP known %v: the scan is broken", len(decls), len(uses), iface["ServeHTTP"])
+		t.Fatalf("%d declarations, %d used objects, ServeHTTP known %v: the scan is broken", len(decls), len(uses), iface["ServeHTTP"])
 	}
 
-	// A declaration is dead when every use of its name sits inside dead
+	// A declaration is dead when every use of it sits inside dead
 	// declarations; the allowlisted ones are kept alive, so what they
 	// call is reached.
 	dead := map[*decl]bool{}
-	reached := func(d *decl) bool {
-		for _, owner := range uses[d.name] {
+	reached := func(obj types.Object, d *decl) bool {
+		for _, owner := range uses[obj] {
 			if owner == nil || (owner != d && !dead[owner]) {
 				return true
 			}
 		}
-		return d.recv && iface[d.name]
+		return d.recv && iface[obj.Name()]
 	}
 	for changed := true; changed; {
 		changed = false
-		for _, d := range decls {
-			if _, ok := reachAllowed[d.key]; !ok && !dead[d] && !reached(d) {
+		for obj, d := range decls {
+			if _, ok := reachAllowed[d.key]; !ok && !dead[d] && !reached(obj, d) {
 				dead[d], changed = true, true
 			}
 		}
@@ -197,15 +256,31 @@ func TestInternalExportsAreReached(t *testing.T) {
 	}
 	for key := range reachAllowed {
 		stale := true
-		for _, d := range decls {
+		for obj, d := range decls {
 			if d.key == key {
-				stale = reached(d)
+				stale = reached(obj, d)
 			}
 		}
 		if stale {
 			t.Errorf("reachAllowed lists %s, which is reached or gone: drop the entry", key)
 		}
 	}
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
+// origin maps a field or method of an instantiated generic type back to
+// its declaration.
+func origin(obj types.Object) types.Object {
+	switch o := obj.(type) {
+	case *types.Func:
+		return o.Origin()
+	case *types.Var:
+		return o.Origin()
+	}
+	return obj
 }
 
 // recvName is the type name of a method receiver: T, *T, T[P] or *T[P].

@@ -26,7 +26,7 @@
 # deadline budget with zero failures, and the gateway's /debug/stats
 # attributes the sheds to the bulk tenant's stream.
 # A final drift phase replays a seeded skew-flip workload trace
-# (capnn-loadgen -workload zipf -drift ...) against a fresh cluster on
+# (capnn-loadgen -drift ...) against a fresh cluster on
 # the production guard and asserts that the flip trips guards and heals
 # entries with zero client-visible failures; the JSON scorecard is kept
 # as an artifact (driftload.json).
@@ -153,6 +153,9 @@ SERVE0_MADDR=$(wait_maddr "$WORKDIR/serve0.log")
 echo "cluster_smoke: gateway at $GW_ADDR (pid $GW_PID, metrics $GW_MADDR; shard 0 metrics $SERVE0_MADDR)"
 
 echo "cluster_smoke: phase 2 — warm every user's personalization on every shard"
+# Phases 2-4 and 7 replay one seeded zipf trace: a warm-up sends its head,
+# its load the same trace from the start.
+TRACE=(-users 8 -seed 1)
 # Warm each shard directly (not through the gateway, which only touches
 # primaries): after the kill, failover must land on replicas whose mask
 # caches already hold the dead shard's users. On a small CI machine a
@@ -160,7 +163,7 @@ echo "cluster_smoke: phase 2 — warm every user's personalization on every shar
 # of them would outrun any sane budget — the smoke asserts routing and
 # failover, not single-core prune throughput.
 for i in 0 1 2; do
-    if ! "$WORKDIR/capnn-loadgen" -addr "${NODE_ADDRS[$i]}" -model "$MODEL" -n 16 -users 8 \
+    if ! "$WORKDIR/capnn-loadgen" -addr "${NODE_ADDRS[$i]}" -model "$MODEL" -n 64 "${TRACE[@]}" \
         -concurrency 8 -timeout 150s -progress-every 0 >"$WORKDIR/warm$i.log" 2>&1; then
         if [ "$i" = "1" ]; then
             # Shard 1 runs under transport chaos: non-retrying warm clients
@@ -176,7 +179,7 @@ done
 
 echo "cluster_smoke: phase 3 — drive $REQUESTS requests, kill -9 shard 2 mid-load"
 "$WORKDIR/capnn-loadgen" -addr "$GW_ADDR" -model "$MODEL" -n "$REQUESTS" \
-    -users 8 -concurrency 8 -timeout 150s -progress-every 25 >"$WORKDIR/load.log" 2>&1 &
+    "${TRACE[@]}" -concurrency 8 -timeout 150s -progress-every 25 >"$WORKDIR/load.log" 2>&1 &
 LOAD_PID=$!
 PIDS+=("$LOAD_PID")
 # Kill once the load is demonstrably mid-flight (~1/3 through).
@@ -245,7 +248,7 @@ jq -e '.RingVersion >= 1' "$WORKDIR/gw_stats1.json" >/dev/null || {
 # is warm from phase 2) has to land on the compiled path at once, with
 # zero compile errors and compiled weights resident.
 CD1=$(metric_val capnn_serve_compiled_dispatch_total "$WORKDIR/serve0_metrics2.txt")
-"$WORKDIR/capnn-loadgen" -addr "${NODE_ADDRS[0]}" -model "$MODEL" -n 8 -users 4 \
+"$WORKDIR/capnn-loadgen" -addr "${NODE_ADDRS[0]}" -model "$MODEL" -n 8 "${TRACE[@]}" \
     -concurrency 4 -timeout 150s -progress-every 0 >"$WORKDIR/compiled.log" 2>&1 || true
 curl -sf "http://$SERVE0_MADDR/metrics" >"$WORKDIR/serve0_metrics3.txt" || {
     echo "cluster_smoke: FAIL: shard 0 /metrics unreachable after the direct round"; exit 1; }
@@ -283,7 +286,7 @@ echo "cluster_smoke: phase 6 — elastic scale: 3 -> 5 -> 2 shards under sustain
 # stationary zipf trace (every request drawn from the preferences it
 # claims), so no entry — filled or refilled — may trip or heal: the
 # personalization count is the fills alone.
-E_TRACE=(-workload zipf -users 8 -seed 1)
+E_TRACE=(-users 8 -seed 1)
 E_NODE_ADDRS=(); E_NODE_MADDRS=(); E_NODE_PIDS=()
 for i in 0 1 2 3 4; do
     "$WORKDIR/capnn-serve" -addr 127.0.0.1:0 -model "$MODEL" \
@@ -432,7 +435,7 @@ echo "cluster_smoke: quota gateway at $QGW_ADDR (metrics $QGW_MADDR, shards ${Q_
 
 # Warm every user's primary shard on the unlimited interactive lane so
 # the flood phase measures queueing, not cold personalization.
-"$WORKDIR/capnn-loadgen" -addr "$QGW_ADDR" -model "$MODEL" -n 16 -users 8 \
+"$WORKDIR/capnn-loadgen" -addr "$QGW_ADDR" -model "$MODEL" -n 64 "${TRACE[@]}" \
     -concurrency 8 -timeout 150s -progress-every 0 >"$WORKDIR/qwarm.log" 2>&1 || {
     sed 's/^/  qwarm| /' "$WORKDIR/qwarm.log" | tail -5
     echo "cluster_smoke: FAIL: quota-cluster warm-up failed"; exit 1; }
@@ -442,7 +445,7 @@ echo "cluster_smoke: quota gateway at $QGW_ADDR (metrics $QGW_MADDR, shards ${Q_
 # production latency). Typed sheds are soft, so exit status only trips
 # on real errors.
 if ! "$WORKDIR/capnn-loadgen" -addr "$QGW_ADDR" -model "$MODEL" -n "$REQUESTS" \
-    -users 8 -concurrency 8 -timeout 150s -progress-every 25 -json \
+    "${TRACE[@]}" -concurrency 8 -timeout 150s -progress-every 25 -json \
     -bulk-frac 0.7 -bulk-tenant batch -budget 120s >"$WORKDIR/qload.log" 2>&1; then
     sed 's/^/  qload| /' "$WORKDIR/qload.log" | tail -8
     echo "cluster_smoke: FAIL: hard failures during bulk flood"
@@ -480,7 +483,7 @@ echo "cluster_smoke: phase 8 — drift: seeded skew-flip trace through a guarded
 # run (every 2nd request shadowed, a 48-deep window), so a flipped entry
 # shows its drift within a few dozen requests. The contract: the flip
 # trips guards and heals entries, and no client sees a failure.
-DRIFT_TRACE=(-workload zipf -users 6 -seed 7 -drift "flip=400,lag=200" -n 1600)
+DRIFT_TRACE=(-users 6 -seed 7 -drift "flip=400,lag=200" -n 1600)
 D_ADDRS=(); D_MADDRS=()
 for i in 0 1 2; do
     "$WORKDIR/capnn-serve" -addr 127.0.0.1:0 -model "$MODEL" \
