@@ -3,12 +3,14 @@ package serve
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
 
 	"capnn/internal/cloud"
 	"capnn/internal/core"
+	"capnn/internal/nn"
 	"capnn/internal/tensor"
 )
 
@@ -200,10 +202,9 @@ func TestCompileFailureServesUnpruned(t *testing.T) {
 	}
 }
 
-// Every plan the server runs is compiled on its one prefix (the server
-// compiles only through it, and TestPrefixCompileBitIdentical pins that a
-// plan keeps the prefix it was compiled on), and compiled_bytes counts
-// it once beside each entry's suffix. The fixture's system prunes
+// Every plan the server runs is compiled on its one prefix: each cache
+// entry's and the unpruned one share it by pointer, and compiled_bytes
+// counts it once beside each entry's suffix. The fixture's system prunes
 // from its first stage on, so this one is built on the same network
 // prunable from stage 1: its prefix is the first conv block, and every
 // answer on a split plan is still the masked reference's, bit for bit.
@@ -220,6 +221,9 @@ func TestPlansShareOnePrefix(t *testing.T) {
 
 	if srv.prefix.Bytes() <= 0 {
 		t.Fatal("the server's prefix holds no plan")
+	}
+	if prefixOf(srv.unpruned) != srv.prefix {
+		t.Fatal("the unpruned plan is not compiled on the server's prefix")
 	}
 	for i, classes := range [][]int{{0, 1}, {2, 3}, {1, 2, 3}} {
 		x := f.sample(t, i)
@@ -238,6 +242,9 @@ func TestPlansShareOnePrefix(t *testing.T) {
 		if e.plan == srv.unpruned {
 			t.Fatalf("entry %s is pinned to the unpruned plan", e.key)
 		}
+		if prefixOf(e.plan) != srv.prefix {
+			t.Fatalf("entry %s's plan is compiled on another prefix", e.key)
+		}
 		want += e.plan.Bytes()
 	}
 	if !pruned {
@@ -247,4 +254,10 @@ func TestPlansShareOnePrefix(t *testing.T) {
 		t.Fatalf("compiled entries=%d bytes=%d, want %d and %d (the prefix once plus each suffix)",
 			st.CompiledEntries, st.CompiledBytes, len(entries), want)
 	}
+}
+
+// prefixOf is the prefix a plan was compiled on, read from its
+// unexported field: nn exports no accessor that only a test would call.
+func prefixOf(c *nn.Compiled) *nn.Prefix {
+	return (*nn.Prefix)(reflect.ValueOf(c).Elem().FieldByName("prefix").UnsafePointer())
 }
