@@ -1,13 +1,13 @@
-// Benchmarks regenerating every table and figure of the paper's
-// evaluation (DESIGN.md §4 maps each one). Run them all with
+// Benchmarks timing CAP'NN's run-time paths: the online pruning steps,
+// inference (masked, pruned, compiled), serving, routing and the wire.
+// Run them all with
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench=. -benchmem
 //
-// The first run trains and caches the two reference models under
-// testdata/fixtures (a few minutes on one core); later runs reuse them.
-// Each benchmark prints the regenerated rows once, then times the runner.
-// CAPNN_COMBOS=n raises the statistical averaging toward the paper's 200
-// random class combinations.
+// The paper's tables and figures are regenerated by cmd/capnn-experiments
+// alone (DESIGN.md §4 maps each one). The first run trains and caches the
+// two reference models under testdata/fixtures (a few minutes on one
+// core); later runs reuse them.
 package capnn
 
 import (
@@ -60,28 +60,6 @@ func cifarFixture(b *testing.B) *exp.Fixture {
 	return c10Fx
 }
 
-// benchScale averages 2 combinations per configuration, to keep
-// `go test -bench` wall time reasonable; CAPNN_COMBOS raises it.
-func benchScale() exp.Scale { return exp.Scale{Combos: 2, Seed: 1}.FromEnv() }
-
-// Fig. 4 and Fig. 5 are two views of the same K×usage sweep; the rows are
-// computed once and shared so `go test -bench=.` does not pay for the
-// multi-minute sweep twice.
-var (
-	cmpOnce sync.Once
-	cmpRows []exp.ComparisonRow
-	cmpErr  error
-)
-
-func comparisonRows(b *testing.B, fx *exp.Fixture, scale exp.Scale) []exp.ComparisonRow {
-	b.Helper()
-	cmpOnce.Do(func() { cmpRows, cmpErr = exp.RunComparison(fx, scale, nil) })
-	if cmpErr != nil {
-		b.Fatal(cmpErr)
-	}
-	return cmpRows
-}
-
 // BenchmarkFig3Example times the worked example of Fig. 3: CAP'NN-W's
 // effective-rate rule on the paper's 3-neuron/3-class matrix.
 func BenchmarkFig3Example(b *testing.B) {
@@ -101,119 +79,6 @@ func BenchmarkFig3Example(b *testing.B) {
 	}
 	if pruned == 0 {
 		b.Fatal("Fig. 3 example pruned nothing")
-	}
-}
-
-// BenchmarkFig4ModelSize regenerates Fig. 4 (average relative model size
-// of B/W/M across K and usage distributions).
-func BenchmarkFig4ModelSize(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := comparisonRows(b, fx, scale)
-		if i == 0 {
-			exp.PrintFig4(os.Stdout, rows, scale)
-		}
-	}
-}
-
-// BenchmarkFig5Accuracy regenerates Fig. 5 (top-1 accuracy of B/W/M vs
-// the unpruned model, same sweep as Fig. 4).
-func BenchmarkFig5Accuracy(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows := comparisonRows(b, fx, scale)
-		if i == 0 {
-			exp.PrintFig5(os.Stdout, rows, scale)
-		}
-	}
-}
-
-// BenchmarkFig6Tradeoff regenerates Fig. 6 (CAP'NN-M size/accuracy as K
-// grows toward the full class space).
-func BenchmarkFig6Tradeoff(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	ks := exp.DefaultTradeoffKs(fx.Config.Synth.Classes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.RunTradeoff(fx, scale, ks, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintFig6(os.Stdout, rows, fx.Config.Synth.Classes, scale)
-		}
-	}
-}
-
-// BenchmarkTable1Energy regenerates Table I (relative energy of CAP'NN-M
-// pruned models on the TPU-like device).
-func BenchmarkTable1Energy(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.RunEnergy(fx, scale, exp.Table1Ks, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintTable1(os.Stdout, rows, scale)
-		}
-	}
-}
-
-// BenchmarkTable2Stacked regenerates Table II (CAP'NN-M stacked on
-// class-unaware pruned + fine-tuned models).
-func BenchmarkTable2Stacked(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.RunStacked(fx, scale, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintTable2(os.Stdout, rows, scale)
-		}
-	}
-}
-
-// BenchmarkTable3Captor regenerates Table III (normalized energy vs the
-// CAPTOR-style class-adaptive comparator on the 10-class model).
-func BenchmarkTable3Captor(b *testing.B) {
-	fx := cifarFixture(b)
-	scale := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.RunCaptor(fx, scale, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintTable3(os.Stdout, rows, scale)
-		}
-	}
-}
-
-// BenchmarkMemoryOverhead regenerates the §V-C firing-rate storage
-// accounting.
-func BenchmarkMemoryOverhead(b *testing.B) {
-	fx := mainFixture(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rep, err := exp.RunMemory(fx)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintMemory(os.Stdout, rep)
-		}
 	}
 }
 
@@ -570,79 +435,6 @@ func exampleRates() *firing.LayerRates {
 		0.02, 0.03, 0.01,
 		0.50, 0.60, 0.40,
 	}}
-}
-
-// BenchmarkAblationEpsilon sweeps the ε budget (the central knob of
-// Algorithms 1-2) against model size for CAP'NN-W.
-func BenchmarkAblationEpsilon(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	eps := []float64{0.02, 0.05, 0.08, 0.12, 0.2}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.RunEpsilonAblation(fx, scale, eps, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintEpsilonAblation(os.Stdout, rows, 3, scale)
-		}
-	}
-}
-
-// BenchmarkAblationQuantization compares pruning decisions under b-bit
-// quantized firing rates against full precision (paper §V-C stores
-// 3-bit codes).
-func BenchmarkAblationQuantization(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	bits := []int{1, 2, 3, 4, 8}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.RunQuantAblation(fx, scale, bits, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintQuantAblation(os.Stdout, rows, 3)
-		}
-	}
-}
-
-// BenchmarkClaims executes the paper-claim checklist (EXPERIMENTS.md) end
-// to end against both fixtures.
-func BenchmarkClaims(b *testing.B) {
-	fx := mainFixture(b)
-	c10 := cifarFixture(b)
-	scale := benchScale()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		claims, err := exp.CheckClaims(fx, c10, scale, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintClaims(os.Stdout, claims)
-		}
-	}
-}
-
-// BenchmarkAblationLstart sweeps how many trailing layers CAP'NN may
-// prune (the paper's footnote-3 "last 6 layers" design choice).
-func BenchmarkAblationLstart(b *testing.B) {
-	fx := mainFixture(b)
-	scale := benchScale()
-	counts := []int{2, 3, 5, 8, 12}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rows, err := exp.RunLstartAblation(fx, scale, counts, 3, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			exp.PrintLstartAblation(os.Stdout, rows, 3, scale)
-		}
-	}
 }
 
 // BenchmarkGatewayRouting measures the cluster tier's two costs: the

@@ -1,6 +1,7 @@
 // Command capnn-experiments regenerates the paper's figures and tables
-// (see DESIGN.md §4 for the experiment index). First runs train and cache
-// the reference models under testdata/fixtures.
+// (see DESIGN.md §4 for the experiment index); it is their only
+// reproducer. First runs train and cache the reference models under
+// testdata/fixtures.
 //
 // Usage:
 //
@@ -11,15 +12,19 @@
 //	capnn-experiments -artifact table2    # Table II stacking on baselines
 //	capnn-experiments -artifact table3    # Table III vs CAPTOR
 //	capnn-experiments -artifact memory    # §V-C memory overhead
-//	capnn-experiments -artifact all
+//	capnn-experiments -artifact ablation  # ε, rate-quantization and l_start ablations
+//	capnn-experiments -artifact claims    # the paper-claim checklist
+//	capnn-experiments -artifact all       # fig4 through memory, in that order
 //
-// CAPNN_COMBOS=n raises the per-configuration averaging toward the
-// paper's 200 combinations.
+// -combos n sets the random class combinations averaged per
+// configuration (default 6; the paper uses 200). Combinations are drawn
+// from a fixed seed, so a run is reproducible.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"capnn/internal/exp"
@@ -33,13 +38,13 @@ func main() {
 	perf := profiling.AddFlags()
 	flag.Parse()
 
-	scale := exp.DefaultScale().FromEnv()
+	scale := exp.DefaultScale()
 	if *combos > 0 {
 		scale.Combos = *combos
 	}
-	var log *os.File
-	if !*quiet {
-		log = os.Stderr
+	var log io.Writer = os.Stderr
+	if *quiet {
+		log = nil
 	}
 
 	if err := perf.Start(); err != nil {
@@ -56,7 +61,7 @@ func main() {
 	}
 }
 
-func run(artifact string, scale exp.Scale, log *os.File) error {
+func run(artifact string, scale exp.Scale, log io.Writer) error {
 	needMain := artifact != "table3"
 	needC10 := artifact == "table3" || artifact == "all" || artifact == "claims"
 
@@ -76,105 +81,94 @@ func run(artifact string, scale exp.Scale, log *os.File) error {
 	}
 
 	out := os.Stdout
-	switch artifact {
-	case "fig4", "fig5":
-		rows, err := exp.RunComparison(main20, scale, log)
-		if err != nil {
+	var cmp []exp.ComparisonRow // fig4 and fig5 are two views of one sweep
+	comparison := func() ([]exp.ComparisonRow, error) {
+		if cmp == nil {
+			cmp, err = exp.RunComparison(main20, scale, log)
+		}
+		return cmp, err
+	}
+	emit := func(artifact string) error {
+		switch artifact {
+		case "fig4", "fig5":
+			rows, err := comparison()
+			if err != nil {
+				return err
+			}
+			if artifact == "fig4" {
+				exp.PrintFig4(out, rows, scale)
+			} else {
+				exp.PrintFig5(out, rows, scale)
+			}
+		case "fig6":
+			rows, err := exp.RunTradeoff(main20, scale, exp.DefaultTradeoffKs(main20.Config.Synth.Classes), log)
+			if err != nil {
+				return err
+			}
+			exp.PrintFig6(out, rows, main20.Config.Synth.Classes, scale)
+		case "table1":
+			rows, err := exp.RunEnergy(main20, scale, exp.Table1Ks, log)
+			if err != nil {
+				return err
+			}
+			exp.PrintTable1(out, rows, scale)
+		case "table2":
+			rows, err := exp.RunStacked(main20, scale, log)
+			if err != nil {
+				return err
+			}
+			exp.PrintTable2(out, rows, scale)
+		case "table3":
+			rows, err := exp.RunCaptor(cifar10, scale, log)
+			if err != nil {
+				return err
+			}
+			exp.PrintTable3(out, rows, scale)
+		case "ablation":
+			rows, err := exp.RunEpsilonAblation(main20, scale, []float64{0.02, 0.05, 0.08, 0.12, 0.2}, 3, log)
+			if err != nil {
+				return err
+			}
+			exp.PrintEpsilonAblation(out, rows, 3, scale)
+			fmt.Fprintln(out)
+			q, err := exp.RunQuantAblation(main20, scale, []int{1, 2, 3, 4, 8}, 3, log)
+			if err != nil {
+				return err
+			}
+			exp.PrintQuantAblation(out, q, 3)
+			fmt.Fprintln(out)
+			l, err := exp.RunLstartAblation(main20, scale, []int{2, 3, 5, 8, 12}, 3, log)
+			if err != nil {
+				return err
+			}
+			exp.PrintLstartAblation(out, l, 3, scale)
+		case "claims":
+			claims, err := exp.CheckClaims(main20, cifar10, scale, log)
+			if err != nil {
+				return err
+			}
+			exp.PrintClaims(out, claims)
+		case "memory":
+			rep, err := exp.RunMemory(main20)
+			if err != nil {
+				return err
+			}
+			exp.PrintMemory(out, rep)
+		default:
+			return fmt.Errorf("unknown artifact %q", artifact)
+		}
+		return nil
+	}
+	if artifact != "all" {
+		return emit(artifact)
+	}
+	for i, a := range []string{"fig4", "fig5", "fig6", "table1", "table2", "table3", "memory"} {
+		if i > 0 {
+			fmt.Fprintln(out)
+		}
+		if err := emit(a); err != nil {
 			return err
 		}
-		if artifact == "fig4" {
-			exp.PrintFig4(out, rows, scale)
-		} else {
-			exp.PrintFig5(out, rows, scale)
-		}
-	case "fig6":
-		rows, err := exp.RunTradeoff(main20, scale, exp.DefaultTradeoffKs(main20.Config.Synth.Classes), log)
-		if err != nil {
-			return err
-		}
-		exp.PrintFig6(out, rows, main20.Config.Synth.Classes, scale)
-	case "table1":
-		rows, err := exp.RunEnergy(main20, scale, exp.Table1Ks, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintTable1(out, rows, scale)
-	case "table2":
-		rows, err := exp.RunStacked(main20, scale, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintTable2(out, rows, scale)
-	case "table3":
-		rows, err := exp.RunCaptor(cifar10, scale, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintTable3(out, rows, scale)
-	case "ablation":
-		rows, err := exp.RunEpsilonAblation(main20, scale, []float64{0.02, 0.05, 0.08, 0.12, 0.2}, 3, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintEpsilonAblation(out, rows, 3, scale)
-		fmt.Fprintln(out)
-		q, err := exp.RunQuantAblation(main20, scale, []int{1, 2, 3, 4, 8}, 3, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintQuantAblation(out, q, 3)
-	case "claims":
-		claims, err := exp.CheckClaims(main20, cifar10, scale, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintClaims(out, claims)
-	case "memory":
-		rep, err := exp.RunMemory(main20)
-		if err != nil {
-			return err
-		}
-		exp.PrintMemory(out, rep)
-	case "all":
-		rows, err := exp.RunComparison(main20, scale, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintFig4(out, rows, scale)
-		fmt.Fprintln(out)
-		exp.PrintFig5(out, rows, scale)
-		fmt.Fprintln(out)
-		t, err := exp.RunTradeoff(main20, scale, exp.DefaultTradeoffKs(main20.Config.Synth.Classes), log)
-		if err != nil {
-			return err
-		}
-		exp.PrintFig6(out, t, main20.Config.Synth.Classes, scale)
-		fmt.Fprintln(out)
-		e, err := exp.RunEnergy(main20, scale, exp.Table1Ks, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintTable1(out, e, scale)
-		fmt.Fprintln(out)
-		s, err := exp.RunStacked(main20, scale, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintTable2(out, s, scale)
-		fmt.Fprintln(out)
-		c, err := exp.RunCaptor(cifar10, scale, log)
-		if err != nil {
-			return err
-		}
-		exp.PrintTable3(out, c, scale)
-		fmt.Fprintln(out)
-		m, err := exp.RunMemory(main20)
-		if err != nil {
-			return err
-		}
-		exp.PrintMemory(out, m)
-	default:
-		return fmt.Errorf("unknown artifact %q", artifact)
 	}
 	return nil
 }

@@ -180,7 +180,7 @@ func main() {
 		if restored {
 			r := g.Ring()
 			fmt.Printf("capnn-gateway: restored ring version %d (%d members, seed %d) from %s\n",
-				r.Version(), r.Len(), r.Seed(), *stateDir)
+				r.Epoch(), r.Len(), r.Seed(), *stateDir)
 		}
 	}
 
@@ -196,7 +196,7 @@ func main() {
 	bound := g.Serve(ln)
 	r := g.Ring()
 	fmt.Printf("capnn-gateway: routing %d nodes (ring v%d, replication %d, seed %d) on %s (Ctrl-C to stop)\n",
-		r.Len(), r.Version(), *replication, *seed, bound)
+		r.Len(), r.Epoch(), *replication, *seed, bound)
 
 	if *metricsAddr != "" {
 		mux := metrics.NewMux(g.Metrics(), g.Events())

@@ -227,18 +227,19 @@ func TestThiNetScoresUseDownstreamWeights(t *testing.T) {
 	conv1 := f.net.Stages()[1].Unit.(*nn.Conv2D)
 	w := conv1.Weights()
 	outC, k := w.Dim(0), w.Dim(2)
-	saved := map[[3]int]float64{}
+	saved := map[int]float64{} // by offset of w[oc][2][ky][kx]
 	for oc := 0; oc < outC; oc++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				saved[[3]int{oc, ky, kx}] = w.At(oc, 2, ky, kx)
-				w.Set(0, oc, 2, ky, kx)
+				i := ((oc*w.Dim(1)+2)*k+ky)*k + kx
+				saved[i] = w.Data()[i]
+				w.Data()[i] = 0
 			}
 		}
 	}
 	defer func() {
-		for key, v := range saved {
-			w.Set(v, key[0], 2, key[1], key[2])
+		for i, v := range saved {
+			w.Data()[i] = v
 		}
 	}()
 	masks, err := PruneUnaware(f.net, []int{0}, 0.2, ByThiNet, nil, f.sets.Profile)
@@ -276,18 +277,19 @@ func TestThiNetGreedyPrefersZeroContributionChannel(t *testing.T) {
 	conv1 := f.net.Stages()[1].Unit.(*nn.Conv2D)
 	w := conv1.Weights()
 	outC, k := w.Dim(0), w.Dim(2)
-	saved := map[[3]int]float64{}
+	saved := map[int]float64{} // by offset of w[oc][4][ky][kx]
 	for oc := 0; oc < outC; oc++ {
 		for ky := 0; ky < k; ky++ {
 			for kx := 0; kx < k; kx++ {
-				saved[[3]int{oc, ky, kx}] = w.At(oc, 4, ky, kx)
-				w.Set(0, oc, 4, ky, kx)
+				i := ((oc*w.Dim(1)+4)*k+ky)*k + kx
+				saved[i] = w.Data()[i]
+				w.Data()[i] = 0
 			}
 		}
 	}
 	defer func() {
-		for key, v := range saved {
-			w.Set(v, key[0], 4, key[1], key[2])
+		for i, v := range saved {
+			w.Data()[i] = v
 		}
 	}()
 	mask, err := ThiNetGreedy(f.net, 0, 0.17, f.sets.Profile, 60, 2) // 1 of 6 channels

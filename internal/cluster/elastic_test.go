@@ -197,7 +197,7 @@ func TestStaleEpochRetriesOnFreshRing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2.SetVersion(2)
+	r2.SetEpoch(2)
 	var flipped atomic.Bool
 	for _, n := range nodes {
 		n.srv.SetOwnerCheck(func(routeKey string, ringVersion uint64) cloud.Code {
@@ -256,13 +256,13 @@ func TestBackToBackEpochsStayClientInvisible(t *testing.T) {
 			// ring catches up while the fenced attempt is in flight.
 			mu.Lock()
 			defer mu.Unlock()
-			if g.Ring().Version() == ringVersion {
+			if g.Ring().Epoch() == ringVersion {
 				next, err := NewRing(cur.Seed(), cur.VirtualNodes(), cur.Nodes())
 				if err != nil {
 					t.Error(err)
 					return cloud.CodeInternal
 				}
-				next.SetVersion(ringVersion + 1)
+				next.SetEpoch(ringVersion + 1)
 				g.ring.Store(next)
 			}
 			return cloud.CodeRingChanged

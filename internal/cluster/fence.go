@@ -47,7 +47,7 @@ func (f *Fence) Apply(u serve.RingUpdate) error {
 	if err != nil {
 		return fmt.Errorf("cluster: fence: %w", err)
 	}
-	ring.SetVersion(u.Epoch)
+	ring.SetEpoch(u.Epoch)
 	repl := u.Replication
 	if repl < 1 {
 		repl = 1

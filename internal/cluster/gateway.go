@@ -213,9 +213,6 @@ func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 	for _, n := range ring.Nodes() {
 		g.nodes[n] = g.newNodeState(n)
 	}
-	reg.GaugeFunc("capnn_gateway_ring_version", "Current membership version.", func() float64 {
-		return float64(g.ring.Load().Version())
-	})
 	reg.GaugeFunc("capnn_gateway_ring_epoch", "Current cluster epoch (monotone; every routed request is stamped with it).", func() float64 {
 		return float64(g.ring.Load().Epoch())
 	})
@@ -465,8 +462,8 @@ func (g *Gateway) restoreRing(u serve.RingUpdate) error {
 	if err != nil {
 		return err
 	}
-	if u.Epoch > ring.Version() {
-		ring.SetVersion(u.Epoch)
+	if u.Epoch > ring.Epoch() {
+		ring.SetEpoch(u.Epoch)
 	}
 	g.memberMu.Lock()
 	defer g.memberMu.Unlock()
@@ -513,7 +510,7 @@ func (g *Gateway) persistLocked(ring *Ring) error {
 func (g *Gateway) Stats() Stats {
 	out := g.st.snapshot()
 	ring := g.ring.Load()
-	out.RingVersion = ring.Version()
+	out.RingVersion = ring.Epoch()
 	out.Members = append([]string(nil), ring.Nodes()...)
 	out.Nodes = map[string]NodeStats{}
 	g.nodesMu.RLock()
@@ -620,7 +617,7 @@ func (g *Gateway) route(req *serve.WireRequest) *serve.WireResponse {
 	// the deadline (checked before every attempt), not by a count.
 	for {
 		ring := g.ring.Load()
-		req.RingVersion = ring.Version()
+		req.RingVersion = ring.Epoch()
 		n := ring.LookupInto(key, owners[:g.cfg.Replication])
 		if n == 0 {
 			return serve.Refuse(cloud.CodeInternal, "cluster: empty ring")
@@ -689,7 +686,7 @@ func (g *Gateway) route(req *serve.WireRequest) *serve.WireResponse {
 				// ring actually moved while we were trying.
 				g.st.wrongOwner()
 				last = resp
-				if g.ring.Load().Version() != ring.Version() {
+				if g.ring.Load().Epoch() != ring.Epoch() {
 					reroute = true
 				}
 			default: // busy, internal: the replica may do better

@@ -556,8 +556,8 @@ func TestGatewayRingPersistence(t *testing.T) {
 		t.Fatal("ring not restored from the ring file")
 	}
 	r1, r2 := g1.Ring(), g2.Ring()
-	if r2.Seed() != 11 || r2.Version() < r1.Version() || r2.Len() != 3 {
-		t.Fatalf("restored ring: seed=%d version=%d members=%v", r2.Seed(), r2.Version(), r2.Nodes())
+	if r2.Seed() != 11 || r2.Epoch() < r1.Epoch() || r2.Len() != 3 {
+		t.Fatalf("restored ring: seed=%d version=%d members=%v", r2.Seed(), r2.Epoch(), r2.Nodes())
 	}
 	for i := 0; i < 100; i++ {
 		key := fmt.Sprintf("M/%016x", i*7919)

@@ -122,17 +122,14 @@ func (r *Ring) hashString(s string) uint64 {
 	return h
 }
 
-// Version is the ring's membership version. It increments on every
-// Add/Remove; placement does not depend on it (same member set ⇒ same
-// circle at any version).
-func (r *Ring) Version() uint64 { return r.version }
-
-// Epoch is the cluster epoch — an alias for Version under the name the
-// membership protocol uses. Every wire request is stamped with the
-// sender's epoch, serve-side fences reject requests routed under an
-// older epoch with CodeRingChanged, and the gateway retries them on the
-// fresh ring. Monotone across restarts (persisted in the gateway's ring
-// file before any shard sees it; restoreRing rejects regressions).
+// Epoch is the cluster epoch, the ring's membership version. It
+// increments on every Add/Remove; placement does not depend on it (same
+// member set ⇒ same circle at any epoch). Every wire request is stamped
+// with the sender's epoch, serve-side fences reject requests routed
+// under an older epoch with CodeRingChanged, and the gateway retries
+// them on the fresh ring. Monotone across restarts (persisted in the
+// gateway's ring file before any shard sees it; restoreRing rejects
+// regressions).
 func (r *Ring) Epoch() uint64 { return r.version }
 
 // Nodes returns the sorted member set (callers must not mutate).
@@ -180,9 +177,9 @@ func (r *Ring) Remove(node string) (*Ring, error) {
 	return r.succ(out)
 }
 
-// SetVersion pins the version counter, so a ring rebuilt from a stored
-// or broadcast view resumes its numbering instead of restarting at 1.
-func (r *Ring) SetVersion(v uint64) { r.version = v }
+// SetEpoch pins the epoch counter, so a ring rebuilt from a stored or
+// broadcast view resumes its numbering instead of restarting at 1.
+func (r *Ring) SetEpoch(v uint64) { r.version = v }
 
 // LookupInto writes up to len(dst) distinct owner nodes for key into
 // dst, primary first then successive ring replicas, and returns how

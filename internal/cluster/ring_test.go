@@ -37,8 +37,8 @@ func TestRingPlacementIsOrderFree(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if c.Version() == a.Version() {
-		t.Fatalf("churned ring should have advanced its version past %d", a.Version())
+	if c.Epoch() == a.Epoch() {
+		t.Fatalf("churned ring should have advanced its version past %d", a.Epoch())
 	}
 	for i := 0; i < 500; i++ {
 		key := fmt.Sprintf("M/%016x", i*2654435761)
@@ -112,8 +112,8 @@ func TestRingBalance(t *testing.T) {
 // TestRingMembership: versioning and membership edge cases.
 func TestRingMembership(t *testing.T) {
 	r := mustRing(t, 0, 8, []string{"a"})
-	if r.Version() != 1 {
-		t.Fatalf("fresh ring version %d, want 1", r.Version())
+	if r.Epoch() != 1 {
+		t.Fatalf("fresh ring version %d, want 1", r.Epoch())
 	}
 	if _, err := NewRing(0, 8, []string{"a", "a"}); err == nil {
 		t.Fatal("duplicate member accepted")
@@ -128,15 +128,15 @@ func TestRingMembership(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Version() != 2 || r2.Len() != 2 {
-		t.Fatalf("after add: version %d len %d", r2.Version(), r2.Len())
+	if r2.Epoch() != 2 || r2.Len() != 2 {
+		t.Fatalf("after add: version %d len %d", r2.Epoch(), r2.Len())
 	}
 	r3, err := r2.Remove("a")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Version() != 3 || r3.Owner("anything") != "b" {
-		t.Fatalf("after remove: version %d owner %q", r3.Version(), r3.Owner("anything"))
+	if r3.Epoch() != 3 || r3.Owner("anything") != "b" {
+		t.Fatalf("after remove: version %d owner %q", r3.Epoch(), r3.Owner("anything"))
 	}
 	empty, err := r3.Remove("b")
 	if err != nil {

@@ -313,13 +313,10 @@ func TestMiseffectualIdentification(t *testing.T) {
 
 	// Make neuron 7 a textbook miseffectual neuron for class 0: large
 	// positive weight toward a confusing class, negative toward 0.
-	saved0, savedC := W.At(0, 7), W.At(conf[0], 7)
-	W.Set(-0.5, 0, 7)
-	W.Set(0.9, conf[0], 7)
-	defer func() {
-		W.Set(saved0, 0, 7)
-		W.Set(savedC, conf[0], 7)
-	}()
+	w0, wC := &W.Data()[7], &W.Data()[conf[0]*W.Dim(1)+7] // W[0][7], W[conf[0]][7]
+	saved0, savedC := *w0, *wC
+	*w0, *wC = -0.5, 0.9
+	defer func() { *w0, *wC = saved0, savedC }()
 
 	prefs := Uniform([]int{0, 3})
 	rep, err := PruneM(f.sys.Eval, f.sys.Rates, prefs, f.sys.Params)

@@ -30,32 +30,35 @@ func RunEpsilonAblation(fx *Fixture, scale Scale, epsilons []float64, k int, log
 		params := fx.Sys.Params
 		params.Epsilon = eps
 		rng := rand.New(rand.NewSource(scale.Seed*86028121 + int64(eps*1000)))
-		row := EpsilonRow{Epsilon: eps}
-		for combo := 0; combo < scale.Combos; combo++ {
-			classes := sampleClasses(rng, fx.Config.Synth.Classes, k)
-			prefs := core.Uniform(classes)
-			masks, err := core.PruneW(fx.Sys.Eval, fx.Sys.Rates, prefs, params)
-			if err != nil {
-				return nil, fmt.Errorf("epsilon %v: %w", eps, err)
-			}
-			res, err := core.Measure(fx.Net, core.VariantW, prefs, masks, fx.Sets.Test)
-			if err != nil {
-				return nil, err
-			}
-			row.RelSize += res.RelativeSize
-			row.Top1 += res.Top1
-			row.Top1Orig += res.BaseTop1
+		v, err := sweep(rng, fx.Config.Synth.Classes, k, scale.Combos, func(_ int, classes []int) ([]float64, error) {
+			return measureW(fx, fx.Sys.Eval, fx.Sys.Rates, params, classes)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("epsilon %v: %w", eps, err)
 		}
-		n := float64(scale.Combos)
-		row.RelSize /= n
-		row.Top1 /= n
-		row.Top1Orig /= n
+		row := EpsilonRow{Epsilon: eps, RelSize: v[0], Top1: v[1], Top1Orig: v[2]}
 		rows = append(rows, row)
 		if log != nil {
 			fmt.Fprintf(log, "exp: ablation ε=%.3f done (size %.3f)\n", eps, row.RelSize)
 		}
 	}
 	return rows, nil
+}
+
+// measureW prunes for uniform usage of classes with CAP'NN-W under
+// params and returns the pruned model's relative size, top-1 and the
+// unpruned model's top-1 on those classes.
+func measureW(fx *Fixture, ev *core.SuffixEvaluator, rates *firing.Rates, params core.Params, classes []int) ([]float64, error) {
+	prefs := core.Uniform(classes)
+	masks, err := core.PruneW(ev, rates, prefs, params)
+	if err != nil {
+		return nil, err
+	}
+	res, err := core.Measure(fx.Net, core.VariantW, prefs, masks, fx.Sets.Test)
+	if err != nil {
+		return nil, err
+	}
+	return []float64{res.RelativeSize, res.Top1, res.BaseTop1}, nil
 }
 
 // PrintEpsilonAblation renders the ε ablation.
@@ -190,26 +193,13 @@ func RunLstartAblation(fx *Fixture, scale Scale, stageCounts []int, k int, log i
 			return nil, err
 		}
 		rng := rand.New(rand.NewSource(scale.Seed*179424673 + int64(count)))
-		row := LstartRow{PrunableStages: count}
-		for combo := 0; combo < scale.Combos; combo++ {
-			classes := sampleClasses(rng, fx.Config.Synth.Classes, k)
-			prefs := core.Uniform(classes)
-			masks, err := core.PruneW(ev, rates, prefs, params)
-			if err != nil {
-				return nil, fmt.Errorf("lstart %d: %w", count, err)
-			}
-			res, err := core.Measure(fx.Net, core.VariantW, prefs, masks, fx.Sets.Test)
-			if err != nil {
-				return nil, err
-			}
-			row.RelSize += res.RelativeSize
-			row.Top1 += res.Top1
-			row.Top1Orig += res.BaseTop1
+		v, err := sweep(rng, fx.Config.Synth.Classes, k, scale.Combos, func(_ int, classes []int) ([]float64, error) {
+			return measureW(fx, ev, rates, params, classes)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("lstart %d: %w", count, err)
 		}
-		n := float64(scale.Combos)
-		row.RelSize /= n
-		row.Top1 /= n
-		row.Top1Orig /= n
+		row := LstartRow{PrunableStages: count, RelSize: v[0], Top1: v[1], Top1Orig: v[2]}
 		rows = append(rows, row)
 		if log != nil {
 			fmt.Fprintf(log, "exp: lstart ablation %d stages done (size %.3f)\n", count, row.RelSize)

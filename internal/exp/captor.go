@@ -46,11 +46,8 @@ func RunCaptor(fx *Fixture, scale Scale, log io.Writer) ([]CaptorRow, error) {
 			combos = min(combos, numClasses)
 		}
 		rng := rand.New(rand.NewSource(scale.Seed*49979687 + int64(pct)))
-		row := CaptorRow{Percent: pct, K: k}
-		for combo := 0; combo < combos; combo++ {
-			classes := sampleClasses(rng, numClasses, k)
-			prefs := core.Uniform(classes)
-			mMasks, err := fx.Sys.Prune(core.VariantM, prefs)
+		v, err := sweep(rng, numClasses, k, combos, func(_ int, classes []int) ([]float64, error) {
+			mMasks, err := fx.Sys.Prune(core.VariantM, core.Uniform(classes))
 			if err != nil {
 				return nil, fmt.Errorf("table3 %d%%: %w", pct, err)
 			}
@@ -66,11 +63,12 @@ func RunCaptor(fx *Fixture, scale Scale, log io.Writer) ([]CaptorRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			row.CapnnRel += mRel
-			row.CaptorRel += cRel
+			return []float64{mRel, cRel}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		row.CapnnRel /= float64(combos)
-		row.CaptorRel /= float64(combos)
+		row := CaptorRow{Percent: pct, K: k, CapnnRel: v[0], CaptorRel: v[1]}
 		rows = append(rows, row)
 		if log != nil {
 			fmt.Fprintf(log, "exp: table3 %d%% done (capnn %.2f captor %.2f)\n", pct, row.CapnnRel, row.CaptorRel)
@@ -98,11 +96,4 @@ func PrintTable3(w io.Writer, rows []CaptorRow, scale Scale) {
 		fmt.Fprintf(w, " %7.2f", r.CaptorRel)
 	}
 	fmt.Fprintln(w)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -88,49 +88,38 @@ func RunComparison(fx *Fixture, scale Scale, log io.Writer) ([]ComparisonRow, er
 }
 
 func runOneConfig(fx *Fixture, scale Scale, k int, dist UsageDist, log io.Writer) (ComparisonRow, error) {
-	row := ComparisonRow{K: k, Usage: dist.Name}
 	rng := rand.New(rand.NewSource(scale.Seed*7919 + int64(k)*131 + int64(len(dist.Name))))
-	for combo := 0; combo < scale.Combos; combo++ {
-		classes := sampleClasses(rng, fx.Config.Synth.Classes, k)
+	v, err := sweep(rng, fx.Config.Synth.Classes, k, scale.Combos, func(combo int, classes []int) ([]float64, error) {
 		prefs, err := core.Weighted(classes, dist.Weights)
 		if err != nil {
-			return row, err
+			return nil, err
 		}
+		var out []float64 // B, W, M: relative size, top-1, top-5; then B's base top-1, top-5
+		var base core.Result
 		for _, v := range []core.Variant{core.VariantB, core.VariantW, core.VariantM} {
 			res, err := fx.Sys.Personalize(v, prefs, fx.Sets.Test)
 			if err != nil {
-				return row, fmt.Errorf("%s K=%d %s: %w", v, k, dist.Name, err)
+				return nil, fmt.Errorf("%s K=%d %s: %w", v, k, dist.Name, err)
 			}
-			switch v {
-			case core.VariantB:
-				row.RelSizeB += res.RelativeSize
-				row.Top1B += res.Top1
-				row.Top5B += res.Top5
-				row.Top1Orig += res.BaseTop1
-				row.Top5Orig += res.BaseTop5
-			case core.VariantW:
-				row.RelSizeW += res.RelativeSize
-				row.Top1W += res.Top1
-				row.Top5W += res.Top5
-			case core.VariantM:
-				row.RelSizeM += res.RelativeSize
-				row.Top1M += res.Top1
-				row.Top5M += res.Top5
+			if v == core.VariantB {
+				base = res
 			}
+			out = append(out, res.RelativeSize, res.Top1, res.Top5)
 		}
 		if log != nil {
 			fmt.Fprintf(log, "exp: K=%d usage=%s combo %d/%d done\n", k, dist.Name, combo+1, scale.Combos)
 		}
+		return append(out, base.BaseTop1, base.BaseTop5), nil
+	})
+	if err != nil {
+		return ComparisonRow{}, err
 	}
-	n := float64(scale.Combos)
-	for _, p := range []*float64{
-		&row.RelSizeB, &row.RelSizeW, &row.RelSizeM,
-		&row.Top1Orig, &row.Top1B, &row.Top1W, &row.Top1M,
-		&row.Top5Orig, &row.Top5B, &row.Top5W, &row.Top5M,
-	} {
-		*p /= n
-	}
-	return row, nil
+	return ComparisonRow{K: k, Usage: dist.Name,
+		RelSizeB: v[0], Top1B: v[1], Top5B: v[2],
+		RelSizeW: v[3], Top1W: v[4], Top5W: v[5],
+		RelSizeM: v[6], Top1M: v[7], Top5M: v[8],
+		Top1Orig: v[9], Top5Orig: v[10],
+	}, nil
 }
 
 // PrintFig4 renders the model-size comparison (Fig. 4).

@@ -31,13 +31,9 @@ func RunEnergy(fx *Fixture, scale Scale, ks []int, log io.Writer) ([]EnergyRow, 
 	var rows []EnergyRow
 	for _, k := range ks {
 		rng := rand.New(rand.NewSource(scale.Seed*15485863 + int64(k)))
-		row := EnergyRow{K: k}
-		for combo := 0; combo < scale.Combos; combo++ {
-			classes := sampleClasses(rng, fx.Config.Synth.Classes, k)
-			var prefs core.Preferences
-			if combo%2 == 0 {
-				prefs = core.Uniform(classes)
-			} else {
+		v, err := sweep(rng, fx.Config.Synth.Classes, k, scale.Combos, func(combo int, classes []int) ([]float64, error) {
+			prefs := core.Uniform(classes)
+			if combo%2 == 1 {
 				// Skewed usage: first class dominates.
 				w := make([]float64, k)
 				w[0] = 0.6
@@ -45,8 +41,7 @@ func RunEnergy(fx *Fixture, scale Scale, ks []int, log io.Writer) ([]EnergyRow, 
 					w[i] = 0.4 / float64(k-1)
 				}
 				var err error
-				prefs, err = core.Weighted(classes, w)
-				if err != nil {
+				if prefs, err = core.Weighted(classes, w); err != nil {
 					return nil, err
 				}
 			}
@@ -58,19 +53,18 @@ func RunEnergy(fx *Fixture, scale Scale, ks []int, log io.Writer) ([]EnergyRow, 
 			if err != nil {
 				return nil, err
 			}
-			row.RelEnergy += rel
 			res, err := core.Measure(fx.Net, core.VariantM, prefs, masks, fx.Sets.Test)
 			if err != nil {
 				return nil, err
 			}
-			row.RelSize += res.RelativeSize
+			return []float64{rel, res.RelativeSize}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		n := float64(scale.Combos)
-		row.RelEnergy /= n
-		row.RelSize /= n
-		rows = append(rows, row)
+		rows = append(rows, EnergyRow{K: k, RelEnergy: v[0], RelSize: v[1]})
 		if log != nil {
-			fmt.Fprintf(log, "exp: table1 K=%d done (energy %.3f)\n", k, row.RelEnergy)
+			fmt.Fprintf(log, "exp: table1 K=%d done (energy %.3f)\n", k, v[0])
 		}
 	}
 	return rows, nil

@@ -56,20 +56,6 @@ func tinyFixture(t *testing.T) *Fixture {
 	return tinyFx
 }
 
-func TestScaleFromEnv(t *testing.T) {
-	t.Setenv("CAPNN_COMBOS", "17")
-	t.Setenv("CAPNN_SEED", "99")
-	s := DefaultScale().FromEnv()
-	if s.Combos != 17 || s.Seed != 99 {
-		t.Fatalf("FromEnv = %+v", s)
-	}
-	t.Setenv("CAPNN_COMBOS", "bogus")
-	s = DefaultScale().FromEnv()
-	if s.Combos != DefaultScale().Combos {
-		t.Fatal("bogus env value accepted")
-	}
-}
-
 func TestPaperUsageDists(t *testing.T) {
 	for k := 2; k <= 6; k++ {
 		dists := PaperUsageDists(k)

@@ -1,7 +1,10 @@
 package exp
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
+	"os"
 	"reflect"
 	"sort"
 	"strings"
@@ -172,5 +175,80 @@ func TestPruneMasksGolden(t *testing.T) {
 	}
 	if !reflect.DeepEqual(fresh.P, cached.P) {
 		t.Error("recomputed B matrices differ from the checked-in ones")
+	}
+}
+
+var updateRunners = flag.Bool("update", false, "rewrite testdata/runners.golden from the current runners")
+
+// TestRunnersGolden pins every runner's numbers on the tiny fixture at
+// two combinations per configuration, so the mean over the drawn
+// combinations (and its divide) is part of what is compared: each table
+// as its Print function renders it, then its rows at full precision,
+// since rounding to two or three places can hide a changed mean. Run
+// with -update to re-record testdata/runners.golden.
+func TestRunnersGolden(t *testing.T) {
+	fx := tinyFixture(t)
+	scale := Scale{Combos: 2, Seed: 1}
+	var buf bytes.Buffer
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	exact := func(rows any) { fmt.Fprintf(&buf, "%+v\n", rows) }
+
+	cmp, err := RunComparison(fx, scale, nil)
+	check(err)
+	PrintFig4(&buf, cmp, scale)
+	PrintFig5(&buf, cmp, scale)
+	exact(cmp)
+	classes := fx.Config.Synth.Classes
+	trade, err := RunTradeoff(fx, scale, DefaultTradeoffKs(classes), nil)
+	check(err)
+	PrintFig6(&buf, trade, classes, scale)
+	exact(trade)
+	en, err := RunEnergy(fx, scale, []int{2, 3, classes}, nil)
+	check(err)
+	PrintTable1(&buf, en, scale)
+	exact(en)
+	st, err := RunStacked(fx, scale, nil)
+	check(err)
+	PrintTable2(&buf, st, scale)
+	exact(st)
+	captor, err := RunCaptor(fx, scale, nil)
+	check(err)
+	PrintTable3(&buf, captor, scale)
+	exact(captor)
+	mem, err := RunMemory(fx)
+	check(err)
+	PrintMemory(&buf, mem)
+	exact(mem)
+	eps, err := RunEpsilonAblation(fx, scale, []float64{0.05, 0.15, 0.3}, 2, nil)
+	check(err)
+	PrintEpsilonAblation(&buf, eps, 2, scale)
+	exact(eps)
+	q, err := RunQuantAblation(fx, scale, []int{1, 3, 8}, 2, nil)
+	check(err)
+	PrintQuantAblation(&buf, q, 2)
+	exact(q)
+	ls, err := RunLstartAblation(fx, scale, []int{2, 5, 99}, 2, nil)
+	check(err)
+	PrintLstartAblation(&buf, ls, 2, scale)
+	exact(ls)
+	claims, err := CheckClaims(fx, fx, scale, nil)
+	check(err)
+	PrintClaims(&buf, claims)
+	exact(claims)
+
+	const golden = "testdata/runners.golden"
+	if *updateRunners {
+		check(os.MkdirAll("testdata", 0o755))
+		check(os.WriteFile(golden, buf.Bytes(), 0o644))
+	}
+	want, err := os.ReadFile(golden)
+	check(err)
+	if got := buf.String(); got != string(want) {
+		t.Errorf("runner output differs from %s:\n--- got\n%s\n--- want\n%s", golden, got, want)
 	}
 }

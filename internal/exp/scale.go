@@ -1,10 +1,6 @@
 package exp
 
-import (
-	"math/rand"
-	"os"
-	"strconv"
-)
+import "math/rand"
 
 // Scale controls how much statistical averaging the runners do. The paper
 // averages over 200 random class combinations per configuration; that is
@@ -21,25 +17,33 @@ type Scale struct {
 // DefaultScale is used by the CLI harness.
 func DefaultScale() Scale { return Scale{Combos: 6, Seed: 1} }
 
-// FromEnv honours CAPNN_COMBOS / CAPNN_SEED overrides so a user can dial
-// the averaging up toward the paper's 200 without editing code.
-func (s Scale) FromEnv() Scale {
-	if v := os.Getenv("CAPNN_COMBOS"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			s.Combos = n
-		}
-	}
-	if v := os.Getenv("CAPNN_SEED"); v != "" {
-		if n, err := strconv.ParseInt(v, 10, 64); err == nil {
-			s.Seed = n
-		}
-	}
-	return s
-}
-
 // sampleClasses draws k distinct classes from [0, numClasses).
 func sampleClasses(rng *rand.Rand, numClasses, k int) []int {
 	perm := rng.Perm(numClasses)
 	out := append([]int(nil), perm[:k]...)
 	return out
+}
+
+// sweep is every runner's estimate of one configuration: it draws n
+// combinations of k classes from rng, in order, calls measure on each
+// (with its index), and returns the mean of every value measure returns,
+// summed in draw order and then divided by n.
+func sweep(rng *rand.Rand, numClasses, k, n int, measure func(combo int, classes []int) ([]float64, error)) ([]float64, error) {
+	var mean []float64
+	for combo := 0; combo < n; combo++ {
+		v, err := measure(combo, sampleClasses(rng, numClasses, k))
+		if err != nil {
+			return nil, err
+		}
+		if mean == nil {
+			mean = make([]float64, len(v))
+		}
+		for i, x := range v {
+			mean[i] += x
+		}
+	}
+	for i := range mean {
+		mean[i] /= float64(n)
+	}
+	return mean, nil
 }

@@ -64,29 +64,21 @@ func RunStacked(fx *Fixture, scale Scale, log io.Writer) ([]StackedRow, error) {
 		origParams := float64(fx.Net.ParamCount())
 		for _, k := range []int{2, 3, 4, 5} {
 			rng := rand.New(rand.NewSource(scale.Seed*32452843 + int64(k)))
-			row := StackedRow{Baseline: bl.name, K: k, SizeWithout: sizeWithout}
-			for combo := 0; combo < scale.Combos; combo++ {
-				classes := sampleClasses(rng, fx.Config.Synth.Classes, k)
-				prefs := core.Uniform(classes)
-				res, err := sys.Personalize(core.VariantM, prefs, fx.Sets.Test)
+			v, err := sweep(rng, fx.Config.Synth.Classes, k, scale.Combos, func(_ int, classes []int) ([]float64, error) {
+				res, err := sys.Personalize(core.VariantM, core.Uniform(classes), fx.Sets.Test)
 				if err != nil {
 					return nil, fmt.Errorf("table2 %s K=%d: %w", bl.name, k, err)
 				}
 				// res.RelativeSize is relative to the compacted baseline;
 				// Table II normalizes everything to the original model.
-				row.SizeWith += res.RelativeSize * float64(compacted.ParamCount()) / origParams
-				row.Top1Without += res.BaseTop1
-				row.Top1With += res.Top1
-				row.Top5Without += res.BaseTop5
-				row.Top5With += res.Top5
+				return []float64{res.RelativeSize * float64(compacted.ParamCount()) / origParams,
+					res.BaseTop1, res.Top1, res.BaseTop5, res.Top5}, nil
+			})
+			if err != nil {
+				return nil, err
 			}
-			n := float64(scale.Combos)
-			row.SizeWith /= n
-			row.Top1Without /= n
-			row.Top1With /= n
-			row.Top5Without /= n
-			row.Top5With /= n
-			rows = append(rows, row)
+			rows = append(rows, StackedRow{Baseline: bl.name, K: k, SizeWithout: sizeWithout,
+				SizeWith: v[0], Top1Without: v[1], Top1With: v[2], Top5Without: v[3], Top5With: v[4]})
 			if log != nil {
 				fmt.Fprintf(log, "exp: table2 %s K=%d done\n", bl.name, k)
 			}

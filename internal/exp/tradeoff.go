@@ -48,30 +48,21 @@ func RunTradeoff(fx *Fixture, scale Scale, ks []int, log io.Writer) ([]TradeoffR
 	numClasses := fx.Config.Synth.Classes
 	for _, k := range ks {
 		rng := rand.New(rand.NewSource(scale.Seed*104729 + int64(k)))
-		row := TradeoffRow{K: k}
 		combos := scale.Combos
 		if k == numClasses {
 			combos = 1 // only one way to choose all classes
 		}
-		for combo := 0; combo < combos; combo++ {
-			classes := sampleClasses(rng, numClasses, k)
-			prefs := core.Uniform(classes)
-			res, err := fx.Sys.Personalize(core.VariantM, prefs, fx.Sets.Test)
+		v, err := sweep(rng, numClasses, k, combos, func(_ int, classes []int) ([]float64, error) {
+			res, err := fx.Sys.Personalize(core.VariantM, core.Uniform(classes), fx.Sets.Test)
 			if err != nil {
 				return nil, fmt.Errorf("fig6 K=%d: %w", k, err)
 			}
-			row.RelSize += res.RelativeSize
-			row.Top1 += res.Top1
-			row.Top1Orig += res.BaseTop1
-			row.Top5 += res.Top5
-			row.Top5Orig += res.BaseTop5
+			return []float64{res.RelativeSize, res.Top1, res.BaseTop1, res.Top5, res.BaseTop5}, nil
+		})
+		if err != nil {
+			return nil, err
 		}
-		n := float64(combos)
-		row.RelSize /= n
-		row.Top1 /= n
-		row.Top1Orig /= n
-		row.Top5 /= n
-		row.Top5Orig /= n
+		row := TradeoffRow{K: k, RelSize: v[0], Top1: v[1], Top1Orig: v[2], Top5: v[3], Top5Orig: v[4]}
 		rows = append(rows, row)
 		if log != nil {
 			fmt.Fprintf(log, "exp: fig6 K=%d done (size %.3f, top1 %.3f)\n", k, row.RelSize, row.Top1)

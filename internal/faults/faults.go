@@ -247,9 +247,6 @@ func WrapConn(c net.Conn, plan Plan, mode Mode, seed int64) *Conn {
 	return &Conn{Conn: c, plan: plan, mode: mode, rng: rand.New(rand.NewSource(seed))}
 }
 
-// Mode reports the fault this connection injects.
-func (c *Conn) Mode() Mode { return c.mode }
-
 // Read delays by the plan's latency, then reads from the wrapped conn.
 func (c *Conn) Read(b []byte) (int, error) {
 	if c.plan.Latency > 0 {

@@ -141,7 +141,7 @@ func TestListenerModesDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			modes = append(modes, sc.(*Conn).Mode())
+			modes = append(modes, sc.(*Conn).mode)
 			sc.Close()
 			c.Close()
 		}

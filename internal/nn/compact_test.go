@@ -216,7 +216,7 @@ func TestCloneNetworkIndependent(t *testing.T) {
 	// Mutating the clone's weights must not touch the original.
 	p0 := clone.Params()[0]
 	orig := net.Params()[0].W.At(0, 0, 0, 0)
-	p0.W.Set(orig+42, 0, 0, 0, 0)
+	p0.W.Data()[0] = orig + 42 // element (0, 0, 0, 0)
 	if net.Params()[0].W.At(0, 0, 0, 0) != orig {
 		t.Fatal("clone shares weight storage")
 	}

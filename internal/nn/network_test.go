@@ -219,7 +219,7 @@ func TestConvMatchesManualComputation(t *testing.T) {
 		t.Fatal(err)
 	}
 	fill(c.w.W, 1) // 3×3 all-ones kernel: output = sum of 3×3 neighborhood
-	c.b.W.Set(0.5, 0)
+	c.b.W.Data()[0] = 0.5
 	x := tensor.MustFromSlice([]float64{
 		1, 2, 3,
 		4, 5, 6,

@@ -372,6 +372,20 @@ func TestSkewFlipTripsServesFallbackAndHeals(t *testing.T) {
 		}
 	}
 
+	// A heal may finish before the next request: hold its publish until
+	// this test has been answered on the fallback once. The hold is
+	// bounded below the loop's deadline, so a heal that never serves a
+	// fallback still publishes and the test fails on the count.
+	fellBack := make(chan struct{})
+	release := sync.OnceFunc(func() { close(fellBack) })
+	defer release()
+	srv.hookInstall = func(string) {
+		select {
+		case <-fellBack:
+		case <-time.After(5 * time.Second):
+		}
+	}
+
 	prefs := core.Uniform([]int{0, 1})
 	claimed := driftSampler(t, f, 0, 1)
 	for i := 0; i < 2*cfg.GuardWindow; i++ {
@@ -398,6 +412,7 @@ func TestSkewFlipTripsServesFallbackAndHeals(t *testing.T) {
 		}
 		if res.Fallback {
 			fallbacks++
+			release()
 			sameBits(t, f, "fallback answer", res.Logits, x, nil)
 		}
 		select {

@@ -8,6 +8,20 @@ import (
 
 // Test helpers: no non-test code needs them.
 
+// Set stores v at the given multi-index.
+func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
+
+// Sub computes t -= o elementwise.
+func (t *Tensor) Sub(o *Tensor) error {
+	if len(o.data) != len(t.data) {
+		return fmt.Errorf("tensor: sub size mismatch %v vs %v", o.shape, t.shape)
+	}
+	for i, v := range o.data {
+		t.data[i] -= v
+	}
+	return nil
+}
+
 // AbsMax returns the maximum absolute value of any element.
 func (t *Tensor) AbsMax() float64 {
 	m := 0.0

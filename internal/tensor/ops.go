@@ -6,17 +6,6 @@ import (
 	"sort"
 )
 
-// Sub computes t -= o elementwise.
-func (t *Tensor) Sub(o *Tensor) error {
-	if len(o.data) != len(t.data) {
-		return fmt.Errorf("tensor: sub size mismatch %v vs %v", o.shape, t.shape)
-	}
-	for i, v := range o.data {
-		t.data[i] -= v
-	}
-	return nil
-}
-
 // Scale multiplies every element by s.
 func (t *Tensor) Scale(s float64) {
 	for i := range t.data {

@@ -86,9 +86,6 @@ func (t *Tensor) Data() []float64 { return t.data }
 // At returns the element at the given multi-index.
 func (t *Tensor) At(idx ...int) float64 { return t.data[t.offset(idx)] }
 
-// Set stores v at the given multi-index.
-func (t *Tensor) Set(v float64, idx ...int) { t.data[t.offset(idx)] = v }
-
 func (t *Tensor) offset(idx []int) int {
 	if len(idx) != len(t.shape) {
 		panic(fmt.Sprintf("tensor: index rank %d does not match shape %v", len(idx), t.shape))

@@ -26,11 +26,17 @@ var reachAllowed = map[string]string{
 	"faults.PartitionListener":        "partition seam: the gateway failover tests cut a shard off and heal it",
 	"faults.Partition.SetPartitioned": "partition seam: the gateway failover tests cut a shard off and heal it",
 	"data.Generator.GenerateCounts":   "imbalanced draws the ε audit on served answers (ROADMAP item 3) needs",
-	"exp.RunLstartAblation":           "EXPERIMENTS' l_start reproducer is the root BenchmarkAblationLstart, which an exp test file cannot serve",
-	"exp.PrintLstartAblation":         "EXPERIMENTS' l_start reproducer is the root BenchmarkAblationLstart, which an exp test file cannot serve",
 	"firing.LoadPacked":               "decoder of the §V-C packed-rate format: the root and core round-trip tests personalize from decoded rates, which the memory table's byte counts assume",
 	"firing.PackedRates.Unpack":       "decoder of the §V-C packed-rate format: the root and core round-trip tests personalize from decoded rates, which the memory table's byte counts assume",
 	"serve.Client.Health":             "the client half of OpHealth, which serve's and cluster's tests probe a shard with; the gateway's probes send it on their own connections",
+}
+
+// reachByName are the methods the standard library calls through an
+// unexported or anonymous interface, which the by-type rule cannot see
+// (errors' Is and As belong here once something declares them); a
+// method of one of these names always counts as reached.
+var reachByName = map[string]string{
+	"Unwrap": "errors.Is, errors.As and fmt's %w walk interface{ Unwrap() error }",
 }
 
 // An exported function, method, type, var or const under internal/ must
@@ -42,25 +48,16 @@ var reachAllowed = map[string]string{
 // name shared with something else hides nothing; a name in a comment or
 // a string literal is not a use, nor is a use inside an exported
 // declaration that is itself unreached, so a dead chain fails link by
-// link. A method whose name some interface declares (in this repository
-// or a standard package it imports) counts as used, since a call through
-// that interface names no receiver.
+// link. A method also counts as used when its receiver type, or a
+// pointer to it, implements an interface that declares it (one declared
+// in this repository, in an interface literal here, or exported by a
+// package the code imports, directly or not), or when its receiver type
+// is the type argument of a type parameter whose constraint declares it,
+// since a call through an interface or a type parameter names no
+// receiver; so do the methods in reachByName.
 func TestInternalExportsAreReached(t *testing.T) {
 	fset := token.NewFileSet()
-	files := map[string][]*ast.File{}       // by import path
-	iface := map[string]bool{"Error": true} // the builtin error
-	ifaceNames := func(f *ast.File) {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if it, ok := n.(*ast.InterfaceType); ok {
-				for _, m := range it.Methods.List {
-					for _, id := range m.Names {
-						iface[id.Name] = true
-					}
-				}
-			}
-			return true
-		})
-	}
+	files := map[string][]*ast.File{} // by import path
 	parse := func(name string, src []byte) {
 		slash := filepath.ToSlash(name)
 		if strings.HasSuffix(name, "_test.go") && !strings.HasPrefix(slash, "benchmark/") {
@@ -76,7 +73,6 @@ func TestInternalExportsAreReached(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ifaceNames(f)
 		ip := path.Join("capnn", path.Dir(slash))
 		if strings.HasSuffix(f.Name.Name, "_test") {
 			ip += "_test"
@@ -89,7 +85,8 @@ func TestInternalExportsAreReached(t *testing.T) {
 	// capnn/... comes from source, the rest from the toolchain's export
 	// data. One Info serves every package: its keys are distinct nodes.
 	std := importer.ForCompiler(fset, "gc", nil)
-	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}
+	info := &types.Info{Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{}, Instances: map[*ast.Ident]types.Instance{}}
 	checked := map[string]*types.Package{}
 	var imp importerFunc
 	imp = func(ip string) (*types.Package, error) {
@@ -112,27 +109,75 @@ func TestInternalExportsAreReached(t *testing.T) {
 		}
 	}
 
-	// Interface methods of the standard packages the code imports, from
-	// their source: an interface inside a function body counts too.
-	seen := map[string]bool{}
-	for _, p := range checked {
-		for _, im := range p.Imports() {
-			if strings.HasPrefix(im.Path(), "capnn") || seen[im.Path()] {
-				continue
-			}
-			seen[im.Path()] = true
-			names, _ := filepath.Glob(filepath.Join(build.Default.GOROOT, "src", im.Path(), "*.go"))
-			for _, name := range names {
-				if strings.HasSuffix(name, "_test.go") {
-					continue
-				}
-				f, err := parser.ParseFile(fset, name, nil, parser.SkipObjectResolution)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ifaceNames(f)
+	// Every interface a call could go through, by method name: the
+	// builtin error, the interface literals here, and the named
+	// interfaces of every package the code imports, directly or not.
+	iface := map[string][]*types.Interface{}
+	addIface := func(t types.Type) {
+		if it, ok := t.Underlying().(*types.Interface); ok {
+			for i := 0; i < it.NumMethods(); i++ {
+				iface[it.Method(i).Name()] = append(iface[it.Method(i).Name()], it)
 			}
 		}
+	}
+	addIface(types.Universe.Lookup("error").Type())
+	for e, tv := range info.Types {
+		if _, ok := e.(*ast.InterfaceType); ok {
+			addIface(tv.Type)
+		}
+	}
+	seen := map[*types.Package]bool{}
+	var walk func(p *types.Package)
+	walk = func(p *types.Package) {
+		if seen[p] {
+			return
+		}
+		seen[p] = true
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && !tn.IsAlias() {
+				addIface(tn.Type())
+			}
+		}
+		for _, im := range p.Imports() {
+			walk(im)
+		}
+	}
+	for _, p := range checked {
+		walk(p)
+	}
+	// A type argument implements the constraint of its type parameter,
+	// which a generic body calls the declared methods through.
+	viaParam := map[types.Object]bool{}
+	for id, inst := range info.Instances {
+		var tps *types.TypeParamList
+		switch t := info.Uses[id].Type().(type) {
+		case *types.Signature:
+			tps = t.TypeParams()
+		case *types.Named:
+			tps = t.TypeParams()
+		}
+		for i := 0; i < tps.Len(); i++ {
+			it := tps.At(i).Constraint().Underlying().(*types.Interface)
+			for j := 0; j < it.NumMethods(); j++ {
+				m, _, _ := types.LookupFieldOrMethod(inst.TypeArgs.At(i), true, nil, it.Method(j).Name())
+				viaParam[origin(m)] = true
+			}
+		}
+	}
+	implemented := func(m *types.Func) bool {
+		if reachByName[m.Name()] != "" || viaParam[m] {
+			return true
+		}
+		recv := m.Type().(*types.Signature).Recv().Type()
+		if ptr, ok := recv.(*types.Pointer); ok {
+			recv = ptr.Elem()
+		}
+		for _, it := range iface[m.Name()] {
+			if types.Implements(recv, it) || types.Implements(types.NewPointer(recv), it) {
+				return true
+			}
+		}
+		return false
 	}
 
 	type decl struct {
@@ -196,8 +241,8 @@ func TestInternalExportsAreReached(t *testing.T) {
 			}
 		}
 	}
-	if len(decls) == 0 || len(uses) == 0 || !iface["ServeHTTP"] {
-		t.Fatalf("%d declarations, %d used objects, ServeHTTP known %v: the scan is broken", len(decls), len(uses), iface["ServeHTTP"])
+	if len(decls) == 0 || len(uses) == 0 || len(iface["ServeHTTP"]) == 0 {
+		t.Fatalf("%d declarations, %d used objects, %d ServeHTTP interfaces: the scan is broken", len(decls), len(uses), len(iface["ServeHTTP"]))
 	}
 
 	// A declaration is dead when every use of it sits inside dead
@@ -210,7 +255,7 @@ func TestInternalExportsAreReached(t *testing.T) {
 				return true
 			}
 		}
-		return d.recv && iface[obj.Name()]
+		return d.recv && implemented(obj.(*types.Func))
 	}
 	for changed := true; changed; {
 		changed = false
