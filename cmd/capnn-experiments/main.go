@@ -82,23 +82,18 @@ func run(artifact string, scale exp.Scale, log io.Writer) error {
 
 	out := os.Stdout
 	var cmp []exp.ComparisonRow // fig4 and fig5 are two views of one sweep
-	comparison := func() ([]exp.ComparisonRow, error) {
-		if cmp == nil {
-			cmp, err = exp.RunComparison(main20, scale, log)
-		}
-		return cmp, err
-	}
 	emit := func(artifact string) error {
 		switch artifact {
 		case "fig4", "fig5":
-			rows, err := comparison()
-			if err != nil {
-				return err
+			if cmp == nil {
+				if cmp, err = exp.RunComparison(main20, scale, log); err != nil {
+					return err
+				}
 			}
 			if artifact == "fig4" {
-				exp.PrintFig4(out, rows, scale)
+				exp.PrintFig4(out, cmp, scale)
 			} else {
-				exp.PrintFig5(out, rows, scale)
+				exp.PrintFig5(out, cmp, scale)
 			}
 		case "fig6":
 			rows, err := exp.RunTradeoff(main20, scale, exp.DefaultTradeoffKs(main20.Config.Synth.Classes), log)

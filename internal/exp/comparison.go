@@ -94,31 +94,29 @@ func runOneConfig(fx *Fixture, scale Scale, k int, dist UsageDist, log io.Writer
 		if err != nil {
 			return nil, err
 		}
-		var out []float64 // B, W, M: relative size, top-1, top-5; then B's base top-1, top-5
-		var base core.Result
+		var out []float64 // the unpruned top-1, top-5; then B, W, M: relative size, top-1, top-5
 		for _, v := range []core.Variant{core.VariantB, core.VariantW, core.VariantM} {
 			res, err := fx.Sys.Personalize(v, prefs, fx.Sets.Test)
 			if err != nil {
 				return nil, fmt.Errorf("%s K=%d %s: %w", v, k, dist.Name, err)
 			}
 			if v == core.VariantB {
-				base = res
+				out = append(out, res.BaseTop1, res.BaseTop5)
 			}
 			out = append(out, res.RelativeSize, res.Top1, res.Top5)
 		}
 		if log != nil {
 			fmt.Fprintf(log, "exp: K=%d usage=%s combo %d/%d done\n", k, dist.Name, combo+1, scale.Combos)
 		}
-		return append(out, base.BaseTop1, base.BaseTop5), nil
+		return out, nil
 	})
 	if err != nil {
 		return ComparisonRow{}, err
 	}
-	return ComparisonRow{K: k, Usage: dist.Name,
-		RelSizeB: v[0], Top1B: v[1], Top5B: v[2],
-		RelSizeW: v[3], Top1W: v[4], Top5W: v[5],
-		RelSizeM: v[6], Top1M: v[7], Top5M: v[8],
-		Top1Orig: v[9], Top5Orig: v[10],
+	return ComparisonRow{K: k, Usage: dist.Name, Top1Orig: v[0], Top5Orig: v[1],
+		RelSizeB: v[2], Top1B: v[3], Top5B: v[4],
+		RelSizeW: v[5], Top1W: v[6], Top5W: v[7],
+		RelSizeM: v[8], Top1M: v[9], Top5M: v[10],
 	}, nil
 }
 
