@@ -252,9 +252,11 @@ func (r *laneReport) summary(lane qos.Lane) string {
 }
 
 // checkFlags refuses the flag values no run can honour: with no users
-// there is no request to send, and with no requests or no workers the
-// run would report "0 failed" without having sent anything.
-func checkFlags(users, n, concurrency int, bulkFrac float64) error {
+// there is no request to send, with no requests or no workers the run
+// would report "0 failed" without having sent anything, a request's
+// deadline is now + timeout, so a timeout <= 0 fails every request at
+// once, and a negative budget would go out as no budget.
+func checkFlags(users, n, concurrency int, bulkFrac float64, timeout, budget, bulkBudget time.Duration) error {
 	switch {
 	case users < 1:
 		return errors.New("-users must be at least 1")
@@ -264,6 +266,10 @@ func checkFlags(users, n, concurrency int, bulkFrac float64) error {
 		return errors.New("-concurrency must be at least 1")
 	case !(bulkFrac >= 0 && bulkFrac <= 1): // negated, so NaN is refused
 		return errors.New("-bulk-frac must be in [0,1]")
+	case timeout <= 0:
+		return errors.New("-timeout must be positive")
+	case budget < 0 || bulkBudget < 0:
+		return errors.New("-budget and -bulk-budget must not be negative")
 	}
 	return nil
 }
@@ -295,19 +301,14 @@ func main() {
 		human = os.Stderr
 	}
 
-	if err := checkFlags(*users, *n, *concurrency, *bulkFrac); err != nil {
+	if err := checkFlags(*users, *n, *concurrency, *bulkFrac, *timeout, *budget, *bulkBudget); err != nil {
 		fmt.Fprintf(os.Stderr, "capnn-loadgen: %v\n", err)
 		os.Exit(2)
 	}
 
-	var cfg exp.FixtureConfig
-	switch *model {
-	case "imagenet20":
-		cfg = exp.ImageNet20Config()
-	case "cifar10":
-		cfg = exp.CIFAR10Config()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
+	cfg, err := exp.FixtureByName(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	fx, err := exp.Load(cfg, os.Stderr)

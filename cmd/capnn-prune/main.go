@@ -40,14 +40,9 @@ func run(in, out, variant, classesArg, weightsArg, model string) error {
 	if err != nil || len(classes) == 0 {
 		return fmt.Errorf("need -classes (got %q): %v", classesArg, err)
 	}
-	var cfg exp.FixtureConfig
-	switch model {
-	case "imagenet20":
-		cfg = exp.ImageNet20Config()
-	case "cifar10":
-		cfg = exp.CIFAR10Config()
-	default:
-		return fmt.Errorf("unknown -model %q", model)
+	cfg, err := exp.FixtureByName(model)
+	if err != nil {
+		return err
 	}
 	fx, err := exp.Load(cfg, os.Stderr)
 	if err != nil {

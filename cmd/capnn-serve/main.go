@@ -72,14 +72,9 @@ func main() {
 	guardWindow := flag.Int("guard-window", 256, "sliding window of shadow observations per entry")
 	flag.Parse()
 
-	var cfg exp.FixtureConfig
-	switch *model {
-	case "imagenet20":
-		cfg = exp.ImageNet20Config()
-	case "cifar10":
-		cfg = exp.CIFAR10Config()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
+	cfg, err := exp.FixtureByName(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	v, err := core.ParseVariant(*variant, core.DefaultVariant)

@@ -49,14 +49,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	var cfg exp.FixtureConfig
-	switch *model {
-	case "imagenet20":
-		cfg = exp.ImageNet20Config()
-	case "cifar10":
-		cfg = exp.CIFAR10Config()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
+	cfg, err := exp.FixtureByName(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 	if *noise > 0 {

@@ -299,7 +299,7 @@ func (g *Gateway) AddNode(addr string) error {
 	}
 	g.nodesMu.Unlock()
 	if !g.cfg.DisableJoinProbe {
-		err = g.preflight(ns)
+		err = g.checkHealth(ns)
 	}
 	if err == nil {
 		err = g.persistLocked(next)
@@ -319,23 +319,18 @@ func (g *Gateway) AddNode(addr string) error {
 	return nil
 }
 
-// preflight runs AddNode's qualifying health probe against a joiner,
-// feeding the outcome (and RTT) into its breaker exactly like the
-// steady-state prober does.
-func (g *Gateway) preflight(ns *nodeState) error {
+// checkHealth runs one OpHealth exchange against a node and feeds the
+// outcome (and RTT) into its breaker and stats: AddNode's qualifying
+// check on a joiner and every steady-state probe.
+func (g *Gateway) checkHealth(ns *nodeState) error {
 	start := time.Now()
 	req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpHealth}
 	resp, err := ns.wire.Do(req, start.Add(g.cfg.ProbeTimeout))
-	if err != nil {
-		ns.health.probed(false, 0)
-		return err
+	if err == nil && resp.Code != cloud.CodeOK {
+		err = fmt.Errorf("health probe: [%s] %s", resp.Code, resp.Err)
 	}
-	ok := resp.Code == cloud.CodeOK
-	ns.health.probed(ok, time.Since(start))
-	if !ok {
-		return fmt.Errorf("health probe: [%s] %s", resp.Code, resp.Err)
-	}
-	return nil
+	ns.health.probed(err == nil, time.Since(start))
+	return err
 }
 
 // RemoveNode departs a serve node: the next ring is persisted (a failed
@@ -750,24 +745,16 @@ func (g *Gateway) probeLoop() {
 	}
 }
 
-// probe runs one OpHealth exchange against a node. It goes through the
-// same Allow() gate as traffic: on an open node past cooldown the
-// probe claims the half-open trial (so a recovered node is closed again
-// by the prober, not only by risking a live request), and while the
-// cooldown runs — or another trial is in flight — the node is left
-// alone, because the breaker ignores outcomes in the open state anyway.
+// probe runs checkHealth against a node through the same Allow() gate
+// as traffic: on an open node past cooldown the probe claims the
+// half-open trial (so a recovered node is closed again by the prober,
+// not only by risking a live request), and while the cooldown runs — or
+// another trial is in flight — the node is left alone, because the
+// breaker ignores outcomes in the open state anyway.
 func (g *Gateway) probe(ns *nodeState) {
-	if !ns.health.Allow() {
-		return
+	if ns.health.Allow() {
+		_ = g.checkHealth(ns) // the breaker and stats hold the outcome
 	}
-	start := time.Now()
-	req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpHealth}
-	resp, err := ns.wire.Do(req, start.Add(g.cfg.ProbeTimeout))
-	if err != nil {
-		ns.health.probed(false, 0)
-		return
-	}
-	ns.health.probed(resp.Code == cloud.CodeOK, time.Since(start))
 }
 
 // Listen starts accepting client connections on addr and returns the

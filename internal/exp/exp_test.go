@@ -147,6 +147,34 @@ func TestConfigHashDistinguishes(t *testing.T) {
 	}
 }
 
+func TestFixtureByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want FixtureConfig
+		ok   bool
+	}{
+		{"imagenet20", ImageNet20Config(), true},
+		{"cifar10", CIFAR10Config(), true},
+		{"mnist", FixtureConfig{}, false},
+	} {
+		got, err := FixtureByName(c.name)
+		if (err == nil) != c.ok {
+			t.Fatalf("FixtureByName(%q) error = %v, want ok=%v", c.name, err, c.ok)
+		}
+		if err != nil {
+			for _, valid := range []string{"imagenet20", "cifar10"} {
+				if !strings.Contains(err.Error(), valid) {
+					t.Fatalf("FixtureByName(%q) error %q does not name %s", c.name, err, valid)
+				}
+			}
+			continue
+		}
+		if got.hash() != c.want.hash() {
+			t.Fatalf("FixtureByName(%q) = %+v, want %+v", c.name, got, c.want)
+		}
+	}
+}
+
 func TestEnsureBCaches(t *testing.T) {
 	fx := tinyFixture(t)
 	b1, err := fx.EnsureB(nil)

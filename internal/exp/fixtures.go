@@ -95,6 +95,17 @@ func CIFAR10Config() FixtureConfig {
 	return cfg
 }
 
+// FixtureByName returns the fixture config whose Name is name: the
+// lookup behind every binary's -model flag.
+func FixtureByName(name string) (FixtureConfig, error) {
+	for _, cfg := range []FixtureConfig{ImageNet20Config(), CIFAR10Config()} {
+		if cfg.Name == name {
+			return cfg, nil
+		}
+	}
+	return FixtureConfig{}, fmt.Errorf("unknown model %q (want imagenet20 or cifar10)", name)
+}
+
 // Fixture is a trained model with all the assets CAP'NN needs.
 type Fixture struct {
 	Config FixtureConfig

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"math"
 	"testing"
 
 	"capnn/internal/cloud"
@@ -23,14 +24,24 @@ func withTruncations(f *testing.F, bodies ...[]byte) {
 // checksum held — and, when a body is accepted, on into Server.Handle.
 // Nothing may panic, and nothing decoded may be larger than the body
 // could have described: a length field past the remaining bytes is an
-// error, not a make. The checked-in corpus under testdata/fuzz
-// (regenerated by scripts/genfuzzcorpus) seeds it with well-formed
-// requests of several ops.
+// error, not a make.
 func FuzzWireRequestDecode(f *testing.F) {
 	withTruncations(f,
 		(&WireRequest{}).AppendWire(nil),
 		(&WireRequest{Version: 1, Variant: "W", Classes: []int{0, 1}, Weights: []float64{3, 1}, Input: make([]float64, 36)}).AppendWire(nil),
 		(&WireRequest{Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{2}, Input: []float64{0.5}}).AppendWire(nil),
+		// Every QoS field a gateway forwards.
+		(&WireRequest{
+			Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{1, 2}, Weights: []float64{4, 1},
+			Input: make([]float64, 16), RouteKey: "M/def", RingVersion: 7,
+			BudgetMicros: 250_000, Tenant: "batch", Lane: 1,
+		}).AppendWire(nil),
+		// NaN and ±Inf decode (the layout carries any float64 bits);
+		// Server.infer must refuse them before any forward runs.
+		(&WireRequest{
+			Version: cloud.ProtocolVersion, Variant: "M", Classes: []int{0, 1},
+			Input: []float64{0.5, math.NaN(), math.Inf(1), math.Inf(-1)},
+		}).AppendWire(nil),
 	)
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
@@ -61,6 +72,10 @@ func FuzzWireResponseDecode(f *testing.F) {
 		(&WireResponse{}).AppendWire(nil),
 		(&WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Logits: []float64{0.1, 0.7, 0.2}, Class: 1, CacheHit: true}).AppendWire(nil),
 		badRequest("unknown variant").AppendWire(nil),
+		// A response carrying an op's payload.
+		(&WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: (&MaskPayload{
+			Base: 0x5eed0001, Masks: map[int][]bool{3: {true, false, false, true}, 5: make([]bool, 12)},
+		}).AppendWire(nil)}).AppendWire(nil),
 	)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var resp WireResponse

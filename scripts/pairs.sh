@@ -18,7 +18,8 @@
 # benchrows below, 10 alternating pairs: internal/nn's BenchmarkKernels
 # rows at `-test.benchtime 2000x`, on the highest rung of the dispatch
 # ladder both sides report (avx512, avx2, generic), and the root
-# module's BenchmarkPruneM (50x) and served rows (5000x).
+# module's BenchmarkPruneM (50x), BenchmarkTrainStep/workers-2 (20x) and
+# served rows (5000x).
 # The file holds the host's CPU model and nproc, both revisions, and per
 # workload and BENCHMARK.json end-to-end metric both sides' runs in seed
 # order, their medians and quartiles, the median per-pair ratio
@@ -79,9 +80,10 @@ done
 
 # The forward of a served plan and of the unpruned one, per request, on
 # every rung (the regex matches level by level); then one Algorithm M
-# search, and a warm request in process, to one shard and through a
-# gateway — a fill or hop change gets a per-layer row here.
-benchrows=(plan-M/sum/forward plan-0/sum/forward PruneM ServeThroughput/serve GatewayRouting/direct-serve GatewayRouting/via-gateway)
+# search, one data-parallel training step on two workers, and a warm
+# request in process, to one shard and through a gateway — a fill or hop
+# change gets a per-layer row here.
+benchrows=(plan-M/sum/forward plan-0/sum/forward PruneM TrainStep/workers-2 ServeThroughput/serve GatewayRouting/direct-serve GatewayRouting/via-gateway)
 regex='^BenchmarkKernels$/^plan-(M|0)$/^sum$/^forward$'
 served='^Benchmark(ServeThroughput|GatewayRouting)$/^(serve|direct-serve|via-gateway)$'
 for s in parent change; do
@@ -106,6 +108,7 @@ for i in $(seq 1 10); do
 		if [ "$s" = parent ]; then dir="$tmp/parent"; fi
 		(cd "$dir/internal/nn" && "$tmp/$s.nn.test" -test.run '^$' -test.bench "$regex" -test.benchtime 2000x) | rows "$s" "$i" BenchmarkKernels/
 		(cd "$dir" && "$tmp/$s.root.test" -test.run '^$' -test.bench '^BenchmarkPruneM$' -test.benchtime 50x) | rows "$s" "$i" Benchmark
+		(cd "$dir" && "$tmp/$s.root.test" -test.run '^$' -test.bench '^BenchmarkTrainStep$/^workers-2$' -test.benchtime 20x) | rows "$s" "$i" Benchmark
 		(cd "$dir" && "$tmp/$s.root.test" -test.run '^$' -test.bench "$served" -test.benchtime 5000x) | rows "$s" "$i" Benchmark
 	done
 	echo "pairs: bench pair $i done" >&2
