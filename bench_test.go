@@ -406,6 +406,7 @@ func BenchmarkTrainStep(b *testing.B) {
 			}
 			net.SetTraining(true)
 			tr := train.NewTrainer(net, train.NewSGD(0.05, 0.9, 5e-4), workers, 1)
+			defer tr.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := tr.Step(fx.Sets.Train, batch); err != nil {

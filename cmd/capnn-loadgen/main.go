@@ -252,10 +252,10 @@ func (r *laneReport) summary(lane qos.Lane) string {
 }
 
 // checkFlags refuses the flag values no run can honour: with no users
-// there is no request to send, with no requests or no workers the run
-// would report "0 failed" without having sent anything, a request's
+// there is no request to send; with no requests or no workers the run
+// would report "0 failed" without having sent anything; a request's
 // deadline is now + timeout, so a timeout <= 0 fails every request at
-// once, and a negative budget would go out as no budget.
+// once; and a negative budget would go out as no budget.
 func checkFlags(users, n, concurrency int, bulkFrac float64, timeout, budget, bulkBudget time.Duration) error {
 	switch {
 	case users < 1:

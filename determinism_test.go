@@ -156,6 +156,7 @@ func TestTrainingBitIdenticalAcrossWorkers(t *testing.T) {
 				losses = append(losses, loss)
 			}
 		}
+		tr.Close()
 		var weights []float64
 		for _, p := range net.Params() {
 			weights = append(weights, p.W.Data()...)
@@ -177,10 +178,10 @@ func TestTrainingBitIdenticalAcrossWorkers(t *testing.T) {
 	}
 }
 
-// Once a step returns, its worker goroutines must be gone — serving
-// processes personalize many users and would otherwise leak workers per
-// fine-tune.
-func TestTrainingLeavesNoGoroutines(t *testing.T) {
+// After a trainer shuts its pool down, its worker goroutines must be
+// gone — serving processes personalize many users and would otherwise
+// leak a pool per fine-tune.
+func TestTrainerCloseLeavesNoGoroutines(t *testing.T) {
 	ds := determinismData(t)
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
@@ -190,12 +191,14 @@ func TestTrainingLeavesNoGoroutines(t *testing.T) {
 		if _, err := tr.Step(ds, firstN(ds.Len(), 16)); err != nil {
 			t.Fatal(err)
 		}
+		tr.Close()
+		tr.Close() // idempotent
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	if got := runtime.NumGoroutine(); got > before {
-		t.Fatalf("goroutine leak: %d live after training, %d before", got, before)
+		t.Fatalf("goroutine leak: %d live after Close, %d before", got, before)
 	}
 }

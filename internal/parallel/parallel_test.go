@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestShards(t *testing.T) {
@@ -93,5 +94,61 @@ func TestSetDefault(t *testing.T) {
 	SetDefault(-1) // restores GOMAXPROCS
 	if got := Default(); got != runtime.GOMAXPROCS(0) {
 		t.Fatalf("Default after reset = %d, want GOMAXPROCS %d", got, runtime.GOMAXPROCS(0))
+	}
+}
+
+func TestPoolRunsBarriersAndCloses(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := NewPool(4)
+	if p.workers != 4 {
+		t.Fatalf("workers = %d, want 4", p.workers)
+	}
+	for round := 0; round < 3; round++ {
+		const n = 50
+		counts := make([]int64, n)
+		p.ForWorker(n, func(worker, i int) {
+			if worker < 0 || worker >= 4 {
+				t.Errorf("bad worker slot %d", worker)
+			}
+			atomic.AddInt64(&counts[i], 1)
+		})
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("round %d: index %d ran %d times", round, i, c)
+			}
+		}
+	}
+	p.Close()
+	p.Close() // idempotent
+	// The pool's goroutines must be gone after Close.
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("goroutine leak after Close: %d > %d", got, before)
+	}
+}
+
+func TestPoolPanicPropagates(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("pool barrier did not re-raise task panic")
+			}
+		}()
+		p.ForWorker(8, func(worker, i int) {
+			if i == 3 {
+				panic("pool boom")
+			}
+		})
+	}()
+	// The pool must still be usable after a panicking barrier.
+	var ran atomic.Int64
+	p.ForWorker(4, func(worker, i int) { ran.Add(1) })
+	if ran.Load() != 4 {
+		t.Fatalf("pool broken after panic: ran %d of 4", ran.Load())
 	}
 }

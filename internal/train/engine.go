@@ -28,6 +28,7 @@ const maxGradShards = 8
 type Trainer struct {
 	net  *nn.Network
 	opt  Stepper
+	pool *parallel.Pool
 	reps []*nn.Network
 
 	gradLen int
@@ -42,6 +43,7 @@ type Trainer struct {
 
 // NewTrainer builds a trainer for net with the given optimizer. workers
 // <= 0 means parallel.Default(); counts above maxGradShards are capped.
+// Callers must Close the trainer to release its worker goroutines.
 func NewTrainer(net *nn.Network, opt Stepper, workers int, seed int64) *Trainer {
 	if workers <= 0 {
 		workers = parallel.Default()
@@ -50,6 +52,7 @@ func NewTrainer(net *nn.Network, opt Stepper, workers int, seed int64) *Trainer 
 		workers = maxGradShards
 	}
 	t := &Trainer{net: net, opt: opt, seed: seed}
+	t.pool = parallel.NewPool(workers)
 	t.reps = make([]*nn.Network, workers)
 	for w := range t.reps {
 		t.reps[w] = net.Replica()
@@ -81,7 +84,7 @@ func (t *Trainer) Step(ds *data.Dataset, indices []int) (float64, error) {
 	step := t.step
 	t.step++
 
-	parallel.ForWorker(len(t.reps), len(shards), func(worker, si int) {
+	t.pool.ForWorker(len(shards), func(worker, si int) {
 		rep := t.reps[worker]
 		sh := shards[si]
 		idx := indices[sh.Lo:sh.Hi]
@@ -135,3 +138,6 @@ func (t *Trainer) Step(ds *data.Dataset, indices []int) (float64, error) {
 	t.opt.Step(params)
 	return loss, nil
 }
+
+// Close releases the trainer's worker goroutines. Idempotent.
+func (t *Trainer) Close() { t.pool.Close() }

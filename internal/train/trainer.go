@@ -94,6 +94,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 	net.SetTraining(true)
 	defer net.SetTraining(false)
 	trainer := NewTrainer(net, opt, 0, cfg.Seed)
+	defer trainer.Close()
 	checkpointEvery := cfg.CheckpointEvery
 	if checkpointEvery <= 0 {
 		checkpointEvery = 1
