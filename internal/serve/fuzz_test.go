@@ -24,7 +24,8 @@ func withTruncations(f *testing.F, bodies ...[]byte) {
 // checksum held — and, when a body is accepted, on into Server.Handle.
 // Nothing may panic, and nothing decoded may be larger than the body
 // could have described: a length field past the remaining bytes is an
-// error, not a make.
+// error, not a make. The fixed files under testdata/fuzz are further
+// well-formed seeds in the current layout, kept as regression inputs.
 func FuzzWireRequestDecode(f *testing.F) {
 	withTruncations(f,
 		(&WireRequest{}).AppendWire(nil),
