@@ -404,8 +404,7 @@ func BenchmarkTrainStep(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			net.SetTraining(true)
-			tr := train.NewTrainer(net, train.NewSGD(0.05, 0.9, 5e-4), workers, 1)
+			tr := train.NewTrainer(net, train.NewSGD(0.05, 0.9, 5e-4), workers)
 			defer tr.Close()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

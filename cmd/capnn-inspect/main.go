@@ -110,8 +110,6 @@ func kindOf(l nn.Layer) string {
 		return "pool"
 	case *nn.Flatten:
 		return "flatten"
-	case *nn.Dropout:
-		return "dropout"
 	default:
 		return "?"
 	}

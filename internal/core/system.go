@@ -173,9 +173,7 @@ func (s *System) OffPreferenceShare(prefs Preferences) (share, n float64, err er
 
 // Result reports what a pruning run achieved, measured on a test set.
 type Result struct {
-	Variant Variant
-	Prefs   Preferences
-	Masks   map[int][]bool
+	Masks map[int][]bool
 	// RelativeSize is pruned params / original params (paper Fig. 4).
 	RelativeSize float64
 	// PrunedUnits / TotalUnits count units across the prunable stages.
@@ -188,8 +186,8 @@ type Result struct {
 // Measure compacts net under masks to count unique parameters and
 // evaluates pruned-vs-original accuracy over the user's classes on
 // testSet. net is only read.
-func Measure(net *nn.Network, v Variant, prefs Preferences, masks map[int][]bool, testSet *data.Dataset) (Result, error) {
-	res := Result{Variant: v, Prefs: prefs, Masks: masks}
+func Measure(net *nn.Network, prefs Preferences, masks map[int][]bool, testSet *data.Dataset) (Result, error) {
+	res := Result{Masks: masks}
 	sub := testSet.FilterClasses(prefs.Classes)
 	if sub.Len() == 0 {
 		return res, fmt.Errorf("core: test set has no samples of the user classes")
@@ -228,5 +226,5 @@ func (s *System) Personalize(v Variant, prefs Preferences, testSet *data.Dataset
 	if err != nil {
 		return Result{}, err
 	}
-	return Measure(s.Net, v, prefs, masks, testSet)
+	return Measure(s.Net, prefs, masks, testSet)
 }

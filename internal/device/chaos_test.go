@@ -35,7 +35,7 @@ func TestDeviceBacksOffAfterFailures(t *testing.T) {
 
 	// Drive drift above threshold: the user only sees class 1.
 	observe(t, f, dev, 1, 8)
-	if dev.Drift() <= dev.DriftThreshold {
+	if dev.Drift() <= driftThreshold {
 		t.Fatalf("drift %v not above threshold", dev.Drift())
 	}
 

@@ -38,6 +38,19 @@ type Retry struct {
 	MaxBackoff time.Duration
 }
 
+const (
+	// driftThreshold is the total-variation distance between the
+	// monitored usage and the personalized-for usage above which
+	// Repersonalize fetches new masks.
+	driftThreshold = 0.25
+	// firstTopK is how many classes the first personalization keeps;
+	// later ones keep the current preference count.
+	firstTopK = 2
+	// maxRefetchBackoff caps the refetch suppression RefetchBackoff
+	// starts.
+	maxRefetchBackoff = 5 * time.Minute
+)
+
 // BaseMismatchError is the refusal of masks computed on another base
 // network than the device's: compacting its own base under them would
 // install a model nobody computed.
@@ -92,19 +105,10 @@ type Device struct {
 	model   *nn.Network
 	monitor *core.Monitor
 	current core.Preferences
-	// DriftThreshold is the total-variation distance between the
-	// monitored usage and the personalized-for usage above which
-	// Repersonalize fetches new masks. Defaults to 0.25.
-	DriftThreshold float64
-	// TopK is how many classes a repersonalization keeps. Defaults to
-	// the current preference count (or 2 before the first fetch).
-	TopK int
 	// RefetchBackoff is how long drift-triggered refetches are
 	// suppressed after the first consecutive failure; the suppression
-	// doubles per further failure, capped at MaxRefetchBackoff.
-	// Defaults: 1 s base, 5 min cap.
-	RefetchBackoff    time.Duration
-	MaxRefetchBackoff time.Duration
+	// doubles per further failure, capped at 5 min. Defaults to 1 s.
+	RefetchBackoff time.Duration
 
 	failures int
 	retryAt  time.Time
@@ -130,10 +134,8 @@ func New(client *serve.Client, base *nn.Network, numClasses int, variant string)
 		client: client, base: base, baseSum: sum, classes: numClasses, variant: variant,
 		Retry: Retry{MaxAttempts: 3, BaseBackoff: 100 * time.Millisecond, MaxBackoff: 2 * time.Second},
 		model: base, monitor: mon,
-		DriftThreshold: 0.25, TopK: 2,
-		RefetchBackoff:    time.Second,
-		MaxRefetchBackoff: 5 * time.Minute,
-		now:               time.Now,
+		RefetchBackoff: time.Second,
+		now:            time.Now,
 	}, nil
 }
 
@@ -180,7 +182,7 @@ func (d *Device) drift() float64 {
 }
 
 // Repersonalize fetches fresh masks and installs the base compacted
-// under them if usage drifted beyond DriftThreshold (or force is set).
+// under them if usage drifted beyond driftThreshold (or force is set).
 // It returns whether a new model was installed.
 //
 // On fetch failure the current model stays deployed and further
@@ -217,7 +219,7 @@ func (d *Device) wanted(force bool) (core.Preferences, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	if !force {
-		if d.drift() < d.DriftThreshold {
+		if d.drift() < driftThreshold {
 			return core.Preferences{}, nil
 		}
 		if d.failures > 0 && d.now().Before(d.retryAt) {
@@ -229,7 +231,7 @@ func (d *Device) wanted(force bool) (core.Preferences, error) {
 		// preferences the device is already personalized for.
 		return d.current, nil
 	}
-	k := d.TopK
+	k := firstTopK
 	if d.current.K() > 0 {
 		k = d.current.K()
 	}
@@ -322,9 +324,5 @@ func (d *Device) backoff(i int) time.Duration {
 // failureBackoff returns the refetch suppression after the current
 // failure streak: base·2^(failures-1), capped.
 func (d *Device) failureBackoff() time.Duration {
-	limit := d.MaxRefetchBackoff
-	if limit <= 0 {
-		limit = 5 * time.Minute
-	}
-	return doubling(d.RefetchBackoff, time.Second, limit, d.failures)
+	return doubling(d.RefetchBackoff, time.Second, maxRefetchBackoff, d.failures)
 }

@@ -203,7 +203,7 @@ func TestDeviceLifecycleRepersonalizes(t *testing.T) {
 	// The user only ever sees class 1 (with a little class 3).
 	observe(t, f, dev, 1, 9)
 	observe(t, f, dev, 3, 3)
-	if dev.Drift() <= dev.DriftThreshold {
+	if dev.Drift() <= driftThreshold {
 		t.Fatalf("drift %v not above threshold with unpersonalized model", dev.Drift())
 	}
 	origParams := dev.Model().ParamCount()

@@ -54,7 +54,7 @@ func measureW(fx *Fixture, ev *core.SuffixEvaluator, rates *firing.Rates, params
 	if err != nil {
 		return nil, err
 	}
-	res, err := core.Measure(fx.Net, core.VariantW, prefs, masks, fx.Sets.Test)
+	res, err := core.Measure(fx.Net, prefs, masks, fx.Sets.Test)
 	if err != nil {
 		return nil, err
 	}
@@ -106,7 +106,7 @@ func RunQuantAblation(fx *Fixture, scale Scale, bitWidths []int, k int, log io.W
 		if err != nil {
 			return nil, fmt.Errorf("quant %d-bit: %w", bits, err)
 		}
-		res, err := core.Measure(fx.Net, core.VariantW, prefs, masks, fx.Sets.Test)
+		res, err := core.Measure(fx.Net, prefs, masks, fx.Sets.Test)
 		if err != nil {
 			return nil, err
 		}

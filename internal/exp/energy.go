@@ -53,7 +53,7 @@ func RunEnergy(fx *Fixture, scale Scale, ks []int, log io.Writer) ([]EnergyRow, 
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.Measure(fx.Net, core.VariantM, prefs, masks, fx.Sets.Test)
+			res, err := core.Measure(fx.Net, prefs, masks, fx.Sets.Test)
 			if err != nil {
 				return nil, err
 			}

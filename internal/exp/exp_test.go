@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -38,6 +39,24 @@ func tinyConfig() FixtureConfig {
 		},
 		Train:   tc,
 		Epsilon: 0.15,
+	}
+}
+
+// TestFixtureCacheIsCheckedIn fails when an edit to any struct inside
+// FixtureConfig moves a cache key off the checked-in files, which would
+// otherwise retrain the fixture silently on first use. It is the first
+// test of the package, so it runs before anything can fill the cache.
+func TestFixtureCacheIsCheckedIn(t *testing.T) {
+	dir, err := fixtureDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []FixtureConfig{ImageNet20Config(), CIFAR10Config(), tinyConfig()} {
+		for _, name := range []string{c.Name + "-" + c.modelHash() + ".model", c.Name + "-" + c.hash() + ".bmat"} {
+			if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+				t.Errorf("%s: %v (a FixtureConfig edit changed its cache key; retrain, check the parameters are unchanged, and rename the checked-in file)", c.Name, err)
+			}
+		}
 	}
 }
 

@@ -48,17 +48,11 @@ func ImageNet20Config() FixtureConfig {
 	// inter-class confusion for CAP'NN-M to exploit.
 	synth.NoiseStd = 1.5
 	synth.GroupMix = 0.75
-	vgg := nn.DefaultVGGConfig(20)
-	// Dropout training makes units deliberately redundant and
-	// class-agnostic — the opposite of the class-specialized firing CAP'NN
-	// exploits — so the reference fixture trains without it (measured in
-	// EXPERIMENTS.md).
-	vgg.Dropout = 0
 	return FixtureConfig{
 		Name:  "imagenet20",
 		Synth: synth,
 		Sizes: data.SetSizes{TrainPerClass: 50, ValPerClass: 40, TestPerClass: 25, ProfilePerClass: 40},
-		VGG:   vgg,
+		VGG:   nn.DefaultVGGConfig(20),
 		Train: tc,
 		// The paper uses ε = 3%% on full VGG-16/ImageNet. This model is
 		// three orders of magnitude smaller, so individual units carry
@@ -80,13 +74,11 @@ func CIFAR10Config() FixtureConfig {
 	synth := data.DefaultSynthConfig(10)
 	synth.NoiseStd = 1.5
 	synth.GroupMix = 0.75
-	vgg := nn.DefaultVGGConfig(10)
-	vgg.Dropout = 0
 	cfg := FixtureConfig{
 		Name:    "cifar10",
 		Synth:   synth,
 		Sizes:   data.SetSizes{TrainPerClass: 50, ValPerClass: 40, TestPerClass: 25, ProfilePerClass: 40},
-		VGG:     vgg,
+		VGG:     nn.DefaultVGGConfig(10),
 		Train:   tc,
 		Epsilon: 0.12,
 	}

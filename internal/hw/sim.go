@@ -111,8 +111,6 @@ func Simulate(net *nn.Network, cfg Config) (Counts, []LayerCounts, error) {
 			lc.Cycles = in / int64(cfg.MACUnits)
 		case *nn.Flatten:
 			// Pure reindexing: free on the device.
-		case *nn.Dropout:
-			// Identity at inference time.
 		default:
 			return Counts{}, nil, fmt.Errorf("hw: unsupported layer type %T", l)
 		}

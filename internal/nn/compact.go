@@ -1,9 +1,6 @@
 package nn
 
-import (
-	"fmt"
-	"hash/fnv"
-)
+import "fmt"
 
 // CompactMasked returns a physically smaller copy of net in which every
 // unit masks prunes has been removed: a pruned conv channel drops its
@@ -108,18 +105,6 @@ func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][
 			out.Layers = append(out.Layers, np)
 			cur = []int{cur[0], np.outH, np.outW}
 
-		case *Dropout:
-			// Dropout is identity at inference; the seed only shapes
-			// training noise, which a compacted copy never runs. A
-			// name-derived seed keeps construction deterministic without
-			// mutating the source layer's rng (serialization does not
-			// preserve dropout seeds either).
-			nd, err := NewDropout(t.name, compactShape(cur, keep), t.p, nameSeed(t.name))
-			if err != nil {
-				return nil, nil, err
-			}
-			out.Layers = append(out.Layers, nd)
-
 		case *Flatten:
 			// Expand the per-channel keep mask into a per-feature mask.
 			h, w := cur[1], cur[2]
@@ -151,13 +136,6 @@ func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][
 		}
 	}
 	return out, keepOut, nil
-}
-
-// nameSeed derives a stable dropout seed from a layer name.
-func nameSeed(name string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(name))
-	return int64(h.Sum64())
 }
 
 // compactShape shrinks the leading (channel/feature) dimension of a

@@ -49,9 +49,8 @@ const (
 	opScatter
 )
 
-// compiledOp is one step of the lowered plan. Flatten and Dropout are
-// elided at compile time: both are the identity on the contiguous NCHW
-// slab at inference. A ReLU directly after a conv or dense is folded
+// compiledOp is one step of the lowered plan. Flatten is elided at
+// compile time: it is the identity on the contiguous NCHW slab. A ReLU directly after a conv or dense is folded
 // into it.
 type compiledOp struct {
 	kind    opKind
@@ -215,8 +214,8 @@ func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 		case *MaxPool2D:
 			g := t.geom()
 			op = compiledOp{kind: opPool, g: g, in: g.inSize(), out: g.outSize()}
-		case *Flatten, *Dropout:
-			// Identity on the contiguous slab at inference: elide.
+		case *Flatten:
+			// Identity on the contiguous slab: elide.
 			continue
 		default:
 			return nil, fmt.Errorf("cannot lower layer type %T", l)

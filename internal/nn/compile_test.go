@@ -27,7 +27,7 @@ func bitEqual(t *testing.T, want, got *tensor.Tensor) {
 }
 
 // randVGGNet builds a random small VGG-ish network: conv/relu/pool blocks,
-// flatten, then a dense tail, with an occasional dropout.
+// flatten, then a dense tail.
 func randVGGNet(rng *rand.Rand) *Network {
 	inC := 1 + rng.Intn(3)
 	hw := []int{8, 12}[rng.Intn(2)]
@@ -40,9 +40,6 @@ func randVGGNet(rng *rand.Rand) *Network {
 		}
 	}
 	b.Flatten()
-	if rng.Intn(3) == 0 {
-		b.Dropout(0.3)
-	}
 	if rng.Intn(2) == 0 {
 		b.Dense(3 + rng.Intn(8)).ReLU()
 	}
@@ -345,19 +342,6 @@ func TestCompiledInferConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// Dropout layers are elided from the plan; a net with dropout still
-// compiles and matches the masked path (dropout is identity at infer).
-func TestCompileElidesDropout(t *testing.T) {
-	net := NewBuilder(1, 8, 8, 17).Conv(3).ReLU().Pool().Flatten().Dropout(0.5).Dense(6).ReLU().Dropout(0.25).Dense(3).MustBuild()
-	masks := map[int][]bool{1: {true, false, true, false, false, true}}
-	c, err := Compile(net, masks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x := randInput([]int{2, 1, 8, 8}, 18)
-	bitEqual(t, net.Infer(x, masks), c.Infer(x))
 }
 
 // A served fill compacts, lowers and probes only the suffix after the

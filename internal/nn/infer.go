@@ -164,8 +164,8 @@ func inferLayers(layers []Layer, firstStage int, masks map[int][]bool, x *tensor
 			}
 			out = floatScratch.get(len(src))
 			reluForward(*out, src)
-		case *Flatten, *Dropout:
-			continue // the identity on a contiguous slab at inference, sample-minor too
+		case *Flatten:
+			continue // the identity on a contiguous slab, sample-minor too
 		default:
 			panic(fmt.Sprintf("nn: layer %s does not support stateless inference", t.Name()))
 		}

@@ -18,7 +18,7 @@ func inferTestNet(t testing.TB) *Network {
 	net, err := NewBuilder(1, 12, 12, 7).
 		Conv(6).ReLU().Pool().
 		Conv(8).ReLU().Pool().
-		Flatten().Dense(12).ReLU().Dropout(0.3).Dense(4).Build()
+		Flatten().Dense(12).ReLU().Dense(4).Build()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math/rand"
 
 	"capnn/internal/tensor"
 )
@@ -24,9 +23,7 @@ type replicable interface {
 }
 
 // Replica returns a training copy of the network: shared weights, fresh
-// gradients, fresh activation caches, no profiling hooks. Dropout layers
-// get placeholder RNGs — callers must ReseedDropout before every Forward
-// to control the noise deterministically.
+// gradients, fresh activation caches, no profiling hooks.
 func (n *Network) Replica() *Network {
 	layers := make([]Layer, len(n.Layers))
 	for i, l := range n.Layers {
@@ -37,18 +34,6 @@ func (n *Network) Replica() *Network {
 		layers[i] = r.replica()
 	}
 	return &Network{InShape: append([]int(nil), n.InShape...), Layers: layers}
-}
-
-// ReseedDropout re-seeds every dropout layer's RNG from seed (offset by
-// the layer's position so stacked dropouts draw distinct streams). The
-// trainer calls this with a per-(step, shard) seed so the noise depends
-// only on WHAT is being computed, never on which worker runs it.
-func (n *Network) ReseedDropout(seed int64) {
-	for i, l := range n.Layers {
-		if d, ok := l.(*Dropout); ok {
-			d.rng = rand.New(rand.NewSource(seed + int64(i)))
-		}
-	}
 }
 
 // shareParam builds a Param aliasing p's weights with a zeroed gradient
@@ -87,15 +72,4 @@ func (p *MaxPool2D) replica() Layer {
 
 func (f *Flatten) replica() Layer {
 	return &Flatten{name: f.name, inShape: append([]int(nil), f.inShape...), out: f.out}
-}
-
-func (d *Dropout) replica() Layer {
-	return &Dropout{
-		name:  d.name,
-		shape: append([]int(nil), d.shape...),
-		p:     d.p,
-		// Placeholder stream; the trainer reseeds per (step, shard).
-		rng:      rand.New(rand.NewSource(0)),
-		training: d.training,
-	}
 }

@@ -31,12 +31,10 @@ type layerSpec struct {
 	Out int
 	// pool
 	PoolK, PoolStride int
-	// dropout
-	DropP    float64
-	DropSeed int64
 
-	// Files written while layers still stored prune masks carry a Pruned
-	// field too; gob skips fields the struct no longer has.
+	// Older files carry a Pruned field (from when layers stored prune
+	// masks) and a dropout probability and seed; gob skips fields the
+	// struct no longer has.
 	W, B []float64
 }
 
@@ -64,9 +62,6 @@ func Save(w io.Writer, net *Network) error {
 			ls.PoolK, ls.PoolStride = t.k, t.stride
 		case *Flatten:
 			ls.Kind = "flatten"
-		case *Dropout:
-			ls.Kind = "dropout"
-			ls.DropP = t.p
 		default:
 			return fmt.Errorf("nn: cannot serialize layer type %T", l)
 		}
@@ -134,12 +129,6 @@ func Load(r io.Reader) (*Network, error) {
 			f := NewFlatten(ls.Name, cur)
 			net.Layers = append(net.Layers, f)
 			cur = f.OutShape()
-		case "dropout":
-			d, err := NewDropout(ls.Name, cur, ls.DropP, ls.DropSeed)
-			if err != nil {
-				return nil, err
-			}
-			net.Layers = append(net.Layers, d)
 		default:
 			return nil, fmt.Errorf("nn: unknown layer kind %q", ls.Kind)
 		}

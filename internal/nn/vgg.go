@@ -21,19 +21,15 @@ type VGGConfig struct {
 	FC []int
 	// Classes is the output dimension.
 	Classes int
-	// Dropout, when positive, inserts inverted dropout with this drop
-	// probability after each hidden FC ReLU — the original VGG-16 trains
-	// with dropout 0.5 there. Dropout is inert outside training mode.
-	Dropout float64
 	// Seed drives deterministic parameter initialization.
 	Seed int64
 }
 
 // DefaultVGGConfig returns the repository's reference "VGG-16-mini" for
 // the given class count: 32×32 single-channel inputs, conv widths
-// [4,4,8,8,12,12,12,16,16,16,32,32,32], FC [128,128] with dropout 0.3
-// on the FC head (the original uses 0.5; at this width 0.3 balances
-// regularization-induced redundancy against trainability). Like full VGG-16,
+// [4,4,8,8,12,12,12,16,16,16,32,32,32], FC [128,128]. The original
+// trains its FC head with dropout 0.5; this one has none, because
+// dropout makes units class-agnostic (DESIGN.md §7.2). Like full VGG-16,
 // the parameter mass is concentrated in the last conv block and the FC
 // head — the layers CAP'NN prunes — so class-specific redundancy exists
 // where the algorithms look for it.
@@ -43,7 +39,6 @@ func DefaultVGGConfig(classes int) VGGConfig {
 		Widths:  []int{4, 4, 8, 8, 12, 12, 12, 16, 16, 16, 32, 32, 32},
 		FC:      []int{128, 128},
 		Classes: classes,
-		Dropout: 0.3,
 		Seed:    1,
 	}
 }
@@ -71,18 +66,9 @@ func BuildVGG(cfg VGGConfig) (*Network, error) {
 		}
 		b.Pool()
 	}
-	if cfg.Dropout < 0 || cfg.Dropout >= 1 {
-		return nil, fmt.Errorf("nn: VGG dropout %v outside [0,1)", cfg.Dropout)
-	}
 	b.Flatten()
 	b.Dense(cfg.FC[0]).ReLU()
-	if cfg.Dropout > 0 {
-		b.Dropout(cfg.Dropout)
-	}
 	b.Dense(cfg.FC[1]).ReLU()
-	if cfg.Dropout > 0 {
-		b.Dropout(cfg.Dropout)
-	}
 	b.Dense(cfg.Classes)
 	return b.Build()
 }

@@ -92,14 +92,6 @@ func (b *panicBox) rethrow() {
 // results independent and merge them in index order afterwards. A panic
 // in fn is re-raised on the calling goroutine after all workers stop.
 func For(workers, n int, fn func(i int)) {
-	ForWorker(workers, n, func(_, i int) { fn(i) })
-}
-
-// ForWorker is For with the executing worker's slot index (0-based,
-// < min(workers, n)) passed alongside each item index, so callers can
-// reuse per-worker scratch state (e.g. network replicas). Slot state
-// must not influence results — items are claimed dynamically.
-func ForWorker(workers, n int, fn func(worker, i int)) {
 	if n <= 0 {
 		return
 	}
@@ -111,7 +103,7 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 	}
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			fn(i)
 		}
 		return
 	}
@@ -122,7 +114,7 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 	)
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
-		go func(worker int) {
+		go func() {
 			defer wg.Done()
 			defer func() {
 				if r := recover(); r != nil {
@@ -134,9 +126,9 @@ func ForWorker(workers, n int, fn func(worker, i int)) {
 				if i >= n {
 					return
 				}
-				fn(worker, i)
+				fn(i)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 	fail.rethrow()
@@ -152,11 +144,13 @@ type task struct {
 
 // Pool is a persistent bounded worker pool for callers that issue many
 // barriers in a loop (the trainer runs one per mini-batch). Workers live
-// until Close. The trainer measured faster on it than on ForWorker: on a
-// 2-core Xeon, a BenchmarkTrainStep/workers-2 step took a median 27.1 ms
-// here and 31.4 ms through ForWorker's per-barrier goroutines, slower in
-// 10 of 10 alternating pairs, the extra time inside the gradient kernels
-// rather than in starting goroutines.
+// until Close, and each keeps its slot, so per-slot state (the trainer's
+// replicas) stays with one goroutine. The trainer measured faster on it
+// than on per-barrier goroutines: on a 2-core Xeon, a
+// BenchmarkTrainStep/workers-2 step took a median 27.1 ms here and
+// 31.4 ms with fresh goroutines per barrier, slower in 10 of 10
+// alternating pairs, the extra time inside the gradient kernels rather
+// than in starting goroutines.
 type Pool struct {
 	workers int
 	tasks   chan task

@@ -50,15 +50,22 @@ func TestForCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// The slot a Pool passes stays in [0, workers), also when a barrier has
+// fewer items than workers, and neither barrier calls fn when n = 0.
 func TestForWorkerSlotBounds(t *testing.T) {
-	const workers, n = 4, 100
+	const workers = 4
+	p := NewPool(workers)
+	defer p.Close()
 	var bad atomic.Int64
-	For(workers, 0, func(i int) { bad.Add(1) }) // n=0: no calls
-	ForWorker(workers, n, func(worker, i int) {
-		if worker < 0 || worker >= workers {
-			bad.Add(1)
-		}
-	})
+	For(workers, 0, func(i int) { bad.Add(1) })
+	p.ForWorker(0, func(worker, i int) { bad.Add(1) })
+	for _, n := range []int{1, 3, 100} {
+		p.ForWorker(n, func(worker, i int) {
+			if worker < 0 || worker >= workers {
+				bad.Add(1)
+			}
+		})
+	}
 	if bad.Load() != 0 {
 		t.Fatal("worker slot outside [0, workers) or fn called with n=0")
 	}

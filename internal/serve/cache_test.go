@@ -7,6 +7,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"capnn/internal/metrics"
 )
 
 func entryFor(key string) *maskEntry {
@@ -17,7 +19,7 @@ func entryFor(key string) *maskEntry {
 // evict the least-recently-used entry when c arrives, and keep the one
 // a hit refreshed.
 func TestCacheEvictionUnderPressure(t *testing.T) {
-	st := newStats()
+	st := newStatsOn(metrics.NewRegistry(), metrics.NewEventLog(0))
 	c := newMaskCache(2, st)
 	fills := map[string]int{}
 	fill := func(key string) func() (*maskEntry, error) {
@@ -57,7 +59,7 @@ func TestCacheEvictionUnderPressure(t *testing.T) {
 // A failed personalization must not be cached: the error fans out to
 // the flight's joiners, and the next request runs the fill again.
 func TestFailedFillNotCached(t *testing.T) {
-	st := newStats()
+	st := newStatsOn(metrics.NewRegistry(), metrics.NewEventLog(0))
 	c := newMaskCache(4, st)
 	boom := errors.New("prune exploded")
 	calls := 0
@@ -84,7 +86,7 @@ func TestFailedFillNotCached(t *testing.T) {
 // Singleflight at the cache level: concurrent gets for one cold key run
 // one fill; the joiners receive its entry (or its error).
 func TestCacheSingleflight(t *testing.T) {
-	st := newStats()
+	st := newStatsOn(metrics.NewRegistry(), metrics.NewEventLog(0))
 	c := newMaskCache(4, st)
 	var fills atomic.Int64
 	gate := make(chan struct{})
@@ -123,7 +125,7 @@ func TestCacheSingleflight(t *testing.T) {
 
 // Distinct keys never share a flight.
 func TestCacheDistinctKeysFillIndependently(t *testing.T) {
-	c := newMaskCache(8, newStats())
+	c := newMaskCache(8, newStatsOn(metrics.NewRegistry(), metrics.NewEventLog(0)))
 	for i := 0; i < 4; i++ {
 		key := fmt.Sprintf("k%d", i)
 		e, hit, err := c.get(key, func() (*maskEntry, error) { return entryFor(key), nil })

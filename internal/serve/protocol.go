@@ -191,7 +191,7 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 	if !ok {
 		return Refuse(cloud.CodeBadRequest, "unknown lane %d (want 0 interactive or 1 bulk)", req.Lane)
 	}
-	q := QoS{Lane: lane, Tenant: req.Tenant}
+	q := QoS{Lane: lane}
 	if req.BudgetMicros < 0 {
 		// The budget died in flight (e.g. a gateway re-stamped a
 		// remainder that went negative). Refuse before queueing: the

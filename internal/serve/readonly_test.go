@@ -61,7 +61,7 @@ func TestPruneNeverWritesNetwork(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			_, err = core.Measure(sys.Net, v, prefs, masks, f.sets.Test)
+			_, err = core.Measure(sys.Net, prefs, masks, f.sets.Test)
 			return err
 		}})
 	}

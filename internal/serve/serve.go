@@ -397,14 +397,12 @@ func (s *Server) Events() *metrics.EventLog { return s.events }
 
 // QoS is one request's quality-of-service envelope: the absolute
 // deadline its caller needs the answer by (zero = none; the server's
-// RequestTimeout still applies), the priority lane it rides, and the
-// tenant it is accounted under. The zero value — no deadline,
-// interactive lane, default tenant — reproduces pre-QoS behavior
+// RequestTimeout still applies) and the priority lane it rides. The zero
+// value — no deadline, interactive lane — reproduces pre-QoS behavior
 // exactly.
 type QoS struct {
 	Deadline time.Time
 	Lane     qos.Lane
-	Tenant   string
 }
 
 // InferVariant serves one sample x (per-sample shape, no batch

@@ -105,7 +105,6 @@ const (
 // so a Stats snapshot, a SIGINT dump, and a Prometheus scrape can never
 // disagree.
 type stats struct {
-	reg    *metrics.Registry
 	events *metrics.EventLog
 
 	reqC, compC                  *metrics.Counter
@@ -119,17 +118,10 @@ type stats struct {
 	compDispC                    *metrics.Counter
 }
 
-// newStats builds an accumulator on a private registry — unit tests and
-// embedded uses that never scrape.
-func newStats() *stats {
-	return newStatsOn(metrics.NewRegistry(), metrics.NewEventLog(0))
-}
-
 // newStatsOn builds the accumulator's instruments on the given registry
 // and routes its events to the given log.
 func newStatsOn(reg *metrics.Registry, events *metrics.EventLog) *stats {
 	st := &stats{
-		reg:    reg,
 		events: events,
 
 		reqC:    reg.Counter("capnn_serve_requests_total", "Admitted inference requests."),

@@ -21,10 +21,6 @@ const maxGradShards = 8
 // weight-sharing replica of the network (see nn.Replica), and the shard
 // gradients are reduced deterministically before a single optimizer
 // step on the real network.
-//
-// Dropout noise is derived from (seed, step, shard), never from the
-// executing worker, so stochastic regularization is also identical for
-// every worker count.
 type Trainer struct {
 	net  *nn.Network
 	opt  Stepper
@@ -36,27 +32,23 @@ type Trainer struct {
 	grads  [][]float64
 	losses []float64
 	errs   []error
-
-	seed int64
-	step int64
 }
 
 // NewTrainer builds a trainer for net with the given optimizer. workers
 // <= 0 means parallel.Default(); counts above maxGradShards are capped.
 // Callers must Close the trainer to release its worker goroutines.
-func NewTrainer(net *nn.Network, opt Stepper, workers int, seed int64) *Trainer {
+func NewTrainer(net *nn.Network, opt Stepper, workers int) *Trainer {
 	if workers <= 0 {
 		workers = parallel.Default()
 	}
 	if workers > maxGradShards {
 		workers = maxGradShards
 	}
-	t := &Trainer{net: net, opt: opt, seed: seed}
+	t := &Trainer{net: net, opt: opt}
 	t.pool = parallel.NewPool(workers)
 	t.reps = make([]*nn.Network, workers)
 	for w := range t.reps {
 		t.reps[w] = net.Replica()
-		t.reps[w].SetTraining(true)
 	}
 	for _, p := range net.Params() {
 		t.gradLen += p.G.Len()
@@ -81,8 +73,6 @@ func (t *Trainer) Step(ds *data.Dataset, indices []int) (float64, error) {
 	}
 	shardSize := (n + maxGradShards - 1) / maxGradShards
 	shards := parallel.Shards(n, shardSize)
-	step := t.step
-	t.step++
 
 	t.pool.ForWorker(len(shards), func(worker, si int) {
 		rep := t.reps[worker]
@@ -90,9 +80,6 @@ func (t *Trainer) Step(ds *data.Dataset, indices []int) (float64, error) {
 		idx := indices[sh.Lo:sh.Hi]
 		x, labels := ds.Batch(idx)
 		rep.ZeroGrad()
-		// The noise stream depends on what is computed (step, shard),
-		// never on which worker computes it.
-		rep.ReseedDropout(t.seed + step*1_000_003 + int64(si)*7919)
 		logits := rep.Forward(x)
 		loss, grad, err := SoftmaxCrossEntropy(logits, labels)
 		if err != nil {

@@ -91,9 +91,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 		order[i] = i
 	}
 	var history []EpochStat
-	net.SetTraining(true)
-	defer net.SetTraining(false)
-	trainer := NewTrainer(net, opt, 0, cfg.Seed)
+	trainer := NewTrainer(net, opt, 0)
 	defer trainer.Close()
 	checkpointEvery := cfg.CheckpointEvery
 	if checkpointEvery <= 0 {
@@ -125,9 +123,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 		}
 		stat := EpochStat{Epoch: epoch, Loss: epochLoss / float64(batches), LearnRat: *lr}
 		if valSet != nil && valSet.Len() > 0 {
-			net.SetTraining(false)
 			stat.ValTop1 = Evaluate(net, nil, valSet).Top1
-			net.SetTraining(true)
 		}
 		history = append(history, stat)
 		if cfg.Logf != nil {
@@ -135,10 +131,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 				epoch, cfg.Epochs, stat.Loss, stat.ValTop1, stat.LearnRat)
 		}
 		if cfg.Checkpoint != nil && (epoch%checkpointEvery == 0 || epoch == cfg.Epochs) {
-			net.SetTraining(false)
-			err := cfg.Checkpoint(epoch, net)
-			net.SetTraining(true)
-			if err != nil {
+			if err := cfg.Checkpoint(epoch, net); err != nil {
 				return history, fmt.Errorf("train: checkpoint at epoch %d: %w", epoch, err)
 			}
 		}
@@ -153,11 +146,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 // FineTune on the result — so pruned units are absent, not silenced.
 //
 // That is the arithmetic of fine-tuning the full network with the pruned
-// units held at zero, to the bit (TestFineTuneCompactedMatchesMasked),
-// with one exception: a pruned dense stage feeding a Dropout. Dropout
-// draws one number per input element, so the narrower compacted input
-// draws a different noise pattern. No caller prunes a dense stage before
-// dropout.
+// units held at zero, to the bit (TestFineTuneCompactedMatchesMasked).
 func FineTune(net *nn.Network, trainSet, valSet *data.Dataset, epochs int, seed int64) error {
 	cfg := DefaultConfig()
 	cfg.Epochs = epochs
