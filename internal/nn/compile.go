@@ -50,8 +50,8 @@ const (
 )
 
 // compiledOp is one step of the lowered plan. Flatten is elided at
-// compile time: it is the identity on the contiguous NCHW slab. A ReLU directly after a conv or dense is folded
-// into it.
+// compile time: it is the identity on the contiguous NCHW slab. A ReLU
+// directly after a conv or dense is folded into it.
 type compiledOp struct {
 	kind    opKind
 	relu    bool      // conv/dense: the ReLU that followed it, fused into the store

@@ -33,8 +33,8 @@ type layerSpec struct {
 	PoolK, PoolStride int
 
 	// Older files carry a Pruned field (from when layers stored prune
-	// masks) and a dropout probability and seed; gob skips fields the
-	// struct no longer has.
+	// masks) and dropout fields; gob skips fields the struct no longer
+	// has. A file holding a dropout layer fails as an unknown kind.
 	W, B []float64
 }
 
