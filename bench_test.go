@@ -364,7 +364,7 @@ func BenchmarkFiringProfile(b *testing.B) {
 	small := fx.Sets.Profile.Subset(firstN(fx.Sets.Profile.Len(), 40))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := ProfileRates(fx.Net, small, stages); err != nil {
+		if _, err := firing.Compute(fx.Net, small, stages); err != nil {
 			b.Fatal(err)
 		}
 	}

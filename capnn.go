@@ -29,7 +29,6 @@
 package capnn
 
 import (
-	"io"
 	"net"
 
 	"capnn/internal/baselines"
@@ -43,7 +42,6 @@ import (
 	"capnn/internal/nn"
 	"capnn/internal/serve"
 	"capnn/internal/train"
-	"capnn/internal/workload"
 )
 
 // --- model substrate ------------------------------------------------------
@@ -53,12 +51,6 @@ type Network = nn.Network
 
 // NewBuilder starts a custom network for [c,h,w] inputs with a seed.
 func NewBuilder(c, h, w int, seed int64) *nn.Builder { return nn.NewBuilder(c, h, w, seed) }
-
-// SaveModel serializes a network (configuration + weights).
-func SaveModel(w io.Writer, net *Network) error { return nn.Save(w, net) }
-
-// LoadModel reads a network written by SaveModel.
-func LoadModel(r io.Reader) (*Network, error) { return nn.Load(r) }
 
 // CompactMasked removes the units masks prune, producing the deployable
 // (or fine-tunable) model; net is only read, so it is safe beside
@@ -127,25 +119,10 @@ func Weighted(classes []int, weights []float64) (core.Preferences, error) {
 	return core.Weighted(classes, weights)
 }
 
-// NewMonitor creates a prediction monitor over numClasses.
-func NewMonitor(numClasses int) (*core.Monitor, error) { return core.NewMonitor(numClasses) }
-
 // NewSystem profiles net (when rates is nil) and prepares it for pruning.
 func NewSystem(net *Network, valSet, profileSet *data.Dataset, rates *firing.Rates, params core.Params) (*core.System, error) {
 	return core.NewSystem(net, valSet, profileSet, rates, params)
 }
-
-// ProfileRates computes class-specific firing rates over the given stages
-// (nil stages = the paper's last-6-layers rule).
-func ProfileRates(net *Network, profileSet *data.Dataset, stages []int) (*firing.Rates, error) {
-	if stages == nil {
-		stages = firing.PrunableStages(net)
-	}
-	return firing.Compute(net, profileSet, stages)
-}
-
-// PrunableStages returns the paper's prunable stage indices for net.
-func PrunableStages(net *Network) []int { return firing.PrunableStages(net) }
 
 // --- hardware & energy ------------------------------------------------------
 
@@ -169,12 +146,6 @@ func EnergyOf(net *Network, dev DeviceConfig, comp energy.Components) (float64, 
 	return energy.OfNetwork(net, dev, comp)
 }
 
-// RelativeEnergy returns the energy of net compacted under masks over
-// the unpruned network's.
-func RelativeEnergy(net *Network, masks map[int][]bool, dev DeviceConfig, comp energy.Components) (float64, error) {
-	return energy.RelativeOfMasks(net, masks, dev, comp)
-}
-
 // LayerEnergy is one layer's energy contribution by component family.
 type LayerEnergy = energy.LayerEnergy
 
@@ -184,23 +155,10 @@ func EnergyBreakdown(net *Network, dev DeviceConfig, comp energy.Components) ([]
 	return energy.Breakdown(net, dev, comp)
 }
 
-// PackRates quantizes and bit-packs firing rates for cloud storage
-// (paper §V-C, 3-bit by default).
-func PackRates(r *firing.Rates, bits int) (*firing.PackedRates, error) { return firing.Pack(r, bits) }
-
-// RateOverhead reports the §V-C memory overhead of storing rates at the
-// given bit width against a model with paramCount 16-bit parameters.
-func RateOverhead(r *firing.Rates, bits, paramCount int) (firing.Overhead, error) {
-	return firing.MemoryOverhead(r, bits, paramCount)
-}
-
 // --- baselines ---------------------------------------------------------------
 
-// Class-unaware criteria (He et al. [5]-style, ThiNet [9]-style).
-const (
-	ByWeightNorm = baselines.ByWeightNorm
-	ByThiNet     = baselines.ByThiNet
-)
+// ByThiNet is the ThiNet [9]-style class-unaware criterion.
+const ByThiNet = baselines.ByThiNet
 
 // PruneUnaware applies a class-unaware baseline at the given fraction.
 func PruneUnaware(net *Network, stages []int, fraction float64, crit baselines.Criterion,
@@ -236,31 +194,3 @@ func ParseChaosPlan(spec string) (faults.Plan, error) { return faults.ParsePlan(
 func WrapChaosListener(ln net.Listener, plan faults.Plan) net.Listener {
 	return faults.WrapListener(ln, plan)
 }
-
-// --- workload modeling ---------------------------------------------------------
-
-// WorkloadConfig parameterizes the deterministic streaming workload
-// model: zipf user popularity over a (possibly huge) population,
-// preferences correlated with the dataset's confusion groups, and
-// class-skew drift.
-type WorkloadConfig = workload.Config
-
-// WorkloadModel compiles a WorkloadConfig into a replayable trace:
-// event i is a pure function of (config, i), so million-user traces
-// stream in O(1) memory and are bit-identical regardless of access
-// order or worker count.
-type WorkloadModel = workload.Model
-
-// WorkloadEvent is one trace event: the drawn user, the preferences
-// their device claims on the wire, the class of the input they send,
-// and whether the event sits in a drift window (claimed preferences
-// lagging the actual mix).
-type WorkloadEvent = workload.Event
-
-// NewWorkloadModel validates cfg and compiles the workload model.
-func NewWorkloadModel(cfg WorkloadConfig) (*WorkloadModel, error) { return workload.NewModel(cfg) }
-
-// ParseWorkloadDrift parses a -drift flag spec like
-// "flip=5000,lag=1000,diurnal=20000,burst-len=64" ("" or "off" =
-// stationary).
-func ParseWorkloadDrift(spec string) (workload.DriftConfig, error) { return workload.ParseDrift(spec) }

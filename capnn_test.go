@@ -3,6 +3,12 @@ package capnn
 import (
 	"bytes"
 	"testing"
+
+	"capnn/internal/baselines"
+	"capnn/internal/core"
+	"capnn/internal/energy"
+	"capnn/internal/firing"
+	"capnn/internal/nn"
 )
 
 // TestFacadeEndToEnd exercises the public API exactly as the README
@@ -64,10 +70,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := SaveModel(&buf, compact); err != nil {
+	if err := nn.Save(&buf, compact); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := LoadModel(&buf)
+	loaded, err := nn.Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +93,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil || e <= 0 {
 		t.Fatalf("energy %v (%v)", e, err)
 	}
-	rel, err := RelativeEnergy(net, masks, DefaultDevice(), PaperEnergies())
+	rel, err := energy.RelativeOfMasks(net, masks, DefaultDevice(), PaperEnergies())
 	if err != nil || rel <= 0 || rel > 1 {
 		t.Fatalf("relative energy %v (%v)", rel, err)
 	}
@@ -129,7 +135,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Monitoring facade.
-	mon, err := NewMonitor(6)
+	mon, err := core.NewMonitor(6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,12 +150,14 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Baselines facade.
-	um, err := PruneUnaware(net, []int{0, 1}, 0.25, ByWeightNorm, nil, nil)
+	um, err := PruneUnaware(net, []int{0, 1}, 0.25, baselines.ByWeightNorm, nil, nil)
 	if err != nil || len(um) != 2 {
 		t.Fatalf("unaware masks %v (%v)", um, err)
 	}
 }
 
+// A system built without rates profiles them over the paper's prunable
+// stages (the last-6-layers rule) when its params name none.
 func TestFacadeProfileRatesDefaultsToPrunableStages(t *testing.T) {
 	synth := DefaultSynthConfig(4)
 	synth.H, synth.W = 12, 12
@@ -161,12 +169,12 @@ func TestFacadeProfileRatesDefaultsToPrunableStages(t *testing.T) {
 	net := NewBuilder(1, 12, 12, 9).
 		Conv(4).ReLU().Pool().
 		Flatten().Dense(8).ReLU().Dense(4).MustBuild()
-	rates, err := ProfileRates(net, ds, nil)
+	sys, err := NewSystem(net, ds, ds, nil, DefaultParams())
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := PrunableStages(net)
-	if len(rates.Layers) != len(want) {
-		t.Fatalf("profiled %d stages, want %d", len(rates.Layers), len(want))
+	want := firing.PrunableStages(net)
+	if len(sys.Rates.Layers) != len(want) {
+		t.Fatalf("profiled %d stages, want %d", len(sys.Rates.Layers), len(want))
 	}
 }

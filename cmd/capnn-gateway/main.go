@@ -47,9 +47,7 @@
 //
 //	curl -X POST 'http://127.0.0.1:9878/admin/ring/join?node=127.0.0.1:7882'
 //
-// Like the other binaries it can injure its own client-facing
-// transport for resilience testing (-chaos "seed=7,drop=0.1,..."). On
-// SIGINT/SIGTERM it drains: stops accepting, sheds new requests with
+// On SIGINT/SIGTERM it drains: stops accepting, sheds new requests with
 // busy, prints the registry summary, and exits.
 package main
 
@@ -64,7 +62,6 @@ import (
 	"time"
 
 	"capnn/internal/cluster"
-	"capnn/internal/faults"
 	"capnn/internal/metrics"
 	"capnn/internal/qos"
 )
@@ -114,7 +111,6 @@ func main() {
 	addr := flag.String("addr", "127.0.0.1:7878", "listen address")
 	nodesFlag := flag.String("nodes", "", "comma-separated serve node addresses (required)")
 	seed := flag.Int64("seed", 0, "consistent-hash seed; all gateways of one cluster must agree")
-	vnodes := flag.Int("vnodes", cluster.DefaultVirtualNodes, "virtual ring points per serve node")
 	replication := flag.Int("replication", 2, "distinct owners per key (primary + failover replicas)")
 	probeEvery := flag.Duration("probe-every", 2*time.Second, "active health-probe period per node")
 	probeTimeout := flag.Duration("probe-timeout", time.Second, "bound on one health-probe round trip")
@@ -122,7 +118,6 @@ func main() {
 	cooldown := flag.Duration("cooldown", 5*time.Second, "how long an open node is skipped before a half-open trial")
 	reqTimeout := flag.Duration("request-timeout", 30*time.Second, "end-to-end budget per client request across all failover attempts")
 	attemptTimeout := flag.Duration("attempt-timeout", 0, "budget per single node attempt (0 = request-timeout/2)")
-	chaos := flag.String("chaos", "", "client-facing fault-injection spec, e.g. seed=7,drop=0.1,latency=20ms")
 	metricsAddr := flag.String("metrics-addr", "", "HTTP observability address serving /metrics, /debug/events and /debug/stats (empty = disabled)")
 	stateDir := flag.String("state", "", "state directory: restore placement from its ring file and persist membership changes there (empty = stateless)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "bound on draining in-flight connections at shutdown")
@@ -142,12 +137,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "capnn-gateway: -nodes is required (comma-separated serve addresses)")
 		os.Exit(2)
 	}
-	plan, err := faults.ParsePlan(*chaos)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
 	admission, err := buildAdmission(*quotaInteractive, *quotaBulk, tenantQuotas)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "capnn-gateway: %v\n", err)
@@ -156,7 +145,6 @@ func main() {
 
 	cfg := cluster.Config{
 		Seed:           *seed,
-		VirtualNodes:   *vnodes,
 		Replication:    *replication,
 		ProbeEvery:     *probeEvery,
 		ProbeTimeout:   *probeTimeout,
@@ -188,10 +176,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
-	}
-	if plan.Active() {
-		fmt.Printf("capnn-gateway: CHAOS enabled: %+v\n", plan)
-		ln = faults.WrapListener(ln, plan)
 	}
 	bound := g.Serve(ln)
 	r := g.Ring()

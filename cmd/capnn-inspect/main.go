@@ -21,7 +21,7 @@ import (
 )
 
 func main() {
-	path := flag.String("model", "", "path to a model saved with nn.Save / capnn.SaveModel; empty = the imagenet20 fixture's rates and B matrices")
+	path := flag.String("model", "", "path to a model saved with nn.Save; empty = the imagenet20 fixture's rates and B matrices")
 	flag.Parse()
 	var err error
 	if *path == "" {

@@ -31,8 +31,9 @@
 // harness can `capnn-loadgen -json ... | jq .qps` without scraping
 // log text.
 //
-// The traffic is a deterministic trace from internal/workload: zipf
-// user popularity over -users (which may be millions — events are
+// The traffic is a deterministic trace from internal/workload, every
+// request asking for CAP'NN-M: zipf user popularity (workload.Config's
+// default exponent, 1.2) over -users (which may be millions — events are
 // generated on the fly, never materialized), preferences correlated
 // with the fixture's confusion groups, and -drift class-skew drift
 // (diurnal sway, bursts, sudden flips; see workload.ParseDrift for the
@@ -280,7 +281,6 @@ func main() {
 	users := flag.Int("users", 8, "synthetic users the trace draws from")
 	n := flag.Int("n", 300, "total requests")
 	concurrency := flag.Int("concurrency", 8, "concurrent client workers")
-	variant := flag.String("variant", "M", "pruning variant to request")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	progressEvery := flag.Int("progress-every", 50, "print a progress line every N completed requests")
 	jsonOut := flag.Bool("json", false, "emit the run summary as one JSON document on stdout (progress and human lines move to stderr)")
@@ -291,7 +291,6 @@ func main() {
 	bulkBudget := flag.Duration("bulk-budget", 0, "per-request deadline budget for bulk traffic (0 = none)")
 	seed := flag.Int64("seed", 1, "workload seed; same seed+flags replays the same trace bit-for-bit")
 	drift := flag.String("drift", "", `drift spec, e.g. "flip=5000,lag=1000,diurnal=20000" ("" or "off" = stationary)`)
-	zipfS := flag.Float64("zipf-s", 1.2, "zipf exponent for user popularity (must be > 1)")
 	flag.Parse()
 
 	// With -json, stdout carries exactly one JSON document; everything
@@ -326,7 +325,6 @@ func main() {
 		Users:   *users,
 		Classes: cfg.Synth.Classes,
 		Groups:  cfg.Synth.ClassGroups(),
-		ZipfS:   *zipfS,
 		Drift:   dc,
 		Seed:    *seed,
 	})
@@ -348,7 +346,7 @@ func main() {
 		x, _ := fx.Sets.Test.Batch([]int{pool[int(ev.Index%uint64(len(pool)))]})
 		return serve.WireRequest{
 			Version: cloud.ProtocolVersion,
-			Variant: *variant,
+			Variant: "M",
 			Classes: ev.Prefs.Classes,
 			Weights: ev.Prefs.Weights,
 			Input:   x.Data(),

@@ -72,7 +72,7 @@ func run(in, out, variant, classesArg, weightsArg, model string) error {
 	if err != nil {
 		return err
 	}
-	v, err := core.ParseVariant(variant, core.DefaultVariant)
+	v, err := core.ParseVariant(variant)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,10 @@
 // forward in the request's own goroutine, at most -workers of them at a
 // time, a freed slot going to the interactive lane before bulk.
 //
-//	capnn-serve -addr 127.0.0.1:7879 -model cifar10 -variant M
+//	capnn-serve -addr 127.0.0.1:7879 -model cifar10
+//
+// A request that names no pruning variant is served as CAP'NN-M
+// (core.DefaultVariant), the variant a gateway places it under.
 //
 // The serving tier self-heals: a runtime ε-guard shadow-samples each
 // cached personalization and, when the window shows more off-preference
@@ -48,7 +51,6 @@ import (
 	"time"
 
 	"capnn/internal/cluster"
-	"capnn/internal/core"
 	"capnn/internal/exp"
 	"capnn/internal/faults"
 	"capnn/internal/metrics"
@@ -58,7 +60,6 @@ import (
 func main() {
 	addr := flag.String("addr", "127.0.0.1:7879", "listen address")
 	model := flag.String("model", "imagenet20", "fixture to serve: imagenet20 or cifar10")
-	variant := flag.String("variant", "M", "default pruning variant for requests that name none: B, W or M")
 	workers := flag.Int("workers", 0, "concurrent forwards (0 = GOMAXPROCS)")
 	cacheCap := flag.Int("cache-cap", 256, "mask cache capacity (distinct personalizations held)")
 	maxQueue := flag.Int("max-queue", 1024, "admitted requests in flight before shedding with busy")
@@ -77,11 +78,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	v, err := core.ParseVariant(*variant, core.DefaultVariant)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	plan, err := faults.ParsePlan(*chaos)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -95,14 +91,11 @@ func main() {
 	// Algorithm 1's per-class matrices back CAP'NN-B personalizations;
 	// compute (or load) them now so a cold B request doesn't pay for the
 	// offline phase inside its deadline.
-	if v == core.VariantB {
-		if _, err := fx.EnsureB(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if _, err := fx.EnsureB(os.Stderr); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
 	srv := serve.NewServerWith(fx.Sys, serve.Config{
-		Variant:           v,
 		Workers:           *workers,
 		CacheCap:          *cacheCap,
 		MaxQueue:          *maxQueue,
@@ -132,7 +125,7 @@ func main() {
 		ln = faults.WrapListener(ln, plan)
 	}
 	bound := srv.Serve(ln)
-	fmt.Printf("capnn-serve: serving %s (variant %s) on %s (Ctrl-C to stop)\n", cfg.Name, v, bound)
+	fmt.Printf("capnn-serve: serving %s on %s (Ctrl-C to stop)\n", cfg.Name, bound)
 
 	if *metricsAddr != "" {
 		mux := metrics.NewMux(srv.Metrics(), srv.Events())

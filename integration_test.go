@@ -35,11 +35,11 @@ func TestQuantizedCloudDeployment(t *testing.T) {
 	}
 
 	// Profile and round-trip the rates through the packed cloud format.
-	rates, err := ProfileRates(net, sets.Profile, nil)
+	rates, err := firing.Compute(net, sets.Profile, firing.PrunableStages(net))
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := PackRates(rates, 3)
+	packed, err := firing.Pack(rates, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +90,7 @@ func TestQuantizedCloudDeployment(t *testing.T) {
 	}
 
 	// Overhead accounting matches the packed payload.
-	ov, err := RateOverhead(rates, 3, net.ParamCount())
+	ov, err := firing.MemoryOverhead(rates, 3, net.ParamCount())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -286,16 +286,15 @@ func TestRestoreRejectsEpochRegression(t *testing.T) {
 	cfg := testGWConfig()
 	cfg.ProbeEvery = time.Hour // placeholder members; keep the prober quiet
 	cfg.DialTimeout = 50 * time.Millisecond
-	cfg.DisableJoinProbe = true
 	g, err := NewGateway([]string{"s1:1", "s2:1"}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Close()
-	if err := g.AddNode("s3:1"); err != nil { // epoch 2
+	if err := g.AddNode(okNode(t)); err != nil { // epoch 2
 		t.Fatal(err)
 	}
-	if err := g.AddNode("s4:1"); err != nil { // epoch 3
+	if err := g.AddNode(okNode(t)); err != nil { // epoch 3
 		t.Fatal(err)
 	}
 	ring := g.Ring()

@@ -33,10 +33,9 @@ const maxIdlePerNode = 4
 // Config tunes the gateway. Zero fields take DefaultConfig values.
 type Config struct {
 	// Seed salts consistent-hash placement: gateways that must agree on
-	// routing must share it. Default 0.
+	// routing must share it. Default 0. The ring gives each serve node
+	// DefaultVirtualNodes points.
 	Seed int64
-	// VirtualNodes is the ring points per serve node. Default 128.
-	VirtualNodes int
 	// Replication is how many distinct serve nodes own each key: the
 	// primary plus R−1 failover replicas. A single node death therefore
 	// never makes a key unavailable when R ≥ 2. Default 2, max 8.
@@ -61,49 +60,28 @@ type Config struct {
 	FailThreshold int
 	Cooldown      time.Duration
 
-	// ReadTimeout / WriteTimeout / MaxRequestBytes are the client-facing
-	// TCP framing limits, with the same semantics as serve.Config.
-	// Defaults 30s / 30s / 1MiB.
-	ReadTimeout, WriteTimeout time.Duration
-	MaxRequestBytes           int64
-
 	// Admission is the multi-tenant token-bucket quota set enforced
 	// before routing: a request whose (tenant, lane) bucket is empty is
 	// shed with CodeOverQuota and never reaches a shard. The zero value
 	// is unlimited everywhere — admission control off.
 	Admission qos.LimiterConfig
-
-	// DisableJoinProbe skips AddNode's preflight health probe (tests
-	// that join unreachable placeholder nodes set it). In production the
-	// probe both refuses a sick joiner — which would otherwise blackhole
-	// its share of the keyspace until the breaker caught up — and
-	// pre-seeds the joiner's breaker with a real success before any
-	// client request risks it.
-	DisableJoinProbe bool
 }
 
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		VirtualNodes:    DefaultVirtualNodes,
-		Replication:     2,
-		DialTimeout:     5 * time.Second,
-		RequestTimeout:  30 * time.Second,
-		ProbeEvery:      2 * time.Second,
-		ProbeTimeout:    time.Second,
-		FailThreshold:   3,
-		Cooldown:        5 * time.Second,
-		ReadTimeout:     30 * time.Second,
-		WriteTimeout:    30 * time.Second,
-		MaxRequestBytes: 1 << 20,
+		Replication:    2,
+		DialTimeout:    5 * time.Second,
+		RequestTimeout: 30 * time.Second,
+		ProbeEvery:     2 * time.Second,
+		ProbeTimeout:   time.Second,
+		FailThreshold:  3,
+		Cooldown:       5 * time.Second,
 	}
 }
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = d.VirtualNodes
-	}
 	if c.Replication <= 0 {
 		c.Replication = d.Replication
 	}
@@ -130,15 +108,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Cooldown <= 0 {
 		c.Cooldown = d.Cooldown
-	}
-	if c.ReadTimeout <= 0 {
-		c.ReadTimeout = d.ReadTimeout
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = d.WriteTimeout
-	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = d.MaxRequestBytes
 	}
 	return c
 }
@@ -191,7 +160,7 @@ type Gateway struct {
 // gateway to stop the prober.
 func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 	cfg = cfg.withDefaults()
-	ring, err := NewRing(cfg.Seed, cfg.VirtualNodes, nodes)
+	ring, err := NewRing(cfg.Seed, DefaultVirtualNodes, nodes)
 	if err != nil {
 		return nil, err
 	}
@@ -206,8 +175,9 @@ func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 		nodes:      map[string]*nodeState{},
 		proberStop: make(chan struct{}),
 	}
+	// The client-facing framing limits are a shard's defaults.
 	g.srv = rpc.NewServer(
-		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
+		rpc.Limits{ReadTimeout: 30 * time.Second, WriteTimeout: 30 * time.Second, MaxRequestBytes: serve.MaxRequestBytes},
 		g.handle, func(msg string) *serve.WireResponse { return serve.Refuse(cloud.CodeBadRequest, "%s", msg) })
 	g.ring.Store(ring)
 	for _, n := range ring.Nodes() {
@@ -298,9 +268,7 @@ func (g *Gateway) AddNode(addr string) error {
 		g.nodes[addr] = ns
 	}
 	g.nodesMu.Unlock()
-	if !g.cfg.DisableJoinProbe {
-		err = g.checkHealth(ns)
-	}
+	err = g.checkHealth(ns)
 	if err == nil {
 		err = g.persistLocked(next)
 	}
@@ -465,8 +433,6 @@ func (g *Gateway) restoreRing(u serve.RingUpdate) error {
 	if cur := g.ring.Load(); u.Epoch < cur.Epoch() {
 		return fmt.Errorf("cluster: refusing ring epoch regression (%d < live %d)", u.Epoch, cur.Epoch())
 	}
-	g.cfg.Seed = u.Seed
-	g.cfg.VirtualNodes = u.VirtualNodes
 	if u.Replication > 0 {
 		g.cfg.Replication = min(u.Replication, maxReplication)
 	}
@@ -522,9 +488,9 @@ func (g *Gateway) Stats() Stats {
 // decodes them with — so every spelling of one (variant, preferences)
 // pair lands where its personalization is already cached. A request
 // that names no variant routes as core.DefaultVariant, which is what a
-// shard serves it under unless its -variant flag says otherwise.
+// shard serves it under.
 func RouteKey(req serve.WireRequest) (string, error) {
-	v, err := core.ParseVariant(req.Variant, core.DefaultVariant)
+	v, err := core.ParseVariant(req.Variant)
 	if err != nil {
 		return "", err
 	}

@@ -146,6 +146,22 @@ func nodeByAddr(t *testing.T, nodes []*testNode, addr string) *testNode {
 
 // testGWConfig shrinks the health-check clock so breaker transitions
 // happen within test time.
+// okNode starts a stub shard that answers every request OK, so a test
+// can join it past AddNode's preflight health probe without a model.
+func okNode(t *testing.T) string {
+	t.Helper()
+	ok := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
+	srv := rpc.NewServer(rpc.Limits{ReadTimeout: time.Minute, WriteTimeout: time.Minute, MaxRequestBytes: serve.MaxRequestBytes},
+		func(*serve.WireRequest) *serve.WireResponse { return ok },
+		func(msg string) *serve.WireResponse { return serve.Refuse(cloud.CodeBadRequest, "%s", msg) })
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = srv.Shutdown(5 * time.Second) })
+	return addr
+}
+
 func testGWConfig() Config {
 	return Config{
 		Replication:    2,
@@ -520,7 +536,6 @@ func TestGatewayRingPersistence(t *testing.T) {
 	cfg := testGWConfig()
 	cfg.Seed = 11
 	cfg.ProbeEvery = time.Hour // members are fake addresses; keep the prober quiet
-	cfg.DisableJoinProbe = true
 	g1, err := NewGateway([]string{"s1:1", "s2:1"}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -532,7 +547,7 @@ func TestGatewayRingPersistence(t *testing.T) {
 	if restored {
 		t.Fatal("fresh state directory restored a ring")
 	}
-	if err := g1.AddNode("s3:1"); err != nil {
+	if err := g1.AddNode(okNode(t)); err != nil {
 		t.Fatal(err)
 	}
 	if err := g1.Shutdown(time.Second); err != nil {
@@ -542,7 +557,6 @@ func TestGatewayRingPersistence(t *testing.T) {
 	cfg2 := testGWConfig()
 	cfg2.Seed = 99 // deliberately wrong: the persisted seed must win
 	cfg2.ProbeEvery = time.Hour
-	cfg2.DisableJoinProbe = true
 	g2, err := NewGateway([]string{"s1:1"}, cfg2)
 	if err != nil {
 		t.Fatal(err)
@@ -606,6 +620,44 @@ func TestGatewayMetricNamingLint(t *testing.T) {
 		if fam.Name == "capnn_gateway_shed_total" && len(fam.Samples) != 3 {
 			t.Errorf("shed family should hold 3 pre-seeded reasons, got %d", len(fam.Samples))
 		}
+	}
+}
+
+// TestNamelessRequestIsDefaultVariant: a request that names no variant
+// and one that names "M" for the same preferences route under one key
+// and, through the gateway, cost the cluster one personalization and one
+// cache entry: the shard serves a nameless request as the variant the
+// gateway placed it under, so no second copy fills elsewhere.
+func TestNamelessRequestIsDefaultVariant(t *testing.T) {
+	f := getClusterFixture(t)
+	nodes := startTestNodes(t, 3)
+	g, err := NewGateway(nodeAddrs(nodes), testGWConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Close()
+	nameless, named := f.inferRequest(5, 0), f.inferRequest(5, 1)
+	nameless.Variant = ""
+	k1, err1 := RouteKey(nameless)
+	k2, err2 := RouteKey(named)
+	if err1 != nil || err2 != nil || k1 != k2 {
+		t.Fatalf("route keys %q (%v) and %q (%v), want one", k1, err1, k2, err2)
+	}
+	for i, req := range []serve.WireRequest{nameless, named} {
+		resp := g.Route(req)
+		if resp.Code != cloud.CodeOK || resp.CacheHit != (i == 1) {
+			t.Fatalf("request %d: [%s] %s, cache hit %v", i, resp.Code, resp.Err, resp.CacheHit)
+		}
+	}
+	var runs uint64
+	entries := 0
+	for _, n := range nodes {
+		st := n.srv.Stats()
+		runs += st.PersonalizeRuns
+		entries += st.CacheEntries
+	}
+	if runs != 1 || entries != 1 {
+		t.Fatalf("%d personalizations and %d cache entries across the cluster, want one of each", runs, entries)
 	}
 }
 

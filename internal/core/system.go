@@ -25,12 +25,13 @@ const (
 )
 
 // ParseVariant decodes a variant's wire spelling — "B", "W" or "M" in
-// either case — with "" meaning def, the receiver's default. It is the
-// one decoder behind every wire and flag that names a variant.
-func ParseVariant(s string, def Variant) (Variant, error) {
+// either case — with "" meaning DefaultVariant. It is the one decoder
+// behind every wire and flag that names a variant, so a shard and the
+// gateway placing its requests agree on what a nameless one is.
+func ParseVariant(s string) (Variant, error) {
 	switch s {
 	case "":
-		return def, nil
+		return DefaultVariant, nil
 	case "B", "b":
 		return VariantB, nil
 	case "W", "w":

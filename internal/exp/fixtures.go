@@ -102,7 +102,6 @@ func FixtureByName(name string) (FixtureConfig, error) {
 type Fixture struct {
 	Config FixtureConfig
 	Net    *nn.Network
-	Gen    *data.Generator
 	Sets   *data.Sets
 	Rates  *firing.Rates
 	Sys    *core.System
@@ -192,7 +191,7 @@ func Load(cfg FixtureConfig, log io.Writer) (*Fixture, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Fixture{Config: cfg, Net: net, Gen: gen, Sets: sets, Rates: sys.Rates, Sys: sys}, nil
+	return &Fixture{Config: cfg, Net: net, Sets: sets, Rates: sys.Rates, Sys: sys}, nil
 }
 
 // EnsureB returns Algorithm 1's matrices, loading them from the disk

@@ -187,7 +187,6 @@ type Listener struct {
 
 	mu  sync.Mutex
 	rng *rand.Rand
-	n   int // connections accepted so far
 }
 
 // WrapListener builds a fault-injecting listener around ln.
@@ -204,7 +203,6 @@ func (l *Listener) Accept() (net.Conn, error) {
 	l.mu.Lock()
 	mode := pickMode(l.plan, l.rng.Float64())
 	connSeed := l.rng.Int63()
-	l.n++
 	l.mu.Unlock()
 	if mode == Refuse {
 		_ = c.Close() // sever before any byte moves; reads/writes fail fast

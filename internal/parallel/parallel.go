@@ -152,7 +152,6 @@ type task struct {
 // alternating pairs, the extra time inside the gradient kernels rather
 // than in starting goroutines.
 type Pool struct {
-	workers int
 	tasks   chan task
 	stopped sync.WaitGroup
 	closing sync.Once
@@ -164,7 +163,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 0 {
 		workers = Default()
 	}
-	p := &Pool{workers: workers, tasks: make(chan task)}
+	p := &Pool{tasks: make(chan task)}
 	p.stopped.Add(workers)
 	for w := 0; w < workers; w++ {
 		go p.run(w)

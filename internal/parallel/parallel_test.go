@@ -107,9 +107,6 @@ func TestSetDefault(t *testing.T) {
 func TestPoolRunsBarriersAndCloses(t *testing.T) {
 	before := runtime.NumGoroutine()
 	p := NewPool(4)
-	if p.workers != 4 {
-		t.Fatalf("workers = %d, want 4", p.workers)
-	}
 	for round := 0; round < 3; round++ {
 		const n = 50
 		counts := make([]int64, n)

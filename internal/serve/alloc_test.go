@@ -104,7 +104,7 @@ func TestHandleResidentKeyAllocs(t *testing.T) {
 // input.
 func TestAbandonedRequestKeepsItsInput(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, Workers: 1, RequestTimeout: 30 * time.Second, DisableGuard: true})
+	srv := NewServerWith(f.sys, Config{Workers: 1, RequestTimeout: 30 * time.Second, DisableGuard: true})
 	defer srv.Close()
 	ln := rpc.NewPipeListener()
 	srv.Serve(ln)
@@ -132,7 +132,7 @@ func TestAbandonedRequestKeepsItsInput(t *testing.T) {
 		t.Fatal("the samples must differ")
 	}
 	// Warm the key and A's connection: the slab A decodes into now exists.
-	if resp := do(connA, WireRequest{Classes: prefs.Classes, Input: second.Data()}); resp.Code != cloud.CodeOK {
+	if resp := do(connA, WireRequest{Variant: "W", Classes: prefs.Classes, Input: second.Data()}); resp.Code != cloud.CodeOK {
 		t.Fatalf("warm-up: [%s] %s", resp.Code, resp.Err)
 	}
 
@@ -148,13 +148,15 @@ func TestAbandonedRequestKeepsItsInput(t *testing.T) {
 	}
 	stall.Store(true)
 	answeredB := make(chan *WireResponse, 1)
-	go func() { answeredB <- do(connB, WireRequest{Classes: prefs.Classes, Input: third.Data()}) }()
+	go func() { answeredB <- do(connB, WireRequest{Variant: "W", Classes: prefs.Classes, Input: third.Data()}) }()
 	<-stalled
-	if resp := do(connA, WireRequest{Classes: prefs.Classes, Input: first.Data(), BudgetMicros: 5000}); resp.Code != cloud.CodeExpired {
+	if resp := do(connA, WireRequest{Variant: "W", Classes: prefs.Classes, Input: first.Data(), BudgetMicros: 5000}); resp.Code != cloud.CodeExpired {
 		t.Fatalf("request waiting on the stalled slot with a 5ms budget: [%s] %s, want expired", resp.Code, resp.Err)
 	}
 	answeredA := make(chan *WireResponse, 1)
-	go func() { answeredA <- do(connA, WireRequest{Classes: prefs.Classes, Input: second.Data()}) }()
+	go func() {
+		answeredA <- do(connA, WireRequest{Variant: "W", Classes: prefs.Classes, Input: second.Data()})
+	}()
 	waitFor(t, 5*time.Second, func() bool { return srv.gate.depth() == 2 }, "A's next request to wait behind the stalled one")
 	close(release)
 	if !<-sawOwnInput {
@@ -165,7 +167,7 @@ func TestAbandonedRequestKeepsItsInput(t *testing.T) {
 		resp *WireResponse
 		in   []float64
 	}{{"A's next request", <-answeredA, second.Data()}, {"B's stalled request", <-answeredB, third.Data()}} {
-		want := srv.Handle(WireRequest{Classes: prefs.Classes, Input: tc.in})
+		want := srv.Handle(WireRequest{Variant: "W", Classes: prefs.Classes, Input: tc.in})
 		if tc.resp.Code != cloud.CodeOK || want.Code != cloud.CodeOK {
 			t.Fatalf("%s: [%s] %s / reference: [%s] %s", tc.name, tc.resp.Code, tc.resp.Err, want.Code, want.Err)
 		}

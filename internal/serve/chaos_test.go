@@ -200,8 +200,8 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	// No guard: its shadow samples answer from the unpruned plan, and
 	// every accepted answer below is held to the personalized one.
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, DisableGuard: true,
-		ReadTimeout: 300 * time.Millisecond, WriteTimeout: 300 * time.Millisecond,
+		DisableGuard: true,
+		ReadTimeout:  300 * time.Millisecond, WriteTimeout: 300 * time.Millisecond,
 	})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -230,7 +230,7 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 		}
 	}()
 	for _, sends := range [][]byte{nil, nil, nil, nil, good[:40],
-		binary.LittleEndian.AppendUint32(nil, uint32(DefaultConfig().MaxRequestBytes)+1), flipped} {
+		binary.LittleEndian.AppendUint32(nil, uint32(MaxRequestBytes)+1), flipped} {
 		c, err := net.Dial("tcp", addr)
 		if err != nil {
 			t.Fatal(err)
@@ -291,7 +291,7 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 		t.Error(err)
 	}
 	for got := range accepted {
-		want, err := srv.Infer(core.Uniform(got.classes), f.sample(t, got.sample))
+		want, err := srv.InferVariant(core.VariantW, core.Uniform(got.classes), f.sample(t, got.sample))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,7 +309,7 @@ func TestChaosSlowAndDroppingClientsCannotWedgeBatcher(t *testing.T) {
 	// The gate drained: no admitted request is stranded in the
 	// queue, and an in-process request still flows end to end.
 	waitFor(t, 5*time.Second, func() bool { return srv.Stats().QueueDepth == 0 }, "queue to drain after chaos")
-	if _, err := srv.Infer(core.Uniform([]int{0, 1}), f.sample(t, 1)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, core.Uniform([]int{0, 1}), f.sample(t, 1)); err != nil {
 		t.Fatalf("server wedged after chaos: %v", err)
 	}
 	st := srv.Stats()

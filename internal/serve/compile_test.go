@@ -17,7 +17,7 @@ import (
 // planConfig is the config the plan tests share: variant W on tiny
 // batches, no guard unless a test turns it back on.
 func planConfig() Config {
-	return Config{Variant: core.VariantW, DisableGuard: true}
+	return Config{DisableGuard: true}
 }
 
 // sameBits fails unless got is bit-for-bit the reference forward of x
@@ -64,7 +64,7 @@ func TestServedAnswersBitIdentical(t *testing.T) {
 	x := f.sample(t, 0)
 	serve := func() Result {
 		t.Helper()
-		res, err := srv.Infer(prefs, x)
+		res, err := srv.InferVariant(core.VariantW, prefs, x)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +116,7 @@ func TestFillCompilesInline(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := srv.Infer(core.Uniform([]int{0, 1}), f.sample(t, i)); err != nil {
+			if _, err := srv.InferVariant(core.VariantW, core.Uniform([]int{0, 1}), f.sample(t, i)); err != nil {
 				t.Error(err)
 			}
 		}(i)
@@ -133,7 +133,7 @@ func TestFillCompilesInline(t *testing.T) {
 		t.Fatalf("resident entries=%d bytes=%d, want 1 and >0", st.CompiledEntries, st.CompiledBytes)
 	}
 
-	if _, err := srv.Infer(core.Uniform([]int{2, 3}), f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, core.Uniform([]int{2, 3}), f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if st := srv.Stats(); st.Compiles != st.PersonalizeRuns || st.Compiles != 2 {
@@ -169,7 +169,7 @@ func TestCompileFailureServesUnpruned(t *testing.T) {
 	srv.hookPersonalize = func(core.Preferences) { t.Error("a request re-personalized the installed entry") }
 	srv.cache.install(e)
 	for hit := 0; hit < 2; hit++ { // the failure is pinned: no hit recompiles
-		res, err := srv.Infer(prefs, x)
+		res, err := srv.InferVariant(core.VariantW, prefs, x)
 		if err != nil {
 			t.Fatalf("compile failure reached the client: %v", err)
 		}
@@ -227,7 +227,7 @@ func TestPlansShareOnePrefix(t *testing.T) {
 	}
 	for i, classes := range [][]int{{0, 1}, {2, 3}, {1, 2, 3}} {
 		x := f.sample(t, i)
-		res, err := srv.Infer(core.Uniform(classes), x)
+		res, err := srv.InferVariant(core.VariantW, core.Uniform(classes), x)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,12 +24,12 @@ import (
 func TestInteractiveBeforeBulk(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, Workers: 1, MaxQueue: 8, BulkQueueFraction: 1,
+		Workers: 1, MaxQueue: 8, BulkQueueFraction: 1,
 		RequestTimeout: 30 * time.Second, DisableGuard: true,
 	})
 	defer srv.Close()
 	prefs := core.Uniform([]int{0, 3})
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err) // warm cache: the ordered requests go straight to the queue
 	}
 
@@ -84,9 +84,9 @@ func TestGateSlotsSurviveTimeouts(t *testing.T) {
 	prefs := core.Uniform([]int{0, 3})
 	for _, workers := range []int{1, 2, 3} {
 		srv := NewServerWith(f.sys, Config{
-			Variant: core.VariantW, Workers: workers, MaxQueue: 64, BulkQueueFraction: 1, DisableGuard: true,
+			Workers: workers, MaxQueue: 64, BulkQueueFraction: 1, DisableGuard: true,
 		})
-		if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+		if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(int64(workers)))
@@ -149,9 +149,9 @@ func TestGateSlotsSurviveTimeouts(t *testing.T) {
 // (closed) error, none hangs, and every admitted request was answered.
 func TestExactlyOnceAcrossShutdown(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, DisableGuard: true})
+	srv := NewServerWith(f.sys, Config{DisableGuard: true})
 	prefs := core.Uniform([]int{1, 2})
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -162,7 +162,7 @@ func TestExactlyOnceAcrossShutdown(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				_, err := srv.Infer(prefs, f.sample(t, (g+i)%8))
+				_, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, (g+i)%8))
 				if err == nil {
 					served.Add(1)
 					continue
@@ -200,11 +200,11 @@ func TestExactlyOnceAcrossShutdown(t *testing.T) {
 // timer-driven hold would cost.
 func TestNoHoldStage(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, DisableGuard: true})
+	srv := NewServerWith(f.sys, Config{DisableGuard: true})
 	defer srv.Close()
 	prefs := core.Uniform([]int{0, 2})
 	for i := 0; i < 200; i++ {
-		if _, err := srv.Infer(prefs, f.sample(t, i%8)); err != nil {
+		if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, i%8)); err != nil {
 			t.Fatal(err)
 		}
 	}

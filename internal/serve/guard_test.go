@@ -36,7 +36,7 @@ func driftSampler(t *testing.T, f *fixture, classes ...int) func(i int) *tensor.
 // shadow-sample every other request, judge over a 16-deep window.
 func guardConfig() Config {
 	return Config{
-		Variant: core.VariantW, GuardSampleEvery: 2, GuardWindow: 16,
+		GuardSampleEvery: 2, GuardWindow: 16,
 		BreakerCooldown: 60 * time.Millisecond, HealBackoff: 10 * time.Millisecond,
 	}
 }
@@ -151,7 +151,7 @@ func TestDriftTripsGuardAndHeals(t *testing.T) {
 	sawFallback := false
 	tripAt := -1
 	for i := 0; i < 120; i++ {
-		res, err := srv.Infer(prefs, next(i))
+		res, err := srv.InferVariant(core.VariantW, prefs, next(i))
 		if err != nil {
 			t.Fatalf("request %d dropped during drift: %v", i, err)
 		}
@@ -196,7 +196,7 @@ func TestDriftTripsGuardAndHeals(t *testing.T) {
 
 	// The healed entry serves the same request key from the cache,
 	// pruned again (fresh guard, no fallback).
-	res, err := srv.Infer(prefs, next(0))
+	res, err := srv.InferVariant(core.VariantW, prefs, next(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestHealRetriesThroughBreaker(t *testing.T) {
 
 	prefs := core.Uniform([]int{0, 1})
 	next := driftSampler(t, f, 2, 3)
-	if _, err := srv.Infer(prefs, next(0)); err != nil { // warm the entry while healthy
+	if _, err := srv.InferVariant(core.VariantW, prefs, next(0)); err != nil { // warm the entry while healthy
 		t.Fatal(err)
 	}
 	failing.Store(true)
@@ -250,7 +250,7 @@ func TestHealRetriesThroughBreaker(t *testing.T) {
 	// are asynchronous, so the loop is bounded by a deadline, not a count.
 	stop := time.Now().Add(10 * time.Second)
 	for i := 1; time.Now().Before(stop); i++ {
-		if _, err := srv.Infer(prefs, next(i)); err != nil {
+		if _, err := srv.InferVariant(core.VariantW, prefs, next(i)); err != nil {
 			t.Fatalf("request %d dropped while breaker busy: %v", i, err)
 		}
 		st := srv.Stats()
@@ -299,14 +299,14 @@ func TestShutdownDrainsWithoutLeaks(t *testing.T) {
 	}
 	prefs := core.Uniform([]int{0, 1})
 	next := driftSampler(t, f, 2, 3)
-	if _, err := srv.Infer(prefs, next(0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, next(0)); err != nil {
 		t.Fatal(err)
 	}
 	failing.Store(true)
 	completed := 0
 	stop := time.Now().Add(10 * time.Second) // the heal attempt is asynchronous
 	for i := 1; srv.Stats().HealFailures == 0 && time.Now().Before(stop); i++ {
-		if _, err := srv.Infer(prefs, next(i)); err != nil {
+		if _, err := srv.InferVariant(core.VariantW, prefs, next(i)); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		completed++
@@ -327,7 +327,7 @@ func TestShutdownDrainsWithoutLeaks(t *testing.T) {
 	}
 
 	// Draining server sheds with the typed busy code.
-	_, err := srv.Infer(prefs, next(0))
+	_, err := srv.InferVariant(core.VariantW, prefs, next(0))
 	var te *Error
 	if !errors.As(err, &te) || te.Code != cloud.CodeBusy {
 		t.Fatalf("post-shutdown request got %v, want typed busy", err)
@@ -389,7 +389,7 @@ func TestSkewFlipTripsServesFallbackAndHeals(t *testing.T) {
 	prefs := core.Uniform([]int{0, 1})
 	claimed := driftSampler(t, f, 0, 1)
 	for i := 0; i < 2*cfg.GuardWindow; i++ {
-		if _, err := srv.Infer(prefs, claimed(i)); err != nil {
+		if _, err := srv.InferVariant(core.VariantW, prefs, claimed(i)); err != nil {
 			t.Fatalf("request %d before the flip: %v", i, err)
 		}
 	}
@@ -406,7 +406,7 @@ func TestSkewFlipTripsServesFallbackAndHeals(t *testing.T) {
 	stop := time.Now().Add(10 * time.Second)
 	for i := 0; !done && time.Now().Before(stop); i++ {
 		x := flipped(i)
-		res, err := srv.Infer(prefs, x)
+		res, err := srv.InferVariant(core.VariantW, prefs, x)
 		if err != nil {
 			t.Fatalf("request %d dropped during the flip: %v", i, err)
 		}
@@ -439,7 +439,7 @@ func TestSkewFlipTripsServesFallbackAndHeals(t *testing.T) {
 		t.Fatalf("healed preferences %v contain neither drift class", healedPrefs.Classes)
 	}
 
-	res, err := srv.Infer(prefs, flipped(0))
+	res, err := srv.InferVariant(core.VariantW, prefs, flipped(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestStationaryWorkloadNoProactiveChurn(t *testing.T) {
 	prefs := core.Uniform([]int{0, 2})
 	next := driftSampler(t, f, 0, 2)
 	for i := 0; i < 150; i++ {
-		if _, err := srv.Infer(prefs, next(i)); err != nil {
+		if _, err := srv.InferVariant(core.VariantW, prefs, next(i)); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -518,7 +518,7 @@ func TestHealOfUnchangedPreferencesIsFree(t *testing.T) {
 	defer srv.Close()
 
 	prefs := core.Uniform([]int{0, 1})
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 	entry := srv.cache.snapshot()[0]
@@ -531,7 +531,7 @@ func TestHealOfUnchangedPreferencesIsFree(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { _, tripped := entry.guard.report(); return !tripped },
 		"the false alarm to clear")
 
-	res, err := srv.Infer(prefs, f.sample(t, 0))
+	res, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0))
 	if err != nil {
 		t.Fatal(err)
 	}

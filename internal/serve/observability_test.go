@@ -163,7 +163,7 @@ func TestShedsAreAttributable(t *testing.T) {
 	srv := NewServerWith(f.sys, Config{})
 	defer srv.Close()
 	prefs := core.Uniform([]int{0, 1})
-	_, err := srv.InferQoS(srv.cfg.Variant, prefs, f.sample(t, 0),
+	_, err := srv.InferQoS(core.DefaultVariant, prefs, f.sample(t, 0),
 		QoS{Deadline: time.Now().Add(-time.Second)})
 	if err == nil {
 		t.Fatal("expired-at-admission request succeeded")

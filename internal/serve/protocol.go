@@ -54,7 +54,7 @@ type WireRequest struct {
 	Version int
 	// Op selects the operation; zero is OpInfer.
 	Op Op
-	// Variant is "B", "W", "M", or "" for the server default.
+	// Variant is "B", "W", "M", or "" for core.DefaultVariant.
 	Variant string
 	Classes []int
 	Weights []float64
@@ -178,7 +178,7 @@ func (s *Server) handle(req *WireRequest) *WireResponse {
 			}
 		}
 	}
-	v, err := core.ParseVariant(req.Variant, s.cfg.Variant)
+	v, err := core.ParseVariant(req.Variant)
 	if err != nil {
 		return badRequest(err.Error())
 	}

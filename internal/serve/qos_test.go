@@ -21,11 +21,11 @@ import (
 func TestClientBudgetBoundsQueueWait(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
+		Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
 	})
 	defer srv.Close()
 	prefs := core.Uniform([]int{0, 3})
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err) // warm cache so the timed request pays no personalize
 	}
 
@@ -46,7 +46,7 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 	wg.Add(1)
 	go func() { // occupies the single slot
 		defer wg.Done()
-		_, _ = srv.Infer(prefs, f.sample(t, 1))
+		_, _ = srv.InferVariant(core.VariantW, prefs, f.sample(t, 1))
 	}()
 	stalled.Wait()
 
@@ -78,15 +78,15 @@ func TestClientBudgetBoundsQueueWait(t *testing.T) {
 func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
+		Workers: 1, MaxQueue: 8, RequestTimeout: 30 * time.Second, DisableGuard: true,
 	})
 	defer srv.Close()
 	stallPrefs := core.Uniform([]int{0, 3})
 	doomedPrefs := core.Uniform([]int{1, 2})
-	if _, err := srv.Infer(stallPrefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, stallPrefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := srv.Infer(doomedPrefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, doomedPrefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -119,7 +119,7 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 	wg.Add(1)
 	go func() { // the stall request holds the only slot hostage
 		defer wg.Done()
-		_, _ = srv.Infer(stallPrefs, f.sample(t, 1))
+		_, _ = srv.InferVariant(core.VariantW, stallPrefs, f.sample(t, 1))
 	}()
 	stalled.Wait()
 	stall.Store(false)
@@ -157,11 +157,11 @@ func TestExpireInQueueNeverReachesForward(t *testing.T) {
 func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, Workers: 1, MaxQueue: 4, BulkQueueFraction: 0.5, // bulk sheds at 2 queued
+		Workers: 1, MaxQueue: 4, BulkQueueFraction: 0.5, // bulk sheds at 2 queued
 		RequestTimeout: 5 * time.Second, DisableGuard: true,
 	})
 	prefs := core.Uniform([]int{0, 3})
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
@@ -206,13 +206,13 @@ func TestBulkLaneYieldsQueueHeadroom(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := srv.Infer(prefs, f.sample(t, 3+i)); err != nil {
+			if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 3+i)); err != nil {
 				t.Errorf("interactive request %d in bulk-saturated queue: %v", i, err)
 			}
 		}(i)
 	}
 	waitFor(t, 2*time.Second, func() bool { return srv.gate.depth() >= 4 }, "interactive headroom to fill")
-	if _, err := srv.Infer(prefs, f.sample(t, 5)); err == nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 5)); err == nil {
 		t.Fatal("request past MaxQueue admitted")
 	}
 

@@ -46,11 +46,14 @@ import (
 	"capnn/internal/tensor"
 )
 
+// MaxRequestBytes is the largest request body either tier's wire
+// accepts (rpc.Limits), the gateway's included.
+const MaxRequestBytes = 1 << 20
+
 // Config tunes the serving layer. Zero fields take DefaultConfig values.
+// A request that names no variant is served as core.DefaultVariant, the
+// variant the gateway places it under.
 type Config struct {
-	// Variant is the pruning scheme used when a request does not name
-	// one ("B", "W" or "M" on the wire). Default CAP'NN-M.
-	Variant core.Variant
 	// Workers bounds concurrent forwards. Default GOMAXPROCS(0).
 	Workers int
 	// CacheCap bounds the mask cache (LRU entries). Default 256.
@@ -69,12 +72,10 @@ type Config struct {
 	// the remaining headroom to interactive traffic. Default 0.5 (also
 	// for NaN); values are clamped to (0, 1].
 	BulkQueueFraction float64
-	// ReadTimeout / WriteTimeout / MaxRequestBytes are the TCP framing
-	// limits (rpc.Limits): how long a peer may take to deliver a request
-	// or read its answer, and the largest request body. Defaults 30s /
-	// 30s / 1MiB.
+	// ReadTimeout / WriteTimeout are the TCP framing deadlines
+	// (rpc.Limits): how long a peer may take to deliver a request or
+	// read its answer. Defaults 30s / 30s.
 	ReadTimeout, WriteTimeout time.Duration
-	MaxRequestBytes           int64
 
 	// DisableGuard turns the runtime ε-guard off entirely (no shadow
 	// sampling, no fallback, no heals).
@@ -100,7 +101,6 @@ type Config struct {
 // DefaultConfig returns the production defaults.
 func DefaultConfig() Config {
 	return Config{
-		Variant:           core.DefaultVariant,
 		Workers:           runtime.GOMAXPROCS(0),
 		CacheCap:          256,
 		MaxQueue:          1024,
@@ -108,7 +108,6 @@ func DefaultConfig() Config {
 		BulkQueueFraction: 0.5,
 		ReadTimeout:       30 * time.Second,
 		WriteTimeout:      30 * time.Second,
-		MaxRequestBytes:   1 << 20,
 
 		GuardSampleEvery: 8,
 		GuardWindow:      256,
@@ -120,9 +119,6 @@ func DefaultConfig() Config {
 
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
-	if c.Variant == "" {
-		c.Variant = d.Variant
-	}
 	if c.Workers <= 0 {
 		c.Workers = d.Workers
 	}
@@ -146,9 +142,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WriteTimeout <= 0 {
 		c.WriteTimeout = d.WriteTimeout
-	}
-	if c.MaxRequestBytes <= 0 {
-		c.MaxRequestBytes = d.MaxRequestBytes
 	}
 	if c.GuardSampleEvery <= 0 {
 		c.GuardSampleEvery = d.GuardSampleEvery
@@ -293,7 +286,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 		drainCh:  make(chan struct{}),
 	}
 	s.rpc = rpc.NewServer(
-		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: cfg.MaxRequestBytes},
+		rpc.Limits{ReadTimeout: cfg.ReadTimeout, WriteTimeout: cfg.WriteTimeout, MaxRequestBytes: MaxRequestBytes},
 		s.handle, badRequest)
 	reg.GaugeFunc("capnn_serve_compiled_bytes", "Approximate resident compiled-weight bytes: the shared prefix once, and each entry's suffix.", func() float64 {
 		bytes, _ := s.residentPlans()

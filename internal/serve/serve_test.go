@@ -76,11 +76,11 @@ func (f *fixture) sample(t testing.TB, i int) *tensor.Tensor {
 // under the same personalization.
 func TestServeMatchesMaskedForward(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
+	srv := NewServerWith(f.sys, Config{})
 	defer srv.Close()
 
 	prefs := core.Uniform([]int{0, 2})
-	res, err := srv.Infer(prefs, f.sample(t, 3))
+	res, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestServeMatchesMaskedForward(t *testing.T) {
 // preferences run exactly one Personalize; the other 15 join the flight.
 func TestSingleflightCollapse(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
+	srv := NewServerWith(f.sys, Config{})
 	defer srv.Close()
 	var personalizes atomic.Int64
 	srv.hookPersonalize = func(core.Preferences) { personalizes.Add(1) }
@@ -133,7 +133,7 @@ func TestSingleflightCollapse(t *testing.T) {
 				errs[i] = err
 				return
 			}
-			_, errs[i] = srv.Infer(prefs, f.sample(t, i%8))
+			_, errs[i] = srv.InferVariant(core.VariantW, prefs, f.sample(t, i%8))
 		}(i)
 	}
 	wg.Wait()
@@ -162,7 +162,7 @@ func TestSingleflightCollapse(t *testing.T) {
 func TestBusySheddingWhenQueueFull(t *testing.T) {
 	f := getFixture(t)
 	srv := NewServerWith(f.sys, Config{
-		Variant: core.VariantW, Workers: 1, MaxQueue: 2, RequestTimeout: 5 * time.Second,
+		Workers: 1, MaxQueue: 2, RequestTimeout: 5 * time.Second,
 	})
 	prefs := core.Uniform([]int{0, 3})
 	release := make(chan struct{})
@@ -177,7 +177,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 		once.Do(stalled.Done)
 		<-release
 	}
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil { // warm cache
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil { // warm cache
 		t.Fatal(err)
 	}
 	stall.Store(true)
@@ -188,7 +188,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if _, err := srv.Infer(prefs, f.sample(t, i)); err != nil {
+			if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, i)); err != nil {
 				t.Errorf("queued request %d: %v", i, err)
 			}
 		}(i)
@@ -196,7 +196,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 	stalled.Wait() // the slot is inside a forward; the queue holds the rest
 
 	waitFor(t, 2*time.Second, func() bool { return srv.gate.depth() >= 2 }, "queue to fill")
-	_, err := srv.Infer(prefs, f.sample(t, 3))
+	_, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 3))
 	var te *Error
 	if !errors.As(err, &te) || te.Code != cloud.CodeBusy {
 		t.Fatalf("overflow request got %v, want typed busy error", err)
@@ -216,7 +216,7 @@ func TestBusySheddingWhenQueueFull(t *testing.T) {
 // internal error and release its slot.
 func TestFlushPanicRecovered(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW})
+	srv := NewServerWith(f.sys, Config{})
 	defer srv.Close()
 	prefs := core.Uniform([]int{1, 2})
 	var boom atomic.Bool
@@ -225,17 +225,17 @@ func TestFlushPanicRecovered(t *testing.T) {
 			panic("injected forward fault")
 		}
 	}
-	if _, err := srv.Infer(prefs, f.sample(t, 0)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 0)); err != nil {
 		t.Fatal(err)
 	}
 	boom.Store(true)
-	_, err := srv.Infer(prefs, f.sample(t, 1))
+	_, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 1))
 	var te *Error
 	if !errors.As(err, &te) || te.Code != cloud.CodeInternal {
 		t.Fatalf("poisoned forward got %v, want typed internal error", err)
 	}
 	// The slot was released: the next request is served normally.
-	if _, err := srv.Infer(prefs, f.sample(t, 2)); err != nil {
+	if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, 2)); err != nil {
 		t.Fatalf("the slot did not survive the panic: %v", err)
 	}
 }
@@ -245,7 +245,7 @@ func TestFlushPanicRecovered(t *testing.T) {
 // hits forward concurrently through the same weights. Run with -race.
 func TestPersonalizeWhileServing(t *testing.T) {
 	f := getFixture(t)
-	srv := NewServerWith(f.sys, Config{Variant: core.VariantW, CacheCap: 3})
+	srv := NewServerWith(f.sys, Config{CacheCap: 3})
 	defer srv.Close()
 
 	// Distinct two-class subsets of 4 classes: enough keys to overflow
@@ -258,7 +258,7 @@ func TestPersonalizeWhileServing(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 6; i++ {
 				prefs := core.Uniform(combos[(g+i)%len(combos)])
-				if _, err := srv.Infer(prefs, f.sample(t, (g*7+i)%16)); err != nil {
+				if _, err := srv.InferVariant(core.VariantW, prefs, f.sample(t, (g*7+i)%16)); err != nil {
 					t.Errorf("worker %d iter %d: %v", g, i, err)
 					return
 				}
@@ -304,7 +304,8 @@ func waitFor(t *testing.T, window time.Duration, cond func() bool, msg string) {
 	t.Fatalf("timed out waiting for: %s", msg)
 }
 
-// Infer is InferVariant under the server's default variant.
+// Infer is InferVariant under core.DefaultVariant, what a request that
+// names no variant is served as.
 func (s *Server) Infer(prefs core.Preferences, x *tensor.Tensor) (Result, error) {
-	return s.infer(s.cfg.Variant, prefs, x.Data(), QoS{})
+	return s.infer(core.DefaultVariant, prefs, x.Data(), QoS{})
 }

@@ -58,7 +58,6 @@ func DefaultConfig() Config {
 
 // EpochStat records one epoch's outcome.
 type EpochStat struct {
-	Epoch    int
 	Loss     float64
 	ValTop1  float64
 	LearnRat float64
@@ -121,7 +120,7 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 			epochLoss += loss
 			batches++
 		}
-		stat := EpochStat{Epoch: epoch, Loss: epochLoss / float64(batches), LearnRat: *lr}
+		stat := EpochStat{Loss: epochLoss / float64(batches), LearnRat: *lr}
 		if valSet != nil && valSet.Len() > 0 {
 			stat.ValTop1 = Evaluate(net, nil, valSet).Top1
 		}

@@ -19,13 +19,13 @@ import (
 // changes: evolving the workload model is a breaking change for
 // recorded scorecards and must be deliberate.
 
-func workloadDeterminismConfig(t testing.TB) WorkloadConfig {
+func workloadDeterminismConfig(t testing.TB) workload.Config {
 	t.Helper()
-	drift, err := ParseWorkloadDrift("flip=500,lag=125,diurnal=2000,burst-len=64")
+	drift, err := workload.ParseDrift("flip=500,lag=125,diurnal=2000,burst-len=64")
 	if err != nil {
 		t.Fatal(err)
 	}
-	return WorkloadConfig{
+	return workload.Config{
 		// A million users proves the population never materializes: the
 		// model is O(1) in Users, only the drawn events exist.
 		Users:   1_000_000,
@@ -38,7 +38,7 @@ func workloadDeterminismConfig(t testing.TB) WorkloadConfig {
 
 // workloadEventHash folds one event into h in a canonical textual form
 // (mirrors the hash in internal/workload's golden test).
-func workloadEventHash(h interface{ Write([]byte) (int, error) }, ev WorkloadEvent) {
+func workloadEventHash(h interface{ Write([]byte) (int, error) }, ev workload.Event) {
 	fmt.Fprintf(h, "%d|%d|%s|%d|%t\n", ev.Index, ev.User, ev.Prefs.Key(), ev.Class, ev.Drifted)
 }
 
@@ -46,11 +46,11 @@ func TestWorkloadTraceBitIdenticalAcrossShardings(t *testing.T) {
 	const n = 512
 	cfg := workloadDeterminismConfig(t)
 
-	serialModel, err := NewWorkloadModel(cfg)
+	serialModel, err := workload.NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial := make([]WorkloadEvent, n)
+	serial := make([]workload.Event, n)
 	for i := range serial {
 		serial[i] = serialModel.At(uint64(i))
 	}
@@ -59,7 +59,7 @@ func TestWorkloadTraceBitIdenticalAcrossShardings(t *testing.T) {
 	// blocks (the loadgen worker split), each with its own model built
 	// from the same config.
 	const workers = 7
-	sharded := make([]WorkloadEvent, n)
+	sharded := make([]workload.Event, n)
 	var wg sync.WaitGroup
 	next := 0
 	for w := 0; w < workers; w++ {
@@ -72,7 +72,7 @@ func TestWorkloadTraceBitIdenticalAcrossShardings(t *testing.T) {
 		wg.Add(1)
 		go func(base, share int) {
 			defer wg.Done()
-			m, err := NewWorkloadModel(cfg)
+			m, err := workload.NewModel(cfg)
 			if err != nil {
 				t.Error(err)
 				return
@@ -95,7 +95,7 @@ func TestWorkloadTraceBitIdenticalAcrossShardings(t *testing.T) {
 
 func TestWorkloadGoldenTraceHash(t *testing.T) {
 	const n = 512
-	m, err := NewWorkloadModel(workloadDeterminismConfig(t))
+	m, err := workload.NewModel(workloadDeterminismConfig(t))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,11 +115,11 @@ func TestWorkloadGoldenTraceHash(t *testing.T) {
 // continues the exact same trace, whatever the first model memoised.
 func TestWorkloadStreamResumesMidTrace(t *testing.T) {
 	cfg := workloadDeterminismConfig(t)
-	walked, err := NewWorkloadModel(cfg)
+	walked, err := workload.NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewWorkloadModel(cfg)
+	m, err := workload.NewModel(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +136,3 @@ func TestWorkloadStreamResumesMidTrace(t *testing.T) {
 		}
 	}
 }
-
-// Keep the facade aliases honest: the re-exported constructor must hand
-// back the same concrete types the internal package produces.
-var _ *workload.Model = (*WorkloadModel)(nil)
-var _ workload.Event = WorkloadEvent{}
