@@ -13,12 +13,13 @@
 //	capnn-experiments -artifact table3    # Table III vs CAPTOR
 //	capnn-experiments -artifact memory    # §V-C memory overhead
 //	capnn-experiments -artifact ablation  # ε, rate-quantization and l_start ablations
-//	capnn-experiments -artifact claims    # the paper-claim checklist
-//	capnn-experiments -artifact all       # fig4 through memory, in that order
+//	capnn-experiments -artifact all       # fig4 through memory, then the paper-claim checklist
 //
-// -combos n sets the random class combinations averaged per
-// configuration (default 6; the paper uses 200). Combinations are drawn
-// from a fixed seed, so a run is reproducible.
+// The checklist judges the paper's claims on the rows the tables above
+// it print, so only all prints it. -combos n sets the random class
+// combinations averaged per configuration (default 6; the paper uses
+// 200). Combinations are drawn from a fixed seed, so a run is
+// reproducible.
 package main
 
 import (
@@ -32,12 +33,16 @@ import (
 )
 
 func main() {
-	artifact := flag.String("artifact", "all", "fig4|fig5|fig6|table1|table2|table3|memory|ablation|claims|all")
+	artifact := flag.String("artifact", "all", "fig4|fig5|fig6|table1|table2|table3|memory|ablation|all")
 	combos := flag.Int("combos", 0, "random class combinations per configuration (0 = default)")
 	quiet := flag.Bool("quiet", false, "suppress progress logging")
 	perf := profiling.AddFlags()
 	flag.Parse()
 
+	if *combos < 0 {
+		fmt.Fprintf(os.Stderr, "capnn-experiments: -combos %d: want 0 (the default) or more\n", *combos)
+		os.Exit(2)
+	}
 	scale := exp.DefaultScale()
 	if *combos > 0 {
 		scale.Combos = *combos
@@ -62,63 +67,54 @@ func main() {
 }
 
 func run(artifact string, scale exp.Scale, log io.Writer) error {
-	needMain := artifact != "table3"
-	needC10 := artifact == "table3" || artifact == "all" || artifact == "claims"
-
 	var main20, cifar10 *exp.Fixture
 	var err error
-	if needMain {
-		main20, err = exp.Load(exp.ImageNet20Config(), log)
-		if err != nil {
+	if artifact != "table3" {
+		if main20, err = exp.Load(exp.ImageNet20Config(), log); err != nil {
 			return err
 		}
 	}
-	if needC10 {
-		cifar10, err = exp.Load(exp.CIFAR10Config(), log)
-		if err != nil {
+	if artifact == "table3" || artifact == "all" {
+		if cifar10, err = exp.Load(exp.CIFAR10Config(), log); err != nil {
 			return err
 		}
 	}
 
 	out := os.Stdout
-	var cmp []exp.ComparisonRow // fig4 and fig5 are two views of one sweep
+	var res exp.Results // the rows all hands to the checklist
 	emit := func(artifact string) error {
 		switch artifact {
 		case "fig4", "fig5":
-			if cmp == nil {
-				if cmp, err = exp.RunComparison(main20, scale, log); err != nil {
+			if res.Fig4 == nil { // fig4 and fig5 are two views of one sweep
+				if res.Fig4, err = exp.RunComparison(main20, scale, log); err != nil {
 					return err
 				}
 			}
 			if artifact == "fig4" {
-				exp.PrintFig4(out, cmp, scale)
+				exp.PrintFig4(out, res.Fig4, scale)
 			} else {
-				exp.PrintFig5(out, cmp, scale)
+				exp.PrintFig5(out, res.Fig4, scale)
 			}
 		case "fig6":
-			rows, err := exp.RunTradeoff(main20, scale, exp.DefaultTradeoffKs(main20.Config.Synth.Classes), log)
-			if err != nil {
+			if res.Fig6, err = exp.RunTradeoff(main20, scale, exp.DefaultTradeoffKs(main20.Config.Synth.Classes), log); err != nil {
 				return err
 			}
-			exp.PrintFig6(out, rows, main20.Config.Synth.Classes, scale)
+			exp.PrintFig6(out, res.Fig6, main20.Config.Synth.Classes, scale)
 		case "table1":
-			rows, err := exp.RunEnergy(main20, scale, exp.Table1Ks, log)
-			if err != nil {
+			if res.Table1, err = exp.RunEnergy(main20, scale, exp.Table1Ks, log); err != nil {
 				return err
 			}
-			exp.PrintTable1(out, rows, scale)
+			exp.PrintTable1(out, res.Table1, scale)
 		case "table2":
-			rows, err := exp.RunStacked(main20, scale, log)
-			if err != nil {
+			if res.Table2, err = exp.RunStacked(main20, scale, log); err != nil {
 				return err
 			}
-			exp.PrintTable2(out, rows, scale)
+			exp.PrintTable2(out, res.Table2, scale)
 		case "table3":
-			rows, err := exp.RunCaptor(cifar10, scale, log)
-			if err != nil {
+			if res.Table3, err = exp.RunCaptor(cifar10, scale, log); err != nil {
 				return err
 			}
-			exp.PrintTable3(out, rows, scale)
+			exp.PrintTable3(out, res.Table3, scale)
 		case "ablation":
 			rows, err := exp.RunEpsilonAblation(main20, scale, []float64{0.02, 0.05, 0.08, 0.12, 0.2}, 3, log)
 			if err != nil {
@@ -137,18 +133,11 @@ func run(artifact string, scale exp.Scale, log io.Writer) error {
 				return err
 			}
 			exp.PrintLstartAblation(out, l, 3, scale)
-		case "claims":
-			claims, err := exp.CheckClaims(main20, cifar10, scale, log)
-			if err != nil {
-				return err
-			}
-			exp.PrintClaims(out, claims)
 		case "memory":
-			rep, err := exp.RunMemory(main20)
-			if err != nil {
+			if res.Memory, err = exp.RunMemory(main20); err != nil {
 				return err
 			}
-			exp.PrintMemory(out, rep)
+			exp.PrintMemory(out, res.Memory)
 		default:
 			return fmt.Errorf("unknown artifact %q", artifact)
 		}
@@ -157,13 +146,13 @@ func run(artifact string, scale exp.Scale, log io.Writer) error {
 	if artifact != "all" {
 		return emit(artifact)
 	}
-	for i, a := range []string{"fig4", "fig5", "fig6", "table1", "table2", "table3", "memory"} {
-		if i > 0 {
-			fmt.Fprintln(out)
-		}
+	for _, a := range []string{"fig4", "fig5", "fig6", "table1", "table2", "table3", "memory"} {
 		if err := emit(a); err != nil {
 			return err
 		}
+		fmt.Fprintln(out)
 	}
+	res.Epsilon = main20.Sys.Params.Epsilon
+	exp.PrintClaims(out, exp.CheckClaims(res))
 	return nil
 }

@@ -11,9 +11,10 @@
 //	capnn-loadgen -addr 127.0.0.1:7878 -model cifar10 -users 8 -n 300
 //
 // QoS scenarios mix lanes and tenants: -bulk-frac sends that fraction
-// of the traffic on the bulk lane (under -bulk-tenant with
-// -bulk-budget), the rest stays interactive (-tenant, -budget), and the
-// report breaks out per-lane p50/p95/p99 plus shed counts by reason.
+// of the traffic on the bulk lane (under -bulk-tenant, empty = default,
+// with -bulk-budget), the rest stays interactive on the default tenant
+// (-budget), and the report breaks out per-lane p50/p95/p99 plus shed
+// counts by reason.
 // Typed QoS sheds — over-quota and expired — are the protocol working
 // as designed (bulk yielding, deadlines enforced), so they count as
 // sheds, not failures; only transport errors and untyped non-OK answers
@@ -284,10 +285,9 @@ func main() {
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request timeout")
 	progressEvery := flag.Int("progress-every", 50, "print a progress line every N completed requests")
 	jsonOut := flag.Bool("json", false, "emit the run summary as one JSON document on stdout (progress and human lines move to stderr)")
-	tenant := flag.String("tenant", "", "tenant for interactive traffic (empty = default)")
 	budget := flag.Duration("budget", 0, "per-request deadline budget for interactive traffic (0 = none)")
 	bulkFrac := flag.Float64("bulk-frac", 0, "fraction of requests sent on the bulk lane [0,1]")
-	bulkTenant := flag.String("bulk-tenant", "", "tenant for bulk traffic (empty = same as -tenant)")
+	bulkTenant := flag.String("bulk-tenant", "", "tenant for bulk traffic (empty = default)")
 	bulkBudget := flag.Duration("bulk-budget", 0, "per-request deadline budget for bulk traffic (0 = none)")
 	seed := flag.Int64("seed", 1, "workload seed; same seed+flags replays the same trace bit-for-bit")
 	drift := flag.String("drift", "", `drift spec, e.g. "flip=5000,lag=1000,diurnal=20000" ("" or "off" = stationary)`)
@@ -391,16 +391,13 @@ func main() {
 				idx := base + i
 				req, user, claimed, drifted := buildReq(idx)
 				lane := qos.LaneInteractive
-				req.Tenant = *tenant
 				if *budget > 0 {
 					req.BudgetMicros = budget.Microseconds()
 				}
 				if isBulk(idx) {
 					lane = qos.LaneBulk
 					req.Lane = int(qos.LaneBulk)
-					if *bulkTenant != "" {
-						req.Tenant = *bulkTenant
-					}
+					req.Tenant = *bulkTenant
 					req.BudgetMicros = 0
 					if *bulkBudget > 0 {
 						req.BudgetMicros = bulkBudget.Microseconds()

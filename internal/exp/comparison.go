@@ -66,6 +66,11 @@ type ComparisonRow struct {
 
 	Top1Orig, Top1B, Top1W, Top1M float64
 	Top5Orig, Top5B, Top5W, Top5M float64
+
+	// ValDrop is the worst accuracy drop on the validation split over
+	// the user's classes and B, W, M; OverEpsilon is 1 where it exceeds
+	// ε, so its mean is the share of combinations that broke the bound.
+	ValDrop, OverEpsilon float64
 }
 
 // RunComparison reproduces the Fig. 4/Fig. 5 sweep on the fixture for
@@ -74,10 +79,11 @@ func RunComparison(fx *Fixture, scale Scale, log io.Writer) ([]ComparisonRow, er
 	if _, err := fx.EnsureB(log); err != nil {
 		return nil, err
 	}
+	valBase := fx.Sys.Eval.PerClassAccuracy(nil)
 	var rows []ComparisonRow
 	for _, k := range []int{2, 3, 4, 5} {
 		for _, dist := range PaperUsageDists(k) {
-			row, err := runOneConfig(fx, scale, k, dist, log)
+			row, err := runOneConfig(fx, scale, k, dist, valBase, log)
 			if err != nil {
 				return nil, err
 			}
@@ -87,14 +93,15 @@ func RunComparison(fx *Fixture, scale Scale, log io.Writer) ([]ComparisonRow, er
 	return rows, nil
 }
 
-func runOneConfig(fx *Fixture, scale Scale, k int, dist UsageDist, log io.Writer) (ComparisonRow, error) {
+func runOneConfig(fx *Fixture, scale Scale, k int, dist UsageDist, valBase []float64, log io.Writer) (ComparisonRow, error) {
 	rng := rand.New(rand.NewSource(scale.Seed*7919 + int64(k)*131 + int64(len(dist.Name))))
 	v, err := sweep(rng, fx.Config.Synth.Classes, k, scale.Combos, func(combo int, classes []int) ([]float64, error) {
 		prefs, err := core.Weighted(classes, dist.Weights)
 		if err != nil {
 			return nil, err
 		}
-		var out []float64 // the unpruned top-1, top-5; then B, W, M: relative size, top-1, top-5
+		var out []float64 // the unpruned top-1, top-5; then B, W, M: relative size, top-1, top-5; then ValDrop, OverEpsilon
+		drop := 0.0
 		for _, v := range []core.Variant{core.VariantB, core.VariantW, core.VariantM} {
 			res, err := fx.Sys.Personalize(v, prefs, fx.Sets.Test)
 			if err != nil {
@@ -104,7 +111,16 @@ func runOneConfig(fx *Fixture, scale Scale, k int, dist UsageDist, log io.Writer
 				out = append(out, res.BaseTop1, res.BaseTop5)
 			}
 			out = append(out, res.RelativeSize, res.Top1, res.Top5)
+			acc := fx.Sys.Eval.PerClassAccuracy(res.Masks)
+			for _, c := range classes {
+				drop = max(drop, valBase[c]-acc[c])
+			}
 		}
+		over := 0.0
+		if drop > fx.Sys.Params.Epsilon+1e-9 {
+			over = 1
+		}
+		out = append(out, drop, over)
 		if log != nil {
 			fmt.Fprintf(log, "exp: K=%d usage=%s combo %d/%d done\n", k, dist.Name, combo+1, scale.Combos)
 		}
@@ -117,6 +133,7 @@ func runOneConfig(fx *Fixture, scale Scale, k int, dist UsageDist, log io.Writer
 		RelSizeB: v[2], Top1B: v[3], Top5B: v[4],
 		RelSizeW: v[5], Top1W: v[6], Top5W: v[7],
 		RelSizeM: v[8], Top1M: v[9], Top5M: v[10],
+		ValDrop: v[11], OverEpsilon: v[12],
 	}, nil
 }
 

@@ -419,12 +419,30 @@ func TestRunQuantAblationTiny(t *testing.T) {
 	}
 }
 
+// TestCheckClaimsTiny judges the claims on the tiny fixture's own
+// runner rows, without Table III.
 func TestCheckClaimsTiny(t *testing.T) {
 	fx := tinyFixture(t)
-	claims, err := CheckClaims(fx, nil, Scale{Combos: 1, Seed: 1}, nil)
-	if err != nil {
-		t.Fatal(err)
+	scale := Scale{Combos: 1, Seed: 1}
+	res := Results{Epsilon: fx.Sys.Params.Epsilon}
+	var err error
+	check := func() {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
+	res.Fig4, err = RunComparison(fx, scale, nil)
+	check()
+	res.Fig6, err = RunTradeoff(fx, scale, []int{2, fx.Config.Synth.Classes}, nil)
+	check()
+	res.Table1, err = RunEnergy(fx, scale, []int{2, 5}, nil)
+	check()
+	res.Table2, err = RunStacked(fx, scale, nil)
+	check()
+	res.Memory, err = RunMemory(fx)
+	check()
+	claims := CheckClaims(res)
 	if len(claims) != 8 {
 		t.Fatalf("%d claims, want 8", len(claims))
 	}
@@ -433,14 +451,80 @@ func TestCheckClaimsTiny(t *testing.T) {
 	if !claims[0].Pass {
 		t.Fatalf("ε-guarantee claim failed: %s", claims[0].Detail)
 	}
-	// Claim 7 is skipped without the cifar10 fixture.
-	if !strings.Contains(claims[6].Detail, "not loaded") {
-		t.Fatalf("claim 7 should be skipped: %+v", claims[6])
+	if claims[6].status() != "SKIP" {
+		t.Fatalf("claim 7 should be skipped without Table III: %+v", claims[6])
 	}
 	var buf bytes.Buffer
 	PrintClaims(&buf, claims)
-	if !strings.Contains(buf.String(), "claim 1") || !strings.Contains(buf.String(), "SKIP") {
+	if !strings.Contains(buf.String(), "claim 1") || !strings.Contains(buf.String(), "[SKIP] claim 7") {
 		t.Fatalf("printer output wrong:\n%s", buf.String())
+	}
+}
+
+// passingResults are hand-built rows on which every claim passes.
+func passingResults() Results {
+	var r Results
+	r.Epsilon = 0.12
+	for k := 2; k <= 5; k++ {
+		for range PaperUsageDists(k) {
+			r.Fig4 = append(r.Fig4, ComparisonRow{K: k, RelSizeB: 0.95, RelSizeW: 0.5, RelSizeM: 0.45,
+				Top1Orig: 0.8, Top1M: 0.9, Top5Orig: 0.99, Top5M: 1, ValDrop: 0.05})
+		}
+	}
+	r.Fig6 = []TradeoffRow{{K: 2, RelSize: 0.45}, {K: 10, RelSize: 0.6}, {K: 20, RelSize: 0.75}}
+	r.Table1 = []EnergyRow{{K: 2, RelEnergy: 0.6}, {K: 10, RelEnergy: 0.8}}
+	r.Table2 = []StackedRow{{K: 2, SizeWithout: 0.9, SizeWith: 0.3}, {K: 5, SizeWithout: 0.86, SizeWith: 0.5}}
+	r.Table3 = []CaptorRow{{Percent: 10, CapnnRel: 0.58, CaptorRel: 0.85}, {Percent: 100, CapnnRel: 0.79, CaptorRel: 0.91}}
+	r.Memory.Overhead.Ratio = 0.023
+	return r
+}
+
+// TestCheckClaimsVerdicts flips each claim's verdict with one edit to
+// otherwise passing rows and checks that no other verdict moves.
+func TestCheckClaimsVerdicts(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		edit   func(*Results)
+		id     int
+		status string
+	}{
+		{"all pass", func(*Results) {}, 1, "PASS"},
+		// One of a cell's two combinations over ε, the cell's mean drop
+		// still under it, every other cell clean.
+		{"one combination over ε", func(r *Results) { r.Fig4[7].OverEpsilon, r.Fig4[7].ValDrop = 0.5, 0.09 }, 1, "FAIL"},
+		{"M no smaller than B", func(r *Results) {
+			for i := range r.Fig4 {
+				r.Fig4[i].RelSizeM = 0.92
+			}
+		}, 2, "FAIL"},
+		{"M below the unpruned model at K=2", func(r *Results) {
+			for i := range r.Fig4[:3] {
+				r.Fig4[i].Top1M = 0.79
+			}
+		}, 3, "FAIL"},
+		{"size flat as K → C", func(r *Results) { r.Fig6[2].RelSize = 0.5 }, 4, "FAIL"},
+		{"no energy saving at small K", func(r *Results) { r.Table1[0].RelEnergy = 0.9 }, 5, "FAIL"},
+		{"energy falls as K grows", func(r *Results) { r.Table1[0].RelEnergy = 0.86 }, 5, "FAIL"},
+		{"a stacked cell does not shrink", func(r *Results) { r.Table2[1].SizeWith = 0.86 }, 6, "FAIL"},
+		{"CAPTOR cheaper at 10%", func(r *Results) { r.Table3[0].CapnnRel = 0.91 }, 7, "FAIL"},
+		{"no Table III", func(r *Results) { r.Table3 = nil }, 7, "SKIP"},
+		{"rates as large as the model", func(r *Results) { r.Memory.Overhead.Ratio = 0.15 }, 8, "FAIL"},
+	} {
+		r := passingResults()
+		tc.edit(&r)
+		claims := CheckClaims(r)
+		if len(claims) != 8 {
+			t.Fatalf("%s: %d claims, want 8", tc.name, len(claims))
+		}
+		for i, c := range claims {
+			want := "PASS"
+			if c.ID == tc.id {
+				want = tc.status
+			}
+			if c.ID != i+1 || c.status() != want {
+				t.Errorf("%s: claim %d (at %d) reads %s, want %s: %s", tc.name, c.ID, i, c.status(), want, c.Detail)
+			}
+		}
 	}
 }
 

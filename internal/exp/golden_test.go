@@ -236,8 +236,8 @@ func TestRunnersGolden(t *testing.T) {
 	check(err)
 	PrintLstartAblation(&buf, ls, 2, scale)
 	exact(ls)
-	claims, err := CheckClaims(fx, fx, scale, nil)
-	check(err)
+	claims := CheckClaims(Results{Epsilon: fx.Sys.Params.Epsilon, Fig4: cmp, Fig6: trade,
+		Table1: en, Table2: st, Table3: captor, Memory: mem})
 	PrintClaims(&buf, claims)
 	exact(claims)
 
