@@ -1,8 +1,6 @@
 package capnn
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"testing"
 
@@ -10,9 +8,9 @@ import (
 )
 
 // TestQuantizedCloudDeployment exercises the §V-C deployment path end to
-// end: profile → quantize to 3-bit packed rates → ship/store → unpack →
-// personalize from the dequantized rates → verify ε on the measured split
-// and that the compacted model matches masked inference.
+// end: profile → quantize to the 3-bit rates the cloud stores →
+// personalize from them → verify ε on the measured split and that the
+// compacted model matches masked inference.
 func TestQuantizedCloudDeployment(t *testing.T) {
 	synth := DefaultSynthConfig(6)
 	synth.H, synth.W = 12, 12
@@ -34,29 +32,17 @@ func TestQuantizedCloudDeployment(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Profile and round-trip the rates through the packed cloud format.
+	// Profile and quantize the rates to the cloud's 3 bits.
 	rates, err := firing.Compute(net, sets.Profile, firing.PrunableStages(net))
 	if err != nil {
 		t.Fatal(err)
 	}
-	packed, err := firing.Pack(rates, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wire bytes.Buffer
-	if err := gob.NewEncoder(&wire).Encode(packed); err != nil {
-		t.Fatal(err)
-	}
-	shipped, err := firing.LoadPacked(&wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dq, err := shipped.Unpack()
+	dq, err := firing.Quantize(rates, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Personalize from the dequantized rates.
+	// Personalize from the quantized rates.
 	params := DefaultParams()
 	params.Epsilon = 0.15
 	sys, err := NewSystem(net, sets.Val, sets.Profile, dq, params)
@@ -87,14 +73,5 @@ func TestQuantizedCloudDeployment(t *testing.T) {
 		if math.Abs(v-got.Data()[i]) > 1e-9 {
 			t.Fatal("compacted model diverges from masked inference")
 		}
-	}
-
-	// Overhead accounting matches the packed payload.
-	ov, err := firing.MemoryOverhead(rates, 3, net.ParamCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ov.RateBytes != packed.TotalBytes() {
-		t.Fatalf("overhead bytes %d ≠ packed bytes %d", ov.RateBytes, packed.TotalBytes())
 	}
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"math"
 	"reflect"
 	"testing"
@@ -17,8 +15,8 @@ import (
 // Built from firing.Compute's counts on any worker count, they — and the
 // guard's off-preference share read from them — equal to the bit a
 // per-class measurement pushing each class's profiling images through
-// the unpruned network and adding 1/n per image; the counts survive the
-// packed cloud format, and a system refuses rates without them.
+// the unpruned network and adding 1/n per image; the counts survive 3-bit
+// quantization, and a system refuses rates without them.
 func TestConfusionFromProfilingPass(t *testing.T) {
 	f := getFixture(t)
 	defer parallel.SetDefault(0)
@@ -83,26 +81,14 @@ func TestConfusionFromProfilingPass(t *testing.T) {
 		if w != 1 {
 			continue
 		}
-		packed, err := firing.Pack(rates, 3)
+		quantized, err := firing.Quantize(rates, 3)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var wire bytes.Buffer
-		if err := gob.NewEncoder(&wire).Encode(packed); err != nil {
-			t.Fatal(err)
+		if !reflect.DeepEqual(quantized.Confusion, rates.Confusion) {
+			t.Fatalf("counts %v after 3-bit quantization, want %v", quantized.Confusion, rates.Confusion)
 		}
-		loaded, err := firing.LoadPacked(&wire)
-		if err != nil {
-			t.Fatal(err)
-		}
-		shipped, err := loaded.Unpack()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(shipped.Confusion, rates.Confusion) {
-			t.Fatalf("counts %v after the packed round trip, want %v", shipped.Confusion, rates.Confusion)
-		}
-		check("packed and unpacked", shipped)
+		check("3-bit quantized", quantized)
 	}
 
 	missing := f.sys.Rates.Clone()

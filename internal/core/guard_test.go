@@ -84,13 +84,9 @@ func TestParamsValidate(t *testing.T) {
 // the accuracy check is exact.
 func TestPruneWWithQuantizedRates(t *testing.T) {
 	f := getFixture(t)
-	quantized := f.sys.Rates.Clone()
-	for s, lr := range quantized.Layers {
-		q, err := firing.Quantize(lr, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		quantized.Layers[s] = q.Dequantize()
+	quantized, err := firing.Quantize(f.sys.Rates, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
 	prefs, _ := Weighted([]int{0, 3}, []float64{0.6, 0.4})
 	masks, err := PruneW(f.sys.Eval, quantized, prefs, f.sys.Params)

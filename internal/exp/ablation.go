@@ -94,13 +94,9 @@ func RunQuantAblation(fx *Fixture, scale Scale, bitWidths []int, k int, log io.W
 
 	var rows []QuantRow
 	for _, bits := range bitWidths {
-		q := fx.Rates.Clone()
-		for s, lr := range q.Layers {
-			qq, err := firing.Quantize(lr, bits)
-			if err != nil {
-				return nil, err
-			}
-			q.Layers[s] = qq.Dequantize()
+		q, err := firing.Quantize(fx.Rates, bits)
+		if err != nil {
+			return nil, err
 		}
 		masks, err := core.PruneW(fx.Sys.Eval, q, prefs, fx.Sys.Params)
 		if err != nil {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -360,6 +361,29 @@ func TestRunMemoryTiny(t *testing.T) {
 	PrintMemory(&buf, rep)
 	if !strings.Contains(buf.String(), "overhead") {
 		t.Fatal("printer missing summary")
+	}
+}
+
+// Claim 8 on the real fixture: the §V-C byte counts the memory table and
+// the checklist print.
+func TestRunMemoryImageNet20(t *testing.T) {
+	fx, err := Load(ImageNet20Config(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := RunMemory(fx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []int
+	for _, r := range rep.PerLayer {
+		got = append(got, r.Stage, r.Bytes)
+	}
+	if want := []int{10, 240, 11, 240, 12, 240, 13, 960, 14, 960}; !slices.Equal(got, want) {
+		t.Fatalf("stage, bytes = %v, want %v", got, want)
+	}
+	if rep.Overhead.RateBytes != 2640 || rep.Overhead.ModelBytes != 114792 {
+		t.Fatalf("overhead %+v, want 2640 rate bytes against 114792 bytes of 16-bit weights", rep.Overhead)
 	}
 }
 

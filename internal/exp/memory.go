@@ -37,11 +37,7 @@ func RunMemory(fx *Fixture) (MemoryReport, error) {
 	sort.Ints(stages)
 	for _, s := range stages {
 		lr := fx.Rates.Layers[s]
-		q, err := firing.Quantize(lr, bits)
-		if err != nil {
-			return rep, err
-		}
-		rep.PerLayer = append(rep.PerLayer, MemoryRow{Stage: s, Units: lr.Units, Classes: lr.Classes, Bytes: q.PackedBytes()})
+		rep.PerLayer = append(rep.PerLayer, MemoryRow{Stage: s, Units: lr.Units, Classes: lr.Classes, Bytes: firing.PackedBytes(lr, bits)})
 	}
 	ov, err := firing.MemoryOverhead(fx.Rates, bits, fx.Net.ParamCount())
 	if err != nil {

@@ -128,11 +128,10 @@ func TestQuantizeRoundTripWithinOneBin(t *testing.T) {
 	lr := &LayerRates{Stage: 0, Units: 4, Classes: 3, F: []float64{
 		0, 0.1, 0.2, 0.33, 0.4, 0.5, 0.66, 0.7, 0.85, 0.9, 0.99, 1,
 	}}
-	q, err := Quantize(lr, 3)
+	dq, err := quantizeLayer(lr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dq := q.Dequantize()
 	halfBin := 0.5 / 7.0
 	for i, v := range lr.F {
 		if math.Abs(dq.F[i]-v) > halfBin+1e-12 {
@@ -143,17 +142,17 @@ func TestQuantizeRoundTripWithinOneBin(t *testing.T) {
 
 func TestQuantizeClampsAndValidates(t *testing.T) {
 	lr := &LayerRates{Units: 1, Classes: 2, F: []float64{-0.5, 1.5}}
-	q, err := Quantize(lr, 3)
+	q, err := quantizeLayer(lr, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q.Codes[0] != 0 || q.Codes[1] != 7 {
-		t.Fatalf("clamping failed: %v", q.Codes)
+	if q.F[0] != 0 || q.F[1] != 1 {
+		t.Fatalf("clamping failed: %v", q.F)
 	}
-	if _, err := Quantize(lr, 0); err == nil {
+	if _, err := quantizeLayer(lr, 0); err == nil {
 		t.Fatal("bits=0 accepted")
 	}
-	if _, err := Quantize(lr, 9); err == nil {
+	if _, err := quantizeLayer(lr, 9); err == nil {
 		t.Fatal("bits=9 accepted")
 	}
 }
@@ -169,11 +168,10 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 		for i := range lr.F {
 			lr.F[i] = rng.Float64()
 		}
-		q, err := Quantize(lr, bits)
+		dq, err := quantizeLayer(lr, bits)
 		if err != nil {
 			return false
 		}
-		dq := q.Dequantize()
 		halfBin := 0.5 / float64(int(1)<<bits-1)
 		for i := range lr.F {
 			if math.Abs(dq.F[i]-lr.F[i]) > halfBin+1e-12 {
@@ -187,11 +185,56 @@ func TestQuantizeErrorBoundProperty(t *testing.T) {
 	}
 }
 
+// quantizeLayer quantizes one matrix through Quantize.
+func quantizeLayer(lr *LayerRates, bits int) (*LayerRates, error) {
+	q, err := Quantize(&Rates{Classes: lr.Classes, Layers: map[int]*LayerRates{lr.Stage: lr}}, bits)
+	if err != nil {
+		return nil, err
+	}
+	return q.Layers[lr.Stage], nil
+}
+
+// Quantized rates stay within half a bin of the full-precision ones, so
+// two units whose rates differ by more than two bins keep their order —
+// the property the paper relies on to claim 3 bits suffice.
+func TestQuantizePreservesOrderingApproximately(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	orig := &LayerRates{Units: 50, Classes: 4, F: make([]float64, 200)}
+	for i := range orig.F {
+		orig.F[i] = rng.Float64()
+	}
+	dq, err := quantizeLayer(orig, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inversions := 0
+	for a := 0; a < 50; a++ {
+		for b := a + 1; b < 50; b++ {
+			va, vb := orig.At(a, 0), orig.At(b, 0)
+			da, db := dq.At(a, 0), dq.At(b, 0)
+			if math.Abs(va-vb) > 2.0/7.0 && (va-vb)*(da-db) < 0 {
+				inversions++
+			}
+		}
+	}
+	if inversions != 0 {
+		t.Fatalf("%d large-gap orderings inverted by 3-bit quantization", inversions)
+	}
+}
+
+// The §V-C count packs codes densely, and widths outside [1,8] are
+// refused before anything is counted.
 func TestPackedBytes(t *testing.T) {
-	q := &Quantized{Bits: 3, Codes: make([]uint8, 1000)}
-	// 3000 bits → 375 bytes.
-	if q.PackedBytes() != 375 {
-		t.Fatalf("PackedBytes = %d, want 375", q.PackedBytes())
+	lr := &LayerRates{Units: 100, Classes: 10}
+	// 1000 codes × 3 bits = 3000 bits → 375 bytes, not 1000.
+	if n := PackedBytes(lr, 3); n != 375 {
+		t.Fatalf("PackedBytes = %d, want 375", n)
+	}
+	r := &Rates{Classes: 10, Layers: map[int]*LayerRates{0: lr}}
+	for _, bits := range []int{0, 9} {
+		if _, err := MemoryOverhead(r, bits, 1); err == nil {
+			t.Fatalf("bits=%d accepted", bits)
+		}
 	}
 }
 

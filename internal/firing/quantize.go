@@ -2,51 +2,36 @@ package firing
 
 import "fmt"
 
-// Quantized is a firing-rate matrix compressed with linear b-bit
-// quantization (paper §V-C stores 3-bit rates in the cloud).
-type Quantized struct {
-	Stage   int
-	Units   int
-	Classes int
-	Bits    int
-	Codes   []uint8 // one code per (unit, class), values in [0, 2^Bits)
-}
-
-// Quantize compresses a rate matrix to bits-bit codes. bits must be in
-// [1,8]. Rates are clamped to [0,1] before coding.
-func Quantize(lr *LayerRates, bits int) (*Quantized, error) {
-	if bits < 1 || bits > 8 {
-		return nil, fmt.Errorf("firing: quantize bits %d outside [1,8]", bits)
+// Quantize returns a copy of r whose every rate is rounded to the nearest
+// of 2^bits evenly spaced levels in [0,1] (paper §V-C stores 3-bit rates
+// in the cloud), clamped to [0,1] first. Confusion counts are copied
+// verbatim. bits must be in [1,8].
+func Quantize(r *Rates, bits int) (*Rates, error) {
+	if err := checkBits(bits); err != nil {
+		return nil, err
 	}
 	levels := float64(int(1)<<bits - 1)
-	q := &Quantized{Stage: lr.Stage, Units: lr.Units, Classes: lr.Classes, Bits: bits, Codes: make([]uint8, len(lr.F))}
-	for i, v := range lr.F {
-		if v < 0 {
-			v = 0
+	q := r.Clone()
+	for _, lr := range q.Layers {
+		for i, v := range lr.F {
+			v = min(max(v, 0), 1)
+			lr.F[i] = float64(uint8(v*levels+0.5)) / levels
 		}
-		if v > 1 {
-			v = 1
-		}
-		q.Codes[i] = uint8(v*levels + 0.5)
 	}
 	return q, nil
 }
 
-// Dequantize reconstructs an approximate rate matrix.
-func (q *Quantized) Dequantize() *LayerRates {
-	levels := float64(int(1)<<q.Bits - 1)
-	lr := &LayerRates{Stage: q.Stage, Units: q.Units, Classes: q.Classes, F: make([]float64, len(q.Codes))}
-	for i, c := range q.Codes {
-		lr.F[i] = float64(c) / levels
+func checkBits(bits int) error {
+	if bits < 1 || bits > 8 {
+		return fmt.Errorf("firing: quantize bits %d outside [1,8]", bits)
 	}
-	return lr
+	return nil
 }
 
-// PackedBytes is the storage the quantized matrix needs with dense bit
-// packing: ceil(entries × bits / 8).
-func (q *Quantized) PackedBytes() int {
-	bits := len(q.Codes) * q.Bits
-	return (bits + 7) / 8
+// PackedBytes is the storage one rate matrix needs at bits bits per
+// entry with dense bit packing: ⌈units × classes × bits / 8⌉.
+func PackedBytes(lr *LayerRates, bits int) int {
+	return (lr.Units*lr.Classes*bits + 7) / 8
 }
 
 // Overhead reports the cloud-side memory overhead of storing firing
@@ -64,14 +49,15 @@ type Overhead struct {
 // MemoryOverhead computes the §V-C overhead of storing the given rates at
 // the given bit width against a model with paramCount 16-bit parameters.
 func MemoryOverhead(r *Rates, bits int, paramCount int) (Overhead, error) {
-	p, err := Pack(r, bits)
-	if err != nil {
+	if err := checkBits(bits); err != nil {
 		return Overhead{}, err
 	}
-	total, model := p.TotalBytes(), paramCount*2
-	ov := Overhead{RateBytes: total, ModelBytes: model}
-	if model > 0 {
-		ov.Ratio = float64(total) / float64(model)
+	ov := Overhead{ModelBytes: paramCount * 2}
+	for _, lr := range r.Layers {
+		ov.RateBytes += PackedBytes(lr, bits)
+	}
+	if ov.ModelBytes > 0 {
+		ov.Ratio = float64(ov.RateBytes) / float64(ov.ModelBytes)
 	}
 	return ov, nil
 }

@@ -26,8 +26,6 @@ var reachAllowed = map[string]string{
 	"faults.PartitionListener":        "partition seam: the gateway failover tests cut a shard off and heal it",
 	"faults.Partition.SetPartitioned": "partition seam: the gateway failover tests cut a shard off and heal it",
 	"data.Generator.GenerateCounts":   "imbalanced draws the ε audit on served answers (ROADMAP item 3) needs",
-	"firing.LoadPacked":               "decoder of the §V-C packed-rate format: the root and core round-trip tests personalize from decoded rates, which the memory table's byte counts assume",
-	"firing.PackedRates.Unpack":       "decoder of the §V-C packed-rate format: the root and core round-trip tests personalize from decoded rates, which the memory table's byte counts assume",
 	"serve.Client.Health":             "the client half of OpHealth, which serve's and cluster's tests probe a shard with; the gateway's probes send it on their own connections",
 }
 

@@ -23,9 +23,11 @@
 # The file holds the host's CPU model and nproc, both revisions, and per
 # workload and BENCHMARK.json end-to-end metric both sides' runs in seed
 # order, their medians and quartiles, the median per-pair ratio
-# change/parent and the pairs the change won; per run, `correct` and
-# `failed`; and the same for each benchmark row's ns/op under "bench".
-# It exits non-zero if any run failed or was not correct.
+# change/parent, the pairs the change won and scripts/verdict.jq's
+# verdict (gain, unresolved, regression or flat); per run, `correct` and
+# `failed`; and the same, without a verdict, for each benchmark row's
+# ns/op under "bench". It exits non-zero if any run failed or was not
+# correct.
 # Needs bash, go and jq.
 set -euo pipefail
 
@@ -156,6 +158,6 @@ def summary: map(select(. != null)) | {median: median, q1: quantile(0.25), q3: q
            parent_summary: ($pv | summary), change_summary: ($cv | summary),
            median_pair_ratio: ([$pairs[] | select(.p != 0) | .c / .p] | median),
            wins: ([$pairs[] | select(.c < .p)] | length)}})
-       | from_entries))}' "$tmp/runs.jsonl" >"$out"
-echo "pairs: wrote $out" >&2
+       | from_entries))}' "$tmp/runs.jsonl" | jq --slurpfile bench BENCHMARK.json -f scripts/verdict.jq >"$out"
+echo "pairs: wrote $out; verdicts: $(jq -c '[.workloads[].metrics[].verdict] | group_by(.) | map({(.[0]): length}) | add' "$out")" >&2
 jq -e '.ok' "$out" >/dev/null
