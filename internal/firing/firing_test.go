@@ -238,6 +238,80 @@ func TestPackedBytes(t *testing.T) {
 	}
 }
 
+func randomRates(rng *rand.Rand, stages []int, units, classes int) *Rates {
+	r := &Rates{Classes: classes, Layers: map[int]*LayerRates{}}
+	for _, s := range stages {
+		lr := &LayerRates{Stage: s, Units: units, Classes: classes, F: make([]float64, units*classes)}
+		for i := range lr.F {
+			lr.F[i] = rng.Float64()
+		}
+		r.Layers[s] = lr
+	}
+	return r
+}
+
+// Quantizing a multi-stage rate set keeps every stage, moves each rate by
+// at most half a bin, and leaves the full-precision rates untouched.
+func TestPackUnpackWithinOneBin(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	r := randomRates(rng, []int{3, 1, 2}, 7, 5)
+	orig := r.Clone()
+	q, err := Quantize(r, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	halfBin := 0.5 / 7.0
+	for s, lr := range r.Layers {
+		ql := q.Layers[s]
+		if ql == nil {
+			t.Fatalf("stage %d missing after quantize", s)
+		}
+		for i, v := range lr.F {
+			if v != orig.Layers[s].F[i] {
+				t.Fatalf("stage %d entry %d: input changed %v → %v", s, i, orig.Layers[s].F[i], v)
+			}
+			if math.Abs(ql.F[i]-v) > halfBin+1e-12 {
+				t.Fatalf("stage %d entry %d: %v → %v", s, i, v, ql.F[i])
+			}
+		}
+	}
+}
+
+// MemoryOverhead counts the dense packed size of a whole rate set.
+func TestPackedBytesAreDense(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	r := randomRates(rng, []int{0}, 100, 10)
+	ov, err := MemoryOverhead(r, 3, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 1000 codes × 3 bits = 375 bytes, not 1000.
+	if ov.RateBytes != 375 {
+		t.Fatalf("RateBytes = %d, want 375", ov.RateBytes)
+	}
+}
+
+// Quantize and MemoryOverhead accept exactly the widths 1 to 8.
+func TestPackValidatesBits(t *testing.T) {
+	r := &Rates{Classes: 1, Layers: map[int]*LayerRates{0: {Units: 1, Classes: 1, F: []float64{0.5}}}}
+	for _, bits := range []int{0, 9} {
+		if _, err := Quantize(r, bits); err == nil {
+			t.Fatalf("Quantize bits=%d accepted", bits)
+		}
+		if _, err := MemoryOverhead(r, bits, 1); err == nil {
+			t.Fatalf("MemoryOverhead bits=%d accepted", bits)
+		}
+	}
+	for _, bits := range []int{1, 8} {
+		if _, err := Quantize(r, bits); err != nil {
+			t.Fatalf("Quantize bits=%d: %v", bits, err)
+		}
+		if _, err := MemoryOverhead(r, bits, 1); err != nil {
+			t.Fatalf("MemoryOverhead bits=%d: %v", bits, err)
+		}
+	}
+}
+
 func TestMemoryOverheadAccounting(t *testing.T) {
 	r := &Rates{Classes: 10, Layers: map[int]*LayerRates{
 		0: {Units: 8, Classes: 10, F: make([]float64, 80)},
