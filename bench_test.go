@@ -205,15 +205,16 @@ func BenchmarkInferencePruned(b *testing.B) {
 }
 
 // pruneRatioMasks builds a deterministic mask set pruning the first
-// `ratio` of units in every prunable stage (at least one survivor per
-// stage). Benchmarks want a controlled pruning ratio, not whatever
-// CAP'NN's algorithms produce for a particular preference.
+// `ratio` of units in every stage but the never-pruned output (at least
+// one survivor per stage). Benchmarks want a controlled pruning ratio,
+// not whatever CAP'NN's algorithms produce for a particular preference.
 func pruneRatioMasks(net *nn.Network, ratio float64) map[int][]bool {
 	if ratio <= 0 {
 		return nil
 	}
 	masks := map[int][]bool{}
-	for _, st := range net.Stages() {
+	stages := net.Stages()
+	for s, st := range stages[:len(stages)-1] {
 		units := st.Unit.Units()
 		k := int(float64(units) * ratio)
 		if k >= units {
@@ -223,7 +224,7 @@ func pruneRatioMasks(net *nn.Network, ratio float64) map[int][]bool {
 		for j := 0; j < k; j++ {
 			m[j] = true // true = pruned
 		}
-		masks[st.Index] = m
+		masks[s] = m
 	}
 	return masks
 }
@@ -344,7 +345,7 @@ func BenchmarkServeThroughput(b *testing.B) {
 // BenchmarkConvForward times the substrate's 3×3 convolution.
 func BenchmarkConvForward(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	conv, err := nn.NewConv2D("c", []int{8, 32, 32}, 16, 3, 1, 1, rng)
+	conv, err := nn.NewConv2D("c", []int{8, 32, 32}, 16, rng)
 	if err != nil {
 		b.Fatal(err)
 	}

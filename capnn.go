@@ -161,9 +161,8 @@ func EnergyBreakdown(net *Network, dev DeviceConfig, comp energy.Components) ([]
 const ByThiNet = baselines.ByThiNet
 
 // PruneUnaware applies a class-unaware baseline at the given fraction.
-func PruneUnaware(net *Network, stages []int, fraction float64, crit baselines.Criterion,
-	rates *firing.Rates, sampleSet *data.Dataset) (map[int][]bool, error) {
-	return baselines.PruneUnaware(net, stages, fraction, crit, rates, sampleSet)
+func PruneUnaware(net *Network, stages []int, fraction float64, crit baselines.Criterion, sampleSet *data.Dataset) (map[int][]bool, error) {
+	return baselines.PruneUnaware(net, stages, fraction, crit, sampleSet)
 }
 
 // --- personalization service -------------------------------------------------

@@ -150,7 +150,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 
 	// Baselines facade.
-	um, err := PruneUnaware(net, []int{0, 1}, 0.25, baselines.ByWeightNorm, nil, nil)
+	um, err := PruneUnaware(net, []int{0, 1}, 0.25, baselines.ByWeightNorm, nil)
 	if err != nil || len(um) != 2 {
 		t.Fatalf("unaware masks %v (%v)", um, err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	fmt.Printf("original model: %d parameters\n", origParams)
 
 	// Step 1: class-unaware channel pruning (ThiNet-style) + fine-tune.
-	masks, err := capnn.PruneUnaware(net, []int{0, 1}, 0.25, capnn.ByThiNet, nil, sets.Profile)
+	masks, err := capnn.PruneUnaware(net, []int{0, 1}, 0.25, capnn.ByThiNet, sets.Profile)
 	if err != nil {
 		log.Fatal(err)
 	}

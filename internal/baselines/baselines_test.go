@@ -68,8 +68,8 @@ func countPruned(m map[int][]bool) int {
 
 func TestPruneUnawareFractions(t *testing.T) {
 	f := getFixture(t)
-	for _, crit := range []Criterion{ByWeightNorm, ByMeanFiringRate, ByThiNet} {
-		masks, err := PruneUnaware(f.net, []int{0, 1, 2}, 0.25, crit, f.rates, f.sets.Profile)
+	for _, crit := range []Criterion{ByWeightNorm, ByThiNet} {
+		masks, err := PruneUnaware(f.net, []int{0, 1, 2}, 0.25, crit, f.sets.Profile)
 		if err != nil {
 			t.Fatalf("%v: %v", crit, err)
 		}
@@ -91,7 +91,7 @@ func TestPruneUnawareFractions(t *testing.T) {
 
 func TestPruneUnawareNeverEmptiesLayer(t *testing.T) {
 	f := getFixture(t)
-	masks, err := PruneUnaware(f.net, []int{0}, 0.99, ByWeightNorm, nil, nil)
+	masks, err := PruneUnaware(f.net, []int{0}, 0.99, ByWeightNorm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,16 +108,13 @@ func TestPruneUnawareNeverEmptiesLayer(t *testing.T) {
 
 func TestPruneUnawareValidation(t *testing.T) {
 	f := getFixture(t)
-	if _, err := PruneUnaware(f.net, []int{0}, 1.0, ByWeightNorm, nil, nil); err == nil {
+	if _, err := PruneUnaware(f.net, []int{0}, 1.0, ByWeightNorm, nil); err == nil {
 		t.Fatal("fraction 1.0 accepted")
 	}
-	if _, err := PruneUnaware(f.net, []int{99}, 0.5, ByWeightNorm, nil, nil); err == nil {
+	if _, err := PruneUnaware(f.net, []int{99}, 0.5, ByWeightNorm, nil); err == nil {
 		t.Fatal("bad stage accepted")
 	}
-	if _, err := PruneUnaware(f.net, []int{0}, 0.5, ByMeanFiringRate, nil, nil); err == nil {
-		t.Fatal("missing rates accepted")
-	}
-	if _, err := PruneUnaware(f.net, []int{0}, 0.5, ByThiNet, nil, nil); err == nil {
+	if _, err := PruneUnaware(f.net, []int{0}, 0.5, ByThiNet, nil); err == nil {
 		t.Fatal("missing sample set accepted")
 	}
 }
@@ -133,7 +130,7 @@ func TestWeightNormPrunesSmallestFilter(t *testing.T) {
 		w.Data()[i] = 1e-6
 	}
 	defer copy(w.Data()[3*per:4*per], saved)
-	masks, err := PruneUnaware(f.net, []int{0}, 0.2, ByWeightNorm, nil, nil)
+	masks, err := PruneUnaware(f.net, []int{0}, 0.2, ByWeightNorm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +141,7 @@ func TestWeightNormPrunesSmallestFilter(t *testing.T) {
 
 func TestFineTuneRecoversAccuracy(t *testing.T) {
 	f := getFixture(t)
-	masks, err := PruneUnaware(f.net, []int{0, 1, 2}, 0.25, ByWeightNorm, nil, nil)
+	masks, err := PruneUnaware(f.net, []int{0, 1, 2}, 0.25, ByWeightNorm, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +239,7 @@ func TestThiNetScoresUseDownstreamWeights(t *testing.T) {
 			w.Data()[i] = v
 		}
 	}()
-	masks, err := PruneUnaware(f.net, []int{0}, 0.2, ByThiNet, nil, f.sets.Profile)
+	masks, err := PruneUnaware(f.net, []int{0}, 0.2, ByThiNet, f.sets.Profile)
 	if err != nil {
 		t.Fatal(err)
 	}

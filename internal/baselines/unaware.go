@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"capnn/internal/data"
-	"capnn/internal/firing"
 	"capnn/internal/nn"
 	"capnn/internal/tensor"
 )
@@ -26,9 +25,6 @@ const (
 	// (filters for conv channels, rows for dense neurons) — the
 	// magnitude-based proxy for He et al.'s channel pruning [5].
 	ByWeightNorm Criterion = iota
-	// ByMeanFiringRate ranks units by their class-agnostic mean firing
-	// rate (1 − APoZ), i.e. Network-Trimming-style selection [6].
-	ByMeanFiringRate
 	// ByThiNet ranks units by their contribution to the next layer:
 	// E[a²]·‖W_next[:,unit]‖², the greedy reconstruction criterion of
 	// ThiNet [9] in its one-shot form.
@@ -39,8 +35,6 @@ func (c Criterion) String() string {
 	switch c {
 	case ByWeightNorm:
 		return "weight-norm"
-	case ByMeanFiringRate:
-		return "mean-firing-rate"
 	case ByThiNet:
 		return "thinet"
 	default:
@@ -49,12 +43,10 @@ func (c Criterion) String() string {
 }
 
 // PruneUnaware prunes the lowest-scoring fraction of units in each given
-// stage and returns the masks. rates are required for ByMeanFiringRate;
-// sampleSet is required for ByThiNet (activation statistics). fraction is
+// stage and returns the masks. sampleSet is required for ByThiNet (activation statistics). fraction is
 // the per-stage fraction of units to remove, in [0,1); at least one unit
 // always survives.
-func PruneUnaware(net *nn.Network, stages []int, fraction float64, crit Criterion,
-	rates *firing.Rates, sampleSet *data.Dataset) (map[int][]bool, error) {
+func PruneUnaware(net *nn.Network, stages []int, fraction float64, crit Criterion, sampleSet *data.Dataset) (map[int][]bool, error) {
 	if fraction < 0 || fraction >= 1 {
 		return nil, fmt.Errorf("baselines: fraction %v outside [0,1)", fraction)
 	}
@@ -82,18 +74,6 @@ func PruneUnaware(net *nn.Network, stages []int, fraction float64, crit Criterio
 		case ByWeightNorm:
 			if err := weightNormScores(unit, scores); err != nil {
 				return nil, err
-			}
-		case ByMeanFiringRate:
-			if rates == nil || rates.Layers[si] == nil {
-				return nil, fmt.Errorf("baselines: no firing rates for stage %d", si)
-			}
-			lr := rates.Layers[si]
-			for n := 0; n < units; n++ {
-				s := 0.0
-				for c := 0; c < lr.Classes; c++ {
-					s += lr.At(n, c)
-				}
-				scores[n] = s / float64(lr.Classes)
 			}
 		case ByThiNet:
 			next, err := nextUnitLayer(all, si)
@@ -269,7 +249,7 @@ func secondMoments(net *nn.Network, ds *data.Dataset, stageIdx []int) (map[int][
 			idx[i] = start + i
 		}
 		x, _ := ds.Batch(idx)
-		net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
+		net.InferObserved(x, func(stage int, post *tensor.Tensor) {
 			if f := observe[stage]; f != nil {
 				f(post)
 			}

@@ -218,7 +218,7 @@ func NewGateway(nodes []string, cfg Config) (*Gateway, error) {
 func (g *Gateway) newNodeState(addr string) *nodeState {
 	h := newNodeHealth(g.cfg.FailThreshold, g.cfg.Cooldown)
 	h.OnTransition = func(from, to breaker.State) {
-		g.events.Record("node-breaker", addr, fmt.Sprintf("%s -> %s", from, to), nil)
+		g.events.Record("node-breaker", addr, fmt.Sprintf("%s -> %s", from, to))
 	}
 	wire := rpc.NewClient[serve.WireRequest, serve.WireResponse](addr, g.cfg.DialTimeout, maxIdlePerNode)
 	wire.OnRedial = g.st.retried
@@ -355,11 +355,11 @@ func (g *Gateway) broadcastRing(ring *Ring) {
 			req := &serve.WireRequest{Version: cloud.ProtocolVersion, Op: serve.OpRingUpdate, Payload: u.AppendWire(nil)}
 			resp, err := ns.wire.Do(req, time.Now().Add(g.cfg.ProbeTimeout))
 			if err != nil {
-				g.events.Record("ring-broadcast-failed", addr, err.Error(), nil)
+				g.events.Record("ring-broadcast-failed", addr, err.Error())
 				return
 			}
 			if resp.Code != cloud.CodeOK {
-				g.events.Record("ring-broadcast-failed", addr, fmt.Sprintf("[%s] %s", resp.Code, resp.Err), nil)
+				g.events.Record("ring-broadcast-failed", addr, fmt.Sprintf("[%s] %s", resp.Code, resp.Err))
 			}
 		}(addr, ns)
 	}

@@ -122,22 +122,22 @@ func (st *gstats) wrongOwner() { st.wrongOwnerC.Inc() }
 // "leave", "restore").
 func (st *gstats) ringChanged(reason, addr string, next *Ring) {
 	st.events.Record("ring-changed", addr,
-		fmt.Sprintf("%s: epoch %d, %d members", reason, next.Epoch(), next.Len()), nil)
+		fmt.Sprintf("%s: epoch %d, %d members", reason, next.Epoch(), next.Len()))
 }
 
 func (st *gstats) failedOver(addr string) {
 	st.failoverC.Inc()
-	st.events.Record("failover", addr, "attempt failed, moved to next replica", nil)
+	st.events.Record("failover", addr, "attempt failed, moved to next replica")
 }
 
 func (st *gstats) shedReq() {
 	st.shedVec.With(gwShedDraining).Inc()
-	st.events.Record("shed", "", gwShedDraining, nil)
+	st.events.Record("shed", "", gwShedDraining)
 }
 
 func (st *gstats) shedExpired() {
 	st.shedVec.With(gwShedExpired).Inc()
-	st.events.Record("shed", "", gwShedExpired, nil)
+	st.events.Record("shed", "", gwShedExpired)
 }
 
 // tenantAdmitted / tenantShed record one (tenant, lane) admission
@@ -149,7 +149,7 @@ func (st *gstats) tenantAdmitted(tenant, lane string) {
 func (st *gstats) tenantShed(tenant, lane string) {
 	st.shedVec.With(gwShedOverQuota).Inc()
 	st.tenantShedVec.With(tenant, lane).Inc()
-	st.events.Record("shed", tenant+"/"+lane, gwShedOverQuota, nil)
+	st.events.Record("shed", tenant+"/"+lane, gwShedOverQuota)
 }
 
 func (st *gstats) snapshot() Stats {

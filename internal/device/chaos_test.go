@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"net"
 	"strings"
@@ -118,6 +119,12 @@ func TestCorruptPayloadDetected(t *testing.T) {
 	}
 	foreignStage := serve.MaskPayload{Base: good.Base, Masks: map[int][]bool{99: {true}}}
 	foreignBase := serve.MaskPayload{Base: good.Base ^ 1, Masks: good.Masks}
+	// The good masks plus output unit 1 pruned: compacted, a model with
+	// one logit fewer than the classes the device classifies.
+	last := len(f.sys.Net.Stages()) - 1
+	outputUnit := serve.MaskPayload{Base: good.Base, Masks: maps.Clone(good.Masks)}
+	outputUnit.Masks[last] = make([]bool, f.sys.Net.Stages()[last].Unit.Units())
+	outputUnit.Masks[last][1] = true
 
 	for _, tc := range []struct {
 		name      string
@@ -128,6 +135,7 @@ func TestCorruptPayloadDetected(t *testing.T) {
 		{"truncated", resp.Payload[:len(resp.Payload)-1], true, "mask payload"},
 		{"stage outside the base", foreignStage.AppendWire(nil), true, "stage 99"},
 		{"another base", foreignBase.AppendWire(nil), false, "base network"},
+		{"output unit pruned", outputUnit.AppendWire(nil), true, fmt.Sprintf("output stage %d", last)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			answer := &serve.WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK, Payload: tc.payload}

@@ -100,7 +100,7 @@ func buildUnawareBaseline(fx *Fixture, bl stackedBaseline) (*nn.Network, float64
 			convStages = append(convStages, i)
 		}
 	}
-	masks, err := baselines.PruneUnaware(fx.Net, convStages, bl.fraction, bl.crit, nil, fx.Sets.Profile)
+	masks, err := baselines.PruneUnaware(fx.Net, convStages, bl.fraction, bl.crit, fx.Sets.Profile)
 	if err != nil {
 		return nil, 0, err
 	}

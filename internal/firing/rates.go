@@ -134,7 +134,7 @@ func ComputeWorkers(net *nn.Network, ds *data.Dataset, stageIdx []int, workers i
 		for j := range fired {
 			fired[j] = make([]int64, units[j]*ds.Classes)
 		}
-		logits := net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
+		logits := net.InferObserved(x, func(stage int, post *tensor.Tensor) {
 			pos, ok := stagePos[stage]
 			if !ok {
 				return

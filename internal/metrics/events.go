@@ -23,8 +23,6 @@ type Event struct {
 	Source string `json:"source,omitempty"`
 	// Cause is the human-readable reason.
 	Cause string `json:"cause,omitempty"`
-	// Fields carries any extra structured context.
-	Fields map[string]string `json:"fields,omitempty"`
 }
 
 // EventLog is a bounded in-memory ring of recent events, exposed as
@@ -60,10 +58,10 @@ func (l *EventLog) SetNow(now func() time.Time) {
 }
 
 // Record appends one event, stamping its time and sequence number.
-func (l *EventLog) Record(typ, source, cause string, fields map[string]string) {
+func (l *EventLog) Record(typ, source, cause string) {
 	l.mu.Lock()
 	l.seq++
-	l.buf[l.next] = Event{Seq: l.seq, Time: l.now(), Type: typ, Source: source, Cause: cause, Fields: fields}
+	l.buf[l.next] = Event{Seq: l.seq, Time: l.now(), Type: typ, Source: source, Cause: cause}
 	l.next++
 	if l.next == len(l.buf) {
 		l.next = 0

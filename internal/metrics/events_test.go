@@ -15,7 +15,7 @@ func TestEventLogRingAndSeq(t *testing.T) {
 	l.SetNow(func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) })
 
 	for i := 0; i < 6; i++ {
-		l.Record("failover", "node-a", "timeout", nil)
+		l.Record("failover", "node-a", "timeout")
 	}
 	if l.Total() != 6 {
 		t.Fatalf("total = %d, want 6", l.Total())
@@ -41,13 +41,13 @@ func TestEventLogRingAndSeq(t *testing.T) {
 
 func TestEventLogDefaultsAndFields(t *testing.T) {
 	l := NewEventLog(0)
-	l.Record("shed", "tenant:batch", "over-quota", map[string]string{"lane": "bulk"})
+	l.Record("shed", "tenant:batch", "over-quota")
 	got := l.Snapshot(0)
 	if len(got) != 1 {
 		t.Fatalf("len = %d", len(got))
 	}
 	e := got[0]
-	if e.Type != "shed" || e.Source != "tenant:batch" || e.Cause != "over-quota" || e.Fields["lane"] != "bulk" {
+	if e.Type != "shed" || e.Source != "tenant:batch" || e.Cause != "over-quota" {
 		t.Fatalf("event = %+v", e)
 	}
 	if e.Time.IsZero() {
@@ -58,8 +58,8 @@ func TestEventLogDefaultsAndFields(t *testing.T) {
 func TestDebugEventsEndpoint(t *testing.T) {
 	reg := NewRegistry()
 	log := NewEventLog(8)
-	log.Record("heal", "class-3", "breaker half-open probe", nil)
-	log.Record("breaker", "", "open -> half-open", nil)
+	log.Record("heal", "class-3", "breaker half-open probe")
+	log.Record("breaker", "", "open -> half-open")
 	mux := NewMux(reg, log)
 
 	rr := httptest.NewRecorder()

@@ -48,37 +48,32 @@ func (r *ReLU) Backward(grad *tensor.Tensor) *tensor.Tensor {
 	return dx
 }
 
-// MaxPool2D is max pooling over NCHW batches with a square window.
+// MaxPool2D is max pooling over NCHW batches with 2×2 windows that do
+// not overlap (step 2), VGG-16's only pool: an odd last row or column is
+// dropped.
 type MaxPool2D struct {
-	name          string
-	c, inH, inW   int
-	k, stride     int
-	outH, outW    int
-	lastArg       []int // flat input index of each output's max
-	lastBatch     int
-	lastArgStride int
+	name        string
+	c, inH, inW int
+	outH, outW  int
+	lastArg     []int // flat input index of each output's max
+	lastBatch   int
 }
 
 // NewMaxPool2D constructs a pool layer for per-sample input [C, H, W].
-func NewMaxPool2D(name string, inShape []int, k, stride int) (*MaxPool2D, error) {
+func NewMaxPool2D(name string, inShape []int) (*MaxPool2D, error) {
 	if len(inShape) != 3 {
 		return nil, fmt.Errorf("nn: pool %q needs [C,H,W] input shape, got %v", name, inShape)
 	}
 	c, h, w := inShape[0], inShape[1], inShape[2]
-	if k <= 0 || stride <= 0 || k > h || k > w {
-		return nil, fmt.Errorf("nn: pool %q invalid window k=%d stride=%d for input %v", name, k, stride, inShape)
-	}
-	outH := (h-k)/stride + 1
-	outW := (w-k)/stride + 1
-	if outH <= 0 || outW <= 0 {
+	if h < 2 || w < 2 {
 		return nil, fmt.Errorf("nn: pool %q empty output for input %v", name, inShape)
 	}
-	return &MaxPool2D{name: name, c: c, inH: h, inW: w, k: k, stride: stride, outH: outH, outW: outW}, nil
+	return &MaxPool2D{name: name, c: c, inH: h, inW: w, outH: h / 2, outW: w / 2}, nil
 }
 
-// geom is the pool's window geometry in the kernels' terms (outC = inC).
+// geom is the pool's planes in the kernels' terms (outC = inC).
 func (p *MaxPool2D) geom() convGeom {
-	return convGeom{inC: p.c, inH: p.inH, inW: p.inW, outC: p.c, outH: p.outH, outW: p.outW, k: p.k, stride: p.stride}
+	return convGeom{inC: p.c, inH: p.inH, inW: p.inW, outC: p.c, outH: p.outH, outW: p.outW}
 }
 
 func (p *MaxPool2D) Name() string     { return p.name }
@@ -95,11 +90,10 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	outHW := p.outH * p.outW
 	inHW := p.inH * p.inW
 	p.lastBatch = n
-	p.lastArgStride = p.c * outHW
-	if cap(p.lastArg) < n*p.lastArgStride {
-		p.lastArg = make([]int, n*p.lastArgStride)
+	if cap(p.lastArg) < out.Len() {
+		p.lastArg = make([]int, out.Len())
 	}
-	p.lastArg = p.lastArg[:n*p.lastArgStride]
+	p.lastArg = p.lastArg[:out.Len()]
 	xd, od := x.Data(), out.Data()
 	for s := 0; s < n; s++ {
 		for c := 0; c < p.c; c++ {
@@ -107,20 +101,15 @@ func (p *MaxPool2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 			oBase := (s*p.c + c) * outHW
 			for oy := 0; oy < p.outH; oy++ {
 				for ox := 0; ox < p.outW; ox++ {
-					iy0, ix0 := oy*p.stride, ox*p.stride
-					best := xCh[iy0*p.inW+ix0]
-					arg := iy0*p.inW + ix0
-					for ky := 0; ky < p.k; ky++ {
-						for kx := 0; kx < p.k; kx++ {
-							v := xCh[(iy0+ky)*p.inW+ix0+kx]
-							if v > best {
-								best = v
-								arg = (iy0+ky)*p.inW + ix0 + kx
-							}
+					arg := 2*oy*p.inW + 2*ox
+					best := xCh[arg]
+					for _, i := range [3]int{arg + 1, arg + p.inW, arg + p.inW + 1} {
+						if v := xCh[i]; v > best {
+							best, arg = v, i
 						}
 					}
 					od[oBase+oy*p.outW+ox] = best
-					p.lastArg[s*p.lastArgStride+c*outHW+oy*p.outW+ox] = (s*p.c+c)*inHW + arg
+					p.lastArg[oBase+oy*p.outW+ox] = (s*p.c+c)*inHW + arg
 				}
 			}
 		}

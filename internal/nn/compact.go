@@ -1,17 +1,22 @@
 package nn
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // CompactMasked returns a physically smaller copy of net in which every
 // unit masks prunes has been removed: a pruned conv channel drops its
 // filters and bias plus the matching input slices of the next layer; a
 // pruned dense neuron drops its weight row, bias, and the matching
 // columns downstream. masks has the unit-layer indexing Network.Infer
-// takes; nil masks or absent indices leave a stage unpruned, and a mask
-// keyed at a stage net does not have is an error. The returned
-// network computes exactly net.Infer(x, masks) (verified by the test
-// suite) and its ParamCount is the paper's "number of unique parameters"
-// model-size metric. It fails if pruning would empty a layer entirely.
+// takes; nil masks or absent indices leave a stage unpruned. A mask keyed
+// at a stage net does not have is an error, and so is one that prunes a
+// unit of the output stage: a model with fewer logits than classes cannot
+// classify. The returned network computes exactly net.Infer(x, masks)
+// (verified by the test suite) and its ParamCount is the paper's "number
+// of unique parameters" model-size metric. It fails if pruning would
+// empty a layer entirely.
 //
 // CompactMasked never reads or writes any mutable field of net — only
 // the weights — so it is safe to run concurrently with Infer calls, the
@@ -21,12 +26,12 @@ func CompactMasked(net *Network, masks map[int][]bool) (*Network, error) {
 	if err := checkStages(net, masks); err != nil {
 		return nil, fmt.Errorf("nn: compact: %w", err)
 	}
-	cnet, _, err := compactMaskedKeep(net.Layers, net.InShape, 0, masks)
-	return cnet, err
+	return compactLayers(net.Layers, net.InShape, 0, masks)
 }
 
-// checkStages refuses masks keyed at a stage outside net's [0, units):
-// unread, such a mask would yield an unpruned copy and no error.
+// checkStages refuses masks keyed at a stage outside net's [0, units) —
+// unread, such a mask would yield an unpruned copy and no error — and a
+// mask that prunes a unit of the output stage, which CAP'NN never prunes.
 func checkStages(net *Network, masks map[int][]bool) error {
 	units := len(net.Stages())
 	for s := range masks {
@@ -34,16 +39,15 @@ func checkStages(net *Network, masks map[int][]bool) error {
 			return fmt.Errorf("mask for stage %d, but the network has stages 0 to %d", s, units-1)
 		}
 	}
+	if slices.Contains(masks[units-1], true) {
+		return fmt.Errorf("mask prunes a unit of the output stage %d, which is never pruned", units-1)
+	}
 	return nil
 }
 
-// compactMaskedKeep is CompactMasked of the network layers, whose input
-// has shape inShape and whose first unit layer is stage first, plus the
-// final keep mask: one bool per feature of the ORIGINAL network's
-// flattened output, true where the compacted output carries that feature
-// and false where the masked original would emit a (exactly +0.0) pruned
-// output. Compile uses it to scatter compacted outputs back to full width.
-func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][]bool) (*Network, []bool, error) {
+// compactLayers is CompactMasked of the network layers, whose input has
+// shape inShape and whose first unit layer is stage first.
+func compactLayers(layers []Layer, inShape []int, first int, masks map[int][]bool) (*Network, error) {
 	out := &Network{InShape: append([]int(nil), inShape...)}
 	// keep[i] reports whether feature i of the current inter-layer
 	// signal survives. It starts as all-true over the input channels.
@@ -57,16 +61,16 @@ func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][
 			unit++
 			mask := masks[unit]
 			if mask != nil && len(mask) != t.outC {
-				return nil, nil, fmt.Errorf("nn: compact conv %q mask length %d, want %d", t.name, len(mask), t.outC)
+				return nil, fmt.Errorf("nn: compact conv %q mask length %d, want %d", t.name, len(mask), t.outC)
 			}
 			outKeep := notPruned(mask, t.outC)
 			newIn, newOut := count(keep), count(outKeep)
 			if newOut == 0 {
-				return nil, nil, fmt.Errorf("nn: compact would remove every channel of %q", t.name)
+				return nil, fmt.Errorf("nn: compact would remove every channel of %q", t.name)
 			}
-			nc, err := NewConv2DUninit(t.name, []int{newIn, cur[1], cur[2]}, newOut, t.k, t.stride, t.pad)
+			nc, err := NewConv2DUninit(t.name, []int{newIn, cur[1], cur[2]}, newOut)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			copyConvWeights(nc, t, keep, outKeep)
 			out.Layers = append(out.Layers, nc)
@@ -77,16 +81,16 @@ func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][
 			unit++
 			mask := masks[unit]
 			if mask != nil && len(mask) != t.out {
-				return nil, nil, fmt.Errorf("nn: compact dense %q mask length %d, want %d", t.name, len(mask), t.out)
+				return nil, fmt.Errorf("nn: compact dense %q mask length %d, want %d", t.name, len(mask), t.out)
 			}
 			outKeep := notPruned(mask, t.out)
 			newIn, newOut := count(keep), count(outKeep)
 			if newOut == 0 {
-				return nil, nil, fmt.Errorf("nn: compact would remove every neuron of %q", t.name)
+				return nil, fmt.Errorf("nn: compact would remove every neuron of %q", t.name)
 			}
 			nd, err := NewDenseUninit(t.name, []int{newIn}, newOut)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			copyDenseWeights(nd, t, keep, outKeep)
 			out.Layers = append(out.Layers, nd)
@@ -98,9 +102,9 @@ func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][
 			out.Layers = append(out.Layers, nr)
 
 		case *MaxPool2D:
-			np, err := NewMaxPool2D(t.name, compactShape(cur, keep), t.k, t.stride)
+			np, err := NewMaxPool2D(t.name, compactShape(cur, keep))
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
 			out.Layers = append(out.Layers, np)
 			cur = []int{cur[0], np.outH, np.outW}
@@ -120,22 +124,10 @@ func compactMaskedKeep(layers []Layer, inShape []int, first int, masks map[int][
 			cur = nf.OutShape()
 
 		default:
-			return nil, nil, fmt.Errorf("nn: compact does not support layer type %T", l)
+			return nil, fmt.Errorf("nn: compact does not support layer type %T", l)
 		}
 	}
-	// Expand the final keep mask to per-feature granularity of the
-	// original output: channel-level masks repeat over the spatial plane.
-	keepOut := keep
-	if len(cur) == 3 {
-		hw := cur[1] * cur[2]
-		keepOut = make([]bool, 0, len(keep)*hw)
-		for _, k := range keep {
-			for i := 0; i < hw; i++ {
-				keepOut = append(keepOut, k)
-			}
-		}
-	}
-	return out, keepOut, nil
+	return out, nil
 }
 
 // compactShape shrinks the leading (channel/feature) dimension of a
@@ -146,10 +138,10 @@ func compactShape(cur []int, keep []bool) []int {
 	return s
 }
 
-// copyConvWeights copies the kept filters' kept k·k input planes, one
-// contiguous run each, between the [outC, inC, k, k] weight slices.
+// copyConvWeights copies the kept filters' kept 3×3 input planes, one
+// contiguous run each, between the [outC, inC, 3, 3] weight slices.
 func copyConvWeights(dst, src *Conv2D, inKeep, outKeep []bool) {
-	kk := src.k * src.k
+	const kk = convK * convK
 	sw, dw := src.w.W.Data(), dst.w.W.Data()
 	sb, db := src.b.W.Data(), dst.b.W.Data()
 	do, d := 0, 0

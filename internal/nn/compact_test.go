@@ -124,7 +124,10 @@ func TestCompactRejectsEmptyLayer(t *testing.T) {
 
 // A mask keyed at a stage the network does not have is an error naming
 // the stage, in CompactMasked and Compile alike — never an unpruned copy
-// installed as if the masks had applied.
+// installed as if the masks had applied. So is a mask that prunes a unit
+// of the output stage, which CAP'NN never prunes: compacted, it would be
+// a model with fewer logits than classes. A mask there that prunes
+// nothing is taken.
 func TestMasksOutsideTheNetworkRefused(t *testing.T) {
 	net := NewBuilder(1, 4, 4, 3).Conv(2).ReLU().Flatten().Dense(3).ReLU().Dense(2).MustBuild()
 	for _, tc := range []struct {
@@ -135,6 +138,7 @@ func TestMasksOutsideTheNetworkRefused(t *testing.T) {
 		{map[int][]bool{7: {}}, "stage 7"},
 		{map[int][]bool{-1: {true}}, "stage -1"},
 		{map[int][]bool{0: {false, true}, 3: {true}}, "stage 3"},
+		{map[int][]bool{0: {false, true}, 2: {false, true}}, "output stage 2"},
 	} {
 		if _, err := CompactMasked(net, tc.masks); err == nil || !strings.Contains(err.Error(), tc.stage) {
 			t.Errorf("CompactMasked(%v) = %v, want an error naming %s", tc.masks, err, tc.stage)
@@ -143,8 +147,12 @@ func TestMasksOutsideTheNetworkRefused(t *testing.T) {
 			t.Errorf("Compile(%v) = %v, want an error naming %s", tc.masks, err, tc.stage)
 		}
 	}
-	if _, err := CompactMasked(net, map[int][]bool{0: {false, true}, 2: {false, false}}); err != nil {
+	own := map[int][]bool{0: {false, true}, 2: {false, false}}
+	if _, err := CompactMasked(net, own); err != nil {
 		t.Fatalf("masks on the network's own stages refused: %v", err)
+	}
+	if _, err := Compile(net, own); err != nil {
+		t.Fatalf("masks on the network's own stages refused by Compile: %v", err)
 	}
 }
 

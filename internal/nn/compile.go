@@ -46,7 +46,6 @@ const (
 	opDense
 	opReLU
 	opPool
-	opScatter
 )
 
 // compiledOp is one step of the lowered plan. Flatten is elided at
@@ -61,12 +60,11 @@ type compiledOp struct {
 	bd      []float64 // conv: bias
 	pk      []float64 // dense, conv on a 2-wide plane: the panel [bias; Wᵀ] (packLanes)
 	offs    []int     // conv: g.tapOffsets(nil), built once here rather than per call
-	idx     []int     // scatter: full-width position of each compact feature
 	in      int       // per-sample input elems
 	out     int       // per-sample output elems
 	plane   int       // conv: arena offset of the padded input plane its taps read; dense: of its filter [+1, x…]
 	at      int       // arena offset of the output's first element (the last op stores to the caller's)
-	row, ch int       // conv/pool: the output's row and channel strides from at (lay)
+	row, ch int       // conv/pool: the output's row and channel pitches from at (lay)
 }
 
 // Compiled is a physically compacted network lowered to an op plan.
@@ -103,8 +101,8 @@ type Prefix struct {
 	plan  *Compiled // net.Layers[:split]'s plan; nil when split is 0
 }
 
-// NewPrefix lowers net's layers before the unit layer of stage (the
-// Stage.Index of Stages) and probes them once against Infer. Stage 0
+// NewPrefix lowers net's layers before the unit layer of stage (its
+// position in Stages) and probes them once against Infer. Stage 0
 // leaves an empty prefix: every Compile on it lowers the whole network.
 func NewPrefix(net *Network, stage int) (*Prefix, error) {
 	p := &Prefix{net: net, stage: stage}
@@ -125,7 +123,7 @@ func NewPrefix(net *Network, stage int) (*Prefix, error) {
 	}
 	head := &Network{InShape: net.InShape, Layers: net.Layers[:p.split]}
 	var err error
-	if p.plan, err = plan(head, nil, nil); err == nil {
+	if p.plan, err = plan(head); err == nil {
 		err = p.plan.verify(head.Layers, 0, nil, net.InShape)
 	}
 	if err != nil {
@@ -144,7 +142,8 @@ func (p *Prefix) Bytes() int64 {
 }
 
 // Compile compacts net under masks (same indexing as Infer; nil prunes
-// nothing) and lowers it to an op plan. Before returning, it pushes a
+// nothing, and as in CompactMasked no mask may prune an output unit) and
+// lowers it to an op plan. Before returning, it pushes a
 // deterministic probe batch through both the compiled plan and the
 // masked base network and fails unless the outputs are bit-for-bit
 // identical — so a successful Compile guarantees Infer parity.
@@ -168,11 +167,11 @@ func (p *Prefix) Compile(masks map[int][]bool) (*Compiled, error) {
 	if p.split > 0 {
 		inShape = layers[0].InShape()
 	}
-	cnet, keep, err := compactMaskedKeep(layers, inShape, p.stage, masks)
+	cnet, err := compactLayers(layers, inShape, p.stage, masks)
 	if err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
 	}
-	c, err := plan(cnet, keep, p.net.Layers[len(p.net.Layers)-1].OutShape())
+	c, err := plan(cnet)
 	if err != nil {
 		return nil, fmt.Errorf("nn: compile: %w", err)
 	}
@@ -190,9 +189,8 @@ func (p *Prefix) Compile(masks map[int][]bool) (*Compiled, error) {
 }
 
 // plan lowers a (already compacted) network into a Compiled without
-// verification. keep is the final stage's surviving units out of the
-// base network's outShape.
-func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
+// verification.
+func plan(cnet *Network) (*Compiled, error) {
 	c := &Compiled{
 		inShape: append([]int(nil), cnet.InShape...),
 		inSize:  shapeElems(cnet.InShape),
@@ -224,20 +222,6 @@ func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 		c.ops = append(c.ops, op)
 	}
 	c.outShape = append([]int(nil), cnet.Layers[len(cnet.Layers)-1].OutShape()...)
-	// When the final stage itself is pruned, the compacted output is
-	// narrower than the masked one. Append a scatter that expands it back
-	// to full width with +0.0 at pruned positions — exactly the values
-	// the masked path emits there — preserving shape and bit-identity.
-	if count(keep) != len(keep) {
-		idx := make([]int, 0, count(keep))
-		for i, k := range keep {
-			if k {
-				idx = append(idx, i)
-			}
-		}
-		c.ops = append(c.ops, compiledOp{kind: opScatter, idx: idx, in: len(idx), out: len(keep)})
-		c.outShape = append([]int(nil), outShape...)
-	}
 	c.outSize = shapeElems(c.outShape)
 	c.lay()
 	c.pool.New = func() any { a := make([]float64, c.arena); return &a }
@@ -247,7 +231,7 @@ func plan(cnet *Network, keep []bool, outShape []int) (*Compiled, error) {
 // lay gives every op boundary its place in one sample's arena. Each conv
 // owns a region holding its padded input plane, and a conv or pool right
 // before it stores straight into that plane's interior at the plane's
-// row and channel strides: the border, zeroed when the arena is
+// row and channel pitches: the border, zeroed when the arena is
 // allocated, is never stored to, so the taps read there the +0 padInput
 // would have copied. Only a conv whose input arrives dense — op 0's
 // request, a lone ReLU's output — copies it in with padInput. A dense op
@@ -382,7 +366,7 @@ func (c *Compiled) dst(i int, out, arena []float64) []float64 {
 
 // run executes one op on one sample: src is the previous op's dst (the
 // request for op 0), which a conv reads only when padIn; dst is where it
-// stores, at row/ch strides for a conv or pool. Every op writes each of
+// stores, at row/ch pitches for a conv or pool. Every op writes each of
 // its output elements (the kernels' bias-first / assignment forms with a
 // nil prune mask), so whatever an interior or dense region held is never
 // read.
@@ -408,19 +392,13 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 		}
 	case opReLU:
 		reluForward(dst[:op.in], src[:op.in])
-	case opScatter:
-		os := dst[:op.out]
-		clear(os)
-		for j, v := range src[:op.in] {
-			os[op.idx[j]] = v
-		}
 	case opPool:
 		op.g.poolForward(src, dst, op.row, op.ch)
 	}
 }
 
 // macs is a conv op's multiply-accumulates over its filled plane, stored
-// to dst at the op's strides: with AVX-512, on the lane tile when the op
+// to dst at the op's pitches: with AVX-512, on the lane tile when the op
 // has a panel.
 func (op *compiledOp) macs(plane, dst []float64) {
 	if op.pk != nil && useAVX512 {

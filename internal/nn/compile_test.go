@@ -49,38 +49,41 @@ func randVGGNet(rng *rand.Rand) *Network {
 
 // randMasks draws a random structured mask set for net, cycling through
 // the shapes the issue calls out: nil (nothing pruned), random, a
-// single-unit survivor, and all-clear (explicit all-false masks).
+// single-unit survivor, and all-clear (explicit all-false masks). The
+// output stage is never pruned, as no mask source prunes it: all-clear
+// gives it an explicit mask that prunes nothing, the others none.
 func randMasks(rng *rand.Rand, net *Network, variant int) map[int][]bool {
 	stages := net.Stages()
+	hidden := stages[:len(stages)-1]
 	switch variant % 4 {
 	case 0:
 		return nil
 	case 1: // random ~40% pruning, at least one survivor per stage
 		masks := map[int][]bool{}
-		for _, st := range stages {
+		for s, st := range hidden {
 			m := make([]bool, st.Unit.Units())
 			for j := range m {
 				m[j] = rng.Float64() < 0.4
 			}
 			m[rng.Intn(len(m))] = false
-			masks[st.Index] = m
+			masks[s] = m
 		}
 		return masks
 	case 2: // single-unit survivor in every stage
 		masks := map[int][]bool{}
-		for _, st := range stages {
+		for s, st := range hidden {
 			m := make([]bool, st.Unit.Units())
 			for j := range m {
 				m[j] = true
 			}
 			m[rng.Intn(len(m))] = false
-			masks[st.Index] = m
+			masks[s] = m
 		}
 		return masks
 	default: // all-clear: explicit masks that prune nothing
 		masks := map[int][]bool{}
-		for _, st := range stages {
-			masks[st.Index] = make([]bool, st.Unit.Units())
+		for s, st := range stages {
+			masks[s] = make([]bool, st.Unit.Units())
 		}
 		return masks
 	}

@@ -7,28 +7,31 @@ import (
 	"capnn/internal/tensor"
 )
 
-// Conv2D is a 2-D convolution over NCHW batches. Weights have shape
-// [outC, inC, K, K]; bias has shape [outC]. Output channels are the
-// prunable units.
+// Conv2D is a 3×3 convolution at step 1 with one pad cell on every
+// side, so its output plane is its input's, over NCHW batches: VGG-16's
+// only conv. Weights have shape [outC, inC, 3, 3]; bias has shape
+// [outC]. Output channels are the prunable units.
 type Conv2D struct {
-	name                 string
-	inC, inH, inW        int
-	outC, k, stride, pad int
-	outH, outW           int
+	name          string
+	inC, inH, inW int
+	outC          int
 
 	w, b *Param
 
 	lastIn *tensor.Tensor
 }
 
+// convK and convPad are every conv's kernel side and padding.
+const convK, convPad = 3, 1
+
 // NewConv2D constructs a convolution for the given per-sample input shape
 // [inC, inH, inW]. Weights are He-initialized from rng; bias starts at 0.
-func NewConv2D(name string, inShape []int, outC, k, stride, pad int, rng *rand.Rand) (*Conv2D, error) {
-	c, err := NewConv2DUninit(name, inShape, outC, k, stride, pad)
+func NewConv2D(name string, inShape []int, outC int, rng *rand.Rand) (*Conv2D, error) {
+	c, err := NewConv2DUninit(name, inShape, outC)
 	if err != nil {
 		return nil, err
 	}
-	c.w.W.FillHe(rng, inShape[0]*k*k)
+	c.w.W.FillHe(rng, inShape[0]*convK*convK)
 	return c, nil
 }
 
@@ -36,34 +39,27 @@ func NewConv2D(name string, inShape []int, outC, k, stride, pad int, rng *rand.R
 // allocation path for callers that overwrite every parameter anyway
 // (compaction, deserialization), which would otherwise pay for a full
 // random init just to discard it.
-func NewConv2DUninit(name string, inShape []int, outC, k, stride, pad int) (*Conv2D, error) {
+func NewConv2DUninit(name string, inShape []int, outC int) (*Conv2D, error) {
 	if len(inShape) != 3 {
 		return nil, fmt.Errorf("nn: conv %q needs [C,H,W] input shape, got %v", name, inShape)
 	}
 	inC, inH, inW := inShape[0], inShape[1], inShape[2]
-	if outC <= 0 || k <= 0 || stride <= 0 || pad < 0 {
-		return nil, fmt.Errorf("nn: conv %q invalid config outC=%d k=%d stride=%d pad=%d", name, outC, k, stride, pad)
+	if outC <= 0 {
+		return nil, fmt.Errorf("nn: conv %q needs output channels, got outC=%d", name, outC)
 	}
-	outH := (inH+2*pad-k)/stride + 1
-	outW := (inW+2*pad-k)/stride + 1
-	if outH <= 0 || outW <= 0 {
+	if inH <= 0 || inW <= 0 {
 		return nil, fmt.Errorf("nn: conv %q produces empty output for input %v", name, inShape)
 	}
-	c := &Conv2D{
-		name: name,
-		inC:  inC, inH: inH, inW: inW,
-		outC: outC, k: k, stride: stride, pad: pad,
-		outH: outH, outW: outW,
-	}
-	c.w = &Param{Name: name + ".w", W: tensor.New(outC, inC, k, k), G: tensor.New(outC, inC, k, k)}
+	c := &Conv2D{name: name, inC: inC, inH: inH, inW: inW, outC: outC}
+	c.w = &Param{Name: name + ".w", W: tensor.New(outC, inC, convK, convK), G: tensor.New(outC, inC, convK, convK)}
 	c.b = &Param{Name: name + ".b", W: tensor.New(outC), G: tensor.New(outC)}
 	return c, nil
 }
 
 func (c *Conv2D) Name() string     { return c.name }
-func (c *Conv2D) Kernel() int      { return c.k }
+func (c *Conv2D) Kernel() int      { return convK }
 func (c *Conv2D) InShape() []int   { return []int{c.inC, c.inH, c.inW} }
-func (c *Conv2D) OutShape() []int  { return []int{c.outC, c.outH, c.outW} }
+func (c *Conv2D) OutShape() []int  { return []int{c.outC, c.inH, c.inW} }
 func (c *Conv2D) Params() []*Param { return []*Param{c.w, c.b} }
 
 // Weights exposes the filter tensor [outC, inC, K, K]; baselines rank
@@ -75,12 +71,12 @@ func (c *Conv2D) Units() int              { return c.outC }
 // forward with nothing pruned, plus the cached input Backward needs.
 func (c *Conv2D) Forward(x *tensor.Tensor) *tensor.Tensor {
 	c.lastIn = x
-	out := tensor.New(x.Dim(0), c.outC, c.outH, c.outW)
+	out := tensor.New(x.Dim(0), c.outC, c.inH, c.inW)
 	c.forward(x.Data(), out.Data(), x.Dim(0), nil, false)
 	return out
 }
 
-func (c *Conv2D) outLen() int { return c.outC * c.outH * c.outW }
+func (c *Conv2D) outLen() int { return c.outC * c.inH * c.inW }
 
 // forward runs n samples through the shared direct-convolution kernel
 // (unitForward), touching no layer state.
@@ -101,7 +97,7 @@ func (c *Conv2D) forwardMinor(xd, od []float64, n int, pruned []bool, relu bool)
 	c.geom().convMinor(xd, c.w.W.Data(), c.b.W.Data(), od, n, pruned, relu)
 }
 
-func (c *Conv2D) planeW() int { return c.outW }
+func (c *Conv2D) planeW() int { return c.inW }
 
 // Backward accumulates dW and dB and returns dX. grad has the output's
 // batch shape.

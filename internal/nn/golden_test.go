@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"hash/fnv"
+	"maps"
 	"math"
 	"path/filepath"
 	"sort"
@@ -89,18 +90,19 @@ func parseMasks(bits map[int]string) (map[int][]bool, string) {
 	return masks, fmt.Sprintf("%016x", h)
 }
 
-// ratioMasks is bench_test.go's pruneRatioMasks: the first ratio of
-// every stage's units pruned, at least one survivor.
+// ratioMasks prunes the first ratio of every stage's units, the output
+// stage's too, at least one survivor each: masks masked Infer takes and
+// Compile refuses.
 func ratioMasks(net *Network, ratio float64) map[int][]bool {
 	masks := map[int][]bool{}
-	for _, st := range net.Stages() {
+	for s, st := range net.Stages() {
 		units := st.Unit.Units()
 		k := min(int(float64(units)*ratio), units-1)
 		m := make([]bool, units)
 		for j := 0; j < k; j++ {
 			m[j] = true
 		}
-		masks[st.Index] = m
+		masks[s] = m
 	}
 	return masks
 }
@@ -123,7 +125,10 @@ func loadFixtureNet(t testing.TB, name string) *Network {
 // reference models: it hashes the logits bits of every test image, in
 // order, through masked Infer (batches of 25) and through the compiled
 // plan (one image per call, as a request runs), and compares both with
-// the recorded value. TestGenericKernels re-runs it on the Go fallback.
+// the recorded value. ratio-40 also prunes output units, which no plan
+// may: its plan is compiled without the output stage's mask, and the
+// logits that mask prunes are set to the +0 masked Infer gives them.
+// TestGenericKernels re-runs it on the Go fallback.
 func TestForwardGolden(t *testing.T) {
 	for _, g := range forwardGoldens {
 		net := loadFixtureNet(t, g.name)
@@ -142,7 +147,11 @@ func TestForwardGolden(t *testing.T) {
 		for label, masks := range map[string]map[int][]bool{
 			"unpruned": nil, "ratio-40": ratioMasks(net, 0.4), "prune-M": mMasks,
 		} {
-			plan, err := Compile(net, masks)
+			stages := len(net.Stages())
+			outMask := masks[stages-1]
+			planMasks := maps.Clone(masks)
+			delete(planMasks, stages-1)
+			plan, err := Compile(net, planMasks)
 			if err != nil {
 				t.Fatalf("%s/%s: %v", g.name, label, err)
 			}
@@ -163,7 +172,13 @@ func TestForwardGolden(t *testing.T) {
 				hashLogits(masked, net.Infer(x, masks))
 				for _, i := range idx {
 					x1, _ := test.Batch([]int{i})
-					hashLogits(compiled, plan.Infer(x1))
+					logits := plan.Infer(x1)
+					for o, pruned := range outMask {
+						if pruned {
+							logits.Data()[o] = 0
+						}
+					}
+					hashLogits(compiled, logits)
 				}
 			}
 			want := g.hashes[label]

@@ -3,6 +3,7 @@ package nn
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"capnn/internal/tensor"
@@ -53,13 +54,20 @@ func randInput(shape []int, seed int64) *tensor.Tensor {
 }
 
 func TestConvGradients(t *testing.T) {
-	net := NewBuilder(2, 5, 5, 3).ConvK(3, 3, 1, 1).MustBuild()
+	net := NewBuilder(2, 5, 5, 3).Conv(3).MustBuild()
 	checkGradients(t, net, randInput([]int{2, 2, 5, 5}, 1), 1e-5)
 }
 
+// No conv can be strided or unpadded any more: the 6×6 input a stride-2,
+// pad-0 conv once took gets its gradients through the one conv there is,
+// and a saved file whose conv says stride 2, pad 0 does not load.
 func TestConvGradientsStride2NoPad(t *testing.T) {
-	net := NewBuilder(2, 6, 6, 4).ConvK(3, 3, 2, 0).MustBuild()
+	net := NewBuilder(2, 6, 6, 4).Conv(3).MustBuild()
 	checkGradients(t, net, randInput([]int{1, 2, 6, 6}, 2), 1e-5)
+	err := loadEdited(t, net, func(ls *layerSpec) { ls.Stride, ls.Pad = 2, 0 })
+	if err == nil || !strings.Contains(err.Error(), `conv "conv0"`) || !strings.Contains(err.Error(), "Stride 2, Pad 0") {
+		t.Fatalf("a stride-2, pad-0 conv loaded: %v", err)
+	}
 }
 
 func TestDenseGradients(t *testing.T) {
@@ -73,7 +81,7 @@ func TestReluGradients(t *testing.T) {
 }
 
 func TestPoolGradients(t *testing.T) {
-	net := NewBuilder(2, 4, 4, 7).ConvK(2, 3, 1, 1).ReLU().Pool().Flatten().Dense(3).MustBuild()
+	net := NewBuilder(2, 4, 4, 7).Conv(2).ReLU().Pool().Flatten().Dense(3).MustBuild()
 	checkGradients(t, net, randInput([]int{2, 2, 4, 4}, 5), 1e-4)
 }
 
@@ -90,7 +98,7 @@ func TestFullStackGradients(t *testing.T) {
 // the masked network's loss (net.Infer under the masks), and the pruned
 // channels have no weights left to receive any.
 func TestMaskedConvGradientsSkipPrunedChannels(t *testing.T) {
-	net := NewBuilder(1, 4, 4, 9).Conv(4).MustBuild()
+	net := NewBuilder(1, 4, 4, 9).Conv(4).Flatten().Dense(3).MustBuild()
 	masks := map[int][]bool{0: {false, true, false, true}}
 	x := randInput([]int{1, 1, 4, 4}, 7)
 	cnet, err := CompactMasked(net, masks)
@@ -111,7 +119,7 @@ func TestMaskedConvGradientsSkipPrunedChannels(t *testing.T) {
 	}
 	const h = 1e-5
 	w, g := conv.w.W.Data(), cconv.w.G.Data()
-	per := conv.inC * conv.k * conv.k
+	per := conv.inC * convK * convK
 	for ci, oc := range []int{0, 2} { // the surviving channels
 		for i := 0; i < per; i++ {
 			orig := w[oc*per+i]

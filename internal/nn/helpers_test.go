@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"capnn/internal/tensor"
@@ -12,13 +11,6 @@ import (
 // NumUnitLayers is the number of unit layers in a VGG network: 13 convs
 // plus 3 FCs.
 const NumUnitLayers = 16
-
-// ConvK appends a convolution with explicit kernel, stride and padding.
-func (b *Builder) ConvK(outC, k, stride, pad int) *Builder {
-	l, err := NewConv2D(fmt.Sprintf("conv%d", b.n), b.cur, outC, k, stride, pad, b.rng)
-	b.push(l, err)
-	return b
-}
 
 // absMax returns the maximum absolute value of any element of t.
 func absMax(t *tensor.Tensor) float64 {

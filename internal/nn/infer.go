@@ -56,7 +56,7 @@ var minorFrom = func(l unitForward, n int) bool {
 
 // Infer runs the batch x (shape [N, InShape...]) through the network
 // without mutating any layer state and returns the logits. masks maps
-// unit-layer index (the Stage.Index of Stages) to that stage's prune
+// unit-layer index (a stage's position in Stages) to that stage's prune
 // mask; nil masks — or absent indices — leave the stage unpruned. A
 // pruned unit's output (and hence everything downstream of its ReLU) is
 // zero; with nil masks Infer computes what Forward does outside
@@ -69,17 +69,17 @@ func (n *Network) Infer(x *tensor.Tensor, masks map[int][]bool) *tensor.Tensor {
 	return inferLayers(n.Layers, 0, masks, x, nil)
 }
 
-// InferObserved is Infer with a firing observer: after each unit stage's
-// ReLU (the pairing Stages() reports), observe is called with the stage
-// index and the post-ReLU batch output. That tensor is pooled scratch,
-// valid only during the call: the observer must not retain or mutate it.
-// A nil observe makes this identical to Infer.
+// InferObserved is unmasked Infer with a firing observer: after each unit
+// stage's ReLU (the pairing Stages() reports), observe is called with the
+// stage index and the post-ReLU batch output. That tensor is pooled
+// scratch, valid only during the call: the observer must not retain or
+// mutate it.
 //
 // This is the stateless primitive behind firing-rate and activation
 // profiling: it writes no layer state, so any number of goroutines can
 // profile disjoint shards of a dataset through one network concurrently.
-func (n *Network) InferObserved(x *tensor.Tensor, masks map[int][]bool, observe func(stage int, post *tensor.Tensor)) *tensor.Tensor {
-	return inferLayers(n.Layers, 0, masks, x, observe)
+func (n *Network) InferObserved(x *tensor.Tensor, observe func(stage int, post *tensor.Tensor)) *tensor.Tensor {
+	return inferLayers(n.Layers, 0, nil, x, observe)
 }
 
 // InferLayers is Infer over a contiguous slice of a network's layers —

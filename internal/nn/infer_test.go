@@ -37,12 +37,12 @@ func randBatch(n int, shape []int, seed int64) *tensor.Tensor {
 func checkerMasks(net *Network) map[int][]bool {
 	stages := net.Stages()
 	masks := map[int][]bool{}
-	for _, st := range stages[:len(stages)-1] {
+	for s, st := range stages[:len(stages)-1] {
 		m := make([]bool, st.Unit.Units())
 		for u := range m {
 			m[u] = u%2 == 1
 		}
-		masks[st.Index] = m
+		masks[s] = m
 	}
 	return masks
 }
@@ -152,8 +152,8 @@ func withForm(form func(l unitForward, n int) bool, f func()) {
 // layer on — must agree bit for bit, on every rung this CPU has: forced
 // per-image throughout, sample-minor from the first narrow unit layer
 // (the rule, whatever the rows and rung) and from the first unit layer
-// (wide planes too). Nets: random VGG-ish ones, one of a strided unpadded
-// 5×5 conv, a 3×3 stride-1 pool, a lone ReLU, a 1×1 conv and a conv
+// (wide planes too). Nets: random VGG-ish ones, one of odd plane sizes
+// (13×11, pooled to 6×5 and 3×2) with a lone ReLU after a pool and a conv
 // without ReLU, and the cifar10 fixture under its real M masks; each also
 // under masks that prune every other unit — whole conv channels — and a
 // logits unit, and under masks that leave one unit a stage. Every other
@@ -164,9 +164,8 @@ func withForm(form func(l unitForward, n int) bool, f func()) {
 // post-ReLU slabs are compared too.
 func TestInferMinorMatchesPerImage(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
-	odd := NewBuilder(2, 13, 11, 5).ConvK(5, 5, 2, 0).ReLU()
-	odd.push(NewMaxPool2D("pool3x3", odd.cur, 3, 1))
-	nets := []*Network{loadFixtureNet(t, "cifar10"), odd.ReLU().ConvK(6, 1, 1, 0).ReLU().ConvK(7, 3, 1, 1).Flatten().Dense(9).ReLU().Dense(4).MustBuild()}
+	odd := NewBuilder(2, 13, 11, 5).Conv(5).ReLU().Pool().ReLU().Conv(6).ReLU().Pool().Conv(7).Flatten().Dense(9).ReLU().Dense(4).MustBuild()
+	nets := []*Network{loadFixtureNet(t, "cifar10"), odd}
 	for i := 0; i < 3; i++ {
 		nets = append(nets, randVGGNet(rng))
 	}
@@ -178,9 +177,9 @@ func TestInferMinorMatchesPerImage(t *testing.T) {
 	var cases []netCase
 	for i, net := range nets {
 		checker := checkerMasks(net)
-		last := net.Stages()[len(net.Stages())-1]
-		checker[last.Index] = make([]bool, last.Unit.Units())
-		checker[last.Index][1] = true
+		last := len(net.Stages()) - 1
+		checker[last] = make([]bool, net.Stages()[last].Unit.Units())
+		checker[last][1] = true
 		cases = append(cases, netCase{net, checker}, netCase{net, randMasks(rng, net, 2)})
 		if i == 0 {
 			cases = append(cases, netCase{net, mMasks})
@@ -204,7 +203,7 @@ func TestInferMinorMatchesPerImage(t *testing.T) {
 				}
 				run := func(from func(unitForward, int) bool) (all []float64) {
 					withForm(from, func() {
-						logits := c.net.InferObserved(x, c.masks, func(_ int, post *tensor.Tensor) { all = append(all, post.Data()...) })
+						logits := inferLayers(c.net.Layers, 0, c.masks, x, func(_ int, post *tensor.Tensor) { all = append(all, post.Data()...) })
 						all = append(all, logits.Data()...)
 					})
 					return all
@@ -221,7 +220,7 @@ func TestInferMinorMatchesPerImage(t *testing.T) {
 // The walk's activations live in slabs from floatScratch, which arrive
 // holding whatever their last user left, and the kernels skip pruned
 // units. Under masks that prune whole conv channels, dense neurons and a
-// logits unit, Infer, InferLayers and InferObserved (the observed post-ReLU
+// logits unit, Infer, InferLayers and the observed walk (its post-ReLU
 // slabs included) on a pool of NaN slabs must match their run on an
 // emptied pool bit for bit, and the pruned logit must read +0 in both.
 // Rows: 3 runs the dense layers on the Go loop, 16 as a 1×1 conv; on a
@@ -230,15 +229,15 @@ func TestInferDirtySlabs(t *testing.T) {
 	net := inferTestNet(t)
 	masks := checkerMasks(net)
 	stages := net.Stages()
-	out := stages[len(stages)-1]
-	masks[out.Index] = make([]bool, out.Unit.Units())
-	masks[out.Index][1] = true
+	out := len(stages) - 1
+	masks[out] = make([]bool, stages[out].Unit.Units())
+	masks[out][1] = true
 	const split = 3 // InferLayers from the second conv (stage 1) on
 	for _, n := range []int{3, 16, 17} {
 		x := randBatch(n, net.InShape, int64(n))
 		run := func() []float64 {
 			var all []float64
-			logits := net.InferObserved(x, masks, func(_ int, post *tensor.Tensor) { all = append(all, post.Data()...) })
+			logits := inferLayers(net.Layers, 0, masks, x, func(_ int, post *tensor.Tensor) { all = append(all, post.Data()...) })
 			for o := 0; o < n; o++ {
 				if v := logits.At(o, 1); math.Float64bits(v) != 0 {
 					t.Fatalf("n=%d row %d: pruned logit %v, want +0", n, o, v)
@@ -293,15 +292,15 @@ func TestInferLayersAllocs(t *testing.T) {
 // on a CPU with AVX2, from the second conv on) as well as per-image.
 func TestInferMaskLengthPanics(t *testing.T) {
 	net := inferTestNet(t)
-	for _, st := range net.Stages() {
+	for s := range net.Stages() {
 		for _, n := range []int{1, 16} {
 			func() {
 				defer func() {
 					if recover() == nil {
-						t.Fatalf("short mask at stage %d, %d rows, did not panic", st.Index, n)
+						t.Fatalf("short mask at stage %d, %d rows, did not panic", s, n)
 					}
 				}()
-				net.Infer(randBatch(n, net.InShape, 1), map[int][]bool{st.Index: {true}})
+				net.Infer(randBatch(n, net.InShape, 1), map[int][]bool{s: {true}})
 			}()
 		}
 	}

@@ -64,19 +64,21 @@ func (s *scratch[T]) get(n int) *[]T {
 	return bp
 }
 
-// convGeom captures the static geometry of a Conv2D so the kernel can
-// run without touching layer state.
+// convGeom captures the static geometry of a step-1 conv so the kernel
+// can run without touching layer state: a Conv2D's 3×3 at pad 1, a dense
+// layer's 1×1 form (denseGeom, newDenseOp), or a 2×2 pool's planes
+// (k and pad unused).
 type convGeom struct {
 	inC, inH, inW    int
 	outC, outH, outW int
-	k, stride, pad   int
+	k, pad           int
 }
 
 func (c *Conv2D) geom() convGeom {
 	return convGeom{
 		inC: c.inC, inH: c.inH, inW: c.inW,
-		outC: c.outC, outH: c.outH, outW: c.outW,
-		k: c.k, stride: c.stride, pad: c.pad,
+		outC: c.outC, outH: c.inH, outW: c.inW,
+		k: convK, pad: convPad,
 	}
 }
 
@@ -92,7 +94,7 @@ func (g convGeom) colsSize() int { return g.inC * g.k * g.k * g.outH * g.outW }
 // tapOffsets is the per-geometry table that turns a weight column into
 // an address: entry r = (ic, ky, kx) is the pad-plane index of the tap
 // output position (0, 0) multiplies by w[oc, r]; position (oy, ox) reads
-// (oy·pw + ox)·stride further on, pw the padded row length. The table
+// oy·pw + ox further on, pw the padded row length. The table
 // is appended to offs (nil, or pooled scratch).
 func (g convGeom) tapOffsets(offs []int) []int {
 	ph, pw := g.inH+2*g.pad, g.inW+2*g.pad
@@ -136,14 +138,7 @@ func (g convGeom) im2col(xs, pad []float64, offs []int, cols []float64) {
 	outHW, pw := g.outH*g.outW, g.inW+2*g.pad
 	for r, off := range offs {
 		for oy := 0; oy < g.outH; oy++ {
-			dst, src := cols[r*outHW+oy*g.outW:][:g.outW], pad[off+oy*g.stride*pw:]
-			if g.stride == 1 {
-				copy(dst, src)
-				continue
-			}
-			for ox := range dst {
-				dst[ox] = src[ox*g.stride]
-			}
+			copy(cols[r*outHW+oy*g.outW:][:g.outW], pad[off+oy*pw:])
 		}
 	}
 }
@@ -188,11 +183,11 @@ func (g convGeom) convMinor(xs, wd, bd, os []float64, n int, pruned []bool, relu
 	if n%2 == 0 && n >= 16 {
 		h = 2
 	}
-	b := convGeom{inC: rows, inH: h, inW: n / h, outC: g.outC, outH: h, outW: n / h, k: 1, stride: 1}
+	b := convGeom{inC: rows, inH: h, inW: n / h, outC: g.outC, outH: h, outW: n / h, k: 1}
 	live := appendLive((*ib)[rows:rows], pruned, g.outC)
 	for oy := 0; oy < g.outH; oy++ {
 		for ox := 0; ox < g.outW; ox++ {
-			at := (oy*pw + ox) * g.stride * n
+			at := (oy*pw + ox) * n
 			b.liveMACs(plane[at:at+offs[rows-1]+n], offs, wd, bd, os[(oy*g.outW+ox)*n:], b.outW, outHW*n, live, relu)
 		}
 	}
@@ -203,7 +198,7 @@ func (g convGeom) convMinor(xs, wd, bd, os []float64, n int, pruned []bool, relu
 // denseGeom is a dense layer of in inputs and out neurons as the conv it
 // is: 1×1, on a 1×1 plane, its inputs the channels.
 func denseGeom(in, out int) convGeom {
-	return convGeom{inC: in, inH: 1, inW: 1, outC: out, outH: 1, outW: 1, k: 1, stride: 1}
+	return convGeom{inC: in, inH: 1, inW: 1, outC: out, outH: 1, outW: 1, k: 1}
 }
 
 // transpose writes the rows×cols matrix src into dst as cols×rows: a
@@ -229,7 +224,7 @@ func clearPruned(os []float64, per int, pruned []bool) {
 }
 
 // storeSpan is how far from its first element an [outC, outH, outW]
-// output stored at row stride oRow and channel stride oCh reaches.
+// output stored at row pitch oRow and channel pitch oCh reaches.
 func (g convGeom) storeSpan(oRow, oCh int) int {
 	return (g.outC-1)*oCh + (g.outH-1)*oRow + g.outW
 }
@@ -275,7 +270,7 @@ func (g convGeom) liveMACs(pad []float64, offs []int, wd, bd, os []float64, oRow
 	}
 }
 
-// conv1x1 runs g, a 1×1 conv at stride 1 without padding, over plane —
+// conv1x1 runs g, a 1×1 conv without padding, over plane —
 // its own pad plane, exactly [inC][outH·outW] — into the channel-major
 // slab os, for the channels pruned leaves live. Its tap table and live
 // list come from the pool: a dense op of any width allocates nothing
@@ -296,10 +291,10 @@ func (g convGeom) conv1x1(plane, wd, bd, os []float64, pruned []bool, relu bool)
 // the channels in live: the definition of the arithmetic, and the path
 // of every CPU and geometry the assembly does not take. In pad-plane
 // coordinates position q = oy·pw + ox multiplies w[oc, r] by
-// pad[offs[r] + q·stride], so one channel is a sweep over whole runs of
+// pad[offs[r] + q], so one channel is a sweep over whole runs of
 // the plane, tap after tap, into acc — including the k−1 positions a row
 // (ox ≥ outW) that are not outputs and are dropped on the copy out, row
-// by row to os at convMACs' strides.
+// by row to os at convMACs' pitches.
 func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) {
 	rows, pw := len(offs), g.inW+2*g.pad
 	accBuf := floatScratch.get((g.outH-1)*pw + g.outW)
@@ -309,7 +304,7 @@ func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, 
 		for i := range acc {
 			acc[i] = bias
 		}
-		tapSweep(acc, pad, offs, wd[oc*rows:(oc+1)*rows], g.stride)
+		tapSweep(acc, pad, offs, wd[oc*rows:(oc+1)*rows])
 		if relu {
 			reluForward(acc, acc)
 		}
@@ -320,17 +315,17 @@ func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, 
 	floatScratch.Put(accBuf)
 }
 
-// tapSweep adds Σ_r wRow[r]·pad[offs[r] + q·stride] to every acc[q], r
+// tapSweep adds Σ_r wRow[r]·pad[offs[r] + q] to every acc[q], r
 // ascending. (Its own function so the compiler keeps the loop counters
 // in registers.)
-func tapSweep(acc, pad []float64, offs []int, wRow []float64, stride int) {
+func tapSweep(acc, pad []float64, offs []int, wRow []float64) {
 	// Four taps per sweep quarters the acc write traffic. The explicit
 	// left-to-right sum keeps the accumulation order of the
 	// one-tap-at-a-time loop, and the float64 conversions forbid the
 	// compiler to fuse a product into its add (it would on arm64 and
 	// GOAMD64=v3), so results stay bit-identical everywhere.
 	r := 0
-	for ; stride == 1 && r+4 <= len(offs); r += 4 {
+	for ; r+4 <= len(offs); r += 4 {
 		w0, w1, w2, w3 := wRow[r], wRow[r+1], wRow[r+2], wRow[r+3]
 		t0, t1 := pad[offs[r]:][:len(acc)], pad[offs[r+1]:][:len(acc)]
 		t2, t3 := pad[offs[r+2]:][:len(acc)], pad[offs[r+3]:][:len(acc)]
@@ -339,9 +334,9 @@ func tapSweep(acc, pad []float64, offs []int, wRow []float64, stride int) {
 		}
 	}
 	for ; r < len(offs); r++ {
-		wv, t := wRow[r], pad[offs[r]:]
+		wv, t := wRow[r], pad[offs[r]:][:len(acc)]
 		for i := range acc {
-			acc[i] += float64(wv * t[i*stride])
+			acc[i] += float64(wv * t[i])
 		}
 	}
 }
@@ -365,50 +360,33 @@ func reluForward(dst, src []float64) {
 	}
 }
 
-// poolForward max-pools one sample xs [C, inH, inW] into an [C, outH,
-// outW] output stored as convMACs stores, (c, oy, ox) at os[c·oCh +
-// oy·oRow + ox], without recording argmax (a pool's geometry has outC ==
-// inC). Each output is the window's first element, replaced by every
-// later element (ky, then kx ascending) that compares strictly greater —
-// so a NaN wins only from the window's first position and ±0 ties keep
-// the earlier one. A 2×2 window at stride 2 runs pool2x2AVX2 on each
-// row's first outW&^3 outputs when the CPU has AVX2 and pool2x2Go on the
-// rest; every other window runs the general loop.
+// poolForward max-pools one sample xs [C, inH, inW] with a 2×2 window at
+// step 2 into an [C, outH, outW] output stored as convMACs stores, (c,
+// oy, ox) at os[c·oCh + oy·oRow + ox], without recording argmax (a pool's
+// geometry has outC == inC). Each output is the window's first element,
+// replaced by every later element (the rest of its first row, then its
+// second row) that compares strictly greater — so a NaN wins only from
+// the window's first position and ±0 ties keep the earlier one. Each
+// row's first outW&^3 outputs run pool2x2AVX2 when the CPU has AVX2, the
+// rest pool2x2Go.
 func (g convGeom) poolForward(xs, os []float64, oRow, oCh int) {
 	inHW := g.inH * g.inW
 	xs, os = xs[:g.inC*inHW], os[:g.storeSpan(oRow, oCh)]
 	for c := 0; c < g.inC; c++ {
 		xCh := xs[c*inHW : (c+1)*inHW]
 		oc := os[c*oCh:]
-		if g.k == 2 && g.stride == 2 {
-			done := 0
-			if useAVX2 && g.outW >= 4 {
-				done = g.outW &^ 3
-				pool2x2AVX2(&oc[0], &xCh[0], g.outH, done, g.inW, oRow)
-			}
-			if done < g.outW {
-				pool2x2Go(xCh[2*done:], oc[done:], g.outH, g.outW-done, g.inW, oRow)
-			}
-			continue
+		done := 0
+		if useAVX2 && g.outW >= 4 {
+			done = g.outW &^ 3
+			pool2x2AVX2(&oc[0], &xCh[0], g.outH, done, g.inW, oRow)
 		}
-		for oy := 0; oy < g.outH; oy++ {
-			for ox := 0; ox < g.outW; ox++ {
-				iy0, ix0 := oy*g.stride, ox*g.stride
-				best := xCh[iy0*g.inW+ix0]
-				for ky := 0; ky < g.k; ky++ {
-					for kx := 0; kx < g.k; kx++ {
-						if v := xCh[(iy0+ky)*g.inW+ix0+kx]; v > best {
-							best = v
-						}
-					}
-				}
-				oc[oy*oRow+ox] = best
-			}
+		if done < g.outW {
+			pool2x2Go(xCh[2*done:], oc[done:], g.outH, g.outW-done, g.inW, oRow)
 		}
 	}
 }
 
-// pool2x2Go max-pools outW windows of 2×2 at stride 2 a row, outH rows,
+// pool2x2Go max-pools outW windows of 2×2 at step 2 a row, outH rows,
 // from src (inW floats per input row) into dst (dstW floats per output
 // row), the four compares of a window written out in poolForward's order.
 func pool2x2Go(src, dst []float64, outH, outW, inW, dstW int) {
@@ -433,24 +411,19 @@ func pool2x2Go(src, dst []float64, outH, outW, inW, dstW int) {
 
 // poolMinor is poolForward over a sample-minor batch, xs [C][inH][inW][n]
 // into os [C][outH][outW][n]: each output n-vector starts as its window's
-// first, and takes element by element every later one (ky, then kx
-// ascending) that compares strictly greater — poolForward's order.
+// first, and takes element by element every later one that compares
+// strictly greater — poolForward's order.
 func (g convGeom) poolMinor(xs, os []float64, n int) {
 	for c := 0; c < g.inC; c++ {
 		for oy := 0; oy < g.outH; oy++ {
 			for ox := 0; ox < g.outW; ox++ {
 				best := os[((c*g.outH+oy)*g.outW+ox)*n:][:n]
-				for ky := 0; ky < g.k; ky++ {
-					for kx := 0; kx < g.k; kx++ {
-						x := xs[((c*g.inH+oy*g.stride+ky)*g.inW+ox*g.stride+kx)*n:][:n]
-						if ky == 0 && kx == 0 {
-							copy(best, x)
-							continue
-						}
-						for s, v := range x {
-							if v > best[s] {
-								best[s] = v
-							}
+				at := (c*g.inH+2*oy)*g.inW + 2*ox
+				copy(best, xs[at*n:][:n])
+				for _, next := range [3]int{at + 1, at + g.inW, at + g.inW + 1} {
+					for s, v := range xs[next*n:][:n] {
+						if v > best[s] {
+							best[s] = v
 						}
 					}
 				}
@@ -515,14 +488,14 @@ func (g convGeom) col2im(dcols, dxs []float64) {
 				row := dcols[(ic*kk+ky*g.k+kx)*outHW : (ic*kk+ky*g.k+kx+1)*outHW]
 				ri := 0
 				for oy := 0; oy < g.outH; oy++ {
-					iy := oy*g.stride - g.pad + ky
+					iy := oy - g.pad + ky
 					if iy < 0 || iy >= g.inH {
 						ri += g.outW
 						continue
 					}
 					dxRow := dxCh[iy*g.inW : (iy+1)*g.inW]
 					for ox := 0; ox < g.outW; ox++ {
-						ix := ox*g.stride - g.pad + kx
+						ix := ox - g.pad + kx
 						if ix >= 0 && ix < g.inW {
 							dxRow[ix] += row[ri]
 						}
@@ -562,15 +535,15 @@ func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool, relu 
 
 // packLanes lays out the weights wd [n][rows] and bias bd of n units for
 // the lane tiles, whose vector lanes are units: row 0 the bias, row 1+r
-// every unit's weight r, stride ≥ n floats a row with +0 past the n-th —
-// a dense op's panel at stride n (newDenseOp), a conv's at whole groups of
+// every unit's weight r, pitch ≥ n floats a row with +0 past the n-th —
+// a dense op's panel at pitch n (newDenseOp), a conv's at whole groups of
 // eight lanes (newConvOp).
-func packLanes(wd, bd []float64, n, rows, stride int) []float64 {
-	pk := make([]float64, (rows+1)*stride)
+func packLanes(wd, bd []float64, n, rows, pitch int) []float64 {
+	pk := make([]float64, (rows+1)*pitch)
 	copy(pk, bd[:n])
 	for o := 0; o < n; o++ {
 		for r, w := range wd[o*rows : (o+1)*rows] {
-			pk[(1+r)*stride+o] = w
+			pk[(1+r)*pitch+o] = w
 		}
 	}
 	return pk
@@ -583,7 +556,7 @@ func packLanes(wd, bd []float64, n, rows, stride int) []float64 {
 // four-channel AVX2 tile, which the lane tile measured no faster than.
 func newConvOp(g convGeom, wd, bd []float64) compiledOp {
 	op := compiledOp{kind: opConv, g: g, wd: wd, bd: bd, offs: g.tapOffsets(nil), in: g.inSize(), out: g.outSize()}
-	if g.stride == 1 && g.outW == 2 && g.outH >= 2 && g.outC > 4 {
+	if g.outW == 2 && g.outH >= 2 && g.outC > 4 {
 		op.pk = packLanes(wd, bd, g.outC, g.inC*g.k*g.k, (g.outC+7)&^7)
 	}
 	return op
@@ -612,7 +585,7 @@ const denseConvMin = 16
 func newDenseOp(wd, bd []float64, in, out int) compiledOp {
 	op := compiledOp{kind: opDense, pk: packLanes(wd, bd, out, in, out), in: in, out: out}
 	if out >= denseConvMin {
-		op.g = convGeom{inC: in + 1, inH: 1, inW: out, outC: 1, outH: 1, outW: out, k: 1, stride: 1}
+		op.g = convGeom{inC: in + 1, inH: 1, inW: out, outC: 1, outH: 1, outW: out, k: 1}
 	}
 	return op
 }

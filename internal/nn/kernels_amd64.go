@@ -66,7 +66,7 @@ func xgetbv() (eax, edx uint32)
 // of the nLive channels live[j]: os[live[j]·outHW + p] = bd[live[j]] +
 // Σ_r wd[live[j]·rows + r]·pad[offs[r] + p], r ascending, VMULPD then
 // VADDPD, clamped at +0 when relu. os and pad point at the tile's first
-// position; outHW is the destination's channel stride.
+// position; outHW is the destination's channel pitch.
 //
 //go:noescape
 func convTile16(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
@@ -76,7 +76,7 @@ func convTile16(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, 
 // positions, the second reading its taps half floats after the first and
 // storing dstHalf floats after it: half = dstHalf = 2 is one row
 // segment, half = the padded row length is two whole rows of a 2-wide
-// plane, dstHalf then the destination's row stride.
+// plane, dstHalf then the destination's row pitch.
 //
 //go:noescape
 func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half, dstHalf int, relu bool)
@@ -85,7 +85,7 @@ func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive,
 // four channels at a time (nLive a multiple of 4), eight ZMM
 // accumulators. The second row reads its taps pw floats after the first
 // (pw the padded row length) and stores outW floats after it (outW the
-// destination's row stride).
+// destination's row pitch).
 //
 //go:noescape
 func convTile8x2x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
@@ -100,7 +100,7 @@ func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLiv
 // 4 positions for eight channels, sixteen ZMM accumulators, rows 0|1 of a
 // channel in one and rows 2|3 in the next. Row y+1 reads its taps pw
 // floats after row y (pw the padded row length) and stores outW floats
-// after it (outW the destination's row stride). live holds the eight
+// after it (outW the destination's row pitch). live holds the eight
 // channels.
 //
 //go:noescape
@@ -138,12 +138,12 @@ func laneMasks(n, l0, k int) (m uint32) {
 // convLanesAVX512 runs the channel-lane tile over a 2-wide plane from its
 // filled pad plane, 2 rows by 16 channels a call (the last pair of rows
 // overlapping its neighbour when the height is odd), storing at convMACs'
-// strides. pk is the op's panel (packLanes).
+// pitches. pk is the op's panel (packLanes).
 func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu bool) {
 	pw, n, rows := g.inW+2*g.pad, g.outC, len(offs)
-	stride := len(pk) / (rows + 1)
-	pk, os = pk[:(rows+1)*stride], os[:g.storeSpan(oRow, oCh)]
-	if g.outW != 2 || g.outH < 2 || stride%8 != 0 || stride < n || offs[rows-1]+(g.outH-1)*pw+g.outW != len(pad) {
+	pitch := len(pk) / (rows + 1)
+	pk, os = pk[:(rows+1)*pitch], os[:g.storeSpan(oRow, oCh)]
+	if g.outW != 2 || g.outH < 2 || pitch%8 != 0 || pitch < n || offs[rows-1]+(g.outH-1)*pw+g.outW != len(pad) {
 		panic("nn: lane tile on a plane it does not fit")
 	}
 	var idx [8]int64
@@ -153,7 +153,7 @@ func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oR
 	for oy := 0; oy < g.outH; oy += 2 {
 		oy := min(oy, g.outH-2)
 		for l0 := 0; l0 < n; l0 += 16 {
-			convLanes(&os[l0*oCh+oy*oRow], &pad[oy*pw], &offs[0], &pk[l0], stride, rows, pw, oRow, &idx[0], laneMasks(n, l0, 2), relu)
+			convLanes(&os[l0*oCh+oy*oRow], &pad[oy*pw], &offs[0], &pk[l0], pitch, rows, pw, oRow, &idx[0], laneMasks(n, l0, 2), relu)
 		}
 	}
 }
@@ -173,7 +173,7 @@ func denseLanesAVX512(x, pk, od []float64, in, out int, relu bool) {
 //go:noescape
 func reluAVX2(dst, src *float64, n int)
 
-// pool2x2AVX2 max-pools one channel plane with a 2×2 window at stride 2
+// pool2x2AVX2 max-pools one channel plane with a 2×2 window at step 2
 // (inW floats per input row) into outH×outW outputs, outW a multiple of
 // 4, dstW floats per output row, comparing in poolForward's order.
 //
@@ -181,11 +181,11 @@ func reluAVX2(dst, src *float64, n int)
 func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int)
 
 // convForwardAVX2 is convMACs' loop on register tiles over the filled
-// pad plane, storing at its strides, positions outer and channels inner
+// pad plane, storing at its pitches, positions outer and channels inner
 // so one tile's taps are re-read from cache for every channel. It
-// reports false, having done nothing, for a geometry no tile fits
-// (stride ≠ 1, or an output plane under four wide that is not two rows of
-// two): the Go loop takes those. With AVX-512 a plane at least 8 wide
+// reports false, having done nothing, for a geometry no tile fits (an
+// output plane under four wide that is not two rows of two): the Go loop
+// takes those. With AVX-512 a plane at least 8 wide
 // takes a ZMM tile of 8 positions of four channels, four rows high from 4
 // rows up (sixteen accumulators; on every wide op of the cifar10 plan it
 // beat the two-row tile in the median of 10 alternated pairs) and two
@@ -203,8 +203,6 @@ func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64
 	pw := g.inW + 2*g.pad
 	tileW, tileH, half, dstHalf, group := 4, 1, 2, 2, 4
 	switch {
-	case g.stride != 1:
-		return false
 	case useAVX512 && g.outW >= 8 && g.outH >= 4:
 		tileW, tileH = 8, 4
 	case useAVX512 && g.outW >= 8 && g.outH >= 2:

@@ -173,7 +173,7 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 	// tap is what output position p multiplies by weight column r.
 	tap := func(r, p int) float64 {
 		ic, ky, kx := r/(g.k*g.k), r/g.k%g.k, r%g.k
-		iy, ix := p/g.outW*g.stride-g.pad+ky, p%g.outW*g.stride-g.pad+kx
+		iy, ix := p/g.outW-g.pad+ky, p%g.outW-g.pad+kx
 		if iy < 0 || iy >= g.inH || ix < 0 || ix >= g.inW {
 			return 0
 		}
@@ -281,8 +281,8 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 
 // convCases spans what the fixtures never hit. The first grid: output
 // planes of 1, 3, 4, 6, 15, 16, 17, 64 and 1000 positions, kernels
-// 1/3/5, stride 2, pad 0, and channel counts that are not multiples of
-// the four-channel tiles. The second, 3×3 only, walks the tile shapes:
+// 1/3/5 (a dense layer is the kernels' 1×1 conv), pad 0, and channel
+// counts that are not multiples of the four-channel tiles. The second, 3×3 only, walks the tile shapes:
 // width 2 (two rows to a tile from two rows up, the Go loop on a single
 // row), 5 (4-wide; the eight-channel ZMM tile from four rows up, its
 // columns overlapping), 8, 15 (4-wide; a ZMM tile from two rows up,
@@ -298,18 +298,16 @@ func convCases(visit func(g convGeom, n int)) {
 	grid := func(outs [][2]int, ks, outCs []int) {
 		for _, out := range outs {
 			for _, k := range ks {
-				for _, stride := range []int{1, 2} {
-					for _, pad := range []int{0, k / 2} {
-						g := convGeom{outH: out[0], outW: out[1], k: k, stride: stride, pad: pad}
-						g.inH, g.inW = (g.outH-1)*stride+k-2*pad, (g.outW-1)*stride+k-2*pad
-						if g.inH < 1 || g.inW < 1 {
-							continue
-						}
-						for _, outC := range outCs {
-							g.inC, g.outC = 1+n%3, outC
-							visit(g, n)
-							n++
-						}
+				for _, pad := range []int{0, k / 2} {
+					g := convGeom{outH: out[0], outW: out[1], k: k, pad: pad}
+					g.inH, g.inW = g.outH-1+k-2*pad, g.outW-1+k-2*pad
+					if g.inH < 1 || g.inW < 1 {
+						continue
+					}
+					for _, outC := range outCs {
+						g.inC, g.outC = 1+n%3, outC
+						visit(g, n)
+						n++
 					}
 				}
 			}
@@ -355,16 +353,16 @@ func TestKernelsMatchGeneric(t *testing.T) {
 		// each, are written over their windows, as many as they have.
 		zeroNaN := []float64{0, math.Copysign(0, -1), math.NaN(), 1}
 		for _, g := range []convGeom{
-			{inC: 3, inH: 2, inW: 8, k: 2, stride: 2}, {inC: 2, inH: 9, inW: 17, k: 2, stride: 2},
-			{inC: 5, inH: 32, inW: 32, k: 2, stride: 2}, {inC: 1, inH: 4, inW: 4, k: 2, stride: 2},
-			{inC: 2, inH: 7, inW: 9, k: 3, stride: 2}, {inC: 2, inH: 5, inW: 9, k: 2, stride: 1},
-			{inC: 256, inH: 2, inW: 2, k: 2, stride: 2}, {inC: 64, inH: 4, inW: 5, k: 2, stride: 2},
-			{inC: 43, inH: 3, inW: 6, k: 2, stride: 2}, {inC: 22, inH: 4, inW: 13, k: 2, stride: 2},
+			{inC: 3, inH: 2, inW: 8}, {inC: 2, inH: 9, inW: 17},
+			{inC: 5, inH: 32, inW: 32}, {inC: 1, inH: 4, inW: 4},
+			{inC: 2, inH: 7, inW: 9}, {inC: 2, inH: 5, inW: 3},
+			{inC: 256, inH: 2, inW: 2}, {inC: 64, inH: 4, inW: 5},
+			{inC: 43, inH: 3, inW: 6}, {inC: 22, inH: 4, inW: 13},
 		} {
-			g.outC, g.outH, g.outW = g.inC, (g.inH-g.k)/g.stride+1, (g.inW-g.k)/g.stride+1
+			g.outC, g.outH, g.outW = g.inC, g.inH/2, g.inW/2
 			src := allocExact(t, g.inSize())
 			fill(src)
-			if g.k == 2 && g.stride == 2 && g.outW%4 != 0 {
+			if g.outW%4 != 0 {
 				inHW := g.inH * g.inW
 				for w := 0; w < 256; w++ { // window w: element j is zeroNaN[w>>2j & 3]
 					c, at := w%g.inC, w/g.inC%(g.outH*g.outW)
@@ -377,10 +375,10 @@ func TestKernelsMatchGeneric(t *testing.T) {
 			naive := make([]float64, g.outSize())
 			for i := range naive {
 				c, oy, ox := i/(g.outH*g.outW), i/g.outW%g.outH, i%g.outW
-				at := c*g.inH*g.inW + oy*g.stride*g.inW + ox*g.stride
+				at := c*g.inH*g.inW + 2*oy*g.inW + 2*ox
 				naive[i] = src[at]
-				for ky := 0; ky < g.k; ky++ {
-					for kx := 0; kx < g.k; kx++ {
+				for ky := 0; ky < 2; ky++ {
+					for kx := 0; kx < 2; kx++ {
 						if v := src[at+ky*g.inW+kx]; v > naive[i] {
 							naive[i] = v
 						}
@@ -560,22 +558,22 @@ func FuzzDenseKernel(f *testing.F) {
 // rung and the Go loops disagree, or a rung leaves its buffers or stores
 // into a bordered destination's border.
 func FuzzConvKernel(f *testing.F) {
-	f.Add(int64(1), uint8(1), uint8(32), uint8(32), uint8(4), uint8(3), uint8(1), uint8(1), uint8(0))
-	f.Add(int64(2), uint8(12), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(1), uint8(1))
-	f.Add(int64(3), uint8(3), uint8(9), uint8(7), uint8(5), uint8(5), uint8(2), uint8(0), uint8(3))
-	f.Add(int64(4), uint8(2), uint8(1), uint8(17), uint8(33), uint8(1), uint8(1), uint8(0), uint8(2))
-	// 3×3 stride 1 pad 1 on planes 2×2 and 7×2 (two rows of two to a tile),
-	// 7×8 (the ZMM tile, or 4-wide tiles), 1×8 (4-wide tiles) and 2×33
-	// (the ZMM tile, or 16-wide).
+	f.Add(int64(1), uint8(1), uint8(32), uint8(32), uint8(4), uint8(3), uint8(1), uint8(0))
+	f.Add(int64(2), uint8(12), uint8(4), uint8(4), uint8(16), uint8(3), uint8(1), uint8(1))
+	f.Add(int64(3), uint8(3), uint8(9), uint8(7), uint8(5), uint8(5), uint8(0), uint8(3))
+	f.Add(int64(4), uint8(2), uint8(1), uint8(17), uint8(33), uint8(1), uint8(0), uint8(2))
+	// 3×3 pad 1 on planes 2×2 and 7×2 (two rows of two to a tile), 7×8
+	// (the ZMM tile, or 4-wide tiles), 1×8 (4-wide tiles) and 2×33 (the
+	// ZMM tile, or 16-wide).
 	for i, hw := range [][2]uint8{{1, 1}, {6, 1}, {6, 7}, {0, 7}, {1, 32}} {
-		f.Add(int64(5+i), uint8(i), hw[0], hw[1], uint8(32+i), uint8(2), uint8(0), uint8(1), uint8(i))
+		f.Add(int64(5+i), uint8(i), hw[0], hw[1], uint8(32+i), uint8(2), uint8(1), uint8(i))
 	}
-	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, outC, k, stride, pad, maskKind uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, inC, inH, inW, outC, k, pad, maskKind uint8) {
 		g := convGeom{
 			inC: 1 + int(inC)%8, inH: 1 + int(inH)%40, inW: 1 + int(inW)%40, outC: 1 + int(outC)%40,
-			k: 1 + int(k)%5, stride: 1 + int(stride)%3, pad: int(pad) % 3,
+			k: 1 + int(k)%5, pad: int(pad) % 3,
 		}
-		g.outH, g.outW = (g.inH+2*g.pad-g.k)/g.stride+1, (g.inW+2*g.pad-g.k)/g.stride+1
+		g.outH, g.outW = g.inH+2*g.pad-g.k+1, g.inW+2*g.pad-g.k+1
 		if g.inH+2*g.pad < g.k || g.inW+2*g.pad < g.k {
 			t.Skip()
 		}
@@ -660,7 +658,7 @@ func BenchmarkKernels(b *testing.B) {
 	// pass only training runs. ReLU and pool have no AVX-512 form.
 	twoRungs := isaRungs[:2]
 	for _, l := range [][3]int{{1, 4, 32}, {4, 4, 32}, {4, 8, 16}, {8, 8, 16}, {8, 12, 8}, {12, 12, 8}, {12, 16, 4}, {16, 16, 4}, {16, 32, 2}, {32, 32, 2}} {
-		g := convGeom{inC: l[0], inH: l[2], inW: l[2], outC: l[1], outH: l[2], outW: l[2], k: 3, stride: 1, pad: 1}
+		g := convGeom{inC: l[0], inH: l[2], inW: l[2], outC: l[1], outH: l[2], outW: l[2], k: 3, pad: 1}
 		x, pad, offs, cols := random(g.inSize()), make([]float64, g.padSize()), g.tapOffsets(nil), make([]float64, g.colsSize())
 		wd, bd, os := random(g.outC*g.inC*9), random(g.outC), make([]float64, g.outSize())
 		name := fmt.Sprintf("%dx%dx%d", l[0], l[1], l[2])
@@ -683,7 +681,7 @@ func BenchmarkKernels(b *testing.B) {
 	}
 	src, dst := random(4096), make([]float64, 4096)
 	row("relu/4096", twoRungs, 4096, "ns/elem", func() { reluForward(dst, src) })
-	pool := convGeom{inC: 4, inH: 32, inW: 32, outC: 4, outH: 16, outW: 16, k: 2, stride: 2}
+	pool := convGeom{inC: 4, inH: 32, inW: 32, outC: 4, outH: 16, outW: 16}
 	row("pool/4x32to16", twoRungs, pool.outSize(), "ns/elem", func() { pool.poolForward(src, dst, pool.outW, pool.outH*pool.outW) })
 
 	// plan-M/* is one request's forward through a served plan: the cifar10
@@ -728,8 +726,8 @@ func BenchmarkKernels(b *testing.B) {
 				name, dense = fmt.Sprintf("dense-%dx%d", op.in, op.out), append(dense, i)
 			case opPool:
 				name, poolReLU = fmt.Sprintf("pool-%dx%d", op.g.inC, op.g.outW), append(poolReLU, i)
-			case opReLU, opScatter:
-				name, poolReLU = []string{opReLU: "relu", opScatter: "scatter"}[op.kind], append(poolReLU, i)
+			case opReLU:
+				name, poolReLU = "relu", append(poolReLU, i)
 			}
 			if p.masks != nil {
 				row(fmt.Sprintf("%s/op%02d-%s", p.name, i, name), nil, work, unit, func() { op.run(ins[i], outs[i], arena) })

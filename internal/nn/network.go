@@ -60,16 +60,15 @@ func (n *Network) ParamCount() int {
 // Stage pairs a prunable unit layer with the ReLU that observes its firing
 // (nil for the output layer, which has no activation and is never pruned).
 type Stage struct {
-	// Index is the position of this stage among all unit layers, 0-based.
-	Index int
-	Unit  UnitLayer
-	Act   *ReLU
+	Unit UnitLayer
+	Act  *ReLU
 }
 
 // Stages returns the network's unit layers (convs and denses) in order,
 // each paired with its following ReLU when one exists. CAP'NN indexes
-// layers through this list: the last len-6 entries are the paper's set L,
-// with the final entry being the never-pruned output layer.
+// layers through this list — a stage's index is its position in it — and
+// the last len-6 entries are the paper's set L, with the final entry
+// being the never-pruned output layer.
 func (n *Network) Stages() []Stage {
 	var stages []Stage
 	for i, l := range n.Layers {
@@ -77,7 +76,7 @@ func (n *Network) Stages() []Stage {
 		if !ok {
 			continue
 		}
-		st := Stage{Index: len(stages), Unit: u}
+		st := Stage{Unit: u}
 		if i+1 < len(n.Layers) {
 			if r, ok := n.Layers[i+1].(*ReLU); ok {
 				st.Act = r
@@ -119,9 +118,9 @@ func (b *Builder) push(l Layer, err error) {
 	b.n++
 }
 
-// Conv appends a 3×3 stride-1 pad-1 convolution with outC channels.
+// Conv appends a 3×3 step-1 pad-1 convolution with outC channels.
 func (b *Builder) Conv(outC int) *Builder {
-	l, err := NewConv2D(fmt.Sprintf("conv%d", b.n), b.cur, outC, 3, 1, 1, b.rng)
+	l, err := NewConv2D(fmt.Sprintf("conv%d", b.n), b.cur, outC, b.rng)
 	b.push(l, err)
 	return b
 }
@@ -134,9 +133,9 @@ func (b *Builder) ReLU() *Builder {
 	return b
 }
 
-// Pool appends 2×2 stride-2 max pooling.
+// Pool appends 2×2 step-2 max pooling.
 func (b *Builder) Pool() *Builder {
-	l, err := NewMaxPool2D(fmt.Sprintf("pool%d", b.n), b.cur, 2, 2)
+	l, err := NewMaxPool2D(fmt.Sprintf("pool%d", b.n), b.cur)
 	b.push(l, err)
 	return b
 }

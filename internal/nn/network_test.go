@@ -51,9 +51,9 @@ func TestStagesPairsUnitsWithReLU(t *testing.T) {
 	if stages[2].Act != nil {
 		t.Fatal("output stage must not have a ReLU")
 	}
-	for i, st := range stages {
-		if st.Index != i {
-			t.Fatalf("stage %d has index %d", i, st.Index)
+	for i, at := range []int{0, 4, 6} { // conv, fc, fc: the unit layers in order
+		if stages[i].Unit != net.Layers[at] {
+			t.Fatalf("stage %d is %s, want layer %d (%s)", i, stages[i].Unit.Name(), at, net.Layers[at].Name())
 		}
 	}
 }
@@ -102,7 +102,7 @@ func TestInferObservedSeesPostReLU(t *testing.T) {
 	net := NewBuilder(1, 1, 4, 3).Flatten().Dense(4).ReLU().MustBuild()
 	x := randInput([]int{1, 1, 1, 4}, 3)
 	var seen []float64
-	out := net.InferObserved(x, nil, func(stage int, post *tensor.Tensor) {
+	out := net.InferObserved(x, func(stage int, post *tensor.Tensor) {
 		if stage != 0 {
 			t.Errorf("observed stage %d, want 0", stage)
 		}
@@ -116,7 +116,7 @@ func TestInferObservedSeesPostReLU(t *testing.T) {
 }
 
 func TestMaxPoolForwardValues(t *testing.T) {
-	p, err := NewMaxPool2D("p", []int{1, 4, 4}, 2, 2)
+	p, err := NewMaxPool2D("p", []int{1, 4, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestForwardDeterministic(t *testing.T) {
 
 func TestConvMatchesManualComputation(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c, err := NewConv2D("c", []int{1, 3, 3}, 1, 3, 1, 1, rng)
+	c, err := NewConv2D("c", []int{1, 3, 3}, 1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}

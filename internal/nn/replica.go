@@ -43,12 +43,7 @@ func shareParam(p *Param) *Param {
 }
 
 func (c *Conv2D) replica() Layer {
-	r := &Conv2D{
-		name: c.name,
-		inC:  c.inC, inH: c.inH, inW: c.inW,
-		outC: c.outC, k: c.k, stride: c.stride, pad: c.pad,
-		outH: c.outH, outW: c.outW,
-	}
+	r := &Conv2D{name: c.name, inC: c.inC, inH: c.inH, inW: c.inW, outC: c.outC}
 	r.w, r.b = shareParam(c.w), shareParam(c.b)
 	return r
 }
@@ -64,10 +59,7 @@ func (r *ReLU) replica() Layer {
 }
 
 func (p *MaxPool2D) replica() Layer {
-	return &MaxPool2D{
-		name: p.name, c: p.c, inH: p.inH, inW: p.inW,
-		k: p.k, stride: p.stride, outH: p.outH, outW: p.outW,
-	}
+	return &MaxPool2D{name: p.name, c: p.c, inH: p.inH, inW: p.inW, outH: p.outH, outW: p.outW}
 }
 
 func (f *Flatten) replica() Layer {

@@ -25,11 +25,11 @@ type layerSpec struct {
 	Kind string // "conv", "dense", "relu", "pool", "flatten"
 	Name string
 
-	// conv
+	// conv: K, Stride and Pad are always 3, 1 and 1
 	OutC, K, Stride, Pad int
 	// dense
 	Out int
-	// pool
+	// pool: PoolK and PoolStride are always 2 and 2
 	PoolK, PoolStride int
 
 	// Older files carry a Pruned field (from when layers stored prune
@@ -47,7 +47,7 @@ func Save(w io.Writer, net *Network) error {
 		switch t := l.(type) {
 		case *Conv2D:
 			ls.Kind = "conv"
-			ls.OutC, ls.K, ls.Stride, ls.Pad = t.outC, t.k, t.stride, t.pad
+			ls.OutC, ls.K, ls.Stride, ls.Pad = t.outC, convK, 1, convPad
 			ls.W = append([]float64(nil), t.w.W.Data()...)
 			ls.B = append([]float64(nil), t.b.W.Data()...)
 		case *Dense:
@@ -59,7 +59,7 @@ func Save(w io.Writer, net *Network) error {
 			ls.Kind = "relu"
 		case *MaxPool2D:
 			ls.Kind = "pool"
-			ls.PoolK, ls.PoolStride = t.k, t.stride
+			ls.PoolK, ls.PoolStride = 2, 2
 		case *Flatten:
 			ls.Kind = "flatten"
 		default:
@@ -87,7 +87,10 @@ func Load(r io.Reader) (*Network, error) {
 	for _, ls := range spec.Layers {
 		switch ls.Kind {
 		case "conv":
-			c, err := NewConv2DUninit(ls.Name, cur, ls.OutC, ls.K, ls.Stride, ls.Pad)
+			if ls.K != convK || ls.Stride != 1 || ls.Pad != convPad {
+				return nil, fmt.Errorf("nn: conv %q has K %d, Stride %d, Pad %d; only 3, 1, 1 load", ls.Name, ls.K, ls.Stride, ls.Pad)
+			}
+			c, err := NewConv2DUninit(ls.Name, cur, ls.OutC)
 			if err != nil {
 				return nil, err
 			}
@@ -119,7 +122,10 @@ func Load(r io.Reader) (*Network, error) {
 			r := NewReLU(ls.Name, cur)
 			net.Layers = append(net.Layers, r)
 		case "pool":
-			p, err := NewMaxPool2D(ls.Name, cur, ls.PoolK, ls.PoolStride)
+			if ls.PoolK != 2 || ls.PoolStride != 2 {
+				return nil, fmt.Errorf("nn: pool %q has PoolK %d, PoolStride %d; only 2, 2 load", ls.Name, ls.PoolK, ls.PoolStride)
+			}
+			p, err := NewMaxPool2D(ls.Name, cur)
 			if err != nil {
 				return nil, err
 			}

@@ -3,8 +3,12 @@ package nn
 import (
 	"bytes"
 	"encoding/gob"
+	"hash/crc32"
 	"math"
+	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -131,6 +135,108 @@ func TestVGGSerializeRoundTrip(t *testing.T) {
 	for i, v := range a.Data() {
 		if math.Abs(v-b.Data()[i]) > 1e-12 {
 			t.Fatal("VGG round trip diverges")
+		}
+	}
+}
+
+// loadEdited saves net, passes each of its layer records to edit, and
+// loads what that leaves.
+func loadEdited(t *testing.T, net *Network, edit func(ls *layerSpec)) error {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := Save(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	var spec netSpec
+	if err := gob.NewDecoder(&buf).Decode(&spec); err != nil {
+		t.Fatal(err)
+	}
+	for i := range spec.Layers {
+		edit(&spec.Layers[i])
+	}
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&spec); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Load(&buf)
+	return err
+}
+
+// The one conv is 3×3 at stride 1 pad 1 and the one pool 2×2 at stride
+// 2: a file that says otherwise of any layer does not load, and the
+// error names that layer and what it says.
+func TestLoadRefusesOtherGeometry(t *testing.T) {
+	net := buildSmallNet(15)
+	if err := loadEdited(t, net, func(*layerSpec) {}); err != nil {
+		t.Fatalf("the saved network does not load: %v", err)
+	}
+	for _, tc := range []struct {
+		layer string
+		edit  func(ls *layerSpec)
+		want  string
+	}{
+		{"conv3", func(ls *layerSpec) { ls.K = 5 }, `conv "conv3" has K 5, Stride 1, Pad 1`},
+		{"conv3", func(ls *layerSpec) { ls.Stride = 2 }, `conv "conv3" has K 3, Stride 2, Pad 1`},
+		{"conv0", func(ls *layerSpec) { ls.Pad = 0 }, `conv "conv0" has K 3, Stride 1, Pad 0`},
+		{"conv0", func(ls *layerSpec) { ls.K, ls.Pad = 1, 0 }, `conv "conv0" has K 1, Stride 1, Pad 0`},
+		{"pool5", func(ls *layerSpec) { ls.PoolK = 3 }, `pool "pool5" has PoolK 3, PoolStride 2`},
+		{"pool2", func(ls *layerSpec) { ls.PoolStride = 1 }, `pool "pool2" has PoolK 2, PoolStride 1`},
+	} {
+		err := loadEdited(t, net, func(ls *layerSpec) {
+			if ls.Name == tc.layer {
+				tc.edit(ls)
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s edited: Load = %v, want an error containing %q", tc.layer, err, tc.want)
+		}
+	}
+}
+
+// The format did not change when the geometry became fixed. Each
+// checked-in model, loaded and saved again, holds the same records as its
+// file, and the re-saved bytes have the CRC-32C (serve.BaseSum's sum)
+// they had before: a device's base checksum is what it was. (The files
+// themselves are 57 bytes longer than any re-save: they were written when
+// a layer record had fields it no longer has, whose type description gob
+// writes along; the sums below were recorded from the code that still
+// took each conv's and pool's geometry as arguments.)
+func TestSaveFormatUnchanged(t *testing.T) {
+	sums := map[string]uint32{
+		"cifar10-1186ba38d2e4e1c4.model":    0x16210ca1,
+		"imagenet20-aaa6ebc068597d97.model": 0x6b23a4fa,
+		"test-tiny-88233875dcfce486.model":  0x3414c478,
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fixtures", "*.model"))
+	if err != nil || len(paths) != len(sums) {
+		t.Fatalf("checked-in models %v (%v), want the %d of sums", paths, err, len(sums))
+	}
+	records := func(b []byte) netSpec {
+		var spec netSpec
+		if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&spec); err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	for _, path := range paths {
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		net, err := Load(bytes.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		var buf bytes.Buffer
+		if err := Save(&buf, net); err != nil {
+			t.Fatal(err)
+		}
+		name := filepath.Base(path)
+		if !reflect.DeepEqual(records(file), records(buf.Bytes())) {
+			t.Errorf("%s: re-saved records differ from the file's", name)
+		}
+		if got := crc32.Checksum(buf.Bytes(), crc32.MakeTable(crc32.Castagnoli)); got != sums[name] {
+			t.Errorf("%s: re-saved bytes sum to %08x, want %08x", name, got, sums[name])
 		}
 	}
 }

@@ -3,7 +3,7 @@ package nn
 import "fmt"
 
 // VGGConfig describes a VGG-16-style classifier: 13 convolutional layers
-// (3×3, stride 1, pad 1) in the canonical 2-2-3-3-3 block pattern with a
+// (3×3, step 1, pad 1) in the canonical 2-2-3-3-3 block pattern with a
 // 2×2 max-pool after each block, followed by two hidden fully-connected
 // layers and the output layer. Every conv and hidden FC layer is followed
 // by a ReLU.

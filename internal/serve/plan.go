@@ -30,7 +30,7 @@ func (s *Server) newEntry(v core.Variant, prefs core.Preferences, key string, ma
 	plan, err := s.prefix.Compile(masks)
 	s.st.compiled(time.Since(start), err)
 	if err != nil {
-		s.events.Record("compile-failed", key, err.Error(), nil)
+		s.events.Record("compile-failed", key, err.Error())
 		plan = s.unpruned
 	}
 	return &maskEntry{key: key, variant: v, prefs: prefs, masks: masks, guard: guard, plan: plan}, nil

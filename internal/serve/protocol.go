@@ -233,7 +233,7 @@ func (s *Server) handleRingUpdate(payload []byte) *WireResponse {
 		if err := h(upd); err != nil {
 			return Refuse(cloud.CodeInternal, "ring update: %v", err)
 		}
-		s.events.Record("ring-changed", "", fmt.Sprintf("installed epoch %d (%d members)", upd.Epoch, len(upd.Members)), nil)
+		s.events.Record("ring-changed", "", fmt.Sprintf("installed epoch %d (%d members)", upd.Epoch, len(upd.Members)))
 	}
 	return &WireResponse{Version: cloud.ProtocolVersion, Code: cloud.CodeOK}
 }

@@ -299,7 +299,7 @@ func NewServerWith(sys *core.System, cfg Config) *Server {
 	// Breaker transitions become structured events; the counters come
 	// from the breaker's own snapshot below — one source, two surfaces.
 	s.breaker.OnTransition = func(from, to breaker.State) {
-		events.Record("breaker", "repersonalize", fmt.Sprintf("%s -> %s", from, to), nil)
+		events.Record("breaker", "repersonalize", fmt.Sprintf("%s -> %s", from, to))
 	}
 	// Instantaneous state that already lives in a component is exposed
 	// func-backed at gather time rather than double-accounted.
@@ -448,7 +448,7 @@ func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q Qo
 	if unpruned && entry.guard != nil {
 		if why, trip := entry.guard.observe(class); trip {
 			s.st.guardTripped()
-			s.events.Record("guard-trip", entry.key, why.String(), nil)
+			s.events.Record("guard-trip", entry.key, why.String())
 			s.scheduleHeal(entry)
 		}
 	}
@@ -611,7 +611,7 @@ func (s *Server) heal(entry *maskEntry) {
 		prefs, err := entry.guard.observedPrefs(len(entry.prefs.Classes))
 		if err == nil && prefs.Key() == entry.prefs.Key() {
 			entry.guard.clear()
-			s.events.Record("heal-noop", entry.key, "observed class mix is the personalized-for one; trip cleared", nil)
+			s.events.Record("heal-noop", entry.key, "observed class mix is the personalized-for one; trip cleared")
 			return
 		}
 		if s.breaker.Allow() {
@@ -625,7 +625,7 @@ func (s *Server) heal(entry *maskEntry) {
 					}
 					s.cache.install(fresh)
 					s.st.healed()
-					s.events.Record("heal", entry.key, "repersonalized against observed class mix", nil)
+					s.events.Record("heal", entry.key, "repersonalized against observed class mix")
 					if s.hookHealed != nil {
 						s.hookHealed(entry.key, prefs)
 					}
@@ -634,7 +634,7 @@ func (s *Server) heal(entry *maskEntry) {
 			}
 			s.breaker.Record(false)
 			s.st.healFailed()
-			s.events.Record("heal-failed", entry.key, err.Error(), nil)
+			s.events.Record("heal-failed", entry.key, err.Error())
 		}
 		select {
 		case <-s.drainCh:

@@ -217,7 +217,7 @@ func (st *stats) shedExpired()   { st.shedBy(shedReasonExpired) }
 
 func (st *stats) shedBy(reason string) {
 	st.shedVec.With(reason).Inc()
-	st.events.Record("shed", "", reason, nil)
+	st.events.Record("shed", "", reason)
 }
 
 func (st *stats) cacheHit()     { st.hitC.Inc() }
