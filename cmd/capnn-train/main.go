@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"io/fs"
-	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -33,18 +32,11 @@ import (
 
 func main() {
 	model := flag.String("model", "imagenet20", "fixture to train: imagenet20 or cifar10")
-	noise := flag.Float64("noise", 0, "override generator NoiseStd (0 = fixture default)")
-	groupMix := flag.Float64("groupmix", 0, "override generator GroupMix (0 = fixture default)")
 	epochs := flag.Int("epochs", 0, "override training epochs (0 = fixture default)")
 	stateDir := flag.String("state", "", "state directory: write crash-safe checkpoints there and resume from the last good one (empty = fixture cache only)")
 	ckptEvery := flag.Int("checkpoint-every", 1, "with -state, commit a checkpoint every N completed epochs")
 	perf := profiling.AddFlags()
 	flag.Parse()
-	// Negated in-range tests, so NaN is refused with the rest.
-	if !(*noise >= 0 && *noise <= math.MaxFloat64) || !(*groupMix >= 0 && *groupMix < 1) {
-		fmt.Fprintln(os.Stderr, "capnn-train: -noise must be finite and non-negative, -groupmix in [0,1)")
-		os.Exit(2)
-	}
 	if err := perf.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -53,12 +45,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
-	}
-	if *noise > 0 {
-		cfg.Synth.NoiseStd = *noise
-	}
-	if *groupMix > 0 {
-		cfg.Synth.GroupMix = *groupMix
 	}
 	if *epochs > 0 {
 		cfg.Train.Epochs = *epochs

@@ -66,7 +66,7 @@ func main() {
 	}
 	addr := srv.Serve(capnn.WrapChaosListener(ln, plan))
 	defer srv.Close()
-	fmt.Printf("cloud: model served on %s (chaos: 25%% corrupt, 25%% cut connections)\n", addr)
+	fmt.Println("cloud: model served on a loopback TCP port (chaos: 25% corrupt, 25% cut connections)")
 
 	// --- device side: monitoring period ---------------------------------
 	// The device starts on the commodity model. The user mostly
@@ -109,8 +109,8 @@ func main() {
 	userTest := sets.Test.FilterClasses(prefs.Classes)
 	before := capnn.Evaluate(net, nil, userTest)
 	after := capnn.Evaluate(personalized, nil, userTest)
-	fmt.Printf("user-classes top-1: %.3f → %.3f   top-5: %.3f → %.3f\n",
-		before.Top1, after.Top1, before.Top5, after.Top5)
+	fmt.Printf("user-classes top-1 on %d test images (%d per class): %.3f → %.3f   top-5: %.3f → %.3f\n",
+		userTest.Len(), userTest.Len()/len(prefs.Classes), before.Top1, after.Top1, before.Top5, after.Top5)
 
 	dev := capnn.DefaultDevice()
 	comp := capnn.PaperEnergies()

@@ -44,7 +44,8 @@ func main() {
 		log.Fatal(err)
 	}
 	base := capnn.Evaluate(net, nil, sets.Test)
-	fmt.Printf("trained: test top-1 %.3f, %d parameters\n\n", base.Top1, net.ParamCount())
+	fmt.Printf("trained: test top-1 %.3f on %d images (%d per class), %d parameters\n\n",
+		base.Top1, sets.Test.Len(), sets.Test.Len()/sets.Test.Classes, net.ParamCount())
 
 	// 3. Hand the model to CAP'NN: it profiles class-specific firing
 	// rates on the profiling split and prepares the ε-check evaluator.
@@ -63,13 +64,14 @@ func main() {
 
 	fmt.Printf("personalizing for classes %v (usage %.0f%%-%.0f%%):\n",
 		prefs.Classes, 100*prefs.Weights[0], 100*prefs.Weights[1])
+	userImages := sets.Test.FilterClasses(prefs.Classes).Len()
 	for _, v := range []capnn.Variant{capnn.VariantB, capnn.VariantW, capnn.VariantM} {
 		res, err := sys.Personalize(v, prefs, sets.Test)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("  %-9s size %5.1f%%  units pruned %3d/%3d  top-1 %.3f (unpruned %.3f)\n",
-			v, 100*res.RelativeSize, res.PrunedUnits, res.TotalUnits, res.Top1, res.BaseTop1)
+		fmt.Printf("  %-9s size %5.1f%%  units pruned %3d/%3d  top-1 %.3f (unpruned %.3f) on %d images\n",
+			v, 100*res.RelativeSize, res.PrunedUnits, res.TotalUnits, res.Top1, res.BaseTop1, userImages)
 	}
 
 	// 5. Ship the deployable model: compact the network under the masks.

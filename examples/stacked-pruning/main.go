@@ -72,6 +72,7 @@ func main() {
 	stackedParams := res.RelativeSize * float64(classUnaware.ParamCount())
 	fmt.Printf("after stacking CAP'NN-M (classes %v): %.0f parameters (%.1f%% of original)\n",
 		prefs.Classes, stackedParams, 100*stackedParams/float64(origParams))
-	fmt.Printf("user-classes top-1: %.3f → %.3f   top-5: %.3f → %.3f\n",
-		res.BaseTop1, res.Top1, res.BaseTop5, res.Top5)
+	userImages := sets.Test.FilterClasses(prefs.Classes).Len()
+	fmt.Printf("user-classes top-1 on %d test images (%d per class): %.3f → %.3f   top-5: %.3f → %.3f\n",
+		userImages, userImages/len(prefs.Classes), res.BaseTop1, res.Top1, res.BaseTop5, res.Top5)
 }
