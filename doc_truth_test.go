@@ -1,6 +1,7 @@
 package capnn
 
 import (
+	"encoding/json"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -47,13 +48,12 @@ func goSources(t *testing.T, root string, fn func(path string, src []byte)) {
 	}
 }
 
-// Every backticked Test*, Benchmark* or Fuzz* name in the prose docs is
-// a func in some _test.go of this module, so a rename or a deletion that
-// leaves a doc pointing at nothing fails here. Inside a `go test -run` or
-// `-bench` pattern a name is a regexp alternative, so there it need only
-// begin some func's name.
-func TestDocsNameRealTests(t *testing.T) {
-	funcs := map[string]bool{}
+// testFuncs is the set of Test*, Benchmark* and Fuzz* funcs some
+// _test.go of this module declares.
+type testFuncs map[string]bool
+
+func declaredTests(t *testing.T) testFuncs {
+	funcs := testFuncs{}
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)\w*)\(`)
 	goSources(t, ".", func(path string, src []byte) {
 		if !strings.HasSuffix(path, "_test.go") {
@@ -63,25 +63,38 @@ func TestDocsNameRealTests(t *testing.T) {
 			funcs[string(m[1])] = true
 		}
 	})
-	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
-	found := func(n string, pattern bool) bool {
-		if funcs[n] {
+	return funcs
+}
+
+// names reports whether n is a declared func, or with prefix set begins
+// one.
+func (funcs testFuncs) names(n string, prefix bool) bool {
+	if funcs[n] || !prefix {
+		return funcs[n]
+	}
+	for f := range funcs {
+		if strings.HasPrefix(f, n) {
 			return true
 		}
-		for f := range funcs {
-			if pattern && strings.HasPrefix(f, n) {
-				return true
-			}
-		}
-		return false
 	}
+	return false
+}
+
+// Every backticked Test*, Benchmark* or Fuzz* name in the prose docs is
+// a func in some _test.go of this module, so a rename or a deletion that
+// leaves a doc pointing at nothing fails here. Inside a `go test -run` or
+// `-bench` pattern a name is a regexp alternative, so there it need only
+// begin some func's name.
+func TestDocsNameRealTests(t *testing.T) {
+	funcs := declaredTests(t)
+	name := regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z]\w*`)
 	checked := 0
 	for _, doc := range proseDocs {
 		for _, s := range codeSpans(t, doc) {
 			pattern := strings.Contains(s, "-run") || strings.Contains(s, "-bench")
 			for _, n := range name.FindAllString(s, -1) {
 				checked++
-				if !found(n, pattern) {
+				if !funcs.names(n, pattern) {
 					t.Errorf("%s names %s, which no _test.go declares", doc, n)
 				}
 			}
@@ -89,6 +102,88 @@ func TestDocsNameRealTests(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no test names found in the docs: the scan is broken")
+	}
+}
+
+// Every alternative of every -run, -bench and -fuzz pattern in CI begins
+// the name of a func some _test.go of this module declares, and an
+// anchored ^X$ is one exactly: go test exits 0 when a pattern matches
+// nothing, so a renamed test would silently empty the step that runs it.
+// A '^$' pattern runs nothing on purpose and names nothing.
+func TestCINamesRealTests(t *testing.T) {
+	funcs := declaredTests(t)
+	src, err := os.ReadFile(".github/workflows/ci.yml")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flag := regexp.MustCompile(`-(?:run|bench|fuzz)[= ](?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	checked := 0
+	for _, m := range flag.FindAllStringSubmatch(string(src), -1) {
+		for _, alt := range strings.Split(m[1]+m[2]+m[3], "|") {
+			alt, _, _ = strings.Cut(alt, "/") // a subtest level is not a func name
+			n, anchored := strings.TrimPrefix(alt, "^"), strings.HasPrefix(alt, "^")
+			n, exact := strings.CutSuffix(n, "$")
+			if n == "" {
+				continue
+			}
+			checked++
+			if !funcs.names(n, !(anchored && exact)) {
+				t.Errorf("ci.yml runs %q, which names no func any _test.go declares", alt)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no test patterns found in ci.yml: the scan is broken")
+	}
+}
+
+// The prose docs name only benchmark workloads that BENCHMARK.json
+// declares, and only BENCH_*.json files that are checked in. A workload
+// the benchmark module defines but does not gate, or a results file that
+// is not in the tree, is a number no reader can re-run or look up.
+func TestDocsNameDeclaredWorkloadsAndBenchFiles(t *testing.T) {
+	src, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bench struct{ Workloads []struct{ Name string } }
+	if err := json.Unmarshal(src, &bench); err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]bool{}
+	for _, w := range bench.Workloads {
+		declared[w.Name] = true
+	}
+	defs, err := os.ReadFile("benchmark/workloads.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	undeclared := map[string]*regexp.Regexp{}
+	defined := regexp.MustCompile(`\{name: "(\w+)"`).FindAllSubmatch(defs, -1)
+	for _, m := range defined {
+		if w := string(m[1]); !declared[w] {
+			undeclared[w] = regexp.MustCompile(`\b` + w + `\b`)
+		}
+	}
+	if len(defined) == 0 || len(declared) == 0 {
+		t.Fatalf("benchmark/workloads.go defines %d workloads and BENCHMARK.json declares %d: the scan is broken", len(defined), len(declared))
+	}
+	benchFile := regexp.MustCompile(`\bBENCH_\w+\.json`)
+	for _, doc := range proseDocs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for w, re := range undeclared {
+			if re.Match(text) {
+				t.Errorf("%s names workload %s, which BENCHMARK.json does not declare", doc, w)
+			}
+		}
+		for _, f := range benchFile.FindAll(text, -1) {
+			if _, err := os.Stat(string(f)); err != nil {
+				t.Errorf("%s names %s, which is not checked in", doc, f)
+			}
+		}
 	}
 }
 

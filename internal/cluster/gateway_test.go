@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -25,13 +24,11 @@ import (
 	"capnn/internal/train"
 )
 
-// clusterFixture trains the tiny reference model once and hands each
-// serve node its own System (a System's personalization path is
-// per-instance; sharing one across servers would serialize and race).
+// clusterFixture trains the tiny reference model once; every serve node
+// serves its one System.
 type clusterFixture struct {
-	sets     *data.Sets
-	netBytes []byte
-	params   core.Params
+	sets *data.Sets
+	sys  *core.System
 }
 
 var (
@@ -58,32 +55,19 @@ func getClusterFixture(t testing.TB) *clusterFixture {
 			cfixErr = err
 			return
 		}
-		var buf bytes.Buffer
-		if err := nn.Save(&buf, netw); err != nil {
+		params := core.DefaultParams()
+		params.Epsilon = 0.1
+		sys, err := core.NewSystem(netw, sets.Val, sets.Profile, nil, params)
+		if err != nil {
 			cfixErr = err
 			return
 		}
-		params := core.DefaultParams()
-		params.Epsilon = 0.1
-		cfix = &clusterFixture{sets: sets, netBytes: buf.Bytes(), params: params}
+		cfix = &clusterFixture{sets: sets, sys: sys}
 	})
 	if cfixErr != nil {
 		t.Fatalf("cluster fixture: %v", cfixErr)
 	}
 	return cfix
-}
-
-func (f *clusterFixture) newSystem(t testing.TB) *core.System {
-	t.Helper()
-	netw, err := nn.Load(bytes.NewReader(f.netBytes))
-	if err != nil {
-		t.Fatalf("load fixture net: %v", err)
-	}
-	sys, err := core.NewSystem(netw, f.sets.Val, f.sets.Profile, nil, f.params)
-	if err != nil {
-		t.Fatalf("fixture system: %v", err)
-	}
-	return sys
 }
 
 // inferRequest builds a wire request for synthetic user u: the class
@@ -112,7 +96,7 @@ func startTestNodes(t *testing.T, n int) []*testNode {
 	f := getClusterFixture(t)
 	nodes := make([]*testNode, n)
 	for i := range nodes {
-		srv := serve.NewServerWith(f.newSystem(t), serve.Config{DisableGuard: true})
+		srv := serve.NewServerWith(f.sys, serve.Config{DisableGuard: true})
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatalf("listen: %v", err)
@@ -680,7 +664,7 @@ func TestRouteKeyNamesTheShardsCacheKey(t *testing.T) {
 		{[]int{2, 0}, []float64{0.5, 0.5}},
 	}
 	for letter, spellings := range map[string][]string{"B": {"B", "b"}, "W": {"W", "w"}, "M": {"M", "m", ""}} {
-		srv := serve.NewServerWith(f.newSystem(t), serve.Config{DisableGuard: true})
+		srv := serve.NewServerWith(f.sys, serve.Config{DisableGuard: true})
 		keys := map[string]bool{}
 		for _, variant := range spellings {
 			for _, p := range prefSpellings {

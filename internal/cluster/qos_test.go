@@ -193,7 +193,7 @@ func (l *countingListener) Accept() (net.Conn, error) {
 // connection that carried it is kept for the next request.
 func TestGatewayNonFiniteInputAnsweredNotRetried(t *testing.T) {
 	f := getClusterFixture(t)
-	srv := serve.NewServerWith(f.newSystem(t), serve.Config{DisableGuard: true})
+	srv := serve.NewServerWith(f.sys, serve.Config{DisableGuard: true})
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -28,19 +28,11 @@ func Breakdown(net *nn.Network, dev hw.Config, c Components) ([]LayerEnergy, flo
 	if err != nil {
 		return nil, 0, err
 	}
-	var out []LayerEnergy
+	out := make([]LayerEnergy, len(perLayer))
 	total := 0.0
-	for _, lc := range perLayer {
-		le := LayerEnergy{
-			Name: lc.Name,
-			ComputePJ: float64(lc.Counts.MACs)*(c.AddPJ+c.MulPJ) +
-				float64(lc.Counts.PoolOps)*c.MaxPoolPJ +
-				float64(lc.Counts.ReLUOps)*c.ReLUPJ,
-			SRAMPJ: float64(lc.Counts.SRAMReads+lc.Counts.SRAMWrites) * c.SRAMPJ,
-			DRAMPJ: float64(lc.Counts.DRAMReads+lc.Counts.DRAMWrites) * c.DRAMPJ,
-		}
-		out = append(out, le)
-		total += le.TotalPJ()
+	for i, lc := range perLayer {
+		out[i] = price(lc.Name, lc.Counts, c)
+		total += out[i].TotalPJ()
 	}
 	return out, total, nil
 }

@@ -37,14 +37,21 @@ func (c Components) Validate() error {
 	return nil
 }
 
-// Estimate converts hardware counts into total picojoules: each MAC costs
-// one multiply plus one add; memory accesses cost per word.
-func Estimate(counts hw.Counts, c Components) float64 {
-	return float64(counts.MACs)*(c.AddPJ+c.MulPJ) +
-		float64(counts.PoolOps)*c.MaxPoolPJ +
-		float64(counts.ReLUOps)*c.ReLUPJ +
-		float64(counts.SRAMReads+counts.SRAMWrites)*c.SRAMPJ +
-		float64(counts.DRAMReads+counts.DRAMWrites)*c.DRAMPJ
+// Estimate converts hardware counts into total picojoules.
+func Estimate(counts hw.Counts, c Components) float64 { return price("", counts, c).TotalPJ() }
+
+// price is the one place counts become picojoules: each MAC costs one
+// multiply plus one add, each pool or ReLU op its unit, and memory
+// accesses cost per word.
+func price(name string, counts hw.Counts, c Components) LayerEnergy {
+	return LayerEnergy{
+		Name: name,
+		ComputePJ: float64(counts.MACs)*(c.AddPJ+c.MulPJ) +
+			float64(counts.PoolOps)*c.MaxPoolPJ +
+			float64(counts.ReLUOps)*c.ReLUPJ,
+		SRAMPJ: float64(counts.SRAMReads+counts.SRAMWrites) * c.SRAMPJ,
+		DRAMPJ: float64(counts.DRAMReads+counts.DRAMWrites) * c.DRAMPJ,
+	}
 }
 
 // OfNetwork simulates one inference of net on the device and returns its

@@ -1,7 +1,7 @@
 // Package profiling wires the shared performance flags into the cmd
 // binaries: -workers caps the data-parallel worker pool, and
 // -cpuprofile / -memprofile write standard pprof profiles for
-// `go tool pprof` (see README "Performance").
+// `go tool pprof` (see README "Reproducing §V" and DESIGN row 17).
 package profiling
 
 import (
