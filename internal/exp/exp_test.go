@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"sync"
@@ -218,6 +219,40 @@ func TestEnsureBCaches(t *testing.T) {
 			if b2.P[l][i] != v {
 				t.Fatal("cached B matrices differ")
 			}
+		}
+	}
+}
+
+// TestBMatricesMatchCheckedIn recomputes Algorithm 1 with
+// Sys.BMatrices() and requires each checked-in .bmat. Their cache key
+// hashes the fixture's configuration, not the kernels' arithmetic, so a
+// kernel change that moved a firing rate or a replay's verdict would
+// otherwise leave every test loading a stale file without a word.
+// imagenet20's recomputation runs outside -short.
+func TestBMatricesMatchCheckedIn(t *testing.T) {
+	dir, err := fixtureDir()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []FixtureConfig{tinyConfig(), CIFAR10Config(), ImageNet20Config()} {
+		if cfg.Name == "imagenet20" && testing.Short() {
+			t.Logf("skipping %s under -short", cfg.Name)
+			continue
+		}
+		fx, err := Load(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := fx.Sys.BMatrices()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := loadBMatrices(filepath.Join(dir, cfg.Name+"-"+cfg.hash()+".bmat"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(fresh, cached) {
+			t.Errorf("%s: recomputed B matrices differ from the checked-in file", cfg.Name)
 		}
 	}
 }

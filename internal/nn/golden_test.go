@@ -31,9 +31,10 @@ type forwardGolden struct {
 	hashes    map[string]string
 }
 
-// The hashes below were recorded at the commit before the kernels went
-// four-wide (67738d4, scalar Go loops only): any change to them means a
-// forward now rounds differently, which no kernel optimisation may do.
+// The hashes below were recorded on the Go loops alone (the generic rung)
+// when the multiply-accumulate became one fused multiply-add, and every
+// assembly rung then hashed the same: any change to them means a forward
+// now rounds differently, which no kernel optimisation may do.
 var forwardGoldens = []forwardGolden{
 	{
 		name: "cifar10", classes: 10, synthSeed: 2,
@@ -46,7 +47,7 @@ var forwardGoldens = []forwardGolden{
 			14: "10111001111111111111111101111101111111111110101111011111111011101111111111101111111110111111110111111111111101111111011111110110",
 		},
 		mMaskHash: "4d845a78e22bb910",
-		hashes:    map[string]string{"unpruned": "14b58bd32af2a0f9", "ratio-40": "f29a232a9d283890", "prune-M": "804960e919659cce"},
+		hashes:    map[string]string{"unpruned": "dd78a6b06504b257", "ratio-40": "eddb5be9c6397472", "prune-M": "c0097c5d5aa453f5"},
 	},
 	{
 		name: "imagenet20", classes: 20, synthSeed: 1,
@@ -59,7 +60,7 @@ var forwardGoldens = []forwardGolden{
 			14: "11110100110111100111111111110110011111111110101011101111101110101011011010111000111101010111011111011110010111111111101111011111",
 		},
 		mMaskHash: "1fa3acbdfffde6bd",
-		hashes:    map[string]string{"unpruned": "0c29ed69a9f01b05", "ratio-40": "8027e842f9b9b6bd", "prune-M": "0b47bda152ed5cdd"},
+		hashes:    map[string]string{"unpruned": "505cbef8d36c3c0b", "ratio-40": "37851ea5e4350c6c", "prune-M": "b277fec230f17046"},
 	},
 }
 

@@ -15,8 +15,8 @@ import (
 // zero-bordered padded plane of the sample's input — written by padInput
 // here, or by the compiled plan's previous op storing into its interior
 // — where every live output element starts at its bias and adds
-// w[oc,r]·tap[r] for r = (ic, ky, kx) ascending — one rounded multiply,
-// then one rounded add, never a fused multiply-add — reading each tap
+// w[oc,r]·tap[r] for r = (ic, ky, kx) ascending — each step a fused
+// multiply-add, acc + w·tap rounded once (math.FMA) — reading each tap
 // from the plane (TestForwardGolden and the Infer ≡ Forward tests pin
 // the bits). A dense layer is the same arithmetic as a 1×1 conv and runs
 // on the same tiles (denseForward, newDenseOp). The masked walk's tail
@@ -24,8 +24,8 @@ import (
 // position side by side, one padded plane for the batch, each output
 // position a tile row of n samples (convMinor, poolMinor).
 // The Go loops below are the definition.
-// On amd64 with AVX2 (CPUID, checked once at init: useAVX2) the conv
-// MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
+// On amd64 with AVX2 and FMA (CPUID, checked once at init: useAVX2) the
+// conv MACs, the ReLU clamp and the 2×2 max-pool run kernels_amd64.s
 // instead: four float64 lanes wide, the same operations in the same
 // order per output element, so every path returns identical bits
 // (TestKernelsMatchGeneric, TestDenseMatchesGeneric). With AVX-512 as
@@ -316,27 +316,26 @@ func convForwardGo(g convGeom, pad []float64, offs []int, wd, bd, os []float64, 
 }
 
 // tapSweep adds Σ_r wRow[r]·pad[offs[r] + q] to every acc[q], r
-// ascending. (Its own function so the compiler keeps the loop counters
-// in registers.)
+// ascending, one fused multiply-add a tap. (Its own function so the
+// compiler keeps the loop counters in registers.)
 func tapSweep(acc, pad []float64, offs []int, wRow []float64) {
-	// Four taps per sweep quarters the acc write traffic. The explicit
-	// left-to-right sum keeps the accumulation order of the
-	// one-tap-at-a-time loop, and the float64 conversions forbid the
-	// compiler to fuse a product into its add (it would on arm64 and
-	// GOAMD64=v3), so results stay bit-identical everywhere.
+	// Four taps per sweep quarters the acc write traffic. The nested
+	// math.FMA calls keep the accumulation order of the one-tap-at-a-time
+	// loop, each step rounded once on every GOARCH and GOAMD64 level, so
+	// results are bit-identical everywhere.
 	r := 0
 	for ; r+4 <= len(offs); r += 4 {
 		w0, w1, w2, w3 := wRow[r], wRow[r+1], wRow[r+2], wRow[r+3]
 		t0, t1 := pad[offs[r]:][:len(acc)], pad[offs[r+1]:][:len(acc)]
 		t2, t3 := pad[offs[r+2]:][:len(acc)], pad[offs[r+3]:][:len(acc)]
 		for i := range acc {
-			acc[i] = acc[i] + float64(w0*t0[i]) + float64(w1*t1[i]) + float64(w2*t2[i]) + float64(w3*t3[i])
+			acc[i] = math.FMA(w3, t3[i], math.FMA(w2, t2[i], math.FMA(w1, t1[i], math.FMA(w0, t0[i], acc[i]))))
 		}
 	}
 	for ; r < len(offs); r++ {
 		wv, t := wRow[r], pad[offs[r]:][:len(acc)]
 		for i := range acc {
-			acc[i] += float64(wv * t[i])
+			acc[i] = math.FMA(wv, t[i], acc[i])
 		}
 	}
 }
@@ -579,7 +578,7 @@ const denseConvMin = 16
 // op is a 1×1 conv whose positions are the out neurons over the panel
 // under the filter [+1, x…] (run writes it into the arena), with its one
 // channel's accumulator starting at −0: output o is −0 + 1·b[o] = b[o],
-// then + x[i]·w[o,i] for i ascending, multiply then add —
+// then + x[i]·w[o,i] for i ascending, each a fused multiply-add —
 // denseForwardGo's chain, bit for bit, which the probe checks at every
 // compile. Narrower layers run densePanelGo, the same chain in Go.
 func newDenseOp(wd, bd []float64, in, out int) compiledOp {
@@ -598,7 +597,7 @@ func densePanelGo(x, pk, od []float64, relu bool) {
 	copy(od, pk[:out])
 	for i, xv := range x {
 		for o, w := range pk[(1+i)*out:][:out] {
-			od[o] += float64(w * xv)
+			od[o] = math.FMA(w, xv, od[o])
 		}
 	}
 	if relu {
@@ -629,10 +628,10 @@ func denseForwardGo(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
 			w2, w3 := wd[q[2]*in:(q[2]+1)*in], wd[q[3]*in:(q[3]+1)*in]
 			s0, s1, s2, s3 := bd[q[0]], bd[q[1]], bd[q[2]], bd[q[3]]
 			for i, xv := range xRow {
-				s0 += float64(w0[i] * xv)
-				s1 += float64(w1[i] * xv)
-				s2 += float64(w2[i] * xv)
-				s3 += float64(w3[i] * xv)
+				s0 = math.FMA(w0[i], xv, s0)
+				s1 = math.FMA(w1[i], xv, s1)
+				s2 = math.FMA(w2[i], xv, s2)
+				s3 = math.FMA(w3[i], xv, s3)
 			}
 			oRow[q[0]], oRow[q[1]], oRow[q[2]], oRow[q[3]] = s0, s1, s2, s3
 		}
@@ -640,7 +639,7 @@ func denseForwardGo(xd, wd, bd, od []float64, n, in, out int, pruned []bool) {
 			wRow := wd[o*in : (o+1)*in]
 			sum := bd[o]
 			for i, xv := range xRow {
-				sum += float64(wRow[i] * xv)
+				sum = math.FMA(wRow[i], xv, sum)
 			}
 			oRow[o] = sum
 		}

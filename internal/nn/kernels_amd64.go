@@ -1,12 +1,12 @@
 package nn
 
-// The kernels' CPU-dispatch ladder. At level isaAVX2 the conv MACs, the
-// ReLU clamp and the 2×2 max-pool of kernels.go run kernels_amd64.s; at
-// isaAVX512 the conv takes a ZMM tile on every plane at least 4 wide and
-// high, or 8 wide and 2 high, and a compiled plan's dense ops and its
-// convs on 2-wide planes of more than four channels take the ZMM
-// channel-lane tiles (convLanesAVX512, denseLanesAVX512). Below, the Go
-// loops run everything.
+// The kernels' CPU-dispatch ladder. At level isaAVX2 (AVX2 and FMA) the
+// conv MACs, the ReLU clamp and the 2×2 max-pool of kernels.go run
+// kernels_amd64.s; at isaAVX512 the conv takes a ZMM tile on every plane
+// at least 4 wide and high, or 8 wide and 2 high, and a compiled plan's
+// dense ops and its convs on 2-wide planes of more than four channels
+// take the ZMM channel-lane tiles (convLanesAVX512, denseLanesAVX512).
+// Below, the Go loops run everything.
 //
 // Register rule: a tile may write ZMM16–31 (EVEX only) but clears every
 // one it wrote before its VZEROUPPER, which zeroes only the upper halves
@@ -44,14 +44,15 @@ func hostISA() int {
 }
 
 // isaLevel is the highest rung a CPU takes, from CPUID leaf 1 ECX, leaf 7
-// EBX and XCR0: the instructions must exist and the OS must save the
-// registers they write across context switches (Intel SDM vol. 1 §13.3).
+// EBX and XCR0: the instructions must exist — FMA too, every tile's MAC —
+// and the OS must save the registers they write across context switches
+// (Intel SDM vol. 1 §13.3).
 func isaLevel(ecx1, ebx7, xcr0 uint32) int {
-	const avx = 1 << 28                   // leaf 1 ECX
+	const fma, avx = 1 << 12, 1 << 28     // leaf 1 ECX
 	const avx2, avx512f = 1 << 5, 1 << 16 // leaf 7 EBX
 	const ymm, zmm = 0x06, 0xE6           // XCR0: SSE|AVX state; that and opmask|ZMM_Hi256|Hi16_ZMM
 	switch {
-	case ecx1&(osxsave|avx) != osxsave|avx, xcr0&ymm != ymm, ebx7&avx2 == 0:
+	case ecx1&(osxsave|avx|fma) != osxsave|avx|fma, xcr0&ymm != ymm, ebx7&avx2 == 0:
 		return isaGo
 	case ebx7&avx512f == 0, xcr0&zmm != zmm:
 		return isaAVX2
@@ -64,9 +65,9 @@ func xgetbv() (eax, edx uint32)
 
 // convTile16 computes 16 consecutive outputs of one output row for each
 // of the nLive channels live[j]: os[live[j]·outHW + p] = bd[live[j]] +
-// Σ_r wd[live[j]·rows + r]·pad[offs[r] + p], r ascending, VMULPD then
-// VADDPD, clamped at +0 when relu. os and pad point at the tile's first
-// position; outHW is the destination's channel pitch.
+// Σ_r wd[live[j]·rows + r]·pad[offs[r] + p], r ascending, one
+// VFMADD231PD a tap, clamped at +0 when relu. os and pad point at the
+// tile's first position; outHW is the destination's channel pitch.
 //
 //go:noescape
 func convTile16(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)

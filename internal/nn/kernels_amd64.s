@@ -1,15 +1,16 @@
 #include "textflag.h"
 
-// AVX2 forms of the hot loops in kernels.go, and one AVX-512 conv tile;
+// AVX2 forms of the hot loops in kernels.go, and the AVX-512 tiles;
 // kernels_amd64.go documents each signature and the dispatch between
-// them. Contract: every lane performs exactly the scalar
-// loop's operations in the scalar loop's order, so results are
-// bit-identical to the Go path. No bounds are checked here; the Go
-// callers prove them.
+// them. Contract: every lane performs exactly the scalar loop's
+// operations in the scalar loop's order — each multiply-accumulate one
+// VFMADD231PD, as each of the Go loops' is one math.FMA; no VMULPD or
+// VADDPD appears here — so results are bit-identical to the Go path. No
+// bounds are checked here; the Go callers prove them.
 
-// MAC is the one place a multiply-accumulate is spelled: acc += w·c as a
-// rounded multiply, then a rounded add — never a fused multiply-add.
-#define MAC(c, w, tmp, acc) VMULPD c, w, tmp; VADDPD tmp, acc, acc
+// MAC is the one place a multiply-accumulate is spelled: acc += w·c as
+// one fused multiply-add, rounded once — the Go loops' math.FMA.
+#define MAC(c, w, acc) VFMADD231PD c, w, acc
 
 // VMAXPD b, a, d is d = a > b ? a : b per lane, b when either is NaN or
 // both are zero. With b = +0 that is the ReLU clamp (NaN and −0 become
@@ -18,10 +19,11 @@
 #define RELU4(z, a, b, c, d) VMAXPD z, a, a; VMAXPD z, b, b; VMAXPD z, c, c; VMAXPD z, d, d
 
 // COPY4 copies a to b, c to d, e to f and g to h; COPY3 a to b, c and d;
-// CLEAR4 zeroes four registers, all 512 bits (EVEX).
+// CLEAR4 and CLEAR3 zero four and three registers, all 512 bits (EVEX).
 #define COPY4(a, b, c, d, e, f, g, h) VMOVAPD a, b; VMOVAPD c, d; VMOVAPD e, f; VMOVAPD g, h
 #define COPY3(a, b, c, d) VMOVAPD a, b; VMOVAPD a, c; VMOVAPD a, d
-#define CLEAR4(a, b, c, d) VPXORQ a, a, a; VPXORQ b, b, b; VPXORQ c, c, c; VPXORQ d, d, d
+#define CLEAR3(a, b, c) VPXORQ a, a, a; VPXORQ b, b, b; VPXORQ c, c, c
+#define CLEAR4(a, b, c, d) CLEAR3(a, b, c); VPXORQ d, d, d
 
 // func cpuid(leaf, subleaf uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuid(SB), NOSPLIT, $0-24
@@ -69,10 +71,10 @@ row16:
 	MOVQ (R14)(R13*8), R15
 	LEAQ (R12)(R15*8), R15       // &pad[offs[r]]
 	VBROADCASTSD (R9)(R13*8), Y4
-	MAC((R15), Y4, Y5, Y0)
-	MAC(32(R15), Y4, Y6, Y1)
-	MAC(64(R15), Y4, Y7, Y2)
-	MAC(96(R15), Y4, Y8, Y3)
+	MAC((R15), Y4, Y0)
+	MAC(32(R15), Y4, Y1)
+	MAC(64(R15), Y4, Y2)
+	MAC(96(R15), Y4, Y3)
 	INCQ R13
 	CMPQ R13, CX
 	JLT row16
@@ -130,13 +132,13 @@ row4:
 	VMOVUPD (R15), X4
 	VINSERTF128 $1, (R15)(BX*1), Y4, Y4
 	VBROADCASTSD (R8)(AX*8), Y5
-	MAC(Y4, Y5, Y5, Y0)
+	MAC(Y4, Y5, Y0)
 	VBROADCASTSD (R9)(AX*8), Y6
-	MAC(Y4, Y6, Y6, Y1)
+	MAC(Y4, Y6, Y1)
 	VBROADCASTSD (R11)(AX*8), Y7
-	MAC(Y4, Y7, Y7, Y2)
+	MAC(Y4, Y7, Y2)
 	VBROADCASTSD (R12)(AX*8), Y8
-	MAC(Y4, Y8, Y8, Y3)
+	MAC(Y4, Y8, Y3)
 	INCQ AX
 	CMPQ AX, CX
 	JLT row4
@@ -168,8 +170,8 @@ store4:
 
 // The two-row tile: eight lanes, otherwise convTile4x4's arithmetic.
 // Z0–Z7 accumulate channel j's two rows in Z(2j), Z(2j+1); Z8/Z9 are the
-// two rows' taps, Z10–Z13 the four channels' weights, Z14/Z15 products.
-// Only ZMM0–15 are written.
+// two rows' taps, Z10–Z13 the four channels' weights. Only ZMM0–13 are
+// written.
 
 // func convTile8x2x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
 TEXT ·convTile8x2x4(SB), NOSPLIT, $0-89
@@ -200,17 +202,17 @@ row8:
 	VMOVUPD (R15), Z8
 	VMOVUPD (R15)(BX*1), Z9
 	VBROADCASTSD (R8)(AX*8), Z10
-	MAC(Z8, Z10, Z14, Z0)
-	MAC(Z9, Z10, Z15, Z1)
+	MAC(Z8, Z10, Z0)
+	MAC(Z9, Z10, Z1)
 	VBROADCASTSD (R9)(AX*8), Z11
-	MAC(Z8, Z11, Z14, Z2)
-	MAC(Z9, Z11, Z15, Z3)
+	MAC(Z8, Z11, Z2)
+	MAC(Z9, Z11, Z3)
 	VBROADCASTSD (R11)(AX*8), Z12
-	MAC(Z8, Z12, Z14, Z4)
-	MAC(Z9, Z12, Z15, Z5)
+	MAC(Z8, Z12, Z4)
+	MAC(Z9, Z12, Z5)
 	VBROADCASTSD (R12)(AX*8), Z13
-	MAC(Z8, Z13, Z14, Z6)
-	MAC(Z9, Z13, Z15, Z7)
+	MAC(Z8, Z13, Z6)
+	MAC(Z9, Z13, Z7)
 	INCQ AX
 	CMPQ AX, CX
 	JLT row8
@@ -236,14 +238,14 @@ store8:
 
 // The AVX-512 tile of planes at least 8 wide and 4 high: convTile8x2x4's
 // arithmetic over four rows. Z(4j)–Z(4j+3) accumulate channel j's rows
-// 0–3; Z16–Z19 are the rows' taps, Z20 a channel's weight, Z21/Z22
-// products, cleared before VZEROUPPER.
+// 0–3; Z16–Z19 are the rows' taps and Z20 a channel's weight, cleared
+// before VZEROUPPER.
 
 // STORE4R writes the four rows a–d to os[oc·outHW + y·outW + 0..7].
 // AX = outW·8, DX = outHW·8, R10 = os.
 #define STORE4R(oc, a, b, c, d) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD a, (R8); VMOVUPD b, (R8)(AX*1); VMOVUPD c, (R8)(AX*2); LEAQ (R8)(AX*2), R8; VMOVUPD d, (R8)(AX*1)
 // MAC84 adds channel w's weight for tap r (AX) times the four rows.
-#define MAC84(w, a, b, c, d) VBROADCASTSD (w)(AX*8), Z20; MAC(Z16, Z20, Z21, a); MAC(Z17, Z20, Z22, b); MAC(Z18, Z20, Z21, c); MAC(Z19, Z20, Z22, d)
+#define MAC84(w, a, b, c, d) VBROADCASTSD (w)(AX*8), Z20; MAC(Z16, Z20, a); MAC(Z17, Z20, b); MAC(Z18, Z20, c); MAC(Z19, Z20, d)
 
 // func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
 TEXT ·convTile8x4x4(SB), NOSPLIT, $0-89
@@ -307,22 +309,20 @@ store84:
 	JNZ group84
 	CLEAR4(Z16, Z17, Z18, Z19)
 	VPXORQ Z20, Z20, Z20
-	VPXORQ Z21, Z21, Z21
-	VPXORQ Z22, Z22, Z22
 	VZEROUPPER
 	RET
 
 // The AVX-512 tile of planes 4 to 7 wide. Sixteen accumulators fill
 // ZMM0–15: channel j's rows 0|1 in Z(2j), rows 2|3 in Z(2j+1). Z16/Z17 are
-// the two row pairs' taps, Z18 a channel's weight, Z19/Z20 products;
-// Z16–Z20 are cleared before VZEROUPPER, which leaves ZMM16–31 alone.
+// the two row pairs' taps and Z18 a channel's weight; Z16–Z18 are cleared
+// before VZEROUPPER, which leaves ZMM16–31 alone.
 
 // STORE44 writes channel oc's row pairs a (rows 0|1, low half ya) and b
 // (rows 2|3, low half yb) to os[oc·outHW + y·outW + 0..3]. AX = outW·8,
 // DX = outHW·8, R10 = os.
 #define STORE44(oc, a, ya, b, yb) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD ya, (R8); VEXTRACTF64X4 $1, a, (R8)(AX*1); LEAQ (R8)(AX*2), R8; VMOVUPD yb, (R8); VEXTRACTF64X4 $1, b, (R8)(AX*1)
 // MAC44 adds channel w's weight for tap r (AX) times both row pairs.
-#define MAC44(w, a, b) VBROADCASTSD (w)(AX*8), Z18; MAC(Z16, Z18, Z19, a); MAC(Z17, Z18, Z20, b)
+#define MAC44(w, a, b) VBROADCASTSD (w)(AX*8), Z18; MAC(Z16, Z18, a); MAC(Z17, Z18, b)
 
 // func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu bool)
 TEXT ·convTile4x4x8(SB), NOSPLIT, $0-81
@@ -389,8 +389,7 @@ store44:
 	STORE44(40(SI), Z10, Y10, Z11, Y11)
 	STORE44(48(SI), Z12, Y12, Z13, Y13)
 	STORE44(56(SI), Z14, Y14, Z15, Y15)
-	CLEAR4(Z16, Z17, Z18, Z19)
-	VPXORQ Z20, Z20, Z20
+	CLEAR3(Z16, Z17, Z18)
 	VZEROUPPER
 	RET
 
@@ -402,7 +401,7 @@ store44:
 // written.
 
 // LANES4 adds weights w times the four positions' taps Z10–Z13 into a–d.
-#define LANES4(w, a, b, c, d) MAC(Z10, w, Z14, a); MAC(Z11, w, Z15, b); MAC(Z12, w, Z14, c); MAC(Z13, w, Z15, d)
+#define LANES4(w, a, b, c, d) MAC(Z10, w, a); MAC(Z11, w, b); MAC(Z12, w, c); MAC(Z13, w, d)
 // SCATTER stores z's eight lanes, mask m (a byte of DX), at addr.
 #define SCATTER(z, addr) KMOVW DX, K3; VSCATTERQPD z, K3, addr
 
@@ -516,10 +515,10 @@ lanes1:
 	VMOVUPD.Z 64(R8), K2, Z6
 	VMOVUPD.Z 128(R8), K3, Z7
 	VMOVUPD.Z 192(R8), K4, Z8
-	MAC(Z4, Z5, Z9, Z0)
-	MAC(Z4, Z6, Z10, Z1)
-	MAC(Z4, Z7, Z11, Z2)
-	MAC(Z4, Z8, Z12, Z3)
+	MAC(Z4, Z5, Z0)
+	MAC(Z4, Z6, Z1)
+	MAC(Z4, Z7, Z2)
+	MAC(Z4, Z8, Z3)
 	INCQ AX
 	CMPQ AX, CX
 	JLT lanes1

@@ -114,11 +114,11 @@ func sameBits(t testing.TB, what string, want, got []float64) {
 }
 
 // sameValues is sameBits with any NaN standing for any NaN. Which
-// operand's payload an add or a multiply of two NaNs returns is left open
-// by IEEE 754 and follows operand order on amd64, and the Go compiler
-// commutes both freely (an add folding its load from acc takes the
-// product first), so no two loops can promise payloads; whether a result
-// is NaN, and every other bit, they do.
+// operand's payload a fused multiply-add of two or three NaNs returns is
+// left open by IEEE 754 and follows operand order on amd64, and nothing
+// gives the compiled math.FMA and the assembly's VFMADD231PD one operand
+// order, so no two loops can promise payloads; whether a result is NaN,
+// and every other bit, they do.
 func sameValues(t testing.TB, what string, want, got []float64) {
 	t.Helper()
 	for i := range want {
@@ -221,7 +221,7 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 					for ic := 0; ic < g.inC; ic++ {
 						for ky := 0; ky < g.k; ky++ {
 							for kx := 0; kx < g.k; kx++ {
-								acc += float64(wd[((oc*g.inC+ic)*g.k+ky)*g.k+kx] * tap((ic*g.k+ky)*g.k+kx, oy*g.outW+ox))
+								acc = math.FMA(wd[((oc*g.inC+ic)*g.k+ky)*g.k+kx], tap((ic*g.k+ky)*g.k+kx, oy*g.outW+ox), acc)
 							}
 						}
 					}
@@ -463,7 +463,7 @@ func checkDenseCase(t testing.TB, n, in, out int, seed int64, maskKind int, rung
 			}
 			acc := bd[o]
 			for i := 0; i < in; i++ {
-				acc += float64(wd[o*in+i] * x[s*in+i])
+				acc = math.FMA(wd[o*in+i], x[s*in+i], acc)
 			}
 			naive[s*out+o] = acc
 		}

@@ -264,8 +264,8 @@ func TestFineTuneCompactedMatchesMasked(t *testing.T) {
 			Conv(8).ReLU().Pool().
 			Conv(12).ReLU().Pool().
 			Flatten().Dense(24).ReLU().Dense(16).ReLU().Dense(8).MustBuild(),
-			stackedCfg, []int{0, 1, 2}, 0x35072ca31b956288},
-		{"vgg-mini", mustVGG(t, 4), data.DefaultSynthConfig(4), []int{10, 11, 12}, 0x66cd3d07a897e277},
+			stackedCfg, []int{0, 1, 2}, 0x14df03d4dc0ddca6},
+		{"vgg-mini", mustVGG(t, 4), data.DefaultSynthConfig(4), []int{10, 11, 12}, 0x6b170595087f1937},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			gen, err := data.NewGenerator(tc.synth)
