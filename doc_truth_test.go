@@ -187,14 +187,16 @@ func TestDocsNameDeclaredWorkloadsAndBenchFiles(t *testing.T) {
 	}
 }
 
-// Every -flag a code span passes to a capnn-<cmd> command — on the
-// command's line or its \ continuation, up to a pipe or redirect (an
-// <addr> placeholder is neither) — is
-// registered in cmd/<cmd>/main.go (or by internal/profiling.AddFlags,
-// for the commands that call it), and every backticked capnn_* metric
-// name, with a histogram's _bucket / _sum / _count suffix stripped, is an
-// instrument name some Go source registers (a name ending in "_" is a
-// prefix of one). A deleted flag or metric left in the docs fails here.
+// Every -flag a code span of the prose docs, or a line of scripts/*.sh,
+// passes to a capnn-<cmd> command — on the command's line or its \
+// continuation, up to a pipe or redirect (an <addr> placeholder is
+// neither) — is registered in cmd/<cmd>/main.go (or by
+// internal/profiling.AddFlags, for the commands that call it), and every
+// capnn_* metric name there, with a histogram's _bucket / _sum / _count
+// suffix stripped, is an instrument name some Go source registers (a name
+// ending in "_" is a prefix of one). A deleted flag or metric left in the
+// docs fails here, and one a script still passes fails here rather than
+// minutes into CI's cluster smoke.
 func TestDocsNameRealFlagsAndMetrics(t *testing.T) {
 	registered := regexp.MustCompile(`flag\.[A-Z]\w*\((?:&[\w.]+,\s*)?"([^"]+)"`)
 	var flagsOf func(path string) map[string]bool
@@ -257,9 +259,24 @@ func TestDocsNameRealFlagsAndMetrics(t *testing.T) {
 	placeholder := regexp.MustCompile(`<[^<>\s]+>`) // <addr>, not a redirect
 	flagTok := regexp.MustCompile(`^--?([a-z][a-z0-9-]*)`)
 	metric := regexp.MustCompile(`capnn_[a-z0-9_]+`)
-	flagsChecked, metricsChecked := 0, 0
+	texts := map[string][]string{}
 	for _, doc := range proseDocs {
-		for _, s := range codeSpans(t, doc) {
+		texts[doc] = codeSpans(t, doc)
+	}
+	scripts, err := filepath.Glob("scripts/*.sh")
+	if err != nil || len(scripts) == 0 {
+		t.Fatalf("no scripts found (%v)", err)
+	}
+	for _, sh := range scripts {
+		src, err := os.ReadFile(sh)
+		if err != nil {
+			t.Fatal(err)
+		}
+		texts[sh] = []string{string(src)}
+	}
+	flagsChecked, metricsChecked := 0, 0
+	for doc, spans := range texts {
+		for _, s := range spans {
 			for _, n := range metric.FindAllString(s, -1) {
 				metricsChecked++
 				if !metricKnown(n) {

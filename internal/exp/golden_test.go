@@ -5,7 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -147,8 +146,7 @@ func checkGoldenMasks(t *testing.T, fx *Fixture, prefs []core.Preferences, golde
 
 // TestPruneMasksGolden pins "same masks" as a tier-1 fact: the W and M
 // masks for the benchmark's preferences on the cifar10 fixture and for
-// two preferences on imagenet20 must hash to the recorded values, and
-// Algorithm 1 recomputed on cifar10 must equal the checked-in .bmat.
+// two preferences on imagenet20 must hash to the recorded values.
 func TestPruneMasksGolden(t *testing.T) {
 	c10, err := Load(CIFAR10Config(), nil)
 	if err != nil {
@@ -161,21 +159,6 @@ func TestPruneMasksGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGoldenMasks(t, in20, imageNet20Prefs, goldenImageNet20)
-
-	if testing.Short() {
-		t.Skip("skipping the Algorithm 1 recomputation on cifar10")
-	}
-	cached, err := c10.EnsureB(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, err := core.ComputeB(c10.Sys.Eval, c10.Sys.Rates, c10.Sys.Params)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(fresh.P, cached.P) {
-		t.Error("recomputed B matrices differ from the checked-in ones")
-	}
 }
 
 var updateRunners = flag.Bool("update", false, "rewrite testdata/runners.golden from the current runners")

@@ -1,5 +1,5 @@
 // Package hw models the paper's local inference device (Fig. 2): a
-// TPU-like accelerator with on-chip weight/input/output SRAM buffers, an
+// TPU-like accelerator with on-chip weight and input SRAM buffers, an
 // array of MAC units, activation and pooling units, and off-chip DRAM.
 // Simulate walks a network layer by layer and produces the operation and
 // memory-access counts the analytical energy model of Zhang et al. [14]
@@ -17,9 +17,9 @@ import (
 type Config struct {
 	// MACUnits is the number of parallel multiply-accumulate units.
 	MACUnits int
-	// WeightBufBytes, InputBufBytes, OutputBufBytes are the on-chip
-	// SRAM buffer capacities.
-	WeightBufBytes, InputBufBytes, OutputBufBytes int
+	// WeightBufBytes and InputBufBytes are the on-chip SRAM buffer
+	// capacities (each output goes to DRAM once, so no buffer holds it).
+	WeightBufBytes, InputBufBytes int
 	// BytesPerWord is the storage width of weights and activations
 	// (the paper uses 16-bit = 2 bytes).
 	BytesPerWord int
@@ -29,13 +29,12 @@ type Config struct {
 }
 
 // DefaultConfig is an edge-scale TPU-like device: 256 MACs, 64 KiB weight
-// buffer, 32 KiB input buffer, 32 KiB output buffer, 16-bit words.
+// buffer, 32 KiB input buffer, 16-bit words.
 func DefaultConfig() Config {
 	return Config{
 		MACUnits:          256,
 		WeightBufBytes:    64 << 10,
 		InputBufBytes:     32 << 10,
-		OutputBufBytes:    32 << 10,
 		BytesPerWord:      2,
 		DRAMWordsPerCycle: 4,
 	}
@@ -44,7 +43,7 @@ func DefaultConfig() Config {
 // Validate rejects impossible device descriptions.
 func (c Config) Validate() error {
 	if c.MACUnits <= 0 || c.WeightBufBytes <= 0 || c.InputBufBytes <= 0 ||
-		c.OutputBufBytes <= 0 || c.BytesPerWord <= 0 || c.DRAMWordsPerCycle <= 0 {
+		c.BytesPerWord <= 0 || c.DRAMWordsPerCycle <= 0 {
 		return fmt.Errorf("hw: non-positive field in config %+v", c)
 	}
 	return nil

@@ -203,9 +203,9 @@ func TestLoadRefusesOtherGeometry(t *testing.T) {
 // took each conv's and pool's geometry as arguments.)
 func TestSaveFormatUnchanged(t *testing.T) {
 	sums := map[string]uint32{
-		"cifar10-1186ba38d2e4e1c4.model":    0x16210ca1,
-		"imagenet20-aaa6ebc068597d97.model": 0x6b23a4fa,
-		"test-tiny-88233875dcfce486.model":  0x3414c478,
+		"cifar10-ec9ff52cc41f6dc9.model":    0x16210ca1,
+		"imagenet20-3805d5855a329e56.model": 0x6b23a4fa,
+		"test-tiny-6d38b73e8cdca897.model":  0x3414c478,
 	}
 	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "fixtures", "*.model"))
 	if err != nil || len(paths) != len(sums) {

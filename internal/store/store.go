@@ -1,15 +1,15 @@
 // Package store keeps the state a CAP'NN binary must not lose to a
-// kill -9: capnn-train's checkpoint and capnn-gateway's ring. Each is one
-// file, replaced whole by WriteFile and checked by ReadFile:
+// kill -9: capnn-gateway's ring. It is one file, replaced whole by
+// WriteFile and checked by ReadFile:
 //
 //	magic "CPNS" | version u32 | body length u64 | CRC-32C of body u32 | body
 //
 // (integers little-endian). WriteFile writes path.tmp and fsyncs it,
 // renames path to path.prev, renames path.tmp to path, then fsyncs the
 // directory: a crash at any point leaves the old body or the new one
-// readable, never a torn one. path.prev is the one rollback slot. The
-// store never reads it on its own; a caller that may roll back reads it
-// when path fails its check.
+// readable, never a torn one. path.prev keeps the body replaced last, so
+// ReadFile can tell a file lost mid-write from a fresh start; the store
+// never reads it back on its own.
 package store
 
 import (

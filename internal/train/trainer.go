@@ -26,21 +26,6 @@ type Config struct {
 	Seed int64
 	// Logf, when non-nil, receives one progress line per epoch.
 	Logf func(format string, args ...any)
-
-	// StartEpoch resumes an interrupted run at this epoch (1-based).
-	// Epochs before it are skipped, but the shuffle RNG and LR decay
-	// still advance through them so the resumed schedule lines up with
-	// the uninterrupted one. Note the optimizer state (momentum/Adam
-	// moments) restarts cold — the resumed run is schedule-aligned, not
-	// bit-identical to an uninterrupted one. 0 or 1 trains from scratch.
-	StartEpoch int
-	// Checkpoint, when non-nil, runs after every CheckpointEvery-th
-	// completed epoch (and always after the final one) with the network
-	// in inference mode. Returning an error aborts training, preserving
-	// the history accumulated so far.
-	Checkpoint func(epoch int, net *nn.Network) error
-	// CheckpointEvery gates Checkpoint; 0 or negative means every epoch.
-	CheckpointEvery int
 }
 
 // DefaultConfig returns the settings used to train the reference models.
@@ -92,21 +77,11 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 	var history []EpochStat
 	trainer := NewTrainer(net, opt, 0)
 	defer trainer.Close()
-	checkpointEvery := cfg.CheckpointEvery
-	if checkpointEvery <= 0 {
-		checkpointEvery = 1
-	}
 	for epoch := 1; epoch <= cfg.Epochs; epoch++ {
 		if cfg.LRDecayEvery > 0 && epoch > 1 && (epoch-1)%cfg.LRDecayEvery == 0 {
 			*lr /= 2
 		}
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-		if epoch < cfg.StartEpoch {
-			// Resume: this epoch ran before the interruption. The shuffle
-			// and LR decay above still happened, so epoch StartEpoch sees
-			// the same order and learning rate it would have originally.
-			continue
-		}
 		epochLoss, batches := 0.0, 0
 		for start := 0; start < len(order); start += cfg.BatchSize {
 			end := start + cfg.BatchSize
@@ -128,11 +103,6 @@ func Train(net *nn.Network, trainSet, valSet *data.Dataset, cfg Config) ([]Epoch
 		if cfg.Logf != nil {
 			cfg.Logf("epoch %2d/%d  loss %.4f  val-top1 %.3f  lr %.4f",
 				epoch, cfg.Epochs, stat.Loss, stat.ValTop1, stat.LearnRat)
-		}
-		if cfg.Checkpoint != nil && (epoch%checkpointEvery == 0 || epoch == cfg.Epochs) {
-			if err := cfg.Checkpoint(epoch, net); err != nil {
-				return history, fmt.Errorf("train: checkpoint at epoch %d: %w", epoch, err)
-			}
 		}
 	}
 	return history, nil
