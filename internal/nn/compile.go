@@ -16,7 +16,9 @@ import (
 // plan that runs through the shared kernels in kernels.go with scratch
 // buffers sized for the *sub*-network. A Prefix lowers the unpruned
 // layers before a stage once; a plan compiled on it compacts and lowers
-// only the layers after them, and runs the prefix's plan first.
+// only the layers after them, and runs the prefix's plan first. A conv's
+// ReLU and the 2×2 max-pool after it are folded into its store, so a
+// VGG plan is its convs and dense ops alone.
 //
 // Masked Infer pays full-model FLOPs: it skips pruned OUTPUT channels
 // but still pads and multiplies every pruned INPUT channel (conv taps,
@@ -50,10 +52,15 @@ const (
 
 // compiledOp is one step of the lowered plan. Flatten is elided at
 // compile time: it is the identity on the contiguous NCHW slab. A ReLU
-// directly after a conv or dense is folded into it.
+// directly after a conv or dense is folded into it, and so is a max-pool
+// directly after a conv (its ReLU folded or not): the conv then stores
+// only the pooled output, and no op reads or writes its full-resolution
+// one. A ReLU after a pooled conv, or a pool after anything else, stays
+// its own op.
 type compiledOp struct {
 	kind    opKind
 	relu    bool      // conv/dense: the ReLU that followed it, fused into the store
+	pool    bool      // conv: the 2×2 max-pool that followed it (after relu), fused into the store
 	padIn   bool      // conv: its input arrives dense (the request, a lone ReLU's output) and is copied into plane
 	g       convGeom  // conv + pool geometry (pool: outC == inC); dense: its panel's 1×1 conv (newDenseOp)
 	wd      []float64 // conv: weights (aliases the compacted net's params)
@@ -61,10 +68,10 @@ type compiledOp struct {
 	pk      []float64 // dense, conv on a 2-wide plane: the panel [bias; Wᵀ] (packLanes)
 	offs    []int     // conv: g.tapOffsets(nil), built once here rather than per call
 	in      int       // per-sample input elems
-	out     int       // per-sample output elems
+	out     int       // per-sample output elems (a pooled conv's: the pool's)
 	plane   int       // conv: arena offset of the padded input plane its taps read; dense: of its filter [+1, x…]
 	at      int       // arena offset of the output's first element (the last op stores to the caller's)
-	row, ch int       // conv/pool: the output's row and channel pitches from at (lay)
+	row, ch int       // conv/pool: the (pooled) output's row and channel pitches from at (lay)
 }
 
 // Compiled is a physically compacted network lowered to an op plan.
@@ -203,7 +210,7 @@ func plan(cnet *Network) (*Compiled, error) {
 		case *Dense:
 			op = newDenseOp(t.w.W.Data(), t.b.W.Data(), t.in, t.out)
 		case *ReLU:
-			if last := len(c.ops) - 1; last >= 0 && (c.ops[last].kind == opConv || c.ops[last].kind == opDense) {
+			if last := len(c.ops) - 1; last >= 0 && (c.ops[last].kind == opConv && !c.ops[last].pool || c.ops[last].kind == opDense) {
 				c.ops[last].relu = true // clamped in the op's own store: no second pass
 				continue
 			}
@@ -211,6 +218,10 @@ func plan(cnet *Network) (*Compiled, error) {
 			op = compiledOp{kind: opReLU, in: n, out: n}
 		case *MaxPool2D:
 			g := t.geom()
+			if last := len(c.ops) - 1; last >= 0 && c.ops[last].kind == opConv && !c.ops[last].pool {
+				c.ops[last].pool, c.ops[last].out = true, g.outSize() // pooled in the conv's own store
+				continue
+			}
 			op = compiledOp{kind: opPool, g: g, in: g.inSize(), out: g.outSize()}
 		case *Flatten:
 			// Identity on the contiguous slab: elide.
@@ -229,9 +240,9 @@ func plan(cnet *Network) (*Compiled, error) {
 }
 
 // lay gives every op boundary its place in one sample's arena. Each conv
-// owns a region holding its padded input plane, and a conv or pool right
-// before it stores straight into that plane's interior at the plane's
-// row and channel pitches: the border, zeroed when the arena is
+// owns a region holding its padded input plane, and a conv (pooled or
+// not) or pool right before it stores straight into that plane's
+// interior at the plane's row and channel pitches: the border, zeroed when the arena is
 // allocated, is never stored to, so the taps read there the +0 padInput
 // would have copied. Only a conv whose input arrives dense — op 0's
 // request, a lone ReLU's output — copies it in with padInput. A dense op
@@ -262,7 +273,11 @@ func (c *Compiled) lay() {
 				op.plane, c.arena = c.arena, c.arena+op.in+1
 			}
 		}
-		op.at, op.row, op.ch = i%2*dense[0], op.g.outW, op.g.outH*op.g.outW
+		o := op.g
+		if op.pool {
+			o = o.pooled()
+		}
+		op.at, op.row, op.ch = i%2*dense[0], o.outW, o.outH*o.outW
 	}
 	for i := 0; i < last; i++ {
 		if intoPlane(i) {
@@ -399,13 +414,32 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 
 // macs is a conv op's multiply-accumulates over its filled plane, stored
 // to dst at the op's pitches: with AVX-512, on the lane tile when the op
-// has a panel.
+// has a panel. A pooled op stores its output's 2×2 max-pool, from the
+// tile's registers where the tile has a pooled form and every tile
+// origin is even, else through a scratch slab of the whole output that
+// poolForward reads.
 func (op *compiledOp) macs(plane, dst []float64) {
-	if op.pk != nil && useAVX512 {
-		convLanesAVX512(op.g, plane, op.offs, op.pk, dst, op.row, op.ch, op.relu)
+	if op.tiles(plane, dst, op.row, op.ch, op.pool) {
 		return
 	}
-	op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, op.row, op.ch, nil, op.relu)
+	s := floatScratch.get(op.g.outSize())
+	op.tiles(plane, *s, op.g.outW, op.g.outH*op.g.outW, false)
+	op.g.pooled().poolForward(*s, dst, op.row, op.ch)
+	floatScratch.Put(s)
+}
+
+// tiles runs the op's MACs into dst at row/ch pitches, pooled when pool
+// is set; it reports false, having done nothing, when no tile of this
+// CPU's rung pools the geometry.
+func (op *compiledOp) tiles(plane, dst []float64, row, ch int, pool bool) bool {
+	switch {
+	case op.pk != nil && useAVX512:
+		return convLanesAVX512(op.g, plane, op.offs, op.pk, dst, row, ch, op.relu, pool)
+	case pool:
+		return op.g.pooledMACs(plane, op.offs, op.wd, op.bd, dst, row, ch, op.relu)
+	}
+	op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, row, ch, nil, op.relu)
+	return true
 }
 
 // verify pushes a deterministic two-sample probe batch of inShape through

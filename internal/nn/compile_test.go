@@ -254,6 +254,13 @@ func TestPlanBordersStayZero(t *testing.T) {
 			m[u] = (u+s)%3 == 0
 		}
 	}
+	// Pooled convs storing into the next plane: tiles overlapping on 12×20
+	// and 6×10 planes (the 8-wide ZMM tile), on 6×6 (the 4-wide one) and on
+	// 6×2 (the lane tile, three row pairs); odd planes (3×5, 3×3) and a
+	// pool without its ReLU take the scratch slab.
+	pooled := NewBuilder(2, 12, 20, 31).Conv(5).ReLU().Pool().Conv(9).ReLU().Pool().Conv(8).Pool().Flatten().Dense(3).MustBuild()
+	pooledNarrow := NewBuilder(3, 6, 6, 37).Conv(9).ReLU().Pool().Conv(4).ReLU().Pool().Flatten().Dense(3).MustBuild()
+	lanes := NewBuilder(2, 6, 2, 41).Conv(17).ReLU().Pool().Conv(3).Flatten().Dense(2).MustBuild()
 	cifar := loadFixtureNet(t, "cifar10")
 	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
 	cases := []struct {
@@ -272,6 +279,9 @@ func TestPlanBordersStayZero(t *testing.T) {
 		{"narrow/split-6", narrow, narrowMasks, 6},
 		{"cifar10/split-10/unpruned", cifar, nil, 10},
 		{"cifar10/split-10/prune-M", cifar, mMasks, 10},
+		{"pooled/unpruned", pooled, nil, 0},
+		{"pooled-narrow/unpruned", pooledNarrow, nil, 0},
+		{"lanes/unpruned", lanes, nil, 0},
 	}
 	forEachRung(t, isaRungs, func(t *testing.T, l isaRung) {
 		for _, tc := range cases {
@@ -299,6 +309,36 @@ func TestPlanBordersStayZero(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Every pool of the cifar10 plans, unpruned and under the real M masks,
+// is fused into the conv before it: no pool or ReLU op is left, five
+// convs store pooled, and the arena holds no full-resolution slab.
+func TestPlanFusesPools(t *testing.T) {
+	net := loadFixtureNet(t, "cifar10")
+	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
+	for _, masks := range []map[int][]bool{nil, mMasks} {
+		c, err := Compile(net, masks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pooled := 0
+		for i, op := range c.ops {
+			if op.kind == opPool || op.kind == opReLU {
+				t.Fatalf("op %d is a pass of its own (kind %d)", i, op.kind)
+			}
+			if op.pool {
+				pooled++
+			}
+		}
+		if pooled != 5 {
+			t.Fatalf("%d convs store pooled, want 5", pooled)
+		}
+		// lay puts the two dense regions first, op 0's plane after them.
+		if dense := c.ops[0].plane; dense > 2*128 {
+			t.Fatalf("the arena's dense regions are %d floats, want the dense ops' 2×128 at most", dense)
+		}
+	}
 }
 
 // compileSplit compiles net under masks as the serving tier does when its

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"slices"
 	"sync"
 	"testing"
@@ -281,11 +282,19 @@ func TestInferLayersAllocs(t *testing.T) {
 		for i := 0; i < 4; i++ { // let the pooled slabs grow to this walk's sizes
 			InferLayers(net.Layers[at:], stage, masks, in)
 		}
-		if got := testing.AllocsPerRun(10, func() { InferLayers(net.Layers[at:], stage, masks, in) }); got > 6 {
+		if got := allocsNoGC(10, func() { InferLayers(net.Layers[at:], stage, masks, in) }); got > 6 {
 			t.Fatalf("InferLayers from layer %d (stage %d) makes %.1f allocations per 16-row shard, want ≤ 6 at any depth", at, stage, got)
 		}
 		stage++
 	}
+}
+
+// allocsNoGC is testing.AllocsPerRun with the collector held off: a GC
+// cycle mid-measurement can empty the scratch sync.Pool, and the slabs it
+// drops are then allocated again.
+func allocsNoGC(runs int, f func()) float64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return testing.AllocsPerRun(runs, f)
 }
 
 // A mask of the wrong length panics at any stage, sample-minor (16 rows

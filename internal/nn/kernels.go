@@ -34,7 +34,9 @@ import (
 // arithmetic, and a compiled plan's dense ops and 2-wide convs run
 // channel-lane tiles over weights packed tap-major at compile time
 // (packLanes), each output still its bias, then every tap in ascending
-// order. The assembly does no bounds checks: every call site proves the
+// order. A compiled plan's conv followed by a pool stores the pool's
+// output alone (pooledMACs): clamped, then compared window by window in
+// poolForward's order. The assembly does no bounds checks: every call site proves the
 // extents it passes in Go first.
 //
 // Scratch (pad planes, Backward's column matrices, a dense layer's
@@ -265,9 +267,28 @@ func (g convGeom) liveMACs(pad []float64, offs []int, wd, bd, os []float64, oRow
 	if len(live) == 0 {
 		return
 	}
-	if !useAVX2 || !convForwardAVX2(g, pad, offs, wd, bd, os, oRow, oCh, live, relu) {
+	if !useAVX2 || !convForwardAVX2(g, pad, offs, wd, bd, os, oRow, oCh, live, relu, false) {
 		convForwardGo(g, pad, offs, wd, bd, os, oRow, oCh, live, relu)
 	}
+}
+
+// pooled is the geometry of the 2×2 max-pool at step 2 over g's output.
+func (g convGeom) pooled() convGeom {
+	return convGeom{inC: g.outC, inH: g.outH, inW: g.outW, outC: g.outC, outH: g.outH / 2, outW: g.outW / 2}
+}
+
+// pooledMACs is convMACs, every channel live, with the 2×2 max-pool at
+// step 2 of the (clamped) outputs fused into the tiles' store: only the
+// pool's output, (c, py, px), is stored, at os[c·oCh + py·oRow + px].
+// Each window is compared in poolForward's order, so the value is that
+// of convMACs, then poolForward. It reports false, having done nothing,
+// where this CPU's tile for g has no pooled form or a tile origin would
+// be odd (convForwardAVX2).
+func (g convGeom) pooledMACs(pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, relu bool) bool {
+	var buf [64]int
+	rows := g.inC * g.k * g.k
+	offs, wd, bd, os = offs[:rows], wd[:g.outC*rows], bd[:g.outC], os[:g.pooled().storeSpan(oRow, oCh)]
+	return useAVX2 && convForwardAVX2(g, pad, offs, wd, bd, os, oRow, oCh, appendLive(buf[:0], nil, g.outC), relu, true)
 }
 
 // conv1x1 runs g, a 1×1 conv without padding, over plane —

@@ -6,7 +6,9 @@ package nn
 // at least 4 wide and high, or 8 wide and 2 high, and a compiled plan's
 // dense ops and its convs on 2-wide planes of more than four channels
 // take the ZMM channel-lane tiles (convLanesAVX512, denseLanesAVX512).
-// Below, the Go loops run everything.
+// Below, the Go loops run everything. The ZMM tiles four rows high, the
+// lane tile and the 2-wide AVX2 tile also store a plan conv's 2×2
+// max-pool straight from registers (pooledMACs, convLanesAVX512).
 //
 // Register rule: a tile may write ZMM16–31 (EVEX only) but clears every
 // one it wrote before its VZEROUPPER, which zeroes only the upper halves
@@ -67,7 +69,10 @@ func xgetbv() (eax, edx uint32)
 // of the nLive channels live[j]: os[live[j]·outHW + p] = bd[live[j]] +
 // Σ_r wd[live[j]·rows + r]·pad[offs[r] + p], r ascending, one
 // VFMADD231PD a tap, clamped at +0 when relu. os and pad point at the
-// tile's first position; outHW is the destination's channel pitch.
+// tile's first position; outHW is the destination's channel pitch. The
+// tiles below that take pool store instead the 2×2 max-pool at step 2 of
+// their (clamped) outputs, os then pointing at the tile's first pooled
+// output, and their row pitch the pooled destination's.
 //
 //go:noescape
 func convTile16(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW int, relu bool)
@@ -77,10 +82,11 @@ func convTile16(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, 
 // positions, the second reading its taps half floats after the first and
 // storing dstHalf floats after it: half = dstHalf = 2 is one row
 // segment, half = the padded row length is two whole rows of a 2-wide
-// plane, dstHalf then the destination's row pitch.
+// plane, dstHalf then the destination's row pitch. With pool (2-wide
+// only) each channel stores its tile's one window.
 //
 //go:noescape
-func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half, dstHalf int, relu bool)
+func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half, dstHalf int, relu, pool bool)
 
 // convTile8x2x4 is the AVX-512 tile: 8 positions of two output rows for
 // four channels at a time (nLive a multiple of 4), eight ZMM
@@ -92,20 +98,21 @@ func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive,
 func convTile8x2x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
 
 // convTile8x4x4 is convTile8x2x4 over four rows: 8 positions of four
-// output rows for four channels at a time, sixteen ZMM accumulators.
+// output rows for four channels at a time, sixteen ZMM accumulators;
+// pooled, two rows of 4.
 //
 //go:noescape
-func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
+func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu, pool bool)
 
 // convTile4x4x8 is the AVX-512 tile of planes 4 to 7 wide: four rows of
 // 4 positions for eight channels, sixteen ZMM accumulators, rows 0|1 of a
 // channel in one and rows 2|3 in the next. Row y+1 reads its taps pw
 // floats after row y (pw the padded row length) and stores outW floats
 // after it (outW the destination's row pitch). live holds the eight
-// channels.
+// channels. Pooled, two rows of 2.
 //
 //go:noescape
-func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu bool)
+func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu, pool bool)
 
 // convLanes is the AVX-512 channel-lane tile: the 2×2 outputs of a tile
 // whose first tap for row r is pad[offs[r]], for sixteen channels, two
@@ -116,9 +123,11 @@ func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows
 // channel l of the tile stores idx[l mod 8] floats (eight lanes apart:
 // 8·oCh) from os. Byte j of masks selects group j's lanes to store; with
 // none of the second group's, that group is neither loaded nor computed.
+// With pool the 2×2 outputs are one window, each channel's max stored at
+// os + idx[l mod 8].
 //
 //go:noescape
-func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu bool)
+func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu, pool bool)
 
 // denseLanes is the dense form of convLanes: 32 neurons, four groups of
 // eight, od[o] = pk[o] + Σ_i pk[(1+i)·n + o]·x[i], i ascending, stored at
@@ -139,11 +148,19 @@ func laneMasks(n, l0, k int) (m uint32) {
 // convLanesAVX512 runs the channel-lane tile over a 2-wide plane from its
 // filled pad plane, 2 rows by 16 channels a call (the last pair of rows
 // overlapping its neighbour when the height is odd), storing at convMACs'
-// pitches. pk is the op's panel (packLanes).
-func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu bool) {
-	pw, n, rows := g.inW+2*g.pad, g.outC, len(offs)
+// pitches, or with pool each pair of rows' pooled row at pooledMACs'. pk
+// is the op's panel (packLanes). It reports false, having done nothing,
+// for a pool over an odd height, whose last pair of rows is no window.
+func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu, pool bool) bool {
+	pw, n, rows, o := g.inW+2*g.pad, g.outC, len(offs), g
+	if pool {
+		if g.outH%2 != 0 {
+			return false
+		}
+		o = g.pooled()
+	}
 	pitch := len(pk) / (rows + 1)
-	pk, os = pk[:(rows+1)*pitch], os[:g.storeSpan(oRow, oCh)]
+	pk, os = pk[:(rows+1)*pitch], os[:o.storeSpan(oRow, oCh)]
 	if g.outW != 2 || g.outH < 2 || pitch%8 != 0 || pitch < n || offs[rows-1]+(g.outH-1)*pw+g.outW != len(pad) {
 		panic("nn: lane tile on a plane it does not fit")
 	}
@@ -153,10 +170,15 @@ func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oR
 	}
 	for oy := 0; oy < g.outH; oy += 2 {
 		oy := min(oy, g.outH-2)
+		at := oy * oRow
+		if pool {
+			at = oy / 2 * oRow
+		}
 		for l0 := 0; l0 < n; l0 += 16 {
-			convLanes(&os[l0*oCh+oy*oRow], &pad[oy*pw], &offs[0], &pk[l0], pitch, rows, pw, oRow, &idx[0], laneMasks(n, l0, 2), relu)
+			convLanes(&os[l0*oCh+at], &pad[oy*pw], &offs[0], &pk[l0], pitch, rows, pw, oRow, &idx[0], laneMasks(n, l0, 2), relu, pool)
 		}
 	}
+	return true
 }
 
 // denseLanesAVX512 runs a dense op's panel pk through denseLanes, 32
@@ -199,8 +221,11 @@ func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int)
 // 8 wide takes that.) The last tile of a row or column overlaps its
 // neighbour instead of running short, and a short last channel group
 // repeats its final channel: both recompute identical values. live
-// lists the unpruned channels (at least one).
-func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) bool {
+// lists the unpruned channels (at least one). With pool it stores the
+// pooled output (pooledMACs) from the tiles that have a pooled form —
+// the two ZMM tiles four rows high and the 2-wide one — and reports
+// false for any other tile, or where a tile origin would be odd.
+func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu, pool bool) bool {
 	pw := g.inW + 2*g.pad
 	tileW, tileH, half, dstHalf, group := 4, 1, 2, 2, 4
 	switch {
@@ -218,6 +243,9 @@ func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64
 	default:
 		return false
 	}
+	if pool && (tileH != 4 && tileW != 2 || g.outW%2 != 0 || g.outH%2 != 0) {
+		return false
+	}
 	// The furthest tap of the last position is the plane's last cell.
 	if offs[len(offs)-1]+(g.outH-1)*pw+g.outW != len(pad) {
 		panic("nn: conv tap table does not match the pad plane")
@@ -230,20 +258,24 @@ func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64
 		oy := min(oy, g.outH-tileH)
 		for ox := 0; ox < g.outW; ox += tileW {
 			ox := min(ox, g.outW-tileW)
-			o, p := &os[oy*oRow+ox], &pad[oy*pw+ox]
+			at, p := oy*oRow+ox, &pad[oy*pw+ox]
+			if pool {
+				at = oy/2*oRow + ox/2
+			}
+			o := &os[at]
 			switch {
 			case tileW == 8 && tileH == 4:
-				convTile8x4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, pw, oRow, relu)
+				convTile8x4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, pw, oRow, relu, pool)
 			case tileH == 4:
 				for j := 0; j < len(live); j += 8 {
-					convTile4x4x8(o, p, &offs[0], &wd[0], &bd[0], &live[j], rows, oCh, pw, oRow, relu)
+					convTile4x4x8(o, p, &offs[0], &wd[0], &bd[0], &live[j], rows, oCh, pw, oRow, relu, pool)
 				}
 			case tileW == 16:
 				convTile16(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, relu)
 			case tileW == 8:
 				convTile8x2x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, pw, oRow, relu)
 			default:
-				convTile4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, half, dstHalf, relu)
+				convTile4x4(o, p, &offs[0], &wd[0], &bd[0], &live[0], len(live), rows, oCh, half, dstHalf, relu, pool)
 			}
 		}
 	}

@@ -16,6 +16,10 @@
 // both are zero. With b = +0 that is the ReLU clamp (NaN and −0 become
 // +0); with b = the running best it is the pool's "replace only when
 // strictly greater". RELU4 clamps four accumulators at z = +0.
+// A pooled tile (pool set) stores the 2×2 max-pool at step 2 of its
+// clamped outputs instead: each window's four elements in poolForward's
+// order, (0,0), (0,1), (1,0), (1,1), the first the best and each later
+// one taken by VMAXPD best, next, best.
 #define RELU4(z, a, b, c, d) VMAXPD z, a, a; VMAXPD z, b, b; VMAXPD z, c, c; VMAXPD z, d, d
 
 // COPY4 copies a to b, c to d, e to f and g to h; COPY3 a to b, c and d;
@@ -103,8 +107,12 @@ store16:
 // half dstHalf floats further on. AX = dstHalf·8, DX = outHW·8, R10 = os.
 #define STORE(oc, x, y) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD x, (R8); VEXTRACTF128 $1, y, (R8)(AX*1)
 
-// func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half, dstHalf int, relu bool)
-TEXT ·convTile4x4(SB), NOSPLIT, $0-89
+// POOL1 stores the max of y's four lanes, a 2-wide tile's window in
+// order, to os[oc·outHW]: x is y's low half. DX = outHW·8, R10 = os.
+#define POOL1(oc, x, y) VPERMILPD $1, x, X4; VMAXPD x, X4, X4; VEXTRACTF128 $1, y, x; VMAXPD X4, x, X4; VPERMILPD $1, x, x; VMAXPD X4, x, X4; MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVSD X4, (R8)
+
+// func convTile4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, half, dstHalf int, relu, pool bool)
+TEXT ·convTile4x4(SB), NOSPLIT, $0-90
 	MOVQ os+0(FP), R10
 	MOVQ pad+8(FP), R13
 	MOVQ offs+16(FP), R14
@@ -148,12 +156,23 @@ row4:
 	RELU4(Y9, Y0, Y1, Y2, Y3)
 
 store4:
+	CMPB pool+89(FP), $0
+	JNE pool4
 	MOVQ dstHalf+80(FP), AX
 	SHLQ $3, AX                  // bytes from the tile's first 2 outputs to its last 2
 	STORE(0(SI), X0, Y0)
 	STORE(8(SI), X1, Y1)
 	STORE(16(SI), X2, Y2)
 	STORE(24(SI), X3, Y3)
+	JMP next4
+
+pool4:
+	POOL1(0(SI), X0, Y0)
+	POOL1(8(SI), X1, Y1)
+	POOL1(16(SI), X2, Y2)
+	POOL1(24(SI), X3, Y3)
+
+next4:
 	ADDQ $32, SI
 	SUBQ $4, DI
 	JNZ group4
@@ -246,9 +265,19 @@ store8:
 #define STORE4R(oc, a, b, c, d) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD a, (R8); VMOVUPD b, (R8)(AX*1); VMOVUPD c, (R8)(AX*2); LEAQ (R8)(AX*2), R8; VMOVUPD d, (R8)(AX*1)
 // MAC84 adds channel w's weight for tap r (AX) times the four rows.
 #define MAC84(w, a, b, c, d) VBROADCASTSD (w)(AX*8), Z20; MAC(Z16, Z20, a); MAC(Z17, Z20, b); MAC(Z18, Z20, c); MAC(Z19, Z20, d)
+// POOL84 pools the rows a–d of channel oc into two rows of 4, stored to
+// os[oc·outHW + y·outW + 0..3]: Z16, a, Z17 and b become each window's
+// (0,0), (0,1), (1,0) and (1,1) elements, gathered from the even (Z21)
+// and odd (Z22) lanes of rows 0|2 and 1|3. AX = outW·8, DX = outHW·8,
+// R10 = os.
+#define POOL84(oc, a, b, c, d) \
+	VMOVAPD a, Z16; VPERMT2PD c, Z21, Z16; VPERMT2PD c, Z22, a; \
+	VMOVAPD b, Z17; VPERMT2PD d, Z21, Z17; VPERMT2PD d, Z22, b; \
+	VMAXPD Z16, a, Z16; VMAXPD Z16, Z17, Z16; VMAXPD Z16, b, Z16; \
+	MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VEXTRACTF64X4 $0, Z16, (R8); VEXTRACTF64X4 $1, Z16, (R8)(AX*1)
 
-// func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu bool)
-TEXT ·convTile8x4x4(SB), NOSPLIT, $0-89
+// func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLive, rows, outHW, pw, outW int, relu, pool bool)
+TEXT ·convTile8x4x4(SB), NOSPLIT, $0-90
 	MOVQ os+0(FP), R10
 	MOVQ pad+8(FP), R13
 	MOVQ offs+16(FP), R14
@@ -257,6 +286,8 @@ TEXT ·convTile8x4x4(SB), NOSPLIT, $0-89
 	MOVQ rows+56(FP), CX
 	MOVQ outHW+64(FP), DX
 	SHLQ $3, DX                  // bytes between channels of os
+	VPMOVZXBQ poolIdx<>+0(SB), Z21
+	VPMOVZXBQ poolIdx<>+8(SB), Z22
 
 group84:
 	MOVQ wd+24(FP), AX
@@ -300,15 +331,26 @@ row84:
 store84:
 	MOVQ outW+80(FP), AX
 	SHLQ $3, AX                  // bytes between rows of os
+	CMPB pool+89(FP), $0
+	JNE pool84
 	STORE4R(0(SI), Z0, Z1, Z2, Z3)
 	STORE4R(8(SI), Z4, Z5, Z6, Z7)
 	STORE4R(16(SI), Z8, Z9, Z10, Z11)
 	STORE4R(24(SI), Z12, Z13, Z14, Z15)
+	JMP next84
+
+pool84:
+	POOL84(0(SI), Z0, Z1, Z2, Z3)
+	POOL84(8(SI), Z4, Z5, Z6, Z7)
+	POOL84(16(SI), Z8, Z9, Z10, Z11)
+	POOL84(24(SI), Z12, Z13, Z14, Z15)
+
+next84:
 	ADDQ $32, SI
 	SUBQ $4, DI
 	JNZ group84
 	CLEAR4(Z16, Z17, Z18, Z19)
-	VPXORQ Z20, Z20, Z20
+	CLEAR3(Z20, Z21, Z22)
 	VZEROUPPER
 	RET
 
@@ -323,9 +365,19 @@ store84:
 #define STORE44(oc, a, ya, b, yb) MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VMOVUPD ya, (R8); VEXTRACTF64X4 $1, a, (R8)(AX*1); LEAQ (R8)(AX*2), R8; VMOVUPD yb, (R8); VEXTRACTF64X4 $1, b, (R8)(AX*1)
 // MAC44 adds channel w's weight for tap r (AX) times both row pairs.
 #define MAC44(w, a, b) VBROADCASTSD (w)(AX*8), Z18; MAC(Z16, Z18, a); MAC(Z17, Z18, b)
+// POOL44 pools channel oc's row pairs a and b into two rows of 2, stored
+// to os[oc·outHW + y·outW + 0..1]: Z16, Z17, Z18 and a become the four
+// windows' (0,0), (0,1), (1,0) and (1,1) elements, gathered from a and b
+// by the indices in Z19–Z22, windows in output order. AX = outW·8,
+// DX = outHW·8, R10 = os.
+#define POOL44(oc, a, b) \
+	VMOVAPD a, Z16; VPERMT2PD b, Z19, Z16; VMOVAPD a, Z17; VPERMT2PD b, Z20, Z17; \
+	VMOVAPD a, Z18; VPERMT2PD b, Z21, Z18; VPERMT2PD b, Z22, a; \
+	VMAXPD Z16, Z17, Z16; VMAXPD Z16, Z18, Z16; VMAXPD Z16, a, Z16; \
+	MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VEXTRACTF32X4 $0, Z16, (R8); VEXTRACTF32X4 $1, Z16, (R8)(AX*1)
 
-// func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu bool)
-TEXT ·convTile4x4x8(SB), NOSPLIT, $0-81
+// func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu, pool bool)
+TEXT ·convTile4x4x8(SB), NOSPLIT, $0-82
 	MOVQ wd+24(FP), AX
 	MOVQ bd+32(FP), BX
 	MOVQ live+40(FP), SI
@@ -381,6 +433,8 @@ store44:
 	SHLQ $3, DX                  // bytes between channels of os
 	MOVQ outW+72(FP), AX
 	SHLQ $3, AX                  // bytes between rows of os
+	CMPB pool+81(FP), $0
+	JNE pool44
 	STORE44(0(SI), Z0, Y0, Z1, Y1)
 	STORE44(8(SI), Z2, Y2, Z3, Y3)
 	STORE44(16(SI), Z4, Y4, Z5, Y5)
@@ -392,6 +446,37 @@ store44:
 	CLEAR3(Z16, Z17, Z18)
 	VZEROUPPER
 	RET
+
+pool44:
+	VPMOVZXBQ poolIdx<>+16(SB), Z19
+	VPMOVZXBQ poolIdx<>+24(SB), Z20
+	VPMOVZXBQ poolIdx<>+32(SB), Z21
+	VPMOVZXBQ poolIdx<>+40(SB), Z22
+	POOL44(0(SI), Z0, Z1)
+	POOL44(8(SI), Z2, Z3)
+	POOL44(16(SI), Z4, Z5)
+	POOL44(24(SI), Z6, Z7)
+	POOL44(32(SI), Z8, Z9)
+	POOL44(40(SI), Z10, Z11)
+	POOL44(48(SI), Z12, Z13)
+	POOL44(56(SI), Z14, Z15)
+	CLEAR4(Z16, Z17, Z18, Z19)
+	CLEAR3(Z20, Z21, Z22)
+	VZEROUPPER
+	RET
+
+// poolIdx holds the pooled ZMM tiles' VPERMT2PD lane indices, a byte a
+// lane (VPMOVZXBQ widens them; 8 and up pick the second table): for
+// convTile8x4x4 the even and the odd lanes of two rows, for
+// convTile4x4x8 the lanes of each window's (0,0), (0,1), (1,0) and (1,1)
+// element in two row pairs (the upper four lanes unused).
+DATA poolIdx<>+0(SB)/8, $0x0e0c0a0806040200
+DATA poolIdx<>+8(SB)/8, $0x0f0d0b0907050301
+DATA poolIdx<>+16(SB)/8, $0x0a080200
+DATA poolIdx<>+24(SB)/8, $0x0b090301
+DATA poolIdx<>+32(SB)/8, $0x0e0c0604
+DATA poolIdx<>+40(SB)/8, $0x0f0d0705
+GLOBL poolIdx<>(SB), RODATA|NOPTR, $48
 
 // The channel-lane tiles: a vector's lanes are eight units (channels or
 // neurons), each tap's weights one load from the panel row and its input
@@ -405,8 +490,8 @@ store44:
 // SCATTER stores z's eight lanes, mask m (a byte of DX), at addr.
 #define SCATTER(z, addr) KMOVW DX, K3; VSCATTERQPD z, K3, addr
 
-// func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu bool)
-TEXT ·convLanes(SB), NOSPLIT, $0-77
+// func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu, pool bool)
+TEXT ·convLanes(SB), NOSPLIT, $0-78
 	MOVQ pad+8(FP), DI
 	MOVQ offs+16(FP), R14
 	MOVQ pk+24(FP), R8           // the panel's bias row at the tile's first lane
@@ -469,6 +554,8 @@ store4l:
 	MOVQ 8(R8), R9
 	SHLQ $6, R9                  // bytes from lane 0 to lane 8: 8·oCh floats
 	MOVQ os+0(FP), R10
+	CMPB pool+77(FP), $0
+	JNE pool4l
 	MOVQ oRow+56(FP), BX
 	SHLQ $3, BX
 	LEAQ (R10)(BX*1), R11        // output row 1
@@ -484,6 +571,22 @@ store4l:
 	SCATTER(Z5, 8(R10)(Z15*8))
 	SCATTER(Z6, (R11)(Z15*8))
 	SCATTER(Z7, 8(R11)(Z15*8))
+	VZEROUPPER
+	RET
+
+pool4l:
+	// The tile's 2×2 positions are one window: Z0–Z3 (Z4–Z7) in order.
+	VMAXPD Z0, Z1, Z0
+	VMAXPD Z0, Z2, Z0
+	VMAXPD Z0, Z3, Z0
+	VMAXPD Z4, Z5, Z4
+	VMAXPD Z4, Z6, Z4
+	VMAXPD Z4, Z7, Z4
+	MOVL masks+72(FP), DX
+	SCATTER(Z0, (R10)(Z15*8))
+	SHRL $8, DX
+	ADDQ R9, R10
+	SCATTER(Z4, (R10)(Z15*8))
 	VZEROUPPER
 	RET
 

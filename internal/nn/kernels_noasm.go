@@ -6,7 +6,7 @@ package nn
 // loops in kernels.go are the only path and these are never reached.
 var useAVX2, useAVX512 = false, false
 
-func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu bool) bool {
+func convForwardAVX2(g convGeom, pad []float64, offs []int, wd, bd, os []float64, oRow, oCh int, live []int, relu, pool bool) bool {
 	panic("nn: no AVX2 kernels on this GOARCH")
 }
 
@@ -16,7 +16,7 @@ func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int) {
 	panic("nn: no AVX2 kernels on this GOARCH")
 }
 
-func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu bool) {
+func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu, pool bool) bool {
 	panic("nn: no AVX-512 kernels on this GOARCH")
 }
 

@@ -155,7 +155,8 @@ func pruneMask(rng *rand.Rand, kind, n int) []bool {
 // checkConvCase runs one conv geometry, plain and with the fused ReLU,
 // through the naive loop nest written out below, the Go loop and each of
 // the given assembly rungs, on an input slab, pad plane, weights and
-// outputs that each end at a guard page, and demands identical bits. The
+// outputs that each end at a guard page, and demands identical bits —
+// as a compiled plan's op also with its 2×2 max-pool fused in. The
 // pad plane arrives full of NaN: a border cell the kernel fails to zero
 // poisons an output. Every rung also stores into a bordered destination,
 // as the compiled plan does, and must leave its border alone. It also
@@ -276,6 +277,25 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 				withRung(l, func() { op.macs(pad, os) })
 			}))
 		}
+		if g.outH < 2 || g.outW < 2 {
+			continue
+		}
+		// The same op with the pool after it fused: on every rung its store
+		// is the Go loops' conv, clamp and then poolForward.
+		p := g.pooled()
+		want := make([]float64, p.outSize())
+		withRung(isaRungs[0], func() { p.poolForward(generic, want, p.outW, p.outH*p.outW) })
+		op.pool = true
+		for _, l := range append([]isaRung{isaRungs[0]}, rungs...) {
+			into := fmt.Sprintf("%s relu %v: %s pooled plan op into a bordered plane", what, relu, l.name)
+			dirtyPad()
+			g.padInput(x, pad, 1)
+			sameBits(t, into, want, bordered(t, into, p.outC, p.outH, p.outW, border, func(os []float64, oRow, oCh int) {
+				op.row, op.ch = oRow, oCh
+				withRung(l, func() { op.macs(pad, os) })
+			}))
+		}
+		op.pool = false
 	}
 }
 
@@ -292,7 +312,9 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 // gives the narrow planes of a served plan's last stages the channel
 // counts the ZMM tiles split unevenly: 4×4 planes of 1, 7, 8, 9 and 16
 // channels (eight to a tile) and 2×2 ones of 3, 23, 26 and 32 (sixteen
-// lanes to a tile, and under five the four-channel AVX2 tile).
+// lanes to a tile, and under five the four-channel AVX2 tile). Every
+// plane at least 2×2 is also run pooled (checkConvCase); the odd ones
+// take the scratch slab and poolForward.
 func convCases(visit func(g convGeom, n int)) {
 	n := 0
 	grid := func(outs [][2]int, ks, outCs []int) {
@@ -324,6 +346,10 @@ func convCases(visit func(g convGeom, n int)) {
 	grid(tiles, []int{3}, outCs)
 	grid([][2]int{{4, 4}}, []int{3}, []int{1, 7, 8, 9, 16})
 	grid([][2]int{{2, 2}}, []int{3}, []int{3, 23, 26, 32})
+	// The pooled tiles' overlapping last tiles, all origins even: 6×10 and
+	// 4×12 (the 8-wide ZMM tile), 6×6 (the 4-wide one), 6×2 (three row
+	// pairs of the lane tile, or the 2-wide AVX2 tile).
+	grid([][2]int{{6, 10}, {4, 12}, {6, 6}, {6, 2}}, []int{3}, []int{3, 9, 17})
 }
 
 // TestKernelsMatchGeneric holds every assembly rung this CPU has to the
@@ -691,10 +717,10 @@ func BenchmarkKernels(b *testing.B) {
 	// suffix — not of the unpruned net. One row per op on this CPU's top
 	// rung, each from the input the op sees in the forward, on the plan's
 	// own arena, then the subtotals: conv MACs (with their strided stores
-	// into the next conv's plane), the pad copy (op 0's, of the request:
-	// the only one left), dense (each with its fused ReLU), pool/ReLU,
-	// convs 1–7 whole (the ≥ 8-wide planes the ZMM tile takes) and the
-	// whole forward. plan-0/sum/* is the same subtotals for the unpruned
+	// into the next conv's plane, each pool fused into the conv before it:
+	// `+pool` in its row's name), the pad copy (op 0's, of the request:
+	// the only one left), dense (each with its fused ReLU), convs 1–7 whole
+	// (the ≥ 8-wide planes the ZMM tile takes) and the whole forward. plan-0/sum/* is the same subtotals for the unpruned
 	// plan, which the guard's shadow samples and the fallback run.
 	net := loadFixtureNet(b, "cifar10")
 	mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
@@ -709,7 +735,7 @@ func BenchmarkKernels(b *testing.B) {
 		x, logits := random(plan.inSize), make([]float64, plan.outSize)
 		arena := *plan.pool.New().(*[]float64)
 		ins, outs := make([][]float64, len(plan.ops)), make([][]float64, len(plan.ops))
-		var convs, dense, poolReLU []int
+		var convs, dense []int
 		macs := 0
 		for i, in := 0, x; i < len(plan.ops); i++ {
 			op := &plan.ops[i]
@@ -721,13 +747,16 @@ func BenchmarkKernels(b *testing.B) {
 			case opConv:
 				work, unit = op.g.inC*op.g.k*op.g.k*op.g.outSize(), "ns/MAC"
 				name, convs, macs = fmt.Sprintf("conv-%dx%dx%d", op.g.inC, op.g.outC, op.g.outW), append(convs, i), macs+work
+				if op.pool {
+					name += "+pool"
+				}
 			case opDense:
 				work, unit = op.in*op.out, "ns/MAC"
 				name, dense = fmt.Sprintf("dense-%dx%d", op.in, op.out), append(dense, i)
 			case opPool:
-				name, poolReLU = fmt.Sprintf("pool-%dx%d", op.g.inC, op.g.outW), append(poolReLU, i)
+				name = fmt.Sprintf("pool-%dx%d", op.g.inC, op.g.outW)
 			case opReLU:
-				name, poolReLU = "relu", append(poolReLU, i)
+				name = "relu"
 			}
 			if p.masks != nil {
 				row(fmt.Sprintf("%s/op%02d-%s", p.name, i, name), nil, work, unit, func() { op.run(ins[i], outs[i], arena) })
@@ -751,7 +780,6 @@ func BenchmarkKernels(b *testing.B) {
 			}
 		}))
 		row(p.name+"/sum/dense", isaRungs, 0, "", each(dense, run))
-		row(p.name+"/sum/pool-relu", twoRungs, 0, "", each(poolReLU, run))
 		row(p.name+"/sum/convs1-7", isaRungs, 0, "", each(convs[:7], run))
 		row(p.name+"/sum/forward", isaRungs, 0, "", func() { plan.forward(x, logits, 1, nil) })
 	}

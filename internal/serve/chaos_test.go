@@ -388,3 +388,32 @@ func TestCorruptedFramesAreNeverServed(t *testing.T) {
 		t.Fatalf("%d corrupted requests reached Server.infer", now-served)
 	}
 }
+
+// The finiteness check refuses quiet and signalling NaN payloads and ±Inf
+// with the message naming the first such index and its value, and admits
+// every finite value, the extremes and −0 included.
+func TestFirstNonFinite(t *testing.T) {
+	for _, c := range []struct {
+		v    float64
+		want int
+	}{
+		{math.NaN(), 2},
+		{math.Float64frombits(0x7ff8000000000001), 2}, // quiet NaN, payload 1
+		{math.Float64frombits(0x7ff0000000000001), 2}, // signalling NaN
+		{math.Float64frombits(0xfff4000000000000), 2}, // signalling NaN, sign set
+		{math.Inf(1), 2},
+		{math.Inf(-1), 2},
+		{math.MaxFloat64, -1},
+		{-math.MaxFloat64, -1},
+		{5e-324, -1},
+		{math.Copysign(0, -1), -1},
+	} {
+		x := []float64{1, -2, c.v, math.NaN()}
+		if c.want < 0 {
+			x = x[:3]
+		}
+		if got := firstNonFinite(x); got != c.want {
+			t.Errorf("firstNonFinite with %v (%#x) at 2 = %d, want %d", c.v, math.Float64bits(c.v), got, c.want)
+		}
+	}
+}

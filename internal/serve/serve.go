@@ -406,16 +406,27 @@ func (s *Server) InferVariant(v core.Variant, prefs core.Preferences, x *tensor.
 	return s.infer(v, prefs, x.Data(), QoS{})
 }
 
+// firstNonFinite is the index of x's first NaN or ±Inf, -1 when every
+// value is finite: one exponent-mask test a value, all eleven exponent
+// bits set being exactly NaN or ±Inf.
+func firstNonFinite(x []float64) int {
+	const exp = 0x7ff << 52
+	for i, v := range x {
+		if math.Float64bits(v)&exp == exp {
+			return i
+		}
+	}
+	return -1
+}
+
 func (s *Server) infer(v core.Variant, prefs core.Preferences, x []float64, q QoS) (Result, error) {
 	if len(x) != s.unpruned.InSize() {
 		return Result{}, &Error{Code: cloud.CodeBadRequest,
 			Err: fmt.Errorf("input has %d values, want %d for shape %v", len(x), s.unpruned.InSize(), s.sys.Net.InShape)}
 	}
-	for i, xv := range x {
-		if math.IsNaN(xv) || math.IsInf(xv, 0) {
-			return Result{}, &Error{Code: cloud.CodeBadRequest,
-				Err: fmt.Errorf("input[%d] is %v: every input value must be finite", i, xv)}
-		}
+	if i := firstNonFinite(x); i >= 0 {
+		return Result{}, &Error{Code: cloud.CodeBadRequest,
+			Err: fmt.Errorf("input[%d] is %v: every input value must be finite", i, x[i])}
 	}
 	entry, hit, effDeadline, clientBound, err := s.entry(v, prefs, q)
 	if err != nil {

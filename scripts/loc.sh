@@ -4,7 +4,7 @@
 # fails when it is above the ceiling. A PR that deletes code lowers CEILING to its result;
 # a PR that has to raise it says why in CHANGES.md.
 set -euo pipefail
-CEILING=17523
+CEILING=17724
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 files() { git ls-files '*.go' '*.s' | grep -v -e '_test\.go$' -e '^benchmark/'; }
 lines=$(files | xargs cat | wc -l)
