@@ -267,12 +267,12 @@ store8:
 #define MAC84(w, a, b, c, d) VBROADCASTSD (w)(AX*8), Z20; MAC(Z16, Z20, a); MAC(Z17, Z20, b); MAC(Z18, Z20, c); MAC(Z19, Z20, d)
 // POOL84 pools the rows a–d of channel oc into two rows of 4, stored to
 // os[oc·outHW + y·outW + 0..3]: Z16, a, Z17 and b become each window's
-// (0,0), (0,1), (1,0) and (1,1) elements, gathered from the even (Z21)
-// and odd (Z22) lanes of rows 0|2 and 1|3. AX = outW·8, DX = outHW·8,
-// R10 = os.
+// (0,0), (0,1), (1,0) and (1,1) elements, gathered from the even (Z18)
+// and odd (Z19) lanes of rows 0|2 and 1|3 (tap registers, free between
+// groups). AX = outW·8, DX = outHW·8, R10 = os.
 #define POOL84(oc, a, b, c, d) \
-	VMOVAPD a, Z16; VPERMT2PD c, Z21, Z16; VPERMT2PD c, Z22, a; \
-	VMOVAPD b, Z17; VPERMT2PD d, Z21, Z17; VPERMT2PD d, Z22, b; \
+	VMOVAPD a, Z16; VPERMT2PD c, Z18, Z16; VPERMT2PD c, Z19, a; \
+	VMOVAPD b, Z17; VPERMT2PD d, Z18, Z17; VPERMT2PD d, Z19, b; \
 	VMAXPD Z16, a, Z16; VMAXPD Z16, Z17, Z16; VMAXPD Z16, b, Z16; \
 	MOVQ oc, R8; IMULQ DX, R8; ADDQ R10, R8; VEXTRACTF64X4 $0, Z16, (R8); VEXTRACTF64X4 $1, Z16, (R8)(AX*1)
 
@@ -286,8 +286,6 @@ TEXT ·convTile8x4x4(SB), NOSPLIT, $0-90
 	MOVQ rows+56(FP), CX
 	MOVQ outHW+64(FP), DX
 	SHLQ $3, DX                  // bytes between channels of os
-	VPMOVZXBQ poolIdx<>+0(SB), Z21
-	VPMOVZXBQ poolIdx<>+8(SB), Z22
 
 group84:
 	MOVQ wd+24(FP), AX
@@ -337,22 +335,24 @@ store84:
 	STORE4R(8(SI), Z4, Z5, Z6, Z7)
 	STORE4R(16(SI), Z8, Z9, Z10, Z11)
 	STORE4R(24(SI), Z12, Z13, Z14, Z15)
-	JMP next84
-
-pool84:
-	POOL84(0(SI), Z0, Z1, Z2, Z3)
-	POOL84(8(SI), Z4, Z5, Z6, Z7)
-	POOL84(16(SI), Z8, Z9, Z10, Z11)
-	POOL84(24(SI), Z12, Z13, Z14, Z15)
 
 next84:
 	ADDQ $32, SI
 	SUBQ $4, DI
 	JNZ group84
 	CLEAR4(Z16, Z17, Z18, Z19)
-	CLEAR3(Z20, Z21, Z22)
+	VPXORQ Z20, Z20, Z20
 	VZEROUPPER
 	RET
+
+pool84:
+	VPMOVZXBQ poolIdx<>+0(SB), Z18
+	VPMOVZXBQ poolIdx<>+8(SB), Z19
+	POOL84(0(SI), Z0, Z1, Z2, Z3)
+	POOL84(8(SI), Z4, Z5, Z6, Z7)
+	POOL84(16(SI), Z8, Z9, Z10, Z11)
+	POOL84(24(SI), Z12, Z13, Z14, Z15)
+	JMP next84
 
 // The AVX-512 tile of planes 4 to 7 wide. Sixteen accumulators fill
 // ZMM0–15: channel j's rows 0|1 in Z(2j), rows 2|3 in Z(2j+1). Z16/Z17 are
