@@ -23,9 +23,14 @@ import (
 // Masked Infer pays full-model FLOPs: it skips pruned OUTPUT channels
 // but still pads and multiplies every pruned INPUT channel (conv taps,
 // dense columns) because the weight tensors keep their original
-// shape. Compilation removes both sides, so a 40%-pruned model really
-// does run ~40% fewer multiplies — the latency win CAP'NN's model-size
-// reduction promises.
+// shape. Compilation removes both sides, so a plan multiplies only what
+// its compacted layers hold — far less of a cut than the model's, since
+// CAP'NN prunes only the last stages: the cifar10 fixture's first ten
+// convs, which no mask touches, are 728 064 of the unpruned plan's
+// 841 984 MACs (86 %, DESIGN §7.5), and its M plan under
+// TestForwardGolden's masks counts 767 218 (9 % fewer). A conv with its
+// ReLU on a 4×4 or 2×2 plane also skips its border taps (fuseReLU):
+// 51 856 of those 767 218, 82 176 of the unpruned plan's.
 //
 // Bit-identity with the masked path is a hard invariant, not an
 // approximation. It holds because:
@@ -65,7 +70,7 @@ type compiledOp struct {
 	g       convGeom  // conv + pool geometry (pool: outC == inC); dense: its panel's 1×1 conv (newDenseOp)
 	wd      []float64 // conv: weights (aliases the compacted net's params)
 	bd      []float64 // conv: bias
-	pk      []float64 // dense, conv on a 2-wide plane: the panel [bias; Wᵀ] (packLanes)
+	pk      []float64 // dense; conv that fuseReLU gave one: the panel [bias; Wᵀ] (packLanes)
 	offs    []int     // conv: g.tapOffsets(nil), built once here rather than per call
 	in      int       // per-sample input elems
 	out     int       // per-sample output elems (a pooled conv's: the pool's)
@@ -211,7 +216,7 @@ func plan(cnet *Network) (*Compiled, error) {
 			op = newDenseOp(t.w.W.Data(), t.b.W.Data(), t.in, t.out)
 		case *ReLU:
 			if last := len(c.ops) - 1; last >= 0 && (c.ops[last].kind == opConv && !c.ops[last].pool || c.ops[last].kind == opDense) {
-				c.ops[last].relu = true // clamped in the op's own store: no second pass
+				c.ops[last].fuseReLU() // clamped in the op's own store: no second pass
 				continue
 			}
 			n := shapeElems(t.shape)
@@ -390,7 +395,7 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 	case opConv:
 		plane := arena[op.plane:][:op.g.padSize()]
 		if op.padIn {
-			op.g.padInput(src[:op.in], plane, 1)
+			op.g.fillInterior(src[:op.in], plane)
 		}
 		op.macs(plane, dst)
 	case opDense:
@@ -413,8 +418,8 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 }
 
 // macs is a conv op's multiply-accumulates over its filled plane, stored
-// to dst at the op's pitches: with AVX-512, on the lane tile when the op
-// has a panel. A pooled op stores its output's 2×2 max-pool, from the
+// to dst at the op's pitches: with AVX-512, on the border-free lane tile
+// when the op has a panel. A pooled op stores its output's 2×2 max-pool, from the
 // tile's registers where the tile has a pooled form and every tile
 // origin is even, else through a scratch slab of the whole output that
 // poolForward reads.
@@ -433,14 +438,19 @@ func (op *compiledOp) macs(plane, dst []float64) {
 // CPU's rung pools the geometry.
 func (op *compiledOp) tiles(plane, dst []float64, row, ch int, pool bool) bool {
 	switch {
-	case op.pk != nil && useAVX512:
-		return convLanesAVX512(op.g, plane, op.offs, op.pk, dst, row, ch, op.relu, pool)
+	case op.onLanes():
+		convLanesAVX512(op.g, plane, op.pk, dst, row, ch, pool)
+		return true
 	case pool:
 		return op.g.pooledMACs(plane, op.offs, op.wd, op.bd, dst, row, ch, op.relu)
 	}
 	op.g.convMACs(plane, op.offs, op.wd, op.bd, dst, row, ch, nil, op.relu)
 	return true
 }
+
+// onLanes reports whether a conv op runs the border-free lane tiles: it
+// has their panel (fuseReLU) and the CPU has AVX-512.
+func (op *compiledOp) onLanes() bool { return op.kind == opConv && op.pk != nil && useAVX512 }
 
 // verify pushes a deterministic two-sample probe batch of inShape through
 // the plan's own ops and through InferLayers(layers, stage, masks, ·) and

@@ -341,6 +341,138 @@ func TestPlanFusesPools(t *testing.T) {
 	}
 }
 
+// TestLaneTilesExact holds the border-free lane tiles to DESIGN §6's
+// argument where it is thinnest: convs on 4×4 and 2×2 planes whose biases
+// are +0 and −0, on inputs with all-zero channels (+0 and −0) and near
+// 1e-300 against weights that include ±0 and ±1e-30 (products underflow
+// to ±0 mid-chain), with and without their ReLU, pooled and not. Each net
+// is compiled whole and on a prefix (its first conv), and both plans must
+// be masked Infer bit for bit on every rung. A conv with a non-finite
+// weight must keep every tap, and on AVX-512 both cifar10 plans must send
+// convs 7–12, and nothing else, to the lane tiles.
+func TestLaneTilesExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	var nets []*Network
+	for _, relu := range []bool{false, true} {
+		for _, pool := range []bool{false, true} {
+			for _, c := range [][2]int{{3, 9}, {17, 26}} {
+				for _, arch := range []struct{ hw, pool1 int }{{4, 0}, {4, 1}, {2, 0}} {
+					b := NewBuilder(3, arch.hw, arch.hw, rng.Int63()).Conv(c[0])
+					if relu {
+						b.ReLU()
+					}
+					if arch.pool1 == 1 {
+						b.Pool()
+					}
+					b.Conv(c[1])
+					if relu {
+						b.ReLU()
+					}
+					if pool {
+						b.Pool()
+					}
+					net := b.MustBuild()
+					for _, st := range net.Stages() {
+						conv := st.Unit.(*Conv2D)
+						for o := range conv.b.W.Data() {
+							conv.b.W.Data()[o] = math.Copysign(0, float64(o/4%2*2-1))
+						}
+						for i := range conv.w.W.Data() {
+							conv.w.W.Data()[i] = laneWeight(rng, i/(conv.inC*9), i%9/3, i%3)
+						}
+					}
+					nets = append(nets, net)
+				}
+			}
+		}
+	}
+	forEachRung(t, isaRungs, func(t *testing.T, l isaRung) {
+		for k, net := range nets {
+			x := tensor.New(append([]int{4}, net.InShape...)...)
+			hw := net.InShape[1] * net.InShape[2]
+			for i, v := range x.Data() {
+				s, ch := i/(3*hw), i/hw%3
+				switch {
+				case s == 0 || s == 1 && ch == 0:
+				case s == 1 && ch == 1:
+					v = math.Copysign(0, -1)
+				case s == 2 && ch != 2:
+					v = rng.NormFloat64()
+				default:
+					v = 1e-300 * rng.NormFloat64()
+				}
+				x.Data()[i] = v
+			}
+			want := net.Infer(x, nil)
+			for split := 0; split < 2; split++ {
+				c, err := compileSplit(net, nil, split)
+				if err != nil {
+					t.Fatalf("net %d split %d: %v", k, split, err)
+				}
+				bitEqual(t, want, c.Infer(x))
+			}
+		}
+		// A non-finite weight makes w·(+0) NaN, so its op keeps every tap.
+		g := convGeom{inC: 1, inH: 2, inW: 2, outC: 3, outH: 2, outW: 2, k: 3, pad: 1}
+		wd := make([]float64, 27)
+		wd[0] = math.Inf(1)
+		op := newConvOp(g, wd, make([]float64, 3))
+		if op.fuseReLU(); op.onLanes() {
+			t.Fatal("a conv with an infinite weight takes the lane tiles")
+		}
+		if !l.avx512 {
+			return
+		}
+		cifar := loadFixtureNet(t, "cifar10")
+		mMasks, _ := parseMasks(forwardGoldens[0].mMasks)
+		for _, masks := range []map[int][]bool{nil, mMasks} {
+			c, err := Compile(cifar, masks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range c.ops {
+				if got, want := c.ops[i].onLanes(), i >= 7 && i <= 12; got != want {
+					t.Fatalf("cifar10 op %d (%+v) on the lane tiles: %v, want %v", i, c.ops[i].g, got, want)
+				}
+			}
+		}
+	})
+}
+
+// laneWeight draws tap (ky, kx)'s weight of output channel o. One channel
+// in four is drawn whole from N(0, 1) with a ±0 one time in eight and
+// ±1e-30 scaling two in eight; the rest are all ±1e-30-scaled, positive on
+// the kernel's top row and left column and negative elsewhere, positive
+// on its bottom row and right column and negative elsewhere, or of random
+// sign. On zero or near-1e-300 inputs their products are ±0, so an
+// output's sum is a zero whose sign a border tap decides: +0 where its
+// product is +0, −0 where skipping it leaves only −0 terms after a −0 bias.
+func laneWeight(rng *rand.Rand, o, ky, kx int) float64 {
+	w := rng.NormFloat64()
+	switch o % 4 {
+	case 0:
+		switch rng.Intn(8) {
+		case 0:
+			return math.Copysign(0, w)
+		case 1, 2:
+			return w * 1e-30
+		}
+		return w
+	case 1:
+		w = math.Copysign(w, float64(btoi(ky == 0 || kx == 0)*2-1))
+	case 2:
+		w = math.Copysign(w, float64(btoi(ky == 2 || kx == 2)*2-1))
+	}
+	return w * 1e-30
+}
+
+func btoi(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // compileSplit compiles net under masks as the serving tier does when its
 // first prunable stage is split: on NewPrefix(net, split), or with
 // Compile at split 0.

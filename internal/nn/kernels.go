@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -31,13 +32,15 @@ import (
 // (TestKernelsMatchGeneric, TestDenseMatchesGeneric). With AVX-512 as
 // well (useAVX512: CPUID and XCR0) the conv MACs of planes at least 8
 // wide and 2 high, or 4 wide and 4 high, run eight-lane tiles of the same
-// arithmetic, and a compiled plan's dense ops and 2-wide convs run
-// channel-lane tiles over weights packed tap-major at compile time
-// (packLanes), each output still its bias, then every tap in ascending
-// order. A compiled plan's conv followed by a pool stores the pool's
-// output alone (pooledMACs): clamped, then compared window by window in
-// poolForward's order. The assembly does no bounds checks: every call site proves the
-// extents it passes in Go first.
+// arithmetic, and a compiled plan's dense ops, and its convs with a fused
+// ReLU on 4×4 and 2×2 planes, run channel-lane tiles over weights packed
+// tap-major at compile time (packLanes), each output still its bias, then
+// every tap in ascending order — on those convs every tap inside the
+// plane: a border tap adds w·(+0), which the clamp makes the same
+// (fuseReLU, DESIGN §6). A compiled plan's conv followed by a pool
+// stores the pool's output alone (pooledMACs): clamped, then compared
+// window by window in poolForward's order. The assembly does no bounds
+// checks: every call site proves the extents it passes in Go first.
 //
 // Scratch (pad planes, Backward's column matrices, a dense layer's
 // transposed batch and tap table) comes from a sync.Pool, so the training
@@ -127,6 +130,18 @@ func (g convGeom) padInput(xs, pad []float64, n int) {
 			at += pw
 		}
 		clear(plane[at:])
+	}
+}
+
+// fillInterior copies the [inC, inH, inW] slab xs into the interior of
+// the pad plane and leaves its border as it is: a compiled plan's, +0
+// since its arena was allocated (lay).
+func (g convGeom) fillInterior(xs, pad []float64) {
+	ph, pw := g.inH+2*g.pad, g.inW+2*g.pad
+	for ic := 0; ic < g.inC; ic++ {
+		for y := 0; y < g.inH; y++ {
+			copy(pad[(ic*ph+y+g.pad)*pw+g.pad:][:g.inW], xs[(ic*g.inH+y)*g.inW:])
+		}
 	}
 }
 
@@ -557,7 +572,7 @@ func denseForward(xd, wd, bd, od []float64, n, in, out int, pruned []bool, relu 
 // the lane tiles, whose vector lanes are units: row 0 the bias, row 1+r
 // every unit's weight r, pitch ≥ n floats a row with +0 past the n-th —
 // a dense op's panel at pitch n (newDenseOp), a conv's at whole groups of
-// eight lanes (newConvOp).
+// eight lanes (fuseReLU).
 func packLanes(wd, bd []float64, n, rows, pitch int) []float64 {
 	pk := make([]float64, (rows+1)*pitch)
 	copy(pk, bd[:n])
@@ -569,17 +584,33 @@ func packLanes(wd, bd []float64, n, rows, pitch int) []float64 {
 	return pk
 }
 
-// newConvOp lowers a conv (weights wd, bias bd) to the compiled plan's op.
-// On a 2-wide plane of more than four channels it also packs the panel
-// the ZMM channel-lane tile reads (convLanesAVX512); the weights as they
-// are stay for the lower rungs' tiles. Four channels or fewer fill one
-// four-channel AVX2 tile, which the lane tile measured no faster than.
+// newConvOp lowers a conv (weights wd, bias bd) to the compiled plan's
+// op; fuseReLU gives it its ReLU.
 func newConvOp(g convGeom, wd, bd []float64) compiledOp {
-	op := compiledOp{kind: opConv, g: g, wd: wd, bd: bd, offs: g.tapOffsets(nil), in: g.inSize(), out: g.outSize()}
-	if g.outW == 2 && g.outH >= 2 && g.outC > 4 {
-		op.pk = packLanes(wd, bd, g.outC, g.inC*g.k*g.k, (g.outC+7)&^7)
+	return compiledOp{kind: opConv, g: g, wd: wd, bd: bd, offs: g.tapOffsets(nil), in: g.inSize(), out: g.outSize()}
+}
+
+// lanePlane reports whether a conv of geometry g fits the border-free
+// lane tiles: 3×3 at pad 1 on a 4×4 or a 2×2 plane.
+func lanePlane(g convGeom) bool {
+	return g.k == 3 && g.pad == 1 && g.inH == g.outH && g.inW == g.outW && g.outH == g.outW && (g.outW == 4 || g.outW == 2)
+}
+
+// fuseReLU folds the ReLU after op into its store. A conv on a plane the
+// border-free lane tiles fit whose weights are all finite also gets the
+// panel they read (packLanes, whole groups of eight lanes a row): with
+// AVX-512 it then issues only the taps inside the plane (DESIGN §6). The
+// weights as they are stay for the lower rungs' tiles.
+func (op *compiledOp) fuseReLU() {
+	op.relu = true
+	if op.kind == opConv && lanePlane(op.g) && allFinite(op.wd) {
+		op.pk = packLanes(op.wd, op.bd, op.g.outC, op.g.inC*9, (op.g.outC+7)&^7)
 	}
-	return op
+}
+
+// allFinite reports whether no element of xs is NaN or ±Inf.
+func allFinite(xs []float64) bool {
+	return !slices.ContainsFunc(xs, func(x float64) bool { return math.IsNaN(x) || math.IsInf(x, 0) })
 }
 
 // negZero is a dense panel's accumulator start: −0 + b is b for every b.

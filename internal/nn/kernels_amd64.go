@@ -4,11 +4,12 @@ package nn
 // conv MACs, the ReLU clamp and the 2×2 max-pool of kernels.go run
 // kernels_amd64.s; at isaAVX512 the conv takes a ZMM tile on every plane
 // at least 4 wide and high, or 8 wide and 2 high, and a compiled plan's
-// dense ops and its convs on 2-wide planes of more than four channels
-// take the ZMM channel-lane tiles (convLanesAVX512, denseLanesAVX512).
-// Below, the Go loops run everything. The ZMM tiles four rows high, the
-// lane tile and the 2-wide AVX2 tile also store a plan conv's 2×2
-// max-pool straight from registers (pooledMACs, convLanesAVX512).
+// dense ops and its convs with a fused ReLU on 4×4 and 2×2 planes take
+// the ZMM channel-lane tiles (denseLanesAVX512; convLanesAVX512, which
+// issues only the taps inside the plane). Below, the Go loops run
+// everything. The ZMM tiles four rows high, the conv lane tiles and the
+// 2-wide AVX2 tile also store a plan conv's 2×2 max-pool straight from
+// registers (pooledMACs, convLanesAVX512).
 //
 // Register rule: a tile may write ZMM16–31 (EVEX only) but clears every
 // one it wrote before its VZEROUPPER, which zeroes only the upper halves
@@ -114,22 +115,30 @@ func convTile8x4x4(os, pad *float64, offs *int, wd, bd *float64, live *int, nLiv
 //go:noescape
 func convTile4x4x8(os, pad *float64, offs *int, wd, bd *float64, live *int, rows, outHW, pw, outW int, relu, pool bool)
 
-// convLanes is the AVX-512 channel-lane tile: the 2×2 outputs of a tile
-// whose first tap for row r is pad[offs[r]], for sixteen channels, two
-// groups of eight lanes, each starting at its bias pk[0..16) and adding
-// pk[(1+r)·n + lane]·tap for r ascending (pk a panel of rows n lanes
-// long, a multiple of 8, from the tile's first channel). Output row y+1
-// reads its taps pw floats after row y and stores oRow floats after it;
-// channel l of the tile stores idx[l mod 8] floats (eight lanes apart:
-// 8·oCh) from os. Byte j of masks selects group j's lanes to store; with
-// none of the second group's, that group is neither loaded nor computed.
-// With pool the 2×2 outputs are one window, each channel's max stored at
-// os + idx[l mod 8].
+// convLanes4x4 is the AVX-512 border-free channel-lane tile of a 3×3
+// conv at pad 1 with its ReLU fused, on a 4×4 plane: the 16 outputs of
+// eight channels, lanes of pk (a panel of rows pitch floats long, a
+// multiple of 8, from the tile's first channel), each starting at its
+// bias pk[lane] and adding pk[(1+r)·pitch + lane]·tap for the in-bounds
+// taps r = (ic, ky, kx) ascending, then clamped at +0. pad is input
+// channel 0's first interior cell (row and channel pitches 6 and 36).
+// Output (oy, ox) of lane l is stored at os + idx[l] + oy·oRow + ox for
+// the lanes mask selects; with pool the 2×2 max-pool of the clamped
+// outputs, window (py, px) at os + idx[l] + py·oRow + px.
 //
 //go:noescape
-func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu, pool bool)
+func convLanes4x4(os, pad, pk *float64, pitch, inC, oRow int, idx *int64, mask uint32, pool bool)
 
-// denseLanes is the dense form of convLanes: 32 neurons, four groups of
+// convLanes2x2 is convLanes4x4 on a 2×2 plane (pitches 4 and 16) for
+// groups (1–4) groups of eight channels, group j's lanes selected by byte
+// j of masks and stored 8·idx[1] floats after group j−1's; with pool each
+// channel's one window. It reads the bias row's 32 floats from pk
+// whatever groups is, all inside a panel of at least ten rows.
+//
+//go:noescape
+func convLanes2x2(os, pad, pk *float64, pitch, inC, oRow, groups int, idx *int64, masks uint32, pool bool)
+
+// denseLanes is the dense channel-lane tile: 32 neurons, four groups of
 // eight, od[o] = pk[o] + Σ_i pk[(1+i)·n + o]·x[i], i ascending, stored at
 // od[o]; byte j of masks selects group j's lanes.
 //
@@ -145,40 +154,34 @@ func laneMasks(n, l0, k int) (m uint32) {
 	return m
 }
 
-// convLanesAVX512 runs the channel-lane tile over a 2-wide plane from its
-// filled pad plane, 2 rows by 16 channels a call (the last pair of rows
-// overlapping its neighbour when the height is odd), storing at convMACs'
-// pitches, or with pool each pair of rows' pooled row at pooledMACs'. pk
-// is the op's panel (packLanes). It reports false, having done nothing,
-// for a pool over an odd height, whose last pair of rows is no window.
-func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu, pool bool) bool {
-	pw, n, rows, o := g.inW+2*g.pad, g.outC, len(offs), g
+// convLanesAVX512 runs the border-free lane tile of a conv with its ReLU
+// fused over its filled pad plane, eight channels a call on a 4×4 plane
+// and up to 32 on a 2×2 one, storing at convMACs' pitches, or with pool
+// at pooledMACs'. pk is the op's panel (packLanes).
+func convLanesAVX512(g convGeom, pad, pk, os []float64, oRow, oCh int, pool bool) {
+	n, rows, o := g.outC, g.inC*9, g
 	if pool {
-		if g.outH%2 != 0 {
-			return false
-		}
 		o = g.pooled()
 	}
 	pitch := len(pk) / (rows + 1)
 	pk, os = pk[:(rows+1)*pitch], os[:o.storeSpan(oRow, oCh)]
-	if g.outW != 2 || g.outH < 2 || pitch%8 != 0 || pitch < n || offs[rows-1]+(g.outH-1)*pw+g.outW != len(pad) {
+	if !lanePlane(g) || pitch%8 != 0 || pitch < n || len(pad) != g.padSize() {
 		panic("nn: lane tile on a plane it does not fit")
 	}
 	var idx [8]int64
 	for l := range idx {
 		idx[l] = int64(l * oCh)
 	}
-	for oy := 0; oy < g.outH; oy += 2 {
-		oy := min(oy, g.outH-2)
-		at := oy * oRow
-		if pool {
-			at = oy / 2 * oRow
+	in := &pad[g.inW+3] // channel 0's first interior cell
+	if g.outW == 4 {
+		for l0 := 0; l0 < n; l0 += 8 {
+			convLanes4x4(&os[l0*oCh], in, &pk[l0], pitch, g.inC, oRow, &idx[0], laneMasks(n, l0, 1), pool)
 		}
-		for l0 := 0; l0 < n; l0 += 16 {
-			convLanes(&os[l0*oCh+at], &pad[oy*pw], &offs[0], &pk[l0], pitch, rows, pw, oRow, &idx[0], laneMasks(n, l0, 2), relu, pool)
-		}
+		return
 	}
-	return true
+	for l0 := 0; l0 < n; l0 += 32 {
+		convLanes2x2(&os[l0*oCh], in, &pk[l0], pitch, g.inC, oRow, min((n-l0+7)/8, 4), &idx[0], laneMasks(n, l0, 4), pool)
+	}
 }
 
 // denseLanesAVX512 runs a dense op's panel pk through denseLanes, 32

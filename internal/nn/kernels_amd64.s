@@ -481,112 +481,230 @@ GLOBL poolIdx<>(SB), RODATA|NOPTR, $48
 // The channel-lane tiles: a vector's lanes are eight units (channels or
 // neurons), each tap's weights one load from the panel row and its input
 // one broadcast. A conv's panel rows are whole groups of eight lanes, so
-// convLanes loads them whole and masks only its stores; a dense panel's
-// are not, so denseLanes masks its loads too (K1–K4). Only ZMM0–15 are
-// written.
-
-// LANES4 adds weights w times the four positions' taps Z10–Z13 into a–d.
-#define LANES4(w, a, b, c, d) MAC(Z10, w, a); MAC(Z11, w, b); MAC(Z12, w, c); MAC(Z13, w, d)
-// SCATTER stores z's eight lanes, mask m (a byte of DX), at addr.
+// the conv tiles load them whole and mask only their stores; a dense
+// panel's are not, so denseLanes masks its loads too (K1–K4).
+//
+// The conv tiles run a 3×3 conv at pad 1 whose ReLU is fused, on a 4×4 or
+// a 2×2 plane, and issue only the taps that land inside the plane: a
+// border tap adds w·(+0), which the clamp makes the same (DESIGN §6). Each
+// reads an input channel's interior cells from SI (its first cell) and
+// adds each cell, broadcast once, times the weight of tap (ky, kx) into
+// output (iy+1−ky, ix+1−kx) for every one of those in the plane. Per
+// output that is its taps in ascending (ky, kx), as the cells go in row
+// order; input channels go in order. SCATTER stores z's eight lanes, mask
+// byte DX, at addr (VSCATTERQPD clears K3, so each store reloads it).
 #define SCATTER(z, addr) KMOVW DX, K3; VSCATTERQPD z, K3, addr
 
-// func convLanes(os, pad *float64, offs *int, pk *float64, n, rows, pw, oRow int, idx *int64, masks uint32, relu, pool bool)
-TEXT ·convLanes(SB), NOSPLIT, $0-78
-	MOVQ pad+8(FP), DI
-	MOVQ offs+16(FP), R14
-	MOVQ pk+24(FP), R8           // the panel's bias row at the tile's first lane
-	MOVQ n+32(FP), R9
+// convLanes4x4: Z(4·oy + ox) accumulates output (oy, ox) of eight
+// channels, Z16–Z24 hold the weights of taps 0–8 of the input channel and
+// Z25 the broadcast cell. COL0–COL3 add Z25 for a cell in column 0–3 to the
+// outputs of one row a0–a3 it reaches, wa–wc that kernel row's weights of
+// kx = 0, 1, 2; ROW0–ROW3 take the cell at d bytes from SI in plane row 0–3:
+// kernel row ky reaches output row iy+1−ky.
+#define COL0(wa, wb, wc, a0, a1, a2, a3) MAC(Z25, wa, a1); MAC(Z25, wb, a0)
+#define COL1(wa, wb, wc, a0, a1, a2, a3) MAC(Z25, wa, a2); MAC(Z25, wb, a1); MAC(Z25, wc, a0)
+#define COL2(wa, wb, wc, a0, a1, a2, a3) MAC(Z25, wa, a3); MAC(Z25, wb, a2); MAC(Z25, wc, a1)
+#define COL3(wa, wb, wc, a0, a1, a2, a3) MAC(Z25, wb, a3); MAC(Z25, wc, a2)
+#define ROW0(C, d) VBROADCASTSD d(SI), Z25; C(Z16, Z17, Z18, Z4, Z5, Z6, Z7); C(Z19, Z20, Z21, Z0, Z1, Z2, Z3)
+#define ROW1(C, d) VBROADCASTSD d(SI), Z25; C(Z16, Z17, Z18, Z8, Z9, Z10, Z11); C(Z19, Z20, Z21, Z4, Z5, Z6, Z7); C(Z22, Z23, Z24, Z0, Z1, Z2, Z3)
+#define ROW2(C, d) VBROADCASTSD d(SI), Z25; C(Z16, Z17, Z18, Z12, Z13, Z14, Z15); C(Z19, Z20, Z21, Z8, Z9, Z10, Z11); C(Z22, Z23, Z24, Z4, Z5, Z6, Z7)
+#define ROW3(C, d) VBROADCASTSD d(SI), Z25; C(Z19, Z20, Z21, Z12, Z13, Z14, Z15); C(Z22, Z23, Z24, Z8, Z9, Z10, Z11)
+// NEXTW loads the next panel row's eight lanes into w.
+#define NEXTW(w) ADDQ R9, R8; VMOVUPD (R8), w
+// SCATTER4 stores one output row a–d of the tile at row address r.
+#define SCATTER4(r, a, b, c, d) SCATTER(a, (r)(Z17*8)); SCATTER(b, 8(r)(Z17*8)); SCATTER(c, 16(r)(Z17*8)); SCATTER(d, 24(r)(Z17*8))
+
+// func convLanes4x4(os, pad, pk *float64, pitch, inC, oRow int, idx *int64, mask uint32, pool bool)
+TEXT ·convLanes4x4(SB), NOSPLIT, $0-61
+	MOVQ pad+8(FP), SI
+	MOVQ pk+16(FP), R8           // the panel's bias row at the tile's first lane
+	MOVQ pitch+24(FP), R9
 	SHLQ $3, R9                  // bytes per panel row
-	MOVQ rows+40(FP), CX
-	MOVQ pw+48(FP), BX
-	SHLQ $3, BX                  // bytes from a tap of row 0 to the same tap of row 1
-	MOVL masks+72(FP), DX
-	SHRL $8, DX                  // the second group's lanes
+	MOVQ inC+32(FP), CX
 	VMOVUPD (R8), Z0             // accumulators start at the bias
-	VMOVUPD 64(R8), Z4
 	COPY3(Z0, Z1, Z2, Z3)
-	COPY3(Z4, Z5, Z6, Z7)
-	XORQ AX, AX                  // r
-	TESTL $0xFF, DX
-	JEQ lanes4one                // no lane of the second group: the first alone
+	COPY3(Z0, Z4, Z5, Z6)
+	COPY3(Z0, Z7, Z8, Z9)
+	COPY3(Z0, Z10, Z11, Z12)
+	COPY3(Z0, Z13, Z14, Z15)
 
-lanes4:
-	ADDQ R9, R8                  // panel row 1+r
-	MOVQ (R14)(AX*8), R15
-	LEAQ (DI)(R15*8), R15        // &pad[offs[r]]
-	VMOVUPD (R8), Z8
-	VMOVUPD 64(R8), Z9
-	VBROADCASTSD (R15), Z10
-	VBROADCASTSD 8(R15), Z11
-	VBROADCASTSD (R15)(BX*1), Z12
-	VBROADCASTSD 8(R15)(BX*1), Z13
-	LANES4(Z8, Z0, Z1, Z2, Z3)
-	LANES4(Z9, Z4, Z5, Z6, Z7)
-	INCQ AX
-	CMPQ AX, CX
-	JLT lanes4
-	JMP relu4l
+lanes44:
+	NEXTW(Z16)
+	NEXTW(Z17)
+	NEXTW(Z18)
+	NEXTW(Z19)
+	NEXTW(Z20)
+	NEXTW(Z21)
+	NEXTW(Z22)
+	NEXTW(Z23)
+	NEXTW(Z24)
+	ROW0(COL0, 0)
+	ROW0(COL1, 8)
+	ROW0(COL2, 16)
+	ROW0(COL3, 24)
+	ROW1(COL0, 48)
+	ROW1(COL1, 56)
+	ROW1(COL2, 64)
+	ROW1(COL3, 72)
+	ROW2(COL0, 96)
+	ROW2(COL1, 104)
+	ROW2(COL2, 112)
+	ROW2(COL3, 120)
+	ROW3(COL0, 144)
+	ROW3(COL1, 152)
+	ROW3(COL2, 160)
+	ROW3(COL3, 168)
+	ADDQ $288, SI                // the next input channel's 6×6 plane
+	DECQ CX
+	JNZ lanes44
 
-lanes4one:
-	ADDQ R9, R8
-	MOVQ (R14)(AX*8), R15
-	LEAQ (DI)(R15*8), R15
-	VMOVUPD (R8), Z8
-	VBROADCASTSD (R15), Z10
-	VBROADCASTSD 8(R15), Z11
-	VBROADCASTSD (R15)(BX*1), Z12
-	VBROADCASTSD 8(R15)(BX*1), Z13
-	LANES4(Z8, Z0, Z1, Z2, Z3)
-	INCQ AX
-	CMPQ AX, CX
-	JLT lanes4one
-
-relu4l:
-	CMPB relu+76(FP), $0
-	JEQ store4l
-	VXORPD Y8, Y8, Y8            // VEX-encoded: clears all of Z8
-	RELU4(Z8, Z0, Z1, Z2, Z3)
-	RELU4(Z8, Z4, Z5, Z6, Z7)
-
-store4l:
-	MOVQ idx+64(FP), R8
-	VMOVUPD (R8), Z15            // lane l's offset from os, in floats
-	MOVQ 8(R8), R9
-	SHLQ $6, R9                  // bytes from lane 0 to lane 8: 8·oCh floats
+	VPXORQ Z16, Z16, Z16
+	RELU4(Z16, Z0, Z1, Z2, Z3)
+	RELU4(Z16, Z4, Z5, Z6, Z7)
+	RELU4(Z16, Z8, Z9, Z10, Z11)
+	RELU4(Z16, Z12, Z13, Z14, Z15)
+	MOVQ idx+48(FP), R8
+	VMOVUPD (R8), Z17            // lane l's offset from os, in floats
 	MOVQ os+0(FP), R10
-	CMPB pool+77(FP), $0
-	JNE pool4l
-	MOVQ oRow+56(FP), BX
-	SHLQ $3, BX
-	LEAQ (R10)(BX*1), R11        // output row 1
-	MOVL masks+72(FP), DX
-	SCATTER(Z0, (R10)(Z15*8))
-	SCATTER(Z1, 8(R10)(Z15*8))
-	SCATTER(Z2, (R11)(Z15*8))
-	SCATTER(Z3, 8(R11)(Z15*8))
-	SHRL $8, DX
-	ADDQ R9, R10
-	ADDQ R9, R11
-	SCATTER(Z4, (R10)(Z15*8))
-	SCATTER(Z5, 8(R10)(Z15*8))
-	SCATTER(Z6, (R11)(Z15*8))
-	SCATTER(Z7, 8(R11)(Z15*8))
+	MOVQ oRow+40(FP), BX
+	SHLQ $3, BX                  // bytes between output rows
+	LEAQ (R10)(BX*1), R11
+	MOVL mask+56(FP), DX
+	CMPB pool+60(FP), $0
+	JNE pool44l
+	LEAQ (R10)(BX*2), R12
+	LEAQ (R11)(BX*2), R13
+	SCATTER4(R10, Z0, Z1, Z2, Z3)
+	SCATTER4(R11, Z4, Z5, Z6, Z7)
+	SCATTER4(R12, Z8, Z9, Z10, Z11)
+	SCATTER4(R13, Z12, Z13, Z14, Z15)
+	JMP done44l
+
+pool44l:
+	// Window (py, px) is outputs (2py, 2px), (2py, 2px+1), (2py+1, 2px),
+	// (2py+1, 2px+1), in that order.
+	VMAXPD Z0, Z1, Z0
+	VMAXPD Z0, Z4, Z0
+	VMAXPD Z0, Z5, Z0
+	VMAXPD Z2, Z3, Z2
+	VMAXPD Z2, Z6, Z2
+	VMAXPD Z2, Z7, Z2
+	VMAXPD Z8, Z9, Z8
+	VMAXPD Z8, Z12, Z8
+	VMAXPD Z8, Z13, Z8
+	VMAXPD Z10, Z11, Z10
+	VMAXPD Z10, Z14, Z10
+	VMAXPD Z10, Z15, Z10
+	SCATTER(Z0, (R10)(Z17*8))
+	SCATTER(Z2, 8(R10)(Z17*8))
+	SCATTER(Z8, (R11)(Z17*8))
+	SCATTER(Z10, 8(R11)(Z17*8))
+
+done44l:
+	CLEAR4(Z16, Z17, Z18, Z19)
+	CLEAR3(Z20, Z21, Z22)
+	CLEAR3(Z23, Z24, Z25)
 	VZEROUPPER
 	RET
 
-pool4l:
-	// The tile's 2×2 positions are one window: Z0–Z3 (Z4–Z7) in order.
-	VMAXPD Z0, Z1, Z0
-	VMAXPD Z0, Z2, Z0
-	VMAXPD Z0, Z3, Z0
-	VMAXPD Z4, Z5, Z4
-	VMAXPD Z4, Z6, Z4
-	VMAXPD Z4, Z7, Z4
-	MOVL masks+72(FP), DX
-	SCATTER(Z0, (R10)(Z15*8))
-	SHRL $8, DX
-	ADDQ R9, R10
-	SCATTER(Z4, (R10)(Z15*8))
+// convLanes2x2: Z(4g + 2·oy + ox) accumulates output (oy, ox) of group g's
+// eight channels; Z16–Z19 hold the input channel's four cells (0, 0),
+// (0, 1), (1, 0), (1, 1) and Z20 one tap's weights. GROUP22 runs the nine
+// taps of the group whose lanes start off bytes into the panel rows: R8,
+// R10 and R11 point at the input channel's rows of taps 0, 3 and 6, R9
+// is the panel's row pitch in bytes.
+#define GROUP22(off, a0, a1, a2, a3) \
+	VMOVUPD off(R8), Z20; MAC(Z16, Z20, a3); \
+	VMOVUPD off(R8)(R9*1), Z20; MAC(Z16, Z20, a2); MAC(Z17, Z20, a3); \
+	VMOVUPD off(R8)(R9*2), Z20; MAC(Z17, Z20, a2); \
+	VMOVUPD off(R10), Z20; MAC(Z16, Z20, a1); MAC(Z18, Z20, a3); \
+	VMOVUPD off(R10)(R9*1), Z20; MAC(Z16, Z20, a0); MAC(Z17, Z20, a1); MAC(Z18, Z20, a2); MAC(Z19, Z20, a3); \
+	VMOVUPD off(R10)(R9*2), Z20; MAC(Z17, Z20, a0); MAC(Z19, Z20, a2); \
+	VMOVUPD off(R11), Z20; MAC(Z18, Z20, a1); \
+	VMOVUPD off(R11)(R9*1), Z20; MAC(Z18, Z20, a0); MAC(Z19, Z20, a1); \
+	VMOVUPD off(R11)(R9*2), Z20; MAC(Z19, Z20, a0)
+// STORE22 stores a group's 2×2 outputs a–d, or with pool the max of its
+// one window, then moves R10/R11 on to the next group's channels, or ends
+// the tile when that group has no lanes to store.
+#define STORE22(a, b, c, d) SCATTER(a, (R10)(Z21*8)); SCATTER(b, 8(R10)(Z21*8)); SCATTER(c, (R11)(Z21*8)); SCATTER(d, 8(R11)(Z21*8)); SHRL $8, DX; JEQ done22; ADDQ R9, R10; ADDQ R9, R11
+#define POOL22(a, b, c, d) VMAXPD a, b, a; VMAXPD a, c, a; VMAXPD a, d, a; SCATTER(a, (R10)(Z21*8)); SHRL $8, DX; JEQ done22; ADDQ R9, R10
+
+// func convLanes2x2(os, pad, pk *float64, pitch, inC, oRow, groups int, idx *int64, masks uint32, pool bool)
+TEXT ·convLanes2x2(SB), NOSPLIT, $0-69
+	MOVQ pad+8(FP), SI
+	MOVQ pk+16(FP), R8           // the panel's bias row at the tile's first lane
+	MOVQ pitch+24(FP), R9
+	SHLQ $3, R9                  // bytes per panel row
+	MOVQ inC+32(FP), CX
+	MOVQ groups+48(FP), DX
+	VMOVUPD (R8), Z0             // accumulators start at the bias
+	VMOVUPD 64(R8), Z4
+	VMOVUPD 128(R8), Z8
+	VMOVUPD 192(R8), Z12
+	COPY3(Z0, Z1, Z2, Z3)
+	COPY3(Z4, Z5, Z6, Z7)
+	COPY3(Z8, Z9, Z10, Z11)
+	COPY3(Z12, Z13, Z14, Z15)
+
+lanes22:
+	VBROADCASTSD (SI), Z16
+	VBROADCASTSD 8(SI), Z17
+	VBROADCASTSD 32(SI), Z18
+	VBROADCASTSD 40(SI), Z19
+	ADDQ R9, R8                  // the row of the input channel's tap 0
+	LEAQ (R8)(R9*2), R10
+	ADDQ R9, R10                 // tap 3's
+	LEAQ (R10)(R9*2), R11
+	ADDQ R9, R11                 // tap 6's
+	GROUP22(0, Z0, Z1, Z2, Z3)
+	CMPQ DX, $1
+	JEQ next22
+	GROUP22(64, Z4, Z5, Z6, Z7)
+	CMPQ DX, $2
+	JEQ next22
+	GROUP22(128, Z8, Z9, Z10, Z11)
+	CMPQ DX, $3
+	JEQ next22
+	GROUP22(192, Z12, Z13, Z14, Z15)
+
+next22:
+	LEAQ (R11)(R9*2), R8         // tap 8's row
+	ADDQ $128, SI                // the next input channel's 4×4 plane
+	DECQ CX
+	JNZ lanes22
+
+	VPXORQ Z20, Z20, Z20
+	RELU4(Z20, Z0, Z1, Z2, Z3)
+	RELU4(Z20, Z4, Z5, Z6, Z7)
+	RELU4(Z20, Z8, Z9, Z10, Z11)
+	RELU4(Z20, Z12, Z13, Z14, Z15)
+	MOVQ idx+56(FP), R8
+	VMOVUPD (R8), Z21            // lane l's offset from os, in floats
+	MOVQ 8(R8), R9
+	SHLQ $6, R9                  // bytes from lane 0 to lane 8: 8·oCh floats
+	MOVQ os+0(FP), R10
+	MOVQ oRow+40(FP), BX
+	SHLQ $3, BX
+	LEAQ (R10)(BX*1), R11        // output row 1
+	MOVL masks+64(FP), DX
+	CMPB pool+68(FP), $0
+	JNE pool22
+	STORE22(Z0, Z1, Z2, Z3)
+	STORE22(Z4, Z5, Z6, Z7)
+	STORE22(Z8, Z9, Z10, Z11)
+	STORE22(Z12, Z13, Z14, Z15)
+	JMP done22
+
+pool22:
+	// The 2×2 outputs are one window, in order.
+	POOL22(Z0, Z1, Z2, Z3)
+	POOL22(Z4, Z5, Z6, Z7)
+	POOL22(Z8, Z9, Z10, Z11)
+	POOL22(Z12, Z13, Z14, Z15)
+
+done22:
+	CLEAR3(Z16, Z17, Z18)
+	CLEAR3(Z19, Z20, Z21)
 	VZEROUPPER
 	RET
 

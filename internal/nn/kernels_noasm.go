@@ -16,7 +16,7 @@ func pool2x2AVX2(dst, src *float64, outH, outW, inW, dstW int) {
 	panic("nn: no AVX2 kernels on this GOARCH")
 }
 
-func convLanesAVX512(g convGeom, pad []float64, offs []int, pk, os []float64, oRow, oCh int, relu, pool bool) bool {
+func convLanesAVX512(g convGeom, pad, pk, os []float64, oRow, oCh int, pool bool) {
 	panic("nn: no AVX-512 kernels on this GOARCH")
 }
 

@@ -258,16 +258,18 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 		if pruned != nil {
 			continue
 		}
-		// A compiled plan's op, whose channels are all live: on a 2-wide
-		// plane of more than four it packs a panel (guarded too) for the
-		// ZMM channel-lane tile.
+		// A compiled plan's op, whose channels are all live: with its ReLU
+		// on a 4×4 or 2×2 plane at pad 1 it packs a panel (guarded too)
+		// for the border-free channel-lane tiles.
 		op := newConvOp(g, wd, bd)
+		if relu {
+			op.fuseReLU()
+		}
 		if op.pk != nil {
 			pk := allocExact(t, len(op.pk))
 			copy(pk, op.pk)
 			op.pk = pk
 		}
-		op.relu = relu
 		for _, l := range append([]isaRung{isaRungs[0]}, rungs...) {
 			into := fmt.Sprintf("%s relu %v: %s plan op into a bordered plane", what, relu, l.name)
 			dirtyPad()
@@ -310,9 +312,9 @@ func checkConvCase(t testing.TB, g convGeom, seed int64, maskKind int, rungs ...
 // rows up; overlapping last tile at 17 and 33), each 1, 2 and 7 rows
 // high (7: the two- and four-row tiles' last rows overlap). The third
 // gives the narrow planes of a served plan's last stages the channel
-// counts the ZMM tiles split unevenly: 4×4 planes of 1, 7, 8, 9 and 16
-// channels (eight to a tile) and 2×2 ones of 3, 23, 26 and 32 (sixteen
-// lanes to a tile, and under five the four-channel AVX2 tile). Every
+// counts the lane tiles split unevenly: 4×4 and 2×2 planes of 1 to 33
+// channels (eight to a 4×4 tile, up to 32 to a 2×2 one; with the ReLU
+// the border-free lane tiles, without it the ZMM and AVX2 tiles). Every
 // plane at least 2×2 is also run pooled (checkConvCase); the odd ones
 // take the scratch slab and poolForward.
 func convCases(visit func(g convGeom, n int)) {
@@ -344,8 +346,7 @@ func convCases(visit func(g convGeom, n int)) {
 		}
 	}
 	grid(tiles, []int{3}, outCs)
-	grid([][2]int{{4, 4}}, []int{3}, []int{1, 7, 8, 9, 16})
-	grid([][2]int{{2, 2}}, []int{3}, []int{3, 23, 26, 32})
+	grid([][2]int{{4, 4}, {2, 2}}, []int{3}, []int{1, 2, 3, 7, 8, 9, 15, 16, 17, 23, 24, 25, 26, 31, 32, 33})
 	// The pooled tiles' overlapping last tiles, all origins even: 6×10 and
 	// 4×12 (the 8-wide ZMM tile), 6×6 (the 4-wide one), 6×2 (three row
 	// pairs of the lane tile, or the 2-wide AVX2 tile).
@@ -758,9 +759,7 @@ func BenchmarkKernels(b *testing.B) {
 			case opReLU:
 				name = "relu"
 			}
-			if p.masks != nil {
-				row(fmt.Sprintf("%s/op%02d-%s", p.name, i, name), nil, work, unit, func() { op.run(ins[i], outs[i], arena) })
-			}
+			row(fmt.Sprintf("%s/op%02d-%s", p.name, i, name), nil, work, unit, func() { op.run(ins[i], outs[i], arena) })
 		}
 		each := func(ops []int, f func(op *compiledOp, i int)) func() {
 			return func() {
