@@ -418,11 +418,11 @@ func (op *compiledOp) run(src, dst, arena []float64) {
 }
 
 // macs is a conv op's multiply-accumulates over its filled plane, stored
-// to dst at the op's pitches: with AVX-512, on the border-free lane tile
-// when the op has a panel. A pooled op stores its output's 2×2 max-pool, from the
-// tile's registers where the tile has a pooled form and every tile
-// origin is even, else through a scratch slab of the whole output that
-// poolForward reads.
+// to dst at the op's pitches: with AVX-512, on the border-free lane tiles
+// when the op has a panel. A pooled op stores its output's 2×2 max-pool,
+// from the tile's registers where the tile has a pooled form and every
+// tile origin is even, else through a scratch slab of the whole output
+// that poolForward reads.
 func (op *compiledOp) macs(plane, dst []float64) {
 	if op.tiles(plane, dst, op.row, op.ch, op.pool) {
 		return
