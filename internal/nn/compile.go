@@ -300,8 +300,9 @@ func (c *Compiled) InShape() []int { return append([]int(nil), c.inShape...) }
 func (c *Compiled) InSize() int { return c.inSize }
 
 // Bytes approximates resident memory: the compacted weight and bias
-// floats. Scratch is pooled per call and excluded — it is transient and
-// shared across requests.
+// floats (a conv's lane panel, the same floats reordered, is not
+// counted). Scratch is pooled per call and excluded — it is transient
+// and shared across requests.
 func (c *Compiled) Bytes() int64 { return c.bytes }
 
 // Infer runs the batch x (shape [N, inShape...]) through the compiled
